@@ -6,12 +6,10 @@
 //	benchctl list                    # show available experiments
 //	benchctl all                     # run everything (EXPERIMENTS.md content)
 //	benchctl -parallel 4 all         # fan experiments out over 4 goroutines
-//	benchctl -json out.json all      # also write machine-readable results
-//	benchctl -compare old.json all   # diff wall/allocs/hashes vs a prior report
 //	benchctl -trace out/ fig2        # run traced; write Perfetto JSON + summaries
 //	benchctl -shards 4 all           # run cluster-capable experiments on 4 shards
 //	benchctl -shardsweep 1,2,4,8 all # measure E17 scaling across shard counts
-//	benchctl table1                  # run one, by name or id (E1..E14)
+//	benchctl table1                  # run one, by name or id (see 'benchctl list')
 //
 // Parallel runs are deterministic: every experiment owns a private
 // sim.Engine, so -parallel changes wall time only, never the tables.
@@ -26,18 +24,15 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"hyperion/internal/bench"
 )
 
 func main() {
 	parallel := flag.Int("parallel", 1, "run 'all' across N goroutines, capped at GOMAXPROCS (each experiment keeps its own engine)")
-	jsonPath := flag.String("json", "", "with 'all': write machine-readable per-experiment results to this file")
-	comparePath := flag.String("compare", "", "with 'all': diff results against this prior BENCH_*.json; exit 1 on any table-hash mismatch")
 	tracePath := flag.String("trace", "", "run traced experiments with the telemetry plane armed and write <id>.trace.json/.hist.txt/.critpath.txt to this existing directory")
 	shards := flag.Int("shards", 0, "run cluster-capable experiments (E17, E18) on N sim.Cluster shards; 0 keeps each experiment's default")
-	sweepSpec := flag.String("shardsweep", "", "with 'all': comma-separated shard counts (e.g. 1,2,4,8); rerun E17 at each and record events/sec scaling in the JSON report")
+	sweepSpec := flag.String("shardsweep", "", "with 'all': comma-separated shard counts (e.g. 1,2,4,8); rerun E17 at each and print events/sec scaling")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -64,33 +59,11 @@ func main() {
 			// add GC contention; cap silently.
 			workers = max
 		}
-		start := time.Now() //hyperlint:allow(nodeterm) total-wall measurement for the JSON report; never feeds model time
-		outs := bench.RunAllShards(workers, *shards)
-		wall := time.Since(start) //hyperlint:allow(nodeterm) total-wall measurement for the JSON report; never feeds model time
-		for _, o := range outs {
+		for _, o := range bench.RunAllShards(workers, *shards) {
 			fmt.Println(o.Result.String())
 		}
-		rep := bench.MakeReport(workers, wall, outs)
 		if *sweepSpec != "" {
-			runShardSweep(*sweepSpec, &rep)
-		}
-		if *jsonPath != "" {
-			if err := bench.WriteReport(*jsonPath, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "benchctl: writing %s: %v\n", *jsonPath, err)
-				os.Exit(1)
-			}
-		}
-		if *comparePath != "" {
-			old, err := bench.ReadJSON(*comparePath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchctl: reading %s: %v\n", *comparePath, err)
-				os.Exit(1)
-			}
-			cmp := bench.Compare(old, rep)
-			fmt.Print(cmp.String())
-			if cmp.HashMismatches > 0 {
-				os.Exit(1)
-			}
+			runShardSweep(*sweepSpec)
 		}
 		if *tracePath != "" {
 			for _, e := range bench.All() {
@@ -118,13 +91,13 @@ func main() {
 	}
 }
 
-// runShardSweep reruns E17 at each requested shard count, prints the
-// scaling table, and attaches the points to the report's E17 record.
-// Two events/sec figures are printed: wall (what this host delivered —
-// flat when the host has fewer cores than shards) and busy (events
-// over the busiest shard's execution time — the kernel's critical
-// path, which wall converges to given one core per shard).
-func runShardSweep(spec string, rep *bench.Report) {
+// runShardSweep reruns E17 at each requested shard count and prints
+// the scaling table. Two events/sec figures are printed: wall (what
+// this host delivered — flat when the host has fewer cores than
+// shards) and busy (events over the busiest shard's execution time —
+// the kernel's critical path, which wall converges to given one core
+// per shard).
+func runShardSweep(spec string) {
 	var counts []int
 	for _, f := range strings.Split(spec, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -144,11 +117,6 @@ func runShardSweep(spec string, rep *bench.Report) {
 			p.EventsPerSec, p.EventsPerSec/pts[0].EventsPerSec,
 			p.BusyEventsPerSec, p.BusyEventsPerSec/pts[0].BusyEventsPerSec)
 	}
-	for i := range rep.Results {
-		if rep.Results[i].ID == "E17" {
-			rep.Results[i].ShardSweep = pts
-		}
-	}
 }
 
 // traceOne runs one experiment with tracing armed at the default seed,
@@ -165,5 +133,5 @@ func traceOne(e bench.Experiment, dir string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: benchctl [-parallel N] [-shards N] [-shardsweep 1,2,4,8] [-json path] [-compare old.json] [-trace dir] list | all | <experiment>...")
+	fmt.Fprintln(os.Stderr, "usage: benchctl [-parallel N] [-shards N] [-shardsweep 1,2,4,8] [-trace dir] list | all | <experiment>...")
 }

@@ -55,16 +55,20 @@ func TestExitCodes(t *testing.T) {
 		name     string
 		args     []string
 		wantExit int
-		wantOut  string
+		wantOut  []string
 	}{
-		{"usage", nil, 2, "usage: hyperionctl"},
-		{"unknown command", []string{"frobnicate"}, 2, "unknown command"},
-		{"status", []string{"status"}, 0, "dpu0"},
-		{"load", []string{"load", "-slot", "1", "-mib", "8"}, 0, "partial reconfiguration"},
-		{"forged load rejected", []string{"load", "-slot", "1", "-forge"}, 0, "load rejected"},
-		{"session", []string{"session"}, 0, "forged bitstream is rejected"},
-		{"trace needs positive probes", []string{"trace", "-probes", "0"}, 1, "must be positive"},
-		{"trace bad dir", []string{"trace", "-dir", "no-such-dir"}, 1, "not a directory"},
+		{"usage", nil, 2, []string{"usage: hyperionctl"}},
+		{"unknown command", []string{"frobnicate"}, 2, []string{"unknown command"}},
+		// status is the way to see the boot-time PCIe enumeration: one
+		// line per SSD behind the root complex.
+		{"status", []string{"status"}, 0, []string{"dpu0",
+			"pcie: port0: dpu0-ssd0 x4 BAR=", "pcie: port1: dpu0-ssd1 x4 BAR=",
+			"pcie: port2: dpu0-ssd2 x4 BAR=", "pcie: port3: dpu0-ssd3 x4 BAR="}},
+		{"load", []string{"load", "-slot", "1", "-mib", "8"}, 0, []string{"partial reconfiguration"}},
+		{"forged load rejected", []string{"load", "-slot", "1", "-forge"}, 0, []string{"load rejected"}},
+		{"session", []string{"session"}, 0, []string{"forged bitstream is rejected"}},
+		{"trace needs positive probes", []string{"trace", "-probes", "0"}, 1, []string{"must be positive"}},
+		{"trace bad dir", []string{"trace", "-dir", "no-such-dir"}, 1, []string{"not a directory"}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,10 +77,55 @@ func TestExitCodes(t *testing.T) {
 			if exit != tc.wantExit {
 				t.Fatalf("exit = %d, want %d; output:\n%s", exit, tc.wantExit, out)
 			}
-			if !strings.Contains(out, tc.wantOut) {
-				t.Fatalf("output missing %q:\n%s", tc.wantOut, out)
+			for _, want := range tc.wantOut {
+				if !strings.Contains(out, want) {
+					t.Fatalf("output missing %q:\n%s", want, out)
+				}
 			}
 		})
+	}
+}
+
+// TestRackCommand pins the operator view of the sharded kernel: the
+// shard count is a layout knob, so the two summary lines (ops, ok, err,
+// sim-time; events, windows, lookahead) are identical at 1 and 4 shards
+// apart from the shard count itself, and only the per-shard rows move.
+func TestRackCommand(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns full rack scenarios")
+	}
+	report := func(shards string) (summary string, rows int) {
+		out, exit := run(t, "rack", "-boxes", "8", "-shards", shards)
+		if exit != 0 {
+			t.Fatalf("-shards %s: exit = %d, want 0; output:\n%s", shards, exit, out)
+		}
+		lines := strings.Split(out, "\n")
+		layout := "rack: 8 boxes on " + shards + " shards"
+		if len(lines) < 2 || !strings.HasPrefix(lines[0], layout) {
+			t.Fatalf("-shards %s: output does not open with %q:\n%s", shards, layout, out)
+		}
+		summary = strings.TrimPrefix(lines[0], layout) + "\n" + lines[1]
+		for _, want := range []string{"ops=", " ok=", " err=", "sim-time ", " events, "} {
+			if !strings.Contains(summary, want) {
+				t.Fatalf("-shards %s: summary missing %q:\n%s", shards, want, out)
+			}
+		}
+		for _, line := range lines[2:] {
+			if f := strings.Fields(line); len(f) == 6 {
+				if _, err := strconv.Atoi(f[0]); err == nil {
+					rows++
+				}
+			}
+		}
+		return summary, rows
+	}
+	one, rows1 := report("1")
+	four, rows4 := report("4")
+	if one != four {
+		t.Errorf("summary differs across shard counts:\n--- 1 shard ---\n%s\n--- 4 shards ---\n%s", one, four)
+	}
+	if rows1 != 1 || rows4 != 4 {
+		t.Errorf("per-shard rows = %d and %d, want 1 and 4", rows1, rows4)
 	}
 }
 

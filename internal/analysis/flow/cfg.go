@@ -40,21 +40,20 @@ import (
 	"strings"
 )
 
-// EdgeKind classifies a CFG edge.
+// EdgeKind classifies a CFG edge. The zero value is unconditional
+// fallthrough.
 type EdgeKind uint8
 
 const (
-	// EdgeNext is unconditional fallthrough.
-	EdgeNext EdgeKind = iota
 	// EdgeTrue is taken when the edge's Cond evaluated true.
-	EdgeTrue
+	EdgeTrue EdgeKind = iota + 1
 	// EdgeFalse is taken when the edge's Cond evaluated false.
 	EdgeFalse
 )
 
 // Edge is one directed CFG edge. Cond is the leaf condition expression
 // for EdgeTrue/EdgeFalse edges (after short-circuit decomposition), nil
-// for EdgeNext.
+// for unconditional edges.
 type Edge struct {
 	To   *Block
 	Kind EdgeKind

@@ -42,13 +42,8 @@ type Balancer struct {
 	// suffices.
 	kbuf [8]byte
 	vbuf [4]byte
-	// down marks backends withdrawn from selection (health-check
-	// verdicts arrive via MarkBackendDown/Up). Flows steered to a down
-	// backend fail over to the next healthy one.
-	down map[uint32]bool
 
 	Hits, SpillHits, Misses, Spills, NewConns, Closed int64
-	Failovers                                         int64 // flows re-steered off a down backend
 }
 
 // New creates a balancer with the given hot-table capacity (entries).
@@ -197,35 +192,10 @@ func (b *Balancer) keyBytes(k uint64) []byte {
 	return b.kbuf[:]
 }
 
-// MarkBackendDown withdraws a backend: new flows avoid it and existing
-// flows steered to it fail over on their next packet.
-func (b *Balancer) MarkBackendDown(addr uint32) {
-	if b.down == nil {
-		b.down = make(map[uint32]bool)
-	}
-	b.down[addr] = true
-}
-
-// MarkBackendUp restores a backend to selection.
-func (b *Balancer) MarkBackendUp(addr uint32) { delete(b.down, addr) }
-
 // pickBackend selects a backend for a new flow (weighted by position;
-// flow-hash affinity keeps selection deterministic). Down backends are
-// skipped; with every backend down the affinity choice stands, since
-// no alternative is better. With no backends down the result is
-// identical to the pre-failover balancer.
+// flow-hash affinity keeps selection deterministic).
 func (b *Balancer) pickBackend(k uint64) uint32 {
-	n := uint64(len(b.backends))
-	first := b.backends[k%n].Addr
-	if len(b.down) == 0 {
-		return first
-	}
-	for i := uint64(0); i < n; i++ {
-		if addr := b.backends[(k+i)%n].Addr; !b.down[addr] {
-			return addr
-		}
-	}
-	return first
+	return b.backends[k%uint64(len(b.backends))].Addr
 }
 
 // Steer processes one packet and returns the backend address it should
@@ -247,13 +217,6 @@ func (b *Balancer) Steer(p trace.Packet) (uint32, error) {
 			b.Closed++
 			return dst, nil
 		}
-		if b.down[dst] {
-			// Backend died under the flow: fail over to the next healthy
-			// one and repin the connection.
-			b.Failovers++
-			dst = b.pickBackend(k)
-			b.hot.put(k, dst)
-		}
 		return dst, nil
 	}
 	// Cold path: consult the spill store on NVMe.
@@ -267,10 +230,6 @@ func (b *Balancer) Steer(p trace.Packet) (uint32, error) {
 	}
 	b.SpillHits++
 	dst := binary.LittleEndian.Uint32(val)
-	if b.down[dst] && p.Flags != 0x01 {
-		b.Failovers++
-		dst = b.pickBackend(k)
-	}
 	if p.Flags == 0x01 { // FIN
 		if _, err := b.spill.Delete(b.keyBytes(k)); err != nil {
 			return 0, err
@@ -363,7 +322,3 @@ func (h *keyHeap) pop() uint64 {
 
 // HotLen returns the hot-table occupancy.
 func (b *Balancer) HotLen() int { return b.hot.n }
-
-// SpilledApprox reports how many spills occurred (spill-store occupancy
-// proxy).
-func (b *Balancer) SpilledApprox() int64 { return b.Spills }

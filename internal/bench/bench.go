@@ -1,9 +1,10 @@
 // Package bench implements the paper-reproduction harness: one function
-// per experiment in DESIGN.md's index (E1–E14), each regenerating the
-// corresponding table or figure of the HotOS'23 paper as printable rows.
-// cmd/benchctl runs them from the command line; the repository-root
-// bench_test.go wraps them as testing.B benchmarks; EXPERIMENTS.md
-// records their output against the paper's claims.
+// per experiment in DESIGN.md's index (All lists them), each
+// regenerating the corresponding table or figure of the HotOS'23 paper,
+// or an extension of it, as printable rows. cmd/benchctl runs them from
+// the command line; the repository-root bench_test.go wraps them as
+// testing.B benchmarks; cmd/hyperbench measures what they cost the
+// host; EXPERIMENTS.md records their output against the paper's claims.
 package bench
 
 import (

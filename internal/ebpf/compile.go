@@ -102,9 +102,9 @@ func (vm *VM) runCompiled(ctx []byte) (uint64, error) {
 	r[R2] = uint64(len(ctx))
 	r[R10] = stackBase + StackSize
 	// The interpreter zeroes the stack every run. Stack contents are
-	// observable only after something wrote to it (program stores or
-	// helper WriteBytes, both of which clear stackClean), so a
-	// still-clean stack can skip the memclr with identical semantics.
+	// observable only after something wrote to it (program stores,
+	// which clear stackClean), so a still-clean stack can skip the
+	// memclr with identical semantics.
 	if !vm.stackClean {
 		vm.stack = [StackSize]byte{}
 		vm.stackClean = true

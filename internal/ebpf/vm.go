@@ -299,22 +299,6 @@ func (vm *VM) ReadBytes(addr uint64, size int) ([]byte, error) {
 	return out, nil
 }
 
-// WriteBytes copies data into program-visible memory.
-func (vm *VM) WriteBytes(addr uint64, data []byte) error {
-	b, writable, err := vm.resolve(addr, len(data))
-	if err != nil {
-		return err
-	}
-	if !writable {
-		return fmt.Errorf("%w: write to read-only window at %#x", ErrBadMemAccess, addr)
-	}
-	if addr >= stackBase && addr < stackBase+StackSize {
-		vm.stackClean = false
-	}
-	copy(b, data)
-	return nil
-}
-
 // Run executes the loaded program with ctx mapped at the context base
 // (r1 points to it, r2 holds its length), returning r0. It dispatches
 // to the closure-compiled backend when the program is in the compiler's

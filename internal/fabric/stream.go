@@ -162,10 +162,12 @@ func (s *Stream) deliver() {
 	s.deliverNext()
 }
 
-// Arbiter merges N input streams onto one output in round-robin order —
-// the "AXIS Arbiter" boxes in Figure 2. Inputs are created by In(i); each
-// is a full Stream with its own FIFO, so per-tenant backpressure is
-// isolated.
+// Arbiter fans N input streams into one sink — the "AXIS Arbiter" boxes
+// in Figure 2. Each In(i) is an independent Stream with its own FIFO
+// clocking its own beats, so per-input backpressure is isolated and the
+// inputs race to the sink in event order: there is no round-robin pick
+// and no shared-bus serialisation between them. WFQArbiter is the
+// shared-bus model (one item on the bus at a time, weighted-fair pick).
 type Arbiter struct {
 	Name string
 	out  func(Item)
@@ -221,17 +223,3 @@ func (d *Demux) Push(it Item) {
 	}
 	d.outs[i](it)
 }
-
-// Mux merges pushes from many producers into one sink without modeling
-// extra serialization (the serialization happens on the downstream
-// Stream). It exists so topology code reads like Figure 2.
-type Mux struct {
-	Name string
-	out  func(Item)
-}
-
-// NewMux creates a mux feeding out.
-func NewMux(name string, out func(Item)) *Mux { return &Mux{Name: name, out: out} }
-
-// Push forwards one item.
-func (m *Mux) Push(it Item) { m.out(it) }

@@ -127,13 +127,7 @@ type Device struct {
 	channels []sim.Time       // per-flash-channel busy horizon
 	store    map[int64][]byte // sparse LBA → block payload
 
-	// Fault injection: each read/write command fails with StatusInternal
-	// with this probability, drawn from failRand (set both via
-	// InjectFaults). The functional Sync path is unaffected.
-	failProb float64
-	failRand *sim.Rand
-
-	// plan is the richer fault plane (media errors, swallowed commands,
+	// plan is the fault plane (media errors, swallowed commands,
 	// transient read corruption); see SetFaultPlan.
 	plan *fault.Plan
 	rec  *telemetry.Recorder
@@ -148,13 +142,6 @@ type Device struct {
 // command, from execute start to completion post, named by opcode.
 // Disarmed (nil) the hooks are pure nil checks.
 func (d *Device) SetRecorder(rec *telemetry.Recorder) { d.rec = rec }
-
-// InjectFaults makes a fraction of subsequent I/O commands fail with
-// StatusInternal, deterministically per seed. prob 0 disables.
-func (d *Device) InjectFaults(prob float64, seed uint64) {
-	d.failProb = prob
-	d.failRand = sim.NewRand(seed)
-}
 
 // SetFaultPlan installs a fault plan consulted once per I/O command
 // (kinds MediaErr → StatusInternal completion, Timeout → the command is
@@ -368,11 +355,6 @@ func (d *Device) execute(qp *queuePair, cmd Command) {
 	case OpRead, OpWrite:
 		if cmd.LBA < 0 || cmd.Blocks <= 0 || cmd.LBA+int64(cmd.Blocks) > d.cfg.Blocks {
 			c.fail(StatusLBARange, d.cfg.CtrlOverhead)
-			return
-		}
-		if d.failProb > 0 && d.failRand.Float64() < d.failProb {
-			d.Counters.Get("injected_faults").Add(1)
-			c.fail(StatusInternal, d.cfg.CtrlOverhead+d.cfg.ReadLatency)
 			return
 		}
 		if d.plan.Roll(fault.Timeout) {

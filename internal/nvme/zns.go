@@ -74,12 +74,6 @@ func NewZNS(host *Host, zoneBlocks int64) (*ZNS, error) {
 	return &ZNS{host: host, zoneBlocks: zoneBlocks, zones: make([]zone, n)}, nil
 }
 
-// Zones returns the zone count.
-func (z *ZNS) Zones() int { return len(z.zones) }
-
-// ZoneBlocks returns blocks per zone.
-func (z *ZNS) ZoneBlocks() int64 { return z.zoneBlocks }
-
 // Report returns the state of every zone.
 func (z *ZNS) Report() []ZoneInfo {
 	out := make([]ZoneInfo, len(z.zones))

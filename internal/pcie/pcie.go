@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hyperion/internal/fault"
 	"hyperion/internal/sim"
 	"hyperion/internal/telemetry"
 )
@@ -229,29 +228,6 @@ func (rc *RootComplex) DMA(addr int64, size int64, done func()) error {
 // nopDone keeps the completion event (and thus event order) of a
 // callback-less DMA identical to one with a callback.
 func nopDone() {}
-
-// ScheduleLinkFaults installs deterministic link-down/retrain windows
-// derived from the plan (kind LinkDown): during each window every
-// port's link stalls — in-flight transfers finish on their old
-// schedule, but no new DMA may start before the retrain completes.
-// The schedule is precomputed and bounded by horizon, so it adds a
-// finite set of engine events and never keeps Run() alive on its own.
-// A nil or zero-rate plan installs nothing. Returns the window count.
-func (rc *RootComplex) ScheduleLinkFaults(plan *fault.Plan, horizon sim.Time, meanUp, downFor sim.Duration) int {
-	windows := plan.Windows(fault.LinkDown, horizon, meanUp, downFor)
-	for _, w := range windows {
-		end := w.End
-		rc.eng.At(w.Start, "pcie.linkdown", func() {
-			rc.Counters.Get("link_down_windows").Add(1)
-			for _, p := range rc.ports {
-				if p.busyUntil < end {
-					p.busyUntil = end
-				}
-			}
-		})
-	}
-	return len(windows)
-}
 
 // PortOf returns the port whose BAR window contains addr.
 func (rc *RootComplex) PortOf(addr int64) (*Port, error) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"hyperion/internal/fault"
 	"hyperion/internal/nvme"
 	"hyperion/internal/sim"
 )
@@ -35,7 +36,7 @@ func TestDeviceFaultsPropagateThroughStore(t *testing.T) {
 	}
 
 	// 100% failure: every async read errors out.
-	dev.InjectFaults(1.0, 42)
+	dev.SetFaultPlan(fault.NewPlan(42, "nvme").Set(fault.MediaErr, 1.0))
 	var rerr error
 	s.Read(id, 0, 8192, func(data []byte, err error) { rerr = err })
 	eng.Run()
@@ -50,7 +51,7 @@ func TestDeviceFaultsPropagateThroughStore(t *testing.T) {
 	}
 
 	// Recovery: faults off, service resumes with intact data.
-	dev.InjectFaults(0, 0)
+	dev.SetFaultPlan(nil)
 	var got []byte
 	var gerr error
 	s.Read(id, 0, 8192, func(data []byte, err error) { got, gerr = data, err })
@@ -58,8 +59,8 @@ func TestDeviceFaultsPropagateThroughStore(t *testing.T) {
 	if gerr != nil || len(got) != 8192 {
 		t.Fatalf("post-recovery read = %d bytes, %v", len(got), gerr)
 	}
-	if dev.Counters.Value("injected_faults") < 2 {
-		t.Fatalf("injected_faults = %d", dev.Counters.Value("injected_faults"))
+	if dev.Counters.Value("injected_media_errors") < 2 {
+		t.Fatalf("injected_media_errors = %d", dev.Counters.Value("injected_media_errors"))
 	}
 }
 
@@ -70,7 +71,7 @@ func TestPartialFaultRateStillCompletesEventually(t *testing.T) {
 	cfg.Blocks = 1 << 18
 	dev := nvme.New(eng, cfg)
 	host := nvme.NewHost(dev, nil)
-	dev.InjectFaults(0.3, 7)
+	dev.SetFaultPlan(fault.NewPlan(7, "nvme").Set(fault.MediaErr, 0.3))
 	ok := 0
 	attempts := 0
 	var try func()
@@ -95,7 +96,7 @@ func TestPartialFaultRateStillCompletesEventually(t *testing.T) {
 	if ok != 10 {
 		t.Fatalf("completed %d/10 reads with retries", ok)
 	}
-	if f := dev.Counters.Value("injected_faults"); f == 0 {
+	if f := dev.Counters.Value("injected_media_errors"); f == 0 {
 		t.Fatal("no faults were injected at 30% rate")
 	}
 }
@@ -113,7 +114,7 @@ func TestCheckpointFailsCleanlyOnFaults(t *testing.T) {
 	if _, err := s.Alloc(OID(1, 1), 4096, true, HintAuto); err != nil {
 		t.Fatal(err)
 	}
-	dev.InjectFaults(1.0, 9)
+	dev.SetFaultPlan(fault.NewPlan(9, "nvme").Set(fault.MediaErr, 1.0))
 	var cerr error
 	s.Checkpoint(func(err error) { cerr = err })
 	eng.Run()

@@ -51,9 +51,6 @@ func (v *SyncView) TakeCost() sim.Duration {
 	return c
 }
 
-// PeekCost returns the accumulated cost without resetting.
-func (v *SyncView) PeekCost() sim.Duration { return v.cost }
-
 // Charge adds extra modeled latency (compute time, network hops).
 func (v *SyncView) Charge(d sim.Duration) { v.cost += d }
 

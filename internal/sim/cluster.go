@@ -431,7 +431,3 @@ func (cl *Cluster) Stats() []ShardStats {
 	}
 	return out
 }
-
-// WallNs returns the wall-clock duration of Run in nanoseconds
-// (measurement only — the simulated tables never include it).
-func (cl *Cluster) WallNs() int64 { return cl.wallNs }

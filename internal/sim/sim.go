@@ -11,7 +11,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, in picoseconds since simulation start.
@@ -59,9 +58,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // Seconds converts d to floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// FromStd converts a time.Duration to a sim.Duration.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
-
 // EventRef is a generation-stamped handle to a scheduled event. The
 // zero EventRef refers to nothing; Cancel on it (or on a ref whose
 // event has already fired, been cancelled, or had its slot recycled) is
@@ -91,7 +87,6 @@ type Engine struct {
 	seq    uint64
 	nsteps uint64
 	rng    *Rand
-	trace  func(Time, string)
 }
 
 // NewEngine returns an engine at time zero with the given random seed.
@@ -107,9 +102,6 @@ func (e *Engine) Rand() *Rand { return e.rng }
 
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.nsteps }
-
-// SetTrace installs a tracing hook called for every named event executed.
-func (e *Engine) SetTrace(fn func(Time, string)) { e.trace = fn }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (before Now) panics: it would break causality.
@@ -177,15 +169,12 @@ func (e *Engine) Step() bool {
 			e.pool.release(ent.slot) // drained tombstone
 			continue
 		}
-		do, name := s.do, s.name
+		do := s.do
 		s.live = false
 		e.pool.release(ent.slot)
 		e.live--
 		e.now = ent.at
 		e.nsteps++
-		if e.trace != nil && name != "" {
-			e.trace(e.now, name)
-		}
 		do()
 		return true
 	}

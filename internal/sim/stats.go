@@ -82,21 +82,6 @@ func (l *LatencyRecorder) Merge(o *LatencyRecorder) {
 	l.sorted = false
 }
 
-// Stddev returns the sample standard deviation.
-func (l *LatencyRecorder) Stddev() Duration {
-	n := len(l.samples)
-	if n < 2 {
-		return 0
-	}
-	mean := float64(l.Mean())
-	var ss float64
-	for _, s := range l.samples {
-		d := float64(s) - mean
-		ss += d * d
-	}
-	return Duration(math.Sqrt(ss / float64(n-1)))
-}
-
 func (l *LatencyRecorder) ensureSorted() {
 	if l.sorted {
 		return

@@ -23,11 +23,8 @@ const (
 	IntCap  = 150
 )
 
-// Errors.
-var (
-	ErrNotInit = errors.New("bptree: tree not initialized")
-	ErrCorrupt = errors.New("bptree: corrupt node")
-)
+// ErrCorrupt reports a node whose on-flash bytes fail validation.
+var ErrCorrupt = errors.New("bptree: corrupt node")
 
 const (
 	kindLeaf     = 1

@@ -381,6 +381,3 @@ func (l *Log) Trim(pos uint64) error {
 	l.trimmedTo = pos
 	return nil
 }
-
-// Units returns the stripe width.
-func (l *Log) Units() int { return len(l.units) }

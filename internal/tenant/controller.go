@@ -84,9 +84,6 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *Controller {
 // Arbiter exposes the weighted-fair front end (counters, port stats).
 func (c *Controller) Arbiter() *fabric.WFQArbiter { return c.arb }
 
-// Budget returns the per-slot admission budget.
-func (c *Controller) Budget() fabric.Resources { return c.budget }
-
 // SetRecorder arms the telemetry plane on the controller and its
 // arbiter. Tenants admitted afterwards get per-tenant child processes;
 // arm before admitting for complete coverage.
@@ -273,12 +270,6 @@ func (c *Controller) Tenant(id int) (*Tenant, error) { return c.lookup(id) }
 
 // Tenants returns the number of tenants ever admitted.
 func (c *Controller) Tenants() int { return len(c.tenants) }
-
-// QueueLen returns the number of tenants waiting for a slot.
-func (c *Controller) QueueLen() int { return len(c.queue) }
-
-// SlotTenant returns the tenant id occupying slot s, or -1.
-func (c *Controller) SlotTenant(s int) int { return c.slotTenant[s] }
 
 // CheckInvariants validates the scheduling invariants the property
 // tests pin: conservation, slot exclusivity, port exclusivity, and

@@ -208,6 +208,7 @@ func (cell *tenantCellRun) admit(eng *sim.Engine, rnd *sim.Rand, at sim.Time, sp
 				}
 			})
 		}
+		tickName := "e18.tick:" + spec.Name
 		var tick func()
 		tick = func() {
 			if eng.Now() >= tenantHorizon || h.State == tenant.StateDeparted {
@@ -227,9 +228,9 @@ func (cell *tenantCellRun) admit(eng *sim.Engine, rnd *sim.Rand, at sim.Time, sp
 				// Refusals (not active, FIFO full) are the client's
 				// retry signal; the report's retry column counts them.
 			}
-			eng.After(interval, "e18.tick:"+spec.Name, tick)
+			eng.After(interval, tickName, tick)
 		}
-		eng.After(interval, "e18.tick:"+spec.Name, tick)
+		eng.After(interval, tickName, tick)
 	})
 }
 

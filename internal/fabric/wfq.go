@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"hyperion/internal/fault"
 	"hyperion/internal/sim"
@@ -19,7 +20,7 @@ type wfqPort struct {
 	// the backing array recycles once drained.
 	queue  []Item
 	head   int
-	pushAt []sim.Time // armed only: enqueue time per queued item
+	pushAt []sim.Time // armed only: enqueue time per queue entry, same indexing
 
 	Pushed    int64
 	Delivered int64
@@ -29,17 +30,20 @@ type wfqPort struct {
 
 func (p *wfqPort) len() int { return len(p.queue) - p.head }
 
-func (p *wfqPort) pop() (Item, sim.Time) {
+// pop removes port p's head item, returning it with its enqueue time
+// (zero unless armed).
+func (w *WFQArbiter) pop(p *wfqPort) (Item, sim.Time) {
 	it := p.queue[p.head]
 	p.queue[p.head] = Item{}
-	p.head++
 	var t0 sim.Time
-	if len(p.pushAt) > 0 {
-		t0 = p.pushAt[0]
-		p.pushAt = p.pushAt[1:]
+	if w.rec != nil {
+		t0 = p.pushAt[p.head]
 	}
+	p.head++
+	w.queued--
 	if p.len() == 0 {
 		p.queue = p.queue[:0]
+		p.pushAt = p.pushAt[:0]
 		p.head = 0
 	}
 	return it, t0
@@ -57,6 +61,10 @@ func (p *wfqPort) pop() (Item, sim.Time) {
 // Unlike Arbiter (independent per-input Streams racing to one sink),
 // WFQArbiter models a single shared bus: exactly one item occupies it
 // at a time, for ceil(Bytes/WidthBytes) beats.
+//
+// A pick costs two passes over the ports however many DRR rounds lie
+// between a head item and the credit to pay for it: next skips the
+// rounds that serve nobody in closed form.
 type WFQArbiter struct {
 	Name       string
 	WidthBytes int // bus width per beat
@@ -68,6 +76,7 @@ type WFQArbiter struct {
 	onDrop  func(Item) // optional: observes fault-injected drops
 	onFlush func(Item) // optional: observes items removed by Flush
 	ports   []*wfqPort
+	queued  int // items waiting in port FIFOs (the bus item excluded)
 	rr      int // port the scheduler is currently visiting
 	busy    bool
 	cur     Item     // item occupying the bus
@@ -134,6 +143,41 @@ func (w *WFQArbiter) PortStats(i int) (pushed, delivered, dropped, flushed int64
 	return p.Pushed, p.Delivered, p.Dropped, p.Flushed
 }
 
+// CheckInvariants validates the scheduler's bookkeeping: credit is never
+// negative, only the port under the scheduler may be mid-visit, the
+// queued-items count matches the FIFOs, an idle bus means no backlog,
+// and every pushed item is delivered, fault-dropped, flushed, queued or
+// on the bus. It returns the first violation.
+func (w *WFQArbiter) CheckInvariants() error {
+	var queued int
+	var flushed int64
+	for i, p := range w.ports {
+		if p.deficit < 0 {
+			return fmt.Errorf("wfq %q port %d: negative deficit %d", w.Name, i, p.deficit)
+		}
+		if p.visited && i != w.rr {
+			return fmt.Errorf("wfq %q port %d: visited but scheduler is at port %d", w.Name, i, w.rr)
+		}
+		queued += p.len()
+		flushed += p.Flushed
+	}
+	if queued != w.queued {
+		return fmt.Errorf("wfq %q: queued count %d but ports hold %d", w.Name, w.queued, queued)
+	}
+	if !w.busy && queued != 0 {
+		return fmt.Errorf("wfq %q: idle with %d items queued", w.Name, queued)
+	}
+	var onBus int64
+	if w.cur.Bytes > 0 { // Push stores Bytes >= 1; deliver zeroes cur
+		onBus = 1
+	}
+	if got := w.Delivered + w.FaultDrops + flushed + int64(queued) + onBus; got != w.Pushed {
+		return fmt.Errorf("wfq %q: pushed %d != delivered %d + fault drops %d + flushed %d + queued %d + on bus %d",
+			w.Name, w.Pushed, w.Delivered, w.FaultDrops, flushed, queued, onBus)
+	}
+	return nil
+}
+
 // SetFaultPlan installs a fault plan consulted once per delivered item
 // (kind Drop, as on Stream: the item occupies its bus beats, then is
 // squashed before the sink). A nil or zero-rate plan leaves delivery
@@ -158,6 +202,19 @@ func (w *WFQArbiter) SetRecorder(rec *telemetry.Recorder) {
 	if rec != nil {
 		w.dropName = "drop:" + w.Name
 	}
+	// pushAt runs parallel to queue only while armed: items already
+	// waiting (or on the bus) when the recorder arrives are stamped with
+	// the arming time.
+	now := w.eng.Now()
+	w.curT0 = now
+	for _, p := range w.ports {
+		p.pushAt = p.pushAt[:0]
+		if rec != nil {
+			for range p.queue {
+				p.pushAt = append(p.pushAt, now)
+			}
+		}
+	}
 }
 
 // Push enqueues an item on port i, or returns ErrStreamFull under
@@ -178,6 +235,7 @@ func (w *WFQArbiter) Push(i int, it Item) error {
 	if w.rec != nil {
 		p.pushAt = append(p.pushAt, w.eng.Now())
 	}
+	w.queued++
 	p.Pushed++
 	w.Pushed++
 	if !w.busy {
@@ -201,7 +259,7 @@ func (w *WFQArbiter) Flush(i int) []Item {
 	}
 	out := make([]Item, 0, n)
 	for p.len() > 0 {
-		it, _ := p.pop()
+		it, _ := w.pop(p)
 		p.Flushed++
 		out = append(out, it)
 		if w.onFlush != nil {
@@ -222,46 +280,73 @@ func (w *WFQArbiter) beats(it Item) int64 {
 }
 
 // next runs the DRR scheduler: pick the item to put on the bus and
-// schedule its beats. Progress is guaranteed with positive weights —
-// every full round adds at least one beat of credit to each backlogged
-// port, and an item's cost is finite.
+// schedule its beats. A pick is two passes over the ports at most.
+// The first pass is plain DRR from rr; if it serves nobody, every
+// backlogged port is unvisited and short of its head's cost, so the
+// number of rounds until somebody can pay is known in closed form:
+// k = min over backlogged ports of ceil((cost-deficit)/weight). Rounds
+// 1..k-1 serve nobody by definition of k and are credited in one sweep
+// ((k-1)*weight < cost, so the product cannot overflow); round k is the
+// plain pass again and must serve. Progress is therefore guaranteed:
+// weights are positive and costs finite, so k is. Scheduler state after
+// a pick is bit-identical to walking the k rounds one port at a time.
 func (w *WFQArbiter) next() {
-	n := len(w.ports)
-	backlog := false
-	for _, p := range w.ports {
-		if p.len() > 0 {
-			backlog = true
-			break
-		}
-	}
-	if !backlog {
+	if w.queued == 0 {
 		w.busy = false
 		return
 	}
-	for {
+	if w.pass() {
+		return
+	}
+	k := int64(math.MaxInt64)
+	for _, p := range w.ports {
+		if p.len() > 0 {
+			wt := int64(p.weight)
+			if r := (w.beats(p.queue[p.head]) - p.deficit + wt - 1) / wt; r < k {
+				k = r
+			}
+		}
+	}
+	for _, p := range w.ports {
+		if p.len() > 0 {
+			p.deficit += (k - 1) * int64(p.weight)
+		}
+	}
+	if !w.pass() {
+		panic(fmt.Sprintf("fabric: wfq %q: no port served after a %d-round skip", w.Name, k))
+	}
+}
+
+// pass visits each port once from rr, one DRR step per port, and
+// reports whether one was served (rr then stays on it, still visited,
+// so leftover credit can serve its next item without a fresh quantum).
+func (w *WFQArbiter) pass() bool {
+	n := len(w.ports)
+	for i := 0; i < n; i++ {
 		p := w.ports[w.rr]
 		if p.len() == 0 {
 			p.deficit = 0
 			p.visited = false
-			w.rr = (w.rr + 1) % n
-			continue
-		}
-		if !p.visited {
-			p.deficit += int64(p.weight)
-			p.visited = true
-		}
-		cost := w.beats(p.queue[p.head])
-		if p.deficit < cost {
+		} else {
+			if !p.visited {
+				p.deficit += int64(p.weight)
+				p.visited = true
+			}
+			cost := w.beats(p.queue[p.head])
+			if p.deficit >= cost {
+				p.deficit -= cost
+				w.cur, w.curT0 = w.pop(p)
+				w.curPort = w.rr
+				w.eng.After(sim.Duration(cost)*w.period, w.beatName, w.beatFn)
+				return true
+			}
 			p.visited = false
-			w.rr = (w.rr + 1) % n
-			continue
 		}
-		p.deficit -= cost
-		w.cur, w.curT0 = p.pop()
-		w.curPort = w.rr
-		w.eng.After(sim.Duration(cost)*w.period, w.beatName, w.beatFn)
-		return
+		if w.rr++; w.rr == n {
+			w.rr = 0
+		}
 	}
+	return false
 }
 
 // deliver fires when the bus finishes the in-service item's beats.

@@ -272,8 +272,9 @@ func (c *Controller) Tenant(id int) (*Tenant, error) { return c.lookup(id) }
 func (c *Controller) Tenants() int { return len(c.tenants) }
 
 // CheckInvariants validates the scheduling invariants the property
-// tests pin: conservation, slot exclusivity, port exclusivity, and
-// controller/fabric state agreement. It returns the first violation.
+// tests pin: conservation, slot exclusivity, port exclusivity,
+// controller/fabric state agreement, and the WFQ arbiter's own
+// bookkeeping. It returns the first violation.
 func (c *Controller) CheckInvariants() error {
 	inQueue := make([]int, len(c.tenants))
 	for _, id := range c.queue {
@@ -334,7 +335,7 @@ func (c *Controller) CheckInvariants() error {
 		}
 		ports[t.Port] = t.ID
 	}
-	return nil
+	return c.arb.CheckInvariants()
 }
 
 // --- internals ---

@@ -94,8 +94,8 @@ func TestFrontendBehaviorMatchesHandAssembly(t *testing.T) {
 			binary.LittleEndian.PutUint64(ctx[CtxKey:], key)
 			copy(ctx[CtxNode:], page)
 		}
-		rf, errF := vmF.RunInterpreted(ctxF)
-		rh, errH := vmH.RunInterpreted(ctxH)
+		rf, errF := vmF.Run(ctxF)
+		rh, errH := vmH.Run(ctxH)
 		if (errF == nil) != (errH == nil) {
 			t.Fatalf("trial %d: frontend err %v, hand err %v", trial, errF, errH)
 		}

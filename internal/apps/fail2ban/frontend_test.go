@@ -88,8 +88,8 @@ func TestFrontendBehaviorMatchesHandAssembly(t *testing.T) {
 	gen := trace.NewAttackGen(7, 5)
 	for i := 0; i < 3000; i++ {
 		ctx := gen.Next().Marshal()
-		vf, errF := fi.vm.RunInterpreted(append([]byte(nil), ctx...))
-		vh, errH := hi.vm.RunInterpreted(append([]byte(nil), ctx...))
+		vf, errF := fi.vm.Run(append([]byte(nil), ctx...))
+		vh, errH := hi.vm.Run(append([]byte(nil), ctx...))
 		if errF != nil || errH != nil {
 			t.Fatalf("packet %d: frontend err %v, hand err %v", i, errF, errH)
 		}

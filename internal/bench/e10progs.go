@@ -1,7 +1,7 @@
 package bench
 
 // e10Programs is the E10 workload suite, shared between the
-// EBPFPipeline experiment and the VM backend benchmarks so both measure
+// EBPFPipeline experiment and BenchmarkVM so both measure
 // exactly the same programs. The sources are part of the golden E10
 // table (program names and instruction counts) — do not edit casually.
 var e10Programs = []struct {

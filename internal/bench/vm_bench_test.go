@@ -6,51 +6,30 @@ import (
 	"hyperion/internal/ebpf"
 )
 
-// Benchmarks for the two VM backends over the E10 program suite. The
-// compiled backend's acceptance bar is ≥3x over the interpreter with 0
-// steady-state allocs (run with -benchmem).
-
-func benchVM(b *testing.B, name string, compiled bool) {
+// BenchmarkVM runs the E10 program suite on the VM. A steady-state Run
+// must not allocate: the suite's programs call no helper, and the
+// datapath executes one per item.
+func BenchmarkVM(b *testing.B) {
 	for _, p := range e10Programs {
-		if p.name != name {
-			continue
-		}
-		prog := ebpf.MustAssemble(p.src)
-		vm := ebpf.NewVM(nil)
-		if err := vm.Load(prog); err != nil {
-			b.Fatal(err)
-		}
-		if compiled && !vm.Precompile() {
-			b.Fatal("program did not compile")
-		}
-		ctx := make([]byte, E10CtxBytes)
-		run := vm.RunInterpreted
-		if compiled {
-			run = vm.Run
-		}
-		if _, err := run(ctx); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := run(ctx); err != nil {
+		b.Run(p.name, func(b *testing.B) {
+			vm := ebpf.NewVM(nil)
+			if err := vm.Load(ebpf.MustAssemble(p.src)); err != nil {
 				b.Fatal(err)
 			}
-		}
-		return
-	}
-	b.Fatalf("unknown E10 program %q", name)
-}
-
-func BenchmarkVM_Interp(b *testing.B) {
-	for _, p := range e10Programs {
-		b.Run(p.name, func(b *testing.B) { benchVM(b, p.name, false) })
-	}
-}
-
-func BenchmarkVM_Compiled(b *testing.B) {
-	for _, p := range e10Programs {
-		b.Run(p.name, func(b *testing.B) { benchVM(b, p.name, true) })
+			ctx := make([]byte, E10CtxBytes)
+			run := func() {
+				if _, err := vm.Run(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+				b.Fatalf("%v allocs per Run, want 0", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
 }

@@ -1,17 +1,13 @@
 package ebpf
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // FuzzDecodeVerifyLoad drives arbitrary bytes through the whole
 // program-loading pipeline — Decode, Verify, Load, and (when the
-// verifier accepts) both execution backends. The contract under fuzz
-// is absolute: no input may panic any stage, and hostile inputs must
-// be rejected with errors, not executed. For accepted programs the
-// compiled backend must agree with the reference interpreter
-// bit-for-bit, so the fuzzer doubles as a differential test.
+// verifier accepts) Run. The contract under fuzz is absolute: no input
+// may panic any stage, hostile inputs must be rejected with errors, not
+// executed, and a program the verifier accepts must run to its exit
+// without a runtime error (accepted ⇒ never faults).
 func FuzzDecodeVerifyLoad(f *testing.F) {
 	// Seed with valid programs so the fuzzer starts inside the
 	// interesting region (mutations of well-formed encodings) instead
@@ -37,7 +33,10 @@ func FuzzDecodeVerifyLoad(f *testing.F) {
 		}
 		maps := &MapSet{}
 		maps.Add(NewArrayMap(8, 4))
-		if err := Verify(prog, DefaultVerifierConfig(maps)); err != nil {
+		ctx := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		cfg := DefaultVerifierConfig(maps)
+		cfg.CtxSize = len(ctx)
+		if err := Verify(prog, cfg); err != nil {
 			return
 		}
 		// The verifier accepted: loading and running must also be safe.
@@ -45,22 +44,8 @@ func FuzzDecodeVerifyLoad(f *testing.F) {
 		if err := vm.Load(prog); err != nil {
 			t.Fatalf("verified program failed to load: %v", err)
 		}
-		ctx := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-		got, gotErr := vm.Run(append([]byte(nil), ctx...))
-		iv := NewVM(maps)
-		if err := iv.Load(prog); err != nil {
-			t.Fatalf("verified program failed to load (interpreter): %v", err)
-		}
-		iv.noCompile = true
-		want, wantErr := iv.RunInterpreted(append([]byte(nil), ctx...))
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("backend error divergence: compiled=%v interpreted=%v", gotErr, wantErr)
-		}
-		if gotErr == nil && got != want {
-			t.Fatalf("backend result divergence: compiled=%#x interpreted=%#x", got, want)
-		}
-		if gotErr != nil && !errors.Is(gotErr, wantErr) && gotErr.Error() != wantErr.Error() {
-			t.Fatalf("backend error text divergence: compiled=%v interpreted=%v", gotErr, wantErr)
+		if _, err := vm.Run(ctx); err != nil {
+			t.Fatalf("verified program faulted: %v\n%s", err, Disassemble(prog))
 		}
 	})
 }

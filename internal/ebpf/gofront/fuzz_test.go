@@ -1,7 +1,6 @@
 package gofront
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -13,10 +12,9 @@ import (
 // FuzzGofront holds the whole frontend to a generative contract: the
 // fuzz input is a decision tape driving a generator that only produces
 // programs inside the restricted-Go subset, so every generated source
-// MUST compile, pass the verifier, and behave identically on the
-// compiled backend and the reference interpreter (return value and
-// every context byte). A diagnostic, a verifier rejection, or a
-// backend divergence is a frontend bug by construction.
+// MUST compile, pass the verifier, and run to its exit without a
+// runtime error. A diagnostic, a verifier rejection, or a trap is a
+// frontend (or verifier) bug by construction.
 //
 // Committed corpus seeds live in testdata/fuzz/FuzzGofront and run as
 // regression inputs on every plain `go test`.
@@ -174,32 +172,12 @@ func runGofrontTape(t *testing.T, data []byte) {
 		t.Fatalf("generated program failed the verifier:\n%s\n%s\n%v",
 			src, ebpf.Disassemble(prog.Insns), err)
 	}
-	ctx := genCtx(tp)
-	vmC := ebpf.NewVM(nil)
-	if err := vmC.Load(prog.Insns); err != nil {
+	vm := ebpf.NewVM(nil)
+	if err := vm.Load(prog.Insns); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	ctxC := append([]byte(nil), ctx...)
-	retC, errC := vmC.Run(ctxC)
-
-	vmI := ebpf.NewVM(nil)
-	if err := vmI.Load(prog.Insns); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	ctxI := append([]byte(nil), ctx...)
-	retI, errI := vmI.RunInterpreted(ctxI)
-
-	if (errC == nil) != (errI == nil) {
-		t.Fatalf("backend error divergence: compiled=%v interpreted=%v\n%s", errC, errI, src)
-	}
-	if errC != nil {
-		t.Fatalf("generated program trapped: %v\n%s", errC, src)
-	}
-	if retC != retI {
-		t.Fatalf("return divergence: compiled=%#x interpreted=%#x\n%s", retC, retI, src)
-	}
-	if !bytes.Equal(ctxC, ctxI) {
-		t.Fatalf("context divergence\n%s", src)
+	if _, err := vm.Run(genCtx(tp)); err != nil {
+		t.Fatalf("generated program trapped: %v\n%s", err, src)
 	}
 }
 

@@ -132,7 +132,7 @@ func Run(ctx *Ctx) uint64 {
 		for i := 0; i < 8; i++ {
 			ctx[i] = byte(val >> (8 * i))
 		}
-		ret, err := vm.RunInterpreted(ctx)
+		ret, err := vm.Run(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

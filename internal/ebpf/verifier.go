@@ -410,6 +410,9 @@ func (v *verifier) step(pc int, st absState) ([]edge, error) {
 		case JmpA:
 			return []edge{{v.targets[pc], st}}, nil
 		}
+		if op > JmpSLe {
+			return nil, fmt.Errorf("unknown jump op %#x", ins.Op)
+		}
 		dst, err := readReg(ins.Dst)
 		if err != nil {
 			return nil, err
@@ -512,6 +515,9 @@ func refineRange(op uint8, r regState, c uint64) (taken, fall regState) {
 func (v *verifier) alu(st *absState, ins Instruction) (regState, error) {
 	is32 := ins.Class() == ClassALU
 	op := ins.Op & 0xf0
+	if op > ALUArsh {
+		return regState{}, fmt.Errorf("unknown ALU op %#x", ins.Op)
+	}
 
 	var src regState
 	if ins.Op&SrcReg != 0 {
@@ -581,7 +587,11 @@ func (v *verifier) alu(st *absState, ins Instruction) (regState, error) {
 		return regState{}, errors.New("arithmetic on possibly-null map pointer")
 	}
 
-	out := rangeALU(op, dst, src)
+	if is32 {
+		// A 32-bit op sees only the low halves of its operands.
+		dst, src = clamp32(dst), clamp32(src)
+	}
+	out := rangeALU(op, dst, src, is32)
 	if is32 {
 		out = clamp32(out)
 	}
@@ -601,10 +611,16 @@ func clamp32(r regState) regState {
 }
 
 // rangeALU transfers unsigned ranges through an ALU op. Exact × exact
-// uses precise 64-bit semantics; bounded ranges propagate where the
-// operation is monotone; everything else widens to unbounded.
-func rangeALU(op uint8, a, b regState) regState {
-	// Exact fast path matching the interpreter's semantics.
+// uses the VM's precise semantics; bounded ranges propagate where the
+// operation is monotone; everything else widens to unbounded. For a
+// 32-bit op the caller truncates the operands and the result; is32
+// selects the shift-count mask and the sign bit arsh extends from.
+func rangeALU(op uint8, a, b regState, is32 bool) regState {
+	shiftMask := uint64(63)
+	if is32 {
+		shiftMask = 31
+	}
+	// Exact fast path matching the VM's semantics.
 	if a.exact() && b.exact() {
 		x, y := a.vmin, b.vmin
 		var r uint64
@@ -634,11 +650,15 @@ func rangeALU(op uint8, a, b regState) regState {
 		case ALUXor:
 			r = x ^ y
 		case ALULsh:
-			r = x << (y & 63)
+			r = x << (y & shiftMask)
 		case ALURsh:
-			r = x >> (y & 63)
+			r = x >> (y & shiftMask)
 		case ALUArsh:
-			r = uint64(int64(x) >> (y & 63))
+			if is32 {
+				r = uint64(uint32(int32(uint32(x)) >> (y & shiftMask)))
+			} else {
+				r = uint64(int64(x) >> (y & shiftMask))
+			}
 		case ALUNeg:
 			r = -x
 		default:
@@ -679,14 +699,14 @@ func rangeALU(op uint8, a, b regState) regState {
 		}
 	case ALULsh:
 		if b.exact() {
-			k := b.vmin & 63
+			k := b.vmin & shiftMask
 			if a.vmax <= (unboundedMax>>k) && bounded(a) {
 				return regState{typ: tScalar, vmin: a.vmin << k, vmax: a.vmax << k}
 			}
 		}
 	case ALURsh:
 		if b.exact() {
-			k := b.vmin & 63
+			k := b.vmin & shiftMask
 			return regState{typ: tScalar, vmin: a.vmin >> k, vmax: a.vmax >> k}
 		}
 	}

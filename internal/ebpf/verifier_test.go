@@ -106,12 +106,17 @@ func TestVerifyRejectsBadPrograms(t *testing.T) {
 		miss:
 			mov r0, 0
 			exit`, "map value access"},
-		"scalar_deref":     {"mov r2, 1234\nldxdw r0, [r2+0]\nexit", "scalar"},
-		"unknown_helper":   {"call 4095\nexit", "unknown or disallowed"},
-		"ptr_leak_exit":    {"mov r0, r10\nexit", "pointer leak"},
-		"write_r10":        {"mov r10, 0\nmov r0, 0\nexit", "read-only frame pointer"},
-		"ptr_unknown_add":  {"ldxw r3, [r1+0]\nmov r2, r10\nadd r2, r3\nstdw [r2-8], 1\nmov r0, 0\nexit", "unbounded scalar"},
-		"ptr32_arith":      {"mov r2, r10\nadd32 r2, 4\nmov r0, 0\nexit", "32-bit arithmetic on a pointer"},
+		"scalar_deref":    {"mov r2, 1234\nldxdw r0, [r2+0]\nexit", "scalar"},
+		"unknown_helper":  {"call 4095\nexit", "unknown or disallowed"},
+		"ptr_leak_exit":   {"mov r0, r10\nexit", "pointer leak"},
+		"write_r10":       {"mov r10, 0\nmov r0, 0\nexit", "read-only frame pointer"},
+		"ptr_unknown_add": {"ldxw r3, [r1+0]\nmov r2, r10\nadd r2, r3\nstdw [r2-8], 1\nmov r0, 0\nexit", "unbounded scalar"},
+		"ptr32_arith":     {"mov r2, r10\nadd32 r2, 4\nmov r0, 0\nexit", "32-bit arithmetic on a pointer"},
+		// 32-bit ops see only the low operand halves and mask shift counts
+		// with 31; a verifier that folds them at 64 bits believes r2 is 0
+		// here while the VM computes 4.
+		"div32_high_bits":  {"stdw [r10-8], 0\nmov r2, 8\nlddw r3, 0x100000002\ndiv32 r2, r3\nmov r4, r10\nadd r4, -8\nadd r4, r2\nldxdw r0, [r4+0]\nexit", "stack access"},
+		"lsh32_count_mask": {"stdw [r10-8], 0\nmov r2, 2\nlsh32 r2, 33\nmov r4, r10\nadd r4, -8\nadd r4, r2\nldxdw r0, [r4+0]\nexit", "stack access"},
 		"map_id_not_const": {"ldxw r1, [r1+0]\nmov r2, r10\nstw [r10-4], 1\nsub r2, 4\ncall 1\nmov r0, 0\nexit", "constant map id"},
 		"clobbered_r1":     {"call 5\nldxw r0, [r1+0]\nexit", "uninitialized r1"},
 		"bad_map_id":       {"stw [r10-4], 1\nmov r1, 99\nmov r2, r10\nsub r2, 4\ncall 1\nmov r0, 0\nexit", "no map with id"},
@@ -130,6 +135,34 @@ func TestVerifyRejectsBadPrograms(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.frag) {
 				t.Fatalf("error %q does not mention %q", err, c.frag)
+			}
+		})
+	}
+}
+
+// TestVerifyRejectsUnknownOpcodes: opcodes the VM faults on with
+// ErrBadInstruction must not pass, whatever their operands look like.
+func TestVerifyRejectsUnknownOpcodes(t *testing.T) {
+	bad := map[string]Instruction{
+		"alu64_0xe0":     {Op: ClassALU64 | 0xe0},
+		"alu32_0xf0_reg": {Op: ClassALU | 0xf0 | SrcReg},
+		"alu64_end":      {Op: ClassALU64 | ALUEnd, Imm: 16}, // byte swaps exist in the 32-bit class only
+		"jmp_0xe0":       {Op: ClassJMP | 0xe0},
+		"jmp32_0xf0":     {Op: ClassJMP32 | 0xf0},
+	}
+	for name, ins := range bad {
+		t.Run(name, func(t *testing.T) {
+			prog := []Instruction{Mov64Imm(R0, 1), ins, Exit()}
+			err := Verify(prog, defCfg())
+			if !errors.Is(err, ErrVerify) || !strings.Contains(err.Error(), "unknown") {
+				t.Fatalf("err = %v, want an unknown-opcode rejection", err)
+			}
+			vm := NewVM(nil)
+			if err := vm.Load(prog); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := vm.Run(nil); !errors.Is(err, ErrBadInstruction) {
+				t.Fatalf("VM ran it: err = %v, want ErrBadInstruction", err)
 			}
 		})
 	}

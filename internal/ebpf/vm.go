@@ -82,18 +82,6 @@ type VM struct {
 	windows []window
 	fakeNow uint64
 
-	// Compiled-backend state. regs is the preallocated register file the
-	// compiled artifact runs on; compiled/noCompile cache the lowering
-	// result until the next Load or RegisterHelper; builtin marks helper
-	// ids still bound to their NewVM defaults (eligible for devirtualized
-	// fast paths); stackClean is true while the stack is known all-zero,
-	// letting compiled runs skip the entry memclr.
-	regs       regFile
-	compiled   *compiledProg
-	noCompile  bool
-	builtin    map[int32]bool
-	stackClean bool
-
 	Steps       int64 // instructions executed in the last Run
 	TotalSteps  int64 // cumulative
 	HelperCalls int64
@@ -104,31 +92,14 @@ func NewVM(maps *MapSet) *VM {
 	if maps == nil {
 		maps = &MapSet{}
 	}
-	vm := &VM{Maps: maps, helpers: make(map[int32]Helper), builtin: make(map[int32]bool)}
+	vm := &VM{Maps: maps, helpers: make(map[int32]Helper)}
 	vm.registerBuiltins()
 	return vm
 }
 
 // RegisterHelper installs a helper by id, replacing any existing one.
-// Rebinding drops the id's builtin fast path and invalidates any
-// compiled artifact (which devirtualizes helpers at compile time).
 func (vm *VM) RegisterHelper(id int32, h Helper) {
 	vm.helpers[id] = h
-	delete(vm.builtin, id)
-	vm.invalidate()
-}
-
-// registerBuiltin installs a default helper and marks it eligible for
-// the compiler's devirtualized fast paths.
-func (vm *VM) registerBuiltin(id int32, h Helper) {
-	vm.RegisterHelper(id, h)
-	vm.builtin[id] = true
-}
-
-// invalidate discards the compiled artifact; the next Run re-lowers.
-func (vm *VM) invalidate() {
-	vm.compiled = nil
-	vm.noCompile = false
 }
 
 // Helpers returns the registered helper ids (for the verifier).
@@ -148,26 +119,7 @@ func (vm *VM) Load(prog []Instruction) error {
 	}
 	vm.prog = prog
 	vm.targets = targets
-	vm.invalidate()
 	return nil
-}
-
-// Precompile lowers the loaded program to the closure-compiled backend
-// now (Run otherwise compiles lazily on first use). It reports whether
-// the compiled path is active; false means the program is outside the
-// compiler's domain and Run will use the interpreter.
-func (vm *VM) Precompile() bool {
-	if vm.prog == nil {
-		return false
-	}
-	if vm.compiled == nil && !vm.noCompile {
-		if cp := compile(vm); cp != nil {
-			vm.compiled = cp
-		} else {
-			vm.noCompile = true
-		}
-	}
-	return vm.compiled != nil
 }
 
 // jumpTargets maps slot-relative jump offsets to instruction indexes,
@@ -271,9 +223,6 @@ func (vm *VM) memStore(addr uint64, size int, val uint64) error {
 	if !writable {
 		return fmt.Errorf("%w: write to read-only window at %#x", ErrBadMemAccess, addr)
 	}
-	if addr >= stackBase && addr < stackBase+StackSize {
-		vm.stackClean = false
-	}
 	switch size {
 	case 1:
 		b[0] = byte(val)
@@ -299,29 +248,25 @@ func (vm *VM) ReadBytes(addr uint64, size int) ([]byte, error) {
 	return out, nil
 }
 
-// Run executes the loaded program with ctx mapped at the context base
-// (r1 points to it, r2 holds its length), returning r0. It dispatches
-// to the closure-compiled backend when the program is in the compiler's
-// domain (verified, loop-free programs always are) and otherwise falls
-// back to the reference interpreter; the two are bit-identical in
-// results, step/helper accounting, and error behaviour.
-func (vm *VM) Run(ctx []byte) (uint64, error) {
-	if vm.prog == nil {
-		return 0, ErrNoProgram
+// helperArgBytes resolves a map helper's pointer argument. The built-in
+// maps (HashMap, ArrayMap) never retain key/value slices, so they read
+// program memory in place; any other Map implementation gets a
+// defensive copy.
+func (vm *VM) helperArgBytes(m Map, addr uint64, size int) ([]byte, error) {
+	switch m.(type) {
+	case *HashMap, *ArrayMap:
+		b, _, err := vm.resolve(addr, size)
+		return b, err
+	default:
+		return vm.ReadBytes(addr, size)
 	}
-	if vm.compiled == nil && !vm.noCompile {
-		vm.Precompile()
-	}
-	if vm.compiled != nil {
-		return vm.runCompiled(ctx)
-	}
-	return vm.RunInterpreted(ctx)
 }
 
-// RunInterpreted executes the loaded program on the per-instruction
-// switch interpreter — the reference implementation the compiled
-// backend is differentially tested against.
-func (vm *VM) RunInterpreted(ctx []byte) (uint64, error) {
+// Run executes the loaded program with ctx mapped at the context base
+// (r1 points to it, r2 holds its length), returning r0. It interprets
+// one instruction per step; Steps, TotalSteps and HelperCalls count
+// exactly what executed, including the instruction that faulted.
+func (vm *VM) Run(ctx []byte) (uint64, error) {
 	if vm.prog == nil {
 		return 0, ErrNoProgram
 	}
@@ -333,7 +278,6 @@ func (vm *VM) RunInterpreted(ctx []byte) (uint64, error) {
 	for i := range vm.stack {
 		vm.stack[i] = 0
 	}
-	vm.stackClean = true
 	vm.Steps = 0
 
 	pc := 0
@@ -471,9 +415,11 @@ func (vm *VM) RunInterpreted(ctx []byte) (uint64, error) {
 				src = uint64(int64(ins.Imm))
 			}
 			dst := r[ins.Dst]
+			sdst, ssrc := int64(dst), int64(src)
 			if ins.Class() == ClassJMP32 {
 				dst = uint64(uint32(dst))
 				src = uint64(uint32(src))
+				sdst, ssrc = int64(int32(dst)), int64(int32(src))
 			}
 			var taken bool
 			switch op {
@@ -494,13 +440,13 @@ func (vm *VM) RunInterpreted(ctx []byte) (uint64, error) {
 			case JmpSet:
 				taken = dst&src != 0
 			case JmpSGt:
-				taken = int64(dst) > int64(src)
+				taken = sdst > ssrc
 			case JmpSGe:
-				taken = int64(dst) >= int64(src)
+				taken = sdst >= ssrc
 			case JmpSLt:
-				taken = int64(dst) < int64(src)
+				taken = sdst < ssrc
 			case JmpSLe:
-				taken = int64(dst) <= int64(src)
+				taken = sdst <= ssrc
 			default:
 				return 0, fmt.Errorf("%w: jmp op %#x", ErrBadInstruction, ins.Op)
 			}
@@ -596,12 +542,12 @@ func (vm *VM) RunInterpreted(ctx []byte) (uint64, error) {
 }
 
 func (vm *VM) registerBuiltins() {
-	vm.registerBuiltin(HelperMapLookup, Helper{Name: "map_lookup_elem", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
+	vm.RegisterHelper(HelperMapLookup, Helper{Name: "map_lookup_elem", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
 		m, err := vm.Maps.Get(int(a[0]))
 		if err != nil {
 			return 0, err
 		}
-		key, err := vm.ReadBytes(a[1], m.KeySize())
+		key, err := vm.helperArgBytes(m, a[1], m.KeySize())
 		if err != nil {
 			return 0, err
 		}
@@ -611,16 +557,16 @@ func (vm *VM) registerBuiltins() {
 		}
 		return vm.AddWindow(val, true), nil
 	}})
-	vm.registerBuiltin(HelperMapUpdate, Helper{Name: "map_update_elem", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
+	vm.RegisterHelper(HelperMapUpdate, Helper{Name: "map_update_elem", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
 		m, err := vm.Maps.Get(int(a[0]))
 		if err != nil {
 			return 0, err
 		}
-		key, err := vm.ReadBytes(a[1], m.KeySize())
+		key, err := vm.helperArgBytes(m, a[1], m.KeySize())
 		if err != nil {
 			return 0, err
 		}
-		val, err := vm.ReadBytes(a[2], m.ValueSize())
+		val, err := vm.helperArgBytes(m, a[2], m.ValueSize())
 		if err != nil {
 			return 0, err
 		}
@@ -629,12 +575,12 @@ func (vm *VM) registerBuiltins() {
 		}
 		return 0, nil
 	}})
-	vm.registerBuiltin(HelperMapDelete, Helper{Name: "map_delete_elem", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
+	vm.RegisterHelper(HelperMapDelete, Helper{Name: "map_delete_elem", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
 		m, err := vm.Maps.Get(int(a[0]))
 		if err != nil {
 			return 0, err
 		}
-		key, err := vm.ReadBytes(a[1], m.KeySize())
+		key, err := vm.helperArgBytes(m, a[1], m.KeySize())
 		if err != nil {
 			return 0, err
 		}
@@ -643,14 +589,14 @@ func (vm *VM) registerBuiltins() {
 		}
 		return ^uint64(0), nil
 	}})
-	vm.registerBuiltin(HelperKtime, Helper{Name: "ktime_get_ns", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
+	vm.RegisterHelper(HelperKtime, Helper{Name: "ktime_get_ns", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
 		if vm.Now != nil {
 			return vm.Now(), nil
 		}
 		vm.fakeNow++
 		return vm.fakeNow, nil
 	}})
-	vm.registerBuiltin(HelperTrace, Helper{Name: "trace", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
+	vm.RegisterHelper(HelperTrace, Helper{Name: "trace", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
 		if vm.Trace != nil {
 			vm.Trace(a[0])
 		}

@@ -3,6 +3,7 @@ package ebpf
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -30,18 +31,27 @@ func TestALUSemantics(t *testing.T) {
 		{"mul", "mov r0, 7\nmul r0, 6\nexit", 42},
 		{"div", "mov r0, 42\nmov r1, 5\ndiv r0, r1\nexit", 8},
 		{"div_by_zero_yields_zero", "mov r0, 42\nmov r1, 0\ndiv r0, r1\nexit", 0},
+		{"div_by_zero_imm", "mov r0, 42\ndiv r0, 0\nexit", 0},
+		{"div32_by_zero_yields_zero", "lddw r0, 0x10000002a\nmov r1, 0\ndiv32 r0, r1\nexit", 0},
+		{"div32_ignores_high_bits", "mov r0, 8\nlddw r1, 0x100000002\ndiv32 r0, r1\nexit", 4},
 		{"mod", "mov r0, 42\nmod r0, 5\nexit", 2},
 		{"mod_by_zero_keeps_dst", "mov r0, 42\nmov r1, 0\nmod r0, r1\nexit", 42},
+		{"mod_by_zero_imm", "mov r0, 42\nmod r0, 0\nexit", 42},
+		{"mod32_by_zero_truncates_dst", "lddw r0, 0x10000002a\nmov r1, 0\nmod32 r0, r1\nexit", 0x2a},
 		{"and", "mov r0, 0xff\nand r0, 0x0f\nexit", 0x0f},
 		{"or", "mov r0, 0xf0\nor r0, 0x0f\nexit", 0xff},
 		{"xor_self", "mov r0, 123\nxor r0, r0\nexit", 0},
 		{"lsh", "mov r0, 1\nlsh r0, 40\nexit", 1 << 40},
 		{"lsh_masked", "mov r0, 1\nlsh r0, 64\nexit", 1}, // shift & 63
+		{"lsh_reg_masked", "mov r0, 1\nmov r1, 65\nlsh r0, r1\nexit", 2},
+		{"lsh32_reg_masked", "mov r0, 1\nmov r1, 33\nlsh32 r0, r1\nexit", 2}, // shift & 31
 		{"rsh", "mov r0, 256\nrsh r0, 4\nexit", 16},
 		{"arsh_sign", "mov r0, -8\narsh r0, 1\nexit", ^uint64(3)}, // -4
 		{"neg", "mov r0, 5\nneg r0\nexit", ^uint64(4)},            // -5
 		{"mov32_truncates", "lddw r1, 0x1ffffffff\nmov32 r0, r1\nexit", 0xffffffff},
 		{"add32_wraps", "mov32 r0, -1\nadd32 r0, 1\nexit", 0},
+		{"sub32_mul32", "mov32 r0, 0\nsub32 r0, -7\nmul32 r0, 3\nexit", 21},
+		{"lddw_add_wraps", "lddw r0, 0x123456789abcdef0\nlddw r1, -1\nadd r0, r1\nexit", 0x123456789abcdeef},
 		{"arsh32", "mov32 r0, -16\narsh32 r0, 2\nexit", 0xfffffffc},
 	}
 	for _, c := range cases {
@@ -62,6 +72,8 @@ func TestJumpSemantics(t *testing.T) {
 		{"jsgt_signed", "mov r1, -1\nmov r0, 0\njsgt r1, 0, bad\nmov r0, 1\nja out\nbad: mov r0, 2\nout: exit", 1},
 		{"jgt_unsigned", "mov r1, -1\nmov r0, 0\njgt r1, 0, big\nja out\nbig: mov r0, 1\nout: exit", 1},
 		{"jset", "mov r1, 0b1010\nmov r0, 0\njset r1, 0b0010, hit\nja out\nhit: mov r0, 1\nout: exit", 1},
+		{"jsgt32_sign_extends", "mov32 r1, -5\nmov r0, 0\njsgt32 r1, 3, bad\nmov r0, 1\nja out\nbad: mov r0, 2\nout: exit", 1},
+		{"jslt32_ignores_high_bits", "lddw r1, 0x100000005\nmov r0, 0\njslt32 r1, 3, bad\nmov r0, 1\nja out\nbad: mov r0, 2\nout: exit", 1},
 		{"jeq32_ignores_high_bits", "lddw r1, 0x100000005\nmov r0, 0\njeq32 r1, 5, hit\nja out\nhit: mov r0, 1\nout: exit", 1},
 		{"jle_chain", "mov r1, 3\nmov r0, 0\njle r1, 3, a\nja out\na: jge r1, 3, b\nja out\nb: mov r0, 9\nout: exit", 9},
 	}
@@ -125,6 +137,100 @@ func TestOutOfBoundsAccessFails(t *testing.T) {
 	_ = vm.Load(MustAssemble("mov r2, 0\nldxdw r0, [r2+0]\nexit"))
 	if _, err := vm.Run(nil); !errors.Is(err, ErrBadMemAccess) {
 		t.Fatalf("null deref err = %v, want ErrBadMemAccess", err)
+	}
+}
+
+// TestRunFaults pins each runtime error class, and the accounting at the
+// point of the fault: the faulting instruction counts as a step, a
+// helper that fails counts as a call, and an unsupported instruction
+// faults only when execution reaches it.
+func TestRunFaults(t *testing.T) {
+	asm := MustAssemble
+	badALU := Instruction{Op: ClassALU64 | 0xe0}
+	cases := []struct {
+		name      string
+		prog      []Instruction
+		wantErr   error // nil: the run must succeed and return wantRet
+		wantText  string
+		wantRet   uint64
+		wantSteps int64
+		wantCalls int64
+	}{
+		{name: "bad-mem-store", prog: asm("mov r2, 0x999\nstxdw [r2+0], r2\nexit"), wantErr: ErrBadMemAccess, wantSteps: 2},
+		{name: "ctx-overrun", prog: asm("ldxdw r0, [r1+60]\nexit"), wantErr: ErrBadMemAccess, wantSteps: 1},
+		{name: "fell-off-end", prog: asm("mov r0, 1\nadd r0, 1"), wantErr: ErrFellOffEnd, wantSteps: 2},
+		{name: "fell-off-end-after-branch", prog: asm("mov r0, 5\njeq r0, 5, over\nexit\nover: mov r0, 6"), wantErr: ErrFellOffEnd, wantSteps: 3},
+		{name: "unknown-helper", prog: asm("mov r0, 3\ncall 99\nexit"), wantErr: ErrUnknownHelper, wantSteps: 2},
+		{name: "helper-bad-key-pointer", prog: asm("mov r1, 0\nmov r2, 0x42\ncall 1\nexit"),
+			wantErr: ErrBadMemAccess, wantText: "ebpf: helper map_lookup_elem: ", wantSteps: 3, wantCalls: 1},
+		{name: "helper-bad-map-id", prog: asm("stdw [r10-8], 1\nmov r1, 9\nmov r2, r10\nadd r2, -8\ncall 1\nexit"),
+			wantText: "ebpf: helper map_lookup_elem: ebpf: no map with id 9", wantSteps: 5, wantCalls: 1},
+		{name: "step-limit", prog: []Instruction{Ja(-1)}, wantErr: ErrStepLimit, wantSteps: StepLimit},
+		{name: "bad-alu-op", prog: []Instruction{Mov64Imm(R0, 1), badALU, Exit()}, wantErr: ErrBadInstruction, wantSteps: 2},
+		{name: "bad-endian-width", prog: []Instruction{Mov64Imm(R0, 1), Endian(R0, true, 48), Exit()}, wantErr: ErrBadInstruction, wantSteps: 2},
+		{name: "bad-ld-mode", prog: []Instruction{Mov64Imm(R0, 1), {Op: ClassLD | SizeW | ModeMEM}, Exit()}, wantErr: ErrBadInstruction, wantSteps: 2},
+		{name: "bad-atomic-width", prog: []Instruction{Mov64Imm(R0, 1), Atomic(SizeB, R10, R0, -8, AtomicAdd), Exit()}, wantErr: ErrBadInstruction, wantSteps: 2},
+		{name: "bad-atomic-op", prog: []Instruction{Mov64Imm(R2, 1), StoreMem(SizeDW, R10, R2, -8), Atomic(SizeDW, R10, R2, -8, 0x33), Exit()},
+			wantErr: ErrBadInstruction, wantSteps: 3},
+		{name: "unreached-bad-op", prog: []Instruction{Mov64Imm(R0, 9), JumpImm(JmpEq, R0, 9, 1), badALU, Exit()}, wantRet: 9, wantSteps: 3},
+		{name: "bounded-back-edge", prog: []Instruction{Mov64Imm(R0, 0), ALU64Imm(ALUAdd, R0, 1), JumpImm(JmpLt, R0, 3, -2), Exit()}, wantRet: 3, wantSteps: 8},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			vm := NewVM(diffMaps())
+			if err := vm.Load(c.prog); err != nil {
+				t.Fatal(err)
+			}
+			ret, err := vm.Run(make([]byte, 64))
+			switch {
+			case c.wantErr == nil && c.wantText == "":
+				if err != nil || ret != c.wantRet {
+					t.Fatalf("ret = %d, %v; want %d, nil", ret, err, c.wantRet)
+				}
+			case err == nil:
+				t.Fatalf("ret = %d, nil; want an error", ret)
+			case c.wantErr != nil && !errors.Is(err, c.wantErr):
+				t.Fatalf("err = %v, want %v", err, c.wantErr)
+			case !strings.HasPrefix(err.Error(), c.wantText):
+				t.Fatalf("err = %q, want prefix %q", err, c.wantText)
+			}
+			if vm.Steps != c.wantSteps || vm.TotalSteps != c.wantSteps || vm.HelperCalls != c.wantCalls {
+				t.Fatalf("Steps = %d, TotalSteps = %d, HelperCalls = %d; want %d, %d, %d",
+					vm.Steps, vm.TotalSteps, vm.HelperCalls, c.wantSteps, c.wantSteps, c.wantCalls)
+			}
+		})
+	}
+}
+
+// TestBuiltinHelperResults covers the helper return values the hash-map
+// walk-through above does not: a miss, an update refused because the map
+// is full, and an array-map slot. diffMaps holds 0xfeed in a four-entry
+// hash map (id 0) and 77 in slot 1 of an array map (id 1).
+func TestBuiltinHelperResults(t *testing.T) {
+	const update = "mov r1, 0\nmov r2, r10\nadd r2, -8\nmov r3, r10\nadd r3, -16\ncall 2\n"
+	cases := []struct {
+		name string
+		src  string
+		want uint64
+	}{
+		{"lookup_miss_is_null", "stdw [r10-8], 0xdead\nmov r1, 0\nmov r2, r10\nadd r2, -8\ncall 1\nexit", 0},
+		{"update_full_is_minus_one", "stdw [r10-16], 2\n" +
+			"stdw [r10-8], 1\n" + update + "stdw [r10-8], 3\n" + update + "stdw [r10-8], 4\n" + update +
+			"mov r6, r0\nstdw [r10-8], 5\n" + update + "add r0, r6\nexit", ^uint64(0)},
+		{"array_slot", "stw [r10-4], 1\nmov r1, 1\nmov r2, r10\nadd r2, -4\ncall 1\njne r0, 0, hit\nexit\nhit: ldxdw r0, [r0+0]\nexit", 77},
+		{"array_index_out_of_range_is_null", "stw [r10-4], 4\nmov r1, 1\nmov r2, r10\nadd r2, -4\ncall 1\nexit", 0},
+		{"ktime_counts_without_a_clock", "call 5\nmov r6, r0\ncall 5\nsub r0, r6\nexit", 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			vm := NewVM(diffMaps())
+			if err := vm.Load(MustAssemble(c.src)); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := vm.Run(nil); err != nil || got != c.want {
+				t.Fatalf("got %#x, %v; want %#x", got, err, c.want)
+			}
+		})
 	}
 }
 

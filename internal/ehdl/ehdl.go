@@ -125,12 +125,6 @@ func Compile(prog []ebpf.Instruction, opts Options) (*Pipeline, error) {
 	if err := vm.Load(prog); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCompile, err)
 	}
-	// Lower to the closure-compiled backend now rather than on the first
-	// Exec; the artifact is cached per loaded program and the VM
-	// invalidates it on any later Load (warped reloads) or helper
-	// rebinding. Verified programs are loop-free, so this always
-	// succeeds, but fallback to the interpreter is harmless.
-	vm.Precompile()
 	return &Pipeline{Name: opts.Name, Prog: prog, Stats: st, vm: vm, opts: opts}, nil
 }
 

@@ -1,6 +1,6 @@
 // Package fault is the deterministic fault-injection plane for the
-// simulator. Each layer that can fail (netsim, fabric, nvme, pcie,
-// cluster) accepts a *Plan and consults it at well-defined injection
+// simulator. Each layer that can fail (netsim, fabric, nvme, cluster,
+// tenant) accepts a *Plan and consults it at well-defined injection
 // points. A Plan is seeded from the experiment seed plus the layer
 // name, so the same seed always injects the same faults at the same
 // virtual times — chaos runs replay byte-identically.
@@ -36,8 +36,6 @@ const (
 	// Timeout swallows an NVMe command: it is consumed but never
 	// completes, exercising host-side deadlines.
 	Timeout
-	// LinkDown takes a PCIe link down for a retrain window.
-	LinkDown
 	// Crash takes a cluster node down for a restart window.
 	Crash
 	// Evict force-clears a fabric slot mid-flight: the tenant plane's
@@ -49,7 +47,7 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	"drop", "corrupt", "reorder", "media_err", "timeout", "link_down", "crash", "evict",
+	"drop", "corrupt", "reorder", "media_err", "timeout", "crash", "evict",
 }
 
 // String names the kind for counters and tables.
@@ -194,7 +192,7 @@ type Window struct {
 }
 
 // Windows precomputes a bounded outage schedule for kinds that model
-// down/up cycles (LinkDown, Crash). Up periods are exponentially
+// down/up cycles (Crash). Up periods are exponentially
 // distributed with mean meanUp; each outage lasts downFor. Generation
 // stops at horizon, so schedulers installing the windows as engine
 // events never keep an engine alive forever. A nil plan or a zero

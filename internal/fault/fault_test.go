@@ -133,7 +133,7 @@ func TestWindowsBoundedAndOrdered(t *testing.T) {
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		Drop: "drop", Corrupt: "corrupt", Reorder: "reorder",
-		MediaErr: "media_err", Timeout: "timeout", LinkDown: "link_down", Crash: "crash",
+		MediaErr: "media_err", Timeout: "timeout", Crash: "crash", Evict: "evict",
 		Kind(250): "unknown",
 	}
 	for k, s := range want {

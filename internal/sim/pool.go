@@ -13,7 +13,6 @@ package sim
 // key lives in the heap entry, not here.
 type eventSlot struct {
 	do   func()
-	name string
 	gen  uint32
 	live bool // scheduled and neither fired nor cancelled
 }
@@ -43,7 +42,6 @@ func (p *eventPool) alloc() int32 {
 func (p *eventPool) release(id int32) {
 	s := &p.slots[id]
 	s.do = nil
-	s.name = ""
 	s.live = false
 	s.gen++
 	p.free = append(p.free, id)

@@ -112,7 +112,6 @@ func (e *Engine) At(t Time, name string, fn func()) EventRef {
 	id := e.pool.alloc()
 	s := &e.pool.slots[id]
 	s.do = fn
-	s.name = name
 	s.live = true
 	e.q.push(heapEntry{at: t, seq: e.seq, slot: id})
 	e.seq++
@@ -156,7 +155,6 @@ func (e *Engine) Cancel(ref EventRef) {
 	}
 	s.live = false
 	s.do = nil // free the closure now; the slot itself drains on pop
-	s.name = ""
 }
 
 // Step executes the single next event. It returns false when the queue is

@@ -30,7 +30,7 @@ func cmdBuild(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "build:", err)
 		return 1
 	}
-	prog, err := gofront.Compile(filepath.Base(path), src, gofront.Options{})
+	prog, pipe, err := ehdl.CompileSource(filepath.Base(path), src, nil, "", "hyperionctl-build")
 	if err != nil {
 		var diags gofront.DiagList
 		if errors.As(err, &diags) {
@@ -41,24 +41,6 @@ func cmdBuild(args []string, stdout, stderr io.Writer) int {
 		} else {
 			fmt.Fprintln(stderr, "build:", err)
 		}
-		return 1
-	}
-
-	maps := &ebpf.MapSet{}
-	for _, m := range prog.Maps {
-		maps.Add(ebpf.NewHashMap(m.KeySize, m.ValueSize, m.Entries))
-	}
-	vcfg := ebpf.DefaultVerifierConfig(maps)
-	vcfg.CtxSize = prog.CtxSize
-	pipe, err := ehdl.Compile(prog.Insns, ehdl.Options{
-		Name:     prog.Entry,
-		AuthTag:  "hyperionctl-build",
-		Optimize: true,
-		CtxBytes: prog.CtxSize,
-		Verifier: vcfg,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "build: pipeline:", err)
 		return 1
 	}
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"hyperion/internal/core"
-	"hyperion/internal/ebpf"
 	"hyperion/internal/ehdl"
 	"hyperion/internal/netsim"
 	"hyperion/internal/rpc"
@@ -77,21 +76,12 @@ type Service struct {
 // (data-plane RPC uses the same machinery). The per-hop program is
 // verified and compiled at deploy time.
 func NewService(d *core.DPU, srv *rpc.Server, tree *bptree.Tree) (*Service, error) {
-	prog, err := CompileStep()
-	if err != nil {
-		return nil, err
-	}
-	vcfg := ebpf.DefaultVerifierConfig(nil)
-	vcfg.CtxSize = CtxBytes
-	pipe, err := ehdl.Compile(prog, ehdl.Options{
-		Name:     "chase-step",
-		AuthTag:  d.Cfg.AuthTag,
-		Optimize: true,
-		CtxBytes: CtxBytes,
-		Verifier: vcfg,
-	})
+	prog, pipe, err := ehdl.CompileSource(stepFile, stepSource, nil, "chase-step", d.Cfg.AuthTag)
 	if err != nil {
 		return nil, fmt.Errorf("chase: compiling step program: %w", err)
+	}
+	if err := checkCtxSize(prog); err != nil {
+		return nil, err
 	}
 	s := &Service{dpu: d, tree: tree, pipe: pipe}
 

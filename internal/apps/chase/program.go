@@ -1,10 +1,5 @@
 package chase
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Per-hop eBPF program, XRP-style (Zhong et al., OSDI'22, cited by the
 // paper): the DPU runtime fetches a B+ tree node and hands it to this
 // verified program, which binary-searches the node and writes back
@@ -58,99 +53,3 @@ const (
 	intKeysOff   = CtxNode + 8
 	intKidsOff   = CtxNode + 8 + 150*8
 )
-
-// StepProgram generates the per-hop program's assembler source.
-//
-// Register plan: r9 = ctx, r8 = key, r6 = lo, r7 = hi, r5 scratch
-// (clobber-safe: no helper calls anywhere).
-func StepProgram() string {
-	var b strings.Builder
-	w := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
-
-	w("	mov r9, r1")
-	w("	ldxdw r8, [r9+%d]", CtxKey)
-	w("	ldxb r2, [r9+%d]", nodeKindOff)
-	w("	ldxh r7, [r9+%d]", nodeCountOff) // hi = count
-	w("	jeq r2, 1, leaf")
-	w("	jeq r2, 2, internal")
-	w("	stb [r9+%d], %d", CtxAction, ActCorrupt)
-	w("	mov r0, %d", ActCorrupt)
-	w("	exit")
-
-	// Unrolled binary search: lo/hi in r6/r7, first index with
-	// keys[idx] >= key. keysOff is the byte base of the key array.
-	search := func(label string, maxCount, keysOff int) {
-		w("%s:", label)
-		w("	jgt r7, %d, corrupt_%s", maxCount, label)
-		w("	mov r6, 0") // lo
-		for i := 0; i < 8; i++ {
-			w("	jge r6, r7, %s_done_%d", label, i)
-			w("	mov r3, r6")
-			w("	add r3, r7")
-			w("	div r3, 2") // mid
-			w("	mov r4, r3")
-			w("	mul r4, 8")
-			w("	mov r5, r9")
-			w("	add r5, r4")
-			w("	ldxdw r4, [r5+%d]", keysOff) // keys[mid]
-			w("	jge r4, r8, %s_hi_%d", label, i)
-			w("	mov r6, r3")
-			w("	add r6, 1") // lo = mid+1
-			w("	ja %s_done_%d", label, i)
-			w("%s_hi_%d:", label, i)
-			w("	mov r7, r3") // hi = mid
-			w("%s_done_%d:", label, i)
-		}
-	}
-
-	// Leaf: exact match check.
-	search("leaf", 200, leafKeysOff)
-	w("	ldxh r7, [r9+%d]", nodeCountOff) // reload count
-	w("	jge r6, r7, miss")
-	w("	mov r4, r6")
-	w("	mul r4, 8")
-	w("	mov r5, r9")
-	w("	add r5, r4")
-	w("	ldxdw r3, [r5+%d]", leafKeysOff)
-	w("	jne r3, r8, miss")
-	w("	ldxdw r3, [r5+%d]", leafValsOff)
-	w("	stxdw [r9+%d], r3", CtxValue)
-	w("	stb [r9+%d], %d", CtxAction, ActFound)
-	w("	mov r0, %d", ActFound)
-	w("	exit")
-	w("miss:")
-	w("	stb [r9+%d], %d", CtxAction, ActNotFound)
-	w("	mov r0, %d", ActNotFound)
-	w("	exit")
-
-	// Internal: child index = lo (+1 on exact key match).
-	search("internal", 150, intKeysOff)
-	w("	ldxh r7, [r9+%d]", nodeCountOff)
-	w("	jge r6, r7, kid") // lo == count → rightmost child
-	w("	mov r4, r6")
-	w("	mul r4, 8")
-	w("	mov r5, r9")
-	w("	add r5, r4")
-	w("	ldxdw r3, [r5+%d]", intKeysOff)
-	w("	jne r3, r8, kid")
-	w("	add r6, 1") // equal key descends right of it
-	w("kid:")
-	w("	mov r4, r6")
-	w("	mul r4, 16")
-	w("	mov r5, r9")
-	w("	add r5, r4")
-	w("	ldxdw r3, [r5+%d]", intKidsOff) // child Hi
-	w("	stxdw [r9+%d], r3", CtxNextHi)
-	w("	ldxdw r3, [r5+%d]", intKidsOff+8) // child Lo
-	w("	stxdw [r9+%d], r3", CtxNextLo)
-	w("	stb [r9+%d], %d", CtxAction, ActDescend)
-	w("	mov r0, %d", ActDescend)
-	w("	exit")
-
-	w("corrupt_leaf:")
-	w("corrupt_internal:")
-	w("	stb [r9+%d], %d", CtxAction, ActCorrupt)
-	w("	mov r0, %d", ActCorrupt)
-	w("	exit")
-	return b.String()
-}

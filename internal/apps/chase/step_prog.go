@@ -2,9 +2,9 @@
 
 // Per-hop B+ tree step program in restricted Go, compiled by
 // internal/ebpf/gofront at service start. It is the frontend twin of
-// the hand-written StepProgram in program.go: the differential tests
-// hold the two to the same instruction shape, so edits here must stay
-// in lockstep with the assembly (and vice versa).
+// the hand-written StepProgram oracle in frontend_test.go: the
+// differential tests hold the two to the same instruction shape, so
+// edits here must stay in lockstep with the assembly (and vice versa).
 //
 // Array lengths are sized to the verified envelope, not the logical
 // node capacity: the count guard admits count == 200 (leaf) and 150

@@ -31,8 +31,7 @@ type Filter struct {
 	dpu       *core.DPU
 	slot      int
 	pipe      *ehdl.Pipeline
-	bans      *ebpf.HashMap
-	fails     *ebpf.HashMap
+	bans      ebpf.Map
 	logID     seg.ObjectID
 	logOff    int64
 	Threshold int
@@ -46,101 +45,37 @@ const logEntrySize = 16
 // logCapacity bounds the persistent ban log object.
 const logCapacity = 1 << 20
 
-// Program returns the packet-filter eBPF source for a given ban
-// threshold. Context layout is trace.Packet.Marshal: srcIP at 0,
-// authFail at 18. Map 0 is bans (u32→u64), map 1 is failure counts
-// (u32→u64).
-func Program(threshold int) string {
-	return fmt.Sprintf(`
-	; r9 = ctx (saved across helper calls)
-	mov r9, r1
-	ldxw r6, [r9+0]       ; src ip
-	ldxb r7, [r9+18]      ; auth failure flag
-	stxw [r10-4], r6      ; key = src ip
-	mov r1, 0             ; bans map
-	mov r2, r10
-	sub r2, 4
-	call 1
-	jeq r0, 0, notbanned
-	mov r0, %d            ; already banned: drop
-	exit
-notbanned:
-	jeq r7, 0, pass       ; clean packet
-	mov r1, 1             ; failure-count map
-	mov r2, r10
-	sub r2, 4
-	call 1
-	jeq r0, 0, first
-	ldxdw r3, [r0+0]
-	add r3, 1
-	stxdw [r0+0], r3      ; increment in place
-	jge r3, %d, ban
-	ja pass
-first:
-	stdw [r10-16], 1      ; first failure
-	mov r1, 1
-	mov r2, r10
-	sub r2, 4
-	mov r3, r10
-	sub r3, 16
-	call 2
-	ja pass
-ban:
-	stdw [r10-16], 1
-	mov r1, 0             ; bans map
-	mov r2, r10
-	sub r2, 4
-	mov r3, r10
-	sub r3, 16
-	call 2
-	mov r0, %d            ; newly banned
-	exit
-pass:
-	mov r0, %d
-	exit
-`, VerdictDrop, threshold, VerdictBanned, VerdictPass)
-}
+// bansMapID is filter_prog.go's "//hyperion:map bans" id.
+const bansMapID = 0
 
 // NewPipeline compiles a fresh, self-contained filter instance — the
-// gofront-compiled program plus its own ban and failure-count maps —
-// into an eHDL pipeline authorized by authTag. Each call returns
-// independent state, so the tenant plane can run one filter instance
-// per tenant in separate slots. The returned maps are ids 0 (bans)
-// and 1 (failure counts).
-func NewPipeline(name, authTag string, threshold int) (*ehdl.Pipeline, *ebpf.HashMap, *ebpf.HashMap, error) {
-	maps := &ebpf.MapSet{}
-	bans := ebpf.NewHashMap(4, 8, 1<<16)
-	fails := ebpf.NewHashMap(4, 8, 1<<16)
-	maps.Add(bans)  // id 0
-	maps.Add(fails) // id 1
-
-	prog, err := CompileFilter(threshold)
+// gofront-compiled program plus the ban and failure-count maps its
+// source declares — into an eHDL pipeline authorized by authTag. Each
+// call returns independent state, so the tenant plane can run one
+// filter instance per tenant in separate slots.
+func NewPipeline(name, authTag string, threshold int) (*ehdl.Pipeline, error) {
+	prog, pipe, err := ehdl.CompileSource(filterFile, filterSource, filterConsts(threshold), name, authTag)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, fmt.Errorf("fail2ban: compiling filter: %w", err)
 	}
-	vcfg := ebpf.DefaultVerifierConfig(maps)
-	vcfg.CtxSize = ctxBytes
-	pipe, err := ehdl.Compile(prog, ehdl.Options{
-		Name:     name,
-		AuthTag:  authTag,
-		Optimize: true,
-		CtxBytes: ctxBytes,
-		Verifier: vcfg,
-	})
-	if err != nil {
-		return nil, nil, nil, err
+	if err := checkCtxSize(prog); err != nil {
+		return nil, err
 	}
-	return pipe, bans, fails, nil
+	return pipe, nil
 }
 
 // Deploy compiles the filter, loads it into a fabric slot, and
 // allocates the persistent ban log. done fires when the slot is active.
 func Deploy(d *core.DPU, slot, threshold int, done func()) (*Filter, error) {
-	pipe, bans, fails, err := NewPipeline("fail2ban", d.Cfg.AuthTag, threshold)
+	pipe, err := NewPipeline("fail2ban", d.Cfg.AuthTag, threshold)
 	if err != nil {
 		return nil, err
 	}
-	f := &Filter{dpu: d, slot: slot, pipe: pipe, bans: bans, fails: fails,
+	bans, err := pipe.VM().Maps.Get(bansMapID)
+	if err != nil {
+		return nil, err
+	}
+	f := &Filter{dpu: d, slot: slot, pipe: pipe, bans: bans,
 		Threshold: threshold, logID: seg.OID(0xFA12, 1)}
 	if _, err := d.Store.Alloc(f.logID, logCapacity, true, seg.HintAuto); err != nil {
 		return nil, err

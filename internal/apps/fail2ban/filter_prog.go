@@ -2,9 +2,9 @@
 
 // Packet-filter program in restricted Go, compiled by
 // internal/ebpf/gofront at deploy time. It is the frontend twin of
-// the hand-written Program in fail2ban.go — the differential tests
-// hold the two to the same instruction shape, so edits here must stay
-// in lockstep with the assembly.
+// the hand-written Program oracle in frontend_test.go — the
+// differential tests hold the two to the same instruction shape, so
+// edits here must stay in lockstep with the assembly.
 //
 // The threshold constant is overridden per deployment through
 // gofront.Options.Consts, the compiler's -D equivalent.

@@ -2,9 +2,11 @@ package fail2ban
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"hyperion/internal/ebpf"
+	"hyperion/internal/ebpf/gofront"
 	"hyperion/internal/trace"
 )
 
@@ -66,10 +68,19 @@ func TestFrontendBehaviorMatchesHandAssembly(t *testing.T) {
 		bans  *ebpf.HashMap
 		fails *ebpf.HashMap
 	}
+	// Both sides get the maps filter_prog.go declares, as a deployed
+	// filter does.
+	decl, err := gofront.Compile(filterFile, filterSource, gofront.Options{})
+	if err != nil {
+		t.Fatalf("frontend compile: %v", err)
+	}
+	newMap := func(id int) *ebpf.HashMap {
+		m := decl.Maps[id]
+		return ebpf.NewHashMap(m.KeySize, m.ValueSize, m.Entries)
+	}
 	load := func(prog []ebpf.Instruction) instance {
 		maps := &ebpf.MapSet{}
-		bans := ebpf.NewHashMap(4, 8, 1<<16)
-		fails := ebpf.NewHashMap(4, 8, 1<<16)
+		bans, fails := newMap(0), newMap(1)
 		maps.Add(bans)
 		maps.Add(fails)
 		vcfg := ebpf.DefaultVerifierConfig(maps)
@@ -120,4 +131,59 @@ func TestFrontendBehaviorMatchesHandAssembly(t *testing.T) {
 	}
 	diffMap("bans", fi.bans, hi.bans)
 	diffMap("fails", fi.fails, hi.fails)
+}
+
+// Program returns the packet-filter eBPF source for a given ban
+// threshold. Context layout is trace.Packet.Marshal: srcIP at 0,
+// authFail at 18. Map 0 is bans (u32→u64), map 1 is failure counts
+// (u32→u64).
+func Program(threshold int) string {
+	return fmt.Sprintf(`
+	; r9 = ctx (saved across helper calls)
+	mov r9, r1
+	ldxw r6, [r9+0]       ; src ip
+	ldxb r7, [r9+18]      ; auth failure flag
+	stxw [r10-4], r6      ; key = src ip
+	mov r1, 0             ; bans map
+	mov r2, r10
+	sub r2, 4
+	call 1
+	jeq r0, 0, notbanned
+	mov r0, %d            ; already banned: drop
+	exit
+notbanned:
+	jeq r7, 0, pass       ; clean packet
+	mov r1, 1             ; failure-count map
+	mov r2, r10
+	sub r2, 4
+	call 1
+	jeq r0, 0, first
+	ldxdw r3, [r0+0]
+	add r3, 1
+	stxdw [r0+0], r3      ; increment in place
+	jge r3, %d, ban
+	ja pass
+first:
+	stdw [r10-16], 1      ; first failure
+	mov r1, 1
+	mov r2, r10
+	sub r2, 4
+	mov r3, r10
+	sub r3, 16
+	call 2
+	ja pass
+ban:
+	stdw [r10-16], 1
+	mov r1, 0             ; bans map
+	mov r2, r10
+	sub r2, 4
+	mov r3, r10
+	sub r3, 16
+	call 2
+	mov r0, %d            ; newly banned
+	exit
+pass:
+	mov r0, %d
+	exit
+`, VerdictDrop, threshold, VerdictBanned, VerdictPass)
 }

@@ -112,7 +112,7 @@ func tenantSpec(i int) tenant.Spec {
 		return tenant.Spec{Name: fmt.Sprintf("t%02d-scan", i), Weight: 1 + i%4, Image: img,
 			SLO: tenant.SLO{P99: 500 * sim.Microsecond, Goodput: 1000}}
 	default:
-		pipe, _, _, err := fail2ban.NewPipeline(fmt.Sprintf("f2b%02d", i), tenantAuthTag, 3)
+		pipe, err := fail2ban.NewPipeline(fmt.Sprintf("f2b%02d", i), tenantAuthTag, 3)
 		if err != nil {
 			panic("bench: fail2ban pipeline: " + err.Error())
 		}

@@ -80,7 +80,6 @@ type DPU struct {
 
 	booted   bool
 	enumOut  []string
-	demux    *fabric.Demux
 	arbiter  *fabric.Arbiter
 	handlers map[uint16]func(netsim.Frame)
 	rec      *telemetry.Recorder

@@ -126,6 +126,24 @@ func (ins Instruction) Class() uint8 { return ins.Op & 0x07 }
 // IsLDDW reports whether ins is the two-slot 64-bit load-immediate.
 func (ins Instruction) IsLDDW() bool { return ins.Op == ClassLD|SizeDW|ModeIMM }
 
+// isJmpClass reports whether ins is in the JMP or JMP32 class.
+func (ins Instruction) isJmpClass() bool {
+	cls := ins.Class()
+	return cls == ClassJMP || cls == ClassJMP32
+}
+
+// IsJump reports whether ins is a branch to Off, conditional or not:
+// any JMP/JMP32-class instruction other than call and exit.
+func (ins Instruction) IsJump() bool {
+	return ins.isJmpClass() && !ins.IsCall() && !ins.IsExit()
+}
+
+// IsCall reports whether ins is a helper call.
+func (ins Instruction) IsCall() bool { return ins.isJmpClass() && ins.Op&0xf0 == JmpCall }
+
+// IsExit reports whether ins ends the program.
+func (ins Instruction) IsExit() bool { return ins.isJmpClass() && ins.Op&0xf0 == JmpExit }
+
 // SizeBytes returns the memory access width for LD/ST instructions.
 func (ins Instruction) SizeBytes() int {
 	switch ins.Op & 0x18 {

@@ -184,7 +184,7 @@ func Verify(prog []Instruction, cfg VerifierConfig) error {
 	if len(prog) > MaxInsns {
 		return fmt.Errorf("%w: %d instructions exceeds limit %d", ErrVerify, len(prog), MaxInsns)
 	}
-	targets, err := jumpTargets(prog)
+	targets, err := JumpTargets(prog)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrVerify, err)
 	}
@@ -198,10 +198,7 @@ func Verify(prog []Instruction, cfg VerifierConfig) error {
 	reach := make([]bool, len(prog))
 	reach[0] = true
 	for i, ins := range prog {
-		cls := ins.Class()
-		isJmp := cls == ClassJMP || cls == ClassJMP32
-		op := ins.Op & 0xf0
-		if isJmp && op != JmpExit && op != JmpCall {
+		if ins.IsJump() {
 			if targets[i] <= i {
 				return fmt.Errorf("%w: insn %d: back-edge to insn %d (loops are rejected)", ErrVerify, i, targets[i])
 			}
@@ -209,7 +206,7 @@ func Verify(prog []Instruction, cfg VerifierConfig) error {
 				reach[targets[i]] = true
 			}
 		}
-		fallsThrough := !(isJmp && (op == JmpExit || op == JmpA))
+		fallsThrough := !ins.IsExit() && !(ins.IsJump() && ins.Op&0xf0 == JmpA)
 		if fallsThrough && reach[i] {
 			if i+1 >= len(prog) {
 				return fmt.Errorf("%w: insn %d: execution can fall off program end", ErrVerify, i)
@@ -611,62 +608,23 @@ func clamp32(r regState) regState {
 }
 
 // rangeALU transfers unsigned ranges through an ALU op. Exact × exact
-// uses the VM's precise semantics; bounded ranges propagate where the
-// operation is monotone; everything else widens to unbounded. For a
-// 32-bit op the caller truncates the operands and the result; is32
-// selects the shift-count mask and the sign bit arsh extends from.
+// is EvalALU, the VM's own semantics; bounded ranges propagate where
+// the operation is monotone; everything else widens to unbounded. For
+// a 32-bit op the caller truncates the operands and the result; is32
+// selects the shift-count mask.
 func rangeALU(op uint8, a, b regState, is32 bool) regState {
-	shiftMask := uint64(63)
-	if is32 {
-		shiftMask = 31
-	}
-	// Exact fast path matching the VM's semantics.
 	if a.exact() && b.exact() {
-		x, y := a.vmin, b.vmin
-		var r uint64
-		switch op {
-		case ALUAdd:
-			r = x + y
-		case ALUSub:
-			r = x - y
-		case ALUMul:
-			r = x * y
-		case ALUDiv:
-			if y == 0 {
-				r = 0
-			} else {
-				r = x / y
-			}
-		case ALUMod:
-			if y == 0 {
-				r = x
-			} else {
-				r = x % y
-			}
-		case ALUAnd:
-			r = x & y
-		case ALUOr:
-			r = x | y
-		case ALUXor:
-			r = x ^ y
-		case ALULsh:
-			r = x << (y & shiftMask)
-		case ALURsh:
-			r = x >> (y & shiftMask)
-		case ALUArsh:
-			if is32 {
-				r = uint64(uint32(int32(uint32(x)) >> (y & shiftMask)))
-			} else {
-				r = uint64(int64(x) >> (y & shiftMask))
-			}
-		case ALUNeg:
-			r = -x
-		default:
+		r, ok := EvalALU(op, is32, a.vmin, b.vmin)
+		if !ok {
 			return scalarUnknown()
 		}
 		return regState{typ: tScalar, vmin: r, vmax: r}
 	}
 
+	shiftMask := uint64(63)
+	if is32 {
+		shiftMask = 31
+	}
 	bounded := func(r regState) bool { return r.vmax < 1<<62 }
 	switch op {
 	case ALUAdd:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sort"
 )
 
 func byteSwap32(v uint32) uint32 { return bits.ReverseBytes32(v) }
@@ -113,7 +114,7 @@ func (vm *VM) Helpers() map[int32]bool {
 
 // Load installs a program after computing its jump table.
 func (vm *VM) Load(prog []Instruction) error {
-	targets, err := jumpTargets(prog)
+	targets, err := JumpTargets(prog)
 	if err != nil {
 		return err
 	}
@@ -122,19 +123,18 @@ func (vm *VM) Load(prog []Instruction) error {
 	return nil
 }
 
-// jumpTargets maps slot-relative jump offsets to instruction indexes,
-// accounting for two-slot LDDW instructions.
-func jumpTargets(prog []Instruction) ([]int, error) {
+// JumpTargets resolves every branch's slot-relative offset to the index
+// of the instruction it lands on (-1 for instructions that do not
+// branch), accounting for two-slot LDDW instructions. It is the one
+// place a jump offset is interpreted: the VM, the verifier and ehdl all
+// work on its result.
+func JumpTargets(prog []Instruction) ([]int, error) {
 	slotOf := make([]int, len(prog)+1)
 	for i, ins := range prog {
 		slotOf[i+1] = slotOf[i] + 1
 		if ins.IsLDDW() {
 			slotOf[i+1]++
 		}
-	}
-	slotToIdx := make(map[int]int, len(prog))
-	for i := range prog {
-		slotToIdx[slotOf[i]] = i
 	}
 	targets := make([]int, len(prog))
 	for i, ins := range prog {
@@ -144,17 +144,15 @@ func jumpTargets(prog []Instruction) ([]int, error) {
 			return nil, fmt.Errorf("ebpf: insn %d: register out of range (dst r%d, src r%d)", i, ins.Dst, ins.Src)
 		}
 		targets[i] = -1
-		cls := ins.Class()
-		if cls != ClassJMP && cls != ClassJMP32 {
-			continue
-		}
-		op := ins.Op & 0xf0
-		if op == JmpExit || op == JmpCall {
+		if !ins.IsJump() {
 			continue
 		}
 		dstSlot := slotOf[i] + 1 + int(ins.Off)
-		idx, ok := slotToIdx[dstSlot]
-		if !ok {
+		// slotOf is ascending, so the instruction starting at dstSlot, if
+		// there is one, is found by search; the second half of an LDDW
+		// and anything outside the program start no instruction.
+		idx := sort.SearchInts(slotOf[:len(prog)], dstSlot)
+		if idx == len(prog) || slotOf[idx] != dstSlot {
 			return nil, fmt.Errorf("ebpf: insn %d: jump to invalid slot %d", i, dstSlot)
 		}
 		targets[i] = idx
@@ -539,6 +537,110 @@ func (vm *VM) Run(ctx []byte) (uint64, error) {
 			return 0, fmt.Errorf("%w: class %#x", ErrBadInstruction, ins.Op)
 		}
 	}
+}
+
+// EvalALU is the value ALU operation op (ALUAdd … ALUArsh, the opcode's
+// high nibble) leaves in its destination register given the register's
+// old value dst and the operand src, at 32 or 64 bits. A 32-bit
+// operation sees only the low halves of both and zero-extends its
+// result. ok is false exactly where Run answers ErrBadInstruction; byte
+// swaps (IsEndian) are not ALU operations and are not evaluated here.
+//
+// Run keeps its own inline copy of this switch because a call per
+// instruction costs BenchmarkVM 8–14 % (DESIGN §4);
+// TestEvalMatchesInterpreter holds the two together, and everything
+// else that needs the exact result of an instruction — the verifier's
+// constant tracking, ehdl's constant folding — calls this.
+func EvalALU(op uint8, is32 bool, dst, src uint64) (res uint64, ok bool) {
+	shiftMask := uint64(63)
+	if is32 {
+		dst, src = uint64(uint32(dst)), uint64(uint32(src))
+		shiftMask = 31
+	}
+	switch op {
+	case ALUAdd:
+		res = dst + src
+	case ALUSub:
+		res = dst - src
+	case ALUMul:
+		res = dst * src
+	case ALUDiv:
+		if src != 0 { // ISA-defined: division by zero yields 0
+			res = dst / src
+		}
+	case ALUMod:
+		res = dst // ISA-defined: modulo by zero keeps dst
+		if src != 0 {
+			res = dst % src
+		}
+	case ALUOr:
+		res = dst | src
+	case ALUAnd:
+		res = dst & src
+	case ALUXor:
+		res = dst ^ src
+	case ALULsh:
+		res = dst << (src & shiftMask)
+	case ALURsh:
+		res = dst >> (src & shiftMask)
+	case ALUArsh:
+		if is32 {
+			res = uint64(int32(dst) >> (src & shiftMask))
+		} else {
+			res = uint64(int64(dst) >> (src & shiftMask))
+		}
+	case ALUNeg:
+		res = -dst
+	case ALUMov:
+		res = src
+	default:
+		return 0, false
+	}
+	if is32 {
+		res = uint64(uint32(res))
+	}
+	return res, true
+}
+
+// EvalJump reports whether branch operation op (JmpA … JmpSLe) is taken
+// when it compares dst with src; a JMP32 branch compares the low halves,
+// sign-extended from bit 31 for the signed orders. ok is false where Run
+// answers ErrBadInstruction, and for call and exit, which do not branch.
+// Like EvalALU it is pinned to Run's inline switch by
+// TestEvalMatchesInterpreter.
+func EvalJump(op uint8, is32 bool, dst, src uint64) (taken, ok bool) {
+	sdst, ssrc := int64(dst), int64(src)
+	if is32 {
+		dst, src = uint64(uint32(dst)), uint64(uint32(src))
+		sdst, ssrc = int64(int32(dst)), int64(int32(src))
+	}
+	switch op {
+	case JmpA:
+		return true, true
+	case JmpEq:
+		return dst == src, true
+	case JmpNe:
+		return dst != src, true
+	case JmpGt:
+		return dst > src, true
+	case JmpGe:
+		return dst >= src, true
+	case JmpLt:
+		return dst < src, true
+	case JmpLe:
+		return dst <= src, true
+	case JmpSet:
+		return dst&src != 0, true
+	case JmpSGt:
+		return sdst > ssrc, true
+	case JmpSGe:
+		return sdst >= ssrc, true
+	case JmpSLt:
+		return sdst < ssrc, true
+	case JmpSLe:
+		return sdst <= ssrc, true
+	}
+	return false, false
 }
 
 func (vm *VM) registerBuiltins() {

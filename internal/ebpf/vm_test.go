@@ -63,6 +63,149 @@ func TestALUSemantics(t *testing.T) {
 	}
 }
 
+func TestJumpTargets(t *testing.T) {
+	// Slots: ja=0, lddw=1,2, mov=3, exit=4.
+	prog := func(off int16) []Instruction {
+		return []Instruction{Ja(off), LoadImm64(R0, 1), Mov64Imm(R0, 0), Exit()}
+	}
+	for _, c := range []struct {
+		off  int16
+		want int // instruction index, or -1 for "rejected"
+	}{
+		{0, 1},   // the lddw
+		{1, -1},  // the lddw's second slot
+		{2, 2},   // over the lddw
+		{3, 3},   // the exit
+		{4, -1},  // one past the end
+		{-1, 0},  // itself (the verifier rejects the back-edge, not the resolver)
+		{-2, -1}, // before the start
+	} {
+		targets, err := JumpTargets(prog(c.off))
+		switch {
+		case c.want < 0 && err == nil:
+			t.Errorf("ja %+d: resolved to %d, want an error", c.off, targets[0])
+		case c.want >= 0 && err != nil:
+			t.Errorf("ja %+d: %v", c.off, err)
+		case c.want >= 0 && (targets[0] != c.want || targets[1] != -1 || targets[3] != -1):
+			t.Errorf("ja %+d: targets = %v, want [%d -1 -1 -1]", c.off, targets, c.want)
+		}
+	}
+}
+
+// evalOperands is the operand set the Eval functions are compared to
+// the interpreter over: the shift-count and width boundaries, and what
+// they look like negated.
+func evalOperands() []uint64 {
+	base := []uint64{0, 1, 31, 32, 33, 63, 64, 1 << 31, 1 << 32, 1 << 63, ^uint64(0)}
+	seen := map[uint64]bool{}
+	var out []uint64
+	for _, v := range base {
+		for _, w := range []uint64{v, -v} {
+			if !seen[w] {
+				seen[w] = true
+				out = append(out, w)
+			}
+		}
+	}
+	return out
+}
+
+// TestEvalMatchesInterpreter pins EvalALU and EvalJump to Run's inline
+// switches, which are the semantics: every opcode nibble at both
+// widths, in register and (where the operand fits one) immediate form,
+// over evalOperands. Where Run rejects the opcode the functions must
+// report "not an op", and nowhere else.
+func TestEvalMatchesInterpreter(t *testing.T) {
+	operands := evalOperands()
+	ctx := make([]byte, 16)
+	load := LoadMem(SizeDW, R6, R1, 0)
+	loadSrc := LoadMem(SizeDW, R7, R1, 8)
+
+	// interp runs prog on (dst, src) and reports r0, or ok=false when
+	// the instruction under test is one Run does not implement.
+	interp := func(t *testing.T, vm *VM, dst, src uint64) (r0 uint64, ok bool) {
+		t.Helper()
+		binary.LittleEndian.PutUint64(ctx[0:], dst)
+		binary.LittleEndian.PutUint64(ctx[8:], src)
+		r0, err := vm.Run(ctx)
+		if errors.Is(err, ErrBadInstruction) {
+			return 0, false
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r0, true
+	}
+	vmFor := func(t *testing.T, prog ...Instruction) *VM {
+		t.Helper()
+		vm := NewVM(nil)
+		if err := vm.Load(prog); err != nil {
+			t.Fatal(err)
+		}
+		return vm
+	}
+	// forms yields the instruction under test in register form, then in
+	// immediate form for every operand that fits one.
+	forms := func(op uint8, visit func(ins Instruction, srcs []uint64)) {
+		visit(Instruction{Op: op | SrcReg, Dst: R6, Src: R7}, operands)
+		for _, src := range operands {
+			if int64(src) == int64(int32(src)) {
+				visit(Instruction{Op: op, Dst: R6, Imm: int32(src)}, []uint64{src})
+			}
+		}
+	}
+
+	for nibble := 0; nibble < 16; nibble++ {
+		op := uint8(nibble << 4)
+		for _, cls := range []uint8{ClassALU64, ClassALU} {
+			is32 := cls == ClassALU
+			if is32 && op == ALUEnd {
+				// A byte swap, not an ALU operation (IsEndian).
+				if _, ok := EvalALU(op, is32, 1, 1); ok {
+					t.Errorf("EvalALU evaluates the endian opcode")
+				}
+				continue
+			}
+			forms(cls|op, func(ins Instruction, srcs []uint64) {
+				vm := vmFor(t, load, loadSrc, ins, Mov64Reg(R0, R6), Exit())
+				for _, dst := range operands {
+					for _, src := range srcs {
+						want, wantOK := interp(t, vm, dst, src)
+						got, ok := EvalALU(op, is32, dst, src)
+						if ok != wantOK || got != want {
+							t.Fatalf("%v with dst=%#x src=%#x: EvalALU = %#x, %v; Run = %#x, %v",
+								ins, dst, src, got, ok, want, wantOK)
+						}
+					}
+				}
+			})
+		}
+		for _, cls := range []uint8{ClassJMP, ClassJMP32} {
+			is32 := cls == ClassJMP32
+			if op == JmpCall || op == JmpExit {
+				if _, ok := EvalJump(op, is32, 1, 1); ok {
+					t.Errorf("EvalJump evaluates op %#x, which is not a branch", op)
+				}
+				continue
+			}
+			forms(cls|op, func(ins Instruction, srcs []uint64) {
+				ins.Off = 1 // taken skips the "mov r0, 0"
+				vm := vmFor(t, load, loadSrc, Mov64Imm(R0, 1), ins, Mov64Imm(R0, 0), Exit())
+				for _, dst := range operands {
+					for _, src := range srcs {
+						want, wantOK := interp(t, vm, dst, src)
+						got, ok := EvalJump(op, is32, dst, src)
+						if ok != wantOK || got != (want == 1) {
+							t.Fatalf("%v with dst=%#x src=%#x: EvalJump = %v, %v; Run = %v, %v",
+								ins, dst, src, got, ok, want == 1, wantOK)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestJumpSemantics(t *testing.T) {
 	cases := []struct {
 		name string

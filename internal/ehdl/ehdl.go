@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"hyperion/internal/ebpf"
+	"hyperion/internal/ebpf/gofront"
 	"hyperion/internal/fabric"
 	"hyperion/internal/telemetry"
 )
@@ -128,6 +129,45 @@ func Compile(prog []ebpf.Instruction, opts Options) (*Pipeline, error) {
 	return &Pipeline{Name: opts.Name, Prog: prog, Stats: st, vm: vm, opts: opts}, nil
 }
 
+// CompileSource is the toolchain's front door, source to deployable
+// pipeline: it compiles one restricted-Go file through gofront (consts
+// overrides the constants the source declares), creates the hash maps
+// its //hyperion:map directives declare, verifies against the context
+// size the source's entry function fixes, and optimizes. The maps are
+// the pipeline's own — reachable by id through p.VM().Maps — so every
+// call yields an independent instance. name defaults to the entry
+// function's. A source the frontend rejects comes back as its
+// gofront.DiagList.
+func CompileSource(filename string, src []byte, consts map[string]int64, name, authTag string) (*gofront.Program, *Pipeline, error) {
+	prog, err := gofront.Compile(filename, src, gofront.Options{Consts: consts})
+	if err != nil {
+		return nil, nil, err
+	}
+	maps := &ebpf.MapSet{}
+	for _, m := range prog.Maps {
+		if id := maps.Add(ebpf.NewHashMap(m.KeySize, m.ValueSize, m.Entries)); id != m.ID {
+			return nil, nil, fmt.Errorf("%w: %s: map %s has id %d, want %d (ids count up from 0)",
+				ErrCompile, filename, m.Name, m.ID, id)
+		}
+	}
+	if name == "" {
+		name = prog.Entry
+	}
+	vcfg := ebpf.DefaultVerifierConfig(maps)
+	vcfg.CtxSize = prog.CtxSize
+	pipe, err := Compile(prog.Insns, Options{
+		Name:     name,
+		AuthTag:  authTag,
+		Optimize: true,
+		CtxBytes: prog.CtxSize,
+		Verifier: vcfg,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return prog, pipe, nil
+}
+
 // estimate derives the hardware shape from the instruction mix.
 func estimate(prog []ebpf.Instruction, opts Options) Stats {
 	st := Stats{Instructions: len(prog), II: 1}
@@ -135,10 +175,9 @@ func estimate(prog []ebpf.Instruction, opts Options) Stats {
 		switch ins.Class() {
 		case ebpf.ClassLDX, ebpf.ClassSTX, ebpf.ClassST:
 			st.MemOps++
-		case ebpf.ClassJMP, ebpf.ClassJMP32:
-			if ins.Op&0xf0 == ebpf.JmpCall {
-				st.HelperCalls++
-			}
+		}
+		if ins.IsCall() {
+			st.HelperCalls++
 		}
 	}
 	longest := longestPath(prog)
@@ -172,59 +211,28 @@ func countMuls(prog []ebpf.Instruction) int {
 // longestPath returns the longest instruction chain through the CFG.
 // Verified programs are DAGs, so a reverse topological sweep works.
 func longestPath(prog []ebpf.Instruction) int {
+	targets, err := ebpf.JumpTargets(prog)
+	if err != nil {
+		panic("ehdl: estimating an unverified program: " + err.Error())
+	}
 	n := len(prog)
 	memo := make([]int, n+1)
 	for i := n - 1; i >= 0; i-- {
 		ins := prog[i]
-		cls := ins.Class()
 		best := 0
-		if cls == ebpf.ClassJMP || cls == ebpf.ClassJMP32 {
-			op := ins.Op & 0xf0
-			switch op {
-			case ebpf.JmpExit:
-				best = 0
-			case ebpf.JmpCall:
+		switch {
+		case ins.IsExit():
+		case ins.IsJump():
+			best = memo[targets[i]]
+			if ins.Op&0xf0 != ebpf.JmpA && memo[i+1] > best {
 				best = memo[i+1]
-			case ebpf.JmpA:
-				if t := targetOf(prog, i); t > i {
-					best = memo[t]
-				}
-			default:
-				if t := targetOf(prog, i); t > i {
-					best = memo[t]
-				}
-				if i+1 <= n && memo[i+1] > best {
-					best = memo[i+1]
-				}
 			}
-		} else if i+1 <= n {
+		default:
 			best = memo[i+1]
 		}
 		memo[i] = best + 1
 	}
 	return memo[0]
-}
-
-// targetOf resolves a jump's destination instruction index, accounting
-// for LDDW double slots. Returns -1 on malformed offsets (already
-// rejected by the verifier).
-func targetOf(prog []ebpf.Instruction, i int) int {
-	slot := 0
-	slotOf := make([]int, len(prog))
-	for k := range prog {
-		slotOf[k] = slot
-		slot++
-		if prog[k].IsLDDW() {
-			slot++
-		}
-	}
-	want := slotOf[i] + 1 + int(prog[i].Off)
-	for k, s := range slotOf {
-		if s == want {
-			return k
-		}
-	}
-	return -1
 }
 
 // Bitstream packages the pipeline for the fabric. Items flowing through
@@ -261,5 +269,6 @@ func (p *Pipeline) Exec(in any) *Result {
 	return &Result{Ctx: ctx, Ret: ret, Err: err}
 }
 
-// VM exposes the underlying VM (for installing clocks in tests).
+// VM exposes the underlying VM: its Maps are the pipeline's state, and
+// tests install clocks on it.
 func (p *Pipeline) VM() *ebpf.VM { return p.vm }

@@ -2,7 +2,6 @@ package ehdl
 
 import (
 	"errors"
-	"fmt"
 
 	"hyperion/internal/ebpf"
 )
@@ -41,41 +40,15 @@ type graph struct {
 }
 
 func buildGraph(prog []ebpf.Instruction) (*graph, error) {
-	g := &graph{
+	target, err := ebpf.JumpTargets(prog)
+	if err != nil {
+		return nil, err
+	}
+	return &graph{
 		ins:     append([]ebpf.Instruction(nil), prog...),
-		target:  make([]int, len(prog)),
+		target:  target,
 		removed: make([]bool, len(prog)),
-	}
-	for i, ins := range prog {
-		g.target[i] = -1
-		if isJump(ins) {
-			t := targetOf(prog, i)
-			if t < 0 {
-				return nil, fmt.Errorf("ehdl: unresolvable jump at %d", i)
-			}
-			g.target[i] = t
-		}
-	}
-	return g, nil
-}
-
-func isJump(ins ebpf.Instruction) bool {
-	cls := ins.Class()
-	if cls != ebpf.ClassJMP && cls != ebpf.ClassJMP32 {
-		return false
-	}
-	op := ins.Op & 0xf0
-	return op != ebpf.JmpExit && op != ebpf.JmpCall
-}
-
-func isCall(ins ebpf.Instruction) bool {
-	cls := ins.Class()
-	return (cls == ebpf.ClassJMP || cls == ebpf.ClassJMP32) && ins.Op&0xf0 == ebpf.JmpCall
-}
-
-func isExit(ins ebpf.Instruction) bool {
-	cls := ins.Class()
-	return (cls == ebpf.ClassJMP || cls == ebpf.ClassJMP32) && ins.Op&0xf0 == ebpf.JmpExit
+	}, nil
 }
 
 // leaders marks basic-block entry points among live instructions.
@@ -91,8 +64,8 @@ func (g *graph) leaders() []bool {
 		if g.removed[i] {
 			continue
 		}
-		if isJump(ins) {
-			mark(g.target[i])
+		if ins.IsJump() {
+			mark(g.next(g.target[i])) // a removed target falls to the next live one
 			mark(g.next(i + 1))
 		}
 	}
@@ -109,192 +82,131 @@ func (g *graph) next(i int) int {
 	return -1
 }
 
+// consts is the block-local register state both folding passes sweep
+// with: which registers hold a known constant, and its value.
+type consts struct {
+	known [ebpf.NumRegs]bool
+	val   [ebpf.NumRegs]uint64
+}
+
+func (c *consts) set(r uint8, v uint64) { c.known[r], c.val[r] = true, v }
+
+// clobber forgets every register a non-ALU instruction overwrites.
+func (c *consts) clobber(ins ebpf.Instruction) {
+	switch {
+	case ins.Class() == ebpf.ClassLDX:
+		c.known[ins.Dst] = false
+	case ins.IsCall():
+		for r := ebpf.R0; r <= ebpf.R5; r++ {
+			c.known[r] = false
+		}
+	case ins.IsAtomic() && ins.Imm == ebpf.AtomicCmpXchg:
+		c.known[ebpf.R0] = false
+	case ins.IsAtomic() && ins.Imm&ebpf.AtomicFetch != 0:
+		c.known[ins.Src] = false
+	}
+}
+
+// immOperand rewrites a register operand to an immediate when the
+// register is a known constant that fits one.
+func (c *consts) immOperand(ins *ebpf.Instruction) bool {
+	if ins.Op&ebpf.SrcReg == 0 || !c.known[ins.Src] || !fitsImm32(c.val[ins.Src]) {
+		return false
+	}
+	ins.Op &^= ebpf.SrcReg
+	ins.Imm = int32(c.val[ins.Src])
+	ins.Src = 0
+	return true
+}
+
+func fitsImm32(v uint64) bool { return int64(v) == int64(int32(v)) }
+
 // constProp propagates known register constants within basic blocks,
 // rewriting register operands to immediates and folding ALU results.
 func constProp(g *graph) bool {
 	lead := g.leaders()
 	changed := false
-	var known [ebpf.NumRegs]bool
-	var val [ebpf.NumRegs]int64
-	reset := func() {
-		for r := range known {
-			known[r] = false
-		}
-	}
-	reset()
+	var c consts
 	for i := 0; i < len(g.ins); i++ {
 		if g.removed[i] {
 			continue
 		}
 		if lead[i] {
-			reset()
+			c = consts{}
 		}
 		ins := &g.ins[i]
 		cls := ins.Class()
 		switch {
 		case ins.IsLDDW():
-			known[ins.Dst], val[ins.Dst] = true, ins.Imm64
+			c.set(ins.Dst, uint64(ins.Imm64))
 		case cls == ebpf.ClassALU64 || cls == ebpf.ClassALU:
 			if ins.IsEndian() {
 				// The source bit selects byte order here, not an operand.
-				known[ins.Dst] = false
+				c.known[ins.Dst] = false
 				break
+			}
+			if c.immOperand(ins) {
+				changed = true
 			}
 			op := ins.Op & 0xf0
-			// Rewrite register source to immediate when known & fits.
-			if ins.Op&ebpf.SrcReg != 0 && known[ins.Src] && fitsImm32(val[ins.Src]) {
-				ins.Op &^= ebpf.SrcReg
-				ins.Imm = int32(val[ins.Src])
-				ins.Src = 0
+			if ins.Op&ebpf.SrcReg != 0 || (op != ebpf.ALUMov && !c.known[ins.Dst]) {
+				c.known[ins.Dst] = false
+				break
+			}
+			r, ok := ebpf.EvalALU(op, cls == ebpf.ClassALU, c.val[ins.Dst], uint64(int64(ins.Imm)))
+			if !ok {
+				c.known[ins.Dst] = false
+				break
+			}
+			c.set(ins.Dst, r)
+			// Replace the whole computation with a mov of the result
+			// when it fits (strength reduction to a constant).
+			if op != ebpf.ALUMov && fitsImm32(r) {
+				*ins = ebpf.Instruction{Op: cls | ebpf.ALUMov, Dst: ins.Dst, Imm: int32(r)}
 				changed = true
 			}
-			// Track the result.
-			if ins.Op&ebpf.SrcReg != 0 {
-				// Unknown source: result unknown.
-				known[ins.Dst] = false
-				break
-			}
-			src := int64(ins.Imm)
-			if op == ebpf.ALUMov {
-				known[ins.Dst], val[ins.Dst] = true, src
-				if cls == ebpf.ClassALU {
-					val[ins.Dst] = int64(uint32(src))
-				}
-				break
-			}
-			if !known[ins.Dst] {
-				break
-			}
-			r, ok := foldALU(op, cls == ebpf.ClassALU, val[ins.Dst], src)
-			if ok {
-				val[ins.Dst] = r
-				// Replace the whole computation with a mov of the result
-				// when it fits (strength reduction to a constant).
-				if fitsImm32(r) && op != ebpf.ALUMov {
-					*ins = ebpf.Instruction{Op: cls | ebpf.ALUMov, Dst: ins.Dst, Imm: int32(r)}
-					changed = true
-				}
-			} else {
-				known[ins.Dst] = false
-			}
-		case cls == ebpf.ClassLDX:
-			known[ins.Dst] = false
-		case isCall(*ins):
-			for _, r := range []uint8{ebpf.R0, ebpf.R1, ebpf.R2, ebpf.R3, ebpf.R4, ebpf.R5} {
-				known[r] = false
-			}
-		case isJump(*ins):
-			// Rewrite register comparison operand when known.
-			if ins.Op&ebpf.SrcReg != 0 && known[ins.Src] && fitsImm32(val[ins.Src]) {
-				ins.Op &^= ebpf.SrcReg
-				ins.Imm = int32(val[ins.Src])
-				ins.Src = 0
+		case ins.IsJump():
+			if c.immOperand(ins) {
 				changed = true
 			}
+		default:
+			c.clobber(*ins)
 		}
 	}
 	return changed
 }
 
-func fitsImm32(v int64) bool { return v >= -(1<<31) && v < 1<<31 }
-
-func foldALU(op uint8, is32 bool, a, b int64) (int64, bool) {
-	if is32 {
-		a, b = int64(uint32(a)), int64(uint32(b))
-	}
-	var r int64
-	switch op {
-	case ebpf.ALUAdd:
-		r = a + b
-	case ebpf.ALUSub:
-		r = a - b
-	case ebpf.ALUMul:
-		r = a * b
-	case ebpf.ALUDiv:
-		if b == 0 {
-			r = 0
-		} else {
-			r = int64(uint64(a) / uint64(b))
-		}
-	case ebpf.ALUMod:
-		if b == 0 {
-			r = a
-		} else {
-			r = int64(uint64(a) % uint64(b))
-		}
-	case ebpf.ALUAnd:
-		r = a & b
-	case ebpf.ALUOr:
-		r = a | b
-	case ebpf.ALUXor:
-		r = a ^ b
-	case ebpf.ALULsh:
-		r = int64(uint64(a) << (uint64(b) & 63))
-	case ebpf.ALURsh:
-		r = int64(uint64(a) >> (uint64(b) & 63))
-	case ebpf.ALUArsh:
-		r = a >> (uint64(b) & 63)
-	default:
-		return 0, false
-	}
-	if is32 {
-		r = int64(uint32(r))
-	}
-	return r, true
-}
-
 // foldBranches turns always/never-taken constant comparisons into
 // unconditional jumps or removals. It only fires when the comparison's
-// dst register constant is block-locally known (tracked by a fresh
-// constProp-style sweep).
+// dst register is a mov or lddw constant in the same block, which is
+// what constProp leaves behind.
 func foldBranches(g *graph) bool {
 	lead := g.leaders()
 	changed := false
-	var known [ebpf.NumRegs]bool
-	var val [ebpf.NumRegs]int64
-	reset := func() {
-		for r := range known {
-			known[r] = false
-		}
-	}
-	reset()
+	var c consts
 	for i := 0; i < len(g.ins); i++ {
 		if g.removed[i] {
 			continue
 		}
 		if lead[i] {
-			reset()
+			c = consts{}
 		}
 		ins := &g.ins[i]
 		cls := ins.Class()
 		switch {
 		case ins.IsLDDW():
-			known[ins.Dst], val[ins.Dst] = true, ins.Imm64
+			c.set(ins.Dst, uint64(ins.Imm64))
 		case cls == ebpf.ClassALU64 || cls == ebpf.ClassALU:
-			if ins.IsEndian() {
-				known[ins.Dst] = false
+			c.known[ins.Dst] = false
+			if ins.Op&^0x07 == ebpf.ALUMov { // mov with an immediate operand
+				v, _ := ebpf.EvalALU(ebpf.ALUMov, cls == ebpf.ClassALU, 0, uint64(int64(ins.Imm)))
+				c.set(ins.Dst, v)
+			}
+		case ins.IsJump():
+			if ins.Op&ebpf.SrcReg != 0 || !c.known[ins.Dst] || ins.Op&0xf0 == ebpf.JmpA {
 				break
 			}
-			op := ins.Op & 0xf0
-			if op == ebpf.ALUMov && ins.Op&ebpf.SrcReg == 0 {
-				known[ins.Dst], val[ins.Dst] = true, int64(ins.Imm)
-				if cls == ebpf.ClassALU {
-					val[ins.Dst] = int64(uint32(int64(ins.Imm)))
-				}
-			} else {
-				known[ins.Dst] = false
-			}
-		case cls == ebpf.ClassLDX:
-			known[ins.Dst] = false
-		case isCall(*ins):
-			for _, r := range []uint8{ebpf.R0, ebpf.R1, ebpf.R2, ebpf.R3, ebpf.R4, ebpf.R5} {
-				known[r] = false
-			}
-		case isJump(*ins) && ins.Op&0xf0 != ebpf.JmpA && ins.Op&ebpf.SrcReg == 0:
-			if !known[ins.Dst] {
-				break
-			}
-			taken, ok := evalCond(ins.Op&0xf0, cls == ebpf.ClassJMP32, val[ins.Dst], int64(ins.Imm))
+			taken, ok := ebpf.EvalJump(ins.Op&0xf0, cls == ebpf.ClassJMP32, c.val[ins.Dst], uint64(int64(ins.Imm)))
 			if !ok {
 				break
 			}
@@ -307,45 +219,14 @@ func foldBranches(g *graph) bool {
 				g.target[i] = -1
 			}
 			changed = true
+		default:
+			c.clobber(*ins)
 		}
 	}
 	if changed {
 		g.sweepUnreachable()
 	}
 	return changed
-}
-
-func evalCond(op uint8, is32 bool, a, b int64) (bool, bool) {
-	ua, ub := uint64(a), uint64(b)
-	if is32 {
-		ua, ub = uint64(uint32(ua)), uint64(uint32(ub))
-		a, b = int64(int32(uint32(a))), int64(int32(uint32(b)))
-	}
-	switch op {
-	case ebpf.JmpEq:
-		return ua == ub, true
-	case ebpf.JmpNe:
-		return ua != ub, true
-	case ebpf.JmpGt:
-		return ua > ub, true
-	case ebpf.JmpGe:
-		return ua >= ub, true
-	case ebpf.JmpLt:
-		return ua < ub, true
-	case ebpf.JmpLe:
-		return ua <= ub, true
-	case ebpf.JmpSet:
-		return ua&ub != 0, true
-	case ebpf.JmpSGt:
-		return a > b, true
-	case ebpf.JmpSGe:
-		return a >= b, true
-	case ebpf.JmpSLt:
-		return a < b, true
-	case ebpf.JmpSLe:
-		return a <= b, true
-	}
-	return false, false
 }
 
 // sweepUnreachable removes instructions no longer reachable from entry.
@@ -363,10 +244,10 @@ func (g *graph) sweepUnreachable() {
 			}
 			reach[i] = true
 			ins := g.ins[i]
-			if isExit(ins) {
+			if ins.IsExit() {
 				return
 			}
-			if isJump(ins) {
+			if ins.IsJump() {
 				visit(g.target[i])
 				if ins.Op&0xf0 == ebpf.JmpA {
 					return
@@ -408,9 +289,9 @@ func deadCode(g *graph) bool {
 		var out uint16
 		cls := ins.Class()
 		switch {
-		case isExit(ins):
+		case ins.IsExit():
 			out = 1 << ebpf.R0
-		case isJump(ins):
+		case ins.IsJump():
 			out = liveOf(g.target[i])
 			if ins.Op&0xf0 != ebpf.JmpA {
 				out |= liveOf(g.next(i + 1))
@@ -457,12 +338,15 @@ func deadCode(g *graph) bool {
 			in |= 1 << ins.Src
 		case cls == ebpf.ClassSTX:
 			in |= 1<<ins.Dst | 1<<ins.Src
+			if ins.IsAtomic() && ins.Imm == ebpf.AtomicCmpXchg {
+				in |= 1 << ebpf.R0 // the value compared against
+			}
 		case cls == ebpf.ClassST:
 			in |= 1 << ins.Dst
-		case isCall(ins):
+		case ins.IsCall():
 			in &^= 1 << ebpf.R0
 			in |= 1<<ebpf.R1 | 1<<ebpf.R2 | 1<<ebpf.R3 | 1<<ebpf.R4 | 1<<ebpf.R5
-		case isJump(ins):
+		case ins.IsJump():
 			in |= 1 << ins.Dst
 			if ins.Op&ebpf.SrcReg != 0 {
 				in |= 1 << ins.Src
@@ -509,7 +393,7 @@ func (g *graph) emit() ([]ebpf.Instruction, error) {
 		if g.removed[i] {
 			continue
 		}
-		if isJump(g.ins[i]) {
+		if g.ins[i].IsJump() {
 			t := resolve(g.target[i])
 			if t < 0 {
 				return nil, errors.New("ehdl: jump target eliminated")

@@ -72,7 +72,6 @@ func DefaultConfig() Config {
 
 // Errors returned by fabric operations.
 var (
-	ErrNoSlot         = errors.New("fabric: no free slot")
 	ErrSlotBusy       = errors.New("fabric: slot busy reconfiguring")
 	ErrSlotEmpty      = errors.New("fabric: slot has no bitstream")
 	ErrOverCapacity   = errors.New("fabric: bitstream exceeds remaining resources")
@@ -319,16 +318,6 @@ func (f *Fabric) Evict(i int) error {
 	return nil
 }
 
-// FindFreeSlot returns the lowest-indexed empty slot.
-func (f *Fabric) FindFreeSlot() (int, error) {
-	for _, s := range f.slots {
-		if s.State == SlotEmpty {
-			return s.Index, nil
-		}
-	}
-	return -1, ErrNoSlot
-}
-
 // Submit pushes one item into slot i's pipeline. The result callback
 // fires after the modeled pipeline latency with the value returned by the
 // bitstream's Process function. Throughput is limited by the initiation
@@ -410,19 +399,4 @@ func (sc *submitCtx) fire() {
 	if result != nil {
 		result(out)
 	}
-}
-
-// Utilization returns the fraction of cycles slot i spent busy since its
-// bitstream was loaded.
-func (f *Fabric) Utilization(i int) float64 {
-	slot, err := f.Slot(i)
-	if err != nil || slot.State != SlotActive {
-		return 0
-	}
-	elapsed := f.eng.Now().Sub(slot.LoadedAt)
-	if elapsed <= 0 {
-		return 0
-	}
-	busy := f.Cycles(slot.Cycles)
-	return float64(busy) / float64(elapsed)
 }

@@ -206,23 +206,6 @@ func TestSpatialIsolation(t *testing.T) {
 	}
 }
 
-func TestFindFreeSlot(t *testing.T) {
-	eng, f := newTestFabric(t)
-	for i := 0; i < f.Config().Slots; i++ {
-		idx, err := f.FindFreeSlot()
-		if err != nil || idx != i {
-			t.Fatalf("FindFreeSlot = %d,%v want %d", idx, err, i)
-		}
-		if err := f.LoadBitstream(idx, testBitstream("b", 1<<20), nil); err != nil {
-			t.Fatal(err)
-		}
-		eng.Run()
-	}
-	if _, err := f.FindFreeSlot(); !errors.Is(err, ErrNoSlot) {
-		t.Fatalf("err = %v, want ErrNoSlot", err)
-	}
-}
-
 func TestStreamDeliveryOrderAndTiming(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := NewStream(eng, "s", 250_000_000, 64, 8)
@@ -274,20 +257,6 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 }
 
-func TestDemuxRoutingAndMiss(t *testing.T) {
-	var a, b []int
-	d := NewDemux("d", func(it Item) int { return it.Payload.(int) % 3 },
-		func(it Item) { a = append(a, it.Payload.(int)) },
-		func(it Item) { b = append(b, it.Payload.(int)) },
-	)
-	for i := 0; i < 9; i++ {
-		d.Push(Item{Payload: i})
-	}
-	if len(a) != 3 || len(b) != 3 || d.Missed != 3 {
-		t.Fatalf("a=%d b=%d missed=%d, want 3/3/3", len(a), len(b), d.Missed)
-	}
-}
-
 func TestArbiterMergesInputs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var got []int
@@ -302,25 +271,6 @@ func TestArbiterMergesInputs(t *testing.T) {
 	}
 	if arb.Inputs() != 2 {
 		t.Fatalf("Inputs = %d", arb.Inputs())
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	eng, f := newTestFabric(t)
-	b := testBitstream("u", 1<<20)
-	b.II = 1
-	b.Depth = 1
-	if err := f.LoadBitstream(0, b, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	for i := 0; i < 1000; i++ {
-		_ = f.Submit(0, i, nil)
-	}
-	eng.Run()
-	u := f.Utilization(0)
-	if u <= 0.9 || u > 1.0 {
-		t.Fatalf("utilization = %v, want ≈1.0", u)
 	}
 }
 

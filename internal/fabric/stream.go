@@ -197,29 +197,3 @@ func (a *Arbiter) SetRecorder(rec *telemetry.Recorder) {
 
 // Inputs returns the number of input ports.
 func (a *Arbiter) Inputs() int { return len(a.ins) }
-
-// Demux routes items from one input to one of N output sinks using a
-// classifier — the "DEMUX" box behind the QSFP ports in Figure 2.
-type Demux struct {
-	Name     string
-	classify func(Item) int
-	outs     []func(Item)
-	Missed   int64
-}
-
-// NewDemux creates a demux with the given classifier and outputs. A
-// classifier result outside [0, len(outs)) drops the item and counts it
-// in Missed.
-func NewDemux(name string, classify func(Item) int, outs ...func(Item)) *Demux {
-	return &Demux{Name: name, classify: classify, outs: outs}
-}
-
-// Push classifies and forwards one item.
-func (d *Demux) Push(it Item) {
-	i := d.classify(it)
-	if i < 0 || i >= len(d.outs) {
-		d.Missed++
-		return
-	}
-	d.outs[i](it)
-}

@@ -495,13 +495,8 @@ func (d *Device) StoredBlocks() int { return len(d.store) }
 // latency separately; these accessors move bytes without going through
 // the queue-pair machinery. AccessCost supplies the matching latency.
 
-// ReadSync returns the payload of blocks [lba, lba+n) immediately.
-func (d *Device) ReadSync(lba int64, blocks int) []byte {
-	return d.readStore(lba, blocks)
-}
-
 // ReadSyncInto copies blocks [lba, lba+n) into dst, which must hold at
-// least n full blocks. It is the allocation-free form of ReadSync.
+// least n full blocks, allocating nothing.
 func (d *Device) ReadSyncInto(dst []byte, lba int64, blocks int) {
 	d.readStoreInto(dst, lba, blocks)
 }

@@ -228,9 +228,3 @@ func (rc *RootComplex) DMA(addr int64, size int64, done func()) error {
 // nopDone keeps the completion event (and thus event order) of a
 // callback-less DMA identical to one with a callback.
 func nopDone() {}
-
-// PortOf returns the port whose BAR window contains addr.
-func (rc *RootComplex) PortOf(addr int64) (*Port, error) {
-	p, _, err := rc.resolve(addr)
-	return p, err
-}

@@ -195,15 +195,6 @@ func TestDMAErrors(t *testing.T) {
 	}
 }
 
-func TestPortOf(t *testing.T) {
-	_, rc, _ := newBus(t)
-	base, _ := rc.Ports()[3].BAR()
-	p, err := rc.PortOf(base + 100)
-	if err != nil || p.Index != 3 {
-		t.Fatalf("PortOf = %v,%v", p, err)
-	}
-}
-
 func BenchmarkDMA4K(b *testing.B) {
 	eng := sim.NewEngine(1)
 	rc := NewRootComplex(eng, []int{4})

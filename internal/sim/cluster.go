@@ -267,9 +267,6 @@ func (cl *Cluster) Shards() int { return len(cl.shards) }
 // Shard returns shard i.
 func (cl *Cluster) Shard(i int) *Shard { return cl.shards[i] }
 
-// ShardOf returns the shard index an LP was registered on.
-func (cl *Cluster) ShardOf(lp LP) int { return int(cl.lpShard[lp]) }
-
 // Lookahead returns the cluster's lookahead.
 func (cl *Cluster) Lookahead() Duration { return cl.lookahead }
 

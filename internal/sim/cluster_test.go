@@ -40,7 +40,7 @@ func clusterLog(t *testing.T, shards, nLP int, seed uint64) string {
 	// Seed traffic: every LP fires one initial send from an engine event.
 	for i := 0; i < nLP; i++ {
 		i := i
-		sh := cl.Shard(cl.ShardOf(lps[i]))
+		sh := cl.Shard(i % shards)
 		sh.Engine().At(Time(i)*Time(Microsecond), "boot", func() {
 			peer := lps[rngs[i].Intn(nLP)]
 			sh.Send(lps[i], peer, testLA, 7, 12, 0, []byte("boot"))

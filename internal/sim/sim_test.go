@@ -286,21 +286,6 @@ func TestDurationFormatting(t *testing.T) {
 	}
 }
 
-func TestRunWhile(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	var tick func()
-	tick = func() {
-		count++
-		e.After(10, "tick", tick)
-	}
-	e.After(10, "tick", tick)
-	e.RunWhile(func() bool { return count < 5 })
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-}
-
 func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	e := NewEngine(1)
 	b.ReportAllocs()

@@ -134,10 +134,9 @@ func randomNodePage(rng *rand.Rand) []byte {
 	}
 	binary.LittleEndian.PutUint16(page[2:], uint16(count))
 	// Sorted keys from a small universe so probes hit often.
-	keysOff := 24
-	payloadOff := 1624
+	keysOff, payloadOff := bptree.LeafKeysOff, bptree.LeafValsOff
 	if kind == 2 {
-		keysOff, payloadOff = 8, 1208
+		keysOff, payloadOff = bptree.IntKeysOff, bptree.IntKidsOff
 	}
 	k := uint64(rng.Intn(32))
 	for i := 0; i < count && keysOff+8*(i+1) <= len(page); i++ {
@@ -154,9 +153,9 @@ func randomNodePage(rng *rand.Rand) []byte {
 // above-max paths.
 func randomProbeKey(rng *rand.Rand, page []byte) uint64 {
 	count := int(binary.LittleEndian.Uint16(page[2:]))
-	keysOff := 24
+	keysOff := bptree.LeafKeysOff
 	if page[0] == 2 {
-		keysOff = 8
+		keysOff = bptree.IntKeysOff
 	}
 	if count > 0 && rng.Intn(2) == 0 {
 		i := rng.Intn(count)

@@ -24,6 +24,12 @@ package chase
 //	[2:4)    key count
 //	leaf:    next id at 8, keys at 24, values at 24+200*8
 //	internal: keys at 8, children (16 B each) at 8+150*8
+//
+// bptree's exported offset constants are the authority; step_prog.go's
+// struct tags spell the same numbers out because its source is compiled
+// standalone (TestFrontendShapeMatchesHandAssembly holds the two together).
+
+import "hyperion/internal/storage/bptree"
 
 // Context offsets.
 const (
@@ -33,7 +39,7 @@ const (
 	CtxNextHi = 24
 	CtxNextLo = 32
 	CtxNode   = 64
-	CtxBytes  = 64 + 4096
+	CtxBytes  = CtxNode + bptree.NodeBytes
 )
 
 // Actions.
@@ -44,12 +50,13 @@ const (
 	ActCorrupt  = 3
 )
 
-// Node layout constants (must match bptree).
+// Node layout within the context: bptree's image offsets behind the
+// request header.
 const (
-	nodeKindOff  = CtxNode + 0
-	nodeCountOff = CtxNode + 2
-	leafKeysOff  = CtxNode + 24
-	leafValsOff  = CtxNode + 24 + 200*8
-	intKeysOff   = CtxNode + 8
-	intKidsOff   = CtxNode + 8 + 150*8
+	nodeKindOff  = CtxNode + bptree.KindOff
+	nodeCountOff = CtxNode + bptree.CountOff
+	leafKeysOff  = CtxNode + bptree.LeafKeysOff
+	leafValsOff  = CtxNode + bptree.LeafValsOff
+	intKeysOff   = CtxNode + bptree.IntKeysOff
+	intKidsOff   = CtxNode + bptree.IntKidsOff
 )

@@ -87,6 +87,11 @@ type Command struct {
 	Blocks int
 	Data   []byte // write payload; nil for reads
 	Span   telemetry.RequestID
+
+	// borrow marks a read issued through Host.ReadBorrowed: its payload
+	// is served from a device-owned buffer recycled when the completion
+	// handler returns.
+	borrow bool
 }
 
 // opName labels a command's opcode for telemetry with a static
@@ -134,6 +139,9 @@ type Device struct {
 
 	evName  string // precomputed event name for all device-side events
 	ctxFree []*cmdCtx
+	ctxSlab slab[cmdCtx]
+	bufFree [][]byte // payload buffers of completed borrowed reads
+	zero    []byte   // read-only image of a never-written block (BorrowSync)
 
 	Counters sim.CounterSet
 }
@@ -253,25 +261,63 @@ func (d *Device) pump(qp *queuePair) {
 	}
 }
 
-// cmdCtx carries one in-flight command through its event chain with
-// prebound stage functions; instances cycle through the device's free
-// list. Each command takes exactly one path, so status and data set at
-// schedule time are what completeFn posts.
+// Stages of a command's event chain. Each command takes exactly one
+// path, so the stage set when an event is scheduled is the one its
+// firing runs.
+const (
+	stageComplete  uint8 = iota // post ctx.status/ctx.data (also write cache-accept)
+	stageReadDone               // flash read done: snapshot the store, start data DMA
+	stageWriteXfer              // write payload crossed the link: program it
+	stageSwallow                // injected firmware hang: free the slot silently
+)
+
+// slab hands out zero values of T carved from chunks that double in
+// size up to slabMax. It backs the cmdCtx and hostOp free lists: E17 is
+// an open loop that overloads the device, so its backlog only grows and
+// those lists never refill — chunking keeps a queued command from
+// costing one allocation per context there, and starting at one keeps
+// a device that serves a handful of commands (E16 builds hundreds) from
+// paying for thirty-two.
+type slab[T any] struct {
+	rest []T // unissued tail of the newest chunk
+	size int // of the newest chunk
+}
+
+const slabMax = 32
+
+func (s *slab[T]) get() *T {
+	if len(s.rest) == 0 {
+		s.size = min(max(2*s.size, 1), slabMax)
+		s.rest = make([]T, s.size)
+	}
+	v := &s.rest[0]
+	s.rest = s.rest[1:]
+	return v
+}
+
+// cmdCtx carries one in-flight command through its event chain. Every
+// event of the chain is the one prebound step function dispatching on
+// stage; instances come from chunked slabs and cycle through the
+// device's free list. status and data set at schedule time are what
+// the completion posts.
 type cmdCtx struct {
 	d      *Device
 	qp     *queuePair
 	cmd    Command
 	start  sim.Time
 	status uint16
+	stage  uint8
 	data   []byte
 
 	wscratch []byte // reusable write-payload copy, capacity kept
 
-	completeFn  func() // post ctx.status/ctx.data
-	readDoneFn  func() // flash read done: fetch store, start data DMA
-	writeXferFn func() // write payload crossed the link: program it
-	writeDoneFn func() // write cache-accept: complete
-	swallowFn   func() // injected firmware hang: free the slot silently
+	step func() // prebound run
+
+	// timer is the chain's pending device-side event. Nothing cancels
+	// it — a context recycles only from its own last event — but a
+	// pooled instance keeps the ref of every timer bound to it (the
+	// eventref rule), cleared on recycle.
+	timer sim.EventRef
 }
 
 func (d *Device) getCtx(qp *queuePair, cmd Command) *cmdCtx {
@@ -280,12 +326,9 @@ func (d *Device) getCtx(qp *queuePair, cmd Command) *cmdCtx {
 		c = d.ctxFree[n-1]
 		d.ctxFree = d.ctxFree[:n-1]
 	} else {
-		c = &cmdCtx{d: d}
-		c.completeFn = c.complete
-		c.readDoneFn = c.readDone
-		c.writeXferFn = c.writeXfer
-		c.writeDoneFn = c.writeDone
-		c.swallowFn = c.swallow
+		c = d.ctxSlab.get()
+		c.d = d
+		c.step = c.run
 	}
 	c.qp = qp
 	c.cmd = cmd
@@ -293,11 +336,27 @@ func (d *Device) getCtx(qp *queuePair, cmd Command) *cmdCtx {
 	return c
 }
 
-// complete posts the completion interrupt and recycles the context.
+func (c *cmdCtx) run() {
+	switch c.stage {
+	case stageComplete:
+		c.complete()
+	case stageReadDone:
+		c.readDone()
+	case stageWriteXfer:
+		c.writeXfer()
+	case stageSwallow:
+		c.swallow()
+	}
+}
+
+// complete posts the completion interrupt and recycles the context. A
+// borrowed read's buffer returns to the device once the handler has
+// returned.
 func (c *cmdCtx) complete() {
 	d := c.d
 	c.qp.inFlight--
 	cpl := Completion{CID: c.cmd.CID, Status: c.status, Data: c.data}
+	borrowed := c.cmd.borrow && c.data != nil
 	d.Counters.Get("completions").Add(1)
 	if d.rec != nil {
 		d.rec.Span("nvme.dev", opName(c.cmd.Opcode), c.cmd.Span, c.start, d.eng.Now())
@@ -306,9 +365,14 @@ func (c *cmdCtx) complete() {
 	c.data = nil
 	c.cmd = Command{}
 	c.qp = nil
+	c.timer = sim.NoEvent
 	d.ctxFree = append(d.ctxFree, c)
 	if d.interrupt != nil {
 		d.interrupt(qid, cpl)
+	}
+	if borrowed {
+		retire(cpl.Data)
+		d.bufFree = append(d.bufFree, cpl.Data)
 	}
 }
 
@@ -317,6 +381,7 @@ func (c *cmdCtx) swallow() {
 	c.qp.inFlight--
 	c.cmd = Command{}
 	c.qp = nil
+	c.timer = sim.NoEvent
 	d.ctxFree = append(d.ctxFree, c)
 }
 
@@ -324,7 +389,7 @@ func (c *cmdCtx) swallow() {
 func (c *cmdCtx) fail(status uint16, delay sim.Duration) {
 	c.status = status
 	c.data = nil
-	c.d.after(delay, c.completeFn)
+	c.d.after(delay, c, stageComplete)
 }
 
 // execute models one command: SQE fetch DMA, flash access on the LBA's
@@ -350,7 +415,7 @@ func (d *Device) execute(qp *queuePair, cmd Command) {
 			wait = 0
 		}
 		c.status, c.data = StatusOK, nil
-		d.after(d.cfg.CtrlOverhead+wait, c.completeFn)
+		d.after(d.cfg.CtrlOverhead+wait, c, stageComplete)
 		d.Counters.Get("flushes").Add(1)
 	case OpRead, OpWrite:
 		if cmd.LBA < 0 || cmd.Blocks <= 0 || cmd.LBA+int64(cmd.Blocks) > d.cfg.Blocks {
@@ -362,7 +427,7 @@ func (d *Device) execute(qp *queuePair, cmd Command) {
 			// the controller abandons it — but no completion is ever
 			// posted. Only a host-side deadline surfaces it.
 			d.Counters.Get("injected_timeouts").Add(1)
-			d.after(d.cfg.CtrlOverhead, c.swallowFn)
+			d.after(d.cfg.CtrlOverhead, c, stageSwallow)
 			return
 		}
 		if d.plan.Roll(fault.MediaErr) {
@@ -402,7 +467,7 @@ func (d *Device) accessFlash(c *cmdCtx) {
 	flashDone := d.cfg.CtrlOverhead + latest.Sub(now)
 	if isRead {
 		d.Counters.Get("read_blocks").Add(int64(cmd.Blocks))
-		d.after(flashDone, c.readDoneFn)
+		d.after(flashDone, c, stageReadDone)
 	} else {
 		d.Counters.Get("write_blocks").Add(int64(cmd.Blocks))
 		// Data crosses the link first, then programs behind write cache;
@@ -412,14 +477,16 @@ func (d *Device) accessFlash(c *cmdCtx) {
 		// pooled capsule that is recycled before the link transfer lands.
 		c.wscratch = append(c.wscratch[:0], cmd.Data...)
 		c.cmd.Data = nil
-		d.transfer(int64(cmd.Blocks)*int64(d.cfg.BlockSize), c.writeXferFn)
+		d.transfer(int64(cmd.Blocks)*int64(d.cfg.BlockSize), c, stageWriteXfer)
 	}
 }
 
-// readDone fires when the slowest flash channel has the data.
+// readDone fires when the slowest flash channel has the data: the
+// payload is the store's content now, whatever is written while it
+// crosses the link.
 func (c *cmdCtx) readDone() {
 	d := c.d
-	data := d.readStore(c.cmd.LBA, c.cmd.Blocks)
+	data := d.readStore(c.cmd.LBA, c.cmd.Blocks, c.cmd.borrow)
 	if d.plan.Roll(fault.Corrupt) && len(data) > 0 {
 		// Transient in-flight corruption: the returned copy is
 		// damaged, the store is not, so a checksum-driven reread
@@ -428,59 +495,84 @@ func (c *cmdCtx) readDone() {
 		data[d.plan.Pick(len(data))] ^= 0xA5
 	}
 	c.status, c.data = StatusOK, data
-	d.transfer(int64(c.cmd.Blocks)*int64(d.cfg.BlockSize), c.completeFn)
+	d.transfer(int64(c.cmd.Blocks)*int64(d.cfg.BlockSize), c, stageComplete)
 }
 
-// writeXfer fires when the write payload has crossed the link.
+// writeXfer fires when the write payload has crossed the link; the
+// completion is posted at cache-accept, one controller overhead later.
 func (c *cmdCtx) writeXfer() {
 	d := c.d
 	d.writeStore(c.cmd.LBA, c.wscratch)
 	c.status, c.data = StatusOK, nil
-	d.after(d.cfg.CtrlOverhead, c.writeDoneFn)
+	d.after(d.cfg.CtrlOverhead, c, stageComplete)
 }
 
-func (c *cmdCtx) writeDone() { c.complete() }
-
-func (d *Device) transfer(size int64, done func()) {
+// transfer moves size bytes across the link, then runs c's stage.
+func (d *Device) transfer(size int64, c *cmdCtx, stage uint8) {
+	c.stage = stage
 	if d.dma == nil {
-		done()
+		c.run()
 		return
 	}
-	d.dma(size, done)
+	d.dma(size, c.step)
 }
 
-func (d *Device) after(delay sim.Duration, fn func()) {
-	d.eng.After(delay, d.evName, fn)
+// after runs c's stage once delay has elapsed.
+func (d *Device) after(delay sim.Duration, c *cmdCtx, stage uint8) {
+	c.stage = stage
+	c.timer = d.eng.After(delay, d.evName, c.step)
 }
 
-func (d *Device) readStore(lba int64, blocks int) []byte {
-	out := make([]byte, blocks*d.cfg.BlockSize)
-	d.readStoreInto(out, lba, blocks)
+// readStore snapshots blocks [lba, lba+blocks) for a queued read. An
+// owning read gets a fresh buffer (the caller keeps it); a borrowed one
+// reuses a buffer a previous borrowed completion handed back.
+func (d *Device) readStore(lba int64, blocks int, borrow bool) []byte {
+	size := blocks * d.cfg.BlockSize
+	var out []byte
+	if n := len(d.bufFree); borrow && n > 0 {
+		out = d.bufFree[n-1]
+		d.bufFree = d.bufFree[:n-1]
+	}
+	fresh := cap(out) < size
+	if fresh {
+		out = make([]byte, size)
+	}
+	out = out[:size]
+	d.fill(out, lba, blocks, fresh)
 	return out
 }
 
-func (d *Device) readStoreInto(dst []byte, lba int64, blocks int) {
+// fill copies blocks [lba, lba+blocks) into dst. Unwritten blocks read
+// back as zeros; zeroed says dst already is, so they need no clearing.
+func (d *Device) fill(dst []byte, lba int64, blocks int, zeroed bool) {
 	bs := d.cfg.BlockSize
 	for i := 0; i < blocks; i++ {
 		span := dst[i*bs : (i+1)*bs]
 		if b, ok := d.store[lba+int64(i)]; ok {
 			copy(span, b)
-		} else {
-			clear(span) // unwritten blocks read back as zeros
+		} else if !zeroed {
+			clear(span)
 		}
 	}
+}
+
+// block returns the stored buffer of lba, materializing a zeroed one
+// for a block never written. Blocks are stored at full block size and
+// a rewrite reuses the buffer.
+func (d *Device) block(lba int64) []byte {
+	blk := d.store[lba]
+	if blk == nil {
+		blk = make([]byte, d.cfg.BlockSize)
+		d.store[lba] = blk
+	}
+	return blk
 }
 
 func (d *Device) writeStore(lba int64, data []byte) {
 	bs := d.cfg.BlockSize
 	for i := 0; i*bs < len(data); i++ {
-		// Blocks are stored at full block size; rewriting one reuses its
-		// buffer, zero-padding past a short final fragment.
-		blk := d.store[lba+int64(i)]
-		if blk == nil {
-			blk = make([]byte, bs)
-			d.store[lba+int64(i)] = blk
-		}
+		// Zero-pad past a short final fragment.
+		blk := d.block(lba + int64(i))
 		n := copy(blk, data[i*bs:])
 		clear(blk[n:])
 	}
@@ -498,12 +590,42 @@ func (d *Device) StoredBlocks() int { return len(d.store) }
 // ReadSyncInto copies blocks [lba, lba+n) into dst, which must hold at
 // least n full blocks, allocating nothing.
 func (d *Device) ReadSyncInto(dst []byte, lba int64, blocks int) {
-	d.readStoreInto(dst, lba, blocks)
+	d.fill(dst, lba, blocks, false)
+}
+
+// BorrowSync returns block lba in place: the stored buffer itself, or
+// the device's shared zero block for a block never written. The result
+// is read-only and valid until lba is next written.
+func (d *Device) BorrowSync(lba int64) []byte {
+	if b, ok := d.store[lba]; ok {
+		return b
+	}
+	if d.zero == nil {
+		d.zero = make([]byte, d.cfg.BlockSize)
+	}
+	return d.zero
 }
 
 // WriteSync stores data at lba immediately.
 func (d *Device) WriteSync(lba int64, data []byte) {
 	d.writeStore(lba, data)
+}
+
+// PatchSync overwrites len(data) bytes starting off bytes into block
+// lba, running on into the following blocks, and leaves every other
+// stored byte as it was: the in-place form of reading the covering
+// blocks, merging data and writing them back. Block lba is
+// materialized even when data is empty, as that write-back would.
+func (d *Device) PatchSync(lba int64, off int, data []byte) {
+	for {
+		n := copy(d.block(lba)[off:], data)
+		data = data[n:]
+		if len(data) == 0 {
+			return
+		}
+		lba++
+		off = 0
+	}
 }
 
 // AccessCost models the device-side latency of reading or writing n
@@ -536,6 +658,7 @@ type Host struct {
 	timers   map[uint16]sim.EventRef
 	rec      *telemetry.Recorder
 	opFree   []*hostOp
+	opSlab   slab[hostOp]
 	QueueErr int64
 	Timeouts int64 // deadline-synthesized StatusTimeout completions
 }
@@ -616,9 +739,9 @@ func (h *Host) Submit(q int, cmd Command, cb func(Completion)) error {
 }
 
 // hostOp adapts a user read/status callback to the Submit completion
-// shape without a per-call closure; instances cycle through the host's
-// free list. dispatch recycles before invoking the callback so it can
-// immediately reissue.
+// shape without a per-call closure; instances come from chunked slabs
+// and cycle through the host's free list. dispatch recycles before
+// invoking the callback so it can immediately reissue.
 type hostOp struct {
 	h      *Host
 	readCb func(data []byte, status uint16)
@@ -632,7 +755,8 @@ func (h *Host) getOp() *hostOp {
 		h.opFree = h.opFree[:n-1]
 		return op
 	}
-	op := &hostOp{h: h}
+	op := h.opSlab.get()
+	op.h = h
 	op.fn = op.dispatch
 	return op
 }
@@ -655,17 +779,32 @@ func (h *Host) putOp(op *hostOp) {
 	h.opFree = append(h.opFree, op)
 }
 
-// Read reads blocks starting at lba on queue q.
+// Read reads blocks starting at lba on queue q. The caller owns data:
+// it is a private copy, never touched by the device again.
 func (h *Host) Read(q int, lba int64, blocks int, cb func(data []byte, status uint16)) error {
-	return h.ReadSpan(q, lba, blocks, 0, cb)
+	return h.read(q, Command{Opcode: OpRead, NSID: 1, LBA: lba, Blocks: blocks}, cb)
 }
 
 // ReadSpan is Read carrying a request-scoped trace context down the
 // command path.
 func (h *Host) ReadSpan(q int, lba int64, blocks int, span telemetry.RequestID, cb func(data []byte, status uint16)) error {
+	return h.read(q, Command{Opcode: OpRead, NSID: 1, LBA: lba, Blocks: blocks, Span: span}, cb)
+}
+
+// ReadBorrowed is Read for a consumer that is done with the payload
+// when cb returns. data is a buffer the device owns and reuses for a
+// later read: it is valid only during the handler call — a receiver
+// that keeps the bytes must copy them (race builds overwrite it with
+// 0xDB as soon as cb returns). The bytes are the same snapshot, taken
+// at the same instant, that Read delivers.
+func (h *Host) ReadBorrowed(q int, lba int64, blocks int, cb func(data []byte, status uint16)) error {
+	return h.read(q, Command{Opcode: OpRead, NSID: 1, LBA: lba, Blocks: blocks, borrow: true}, cb)
+}
+
+func (h *Host) read(q int, cmd Command, cb func(data []byte, status uint16)) error {
 	op := h.getOp()
 	op.readCb = cb
-	if err := h.Submit(q, Command{Opcode: OpRead, NSID: 1, LBA: lba, Blocks: blocks, Span: span}, op.fn); err != nil {
+	if err := h.Submit(q, cmd, op.fn); err != nil {
 		h.putOp(op)
 		return err
 	}

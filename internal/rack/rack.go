@@ -313,7 +313,9 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 		b.reads++
 		src, id := env.Src, env.A
 		lba := int64(env.B % boxBlocks)
-		err := b.host.Read(0, lba, 1, func(data []byte, status uint16) {
+		// Borrowed: reply copies data into the wire buffer before the
+		// handler returns, which is all the device-owned block is good for.
+		err := b.host.ReadBorrowed(0, lba, 1, func(data []byte, status uint16) {
 			if status != nvme.StatusOK {
 				b.reply(src, respErr, id, uint64(status), nil)
 				return

@@ -38,6 +38,17 @@ func (s *Store) recordCRCs(dev int, lba int64, data []byte) {
 	}
 }
 
+// refreshCRCs re-records blocks [lba, lba+blocks) from what the device
+// now stores: the synchronous write path changes them behind the
+// queued path's back, and a stale record would fail every later
+// verified read of intact data.
+func (s *Store) refreshCRCs(dev int, lba int64, blocks int) {
+	d := s.devs[dev].Device()
+	for i := int64(0); i < int64(blocks); i++ {
+		s.crcs[crcKey(dev, lba+i)] = crc32.Checksum(d.BorrowSync(lba+i), crcCastagnoli)
+	}
+}
+
 // verifyCRCs checks data against the recorded per-block CRCs; blocks
 // without a record pass.
 func (s *Store) verifyCRCs(dev int, lba int64, data []byte) bool {

@@ -81,6 +81,61 @@ func TestChecksumRereadRecovers(t *testing.T) {
 	}
 }
 
+// TestChecksumSurvivesSyncOverwrite: the synchronous write path changes
+// stored blocks behind the queued path's back, so it must refresh the
+// per-block CRC records — on the aligned edge and on the
+// patched-in-place unaligned one. A stale record fails every later
+// verified read of intact data with StatusChecksum.
+func TestChecksumSurvivesSyncOverwrite(t *testing.T) {
+	eng, s, _ := newChecksumStore(t, 0)
+	v := NewSyncView(s)
+	id := OID(1, 1)
+	if _, err := s.Alloc(id, 3*4096, true, HintCold); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{0x5a}, 3*4096)
+	s.Write(id, 0, want, func(err error) {
+		if err != nil {
+			t.Errorf("write: %v", err)
+		}
+	})
+	eng.Run()
+	check := func(when string) {
+		t.Helper()
+		called := false
+		s.Read(id, 0, int64(len(want)), func(data []byte, err error) {
+			called = true
+			if err != nil {
+				t.Fatalf("%s: read of intact data failed: %v", when, err)
+			}
+			if !bytes.Equal(data, want) {
+				t.Fatalf("%s: read returned wrong bytes", when)
+			}
+		})
+		eng.Run()
+		if !called {
+			t.Fatalf("%s: read never completed", when)
+		}
+		if got := s.Counters.Get("crc_rereads").Value; got != 0 {
+			t.Fatalf("%s: crc_rereads = %d on a fault-free device", when, got)
+		}
+	}
+	// Aligned: one whole block.
+	blk := bytes.Repeat([]byte{0xc3}, 4096)
+	if err := v.WriteAt(id, 4096, blk); err != nil {
+		t.Fatal(err)
+	}
+	copy(want[4096:], blk)
+	check("after aligned overwrite")
+	// Unaligned: a patch straddling the first block boundary.
+	patch := bytes.Repeat([]byte{0x17}, 300)
+	if err := v.WriteAt(id, 4096-100, patch); err != nil {
+		t.Fatal(err)
+	}
+	copy(want[4096-100:], patch)
+	check("after patched overwrite")
+}
+
 // TestChecksumExhaustedRereadsFail: when every read attempt comes back
 // damaged, the store must stop after crcMaxRereads and surface
 // StatusChecksum instead of looping or returning bad bytes.

@@ -42,6 +42,18 @@ func (d *dramBacking) read(dst []byte, addr int64) {
 	}
 }
 
+// view returns the n bytes at addr in place, or nil when they cross a
+// chunk boundary or the chunk was never written (an empty range at the
+// very end of DRAM has no chunk either). Capacity is clipped so an
+// append cannot reach the backing.
+func (d *dramBacking) view(addr, n int64) []byte {
+	ci, off := addr>>dramChunkBits, addr&(dramChunkSize-1)
+	if ci >= int64(len(d.chunks)) || d.chunks[ci] == nil || off+n > dramChunkSize {
+		return nil
+	}
+	return d.chunks[ci][off : off+n : off+n]
+}
+
 // write copies src to addr, materializing chunks as needed.
 func (d *dramBacking) write(addr int64, src []byte) {
 	for len(src) > 0 {

@@ -21,7 +21,6 @@ import (
 type SyncView struct {
 	s    *Store
 	cost sim.Duration
-	rmw  []byte // scratch for read-modify-write edges in WriteAt
 
 	// Op counters for experiment reporting.
 	Reads, Writes           int64
@@ -84,6 +83,49 @@ func (v *SyncView) ReadAt(id ObjectID, off, length int64) ([]byte, error) {
 // whenever capacity suffices; callers reuse the buffer across calls by
 // passing the previous result back in.
 func (v *SyncView) ReadAtBuf(id ObjectID, off, length int64, buf []byte) ([]byte, error) {
+	sg, err := v.chargeRead(id, off, length)
+	if err != nil {
+		return nil, err
+	}
+	out := grow(buf, length)
+	v.s.copyOut(out, sg, off)
+	return out, nil
+}
+
+// Borrow is ReadAt without the copy: same bounds checks, same modeled
+// cost, same counters, but the result aliases the stored bytes (or the
+// device's read-only zero block, for a block never written) whenever
+// the range sits inside one NVMe block or one DRAM chunk. The result
+// is read-only and valid until the object is next written or freed — a
+// caller that keeps the bytes past that must copy them.
+//
+// A range that cannot be aliased is copied instead: into *spill, grown
+// as needed, when the caller lends one (that copy then lasts until the
+// caller's next Borrow with the same spill), into a fresh allocation
+// when spill is nil.
+func (v *SyncView) Borrow(id ObjectID, off, length int64, spill *[]byte) ([]byte, error) {
+	sg, err := v.chargeRead(id, off, length)
+	if err != nil {
+		return nil, err
+	}
+	if src := v.s.inPlace(sg, off, length); src != nil {
+		return src, nil
+	}
+	var out []byte
+	if spill != nil {
+		*spill = grow(*spill, length)
+		out = *spill
+	} else {
+		out = make([]byte, length)
+	}
+	v.s.copyOut(out, sg, off)
+	return out, nil
+}
+
+// chargeRead is the accounting of one synchronous read, shared by the
+// copying and the borrowing form: translation, bounds, op counters and
+// the modeled DRAM or device time.
+func (v *SyncView) chargeRead(id ObjectID, off, length int64) (*Segment, error) {
 	sg, tc, err := v.s.Lookup(id)
 	v.cost += tc
 	if err != nil {
@@ -96,31 +138,64 @@ func (v *SyncView) ReadAtBuf(id ObjectID, off, length int64, buf []byte) ([]byte
 	v.BytesRead += length
 	if sg.Loc == LocDRAM {
 		v.cost += v.s.dramTime(length)
-		out := grow(buf, length)
-		v.s.dram.read(out, sg.Addr+off)
-		return out, nil
+		return sg, nil
 	}
-	dev, lba := v.s.split(sg.Addr)
-	bs := int64(v.s.cfg.BlockSize)
-	first := lba + off/bs
-	nblocks := int((off+length+bs-1)/bs - off/bs)
-	if nblocks < 1 {
-		nblocks = 1
-	}
-	skip := off % bs
-	d := v.s.devs[dev].Device()
-	v.cost += d.AccessCost(nvme.OpRead, nblocks)
+	dev, _ := v.s.split(sg.Addr)
+	v.cost += v.s.devs[dev].Device().AccessCost(nvme.OpRead, v.s.spanBlocks(off, length))
 	v.DevReads++
-	data := grow(buf, int64(nblocks)*bs)
-	d.ReadSyncInto(data, first, nblocks)
-	// Slide the payload to the buffer base so the result can be handed
-	// back as the next call's scratch without losing capacity.
-	copy(data, data[skip:skip+length])
-	return data[:length], nil
+	return sg, nil
 }
 
-// WriteAt stores data at off in the object (read-modify-write for
-// unaligned NVMe edges, with the extra read charged).
+// spanBlocks is how many device blocks the byte range [off, off+length)
+// of an NVMe segment covers; an empty range still costs one.
+func (s *Store) spanBlocks(off, length int64) int {
+	bs := int64(s.cfg.BlockSize)
+	if n := int((off+length+bs-1)/bs - off/bs); n > 1 {
+		return n
+	}
+	return 1
+}
+
+// inPlace returns the stored bytes of [off, off+length) of sg without
+// copying, or nil when the range crosses a block or chunk boundary or
+// sits in DRAM never written. Capacity is clipped so an append cannot
+// reach the store.
+func (s *Store) inPlace(sg *Segment, off, length int64) []byte {
+	if sg.Loc == LocDRAM {
+		return s.dram.view(sg.Addr+off, length)
+	}
+	bs := int64(s.cfg.BlockSize)
+	skip := off % bs
+	if skip+length > bs {
+		return nil
+	}
+	dev, lba := s.split(sg.Addr)
+	return s.devs[dev].Device().BorrowSync(lba + off/bs)[skip : skip+length : skip+length]
+}
+
+// copyOut fills dst with the object's bytes starting at off.
+func (s *Store) copyOut(dst []byte, sg *Segment, off int64) {
+	if sg.Loc == LocDRAM {
+		s.dram.read(dst, sg.Addr+off)
+		return
+	}
+	dev, lba := s.split(sg.Addr)
+	d := s.devs[dev].Device()
+	bs := int64(s.cfg.BlockSize)
+	lba += off / bs
+	skip := off % bs
+	for len(dst) > 0 {
+		n := copy(dst, d.BorrowSync(lba)[skip:])
+		dst = dst[n:]
+		lba++
+		skip = 0
+	}
+}
+
+// WriteAt stores data at off in the object. An unaligned NVMe edge is
+// patched into the stored blocks in place and charged as the
+// read-modify-write it models: one device read plus one device write
+// of the covering blocks.
 func (v *SyncView) WriteAt(id ObjectID, off int64, data []byte) error {
 	sg, tc, err := v.s.Lookup(id)
 	v.cost += tc
@@ -141,27 +216,22 @@ func (v *SyncView) WriteAt(id ObjectID, off int64, data []byte) error {
 	dev, lba := v.s.split(sg.Addr)
 	bs := int64(v.s.cfg.BlockSize)
 	first := lba + off/bs
-	nblocks := int((off+length+bs-1)/bs - off/bs)
-	if nblocks < 1 {
-		nblocks = 1
-	}
+	nblocks := v.s.spanBlocks(off, length)
 	skip := off % bs
 	d := v.s.devs[dev].Device()
 	if skip == 0 && length%bs == 0 {
 		v.cost += d.AccessCost(nvme.OpWrite, nblocks)
 		v.DevWrites++
 		d.WriteSync(first, data)
-		return nil
+	} else {
+		v.cost += d.AccessCost(nvme.OpRead, nblocks) + d.AccessCost(nvme.OpWrite, nblocks)
+		v.DevReads++
+		v.DevWrites++
+		d.PatchSync(first, int(skip), data)
 	}
-	// RMW: read covering blocks, merge, write back.
-	v.cost += d.AccessCost(nvme.OpRead, nblocks) + d.AccessCost(nvme.OpWrite, nblocks)
-	v.DevReads++
-	v.DevWrites++
-	old := grow(v.rmw, int64(nblocks)*bs)
-	v.rmw = old
-	d.ReadSyncInto(old, first, nblocks)
-	copy(old[skip:], data)
-	d.WriteSync(first, old)
+	if v.s.crcs != nil {
+		v.s.refreshCRCs(dev, first, nblocks)
+	}
 	return nil
 }
 

@@ -23,6 +23,27 @@ const (
 	IntCap  = 150
 )
 
+// Node image layout, the one authority for every reader and writer of
+// the encoded form (writeNode, image.decodeInto, the in-place search, and
+// apps/chase's per-hop program): kind byte, LE16 key count, then per
+// kind a fixed-offset LE64 key array and its payload array.
+const (
+	KindOff  = 0
+	CountOff = 2
+
+	LeafNextOff = 8                       // next-leaf object id (Hi, Lo)
+	LeafKeysOff = LeafNextOff + 16        // LeafCap keys
+	LeafValsOff = LeafKeysOff + LeafCap*8 // LeafCap values
+	IntKeysOff  = 8                       // IntCap keys
+	IntKidsOff  = IntKeysOff + IntCap*8   // IntCap+1 child object ids (Hi, Lo)
+)
+
+// Both layouts fit one node: a negative constant does not convert.
+const (
+	_ = uint(NodeBytes - (LeafValsOff + LeafCap*8))
+	_ = uint(NodeBytes - (IntKidsOff + (IntCap+1)*16))
+)
+
 // ErrCorrupt reports a node whose on-flash bytes fail validation.
 var ErrCorrupt = errors.New("bptree: corrupt node")
 
@@ -45,19 +66,18 @@ type Tree struct {
 	metaDirty bool
 
 	// Reused node-image scratch: wbuf is zeroed before each encode so
-	// stored images stay byte-identical to fresh-buffer encodes; rbuf
-	// backs readNode (decoded nodes copy out of it, so it is free to
-	// reuse). The tree is single-threaded.
+	// stored images stay byte-identical to fresh-buffer encodes. Reads
+	// need none: they borrow the stored image (borrowNode). The tree is
+	// single-threaded.
 	wbuf    []byte
-	rbuf    []byte
 	metaBuf [64]byte
 
-	// arena holds decode targets for readNode. Slots are recycled at the
-	// start of every public operation (and as descents release their
-	// parents), so one operation's live nodes never alias; decoded nodes
-	// are never cached across reads — every readNode re-decodes from the
-	// store. Slot arrays carry one-past-capacity headroom so the insert
-	// path's pre-split appends stay in place.
+	// arena holds decode targets for the nodes an operation modifies
+	// (everything else is searched in its encoded image). Slots are
+	// recycled at the start of every public operation, so one
+	// operation's live nodes never alias; decoded nodes are never cached
+	// across operations. Slot arrays carry one-past-capacity headroom so
+	// the insert path's pre-split appends stay in place.
 	arena     []*node
 	arenaUsed int
 
@@ -79,11 +99,6 @@ func (t *Tree) arenaNode() *node {
 	t.arenaUsed++
 	return n
 }
-
-// releaseNode returns the most recently decoded node to the arena; only
-// valid when the caller owns that node and no later-decoded nodes are
-// live (descent loops releasing a parent before reading its child).
-func (t *Tree) releaseNode() { t.arenaUsed-- }
 
 type node struct {
 	kind     uint8
@@ -176,29 +191,25 @@ func (t *Tree) writeNode(id seg.ObjectID, n *node) error {
 	}
 	buf := t.wbuf
 	clear(buf)
-	buf[0] = n.kind
-	wire.PutLE16At(buf, 2, uint16(len(n.keys)))
-	off := 8
+	buf[KindOff] = n.kind
+	wire.PutLE16At(buf, CountOff, uint16(len(n.keys)))
 	switch n.kind {
 	case kindLeaf:
-		wire.PutLE64At(buf, off, n.next.Hi)
-		wire.PutLE64At(buf, off+8, n.next.Lo)
-		off += 16
+		wire.PutLE64At(buf, LeafNextOff, n.next.Hi)
+		wire.PutLE64At(buf, LeafNextOff+8, n.next.Lo)
 		for i, k := range n.keys {
-			wire.PutLE64At(buf, off+i*8, k)
+			wire.PutLE64At(buf, LeafKeysOff+i*8, k)
 		}
-		off += LeafCap * 8
 		for i, v := range n.vals {
-			wire.PutLE64At(buf, off+i*8, v)
+			wire.PutLE64At(buf, LeafValsOff+i*8, v)
 		}
 	case kindInternal:
 		for i, k := range n.keys {
-			wire.PutLE64At(buf, off+i*8, k)
+			wire.PutLE64At(buf, IntKeysOff+i*8, k)
 		}
-		off += IntCap * 8
 		for i, c := range n.children {
-			wire.PutLE64At(buf, off+i*16, c.Hi)
-			wire.PutLE64At(buf, off+i*16+8, c.Lo)
+			wire.PutLE64At(buf, IntKidsOff+i*16, c.Hi)
+			wire.PutLE64At(buf, IntKidsOff+i*16+8, c.Lo)
 		}
 	default:
 		return fmt.Errorf("%w: kind %d", ErrCorrupt, n.kind)
@@ -207,18 +218,112 @@ func (t *Tree) writeNode(id seg.ObjectID, n *node) error {
 	return t.v.WriteAt(id, 0, buf)
 }
 
+// image is one encoded node, searched in place. It is valid only as
+// long as the bytes it was borrowed from (see borrowNode).
+type image struct {
+	buf  []byte
+	kind uint8
+	cnt  int // keys
+}
+
+// header validates the fixed part of a node image: the one check every
+// consumer of the encoded form goes through.
+func header(buf []byte) (image, error) {
+	if len(buf) < NodeBytes {
+		return image{}, fmt.Errorf("%w: short node", ErrCorrupt)
+	}
+	im := image{buf: buf, kind: buf[KindOff], cnt: int(wire.LE16At(buf, CountOff))}
+	switch im.kind {
+	case kindLeaf:
+		if im.cnt > LeafCap {
+			return image{}, fmt.Errorf("%w: leaf count %d", ErrCorrupt, im.cnt)
+		}
+	case kindInternal:
+		if im.cnt > IntCap {
+			return image{}, fmt.Errorf("%w: internal count %d", ErrCorrupt, im.cnt)
+		}
+	default:
+		return image{}, fmt.Errorf("%w: kind %d", ErrCorrupt, im.kind)
+	}
+	return im, nil
+}
+
+// search returns the index of the first key >= k.
+func (im image) search(k uint64) int {
+	keys := im.buf[IntKeysOff:]
+	if im.kind == kindLeaf {
+		keys = im.buf[LeafKeysOff:]
+	}
+	lo, hi := 0, im.cnt
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if wire.LE64At(keys, mid*8) < k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// leafKey, leafVal and leafNext read a leaf image.
+func (im image) leafKey(i int) uint64 { return wire.LE64At(im.buf, LeafKeysOff+i*8) }
+func (im image) leafVal(i int) uint64 { return wire.LE64At(im.buf, LeafValsOff+i*8) }
+func (im image) leafNext() seg.ObjectID {
+	return seg.ObjectID{Hi: wire.LE64At(im.buf, LeafNextOff), Lo: wire.LE64At(im.buf, LeafNextOff+8)}
+}
+
+// find returns the leaf slot holding k, if any.
+func (im image) find(k uint64) (int, bool) {
+	i := im.search(k)
+	return i, i < im.cnt && im.leafKey(i) == k
+}
+
+// intKey and child read an internal image.
+func (im image) intKey(i int) uint64 { return wire.LE64At(im.buf, IntKeysOff+i*8) }
+func (im image) child(i int) seg.ObjectID {
+	return seg.ObjectID{Hi: wire.LE64At(im.buf, IntKidsOff+i*16), Lo: wire.LE64At(im.buf, IntKidsOff+i*16+8)}
+}
+
+// route returns the index of the child of an internal image whose
+// subtree covers k: keys equal to a separator live to its right.
+func (im image) route(k uint64) int {
+	i := im.search(k)
+	if i < im.cnt && im.intKey(i) == k {
+		i++
+	}
+	return i
+}
+
+// borrowNode reads node id as its stored image, counted as one node
+// read. The image aliases the store: it stays valid until this node is
+// next written or freed — writes to other nodes leave it alone, which
+// is what lets insert and delete decode a parent only after its child
+// has actually split or underflowed.
+func (t *Tree) borrowNode(id seg.ObjectID) (image, error) {
+	t.NodesRead++
+	buf, err := t.v.Borrow(id, 0, NodeBytes, nil)
+	if err != nil {
+		return image{}, err
+	}
+	return header(buf)
+}
+
+// readNode reads node id decoded into an arena slot, for a caller about
+// to modify it.
 func (t *Tree) readNode(id seg.ObjectID) (*node, error) {
-	buf, err := t.v.ReadAtBuf(id, 0, NodeBytes, t.rbuf)
+	im, err := t.borrowNode(id)
 	if err != nil {
 		return nil, err
 	}
-	t.rbuf = buf
+	return t.decode(im), nil
+}
+
+// decode parses a validated image into the next arena slot.
+func (t *Tree) decode(im image) *node {
 	n := t.arenaNode()
-	if err := decodeNodeInto(n, buf); err != nil {
-		t.releaseNode()
-		return nil, err
-	}
-	return n, nil
+	im.decodeInto(n)
+	return n
 }
 
 // growU64 resizes s to n entries, reallocating with capHint headroom
@@ -243,164 +348,79 @@ func growIDs(s []seg.ObjectID, n, capHint int) []seg.ObjectID {
 	return s[:n]
 }
 
-// decodeNodeInto parses a raw node image into n, reusing n's slice
-// capacity. Equivalent to decodeNode except for allocation behavior.
-func decodeNodeInto(n *node, buf []byte) error {
-	if len(buf) < NodeBytes {
-		return fmt.Errorf("%w: short node", ErrCorrupt)
-	}
-	n.kind = buf[0]
-	cnt := int(wire.LE16At(buf, 2))
-	off := 8
-	switch n.kind {
-	case kindLeaf:
-		if cnt > LeafCap {
-			return fmt.Errorf("%w: leaf count %d", ErrCorrupt, cnt)
-		}
-		n.next = seg.ObjectID{Hi: wire.LE64At(buf, off), Lo: wire.LE64At(buf, off+8)}
-		off += 16
+// decodeInto parses a validated image into n, reusing n's slice
+// capacity.
+func (im image) decodeInto(n *node) {
+	n.kind = im.kind
+	if im.kind == kindLeaf {
+		n.next = im.leafNext()
 		n.children = n.children[:0]
-		n.keys = growU64(n.keys, cnt, LeafCap+1)
-		n.vals = growU64(n.vals, cnt, LeafCap+1)
-		for i := 0; i < cnt; i++ {
-			n.keys[i] = wire.LE64At(buf, off+i*8)
+		n.keys = growU64(n.keys, im.cnt, LeafCap+1)
+		n.vals = growU64(n.vals, im.cnt, LeafCap+1)
+		for i := range n.keys {
+			n.keys[i] = im.leafKey(i)
+			n.vals[i] = im.leafVal(i)
 		}
-		off += LeafCap * 8
-		for i := 0; i < cnt; i++ {
-			n.vals[i] = wire.LE64At(buf, off+i*8)
-		}
-	case kindInternal:
-		if cnt > IntCap {
-			return fmt.Errorf("%w: internal count %d", ErrCorrupt, cnt)
-		}
-		n.next = seg.ObjectID{}
-		n.vals = n.vals[:0]
-		n.keys = growU64(n.keys, cnt, IntCap+1)
-		for i := 0; i < cnt; i++ {
-			n.keys[i] = wire.LE64At(buf, off+i*8)
-		}
-		off += IntCap * 8
-		n.children = growIDs(n.children, cnt+1, IntCap+2)
-		for i := 0; i <= cnt; i++ {
-			n.children[i] = seg.ObjectID{
-				Hi: wire.LE64At(buf, off+i*16),
-				Lo: wire.LE64At(buf, off+i*16+8),
-			}
-		}
-	default:
-		return fmt.Errorf("%w: kind %d", ErrCorrupt, n.kind)
+		return
 	}
-	return nil
+	n.next = seg.ObjectID{}
+	n.vals = n.vals[:0]
+	n.keys = growU64(n.keys, im.cnt, IntCap+1)
+	for i := range n.keys {
+		n.keys[i] = im.intKey(i)
+	}
+	n.children = growIDs(n.children, im.cnt+1, IntCap+2)
+	for i := range n.children {
+		n.children[i] = im.child(i)
+	}
 }
 
-// DecodeNode parses a raw node image (exported for the offloaded eBPF
-// traversal, which reads node bytes through a helper window).
+// DecodeNode parses a raw node image (exported for the client-side
+// traversal, which receives node pages over RPC). Internal nodes
+// return their children flattened to (Hi, Lo) word pairs.
 func DecodeNode(buf []byte) (kind uint8, keys []uint64, valsOrChildren []uint64, next seg.ObjectID, err error) {
-	n, e := decodeNode(buf)
-	if e != nil {
-		return 0, nil, nil, seg.ObjectID{}, e
+	im, err := header(buf)
+	if err != nil {
+		return 0, nil, nil, seg.ObjectID{}, err
 	}
-	if n.kind == kindLeaf {
-		return n.kind, n.keys, n.vals, n.next, nil
+	if im.kind == kindLeaf {
+		// One exact-size backing array for both slices; the capacity cap
+		// keeps any later append to keys from crossing into the values.
+		kv := make([]uint64, 2*im.cnt)
+		keys, vals := kv[:im.cnt:im.cnt], kv[im.cnt:]
+		for i := range keys {
+			keys[i], vals[i] = im.leafKey(i), im.leafVal(i)
+		}
+		return im.kind, keys, vals, im.leafNext(), nil
 	}
-	flat := make([]uint64, 0, len(n.children)*2)
-	for _, c := range n.children {
+	keys = make([]uint64, im.cnt)
+	for i := range keys {
+		keys[i] = im.intKey(i)
+	}
+	flat := make([]uint64, 0, 2*(im.cnt+1))
+	for i := 0; i <= im.cnt; i++ {
+		c := im.child(i)
 		flat = append(flat, c.Hi, c.Lo)
 	}
-	return n.kind, n.keys, flat, seg.ObjectID{}, nil
-}
-
-func decodeNode(buf []byte) (*node, error) {
-	if len(buf) < NodeBytes {
-		return nil, fmt.Errorf("%w: short node", ErrCorrupt)
-	}
-	n := &node{kind: buf[0]}
-	cnt := int(wire.LE16At(buf, 2))
-	off := 8
-	switch n.kind {
-	case kindLeaf:
-		if cnt > LeafCap {
-			return nil, fmt.Errorf("%w: leaf count %d", ErrCorrupt, cnt)
-		}
-		n.next = seg.ObjectID{Hi: wire.LE64At(buf, off), Lo: wire.LE64At(buf, off+8)}
-		off += 16
-		if cnt > 0 {
-			// One exact-size backing array for both slices; the capacity
-			// caps keep any later append from crossing into vals.
-			kv := make([]uint64, 2*cnt)
-			n.keys, n.vals = kv[:cnt:cnt], kv[cnt:]
-			for i := 0; i < cnt; i++ {
-				n.keys[i] = wire.LE64At(buf, off+i*8)
-			}
-			off += LeafCap * 8
-			for i := 0; i < cnt; i++ {
-				n.vals[i] = wire.LE64At(buf, off+i*8)
-			}
-		}
-	case kindInternal:
-		if cnt > IntCap {
-			return nil, fmt.Errorf("%w: internal count %d", ErrCorrupt, cnt)
-		}
-		n.keys = make([]uint64, cnt)
-		for i := 0; i < cnt; i++ {
-			n.keys[i] = wire.LE64At(buf, off+i*8)
-		}
-		off += IntCap * 8
-		n.children = make([]seg.ObjectID, cnt+1)
-		for i := 0; i <= cnt; i++ {
-			n.children[i] = seg.ObjectID{
-				Hi: wire.LE64At(buf, off+i*16),
-				Lo: wire.LE64At(buf, off+i*16+8),
-			}
-		}
-	default:
-		return nil, fmt.Errorf("%w: kind %d", ErrCorrupt, n.kind)
-	}
-	return n, nil
-}
-
-// search returns the index of the first key >= k.
-func search(keys []uint64, k uint64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return im.kind, keys, flat, seg.ObjectID{}, nil
 }
 
 // Get returns the value for key.
 func (t *Tree) Get(key uint64) (uint64, bool, error) {
-	t.beginOp()
 	id := t.root
 	for {
-		n, err := t.readNodeCounted(id)
+		im, err := t.borrowNode(id)
 		if err != nil {
 			return 0, false, err
 		}
-		if n.kind == kindLeaf {
-			i := search(n.keys, key)
-			if i < len(n.keys) && n.keys[i] == key {
-				return n.vals[i], true, nil
+		if im.kind == kindLeaf {
+			if i, ok := im.find(key); ok {
+				return im.leafVal(i), true, nil
 			}
 			return 0, false, nil
 		}
-		i := search(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
-			i++
-		}
-		id = n.children[i]
-		t.releaseNode() // parent is dead; let the child reuse its slot
+		id = im.child(im.route(key))
 	}
-}
-
-func (t *Tree) readNodeCounted(id seg.ObjectID) (*node, error) {
-	t.NodesRead++
-	return t.readNode(id)
 }
 
 // Insert adds or replaces key → val.
@@ -428,15 +448,17 @@ func (t *Tree) Insert(key, val uint64) error {
 }
 
 // insert descends into id; if the child splits it returns the promoted
-// key and the new right sibling id.
+// key and the new right sibling id. Only the leaf, and an internal node
+// whose child actually split, is decoded.
 func (t *Tree) insert(id seg.ObjectID, key, val uint64) (uint64, seg.ObjectID, error) {
-	n, err := t.readNodeCounted(id)
+	im, err := t.borrowNode(id)
 	if err != nil {
 		return 0, seg.ObjectID{}, err
 	}
-	if n.kind == kindLeaf {
-		i := search(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
+	if im.kind == kindLeaf {
+		i, found := im.find(key)
+		n := t.decode(im)
+		if found {
 			n.vals[i] = val
 			return 0, seg.ObjectID{}, t.writeNode(id, n)
 		}
@@ -469,14 +491,13 @@ func (t *Tree) insert(id seg.ObjectID, key, val uint64) (uint64, seg.ObjectID, e
 		return right.keys[0], rightID, nil
 	}
 	// Internal node.
-	i := search(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
-		i++
-	}
-	promoted, newChild, err := t.insert(n.children[i], key, val)
+	i := im.route(key)
+	promoted, newChild, err := t.insert(im.child(i), key, val)
 	if err != nil || newChild.IsZero() {
 		return 0, seg.ObjectID{}, err
 	}
+	// The descent wrote only other nodes, so im still is this node.
+	n := t.decode(im)
 	n.keys = append(n.keys, 0)
 	copy(n.keys[i+1:], n.keys[i:])
 	n.keys[i] = promoted
@@ -528,16 +549,15 @@ func (t *Tree) Delete(key uint64) (bool, error) {
 	// Collapse a childless root chain: an internal root with a single
 	// child makes that child the new root.
 	for {
-		t.beginOp() // the removal recursion's nodes are dead here
-		n, rerr := t.readNodeCounted(t.root)
+		im, rerr := t.borrowNode(t.root)
 		if rerr != nil {
 			return true, rerr
 		}
-		if n.kind != kindInternal || len(n.keys) != 0 {
+		if im.kind != kindInternal || im.cnt != 0 {
 			break
 		}
 		old := t.root
-		t.root = n.children[0]
+		t.root = im.child(0)
 		t.height--
 		t.metaDirty = true
 		if ferr := t.v.Free(old); ferr != nil {
@@ -548,17 +568,20 @@ func (t *Tree) Delete(key uint64) (bool, error) {
 }
 
 // delete removes key under id. underflow reports whether the node at id
-// fell below its minimum (the parent then rebalances it).
+// fell below its minimum (the parent then rebalances it). Only the
+// leaf, and an internal node whose child actually underflowed, is
+// decoded.
 func (t *Tree) delete(id seg.ObjectID, key uint64) (found, underflow bool, err error) {
-	n, err := t.readNodeCounted(id)
+	im, err := t.borrowNode(id)
 	if err != nil {
 		return false, false, err
 	}
-	if n.kind == kindLeaf {
-		i := search(n.keys, key)
-		if i >= len(n.keys) || n.keys[i] != key {
+	if im.kind == kindLeaf {
+		i, ok := im.find(key)
+		if !ok {
 			return false, false, nil
 		}
+		n := t.decode(im)
 		n.keys = append(n.keys[:i], n.keys[i+1:]...)
 		n.vals = append(n.vals[:i], n.vals[i+1:]...)
 		if err := t.writeNode(id, n); err != nil {
@@ -566,29 +589,24 @@ func (t *Tree) delete(id seg.ObjectID, key uint64) (found, underflow bool, err e
 		}
 		return true, len(n.keys) < leafMin, nil
 	}
-	i := search(n.keys, key)
-	if i < len(n.keys) && n.keys[i] == key {
-		i++
-	}
-	found, childUnder, err := t.delete(n.children[i], key)
+	i := im.route(key)
+	found, childUnder, err := t.delete(im.child(i), key)
 	if err != nil || !found || !childUnder {
 		return found, false, err
 	}
+	// The descent wrote only other nodes, so im still is this node.
+	n := t.decode(im)
 	if err := t.rebalanceChild(id, n, i); err != nil {
 		return true, false, err
 	}
-	min := intMin
-	if n.kind == kindLeaf {
-		min = leafMin
-	}
-	return true, len(n.keys) < min, nil
+	return true, len(n.keys) < intMin, nil
 }
 
 // rebalanceChild fixes an underflowed child i of parent n (at parent
 // id): borrow one entry from a richer sibling, or merge with a sibling
 // when both are at minimum.
 func (t *Tree) rebalanceChild(parentID seg.ObjectID, parent *node, i int) error {
-	child, err := t.readNodeCounted(parent.children[i])
+	child, err := t.readNode(parent.children[i])
 	if err != nil {
 		return err
 	}
@@ -598,13 +616,13 @@ func (t *Tree) rebalanceChild(parentID seg.ObjectID, parent *node, i int) error 
 	}
 	// Try the left sibling first, then the right.
 	if i > 0 {
-		left, err := t.readNodeCounted(parent.children[i-1])
+		left, err := t.readNode(parent.children[i-1])
 		if err != nil {
 			return err
 		}
 		if len(left.keys) > min {
 			t.borrowFromLeft(parent, i, left, child)
-			return t.writeNodes(parentID, parent, parent.children[i-1], left, parent.children[i], child)
+			return t.writeNodes(nodeAt{parentID, parent}, nodeAt{parent.children[i-1], left}, nodeAt{parent.children[i], child})
 		}
 		// Merge child into left.
 		t.mergeNodes(parent, i-1, left, child)
@@ -613,15 +631,15 @@ func (t *Tree) rebalanceChild(parentID seg.ObjectID, parent *node, i int) error 
 		}
 		parent.keys = append(parent.keys[:i-1], parent.keys[i:]...)
 		parent.children = append(parent.children[:i], parent.children[i+1:]...)
-		return t.writeNodes(parentID, parent, parent.children[i-1], left)
+		return t.writeNodes(nodeAt{parentID, parent}, nodeAt{parent.children[i-1], left})
 	}
-	right, err := t.readNodeCounted(parent.children[i+1])
+	right, err := t.readNode(parent.children[i+1])
 	if err != nil {
 		return err
 	}
 	if len(right.keys) > min {
 		t.borrowFromRight(parent, i, child, right)
-		return t.writeNodes(parentID, parent, parent.children[i], child, parent.children[i+1], right)
+		return t.writeNodes(nodeAt{parentID, parent}, nodeAt{parent.children[i], child}, nodeAt{parent.children[i+1], right})
 	}
 	// Merge right into child.
 	t.mergeNodes(parent, i, child, right)
@@ -630,7 +648,7 @@ func (t *Tree) rebalanceChild(parentID seg.ObjectID, parent *node, i int) error 
 	}
 	parent.keys = append(parent.keys[:i], parent.keys[i+1:]...)
 	parent.children = append(parent.children[:i+1], parent.children[i+2:]...)
-	return t.writeNodes(parentID, parent, parent.children[i], child)
+	return t.writeNodes(nodeAt{parentID, parent}, nodeAt{parent.children[i], child})
 }
 
 // borrowFromLeft moves the left sibling's last entry into child.
@@ -692,10 +710,16 @@ func (t *Tree) mergeNodes(parent *node, sepIdx int, dst, src *node) {
 	dst.children = append(dst.children, src.children...)
 }
 
-// writeNodes persists pairs of (id, node).
-func (t *Tree) writeNodes(args ...any) error {
-	for i := 0; i+1 < len(args); i += 2 {
-		if err := t.writeNode(args[i].(seg.ObjectID), args[i+1].(*node)); err != nil {
+// nodeAt pairs a decoded node with the object id it is stored under.
+type nodeAt struct {
+	id seg.ObjectID
+	n  *node
+}
+
+// writeNodes persists each node under its id, in order.
+func (t *Tree) writeNodes(nodes ...nodeAt) error {
+	for _, na := range nodes {
+		if err := t.writeNode(na.id, na.n); err != nil {
 			return err
 		}
 	}
@@ -703,70 +727,46 @@ func (t *Tree) writeNodes(args ...any) error {
 }
 
 // Scan visits all pairs with from <= key < to in order; fn returning
-// false stops the scan early.
+// false stops the scan early. fn runs while the leaf's stored image is
+// borrowed: it must not write to this tree.
 func (t *Tree) Scan(from, to uint64, fn func(key, val uint64) bool) error {
 	// Descend to the leaf containing from.
-	t.beginOp()
 	id := t.root
 	for {
-		n, err := t.readNodeCounted(id)
+		im, err := t.borrowNode(id)
 		if err != nil {
 			return err
 		}
-		if n.kind == kindLeaf {
-			for {
-				for i, k := range n.keys {
-					if k < from {
-						continue
-					}
-					if k >= to {
-						return nil
-					}
-					if !fn(k, n.vals[i]) {
-						return nil
-					}
-				}
-				if n.next.IsZero() {
-					return nil
-				}
-				// n.next is evaluated before the call, so releasing the
-				// current leaf's slot for the next one to reuse is safe.
-				t.releaseNode()
-				n, err = t.readNodeCounted(n.next)
-				if err != nil {
-					return err
-				}
+		if im.kind != kindLeaf {
+			id = im.child(im.route(from))
+			continue
+		}
+		for i := im.search(from); i < im.cnt; i++ {
+			k := im.leafKey(i)
+			if k >= to || !fn(k, im.leafVal(i)) {
+				return nil
 			}
 		}
-		i := search(n.keys, from)
-		if i < len(n.keys) && n.keys[i] == from {
-			i++
+		if id = im.leafNext(); id.IsZero() {
+			return nil
 		}
-		id = n.children[i]
-		t.releaseNode() // parent is dead; let the child reuse its slot
 	}
 }
 
 // Path returns the node ids visited looking up key (root to leaf); it
 // powers the client-side traversal experiment (one RTT per element).
 func (t *Tree) Path(key uint64) ([]seg.ObjectID, error) {
-	t.beginOp()
 	var path []seg.ObjectID
 	id := t.root
 	for {
 		path = append(path, id)
-		n, err := t.readNodeCounted(id)
+		im, err := t.borrowNode(id)
 		if err != nil {
 			return nil, err
 		}
-		if n.kind == kindLeaf {
+		if im.kind == kindLeaf {
 			return path, nil
 		}
-		i := search(n.keys, key)
-		if i < len(n.keys) && n.keys[i] == key {
-			i++
-		}
-		id = n.children[i]
-		t.releaseNode() // parent is dead; let the child reuse its slot
+		id = im.child(im.route(key))
 	}
 }

@@ -325,49 +325,13 @@ func TestPropertyScanMatchesModel(t *testing.T) {
 }
 
 func TestDecodeNodeRejectsGarbage(t *testing.T) {
-	if _, err := decodeNode(make([]byte, 10)); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, _, err := DecodeNode(make([]byte, 10)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short err = %v", err)
 	}
 	buf := make([]byte, NodeBytes)
 	buf[0] = 99
-	if _, err := decodeNode(buf); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, _, err := DecodeNode(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("kind err = %v", err)
-	}
-}
-
-func BenchmarkGet(b *testing.B) {
-	v := newView(b)
-	tr, err := Create(v, seg.OID(100, 0), true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := uint64(0); i < 100000; i++ {
-		if err := tr.Insert(i, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	r := sim.NewRand(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tr.Get(r.Uint64() % 100000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInsert(b *testing.B) {
-	v := newView(b)
-	tr, err := Create(v, seg.OID(100, 0), true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Insert(uint64(i), uint64(i)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

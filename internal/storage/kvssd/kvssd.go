@@ -82,11 +82,13 @@ type KV struct {
 	tailOff int64
 	nextLo  uint64
 
-	// Reused encode/read scratch; the store is single-threaded (DPU
-	// handlers are run-to-completion) and the layers below copy.
+	// Reused encode scratch; the store is single-threaded (DPU handlers
+	// are run-to-completion) and the write path below copies. spill is
+	// where a record straddling two device blocks is assembled — the one
+	// read in fifteen that cannot be borrowed in place.
 	metaBuf []byte
 	recBuf  []byte
-	readBuf []byte
+	spill   []byte
 
 	Puts, Gets, Deletes, Collisions int64
 }
@@ -249,18 +251,18 @@ func (kv *KV) appendRecord(key, val []byte) (uint64, error) {
 	return pack(chunk, off, recLen), nil
 }
 
-// readRecord decodes the record at ref. The returned key and val alias
-// the store's read scratch and are valid only until the next readRecord.
+// readRecord decodes the record at ref. The returned key and val are
+// borrowed from the segment store (seg.SyncView.Borrow): read-only, and
+// valid only until the log is next appended to or the next readRecord.
 func (kv *KV) readRecord(ref uint64) (key, val []byte, err error) {
 	chunk, off, recLen := unpack(ref)
 	if chunk >= len(kv.chunks) {
 		return nil, nil, fmt.Errorf("%w: chunk %d", ErrCorrupt, chunk)
 	}
-	buf, err := kv.v.ReadAtBuf(kv.chunks[chunk], off, int64(recLen), kv.readBuf)
+	buf, err := kv.v.Borrow(kv.chunks[chunk], off, int64(recLen), &kv.spill)
 	if err != nil {
 		return nil, nil, err
 	}
-	kv.readBuf = buf
 	kl := int(wire.LE16At(buf, 0))
 	vl := int(wire.LE32At(buf, 2))
 	if 6+kl+vl != recLen {

@@ -247,3 +247,26 @@ func BenchmarkPutGet(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKVPut is the write half of the hyperbench kvssd probe on its
+// fixture (B+ tree backend, 100-byte values, 10k pre-rendered keys):
+// probe the index, compare the stored key in place, patch the record
+// into the log's tail block, rewrite the meta block, update the leaf.
+func BenchmarkKVPut(b *testing.B) {
+	kv, err := Create(newView(b), seg.OID(300, 0), BackendBTree, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := bytes.Repeat([]byte("v"), 100)
+	keys := make([][]byte, 10_000)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%d", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := kv.Put(keys[i%len(keys)], val); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -117,9 +117,97 @@ type box struct {
 	reps    []repState
 	repIdle []int32
 
+	readOps opPool[readOp]
+	kvOps   opPool[kvOp]
+
 	getName, putName, repName string
 
 	reads, gets, puts, dropped int64
+}
+
+// opPool hands out the state a box keeps from handle to the event that
+// answers a request, in place of a closure per request: ops are carved
+// from chunks, cycle through a free list, and bind their method value
+// once, when fresh. E17's open loop overloads the flash, so at its peak
+// most of its reads and a sixth of its KV ops are in flight together: a
+// fresh op must cost no more than the closure would, hence the chunks
+// and one op type per callback shape (nvme.hostOp is the same device
+// one layer down).
+type opPool[T any] struct {
+	free []*T
+	rest []T // unissued tail of the newest chunk
+}
+
+const opChunk = 32
+
+func (p *opPool[T]) get() (op *T, fresh bool) {
+	if n := len(p.free); n > 0 {
+		op, p.free = p.free[n-1], p.free[:n-1]
+		return op, false
+	}
+	if len(p.rest) == 0 {
+		p.rest = make([]T, opChunk)
+	}
+	op, p.rest = &p.rest[0], p.rest[1:]
+	return op, true
+}
+
+func (p *opPool[T]) put(op *T) { p.free = append(p.free, op) }
+
+// readOp is one remote block read waiting on the device.
+type readOp struct {
+	b   *box
+	src sim.LP
+	id  uint64
+	fn  func(data []byte, status uint16) // prebound done
+}
+
+// done is the ReadBorrowed completion: reply copies data into the wire
+// buffer before returning, which is all the device-owned block is good
+// for. The op is recycled first, so whatever the reply sets off finds
+// it free.
+func (op *readOp) done(data []byte, status uint16) {
+	b, src, id := op.b, op.src, op.id
+	b.readOps.put(op)
+	if status != nvme.StatusOK {
+		b.reply(src, respErr, id, uint64(status), nil)
+		return
+	}
+	b.reply(src, respRead, id, uint64(status), data)
+}
+
+// kvOp is one KV request whose storage access has been done and whose
+// modeled cost is still elapsing.
+type kvOp struct {
+	b       *box
+	kind    uint16 // reply kind; respPut marks the primary's local write
+	src     sim.LP
+	id, aux uint64
+	val     []byte
+	fn      func() // prebound done
+}
+
+// later answers (kind, id, aux, val) to src once the cost the view has
+// accumulated has elapsed; for respPut it counts the primary's local
+// write of rep slot id instead.
+func (b *box) later(name string, kind uint16, src sim.LP, id, aux uint64, val []byte) {
+	op, fresh := b.kvOps.get()
+	if fresh {
+		op.b, op.fn = b, op.done
+	}
+	op.kind, op.src, op.id, op.aux, op.val = kind, src, id, aux, val
+	b.view.Complete(b.eng, name, op.fn)
+}
+
+func (op *kvOp) done() {
+	b, kind, src, id, aux, val := op.b, op.kind, op.src, op.id, op.aux, op.val
+	op.val = nil
+	b.kvOps.put(op)
+	if kind == respPut {
+		b.repDone(id)
+		return
+	}
+	b.reply(src, kind, id, aux, val)
 }
 
 // repState tracks one in-flight replicated put at its primary.
@@ -311,23 +399,17 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 	switch env.Kind {
 	case opNVMeRead:
 		b.reads++
-		src, id := env.Src, env.A
-		lba := int64(env.B % boxBlocks)
-		// Borrowed: reply copies data into the wire buffer before the
-		// handler returns, which is all the device-owned block is good for.
-		err := b.host.ReadBorrowed(0, lba, 1, func(data []byte, status uint16) {
-			if status != nvme.StatusOK {
-				b.reply(src, respErr, id, uint64(status), nil)
-				return
-			}
-			b.reply(src, respRead, id, uint64(status), data)
-		})
-		if err != nil {
-			b.reply(src, respErr, id, 0, nil)
+		op, fresh := b.readOps.get()
+		if fresh {
+			op.b, op.fn = b, op.done
+		}
+		op.src, op.id = env.Src, env.A
+		if err := b.host.ReadBorrowed(0, int64(env.B%boxBlocks), 1, op.fn); err != nil {
+			b.readOps.put(op)
+			b.reply(env.Src, respErr, env.A, 0, nil)
 		}
 	case opKVGet:
 		b.gets++
-		src, id := env.Src, env.A
 		val, found, err := b.kv.Get(b.key(env.B))
 		if err != nil {
 			panic(fmt.Sprintf("rack: box %d get: %v", b.idx, err))
@@ -336,9 +418,7 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 		if found {
 			aux = 1
 		}
-		b.view.Complete(b.eng, b.getName, func() {
-			b.reply(src, respGet, id, aux, val)
-		})
+		b.later(b.getName, respGet, env.Src, env.A, aux, val)
 	case opKVPut:
 		b.puts++
 		if err := b.kv.Put(b.key(env.B), env.Data); err != nil {
@@ -354,15 +434,12 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 			sh.Send(b.lp, peer.lp, delay, repPut, rid, env.B, env.Data)
 		}
 		// The local write acks once its modeled cost has elapsed.
-		b.view.Complete(b.eng, b.putName, func() { b.repDone(rid) })
+		b.later(b.putName, respPut, 0, rid, 0, nil)
 	case repPut:
-		src, id := env.Src, env.A
 		if err := b.kv.Put(b.key(env.B), env.Data); err != nil {
 			panic(fmt.Sprintf("rack: box %d replica put: %v", b.idx, err))
 		}
-		b.view.Complete(b.eng, b.repName, func() {
-			b.reply(src, repAck, id, 0, nil)
-		})
+		b.later(b.repName, repAck, env.Src, env.A, 0, nil)
 	case repAck:
 		b.repDone(env.A)
 	default:

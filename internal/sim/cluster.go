@@ -33,8 +33,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -323,15 +324,14 @@ func (cl *Cluster) exchange() {
 		if len(dst.pending) == 0 {
 			continue
 		}
-		sort.Slice(dst.pending, func(i, j int) bool {
-			a, b := dst.pending[i], dst.pending[j]
-			if a.at != b.at {
-				return a.at < b.at
+		slices.SortFunc(dst.pending, func(a, b *recvEvent) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
 			}
-			if a.src != b.src {
-				return a.src < b.src
+			if c := cmp.Compare(a.src, b.src); c != 0 {
+				return c
 			}
-			return a.seq < b.seq
+			return cmp.Compare(a.seq, b.seq)
 		})
 		for _, re := range dst.pending {
 			dst.eng.At(re.at, "cluster.recv", re.fn)

@@ -65,19 +65,29 @@ type Tree struct {
 	durable   bool
 	metaDirty bool
 
-	// Reused node-image scratch: wbuf is zeroed before each encode so
-	// stored images stay byte-identical to fresh-buffer encodes. Reads
-	// need none: they borrow the stored image (borrowNode). The tree is
-	// single-threaded.
+	// Reused node-image scratch, the source of every node write. A leaf
+	// edit copies the stored image in and patches it (stageLeaf); an
+	// encode zeroes it first (writeNode). Either way the bytes past a
+	// node's live entries are zero, so the two produce identical images.
+	// Reads need no scratch: they borrow the stored image (borrowNode).
+	// The tree is single-threaded.
 	wbuf    []byte
 	metaBuf [64]byte
 
-	// arena holds decode targets for the nodes an operation modifies
-	// (everything else is searched in its encoded image). Slots are
-	// recycled at the start of every public operation, so one
-	// operation's live nodes never alias; decoded nodes are never cached
-	// across operations. Slot arrays carry one-past-capacity headroom so
-	// the insert path's pre-split appends stay in place.
+	// viaDecode sends every leaf edit through decode → mutate →
+	// writeNode, the form the image edits replaced. Only
+	// TestImageWriteMatchesEncodeOracle sets it, on the oracle twin.
+	viaDecode bool
+
+	// arena holds decode targets for the nodes a structural change
+	// rewrites: a leaf that splits, the parent of a child that split or
+	// underflowed, and the children a rebalance borrows between or
+	// merges. Everything else is searched, and leaves are edited, in the
+	// encoded image. Slots are recycled at the start of every public
+	// operation, so one operation's live nodes never alias; decoded nodes
+	// are never cached across operations. Slot arrays carry
+	// one-past-capacity headroom (decodeInto's capacity hints), which
+	// only the split path's pre-split appends still use.
 	arena     []*node
 	arenaUsed int
 
@@ -112,7 +122,7 @@ type node struct {
 // tree's nodes use object ids with Hi = metaID.Hi and Lo allocated from
 // a counter starting at metaID.Lo+1.
 func Create(v *seg.SyncView, metaID seg.ObjectID, durable bool) (*Tree, error) {
-	t := &Tree{v: v, meta: metaID, prefix: metaID.Hi, nextLo: metaID.Lo + 1, durable: durable, height: 1}
+	t := &Tree{v: v, meta: metaID, prefix: metaID.Hi, nextLo: metaID.Lo + 1, durable: durable, height: 1, wbuf: make([]byte, NodeBytes)}
 	if _, err := v.Alloc(metaID, 64, durable, seg.HintAuto); err != nil {
 		return nil, err
 	}
@@ -129,7 +139,7 @@ func Create(v *seg.SyncView, metaID seg.ObjectID, durable bool) (*Tree, error) {
 
 // Open loads an existing tree from its metadata object.
 func Open(v *seg.SyncView, metaID seg.ObjectID) (*Tree, error) {
-	t := &Tree{v: v, meta: metaID, prefix: metaID.Hi}
+	t := &Tree{v: v, meta: metaID, prefix: metaID.Hi, wbuf: make([]byte, NodeBytes)}
 	buf, err := v.ReadAt(metaID, 0, 64)
 	if err != nil {
 		return nil, err
@@ -186,9 +196,6 @@ func (t *Tree) Root() seg.ObjectID { return t.root }
 // encode/decode nodes.
 
 func (t *Tree) writeNode(id seg.ObjectID, n *node) error {
-	if t.wbuf == nil {
-		t.wbuf = make([]byte, NodeBytes)
-	}
 	buf := t.wbuf
 	clear(buf)
 	buf[KindOff] = n.kind
@@ -214,8 +221,53 @@ func (t *Tree) writeNode(id seg.ObjectID, n *node) error {
 	default:
 		return fmt.Errorf("%w: kind %d", ErrCorrupt, n.kind)
 	}
+	return t.writeImage(id)
+}
+
+// writeImage stores wbuf as node id: one whole-node write, whoever
+// filled the buffer.
+func (t *Tree) writeImage(id seg.ObjectID) error {
 	t.NodesWritten++
-	return t.v.WriteAt(id, 0, buf)
+	return t.v.WriteAt(id, 0, t.wbuf)
+}
+
+// stageLeaf copies a borrowed leaf image into wbuf to be patched there
+// through the layout offsets and stored with writeImage: the write half
+// of the block plane. What it saves over decode → mutate → writeNode is
+// host work only (LeafCap word loads and stores each way around a
+// 16-byte edit); the store sees the same calls with the same bytes.
+func (t *Tree) stageLeaf(im image) []byte {
+	copy(t.wbuf, im.buf[:NodeBytes])
+	return t.wbuf
+}
+
+// putLeafSlot writes key → val at slot i of the leaf image im: over the
+// value there when found, else shifting the tails of both arrays up one
+// slot, which the caller has checked is free.
+func (t *Tree) putLeafSlot(id seg.ObjectID, im image, i int, found bool, key, val uint64) error {
+	buf := t.stageLeaf(im)
+	if !found {
+		copy(buf[LeafKeysOff+(i+1)*8:], buf[LeafKeysOff+i*8:LeafKeysOff+im.cnt*8])
+		copy(buf[LeafValsOff+(i+1)*8:], buf[LeafValsOff+i*8:LeafValsOff+im.cnt*8])
+		wire.PutLE64At(buf, LeafKeysOff+i*8, key)
+		wire.PutLE16At(buf, CountOff, uint16(im.cnt+1))
+	}
+	wire.PutLE64At(buf, LeafValsOff+i*8, val)
+	return t.writeImage(id)
+}
+
+// cutLeafSlot removes slot i of the leaf image im: the tails of both
+// arrays shift down one slot and the slot they vacate is zeroed, as an
+// encode of the shorter node would leave it.
+func (t *Tree) cutLeafSlot(id seg.ObjectID, im image, i int) error {
+	buf := t.stageLeaf(im)
+	last := im.cnt - 1
+	copy(buf[LeafKeysOff+i*8:], buf[LeafKeysOff+(i+1)*8:LeafKeysOff+im.cnt*8])
+	copy(buf[LeafValsOff+i*8:], buf[LeafValsOff+(i+1)*8:LeafValsOff+im.cnt*8])
+	wire.PutLE64At(buf, LeafKeysOff+last*8, 0)
+	wire.PutLE64At(buf, LeafValsOff+last*8, 0)
+	wire.PutLE16At(buf, CountOff, uint16(last))
+	return t.writeImage(id)
 }
 
 // image is one encoded node, searched in place. It is valid only as
@@ -448,8 +500,9 @@ func (t *Tree) Insert(key, val uint64) error {
 }
 
 // insert descends into id; if the child splits it returns the promoted
-// key and the new right sibling id. Only the leaf, and an internal node
-// whose child actually split, is decoded.
+// key and the new right sibling id. Only a leaf that splits, and an
+// internal node whose child actually split, is decoded; any other leaf
+// is edited in its image.
 func (t *Tree) insert(id seg.ObjectID, key, val uint64) (uint64, seg.ObjectID, error) {
 	im, err := t.borrowNode(id)
 	if err != nil {
@@ -457,6 +510,11 @@ func (t *Tree) insert(id seg.ObjectID, key, val uint64) (uint64, seg.ObjectID, e
 	}
 	if im.kind == kindLeaf {
 		i, found := im.find(key)
+		if (found || im.cnt < LeafCap) && !t.viaDecode {
+			return 0, seg.ObjectID{}, t.putLeafSlot(id, im, i, found, key, val)
+		}
+		// A full leaf taking a new key splits, on the decoded form (which
+		// the oracle twin uses for every leaf edit, overwrites included).
 		n := t.decode(im)
 		if found {
 			n.vals[i] = val
@@ -568,9 +626,9 @@ func (t *Tree) Delete(key uint64) (bool, error) {
 }
 
 // delete removes key under id. underflow reports whether the node at id
-// fell below its minimum (the parent then rebalances it). Only the
-// leaf, and an internal node whose child actually underflowed, is
-// decoded.
+// fell below its minimum (the parent then rebalances it). The leaf is
+// edited in its image; only an internal node whose child actually
+// underflowed is decoded.
 func (t *Tree) delete(id seg.ObjectID, key uint64) (found, underflow bool, err error) {
 	im, err := t.borrowNode(id)
 	if err != nil {
@@ -581,13 +639,20 @@ func (t *Tree) delete(id seg.ObjectID, key uint64) (found, underflow bool, err e
 		if !ok {
 			return false, false, nil
 		}
-		n := t.decode(im)
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		if err := t.writeNode(id, n); err != nil {
+		if t.viaDecode {
+			n := t.decode(im)
+			n.keys = append(n.keys[:i], n.keys[i+1:]...)
+			n.vals = append(n.vals[:i], n.vals[i+1:]...)
+			err = t.writeNode(id, n)
+		} else {
+			err = t.cutLeafSlot(id, im, i)
+		}
+		if err != nil {
 			return true, false, err
 		}
-		return true, len(n.keys) < leafMin, nil
+		// An underflowed leaf is stored short all the same: the parent's
+		// rebalance reads it back.
+		return true, im.cnt-1 < leafMin, nil
 	}
 	i := im.route(key)
 	found, childUnder, err := t.delete(im.child(i), key)

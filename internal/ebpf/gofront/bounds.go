@@ -1,44 +1,39 @@
 package gofront
 
-import (
-	"math"
-	"math/bits"
+import "hyperion/internal/ebpf"
 
-	"hyperion/internal/ebpf"
-)
-
-// Unsigned interval analysis over the IR, used to discharge array-
-// bounds obligations at compile time — the frontend's half of the
-// memory-safety story (the verifier independently re-checks the
-// emitted loads against the context window, so this analysis being
-// wrong costs a load rejection, not a wild access).
+// Unsigned interval analysis over the IR, used to discharge the
+// obligations lowering attaches to instructions at compile time: a
+// variable array index stays below the array length, a variable shift
+// count below the operand width. This is the only check an array bound
+// gets. The verifier holds the emitted load to the context window, not
+// to the array inside it, so an index proven here wrongly reads a
+// neighbouring field and nothing downstream objects.
 //
-// The IR's jumps are all forward, so the CFG is a DAG in source
-// order and one linear pass with merged pending states per label is a
-// complete fixpoint. Comparisons refine both operands on both edges —
-// including register-register compares, via the other side's interval
-// endpoints — which is what proves `lo` stays inside the node arrays
-// across an unrolled binary search (`jge lo, hi` bounds lo by hi's
-// maximum on the fallthrough edge).
-
-type ival struct{ lo, hi uint64 }
-
-var topIval = ival{0, math.MaxUint64}
-
-const maxU32 = math.MaxUint32
+// The arithmetic is not the frontend's: every transfer and refinement
+// is ebpf.Interval's (ALU, Refine, Trunc32, ZeroExt), the same calls
+// the verifier makes on the emitted instructions, so what is proven
+// here the verifier proves again. What lives here is the walk. The IR's
+// jumps are all forward, so the CFG is a DAG in source order and one
+// linear pass with merged pending states per label is a complete
+// fixpoint. Comparisons refine both operands on both edges, register-
+// register compares included, which is what proves `lo` stays inside
+// the node arrays across an unrolled binary search (`jge lo, hi` bounds
+// lo by hi's maximum on the fallthrough edge); an edge no value can
+// take contributes no state.
 
 // state maps vregs to intervals; absent means top.
-type state map[vreg]ival
+type state map[vreg]ebpf.Interval
 
-func (s state) get(v vreg) ival {
+func (s state) get(v vreg) ebpf.Interval {
 	if iv, ok := s[v]; ok {
 		return iv
 	}
-	return topIval
+	return ebpf.Top
 }
 
-func (s state) set(v vreg, iv ival) {
-	if iv == topIval {
+func (s state) set(v vreg, iv ebpf.Interval) {
+	if iv == ebpf.Top {
 		delete(s, v)
 		return
 	}
@@ -57,141 +52,13 @@ func (s state) clone() state {
 // bounded.
 func join(a, b state) state {
 	out := make(state)
+	//hyperlint:allow(maprange) Join is pure and each k writes only out[k]; visit order cannot matter
 	for k, va := range a {
 		if vb, ok := b[k]; ok {
-			out[k] = ival{min(va.lo, vb.lo), max(va.hi, vb.hi)}
+			out[k] = va.Join(vb)
 		}
 	}
 	return out
-}
-
-func clamp32(iv ival) ival {
-	if iv.hi > maxU32 {
-		return ival{0, maxU32}
-	}
-	return iv
-}
-
-// aluIval evaluates one ALU op on intervals, conservatively going to
-// top on any possible wraparound.
-func aluIval(op uint8, a, b ival) ival {
-	switch op {
-	case ebpf.ALUAdd:
-		lo, hi := a.lo+b.lo, a.hi+b.hi
-		if hi < a.hi { // wrapped
-			return topIval
-		}
-		return ival{lo, hi}
-	case ebpf.ALUSub:
-		if a.lo < b.hi {
-			return topIval // may underflow
-		}
-		return ival{a.lo - b.hi, a.hi - b.lo}
-	case ebpf.ALUMul:
-		if a.hi != 0 && b.hi > math.MaxUint64/a.hi {
-			return topIval
-		}
-		return ival{a.lo * b.lo, a.hi * b.hi}
-	case ebpf.ALUDiv:
-		if b.lo == 0 {
-			// Division by zero yields 0 in this ISA, so the result
-			// still cannot exceed the dividend.
-			return ival{0, a.hi}
-		}
-		return ival{a.lo / b.hi, a.hi / b.lo}
-	case ebpf.ALUMod:
-		if b.lo == b.hi && b.lo > 0 {
-			return ival{0, b.lo - 1}
-		}
-		return topIval
-	case ebpf.ALUAnd:
-		return ival{0, min(a.hi, b.hi)}
-	case ebpf.ALUOr, ebpf.ALUXor:
-		n := max(bits.Len64(a.hi), bits.Len64(b.hi))
-		if n >= 64 {
-			return topIval
-		}
-		return ival{0, 1<<n - 1}
-	case ebpf.ALULsh:
-		if b.lo != b.hi || b.lo >= 64 {
-			return topIval
-		}
-		c := b.lo
-		if a.hi<<c>>c != a.hi {
-			return topIval
-		}
-		return ival{a.lo << c, a.hi << c}
-	case ebpf.ALURsh:
-		if b.lo == b.hi && b.lo < 64 {
-			return ival{a.lo >> b.lo, a.hi >> b.lo}
-		}
-		return ival{0, a.hi}
-	}
-	return topIval // neg, arsh, endian: signed semantics, punt
-}
-
-// refine narrows a and b under the assumption `a jop b` holds
-// (unsigned 64-bit comparisons only). Returns false when the
-// assumption is infeasible, i.e. the edge is dead.
-func refine(s state, av vreg, a ival, jop uint8, bv vreg, b ival) bool {
-	switch jop {
-	case ebpf.JmpEq:
-		m := ival{max(a.lo, b.lo), min(a.hi, b.hi)}
-		if m.lo > m.hi {
-			return false
-		}
-		a, b = m, m
-	case ebpf.JmpNe:
-		if a.lo == a.hi && a.lo == b.lo && a.lo == b.hi {
-			return false
-		}
-		if b.lo == b.hi {
-			if a.lo == b.lo && a.hi > a.lo {
-				a.lo++
-			}
-			if a.hi == b.lo && a.hi > a.lo {
-				a.hi--
-			}
-		}
-		if a.lo == a.hi {
-			if b.lo == a.lo && b.hi > b.lo {
-				b.lo++
-			}
-			if b.hi == a.lo && b.hi > b.lo {
-				b.hi--
-			}
-		}
-	case ebpf.JmpLt: // a < b
-		if b.hi == 0 {
-			return false
-		}
-		a.hi = min(a.hi, b.hi-1)
-		b.lo = max(b.lo, a.lo+1)
-	case ebpf.JmpLe:
-		a.hi = min(a.hi, b.hi)
-		b.lo = max(b.lo, a.lo)
-	case ebpf.JmpGt: // a > b
-		if a.hi == 0 {
-			return false
-		}
-		a.lo = max(a.lo, b.lo+1)
-		b.hi = min(b.hi, a.hi-1)
-	case ebpf.JmpGe:
-		a.lo = max(a.lo, b.lo)
-		b.hi = min(b.hi, a.hi)
-	default:
-		return true // signed/set compares: no unsigned refinement
-	}
-	if a.lo > a.hi || b.lo > b.hi {
-		return false
-	}
-	if av >= 0 {
-		s.set(av, a)
-	}
-	if bv >= 0 {
-		s.set(bv, b)
-	}
-	return true
 }
 
 // checkBounds runs the analysis and reports every obligation it
@@ -235,55 +102,38 @@ func checkBounds(c *compiler, ir []irIns) {
 		}
 		if ins.boundLen > 0 {
 			iv := cur.get(ins.boundReg)
-			if iv.hi >= uint64(ins.boundLen) {
-				if iv == topIval {
-					c.errs.add(ins.pos, RuleBounds,
-						"cannot prove the index stays below %d for %s (value is unbounded here)",
-						ins.boundLen, ins.boundType)
-				} else {
-					c.errs.add(ins.pos, RuleBounds,
-						"cannot prove the index stays below %d for %s (possible range [%d, %d])",
-						ins.boundLen, ins.boundType, iv.lo, iv.hi)
-				}
+			what := "index"
+			if ins.op == opALUReg {
+				what = "shift count"
+			}
+			if iv == ebpf.Top {
+				c.errs.add(ins.pos, RuleBounds,
+					"cannot prove the %s stays below %d for %s (value is unbounded here)",
+					what, ins.boundLen, ins.boundType)
+			} else if iv.Hi >= uint64(ins.boundLen) {
+				c.errs.add(ins.pos, RuleBounds,
+					"cannot prove the %s stays below %d for %s (possible range [%d, %d])",
+					what, ins.boundLen, ins.boundType, iv.Lo, iv.Hi)
 			}
 		}
+		imm := ebpf.Exact(uint64(ins.imm))
 		switch ins.op {
 		case opMovImm:
-			cur.set(ins.dst, ival{uint64(ins.imm), uint64(ins.imm)})
+			cur.set(ins.dst, imm)
 		case opMovReg:
-			iv := cur.get(ins.src)
-			if ins.is32 {
-				iv = clamp32(iv)
-			}
-			cur.set(ins.dst, iv)
+			cur.set(ins.dst, ebpf.ALU(ebpf.ALUMov, ins.is32, ebpf.Top, cur.get(ins.src)))
 		case opALUImm:
-			iv := aluIval(ins.alu, cur.get(ins.dst), ival{uint64(ins.imm), uint64(ins.imm)})
-			if ins.is32 {
-				iv = clamp32(iv)
-			}
-			cur.set(ins.dst, iv)
+			cur.set(ins.dst, ebpf.ALU(ins.alu, ins.is32, cur.get(ins.dst), imm))
 		case opALUReg:
-			iv := aluIval(ins.alu, cur.get(ins.dst), cur.get(ins.src))
-			if ins.is32 {
-				iv = clamp32(iv)
-			}
-			cur.set(ins.dst, iv)
+			cur.set(ins.dst, ebpf.ALU(ins.alu, ins.is32, cur.get(ins.dst), cur.get(ins.src)))
 		case opLoad:
-			switch ins.size {
-			case ebpf.SizeB:
-				cur.set(ins.dst, ival{0, 0xff})
-			case ebpf.SizeH:
-				cur.set(ins.dst, ival{0, 0xffff})
-			case ebpf.SizeW:
-				cur.set(ins.dst, ival{0, maxU32})
-			default:
-				cur.set(ins.dst, topIval)
-			}
+			// The width is the emitted load's own, read back off it.
+			cur.set(ins.dst, ebpf.ZeroExt(8*ebpf.LoadMem(ins.size, 0, 0, 0).SizeBytes()))
 		case opFrameAddr:
-			cur.set(ins.dst, topIval)
+			cur.set(ins.dst, ebpf.Top)
 		case opCall:
 			if ins.dst >= 0 {
-				cur.set(ins.dst, topIval)
+				cur.set(ins.dst, ebpf.Top)
 			}
 		case opRet:
 			alive = false
@@ -295,23 +145,26 @@ func checkBounds(c *compiler, ir []irIns) {
 				cur = state{}
 				continue
 			}
-			a := cur.get(ins.dst)
-			bv := ins.src
-			b := topIval
-			if bv == vNone {
-				b = ival{uint64(ins.imm), uint64(ins.imm)}
-			} else {
-				b = cur.get(bv)
+			a, b := cur.get(ins.dst), imm
+			if ins.src != vNone {
+				b = cur.get(ins.src)
 			}
-			jop := ins.jop
-			if ins.is32 {
-				jop = 0xff // 32-bit compares: refine neither edge
+			// edge narrows both operands in s to the values that send the
+			// branch that way, or reports that none do.
+			edge := func(s state, taken bool) bool {
+				ra, rb, ok := ebpf.Refine(ins.jop, ins.is32, taken, a, b)
+				if ins.dst >= 0 {
+					s.set(ins.dst, ra)
+				}
+				if ins.src >= 0 {
+					s.set(ins.src, rb)
+				}
+				return ok
 			}
-			taken := cur.clone()
-			if refine(taken, ins.dst, a, jop, bv, b) {
+			if taken := cur.clone(); edge(taken, true) {
 				flowTo(ins.lbl, taken)
 			}
-			if !refine(cur, ins.dst, a, negJmp(jop), bv, b) {
+			if !edge(cur, false) {
 				alive = false
 				cur = state{}
 			}

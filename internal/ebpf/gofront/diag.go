@@ -17,7 +17,7 @@ const (
 	RuleLoop      = "bounded-loop"   // for loops must unroll to a constant trip count
 	RuleIface     = "no-interface"   // interface types and type assertions
 	RuleConc      = "no-concurrency" // go/select/chan; defer rides along
-	RuleBounds    = "array-bounds"   // index not provably within the array
+	RuleBounds    = "array-bounds"   // index not provably within the array, or shift count within the width
 	RuleHelper    = "unknown-helper" // call target is not a declared intrinsic
 	RuleTypes     = "subset-types"   // only fixed-size ints, arrays, structs, pointers
 	RuleStmt      = "subset-stmt"    // statement form outside the subset

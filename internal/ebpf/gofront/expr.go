@@ -2,8 +2,8 @@ package gofront
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
-	"strconv"
 
 	"hyperion/internal/ebpf"
 )
@@ -72,83 +72,27 @@ func jmpForToken(tok token.Token, signed bool) (uint8, bool) {
 	return 0, false
 }
 
-// tryConst evaluates e as a compile-time constant, silently failing
-// on anything runtime-valued. Unlike constExpr it is scope-aware:
-// locals shadow package constants, and unrolled loop variables are
-// per-copy constants.
+// constScope is the function body's view of constant names: locals
+// shadow package constants, and unrolled loop variables are per-copy
+// constants.
+func (l *lowerer) constScope(name string) constant.Value {
+	if lc := l.lookup(name); lc != nil {
+		if lc.isConst {
+			return constant.MakeInt64(lc.cval)
+		}
+		return nil
+	}
+	return l.c.consts[name]
+}
+
+// tryConst evaluates e as a compile-time constant, failing silently on
+// anything runtime-valued.
 func (l *lowerer) tryConst(e ast.Expr) (int64, bool) {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if lc := l.lookup(x.Name); lc != nil {
-			return lc.cval, lc.isConst
-		}
-		v, ok := l.c.consts[x.Name]
-		return v, ok
-	case *ast.BasicLit:
-		if x.Kind != token.INT {
-			return 0, false
-		}
-		if v, err := strconv.ParseInt(x.Value, 0, 64); err == nil {
-			return v, true
-		}
-		if u, err := strconv.ParseUint(x.Value, 0, 64); err == nil {
-			return int64(u), true
-		}
-		return 0, false
-	case *ast.UnaryExpr:
-		v, ok := l.tryConst(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case token.SUB:
-			return -v, true
-		case token.ADD:
-			return v, true
-		case token.XOR:
-			return ^v, true
-		}
-		return 0, false
-	case *ast.BinaryExpr:
-		a, ok := l.tryConst(x.X)
-		if !ok {
-			return 0, false
-		}
-		b, ok := l.tryConst(x.Y)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case token.ADD:
-			return a + b, true
-		case token.SUB:
-			return a - b, true
-		case token.MUL:
-			return a * b, true
-		case token.QUO:
-			if b == 0 {
-				return 0, false // runtime path reports division by zero
-			}
-			return a / b, true
-		case token.REM:
-			if b == 0 {
-				return 0, false
-			}
-			return a % b, true
-		case token.SHL:
-			return a << uint64(b), true
-		case token.SHR:
-			return a >> uint64(b), true
-		case token.AND:
-			return a & b, true
-		case token.OR:
-			return a | b, true
-		case token.XOR:
-			return a ^ b, true
-		}
+	v, ok := l.c.constExpr(e, l.constScope, false)
+	if !ok {
 		return 0, false
 	}
-	return 0, false
+	return constBits(v), true
 }
 
 // typeOf infers an expression's frontend type; nil means untyped
@@ -654,25 +598,9 @@ func (l *lowerer) binaryInto(dst vreg, x *ast.BinaryExpr, want Type) Type {
 			return nil
 		}
 	}
-	if yReg != vNone {
-		l.put(irIns{op: opALUReg, alu: aluOp, is32: is32(it), dst: dst, src: yReg, pos: x.Pos()})
-		return it
-	}
-	if cv, isConst := l.tryConst(x.Y); isConst {
-		if (x.Op == token.QUO || x.Op == token.REM) && cv == 0 {
-			l.c.errs.add(x.Y.Pos(), RuleExpr, "division by zero")
-			return nil
-		}
-		if cv >= -1<<31 && cv < 1<<31 {
-			l.put(irIns{op: opALUImm, alu: aluOp, is32: is32(it), dst: dst, imm: cv, pos: x.Pos()})
-			return it
-		}
-	}
-	yv, _ := l.valueOf(x.Y)
-	if yv == vNone {
+	if !l.aluOp(aluOp, it, dst, x.Y, yReg, x.Pos()) {
 		return nil
 	}
-	l.put(irIns{op: opALUReg, alu: aluOp, is32: is32(it), dst: dst, src: yv, pos: x.Pos()})
 	return it
 }
 
@@ -691,25 +619,43 @@ func (l *lowerer) exprWrites(e ast.Expr, reg vreg) bool {
 	return found
 }
 
-// alu applies `dst op= rhs` on a register local (compound assignment
-// and the fused `x = x op e` form fall out of exprInto's self-move
-// elision; this handles the explicit op-assign tokens).
-func (l *lowerer) alu(op uint8, lc *local, rhs ast.Expr, it IntType, pos token.Pos) {
-	if cv, ok := l.tryConst(rhs); ok {
-		if (op == ebpf.ALUDiv || op == ebpf.ALUMod) && cv == 0 {
-			l.c.errs.add(rhs.Pos(), RuleExpr, "division by zero")
-			return
+// aluOp emits `dst op= rhs` for a dst of type it: the immediate form
+// when rhs is a constant that fits one, the register form otherwise
+// (pre, unless vNone, is rhs already evaluated). Both the binary
+// expression and the compound assignment end here.
+//
+// Shifts follow Go, where a count at or past the operand's width yields
+// 0, and not the ISA, which masks the count: a constant count must be
+// below the width, and a variable one becomes an obligation checkBounds
+// has to prove, like an array index.
+func (l *lowerer) aluOp(op uint8, it IntType, dst vreg, rhs ast.Expr, pre vreg, pos token.Pos) bool {
+	shift := op == ebpf.ALULsh || op == ebpf.ALURsh
+	if pre == vNone {
+		if cv, ok := l.tryConst(rhs); ok {
+			if (op == ebpf.ALUDiv || op == ebpf.ALUMod) && cv == 0 {
+				l.c.errs.add(rhs.Pos(), RuleExpr, "division by zero")
+				return false
+			}
+			if shift && (cv < 0 || cv >= int64(it.Bits)) {
+				l.c.errs.add(rhs.Pos(), RuleExpr, "shift count %d must be in [0, %d) for %s (the ISA masks the count; Go does not)", cv, it.Bits, it)
+				return false
+			}
+			if cv >= -1<<31 && cv < 1<<31 {
+				l.put(irIns{op: opALUImm, alu: op, is32: is32(it), dst: dst, imm: cv, pos: pos})
+				return true
+			}
 		}
-		if cv >= -1<<31 && cv < 1<<31 {
-			l.put(irIns{op: opALUImm, alu: op, is32: is32(it), dst: lc.reg, imm: cv, pos: pos})
-			return
+		if pre, _ = l.valueOf(rhs); pre == vNone {
+			return false
 		}
 	}
-	rv, _ := l.valueOf(rhs)
-	if rv == vNone {
-		return
+	ins := irIns{op: opALUReg, alu: op, is32: is32(it), dst: dst, src: pre, pos: pos}
+	if shift {
+		ins.pos = rhs.Pos()
+		ins.boundReg, ins.boundLen, ins.boundType = pre, int64(it.Bits), it.String()
 	}
-	l.put(irIns{op: opALUReg, alu: op, is32: is32(it), dst: lc.reg, src: rv, pos: pos})
+	l.put(ins)
+	return true
 }
 
 // callInto lowers a call expression: a type conversion or a helper

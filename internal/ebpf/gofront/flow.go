@@ -2,6 +2,7 @@ package gofront
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 
 	"hyperion/internal/ebpf"
@@ -42,10 +43,12 @@ func (l *lowerer) cond(e ast.Expr, lbl int, negate bool) {
 	}
 	x, y := be.X, be.Y
 
-	// Both sides constant: the branch folds away at compile time.
-	if xv, xc := l.tryConst(x); xc {
-		if yv, yc := l.tryConst(y); yc {
-			if constCmp(op, xv, yv) != negate {
+	// Both sides constant: the branch folds away at compile time, on
+	// the exact values (-1 < 3 here as in Go, whatever their register
+	// images compare as).
+	if xv, xc := l.c.constExpr(x, l.constScope, false); xc {
+		if yv, yc := l.c.constExpr(y, l.constScope, false); yc {
+			if constant.Compare(xv, op, yv) != negate {
 				l.put(irIns{op: opJmp, jop: ebpf.JmpA, dst: vNone, src: vNone, lbl: lbl, pos: e.Pos()})
 				l.reachable = false
 			}
@@ -74,7 +77,7 @@ func (l *lowerer) cond(e ast.Expr, lbl int, negate bool) {
 		}
 		jop, _ := jmpForToken(op, false)
 		if negate {
-			jop = negJmp(jop)
+			jop, _ = ebpf.NegJump(jop)
 		}
 		l.put(irIns{op: opJmp, jop: jop, dst: lv, src: vNone, imm: 0, lbl: lbl, pos: e.Pos()})
 		return
@@ -97,7 +100,7 @@ func (l *lowerer) cond(e ast.Expr, lbl int, negate bool) {
 	}
 	jop, _ := jmpForToken(op, signed)
 	if negate {
-		jop = negJmp(jop)
+		jop, _ = ebpf.NegJump(jop)
 	}
 	lv, _ := l.valueOf(x)
 	if lv == vNone {
@@ -112,25 +115,6 @@ func (l *lowerer) cond(e ast.Expr, lbl int, negate bool) {
 		return
 	}
 	l.put(irIns{op: opJmp, jop: jop, is32: cmp32, dst: lv, src: rv, lbl: lbl, pos: e.Pos()})
-}
-
-func constCmp(op token.Token, a, b int64) bool {
-	ua, ub := uint64(a), uint64(b)
-	switch op {
-	case token.EQL:
-		return a == b
-	case token.NEQ:
-		return a != b
-	case token.LSS:
-		return ua < ub
-	case token.LEQ:
-		return ua <= ub
-	case token.GTR:
-		return ua > ub
-	case token.GEQ:
-		return ua >= ub
-	}
-	return false
 }
 
 // branchTarget resolves the label a bare goto/continue/break body
@@ -232,7 +216,10 @@ func (l *lowerer) forStmt(st *ast.ForStmt) {
 		bad(st.Pos())
 		return
 	}
-	start, ok := l.tryConst(init.Rhs[0])
+	start, ok := int64(0), false
+	if sv, isConst := l.c.constExpr(init.Rhs[0], l.constScope, false); isConst {
+		start, ok = constant.Int64Val(sv)
+	}
 	if !ok {
 		bad(init.Rhs[0].Pos())
 		return
@@ -247,11 +234,12 @@ func (l *lowerer) forStmt(st *ast.ForStmt) {
 		bad(cond.Pos())
 		return
 	}
-	limit, ok := l.tryConst(cond.Y)
+	limit, ok := l.c.constExpr(cond.Y, l.constScope, false)
 	if !ok {
 		bad(cond.Y.Pos())
 		return
 	}
+	inLoop := func(v int64) bool { return constant.Compare(constant.MakeInt64(v), cond.Op, limit) }
 	step := int64(1)
 	switch post := st.Post.(type) {
 	case *ast.IncDecStmt:
@@ -277,7 +265,7 @@ func (l *lowerer) forStmt(st *ast.ForStmt) {
 	}
 
 	trips := int64(0)
-	for v := start; constCmp(cond.Op, v, limit); v += step {
+	for v := start; inLoop(v); v += step {
 		trips++
 		if trips > maxUnroll {
 			l.c.errs.add(st.Pos(), RuleLoop, "loop unrolls to more than %d iterations", maxUnroll)
@@ -286,7 +274,7 @@ func (l *lowerer) forStmt(st *ast.ForStmt) {
 	}
 
 	brk := l.newLabel()
-	for v := start; constCmp(cond.Op, v, limit); v += step {
+	for v := start; inLoop(v); v += step {
 		cont := l.newLabel()
 		l.pushScope()
 		l.bind(name.Name, &local{name: name.Name, typ: IntType{Bits: 64}, reg: vNone, isConst: true, cval: v})

@@ -24,6 +24,7 @@ package gofront
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 
 	"hyperion/internal/ebpf"
@@ -69,7 +70,7 @@ func Compile(filename string, src []byte, opts Options) (*Program, error) {
 	c := &compiler{
 		fset:    token.NewFileSet(),
 		structs: map[string]*StructType{},
-		consts:  map[string]int64{},
+		consts:  map[string]constant.Value{},
 		helpers: map[string]*helperDecl{},
 		opts:    opts,
 	}
@@ -108,7 +109,7 @@ type compiler struct {
 	errs    *errs
 	opts    Options
 	structs map[string]*StructType
-	consts  map[string]int64
+	consts  map[string]constant.Value
 	helpers map[string]*helperDecl
 	maps    []MapDecl
 	entry   *ast.FuncDecl

@@ -1,6 +1,7 @@
 package gofront
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -143,5 +144,165 @@ func Run(ctx *Ctx) uint64 {
 	}
 	if got := run(42); got != 0 {
 		t.Errorf("non-matching wide constant: ret %d, want 0", got)
+	}
+}
+
+// The frontend and the verifier share one interval domain
+// (ebpf.Interval), so whatever index checkBounds proves the verifier
+// proves again on the emitted code. Every row below compiled and was
+// then refused by ebpf.Verify while the two kept private transfer
+// functions, or (the const and shift rows) compiled to code that
+// disagreed with Go.
+
+const contractHeader = `package prog
+
+const Top = 0x8000000000000000
+
+type Ctx struct {
+	A    uint64
+	B    uint64    ` + "`" + `hyperion:"offset=8"` + "`" + `
+	Vals [8]uint64 ` + "`" + `hyperion:"offset=16"` + "`" + `
+}
+
+func Run(ctx *Ctx) uint64 {
+	a := ctx.A
+	b := ctx.B
+`
+
+// Vals ends the context, so an index one past the array is also one
+// past what the verifier allows.
+const contractCtxSize = 80
+
+// contractCtxs samples contexts around the boundaries the rows guard.
+func contractCtxs() [][]byte {
+	vals := []uint64{0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 31, 32, 63, 64, 65, 255, 1 << 32, 1<<32 + 8, 1 << 63, ^uint64(0)}
+	var out [][]byte
+	for _, a := range vals {
+		for _, b := range vals {
+			ctx := make([]byte, contractCtxSize)
+			binary.LittleEndian.PutUint64(ctx[0:], a)
+			binary.LittleEndian.PutUint64(ctx[8:], b)
+			for i := 0; i < 8; i++ {
+				binary.LittleEndian.PutUint64(ctx[16+8*i:], uint64(100+i))
+			}
+			out = append(out, ctx)
+		}
+	}
+	return out
+}
+
+// verifyAndLoad is the middle of the contract every map-free program
+// that compiled is held to: the verifier accepts it and the VM loads it.
+func verifyAndLoad(t *testing.T, src string, prog *Program) *ebpf.VM {
+	t.Helper()
+	vcfg := ebpf.DefaultVerifierConfig(nil)
+	vcfg.CtxSize = prog.CtxSize
+	if err := ebpf.Verify(prog.Insns, vcfg); err != nil {
+		t.Fatalf("compiled but failed the verifier:\n%s\n%s\n%v", src, ebpf.Disassemble(prog.Insns), err)
+	}
+	vm := ebpf.NewVM(nil)
+	if err := vm.Load(prog.Insns); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return vm
+}
+
+// compileVerifyRun holds body (the statements of Run after a and b are
+// loaded) to the whole contract and calls check, when not nil, on every
+// sampled context's a, b and result.
+func compileVerifyRun(t *testing.T, body string, check func(a, b, ret uint64)) {
+	t.Helper()
+	src := contractHeader + body + "}\n"
+	prog, err := Compile("contract.go", []byte(src), Options{})
+	if err != nil {
+		t.Fatalf("rejected:\n%s\n%v", src, err)
+	}
+	vm := verifyAndLoad(t, src, prog)
+	for _, ctx := range contractCtxs() {
+		a, b := binary.LittleEndian.Uint64(ctx[0:]), binary.LittleEndian.Uint64(ctx[8:])
+		ret, err := vm.Run(ctx)
+		if err != nil {
+			t.Fatalf("a=%#x b=%#x: trapped: %v\n%s", a, b, err, src)
+		}
+		if check != nil {
+			check(a, b, ret)
+		}
+	}
+}
+
+func TestFrontendAcceptsImpliesVerifierAccepts(t *testing.T) {
+	rows := []struct{ name, body string }{
+		{"or_bitlen", "\treturn ctx.Vals[(a&4)|(b&4)]\n"},
+		{"xor_bitlen", "\treturn ctx.Vals[(a&4)^(b&4)]\n"},
+		{"rsh_by_variable", "\tif b > 63 {\n\t\treturn 0\n\t}\n\treturn ctx.Vals[(a&7)>>b]\n"},
+		{"div_by_variable", "\treturn ctx.Vals[(a&7)/b]\n"},
+		{"div_by_range", "\treturn ctx.Vals[(a&15)/((b&1)+2)]\n"},
+		{"reg_reg_guard", "\tm := b & 7\n\tif a > m {\n\t\treturn 0\n\t}\n\treturn ctx.Vals[a]\n"},
+		{"ne_endpoint_trim", "\tif a > 8 {\n\t\treturn 0\n\t}\n\tif a == 8 {\n\t\treturn 0\n\t}\n\treturn ctx.Vals[a]\n"},
+		{"dead_guard_body", "\tx := a & 3\n\tif x > 5 {\n\t\treturn ctx.Vals[x+6]\n\t}\n\treturn ctx.Vals[x]\n"},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			compileVerifyRun(t, r.body, func(a, b, ret uint64) {
+				if ret != 0 && (ret < 100 || ret > 107) {
+					t.Fatalf("a=%#x b=%#x: returned %#x, not an element of Vals", a, b, ret)
+				}
+			})
+		})
+	}
+}
+
+// Constant expressions fold with Go's exact semantics, not int64's.
+func TestConstantFoldingIsExact(t *testing.T) {
+	rows := []struct {
+		name, body string
+		want       func(a uint64) uint64
+	}{
+		{"unsigned_div", "\treturn a + (0x8000000000000000 / 2)\n", func(a uint64) uint64 { return a + 0x4000000000000000 }},
+		{"unsigned_shr", "\treturn a + (0x8000000000000000 >> 4)\n", func(a uint64) uint64 { return a + 0x0800000000000000 }},
+		{"unsigned_rem", "\treturn a + (0xffffffffffffffff % 10)\n", func(a uint64) uint64 { return a + 0xffffffffffffffff%10 }},
+		{"wide_intermediate", "\treturn a + (1 << 70 >> 68)\n", func(a uint64) uint64 { return a + 4 }},
+		{"compare", "\tif -1 < 3 {\n\t\ta += 1\n\t}\n\treturn a\n", func(a uint64) uint64 { return a + 1 }},
+		{"loop_bounds", "\tfor i := -2; i < 2; i++ {\n\t\ta += 1\n\t}\n\treturn a\n", func(a uint64) uint64 { return a + 4 }},
+		{"named_wide", "\treturn a + Top/2\n", func(a uint64) uint64 { return a + 0x4000000000000000 }},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			body := r.body
+			compileVerifyRun(t, body, func(a, _, ret uint64) {
+				if want := r.want(a); ret != want {
+					t.Fatalf("a=%#x: returned %#x, Go says %#x", a, ret, want)
+				}
+			})
+		})
+	}
+}
+
+// Shifts mean what Go says they mean: a count the compiler cannot show
+// is below the operand width is refused (testdata/diag/shift.go), and
+// one it can show is the ISA's own shift.
+func TestShiftsFollowGo(t *testing.T) {
+	compileVerifyRun(t, "\tif b > 63 {\n\t\treturn 0\n\t}\n\treturn a<<b | a>>b\n", func(a, b, ret uint64) {
+		want := uint64(0)
+		if b <= 63 {
+			want = a<<b | a>>b
+		}
+		if ret != want {
+			t.Fatalf("a=%#x b=%d: returned %#x, Go says %#x", a, b, ret, want)
+		}
+	})
+	compileVerifyRun(t, "\tc := uint32(a)\n\tn := b & 31\n\treturn uint64(c >> n)\n", func(a, b, ret uint64) {
+		if want := uint64(uint32(a) >> (b & 31)); ret != want {
+			t.Fatalf("a=%#x b=%d: returned %#x, Go says %#x", a, b, ret, want)
+		}
+	})
+	for _, body := range []string{
+		"\treturn uint64(uint32(a) >> 40)\n",
+		"\treturn a << 64\n",
+		"\treturn a >> b\n",
+	} {
+		if _, err := Compile("shift.go", []byte(contractHeader+body+"}\n"), Options{}); err == nil {
+			t.Errorf("compiled, though the ISA would mask the count where Go does not:\n%s", body)
+		}
 	}
 }

@@ -61,45 +61,21 @@ type irIns struct {
 	// sides the same physical register.
 	coalesce bool
 
-	// Array-bounds obligation: when boundLen > 0, the interval analysis
-	// must prove value(boundReg) < boundLen at this point.
+	// Proof obligation: when boundLen > 0, the interval analysis must
+	// prove value(boundReg) < boundLen at this point. On the move that
+	// starts an address computation it is an array index against the
+	// array's length; on a register shift, the count against the
+	// operand's width. boundType is the array or operand type, for the
+	// diagnostic.
 	boundReg  vreg
 	boundLen  int64
-	boundType string // array type, for the diagnostic
+	boundType string
 
 	// args lists a call's marshaled argument vregs (precolored r1..),
 	// keeping them live up to the call for the allocator.
 	args []vreg
 
 	pos token.Pos
-}
-
-// negJmp maps a comparison to its negation (for jump-over-body
-// lowering of if statements).
-func negJmp(op uint8) uint8 {
-	switch op {
-	case ebpf.JmpEq:
-		return ebpf.JmpNe
-	case ebpf.JmpNe:
-		return ebpf.JmpEq
-	case ebpf.JmpGt:
-		return ebpf.JmpLe
-	case ebpf.JmpGe:
-		return ebpf.JmpLt
-	case ebpf.JmpLt:
-		return ebpf.JmpGe
-	case ebpf.JmpLe:
-		return ebpf.JmpGt
-	case ebpf.JmpSGt:
-		return ebpf.JmpSLe
-	case ebpf.JmpSGe:
-		return ebpf.JmpSLt
-	case ebpf.JmpSLt:
-		return ebpf.JmpSGe
-	case ebpf.JmpSLe:
-		return ebpf.JmpSGt
-	}
-	return op
 }
 
 // sizeFor maps a byte width to the eBPF access size selector.

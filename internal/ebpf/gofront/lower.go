@@ -381,7 +381,7 @@ func (l *lowerer) assignStmt(st *ast.AssignStmt) {
 		}
 		it, _ := lc.typ.(IntType)
 		l.checkArithType(st.Pos(), lc.typ, assignOpToken(st.Tok))
-		l.alu(aluOp, lc, rhs, it, st.Pos())
+		l.aluOp(aluOp, it, lc.reg, rhs, vNone, st.Pos())
 		lc.version++
 	}
 }

@@ -2,6 +2,7 @@ package gofront
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"sort"
@@ -68,7 +69,7 @@ func (c *compiler) parseGenDecl(d *ast.GenDecl) {
 				}
 			}
 			for i, name := range vs.Names {
-				v, ok := c.constExpr(vs.Values[i])
+				v, ok := c.constExpr(vs.Values[i], c.pkgConst, true)
 				if !ok {
 					continue
 				}
@@ -332,105 +333,6 @@ func (c *compiler) applyConstOverrides() {
 				"const override %s does not name a declared constant", name)
 			continue
 		}
-		c.consts[name] = c.opts.Consts[name]
+		c.consts[name] = constant.MakeInt64(c.opts.Consts[name])
 	}
-}
-
-// constExpr evaluates a compile-time constant expression: integer
-// literals, declared constants, parentheses, unary +/-/^, and the
-// integer binary operators.
-func (c *compiler) constExpr(e ast.Expr) (int64, bool) {
-	switch x := e.(type) {
-	case *ast.BasicLit:
-		switch x.Kind {
-		case token.INT:
-			v, err := strconv.ParseInt(x.Value, 0, 64)
-			if err != nil {
-				// try unsigned (e.g. 0xffffffffffffffff)
-				u, uerr := strconv.ParseUint(x.Value, 0, 64)
-				if uerr != nil {
-					c.errs.add(x.Pos(), RuleConst, "bad integer literal %s", x.Value)
-					return 0, false
-				}
-				return int64(u), true
-			}
-			return v, true
-		case token.STRING, token.CHAR:
-			c.errs.add(x.Pos(), RuleString, "string values are outside the restricted subset (no dynamic memory)")
-			return 0, false
-		case token.FLOAT, token.IMAG:
-			c.errs.add(x.Pos(), RuleTypes, "floating-point values are outside the restricted subset")
-			return 0, false
-		}
-	case *ast.Ident:
-		if v, ok := c.consts[x.Name]; ok {
-			return v, true
-		}
-		if x.Name == "iota" {
-			c.errs.add(x.Pos(), RuleConst, "iota is not supported; write explicit values")
-			return 0, false
-		}
-		c.errs.add(x.Pos(), RuleConst, "%s is not a declared constant", x.Name)
-		return 0, false
-	case *ast.ParenExpr:
-		return c.constExpr(x.X)
-	case *ast.UnaryExpr:
-		v, ok := c.constExpr(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case token.SUB:
-			return -v, true
-		case token.ADD:
-			return v, true
-		case token.XOR:
-			return ^v, true
-		}
-		c.errs.add(x.Pos(), RuleConst, "unsupported constant operator %s", x.Op)
-		return 0, false
-	case *ast.BinaryExpr:
-		a, ok := c.constExpr(x.X)
-		if !ok {
-			return 0, false
-		}
-		b, ok := c.constExpr(x.Y)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case token.ADD:
-			return a + b, true
-		case token.SUB:
-			return a - b, true
-		case token.MUL:
-			return a * b, true
-		case token.QUO:
-			if b == 0 {
-				c.errs.add(x.Pos(), RuleConst, "constant division by zero")
-				return 0, false
-			}
-			return a / b, true
-		case token.REM:
-			if b == 0 {
-				c.errs.add(x.Pos(), RuleConst, "constant division by zero")
-				return 0, false
-			}
-			return a % b, true
-		case token.SHL:
-			return a << uint64(b), true
-		case token.SHR:
-			return a >> uint64(b), true
-		case token.AND:
-			return a & b, true
-		case token.OR:
-			return a | b, true
-		case token.XOR:
-			return a ^ b, true
-		}
-		c.errs.add(x.Pos(), RuleConst, "unsupported constant operator %s", x.Op)
-		return 0, false
-	}
-	c.errs.add(e.Pos(), RuleConst, "expression is not a compile-time constant")
-	return 0, false
 }

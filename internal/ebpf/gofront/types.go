@@ -130,10 +130,11 @@ func (c *compiler) resolveType(e ast.Expr) (Type, bool) {
 			c.errs.add(t.Pos(), RuleHeap, "slices are dynamically sized; declare a fixed-length array [N]T")
 			return nil, false
 		}
-		n, ok := c.constExpr(t.Len)
+		v, ok := c.constExpr(t.Len, c.pkgConst, true)
 		if !ok {
 			return nil, false
 		}
+		n := constBits(v)
 		if n <= 0 || n > 1<<20 {
 			c.errs.add(t.Pos(), RuleTypes, "array length %d out of range", n)
 			return nil, false

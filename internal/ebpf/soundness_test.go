@@ -42,6 +42,7 @@ func diffMaps() *MapSet {
 type progGen struct {
 	rng     *rand.Rand
 	ctxSize int
+	guarded bool // the last program has a guardedAccess in it
 }
 
 var genALUOps = []uint8{ALUAdd, ALUSub, ALUMul, ALUDiv, ALUMod, ALUOr, ALUAnd, ALUXor, ALULsh, ALURsh, ALUArsh, ALUMov}
@@ -51,9 +52,10 @@ var genALUOps = []uint8{ALUAdd, ALUSub, ALUMul, ALUDiv, ALUMod, ALUOr, ALUAnd, A
 // slots).
 func (g *progGen) gen() []Instruction {
 	r := g.rng
+	g.guarded = false
 	n := 4 + r.Intn(40)
 	var prog []Instruction
-	jumps := map[int]int{} // insn index -> target insn index (fixed up later)
+	jumps := map[int]int{} // insn index -> target insn index, -1 for any later one (fixed up below)
 	scratch := []uint8{R0, R2, R3, R4, R5, R6, R7, R8, R9}
 	reg := func() uint8 { return scratch[r.Intn(len(scratch))] }
 	sizes := []uint8{SizeB, SizeH, SizeW, SizeDW}
@@ -62,7 +64,7 @@ func (g *progGen) gen() []Instruction {
 		prog = append(prog, Mov64Imm(d, int32(r.Uint32())))
 	}
 	for len(prog) < n {
-		switch r.Intn(14) {
+		switch r.Intn(16) {
 		case 0: // alu64 imm
 			prog = append(prog, ALU64Imm(genALUOps[r.Intn(len(genALUOps))], reg(), int32(r.Uint32())))
 		case 1: // alu64 reg
@@ -155,6 +157,8 @@ func (g *progGen) gen() []Instruction {
 				jumps[len(prog)] = -1
 				prog = append(prog, JumpImm(JmpEq, R0, 0, 0), LoadMem(SizeDW, R0, R0, 0))
 			}
+		case 14, 15:
+			prog = g.guardedAccess(prog, jumps)
 		}
 	}
 	prog = append(prog, Mov64Imm(R0, int32(r.Intn(100))), Exit())
@@ -167,16 +171,92 @@ func (g *progGen) gen() []Instruction {
 			slotOf[i+1]++
 		}
 	}
-	for i := range jumps {
-		target := i + 1 + r.Intn(len(prog)-i-1)
+	for i, target := range jumps {
+		if target < 0 {
+			target = i + 1 + r.Intn(len(prog)-i-1)
+		}
 		prog[i].Off = int16(slotOf[target] - slotOf[i] - 1)
 	}
 	return prog
 }
 
+// guardedAccess appends the shape Refine exists for: a bounded scalar,
+// a register-register (or immediate) guard that jumps over the rest
+// unless the scalar is at most some other bounded scalar, and then the
+// scalar added to a context, stack or map-value pointer and that
+// dereferenced. Whether the access fits its region is left to chance,
+// as is whether the guard points the right way, so the verifier has to
+// work out the bound on the surviving edge to tell the safe ones apart.
+func (g *progGen) guardedAccess(prog []Instruction, jumps map[int]int) []Instruction {
+	r := g.rng
+	g.guarded = true
+	// Callee-saved, so the refined index survives the map case's call.
+	saved := []uint8{R6, R7, R8, R9}
+	r.Shuffle(len(saved), func(i, j int) { saved[i], saved[j] = saved[j], saved[i] })
+	idx, lim, ptr, dst := saved[0], saved[1], saved[2], saved[3]
+	ctxByte := func(reg uint8) Instruction { return LoadMem(SizeB, reg, R1, int16(r.Intn(g.ctxSize))) }
+
+	if r.Intn(2) == 0 {
+		prog = append(prog, ctxByte(idx))
+	} else {
+		prog = append(prog, ALU64Imm(ALUAnd, idx, int32(r.Intn(64))))
+	}
+	var guards []int
+	guard := func(ins Instruction) {
+		guards = append(guards, len(prog))
+		prog = append(prog, ins)
+	}
+	bound := int32(r.Intn(g.ctxSize))
+	switch r.Intn(4) {
+	case 0: // against an immediate
+		guard(JumpImm(JmpGt, idx, bound, 0))
+	case 1: // against a masked register
+		prog = append(prog, ctxByte(lim), ALU64Imm(ALUAnd, lim, bound))
+		guard(JumpReg(JmpGt, idx, lim, 0))
+	case 2: // the same, compared from the other side
+		prog = append(prog, ctxByte(lim), ALU64Imm(ALUAnd, lim, bound))
+		guard(JumpReg(JmpLe, lim, idx, 0))
+	case 3: // a guard that lets the large values through, or none at all
+		if r.Intn(2) == 0 {
+			guard(JumpReg(JmpLt, idx, lim, 0))
+		}
+	}
+	sz := []uint8{SizeB, SizeH, SizeW, SizeDW}[r.Intn(4)]
+	switch r.Intn(3) {
+	case 0: // context
+		prog = append(prog, Mov64Reg(ptr, R1), ALU64Reg(ALUAdd, ptr, idx))
+		off := int16(r.Intn(g.ctxSize / 2))
+		if r.Intn(2) == 0 {
+			prog = append(prog, LoadMem(sz, dst, ptr, off))
+		} else {
+			prog = append(prog, StoreMem(sz, ptr, idx, off))
+		}
+	case 1: // stack, over bytes initialised first
+		slots := 1 + r.Intn(8)
+		for i := 1; i <= slots; i++ {
+			prog = append(prog, StoreImm(SizeDW, R10, int16(-8*i), int32(r.Uint32())))
+		}
+		prog = append(prog, Mov64Reg(ptr, R10), ALU64Imm(ALUAdd, ptr, int32(-8*slots)),
+			ALU64Reg(ALUAdd, ptr, idx), LoadMem(sz, dst, ptr, 0))
+	case 2: // map value, null-checked
+		prog = append(prog,
+			StoreImm(SizeDW, R10, -8, []int32{0xfeed, 1}[r.Intn(2)]),
+			Mov64Imm(R1, int32(r.Intn(2))), Mov64Reg(R2, R10), ALU64Imm(ALUAdd, R2, -8),
+			Call(HelperMapLookup))
+		guard(JumpImm(JmpEq, R0, 0, 0))
+		prog = append(prog, ALU64Reg(ALUAdd, R0, idx), LoadMem(sz, dst, R0, 0))
+	}
+	for _, i := range guards {
+		jumps[i] = len(prog)
+	}
+	return prog
+}
+
 // TestVerifierSoundness runs every generated program the verifier
-// accepts, twice on one VM (the second run sees the maps the first one
-// left behind), and fails on any runtime error: a bad memory access, an
+// accepts, repeatedly on one VM (later runs see the maps the earlier
+// ones left behind): over a context of large bytes, a random one, and
+// one of every small constant byte, which is what walks a guarded index
+// up to and onto its limit. It fails on any runtime error: a bad memory access, an
 // unsupported instruction, falling off the end, the step limit, an
 // unknown helper or a helper's own error all mean Verify accepted
 // something it could not vouch for. A seed that finds one is a verifier
@@ -191,20 +271,31 @@ func TestVerifierSoundness(t *testing.T) {
 		ctx := make([]byte, g.ctxSize)
 		cfg := DefaultVerifierConfig(diffMaps())
 		cfg.CtxSize = g.ctxSize
-		accepted := 0
+		fills := []func(j int) byte{
+			func(j int) byte { return byte(255 - j) },
+			func(int) byte { return byte(g.rng.Intn(256)) },
+		}
+		for v := 0; v <= g.ctxSize; v++ {
+			v := v
+			fills = append(fills, func(int) byte { return byte(v) })
+		}
+		accepted, guarded := 0, 0
 		for i := 0; i < rounds; i++ {
 			prog := g.gen()
 			if Verify(prog, cfg) != nil {
 				continue
 			}
 			accepted++
+			if g.guarded {
+				guarded++
+			}
 			vm := NewVM(diffMaps())
 			if err := vm.Load(prog); err != nil {
 				t.Fatalf("seed %d program %d: verified program failed to load: %v\n%s", seed, i, err, Disassemble(prog))
 			}
-			for run := 0; run < 2; run++ {
+			for run, fill := range fills {
 				for j := range ctx {
-					ctx[j] = byte(255 - j)
+					ctx[j] = fill(j)
 				}
 				vm.ResetWindows()
 				if _, err := vm.Run(ctx); err != nil {
@@ -212,8 +303,9 @@ func TestVerifierSoundness(t *testing.T) {
 				}
 			}
 		}
-		if accepted < 50 {
-			t.Fatalf("seed %d: verifier accepted only %d/%d generated programs; generator too chaotic for this test to mean anything", seed, accepted, rounds)
+		if accepted < 50 || guarded < 10 {
+			t.Fatalf("seed %d: verifier accepted only %d/%d generated programs, %d with a guarded variable-offset access; generator too chaotic for this test to mean anything", seed, accepted, rounds, guarded)
 		}
+		t.Logf("seed %d: accepted %d/%d, %d with a guarded variable-offset access", seed, accepted, rounds, guarded)
 	}
 }

@@ -3,7 +3,6 @@ package ebpf
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // The verifier statically proves a program safe before it may run on the
@@ -15,13 +14,14 @@ import (
 // what makes eHDL pipelining possible.
 //
 // Like the Linux verifier it is an abstract interpreter over register
-// states with unsigned value-range tracking: scalars carry [vmin, vmax]
-// bounds, conditional branches refine them per edge, and pointer
-// arithmetic with a bounded scalar is allowed as long as every byte of
-// the resulting access window stays in bounds. That is what lets
-// XRP-style programs index into a node page with a computed offset.
-// Unlike Linux it insists on loop-free programs, so one forward pass
-// with per-edge state merging suffices.
+// states with unsigned value-range tracking: scalars carry an Interval
+// (interval.go), conditional branches refine both operands per edge and
+// drop the edges no value can take, and pointer arithmetic with a
+// bounded scalar is allowed as long as every byte of the resulting
+// access window stays in bounds. That is what lets XRP-style programs
+// index into a node page with a computed offset. Unlike Linux it
+// insists on loop-free programs, so one forward pass with per-edge
+// state merging suffices.
 
 // MaxInsns bounds program size (matches the classic kernel limit).
 const MaxInsns = 4096
@@ -95,32 +95,30 @@ func (t regType) String() string {
 	return "?"
 }
 
-const unboundedMax = math.MaxUint64
-
 // regState is the abstract value of one register.
 //
-// Scalars track an unsigned range [vmin, vmax]; vmin == vmax means a
-// known constant. Pointers track a constant offset from their region
-// base (off) plus a bounded variable offset range [vmin, vmax]
-// accumulated from ptr+scalar arithmetic.
+// A scalar's val is its unsigned range; an exact one is a known
+// constant. Pointers track a constant offset from their region base
+// (off) plus, in val, the bounded variable offset accumulated from
+// ptr+scalar arithmetic.
 type regState struct {
-	typ        regType
-	off        int64
-	vmin, vmax uint64
-	mapID      int // for map value pointers
-	size       int // for window pointers
+	typ   regType
+	off   int64
+	val   Interval
+	mapID int // for map value pointers
+	size  int // for window pointers
 }
 
-func scalarConst(v int64) regState {
-	return regState{typ: tScalar, vmin: uint64(v), vmax: uint64(v)}
-}
+func scalar(val Interval) regState { return regState{typ: tScalar, val: val} }
 
-func scalarUnknown() regState { return regState{typ: tScalar, vmin: 0, vmax: unboundedMax} }
+func scalarConst(v int64) regState { return scalar(Exact(uint64(v))) }
 
-func (r regState) exact() bool { return r.typ == tScalar && r.vmin == r.vmax }
+func scalarUnknown() regState { return scalar(Top) }
+
+func (r regState) exact() bool { return r.typ == tScalar && r.val.IsExact() }
 
 // constVal returns the exact value as signed.
-func (r regState) constVal() int64 { return int64(r.vmin) }
+func (r regState) constVal() int64 { return int64(r.val.Lo) }
 
 type absState struct {
 	regs  [NumRegs]regState
@@ -153,14 +151,8 @@ func merge(a, b absState) absState {
 			out.regs[i] = regState{typ: tUninit}
 			continue
 		}
-		m := ra
-		if rb.vmin < m.vmin {
-			m.vmin = rb.vmin
-		}
-		if rb.vmax > m.vmax {
-			m.vmax = rb.vmax
-		}
-		out.regs[i] = m
+		ra.val = ra.val.Join(rb.val)
+		out.regs[i] = ra
 	}
 	for i := range a.stack {
 		out.stack[i] = a.stack[i] && b.stack[i]
@@ -221,12 +213,14 @@ func Verify(prog []Instruction, cfg VerifierConfig) error {
 	}
 
 	// Dataflow pass: forward abstract interpretation. Because all edges
-	// go forward, in-order processing sees every predecessor first.
+	// go forward, in-order processing sees every predecessor first. An
+	// instruction no feasible edge leads to cannot execute and is not
+	// checked.
 	in := make([]absState, len(prog))
 	in[0] = entryState()
 	for i := range prog {
 		if !in[i].live {
-			return fmt.Errorf("%w: insn %d: internal: no inbound state", ErrVerify, i)
+			continue
 		}
 		outs, err := v.step(i, in[i])
 		if err != nil {
@@ -287,17 +281,10 @@ func (v *verifier) step(pc int, st absState) ([]edge, error) {
 			if dst.typ != tScalar {
 				return nil, fmt.Errorf("byte-order conversion of %s", dst.typ)
 			}
-			out := scalarUnknown()
-			switch ins.Imm {
-			case 16:
-				out.vmax = 0xffff
-			case 32:
-				out.vmax = 0xffffffff
-			case 64:
-			default:
+			if ins.Imm != 16 && ins.Imm != 32 && ins.Imm != 64 {
 				return nil, fmt.Errorf("endian width %d", ins.Imm)
 			}
-			if err := writeReg(ins.Dst, out); err != nil {
+			if err := writeReg(ins.Dst, scalar(ZeroExt(int(ins.Imm)))); err != nil {
 				return nil, err
 			}
 			return []edge{{pc + 1, st}}, nil
@@ -329,16 +316,7 @@ func (v *verifier) step(pc int, st absState) ([]edge, error) {
 			return nil, err
 		}
 		// Loads of fewer than 8 bytes zero-extend, bounding the result.
-		out := scalarUnknown()
-		switch ins.SizeBytes() {
-		case 1:
-			out.vmax = 0xff
-		case 2:
-			out.vmax = 0xffff
-		case 4:
-			out.vmax = 0xffffffff
-		}
-		if err := writeReg(ins.Dst, out); err != nil {
+		if err := writeReg(ins.Dst, scalar(ZeroExt(8*ins.SizeBytes()))); err != nil {
 			return nil, err
 		}
 		return []edge{{pc + 1, st}}, nil
@@ -423,7 +401,7 @@ func (v *verifier) step(pc int, st absState) ([]edge, error) {
 		} else {
 			src = scalarConst(int64(ins.Imm))
 		}
-		srcKnownZero := src.exact() && src.vmin == 0
+		srcKnownZero := src.exact() && src.val.Lo == 0
 
 		takenSt, fallSt := st, st
 		switch {
@@ -439,73 +417,36 @@ func (v *verifier) step(pc int, st absState) ([]edge, error) {
 				fallSt.regs[ins.Dst] = null
 			}
 		case dst.typ == tScalar:
-			// Range refinement against an exact bound (64-bit compares
-			// only; JMP32 would need 32-bit slicing, skipped for safety).
-			if src.exact() && ins.Class() == ClassJMP {
-				c := src.vmin
-				tr, fr := refineRange(op, dst, c)
-				takenSt.regs[ins.Dst] = tr
-				fallSt.regs[ins.Dst] = fr
+			if src.typ != tScalar {
+				break
 			}
+			// Each edge sees both operands narrowed to the values that
+			// take it; an edge none can take carries no state.
+			refine := func(e *absState, taken bool) {
+				d, s, ok := Refine(op, ins.Class() == ClassJMP32, taken, dst.val, src.val)
+				e.live = ok
+				e.regs[ins.Dst].val = d
+				if ins.Op&SrcReg != 0 {
+					e.regs[ins.Src].val = s
+				}
+			}
+			refine(&takenSt, true)
+			refine(&fallSt, false)
 		default:
 			if !(op == JmpEq || op == JmpNe) || !srcKnownZero {
 				return nil, fmt.Errorf("conditional jump on %s", dst.typ)
 			}
 		}
-		return []edge{{v.targets[pc], takenSt}, {pc + 1, fallSt}}, nil
+		out := make([]edge, 0, 2)
+		if takenSt.live {
+			out = append(out, edge{v.targets[pc], takenSt})
+		}
+		if fallSt.live {
+			out = append(out, edge{pc + 1, fallSt})
+		}
+		return out, nil
 	}
 	return nil, fmt.Errorf("unsupported class %#x", ins.Op)
-}
-
-// refineRange narrows a scalar's [vmin, vmax] on both edges of an
-// unsigned comparison against constant c. Contradictory refinements
-// (empty ranges) fall back to the unrefined state — over-approximate
-// but safe.
-func refineRange(op uint8, r regState, c uint64) (taken, fall regState) {
-	taken, fall = r, r
-	clamp := func(s regState) regState {
-		if s.vmin > s.vmax {
-			return r
-		}
-		return s
-	}
-	switch op {
-	case JmpEq:
-		taken.vmin, taken.vmax = c, c
-	case JmpNe:
-		fall.vmin, fall.vmax = c, c
-	case JmpLt: // dst < c
-		if c > 0 {
-			if taken.vmax > c-1 {
-				taken.vmax = c - 1
-			}
-		}
-		if fall.vmin < c {
-			fall.vmin = c
-		}
-	case JmpLe: // dst <= c
-		if taken.vmax > c {
-			taken.vmax = c
-		}
-		if c < unboundedMax && fall.vmin < c+1 {
-			fall.vmin = c + 1
-		}
-	case JmpGt: // dst > c
-		if c < unboundedMax && taken.vmin < c+1 {
-			taken.vmin = c + 1
-		}
-		if fall.vmax > c {
-			fall.vmax = c
-		}
-	case JmpGe: // dst >= c
-		if taken.vmin < c {
-			taken.vmin = c
-		}
-		if c > 0 && fall.vmax > c-1 {
-			fall.vmax = c - 1
-		}
-	}
-	return clamp(taken), clamp(fall)
 }
 
 // alu computes the abstract result of an ALU instruction.
@@ -530,7 +471,7 @@ func (v *verifier) alu(st *absState, ins Instruction) (regState, error) {
 			return regState{}, errors.New("32-bit mov of a pointer truncates it")
 		}
 		if is32 {
-			return clamp32(src), nil
+			return scalar(src.val.Trunc32()), nil
 		}
 		return src, nil
 	}
@@ -560,11 +501,10 @@ func (v *verifier) alu(st *absState, ins Instruction) (regState, error) {
 			}
 			// Bounded variable offset: fold into the range; the bound
 			// check happens at dereference time.
-			if src.vmax >= 1<<31 {
+			if src.val.Hi >= 1<<31 {
 				return regState{}, fmt.Errorf("pointer arithmetic with unbounded scalar on %s", dst.typ)
 			}
-			out.vmin += src.vmin
-			out.vmax += src.vmax
+			out.val = ALU(ALUAdd, false, out.val, src.val)
 			return out, nil
 		case ALUSub:
 			if !src.exact() {
@@ -584,110 +524,12 @@ func (v *verifier) alu(st *absState, ins Instruction) (regState, error) {
 		return regState{}, errors.New("arithmetic on possibly-null map pointer")
 	}
 
-	if is32 {
-		// A 32-bit op sees only the low halves of its operands.
-		dst, src = clamp32(dst), clamp32(src)
-	}
-	out := rangeALU(op, dst, src, is32)
-	if is32 {
-		out = clamp32(out)
-	}
-	return out, nil
-}
-
-// clamp32 truncates a scalar's range to 32 bits.
-func clamp32(r regState) regState {
-	if r.exact() {
-		v := uint64(uint32(r.vmin))
-		return regState{typ: tScalar, vmin: v, vmax: v}
-	}
-	if r.vmax > 0xffffffff {
-		return regState{typ: tScalar, vmin: 0, vmax: 0xffffffff}
-	}
-	return r
-}
-
-// rangeALU transfers unsigned ranges through an ALU op. Exact × exact
-// is EvalALU, the VM's own semantics; bounded ranges propagate where
-// the operation is monotone; everything else widens to unbounded. For
-// a 32-bit op the caller truncates the operands and the result; is32
-// selects the shift-count mask.
-func rangeALU(op uint8, a, b regState, is32 bool) regState {
-	if a.exact() && b.exact() {
-		r, ok := EvalALU(op, is32, a.vmin, b.vmin)
-		if !ok {
-			return scalarUnknown()
-		}
-		return regState{typ: tScalar, vmin: r, vmax: r}
-	}
-
-	shiftMask := uint64(63)
-	if is32 {
-		shiftMask = 31
-	}
-	bounded := func(r regState) bool { return r.vmax < 1<<62 }
-	switch op {
-	case ALUAdd:
-		if bounded(a) && bounded(b) {
-			return regState{typ: tScalar, vmin: a.vmin + b.vmin, vmax: a.vmax + b.vmax}
-		}
-	case ALUSub:
-		if bounded(a) && bounded(b) && a.vmin >= b.vmax {
-			return regState{typ: tScalar, vmin: a.vmin - b.vmax, vmax: a.vmax - b.vmin}
-		}
-	case ALUMul:
-		if bounded(a) && bounded(b) && (a.vmax == 0 || b.vmax <= (1<<62)/maxU(a.vmax, 1)) {
-			return regState{typ: tScalar, vmin: a.vmin * b.vmin, vmax: a.vmax * b.vmax}
-		}
-	case ALUDiv:
-		if b.exact() && b.vmin > 0 {
-			return regState{typ: tScalar, vmin: a.vmin / b.vmin, vmax: a.vmax / b.vmin}
-		}
-	case ALUMod:
-		if b.exact() && b.vmin > 0 {
-			return regState{typ: tScalar, vmin: 0, vmax: b.vmin - 1}
-		}
-	case ALUAnd:
-		// a & b cannot exceed either operand.
-		return regState{typ: tScalar, vmin: 0, vmax: minU(a.vmax, b.vmax)}
-	case ALUOr, ALUXor:
-		if bounded(a) && bounded(b) {
-			// a|b and a^b are both ≤ a+b.
-			return regState{typ: tScalar, vmin: 0, vmax: a.vmax + b.vmax}
-		}
-	case ALULsh:
-		if b.exact() {
-			k := b.vmin & shiftMask
-			if a.vmax <= (unboundedMax>>k) && bounded(a) {
-				return regState{typ: tScalar, vmin: a.vmin << k, vmax: a.vmax << k}
-			}
-		}
-	case ALURsh:
-		if b.exact() {
-			k := b.vmin & shiftMask
-			return regState{typ: tScalar, vmin: a.vmin >> k, vmax: a.vmax >> k}
-		}
-	}
-	return scalarUnknown()
-}
-
-func minU(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+	return scalar(ALU(op, is32, dst.val, src.val)), nil
 }
 
 // checkMem validates a load or store of size bytes at base + insnOff,
 // where base may carry a bounded variable offset: every byte of
-// [off+vmin, off+vmax+size) must be inside the region.
+// [off+val.Lo, off+val.Hi+size) must be inside the region.
 func (v *verifier) checkMem(st *absState, base regState, off int64, size int, write bool) error {
 	if base.typ == tScalar {
 		return errors.New("dereference of scalar (not a pointer)")
@@ -695,18 +537,18 @@ func (v *verifier) checkMem(st *absState, base regState, off int64, size int, wr
 	if base.typ == tMapValueOrNull {
 		return errors.New("dereference of possibly-null map pointer (missing null check)")
 	}
-	if base.vmax >= 1<<31 {
+	if base.val.Hi >= 1<<31 {
 		return errors.New("dereference with unbounded variable offset")
 	}
-	lo := base.off + off + int64(base.vmin)
-	hi := base.off + off + int64(base.vmax) + int64(size)
+	lo := base.off + off + int64(base.val.Lo)
+	hi := base.off + off + int64(base.val.Hi) + int64(size)
 	switch base.typ {
 	case tPtrStack:
 		if lo < 0 || hi > StackSize {
 			return fmt.Errorf("stack access [%d,%d) outside [-%d,0) of r10", lo-StackSize, hi-StackSize, StackSize)
 		}
 		if write {
-			if base.vmin == base.vmax {
+			if base.val.IsExact() {
 				for i := lo; i < hi; i++ {
 					st.stack[i] = true
 				}
@@ -762,7 +604,7 @@ func (v *verifier) call(pc int, st absState, ins Instruction) ([]edge, error) {
 		if v.cfg.Maps == nil {
 			return nil, errors.New("program uses maps but none are configured")
 		}
-		m, err := v.cfg.Maps.Get(int(r1.vmin))
+		m, err := v.cfg.Maps.Get(int(r1.val.Lo))
 		if err != nil {
 			return nil, err
 		}
@@ -775,7 +617,7 @@ func (v *verifier) call(pc int, st absState, ins Instruction) ([]edge, error) {
 			}
 		}
 		if ins.Imm == HelperMapLookup {
-			st.regs[R0] = regState{typ: tMapValueOrNull, mapID: int(r1.vmin)}
+			st.regs[R0] = regState{typ: tMapValueOrNull, mapID: int(r1.val.Lo)}
 		} else {
 			st.regs[R0] = scalarUnknown()
 		}

@@ -552,10 +552,9 @@ func (vm *VM) Run(ctx []byte) (uint64, error) {
 // else that needs the exact result of an instruction — the verifier's
 // constant tracking, ehdl's constant folding — calls this.
 func EvalALU(op uint8, is32 bool, dst, src uint64) (res uint64, ok bool) {
-	shiftMask := uint64(63)
+	mask := shiftMask(is32)
 	if is32 {
 		dst, src = uint64(uint32(dst)), uint64(uint32(src))
-		shiftMask = 31
 	}
 	switch op {
 	case ALUAdd:
@@ -580,14 +579,14 @@ func EvalALU(op uint8, is32 bool, dst, src uint64) (res uint64, ok bool) {
 	case ALUXor:
 		res = dst ^ src
 	case ALULsh:
-		res = dst << (src & shiftMask)
+		res = dst << (src & mask)
 	case ALURsh:
-		res = dst >> (src & shiftMask)
+		res = dst >> (src & mask)
 	case ALUArsh:
 		if is32 {
-			res = uint64(int32(dst) >> (src & shiftMask))
+			res = uint64(int32(dst) >> (src & mask))
 		} else {
-			res = uint64(int64(dst) >> (src & shiftMask))
+			res = uint64(int64(dst) >> (src & mask))
 		}
 	case ALUNeg:
 		res = -dst
@@ -600,6 +599,14 @@ func EvalALU(op uint8, is32 bool, dst, src uint64) (res uint64, ok bool) {
 		res = uint64(uint32(res))
 	}
 	return res, true
+}
+
+// shiftMask is what a shift at the given width ANDs its count with.
+func shiftMask(is32 bool) uint64 {
+	if is32 {
+		return 31
+	}
+	return 63
 }
 
 // EvalJump reports whether branch operation op (JmpA … JmpSLe) is taken

@@ -129,8 +129,8 @@ type Device struct {
 	interrupt func(qid int, c Completion)
 
 	queues   []*queuePair
-	channels []sim.Time       // per-flash-channel busy horizon
-	store    map[int64][]byte // sparse LBA → block payload
+	channels []sim.Time // per-flash-channel busy horizon
+	store    blockTable // sparse LBA → block payload
 
 	// plan is the fault plane (media errors, swallowed commands,
 	// transient read corruption); see SetFaultPlan.
@@ -182,7 +182,6 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		cfg:      cfg,
 		eng:      eng,
 		channels: make([]sim.Time, cfg.Channels),
-		store:    make(map[int64][]byte),
 		evName:   "nvme:" + cfg.Name,
 	}
 	for i := 0; i < cfg.MaxQueuePairs; i++ {
@@ -548,7 +547,7 @@ func (d *Device) fill(dst []byte, lba int64, blocks int, zeroed bool) {
 	bs := d.cfg.BlockSize
 	for i := 0; i < blocks; i++ {
 		span := dst[i*bs : (i+1)*bs]
-		if b, ok := d.store[lba+int64(i)]; ok {
+		if b := d.store.get(lba + int64(i)); b != nil {
 			copy(span, b)
 		} else if !zeroed {
 			clear(span)
@@ -560,12 +559,7 @@ func (d *Device) fill(dst []byte, lba int64, blocks int, zeroed bool) {
 // for a block never written. Blocks are stored at full block size and
 // a rewrite reuses the buffer.
 func (d *Device) block(lba int64) []byte {
-	blk := d.store[lba]
-	if blk == nil {
-		blk = make([]byte, d.cfg.BlockSize)
-		d.store[lba] = blk
-	}
-	return blk
+	return d.store.block(lba, d.cfg.BlockSize)
 }
 
 func (d *Device) writeStore(lba int64, data []byte) {
@@ -580,7 +574,7 @@ func (d *Device) writeStore(lba int64, data []byte) {
 
 // StoredBlocks reports how many distinct blocks have been written (for
 // tests and capacity accounting).
-func (d *Device) StoredBlocks() int { return len(d.store) }
+func (d *Device) StoredBlocks() int { return d.store.n }
 
 // Functional (synchronous) access path. The storage structures above the
 // segment store execute their logic functionally and charge modeled
@@ -597,7 +591,7 @@ func (d *Device) ReadSyncInto(dst []byte, lba int64, blocks int) {
 // the device's shared zero block for a block never written. The result
 // is read-only and valid until lba is next written.
 func (d *Device) BorrowSync(lba int64) []byte {
-	if b, ok := d.store[lba]; ok {
+	if b := d.store.get(lba); b != nil {
 		return b
 	}
 	if d.zero == nil {
@@ -653,9 +647,8 @@ type Host struct {
 	dev      *Device
 	ring     func(q int) // doorbell write (via PCIe MMIO in the full system)
 	nextCID  uint16
-	pending  map[uint16]func(Completion)
+	cmds     []hostCmd    // outstanding commands, indexed by CID (see hostCmd)
 	deadline sim.Duration // 0 = no deadline (the default)
-	timers   map[uint16]sim.EventRef
 	rec      *telemetry.Recorder
 	opFree   []*hostOp
 	opSlab   slab[hostOp]
@@ -672,7 +665,7 @@ func (h *Host) SetRecorder(rec *telemetry.Recorder) { h.rec = rec }
 // NewHost builds a driver for dev. ring performs the doorbell write for
 // queue q; pass nil to ring the device directly (unit tests).
 func NewHost(dev *Device, ring func(q int)) *Host {
-	h := &Host{dev: dev, ring: ring, pending: make(map[uint16]func(Completion))}
+	h := &Host{dev: dev, ring: ring}
 	dev.Bind(dev.dma, h.onInterrupt) // preserve any existing dma hook
 	return h
 }
@@ -682,28 +675,85 @@ func NewHost(dev *Device, ring func(q int)) *Host {
 // StatusTimeout completion and forgets the command (a late device
 // completion for it is dropped). Zero — the default — disables
 // deadlines and leaves submission bit-identical to the unarmed driver.
-func (h *Host) SetDeadline(d sim.Duration) {
-	h.deadline = d
-	if d > 0 && h.timers == nil {
-		h.timers = make(map[uint16]sim.EventRef)
-	}
+func (h *Host) SetDeadline(d sim.Duration) { h.deadline = d }
+
+// hostCmd is one slot of the host's command table. A CID is a
+// queue-slot index on the wire and it is one here: the table is a
+// power-of-two array indexed by the CID's low bits, a slot is occupied
+// — cb non-nil — exactly while its command is outstanding, and the
+// table doubles when a new CID lands on an older outstanding command,
+// so it is as large as the span of outstanding CIDs (a few slots for a
+// closed loop, 65 536 at most, where a slot is a CID) however many
+// commands the host has submitted.
+type hostCmd struct {
+	cb    func(Completion)
+	timer sim.EventRef // the armed deadline, if any
+	cid   uint16
 }
 
-func (h *Host) onInterrupt(qid int, c Completion) {
-	if cb, ok := h.pending[c.CID]; ok {
-		delete(h.pending, c.CID)
-		if ref, armed := h.timers[c.CID]; armed {
-			h.dev.eng.Cancel(ref)
-			delete(h.timers, c.CID)
-		}
-		cb(c)
+// outstanding returns the slot of the command outstanding under cid, or
+// nil: completed, timed out, or never issued with a callback.
+func (h *Host) outstanding(cid uint16) *hostCmd {
+	if len(h.cmds) == 0 {
+		return nil
 	}
+	s := &h.cmds[int(cid)&(len(h.cmds)-1)]
+	if s.cb == nil || s.cid != cid {
+		return nil
+	}
+	return s
+}
+
+// onInterrupt completes the command outstanding under c.CID; a
+// completion for any other CID is dropped.
+func (h *Host) onInterrupt(qid int, c Completion) {
+	s := h.outstanding(c.CID)
+	if s == nil {
+		return
+	}
+	cb, timer := s.cb, s.timer
+	*s = hostCmd{}
+	h.dev.eng.Cancel(timer) // a no-op when no deadline was armed
+	cb(c)
+}
+
+// allocCID advances the CID counter to the next CID with no command
+// outstanding — after the 16-bit counter wraps, a parked command keeps
+// its CID; ok is false when all 65 536 are taken.
+func (h *Host) allocCID() (cid uint16, ok bool) {
+	for range 1 << 16 {
+		h.nextCID++
+		if h.outstanding(h.nextCID) == nil {
+			return h.nextCID, true
+		}
+	}
+	return 0, false
+}
+
+// claim returns the empty slot for cid, which no outstanding command
+// holds. While an older command sits where cid maps the table doubles:
+// two CIDs share a slot only below 65 536 slots, so this ends.
+func (h *Host) claim(cid uint16) *hostCmd {
+	for len(h.cmds) == 0 || h.cmds[int(cid)&(len(h.cmds)-1)].cb != nil {
+		old := h.cmds
+		h.cmds = make([]hostCmd, max(2*len(old), 16))
+		for _, s := range old {
+			if s.cb != nil {
+				h.cmds[int(s.cid)&(len(h.cmds)-1)] = s
+			}
+		}
+	}
+	return &h.cmds[int(cid)&(len(h.cmds)-1)]
 }
 
 // Submit issues cmd on queue q and invokes cb on completion.
 func (h *Host) Submit(q int, cmd Command, cb func(Completion)) error {
-	h.nextCID++
-	cmd.CID = h.nextCID
+	cid, ok := h.allocCID()
+	if !ok {
+		h.QueueErr++
+		return ErrQueueFull
+	}
+	cmd.CID = cid
 	if err := h.dev.Enqueue(q, cmd); err != nil {
 		h.QueueErr++
 		return err
@@ -717,16 +767,17 @@ func (h *Host) Submit(q int, cmd Command, cb func(Completion)) error {
 		}
 	}
 	if cb != nil {
-		h.pending[cmd.CID] = cb
+		s := h.claim(cid)
+		s.cb, s.cid = cb, cid
 		if h.deadline > 0 {
-			cid := cmd.CID
-			h.timers[cid] = h.dev.eng.After(h.deadline, "nvme.deadline:"+h.dev.cfg.Name, func() {
-				if pcb, ok := h.pending[cid]; ok {
-					delete(h.pending, cid)
-					delete(h.timers, cid)
-					h.Timeouts++
-					pcb(Completion{CID: cid, Status: StatusTimeout})
-				}
+			// The completion cancels this timer, so when it fires the
+			// command it was armed for is still outstanding.
+			s.timer = h.dev.eng.After(h.deadline, "nvme.deadline:"+h.dev.cfg.Name, func() {
+				s := h.outstanding(cid)
+				pcb := s.cb
+				*s = hostCmd{}
+				h.Timeouts++
+				pcb(Completion{CID: cid, Status: StatusTimeout})
 			})
 		}
 	}

@@ -226,6 +226,15 @@ func TestStoredBlocksAccounting(t *testing.T) {
 	if got := dev.StoredBlocks(); got != 6 {
 		t.Fatalf("StoredBlocks = %d, want 6", got)
 	}
+	dev.WriteSync(10, make([]byte, 4096*6)) // rewrite: the same six blocks
+	if got := dev.StoredBlocks(); got != 6 {
+		t.Fatalf("StoredBlocks after rewrite = %d, want 6", got)
+	}
+	dev.PatchSync(500, 4090, make([]byte, 12)) // runs on into fresh block 501
+	dev.PatchSync(700, 0, nil)                 // materializes even when empty
+	if got := dev.StoredBlocks(); got != 9 {
+		t.Fatalf("StoredBlocks after patching fresh blocks = %d, want 9", got)
+	}
 }
 
 func BenchmarkRandomRead4K(b *testing.B) {

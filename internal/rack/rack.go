@@ -177,7 +177,10 @@ func (op *readOp) done(data []byte, status uint16) {
 }
 
 // kvOp is one KV request whose storage access has been done and whose
-// modeled cost is still elapsing.
+// modeled cost is still elapsing. val is the op's own buffer: a get
+// reads its value into it and the capacity stays with the op across
+// recycling, so a box copies values out of its store without
+// allocating.
 type kvOp struct {
 	b       *box
 	kind    uint16 // reply kind; respPut marks the primary's local write
@@ -187,27 +190,35 @@ type kvOp struct {
 	fn      func() // prebound done
 }
 
-// later answers (kind, id, aux, val) to src once the cost the view has
-// accumulated has elapsed; for respPut it counts the primary's local
-// write of rep slot id instead.
-func (b *box) later(name string, kind uint16, src sim.LP, id, aux uint64, val []byte) {
+// takeKVOp takes an op from the box's pool, its value buffer empty.
+func (b *box) takeKVOp() *kvOp {
 	op, fresh := b.kvOps.get()
 	if fresh {
 		op.b, op.fn = b, op.done
 	}
-	op.kind, op.src, op.id, op.aux, op.val = kind, src, id, aux, val
+	op.val = op.val[:0]
+	return op
+}
+
+// later answers (kind, id, aux, op.val) to src once the cost the view
+// has accumulated has elapsed; for respPut it counts the primary's
+// local write of rep slot id instead.
+func (b *box) later(op *kvOp, name string, kind uint16, src sim.LP, id, aux uint64) {
+	op.kind, op.src, op.id, op.aux = kind, src, id, aux
 	b.view.Complete(b.eng, name, op.fn)
 }
 
+// done answers and then recycles: reply copies op.val into the wire
+// buffer and only queues an envelope, so nothing can reach for the op
+// before it is back in the pool.
 func (op *kvOp) done() {
-	b, kind, src, id, aux, val := op.b, op.kind, op.src, op.id, op.aux, op.val
-	op.val = nil
-	b.kvOps.put(op)
-	if kind == respPut {
-		b.repDone(id)
-		return
+	b := op.b
+	if op.kind == respPut {
+		b.repDone(op.id)
+	} else {
+		b.reply(op.src, op.kind, op.id, op.aux, op.val)
 	}
-	b.reply(src, kind, id, aux, val)
+	b.kvOps.put(op)
 }
 
 // repState tracks one in-flight replicated put at its primary.
@@ -410,15 +421,17 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 		}
 	case opKVGet:
 		b.gets++
-		val, found, err := b.kv.Get(b.key(env.B))
+		op := b.takeKVOp()
+		val, found, err := b.kv.GetAppend(op.val, b.key(env.B))
 		if err != nil {
 			panic(fmt.Sprintf("rack: box %d get: %v", b.idx, err))
 		}
+		op.val = val
 		aux := uint64(0)
 		if found {
 			aux = 1
 		}
-		b.later(b.getName, respGet, env.Src, env.A, aux, val)
+		b.later(op, b.getName, respGet, env.Src, env.A, aux)
 	case opKVPut:
 		b.puts++
 		if err := b.kv.Put(b.key(env.B), env.Data); err != nil {
@@ -434,12 +447,12 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 			sh.Send(b.lp, peer.lp, delay, repPut, rid, env.B, env.Data)
 		}
 		// The local write acks once its modeled cost has elapsed.
-		b.later(b.putName, respPut, 0, rid, 0, nil)
+		b.later(b.takeKVOp(), b.putName, respPut, 0, rid, 0)
 	case repPut:
 		if err := b.kv.Put(b.key(env.B), env.Data); err != nil {
 			panic(fmt.Sprintf("rack: box %d replica put: %v", b.idx, err))
 		}
-		b.later(b.repName, repAck, env.Src, env.A, 0, nil)
+		b.later(b.takeKVOp(), b.repName, repAck, env.Src, env.A, 0)
 	case repAck:
 		b.repDone(env.A)
 	default:

@@ -73,14 +73,14 @@ func (a *allocator) release(addr, n int64) {
 }
 
 // lruCache models the hardware segment-descriptor cache. It caches the
-// descriptor pointer, so a translation hit is one map access (the owner
-// keeps it coherent by removing freed objects). The recency order is an
-// index-linked list over a node arena, so get, put, and remove are O(1)
-// with no steady-state allocation; eviction order is identical to the
-// textbook list form (front = LRU, back = MRU).
+// descriptor pointer, so a translation hit is one index probe (the
+// owner keeps it coherent by removing freed objects). The recency order
+// is an index-linked list over a node arena, so get, put, and remove are
+// O(1) with no steady-state allocation; eviction order is identical to
+// the textbook list form (front = LRU, back = MRU).
 type lruCache struct {
 	cap        int
-	idx        map[ObjectID]int32
+	idx        oidIndex
 	nodes      []lruNode
 	head, tail int32 // head = LRU, tail = MRU; -1 when empty
 	freeList   int32 // recycled node indexes, chained via next
@@ -95,7 +95,6 @@ type lruNode struct {
 func newLRU(cap int) *lruCache {
 	return &lruCache{
 		cap:      cap,
-		idx:      make(map[ObjectID]int32, cap),
 		head:     -1,
 		tail:     -1,
 		freeList: -1,
@@ -103,7 +102,7 @@ func newLRU(cap int) *lruCache {
 }
 
 func (c *lruCache) get(id ObjectID) (*Segment, bool) {
-	i, ok := c.idx[id]
+	i, ok := c.idx.get(id)
 	if !ok {
 		return nil, false
 	}
@@ -112,15 +111,15 @@ func (c *lruCache) get(id ObjectID) (*Segment, bool) {
 }
 
 func (c *lruCache) put(id ObjectID, sg *Segment) {
-	if i, ok := c.idx[id]; ok {
+	if i, ok := c.idx.get(id); ok {
 		c.nodes[i].val = sg
 		c.moveBack(i)
 		return
 	}
-	if len(c.idx) >= c.cap {
+	if c.idx.n >= c.cap {
 		v := c.head
 		c.unlink(v)
-		delete(c.idx, c.nodes[v].key)
+		c.idx.del(c.nodes[v].key)
 		c.nodes[v].val = nil
 		c.nodes[v].next = c.freeList
 		c.freeList = v
@@ -135,16 +134,16 @@ func (c *lruCache) put(id ObjectID, sg *Segment) {
 		i = int32(len(c.nodes) - 1)
 	}
 	c.pushBack(i)
-	c.idx[id] = i
+	c.idx.set(id, i)
 }
 
 func (c *lruCache) remove(id ObjectID) {
-	i, ok := c.idx[id]
+	i, ok := c.idx.get(id)
 	if !ok {
 		return
 	}
 	c.unlink(i)
-	delete(c.idx, id)
+	c.idx.del(id)
 	c.nodes[i].val = nil
 	c.nodes[i].next = c.freeList
 	c.freeList = i

@@ -459,12 +459,19 @@ func BenchmarkLookupCached(b *testing.B) {
 	s := New(eng, scfg, []*nvme.Host{host})
 	id := OID(1, 1)
 	_, _ = s.Alloc(id, 4096, false, HintHot)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	one := func() {
 		if _, _, err := s.Lookup(id); err != nil {
 			b.Fatal(err)
 		}
+	}
+	one()
+	if a := testing.AllocsPerRun(200, one); a != 0 {
+		b.Fatalf("cached lookup allocates %v objects/op, want 0", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		one()
 	}
 }
 

@@ -261,7 +261,7 @@ func (s *Store) split(addr int64) (dev int, lba int64) {
 func (s *Store) Lookup(id ObjectID) (*Segment, sim.Duration, error) {
 	s.Lookups++
 	// The cache stores the descriptor pointer itself, so a hit resolves
-	// in one map access; Free removes entries, and table pointers are
+	// in one index probe; Free removes entries, and table pointers are
 	// stable for an object's lifetime, so a cached pointer never dangles.
 	if s.cache != nil {
 		if sg, ok := s.cache.get(id); ok {

@@ -22,7 +22,9 @@
 //     independent because each LP's own send order is preserved;
 //   - each shard owns its engine, event pool and receive-event free
 //     list outright; the coordinator touches them only while every
-//     worker is parked at the barrier (channel happens-before);
+//     worker is parked at the barrier (channel happens-before). An
+//     envelope is written once, by its sender, into a recvEvent from
+//     the sender's free list, and changes owner at the barrier;
 //   - shard engines never share a Rand: model code that must stay
 //     shard-count invariant draws from per-LP generators seeded from
 //     the scenario seed, not from Engine.Rand.
@@ -62,25 +64,13 @@ type Envelope struct {
 // engine events or Send further envelopes.
 type Handler func(sh *Shard, env Envelope)
 
-// outEnv is a pending send parked in its source shard's outbox until
-// the next barrier. Payload bytes live in the shard arena as [off,
-// off+n) so the hot path never allocates per send.
-type outEnv struct {
-	at       Time
-	src, dst LP
-	kind     uint16
-	a, b     uint64
-	off, n   int
-	seq      uint64
-}
-
-// recvEvent carries one delivered envelope into the destination
-// engine. Instances (and their payload buffers) cycle through a
-// per-shard free list; the coordinator fills them at barriers, the
-// shard recycles them after the handler returns, and the two never
-// run concurrently.
+// recvEvent is one envelope from Send to its handler: the sender fills
+// an instance from its own free list, the coordinator re-homes it to
+// the destination shard at the next barrier, and that shard recycles it
+// (payload buffer included) after the handler returns. Sender,
+// coordinator and receiver never hold it concurrently.
 type recvEvent struct {
-	sh   *Shard
+	sh   *Shard // the shard that fires it; set at the barrier
 	at   Time
 	src  LP
 	dst  LP
@@ -114,8 +104,7 @@ type Shard struct {
 
 	// Outbox: filled by Send during a window, drained by the
 	// coordinator at the following barrier.
-	out     []outEnv
-	arena   []byte
+	out     []*recvEvent
 	sendSeq uint64
 
 	// Inbox: recvEvents routed here at a barrier, sorted, injected.
@@ -146,7 +135,8 @@ func (sh *Shard) Engine() *Engine { return sh.eng }
 // the shard's current time. delay must be at least the cluster
 // lookahead — that bound is what lets every shard run a full window
 // without seeing its peers' in-flight messages. data is copied
-// immediately; the caller keeps the slice.
+// immediately — the only copy an envelope's bytes get — and the caller
+// keeps the slice.
 func (sh *Shard) Send(src, dst LP, delay Duration, kind uint16, a, b uint64, data []byte) {
 	cl := sh.cl
 	if int(src) >= len(cl.handlers) || int(dst) >= len(cl.handlers) || src < 0 || dst < 0 {
@@ -158,13 +148,11 @@ func (sh *Shard) Send(src, dst LP, delay Duration, kind uint16, a, b uint64, dat
 	if delay < cl.lookahead {
 		panic(fmt.Sprintf("sim: Send delay %v below cluster lookahead %v: conservative windows would miss it", delay, cl.lookahead))
 	}
-	off := len(sh.arena)
-	sh.arena = append(sh.arena, data...)
-	sh.out = append(sh.out, outEnv{
-		at: sh.eng.Now().Add(delay), src: src, dst: dst,
-		kind: kind, a: a, b: b,
-		off: off, n: len(data), seq: sh.sendSeq,
-	})
+	re := sh.getRecvEvent()
+	re.at, re.src, re.dst = sh.eng.Now().Add(delay), src, dst
+	re.kind, re.a, re.b, re.seq = kind, a, b, sh.sendSeq
+	re.data = append(re.data, data...)
+	sh.out = append(sh.out, re)
 	sh.sendSeq++
 	sh.sends++
 }
@@ -175,7 +163,7 @@ func (sh *Shard) getRecvEvent() *recvEvent {
 		sh.reFree = sh.reFree[:n-1]
 		return re
 	}
-	re := &recvEvent{sh: sh}
+	re := &recvEvent{}
 	re.fn = re.fire
 	return re
 }
@@ -301,24 +289,26 @@ func (cl *Cluster) lbts() (Time, bool) {
 	return min, any
 }
 
-// exchange routes every parked envelope to its destination shard and
+// exchange hands every parked envelope to its destination shard and
 // injects it as an engine event. It runs strictly between windows —
 // single-threaded — so it may touch every shard's state. Per
 // destination, envelopes sort by (deliverAt, src, send-seq): a total
 // order independent of the LP→shard layout (see the package comment).
 func (cl *Cluster) exchange() {
 	for _, src := range cl.shards {
-		for i := range src.out {
-			oe := &src.out[i]
-			dst := cl.shards[cl.lpShard[oe.dst]]
-			re := dst.getRecvEvent()
-			re.at, re.src, re.dst = oe.at, oe.src, oe.dst
-			re.kind, re.a, re.b, re.seq = oe.kind, oe.a, oe.b, oe.seq
-			re.data = append(re.data[:0], src.arena[oe.off:oe.off+oe.n]...)
+		for _, re := range src.out {
+			dst := cl.shards[cl.lpShard[re.dst]]
+			re.sh = dst
+			// The event will retire onto dst's free list: take one back
+			// for each that leaves, or one-way traffic would pile every
+			// event the sender ever allocates up at the receiver.
+			if n := len(dst.reFree); dst != src && n > 0 {
+				src.reFree = append(src.reFree, dst.reFree[n-1])
+				dst.reFree = dst.reFree[:n-1]
+			}
 			dst.pending = append(dst.pending, re)
 		}
 		src.out = src.out[:0]
-		src.arena = src.arena[:0]
 	}
 	for _, dst := range cl.shards {
 		if len(dst.pending) == 0 {

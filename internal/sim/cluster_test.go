@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -197,4 +198,96 @@ func TestClusterPanics(t *testing.T) {
 	cl.Run()
 	expectPanic("run twice", func() { cl.Run() })
 	expectPanic("add after run", func() { cl.AddLP(0, func(*Shard, Envelope) {}) })
+}
+
+// TestClusterOneWayTrafficRecyclesEvents: shard 0 only sends, shard 1
+// only receives. An envelope's recvEvent comes from the sender's free
+// list and retires onto the receiver's, so without the hand-back at the
+// barrier the sender would allocate one per envelope. Every event ever
+// allocated sits on some free list once Run returns: their number must
+// stay within a small constant of the peak in flight, not grow with
+// the 100 k envelopes sent.
+func TestClusterOneWayTrafficRecyclesEvents(t *testing.T) {
+	const burst, rounds = 8, 12_500
+	cl := NewCluster(2, 1, testLA)
+	received := 0
+	sink := cl.AddLP(1, func(sh *Shard, env Envelope) { received++ })
+	src := cl.AddLP(0, func(sh *Shard, env Envelope) {})
+	sh := cl.Shard(0)
+	payload := make([]byte, 64)
+	round := 0
+	var tick func()
+	tick = func() {
+		for i := 0; i < burst; i++ {
+			sh.Send(src, sink, testLA, 0, 0, 0, payload)
+		}
+		if round++; round < rounds {
+			sh.Engine().After(testLA, "tick", tick)
+		}
+	}
+	sh.Engine().At(0, "tick", tick)
+	cl.Run()
+	if received != burst*rounds {
+		t.Fatalf("received %d envelopes, want %d", received, burst*rounds)
+	}
+	// A burst is delivered one lookahead after it is sent, as the next
+	// is: at most two bursts are ever in flight.
+	allocated := len(cl.Shard(0).reFree) + len(cl.Shard(1).reFree)
+	if allocated > 3*burst {
+		t.Fatalf("%d recvEvents allocated for %d envelopes with at most %d in flight",
+			allocated, received, 2*burst)
+	}
+	if len(cl.Shard(1).reFree) > 2*burst {
+		t.Fatalf("receiver's free list grew to %d", len(cl.Shard(1).reFree))
+	}
+}
+
+// pingPong4K bounces one 4 KiB envelope between two LPs for hops hops,
+// the way E17's read responses cross the spine; onHop, when non-nil,
+// sees the number of hops left at every delivery.
+func pingPong4K(shards int, hops uint64, onHop func(left uint64)) {
+	cl := NewCluster(shards, 1, testLA)
+	payload := make([]byte, 4096)
+	bounce := func(sh *Shard, env Envelope) {
+		if onHop != nil {
+			onHop(env.A)
+		}
+		if env.A > 0 {
+			sh.Send(env.Dst, env.Src, testLA, 0, env.A-1, 0, payload)
+		}
+	}
+	a := cl.AddLP(0, bounce)
+	b := cl.AddLP(shards-1, bounce)
+	sh := cl.Shard(0)
+	sh.Engine().At(0, "boot", func() { sh.Send(a, b, testLA, 0, hops, 0, payload) })
+	cl.Run()
+}
+
+// BenchmarkClusterSend4K is one hop of a two-LP ping-pong carrying
+// 4 KiB: a Send (the envelope's one copy), a barrier hand-over and
+// sort, a window, a delivery. Once the events and their payload buffers
+// have cycled through the free lists a hop allocates nothing, on one
+// shard and across two.
+func BenchmarkClusterSend4K(b *testing.B) {
+	for _, shards := range []int{1, 2} {
+		var m0, m1 runtime.MemStats
+		pingPong4K(shards, 2000, func(left uint64) {
+			switch left {
+			case 1000:
+				runtime.ReadMemStats(&m0)
+			case 0:
+				runtime.ReadMemStats(&m1)
+			}
+		})
+		// The runtime's own stray objects (a GC cycle starting, the
+		// MemStats reads) land in the window too, a handful per run; one
+		// object per hop would be a thousand. testing.AllocsPerRun draws
+		// the same line by integer division.
+		if n := m1.Mallocs - m0.Mallocs; n >= 100 {
+			b.Fatalf("%d shard(s): 1000 steady-state hops allocated %d objects, want none per hop", shards, n)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	pingPong4K(1, uint64(b.N), nil)
 }

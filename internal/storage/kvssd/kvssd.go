@@ -307,32 +307,40 @@ func (kv *KV) Put(key, val []byte) error {
 	return ErrFull
 }
 
-// Get returns the value for key.
+// Get returns a fresh copy of the value for key.
 func (kv *KV) Get(key []byte) ([]byte, bool, error) {
+	return kv.GetAppend(nil, key)
+}
+
+// GetAppend appends the value for key to dst and returns the extended
+// slice, so a caller that reuses one buffer pays no allocation per get.
+// The result never aliases the store. When the key is absent, or on
+// error, dst comes back unchanged.
+func (kv *KV) GetAppend(dst, key []byte) ([]byte, bool, error) {
 	kv.Gets++
 	h := hash(key)
 	for i := uint64(0); i < maxProbes; i++ {
 		slot := h + i
 		ref, ok, err := kv.idx.Get(slot)
 		if err != nil {
-			return nil, false, err
+			return dst, false, err
 		}
 		if !ok {
-			return nil, false, nil // end of probe chain
+			return dst, false, nil // end of probe chain
 		}
 		if ref == deletedSlot {
 			continue
 		}
 		k, v, err := kv.readRecord(ref)
 		if err != nil {
-			return nil, false, err
+			return dst, false, err
 		}
 		if bytes.Equal(k, key) {
-			return append([]byte(nil), v...), true, nil
+			return append(dst, v...), true, nil
 		}
 		kv.Collisions++
 	}
-	return nil, false, nil
+	return dst, false, nil
 }
 
 // Delete removes key, reporting whether it was present. The index slot

@@ -52,7 +52,29 @@ func TestPutGetDeleteBothBackends(t *testing.T) {
 			if _, ok, _ := kv.Get([]byte("missing")); ok {
 				t.Fatal("found absent key")
 			}
-			ok, err := kv.Delete([]byte("key-0000"))
+			// GetAppend extends the caller's buffer in place and hands
+			// out bytes of its own: a second read into another buffer,
+			// or a Put over the key, must not disturb the first.
+			buf := append(make([]byte, 0, 512), "hdr:"...)
+			first, ok, err := kv.GetAppend(buf, []byte("key-0007"))
+			if err != nil || !ok {
+				t.Fatalf("GetAppend = %v,%v", ok, err)
+			}
+			if &first[0] != &buf[:1][0] {
+				t.Fatal("GetAppend did not extend the caller's buffer in place")
+			}
+			want := append([]byte("hdr:"), bytes.Repeat([]byte{7}, 107)...)
+			second, _, _ := kv.GetAppend(make([]byte, 0, 512), []byte("key-0008"))
+			if err := kv.Put([]byte("key-0007"), bytes.Repeat([]byte{0xEE}, 107)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first, want) || !bytes.Equal(second, bytes.Repeat([]byte{8}, 108)) {
+				t.Fatal("GetAppend results alias each other or the store")
+			}
+			if miss, ok, _ := kv.GetAppend(first, []byte("missing")); ok || !bytes.Equal(miss, want) {
+				t.Fatal("GetAppend of an absent key changed dst")
+			}
+			ok, err = kv.Delete([]byte("key-0000"))
 			if err != nil || !ok {
 				t.Fatalf("Delete = %v,%v", ok, err)
 			}

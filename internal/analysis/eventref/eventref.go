@@ -21,19 +21,24 @@
 //     global timer state corrupts whichever engine touches it second.
 //
 // The datapath pools its per-operation contexts (rpc's call/serveCtx,
-// nvmeof's opCtx) on free lists with prebound callback fields, which
-// opens two more recycle hazards the analyzer covers:
+// nvmeof's opCtx, rack's readOp/kvOp) on sim.FreeList[T] with prebound
+// callback fields. A struct type T is pooled when the package calls
+// (*sim.FreeList[T]).Put anywhere, which opens two more recycle
+// hazards the analyzer covers:
 //
-//   - pushing an object whose struct carries EventRef fields onto a
-//     free list (the `x.fooFree = append(x.fooFree, obj)` idiom — any
-//     slice whose name ends in "Free") without first resetting those
-//     fields, either per-field or with a whole-struct `*obj = T{...}`
-//     write: the recycled instance inherits a stale handle;
+//   - Put of an object whose struct carries EventRef fields without
+//     first resetting those fields, either per-field or with a
+//     whole-struct `*obj = T{...}` write: the recycled instance
+//     inherits a stale handle;
 //   - discarding the EventRef returned by At/After when the callback
 //     is prebound on a pooled instance (a method value or func-typed
 //     field like op.retryFn): once the instance recycles, the pending
 //     timer still fires into it, and without the ref nobody can
 //     Cancel it first.
+//
+// Both rules see a pool only through that one type, so the hand-rolled
+// form is itself a finding: appending a *struct to a slice whose name
+// ends in "Free" (`x.fooFree = append(x.fooFree, obj)`).
 package eventref
 
 import (
@@ -180,20 +185,14 @@ func resetLater(pass *analysis.Pass, stmts []ast.Stmt, path string) bool {
 	return found
 }
 
-// pooledStructs collects the named struct types that cycle through a
-// free list anywhere in the package: an `append(x, obj)` whose slice
-// expression's name ends in "Free" (the repo's pooling idiom) marks
-// obj's pointee type as pooled.
+// pooledStructs collects the named struct types the package recycles:
+// every T of a (*sim.FreeList[T]).Put call.
 func pooledStructs(pass *analysis.Pass) map[*types.Named]bool {
 	pooled := make(map[*types.Named]bool)
 	for _, f := range pass.NonTestFiles() {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isFreeListAppend(pass, call) {
-				return true
-			}
-			for _, arg := range call.Args[1:] {
-				if named := pointeeStruct(typeOf(pass, arg)); named != nil {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if named := freeListPut(pass, call); named != nil {
 					pooled[named] = true
 				}
 			}
@@ -203,17 +202,38 @@ func pooledStructs(pass *analysis.Pass) map[*types.Named]bool {
 	return pooled
 }
 
-// isFreeListAppend matches `append(<...Free>, obj...)`.
-func isFreeListAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
+// freeListPut matches a call of (*sim.FreeList[T]).Put and returns T
+// as instantiated at the call site, or nil when the call is something
+// else or T is not a named struct.
+func freeListPut(pass *analysis.Pass, call *ast.CallExpr) *types.Named {
+	fn := analysis.Callee(pass.TypesInfo, call)
+	if fn == nil || fn.Name() != "Put" || len(call.Args) != 1 {
+		return nil
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	ptr, ok := recv.Type().(*types.Pointer)
+	if !ok || !analysis.IsNamed(ptr.Elem(), simPath, "FreeList") {
+		return nil
+	}
+	return namedStruct(ptr.Elem().(*types.Named).TypeArgs().At(0))
+}
+
+// isHandRolledFreeList matches `append(<...Free>, obj)` with obj a
+// pointer to a named struct: the idiom sim.FreeList replaced.
+func isHandRolledFreeList(pass *analysis.Pass, call *ast.CallExpr) bool {
 	id, ok := analysis.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" || len(call.Args) < 2 {
+	if !ok || id.Name != "append" || len(call.Args) != 2 {
 		return false
 	}
 	if _, ok := pass.TypesInfo.Uses[id].(*types.Builtin); !ok {
 		return false
 	}
 	slicePath := analysis.ExprString(call.Args[0])
-	return strings.HasSuffix(strings.ToLower(slicePath), "free")
+	return strings.HasSuffix(slicePath, "Free") &&
+		pointeeStruct(typeOf(pass, call.Args[1])) != nil
 }
 
 // pointeeStruct returns the named struct behind a *T type, or nil.
@@ -222,7 +242,12 @@ func pointeeStruct(t types.Type) *types.Named {
 	if !ok {
 		return nil
 	}
-	named, ok := ptr.Elem().(*types.Named)
+	return namedStruct(ptr.Elem())
+}
+
+// namedStruct returns t as a named struct type, or nil.
+func namedStruct(t types.Type) *types.Named {
+	named, ok := t.(*types.Named)
 	if !ok {
 		return nil
 	}
@@ -244,30 +269,29 @@ func eventRefFields(named *types.Named) []string {
 	return out
 }
 
-// checkPooled enforces the two free-list recycle rules inside one
-// function body: EventRef fields must be reset before an instance is
-// pushed to a free list, and At/After results must not be discarded
-// when the callback is prebound on a pooled instance.
+// checkPooled enforces the free-list rules inside one function body:
+// EventRef fields must be reset before an instance is Put, At/After
+// results must not be discarded when the callback is prebound on a
+// pooled instance, and no free list is kept by hand.
 func checkPooled(pass *analysis.Pass, body *ast.BlockStmt, pooled map[*types.Named]bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if !isFreeListAppend(pass, n) {
+			if isHandRolledFreeList(pass, n) {
+				pass.Reportf(n.Pos(), "hand-rolled free list: use sim.FreeList, the one pool the recycle rules can see")
 				return true
 			}
-			for _, arg := range n.Args[1:] {
-				named := pointeeStruct(typeOf(pass, arg))
-				if named == nil {
-					continue
-				}
-				objPath := analysis.ExprString(arg)
-				if objPath == "" {
-					continue
-				}
-				for _, field := range eventRefFields(named) {
-					if !resetBefore(body, n.Pos(), objPath, field) {
-						pass.Reportf(n.Pos(), "pooled %s is pushed to a free list with EventRef field %s unreset: assign sim.NoEvent (or reset the whole struct) so the recycled instance does not inherit a stale handle", objPath, field)
-					}
+			named := freeListPut(pass, n)
+			if named == nil {
+				return true
+			}
+			objPath := analysis.ExprString(n.Args[0])
+			if objPath == "" {
+				return true
+			}
+			for _, field := range eventRefFields(named) {
+				if !resetBefore(body, n.Pos(), objPath, field) {
+					pass.Reportf(n.Pos(), "pooled %s is Put on a free list with EventRef field %s unreset: assign sim.NoEvent (or reset the whole struct) so the recycled instance does not inherit a stale handle", objPath, field)
 				}
 			}
 		case *ast.ExprStmt:

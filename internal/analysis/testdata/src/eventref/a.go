@@ -60,8 +60,8 @@ func (d *dev) suppressedCompare(a sim.EventRef) bool {
 	return a == sim.NoEvent
 }
 
-// Pooled-object recycle hazards: free-list pushes and prebound
-// timer callbacks.
+// Pooled-object recycle hazards: sim.FreeList puts and prebound timer
+// callbacks.
 
 type pooledOp struct {
 	eng     *sim.Engine
@@ -69,22 +69,50 @@ type pooledOp struct {
 	retryFn func()
 }
 
-type opPool struct {
-	opFree []*pooledOp
+type opOwner struct {
+	ops sim.FreeList[pooledOp]
 }
 
-func (h *opPool) putUnreset(op *pooledOp) {
-	h.opFree = append(h.opFree, op) // want `EventRef field timer unreset`
+func (h *opOwner) putUnreset(op *pooledOp) {
+	h.ops.Put(op) // want `EventRef field timer unreset`
 }
 
-func (h *opPool) putFieldReset(op *pooledOp) {
+func (h *opOwner) putFieldReset(op *pooledOp) {
 	op.timer = sim.NoEvent
-	h.opFree = append(h.opFree, op)
+	h.ops.Put(op)
 }
 
-func (h *opPool) putWholeReset(op *pooledOp) {
+func (h *opOwner) putWholeReset(op *pooledOp) {
 	*op = pooledOp{eng: op.eng, retryFn: op.retryFn}
-	h.opFree = append(h.opFree, op)
+	h.ops.Put(op)
+}
+
+// A generic owner puts a type parameter, not a struct: T is only known
+// where the owner is instantiated, so there is nothing to check here.
+type genericOwner[T any] struct {
+	ops sim.FreeList[T]
+}
+
+func (g *genericOwner[T]) put(op *T) { g.ops.Put(op) }
+
+// handOp is pooled by hand: the recycle rules cannot see the list, so
+// the list itself is the finding.
+type handOp struct {
+	timer sim.EventRef
+}
+
+type handOwner struct {
+	opFree  []*handOp
+	bufFree [][]byte
+}
+
+func (h *handOwner) put(op *handOp) {
+	op.timer = sim.NoEvent
+	h.opFree = append(h.opFree, op) // want `hand-rolled free list: use sim\.FreeList`
+}
+
+func (h *handOwner) putBuf(b []byte) {
+	h.bufFree = append(h.bufFree, b) // not a *struct: no finding
 }
 
 func (op *pooledOp) tick() {}

@@ -272,97 +272,34 @@ func (w *PageWalker) Translate(page uint64) sim.Duration {
 // page-number prefixes (PML4, PDPT, PD).
 var walkShifts = [3]uint{27, 18, 9}
 
-// lru is a small presence-only LRU (same scheme as seg's descriptor
-// cache, duplicated to keep packages decoupled). The recency order is an
-// index-linked list over a node arena, so get and put are O(1) with no
-// steady-state allocation; eviction order is identical to the textbook
-// list form (front = LRU, back = MRU).
+// lru is a small presence-only LRU: get and put are O(1) with no
+// steady-state allocation.
 type lru struct {
-	cap        int
-	idx        map[uint64]int32
-	nodes      []lruNode
-	head, tail int32 // head = LRU, tail = MRU; -1 when empty
-	freeList   int32 // recycled node indexes, chained via next
-}
-
-type lruNode struct {
-	key        uint64
-	prev, next int32
+	cap   int
+	idx   map[uint64]int32
+	order sim.Recency[uint64]
 }
 
 func newLRU(cap int) *lru {
-	return &lru{
-		cap:      cap,
-		idx:      make(map[uint64]int32, cap),
-		head:     -1,
-		tail:     -1,
-		freeList: -1,
-	}
+	return &lru{cap: cap, idx: make(map[uint64]int32, cap)}
 }
 
 func (c *lru) get(k uint64) bool {
 	i, ok := c.idx[k]
-	if !ok {
-		return false
+	if ok {
+		c.order.MoveBack(i)
 	}
-	c.moveBack(i)
-	return true
+	return ok
 }
 
 func (c *lru) put(k uint64) {
-	if i, ok := c.idx[k]; ok {
-		c.moveBack(i)
+	if c.get(k) {
 		return
 	}
 	if len(c.idx) >= c.cap {
-		v := c.head
-		c.unlink(v)
-		delete(c.idx, c.nodes[v].key)
-		c.nodes[v].next = c.freeList
-		c.freeList = v
+		v := c.order.Front()
+		delete(c.idx, *c.order.At(v))
+		c.order.Remove(v)
 	}
-	var i int32
-	if c.freeList >= 0 {
-		i = c.freeList
-		c.freeList = c.nodes[i].next
-		c.nodes[i] = lruNode{key: k}
-	} else {
-		c.nodes = append(c.nodes, lruNode{key: k})
-		i = int32(len(c.nodes) - 1)
-	}
-	c.pushBack(i)
-	c.idx[k] = i
-}
-
-func (c *lru) unlink(i int32) {
-	n := &c.nodes[i]
-	if n.prev >= 0 {
-		c.nodes[n.prev].next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next >= 0 {
-		c.nodes[n.next].prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-}
-
-func (c *lru) pushBack(i int32) {
-	n := &c.nodes[i]
-	n.prev, n.next = c.tail, -1
-	if c.tail >= 0 {
-		c.nodes[c.tail].next = i
-	} else {
-		c.head = i
-	}
-	c.tail = i
-}
-
-func (c *lru) moveBack(i int32) {
-	if c.tail == i {
-		return
-	}
-	c.unlink(i)
-	c.pushBack(i)
+	c.idx[k] = c.order.PushBack(k)
 }

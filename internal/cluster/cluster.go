@@ -215,9 +215,9 @@ type Router struct {
 
 	rec *telemetry.Recorder
 
-	caps    *wire.Pool
-	putFree []*putCtx
-	getFree []*getCtx
+	caps *wire.Pool
+	puts sim.FreeList[putCtx]
+	gets sim.FreeList[getCtx]
 
 	Routed, Failovers int64
 }
@@ -259,13 +259,11 @@ type putCtx struct {
 }
 
 func (r *Router) getPut() *putCtx {
-	if n := len(r.putFree); n > 0 {
-		p := r.putFree[n-1]
-		r.putFree = r.putFree[:n-1]
-		return p
+	p, fresh := r.puts.Get()
+	if fresh {
+		p.r = r
+		p.doneFn = p.done
 	}
-	p := &putCtx{r: r}
-	p.doneFn = p.done
 	return p
 }
 
@@ -284,7 +282,7 @@ func (p *putCtx) done(_ any, err error) {
 	p.capsule.Release()
 	cb, firstErr := p.cb, p.firstErr
 	*p = putCtx{r: r, doneFn: p.doneFn}
-	r.putFree = append(r.putFree, p)
+	r.puts.Put(p)
 	cb(firstErr)
 }
 
@@ -324,13 +322,11 @@ type getCtx struct {
 }
 
 func (r *Router) getGet() *getCtx {
-	if n := len(r.getFree); n > 0 {
-		g := r.getFree[n-1]
-		r.getFree = r.getFree[:n-1]
-		return g
+	g, fresh := r.gets.Get()
+	if fresh {
+		g.r = r
+		g.doneFn = g.done
 	}
-	g := &getCtx{r: r}
-	g.doneFn = g.done
 	return g
 }
 
@@ -382,6 +378,6 @@ func (g *getCtx) resolve(val []byte, err error) {
 	g.capsule.Release()
 	cb := g.cb
 	*g = getCtx{r: r, doneFn: g.doneFn}
-	r.getFree = append(r.getFree, g)
+	r.gets.Put(g)
 	cb(val, err)
 }

@@ -84,7 +84,7 @@ type DPU struct {
 	handlers map[uint16]func(netsim.Frame)
 	rec      *telemetry.Recorder
 	tenants  *tenant.Controller
-	fig2Free []*fig2Ctx
+	fig2s    sim.FreeList[fig2Ctx]
 
 	Counters sim.CounterSet
 }

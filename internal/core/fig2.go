@@ -63,12 +63,11 @@ type fig2Ctx struct {
 }
 
 func (d *DPU) getFig2() *fig2Ctx {
-	if n := len(d.fig2Free); n > 0 {
-		c := d.fig2Free[n-1]
-		d.fig2Free = d.fig2Free[:n-1]
+	c, fresh := d.fig2s.Get()
+	if !fresh {
 		return c
 	}
-	c := &fig2Ctx{d: d}
+	c.d = d
 	// Stage 1 plumbing: DEMUX + AXIS arbiter, modeled by an AXIS stream
 	// with the fabric's clock and bus width carrying the frame into the
 	// slot.
@@ -85,7 +84,7 @@ func (c *fig2Ctx) fail(err error) {
 	d, reply, tr := c.d, c.reply, c.tr
 	c.reply = nil
 	c.data = nil
-	d.fig2Free = append(d.fig2Free, c)
+	d.fig2s.Put(c)
 	reply(tr, nil, err)
 }
 
@@ -145,7 +144,7 @@ func (c *fig2Ctx) onEgress() {
 	reply, tr, data := c.reply, c.tr, c.data
 	c.reply = nil
 	c.data = nil
-	d.fig2Free = append(d.fig2Free, c)
+	d.fig2s.Put(c)
 	reply(tr, data, nil)
 }
 
@@ -176,7 +175,7 @@ func (d *DPU) Fig2Probe(slot int, ssd int, lba int64, blocks int, reply func(tr 
 	err := c.stream.Push(fabric.Item{Bytes: frameBytes, Payload: probePayload, Span: c.span})
 	if err != nil {
 		c.reply = nil
-		d.fig2Free = append(d.fig2Free, c)
+		d.fig2s.Put(c)
 	}
 	return err
 }

@@ -167,7 +167,7 @@ type Fabric struct {
 
 	rec       *telemetry.Recorder
 	slotNames []string // armed only: precomputed per-slot span names
-	subFree   []*submitCtx
+	submits   sim.FreeList[submitCtx]
 
 	Counters sim.CounterSet
 }
@@ -377,13 +377,11 @@ type submitCtx struct {
 }
 
 func (f *Fabric) getSubmit() *submitCtx {
-	if n := len(f.subFree); n > 0 {
-		sc := f.subFree[n-1]
-		f.subFree = f.subFree[:n-1]
-		return sc
+	sc, fresh := f.submits.Get()
+	if fresh {
+		sc.f = f
+		sc.fireFn = sc.fire
 	}
-	sc := &submitCtx{f: f}
-	sc.fireFn = sc.fire
 	return sc
 }
 
@@ -395,7 +393,7 @@ func (sc *submitCtx) fire() {
 	}
 	result := sc.result
 	sc.img, sc.item, sc.result = nil, nil, nil
-	f.subFree = append(f.subFree, sc)
+	f.submits.Put(sc)
 	if result != nil {
 		result(out)
 	}

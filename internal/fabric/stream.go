@@ -31,20 +31,17 @@ type Stream struct {
 	WidthBytes int // bus width per beat, e.g. 64 for 512-bit AXIS
 	DepthItems int // FIFO capacity in items
 
-	eng      *sim.Engine
-	period   sim.Duration // one beat
-	sink     func(Item)
-	beatName string // precomputed event name
-	beatFn   func() // prebound deliver, reads the queue head at fire time
-	// queue is a head-indexed FIFO: pops advance head, the backing
-	// array recycles once drained, so steady traffic stops allocating.
-	queue      []Item
-	head       int
+	eng        *sim.Engine
+	period     sim.Duration // one beat
+	sink       func(Item)
+	beatName   string // precomputed event name
+	beatFn     func() // prebound deliver, reads the queue head at fire time
+	queue      sim.Queue[Item]
 	busy       bool
 	plan       *fault.Plan
 	rec        *telemetry.Recorder
-	dropName   string     // armed only: precomputed drop-counter name
-	pushAt     []sim.Time // armed only: enqueue time per queued item
+	dropName   string              // armed only: precomputed drop-counter name
+	pushAt     sim.Queue[sim.Time] // armed only: enqueue time per queued item
 	Pushed     int64
 	Dropped    int64 // backpressure drops (FIFO full)
 	FaultDrops int64 // injected drops (item consumed bus beats, then discarded)
@@ -89,7 +86,7 @@ func (s *Stream) SetRecorder(rec *telemetry.Recorder) {
 }
 
 // Len returns the current FIFO occupancy.
-func (s *Stream) Len() int { return len(s.queue) - s.head }
+func (s *Stream) Len() int { return s.queue.Len() }
 
 // Push enqueues an item, or returns ErrStreamFull under backpressure.
 func (s *Stream) Push(it Item) error {
@@ -103,9 +100,9 @@ func (s *Stream) Push(it Item) error {
 		s.Dropped++
 		return ErrStreamFull
 	}
-	s.queue = append(s.queue, it)
+	s.queue.Push(it)
 	if s.rec != nil {
-		s.pushAt = append(s.pushAt, s.eng.Now())
+		s.pushAt.Push(s.eng.Now())
 	}
 	s.Pushed++
 	s.Bytes += int64(it.Bytes)
@@ -122,13 +119,9 @@ func (s *Stream) Push(it Item) error {
 func (s *Stream) deliverNext() {
 	if s.Len() == 0 {
 		s.busy = false
-		if s.head > 0 {
-			s.queue = s.queue[:0]
-			s.head = 0
-		}
 		return
 	}
-	it := s.queue[s.head]
+	it := s.queue.Peek()
 	beats := (it.Bytes + s.WidthBytes - 1) / s.WidthBytes
 	if beats < 1 {
 		beats = 1
@@ -137,15 +130,12 @@ func (s *Stream) deliverNext() {
 }
 
 func (s *Stream) deliver() {
-	it := s.queue[s.head]
-	s.queue[s.head] = Item{}
-	s.head++
+	it := s.queue.Pop()
 	// The enqueue-time shadow queue exists only while armed; if the
 	// recorder was installed mid-flight it may briefly run short.
 	t0 := s.eng.Now()
-	if s.rec != nil && len(s.pushAt) > 0 {
-		t0 = s.pushAt[0]
-		s.pushAt = s.pushAt[1:]
+	if s.rec != nil && s.pushAt.Len() > 0 {
+		t0 = s.pushAt.Pop()
 	}
 	if s.plan.Roll(fault.Drop) {
 		s.FaultDrops++

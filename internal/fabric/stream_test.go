@@ -7,6 +7,7 @@ import (
 
 	"hyperion/internal/fault"
 	"hyperion/internal/sim"
+	"hyperion/internal/telemetry"
 )
 
 // load saturates every arbiter input with n equal-size items tagged
@@ -152,5 +153,33 @@ func TestStreamZeroRatePlanIsNoOp(t *testing.T) {
 	if !reflect.DeepEqual(bo, ao) || bc != ac || bs != as {
 		t.Fatalf("zero-rate plan changed behaviour: order %v vs %v, clock %v vs %v, steps %d vs %d",
 			bo, ao, bc, ac, bs, as)
+	}
+}
+
+// TestArmedStreamSteadyStateAllocFree: an armed stream shadows its FIFO
+// with a queue of enqueue times. Both rewind when they drain, so once
+// they have seen one burst the stream itself allocates nothing for the
+// next (the recorder's span log grows by doubling, far less than once
+// per burst).
+func TestArmedStreamSteadyStateAllocFree(t *testing.T) {
+	eng := sim.NewEngine(1)
+	s := NewStream(eng, "s", 250_000_000, 64, 8)
+	delivered := 0
+	s.Connect(func(Item) { delivered++ })
+	s.SetRecorder(telemetry.NewRecorder("test"))
+	burst := func() {
+		for i := 0; i < 8; i++ {
+			if err := s.Push(Item{Bytes: 64}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run()
+	}
+	burst()
+	if n := testing.AllocsPerRun(200, burst); n != 0 {
+		t.Fatalf("steady-state armed burst allocated %v times, want 0", n)
+	}
+	if delivered != 8*202 {
+		t.Fatalf("delivered %d/%d", delivered, 8*202)
 	}
 }

@@ -9,18 +9,15 @@ import (
 	"hyperion/internal/telemetry"
 )
 
-// wfqPort is one weighted input of a WFQArbiter: a head-indexed FIFO
-// plus the deficit-round-robin bookkeeping for its share of the bus.
+// wfqPort is one weighted input of a WFQArbiter: a FIFO plus the
+// deficit-round-robin bookkeeping for its share of the bus.
 type wfqPort struct {
 	name    string
 	weight  int
 	deficit int64 // accumulated bus beats of credit
 	visited bool  // quantum already granted on the current scheduler visit
-	// queue is a head-indexed FIFO like Stream's: pops advance head and
-	// the backing array recycles once drained.
-	queue  []Item
-	head   int
-	pushAt []sim.Time // armed only: enqueue time per queue entry, same indexing
+	queue   sim.Queue[Item]
+	pushAt  sim.Queue[sim.Time] // armed only: enqueue time per queued item
 
 	Pushed    int64
 	Delivered int64
@@ -28,25 +25,15 @@ type wfqPort struct {
 	Flushed   int64 // items removed by Flush (preemption/eviction)
 }
 
-func (p *wfqPort) len() int { return len(p.queue) - p.head }
-
 // pop removes port p's head item, returning it with its enqueue time
 // (zero unless armed).
 func (w *WFQArbiter) pop(p *wfqPort) (Item, sim.Time) {
-	it := p.queue[p.head]
-	p.queue[p.head] = Item{}
 	var t0 sim.Time
 	if w.rec != nil {
-		t0 = p.pushAt[p.head]
+		t0 = p.pushAt.Pop()
 	}
-	p.head++
 	w.queued--
-	if p.len() == 0 {
-		p.queue = p.queue[:0]
-		p.pushAt = p.pushAt[:0]
-		p.head = 0
-	}
-	return it, t0
+	return p.queue.Pop(), t0
 }
 
 // WFQArbiter merges N weighted input FIFOs onto one bus using deficit
@@ -134,7 +121,7 @@ func (w *WFQArbiter) Weight(i int) int { return w.ports[i].weight }
 func (w *WFQArbiter) Ports() int { return len(w.ports) }
 
 // Len returns port i's FIFO occupancy (excluding an item on the bus).
-func (w *WFQArbiter) Len(i int) int { return w.ports[i].len() }
+func (w *WFQArbiter) Len(i int) int { return w.ports[i].queue.Len() }
 
 // PortStats reports per-port counters (pushed, delivered, backpressure
 // drops, flushed) for telemetry tables.
@@ -158,7 +145,7 @@ func (w *WFQArbiter) CheckInvariants() error {
 		if p.visited && i != w.rr {
 			return fmt.Errorf("wfq %q port %d: visited but scheduler is at port %d", w.Name, i, w.rr)
 		}
-		queued += p.len()
+		queued += p.queue.Len()
 		flushed += p.Flushed
 	}
 	if queued != w.queued {
@@ -208,10 +195,10 @@ func (w *WFQArbiter) SetRecorder(rec *telemetry.Recorder) {
 	now := w.eng.Now()
 	w.curT0 = now
 	for _, p := range w.ports {
-		p.pushAt = p.pushAt[:0]
+		p.pushAt.Reset()
 		if rec != nil {
-			for range p.queue {
-				p.pushAt = append(p.pushAt, now)
+			for n := p.queue.Len(); n > 0; n-- {
+				p.pushAt.Push(now)
 			}
 		}
 	}
@@ -227,13 +214,13 @@ func (w *WFQArbiter) Push(i int, it Item) error {
 	if it.Bytes <= 0 {
 		it.Bytes = 1
 	}
-	if p.len() >= w.DepthItems {
+	if p.queue.Len() >= w.DepthItems {
 		p.Dropped++
 		return ErrStreamFull
 	}
-	p.queue = append(p.queue, it)
+	p.queue.Push(it)
 	if w.rec != nil {
-		p.pushAt = append(p.pushAt, w.eng.Now())
+		p.pushAt.Push(w.eng.Now())
 	}
 	w.queued++
 	p.Pushed++
@@ -251,14 +238,14 @@ func (w *WFQArbiter) Push(i int, it Item) error {
 // recalled — it was committed to the wire — and still reaches the sink.
 func (w *WFQArbiter) Flush(i int) []Item {
 	p := w.ports[i]
-	n := p.len()
+	n := p.queue.Len()
 	if n == 0 {
 		p.deficit = 0
 		p.visited = false
 		return nil
 	}
 	out := make([]Item, 0, n)
-	for p.len() > 0 {
+	for p.queue.Len() > 0 {
 		it, _ := w.pop(p)
 		p.Flushed++
 		out = append(out, it)
@@ -300,15 +287,15 @@ func (w *WFQArbiter) next() {
 	}
 	k := int64(math.MaxInt64)
 	for _, p := range w.ports {
-		if p.len() > 0 {
+		if p.queue.Len() > 0 {
 			wt := int64(p.weight)
-			if r := (w.beats(p.queue[p.head]) - p.deficit + wt - 1) / wt; r < k {
+			if r := (w.beats(p.queue.Peek()) - p.deficit + wt - 1) / wt; r < k {
 				k = r
 			}
 		}
 	}
 	for _, p := range w.ports {
-		if p.len() > 0 {
+		if p.queue.Len() > 0 {
 			p.deficit += (k - 1) * int64(p.weight)
 		}
 	}
@@ -324,7 +311,7 @@ func (w *WFQArbiter) pass() bool {
 	n := len(w.ports)
 	for i := 0; i < n; i++ {
 		p := w.ports[w.rr]
-		if p.len() == 0 {
+		if p.queue.Len() == 0 {
 			p.deficit = 0
 			p.visited = false
 		} else {
@@ -332,7 +319,7 @@ func (w *WFQArbiter) pass() bool {
 				p.deficit += int64(p.weight)
 				p.visited = true
 			}
-			cost := w.beats(p.queue[p.head])
+			cost := w.beats(p.queue.Peek())
 			if p.deficit >= cost {
 				p.deficit -= cost
 				w.cur, w.curT0 = w.pop(p)

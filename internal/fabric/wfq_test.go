@@ -429,9 +429,9 @@ func (d *wfqDiff) check(op string) {
 		d.t.Fatalf("after %s: rr=%d busy=%v, reference rr=%d busy=%v", op, d.arb.rr, d.arb.busy, d.ref.rr, d.ref.busy)
 	}
 	for i, p := range d.arb.ports {
-		if q := &d.ref.ports[i]; p.deficit != q.deficit || p.visited != q.visited || p.len() != len(q.queue) {
+		if q := &d.ref.ports[i]; p.deficit != q.deficit || p.visited != q.visited || p.queue.Len() != len(q.queue) {
 			d.t.Fatalf("after %s: port %d deficit=%d visited=%v len=%d, reference deficit=%d visited=%v len=%d",
-				op, i, p.deficit, p.visited, p.len(), q.deficit, q.visited, len(q.queue))
+				op, i, p.deficit, p.visited, p.queue.Len(), q.deficit, q.visited, len(q.queue))
 		}
 	}
 	if err := d.arb.CheckInvariants(); err != nil {

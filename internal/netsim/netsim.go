@@ -173,14 +173,12 @@ func (fe *frameEvent) deliver() {
 }
 
 func (n *Network) getFrameEvent() *frameEvent {
-	if len(n.feFree) == 0 {
-		fe := &frameEvent{net: n}
+	fe, fresh := n.frameEvents.Get()
+	if fresh {
+		fe.net = n
 		fe.upFn = fe.uplink
 		fe.downFn = fe.deliver
-		return fe
 	}
-	fe := n.feFree[len(n.feFree)-1]
-	n.feFree = n.feFree[:len(n.feFree)-1]
 	return fe
 }
 
@@ -188,7 +186,7 @@ func (n *Network) putFrameEvent(fe *frameEvent) {
 	fe.f = Frame{}
 	fe.dst = nil
 	fe.corrupt = false
-	n.feFree = append(n.feFree, fe)
+	n.frameEvents.Put(fe)
 }
 
 // Network is the fabric: a single switch with one full-duplex link per
@@ -201,7 +199,7 @@ type Network struct {
 	outBusy  map[Addr]sim.Time
 	outQueue map[Addr]int
 
-	feFree []*frameEvent // frame-event free list
+	frameEvents sim.FreeList[frameEvent]
 
 	plan *fault.Plan
 	rec  *telemetry.Recorder

@@ -138,8 +138,7 @@ type Device struct {
 	rec  *telemetry.Recorder
 
 	evName  string // precomputed event name for all device-side events
-	ctxFree []*cmdCtx
-	ctxSlab slab[cmdCtx]
+	ctxs    sim.FreeList[cmdCtx]
 	bufFree [][]byte // payload buffers of completed borrowed reads
 	zero    []byte   // read-only image of a never-written block (BorrowSync)
 
@@ -160,18 +159,13 @@ func (d *Device) SetRecorder(rec *telemetry.Recorder) { d.rec = rec }
 // The functional Sync path is never affected.
 func (d *Device) SetFaultPlan(p *fault.Plan) { d.plan = p }
 
-// queuePair holds the submission queue as a head-indexed FIFO: pushes
-// append, pops advance head, and the backing array recycles once
-// drained, so steady submission stops allocating.
+// queuePair is one submission queue and its in-flight count.
 type queuePair struct {
 	id       int
-	pending  []Command
-	head     int
+	pending  sim.Queue[Command]
 	inFlight int
 	depth    int
 }
-
-func (qp *queuePair) queued() int { return len(qp.pending) - qp.head }
 
 // New creates a device.
 func New(eng *sim.Engine, cfg Config) *Device {
@@ -214,7 +208,7 @@ func (d *Device) MMIORead(off int64) uint64 {
 	if q < 0 || q >= len(d.queues) {
 		return ^uint64(0)
 	}
-	return uint64(d.queues[q].queued() + d.queues[q].inFlight)
+	return uint64(d.queues[q].pending.Len() + d.queues[q].inFlight)
 }
 
 // MMIOWrite implements pcie.Device: a doorbell write makes the device
@@ -235,28 +229,21 @@ func (d *Device) Enqueue(q int, cmd Command) error {
 		return ErrBadQueue
 	}
 	qp := d.queues[q]
-	if qp.queued()+qp.inFlight >= qp.depth {
+	if qp.pending.Len()+qp.inFlight >= qp.depth {
 		return ErrQueueFull
 	}
 	if cmd.Opcode == OpWrite && len(cmd.Data) != cmd.Blocks*d.cfg.BlockSize {
 		return ErrShortWrite
 	}
-	qp.pending = append(qp.pending, cmd)
+	qp.pending.Push(cmd)
 	return nil
 }
 
 // pump starts execution of all pending commands on a queue.
 func (d *Device) pump(qp *queuePair) {
-	for qp.queued() > 0 {
-		cmd := qp.pending[qp.head]
-		qp.pending[qp.head] = Command{}
-		qp.head++
-		if qp.queued() == 0 {
-			qp.pending = qp.pending[:0]
-			qp.head = 0
-		}
+	for qp.pending.Len() > 0 {
 		qp.inFlight++
-		d.execute(qp, cmd)
+		d.execute(qp, qp.pending.Pop())
 	}
 }
 
@@ -270,35 +257,10 @@ const (
 	stageSwallow                // injected firmware hang: free the slot silently
 )
 
-// slab hands out zero values of T carved from chunks that double in
-// size up to slabMax. It backs the cmdCtx and hostOp free lists: E17 is
-// an open loop that overloads the device, so its backlog only grows and
-// those lists never refill — chunking keeps a queued command from
-// costing one allocation per context there, and starting at one keeps
-// a device that serves a handful of commands (E16 builds hundreds) from
-// paying for thirty-two.
-type slab[T any] struct {
-	rest []T // unissued tail of the newest chunk
-	size int // of the newest chunk
-}
-
-const slabMax = 32
-
-func (s *slab[T]) get() *T {
-	if len(s.rest) == 0 {
-		s.size = min(max(2*s.size, 1), slabMax)
-		s.rest = make([]T, s.size)
-	}
-	v := &s.rest[0]
-	s.rest = s.rest[1:]
-	return v
-}
-
 // cmdCtx carries one in-flight command through its event chain. Every
 // event of the chain is the one prebound step function dispatching on
-// stage; instances come from chunked slabs and cycle through the
-// device's free list. status and data set at schedule time are what
-// the completion posts.
+// stage; instances cycle through the device's free list. status and
+// data set at schedule time are what the completion posts.
 type cmdCtx struct {
 	d      *Device
 	qp     *queuePair
@@ -320,12 +282,8 @@ type cmdCtx struct {
 }
 
 func (d *Device) getCtx(qp *queuePair, cmd Command) *cmdCtx {
-	var c *cmdCtx
-	if n := len(d.ctxFree); n > 0 {
-		c = d.ctxFree[n-1]
-		d.ctxFree = d.ctxFree[:n-1]
-	} else {
-		c = d.ctxSlab.get()
+	c, fresh := d.ctxs.Get()
+	if fresh {
 		c.d = d
 		c.step = c.run
 	}
@@ -365,7 +323,7 @@ func (c *cmdCtx) complete() {
 	c.cmd = Command{}
 	c.qp = nil
 	c.timer = sim.NoEvent
-	d.ctxFree = append(d.ctxFree, c)
+	d.ctxs.Put(c)
 	if d.interrupt != nil {
 		d.interrupt(qid, cpl)
 	}
@@ -381,7 +339,7 @@ func (c *cmdCtx) swallow() {
 	c.cmd = Command{}
 	c.qp = nil
 	c.timer = sim.NoEvent
-	d.ctxFree = append(d.ctxFree, c)
+	d.ctxs.Put(c)
 }
 
 // fail schedules a completion with the given status after delay.
@@ -650,8 +608,7 @@ type Host struct {
 	cmds     []hostCmd    // outstanding commands, indexed by CID (see hostCmd)
 	deadline sim.Duration // 0 = no deadline (the default)
 	rec      *telemetry.Recorder
-	opFree   []*hostOp
-	opSlab   slab[hostOp]
+	ops      sim.FreeList[hostOp]
 	QueueErr int64
 	Timeouts int64 // deadline-synthesized StatusTimeout completions
 }
@@ -790,9 +747,9 @@ func (h *Host) Submit(q int, cmd Command, cb func(Completion)) error {
 }
 
 // hostOp adapts a user read/status callback to the Submit completion
-// shape without a per-call closure; instances come from chunked slabs
-// and cycle through the host's free list. dispatch recycles before
-// invoking the callback so it can immediately reissue.
+// shape without a per-call closure; instances cycle through the host's
+// free list. dispatch recycles before invoking the callback so it can
+// immediately reissue.
 type hostOp struct {
 	h      *Host
 	readCb func(data []byte, status uint16)
@@ -801,14 +758,11 @@ type hostOp struct {
 }
 
 func (h *Host) getOp() *hostOp {
-	if n := len(h.opFree); n > 0 {
-		op := h.opFree[n-1]
-		h.opFree = h.opFree[:n-1]
-		return op
+	op, fresh := h.ops.Get()
+	if fresh {
+		op.h = h
+		op.fn = op.dispatch
 	}
-	op := h.opSlab.get()
-	op.h = h
-	op.fn = op.dispatch
 	return op
 }
 
@@ -816,7 +770,7 @@ func (op *hostOp) dispatch(c Completion) {
 	h := op.h
 	readCb, stCb := op.readCb, op.stCb
 	op.readCb, op.stCb = nil, nil
-	h.opFree = append(h.opFree, op)
+	h.ops.Put(op)
 	if readCb != nil {
 		readCb(c.Data, c.Status)
 	} else if stCb != nil {
@@ -827,7 +781,7 @@ func (op *hostOp) dispatch(c Completion) {
 // putOp returns an op whose submission failed before it could complete.
 func (h *Host) putOp(op *hostOp) {
 	op.readCb, op.stCb = nil, nil
-	h.opFree = append(h.opFree, op)
+	h.ops.Put(op)
 }
 
 // Read reads blocks starting at lba on queue q. The caller owns data:

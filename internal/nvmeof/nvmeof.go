@@ -81,9 +81,9 @@ var errBadCapsule = errors.New("nvmeof: bad capsule")
 
 // Target exports one NVMe host over an RPC server.
 type Target struct {
-	host   *nvme.Host
-	srv    *rpc.Server
-	opFree []*tgtOp
+	host *nvme.Host
+	srv  *rpc.Server
+	ops  sim.FreeList[tgtOp]
 
 	Reads, Writes, Flushes int64
 }
@@ -99,12 +99,9 @@ type tgtOp struct {
 }
 
 func (t *Target) getOp(respond func(any, int, error)) *tgtOp {
-	var op *tgtOp
-	if n := len(t.opFree); n > 0 {
-		op = t.opFree[n-1]
-		t.opFree = t.opFree[:n-1]
-	} else {
-		op = &tgtOp{t: t}
+	op, fresh := t.ops.Get()
+	if fresh {
+		op.t = t
 		op.readFn = op.onRead
 		op.stFn = op.onStatus
 	}
@@ -114,7 +111,7 @@ func (t *Target) getOp(respond func(any, int, error)) *tgtOp {
 
 func (t *Target) putOp(op *tgtOp) {
 	op.respond = nil
-	t.opFree = append(t.opFree, op)
+	t.ops.Put(op)
 }
 
 func (op *tgtOp) onRead(data []byte, st uint16) {
@@ -205,7 +202,7 @@ type Initiator struct {
 	// untagged). Harnesses set it per operation when tracing is armed.
 	Span telemetry.RequestID
 
-	opFree []*opCtx
+	ops sim.FreeList[opCtx]
 
 	Retries int64 // retry attempts actually issued
 }
@@ -246,14 +243,12 @@ type opCtx struct {
 }
 
 func (i *Initiator) getOp() *opCtx {
-	if n := len(i.opFree); n > 0 {
-		op := i.opFree[n-1]
-		i.opFree = i.opFree[:n-1]
-		return op
+	op, fresh := i.ops.Get()
+	if fresh {
+		op.i = i
+		op.rpcFn = op.onResult
+		op.retryFn = op.attempt
 	}
-	op := &opCtx{i: i}
-	op.rpcFn = op.onResult
-	op.retryFn = op.attempt
 	return op
 }
 
@@ -289,7 +284,7 @@ func (op *opCtx) onResult(val any, err error) {
 	}
 	readCb, doneCb := op.readCb, op.doneCb
 	*op = opCtx{i: i, rpcFn: op.rpcFn, retryFn: op.retryFn}
-	i.opFree = append(i.opFree, op)
+	i.ops.Put(op)
 	if readCb != nil {
 		if err != nil {
 			readCb(nil, err)

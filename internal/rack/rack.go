@@ -117,42 +117,18 @@ type box struct {
 	reps    []repState
 	repIdle []int32
 
-	readOps opPool[readOp]
-	kvOps   opPool[kvOp]
+	// The state a box keeps from handle to the event that answers a
+	// request, in place of a closure per request. E17's open loop
+	// overloads the flash, so at its peak most of its reads and a sixth
+	// of its KV ops are in flight together: one op type per callback
+	// shape (nvme.hostOp is the same device one layer down).
+	readOps sim.FreeList[readOp]
+	kvOps   sim.FreeList[kvOp]
 
 	getName, putName, repName string
 
 	reads, gets, puts, dropped int64
 }
-
-// opPool hands out the state a box keeps from handle to the event that
-// answers a request, in place of a closure per request: ops are carved
-// from chunks, cycle through a free list, and bind their method value
-// once, when fresh. E17's open loop overloads the flash, so at its peak
-// most of its reads and a sixth of its KV ops are in flight together: a
-// fresh op must cost no more than the closure would, hence the chunks
-// and one op type per callback shape (nvme.hostOp is the same device
-// one layer down).
-type opPool[T any] struct {
-	free []*T
-	rest []T // unissued tail of the newest chunk
-}
-
-const opChunk = 32
-
-func (p *opPool[T]) get() (op *T, fresh bool) {
-	if n := len(p.free); n > 0 {
-		op, p.free = p.free[n-1], p.free[:n-1]
-		return op, false
-	}
-	if len(p.rest) == 0 {
-		p.rest = make([]T, opChunk)
-	}
-	op, p.rest = &p.rest[0], p.rest[1:]
-	return op, true
-}
-
-func (p *opPool[T]) put(op *T) { p.free = append(p.free, op) }
 
 // readOp is one remote block read waiting on the device.
 type readOp struct {
@@ -168,7 +144,7 @@ type readOp struct {
 // it free.
 func (op *readOp) done(data []byte, status uint16) {
 	b, src, id := op.b, op.src, op.id
-	b.readOps.put(op)
+	b.readOps.Put(op)
 	if status != nvme.StatusOK {
 		b.reply(src, respErr, id, uint64(status), nil)
 		return
@@ -192,7 +168,7 @@ type kvOp struct {
 
 // takeKVOp takes an op from the box's pool, its value buffer empty.
 func (b *box) takeKVOp() *kvOp {
-	op, fresh := b.kvOps.get()
+	op, fresh := b.kvOps.Get()
 	if fresh {
 		op.b, op.fn = b, op.done
 	}
@@ -218,7 +194,7 @@ func (op *kvOp) done() {
 	} else {
 		b.reply(op.src, op.kind, op.id, op.aux, op.val)
 	}
-	b.kvOps.put(op)
+	b.kvOps.Put(op)
 }
 
 // repState tracks one in-flight replicated put at its primary.
@@ -410,13 +386,13 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 	switch env.Kind {
 	case opNVMeRead:
 		b.reads++
-		op, fresh := b.readOps.get()
+		op, fresh := b.readOps.Get()
 		if fresh {
 			op.b, op.fn = b, op.done
 		}
 		op.src, op.id = env.Src, env.A
 		if err := b.host.ReadBorrowed(0, int64(env.B%boxBlocks), 1, op.fn); err != nil {
-			b.readOps.put(op)
+			b.readOps.Put(op)
 			b.reply(env.Src, respErr, env.A, 0, nil)
 		}
 	case opKVGet:

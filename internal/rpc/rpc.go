@@ -68,13 +68,13 @@ type Server struct {
 	handlers map[string]Handler
 
 	// Queued-mode state.
-	queue            []queuedReq
+	queue            sim.Queue[queuedReq]
 	draining         bool
 	DispatchOverhead sim.Duration
 	dispatchFn       func()
 
-	respFree []*response
-	ctxFree  []*serveCtx
+	resps sim.FreeList[response]
+	ctxs  sim.FreeList[serveCtx]
 
 	rec    *telemetry.Recorder
 	active telemetry.RequestID // span of the request being served
@@ -126,14 +126,14 @@ func (s *Server) onMessage(src netsim.Addr, msg transport.Message) {
 		s.serve(src, req)
 		return
 	}
-	s.queue = append(s.queue, queuedReq{src: src, req: req})
+	s.queue.Push(queuedReq{src: src, req: req})
 	s.drain()
 }
 
 // drain processes the queue one item at a time with dispatch overhead,
 // modeling a single CPU worker.
 func (s *Server) drain() {
-	if s.draining || len(s.queue) == 0 {
+	if s.draining || s.queue.Len() == 0 {
 		return
 	}
 	s.draining = true
@@ -141,12 +141,7 @@ func (s *Server) drain() {
 }
 
 func (s *Server) dispatch() {
-	next := s.queue[0]
-	s.queue[0] = queuedReq{}
-	s.queue = s.queue[1:]
-	if len(s.queue) == 0 {
-		s.queue = s.queue[:0]
-	}
+	next := s.queue.Pop()
 	s.serve(next.src, next.req)
 	s.draining = false
 	s.drain()
@@ -167,13 +162,11 @@ type serveCtx struct {
 }
 
 func (s *Server) getCtx() *serveCtx {
-	if n := len(s.ctxFree); n > 0 {
-		sc := s.ctxFree[n-1]
-		s.ctxFree = s.ctxFree[:n-1]
-		return sc
+	sc, fresh := s.ctxs.Get()
+	if fresh {
+		sc.s = s
+		sc.respondFn = sc.respond
 	}
-	sc := &serveCtx{s: s}
-	sc.respondFn = sc.respond
 	return sc
 }
 
@@ -198,17 +191,13 @@ func (sc *serveCtx) respond(val any, respBytes int, err error) {
 		s.rec.Span("rpc.server", sc.method, sc.span, sc.start, s.eng.Now())
 	}
 	s.reply(sc.src, resp, respBytes, sc.span)
-	s.ctxFree = append(s.ctxFree, sc)
+	s.ctxs.Put(sc)
 }
 
 func (s *Server) getResp() *response {
-	if n := len(s.respFree); n > 0 {
-		r := s.respFree[n-1]
-		s.respFree = s.respFree[:n-1]
-		*r = response{s: s}
-		return r
-	}
-	return &response{s: s}
+	r, _ := s.resps.Get()
+	*r = response{s: s}
+	return r
 }
 
 func (s *Server) serve(src netsim.Addr, req *request) {
@@ -256,7 +245,7 @@ func (s *Server) reply(dst netsim.Addr, resp *response, bytes int, span telemetr
 func (s *Server) putResp(r *response) {
 	r.Val = nil
 	r.Err = ""
-	s.respFree = append(s.respFree, r)
+	s.resps.Put(r)
 }
 
 // Client issues requests.
@@ -278,8 +267,8 @@ type Client struct {
 	RetryBackoff   sim.Duration
 	DeadlineBudget sim.Duration
 
-	reqFree  []*request
-	callFree []*call
+	reqs  sim.FreeList[request]
+	calls sim.FreeList[call]
 
 	rec *telemetry.Recorder
 
@@ -375,14 +364,12 @@ func (c *Client) CallSpan(dst netsim.Addr, method string, arg any, argBytes int,
 }
 
 func (c *Client) getCall() *call {
-	if n := len(c.callFree); n > 0 {
-		cl := c.callFree[n-1]
-		c.callFree = c.callFree[:n-1]
-		return cl
+	cl, fresh := c.calls.Get()
+	if fresh {
+		cl.c = c
+		cl.timeoutFn = cl.timeout
+		cl.retryFn = cl.retry
 	}
-	cl := &call{c: c}
-	cl.timeoutFn = cl.timeout
-	cl.retryFn = cl.retry
 	return cl
 }
 
@@ -396,7 +383,7 @@ func (cl *call) finish(val any, err error) {
 	}
 	cb := cl.cb
 	*cl = call{c: c, timeoutFn: cl.timeoutFn, retryFn: cl.retryFn}
-	c.callFree = append(c.callFree, cl)
+	c.calls.Put(cl)
 	cb(val, err)
 }
 
@@ -469,16 +456,15 @@ func (cl *call) timeout() {
 func (cl *call) retry() { cl.attempt() }
 
 func (c *Client) getReq() *request {
-	if n := len(c.reqFree); n > 0 {
-		r := c.reqFree[n-1]
-		c.reqFree = c.reqFree[:n-1]
-		return r
+	r, fresh := c.reqs.Get()
+	if fresh {
+		r.c = c
 	}
-	return &request{c: c}
+	return r
 }
 
 func (r *request) release() {
 	r.Arg = nil
 	r.Method = ""
-	r.c.reqFree = append(r.c.reqFree, r)
+	r.c.reqs.Put(r)
 }

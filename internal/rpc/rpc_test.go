@@ -160,6 +160,30 @@ func TestQueuedModeSerializes(t *testing.T) {
 	}
 }
 
+// TestQueuedModeSteadyStateAllocFree pins the queued server's FIFO: a
+// backlog that drains rewinds its backing array, so once the queue, the
+// pools and the event heap have seen one batch, serving the next
+// allocates nothing.
+func TestQueuedModeSteadyStateAllocFree(t *testing.T) {
+	eng, srv, cli := rig(t, Queued)
+	srv.Handle("op", func(arg any, respond func(any, int, error)) { respond(nil, 64, nil) })
+	done := 0
+	cb := func(any, error) { done++ }
+	batch := func() {
+		for i := 0; i < 16; i++ {
+			cli.Call("server", "op", nil, 64, cb)
+		}
+		eng.Run()
+	}
+	batch()
+	if n := testing.AllocsPerRun(50, batch); n != 0 {
+		t.Fatalf("steady-state queued batch allocated %v times, want 0", n)
+	}
+	if done != 16*52 {
+		t.Fatalf("completed %d/%d", done, 16*52)
+	}
+}
+
 func BenchmarkCall(b *testing.B) {
 	eng, srv, cli := rig(b, RunToCompletion)
 	srv.Handle("nop", func(arg any, respond func(any, int, error)) { respond(nil, 64, nil) })

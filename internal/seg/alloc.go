@@ -2,6 +2,8 @@ package seg
 
 import (
 	"sort"
+
+	"hyperion/internal/sim"
 )
 
 // allocator is a first-fit free-list allocator over a linear space of
@@ -74,67 +76,42 @@ func (a *allocator) release(addr, n int64) {
 
 // lruCache models the hardware segment-descriptor cache. It caches the
 // descriptor pointer, so a translation hit is one index probe (the
-// owner keeps it coherent by removing freed objects). The recency order
-// is an index-linked list over a node arena, so get, put, and remove are
-// O(1) with no steady-state allocation; eviction order is identical to
-// the textbook list form (front = LRU, back = MRU).
+// owner keeps it coherent by removing freed objects); get, put and
+// remove are O(1) with no steady-state allocation.
 type lruCache struct {
-	cap        int
-	idx        oidIndex
-	nodes      []lruNode
-	head, tail int32 // head = LRU, tail = MRU; -1 when empty
-	freeList   int32 // recycled node indexes, chained via next
+	cap   int
+	idx   oidIndex
+	order sim.Recency[cacheEntry]
 }
 
-type lruNode struct {
-	key        ObjectID
-	val        *Segment
-	prev, next int32
+type cacheEntry struct {
+	key ObjectID
+	val *Segment
 }
 
-func newLRU(cap int) *lruCache {
-	return &lruCache{
-		cap:      cap,
-		head:     -1,
-		tail:     -1,
-		freeList: -1,
-	}
-}
+func newLRU(cap int) *lruCache { return &lruCache{cap: cap} }
 
 func (c *lruCache) get(id ObjectID) (*Segment, bool) {
 	i, ok := c.idx.get(id)
 	if !ok {
 		return nil, false
 	}
-	c.moveBack(i)
-	return c.nodes[i].val, true
+	c.order.MoveBack(i)
+	return c.order.At(i).val, true
 }
 
 func (c *lruCache) put(id ObjectID, sg *Segment) {
 	if i, ok := c.idx.get(id); ok {
-		c.nodes[i].val = sg
-		c.moveBack(i)
+		c.order.At(i).val = sg
+		c.order.MoveBack(i)
 		return
 	}
 	if c.idx.n >= c.cap {
-		v := c.head
-		c.unlink(v)
-		c.idx.del(c.nodes[v].key)
-		c.nodes[v].val = nil
-		c.nodes[v].next = c.freeList
-		c.freeList = v
+		v := c.order.Front()
+		c.idx.del(c.order.At(v).key)
+		c.order.Remove(v)
 	}
-	var i int32
-	if c.freeList >= 0 {
-		i = c.freeList
-		c.freeList = c.nodes[i].next
-		c.nodes[i] = lruNode{key: id, val: sg}
-	} else {
-		c.nodes = append(c.nodes, lruNode{key: id, val: sg})
-		i = int32(len(c.nodes) - 1)
-	}
-	c.pushBack(i)
-	c.idx.set(id, i)
+	c.idx.set(id, c.order.PushBack(cacheEntry{key: id, val: sg}))
 }
 
 func (c *lruCache) remove(id ObjectID) {
@@ -142,42 +119,6 @@ func (c *lruCache) remove(id ObjectID) {
 	if !ok {
 		return
 	}
-	c.unlink(i)
 	c.idx.del(id)
-	c.nodes[i].val = nil
-	c.nodes[i].next = c.freeList
-	c.freeList = i
-}
-
-func (c *lruCache) unlink(i int32) {
-	n := &c.nodes[i]
-	if n.prev >= 0 {
-		c.nodes[n.prev].next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next >= 0 {
-		c.nodes[n.next].prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-}
-
-func (c *lruCache) pushBack(i int32) {
-	n := &c.nodes[i]
-	n.prev, n.next = c.tail, -1
-	if c.tail >= 0 {
-		c.nodes[c.tail].next = i
-	} else {
-		c.head = i
-	}
-	c.tail = i
-}
-
-func (c *lruCache) moveBack(i int32) {
-	if c.tail == i {
-		return
-	}
-	c.unlink(i)
-	c.pushBack(i)
+	c.order.Remove(i)
 }

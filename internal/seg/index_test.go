@@ -1,7 +1,6 @@
 package seg
 
 import (
-	"container/list"
 	"testing"
 
 	"hyperion/internal/sim"
@@ -80,70 +79,5 @@ func TestOIDIndexMatchesMap(t *testing.T) {
 	}
 	if !wrapped {
 		t.Fatal("no run ever wrapped the end of the table: the key pool lost its purpose")
-	}
-}
-
-// TestLRUMatchesListReference drives lruCache and the textbook
-// container/list LRU over one random tape with a small capacity and
-// compares hit or miss, and the whole recency order (so the next
-// eviction victim too), at every step.
-func TestLRUMatchesListReference(t *testing.T) {
-	const capacity = 8
-	r := sim.NewRand(7)
-	keys := indexTestKeys(r)[:40]
-	segs := make(map[ObjectID]*Segment, len(keys))
-	for _, k := range keys {
-		segs[k] = &Segment{ID: k}
-	}
-	c := newLRU(capacity)
-	order := list.New() // front = LRU, back = MRU
-	elems := make(map[ObjectID]*list.Element)
-
-	for step := 0; step < 50_000; step++ {
-		id := keys[r.Intn(len(keys))]
-		switch op := r.Intn(10); {
-		case op < 5:
-			sg, hit := c.get(id)
-			e, want := elems[id]
-			if hit != want {
-				t.Fatalf("step %d: get(%v) hit=%v, reference says %v", step, id, hit, want)
-			}
-			if hit {
-				if sg != segs[id] {
-					t.Fatalf("step %d: get(%v) returned another key's segment", step, id)
-				}
-				order.MoveToBack(e)
-			}
-		case op < 9:
-			c.put(id, segs[id])
-			if e, ok := elems[id]; ok {
-				order.MoveToBack(e)
-			} else {
-				if order.Len() >= capacity {
-					victim := order.Remove(order.Front()).(ObjectID)
-					delete(elems, victim)
-				}
-				elems[id] = order.PushBack(id)
-			}
-		default:
-			c.remove(id)
-			if e, ok := elems[id]; ok {
-				order.Remove(e)
-				delete(elems, id)
-			}
-		}
-		if c.idx.n != order.Len() {
-			t.Fatalf("step %d: cache holds %d, reference %d", step, c.idx.n, order.Len())
-		}
-		i := c.head
-		for e := order.Front(); e != nil; e = e.Next() {
-			if i < 0 || c.nodes[i].key != e.Value.(ObjectID) {
-				t.Fatalf("step %d: recency order diverged from the reference", step)
-			}
-			i = c.nodes[i].next
-		}
-		if i >= 0 {
-			t.Fatalf("step %d: cache list longer than the reference", step)
-		}
 	}
 }

@@ -90,7 +90,7 @@ func (re *recvEvent) fire() {
 		Data: re.data,
 	})
 	re.data = re.data[:0]
-	sh.reFree = append(sh.reFree, re)
+	sh.recvPool.Put(re)
 }
 
 // Shard is one partition of a clustered simulation: a private Engine
@@ -108,8 +108,8 @@ type Shard struct {
 	sendSeq uint64
 
 	// Inbox: recvEvents routed here at a barrier, sorted, injected.
-	pending []*recvEvent
-	reFree  []*recvEvent
+	pending  []*recvEvent
+	recvPool FreeList[recvEvent]
 
 	sends, recvs uint64
 	events       uint64
@@ -148,24 +148,16 @@ func (sh *Shard) Send(src, dst LP, delay Duration, kind uint16, a, b uint64, dat
 	if delay < cl.lookahead {
 		panic(fmt.Sprintf("sim: Send delay %v below cluster lookahead %v: conservative windows would miss it", delay, cl.lookahead))
 	}
-	re := sh.getRecvEvent()
+	re, fresh := sh.recvPool.Get()
+	if fresh {
+		re.fn = re.fire
+	}
 	re.at, re.src, re.dst = sh.eng.Now().Add(delay), src, dst
 	re.kind, re.a, re.b, re.seq = kind, a, b, sh.sendSeq
 	re.data = append(re.data, data...)
 	sh.out = append(sh.out, re)
 	sh.sendSeq++
 	sh.sends++
-}
-
-func (sh *Shard) getRecvEvent() *recvEvent {
-	if n := len(sh.reFree); n > 0 {
-		re := sh.reFree[n-1]
-		sh.reFree = sh.reFree[:n-1]
-		return re
-	}
-	re := &recvEvent{}
-	re.fn = re.fire
-	return re
 }
 
 // worker executes windows as the coordinator releases them. The only
@@ -302,9 +294,9 @@ func (cl *Cluster) exchange() {
 			// The event will retire onto dst's free list: take one back
 			// for each that leaves, or one-way traffic would pile every
 			// event the sender ever allocates up at the receiver.
-			if n := len(dst.reFree); dst != src && n > 0 {
-				src.reFree = append(src.reFree, dst.reFree[n-1])
-				dst.reFree = dst.reFree[:n-1]
+			if dst != src && len(dst.recvPool.free) > 0 {
+				spare, _ := dst.recvPool.Get()
+				src.recvPool.Put(spare)
 			}
 			dst.pending = append(dst.pending, re)
 		}

@@ -232,13 +232,13 @@ func TestClusterOneWayTrafficRecyclesEvents(t *testing.T) {
 	}
 	// A burst is delivered one lookahead after it is sent, as the next
 	// is: at most two bursts are ever in flight.
-	allocated := len(cl.Shard(0).reFree) + len(cl.Shard(1).reFree)
+	allocated := len(cl.Shard(0).recvPool.free) + len(cl.Shard(1).recvPool.free)
 	if allocated > 3*burst {
 		t.Fatalf("%d recvEvents allocated for %d envelopes with at most %d in flight",
 			allocated, received, 2*burst)
 	}
-	if len(cl.Shard(1).reFree) > 2*burst {
-		t.Fatalf("receiver's free list grew to %d", len(cl.Shard(1).reFree))
+	if len(cl.Shard(1).recvPool.free) > 2*burst {
+		t.Fatalf("receiver's free list grew to %d", len(cl.Shard(1).recvPool.free))
 	}
 }
 

@@ -46,3 +46,43 @@ func (p *eventPool) release(id int32) {
 	s.gen++
 	p.free = append(p.free, id)
 }
+
+// FreeList recycles the per-operation contexts the model layers park
+// between events (DESIGN §10): Put pushes, Get pops the most recently
+// put object — LIFO, so the hot one is reused — and, when the list is
+// empty, carves a zero object from a chunk. Chunks double from one to
+// freeListChunkMax: an open loop that overloads its device (E17) only
+// ever grows its backlog, so its lists never refill and a flat
+// allocation per object would cost one per queued request, while a
+// device that serves a handful of commands (E16 builds hundreds) must
+// not pay for thirty-two. The zero value is ready to use.
+//
+// Get reports fresh for an object no caller has seen: that is when the
+// owner sets the fields that outlive a recycle — its back pointer and
+// the method values it hands to At/After — so a recycled object binds
+// nothing. The owner resets every other field before Put; the list
+// itself never touches an object.
+type FreeList[T any] struct {
+	free  []*T
+	rest  []T // unissued tail of the newest chunk
+	chunk int // size of the newest chunk
+}
+
+const freeListChunkMax = 32
+
+// Get returns a recycled object, or a zero one (fresh) when none is free.
+func (l *FreeList[T]) Get() (obj *T, fresh bool) {
+	if n := len(l.free); n > 0 {
+		obj, l.free = l.free[n-1], l.free[:n-1]
+		return obj, false
+	}
+	if len(l.rest) == 0 {
+		l.chunk = min(max(2*l.chunk, 1), freeListChunkMax)
+		l.rest = make([]T, l.chunk)
+	}
+	obj, l.rest = &l.rest[0], l.rest[1:]
+	return obj, true
+}
+
+// Put returns obj, already reset by its owner, to the list.
+func (l *FreeList[T]) Put(obj *T) { l.free = append(l.free, obj) }

@@ -93,3 +93,43 @@ func (h *heap4) siftUp(i int) {
 	}
 	h.entries[i] = e
 }
+
+// Queue is the FIFO the model layers put in front of a prebound event
+// function or a bus (DESIGN §10): Push appends, Pop advances a head
+// index and zeroes the slot it leaves so the queue pins nothing it has
+// handed out, and the backing array rewinds once drained, so steady
+// traffic enqueues without allocating. The zero value is ready to use.
+type Queue[T any] struct {
+	buf  []T
+	head int
+}
+
+// Len returns the number of queued items.
+func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
+
+// Push appends v at the tail.
+func (q *Queue[T]) Push(v T) { q.buf = append(q.buf, v) }
+
+// Peek returns the head item without removing it. The queue must not
+// be empty.
+func (q *Queue[T]) Peek() T { return q.buf[q.head] }
+
+// Pop removes and returns the head item. The queue must not be empty.
+func (q *Queue[T]) Pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
+}
+
+// Reset drops every queued item and keeps the backing array.
+func (q *Queue[T]) Reset() {
+	clear(q.buf[q.head:])
+	q.buf = q.buf[:0]
+	q.head = 0
+}

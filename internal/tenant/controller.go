@@ -44,7 +44,7 @@ type Controller struct {
 	budget     fabric.Resources // per-slot admission budget
 	horizon    sim.Time         // scheduling stops here; 0 = never
 	rec        *telemetry.Recorder
-	reqFree    []*request
+	reqs       sim.FreeList[request]
 
 	Admitted  int64
 	Rejected  int64
@@ -208,7 +208,7 @@ func (c *Controller) Submit(id int, payload any, bytes int, done func(error)) er
 	rq.span = t.crec.NewRequest()
 	if err := c.arb.Push(t.Port, fabric.Item{Payload: rq, Bytes: bytes, Span: rq.span}); err != nil {
 		rq.payload, rq.done = nil, nil
-		c.reqFree = append(c.reqFree, rq)
+		c.reqs.Put(rq)
 		t.Shed++
 		return err
 	}
@@ -539,13 +539,11 @@ type request struct {
 }
 
 func (c *Controller) getReq() *request {
-	if n := len(c.reqFree); n > 0 {
-		rq := c.reqFree[n-1]
-		c.reqFree = c.reqFree[:n-1]
-		return rq
+	rq, fresh := c.reqs.Get()
+	if fresh {
+		rq.c = c
+		rq.fireFn = rq.complete
 	}
-	rq := &request{c: c}
-	rq.fireFn = rq.complete
 	return rq
 }
 
@@ -561,7 +559,7 @@ func (rq *request) complete(out any) {
 	}
 	done := rq.done
 	rq.payload, rq.done = nil, nil
-	c.reqFree = append(c.reqFree, rq)
+	c.reqs.Put(rq)
 	if done != nil {
 		done(nil)
 	}
@@ -579,7 +577,7 @@ func (c *Controller) resolve(rq *request, err error) {
 	}
 	done := rq.done
 	rq.payload, rq.done = nil, nil
-	c.reqFree = append(c.reqFree, rq)
+	c.reqs.Put(rq)
 	if done != nil {
 		done(err)
 	}

@@ -34,7 +34,7 @@ type homaEndpoint struct {
 	hdrs        *wire.Pool
 	ctrlScratch []int // reused by decodeCtrl for resend missing lists
 
-	deliverQ  fifo[delivery]
+	deliverQ  sim.Queue[delivery]
 	deliverFn func()
 }
 
@@ -218,7 +218,7 @@ func (h *homaEndpoint) onData(src netsim.Addr, frag dataFrag) {
 		h.sendCtrl(src, ctrlMsg{Op: doneOp, MsgID: r.id})
 		delete(h.inbound, key)
 		h.stats.Delivered++
-		h.deliverQ.push(delivery{src: src, msg: Message{Payload: r.payload, Bytes: r.bytes, Span: r.span}})
+		h.deliverQ.Push(delivery{src: src, msg: Message{Payload: r.payload, Bytes: r.bytes, Span: r.span}})
 		h.eng.After(h.overhead, "homa.deliver", h.deliverFn)
 		return
 	}
@@ -296,7 +296,7 @@ func minInt(a, b int) int {
 }
 
 func (h *homaEndpoint) fireDeliver() {
-	d := h.deliverQ.pop()
+	d := h.deliverQ.Pop()
 	if h.handler != nil {
 		h.handler(d.src, d.msg)
 	}

@@ -33,12 +33,12 @@ type reliableEndpoint struct {
 	cpuBusy sim.Time
 	nextID  uint64
 
-	hdrs      *wire.Pool
-	reasmFree []*reasm
+	hdrs   *wire.Pool
+	reasms sim.FreeList[reasm]
 
-	sendQ     fifo[relSend]
-	txQ       fifo[relTx]
-	deliverQ  fifo[delivery]
+	sendQ     sim.Queue[relSend]
+	txQ       sim.Queue[relTx]
+	deliverQ  sim.Queue[delivery]
 	sendFn    func()
 	txFn      func()
 	deliverFn func()
@@ -119,21 +119,6 @@ func (r *reliableEndpoint) conn(dst netsim.Addr) *sendConn {
 	return c
 }
 
-func (r *reliableEndpoint) getReasm(total, bytes int, span telemetry.RequestID) *reasm {
-	if n := len(r.reasmFree); n > 0 {
-		rm := r.reasmFree[n-1]
-		r.reasmFree = r.reasmFree[:n-1]
-		*rm = reasm{total: total, bytes: bytes, span: span}
-		return rm
-	}
-	return &reasm{total: total, bytes: bytes, span: span}
-}
-
-func (r *reliableEndpoint) putReasm(rm *reasm) {
-	rm.payload = nil
-	r.reasmFree = append(r.reasmFree, rm)
-}
-
 func (r *reliableEndpoint) Send(dst netsim.Addr, msg Message) error {
 	if msg.Bytes > MaxMessageBytes {
 		return ErrTooLarge
@@ -141,13 +126,13 @@ func (r *reliableEndpoint) Send(dst netsim.Addr, msg Message) error {
 	r.nextID++
 	c := r.conn(dst)
 	r.stats.Sent++
-	r.sendQ.push(relSend{c: c, id: r.nextID, total: fragsFor(msg.Bytes), msg: msg})
+	r.sendQ.Push(relSend{c: c, id: r.nextID, total: fragsFor(msg.Bytes), msg: msg})
 	r.eng.After(r.p.SendOverhead, "rel.send", r.sendFn)
 	return nil
 }
 
 func (r *reliableEndpoint) fireSend() {
-	s := r.sendQ.pop()
+	s := r.sendQ.Pop()
 	c := s.c
 	for i := 0; i < s.total; i++ {
 		frag := dataFrag{MsgID: s.id, Index: i, Total: s.total, Bytes: s.msg.Bytes, Seq: c.nextSeq}
@@ -201,14 +186,14 @@ func (r *reliableEndpoint) transmit(c *sendConn, of outFrag) {
 	if d > 0 {
 		// cpuBusy only moves forward, so queued transmissions fire in
 		// push order.
-		r.txQ.push(tx)
+		r.txQ.Push(tx)
 		r.eng.After(d, "rel.tx", r.txFn)
 	} else {
 		r.sendTx(tx)
 	}
 }
 
-func (r *reliableEndpoint) fireTx() { r.sendTx(r.txQ.pop()) }
+func (r *reliableEndpoint) fireTx() { r.sendTx(r.txQ.Pop()) }
 
 func (r *reliableEndpoint) sendTx(tx relTx) {
 	err := r.nic.Send(netsim.Frame{Dst: tx.dst, Payload: tx.payload, Buf: tx.buf, Bytes: tx.wire, Span: tx.span})
@@ -303,7 +288,8 @@ func (r *reliableEndpoint) onData(src netsim.Addr, frag dataFrag) {
 func (r *reliableEndpoint) accept(src netsim.Addr, p *recvConn, frag dataFrag) {
 	rm, ok := p.partial[frag.MsgID]
 	if !ok {
-		rm = r.getReasm(frag.Total, frag.Bytes, frag.Span)
+		rm, _ = r.reasms.Get()
+		*rm = reasm{total: frag.Total, bytes: frag.Bytes, span: frag.Span}
 		p.partial[frag.MsgID] = rm
 	}
 	rm.have++
@@ -313,14 +299,15 @@ func (r *reliableEndpoint) accept(src netsim.Addr, p *recvConn, frag dataFrag) {
 	if rm.have == rm.total {
 		delete(p.partial, frag.MsgID)
 		r.stats.Delivered++
-		r.deliverQ.push(delivery{src: src, msg: Message{Payload: rm.payload, Bytes: rm.bytes, Span: rm.span}})
-		r.putReasm(rm)
+		r.deliverQ.Push(delivery{src: src, msg: Message{Payload: rm.payload, Bytes: rm.bytes, Span: rm.span}})
+		rm.payload = nil
+		r.reasms.Put(rm)
 		r.eng.After(r.p.RecvOverhead, "rel.deliver", r.deliverFn)
 	}
 }
 
 func (r *reliableEndpoint) fireDeliver() {
-	d := r.deliverQ.pop()
+	d := r.deliverQ.Pop()
 	if r.handler != nil {
 		r.handler(d.src, d.msg)
 	}

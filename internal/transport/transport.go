@@ -268,28 +268,3 @@ func frameKind(f netsim.Frame) uint8 {
 	}
 	return f.Buf.Bytes()[kindOff]
 }
-
-// fifo is a reusable FIFO of scheduled-event arguments: pushes append,
-// pops advance a head index, and the backing array is recycled once
-// drained, so steady-state traffic enqueues without allocating.
-// Transports pair it with a single prebound event function — correct
-// because each queue's events share one fixed delay, so firing order
-// matches push order.
-type fifo[T any] struct {
-	buf  []T
-	head int
-}
-
-func (q *fifo[T]) push(v T) { q.buf = append(q.buf, v) }
-
-func (q *fifo[T]) pop() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero // release references
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return v
-}

@@ -3,7 +3,6 @@ package transport
 import (
 	"hyperion/internal/netsim"
 	"hyperion/internal/sim"
-	"hyperion/internal/telemetry"
 	"hyperion/internal/wire"
 )
 
@@ -23,14 +22,14 @@ type udpEndpoint struct {
 	handler func(src netsim.Addr, msg Message)
 	partial map[udpKey]*reasm
 
-	hdrs      *wire.Pool
-	reasmFree []*reasm
+	hdrs   *wire.Pool
+	reasms sim.FreeList[reasm]
 
 	// Pending-event queues with prebound fire functions: each queue's
 	// events share one fixed delay, so pop order matches push order.
-	sendQ     fifo[udpSend]
-	gcQ       fifo[udpKey]
-	deliverQ  fifo[delivery]
+	sendQ     sim.Queue[udpSend]
+	gcQ       sim.Queue[udpKey]
+	deliverQ  sim.Queue[delivery]
 	sendFn    func()
 	gcFn      func()
 	deliverFn func()
@@ -78,34 +77,19 @@ func (u *udpEndpoint) Stats() *Stats     { return &u.stats }
 
 func (u *udpEndpoint) OnMessage(fn func(src netsim.Addr, msg Message)) { u.handler = fn }
 
-func (u *udpEndpoint) getReasm(total, bytes int, span telemetry.RequestID) *reasm {
-	if n := len(u.reasmFree); n > 0 {
-		r := u.reasmFree[n-1]
-		u.reasmFree = u.reasmFree[:n-1]
-		*r = reasm{total: total, bytes: bytes, span: span}
-		return r
-	}
-	return &reasm{total: total, bytes: bytes, span: span}
-}
-
-func (u *udpEndpoint) putReasm(r *reasm) {
-	r.payload = nil
-	u.reasmFree = append(u.reasmFree, r)
-}
-
 func (u *udpEndpoint) Send(dst netsim.Addr, msg Message) error {
 	if msg.Bytes > MaxMessageBytes {
 		return ErrTooLarge
 	}
 	u.nextID++
 	u.stats.Sent++
-	u.sendQ.push(udpSend{dst: dst, id: u.nextID, total: fragsFor(msg.Bytes), msg: msg})
+	u.sendQ.Push(udpSend{dst: dst, id: u.nextID, total: fragsFor(msg.Bytes), msg: msg})
 	u.eng.After(u.sendOverhead, "udp.send", u.sendFn)
 	return nil
 }
 
 func (u *udpEndpoint) fireSend() {
-	s := u.sendQ.pop()
+	s := u.sendQ.Pop()
 	for i := 0; i < s.total; i++ {
 		frag := dataFrag{MsgID: s.id, Index: i, Total: s.total, Bytes: s.msg.Bytes}
 		var payload any
@@ -134,10 +118,11 @@ func (u *udpEndpoint) onFrame(f netsim.Frame) {
 	key := udpKey{f.Src, frag.MsgID}
 	r, ok := u.partial[key]
 	if !ok {
-		r = u.getReasm(frag.Total, frag.Bytes, frag.Span)
+		r, _ = u.reasms.Get()
+		*r = reasm{total: frag.Total, bytes: frag.Bytes, span: frag.Span}
 		u.partial[key] = r
 		// Garbage-collect incomplete messages: that is UDP loss.
-		u.gcQ.push(key)
+		u.gcQ.Push(key)
 		u.eng.After(u.reasmTimeout, "udp.gc", u.gcFn)
 	}
 	r.have++
@@ -147,23 +132,25 @@ func (u *udpEndpoint) onFrame(f netsim.Frame) {
 	if r.have == r.total {
 		delete(u.partial, key)
 		u.stats.Delivered++
-		u.deliverQ.push(delivery{src: f.Src, msg: Message{Payload: r.payload, Bytes: r.bytes, Span: r.span}})
-		u.putReasm(r)
+		u.deliverQ.Push(delivery{src: f.Src, msg: Message{Payload: r.payload, Bytes: r.bytes, Span: r.span}})
+		r.payload = nil
+		u.reasms.Put(r)
 		u.eng.After(u.recvOverhead, "udp.deliver", u.deliverFn)
 	}
 }
 
 func (u *udpEndpoint) fireGC() {
-	key := u.gcQ.pop()
+	key := u.gcQ.Pop()
 	if r, still := u.partial[key]; still && r.have < r.total {
 		delete(u.partial, key)
-		u.putReasm(r)
+		r.payload = nil
+		u.reasms.Put(r)
 		u.stats.LostMessages++
 	}
 }
 
 func (u *udpEndpoint) fireDeliver() {
-	d := u.deliverQ.pop()
+	d := u.deliverQ.Pop()
 	if u.handler != nil {
 		u.handler(d.src, d.msg)
 	}

@@ -1,10 +1,11 @@
 // Package core assembles the Hyperion DPU out of its substrates, wiring
-// the Figure 2 schematic: two QSFP ports feed a DEMUX and AXIS arbiters
-// into reconfigurable accelerator slots; a runtime config engine loads
-// authorized bitstreams; an FPGA-hosted PCIe root complex with an NVMe
-// host IP core reaches four SSDs over bifurcated x4 links; and the
-// single-level segment store unifies DRAM and flash behind 128-bit
-// object ids. There is no host CPU anywhere in the path.
+// the Figure 2 schematic: two QSFP ports (data and control) carry the
+// transport endpoints; a runtime config engine loads authorized
+// bitstreams into reconfigurable accelerator slots; an FPGA-hosted PCIe
+// root complex with an NVMe host IP core reaches four SSDs over
+// bifurcated x4 links; and the single-level segment store unifies DRAM
+// and flash behind 128-bit object ids. The AXIS ingress stage exists
+// where it is measured, in Fig2Probe. No host CPU is in the path.
 package core
 
 import (
@@ -19,7 +20,6 @@ import (
 	"hyperion/internal/seg"
 	"hyperion/internal/sim"
 	"hyperion/internal/telemetry"
-	"hyperion/internal/tenant"
 	"hyperion/internal/transport"
 )
 
@@ -78,22 +78,17 @@ type DPU struct {
 	CtrlEP  transport.Endpoint
 	CtrlSrv *rpc.Server
 
-	booted   bool
-	enumOut  []string
-	arbiter  *fabric.Arbiter
-	handlers map[uint16]func(netsim.Frame)
-	rec      *telemetry.Recorder
-	tenants  *tenant.Controller
-	fig2s    sim.FreeList[fig2Ctx]
-
-	Counters sim.CounterSet
+	booted  bool
+	enumOut []string
+	rec     *telemetry.Recorder
+	fig2s   sim.FreeList[fig2Ctx]
 }
 
 // SetRecorder arms the telemetry plane on every substrate of this DPU:
-// the fabric slots, the AXIS ingress arbiter, the PCIe root complex,
-// each SSD and its NVMe host driver, the segment store, and the
-// control-plane RPC server. Disarmed (nil) every hook is a pure nil
-// check — the datapath is bit-identical to the unhooked DPU.
+// the fabric slots, the PCIe root complex, each SSD and its NVMe host
+// driver, the segment store, and the control-plane RPC server. Disarmed
+// (nil) every hook is a pure nil check — the datapath is bit-identical
+// to the unhooked DPU.
 func (d *DPU) SetRecorder(rec *telemetry.Recorder) {
 	d.rec = rec
 	d.Fabric.SetRecorder(rec)
@@ -105,10 +100,6 @@ func (d *DPU) SetRecorder(rec *telemetry.Recorder) {
 		h.SetRecorder(rec)
 	}
 	d.Store.SetRecorder(rec)
-	d.arbiter.SetRecorder(rec)
-	if d.tenants != nil {
-		d.tenants.SetRecorder(rec)
-	}
 	if d.CtrlSrv != nil {
 		d.CtrlSrv.SetRecorder(rec)
 	}
@@ -135,7 +126,7 @@ func Reboot(eng *sim.Engine, net *netsim.Network, old *DPU) (*DPU, []string, err
 }
 
 func boot(eng *sim.Engine, net *netsim.Network, cfg Config, existing []*nvme.Device) (*DPU, []string, error) {
-	d := &DPU{Cfg: cfg, Eng: eng, handlers: make(map[uint16]func(netsim.Frame))}
+	d := &DPU{Cfg: cfg, Eng: eng}
 
 	// JTAG self-test: the fabric must expose sane geometry.
 	if cfg.Fabric.Slots <= 0 || cfg.Fabric.ClockHz <= 0 {
@@ -204,12 +195,6 @@ func boot(eng *sim.Engine, net *netsim.Network, cfg Config, existing []*nvme.Dev
 		d.registerShell()
 	}
 
-	// The Figure 2 ingress: DEMUX by destination port into the AXIS
-	// arbiter feeding the slots. Raw-frame handlers are registered per
-	// UDP-style port by the applications.
-	d.arbiter = fabric.NewArbiter(eng, cfg.Name+".arb", cfg.Fabric.ClockHz, 64, 256,
-		cfg.Fabric.Slots, func(it fabric.Item) { d.dispatch(it) })
-
 	d.booted = true
 	return d, enum, nil
 }
@@ -219,57 +204,6 @@ func (d *DPU) DataAddr() netsim.Addr { return netsim.Addr(d.Cfg.Name + "-q0") }
 
 // ControlAddr returns the control-plane network address.
 func (d *DPU) ControlAddr() netsim.Addr { return netsim.Addr(d.Cfg.Name + "-q1") }
-
-// dispatch runs an item that has traversed the arbiter: it carries the
-// pre-bound handler.
-func (d *DPU) dispatch(it fabric.Item) {
-	b, ok := it.Payload.(boundFrame)
-	if !ok {
-		d.Counters.Get("bad_items").Add(1)
-		return
-	}
-	b.handler(b.frame)
-}
-
-type boundFrame struct {
-	frame   netsim.Frame
-	handler func(netsim.Frame)
-}
-
-// HandleRawPort registers a raw-frame handler for a destination port
-// (the packet's classifier key). Frames arriving on the data NIC with a
-// matching port flow through DEMUX and arbiter before the handler runs.
-func (d *DPU) HandleRawPort(port uint16, fn func(netsim.Frame)) {
-	if len(d.handlers) == 0 {
-		d.Data.OnReceive(d.onDataFrame)
-	}
-	d.handlers[port] = fn
-}
-
-// rawFrame is the payload shape raw-port senders use.
-type RawFrame struct {
-	Port    uint16
-	Payload []byte
-}
-
-func (d *DPU) onDataFrame(f netsim.Frame) {
-	rf, ok := f.Payload.(RawFrame)
-	if !ok {
-		d.Counters.Get("unclassified").Add(1)
-		return
-	}
-	h, ok := d.handlers[rf.Port]
-	if !ok {
-		d.Counters.Get("no_handler").Add(1)
-		return
-	}
-	// Route through the arbiter input matching the port's slot affinity.
-	in := d.arbiter.In(int(rf.Port) % d.arbiter.Inputs())
-	err := in.Push(fabric.Item{Payload: boundFrame{frame: f, handler: h}, Bytes: f.Bytes})
-	if err != nil {
-		d.Counters.Get("ingress_drops").Add(1)
-	}
-}
 
 // LoadAccelerator asks the config engine to load a bitstream into the
 // given slot (local call; the OS-shell exposes the same over the

@@ -146,25 +146,6 @@ func TestShellRejectsForgedBitstream(t *testing.T) {
 	}
 }
 
-func TestRawPortHandlersViaDemux(t *testing.T) {
-	eng, net, d := bootTest(t)
-	var got []uint16
-	d.HandleRawPort(7, func(f netsim.Frame) {
-		rf := f.Payload.(RawFrame)
-		got = append(got, rf.Port)
-	})
-	src, _ := net.Attach("sender")
-	_ = src.Send(netsim.Frame{Dst: d.DataAddr(), Payload: RawFrame{Port: 7}, Bytes: 100})
-	_ = src.Send(netsim.Frame{Dst: d.DataAddr(), Payload: RawFrame{Port: 99}, Bytes: 100}) // no handler
-	eng.Run()
-	if len(got) != 1 || got[0] != 7 {
-		t.Fatalf("handled = %v", got)
-	}
-	if d.Counters.Value("no_handler") != 1 {
-		t.Fatalf("no_handler = %d", d.Counters.Value("no_handler"))
-	}
-}
-
 func TestFig2ProbeStages(t *testing.T) {
 	eng, _, d := bootTest(t)
 	if err := d.LoadAccelerator(0, ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {

@@ -13,7 +13,7 @@ func fig2Timeline(t *testing.T, n int, install bool) (times []sim.Time, traces [
 	t.Helper()
 	eng, _, d := bootTest(t)
 	if install {
-		d.InstallTenantPlane(tenant.DefaultConfig())
+		tenant.New(d.Eng, d.Fabric, tenant.DefaultConfig())
 	}
 	if err := d.LoadAccelerator(0, ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
 		t.Fatal(err)
@@ -56,10 +56,7 @@ func TestTenantPlaneOverDPUFabric(t *testing.T) {
 	// The plane schedules over the DPU's own fabric: admit two tenants,
 	// serve traffic, and verify slot bookkeeping through both views.
 	eng, _, d := bootTest(t)
-	ctl := d.InstallTenantPlane(tenant.DefaultConfig())
-	if d.TenantPlane() != ctl {
-		t.Fatal("TenantPlane accessor")
-	}
+	ctl := tenant.New(d.Eng, d.Fabric, tenant.DefaultConfig())
 	img := ProbeBitstream(d.Cfg.AuthTag)
 	a, err := ctl.Admit(tenant.Spec{Name: "a", Weight: 2, Image: img})
 	if err != nil {

@@ -269,9 +269,6 @@ func TestArbiterMergesInputs(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("got %v", got)
 	}
-	if arb.Inputs() != 2 {
-		t.Fatalf("Inputs = %d", arb.Inputs())
-	}
 }
 
 func BenchmarkSubmit(b *testing.B) {

@@ -158,15 +158,14 @@ func (s *Stream) deliver() {
 // inputs race to the sink in event order: there is no round-robin pick
 // and no shared-bus serialisation between them. WFQArbiter is the
 // shared-bus model (one item on the bus at a time, weighted-fair pick).
+// Only hyperbench's frozen fabric.rr_pick_ns probe still builds one.
 type Arbiter struct {
-	Name string
-	out  func(Item)
-	ins  []*Stream
+	ins []*Stream
 }
 
 // NewArbiter creates an arbiter with n input streams feeding sink out.
 func NewArbiter(eng *sim.Engine, name string, clockHz int64, widthBytes, depthItems, n int, out func(Item)) *Arbiter {
-	a := &Arbiter{Name: name, out: out}
+	a := &Arbiter{}
 	for i := 0; i < n; i++ {
 		st := NewStream(eng, fmt.Sprintf("%s.in%d", name, i), clockHz, widthBytes, depthItems)
 		st.Connect(out)
@@ -177,13 +176,3 @@ func NewArbiter(eng *sim.Engine, name string, clockHz int64, widthBytes, depthIt
 
 // In returns input port i.
 func (a *Arbiter) In(i int) *Stream { return a.ins[i] }
-
-// SetRecorder arms telemetry on every input stream of the arbiter.
-func (a *Arbiter) SetRecorder(rec *telemetry.Recorder) {
-	for _, st := range a.ins {
-		st.SetRecorder(rec)
-	}
-}
-
-// Inputs returns the number of input ports.
-func (a *Arbiter) Inputs() int { return len(a.ins) }

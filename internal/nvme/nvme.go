@@ -840,9 +840,6 @@ func (h *Host) WriteSpan(q int, lba int64, data []byte, span telemetry.RequestID
 // DeviceBlocks returns the capacity of the underlying device in blocks.
 func (h *Host) DeviceBlocks() int64 { return h.dev.cfg.Blocks }
 
-// BlockSize returns the device block size in bytes.
-func (h *Host) BlockSize() int { return h.dev.cfg.BlockSize }
-
 // Flush waits for all programmed data to be durable.
 func (h *Host) Flush(q int, cb func(status uint16)) error {
 	return h.FlushSpan(q, 0, cb)

@@ -456,86 +456,6 @@ func (s *Store) failW(cb func(error), d sim.Duration, err error) {
 	s.eng.After(d, "seg.err", func() { cb(err) })
 }
 
-// Promote moves a segment to DRAM (hint escalation); Demote moves it to
-// NVMe. Both copy the payload and update the table entry. Durable
-// segments cannot be promoted away from NVMe.
-func (s *Store) Promote(id ObjectID, cb func(error)) {
-	sg, ok := s.table[id]
-	if !ok {
-		s.failW(cb, 0, ErrNotFound)
-		return
-	}
-	if sg.Durable {
-		s.failW(cb, 0, ErrEphemeral)
-		return
-	}
-	if sg.Loc == LocDRAM {
-		s.failW(cb, 0, nil)
-		return
-	}
-	addr, err := s.dramAl.alloc(sg.Size)
-	if err != nil {
-		s.failW(cb, 0, err)
-		return
-	}
-	s.Read(id, 0, sg.Size, func(data []byte, rerr error) {
-		if rerr != nil {
-			s.dramAl.release(addr, sg.Size)
-			s.failW(cb, 0, rerr)
-			return
-		}
-		dev, lba := s.split(sg.Addr)
-		blocks := (sg.Size + int64(s.cfg.BlockSize) - 1) / int64(s.cfg.BlockSize)
-		s.nvmeAl[dev].release(lba, blocks)
-		s.dram.write(addr, data)
-		sg.Loc = LocDRAM
-		sg.Addr = addr
-		s.mutated()
-		s.Counters.Get("promotes").Add(1)
-		if cb != nil {
-			cb(nil)
-		}
-	})
-}
-
-// Demote moves an ephemeral DRAM segment to NVMe.
-func (s *Store) Demote(id ObjectID, cb func(error)) {
-	sg, ok := s.table[id]
-	if !ok {
-		s.failW(cb, 0, ErrNotFound)
-		return
-	}
-	if sg.Loc == LocNVMe {
-		s.failW(cb, 0, nil)
-		return
-	}
-	dev, lba, err := s.allocNVMe(sg.Size)
-	if err != nil {
-		s.failW(cb, 0, err)
-		return
-	}
-	data := make([]byte, sg.Size)
-	s.dram.read(data, sg.Addr)
-	oldAddr, oldSize := sg.Addr, sg.Size
-	s.devWrite(dev, lba, padToBlocks(data, s.cfg.BlockSize), func(werr error) {
-		if werr != nil {
-			s.nvmeAl[dev].release(lba, (sg.Size+int64(s.cfg.BlockSize)-1)/int64(s.cfg.BlockSize))
-			if cb != nil {
-				cb(werr)
-			}
-			return
-		}
-		s.dramAl.release(oldAddr, oldSize)
-		sg.Loc = LocNVMe
-		sg.Addr = int64(dev)*devStride + lba*int64(s.cfg.BlockSize)
-		s.mutated()
-		s.Counters.Get("demotes").Add(1)
-		if cb != nil {
-			cb(nil)
-		}
-	})
-}
-
 func (s *Store) mutated() {
 	s.dirty++
 	if s.cfg.CheckpointEvery > 0 && s.dirty >= s.cfg.CheckpointEvery {

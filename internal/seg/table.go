@@ -1,11 +1,13 @@
 package seg
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
-	"hyperion/internal/wire"
+	"slices"
 
 	"hyperion/internal/nvme"
+	"hyperion/internal/wire"
 )
 
 // Segment-table checkpointing. The table serializes into the reserved
@@ -32,30 +34,13 @@ func (s *Store) Checkpoint(cb func(error)) {
 	// Deterministic order for reproducible images.
 	sortSegments(durable)
 
-	need := 16 + len(durable)*entryBytes
 	bs := s.cfg.BlockSize
-	maxBytes := int(s.cfg.TableBlocks) * bs
-	if need > maxBytes {
+	need := 16 + len(durable)*entryBytes
+	if maxBytes := int(s.cfg.TableBlocks) * bs; need > maxBytes {
 		s.failW(cb, 0, fmt.Errorf("%w: table needs %d bytes, control area holds %d", ErrNoSpace, need, maxBytes))
 		return
 	}
-	buf := make([]byte, (need+bs-1)/bs*bs)
-	wire.PutLE32At(buf, 0, tableMagic)
-	wire.PutLE32At(buf, 4, uint32(len(durable)))
-	off := 16
-	for _, sg := range durable {
-		sg.ID.EncodeTo(buf[off:])
-		wire.PutLE64At(buf, off+16, uint64(sg.Size))
-		wire.PutLE64At(buf, off+24, uint64(sg.Addr))
-		var flags byte
-		if sg.Durable {
-			flags |= 1
-		}
-		buf[off+32] = flags
-		off += entryBytes
-	}
-	crc := crc32.ChecksumIEEE(buf[16:])
-	wire.PutLE32At(buf, 8, crc)
+	buf := encodeTable(durable, bs)
 	s.Counters.Get("checkpoints").Add(1)
 	s.devWrite(0, 0, buf, func(err error) {
 		if err != nil {
@@ -80,6 +65,27 @@ func (s *Store) Checkpoint(cb func(error)) {
 	})
 }
 
+// encodeTable serializes segs, already in id order: header, entries,
+// zero padding to a whole block, checksum over all but the header.
+func encodeTable(segs []*Segment, bs int) []byte {
+	need := 16 + len(segs)*entryBytes
+	buf := make([]byte, (need+bs-1)/bs*bs)
+	wire.PutLE32At(buf, 0, tableMagic)
+	wire.PutLE32At(buf, 4, uint32(len(segs)))
+	off := 16
+	for _, sg := range segs {
+		sg.ID.EncodeTo(buf[off:])
+		wire.PutLE64At(buf, off+16, uint64(sg.Size))
+		wire.PutLE64At(buf, off+24, uint64(sg.Addr))
+		if sg.Durable {
+			buf[off+32] = 1
+		}
+		off += entryBytes
+	}
+	wire.PutLE32At(buf, 8, crc32.ChecksumIEEE(buf[16:]))
+	return buf
+}
+
 func sortSegments(ss []*Segment) {
 	for i := 1; i < len(ss); i++ {
 		for j := i; j > 0 && ss[j].ID.Less(ss[j-1].ID); j-- {
@@ -91,52 +97,94 @@ func sortSegments(ss []*Segment) {
 // Recover rebuilds a store's table from the control area of device 0.
 // It must be called on a freshly-constructed store. NVMe allocators are
 // replayed so subsequent allocations do not collide with recovered
-// segments.
+// segments. The image is validated whole before any of it is installed:
+// one that Checkpoint could not have written for this store's geometry
+// yields ErrBadTable and leaves the table and allocators untouched.
 func (s *Store) Recover(cb func(n int, err error)) {
-	bs := s.cfg.BlockSize
 	s.devRead(0, 0, int(s.cfg.TableBlocks), func(buf []byte, st uint16) {
 		if st != nvme.StatusOK {
 			cb(0, fmt.Errorf("seg: recover read status %#x", st))
 			return
 		}
-		if wire.LE32At(buf, 0) != tableMagic {
-			cb(0, fmt.Errorf("%w: bad magic", ErrBadTable))
+		segs, als, err := s.decodeTable(buf)
+		if err != nil {
+			cb(0, err)
 			return
 		}
-		n := int(wire.LE32At(buf, 4))
-		want := wire.LE32At(buf, 8)
-		need := 16 + n*entryBytes
-		if need > len(buf) {
-			cb(0, fmt.Errorf("%w: truncated table", ErrBadTable))
-			return
-		}
-		// Checksum covers the full padded region as written.
-		padded := (need + bs - 1) / bs * bs
-		if crc32.ChecksumIEEE(buf[16:padded]) != want {
-			cb(0, fmt.Errorf("%w: checksum mismatch", ErrBadTable))
-			return
-		}
-		off := 16
-		for i := 0; i < n; i++ {
-			sg := &Segment{
-				ID:      DecodeID(buf[off:]),
-				Size:    int64(wire.LE64At(buf, off+16)),
-				Addr:    int64(wire.LE64At(buf, off+24)),
-				Loc:     LocNVMe,
-				Durable: buf[off+32]&1 != 0,
-			}
+		s.nvmeAl = als
+		for _, sg := range segs {
 			s.table[sg.ID] = sg
-			dev, lba := s.split(sg.Addr)
-			blocks := (sg.Size + int64(bs) - 1) / int64(bs)
-			s.nvmeAl[dev].claim(lba, blocks)
-			off += entryBytes
 		}
-		cb(n, nil)
+		cb(len(segs), nil)
 	})
 }
 
-// claim removes [addr, addr+n) from the free list during recovery.
-func (a *allocator) claim(addr, n int64) {
+// decodeTable parses a checkpoint image and replays its segments into
+// copies of the NVMe allocators. It accepts exactly what Checkpoint
+// writes: ids strictly ascending, every segment a positive,
+// block-aligned range inside free space of a device this store has,
+// and nothing that would not encode back to the same bytes.
+func (s *Store) decodeTable(buf []byte) ([]*Segment, []*allocator, error) {
+	bad := func(format string, args ...any) ([]*Segment, []*allocator, error) {
+		return nil, nil, fmt.Errorf("%w: %s", ErrBadTable, fmt.Sprintf(format, args...))
+	}
+	bs := int64(s.cfg.BlockSize)
+	if wire.LE32At(buf, 0) != tableMagic {
+		return bad("bad magic")
+	}
+	n := int(wire.LE32At(buf, 4))
+	need := 16 + n*entryBytes
+	if need > len(buf) {
+		return bad("truncated table")
+	}
+	// Checksum covers the full padded region as written.
+	padded := (need + int(bs) - 1) / int(bs) * int(bs)
+	if crc32.ChecksumIEEE(buf[16:padded]) != wire.LE32At(buf, 8) {
+		return bad("checksum mismatch")
+	}
+	als := make([]*allocator, len(s.nvmeAl))
+	for i, a := range s.nvmeAl {
+		c := *a
+		c.holes = slices.Clone(a.holes)
+		als[i] = &c
+	}
+	segs := make([]*Segment, 0, n)
+	for i, off := 0, 16; i < n; i, off = i+1, off+entryBytes {
+		sg := &Segment{
+			ID:      DecodeID(buf[off:]),
+			Size:    int64(wire.LE64At(buf, off+16)),
+			Addr:    int64(wire.LE64At(buf, off+24)),
+			Loc:     LocNVMe,
+			Durable: buf[off+32]&1 != 0,
+		}
+		if i > 0 && !segs[i-1].ID.Less(sg.ID) {
+			return bad("entry %d: ids not ascending", i)
+		}
+		if sg.Addr < 0 || sg.Addr%bs != 0 || sg.Addr/devStride >= int64(len(als)) {
+			return bad("entry %d: address %#x unaligned or on no device", i, sg.Addr)
+		}
+		dev, lba := s.split(sg.Addr)
+		// Bounding Size by the device first keeps the block count from
+		// overflowing; claim then checks the range against free space.
+		if sg.Size <= 0 || sg.Size > s.devs[dev].DeviceBlocks()*bs {
+			return bad("entry %d: size %d", i, sg.Size)
+		}
+		if !als[dev].claim(lba, (sg.Size+bs-1)/bs) {
+			return bad("entry %d: %d bytes at %#x are not free space", i, sg.Size, sg.Addr)
+		}
+		segs = append(segs, sg)
+	}
+	// A table has exactly one image, so set reserved bytes, unknown
+	// flags or non-zero padding mean Checkpoint did not write this one.
+	if !bytes.Equal(encodeTable(segs, int(bs)), buf[:padded]) {
+		return bad("reserved bytes set")
+	}
+	return segs, als, nil
+}
+
+// claim removes [addr, addr+n) from the free list during recovery and
+// reports whether the whole range was free.
+func (a *allocator) claim(addr, n int64) bool {
 	addr -= a.base
 	for i := range a.holes {
 		h := a.holes[i]
@@ -150,7 +198,8 @@ func (a *allocator) claim(addr, n int64) {
 				repl = append(repl, hole{addr + n, h.addr + h.size - addr - n})
 			}
 			a.holes = append(a.holes[:i], append(repl, a.holes[i+1:]...)...)
-			return
+			return true
 		}
 	}
+	return false
 }

@@ -46,28 +46,6 @@ func (b *Buf) Bytes() []byte { return b.b }
 // Len returns the current length.
 func (b *Buf) Len() int { return len(b.b) }
 
-// Resize sets the length to n, growing capacity if needed. New bytes
-// beyond the previous length are zero.
-func (b *Buf) Resize(n int) {
-	if n <= cap(b.b) {
-		old := len(b.b)
-		b.b = b.b[:n]
-		for i := old; i < n; i++ {
-			b.b[i] = 0
-		}
-		return
-	}
-	nb := make([]byte, n)
-	copy(nb, b.b)
-	b.b = nb
-}
-
-// Append appends p and returns the new length.
-func (b *Buf) Append(p []byte) int {
-	b.b = append(b.b, p...)
-	return len(b.b)
-}
-
 // Retain adds a reference and returns b for chaining. The extra
 // reference is the caller's to discharge.
 //

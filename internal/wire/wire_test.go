@@ -158,25 +158,6 @@ func TestPoolAliasing(t *testing.T) {
 	}
 }
 
-func TestResizeZeroesGrowth(t *testing.T) {
-	p := NewPool(64)
-	b := p.Get(8)
-	for i := range b.Bytes() {
-		b.Bytes()[i] = 0xff
-	}
-	b.Resize(4)
-	b.Resize(32) // regrow within capacity: bytes 4..32 must be zero
-	for i, c := range b.Bytes() {
-		if i < 4 && c != 0xff {
-			t.Fatalf("Resize clobbered retained byte %d", i)
-		}
-		if i >= 4 && c != 0 {
-			t.Fatalf("Resize exposed stale byte %#x at %d", c, i)
-		}
-	}
-	b.Release()
-}
-
 // TestPoolAllocFree pins the steady-state cost of the pool: a warm
 // Get/Release cycle must not allocate.
 func TestPoolAllocFree(t *testing.T) {

@@ -220,7 +220,8 @@ func (b *Balancer) Steer(p trace.Packet) (uint32, error) {
 		return dst, nil
 	}
 	// Cold path: consult the spill store on NVMe.
-	val, ok, err := b.spill.Get(b.keyBytes(k))
+	var vb [4]byte
+	val, ok, err := b.spill.GetAppend(vb[:0], b.keyBytes(k))
 	if err != nil {
 		return 0, err
 	}

@@ -7,6 +7,8 @@
 package baseline
 
 import (
+	"math/bits"
+
 	"hyperion/internal/sim"
 )
 
@@ -247,59 +249,111 @@ func NewPageWalker(tlbEntries int) *PageWalker {
 // Translate returns the modeled cost of translating the virtual page.
 func (w *PageWalker) Translate(page uint64) sim.Duration {
 	w.Walks++
-	if w.tlb.get(page) {
+	if w.tlb.touch(page) {
 		w.TLBHits++
 		return 0
 	}
 	var cost sim.Duration
-	// Levels are keyed by progressively coarser prefixes (PML4, PDPT,
-	// PD); the leaf PTE always costs a DRAM access.
+	// The leaf PTE always costs a DRAM access; an upper level costs one
+	// unless the page-walk cache holds it.
 	for _, shift := range walkShifts {
-		key := page >> shift
-		if w.pwc.get(key) {
+		if w.pwc.touch(page >> shift) {
 			w.PWCHits++
 			continue
 		}
 		cost += w.DRAMTime
-		w.pwc.put(key)
 	}
 	cost += w.DRAMTime
-	w.tlb.put(page)
 	return cost
 }
 
 // walkShifts keys the three upper walk levels by progressively coarser
-// page-number prefixes (PML4, PDPT, PD).
+// page-number prefixes (PML4, PDPT, PD). The levels share one PWC key
+// space: the prefixes are not tagged with their level, so page>>27 and
+// page>>18 are the same key for every page below 2^18 (and all three
+// are for pages below 2^9), and a walk there fills fewer PWC entries
+// and takes more PWC hits than a tagged cache would. E6's page-side
+// columns are recorded with exactly this behaviour and its golden hash
+// pins it; tagging the keys is a model change that moves that table,
+// not a clean-up.
 var walkShifts = [3]uint{27, 18, 9}
 
-// lru is a small presence-only LRU: get and put are O(1) with no
-// steady-state allocation.
+// lru is a small presence-only LRU of fixed capacity: touch is O(1)
+// with no allocation once the cache has filled. Recency order belongs
+// to sim.Recency; the key → node index is an open-addressed table with
+// linear probing and backward-shift deletion, sized once at twice the
+// capacity so it never grows (seg.oidIndex's scheme on 64-bit keys; see
+// DESIGN §10 "Guide tables" for why the two are not one generic type).
 type lru struct {
 	cap   int
-	idx   map[uint64]int32
+	n     int
+	slots []lruSlot // len is a power of two, at least 2·cap
+	shift uint      // 64 - log2(len(slots)): home keeps the hash's top bits
 	order sim.Recency[uint64]
 }
 
+type lruSlot struct {
+	key uint64
+	ref int32 // node index; 0 marks an empty slot (node indexes are positive)
+}
+
 func newLRU(cap int) *lru {
-	return &lru{cap: cap, idx: make(map[uint64]int32, cap)}
+	size := 2
+	for size < 2*cap {
+		size *= 2
+	}
+	return &lru{cap: cap, slots: make([]lruSlot, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
 }
 
-func (c *lru) get(k uint64) bool {
-	i, ok := c.idx[k]
-	if ok {
-		c.order.MoveBack(i)
-	}
-	return ok
+func (c *lru) home(k uint64) int {
+	const phi = 0x9e3779b97f4a7c15
+	return int((k * phi) >> c.shift)
 }
 
-func (c *lru) put(k uint64) {
-	if c.get(k) {
-		return
+// touch reports whether k was cached and leaves it the most recently
+// used entry either way, evicting the least recently used one to make
+// room.
+func (c *lru) touch(k uint64) bool {
+	mask := len(c.slots) - 1
+	i := c.home(k)
+	for ; c.slots[i].ref != 0; i = (i + 1) & mask {
+		if c.slots[i].key == k {
+			c.order.MoveBack(c.slots[i].ref)
+			return true
+		}
 	}
-	if len(c.idx) >= c.cap {
-		v := c.order.Front()
-		delete(c.idx, *c.order.At(v))
-		c.order.Remove(v)
+	if c.n < c.cap {
+		c.n++
+		c.slots[i] = lruSlot{key: k, ref: c.order.PushBack(k)}
+		return false
 	}
-	c.idx[k] = c.order.PushBack(k)
+	// Full: the victim's node takes the new key and moves to the back,
+	// which is where Remove + PushBack would have put it. Unbinding the
+	// victim can shift k's run, so the free slot is probed for again.
+	v := c.order.Front()
+	c.unbind(*c.order.At(v))
+	*c.order.At(v) = k
+	c.order.MoveBack(v)
+	for i = c.home(k); c.slots[i].ref != 0; i = (i + 1) & mask {
+	}
+	c.slots[i] = lruSlot{key: k, ref: v}
+	return false
+}
+
+// unbind removes k, which must be present, and closes the hole by
+// moving up each later entry of the run whose home is not past it, so
+// every remaining key stays reachable from its home.
+func (c *lru) unbind(k uint64) {
+	mask := len(c.slots) - 1
+	i := c.home(k)
+	for c.slots[i].key != k {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; c.slots[j].ref != 0; j = (j + 1) & mask {
+		if (j-c.home(c.slots[j].key))&mask >= (j-i)&mask {
+			c.slots[i] = c.slots[j]
+			i = j
+		}
+	}
+	c.slots[i] = lruSlot{}
 }

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"container/list"
 	"testing"
 
 	"hyperion/internal/sim"
@@ -95,6 +96,10 @@ func TestPageWalkerCosts(t *testing.T) {
 	if warm != w.DRAMTime {
 		t.Fatalf("PWC-warm walk = %v, want 1 DRAM access", warm)
 	}
+	// Recorded at the commit before the LRU lost its map. The cold walk
+	// already takes a PWC hit: 12345>>27 and 12345>>18 are both key 0
+	// (see walkShifts).
+	wantCounters(t, w, 3, 1, 4)
 }
 
 func TestPageWalkerEviction(t *testing.T) {
@@ -104,5 +109,129 @@ func TestPageWalkerEviction(t *testing.T) {
 	}
 	if w.Translate(0) == 0 {
 		t.Fatal("expected TLB eviction to force a walk")
+	}
+	wantCounters(t, w, 101, 0, 203)
+
+	// A longer tape with both caches thrashing and refilling: 50 000
+	// pages of 256 objects × 512 pages through a 1024-entry TLB, every
+	// other access returning to one hot object. Counters recorded at
+	// the commit before the LRU lost its map.
+	w = NewPageWalker(1024)
+	r := sim.NewRand(6)
+	for i := 0; i < 50000; i++ {
+		obj := uint64(r.Intn(256))
+		if i%2 == 0 {
+			obj = 7
+		}
+		w.Translate(obj*512 + uint64(r.Intn(512)))
+	}
+	wantCounters(t, w, 50000, 18094, 77100)
+}
+
+func wantCounters(t *testing.T, w *PageWalker, walks, tlbHits, pwcHits int64) {
+	t.Helper()
+	if w.Walks != walks || w.TLBHits != tlbHits || w.PWCHits != pwcHits {
+		t.Fatalf("Walks/TLBHits/PWCHits = %d/%d/%d, want %d/%d/%d",
+			w.Walks, w.TLBHits, w.PWCHits, walks, tlbHits, pwcHits)
+	}
+}
+
+// refLRU is the textbook form lru replaces: a map for presence and a
+// container/list for recency, front = least recently used.
+type refLRU struct {
+	cap   int
+	idx   map[uint64]*list.Element
+	order *list.List
+}
+
+func (c *refLRU) touch(k uint64) bool {
+	if e, ok := c.idx[k]; ok {
+		c.order.MoveToBack(e)
+		return true
+	}
+	if len(c.idx) >= c.cap {
+		e := c.order.Front()
+		c.order.Remove(e)
+		delete(c.idx, e.Value.(uint64))
+	}
+	c.idx[k] = c.order.PushBack(k)
+	return false
+}
+
+// TestLRUMatchesReference drives lru and the map + container/list model
+// with the same random tapes: the same hits, and after every step the
+// same least recently used key, which is the next victim. Key spaces
+// both smaller and much larger than the capacity, with a clustered key
+// family (page numbers of one object) so probe runs form and are closed
+// by backward shifts.
+func TestLRUMatchesReference(t *testing.T) {
+	for _, cap := range []int{1, 2, 64, 1024} {
+		for _, space := range []int{cap, 2*cap + 1, 16 * cap} {
+			c := newLRU(cap)
+			ref := &refLRU{cap: cap, idx: map[uint64]*list.Element{}, order: list.New()}
+			r := sim.NewRand(uint64(cap*31 + space))
+			for step := 0; step < 40000; step++ {
+				k := uint64(r.Intn(space))
+				if step%3 == 0 {
+					k = k << 9 // the PD-level prefixes E6's pages share
+				}
+				wantHit := ref.touch(k)
+				if hit := c.touch(k); hit != wantHit {
+					t.Fatalf("cap %d space %d step %d: touch(%d) = %v, reference says %v", cap, space, step, k, hit, wantHit)
+				}
+				if got, want := *c.order.At(c.order.Front()), ref.order.Front().Value.(uint64); got != want {
+					t.Fatalf("cap %d space %d step %d: next victim %d, reference says %d", cap, space, step, got, want)
+				}
+				if c.n != len(ref.idx) {
+					t.Fatalf("cap %d space %d step %d: %d entries, reference has %d", cap, space, step, c.n, len(ref.idx))
+				}
+			}
+			// Every resident key is still reachable from its home, and
+			// nothing else is.
+			bound := 0
+			for _, s := range c.slots {
+				if s.ref != 0 {
+					bound++
+				}
+			}
+			if bound != len(ref.idx) {
+				t.Fatalf("cap %d space %d: %d slots bound, want %d", cap, space, bound, len(ref.idx))
+			}
+			for k := range ref.idx {
+				if !c.touch(k) {
+					t.Fatalf("cap %d space %d: resident key %d not found", cap, space, k)
+				}
+			}
+		}
+	}
+}
+
+var walkSink sim.Duration
+
+// BenchmarkPageWalkerTranslate is E6's page side at its two extremes: a
+// working set the TLB holds (every access one probe and a MoveBack) and
+// one 2048× larger (every access a TLB eviction and a PWC walk). Both
+// run without allocating once the caches have filled.
+func BenchmarkPageWalkerTranslate(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		pages int
+	}{{"resident", 1024}, {"thrashing", 4096 * 512}} {
+		b.Run(c.name, func(b *testing.B) {
+			w := NewPageWalker(1024)
+			r := sim.NewRand(1)
+			step := func() { walkSink += w.Translate(uint64(r.Intn(c.pages))) }
+			for i := 0; i < 4*c.pages && i < 1<<16; i++ {
+				step()
+			}
+			if n := testing.AllocsPerRun(1000, step); n != 0 {
+				b.Fatalf("warm Translate allocated %v times, want 0", n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }

@@ -50,6 +50,7 @@ type Unit struct {
 	// reopen the cache warms on demand.
 	stateCache   map[uint64]byte
 	virginChunks map[int]bool
+	cell         []byte // Write's staging buffer, cellBytes long
 
 	Writes, Reads, Fills int64
 }
@@ -191,11 +192,16 @@ func (u *Unit) Write(slot uint64, data []byte) error {
 		return err
 	}
 	// Write the full cell so block-aligned cells land as aligned device
-	// writes (no read-modify-write).
-	cell := make([]byte, u.cellBytes)
+	// writes (no read-modify-write). It is staged in the unit's scratch:
+	// WriteAt copies into the store and keeps nothing.
+	if u.cell == nil {
+		u.cell = make([]byte, u.cellBytes)
+	}
+	cell := u.cell
 	cell[0] = slotWritten
 	binary.LittleEndian.PutUint32(cell[1:], uint32(len(data)))
-	copy(cell[5:], data)
+	n := copy(cell[5:], data)
+	clear(cell[5+n:])
 	u.Writes++
 	u.stateCache[slot] = slotWritten
 	return u.v.WriteAt(id, off, cell)

@@ -229,3 +229,35 @@ func BenchmarkAppend(b *testing.B) {
 		}
 	}
 }
+
+// TestWriteLeavesNoStaleCellBytes pins what the stored cell holds when a
+// short entry follows a long one through the unit's reused staging
+// buffer: state, length, the data, and zeros after it — the bytes a
+// freshly made cell would have carried.
+func TestWriteLeavesNoStaleCellBytes(t *testing.T) {
+	v := newView(t)
+	u, err := NewUnit(v, seg.OID(400, 0), 64, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Write(0, bytes.Repeat([]byte{0xAA}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Write(1, []byte("short")); err != nil {
+		t.Fatal(err)
+	}
+	id, off, err := u.locate(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell, err := v.ReadAt(id, off, int64(u.cellBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, u.cellBytes)
+	copy(want, []byte{slotWritten, 5, 0, 0, 0})
+	copy(want[5:], "short")
+	if !bytes.Equal(cell, want) {
+		t.Fatalf("cell after a longer write = %x, want %x", cell, want)
+	}
+}

@@ -60,8 +60,19 @@ func NewKVGen(seed uint64, n uint64, mix YCSBMix, valBytes int) *KVGen {
 	return &KVGen{r: r, zipf: sim.NewZipf(r, n, 0.99), mix: mix, keys: n, valBytes: valBytes}
 }
 
-// Key materializes key i in a fixed format.
-func Key(i uint64) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
+// Key materializes key i in a fixed format: "user" and i in decimal,
+// zero-padded to twelve digits (wider when i needs more).
+func Key(i uint64) []byte {
+	if i >= 1e12 {
+		return []byte(fmt.Sprintf("user%012d", i))
+	}
+	k := []byte("user000000000000")
+	for p := len(k) - 1; i > 0; p-- {
+		k[p] = byte('0' + i%10)
+		i /= 10
+	}
+	return k
+}
 
 // LoadKeys returns every key once (for the load phase).
 func (g *KVGen) LoadKeys() []uint64 {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -38,6 +40,24 @@ func TestKVGenSkew(t *testing.T) {
 	hot := counts[string(Key(0))]
 	if hot < 1000 {
 		t.Fatalf("hottest key only %d/50000 accesses; zipf broken", hot)
+	}
+}
+
+// TestKeyMatchesSprintf pins the hand-filled key to the format it
+// replaces, at every digit-count boundary and across the hand-off to
+// the Sprintf path at 10^12.
+func TestKeyMatchesSprintf(t *testing.T) {
+	is := []uint64{0, 1, 7, 1999, 2000, 1e12 - 1, 1e12, 1e12 + 1, 1e13, math.MaxUint64}
+	for p := uint64(10); p < 1e12; p *= 10 {
+		is = append(is, p-1, p, p+1)
+	}
+	for _, i := range is {
+		if got, want := string(Key(i)), fmt.Sprintf("user%012d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Key(123456) }); n > 1 {
+		t.Errorf("Key allocated %v times, want at most 1", n)
 	}
 }
 

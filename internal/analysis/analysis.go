@@ -7,9 +7,12 @@
 // Model code may consume time only through sim.Engine's virtual clock and
 // randomness only through the engine's seeded sim.Rand; it must not spawn
 // goroutines, use channels or sync primitives, or let map iteration order
-// leak into simulation state. The analyzers in the subpackages
-// (nodeterm, maprange, eventref, simtime) machine-check that contract,
-// and cmd/hyperlint drives them either standalone or as a
+// leak into simulation state. Eight analyzers in the subpackages
+// machine-check that contract and the two hand-run protocols beside it:
+// nodeterm, maprange, eventref, simtime and unsafeptr match syntax;
+// bufown and spanpair are clients of the custody engine in flow (a CFG
+// per function, solved to a fixpoint); sharedstate guards sharding.
+// cmd/hyperlint drives them either standalone or as a
 // `go vet -vettool` plugin.
 //
 // The framework is intentionally API-compatible in spirit with

@@ -11,9 +11,6 @@
 //     Buf.Retain, any function declared //wire:owns) must be Released,
 //     returned, or handed to an escaping consumer on every path;
 //   - a must-released reference must not be Released again or used;
-//   - a parameter declared //wire:borrows must not be Released;
-//   - a parameter declared //wire:takes is an obligation the body must
-//     discharge like any other owned reference;
 //   - custody across //wire:sends calls (NIC.Send) is conditional on
 //     the error result: the caller still owns the buffer on the
 //     non-nil-error branch and must not touch it on the nil branch.
@@ -25,7 +22,11 @@
 // out of branchy datapath code. Escapes — storing a reference into a
 // container, passing it to an unannotated callee, capturing it in a
 // closure — end tracking silently: custody moved somewhere this
-// intra-procedural pass cannot see.
+// intra-procedural pass cannot see. The lattice, the escape rules and
+// the driver are flow's custody engine, shared with spanpair; what is
+// here is what acquires and discharges a wire.Buf, the conditional-send
+// refinement, composite-literal sources, and the overwrite and
+// use-after-release checks.
 //
 // The check runs on every layer, including the harness and exempt
 // layers: buffer custody is not a determinism contract, it is memory
@@ -37,6 +38,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 
 	"hyperion/internal/analysis"
@@ -52,228 +54,88 @@ var Analyzer = &analysis.Analyzer{
 
 const wirePath = analysis.ModulePath + "/internal/wire"
 
-// mask is the set of custody states a reference may be in at a program
-// point (a may-analysis joins paths by union).
-type mask uint8
-
-const (
-	owned    mask = 1 << iota // holds a reference that must be discharged
-	released                  // discharged; further Release/use is a bug
-	escaped                   // custody moved out of intra-procedural view
-	condsend                  // owned iff the pending send error is non-nil
-)
-
-// cell tracks one reference obligation keyed by its access path.
-type cell struct {
-	origin  token.Pos // where the obligation was created
-	m       mask
-	condErr string // condsend: the error variable gating custody
-}
-
-// state maps access paths (flow.Path keys) to obligations. Treated as
-// immutable; transfer functions clone before writing.
-type state map[string]cell
-
-func clone(s state) state {
-	out := make(state, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 func run(pass *analysis.Pass) error {
-	files := pass.NonTestFiles()
-	cons := flow.Collect(files, pass.TypesInfo)
+	cons := flow.Collect(pass.NonTestFiles(), pass.TypesInfo)
 	for _, pe := range cons.Errs {
 		pass.Reportf(pe.Pos, "%s", pe.Msg)
 	}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	flow.Track(pass, func(t *flow.Tracker, decl *ast.FuncDecl) flow.Rules {
+		p := &prob{Tracker: t, cons: cons}
+		if decl != nil {
+			if fn, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func); ok {
+				c, _ := cons.Local(fn)
+				p.owns = c.Owns
 			}
-			var fc flow.Contract
-			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				fc, _ = cons.Local(fn)
-			}
-			analyzeFunc(pass, cons, fd.Body, fd.Type, fc)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					analyzeFunc(pass, cons, lit.Body, lit.Type, flow.Contract{})
-				}
-				return true
-			})
 		}
-	}
+		return p
+	})
 	return nil
 }
 
+// prob is bufown's flow.Rules for one function body.
 type prob struct {
-	pass  *analysis.Pass
-	cons  *flow.Contracts
-	fc    flow.Contract // contract on the function being analyzed
-	fnPos token.Pos     // fallback report position for boundary obligations
-	// report is nil during fixpoint iteration and set during the final
-	// reporting walk, so diagnostics fire exactly once.
-	report func(pos token.Pos, format string, args ...any)
+	*flow.Tracker
+	cons *flow.Contracts
+	owns bool // the function being analyzed is declared //wire:owns
 }
 
-func analyzeFunc(pass *analysis.Pass, cons *flow.Contracts, body *ast.BlockStmt, ftype *ast.FuncType, fc flow.Contract) {
-	p := &prob{pass: pass, cons: cons, fc: fc, fnPos: ftype.Pos()}
-	g := flow.Build(body, pass.TypesInfo)
-	res := flow.Solve(g, p, flow.Forward)
-
-	// Reporting walk: replay each reachable block from its fixpoint
-	// input with diagnostics enabled.
-	seen := make(map[token.Pos]bool)
-	p.report = func(pos token.Pos, format string, args ...any) {
-		if !seen[pos] {
-			seen[pos] = true
-			pass.Reportf(pos, format, args...)
-		}
+func (p *prob) Leak(path string, c flow.Cell) {
+	if c.M&flow.Gated != 0 {
+		p.Reportf(c.Origin, "custody of %s depends on a send error that is never checked against nil", path)
+		return
 	}
-	for _, blk := range g.Blocks {
-		in := res.In[blk]
-		if in == nil {
-			continue
-		}
-		st := in.(state)
-		for _, n := range blk.Nodes {
-			st = p.Transfer(n, st).(state)
-		}
-	}
-	// Leak check: any obligation still (possibly) owned at exit.
-	if exit := res.In[g.Exit]; exit != nil {
-		reportLeaks(p, exit.(state))
-	}
-	p.report = nil
+	p.Reportf(c.Origin, "%s is not released on every path (leaked wire.Buf reference)", path)
 }
 
-func reportLeaks(p *prob, st state) {
-	// Deterministic order: cells sorted by origin position.
-	var cells []cell
-	keys := make(map[token.Pos]string)
-	for k, c := range st {
-		if c.m&(owned|condsend) == 0 {
-			continue
-		}
-		cells = append(cells, c)
-		keys[c.origin] = k
-	}
-	for i := 1; i < len(cells); i++ {
-		for j := i; j > 0 && cells[j].origin < cells[j-1].origin; j-- {
-			cells[j], cells[j-1] = cells[j-1], cells[j]
-		}
-	}
-	for _, c := range cells {
-		k := keys[c.origin]
-		pos := c.origin
-		if pos == token.NoPos {
-			pos = p.fnPos // boundary obligation: a //wire:takes parameter
-		}
-		if c.m&condsend != 0 {
-			p.report(pos, "custody of %s depends on a send error that is never checked against nil", k)
-			continue
-		}
-		p.report(pos, "%s is not released on every path (leaked wire.Buf reference)", k)
-	}
+// Neutral: a wire.Buf's own methods (Bytes, Len, ...) keep tracking
+// alive; Release and Retain are matched as statements.
+func (p *prob) Neutral(t types.Type) bool { return isBufPtr(t) }
+
+// Modelled: a callee with a contract is applied by applyContractArgs.
+func (p *prob) Modelled(call *ast.CallExpr) bool {
+	_, ok := p.cons.For(analysis.Callee(p.Pass.TypesInfo, call))
+	return ok
 }
 
-// ---- Problem implementation ----
-
-func (p *prob) Boundary() flow.State {
-	st := state{}
-	// //wire:takes parameters arrive as obligations the body must
-	// discharge.
-	for _, name := range p.fc.Takes {
-		st[name] = cell{origin: token.NoPos, m: owned}
+func (p *prob) Use(e ast.Expr, path string, c flow.Cell) {
+	if c.M == flow.Discharged {
+		p.Reportf(e.Pos(), "use of %s after Release", path)
 	}
-	return st
-}
-
-func (p *prob) Merge(a, b flow.State) flow.State {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	as, bs := a.(state), b.(state)
-	out := clone(as)
-	for k, bc := range bs {
-		ac, ok := out[k]
-		if !ok {
-			out[k] = bc
-			continue
-		}
-		ac.m |= bc.m
-		if ac.origin == token.NoPos || (bc.origin != token.NoPos && bc.origin < ac.origin) {
-			ac.origin = bc.origin
-		}
-		if ac.condErr == "" {
-			ac.condErr = bc.condErr
-		}
-		out[k] = ac
-	}
-	return out
-}
-
-func (p *prob) Equal(a, b flow.State) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	as, bs := a.(state), b.(state)
-	if len(as) != len(bs) {
-		return false
-	}
-	for k, av := range as {
-		bv, ok := bs[k]
-		if !ok || av != bv {
-			return false
-		}
-	}
-	return true
 }
 
 // FlowEdge resolves conditional-send custody on error-check branches:
 // crossing `err != nil` (true) the send failed and the caller owns the
 // buffer; crossing `err == nil` (true) custody moved to the wire.
-func (p *prob) FlowEdge(e flow.Edge, s flow.State) flow.State {
-	if e.Cond == nil || s == nil {
-		return s
-	}
+func (p *prob) FlowEdge(e flow.Edge, st flow.Custody) flow.Custody {
 	be, ok := e.Cond.(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return s
+		return st
 	}
 	errName, ok := errNilTest(be)
 	if !ok {
-		return s
+		return st
 	}
-	st := s.(state)
-	var out state
+	var out flow.Custody
 	// err is non-nil on the true branch of != and the false branch of ==.
 	nonNil := (be.Op == token.NEQ) == (e.Kind == flow.EdgeTrue)
 	for k, c := range st {
-		if c.m&condsend == 0 || c.condErr != errName {
+		if c.M&flow.Gated == 0 || c.Gate != errName {
 			continue
 		}
 		if out == nil {
-			out = clone(st)
+			out = maps.Clone(st)
 		}
-		c.m &^= condsend
+		c.M &^= flow.Gated
 		if nonNil {
-			c.m |= owned
+			c.M |= flow.Held
 		} else {
-			c.m |= released
+			c.M |= flow.Discharged
 		}
-		c.condErr = ""
+		c.Gate = ""
 		out[k] = c
 	}
 	if out == nil {
-		return s
+		return st
 	}
 	return out
 }
@@ -281,14 +143,22 @@ func (p *prob) FlowEdge(e flow.Edge, s flow.State) flow.State {
 // errNilTest matches `x != nil` / `x == nil` / reversed, returning x's
 // name when x is a plain identifier.
 func errNilTest(be *ast.BinaryExpr) (string, bool) {
-	if id, ok := flow.NilComparand(be.X, be.Y); ok {
-		return id, true
+	isNil := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && id.Name == "nil"
 	}
-	return "", false
+	x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
+	if isNil(x) {
+		x, y = y, x
+	}
+	id, ok := x.(*ast.Ident)
+	if !ok || !isNil(y) {
+		return "", false
+	}
+	return id.Name, true
 }
 
-func (p *prob) Transfer(n ast.Node, s flow.State) flow.State {
-	st := s.(state)
+func (p *prob) Transfer(n ast.Node, st flow.Custody) flow.Custody {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		return p.assign(n, st)
@@ -301,77 +171,58 @@ func (p *prob) Transfer(n ast.Node, s flow.State) flow.State {
 		// defer chain; registration itself moves nothing.
 		return st
 	case *ast.GoStmt:
-		return p.escapeCallArgs(n.Call, p.escapeClosures(n, st))
-	case ast.Expr:
-		// Decomposed branch condition: uses only.
-		st = p.escapeClosures(n, st)
-		p.checkUses(n, st)
-		return p.escapeNestedCalls(n, st)
+		return p.EscapeCall(n.Call, p.EscapeClosures(n, st))
 	default:
-		st = p.escapeClosures(n, st)
+		// Everything else, decomposed branch conditions included: uses
+		// and nested calls only.
+		st = p.EscapeClosures(n, st)
 		p.checkUses(n, st)
-		return p.escapeNestedCalls(n, st)
+		return p.EscapeNested(n, st)
 	}
 }
 
 // assign handles sources (x := Get(), x.f = Retain()), moves
 // (y := x), conditional sends (err := nic.Send(...)), and overwrites.
-func (p *prob) assign(n *ast.AssignStmt, st state) state {
-	st = p.escapeClosures(n, st)
+func (p *prob) assign(n *ast.AssignStmt, st flow.Custody) flow.Custody {
+	st = p.EscapeClosures(n, st)
 
-	if len(n.Rhs) == 1 && len(n.Lhs) >= 1 {
-		rhs := analysis.Unparen(n.Rhs[0])
-		lhsPath := flow.Path(p.pass.TypesInfo, p.pass.Pkg, n.Lhs[0])
+	if len(n.Rhs) == 1 {
+		rhs := ast.Unparen(n.Rhs[0])
+		lhsPath := p.Path(n.Lhs[0])
 
 		if call, ok := rhs.(*ast.CallExpr); ok {
 			return p.assignCall(n, call, lhsPath, st)
 		}
 		if lit, ok := rhs.(*ast.CompositeLit); ok && lhsPath != "" {
-			return p.assignComposite(n, lit, lhsPath, st)
+			return p.assignComposite(lit, lhsPath, st)
 		}
-		// Move: y := x transfers the obligation to y. A store into
-		// untrackable storage (a map slot, a field behind a pointer)
-		// publishes the reference into a structure with its own
-		// lifetime: escape instead. `_ = x` reads nothing and moves
-		// nothing — the obligation stays put.
-		if rhsPath := flow.Path(p.pass.TypesInfo, p.pass.Pkg, rhs); rhsPath != "" {
-			if isBlank(n.Lhs[0]) {
-				return st
+		// y := x moves x's obligation to y, or escapes it where y is not
+		// storage this pass can name (the engine's Move has the rules).
+		if rhsPath := p.Path(rhs); rhsPath != "" {
+			out, moved := p.Move(n.Lhs[0], rhsPath, st)
+			if moved {
+				p.overwritten(n, lhsPath, st)
 			}
-			if c, ok := st[rhsPath]; ok {
-				if lhsPath == "" || storesThroughPointer(p.pass.TypesInfo, n.Lhs[0]) {
-					return p.escapePath(rhsPath, st)
-				}
-				out := clone(st)
-				delete(out, rhsPath)
-				p.checkOverwrite(n, lhsPath, out)
-				out[lhsPath] = c
-				return out
-			}
-			// Aliasing or storing a root with tracked field obligations
-			// (y := t, or c.buf[k] = t, where t.buf is tracked) escapes
-			// them: the copy carries the reference out of view.
-			return p.escapePath(rhsPath, st)
+			return out
 		}
 	}
 
 	// General case: nested calls escape their arguments; every lhs that
 	// overwrites a tracked owned cell leaks it.
 	for _, r := range n.Rhs {
-		st = p.escapeNestedCalls(r, st)
+		st = p.EscapeNested(r, st)
 	}
 	out, cloned := st, false
 	for _, l := range n.Lhs {
-		lp := flow.Path(p.pass.TypesInfo, p.pass.Pkg, l)
-		if lp == "" {
+		lp := p.Path(l)
+		if _, ok := out[lp]; !ok {
 			continue
 		}
-		if _, ok := out[lp]; ok {
-			if !cloned {
-				out, cloned = clone(st), true
-			}
-			p.checkOverwrite(n, lp, out)
+		if !cloned {
+			out, cloned = maps.Clone(st), true
 		}
+		p.overwritten(n, lp, out)
+		delete(out, lp)
 	}
 	return out
 }
@@ -379,34 +230,34 @@ func (p *prob) assign(n *ast.AssignStmt, st state) state {
 // assignCall binds the result of a call: owning sources create an
 // obligation on the lhs; sends-contract calls mark the sent buffer
 // conditional on the assigned error.
-func (p *prob) assignCall(n *ast.AssignStmt, call *ast.CallExpr, lhsPath string, st state) state {
-	info := p.pass.TypesInfo
+func (p *prob) assignCall(n *ast.AssignStmt, call *ast.CallExpr, lhsPath string, st flow.Custody) flow.Custody {
+	info := p.Pass.TypesInfo
 
 	// x := y.Retain() — an owning source regardless of contract.
 	if _, ok := p.bufMethod(call, "Retain"); ok {
-		out := clone(st)
-		p.checkOverwrite(n, lhsPath, out)
+		p.overwritten(n, lhsPath, st)
 		if lhsPath == "" {
-			p.reportf(call.Pos(), "owned reference from Retain is discarded (leaked wire.Buf reference)")
-			return out
+			p.Reportf(call.Pos(), "owned reference from Retain is discarded (leaked wire.Buf reference)")
+			return st
 		}
-		out[lhsPath] = cell{origin: call.Pos(), m: owned}
+		out := maps.Clone(st)
+		out[lhsPath] = flow.Cell{Origin: call.Pos(), M: flow.Held}
 		return out
 	}
 
 	fn := analysis.Callee(info, call)
-	c, hasContract := p.cons.For(fn)
-	if hasContract {
+	if c, ok := p.cons.For(fn); ok {
 		out := p.applyContractArgs(call, fn, c, st, n)
 		if c.Owns {
-			out = clone(out)
-			p.checkOverwrite(n, lhsPath, out)
+			p.overwritten(n, lhsPath, out)
 			if lhsPath == "" {
-				p.reportf(call.Pos(), "owned result of %s is discarded (leaked wire.Buf reference)", fn.Name())
+				p.Reportf(call.Pos(), "owned result of %s is discarded (leaked wire.Buf reference)", fn.Name())
 				return out
 			}
+			out = maps.Clone(out)
+			delete(out, lhsPath)
 			if isBufPtr(info.TypeOf(n.Lhs[0])) {
-				out[lhsPath] = cell{origin: call.Pos(), m: owned}
+				out[lhsPath] = flow.Cell{Origin: call.Pos(), M: flow.Held}
 			}
 		}
 		return out
@@ -414,13 +265,11 @@ func (p *prob) assignCall(n *ast.AssignStmt, call *ast.CallExpr, lhsPath string,
 
 	// Unannotated call: arguments escape; the result is untracked. A
 	// tracked lhs overwritten by an unknown result leaks its old cell.
-	st = p.escapeCallArgs(call, st)
-	if lhsPath != "" {
-		if _, ok := st[lhsPath]; ok {
-			out := clone(st)
-			p.checkOverwrite(n, lhsPath, out)
-			return out
-		}
+	st = p.EscapeCall(call, st)
+	if _, ok := st[lhsPath]; ok {
+		p.overwritten(n, lhsPath, st)
+		st = maps.Clone(st)
+		delete(st, lhsPath)
 	}
 	return st
 }
@@ -428,9 +277,9 @@ func (p *prob) assignCall(n *ast.AssignStmt, call *ast.CallExpr, lhsPath string,
 // assignComposite tracks owning sources nested in composite-literal
 // fields: tx := relTx{buf: x.Retain()} binds an obligation to tx.buf,
 // and f := Frame{Buf: hdr} moves hdr's obligation to f.Buf.
-func (p *prob) assignComposite(n *ast.AssignStmt, lit *ast.CompositeLit, lhsPath string, st state) state {
-	info := p.pass.TypesInfo
-	out := st
+func (p *prob) assignComposite(lit *ast.CompositeLit, lhsPath string, st flow.Custody) flow.Custody {
+	info := p.Pass.TypesInfo
+	out := maps.Clone(st)
 	for _, el := range lit.Elts {
 		kv, ok := el.(*ast.KeyValueExpr)
 		if !ok {
@@ -441,29 +290,21 @@ func (p *prob) assignComposite(n *ast.AssignStmt, lit *ast.CompositeLit, lhsPath
 			continue
 		}
 		fieldPath := lhsPath + "." + key.Name
-		val := analysis.Unparen(kv.Value)
+		val := ast.Unparen(kv.Value)
 		if call, ok := val.(*ast.CallExpr); ok {
-			if _, isRetain := p.bufMethod(call, "Retain"); isRetain {
-				out2 := clone(out)
-				out2[fieldPath] = cell{origin: call.Pos(), m: owned}
-				out = out2
-				continue
+			_, owns := p.bufMethod(call, "Retain")
+			if c, ok := p.cons.For(analysis.Callee(info, call)); ok && c.Owns {
+				owns = true
 			}
-			if fn := analysis.Callee(info, call); fn != nil {
-				if c, ok := p.cons.For(fn); ok && c.Owns {
-					out2 := clone(out)
-					out2[fieldPath] = cell{origin: call.Pos(), m: owned}
-					out = out2
-				}
+			if owns {
+				out[fieldPath] = flow.Cell{Origin: call.Pos(), M: flow.Held}
 			}
 			continue
 		}
-		if vp := flow.Path(info, p.pass.Pkg, val); vp != "" {
+		if vp := p.Path(val); vp != "" {
 			if c, ok := out[vp]; ok {
-				out2 := clone(out)
-				delete(out2, vp)
-				out2[fieldPath] = c
-				out = out2
+				delete(out, vp)
+				out[fieldPath] = c
 			}
 		}
 	}
@@ -472,169 +313,109 @@ func (p *prob) assignComposite(n *ast.AssignStmt, lit *ast.CompositeLit, lhsPath
 
 // exprStmt handles discharges (x.Release()), discarded sources, and
 // generic escaping calls.
-func (p *prob) exprStmt(n *ast.ExprStmt, st state) state {
-	st = p.escapeClosures(n, st)
-	call, ok := analysis.Unparen(n.X).(*ast.CallExpr)
+func (p *prob) exprStmt(n *ast.ExprStmt, st flow.Custody) flow.Custody {
+	st = p.EscapeClosures(n, st)
+	call, ok := ast.Unparen(n.X).(*ast.CallExpr)
 	if !ok {
 		p.checkUses(n.X, st)
 		return st
 	}
 
 	if recvPath, ok := p.bufMethod(call, "Release"); ok {
-		return p.release(call, recvPath, st)
+		out, again := st.Discharge(recvPath)
+		if again {
+			p.Reportf(call.Pos(), "%s is already released on every path reaching this Release (double release)", recvPath)
+		}
+		return out
 	}
 	if recvPath, ok := p.bufMethod(call, "Retain"); ok {
 		// Discarded Retain: an extra reference now rides on the receiver
 		// path and must be discharged like any other.
-		out := clone(st)
-		key := recvPath
-		if key == "" {
-			p.reportf(call.Pos(), "owned reference from Retain is discarded (leaked wire.Buf reference)")
-			return out
+		if recvPath == "" {
+			p.Reportf(call.Pos(), "owned reference from Retain is discarded (leaked wire.Buf reference)")
+			return st
 		}
-		c := out[key]
-		if c.origin == token.NoPos {
-			c.origin = call.Pos()
+		out := maps.Clone(st)
+		c, ok := out[recvPath]
+		if !ok {
+			c.Origin = call.Pos()
 		}
-		c.m |= owned
-		out[key] = c
+		c.M |= flow.Held
+		out[recvPath] = c
 		return out
 	}
 
-	fn := analysis.Callee(p.pass.TypesInfo, call)
+	fn := analysis.Callee(p.Pass.TypesInfo, call)
 	if c, ok := p.cons.For(fn); ok {
 		if c.Owns {
-			p.reportf(call.Pos(), "owned result of %s is discarded (leaked wire.Buf reference)", fn.Name())
+			p.Reportf(call.Pos(), "owned result of %s is discarded (leaked wire.Buf reference)", fn.Name())
 		}
-		out := p.applyContractArgs(call, fn, c, st, nil)
-		return out
+		return p.applyContractArgs(call, fn, c, st, nil)
 	}
-	return p.escapeCallArgs(call, st)
-}
-
-// release discharges one reference.
-func (p *prob) release(call *ast.CallExpr, recvPath string, st state) state {
-	if recvPath == "" {
-		return st
-	}
-	// Releasing a //wire:borrows parameter is a custody violation even
-	// when untracked.
-	if base, _, _ := strings.Cut(recvPath, "."); base == recvPath {
-		for _, b := range p.fc.Borrows {
-			if b == recvPath {
-				p.reportf(call.Pos(), "%s is declared //wire:borrows: the caller keeps custody; do not Release it", recvPath)
-				return st
-			}
-		}
-	}
-	c, ok := st[recvPath]
-	if !ok {
-		return st
-	}
-	if c.m&escaped != 0 {
-		return st // custody unclear; stay silent
-	}
-	out := clone(st)
-	if c.m&(owned|condsend) == 0 && c.m&released != 0 {
-		p.reportf(call.Pos(), "%s is already released on every path reaching this Release (double release)", recvPath)
-		return out
-	}
-	c.m = released
-	c.condErr = ""
-	out[recvPath] = c
-	return out
+	return p.EscapeCall(call, st)
 }
 
 // returnStmt escapes returned references (custody moves to the caller)
 // and flags returning a must-released buffer from an owning function.
-func (p *prob) returnStmt(n *ast.ReturnStmt, st state) state {
-	st = p.escapeClosures(n, st)
-	out := st
+func (p *prob) returnStmt(n *ast.ReturnStmt, st flow.Custody) flow.Custody {
+	out := p.EscapeClosures(n, st)
 	for _, r := range n.Results {
-		out = p.escapeNestedCalls(r, out)
-		rp := flow.Path(p.pass.TypesInfo, p.pass.Pkg, r)
-		if rp == "" {
-			continue
+		out = p.EscapeNested(r, out)
+		rp := p.Path(r)
+		if c, ok := out[rp]; ok {
+			if p.owns && c.M == flow.Discharged {
+				p.Reportf(n.Pos(), "returning %s after Release from a //wire:owns function", rp)
+			}
+			out = out.Escape(rp)
 		}
-		c, ok := out[rp]
-		if !ok {
-			continue
-		}
-		if p.fc.Owns && c.m == released {
-			p.reportf(n.Pos(), "returning %s after Release from a //wire:owns function", rp)
-		}
-		out2 := clone(out)
-		c.m = escaped
-		out2[rp] = c
-		out = out2
 	}
 	return out
 }
 
-// applyContractArgs applies takes/borrows/sends to a call's arguments.
+// applyContractArgs applies a contract's sends to a call's arguments.
 // assignCtx, when non-nil, is the assignment receiving the call's
-// results (used to name the error variable gating a send).
-func (p *prob) applyContractArgs(call *ast.CallExpr, fn *types.Func, c flow.Contract, st state, assignCtx *ast.AssignStmt) state {
-	info := p.pass.TypesInfo
+// results (used to name the error variable gating a send). An argument
+// the contract does not mention is borrowed — no escape: the contract
+// is the interface.
+func (p *prob) applyContractArgs(call *ast.CallExpr, fn *types.Func, c flow.Contract, st flow.Custody, assignCtx *ast.AssignStmt) flow.Custody {
 	sig, _ := fn.Type().(*types.Signature)
 	out := st
-	for _, name := range c.Takes {
-		if arg := argByParam(sig, call, name); arg != nil {
-			if ap := flow.Path(info, p.pass.Pkg, arg); ap != "" {
-				if cc, ok := out[ap]; ok {
-					out2 := clone(out)
-					cc.m = released
-					cc.condErr = ""
-					out2[ap] = cc
-					out = out2
-				}
-			}
-		}
-	}
-	// borrows: custody unchanged.
 	for _, sr := range c.Sends {
 		arg := argByParam(sig, call, sr.Param)
 		if arg == nil {
 			continue
 		}
-		sp := sentPath(info, p.pass.Pkg, arg, sr.Field)
+		sp := p.sentPath(arg, sr.Field)
 		if sp == "" {
 			continue
 		}
 		errName := ""
-		if assignCtx != nil && len(assignCtx.Lhs) > 0 {
-			errName = flow.Path(info, p.pass.Pkg, assignCtx.Lhs[len(assignCtx.Lhs)-1])
+		if assignCtx != nil {
+			errName = p.Path(assignCtx.Lhs[len(assignCtx.Lhs)-1])
 		}
-		out2 := clone(out)
-		cc := out2[sp]
-		if cc.origin == token.NoPos {
-			cc.origin = call.Pos()
+		cell := flow.Cell{Origin: call.Pos(), M: flow.Gated, Gate: errName}
+		if cc, ok := out[sp]; ok {
+			cell.Origin = cc.Origin
 		}
 		if errName == "" || strings.Contains(errName, ".") {
 			// Error discarded (or stored somewhere flow-opaque): the
 			// failure branch can never release. Report at the call.
-			p.reportf(call.Pos(), "error result of %s gates custody of %s; discarding it leaks the buffer on failure", fn.Name(), sp)
-			cc.m = escaped
-		} else {
-			cc.m = condsend
-			cc.condErr = errName
+			p.Reportf(call.Pos(), "error result of %s gates custody of %s; discarding it leaks the buffer on failure", fn.Name(), sp)
+			cell.M, cell.Gate = flow.Escaped, ""
 		}
-		out2[sp] = cc
-		out = out2
+		out = maps.Clone(out)
+		out[sp] = cell
 	}
-	// Everything else passed by value to a contracted function that is
-	// not mentioned in the contract: treated as borrow (no escape) —
-	// the contract is the interface.
 	return out
 }
 
 // sentPath resolves the access path of a conditionally-sent buffer:
 // the argument itself, its named field, or — for composite-literal
 // arguments like Frame{Buf: hdr} — the field's value.
-func sentPath(info *types.Info, pkg *types.Package, arg ast.Expr, field string) string {
-	arg = analysis.Unparen(arg)
+func (p *prob) sentPath(arg ast.Expr, field string) string {
+	arg = ast.Unparen(arg)
 	if field == "" {
-		return flow.Path(info, pkg, arg)
+		return p.Path(arg)
 	}
 	if lit, ok := arg.(*ast.CompositeLit); ok {
 		for _, el := range lit.Elts {
@@ -643,12 +424,12 @@ func sentPath(info *types.Info, pkg *types.Package, arg ast.Expr, field string) 
 				continue
 			}
 			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == field {
-				return flow.Path(info, pkg, kv.Value)
+				return p.Path(kv.Value)
 			}
 		}
 		return ""
 	}
-	if base := flow.Path(info, pkg, arg); base != "" {
+	if base := p.Path(arg); base != "" {
 		return base + "." + field
 	}
 	return ""
@@ -660,174 +441,25 @@ func argByParam(sig *types.Signature, call *ast.CallExpr, name string) ast.Expr 
 		return nil
 	}
 	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
+	for i := 0; i < params.Len() && i < len(call.Args); i++ {
 		if params.At(i).Name() == name {
-			if i < len(call.Args) {
-				return call.Args[i]
-			}
-			return nil
+			return call.Args[i]
 		}
 	}
 	return nil
 }
 
-// escapeCallArgs ends tracking for references reachable from an
-// unannotated call's arguments and receiver.
-func (p *prob) escapeCallArgs(call *ast.CallExpr, st state) state {
-	info := p.pass.TypesInfo
-	out := st
-	escape := func(e ast.Expr) {
-		e = analysis.Unparen(e)
-		if lit, ok := e.(*ast.CompositeLit); ok {
-			for _, el := range lit.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					if pth := flow.Path(info, p.pass.Pkg, kv.Value); pth != "" {
-						out = p.escapePath(pth, out)
-					}
-				}
-			}
-			return
-		}
-		if ue, ok := e.(*ast.UnaryExpr); ok && ue.Op == token.AND {
-			e = analysis.Unparen(ue.X)
-		}
-		if pth := flow.Path(info, p.pass.Pkg, e); pth != "" {
-			if c, ok := out[pth]; ok && c.m == released {
-				p.reportf(e.Pos(), "use of %s after Release", pth)
-			}
-			out = p.escapePath(pth, out)
-		}
-	}
-	for _, a := range call.Args {
-		escape(a)
-	}
-	// Method receiver: op.attempt() hands op's tracked fields to the
-	// method — unless the receiver is the wire.Buf itself (its own
-	// methods are custody-neutral and handled above).
-	if sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if !isBufPtr(info.TypeOf(sel.X)) {
-			escape(sel.X)
-		}
-	}
-	// Nested calls in arguments escape their own arguments too.
-	for _, a := range call.Args {
-		out = p.escapeNestedCalls(a, out)
-	}
-	return out
-}
-
-// escapePath escapes the cell at path and every cell underneath it
-// (escaping op also escapes op.capsule).
-func (p *prob) escapePath(path string, st state) state {
-	var out state
-	prefix := path + "."
-	for k, c := range st {
-		if k != path && !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		if out == nil {
-			out = clone(st)
-		}
-		c.m = escaped
-		c.condErr = ""
-		out[k] = c
-	}
-	if out == nil {
-		return st
-	}
-	return out
-}
-
-// escapeNestedCalls finds calls nested anywhere in an expression tree
-// (not behind a FuncLit) and escapes their arguments.
-func (p *prob) escapeNestedCalls(n ast.Node, st state) state {
-	out := st
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := m.(*ast.CallExpr); ok {
-			// Custody-neutral Buf methods (Bytes, Len, ...) keep
-			// tracking alive; Release/Retain in expression position are
-			// not statements and stay out of scope here.
-			if sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if isBufPtr(p.pass.TypesInfo.TypeOf(sel.X)) {
-					return true
-				}
-			}
-			if fn := analysis.Callee(p.pass.TypesInfo, call); fn != nil {
-				if _, hasContract := p.cons.For(fn); hasContract {
-					return true // modeled precisely elsewhere
-				}
-			}
-			out = p.escapeCallArgs(call, out)
-		}
-		return true
-	})
-	return out
-}
-
-// escapeClosures escapes every tracked cell whose root variable is
-// captured by a function literal in n: the closure may release or
-// retain it at any later time.
-func (p *prob) escapeClosures(n ast.Node, st state) state {
-	if len(st) == 0 {
-		return st
-	}
-	out := st
-	ast.Inspect(n, func(m ast.Node) bool {
-		lit, ok := m.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		ast.Inspect(lit.Body, func(b ast.Node) bool {
-			id, ok := b.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			for k := range out {
-				root, _, _ := strings.Cut(k, ".")
-				if root == id.Name {
-					if sameVar(p.pass.TypesInfo, id) {
-						out = p.escapePath(root, out)
-					}
-				}
-			}
-			return true
-		})
-		return false // don't double-visit nested literals
-	})
-	return out
-}
-
-// sameVar reports whether id resolves to a variable (any variable: the
-// capture heuristic keys on names, and a false escape only silences).
-func sameVar(info *types.Info, id *ast.Ident) bool {
-	obj := info.Uses[id]
-	if obj == nil {
-		obj = info.Defs[id]
-	}
-	_, ok := obj.(*types.Var)
-	return ok
-}
-
-// checkOverwrite flags rebinding a path whose reference is owned on
-// every incoming path — the old reference can never be released.
-func (p *prob) checkOverwrite(n *ast.AssignStmt, lhsPath string, st state) {
-	if lhsPath == "" {
-		return
-	}
-	if c, ok := st[lhsPath]; ok {
-		if c.m == owned {
-			p.reportf(n.Pos(), "%s is overwritten while still owning a reference (leaked wire.Buf reference)", lhsPath)
-		}
-		delete(st, lhsPath)
+// overwritten flags rebinding a path whose reference is owned on every
+// incoming path — the old reference can never be released.
+func (p *prob) overwritten(n *ast.AssignStmt, path string, st flow.Custody) {
+	if st[path].M == flow.Held {
+		p.Reportf(n.Pos(), "%s is overwritten while still owning a reference (leaked wire.Buf reference)", path)
 	}
 }
 
 // checkUses flags reads of a must-released reference.
-func (p *prob) checkUses(n ast.Node, st state) {
-	if p.report == nil || len(st) == 0 {
+func (p *prob) checkUses(n ast.Node, st flow.Custody) {
+	if len(st) == 0 {
 		return
 	}
 	ast.Inspect(n, func(m ast.Node) bool {
@@ -838,12 +470,9 @@ func (p *prob) checkUses(n ast.Node, st state) {
 		if !ok {
 			return true
 		}
-		pth := flow.Path(p.pass.TypesInfo, p.pass.Pkg, e)
-		if pth == "" {
-			return true
-		}
-		if c, ok := st[pth]; ok && c.m == released {
-			p.reportf(e.Pos(), "use of %s after Release", pth)
+		pth := p.Path(e)
+		if c, ok := st[pth]; ok && c.M == flow.Discharged {
+			p.Reportf(e.Pos(), "use of %s after Release", pth)
 			return false
 		}
 		return true
@@ -853,40 +482,14 @@ func (p *prob) checkUses(n ast.Node, st state) {
 // bufMethod matches a call to the named method on a *wire.Buf
 // receiver, returning the receiver's access path.
 func (p *prob) bufMethod(call *ast.CallExpr, name string) (string, bool) {
-	sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name || !isBufPtr(p.Pass.TypesInfo.TypeOf(sel.X)) {
 		return "", false
 	}
-	if !isBufPtr(p.pass.TypesInfo.TypeOf(sel.X)) {
-		return "", false
-	}
-	return flow.Path(p.pass.TypesInfo, p.pass.Pkg, sel.X), true
-}
-
-// isBlank matches the blank identifier.
-func isBlank(e ast.Expr) bool {
-	id, ok := analysis.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "_"
-}
-
-// storesThroughPointer reports whether lhs writes a field through a
-// pointer — publishing the value into storage with its own lifetime.
-func storesThroughPointer(info *types.Info, lhs ast.Expr) bool {
-	sel, ok := analysis.Unparen(lhs).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	_, ok = info.TypeOf(sel.X).(*types.Pointer)
-	return ok
+	return p.Path(sel.X), true
 }
 
 func isBufPtr(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
 	return ok && analysis.IsNamed(ptr.Elem(), wirePath, "Buf")
-}
-
-func (p *prob) reportf(pos token.Pos, format string, args ...any) {
-	if p.report != nil {
-		p.report(pos, format, args...)
-	}
 }

@@ -17,7 +17,10 @@ import (
 // through the loader the vettool uses. The named analyzer must report
 // exactly one finding on the mutated copy and none on the faithful one.
 // A row whose line no longer exists fails loudly, so the proof cannot
-// rot into a pass.
+// rot into a pass. Every analyzer has a row; a check, or a sub-rule of
+// one, for which no mutation of real code can be written is a candidate
+// for deletion (//wire:takes and //wire:borrows went that way). A
+// check's second row runs as <check>#01.
 func TestGatesBiteOnRealCode(t *testing.T) {
 	rows := []struct {
 		check, pkg, file string
@@ -43,6 +46,45 @@ func TestGatesBiteOnRealCode(t *testing.T) {
 			anchor: `sp := s.rec.Begin("stream"`, line: "\t\t\tsp.End(s.eng.Now())\n",
 			repl: "\t\t\tif it.Bytes > 0 { sp.End(s.eng.Now()) }\n",
 			want: "not ended on every path",
+		},
+		{
+			// sendCtrl takes the header back when the NIC refuses it;
+			// encodeCtrl's //wire:owns is what makes that checkable.
+			check: "bufown", pkg: "internal/transport", file: "reliable.go",
+			anchor: "func (r *reliableEndpoint) sendCtrl(", line: "\t\thdr.Release()\n",
+			want: "not released",
+		},
+		{
+			// Calling the visitor straight from the map range, instead
+			// of collecting the keys and sorting them first.
+			check: "maprange", pkg: "internal/ebpf", file: "maps.go",
+			anchor: "func (h *HashMap) Iterate(", line: "\t\tkeys = append(keys, k)\n",
+			repl: "\t\tfn([]byte(k), h.m[k])\n",
+			want: "order-sensitive (call",
+		},
+		{
+			check: "nodeterm", pkg: "internal/transport", file: "reliable.go",
+			anchor: "func (r *reliableEndpoint) onAck(", line: "\tr.pump(c)\n",
+			repl: "\tgo r.pump(c)\n",
+			want: "starts a goroutine",
+		},
+		{
+			check: "simtime", pkg: "internal/transport", file: "transport.go",
+			anchor: "func New(", line: "200 * sim.Microsecond,\n",
+			repl: "200000000,\n",
+			want: "raw literal 200000000 has type sim.Duration",
+		},
+		{
+			check: "sharedstate", pkg: "internal/transport", file: "transport.go",
+			anchor: "func New(", line: "\tswitch kind {\n",
+			repl: "\tErrTooLarge = nil\n\tswitch kind {\n",
+			want: "package-level var ErrTooLarge is mutated",
+		},
+		{
+			check: "unsafeptr", pkg: "internal/nvme", file: "nvme.go",
+			anchor: "import (", line: "\t\"errors\"\n",
+			repl: "\t\"errors\"\n\t_ \"unsafe\"\n",
+			want: "unsafe is confined to internal/wire",
 		},
 	}
 	root, err := analysis.ModuleRoot(".")

@@ -140,7 +140,7 @@ func checkCancelReset(pass *analysis.Pass, stmts []ast.Stmt) {
 		if !ok {
 			continue
 		}
-		call, ok := analysis.Unparen(expr.X).(*ast.CallExpr)
+		call, ok := ast.Unparen(expr.X).(*ast.CallExpr)
 		if !ok {
 			continue
 		}
@@ -148,7 +148,7 @@ func checkCancelReset(pass *analysis.Pass, stmts []ast.Stmt) {
 		if len(args) != 1 {
 			continue
 		}
-		sel, ok := analysis.Unparen(args[0]).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(args[0]).(*ast.SelectorExpr)
 		if !ok || !isEventRef(typeOf(pass, sel)) {
 			continue
 		}
@@ -224,7 +224,7 @@ func freeListPut(pass *analysis.Pass, call *ast.CallExpr) *types.Named {
 // isHandRolledFreeList matches `append(<...Free>, obj)` with obj a
 // pointer to a named struct: the idiom sim.FreeList replaced.
 func isHandRolledFreeList(pass *analysis.Pass, call *ast.CallExpr) bool {
-	id, ok := analysis.Unparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != "append" || len(call.Args) != 2 {
 		return false
 	}
@@ -295,7 +295,7 @@ func checkPooled(pass *analysis.Pass, body *ast.BlockStmt, pooled map[*types.Nam
 				}
 			}
 		case *ast.ExprStmt:
-			call, ok := analysis.Unparen(n.X).(*ast.CallExpr)
+			call, ok := ast.Unparen(n.X).(*ast.CallExpr)
 			if !ok {
 				return true
 			}
@@ -308,7 +308,7 @@ func checkPooled(pass *analysis.Pass, body *ast.BlockStmt, pooled map[*types.Nam
 			if len(args) != 3 {
 				return true
 			}
-			cb, ok := analysis.Unparen(args[2]).(*ast.SelectorExpr)
+			cb, ok := ast.Unparen(args[2]).(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
@@ -335,7 +335,7 @@ func resetBefore(body *ast.BlockStmt, pos token.Pos, objPath, field string) bool
 			return true
 		}
 		for _, lhs := range as.Lhs {
-			lhs = analysis.Unparen(lhs)
+			lhs = ast.Unparen(lhs)
 			if se, ok := lhs.(*ast.StarExpr); ok {
 				if analysis.ExprString(se.X) == objPath {
 					found = true
@@ -356,7 +356,7 @@ func resetBefore(body *ast.BlockStmt, pos token.Pos, objPath, field string) bool
 // isolation the parallel experiment harness relies on.
 func checkGlobalStore(pass *analysis.Pass, as *ast.AssignStmt) {
 	for i, rhs := range as.Rhs {
-		call, ok := analysis.Unparen(rhs).(*ast.CallExpr)
+		call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 		if !ok {
 			continue
 		}
@@ -366,7 +366,7 @@ func checkGlobalStore(pass *analysis.Pass, as *ast.AssignStmt) {
 		if i >= len(as.Lhs) {
 			continue
 		}
-		id, ok := analysis.Unparen(as.Lhs[i]).(*ast.Ident)
+		id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident)
 		if !ok {
 			continue
 		}

@@ -1,7 +1,7 @@
 // Package flow is hyperlint's flow-sensitive layer: an intra-procedural
-// control-flow-graph builder, a generic forward/backward dataflow solver,
-// and the //wire: ownership-contract grammar that the bufown and spanpair
-// checkers consume.
+// control-flow-graph builder, a forward dataflow solver, the custody
+// engine (custody.go) that the bufown and spanpair checkers are both
+// clients of, and the //wire: ownership-contract grammar bufown reads.
 //
 // The paper's blueprint has no CPU-side debugger to fall back on: a
 // datapath protocol that is only enforced by runtime panics (wire.Buf
@@ -372,7 +372,7 @@ func (b *builder) ifStmt(s *ast.IfStmt) {
 // cond wires the evaluation of a branch condition, decomposing
 // short-circuit operators into edge-labeled leaf tests.
 func (b *builder) cond(e ast.Expr, t, f *Block) {
-	switch x := unparen(e).(type) {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.BinaryExpr:
 		switch x.Op {
 		case token.LAND:
@@ -394,7 +394,7 @@ func (b *builder) cond(e ast.Expr, t, f *Block) {
 			return
 		}
 	}
-	leaf := unparen(e)
+	leaf := ast.Unparen(e)
 	b.add(leaf)
 	b.edgeFrom(b.cur, Edge{To: t, Kind: EdgeTrue, Cond: leaf})
 	b.edgeFrom(b.cur, Edge{To: f, Kind: EdgeFalse, Cond: leaf})
@@ -557,11 +557,11 @@ func (b *builder) selectStmt(s *ast.SelectStmt, label string) {
 // isNoReturn reports whether a statement expression never returns:
 // panic(...) or os.Exit(...).
 func (b *builder) isNoReturn(e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fun.Name != "panic" {
 			return false
@@ -577,16 +577,6 @@ func (b *builder) isNoReturn(e ast.Expr) bool {
 		}
 	}
 	return false
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 // Dump renders the graph for golden tests: one section per reachable

@@ -12,25 +12,19 @@ import (
 // comment. The grammar, one directive per line:
 //
 //	//wire:owns
-//	//wire:takes <param>
-//	//wire:borrows <param>
 //	//wire:sends <param>[.<Field>]
 //
 // owns: the function's *wire.Buf result is a reference the caller owns
 // (and, checked on the declaring side, every return must hand back a
-// live reference). takes: the function assumes ownership of the named
-// parameter — the caller's obligation is discharged unconditionally.
-// borrows: the function uses the parameter for the duration of the call
-// only; callers keep their obligation and the body must not Release it.
-// sends: conditional transfer — ownership of the parameter (or the
-// named field of a struct parameter) moves to the callee unless the
-// call returns a non-nil error, in which case the caller still owns it.
-// This is the NIC.Send custody rule from the zero-copy plane.
+// live reference). sends: conditional transfer — ownership of the
+// parameter (or the named field of a struct parameter) moves to the
+// callee unless the call returns a non-nil error, in which case the
+// caller still owns it. This is the NIC.Send custody rule from the
+// zero-copy plane. A parameter a contract does not mention is borrowed:
+// callers keep their obligation.
 type Contract struct {
-	Owns    bool
-	Takes   []string
-	Borrows []string
-	Sends   []SendRef
+	Owns  bool
+	Sends []SendRef
 }
 
 // SendRef names a conditionally-transferred parameter; Field is empty
@@ -41,7 +35,7 @@ type SendRef struct {
 }
 
 func (c Contract) empty() bool {
-	return !c.Owns && len(c.Takes) == 0 && len(c.Borrows) == 0 && len(c.Sends) == 0
+	return !c.Owns && len(c.Sends) == 0
 }
 
 // ParseError is a malformed //wire: directive; checks surface these as
@@ -72,16 +66,6 @@ func parseDoc(doc *ast.CommentGroup) (Contract, []ParseError) {
 				continue
 			}
 			c.Owns = true
-		case "takes", "borrows":
-			if arg == "" || strings.ContainsAny(arg, ". ") {
-				errs = append(errs, ParseError{line.Pos(), "wire:" + verb + " wants a parameter name"})
-				continue
-			}
-			if verb == "takes" {
-				c.Takes = append(c.Takes, arg)
-			} else {
-				c.Borrows = append(c.Borrows, arg)
-			}
 		case "sends":
 			param, field, _ := strings.Cut(arg, ".")
 			if param == "" || strings.Contains(field, ".") {

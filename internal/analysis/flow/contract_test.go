@@ -37,11 +37,6 @@ func TestParseDoc(t *testing.T) {
 			want: Contract{Owns: true},
 		},
 		{
-			name: "takes_and_borrows",
-			src:  "//wire:takes b\n//wire:borrows hdr\nfunc F(b, hdr int) {}",
-			want: Contract{Takes: []string{"b"}, Borrows: []string{"hdr"}},
-		},
-		{
 			name: "sends_field",
 			src:  "//wire:sends f.Buf\nfunc F(f int) error { return nil }",
 			want: Contract{Sends: []SendRef{{Param: "f", Field: "Buf"}}},
@@ -57,8 +52,8 @@ func TestParseDoc(t *testing.T) {
 			wantErr: 1,
 		},
 		{
-			name:    "takes_without_param_is_error",
-			src:     "//wire:takes\nfunc F() {}",
+			name:    "sends_without_param_is_error",
+			src:     "//wire:sends\nfunc F() {}",
 			wantErr: 1,
 		},
 		{

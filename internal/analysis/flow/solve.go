@@ -7,22 +7,12 @@ import "go/ast"
 // the identity.
 type State any
 
-// Direction selects forward (entry→exit) or backward (exit→entry)
-// analysis.
-type Direction uint8
-
-const (
-	Forward Direction = iota
-	Backward
-)
-
 // Problem defines one dataflow analysis over a Graph. Implementations
 // must be pure: Transfer and FlowEdge return fresh or structurally
 // shared states and never mutate their input (the solver memoizes
 // states across iterations).
 type Problem interface {
-	// Boundary is the state at the boundary block: Entry for forward
-	// problems, Exit for backward ones.
+	// Boundary is the state entering the Entry block.
 	Boundary() State
 	// Transfer applies one node's gen/kill effect.
 	Transfer(n ast.Node, s State) State
@@ -37,28 +27,21 @@ type Problem interface {
 	Equal(a, b State) bool
 }
 
-// Result holds the fixpoint: for forward problems In is the merged
-// state entering each block and Out the state leaving it; for backward
-// problems the roles mirror (In is the state at block end, Out at
-// block start).
+// Result holds the fixpoint: In is the merged state entering each
+// block and Out the state leaving it.
 type Result struct {
 	In  map[*Block]State
 	Out map[*Block]State
 }
 
-// Solve iterates p over g to fixpoint with a deterministic worklist
+// Solve iterates p forward over g to fixpoint with a deterministic worklist
 // (blocks are revisited in index order, so diagnostics derived from the
 // result are stable across runs).
-func Solve(g *Graph, p Problem, dir Direction) *Result {
+func Solve(g *Graph, p Problem) *Result {
 	res := &Result{
 		In:  make(map[*Block]State, len(g.Blocks)),
 		Out: make(map[*Block]State, len(g.Blocks)),
 	}
-	boundary := g.Entry
-	if dir == Backward {
-		boundary = g.Exit
-	}
-
 	inWork := make([]bool, len(g.Blocks))
 	work := &blockHeap{}
 	push := func(b *Block) {
@@ -67,7 +50,7 @@ func Solve(g *Graph, p Problem, dir Direction) *Result {
 			work.push(b)
 		}
 	}
-	push(boundary)
+	push(g.Entry)
 
 	for work.len() > 0 {
 		blk := work.pop()
@@ -75,29 +58,18 @@ func Solve(g *Graph, p Problem, dir Direction) *Result {
 
 		// Merge inputs.
 		var in State
-		if blk == boundary {
+		if blk == g.Entry {
 			in = p.Boundary()
 		}
-		if dir == Forward {
-			for _, pred := range blk.Preds {
-				out := res.Out[pred]
-				if out == nil {
-					continue
-				}
-				for _, e := range pred.Succs {
-					if e.To != blk {
-						continue
-					}
+		for _, pred := range blk.Preds {
+			out := res.Out[pred]
+			if out == nil {
+				continue
+			}
+			for _, e := range pred.Succs {
+				if e.To == blk {
 					in = p.Merge(in, p.FlowEdge(e, out))
 				}
-			}
-		} else {
-			for _, e := range blk.Succs {
-				out := res.Out[e.To]
-				if out == nil {
-					continue
-				}
-				in = p.Merge(in, p.FlowEdge(e, out))
 			}
 		}
 		res.In[blk] = in
@@ -105,34 +77,22 @@ func Solve(g *Graph, p Problem, dir Direction) *Result {
 			continue // unreached so far
 		}
 
-		out := transferBlock(p, blk, in, dir)
+		out := transferBlock(p, blk, in)
 		if p.Equal(res.Out[blk], out) {
 			continue
 		}
 		res.Out[blk] = out
-		if dir == Forward {
-			for _, e := range blk.Succs {
-				push(e.To)
-			}
-		} else {
-			for _, pred := range blk.Preds {
-				push(pred)
-			}
+		for _, e := range blk.Succs {
+			push(e.To)
 		}
 	}
 	return res
 }
 
-func transferBlock(p Problem, blk *Block, in State, dir Direction) State {
+func transferBlock(p Problem, blk *Block, in State) State {
 	s := in
-	if dir == Forward {
-		for _, n := range blk.Nodes {
-			s = p.Transfer(n, s)
-		}
-	} else {
-		for i := len(blk.Nodes) - 1; i >= 0; i-- {
-			s = p.Transfer(blk.Nodes[i], s)
-		}
+	for _, n := range blk.Nodes {
+		s = p.Transfer(n, s)
 	}
 	return s
 }

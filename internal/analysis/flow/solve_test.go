@@ -165,102 +165,11 @@ func TestSolveForwardLeak(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			g, _ := buildSrc(t, tt.body)
-			res := Solve(g, toyOwn{}, Forward)
+			res := Solve(g, toyOwn{})
 			if got := keys(res.In[g.Exit]); got != tt.atExit {
 				t.Errorf("owned at exit = %q, want %q", got, tt.atExit)
 			}
 		})
-	}
-}
-
-// ---- a backward liveness problem, proving the solver iterates loops
-// to fixpoint against the flow direction ----
-
-type liveness struct{}
-
-func (liveness) Boundary() State { return ownState{} }
-
-func (liveness) Transfer(n ast.Node, s State) State {
-	out := cloneOwn(s.(ownState))
-	// kill defs, then gen uses (backward order within one node is
-	// def-before-use for the simple shapes tested here)
-	if as, ok := n.(*ast.AssignStmt); ok {
-		for _, l := range as.Lhs {
-			if id, ok := l.(*ast.Ident); ok {
-				delete(out, id.Name)
-			}
-		}
-		for _, r := range as.Rhs {
-			genUses(r, out)
-		}
-		return out
-	}
-	genUses(n, out)
-	return out
-}
-
-func genUses(n ast.Node, out ownState) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok && id.Name != "_" {
-			// parsed without types: approximate "variable" as lowercase
-			// single-letter idents used by the test bodies
-			if len(id.Name) == 1 && id.Name[0] >= 'a' && id.Name[0] <= 'z' {
-				out[id.Name] = true
-			}
-		}
-		return true
-	})
-}
-
-func (liveness) FlowEdge(e Edge, s State) State { return s }
-
-func (liveness) Merge(a, b State) State { return toyOwn{}.Merge(a, b) }
-
-func (liveness) Equal(a, b State) bool { return ownEq(a, b) }
-
-func TestSolveBackwardLiveness(t *testing.T) {
-	// x stays live around the loop back-edge: computing that requires a
-	// second visit to the loop head after the body's first pass.
-	body := `
-	x := seed()
-	s := zero()
-	for i := 0; i < n; i++ {
-		s = add(s, x)
-	}
-	return use(s)`
-	g, _ := buildSrc(t, body)
-	res := Solve(g, liveness{}, Backward)
-
-	// Find the for.body block; x and s must both be live entering it
-	// (backward Out = state at block start).
-	var bodyBlk *Block
-	for _, blk := range g.Blocks {
-		if blk.Kind == "for.body" {
-			bodyBlk = blk
-		}
-	}
-	if bodyBlk == nil {
-		t.Fatal("no for.body block")
-	}
-	live := res.Out[bodyBlk]
-	if live == nil {
-		t.Fatal("for.body unreached by backward analysis")
-	}
-	ls := live.(ownState)
-	for _, want := range []string{"x", "s", "i", "n"} {
-		if !ls[want] {
-			t.Errorf("%s not live at loop body start; live = %s", want, keys(live))
-		}
-	}
-	// After the loop, x is dead.
-	var after *Block
-	for _, blk := range g.Blocks {
-		if blk.Kind == "for.after" {
-			after = blk
-		}
-	}
-	if ls := res.Out[after].(ownState); ls["x"] {
-		t.Errorf("x should be dead after the loop; live = %s", keys(res.Out[after]))
 	}
 }
 
@@ -294,7 +203,7 @@ func TestSolveEdgeRefinement(t *testing.T) {
 	}
 	return nil`
 	g, _ := buildSrc(t, body)
-	res := Solve(g, condOwn{}, Forward)
+	res := Solve(g, condOwn{})
 	if got := keys(res.In[g.Exit]); got != "" {
 		t.Errorf("owned at exit = %q, want empty (both paths discharge)", got)
 	}
@@ -314,7 +223,7 @@ func TestSolveDeterministic(t *testing.T) {
 	return nil`
 	render := func() string {
 		g, _ := buildSrc(t, body)
-		res := Solve(g, toyOwn{}, Forward)
+		res := Solve(g, toyOwn{})
 		var sb strings.Builder
 		for _, blk := range g.Blocks {
 			sb.WriteString(keys(res.In[blk]) + "|" + keys(res.Out[blk]) + "\n")

@@ -156,7 +156,7 @@ func firstOrderSensitive(pass *analysis.Pass, rng *ast.RangeStmt) (ast.Node, str
 // order-free: builtins with no observable effect beyond their
 // arguments, and type conversions.
 func allowedCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	switch fun := analysis.Unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		switch obj := pass.TypesInfo.Uses[fun].(type) {
 		case *types.Builtin:
@@ -184,7 +184,7 @@ func allowedCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 // `_ = x` discards a value and has no ordering effect.
 func allBlank(n *ast.AssignStmt) bool {
 	for _, lhs := range n.Lhs {
-		id, ok := analysis.Unparen(lhs).(*ast.Ident)
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok || id.Name != "_" {
 			return false
 		}
@@ -199,11 +199,11 @@ func allKeyIndexed(n *ast.AssignStmt, keyName string) bool {
 		return false
 	}
 	for _, lhs := range n.Lhs {
-		ix, ok := analysis.Unparen(lhs).(*ast.IndexExpr)
+		ix, ok := ast.Unparen(lhs).(*ast.IndexExpr)
 		if !ok {
 			return false
 		}
-		id, ok := analysis.Unparen(ix.Index).(*ast.Ident)
+		id, ok := ast.Unparen(ix.Index).(*ast.Ident)
 		if !ok || id.Name != keyName {
 			return false
 		}
@@ -217,13 +217,13 @@ func isAppendReassign(n *ast.AssignStmt) bool {
 	if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
 		return false
 	}
-	if _, ok := analysis.Unparen(n.Lhs[0]).(*ast.Ident); !ok {
+	if _, ok := ast.Unparen(n.Lhs[0]).(*ast.Ident); !ok {
 		return false
 	}
-	call, ok := analysis.Unparen(n.Rhs[0]).(*ast.CallExpr)
+	call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	id, ok := analysis.Unparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	return ok && id.Name == "append"
 }

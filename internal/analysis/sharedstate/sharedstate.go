@@ -219,88 +219,32 @@ func baseIdent(e ast.Expr) *ast.Ident {
 // or pointer) or a wire.Buf reference, returning a human name for the
 // offending component.
 func wireRef(t types.Type) string {
-	return wireRefSeen(t, make(map[types.Type]bool))
-}
-
-func wireRefSeen(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if analysis.IsNamed(t, wirePath, "Pool") {
-		return "wire.Pool"
-	}
-	switch t := t.(type) {
-	case *types.Pointer:
-		if analysis.IsNamed(t.Elem(), wirePath, "Pool") {
-			return "*wire.Pool"
+	return analysis.FindInType(t, func(t types.Type) string {
+		if analysis.IsNamed(t, wirePath, "Pool") {
+			return "wire.Pool"
 		}
-		if analysis.IsNamed(t.Elem(), wirePath, "Buf") {
-			return "*wire.Buf"
-		}
-		return wireRefSeen(t.Elem(), seen)
-	case *types.Named:
-		return wireRefSeen(t.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if bad := wireRefSeen(t.Field(i).Type(), seen); bad != "" {
-				return bad
+		if p, ok := t.(*types.Pointer); ok {
+			if analysis.IsNamed(p.Elem(), wirePath, "Pool") {
+				return "*wire.Pool"
+			}
+			if analysis.IsNamed(p.Elem(), wirePath, "Buf") {
+				return "*wire.Buf"
 			}
 		}
-	case *types.Slice:
-		return wireRefSeen(t.Elem(), seen)
-	case *types.Array:
-		return wireRefSeen(t.Elem(), seen)
-	case *types.Map:
-		if bad := wireRefSeen(t.Key(), seen); bad != "" {
-			return bad
-		}
-		return wireRefSeen(t.Elem(), seen)
-	case *types.Chan:
-		return wireRefSeen(t.Elem(), seen)
-	}
-	return ""
+		return ""
+	})
 }
 
 // engineRef reports whether t transitively contains sim.EventRef or
 // *sim.Engine, returning a human name for the offending component.
 func engineRef(t types.Type) string {
-	return engineRefSeen(t, make(map[types.Type]bool))
-}
-
-func engineRefSeen(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if analysis.IsNamed(t, simPath, "EventRef") {
-		return "sim.EventRef"
-	}
-	switch t := t.(type) {
-	case *types.Pointer:
-		if analysis.IsNamed(t.Elem(), simPath, "Engine") {
+	return analysis.FindInType(t, func(t types.Type) string {
+		if analysis.IsNamed(t, simPath, "EventRef") {
+			return "sim.EventRef"
+		}
+		if p, ok := t.(*types.Pointer); ok && analysis.IsNamed(p.Elem(), simPath, "Engine") {
 			return "*sim.Engine"
 		}
-		return engineRefSeen(t.Elem(), seen)
-	case *types.Named:
-		return engineRefSeen(t.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if bad := engineRefSeen(t.Field(i).Type(), seen); bad != "" {
-				return bad
-			}
-		}
-	case *types.Slice:
-		return engineRefSeen(t.Elem(), seen)
-	case *types.Array:
-		return engineRefSeen(t.Elem(), seen)
-	case *types.Map:
-		if bad := engineRefSeen(t.Key(), seen); bad != "" {
-			return bad
-		}
-		return engineRefSeen(t.Elem(), seen)
-	case *types.Chan:
-		return engineRefSeen(t.Elem(), seen)
-	}
-	return ""
+		return ""
+	})
 }

@@ -11,7 +11,9 @@
 // twice on every path, and Begin results that are discarded outright.
 // A span passed to another function, stored into a container, returned
 // or captured by a closure escapes: pairing responsibility moved out
-// of intra-procedural view.
+// of intra-procedural view. Those rules, the lattice and the driver
+// are flow's custody engine, shared with bufown; what is here is what
+// begins and ends a span.
 //
 // Like bufown, the check runs on every layer — span pairing is an API
 // contract, not a determinism rule.
@@ -19,9 +21,8 @@ package spanpair
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
+	"maps"
 
 	"hyperion/internal/analysis"
 	"hyperion/internal/analysis/flow"
@@ -36,240 +37,104 @@ var Analyzer = &analysis.Analyzer{
 
 const telemetryPath = analysis.ModulePath + "/internal/telemetry"
 
-type mask uint8
-
-const (
-	open mask = 1 << iota
-	ended
-	escaped
-)
-
-type cell struct {
-	origin token.Pos
-	m      mask
-}
-
-type state map[string]cell
-
-func clone(s state) state {
-	out := make(state, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.NonTestFiles() {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			analyzeFunc(pass, fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					analyzeFunc(pass, lit.Body)
-				}
-				return true
-			})
-		}
-	}
+	flow.Track(pass, func(t *flow.Tracker, _ *ast.FuncDecl) flow.Rules { return prob{t} })
 	return nil
 }
 
-type prob struct {
-	pass   *analysis.Pass
-	report func(pos token.Pos, format string, args ...any)
+// prob is spanpair's flow.Rules: a span is Held from Begin to End.
+type prob struct{ *flow.Tracker }
+
+func (p prob) Leak(path string, c flow.Cell) {
+	p.Reportf(c.Origin, "span %s begun here is not ended on every path", path)
 }
 
-func analyzeFunc(pass *analysis.Pass, body *ast.BlockStmt) {
-	p := &prob{pass: pass}
-	g := flow.Build(body, pass.TypesInfo)
-	res := flow.Solve(g, p, flow.Forward)
+func (p prob) Neutral(t types.Type) bool { return isActiveSpan(t) }
 
-	seen := make(map[token.Pos]bool)
-	p.report = func(pos token.Pos, format string, args ...any) {
-		if !seen[pos] {
-			seen[pos] = true
-			pass.Reportf(pos, format, args...)
-		}
-	}
-	for _, blk := range g.Blocks {
-		in := res.In[blk]
-		if in == nil {
-			continue
-		}
-		st := in.(state)
-		for _, n := range blk.Nodes {
-			st = p.Transfer(n, st).(state)
-		}
-	}
-	if exit := res.In[g.Exit]; exit != nil {
-		st := exit.(state)
-		var leaks []cell
-		names := make(map[token.Pos]string)
-		for k, c := range st {
-			if c.m&open == 0 {
-				continue
-			}
-			leaks = append(leaks, c)
-			names[c.origin] = k
-		}
-		for i := 1; i < len(leaks); i++ {
-			for j := i; j > 0 && leaks[j].origin < leaks[j-1].origin; j-- {
-				leaks[j], leaks[j-1] = leaks[j-1], leaks[j]
-			}
-		}
-		for _, c := range leaks {
-			p.report(c.origin, "span %s begun here is not ended on every path", names[c.origin])
-		}
-	}
-	p.report = nil
-}
+func (p prob) Modelled(call *ast.CallExpr) bool { return p.isBegin(call) }
 
-func (p *prob) Boundary() flow.State { return state{} }
+func (p prob) Use(ast.Expr, string, flow.Cell) {}
 
-func (p *prob) Merge(a, b flow.State) flow.State {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := clone(a.(state))
-	for k, bc := range b.(state) {
-		ac, ok := out[k]
-		if !ok {
-			out[k] = bc
-			continue
-		}
-		ac.m |= bc.m
-		if bc.origin != token.NoPos && (ac.origin == token.NoPos || bc.origin < ac.origin) {
-			ac.origin = bc.origin
-		}
-		out[k] = ac
-	}
-	return out
-}
+func (p prob) FlowEdge(_ flow.Edge, st flow.Custody) flow.Custody { return st }
 
-func (p *prob) Equal(a, b flow.State) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	as, bs := a.(state), b.(state)
-	if len(as) != len(bs) {
-		return false
-	}
-	for k, av := range as {
-		if bv, ok := bs[k]; !ok || av != bv {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *prob) FlowEdge(e flow.Edge, s flow.State) flow.State { return s }
-
-func (p *prob) Transfer(n ast.Node, s flow.State) flow.State {
-	st := s.(state)
+func (p prob) Transfer(n ast.Node, st flow.Custody) flow.Custody {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		return p.assign(n, st)
 	case *ast.ExprStmt:
 		return p.exprStmt(n, st)
 	case *ast.ReturnStmt:
-		st = p.escapeClosures(n, st)
+		st = p.EscapeClosures(n, st)
 		for _, r := range n.Results {
-			if rp := flow.Path(p.pass.TypesInfo, p.pass.Pkg, r); rp != "" {
-				st = p.escapePath(rp, st)
-			}
+			st = p.EscapeNested(r, st).Escape(p.Path(r))
 		}
 		return st
 	case *ast.DeferStmt:
 		return st // modeled by the CFG defer chain
 	case *ast.GoStmt:
-		return p.escapeArgs(n.Call, p.escapeClosures(n, st))
+		return p.EscapeCall(n.Call, p.EscapeClosures(n, st))
 	default:
-		return p.escapeClosures(n, st)
+		return p.EscapeNested(n, p.EscapeClosures(n, st))
 	}
 }
 
-func (p *prob) assign(n *ast.AssignStmt, st state) state {
-	st = p.escapeClosures(n, st)
+func (p prob) assign(n *ast.AssignStmt, st flow.Custody) flow.Custody {
+	st = p.EscapeClosures(n, st)
 	if len(n.Rhs) == 1 {
-		rhs := analysis.Unparen(n.Rhs[0])
-		lhsPath := flow.Path(p.pass.TypesInfo, p.pass.Pkg, n.Lhs[0])
+		rhs := ast.Unparen(n.Rhs[0])
 		if call, ok := rhs.(*ast.CallExpr); ok {
-			if p.isBegin(call) {
-				out := clone(st)
-				if lhsPath == "" {
-					p.reportf(call.Pos(), "span begun here is discarded and can never be ended")
-					return out
-				}
-				out[lhsPath] = cell{origin: call.Pos(), m: open}
-				return out
+			if !p.isBegin(call) {
+				return p.EscapeCall(call, st)
 			}
-			return p.escapeArgs(call, st)
+			lhsPath := p.Path(n.Lhs[0])
+			if lhsPath == "" {
+				p.Reportf(call.Pos(), "span begun here is discarded and can never be ended")
+				return st
+			}
+			out := maps.Clone(st)
+			out[lhsPath] = flow.Cell{Origin: call.Pos(), M: flow.Held}
+			return out
 		}
-		// sp2 := sp moves the pairing obligation; storing through a
-		// pointer (c.sp = sp with c a *T) publishes it — escape.
-		if rhsPath := flow.Path(p.pass.TypesInfo, p.pass.Pkg, rhs); rhsPath != "" {
-			if c, ok := st[rhsPath]; ok && lhsPath != "" && !storesThroughPointer(p.pass.TypesInfo, n.Lhs[0]) {
-				out := clone(st)
-				delete(out, rhsPath)
-				out[lhsPath] = c
-				return out
-			}
-			if _, ok := st[rhsPath]; ok {
-				return p.escapePath(rhsPath, st)
-			}
+		// sp2 := sp moves the pairing obligation, or escapes it where
+		// sp2 is not storage this pass can name.
+		if rhsPath := p.Path(rhs); rhsPath != "" {
+			out, _ := p.Move(n.Lhs[0], rhsPath, st)
+			return out
 		}
 	}
 	for _, r := range n.Rhs {
-		st = p.escapeNested(r, st)
+		st = p.EscapeNested(r, st)
 	}
 	return st
 }
 
-func (p *prob) exprStmt(n *ast.ExprStmt, st state) state {
-	st = p.escapeClosures(n, st)
-	call, ok := analysis.Unparen(n.X).(*ast.CallExpr)
+func (p prob) exprStmt(n *ast.ExprStmt, st flow.Custody) flow.Custody {
+	st = p.EscapeClosures(n, st)
+	call, ok := ast.Unparen(n.X).(*ast.CallExpr)
 	if !ok {
 		return st
 	}
 	if p.isBegin(call) {
-		p.reportf(call.Pos(), "span begun here is discarded and can never be ended")
+		p.Reportf(call.Pos(), "span begun here is discarded and can never be ended")
 		return st
 	}
-	if recv, ok := p.endReceiver(call); ok {
-		recv = analysis.Unparen(recv)
-		if inner, ok := recv.(*ast.CallExpr); ok && p.isBegin(inner) {
-			return st // chained Begin(...).End(...): trivially paired
-		}
-		rp := flow.Path(p.pass.TypesInfo, p.pass.Pkg, recv)
-		if rp == "" {
-			return st
-		}
-		c, ok := st[rp]
-		if !ok || c.m&escaped != 0 {
-			return st
-		}
-		out := clone(st)
-		if c.m&open == 0 && c.m&ended != 0 {
-			p.reportf(call.Pos(), "span %s is already ended on every path reaching this End (double End records a duplicate event)", rp)
-			return out
-		}
-		c.m = ended
-		out[rp] = c
-		return out
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "End" || !isActiveSpan(p.Pass.TypesInfo.TypeOf(sel.X)) {
+		return p.EscapeCall(call, st)
 	}
-	return p.escapeArgs(call, st)
+	// sp.End(...). A chained Begin(...).End(...) has no path and is
+	// trivially paired.
+	rp := p.Path(sel.X)
+	out, again := st.Discharge(rp)
+	if again {
+		p.Reportf(call.Pos(), "span %s is already ended on every path reaching this End (double End records a duplicate event)", rp)
+	}
+	return out
 }
 
 // isBegin matches telemetry.(*Recorder).Begin.
-func (p *prob) isBegin(call *ast.CallExpr) bool {
-	fn := analysis.Callee(p.pass.TypesInfo, call)
+func (p prob) isBegin(call *ast.CallExpr) bool {
+	fn := analysis.Callee(p.Pass.TypesInfo, call)
 	if fn == nil || fn.Name() != "Begin" || fn.Pkg() == nil || fn.Pkg().Path() != telemetryPath {
 		return false
 	}
@@ -277,116 +142,6 @@ func (p *prob) isBegin(call *ast.CallExpr) bool {
 	return ok && sig.Recv() != nil
 }
 
-// endReceiver matches sp.End(...) on a telemetry.ActiveSpan receiver.
-func (p *prob) endReceiver(call *ast.CallExpr) (ast.Expr, bool) {
-	sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "End" {
-		return nil, false
-	}
-	if !isActiveSpan(p.pass.TypesInfo.TypeOf(sel.X)) {
-		return nil, false
-	}
-	return sel.X, true
-}
-
-// storesThroughPointer reports whether lhs writes a field through a
-// pointer — publishing the value into storage with its own lifetime.
-func storesThroughPointer(info *types.Info, lhs ast.Expr) bool {
-	sel, ok := analysis.Unparen(lhs).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	_, ok = info.TypeOf(sel.X).(*types.Pointer)
-	return ok
-}
-
 func isActiveSpan(t types.Type) bool {
 	return t != nil && analysis.IsNamed(t, telemetryPath, "ActiveSpan")
-}
-
-// escapeArgs ends tracking for spans handed to another function.
-func (p *prob) escapeArgs(call *ast.CallExpr, st state) state {
-	out := st
-	for _, a := range call.Args {
-		a = analysis.Unparen(a)
-		if pth := flow.Path(p.pass.TypesInfo, p.pass.Pkg, a); pth != "" {
-			out = p.escapePath(pth, out)
-		}
-		out = p.escapeNested(a, out)
-	}
-	if sel, ok := analysis.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if !isActiveSpan(p.pass.TypesInfo.TypeOf(sel.X)) {
-			if pth := flow.Path(p.pass.TypesInfo, p.pass.Pkg, sel.X); pth != "" {
-				out = p.escapePath(pth, out)
-			}
-		}
-	}
-	return out
-}
-
-func (p *prob) escapeNested(n ast.Node, st state) state {
-	out := st
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := m.(*ast.CallExpr); ok && !p.isBegin(call) {
-			if _, isEnd := p.endReceiver(call); !isEnd {
-				out = p.escapeArgs(call, out)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-func (p *prob) escapePath(path string, st state) state {
-	var out state
-	prefix := path + "."
-	for k, c := range st {
-		if k != path && !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		if out == nil {
-			out = clone(st)
-		}
-		c.m = escaped
-		out[k] = c
-	}
-	if out == nil {
-		return st
-	}
-	return out
-}
-
-func (p *prob) escapeClosures(n ast.Node, st state) state {
-	if len(st) == 0 {
-		return st
-	}
-	out := st
-	ast.Inspect(n, func(m ast.Node) bool {
-		lit, ok := m.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		ast.Inspect(lit.Body, func(b ast.Node) bool {
-			if id, ok := b.(*ast.Ident); ok {
-				for k := range out {
-					root, _, _ := strings.Cut(k, ".")
-					if root == id.Name {
-						out = p.escapePath(root, out)
-					}
-				}
-			}
-			return true
-		})
-		return false
-	})
-	return out
-}
-
-func (p *prob) reportf(pos token.Pos, format string, args ...any) {
-	if p.report != nil {
-		p.report(pos, format, args...)
-	}
 }

@@ -104,38 +104,21 @@ func move() {
 	c.Release()
 }
 
+// The obligation is reachable as b on one path and as d on the other:
+// one finding, and it names the least path on every run.
+func moveOnOneArm(c bool) {
+	b := pool.Get(8) // want `^b is not released on every path`
+	var d *wire.Buf
+	if c {
+		d = b
+	}
+	_ = d
+}
+
 func overwrite() {
 	b := pool.Get(8)
 	b = pool.Get(16) // want `b is overwritten while still owning a reference`
 	b.Release()
-}
-
-// peek only reads: the caller keeps custody.
-//
-//wire:borrows b
-func peek(b *wire.Buf) int {
-	return b.Len()
-}
-
-//wire:borrows b
-func releasesBorrowed(b *wire.Buf) {
-	b.Release() // want `declared //wire:borrows`
-}
-
-// consume takes custody and discharges it.
-//
-//wire:takes b
-func consume(b *wire.Buf) {
-	b.Release()
-}
-
-//wire:takes b
-func consumeLeaks(b *wire.Buf, flaky bool) error { // want `b is not released on every path`
-	if flaky {
-		return errBad
-	}
-	b.Release()
-	return nil
 }
 
 // send models NIC.Send custody: on success the buffer belongs to the

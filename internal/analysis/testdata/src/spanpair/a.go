@@ -75,6 +75,36 @@ func moved(rec *telemetry.Recorder, t0, t1 sim.Time) {
 	sp2.End(t1)
 }
 
+// The span is reachable as sp on one path and as sp2 on the other: one
+// finding, and it names the least path on every run.
+func moveOnOneArm(rec *telemetry.Recorder, c bool, t0 sim.Time) {
+	sp := rec.Begin("stage", "work", 1, t0) // want `span sp begun here is not ended on every path`
+	var sp2 telemetry.ActiveSpan
+	if c {
+		sp2 = sp
+	}
+	_ = sp2
+}
+
+// A blank assignment reads nothing and moves nothing.
+func blankIsNotAnEscape(rec *telemetry.Recorder, t0 sim.Time) {
+	sp := rec.Begin("stage", "work", 1, t0) // want `span sp begun here is not ended on every path`
+	_ = sp
+}
+
+type stage struct{}
+
+func (stage) sp() {}
+
+// The closure names a method spelled like the span, not the span.
+func closureNamesAMethod(rec *telemetry.Recorder, s stage, bad bool, t0, t1 sim.Time) func() {
+	sp := rec.Begin("stage", "work", 1, t0) // want `span sp begun here is not ended on every path`
+	if bad {
+		sp.End(t1)
+	}
+	return func() { s.sp() }
+}
+
 func escapesToHandler(rec *telemetry.Recorder, t0 sim.Time, hand func(telemetry.ActiveSpan)) {
 	sp := rec.Begin("stage", "work", 1, t0)
 	hand(sp)

@@ -226,7 +226,10 @@ func decodeData(f netsim.Frame) dataFrag {
 	}
 }
 
-// encodeCtrl fills a pooled buffer with m's wire header.
+// encodeCtrl fills a pooled buffer with m's wire header. The caller
+// owns the returned reference.
+//
+//wire:owns
 func encodeCtrl(p *wire.Pool, m ctrlMsg) *wire.Buf {
 	b := p.Get(ctrlHdrLen + 4*len(m.Missing))
 	bs := b.Bytes()

@@ -7,7 +7,9 @@ package hyperion
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
 	"hyperion/internal/bench"
@@ -80,25 +82,18 @@ func TestAllExperimentsProduceOutput(t *testing.T) {
 // These are cross-revision golden values: they were captured from the
 // seed revision's output and must survive kernel rewrites untouched —
 // any change here means a perf change leaked into the model's results.
-var goldenTableHashes = map[string]string{
-	"E1":  "a5a32f9a04dd1e98bee17a331c7b79bea4e87e41260076df4d21a7a62c0fa21e",
-	"E2":  "ca8704c98b7426b827e8743d4270807bfe715c853aff159282dd83dd7e9b761c",
-	"E3":  "4630296a513ae1dcede4ef1c97d3ebd0434adaadeeefc0243f9ea0ccc9639a8c",
-	"E4":  "7ae64cd3b6b9572f9c35886547b3f8477a1de6fb266f3cc9172ad2c9e9cc9dc0",
-	"E5":  "1c3c56e278373d1f58571aa67bf58a90af5a9cbd62c264db8caade35ef806b25",
-	"E6":  "db5d56e142fe20b312a4da0096097331e98e570c1531e347ff182c2ce04326ee",
-	"E7":  "fac3e492a680e2f8f760c67e3afe78fdf6729200da9f1ad69320fb71b0b02dbb",
-	"E8":  "fc2ecff827c895550937650b9c7e3ae6ae36598f392e8bf16fc37736b4c129f2",
-	"E9":  "67e0896da9987fcca9f7c0fec8cd1dfd4e9f014a107067a4dee188b7a2708a26",
-	"E10": "8ca03836a02b29c99f73e490a7cbc317097a0c00ff5e121100a4167ded994433",
-	"E11": "5f3b74f206bad59de8671a1500651948b7f60a95e63122e034b69b1d8ce86cc5",
-	"E12": "dafc9d29c239002df9cacffbb71aed651b3e70a2be1c54864e57846487953c12",
-	"E13": "348658f176fc917f7a9fe395f97c4a613f5a01dda755a3e1dc7436f57153fc1a",
-	"E14": "fa7d0cceee370065bfce0ac7d884ce9a69945f96fb753b80071739dec1c15c99",
-	"X1":  "238916f719bb49803307dd2218cc38be11010ef940accc4a0354a75c81e22aef",
-	"E16": "41cd53e508a79a61d8b3e46ad2c7bb5db51792ca0e7470fcae7146e6c7e491b0",
-	"E17": "28cb2d0ef9557fac80f4f883a43308132701b420c653953f682704fe20e82d79",
-	"E18": "7c046dd15937b673411d3f9c9ae5281f23c18763368b87b913863352ec049421",
+// The one copy is hyperbench's, which gates the same tables.
+func goldenTableHashes(t testing.TB) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile("cmd/hyperbench/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hashes map[string]string
+	if err := json.Unmarshal(raw, &hashes); err != nil {
+		t.Fatalf("cmd/hyperbench/golden.json: %v", err)
+	}
+	return hashes
 }
 
 // TestExperimentsDeterministic asserts the simulation's core promise:
@@ -109,6 +104,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are heavyweight")
 	}
+	golden := goldenTableHashes(t)
 	for _, e := range bench.All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -118,9 +114,9 @@ func TestExperimentsDeterministic(t *testing.T) {
 			if a != b {
 				t.Fatalf("%s not deterministic:\n--- first ---\n%s\n--- second ---\n%s", e.ID, a, b)
 			}
-			want, ok := goldenTableHashes[e.ID]
+			want, ok := golden[e.ID]
 			if !ok {
-				t.Fatalf("%s has no golden hash; add it to goldenTableHashes", e.ID)
+				t.Fatalf("%s has no golden hash; add it to cmd/hyperbench/golden.json", e.ID)
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(a))); got != want {
 				t.Errorf("%s table drifted from the golden seed output:\n got %s\nwant %s\n%s", e.ID, got, want, a)

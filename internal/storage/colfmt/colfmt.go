@@ -7,11 +7,11 @@
 package colfmt
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"hyperion/internal/seg"
+	"hyperion/internal/wire"
 )
 
 // ColumnType enumerates supported column types.
@@ -165,7 +165,7 @@ func (w *Writer) flushGroup() {
 func encodeGroup(b *Batch) []byte {
 	rows := b.Rows()
 	buf := make([]byte, 4)
-	binary.LittleEndian.PutUint32(buf, uint32(rows))
+	wire.PutLE32At(buf, 0, uint32(rows))
 	for _, c := range b.Schema.Columns {
 		switch c.Type {
 		case TypeInt64:
@@ -180,10 +180,10 @@ func encodeGroup(b *Batch) []byte {
 				}
 			}
 			chunk := make([]byte, 16+8*rows)
-			binary.LittleEndian.PutUint64(chunk, uint64(mn))
-			binary.LittleEndian.PutUint64(chunk[8:], uint64(mx))
+			wire.PutLE64At(chunk, 0, uint64(mn))
+			wire.PutLE64At(chunk, 8, uint64(mx))
 			for i, v := range vals {
-				binary.LittleEndian.PutUint64(chunk[16+i*8:], uint64(v))
+				wire.PutLE64At(chunk, 16+i*8, uint64(v))
 			}
 			buf = append(buf, chunk...)
 		case TypeString:
@@ -193,10 +193,9 @@ func encodeGroup(b *Batch) []byte {
 				total += 2 + len(s)
 			}
 			chunk := make([]byte, 4, 4+total)
-			binary.LittleEndian.PutUint32(chunk, uint32(total))
+			wire.PutLE32At(chunk, 0, uint32(total))
 			for _, s := range vals {
-				var l [2]byte
-				binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
+				l := wire.PutLE16(uint16(len(s)))
 				chunk = append(chunk, l[:]...)
 				chunk = append(chunk, s...)
 			}
@@ -213,23 +212,22 @@ func (w *Writer) Close(id seg.ObjectID, durable bool) error {
 	w.flushGroup()
 	// Header: schema.
 	head := make([]byte, 8)
-	binary.LittleEndian.PutUint32(head, tableMagic)
-	binary.LittleEndian.PutUint16(head[4:], uint16(len(w.schema.Columns)))
+	wire.PutLE32At(head, 0, tableMagic)
+	wire.PutLE16At(head, 4, uint16(len(w.schema.Columns)))
 	for _, c := range w.schema.Columns {
 		head = append(head, byte(c.Type), byte(len(c.Name)))
 		head = append(head, c.Name...)
 	}
 	var idx []byte
 	var payload []byte
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(w.groups)))
+	cnt := wire.PutLE32(uint32(len(w.groups)))
 	idx = append(idx, cnt[:]...)
 	// Offsets are relative to payload start.
 	off := 0
 	for _, g := range w.groups {
 		var ent [8]byte
-		binary.LittleEndian.PutUint32(ent[:], uint32(off))
-		binary.LittleEndian.PutUint32(ent[4:], uint32(len(g)))
+		wire.PutLE32At(ent[:], 0, uint32(off))
+		wire.PutLE32At(ent[:], 4, uint32(len(g)))
 		idx = append(idx, ent[:]...)
 		payload = append(payload, g...)
 		off += len(g)
@@ -272,11 +270,11 @@ func OpenReader(v *seg.SyncView, id seg.ObjectID) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < 8 || binary.LittleEndian.Uint32(buf) != tableMagic {
+	if len(buf) < 8 || wire.LE32At(buf, 0) != tableMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	r := &Reader{v: v, id: id}
-	ncols := int(binary.LittleEndian.Uint16(buf[4:]))
+	ncols := int(wire.LE16At(buf, 4))
 	off := 8
 	for i := 0; i < ncols; i++ {
 		if off+2 > len(buf) {
@@ -293,7 +291,7 @@ func OpenReader(v *seg.SyncView, id seg.ObjectID) (*Reader, error) {
 	if off+4 > len(buf) {
 		return nil, fmt.Errorf("%w: truncated index", ErrCorrupt)
 	}
-	ngroups := int(binary.LittleEndian.Uint32(buf[off:]))
+	ngroups := int(wire.LE32At(buf, off))
 	off += 4
 	need := int64(off + ngroups*8)
 	if need > int64(len(buf)) {
@@ -304,8 +302,8 @@ func OpenReader(v *seg.SyncView, id seg.ObjectID) (*Reader, error) {
 	}
 	for i := 0; i < ngroups; i++ {
 		r.groups = append(r.groups, groupRef{
-			off:  int64(binary.LittleEndian.Uint32(buf[off:])),
-			size: int64(binary.LittleEndian.Uint32(buf[off+4:])),
+			off:  int64(wire.LE32At(buf, off)),
+			size: int64(wire.LE32At(buf, off+4)),
 		})
 		off += 8
 	}
@@ -321,7 +319,7 @@ func (r *Reader) decodeGroup(raw []byte) (*Batch, error) {
 	if len(raw) < 4 {
 		return nil, fmt.Errorf("%w: short group", ErrCorrupt)
 	}
-	rows := int(binary.LittleEndian.Uint32(raw))
+	rows := int(wire.LE32At(raw, 0))
 	b := NewBatch(r.Schema)
 	off := 4
 	for _, c := range r.Schema.Columns {
@@ -332,7 +330,7 @@ func (r *Reader) decodeGroup(raw []byte) (*Batch, error) {
 			}
 			vals := make([]int64, rows)
 			for i := range vals {
-				vals[i] = int64(binary.LittleEndian.Uint64(raw[off+16+i*8:]))
+				vals[i] = int64(wire.LE64At(raw, off+16+i*8))
 			}
 			b.Int64s[c.Name] = vals
 			off += 16 + 8*rows
@@ -340,7 +338,7 @@ func (r *Reader) decodeGroup(raw []byte) (*Batch, error) {
 			if off+4 > len(raw) {
 				return nil, fmt.Errorf("%w: short string chunk", ErrCorrupt)
 			}
-			total := int(binary.LittleEndian.Uint32(raw[off:]))
+			total := int(wire.LE32At(raw, off))
 			off += 4
 			end := off + total
 			vals := make([]string, 0, rows)
@@ -348,7 +346,7 @@ func (r *Reader) decodeGroup(raw []byte) (*Batch, error) {
 				if off+2 > end {
 					return nil, fmt.Errorf("%w: short string", ErrCorrupt)
 				}
-				l := int(binary.LittleEndian.Uint16(raw[off:]))
+				l := int(wire.LE16At(raw, off))
 				vals = append(vals, string(raw[off+2:off+2+l]))
 				off += 2 + l
 			}
@@ -371,7 +369,7 @@ func (r *Reader) groupStats(g groupRef, colPos int) (mn, mx int64, ok bool, err 
 	if err != nil {
 		return 0, 0, false, err
 	}
-	return int64(binary.LittleEndian.Uint64(buf[4:])), int64(binary.LittleEndian.Uint64(buf[12:])), true, nil
+	return int64(wire.LE64At(buf, 4)), int64(wire.LE64At(buf, 12)), true, nil
 }
 
 // ReadGroup fully decodes group i.

@@ -7,11 +7,11 @@
 package corfu
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"hyperion/internal/seg"
+	"hyperion/internal/wire"
 )
 
 // Entry states, persisted in a header byte per slot.
@@ -35,125 +35,90 @@ var (
 // Unit is one write-once storage unit. Slots live in fixed-size cells
 // inside chunk objects on the unit's segment store.
 type Unit struct {
-	v         *seg.SyncView
-	meta      seg.ObjectID
+	v *seg.SyncView
+	// chunks holds the cells; its Owner word is the entry size.
+	chunks    *seg.ChunkList
 	entrySize int
 	cellBytes int
 	perChunk  int
-	chunks    []seg.ObjectID
-	nextLo    uint64
-	durable   bool
 	// stateCache mirrors the persistent per-slot state byte so the
 	// write-once check doesn't cost a flash read on the hot path (a
 	// real unit keeps this in its FTL/controller SRAM). Slots of chunks
-	// allocated by this instance (virgin) are known-empty; after a
-	// reopen the cache warms on demand.
-	stateCache   map[uint64]byte
-	virginChunks map[int]bool
-	cell         []byte // Write's staging buffer, cellBytes long
+	// allocated by this instance — those from virginFrom on — are
+	// known-empty; after a reopen the cache warms on demand.
+	stateCache map[uint64]byte
+	virginFrom int
+	cell       []byte // Write's staging buffer, cellBytes long
 
 	Writes, Reads, Fills int64
 }
 
 const unitMagic = 0x434f5246 // "CORF"
-const chunkBytes = 1 << 20
+const maxEntrySize = seg.ChunkBytes / 4
 
 // NewUnit creates a storage unit with the given fixed entry size.
 func NewUnit(v *seg.SyncView, metaID seg.ObjectID, entrySize int, durable bool) (*Unit, error) {
-	if entrySize <= 0 || entrySize > chunkBytes/4 {
+	if entrySize <= 0 || entrySize > maxEntrySize {
 		return nil, fmt.Errorf("corfu: bad entry size %d", entrySize)
 	}
-	u := &Unit{
-		v: v, meta: metaID, entrySize: entrySize,
-		cellBytes:    entrySize + 5, // state byte + length u32
-		durable:      durable,
-		nextLo:       metaID.Lo + 1,
-		stateCache:   make(map[uint64]byte),
-		virginChunks: make(map[int]bool),
-	}
-	u.perChunk = chunkBytes / u.cellBytes
-	if _, err := v.Alloc(metaID, 4096, durable, seg.HintAuto); err != nil {
+	chunks, err := seg.CreateChunkList(v, metaID, unitMagic, durable)
+	if err != nil {
 		return nil, err
 	}
-	return u, u.writeMeta()
+	chunks.Owner = uint64(entrySize)
+	return newUnit(v, chunks), chunks.Sync()
 }
 
 // OpenUnit reloads a unit from its metadata.
 func OpenUnit(v *seg.SyncView, metaID seg.ObjectID) (*Unit, error) {
-	u := &Unit{v: v, meta: metaID, stateCache: make(map[uint64]byte), virginChunks: make(map[int]bool)}
-	buf, err := v.ReadAt(metaID, 0, 4096)
+	chunks, err := seg.OpenChunkList(v, metaID, unitMagic)
 	if err != nil {
+		if errors.Is(err, seg.ErrCorrupt) {
+			err = fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(buf) != unitMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if chunks.Owner == 0 || chunks.Owner > maxEntrySize {
+		return nil, fmt.Errorf("%w: entry size %d", ErrCorrupt, chunks.Owner)
 	}
-	u.entrySize = int(binary.LittleEndian.Uint32(buf[4:]))
-	u.durable = buf[8] == 1
-	u.nextLo = binary.LittleEndian.Uint64(buf[16:])
-	n := int(binary.LittleEndian.Uint32(buf[24:]))
-	u.cellBytes = u.entrySize + 5
-	u.perChunk = chunkBytes / u.cellBytes
-	off := 32
-	for i := 0; i < n; i++ {
-		u.chunks = append(u.chunks, seg.ObjectID{
-			Hi: binary.LittleEndian.Uint64(buf[off:]),
-			Lo: binary.LittleEndian.Uint64(buf[off+8:]),
-		})
-		off += 16
-	}
-	return u, nil
+	return newUnit(v, chunks), nil
 }
 
-func (u *Unit) writeMeta() error {
-	buf := make([]byte, 4096)
-	binary.LittleEndian.PutUint32(buf, unitMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(u.entrySize))
-	if u.durable {
-		buf[8] = 1
+// newUnit sizes the cells from the entry size chunks carries.
+func newUnit(v *seg.SyncView, chunks *seg.ChunkList) *Unit {
+	entrySize := int(chunks.Owner)
+	cellBytes := entrySize + 5 // state byte + length u32
+	return &Unit{
+		v: v, chunks: chunks, entrySize: entrySize,
+		cellBytes: cellBytes, perChunk: seg.ChunkBytes / cellBytes,
+		stateCache: make(map[uint64]byte), virginFrom: chunks.Len(),
 	}
-	binary.LittleEndian.PutUint64(buf[16:], u.nextLo)
-	binary.LittleEndian.PutUint32(buf[24:], uint32(len(u.chunks)))
-	off := 32
-	for _, c := range u.chunks {
-		binary.LittleEndian.PutUint64(buf[off:], c.Hi)
-		binary.LittleEndian.PutUint64(buf[off+8:], c.Lo)
-		off += 16
-		if off > len(buf)-16 {
-			return fmt.Errorf("corfu: unit meta overflow")
-		}
-	}
-	return u.v.WriteAt(u.meta, 0, buf)
 }
 
 // locate returns the chunk object and byte offset of a slot, growing
 // the chunk list as needed.
 func (u *Unit) locate(slot uint64, grow bool) (seg.ObjectID, int64, error) {
 	ci := int(slot / uint64(u.perChunk))
-	for grow && ci >= len(u.chunks) {
-		id := seg.ObjectID{Hi: u.meta.Hi, Lo: u.nextLo}
-		u.nextLo++
-		if _, err := u.v.Alloc(id, chunkBytes, u.durable, seg.HintAuto); err != nil {
+	for grow && ci >= u.chunks.Len() {
+		if err := u.chunks.Grow(); err != nil {
 			return seg.ObjectID{}, 0, err
 		}
-		u.chunks = append(u.chunks, id)
-		u.virginChunks[len(u.chunks)-1] = true
-		if err := u.writeMeta(); err != nil {
+		if err := u.chunks.Sync(); err != nil {
 			return seg.ObjectID{}, 0, err
 		}
 	}
-	if ci >= len(u.chunks) {
+	if ci >= u.chunks.Len() {
 		return seg.ObjectID{}, 0, ErrUnwritten
 	}
 	off := int64(slot%uint64(u.perChunk)) * int64(u.cellBytes)
-	return u.chunks[ci], off, nil
+	return u.chunks.Chunk(ci), off, nil
 }
 
 func (u *Unit) state(slot uint64) (byte, error) {
 	if st, ok := u.stateCache[slot]; ok {
 		return st, nil
 	}
-	if ci := int(slot / uint64(u.perChunk)); ci < len(u.chunks) && u.virginChunks[ci] {
+	if ci := int(slot / uint64(u.perChunk)); ci >= u.virginFrom && ci < u.chunks.Len() {
 		// Chunk allocated by this instance and slot never touched: empty.
 		return slotEmpty, nil
 	}
@@ -199,7 +164,7 @@ func (u *Unit) Write(slot uint64, data []byte) error {
 	}
 	cell := u.cell
 	cell[0] = slotWritten
-	binary.LittleEndian.PutUint32(cell[1:], uint32(len(data)))
+	wire.PutLE32At(cell, 1, uint32(len(data)))
 	n := copy(cell[5:], data)
 	clear(cell[5+n:])
 	u.Writes++
@@ -225,7 +190,7 @@ func (u *Unit) Read(slot uint64) ([]byte, error) {
 	case slotTrimmed:
 		return nil, ErrTrimmed
 	}
-	n := int64(binary.LittleEndian.Uint32(hdr[1:]))
+	n := int64(wire.LE32At(hdr, 1))
 	u.Reads++
 	data, err := u.v.ReadAt(id, off+5, n)
 	if err != nil {

@@ -201,8 +201,8 @@ func TestChunkGrowth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(l.units[0].chunks) < 2 {
-		t.Fatalf("chunks = %d, want ≥2", len(l.units[0].chunks))
+	if l.units[0].chunks.Len() < 2 {
+		t.Fatalf("chunks = %d, want ≥2", l.units[0].chunks.Len())
 	}
 	if _, err := l.Read(599); err != nil {
 		t.Fatal(err)
@@ -260,4 +260,42 @@ func TestWriteLeavesNoStaleCellBytes(t *testing.T) {
 	if !bytes.Equal(cell, want) {
 		t.Fatalf("cell after a longer write = %x, want %x", cell, want)
 	}
+}
+
+func TestOpenUnitCorruptRoot(t *testing.T) {
+	root := seg.OID(400, 0)
+	t.Run("root", func(t *testing.T) {
+		// Every count after the magic overruns the block.
+		v, _ := newLog(t, 1, 256)
+		img, err := v.ReadAt(root, 0, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 4; i < len(img); i++ {
+			img[i] = 0xFF
+		}
+		if err := v.WriteAt(root, 0, img); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenUnit(v, root); !errors.Is(err, ErrCorrupt) || !errors.Is(err, seg.ErrCorrupt) {
+			t.Fatalf("err = %v, want corfu and seg ErrCorrupt", err)
+		}
+	})
+	t.Run("entry size", func(t *testing.T) {
+		// A zero entry size used to divide by zero on the first access.
+		for _, size := range []uint64{0, maxEntrySize + 1} {
+			v, _ := newLog(t, 1, 256)
+			chunks, err := seg.OpenChunkList(v, root, unitMagic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks.Owner = size
+			if err := chunks.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenUnit(v, root); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("entry size %d: err = %v, want ErrCorrupt", size, err)
+			}
+		}
+	})
 }

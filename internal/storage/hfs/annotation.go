@@ -1,10 +1,10 @@
 package hfs
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"hyperion/internal/seg"
+	"hyperion/internal/wire"
 )
 
 // Annotation is the declarative layout description of an hfs instance —
@@ -128,16 +128,13 @@ func annReadAll(v *seg.SyncView, ann Annotation, ino uint64) (uint8, []byte, err
 		return 0, nil, err
 	}
 	typ := ibuf[ann.TypeOff]
-	size := int64(binary.LittleEndian.Uint64(ibuf[ann.SizeOff:]))
-	cnt := int(binary.LittleEndian.Uint16(ibuf[ann.ExtCountOff:]))
+	size := int64(wire.LE64At(ibuf, ann.SizeOff))
+	cnt := int(wire.LE16At(ibuf, ann.ExtCountOff))
 	out := make([]byte, 0, size)
 	remaining := size
 	for i := 0; i < cnt && remaining > 0; i++ {
 		off := ann.ExtTableOff + i*ann.ExtEntryBytes
-		ext := seg.ObjectID{
-			Hi: binary.LittleEndian.Uint64(ibuf[off:]),
-			Lo: binary.LittleEndian.Uint64(ibuf[off+8:]),
-		}
+		ext := seg.DecodeID(ibuf[off:])
 		n := int64(ann.ExtentBytes)
 		if n > remaining {
 			n = remaining
@@ -165,13 +162,13 @@ func annLookup(v *seg.SyncView, ann Annotation, ino uint64, name string) (uint64
 	if len(data) < ann.DirCountBytes {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	n := int(binary.LittleEndian.Uint32(data))
+	n := int(wire.LE32At(data, 0))
 	off := ann.DirCountBytes
 	for i := 0; i < n; i++ {
 		if off+ann.DirentNameOff > len(data) {
 			return 0, fmt.Errorf("%w: truncated dirent", ErrCorrupt)
 		}
-		entIno := binary.LittleEndian.Uint64(data[off+ann.DirentInoOff:])
+		entIno := wire.LE64At(data, off+ann.DirentInoOff)
 		nl := int(data[off+ann.DirentNameLenOff])
 		if off+ann.DirentNameOff+nl > len(data) {
 			return 0, fmt.Errorf("%w: truncated name", ErrCorrupt)

@@ -7,13 +7,13 @@
 package hfs
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"hyperion/internal/seg"
+	"hyperion/internal/wire"
 )
 
 // Inode types.
@@ -94,20 +94,20 @@ func Mount(v *seg.SyncView, superID seg.ObjectID) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(buf) != superMagic {
+	if wire.LE32At(buf, 0) != superMagic {
 		return nil, fmt.Errorf("%w: bad superblock magic", ErrCorrupt)
 	}
-	fs.nextIno = binary.LittleEndian.Uint64(buf[8:])
-	fs.nextExt = binary.LittleEndian.Uint64(buf[16:])
+	fs.nextIno = wire.LE64At(buf, 8)
+	fs.nextExt = wire.LE64At(buf, 16)
 	fs.durable = buf[24] == 1
 	return fs, nil
 }
 
 func (fs *FS) writeSuper() error {
 	buf := make([]byte, 128)
-	binary.LittleEndian.PutUint32(buf, superMagic)
-	binary.LittleEndian.PutUint64(buf[8:], fs.nextIno)
-	binary.LittleEndian.PutUint64(buf[16:], fs.nextExt)
+	wire.PutLE32At(buf, 0, superMagic)
+	wire.PutLE64At(buf, 8, fs.nextIno)
+	wire.PutLE64At(buf, 16, fs.nextExt)
 	if fs.durable {
 		buf[24] = 1
 	}
@@ -130,13 +130,10 @@ func (fs *FS) extentOID() seg.ObjectID {
 func (fs *FS) writeInode(ino *Inode) error {
 	buf := make([]byte, InodeBytes)
 	buf[0] = ino.Type
-	binary.LittleEndian.PutUint64(buf[8:], uint64(ino.Size))
-	binary.LittleEndian.PutUint16(buf[16:], uint16(len(ino.Extents)))
-	off := 24
-	for _, e := range ino.Extents {
-		binary.LittleEndian.PutUint64(buf[off:], e.Hi)
-		binary.LittleEndian.PutUint64(buf[off+8:], e.Lo)
-		off += 16
+	wire.PutLE64At(buf, 8, uint64(ino.Size))
+	wire.PutLE16At(buf, 16, uint16(len(ino.Extents)))
+	for i, e := range ino.Extents {
+		e.EncodeTo(buf[24+16*i:])
 	}
 	return fs.v.WriteAt(fs.inodeOID(ino.Ino), 0, buf)
 }
@@ -146,18 +143,13 @@ func (fs *FS) readInode(ino uint64) (*Inode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: inode %d", ErrNotFound, ino)
 	}
-	n := &Inode{Ino: ino, Type: buf[0], Size: int64(binary.LittleEndian.Uint64(buf[8:]))}
-	cnt := int(binary.LittleEndian.Uint16(buf[16:]))
+	n := &Inode{Ino: ino, Type: buf[0], Size: int64(wire.LE64At(buf, 8))}
+	cnt := int(wire.LE16At(buf, 16))
 	if cnt > maxExtents {
 		return nil, fmt.Errorf("%w: inode %d extent count %d", ErrCorrupt, ino, cnt)
 	}
-	off := 24
 	for i := 0; i < cnt; i++ {
-		n.Extents = append(n.Extents, seg.ObjectID{
-			Hi: binary.LittleEndian.Uint64(buf[off:]),
-			Lo: binary.LittleEndian.Uint64(buf[off+8:]),
-		})
-		off += 16
+		n.Extents = append(n.Extents, seg.DecodeID(buf[24+16*i:]))
 	}
 	return n, nil
 }
@@ -226,10 +218,10 @@ func (fs *FS) writeAll(ino *Inode, data []byte) error {
 func encodeDir(entries []DirEntry) []byte {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	buf := make([]byte, 4)
-	binary.LittleEndian.PutUint32(buf, uint32(len(entries)))
+	wire.PutLE32At(buf, 0, uint32(len(entries)))
 	for _, e := range entries {
 		rec := make([]byte, 10+len(e.Name))
-		binary.LittleEndian.PutUint64(rec, e.Ino)
+		wire.PutLE64At(rec, 0, e.Ino)
 		rec[8] = e.Type
 		rec[9] = byte(len(e.Name))
 		copy(rec[10:], e.Name)
@@ -242,14 +234,14 @@ func decodeDir(buf []byte) ([]DirEntry, error) {
 	if len(buf) < 4 {
 		return nil, nil
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
+	n := int(wire.LE32At(buf, 0))
 	off := 4
 	var out []DirEntry
 	for i := 0; i < n; i++ {
 		if off+10 > len(buf) {
 			return nil, fmt.Errorf("%w: truncated dirent", ErrCorrupt)
 		}
-		ino := binary.LittleEndian.Uint64(buf[off:])
+		ino := wire.LE64At(buf, off)
 		typ := buf[off+8]
 		nl := int(buf[off+9])
 		if off+10+nl > len(buf) {

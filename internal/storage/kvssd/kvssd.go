@@ -52,7 +52,6 @@ func (b Backend) String() string {
 // Log chunk geometry: 16-bit chunk index, offset within chunk, and
 // record length packed into the index's uint64 value.
 const (
-	chunkBytes  = 1 << 20
 	deletedSlot = ^uint64(0) // probe-chain preserving tombstone
 	maxProbes   = 64
 )
@@ -72,23 +71,18 @@ const (
 
 // KV is a key-value store instance.
 type KV struct {
-	v       *seg.SyncView
-	idx     Index
-	backend Backend
-	meta    seg.ObjectID
-	durable bool
-
-	chunks  []seg.ObjectID
-	tailOff int64
-	nextLo  uint64
+	v   *seg.SyncView
+	idx Index
+	// log is the value log, rooted at the meta object; its Owner word is
+	// the backend.
+	log *seg.ChunkList
 
 	// Reused encode scratch; the store is single-threaded (DPU handlers
 	// are run-to-completion) and the write path below copies. spill is
 	// where a record straddling two device blocks is assembled — the one
 	// read in fifteen that cannot be borrowed in place.
-	metaBuf []byte
-	recBuf  []byte
-	spill   []byte
+	recBuf []byte
+	spill  []byte
 
 	Puts, Gets, Deletes, Collisions int64
 }
@@ -98,13 +92,13 @@ const metaMagic = 0x4b565331 // "KVS1"
 // Create initializes a store. The meta object, index objects, and log
 // chunks all share metaID.Hi as their id prefix.
 func Create(v *seg.SyncView, metaID seg.ObjectID, backend Backend, durable bool) (*KV, error) {
-	kv := &KV{v: v, backend: backend, meta: metaID, durable: durable, nextLo: metaID.Lo + 1}
-	if _, err := v.Alloc(metaID, 4096, durable, seg.HintAuto); err != nil {
+	log, err := seg.CreateChunkList(v, metaID, metaMagic, durable)
+	if err != nil {
 		return nil, err
 	}
-	idxMeta := seg.ObjectID{Hi: metaID.Hi, Lo: kv.nextLo}
-	kv.nextLo += 1 << 32 // generous id space for index nodes
-	var err error
+	log.Owner = uint64(backend)
+	kv := &KV{v: v, log: log}
+	idxMeta := log.NextID(1 << 32) // generous id space for index nodes
 	switch backend {
 	case BackendBTree:
 		var t *bptree.Tree
@@ -120,37 +114,24 @@ func Create(v *seg.SyncView, metaID seg.ObjectID, backend Backend, durable bool)
 	if err != nil {
 		return nil, err
 	}
-	if err := kv.addChunk(); err != nil {
+	if err := log.Grow(); err != nil {
 		return nil, err
 	}
-	return kv, kv.writeMeta()
+	return kv, log.Sync()
 }
 
 // Open reopens an existing store.
 func Open(v *seg.SyncView, metaID seg.ObjectID) (*KV, error) {
-	kv := &KV{v: v, meta: metaID}
-	buf, err := v.ReadAt(metaID, 0, 4096)
+	log, err := seg.OpenChunkList(v, metaID, metaMagic)
 	if err != nil {
+		if errors.Is(err, seg.ErrCorrupt) {
+			err = fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
 		return nil, err
 	}
-	if wire.LE32At(buf, 0) != metaMagic {
-		return nil, fmt.Errorf("%w: bad meta magic", ErrCorrupt)
-	}
-	kv.backend = Backend(buf[4])
-	kv.durable = buf[5] == 1
-	kv.nextLo = wire.LE64At(buf, 8)
-	kv.tailOff = int64(wire.LE64At(buf, 16))
-	n := int(wire.LE32At(buf, 24))
-	off := 32
-	for i := 0; i < n; i++ {
-		kv.chunks = append(kv.chunks, seg.ObjectID{
-			Hi: wire.LE64At(buf, off),
-			Lo: wire.LE64At(buf, off+8),
-		})
-		off += 16
-	}
+	kv := &KV{v: v, log: log}
 	idxMeta := seg.ObjectID{Hi: metaID.Hi, Lo: metaID.Lo + 1}
-	switch kv.backend {
+	switch kv.Backend() {
 	case BackendBTree:
 		t, err := bptree.Open(v, idxMeta)
 		if err != nil {
@@ -163,46 +144,10 @@ func Open(v *seg.SyncView, metaID seg.ObjectID) (*KV, error) {
 			return nil, err
 		}
 		kv.idx = lsmIndex{t}
+	default:
+		return nil, fmt.Errorf("%w: backend %d", ErrCorrupt, log.Owner)
 	}
 	return kv, nil
-}
-
-func (kv *KV) writeMeta() error {
-	// The header and the (monotonically growing) chunk list are fully
-	// rewritten on every call, so the buffer never leaks stale bytes.
-	if kv.metaBuf == nil {
-		kv.metaBuf = make([]byte, 4096)
-	}
-	buf := kv.metaBuf
-	wire.PutLE32At(buf, 0, metaMagic)
-	buf[4] = byte(kv.backend)
-	if kv.durable {
-		buf[5] = 1
-	}
-	wire.PutLE64At(buf, 8, kv.nextLo)
-	wire.PutLE64At(buf, 16, uint64(kv.tailOff))
-	wire.PutLE32At(buf, 24, uint32(len(kv.chunks)))
-	off := 32
-	for _, c := range kv.chunks {
-		wire.PutLE64At(buf, off, c.Hi)
-		wire.PutLE64At(buf, off+8, c.Lo)
-		off += 16
-		if off > len(buf)-16 {
-			return fmt.Errorf("kvssd: too many log chunks for meta object")
-		}
-	}
-	return kv.v.WriteAt(kv.meta, 0, buf)
-}
-
-func (kv *KV) addChunk() error {
-	id := seg.ObjectID{Hi: kv.meta.Hi, Lo: kv.nextLo}
-	kv.nextLo++
-	if _, err := kv.v.Alloc(id, chunkBytes, kv.durable, seg.HintAuto); err != nil {
-		return err
-	}
-	kv.chunks = append(kv.chunks, id)
-	kv.tailOff = 0
-	return nil
 }
 
 // hash is FNV-1a over the key.
@@ -226,11 +171,6 @@ func unpack(v uint64) (chunk int, off int64, recLen int) {
 // appendRecord writes [keyLen u16][valLen u32][key][val] to the log.
 func (kv *KV) appendRecord(key, val []byte) (uint64, error) {
 	recLen := 6 + len(key) + len(val)
-	if kv.tailOff+int64(recLen) > chunkBytes {
-		if err := kv.addChunk(); err != nil {
-			return 0, err
-		}
-	}
 	if cap(kv.recBuf) < recLen {
 		kv.recBuf = make([]byte, recLen)
 	}
@@ -239,13 +179,8 @@ func (kv *KV) appendRecord(key, val []byte) (uint64, error) {
 	wire.PutLE32At(rec, 2, uint32(len(val)))
 	copy(rec[6:], key)
 	copy(rec[6+len(key):], val)
-	chunk := len(kv.chunks) - 1
-	off := kv.tailOff
-	if err := kv.v.WriteAt(kv.chunks[chunk], off, rec); err != nil {
-		return 0, err
-	}
-	kv.tailOff += int64(recLen)
-	if err := kv.writeMeta(); err != nil {
+	chunk, off, err := kv.log.Append(rec)
+	if err != nil {
 		return 0, err
 	}
 	return pack(chunk, off, recLen), nil
@@ -256,10 +191,10 @@ func (kv *KV) appendRecord(key, val []byte) (uint64, error) {
 // valid only until the log is next appended to or the next readRecord.
 func (kv *KV) readRecord(ref uint64) (key, val []byte, err error) {
 	chunk, off, recLen := unpack(ref)
-	if chunk >= len(kv.chunks) {
+	if chunk >= kv.log.Len() {
 		return nil, nil, fmt.Errorf("%w: chunk %d", ErrCorrupt, chunk)
 	}
-	buf, err := kv.v.Borrow(kv.chunks[chunk], off, int64(recLen), &kv.spill)
+	buf, err := kv.v.Borrow(kv.log.Chunk(chunk), off, int64(recLen), &kv.spill)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -372,14 +307,14 @@ func (kv *KV) Delete(key []byte) (bool, error) {
 }
 
 // Backend returns which index backs this store.
-func (kv *KV) Backend() Backend { return kv.backend }
+func (kv *KV) Backend() Backend { return Backend(kv.log.Owner) }
 
 // LogBytes reports the total value-log footprint.
 func (kv *KV) LogBytes() int64 {
-	if len(kv.chunks) == 0 {
+	if kv.log.Len() == 0 {
 		return 0
 	}
-	return int64(len(kv.chunks)-1)*chunkBytes + kv.tailOff
+	return int64(kv.log.Len()-1)*seg.ChunkBytes + kv.log.Tail()
 }
 
 // FlushIndex persists buffered index state (LSM memtable). No-op for

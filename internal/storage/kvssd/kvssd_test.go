@@ -2,6 +2,7 @@ package kvssd
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"hyperion/internal/nvme"
 	"hyperion/internal/seg"
 	"hyperion/internal/sim"
+	"hyperion/internal/storage/lsm"
 )
 
 func newView(t testing.TB) *seg.SyncView {
@@ -132,8 +134,8 @@ func TestLogChunkRollover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(kv.chunks) < 3 {
-		t.Fatalf("chunks = %d, want ≥3", len(kv.chunks))
+	if kv.log.Len() < 3 {
+		t.Fatalf("chunks = %d, want ≥3", kv.log.Len())
 	}
 	v, ok, err := kv.Get([]byte("big-0"))
 	if err != nil || !ok || len(v) != len(val) {
@@ -284,11 +286,81 @@ func BenchmarkKVPut(b *testing.B) {
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%d", i))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	put := func() {
 		if err := kv.Put(keys[i%len(keys)], val); err != nil {
 			b.Fatal(err)
 		}
+		i++
 	}
+	// Steady state is an overwrite: every key indexed, the record buffer
+	// grown, the log's root image retained by seg.ChunkList.
+	for range keys {
+		put()
+	}
+	if a := testing.AllocsPerRun(200, put); a != 0 {
+		b.Fatalf("steady-state put allocates %v times", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		put()
+	}
+}
+
+// smash overwrites everything after an object's magic with ones, so
+// every count in it overruns the block.
+func smash(t *testing.T, v *seg.SyncView, id seg.ObjectID, size int64) {
+	t.Helper()
+	img, err := v.ReadAt(id, 0, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 4; i < len(img); i++ {
+		img[i] = 0xFF
+	}
+	if err := v.WriteAt(id, 0, img); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestOpenCorruptRoot(t *testing.T) {
+	root := seg.OID(300, 0)
+	t.Run("root", func(t *testing.T) {
+		v := newView(t)
+		if _, err := Create(v, root, BackendBTree, true); err != nil {
+			t.Fatal(err)
+		}
+		smash(t, v, root, 4096)
+		if _, err := Open(v, root); !errors.Is(err, ErrCorrupt) || !errors.Is(err, seg.ErrCorrupt) {
+			t.Fatalf("err = %v, want kvssd and seg ErrCorrupt", err)
+		}
+	})
+	t.Run("backend", func(t *testing.T) {
+		v := newView(t)
+		if _, err := Create(v, root, BackendBTree, true); err != nil {
+			t.Fatal(err)
+		}
+		log, err := seg.OpenChunkList(v, root, metaMagic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log.Owner = 7
+		if err := log.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(v, root); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("lsm manifest", func(t *testing.T) {
+		v := newView(t)
+		if _, err := Create(v, root, BackendLSM, true); err != nil {
+			t.Fatal(err)
+		}
+		smash(t, v, seg.OID(300, 1), 8192)
+		if _, err := Open(v, root); !errors.Is(err, lsm.ErrCorrupt) {
+			t.Fatalf("err = %v, want lsm.ErrCorrupt", err)
+		}
+	})
 }

@@ -94,9 +94,13 @@ func Open(v *seg.SyncView, metaID seg.ObjectID) (*Tree, error) {
 	for l := 0; l < MaxLevels; l++ {
 		n := int(wire.LE16At(buf, off))
 		off += 2
+		// writeManifest's bound, which leaves room for the next level's count.
+		if off+n*36 > len(buf)-40 {
+			return nil, fmt.Errorf("%w: level %d lists %d runs, past the manifest", ErrCorrupt, l, n)
+		}
 		for i := 0; i < n; i++ {
 			r := run{
-				id:     seg.ObjectID{Hi: wire.LE64At(buf, off), Lo: wire.LE64At(buf, off+8)},
+				id:     seg.DecodeID(buf[off:]),
 				count:  int(wire.LE32At(buf, off+16)),
 				minKey: wire.LE64At(buf, off+20),
 				maxKey: wire.LE64At(buf, off+28),
@@ -121,8 +125,7 @@ func (t *Tree) writeManifest() error {
 		wire.PutLE16At(buf, off, uint16(len(t.levels[l])))
 		off += 2
 		for _, r := range t.levels[l] {
-			wire.PutLE64At(buf, off, r.id.Hi)
-			wire.PutLE64At(buf, off+8, r.id.Lo)
+			r.id.EncodeTo(buf[off:])
 			wire.PutLE32At(buf, off+16, uint32(r.count))
 			wire.PutLE64At(buf, off+20, r.minKey)
 			wire.PutLE64At(buf, off+28, r.maxKey)

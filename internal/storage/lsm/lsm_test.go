@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -273,6 +274,23 @@ func BenchmarkGetAfterCompaction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := tr.Get(r.Uint64() % 50000); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+func TestOpenCorruptManifest(t *testing.T) {
+	// A level's run count that overruns the manifest is an error, not
+	// an index out of range. Level 0 here, then the last level.
+	for _, off := range []int{24, 24 + 2*(MaxLevels-1)} {
+		v := newView(t)
+		if _, err := Create(v, seg.OID(200, 0), true, 32); err != nil {
+			t.Fatal(err)
+		}
+		if err := v.WriteAt(seg.OID(200, 0), int64(off), []byte{0xFF, 0xFF}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(v, seg.OID(200, 0)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("count at %d: err = %v, want ErrCorrupt", off, err)
 		}
 	}
 }

@@ -7,12 +7,12 @@
 package txn
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"hyperion/internal/seg"
+	"hyperion/internal/wire"
 )
 
 // Errors.
@@ -23,20 +23,16 @@ var (
 )
 
 const (
-	recMagic      = 0x54584e31 // "TXN1"
-	appliedMagic  = 0x54584e41 // "TXNA"
-	logChunkBytes = 1 << 20
-	maxRecBytes   = 256 << 10
+	recMagic     = 0x54584e31 // "TXN1"
+	appliedMagic = 0x54584e41 // "TXNA"
+	maxRecBytes  = 256 << 10
 )
 
 // Manager owns the redo log.
 type Manager struct {
-	v        *seg.SyncView
-	meta     seg.ObjectID
-	chunks   []seg.ObjectID
-	tailOff  int64
-	nextLo   uint64
-	nextTxid uint64
+	v *seg.SyncView
+	// log is the redo log; its Owner word is the next transaction id.
+	log *seg.ChunkList
 
 	Commits, Aborts, Replays int64
 }
@@ -46,80 +42,36 @@ const metaMagic = 0x54584d31 // "TXM1"
 // NewManager creates a transaction manager with its log rooted at
 // metaID (always durable: a volatile redo log is pointless).
 func NewManager(v *seg.SyncView, metaID seg.ObjectID) (*Manager, error) {
-	m := &Manager{v: v, meta: metaID, nextLo: metaID.Lo + 1, nextTxid: 1}
-	if _, err := v.Alloc(metaID, 4096, true, seg.HintAuto); err != nil {
+	log, err := seg.CreateChunkList(v, metaID, metaMagic, true)
+	if err != nil {
 		return nil, err
 	}
-	if err := m.addChunk(); err != nil {
+	log.Owner = 1
+	if err := log.Grow(); err != nil {
 		return nil, err
 	}
-	return m, m.writeMeta()
+	return &Manager{v: v, log: log}, log.Sync()
 }
 
 // Open reattaches to an existing log (call Recover afterwards).
 func Open(v *seg.SyncView, metaID seg.ObjectID) (*Manager, error) {
-	m := &Manager{v: v, meta: metaID}
-	buf, err := v.ReadAt(metaID, 0, 4096)
+	log, err := seg.OpenChunkList(v, metaID, metaMagic)
 	if err != nil {
+		if errors.Is(err, seg.ErrCorrupt) {
+			err = fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
 		return nil, err
 	}
-	if binary.LittleEndian.Uint32(buf) != metaMagic {
-		return nil, fmt.Errorf("%w: bad manager magic", ErrCorrupt)
-	}
-	m.nextLo = binary.LittleEndian.Uint64(buf[8:])
-	m.tailOff = int64(binary.LittleEndian.Uint64(buf[16:]))
-	m.nextTxid = binary.LittleEndian.Uint64(buf[24:])
-	n := int(binary.LittleEndian.Uint32(buf[32:]))
-	off := 40
-	for i := 0; i < n; i++ {
-		m.chunks = append(m.chunks, seg.ObjectID{
-			Hi: binary.LittleEndian.Uint64(buf[off:]),
-			Lo: binary.LittleEndian.Uint64(buf[off+8:]),
-		})
-		off += 16
-	}
-	return m, nil
+	return &Manager{v: v, log: log}, nil
 }
 
-func (m *Manager) writeMeta() error {
-	buf := make([]byte, 4096)
-	binary.LittleEndian.PutUint32(buf, metaMagic)
-	binary.LittleEndian.PutUint64(buf[8:], m.nextLo)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(m.tailOff))
-	binary.LittleEndian.PutUint64(buf[24:], m.nextTxid)
-	binary.LittleEndian.PutUint32(buf[32:], uint32(len(m.chunks)))
-	off := 40
-	for _, c := range m.chunks {
-		binary.LittleEndian.PutUint64(buf[off:], c.Hi)
-		binary.LittleEndian.PutUint64(buf[off+8:], c.Lo)
-		off += 16
-	}
-	return m.v.WriteAt(m.meta, 0, buf)
-}
-
-func (m *Manager) addChunk() error {
-	id := seg.ObjectID{Hi: m.meta.Hi, Lo: m.nextLo}
-	m.nextLo++
-	if _, err := m.v.Alloc(id, logChunkBytes, true, seg.HintAuto); err != nil {
-		return err
-	}
-	m.chunks = append(m.chunks, id)
-	m.tailOff = 0
-	return nil
-}
-
-func (m *Manager) appendLog(rec []byte) error {
-	if m.tailOff+int64(len(rec)) > logChunkBytes {
-		if err := m.addChunk(); err != nil {
-			return err
-		}
-	}
-	chunk := m.chunks[len(m.chunks)-1]
-	if err := m.v.WriteAt(chunk, m.tailOff, rec); err != nil {
-		return err
-	}
-	m.tailOff += int64(len(rec))
-	return m.writeMeta()
+// markApplied appends the marker that retires txid's redo record.
+func (m *Manager) markApplied(txid uint64) error {
+	var mark [16]byte
+	wire.PutLE32At(mark[:], 0, appliedMagic)
+	wire.PutLE64At(mark[:], 4, txid)
+	_, _, err := m.log.Append(mark[:])
+	return err
 }
 
 // write is one buffered mutation.
@@ -139,8 +91,8 @@ type Txn struct {
 
 // Begin starts a transaction.
 func (m *Manager) Begin() *Txn {
-	t := &Txn{m: m, id: m.nextTxid}
-	m.nextTxid++
+	t := &Txn{m: m, id: m.log.Owner}
+	m.log.Owner++
 	return t
 }
 
@@ -193,15 +145,7 @@ func (t *Txn) Abort() {
 // record applied. After Commit returns, all writes are durable and
 // atomic with respect to crash recovery.
 func (t *Txn) Commit() error {
-	if t.closed {
-		return ErrTxnClosed
-	}
-	t.closed = true
-	rec := encodeRecord(t.id, t.writes)
-	if len(rec) > maxRecBytes {
-		return ErrTooLarge
-	}
-	if err := t.m.appendLog(rec); err != nil {
+	if err := t.CommitWithoutApply(); err != nil {
 		return err
 	}
 	// Apply in place.
@@ -210,11 +154,7 @@ func (t *Txn) Commit() error {
 			return err
 		}
 	}
-	// Applied marker.
-	mark := make([]byte, 16)
-	binary.LittleEndian.PutUint32(mark, appliedMagic)
-	binary.LittleEndian.PutUint64(mark[4:], t.id)
-	if err := t.m.appendLog(mark); err != nil {
+	if err := t.m.markApplied(t.id); err != nil {
 		return err
 	}
 	t.m.Commits++
@@ -222,7 +162,7 @@ func (t *Txn) Commit() error {
 }
 
 // CommitWithoutApply hardens the record but "crashes" before applying —
-// test hook for recovery.
+// Commit's first half, and the test hook for recovery.
 func (t *Txn) CommitWithoutApply() error {
 	if t.closed {
 		return ErrTxnClosed
@@ -232,7 +172,8 @@ func (t *Txn) CommitWithoutApply() error {
 	if len(rec) > maxRecBytes {
 		return ErrTooLarge
 	}
-	return t.m.appendLog(rec)
+	_, _, err := t.m.log.Append(rec)
+	return err
 }
 
 func encodeRecord(txid uint64, writes []write) []byte {
@@ -242,36 +183,34 @@ func encodeRecord(txid uint64, writes []write) []byte {
 	}
 	size += 4 // crc
 	rec := make([]byte, size)
-	binary.LittleEndian.PutUint32(rec, recMagic)
-	binary.LittleEndian.PutUint64(rec[4:], txid)
-	binary.LittleEndian.PutUint32(rec[12:], uint32(len(writes)))
-	binary.LittleEndian.PutUint32(rec[16:], uint32(size))
+	wire.PutLE32At(rec, 0, recMagic)
+	wire.PutLE64At(rec, 4, txid)
+	wire.PutLE32At(rec, 12, uint32(len(writes)))
+	wire.PutLE32At(rec, 16, uint32(size))
 	off := 20
 	for _, w := range writes {
 		w.id.EncodeTo(rec[off:])
-		binary.LittleEndian.PutUint64(rec[off+16:], uint64(w.off))
-		binary.LittleEndian.PutUint32(rec[off+24:], uint32(len(w.data)))
+		wire.PutLE64At(rec, off+16, uint64(w.off))
+		wire.PutLE32At(rec, off+24, uint32(len(w.data)))
 		copy(rec[off+28:], w.data)
 		off += 28 + len(w.data)
 	}
-	binary.LittleEndian.PutUint32(rec[off:], crc32.ChecksumIEEE(rec[:off]))
+	wire.PutLE32At(rec, off, crc32.ChecksumIEEE(rec[:off]))
 	return rec
 }
 
 // Recover replays committed-but-unapplied transactions. It returns the
 // number of transactions replayed.
 func (m *Manager) Recover() (int, error) {
-	type pending struct {
-		writes []write
-	}
-	committed := make(map[uint64]pending)
+	committed := make(map[uint64][]write)
 	applied := make(map[uint64]bool)
 	var order []uint64
 
-	for ci, chunk := range m.chunks {
-		limit := int64(logChunkBytes)
-		if ci == len(m.chunks)-1 {
-			limit = m.tailOff
+	for ci := 0; ci < m.log.Len(); ci++ {
+		chunk := m.log.Chunk(ci)
+		limit := int64(seg.ChunkBytes)
+		if ci == m.log.Len()-1 {
+			limit = m.log.Tail()
 		}
 		off := int64(0)
 		for off+4 <= limit {
@@ -279,22 +218,22 @@ func (m *Manager) Recover() (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			magic := binary.LittleEndian.Uint32(hdr)
+			magic := wire.LE32At(hdr, 0)
 			switch magic {
 			case appliedMagic:
 				buf, err := m.v.ReadAt(chunk, off, 16)
 				if err != nil {
 					return 0, err
 				}
-				applied[binary.LittleEndian.Uint64(buf[4:])] = true
+				applied[wire.LE64At(buf, 4)] = true
 				off += 16
 			case recMagic:
 				head, err := m.v.ReadAt(chunk, off, 20)
 				if err != nil {
 					return 0, err
 				}
-				txid := binary.LittleEndian.Uint64(head[4:])
-				size := int64(binary.LittleEndian.Uint32(head[16:]))
+				txid := wire.LE64At(head, 4)
+				size := int64(wire.LE32At(head, 16))
 				if size < 24 || off+size > limit {
 					return 0, fmt.Errorf("%w: record size %d", ErrCorrupt, size)
 				}
@@ -302,23 +241,23 @@ func (m *Manager) Recover() (int, error) {
 				if err != nil {
 					return 0, err
 				}
-				want := binary.LittleEndian.Uint32(rec[size-4:])
+				want := wire.LE32At(rec, int(size-4))
 				if crc32.ChecksumIEEE(rec[:size-4]) != want {
 					return 0, fmt.Errorf("%w: bad crc for txn %d", ErrCorrupt, txid)
 				}
-				nw := int(binary.LittleEndian.Uint32(rec[12:]))
-				p := pending{}
+				nw := int(wire.LE32At(rec, 12))
+				var ws []write
 				o := 20
 				for i := 0; i < nw; i++ {
 					var w write
 					w.id = seg.DecodeID(rec[o:])
-					w.off = int64(binary.LittleEndian.Uint64(rec[o+16:]))
-					n := int(binary.LittleEndian.Uint32(rec[o+24:]))
+					w.off = int64(wire.LE64At(rec, o+16))
+					n := int(wire.LE32At(rec, o+24))
 					w.data = append([]byte(nil), rec[o+28:o+28+n]...)
-					p.writes = append(p.writes, w)
+					ws = append(ws, w)
 					o += 28 + n
 				}
-				committed[txid] = p
+				committed[txid] = ws
 				order = append(order, txid)
 				off += size
 			default:
@@ -332,15 +271,12 @@ func (m *Manager) Recover() (int, error) {
 		if applied[txid] {
 			continue
 		}
-		for _, w := range committed[txid].writes {
+		for _, w := range committed[txid] {
 			if err := m.v.WriteAt(w.id, w.off, w.data); err != nil {
 				return replayed, err
 			}
 		}
-		mark := make([]byte, 16)
-		binary.LittleEndian.PutUint32(mark, appliedMagic)
-		binary.LittleEndian.PutUint64(mark[4:], txid)
-		if err := m.appendLog(mark); err != nil {
+		if err := m.markApplied(txid); err != nil {
 			return replayed, err
 		}
 		replayed++

@@ -150,8 +150,8 @@ func TestLogChunkRollover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(m.chunks) < 2 {
-		t.Fatalf("chunks = %d, want ≥2", len(m.chunks))
+	if m.log.Len() < 2 {
+		t.Fatalf("chunks = %d, want ≥2", m.log.Len())
 	}
 }
 
@@ -183,5 +183,25 @@ func BenchmarkCommit(b *testing.B) {
 		if err := tx.Commit(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestOpenCorruptRoot(t *testing.T) {
+	// Every count after the magic overruns the block: an error, not an
+	// index out of range.
+	v, _, _, _ := setup(t)
+	root := seg.OID(600, 0)
+	img, err := v.ReadAt(root, 0, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 4; i < len(img); i++ {
+		img[i] = 0xFF
+	}
+	if err := v.WriteAt(root, 0, img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(v, root); !errors.Is(err, ErrCorrupt) || !errors.Is(err, seg.ErrCorrupt) {
+		t.Fatalf("err = %v, want txn and seg ErrCorrupt", err)
 	}
 }

@@ -219,6 +219,7 @@ func TestTracedMetamorphicDeterminism(t *testing.T) {
 		t.Skip("runs every traced experiment repeatedly")
 	}
 	seeds := []uint64{1, 2, 3}
+	golden := goldenTableHashes(t)
 	for _, e := range bench.All() {
 		if e.RunTraced == nil {
 			continue
@@ -250,7 +251,7 @@ func TestTracedMetamorphicDeterminism(t *testing.T) {
 						e.ID, seed, d1.table, disarmed)
 				}
 				if seed == bench.DefaultSeed {
-					want := goldenTableHashes[e.ID]
+					want := golden[e.ID]
 					if got := fmt.Sprintf("%x", sha256.Sum256([]byte(d1.table))); got != want {
 						t.Errorf("%s: armed table drifted from the golden hash:\n got %s\nwant %s", e.ID, got, want)
 					}

@@ -79,11 +79,9 @@ func main() {
 	fmt.Printf("fail2ban: %d sources banned (persisted to the NVMe ban log)\n", filter.Banned)
 	fmt.Printf("balancer: %d conns opened, hot table %d/%d, %d spilled to SSD, %d spill hits\n",
 		balancer.NewConns, balancer.HotLen(), 512, balancer.Spills, balancer.SpillHits)
-	filter.BannedSources(func(srcs []uint32, err error) {
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("ban log readback: %d records\n", len(srcs))
-	})
-	eng.Run()
+	srcs, err := filter.BannedSources()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("ban log readback: %d records\n", len(srcs))
 }

@@ -34,6 +34,7 @@ type Filter struct {
 	bans      ebpf.Map
 	logID     seg.ObjectID
 	logOff    int64
+	view      *seg.SyncView // BannedSources' reads; made on first use
 	Threshold int
 
 	Passed, Dropped, Banned int64
@@ -87,8 +88,9 @@ func Deploy(d *core.DPU, slot, threshold int, done func()) (*Filter, error) {
 }
 
 // Process runs one packet through the slot. verdict receives the
-// program's decision after the pipeline latency (plus log persistence
-// for new bans).
+// program's decision after the pipeline latency. A new ban's log
+// record is written fire-and-forget: verdict fires before that write
+// completes.
 func (f *Filter) Process(p trace.Packet, verdict func(v int)) error {
 	ctx := p.Marshal()
 	return f.dpu.Submit(f.slot, ctx, func(out any) {
@@ -125,24 +127,27 @@ func (f *Filter) persistBan(src uint32) {
 	f.dpu.Store.Write(f.logID, off, rec, nil)
 }
 
-// BannedSources reads the persistent ban log back (control-plane use).
-func (f *Filter) BannedSources(cb func([]uint32, error)) {
+// BannedSources reads the persistent ban log back synchronously
+// (control-plane use). A ban write still queued is not in the log yet,
+// so callers drain the engine first. The read goes through the
+// filter's own view, leaving no cost on the DPU's shared one.
+func (f *Filter) BannedSources() ([]uint32, error) {
 	n := f.logOff / logEntrySize
 	if n == 0 {
-		cb(nil, nil)
-		return
+		return nil, nil
 	}
-	f.dpu.Store.Read(f.logID, 0, f.logOff, func(data []byte, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		out := make([]uint32, 0, n)
-		for i := int64(0); i < n; i++ {
-			out = append(out, binary.LittleEndian.Uint32(data[i*logEntrySize:]))
-		}
-		cb(out, nil)
-	})
+	if f.view == nil {
+		f.view = seg.NewSyncView(f.dpu.Store)
+	}
+	data, err := f.view.ReadAt(f.logID, 0, f.logOff)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint32, 0, n)
+	for i := int64(0); i < n; i++ {
+		out = append(out, binary.LittleEndian.Uint32(data[i*logEntrySize:]))
+	}
+	return out, nil
 }
 
 // IsBanned checks the ban map directly (control plane).

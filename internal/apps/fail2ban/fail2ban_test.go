@@ -85,14 +85,10 @@ func TestBanLogPersisted(t *testing.T) {
 			eng.Run()
 		}
 	}
-	var logged []uint32
-	f.BannedSources(func(srcs []uint32, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		logged = srcs
-	})
-	eng.Run()
+	logged, err := f.BannedSources()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(logged) != 3 {
 		t.Fatalf("logged bans = %v", logged)
 	}
@@ -124,9 +120,10 @@ func TestMixedTraceOnlyBansAttackers(t *testing.T) {
 	if f.Banned == 0 {
 		t.Fatal("no attackers banned")
 	}
-	var logged []uint32
-	f.BannedSources(func(srcs []uint32, err error) { logged = srcs })
-	eng.Run()
+	logged, err := f.BannedSources()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range logged {
 		if !attackerSet[s] {
 			t.Fatalf("benign source %#x banned", s)

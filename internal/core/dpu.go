@@ -115,8 +115,9 @@ func Boot(eng *sim.Engine, net *netsim.Network, cfg Config) (*DPU, []string, err
 
 // Reboot boots a DPU against the surviving flash of a previous instance
 // (the devices keep their contents; DRAM and fabric state are lost).
-// Callers then run Store.Recover to rebuild the segment table from the
-// persisted checkpoint — the crash-recovery path of §2.1.
+// Callers then call Store.Recover, which rebuilds the segment table
+// from the persisted checkpoint synchronously and schedules no event —
+// the crash-recovery path of §2.1.
 func Reboot(eng *sim.Engine, net *netsim.Network, old *DPU) (*DPU, []string, error) {
 	if net != nil {
 		net.Detach(old.DataAddr())

@@ -62,11 +62,9 @@ func TestSegmentStoreWorksThroughDPU(t *testing.T) {
 	if werr != nil {
 		t.Fatal(werr)
 	}
-	var got []byte
-	d.Store.Read(id, 0, int64(len(payload)), func(data []byte, err error) { got = data })
-	eng.Run()
-	if string(got) != string(payload) {
-		t.Fatalf("got %q", got)
+	got, err := d.View.ReadAt(id, 0, int64(len(payload)))
+	if err != nil || string(got) != string(payload) {
+		t.Fatalf("got %q, %v", got, err)
 	}
 }
 

@@ -51,11 +51,8 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 
 	// Checkpoint the segment table, then crash.
-	var cerr error
-	d1.Store.Checkpoint(func(err error) { cerr = err })
-	eng.Run()
-	if cerr != nil {
-		t.Fatal(cerr)
+	if err := d1.Store.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 
 	d2, enum, err := Reboot(eng, net, d1)
@@ -65,12 +62,9 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	if len(enum) != 4 {
 		t.Fatalf("re-enumeration lines = %d", len(enum))
 	}
-	var n int
-	var rerr error
-	d2.Store.Recover(func(cnt int, err error) { n, rerr = cnt, err })
-	eng.Run()
-	if rerr != nil {
-		t.Fatal(rerr)
+	n, err := d2.Store.Recover()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if n == 0 {
 		t.Fatal("recovered zero segments")
@@ -128,11 +122,8 @@ func TestRebootWithoutCheckpointLosesUncheckpointedTable(t *testing.T) {
 	if _, err := d1.Store.Alloc(seg.OID(1, 1), 4096, true, seg.HintAuto); err != nil {
 		t.Fatal(err)
 	}
-	var cerr error
-	d1.Store.Checkpoint(func(err error) { cerr = err })
-	eng.Run()
-	if cerr != nil {
-		t.Fatal(cerr)
+	if err := d1.Store.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	// Allocated after the checkpoint: gone after reboot.
 	if _, err := d1.Store.Alloc(seg.OID(1, 2), 4096, true, seg.HintAuto); err != nil {
@@ -142,11 +133,8 @@ func TestRebootWithoutCheckpointLosesUncheckpointedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n int
-	d2.Store.Recover(func(cnt int, err error) { n = cnt })
-	eng.Run()
-	if n != 1 {
-		t.Fatalf("recovered %d segments, want 1", n)
+	if n, err := d2.Store.Recover(); err != nil || n != 1 {
+		t.Fatalf("recovered %d segments (%v), want 1", n, err)
 	}
 	if _, err := d2.Store.Stat(seg.OID(1, 2)); err == nil {
 		t.Fatal("uncheckpointed segment resurrected")

@@ -446,8 +446,7 @@ func (c *cmdCtx) readDone() {
 	data := d.readStore(c.cmd.LBA, c.cmd.Blocks, c.cmd.borrow)
 	if d.plan.Roll(fault.Corrupt) && len(data) > 0 {
 		// Transient in-flight corruption: the returned copy is
-		// damaged, the store is not, so a checksum-driven reread
-		// observes clean data.
+		// damaged, the store is not, so a reread observes clean data.
 		d.Counters.Get("injected_corruptions").Add(1)
 		data[d.plan.Pick(len(data))] ^= 0xA5
 	}
@@ -840,12 +839,8 @@ func (h *Host) WriteSpan(q int, lba int64, data []byte, span telemetry.RequestID
 // DeviceBlocks returns the capacity of the underlying device in blocks.
 func (h *Host) DeviceBlocks() int64 { return h.dev.cfg.Blocks }
 
-// Flush waits for all programmed data to be durable.
-func (h *Host) Flush(q int, cb func(status uint16)) error {
-	return h.FlushSpan(q, 0, cb)
-}
-
-// FlushSpan is Flush carrying a request-scoped trace context.
+// FlushSpan waits for all programmed data to be durable, carrying a
+// request-scoped trace context.
 func (h *Host) FlushSpan(q int, span telemetry.RequestID, cb func(status uint16)) error {
 	op := h.getOp()
 	op.stCb = cb

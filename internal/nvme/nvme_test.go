@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"hyperion/internal/fault"
 	"hyperion/internal/sim"
 )
 
@@ -110,7 +111,7 @@ func TestWriteFasterThanReadThenFlushWaits(t *testing.T) {
 	cfg := dev.Config()
 	var wAt, fAt sim.Time
 	_ = h.Write(0, 0, make([]byte, 4096), func(uint16) { wAt = eng.Now() })
-	_ = h.Flush(0, func(uint16) { fAt = eng.Now() })
+	_ = h.FlushSpan(0, 0, func(uint16) { fAt = eng.Now() })
 	eng.Run()
 	if wAt.Sub(0) >= sim.Duration(cfg.ReadLatency) {
 		t.Fatalf("cached write took %v, want < read latency %v", wAt.Sub(0), cfg.ReadLatency)
@@ -251,4 +252,41 @@ func BenchmarkRandomRead4K(b *testing.B) {
 		}
 	}
 	eng.Run()
+}
+
+func TestPartialFaultRateStillCompletesEventually(t *testing.T) {
+	// At a 30% fault rate, a retry loop (the caller's job) converges.
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig("flaky")
+	cfg.Blocks = 1 << 18
+	dev := New(eng, cfg)
+	host := NewHost(dev, nil)
+	dev.SetFaultPlan(fault.NewPlan(7, "nvme").Set(fault.MediaErr, 0.3))
+	ok := 0
+	attempts := 0
+	var try func()
+	try = func() {
+		attempts++
+		if attempts > 50 {
+			return
+		}
+		_ = host.Read(0, 0, 1, func(_ []byte, st uint16) {
+			if st == StatusOK {
+				ok++
+				return
+			}
+			try()
+		})
+	}
+	for i := 0; i < 10; i++ {
+		attempts = 0
+		try()
+		eng.Run()
+	}
+	if ok != 10 {
+		t.Fatalf("completed %d/10 reads with retries", ok)
+	}
+	if f := dev.Counters.Value("injected_media_errors"); f == 0 {
+		t.Fatal("no faults were injected at 30% rate")
+	}
 }

@@ -120,7 +120,7 @@ func TestCIDWrapSkipsOutstandingCommand(t *testing.T) {
 	eng, dev, h := newDev(t)
 	dev.SetFaultPlan(fault.NewPlan(1, "nvme").Set(fault.Timeout, 1))
 	parkedDone := 0
-	if err := h.Flush(0, func(uint16) {}); err != nil { // CID 1 completes: flushes are not swallowed
+	if err := h.FlushSpan(0, 0, func(uint16) {}); err != nil { // CID 1 completes: flushes are not swallowed
 		t.Fatal(err)
 	}
 	if err := h.Read(0, 0, 1, func([]byte, uint16) { parkedDone++ }); err != nil {

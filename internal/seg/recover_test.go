@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
-	"strings"
 	"testing"
 
 	"hyperion/internal/nvme"
@@ -51,12 +50,6 @@ func (r *recoverRig) image() []byte {
 	return img
 }
 
-func (r *recoverRig) recover(s *Store) (n int, err error) {
-	s.Recover(func(cnt int, rerr error) { n, err = cnt, rerr })
-	r.eng.Run()
-	return
-}
-
 // fill allocates count durable segments of 1–3 blocks in s and
 // checkpoints it.
 func (r *recoverRig) fill(t testing.TB, s *Store, count int) {
@@ -66,16 +59,8 @@ func (r *recoverRig) fill(t testing.TB, s *Store, count int) {
 			t.Fatal(err)
 		}
 	}
-	r.checkpoint(t, s)
-}
-
-func (r *recoverRig) checkpoint(t testing.TB, s *Store) {
-	t.Helper()
-	var cerr error
-	s.Checkpoint(func(err error) { cerr = err })
-	r.eng.Run()
-	if cerr != nil {
-		t.Fatal(cerr)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -105,7 +90,7 @@ func TestRecoverRejectsForeignGeometry(t *testing.T) {
 
 	s1 := r.store(1)
 	free := freeBlocks(s1)
-	n, err := r.recover(s1)
+	n, err := s1.Recover()
 	if !errors.Is(err, ErrBadTable) || n != 0 {
 		t.Fatalf("recover on one SSD: n=%d err=%v, want ErrBadTable", n, err)
 	}
@@ -113,17 +98,60 @@ func TestRecoverRejectsForeignGeometry(t *testing.T) {
 		t.Fatalf("rejected table left %d segments, %d of %d blocks free", len(s1.table), freeBlocks(s1), free)
 	}
 	// The same image is fine on the geometry that wrote it.
-	if n, err := r.recover(r.store(2)); err != nil || n != 4 {
+	if n, err := r.store(2).Recover(); err != nil || n != 4 {
 		t.Fatalf("recover on two SSDs: n=%d err=%v", n, err)
+	}
+}
+
+// TestCheckpointRecoverScheduleNothing: checkpoint and recovery sit on
+// the synchronous plane — a checkpoint, a reboot over the same devices
+// and a recovery run no event and leave none queued, and the recovered
+// table checkpoints back to the bytes it was read from.
+func TestCheckpointRecoverScheduleNothing(t *testing.T) {
+	r := newRecoverRig(2)
+	r.fill(t, r.store(2), 5)
+	img := r.image()
+
+	s := r.store(2)
+	if n, err := s.Recover(); err != nil || n != 5 {
+		t.Fatalf("recover: n=%d err=%v", n, err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if steps, pending := r.eng.Steps(), r.eng.Pending(); steps != 0 || pending != 0 {
+		t.Fatalf("checkpoint and recovery ran %d events, left %d pending", steps, pending)
+	}
+	if !bytes.Equal(r.image(), img) {
+		t.Fatal("recovered table re-checkpoints to different bytes")
+	}
+}
+
+// TestCheckpointRefusesOversizedTable: a table the control area cannot
+// hold is refused with ErrNoSpace and nothing written.
+func TestCheckpointRefusesOversizedTable(t *testing.T) {
+	r := newRecoverRig(1)
+	s := r.store(1)
+	// Two 4 KiB blocks hold the 16-byte header and 204 entries.
+	for i := 0; i < 205; i++ {
+		if _, err := s.Alloc(OID(9, uint64(i+1)), 1, true, HintAuto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("err = %v, want ErrNoSpace", err)
+	}
+	if r.devs[0].StoredBlocks() != 0 {
+		t.Fatal("refused checkpoint wrote the control area")
 	}
 }
 
 // FuzzRecover feeds arbitrary bytes to the checkpoint decoder through
 // the device, as a torn or foreign control area would arrive. Recover
-// must answer with ErrBadTable (or a read status error) and an
-// untouched store, or with a table that Checkpoint writes back as the
-// same bytes — and never panic. seal repairs the header CRC so the
-// fuzzer reaches the entry checks instead of stopping at the checksum.
+// must answer with ErrBadTable and an untouched store, or with a table
+// that Checkpoint writes back as the same bytes — and never panic. seal
+// repairs the header CRC so the fuzzer reaches the entry checks instead
+// of stopping at the checksum.
 func FuzzRecover(f *testing.F) {
 	f.Add([]byte{}, false) // nothing checkpointed: the device reads zeroes
 	rig := newRecoverRig(2)
@@ -162,9 +190,9 @@ func FuzzRecover(f *testing.F) {
 
 		s := r.store(2)
 		free := freeBlocks(s)
-		n, err := r.recover(s)
+		n, err := s.Recover()
 		if err != nil {
-			if !errors.Is(err, ErrBadTable) && !strings.Contains(err.Error(), "recover read status") {
+			if !errors.Is(err, ErrBadTable) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			if n != 0 || len(s.table) != 0 || freeBlocks(s) != free {
@@ -176,7 +204,9 @@ func FuzzRecover(f *testing.F) {
 		if n != len(s.table) {
 			t.Fatalf("recovered n=%d, table holds %d", n, len(s.table))
 		}
-		r.checkpoint(t, s)
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 		if got := r.image(); !bytes.Equal(got, img) {
 			t.Fatalf("accepted image does not re-encode to itself (%d entries)", n)
 		}

@@ -114,16 +114,9 @@ func TestReadWriteDRAM(t *testing.T) {
 	if werr != nil {
 		t.Fatal(werr)
 	}
-	var got []byte
-	s.Read(id, 123, 1000, func(data []byte, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		got = data
-	})
-	eng.Run()
-	if !bytes.Equal(got, payload) {
-		t.Fatal("dram read mismatch")
+	got, err := NewSyncView(s).ReadAt(id, 123, 1000)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("dram read mismatch (%v)", err)
 	}
 }
 
@@ -141,21 +134,16 @@ func TestReadWriteNVMeUnaligned(t *testing.T) {
 	if werr != nil {
 		t.Fatal(werr)
 	}
-	var got []byte
-	s.Read(id, 3000, 6000, func(data []byte, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		got = append([]byte(nil), data...)
-	})
-	eng.Run()
-	if !bytes.Equal(got, payload) {
-		t.Fatal("nvme rmw read mismatch")
+	v := NewSyncView(s)
+	got, err := v.ReadAt(id, 3000, 6000)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("nvme rmw read mismatch (%v)", err)
 	}
 	// Neighbouring bytes must be untouched (zero).
-	var edge []byte
-	s.Read(id, 2990, 10, func(data []byte, err error) { edge = append([]byte(nil), data...) })
-	eng.Run()
+	edge, err := v.ReadAt(id, 2990, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range edge {
 		if b != 0 {
 			t.Fatal("rmw clobbered neighbouring bytes")
@@ -167,17 +155,15 @@ func TestBoundsChecks(t *testing.T) {
 	eng, s := newStore(t, 1)
 	id := OID(3, 1)
 	_, _ = s.Alloc(id, 100, false, HintHot)
-	var rerr, werr error
-	s.Read(id, 50, 51, func(_ []byte, err error) { rerr = err })
+	v := NewSyncView(s)
+	var werr error
+	_, rerr := v.ReadAt(id, 50, 51)
 	s.Write(id, 99, []byte{1, 2}, func(err error) { werr = err })
 	eng.Run()
 	if !errors.Is(rerr, ErrBounds) || !errors.Is(werr, ErrBounds) {
 		t.Fatalf("bounds errs = %v, %v", rerr, werr)
 	}
-	var nerr error
-	s.Read(OID(99, 99), 0, 1, func(_ []byte, err error) { nerr = err })
-	eng.Run()
-	if !errors.Is(nerr, ErrNotFound) {
+	if _, nerr := v.ReadAt(OID(99, 99), 0, 1); !errors.Is(nerr, ErrNotFound) {
 		t.Fatalf("missing err = %v", nerr)
 	}
 }
@@ -268,21 +254,16 @@ func TestCheckpointRecover(t *testing.T) {
 	}
 	// One ephemeral DRAM segment that must NOT survive.
 	_, _ = s.Alloc(OID(8, 100), 4096, false, HintHot)
-	var cerr error
-	s.Checkpoint(func(err error) { cerr = err })
-	eng.Run()
-	if cerr != nil {
-		t.Fatal(cerr)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
+	eng.Run() // the queued payload writes land
 
 	// "Reboot": fresh store over the same device.
 	s2 := New(eng, scfg, []*nvme.Host{nvme.NewHost(dev, nil)})
-	var n int
-	var rerr error
-	s2.Recover(func(cnt int, err error) { n, rerr = cnt, err })
-	eng.Run()
-	if rerr != nil {
-		t.Fatal(rerr)
+	n, err := s2.Recover()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if n != 10 {
 		t.Fatalf("recovered %d segments, want 10", n)
@@ -290,16 +271,9 @@ func TestCheckpointRecover(t *testing.T) {
 	if _, err := s2.Stat(OID(8, 100)); !errors.Is(err, ErrNotFound) {
 		t.Fatal("ephemeral segment survived reboot")
 	}
-	var got []byte
-	s2.Read(OID(8, 3), 0, 4096, func(data []byte, err error) {
-		if err != nil {
-			t.Error(err)
-		}
-		got = data
-	})
-	eng.Run()
-	if !bytes.Equal(got, payload) {
-		t.Fatal("recovered segment payload mismatch")
+	got, err := NewSyncView(s2).ReadAt(OID(8, 3), 0, 4096)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("recovered segment payload mismatch (%v)", err)
 	}
 	// New allocations must not collide with recovered segments.
 	sg, err := s2.Alloc(OID(8, 200), 4096, true, HintAuto)
@@ -390,6 +364,74 @@ func TestAllocatorProperty(t *testing.T) {
 	}
 }
 
+// TestAllocatorCompactProperty extends TestAllocatorProperty with the
+// compaction half of the contract: the free list must stay sorted,
+// in-bounds, and fully coalesced after every operation (no two
+// adjacent holes survive a release), and releasing everything must
+// restore a single maximal hole — i.e. free space compacts back to
+// contiguity rather than fragmenting permanently.
+func TestAllocatorCompactProperty(t *testing.T) {
+	holesInvariant := func(a *allocator) string {
+		for i, h := range a.holes {
+			if h.size <= 0 {
+				return "empty hole on free list"
+			}
+			if h.addr < 0 || h.addr+h.size > a.total {
+				return "hole out of bounds"
+			}
+			if i > 0 {
+				prev := a.holes[i-1]
+				if prev.addr+prev.size > h.addr {
+					return "holes overlap or unsorted"
+				}
+				if prev.addr+prev.size == h.addr {
+					return "adjacent holes not coalesced"
+				}
+			}
+		}
+		return ""
+	}
+	f := func(seed uint64) bool {
+		r := sim.NewRand(seed)
+		a := newAllocator(1 << 16)
+		type piece struct{ addr, size int64 }
+		var live []piece
+		for i := 0; i < 300; i++ {
+			if r.Intn(2) == 0 || len(live) == 0 {
+				size := int64(r.Intn(2048) + 1)
+				addr, err := a.alloc(size)
+				if err != nil {
+					continue
+				}
+				live = append(live, piece{addr, size})
+			} else {
+				j := r.Intn(len(live))
+				a.release(live[j].addr, live[j].size)
+				live = append(live[:j], live[j+1:]...)
+			}
+			if msg := holesInvariant(a); msg != "" {
+				t.Logf("seed %d step %d: %s", seed, i, msg)
+				return false
+			}
+		}
+		// Release the survivors in random order; the space must
+		// compact back to one full-extent hole.
+		for len(live) > 0 {
+			j := r.Intn(len(live))
+			a.release(live[j].addr, live[j].size)
+			live = append(live[:j], live[j+1:]...)
+		}
+		if len(a.holes) != 1 || a.holes[0] != (hole{0, a.total}) {
+			t.Logf("seed %d: free list did not compact: %+v", seed, a.holes)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkLookupCached(b *testing.B) {
 	eng := sim.NewEngine(1)
 	cfg := nvme.DefaultConfig("nvme")
@@ -417,9 +459,11 @@ func BenchmarkLookupCached(b *testing.B) {
 }
 
 func TestAsyncStress(t *testing.T) {
-	// Many outstanding async reads and writes interleaved across DRAM
-	// and NVMe segments must all complete and leave every object readable.
+	// Many outstanding queued writes interleaved with synchronous reads
+	// across DRAM and NVMe segments must all complete and leave every
+	// object readable.
 	eng, s := newStore(t, 4)
+	v := NewSyncView(s)
 	const objects = 32
 	want := make(map[ObjectID]byte)
 	for i := 0; i < objects; i++ {
@@ -454,13 +498,9 @@ func TestAsyncStress(t *testing.T) {
 				}
 			})
 		case 3: // read anywhere (just must not error)
-			pending++
-			s.Read(id, int64(r.Intn(8<<10)), 64, func(_ []byte, err error) {
-				pending--
-				if err != nil {
-					errs = append(errs, err)
-				}
-			})
+			if _, err := v.ReadAt(id, int64(r.Intn(8<<10)), 64); err != nil {
+				errs = append(errs, err)
+			}
 		}
 		if round%37 == 0 {
 			eng.Run()
@@ -476,16 +516,8 @@ func TestAsyncStress(t *testing.T) {
 	// Every object is still fully readable end to end.
 	for i := 0; i < objects; i++ {
 		id := OID(77, uint64(i+1))
-		done := false
-		s.Read(id, 0, 16<<10, func(data []byte, err error) {
-			if err != nil || len(data) != 16<<10 {
-				t.Errorf("final read %v: %v (%d bytes)", id, err, len(data))
-			}
-			done = true
-		})
-		eng.Run()
-		if !done {
-			t.Fatalf("final read of %v never completed", id)
+		if data, err := v.ReadAt(id, 0, 16<<10); err != nil || len(data) != 16<<10 {
+			t.Fatalf("final read %v: %v (%d bytes)", id, err, len(data))
 		}
 	}
 }

@@ -17,7 +17,9 @@ import (
 // This functional/timing split keeps pointer-walking code ordinary Go
 // while preserving the dependent-access latency that the experiments
 // measure. Queueing effects between concurrent operations are not
-// modeled on this path; the async Store API remains for that.
+// modeled on this path; Store.Write, the one queued verb, keeps them
+// for E8's ban log. Every read, and the table checkpoint and recovery,
+// are synchronous.
 type SyncView struct {
 	s    *Store
 	cost sim.Duration
@@ -228,9 +230,6 @@ func (v *SyncView) WriteAt(id ObjectID, off int64, data []byte) error {
 		v.DevReads++
 		v.DevWrites++
 		d.PatchSync(first, int(skip), data)
-	}
-	if v.s.crcs != nil {
-		v.s.refreshCRCs(dev, first, nblocks)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"slices"
 
-	"hyperion/internal/nvme"
 	"hyperion/internal/wire"
 )
 
@@ -21,9 +20,11 @@ const tableMagic = 0x48595054 // "HYPT"
 // id(16) size(8) addr(8) flags(1) pad(7).
 const entryBytes = 40
 
-// Checkpoint persists the current table to the control area. cb (may be
-// nil) fires when the write is durable.
-func (s *Store) Checkpoint(cb func(error)) {
+// Checkpoint persists the current table to the control area through
+// the synchronous device path: the image is durable when Checkpoint
+// returns, and no event is scheduled or cost charged (no experiment
+// checkpoints).
+func (s *Store) Checkpoint() error {
 	s.dirty = 0
 	durable := make([]*Segment, 0, len(s.table))
 	for _, sg := range s.table {
@@ -37,32 +38,11 @@ func (s *Store) Checkpoint(cb func(error)) {
 	bs := s.cfg.BlockSize
 	need := 16 + len(durable)*entryBytes
 	if maxBytes := int(s.cfg.TableBlocks) * bs; need > maxBytes {
-		s.failW(cb, 0, fmt.Errorf("%w: table needs %d bytes, control area holds %d", ErrNoSpace, need, maxBytes))
-		return
+		return fmt.Errorf("%w: table needs %d bytes, control area holds %d", ErrNoSpace, need, maxBytes)
 	}
-	buf := encodeTable(durable, bs)
 	s.Counters.Get("checkpoints").Add(1)
-	s.devWrite(0, 0, buf, func(err error) {
-		if err != nil {
-			if cb != nil {
-				cb(err)
-			}
-			return
-		}
-		ferr := s.devs[0].Flush(0, func(st uint16) {
-			if cb == nil {
-				return
-			}
-			if st != nvme.StatusOK {
-				cb(fmt.Errorf("seg: checkpoint flush status %#x", st))
-				return
-			}
-			cb(nil)
-		})
-		if ferr != nil && cb != nil {
-			cb(ferr)
-		}
-	})
+	s.devs[0].Device().WriteSync(0, encodeTable(durable, bs))
+	return nil
 }
 
 // encodeTable serializes segs, already in id order: header, entries,
@@ -94,29 +74,25 @@ func sortSegments(ss []*Segment) {
 	}
 }
 
-// Recover rebuilds a store's table from the control area of device 0.
-// It must be called on a freshly-constructed store. NVMe allocators are
+// Recover rebuilds a store's table from the control area of device 0,
+// synchronously, and returns how many segments it installed. It must
+// be called on a freshly-constructed store. NVMe allocators are
 // replayed so subsequent allocations do not collide with recovered
 // segments. The image is validated whole before any of it is installed:
 // one that Checkpoint could not have written for this store's geometry
 // yields ErrBadTable and leaves the table and allocators untouched.
-func (s *Store) Recover(cb func(n int, err error)) {
-	s.devRead(0, 0, int(s.cfg.TableBlocks), func(buf []byte, st uint16) {
-		if st != nvme.StatusOK {
-			cb(0, fmt.Errorf("seg: recover read status %#x", st))
-			return
-		}
-		segs, als, err := s.decodeTable(buf)
-		if err != nil {
-			cb(0, err)
-			return
-		}
-		s.nvmeAl = als
-		for _, sg := range segs {
-			s.table[sg.ID] = sg
-		}
-		cb(len(segs), nil)
-	})
+func (s *Store) Recover() (int, error) {
+	buf := make([]byte, s.cfg.TableBlocks*int64(s.cfg.BlockSize))
+	s.devs[0].Device().ReadSyncInto(buf, 0, int(s.cfg.TableBlocks))
+	segs, als, err := s.decodeTable(buf)
+	if err != nil {
+		return 0, err
+	}
+	s.nvmeAl = als
+	for _, sg := range segs {
+		s.table[sg.ID] = sg
+	}
+	return len(segs), nil
 }
 
 // decodeTable parses a checkpoint image and replays its segments into

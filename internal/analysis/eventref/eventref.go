@@ -39,6 +39,13 @@
 // Both rules see a pool only through that one type, so the hand-rolled
 // form is itself a finding: appending a *struct to a slice whose name
 // ends in "Free" (`x.fooFree = append(x.fooFree, obj)`).
+//
+// Engine.AtLane is outside both rules on purpose. A lane event returns
+// no ref and cannot be cancelled, and its owners (nvme's cmdCtx, rack's
+// kvOp, sim.Cluster's recvEvent) never cancel it: an instance is
+// recycled only by its own event chain, at or after the lane event
+// bound to it has fired, so no pending lane event can reach a recycled
+// instance and there is no ref to keep.
 package eventref
 
 import (

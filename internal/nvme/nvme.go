@@ -128,9 +128,16 @@ type Device struct {
 	// driver, carrying the queue id and the completion entry.
 	interrupt func(qid int, c Completion)
 
-	queues   []*queuePair
+	queues   []queuePair
 	channels []sim.Time // per-flash-channel busy horizon
 	store    blockTable // sparse LBA → block payload
+
+	// lanes carry the device's monotone completions (sim.Lane): one per
+	// flash channel for reads, ordered by that channel's horizon, then
+	// one for write cache-accept, a fixed overhead after the transfer.
+	// Built by the first flash access; a device that never runs a
+	// queued command allocates none.
+	lanes []sim.Lane
 
 	// plan is the fault plane (media errors, swallowed commands,
 	// transient read corruption); see SetFaultPlan.
@@ -178,8 +185,9 @@ func New(eng *sim.Engine, cfg Config) *Device {
 		channels: make([]sim.Time, cfg.Channels),
 		evName:   "nvme:" + cfg.Name,
 	}
-	for i := 0; i < cfg.MaxQueuePairs; i++ {
-		d.queues = append(d.queues, &queuePair{id: i, depth: cfg.QueueDepth})
+	d.queues = make([]queuePair, cfg.MaxQueuePairs)
+	for i := range d.queues {
+		d.queues[i] = queuePair{id: i, depth: cfg.QueueDepth}
 	}
 	return d
 }
@@ -218,7 +226,7 @@ func (d *Device) MMIOWrite(off int64, _ uint64) {
 	if q < 0 || q >= len(d.queues) {
 		return
 	}
-	d.pump(d.queues[q])
+	d.pump(&d.queues[q])
 }
 
 // Enqueue places a command into SQ q. In real NVMe the SQE lives in host
@@ -228,7 +236,7 @@ func (d *Device) Enqueue(q int, cmd Command) error {
 	if q < 0 || q >= len(d.queues) {
 		return ErrBadQueue
 	}
-	qp := d.queues[q]
+	qp := &d.queues[q]
 	if qp.pending.Len()+qp.inFlight >= qp.depth {
 		return ErrQueueFull
 	}
@@ -408,6 +416,7 @@ func (d *Device) accessFlash(c *cmdCtx) {
 		perBlock = d.cfg.ReadLatency
 	}
 	var latest sim.Time
+	var slowest int
 	now := d.eng.Now()
 	for i := 0; i < cmd.Blocks; i++ {
 		ch := int((cmd.LBA + int64(i)) % int64(d.cfg.Channels))
@@ -418,13 +427,15 @@ func (d *Device) accessFlash(c *cmdCtx) {
 		end := start.Add(perBlock)
 		d.channels[ch] = end
 		if end > latest {
-			latest = end
+			latest, slowest = end, ch
 		}
 	}
-	flashDone := d.cfg.CtrlOverhead + latest.Sub(now)
 	if isRead {
 		d.Counters.Get("read_blocks").Add(int64(cmd.Blocks))
-		d.after(flashDone, c, stageReadDone)
+		// The completion is due a controller overhead after the channel
+		// whose block finishes last; that channel's horizon only grows,
+		// so its lane takes the event in order.
+		d.onLane(d.lane(slowest), latest.Add(d.cfg.CtrlOverhead), c, stageReadDone)
 	} else {
 		d.Counters.Get("write_blocks").Add(int64(cmd.Blocks))
 		// Data crosses the link first, then programs behind write cache;
@@ -460,7 +471,7 @@ func (c *cmdCtx) writeXfer() {
 	d := c.d
 	d.writeStore(c.cmd.LBA, c.wscratch)
 	c.status, c.data = StatusOK, nil
-	d.after(d.cfg.CtrlOverhead, c, stageComplete)
+	d.onLane(d.lane(d.cfg.Channels), d.eng.Now().Add(d.cfg.CtrlOverhead), c, stageComplete)
 }
 
 // transfer moves size bytes across the link, then runs c's stage.
@@ -477,6 +488,22 @@ func (d *Device) transfer(size int64, c *cmdCtx, stage uint8) {
 func (d *Device) after(delay sim.Duration, c *cmdCtx, stage uint8) {
 	c.stage = stage
 	c.timer = d.eng.After(delay, d.evName, c.step)
+}
+
+// onLane runs c's stage at t on lane l. A lane event returns no ref:
+// nothing cancels a chain's event, and the context recycles only from
+// the chain's last one.
+func (d *Device) onLane(l *sim.Lane, t sim.Time, c *cmdCtx, stage uint8) {
+	c.stage = stage
+	d.eng.AtLane(l, t, c.step)
+}
+
+// lane returns lane i of d.lanes, building the set on first use.
+func (d *Device) lane(i int) *sim.Lane {
+	if d.lanes == nil {
+		d.lanes = make([]sim.Lane, d.cfg.Channels+1)
+	}
+	return &d.lanes[i]
 }
 
 // readStore snapshots blocks [lba, lba+blocks) for a queued read. An
@@ -607,7 +634,6 @@ type Host struct {
 	cmds     []hostCmd    // outstanding commands, indexed by CID (see hostCmd)
 	deadline sim.Duration // 0 = no deadline (the default)
 	rec      *telemetry.Recorder
-	ops      sim.FreeList[hostOp]
 	QueueErr int64
 	Timeouts int64 // deadline-synthesized StatusTimeout completions
 }
@@ -636,15 +662,37 @@ func (h *Host) SetDeadline(d sim.Duration) { h.deadline = d }
 // hostCmd is one slot of the host's command table. A CID is a
 // queue-slot index on the wire and it is one here: the table is a
 // power-of-two array indexed by the CID's low bits, a slot is occupied
-// — cb non-nil — exactly while its command is outstanding, and the
-// table doubles when a new CID lands on an older outstanding command,
-// so it is as large as the span of outstanding CIDs (a few slots for a
+// — busy — exactly while its command is outstanding, and the table
+// doubles when a new CID lands on an older outstanding command, so it
+// is as large as the span of outstanding CIDs (a few slots for a
 // closed loop, 65 536 at most, where a slot is a CID) however many
 // commands the host has submitted.
 type hostCmd struct {
-	cb    func(Completion)
+	done
 	timer sim.EventRef // the armed deadline, if any
 	cid   uint16
+	busy  bool
+}
+
+// done is a command's completion callback in the shape its verb takes:
+// Submit's whole Completion, a read's payload and status, or a write's
+// or flush's status. At most one is set, and the slot stores it as it
+// is, so a verb costs no adapter per command.
+type done struct {
+	cpl  func(Completion)
+	read func(data []byte, status uint16)
+	st   func(status uint16)
+}
+
+func (d done) deliver(c Completion) {
+	switch {
+	case d.read != nil:
+		d.read(c.Data, c.Status)
+	case d.st != nil:
+		d.st(c.Status)
+	case d.cpl != nil:
+		d.cpl(c)
+	}
 }
 
 // outstanding returns the slot of the command outstanding under cid, or
@@ -654,7 +702,7 @@ func (h *Host) outstanding(cid uint16) *hostCmd {
 		return nil
 	}
 	s := &h.cmds[int(cid)&(len(h.cmds)-1)]
-	if s.cb == nil || s.cid != cid {
+	if !s.busy || s.cid != cid {
 		return nil
 	}
 	return s
@@ -667,10 +715,10 @@ func (h *Host) onInterrupt(qid int, c Completion) {
 	if s == nil {
 		return
 	}
-	cb, timer := s.cb, s.timer
+	cb, timer := s.done, s.timer
 	*s = hostCmd{}
 	h.dev.eng.Cancel(timer) // a no-op when no deadline was armed
-	cb(c)
+	cb.deliver(c)
 }
 
 // allocCID advances the CID counter to the next CID with no command
@@ -690,11 +738,11 @@ func (h *Host) allocCID() (cid uint16, ok bool) {
 // holds. While an older command sits where cid maps the table doubles:
 // two CIDs share a slot only below 65 536 slots, so this ends.
 func (h *Host) claim(cid uint16) *hostCmd {
-	for len(h.cmds) == 0 || h.cmds[int(cid)&(len(h.cmds)-1)].cb != nil {
+	for len(h.cmds) == 0 || h.cmds[int(cid)&(len(h.cmds)-1)].busy {
 		old := h.cmds
 		h.cmds = make([]hostCmd, max(2*len(old), 16))
 		for _, s := range old {
-			if s.cb != nil {
+			if s.busy {
 				h.cmds[int(s.cid)&(len(h.cmds)-1)] = s
 			}
 		}
@@ -704,6 +752,12 @@ func (h *Host) claim(cid uint16) *hostCmd {
 
 // Submit issues cmd on queue q and invokes cb on completion.
 func (h *Host) Submit(q int, cmd Command, cb func(Completion)) error {
+	return h.submit(q, cmd, done{cpl: cb}, cb != nil)
+}
+
+// submit issues cmd on queue q; when track is set, cb gets the
+// command's slot and hears its completion.
+func (h *Host) submit(q int, cmd Command, cb done, track bool) error {
 	cid, ok := h.allocCID()
 	if !ok {
 		h.QueueErr++
@@ -714,26 +768,26 @@ func (h *Host) Submit(q int, cmd Command, cb func(Completion)) error {
 		h.QueueErr++
 		return err
 	}
-	if cb != nil && h.rec != nil {
-		submitted := h.dev.eng.Now()
-		op, span, inner := opName(cmd.Opcode), cmd.Span, cb
-		cb = func(c Completion) {
-			h.rec.Span("nvme.host", op, span, submitted, h.dev.eng.Now())
-			inner(c)
+	if track {
+		if h.rec != nil {
+			submitted := h.dev.eng.Now()
+			op, span, inner := opName(cmd.Opcode), cmd.Span, cb
+			cb = done{cpl: func(c Completion) {
+				h.rec.Span("nvme.host", op, span, submitted, h.dev.eng.Now())
+				inner.deliver(c)
+			}}
 		}
-	}
-	if cb != nil {
 		s := h.claim(cid)
-		s.cb, s.cid = cb, cid
+		s.done, s.cid, s.busy = cb, cid, true
 		if h.deadline > 0 {
 			// The completion cancels this timer, so when it fires the
 			// command it was armed for is still outstanding.
 			s.timer = h.dev.eng.After(h.deadline, "nvme.deadline:"+h.dev.cfg.Name, func() {
 				s := h.outstanding(cid)
-				pcb := s.cb
+				pcb := s.done
 				*s = hostCmd{}
 				h.Timeouts++
-				pcb(Completion{CID: cid, Status: StatusTimeout})
+				pcb.deliver(Completion{CID: cid, Status: StatusTimeout})
 			})
 		}
 	}
@@ -743,44 +797,6 @@ func (h *Host) Submit(q int, cmd Command, cb func(Completion)) error {
 		h.dev.MMIOWrite(int64(q)*DoorbellStride, 1)
 	}
 	return nil
-}
-
-// hostOp adapts a user read/status callback to the Submit completion
-// shape without a per-call closure; instances cycle through the host's
-// free list. dispatch recycles before invoking the callback so it can
-// immediately reissue.
-type hostOp struct {
-	h      *Host
-	readCb func(data []byte, status uint16)
-	stCb   func(status uint16)
-	fn     func(Completion) // prebound dispatch
-}
-
-func (h *Host) getOp() *hostOp {
-	op, fresh := h.ops.Get()
-	if fresh {
-		op.h = h
-		op.fn = op.dispatch
-	}
-	return op
-}
-
-func (op *hostOp) dispatch(c Completion) {
-	h := op.h
-	readCb, stCb := op.readCb, op.stCb
-	op.readCb, op.stCb = nil, nil
-	h.ops.Put(op)
-	if readCb != nil {
-		readCb(c.Data, c.Status)
-	} else if stCb != nil {
-		stCb(c.Status)
-	}
-}
-
-// putOp returns an op whose submission failed before it could complete.
-func (h *Host) putOp(op *hostOp) {
-	op.readCb, op.stCb = nil, nil
-	h.ops.Put(op)
 }
 
 // Read reads blocks starting at lba on queue q. The caller owns data:
@@ -806,13 +822,7 @@ func (h *Host) ReadBorrowed(q int, lba int64, blocks int, cb func(data []byte, s
 }
 
 func (h *Host) read(q int, cmd Command, cb func(data []byte, status uint16)) error {
-	op := h.getOp()
-	op.readCb = cb
-	if err := h.Submit(q, cmd, op.fn); err != nil {
-		h.putOp(op)
-		return err
-	}
-	return nil
+	return h.submit(q, cmd, done{read: cb}, true)
 }
 
 // Write writes data (len = blocks × BlockSize) at lba on queue q.
@@ -826,14 +836,8 @@ func (h *Host) WriteSpan(q int, lba int64, data []byte, span telemetry.RequestID
 	if len(data)%bs != 0 {
 		return fmt.Errorf("%w: %d bytes", ErrShortWrite, len(data))
 	}
-	op := h.getOp()
-	op.stCb = cb
 	cmd := Command{Opcode: OpWrite, NSID: 1, LBA: lba, Blocks: len(data) / bs, Data: data, Span: span}
-	if err := h.Submit(q, cmd, op.fn); err != nil {
-		h.putOp(op)
-		return err
-	}
-	return nil
+	return h.submit(q, cmd, done{st: cb}, true)
 }
 
 // DeviceBlocks returns the capacity of the underlying device in blocks.
@@ -842,11 +846,5 @@ func (h *Host) DeviceBlocks() int64 { return h.dev.cfg.Blocks }
 // FlushSpan waits for all programmed data to be durable, carrying a
 // request-scoped trace context.
 func (h *Host) FlushSpan(q int, span telemetry.RequestID, cb func(status uint16)) error {
-	op := h.getOp()
-	op.stCb = cb
-	if err := h.Submit(q, Command{Opcode: OpFlush, NSID: 1, Span: span}, op.fn); err != nil {
-		h.putOp(op)
-		return err
-	}
-	return nil
+	return h.submit(q, Command{Opcode: OpFlush, NSID: 1, Span: span}, done{st: cb}, true)
 }

@@ -8,6 +8,7 @@ import (
 
 	"hyperion/internal/fault"
 	"hyperion/internal/sim"
+	"hyperion/internal/telemetry"
 )
 
 // TestBlockTableEnds round-trips blocks at the first LBA, on both
@@ -109,6 +110,61 @@ func TestDeadlineTimeoutDropsLateCompletion(t *testing.T) {
 	}
 	if len(status) != 1 {
 		t.Fatalf("late completion reached the callback: %v", status)
+	}
+}
+
+// TestDeadlineTimeoutReachesEveryVerb: the slot keeps each verb's own
+// callback shape, so an armed deadline answers every verb — owning and
+// borrowed read, write, flush, raw Submit — with exactly one
+// StatusTimeout through that callback, recorder armed or not, and the
+// device's late completions reach none of them.
+func TestDeadlineTimeoutReachesEveryVerb(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		eng, dev, h := newDev(t)
+		if traced {
+			h.SetRecorder(telemetry.NewRecorder("nvme"))
+		}
+		h.SetDeadline(sim.Microsecond) // shorter than any device path
+		got := make(map[string][]uint16)
+		note := func(verb string) func(uint16) {
+			return func(st uint16) { got[verb] = append(got[verb], st) }
+		}
+		read := func(verb string) func([]byte, uint16) {
+			return func(data []byte, st uint16) {
+				if data != nil {
+					t.Errorf("%s: timeout carries %d payload bytes", verb, len(data))
+				}
+				note(verb)(st)
+			}
+		}
+		block := make([]byte, 4096)
+		errs := []error{
+			h.Read(0, 1, 1, read("read")),
+			h.ReadBorrowed(0, 2, 1, read("borrowed")),
+			h.Write(0, 3, block, note("write")),
+			h.FlushSpan(0, 0, note("flush")),
+			h.Submit(0, Command{Opcode: OpRead, NSID: 1, LBA: 4, Blocks: 1}, func(c Completion) { note("submit")(c.Status) }),
+		}
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run()
+		for _, verb := range []string{"read", "borrowed", "write", "flush", "submit"} {
+			if st := got[verb]; len(st) != 1 || st[0] != StatusTimeout {
+				t.Errorf("traced=%v %s: completions %v, want one StatusTimeout", traced, verb, st)
+			}
+		}
+		if h.Timeouts != 5 || dev.Counters.Value("completions") != 5 {
+			t.Errorf("traced=%v: %d timeouts and %d device completions, want 5 and 5 (all late, all dropped)",
+				traced, h.Timeouts, dev.Counters.Value("completions"))
+		}
+		for cid := uint16(1); cid <= h.nextCID; cid++ {
+			if h.outstanding(cid) != nil {
+				t.Errorf("traced=%v: CID %d still holds a slot", traced, cid)
+			}
+		}
 	}
 }
 

@@ -121,11 +121,18 @@ type box struct {
 	// request, in place of a closure per request. E17's open loop
 	// overloads the flash, so at its peak most of its reads and a sixth
 	// of its KV ops are in flight together: one op type per callback
-	// shape (nvme.hostOp is the same device one layer down).
+	// shape.
 	readOps sim.FreeList[readOp]
 	kvOps   sim.FreeList[kvOp]
 
-	getName, putName, repName string
+	// vals is the unissued tail of the slab get buffers are carved
+	// from, valChunk the number of values the newest slab held.
+	vals     []byte
+	valChunk int
+
+	// One lane per KV completion kind: each kind's storage cost is
+	// steady, so its answers come due in the order they were asked.
+	getLane, putLane, repLane sim.Lane
 
 	reads, gets, puts, dropped int64
 }
@@ -156,7 +163,7 @@ func (op *readOp) done(data []byte, status uint16) {
 // modeled cost is still elapsing. val is the op's own buffer: a get
 // reads its value into it and the capacity stays with the op across
 // recycling, so a box copies values out of its store without
-// allocating.
+// allocating. An op's first get carves the buffer from the box's slab.
 type kvOp struct {
 	b       *box
 	kind    uint16 // reply kind; respPut marks the primary's local write
@@ -176,12 +183,25 @@ func (b *box) takeKVOp() *kvOp {
 	return op
 }
 
-// later answers (kind, id, aux, op.val) to src once the cost the view
-// has accumulated has elapsed; for respPut it counts the primary's
-// local write of rep slot id instead.
-func (b *box) later(op *kvOp, name string, kind uint16, src sim.LP, id, aux uint64) {
+// valBuf carves an empty buffer of capacity ValueBytes from the box's
+// slab. Slabs double from one value to 32, as sim.FreeList's chunks do.
+func (b *box) valBuf() []byte {
+	n := b.r.cfg.ValueBytes
+	if len(b.vals) < n {
+		b.valChunk = min(max(2*b.valChunk, 1), 32)
+		b.vals = make([]byte, b.valChunk*n)
+	}
+	v := b.vals[:0:n]
+	b.vals = b.vals[n:]
+	return v
+}
+
+// later answers (kind, id, aux, op.val) to src on lane l once the cost
+// the view has accumulated has elapsed; for respPut it counts the
+// primary's local write of rep slot id instead.
+func (b *box) later(op *kvOp, l *sim.Lane, kind uint16, src sim.LP, id, aux uint64) {
 	op.kind, op.src, op.id, op.aux = kind, src, id, aux
-	b.view.Complete(b.eng, name, op.fn)
+	b.eng.AtLane(l, b.eng.Now().Add(b.view.TakeCost()), op.fn)
 }
 
 // done answers and then recycles: reply copies op.val into the wire
@@ -302,11 +322,8 @@ func (r *Rack) newBox(i, shard int, seed uint64, rec *telemetry.Recorder) *box {
 	b := &box{
 		r: r, idx: i, lp: 0, sh: sh, eng: eng,
 		view: view, kv: kv, host: host,
-		up:      netsim.NewBoundaryLink(cfg.Net),
-		pool:    r.pools[shard],
-		getName: fmt.Sprintf("rack.get:b%02d", i),
-		putName: fmt.Sprintf("rack.put:b%02d", i),
-		repName: fmt.Sprintf("rack.rep:b%02d", i),
+		up:   netsim.NewBoundaryLink(cfg.Net),
+		pool: r.pools[shard],
 	}
 	if cfg.FaultRate > 0 {
 		b.plan = fault.NewPlanIndexed(seed, "rack.box", i).Set(fault.Drop, cfg.FaultRate)
@@ -398,6 +415,9 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 	case opKVGet:
 		b.gets++
 		op := b.takeKVOp()
+		if cap(op.val) == 0 {
+			op.val = b.valBuf()
+		}
 		val, found, err := b.kv.GetAppend(op.val, b.key(env.B))
 		if err != nil {
 			panic(fmt.Sprintf("rack: box %d get: %v", b.idx, err))
@@ -407,7 +427,7 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 		if found {
 			aux = 1
 		}
-		b.later(op, b.getName, respGet, env.Src, env.A, aux)
+		b.later(op, &b.getLane, respGet, env.Src, env.A, aux)
 	case opKVPut:
 		b.puts++
 		if err := b.kv.Put(b.key(env.B), env.Data); err != nil {
@@ -423,12 +443,12 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 			sh.Send(b.lp, peer.lp, delay, repPut, rid, env.B, env.Data)
 		}
 		// The local write acks once its modeled cost has elapsed.
-		b.later(b.takeKVOp(), b.putName, respPut, 0, rid, 0)
+		b.later(b.takeKVOp(), &b.putLane, respPut, 0, rid, 0)
 	case repPut:
 		if err := b.kv.Put(b.key(env.B), env.Data); err != nil {
 			panic(fmt.Sprintf("rack: box %d replica put: %v", b.idx, err))
 		}
-		b.later(b.takeKVOp(), b.repName, repAck, env.Src, env.A, 0)
+		b.later(b.takeKVOp(), &b.repLane, repAck, env.Src, env.A, 0)
 	case repAck:
 		b.repDone(env.A)
 	default:
@@ -572,9 +592,20 @@ type Totals struct {
 	LatRead, LatGet, LatPut, LatAll sim.LatencyRecorder
 }
 
-// Totals merges per-group and per-box counters in box order.
+// Totals merges per-group and per-box counters in box order. Each
+// merged recorder is sized first, so merging copies every sample once.
 func (r *Rack) Totals() *Totals {
 	t := &Totals{Clients: r.cfg.Boxes * r.cfg.ClientsPerBox}
+	var nRead, nGet, nPut int
+	for _, g := range r.groups {
+		nRead += g.latRead.Count()
+		nGet += g.latGet.Count()
+		nPut += g.latPut.Count()
+	}
+	t.LatRead.Grow(nRead)
+	t.LatGet.Grow(nGet)
+	t.LatPut.Grow(nPut)
+	t.LatAll.Grow(nRead + nGet + nPut)
 	for _, g := range r.groups {
 		t.Issued += g.issued
 		t.OK += g.ok

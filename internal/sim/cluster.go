@@ -107,8 +107,10 @@ type Shard struct {
 	out     []*recvEvent
 	sendSeq uint64
 
-	// Inbox: recvEvents routed here at a barrier, sorted, injected.
+	// Inbox: recvEvents routed here at a barrier, sorted, injected
+	// onto the lane in that order.
 	pending  []*recvEvent
+	inbox    Lane
 	recvPool FreeList[recvEvent]
 
 	sends, recvs uint64
@@ -283,9 +285,12 @@ func (cl *Cluster) lbts() (Time, bool) {
 
 // exchange hands every parked envelope to its destination shard and
 // injects it as an engine event. It runs strictly between windows —
-// single-threaded — so it may touch every shard's state. Per
-// destination, envelopes sort by (deliverAt, src, send-seq): a total
-// order independent of the LP→shard layout (see the package comment).
+// single-threaded — so it may touch every shard's state, its inbox
+// lane included. Per destination, envelopes sort by (deliverAt, src,
+// send-seq): a total order independent of the LP→shard layout (see
+// the package comment). The sorted batch is monotone, so it joins the
+// shard's lane; only an envelope due before one still queued from an
+// earlier barrier falls back to the heap.
 func (cl *Cluster) exchange() {
 	for _, src := range cl.shards {
 		for _, re := range src.out {
@@ -316,7 +321,7 @@ func (cl *Cluster) exchange() {
 			return cmp.Compare(a.seq, b.seq)
 		})
 		for _, re := range dst.pending {
-			dst.eng.At(re.at, "cluster.recv", re.fn)
+			dst.eng.AtLane(&dst.inbox, re.at, re.fn)
 		}
 		dst.pending = dst.pending[:0]
 	}

@@ -17,7 +17,7 @@ package sim
 type heapEntry struct {
 	at   Time
 	seq  uint64
-	slot int32 // index into the engine's event pool
+	slot int32 // index into the engine's event pool; -Lane.id for a lane's head
 }
 
 func entryLess(a, b heapEntry) bool {
@@ -79,6 +79,32 @@ func (h *heap4) pop() heapEntry {
 		h.siftUp(hole)
 	}
 	return top
+}
+
+// replaceTop overwrites the minimum entry with e and sifts it down: a
+// pop and a push, for a lane handing the root to its next event, at
+// the cost of one sift. The caller must ensure the heap is non-empty.
+func (h *heap4) replaceTop(e heapEntry) {
+	n := len(h.entries)
+	i := 0
+	for {
+		first := i<<2 + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if entryLess(h.entries[c], h.entries[min]) {
+				min = c
+			}
+		}
+		if !entryLess(h.entries[min], e) {
+			break
+		}
+		h.entries[i] = h.entries[min]
+		i = min
+	}
+	h.entries[i] = e
 }
 
 func (h *heap4) siftUp(i int) {

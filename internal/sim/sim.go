@@ -83,7 +83,8 @@ type Engine struct {
 	now    Time
 	q      heap4
 	pool   eventPool
-	live   int // scheduled events neither fired nor cancelled
+	live   int     // scheduled events neither fired nor cancelled
+	lanes  []*Lane // every lane scheduled on, by Lane.id-1
 	seq    uint64
 	nsteps uint64
 	rng    *Rand
@@ -161,15 +162,21 @@ func (e *Engine) Cancel(ref EventRef) {
 // empty.
 func (e *Engine) Step() bool {
 	for e.q.len() > 0 {
-		ent := e.q.pop()
-		s := &e.pool.slots[ent.slot]
-		if !s.live {
-			e.pool.release(ent.slot) // drained tombstone
-			continue
+		ent := e.q.entries[0]
+		var do func()
+		if ent.slot < 0 {
+			do = e.advanceLane(ent.slot)
+		} else {
+			e.q.pop()
+			s := &e.pool.slots[ent.slot]
+			if !s.live {
+				e.pool.release(ent.slot) // drained tombstone
+				continue
+			}
+			do = s.do
+			s.live = false
+			e.pool.release(ent.slot)
 		}
-		do := s.do
-		s.live = false
-		e.pool.release(ent.slot)
 		e.live--
 		e.now = ent.at
 		e.nsteps++
@@ -208,7 +215,7 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 func (e *Engine) peek() (Time, bool) {
 	for e.q.len() > 0 {
 		ent := e.q.entries[0]
-		if !e.pool.slots[ent.slot].live {
+		if ent.slot >= 0 && !e.pool.slots[ent.slot].live {
 			e.q.pop()
 			e.pool.release(ent.slot)
 			continue

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -77,16 +77,21 @@ func (l *LatencyRecorder) Merge(o *LatencyRecorder) {
 	if o == nil || len(o.samples) == 0 {
 		return
 	}
+	l.Grow(len(o.samples))
 	l.samples = append(l.samples, o.samples...)
 	l.sum += o.sum
 	l.sorted = false
 }
 
+// Grow makes room for n more samples, so that many Records or Merges
+// add no allocation.
+func (l *LatencyRecorder) Grow(n int) { l.samples = slices.Grow(l.samples, n) }
+
 func (l *LatencyRecorder) ensureSorted() {
 	if l.sorted {
 		return
 	}
-	sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
+	slices.Sort(l.samples)
 	l.sorted = true
 }
 

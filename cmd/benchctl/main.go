@@ -11,8 +11,9 @@
 //	benchctl -shardsweep 1,2,4,8 all # measure E17 scaling across shard counts
 //	benchctl table1                  # run one, by name or id (see 'benchctl list')
 //
-// Parallel runs are deterministic: every experiment owns a private
-// sim.Engine, so -parallel changes wall time only, never the tables.
+// Parallel runs are deterministic: every row of every experiment owns
+// a private sim.Engine, so -parallel (which nests over the experiments'
+// own row fan-out) changes wall time only, never the tables.
 // Likewise -shards: experiment tables are shard-count invariant, so
 // the flag moves wall time and per-shard stats, never a single cell.
 package main
@@ -29,7 +30,7 @@ import (
 )
 
 func main() {
-	parallel := flag.Int("parallel", 1, "run 'all' across N goroutines, capped at GOMAXPROCS (each experiment keeps its own engine)")
+	parallel := flag.Int("parallel", 1, "run 'all' across N goroutines, capped at GOMAXPROCS (each row keeps its own engine)")
 	tracePath := flag.String("trace", "", "run traced experiments with the telemetry plane armed and write <id>.trace.json/.hist.txt/.critpath.txt to this existing directory")
 	shards := flag.Int("shards", 0, "run cluster-capable experiments (E17, E18) on N sim.Cluster shards; 0 keeps each experiment's default")
 	sweepSpec := flag.String("shardsweep", "", "with 'all': comma-separated shard counts (e.g. 1,2,4,8); rerun E17 at each and print events/sec scaling")

@@ -101,7 +101,7 @@ const (
 	LayerModel Layer = iota
 	// LayerHarness packages drive simulations from outside (the bench
 	// runner, cmd binaries). They may use goroutines, channels and
-	// sync freely — each experiment owns a private engine — but every
+	// sync freely — each experiment row owns a private engine — but every
 	// wall-clock read must carry a //hyperlint:allow(nodeterm)
 	// annotation stating that the value never feeds model time.
 	LayerHarness

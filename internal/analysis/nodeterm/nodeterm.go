@@ -7,14 +7,14 @@
 // the engine's seeded sim.Rand. Any of the constructs banned here
 // would let host scheduling or process entropy leak into simulation
 // results and silently break replay determinism — the property the
-// golden experiment-table hashes in bench_test.go pin down.
+// golden experiment-table hashes in cmd/hyperbench/golden.json pin down.
 //
 // Harness-layer packages (internal/bench, cmd/*) may use goroutines,
-// channels, and sync freely: the parallel experiment runner depends on
-// them, and each experiment drives a private engine. Wall-clock reads
-// are permitted there too, but only under an explicit
-// //hyperlint:allow(nodeterm) annotation stating that the value is
-// measurement-only and never feeds model time.
+// channels, and sync freely: the parallel experiment runner and the
+// row fan-out depend on them, and each experiment row drives a private
+// engine. Wall-clock reads are permitted there too, but only under an
+// explicit //hyperlint:allow(nodeterm) annotation stating that the
+// value is measurement-only and never feeds model time.
 package nodeterm
 
 import (

@@ -40,7 +40,7 @@ func newView(devs int, seed uint64) (*sim.Engine, *seg.SyncView) {
 func PointerChase(seed uint64) Result { return pointerChase(seed, nil) }
 
 // PointerChaseTraced is PointerChase with the telemetry plane armed:
-// each tree size becomes its own Perfetto process (rec.Child) and
+// each tree size becomes its own Perfetto process (one per row) and
 // every lookup a request-scoped trace joining the app-level span to
 // the rpc/transport/netsim spans beneath it. The Result is
 // byte-identical to PointerChase at the same seed.
@@ -51,78 +51,83 @@ func PointerChaseTraced(seed uint64, rec *telemetry.Recorder) Result {
 func pointerChase(seed uint64, rec *telemetry.Recorder) Result {
 	r := Result{ID: "E7", Title: "§2.4 — pointer chasing: client-side RTTs vs offloaded"}
 	r.Table.Header = []string{"keys", "height", "client RTTs", "client latency", "offload RTTs", "offload latency", "speedup"}
-	for _, keys := range []int{150, 8000, 40000} {
-		eng := sim.NewEngine(seed)
-		net := netsim.New(eng, netsim.DefaultConfig())
-		cfg := core.DefaultConfig("chase")
-		cfg.NVMe.Blocks = 1 << 20
-		cfg.Seg.DRAMBytes = 128 << 20
-		cfg.Seg.CheckpointEvery = 0
-		d, _, err := core.Boot(eng, net, cfg)
-		if err != nil {
-			panic(err)
-		}
-		// The latency-sensitive case of §2.4: the index is DRAM-resident
-		// on the DPU (ephemeral segments), so network round trips — not
-		// flash — dominate the client-side traversal.
-		tree, err := bptree.Create(d.View, seg.OID(0xBEE, 0), false)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < keys; i++ {
-			if err := tree.Insert(uint64(i*2), uint64(i)); err != nil {
-				panic(err)
-			}
-		}
-		d.View.TakeCost()
-		svc, err := chase.NewService(d, d.CtrlSrv, tree)
-		if err != nil {
-			panic(err)
-		}
-		_ = svc
-		var crec *telemetry.Recorder
-		if rec != nil {
-			crec = rec.Child(fmt.Sprintf("e7.keys%d", keys))
-			d.SetRecorder(crec)
-			net.SetRecorder(crec)
-		}
-		cn, _ := net.Attach("client")
-		cli := rpc.NewClient(eng, transport.New(eng, cfg.Transport, cn))
-		cli.Timeout = sim.Duration(sim.Second)
-		cli.SetRecorder(crec)
-		cc := chase.NewClient(cli, d.ControlAddr())
-
-		const lookups = 50
-		rng := sim.NewRand(seed + 6)
-		measure := func(mode string, get func(uint64, func(chase.GetReply, error))) (sim.Duration, int64) {
-			cc.RTTs = 0
-			var total sim.Duration
-			for i := 0; i < lookups; i++ {
-				k := uint64(rng.Intn(keys) * 2)
-				cc.Span = crec.NewRequest()
-				start := eng.Now()
-				get(k, func(rep chase.GetReply, err error) {
-					if err != nil {
-						panic(err)
-					}
-					if crec != nil {
-						crec.Span("chase", mode, cc.Span, start, eng.Now())
-					}
-					total += eng.Now().Sub(start)
-				})
-				eng.Run()
-			}
-			return total / lookups, cc.RTTs / lookups
-		}
-		clsLat, clsRTT := measure("client-side", cc.ClientSideGet)
-		offLat, offRTT := measure("offload", cc.OffloadGet)
-		r.Table.AddRow(itoa(int64(keys)), itoa(int64(tree.Height())),
-			itoa(clsRTT), clsLat.String(), itoa(offRTT), offLat.String(),
-			f2(float64(clsLat)/float64(offLat)))
-		r.observe(eng)
-	}
+	sweep := []int{150, 8000, 40000}
+	rows := runRows(len(sweep), rec,
+		func(i int) string { return fmt.Sprintf("e7.keys%d", sweep[i]) },
+		func(i int, crec *telemetry.Recorder) tableRow { return pointerChaseRow(seed, sweep[i], crec) })
+	r.addRows(rows)
 	r.Notes = append(r.Notes, "client-side pays height+1 round trips; the offloaded verified program pays one")
 	return r
+}
+
+// pointerChaseRow is one E7 row: a DPU serving a keys-entry B+ tree,
+// looked up client-side and through the offload.
+func pointerChaseRow(seed uint64, keys int, crec *telemetry.Recorder) tableRow {
+	eng := sim.NewEngine(seed)
+	net := netsim.New(eng, netsim.DefaultConfig())
+	cfg := core.DefaultConfig("chase")
+	cfg.NVMe.Blocks = 1 << 20
+	cfg.Seg.DRAMBytes = 128 << 20
+	cfg.Seg.CheckpointEvery = 0
+	d, _, err := core.Boot(eng, net, cfg)
+	if err != nil {
+		panic(err)
+	}
+	// The latency-sensitive case of §2.4: the index is DRAM-resident
+	// on the DPU (ephemeral segments), so network round trips — not
+	// flash — dominate the client-side traversal.
+	tree, err := bptree.Create(d.View, seg.OID(0xBEE, 0), false)
+	if err != nil {
+		panic(err)
+	}
+	for i := 0; i < keys; i++ {
+		if err := tree.Insert(uint64(i*2), uint64(i)); err != nil {
+			panic(err)
+		}
+	}
+	d.View.TakeCost()
+	svc, err := chase.NewService(d, d.CtrlSrv, tree)
+	if err != nil {
+		panic(err)
+	}
+	_ = svc
+	if crec != nil {
+		d.SetRecorder(crec)
+		net.SetRecorder(crec)
+	}
+	cn, _ := net.Attach("client")
+	cli := rpc.NewClient(eng, transport.New(eng, cfg.Transport, cn))
+	cli.Timeout = sim.Duration(sim.Second)
+	cli.SetRecorder(crec)
+	cc := chase.NewClient(cli, d.ControlAddr())
+
+	const lookups = 50
+	rng := sim.NewRand(seed + 6)
+	measure := func(mode string, get func(uint64, func(chase.GetReply, error))) (sim.Duration, int64) {
+		cc.RTTs = 0
+		var total sim.Duration
+		for i := 0; i < lookups; i++ {
+			k := uint64(rng.Intn(keys) * 2)
+			cc.Span = crec.NewRequest()
+			start := eng.Now()
+			get(k, func(rep chase.GetReply, err error) {
+				if err != nil {
+					panic(err)
+				}
+				if crec != nil {
+					crec.Span("chase", mode, cc.Span, start, eng.Now())
+				}
+				total += eng.Now().Sub(start)
+			})
+			eng.Run()
+		}
+		return total / lookups, cc.RTTs / lookups
+	}
+	clsLat, clsRTT := measure("client-side", cc.ClientSideGet)
+	offLat, offRTT := measure("offload", cc.OffloadGet)
+	return engineRow([]string{itoa(int64(keys)), itoa(int64(tree.Height())),
+		itoa(clsRTT), clsLat.String(), itoa(offRTT), offLat.String(),
+		f2(float64(clsLat) / float64(offLat))}, eng)
 }
 
 // Fail2ban reproduces the §2.4 middleware result: line-rate filtering
@@ -170,7 +175,9 @@ func Fail2ban(seed uint64) Result {
 func LoadBalancer(seed uint64) Result {
 	r := Result{ID: "E9", Title: "§2.4 — L4 load balancer with SSD state spill"}
 	r.Table.Header = []string{"conns", "hot cap", "spills", "spill hits", "mean steer", "state kept"}
-	for _, conns := range []int{2000, 8000, 32000} {
+	sweep := []int{2000, 8000, 32000}
+	rows := runRows(len(sweep), nil, nil, func(i int, _ *telemetry.Recorder) tableRow {
+		conns := sweep[i]
 		eng, v := newView(4, seed)
 		bal, err := lb.New(v, seg.OID(0x1b, 0), []lb.Backend{{Addr: 1}, {Addr: 2}, {Addr: 3}, {Addr: 4}}, 4000)
 		if err != nil {
@@ -197,11 +204,11 @@ func LoadBalancer(seed uint64) Result {
 			}
 			total += v.TakeCost()
 		}
-		r.Table.AddRow(itoa(int64(conns)), "4000", itoa(bal.Spills), itoa(bal.SpillHits),
+		return engineRow([]string{itoa(int64(conns)), "4000", itoa(bal.Spills), itoa(bal.SpillHits),
 			(total / sim.Duration(conns)).String(),
-			fmt.Sprintf("%d/%d", kept, conns))
-		r.observe(eng)
-	}
+			fmt.Sprintf("%d/%d", kept, conns)}, eng)
+	})
+	r.addRows(rows)
 	r.Notes = append(r.Notes, "Tiara punts overflow state to x86 servers; Hyperion keeps it on its own SSDs (zero lost flows)")
 	return r
 }

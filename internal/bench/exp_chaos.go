@@ -30,7 +30,7 @@ func Chaos(seed uint64) Result { return chaos(seed, nil) }
 
 // ChaosTraced is Chaos with the telemetry plane armed: each
 // (scenario, fault rate) cell becomes its own Perfetto process
-// (rec.Child) with every operation traced end to end, so the
+// (one per row) with every operation traced end to end, so the
 // critical-path summary shows where the injected faults' retries and
 // failovers spend their time. The Result is byte-identical to Chaos
 // at the same seed.
@@ -39,12 +39,23 @@ func ChaosTraced(seed uint64, rec *telemetry.Recorder) Result { return chaos(see
 func chaos(seed uint64, rec *telemetry.Recorder) Result {
 	r := Result{ID: "E16", Title: "chaos — tail latency and goodput vs injected fault rate"}
 	r.Table.Header = []string{"scenario", "fault rate", "ops", "ok", "retries", "p50", "p99", "p99.9", "goodput MB/s"}
-	for _, rate := range chaosRates {
-		chaosNVMeoF(&r, seed, rate, rec)
-	}
-	for _, rate := range chaosRates {
-		chaosCluster(&r, seed, rate, rec)
-	}
+	// Rows 0..3 are the NVMe-oF scenario at each rate, rows 4..7 the
+	// cluster one.
+	n := len(chaosRates)
+	rows := runRows(2*n, rec,
+		func(i int) string {
+			if i < n {
+				return "e16.nvmeof-" + pct(chaosRates[i])
+			}
+			return "e16.cluster-" + pct(chaosRates[i-n])
+		},
+		func(i int, crec *telemetry.Recorder) tableRow {
+			if i < n {
+				return chaosNVMeoF(seed, chaosRates[i], crec)
+			}
+			return chaosCluster(seed, chaosRates[i-n], crec)
+		})
+	r.addRows(rows)
 	r.Notes = append(r.Notes,
 		"retry+backoff, host deadlines, and read failover hold goodput while the tail absorbs the faults; the 0% rows match the fault-free datapath exactly")
 	return r
@@ -55,7 +66,7 @@ func chaos(seed uint64, rec *telemetry.Recorder) Result {
 // errors and swallowed commands. The rpc client retries timed-out
 // calls under a deadline budget; the initiator retries device-status
 // errors; the host turns swallowed commands into StatusTimeout.
-func chaosNVMeoF(r *Result, seed uint64, rate float64, rec *telemetry.Recorder) {
+func chaosNVMeoF(seed uint64, rate float64, crec *telemetry.Recorder) tableRow {
 	eng := sim.NewEngine(seed)
 	net := netsim.New(eng, netsim.DefaultConfig())
 	net.SetFaultPlan(fault.NewPlan(seed, "netsim").
@@ -82,9 +93,7 @@ func chaosNVMeoF(r *Result, seed uint64, rate float64, rec *telemetry.Recorder) 
 	ini.MaxRetries = 3
 	ini.RetryBackoff = 100 * sim.Microsecond
 
-	var crec *telemetry.Recorder
-	if rec != nil {
-		crec = rec.Child(fmt.Sprintf("e16.nvmeof-%s", pct(rate)))
+	if crec != nil {
 		net.SetRecorder(crec)
 		dev.SetRecorder(crec)
 		host.SetRecorder(crec)
@@ -128,18 +137,17 @@ func chaosNVMeoF(r *Result, seed uint64, rate float64, rec *telemetry.Recorder) 
 	}
 	elapsed := eng.Now().Sub(start)
 	goodput := float64(ok*ncfg.BlockSize) / elapsed.Seconds() / 1e6
-	r.Table.AddRow("nvmeof/rdma", pct(rate), itoa(ops), itoa(int64(ok)),
-		itoa(cli.Retries+ini.Retries),
+	return engineRow([]string{"nvmeof/rdma", pct(rate), itoa(ops), itoa(int64(ok)),
+		itoa(cli.Retries + ini.Retries),
 		lat.Percentile(50).String(), lat.Percentile(99).String(), lat.Percentile(99.9).String(),
-		f2(goodput))
-	r.observe(eng)
+		f2(goodput)}, eng)
 }
 
 // chaosCluster runs a closed-loop put+get workload against a 4-node,
 // 3-replica KV while seeded crash/restart windows take nodes down.
 // The router fails reads over to the next replica; puts to a down
 // replica surface as errors after the rpc timeout.
-func chaosCluster(r *Result, seed uint64, rate float64, rec *telemetry.Recorder) {
+func chaosCluster(seed uint64, rate float64, crec *telemetry.Recorder) tableRow {
 	eng := sim.NewEngine(seed)
 	net := netsim.New(eng, netsim.DefaultConfig())
 	c, err := cluster.New(eng, net, 4, 3)
@@ -150,8 +158,7 @@ func chaosCluster(r *Result, seed uint64, rate float64, rec *telemetry.Recorder)
 	if err != nil {
 		panic(err)
 	}
-	if rec != nil {
-		crec := rec.Child(fmt.Sprintf("e16.cluster-%s", pct(rate)))
+	if crec != nil {
 		net.SetRecorder(crec)
 		c.SetRecorder(crec)
 		rt.SetRecorder(crec)
@@ -216,11 +223,10 @@ func chaosCluster(r *Result, seed uint64, rate float64, rec *telemetry.Recorder)
 	elapsed := eng.Now().Sub(start)
 	// Cluster goodput counts completed KV ops as value-sized payloads.
 	goodput := float64(ok*len(value)) / elapsed.Seconds() / 1e6
-	r.Table.AddRow("cluster/3rep", pct(rate), itoa(int64(done)), itoa(int64(ok)),
+	return engineRow([]string{"cluster/3rep", pct(rate), itoa(int64(done)), itoa(int64(ok)),
 		itoa(rt.Failovers),
 		lat.Percentile(50).String(), lat.Percentile(99).String(), lat.Percentile(99.9).String(),
-		f2(goodput))
-	r.observe(eng)
+		f2(goodput)}, eng)
 }
 
 // pct renders a fault probability as a percentage.

@@ -282,7 +282,9 @@ func SegmentVsPage(seed uint64) Result {
 	const accesses = 200000
 	const objBytes = 2 << 20
 	const pagesPerObj = objBytes / 4096
-	for _, ws := range []int{64, 512, 4096} {
+	sweep := []int{64, 512, 4096}
+	rows := runRows(len(sweep), nil, nil, func(i int, _ *telemetry.Recorder) tableRow {
+		ws := sweep[i]
 		// Segment side: ws objects, one descriptor each, zipf access.
 		eng := sim.NewEngine(seed)
 		ncfg := nvme.DefaultConfig("e6")
@@ -323,11 +325,11 @@ func SegmentVsPage(seed uint64) Result {
 		}
 		tlbHit := float64(w.TLBHits) / float64(w.Walks) * 100
 		ratio := float64(pageCost) / float64(maxDur(segCost, 1*sim.Picosecond))
-		r.Table.AddRow(itoa(int64(ws)), itoa(int64(ws*pagesPerObj)),
-			f2(float64(segCost)/accesses/float64(sim.Nanosecond)), f1(segHit),
-			f2(float64(pageCost)/accesses/float64(sim.Nanosecond)), f1(tlbHit), f2(ratio))
-		r.observe(eng)
-	}
+		return engineRow([]string{itoa(int64(ws)), itoa(int64(ws * pagesPerObj)),
+			f2(float64(segCost) / accesses / float64(sim.Nanosecond)), f1(segHit),
+			f2(float64(pageCost) / accesses / float64(sim.Nanosecond)), f1(tlbHit), f2(ratio)}, eng)
+	})
+	r.addRows(rows)
 	r.Notes = append(r.Notes, "object-granular entries cover 512x the reach of a page entry, so the descriptor cache keeps hitting long after the TLB thrashes")
 	return r
 }

@@ -58,30 +58,30 @@ func rackRun(seed uint64, shards int, rec *telemetry.Recorder) Result {
 	r := Result{ID: "E17", Title: "rack-scale scale-out — NVMe-oF + replicated KV across sharded DPU boxes"}
 	r.Table.Header = []string{"boxes", "clients", "ops", "reads", "gets", "puts", "ok", "err",
 		"p50", "p99", "p99.9", "goodput MB/s"}
-	for _, boxes := range rackBoxSweep {
-		cfg := rackConfig(boxes)
-		cfg.Shards = shards
-		var crec *telemetry.Recorder
-		if rec != nil {
-			crec = rec.Child(fmt.Sprintf("e17.rack-%d", boxes))
-		}
-		ra := rack.New(cfg, seed, crec)
-		ra.Run()
-		tot := ra.Totals()
-		cl := ra.Cluster()
-		elapsed := cl.Now().Sub(sim.Time(0))
-		goodput := float64(tot.BytesMoved) / elapsed.Seconds() / 1e6
-		r.Table.AddRow(itoa(int64(boxes)), itoa(int64(tot.Clients)), itoa(tot.Issued),
-			itoa(tot.Reads), itoa(tot.Gets), itoa(tot.Puts), itoa(tot.OK), itoa(tot.Errs),
-			tot.LatAll.Percentile(50).String(), tot.LatAll.Percentile(99).String(),
-			tot.LatAll.Percentile(99.9).String(), f2(goodput))
-		// Shard engines are owned by the cluster; fold its aggregate in
-		// place of the usual r.observe(eng...).
-		r.Steps += cl.Steps()
-		if now := cl.Now(); now > r.SimTime {
-			r.SimTime = now
-		}
-	}
+	rows := runRows(len(rackBoxSweep), rec,
+		func(i int) string { return fmt.Sprintf("e17.rack-%d", rackBoxSweep[i]) },
+		func(i int, crec *telemetry.Recorder) tableRow {
+			boxes := rackBoxSweep[i]
+			cfg := rackConfig(boxes)
+			cfg.Shards = shards
+			ra := rack.New(cfg, seed, crec)
+			ra.Run()
+			tot := ra.Totals()
+			cl := ra.Cluster()
+			elapsed := cl.Now().Sub(sim.Time(0))
+			goodput := float64(tot.BytesMoved) / elapsed.Seconds() / 1e6
+			// Shard engines are owned by the cluster; its aggregate
+			// stands in for engineRow's.
+			return tableRow{
+				cells: []string{itoa(int64(boxes)), itoa(int64(tot.Clients)), itoa(tot.Issued),
+					itoa(tot.Reads), itoa(tot.Gets), itoa(tot.Puts), itoa(tot.OK), itoa(tot.Errs),
+					tot.LatAll.Percentile(50).String(), tot.LatAll.Percentile(99).String(),
+					tot.LatAll.Percentile(99.9).String(), f2(goodput)},
+				now:   cl.Now(),
+				steps: cl.Steps(),
+			}
+		})
+	r.addRows(rows)
 	r.Notes = append(r.Notes,
 		"one scenario partitioned across conservative-PDES shards; the table is byte-identical for every shard count, so scale-out buys wall time, not different physics")
 	return r

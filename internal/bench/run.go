@@ -3,7 +3,6 @@ package bench
 import (
 	"crypto/sha256"
 	"fmt"
-	"sync"
 )
 
 // RunOutcome couples an experiment with the Result of one run of it.
@@ -13,8 +12,9 @@ type RunOutcome struct {
 }
 
 // RunAll executes every experiment and returns outcomes in All() order.
-// workers <= 1 runs sequentially. workers > 1 fans experiments out over
-// that many goroutines; each experiment drives its own private
+// workers <= 1 runs experiments one after another. workers > 1 fans
+// them out over that many goroutines, nested over each experiment's
+// own row fan-out (runRows); each row drives its own private
 // sim.Engine, so the Results are identical to a sequential run — only
 // wall time changes.
 func RunAll(workers int) []RunOutcome { return RunAllShards(workers, 0) }
@@ -25,33 +25,9 @@ func RunAll(workers int) []RunOutcome { return RunAllShards(workers, 0) }
 // outcomes differ from RunAll only in wall time.
 func RunAllShards(workers, shards int) []RunOutcome {
 	exps := All()
-	out := make([]RunOutcome, len(exps))
-	runOne := func(i int) {
-		out[i] = RunOutcome{Exp: exps[i], Result: exps[i].RunAt(shards)}
-	}
-	if workers <= 1 {
-		for i := range exps {
-			runOne(i)
-		}
-		return out
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
-		}()
-	}
-	for i := range exps {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return out
+	return fanOut(len(exps), workers, func(i int) RunOutcome {
+		return RunOutcome{Exp: exps[i], Result: exps[i].RunAt(shards)}
+	})
 }
 
 // Record is the machine-readable form of one outcome; TableSHA256 is

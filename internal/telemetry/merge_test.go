@@ -71,6 +71,124 @@ func TestMergeIntoShardCountInvariance(t *testing.T) {
 	}
 }
 
+// tapeOp is one recorder call on a seeded tape. proc picks which of
+// the row's processes (its root, or a Child it opened earlier) the call
+// lands on; req picks which of the row's issued requests a span
+// carries (-1: untagged).
+type tapeOp struct {
+	kind  int // 0 Span, 1 Observe, 2 Count, 3 NewRequest, 4 Child
+	proc  int
+	req   int
+	layer string
+	name  string
+	at    sim.Time
+	d     sim.Duration
+}
+
+// makeTape draws a row's ops from rnd: every recorder verb, request
+// ids threaded through later spans, and nested Child processes.
+func makeTape(rnd *sim.Rand, n int) []tapeOp {
+	layers := []string{"net", "nvme", "rpc", "kv"}
+	names := []string{"frame", "read", "call", "put"}
+	procs, reqs := 1, 0
+	tape := make([]tapeOp, n)
+	for i := range tape {
+		op := tapeOp{
+			kind:  rnd.Intn(5),
+			proc:  rnd.Intn(procs),
+			req:   -1,
+			layer: layers[rnd.Intn(len(layers))],
+			name:  names[rnd.Intn(len(names))],
+			at:    sim.Time(rnd.Intn(1000)) * sim.Time(sim.Microsecond),
+			d:     sim.Duration(rnd.Intn(50_000)) * sim.Nanosecond,
+		}
+		switch op.kind {
+		case 0:
+			if reqs > 0 && rnd.Intn(4) != 0 {
+				op.req = rnd.Intn(reqs)
+			}
+		case 3:
+			reqs++
+		case 4:
+			procs++
+		}
+		tape[i] = op
+	}
+	return tape
+}
+
+// playTape records tape on root, opening nested processes (named
+// after the row) as the tape asks.
+func playTape(root *Recorder, row int, tape []tapeOp) {
+	procs := []*Recorder{root}
+	var reqs []RequestID
+	for i, op := range tape {
+		r := procs[op.proc]
+		switch op.kind {
+		case 0:
+			var req RequestID
+			if op.req >= 0 {
+				req = reqs[op.req]
+			}
+			r.Span(op.layer, op.name, req, op.at, op.at.Add(op.d))
+		case 1:
+			r.Observe(op.layer, op.name, op.d)
+		case 2:
+			r.Count(op.layer, op.name, int64(op.d))
+		case 3:
+			reqs = append(reqs, r.NewRequest())
+		case 4:
+			procs = append(procs, r.Child(fmt.Sprintf("row%d.sub%d", row, i)))
+		}
+	}
+}
+
+// TestMergeInOrderMatchesChild pins the equivalence the bench row
+// fan-out relies on: rows recorded through rec.Child one after another
+// on one recorder export byte-identically to the same rows recorded on
+// one NewRecorder each and merged into the caller's recorder in row
+// order — traces, histogram dumps and critical paths all included.
+func TestMergeInOrderMatchesChild(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rnd := sim.NewRand(seed)
+		prefix := makeTape(rnd, 10)
+		rows := make([][]tapeOp, 1+rnd.Intn(5))
+		for i := range rows {
+			rows[i] = makeTape(rnd, 5+rnd.Intn(60))
+		}
+
+		ref := NewRecorder("exp")
+		playTape(ref, -1, prefix)
+		for i, tape := range rows {
+			playTape(ref.Child(fmt.Sprintf("row%d", i)), i, tape)
+		}
+
+		merged := NewRecorder("exp")
+		playTape(merged, -1, prefix)
+		recs := make([]*Recorder, len(rows))
+		for i, tape := range rows {
+			recs[i] = NewRecorder(fmt.Sprintf("row%d", i))
+			playTape(recs[i], i, tape)
+		}
+		for _, r := range recs {
+			r.MergeInto(merged)
+		}
+
+		if got, want := string(merged.ChromeTrace()), string(ref.ChromeTrace()); got != want {
+			t.Fatalf("seed %d: merged trace differs from Child trace:\n--- merged ---\n%s\n--- child ---\n%s", seed, got, want)
+		}
+		if got, want := merged.HistogramDump(), ref.HistogramDump(); got != want {
+			t.Fatalf("seed %d: merged histogram dump differs:\n--- merged ---\n%s\n--- child ---\n%s", seed, got, want)
+		}
+		if got, want := merged.CriticalPath(), ref.CriticalPath(); got != want {
+			t.Fatalf("seed %d: merged critical path differs:\n--- merged ---\n%s\n--- child ---\n%s", seed, got, want)
+		}
+		if got, want := merged.NewRequest(), ref.NewRequest(); got != want {
+			t.Fatalf("seed %d: merged next request id = %d, want %d", seed, got, want)
+		}
+	}
+}
+
 func TestMergeIntoNilSafety(t *testing.T) {
 	var nilRec *Recorder
 	dst := NewRecorder("d")

@@ -115,17 +115,20 @@ func Energy(seed uint64) Result {
 	hm := energy.NewMeter(hy, eng.Now())
 	hm.SetUtilization(eng.Now(), 0.7) // busy service
 	next := 0
+	// Both loops bind their completion once: a closure per op would be
+	// the experiment's largest allocation.
 	var issue func()
+	replied := func(core.Fig2Trace, []byte, error) {
+		hm.AddOps(1)
+		issue()
+	}
 	issue = func() {
 		if next >= ops {
 			return
 		}
 		i := next
 		next++
-		_ = d.Fig2Probe(0, i%4, int64(i%1000), 1, func(core.Fig2Trace, []byte, error) {
-			hm.AddOps(1)
-			issue()
-		})
+		_ = d.Fig2Probe(0, i%4, int64(i%1000), 1, replied)
 	}
 	// Keep 16 in flight for realistic utilization.
 	for k := 0; k < 16; k++ {
@@ -144,15 +147,16 @@ func Energy(seed uint64) Result {
 	sm.SetUtilization(eng2.Now(), 0.7)
 	served := 0
 	var serve func()
+	finished := func() {
+		sm.AddOps(1)
+		serve()
+	}
 	serve = func() {
 		if served >= ops {
 			return
 		}
 		served++
-		cpu.Serve(perReq, func() {
-			sm.AddOps(1)
-			serve()
-		})
+		cpu.Serve(perReq, finished)
 	}
 	for k := 0; k < 16; k++ {
 		serve()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -151,20 +152,19 @@ func TestFig2ProbeStages(t *testing.T) {
 	}
 	eng.Run()
 	var tr Fig2Trace
-	var data []byte
-	err := d.Fig2Probe(0, 1, 100, 2, func(got Fig2Trace, d []byte, err error) {
+	err := d.Fig2Probe(0, 1, 100, 2, func(got Fig2Trace, data []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
-		tr, data = got, d
+		if len(data) != 8192 {
+			t.Errorf("data = %d bytes", len(data))
+		}
+		tr = got
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if len(data) != 8192 {
-		t.Fatalf("data = %d bytes", len(data))
-	}
 	if tr.Arbiter <= 0 || tr.Pipeline <= 0 || tr.Storage <= 0 || tr.Egress <= 0 {
 		t.Fatalf("stages not all positive: %+v", tr)
 	}
@@ -179,6 +179,70 @@ func TestFig2ProbeStages(t *testing.T) {
 	want := d.Fabric.Cycles(24)
 	if tr.Pipeline != want {
 		t.Fatalf("pipeline = %v, want %v", tr.Pipeline, want)
+	}
+}
+
+// TestFig2ProbeDataSurvivesEgress keeps 16 probes in flight over the
+// four SSDs, as E3 does, reading E2's 1, 8 and 64 blocks in turn, every
+// block carrying its own LBA's pattern. The device lends a read's buffer
+// only until the storage stage returns and serves the next read on that
+// SSD from it, while the reply comes one egress event later: a short
+// read queued behind a long one finishes its flash access inside the
+// long one's egress. Every reply must still see the blocks it asked for.
+func TestFig2ProbeDataSurvivesEgress(t *testing.T) {
+	eng, _, d := bootTest(t)
+	if err := d.LoadAccelerator(0, ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	const base, span, probes = 1 << 19, 128, 512
+	block := func(lba int64) []byte {
+		return bytes.Repeat([]byte{byte(lba), byte(lba >> 8), 0x5A, byte(lba * 31)}, 1024)
+	}
+	for _, h := range d.Hosts {
+		for lba := int64(base); lba < base+span+64; lba++ {
+			h.Device().WriteSync(lba, block(lba))
+		}
+	}
+	want := func(lba int64, blocks int) []byte {
+		var b []byte
+		for i := range int64(blocks) {
+			b = append(b, block(lba+i)...)
+		}
+		return b
+	}
+	issued, replied, wrong := 0, 0, 0
+	var issue func()
+	issue = func() {
+		if issued == probes {
+			return
+		}
+		k := issued
+		issued++
+		lba, blocks := int64(base+(k/4)%span), []int{1, 8, 64}[(k/4)%3]
+		err := d.Fig2Probe(0, k%4, lba, blocks, func(_ Fig2Trace, data []byte, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			replied++
+			if !bytes.Equal(data, want(lba, blocks)) {
+				wrong++
+			}
+			issue()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 16 {
+		issue()
+	}
+	eng.Run()
+	if replied != probes {
+		t.Fatalf("%d of %d probes replied", replied, probes)
+	}
+	if wrong != 0 {
+		t.Fatalf("%d of %d replies carried bytes other than the blocks they read", wrong, probes)
 	}
 }
 
@@ -212,13 +276,30 @@ func BenchmarkFig2Probe(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = d.Fig2Probe(0, i%4, int64(i%1000), 1, func(Fig2Trace, []byte, error) {})
+	i := 0
+	reply := func(Fig2Trace, []byte, error) {}
+	one := func() {
+		if err := d.Fig2Probe(0, i%4, int64(i%1000), 1, reply); err != nil {
+			b.Fatal(err)
+		}
+		i++
 		if i%64 == 0 {
 			eng.Run()
 		}
+	}
+	// Warm every free list on the path — probe contexts and their
+	// payload buffers, device buffers and contexts, host slots.
+	for range 256 {
+		one()
+	}
+	eng.Run()
+	if a := testing.AllocsPerRun(256, one); a != 0 {
+		b.Fatalf("a probe allocates %v objects/op in steady state, want 0", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		one()
 	}
 	eng.Run()
 }

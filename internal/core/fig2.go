@@ -40,7 +40,10 @@ var probePayload any = []byte("probe")
 // fig2Ctx carries one probe through the four-stage pipeline with
 // prebound stage callbacks and its own reusable ingress stream (an
 // idle AXIS stream is indistinguishable from a fresh one); instances
-// cycle through the DPU's free list.
+// cycle through the DPU's free list. data is the probe's own payload
+// buffer: the device lends a read's bytes only until onRead returns and
+// egress fires one event later, so onRead copies them here, and the
+// capacity stays with the context across recycling.
 type fig2Ctx struct {
 	d      *DPU
 	stream *fabric.Stream
@@ -83,7 +86,6 @@ func (d *DPU) getFig2() *fig2Ctx {
 func (c *fig2Ctx) fail(err error) {
 	d, reply, tr := c.d, c.reply, c.tr
 	c.reply = nil
-	c.data = nil
 	d.fig2s.Put(c)
 	reply(tr, nil, err)
 }
@@ -122,7 +124,7 @@ func (c *fig2Ctx) onRead(data []byte, st uint16) {
 	if d.rec != nil {
 		d.rec.Span("fig2", "storage", c.span, c.t2, c.t3)
 	}
-	c.data = data
+	c.data = append(c.data[:0], data...)
 	// Stage 4: response egress serialization on QSFP.
 	respBytes := len(data) + 64
 	egress := sim.Duration(float64(respBytes) / 12.5e9 * float64(sim.Second))
@@ -143,7 +145,6 @@ func (c *fig2Ctx) onEgress() {
 	}
 	reply, tr, data := c.reply, c.tr, c.data
 	c.reply = nil
-	c.data = nil
 	d.fig2s.Put(c)
 	reply(tr, data, nil)
 }
@@ -152,7 +153,8 @@ func (c *fig2Ctx) onEgress() {
 // path: a frame-sized item crosses the arbiter into the slot, the
 // pipeline processes it, the NVMe host IP core reads blocks from the
 // SSD that owns the LBA, and the response serializes back out. reply
-// receives the stage trace and the data.
+// receives the stage trace and the data, which is valid only during
+// reply: a caller that keeps the bytes copies them.
 func (d *DPU) Fig2Probe(slot int, ssd int, lba int64, blocks int, reply func(tr Fig2Trace, data []byte, err error)) error {
 	if !d.booted {
 		return ErrNotBooted

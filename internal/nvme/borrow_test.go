@@ -18,13 +18,13 @@ func pattern(lba int64, version byte) []byte {
 	return b
 }
 
-// readBorrowedCopy runs one borrowed read to completion and returns a
-// private copy of its payload plus the address of the handed buffer.
-func readBorrowedCopy(t *testing.T, eng *sim.Engine, h *Host, lba int64) (data []byte, base *byte) {
+// readCopy runs one read to completion and returns a private copy of
+// its payload plus the address of the lent buffer.
+func readCopy(t *testing.T, eng *sim.Engine, h *Host, lba int64) (data []byte, base *byte) {
 	t.Helper()
-	if err := h.ReadBorrowed(0, lba, 1, func(d []byte, st uint16) {
+	if err := h.Read(0, lba, 1, func(d []byte, st uint16) {
 		if st != StatusOK {
-			t.Fatalf("borrowed read of lba %d: status %#x", lba, st)
+			t.Fatalf("read of lba %d: status %#x", lba, st)
 		}
 		data, base = append([]byte(nil), d...), &d[0]
 	}); err != nil {
@@ -32,42 +32,42 @@ func readBorrowedCopy(t *testing.T, eng *sim.Engine, h *Host, lba int64) (data [
 	}
 	eng.Run()
 	if data == nil {
-		t.Fatalf("borrowed read of lba %d never completed", lba)
+		t.Fatalf("read of lba %d never completed", lba)
 	}
 	return data, base
 }
 
-// TestBorrowedReadReusesBuffer: a borrowed payload goes back to the
-// device when its handler returns, and the next borrowed read is
-// served from that same buffer — with the right bytes each time.
+// TestBorrowedReadReusesBuffer: a read's payload goes back to the
+// device when its handler returns, and the next read is served from
+// that same buffer — with the right bytes each time.
 func TestBorrowedReadReusesBuffer(t *testing.T) {
 	eng, dev, h := newDev(t)
 	dev.WriteSync(7, pattern(7, 0))
 	dev.WriteSync(8, pattern(8, 0))
-	a, baseA := readBorrowedCopy(t, eng, h, 7)
-	b, baseB := readBorrowedCopy(t, eng, h, 8)
-	z, baseZ := readBorrowedCopy(t, eng, h, 9) // never written
+	a, baseA := readCopy(t, eng, h, 7)
+	b, baseB := readCopy(t, eng, h, 8)
+	z, baseZ := readCopy(t, eng, h, 9) // never written
 	if !bytes.Equal(a, pattern(7, 0)) || !bytes.Equal(b, pattern(8, 0)) {
-		t.Fatal("borrowed read returned wrong bytes")
+		t.Fatal("read returned wrong bytes")
 	}
 	if !bytes.Equal(z, make([]byte, 4096)) {
-		t.Fatal("borrowed read of an unwritten block is not zero (stale reuse)")
+		t.Fatal("read of an unwritten block is not zero (stale reuse)")
 	}
 	if baseA != baseB || baseB != baseZ {
-		t.Fatal("consecutive borrowed reads did not reuse one device buffer")
+		t.Fatal("consecutive reads did not reuse one device buffer")
 	}
 }
 
 // TestBorrowedCorruptionHitsOnlyTheHandedBuffer: fault.Corrupt damages
-// the buffer handed to the handler, never the store, so the reread is
-// clean — on the borrowed path exactly as on the owning one.
+// the buffer lent to the handler, never the store, so the reread is
+// clean.
 func TestBorrowedCorruptionHitsOnlyTheHandedBuffer(t *testing.T) {
 	eng, dev, h := newDev(t)
 	want := pattern(3, 0)
 	dev.WriteSync(3, want)
 	plan := fault.NewPlan(1, "nvme").Set(fault.Corrupt, 1)
 	dev.SetFaultPlan(plan)
-	bad, _ := readBorrowedCopy(t, eng, h, 3)
+	bad, _ := readCopy(t, eng, h, 3)
 	diff := 0
 	for i := range bad {
 		if bad[i] != want[i] {
@@ -78,9 +78,9 @@ func TestBorrowedCorruptionHitsOnlyTheHandedBuffer(t *testing.T) {
 		t.Fatalf("corrupt read differs in %d bytes, want exactly 1", diff)
 	}
 	plan.Set(fault.Corrupt, 0)
-	good, _ := readBorrowedCopy(t, eng, h, 3)
+	good, _ := readCopy(t, eng, h, 3)
 	if !bytes.Equal(good, want) {
-		t.Fatal("reread after a corrupt borrowed read is not clean")
+		t.Fatal("reread after a corrupt read is not clean")
 	}
 	stored := make([]byte, 4096)
 	dev.ReadSyncInto(stored, 3, 1)
@@ -89,42 +89,11 @@ func TestBorrowedCorruptionHitsOnlyTheHandedBuffer(t *testing.T) {
 	}
 }
 
-// TestOwnedReadSurvivesLaterReads: Host.Read's caller owns its data —
-// a retained slice is untouched by 1000 further reads of either kind.
-func TestOwnedReadSurvivesLaterReads(t *testing.T) {
-	eng, dev, h := newDev(t)
-	for lba := int64(0); lba < 16; lba++ {
-		dev.WriteSync(lba, pattern(lba, 0))
-	}
-	var kept []byte
-	if err := h.Read(0, 5, 1, func(d []byte, _ uint16) { kept = d }); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	sink := func([]byte, uint16) {}
-	for i := 0; i < 1000; i++ {
-		read := h.Read
-		if i%2 == 0 {
-			read = h.ReadBorrowed
-		}
-		if err := read(0, int64(i%16), 1, sink); err != nil {
-			t.Fatal(err)
-		}
-		if i%64 == 0 {
-			eng.Run()
-		}
-	}
-	eng.Run()
-	if !bytes.Equal(kept, pattern(5, 0)) {
-		t.Fatal("a slice retained from Host.Read changed under later reads")
-	}
-}
-
 // TestReadsSnapshotAtFlashTime: with a DMA hook the completion lands
 // after the flash read, and writes to the same LBA may be stored in
-// between. Both read verbs deliver the bytes stored when the flash
-// read finished — the device's snapshot point — not what is stored by
-// the time the handler runs.
+// between. A read delivers the bytes stored when the flash read
+// finished — the device's snapshot point — not what is stored by the
+// time the handler runs.
 func TestReadsSnapshotAtFlashTime(t *testing.T) {
 	eng := sim.NewEngine(1)
 	dev := New(eng, DefaultConfig("nvme0"))
@@ -134,12 +103,12 @@ func TestReadsSnapshotAtFlashTime(t *testing.T) {
 	const lba = 11
 	dev.WriteSync(lba, pattern(lba, 0))
 
-	// Reads are issued every 20 µs, alternating verbs; the block is
-	// rewritten (synchronously, so the store changes at a known instant)
-	// every 30 µs. Each read's flash access finishes CtrlOverhead +
-	// queueing + ReadLatency after issue; the expected payload is
-	// whatever version was stored at that instant, which the test learns
-	// by sampling the store from an event scheduled at the same time.
+	// Reads are issued every 20 µs; the block is rewritten
+	// (synchronously, so the store changes at a known instant) every
+	// 30 µs. Each read's flash access finishes CtrlOverhead + queueing +
+	// ReadLatency after issue; the expected payload is whatever version
+	// was stored at that instant, which the test learns by sampling the
+	// store from an event scheduled at the same time.
 	type obs struct{ got, want []byte }
 	var seen []*obs
 	version := byte(0)
@@ -148,11 +117,7 @@ func TestReadsSnapshotAtFlashTime(t *testing.T) {
 		eng.At(sim.Time(0).Add(sim.Duration(i)*20*sim.Microsecond), "issue", func() {
 			o := &obs{}
 			seen = append(seen, o)
-			read := h.Read
-			if i%2 == 0 {
-				read = h.ReadBorrowed
-			}
-			if err := read(0, lba, 1, func(d []byte, st uint16) {
+			if err := h.Read(0, lba, 1, func(d []byte, st uint16) {
 				if st != StatusOK {
 					t.Errorf("read %d: status %#x", i, st)
 				}
@@ -196,24 +161,23 @@ func TestReadsSnapshotAtFlashTime(t *testing.T) {
 	}
 }
 
-// BenchmarkDeviceReadBorrowed is the queue-pair read of one 4 KiB block
-// through the borrowing verb, one command in flight: once the device's
-// buffer, context and host op have cycled through their free lists the
-// path allocates nothing.
-func BenchmarkDeviceReadBorrowed(b *testing.B) {
+// BenchmarkDeviceRead is the queue-pair read of one random 4 KiB block,
+// one command in flight: once the device's buffer, context and host
+// slot have cycled through their free lists the path allocates nothing.
+func BenchmarkDeviceRead(b *testing.B) {
 	eng := sim.NewEngine(1)
 	h := NewHost(New(eng, DefaultConfig("bench")), nil)
 	r := sim.NewRand(1)
 	cb := func([]byte, uint16) {}
 	one := func() {
-		if err := h.ReadBorrowed(0, int64(r.Intn(1<<20)), 1, cb); err != nil {
+		if err := h.Read(0, int64(r.Intn(1<<20)), 1, cb); err != nil {
 			b.Fatal(err)
 		}
 		eng.Run()
 	}
 	one()
 	if a := testing.AllocsPerRun(200, one); a != 0 {
-		b.Fatalf("borrowed read allocates %v objects/op in steady state, want 0", a)
+		b.Fatalf("read allocates %v objects/op in steady state, want 0", a)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -87,11 +87,6 @@ type Command struct {
 	Blocks int
 	Data   []byte // write payload; nil for reads
 	Span   telemetry.RequestID
-
-	// borrow marks a read issued through Host.ReadBorrowed: its payload
-	// is served from a device-owned buffer recycled when the completion
-	// handler returns.
-	borrow bool
 }
 
 // opName labels a command's opcode for telemetry with a static
@@ -112,7 +107,7 @@ func opName(op uint8) string {
 type Completion struct {
 	CID    uint16
 	Status uint16
-	Data   []byte // read payload; nil otherwise
+	Data   []byte // read payload, lent until the handler returns; nil otherwise
 }
 
 // Device is the SSD model. It implements pcie.Device. All methods must
@@ -146,7 +141,7 @@ type Device struct {
 
 	evName  string // precomputed event name for all device-side events
 	ctxs    sim.FreeList[cmdCtx]
-	bufFree [][]byte // payload buffers of completed borrowed reads
+	bufFree [][]byte // payload buffers of completed reads
 	zero    []byte   // read-only image of a never-written block (BorrowSync)
 
 	Counters sim.CounterSet
@@ -315,13 +310,11 @@ func (c *cmdCtx) run() {
 }
 
 // complete posts the completion interrupt and recycles the context. A
-// borrowed read's buffer returns to the device once the handler has
-// returned.
+// read's buffer returns to the device once the handler has returned.
 func (c *cmdCtx) complete() {
 	d := c.d
 	c.qp.inFlight--
 	cpl := Completion{CID: c.cmd.CID, Status: c.status, Data: c.data}
-	borrowed := c.cmd.borrow && c.data != nil
 	d.Counters.Get("completions").Add(1)
 	if d.rec != nil {
 		d.rec.Span("nvme.dev", opName(c.cmd.Opcode), c.cmd.Span, c.start, d.eng.Now())
@@ -335,7 +328,7 @@ func (c *cmdCtx) complete() {
 	if d.interrupt != nil {
 		d.interrupt(qid, cpl)
 	}
-	if borrowed {
+	if cpl.Data != nil {
 		retire(cpl.Data)
 		d.bufFree = append(d.bufFree, cpl.Data)
 	}
@@ -454,7 +447,7 @@ func (d *Device) accessFlash(c *cmdCtx) {
 // crosses the link.
 func (c *cmdCtx) readDone() {
 	d := c.d
-	data := d.readStore(c.cmd.LBA, c.cmd.Blocks, c.cmd.borrow)
+	data := d.readStore(c.cmd.LBA, c.cmd.Blocks)
 	if d.plan.Roll(fault.Corrupt) && len(data) > 0 {
 		// Transient in-flight corruption: the returned copy is
 		// damaged, the store is not, so a reread observes clean data.
@@ -506,13 +499,13 @@ func (d *Device) lane(i int) *sim.Lane {
 	return &d.lanes[i]
 }
 
-// readStore snapshots blocks [lba, lba+blocks) for a queued read. An
-// owning read gets a fresh buffer (the caller keeps it); a borrowed one
-// reuses a buffer a previous borrowed completion handed back.
-func (d *Device) readStore(lba int64, blocks int, borrow bool) []byte {
+// readStore snapshots blocks [lba, lba+blocks) for a queued read into a
+// buffer a previous completion handed back; only when none is free, or
+// the one on top is too small, does it make a new one.
+func (d *Device) readStore(lba int64, blocks int) []byte {
 	size := blocks * d.cfg.BlockSize
 	var out []byte
-	if n := len(d.bufFree); borrow && n > 0 {
+	if n := len(d.bufFree); n > 0 {
 		out = d.bufFree[n-1]
 		d.bufFree = d.bufFree[:n-1]
 	}
@@ -750,7 +743,8 @@ func (h *Host) claim(cid uint16) *hostCmd {
 	return &h.cmds[int(cid)&(len(h.cmds)-1)]
 }
 
-// Submit issues cmd on queue q and invokes cb on completion.
+// Submit issues cmd on queue q and invokes cb on completion. A read's
+// Completion.Data is lent as Read's payload is: valid until cb returns.
 func (h *Host) Submit(q int, cmd Command, cb func(Completion)) error {
 	return h.submit(q, cmd, done{cpl: cb}, cb != nil)
 }
@@ -799,29 +793,19 @@ func (h *Host) submit(q int, cmd Command, cb done, track bool) error {
 	return nil
 }
 
-// Read reads blocks starting at lba on queue q. The caller owns data:
-// it is a private copy, never touched by the device again.
+// Read reads blocks starting at lba on queue q. data is the store's
+// content when the flash read finished, in a buffer the device owns and
+// reuses for a later read: it is valid only during the handler call. A
+// receiver that keeps the bytes copies them into storage it owns (race
+// builds overwrite the buffer with 0xDB as soon as cb returns).
 func (h *Host) Read(q int, lba int64, blocks int, cb func(data []byte, status uint16)) error {
-	return h.read(q, Command{Opcode: OpRead, NSID: 1, LBA: lba, Blocks: blocks}, cb)
+	return h.ReadSpan(q, lba, blocks, 0, cb)
 }
 
 // ReadSpan is Read carrying a request-scoped trace context down the
 // command path.
 func (h *Host) ReadSpan(q int, lba int64, blocks int, span telemetry.RequestID, cb func(data []byte, status uint16)) error {
-	return h.read(q, Command{Opcode: OpRead, NSID: 1, LBA: lba, Blocks: blocks, Span: span}, cb)
-}
-
-// ReadBorrowed is Read for a consumer that is done with the payload
-// when cb returns. data is a buffer the device owns and reuses for a
-// later read: it is valid only during the handler call — a receiver
-// that keeps the bytes must copy them (race builds overwrite it with
-// 0xDB as soon as cb returns). The bytes are the same snapshot, taken
-// at the same instant, that Read delivers.
-func (h *Host) ReadBorrowed(q int, lba int64, blocks int, cb func(data []byte, status uint16)) error {
-	return h.read(q, Command{Opcode: OpRead, NSID: 1, LBA: lba, Blocks: blocks, borrow: true}, cb)
-}
-
-func (h *Host) read(q int, cmd Command, cb func(data []byte, status uint16)) error {
+	cmd := Command{Opcode: OpRead, NSID: 1, LBA: lba, Blocks: blocks, Span: span}
 	return h.submit(q, cmd, done{read: cb}, true)
 }
 

@@ -114,10 +114,10 @@ func TestDeadlineTimeoutDropsLateCompletion(t *testing.T) {
 }
 
 // TestDeadlineTimeoutReachesEveryVerb: the slot keeps each verb's own
-// callback shape, so an armed deadline answers every verb — owning and
-// borrowed read, write, flush, raw Submit — with exactly one
-// StatusTimeout through that callback, recorder armed or not, and the
-// device's late completions reach none of them.
+// callback shape, so an armed deadline answers every verb — read,
+// write, flush, raw Submit — with exactly one StatusTimeout through
+// that callback, recorder armed or not, and the device's late
+// completions reach none of them.
 func TestDeadlineTimeoutReachesEveryVerb(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		eng, dev, h := newDev(t)
@@ -140,7 +140,6 @@ func TestDeadlineTimeoutReachesEveryVerb(t *testing.T) {
 		block := make([]byte, 4096)
 		errs := []error{
 			h.Read(0, 1, 1, read("read")),
-			h.ReadBorrowed(0, 2, 1, read("borrowed")),
 			h.Write(0, 3, block, note("write")),
 			h.FlushSpan(0, 0, note("flush")),
 			h.Submit(0, Command{Opcode: OpRead, NSID: 1, LBA: 4, Blocks: 1}, func(c Completion) { note("submit")(c.Status) }),
@@ -151,13 +150,13 @@ func TestDeadlineTimeoutReachesEveryVerb(t *testing.T) {
 			}
 		}
 		eng.Run()
-		for _, verb := range []string{"read", "borrowed", "write", "flush", "submit"} {
+		for _, verb := range []string{"read", "write", "flush", "submit"} {
 			if st := got[verb]; len(st) != 1 || st[0] != StatusTimeout {
 				t.Errorf("traced=%v %s: completions %v, want one StatusTimeout", traced, verb, st)
 			}
 		}
-		if h.Timeouts != 5 || dev.Counters.Value("completions") != 5 {
-			t.Errorf("traced=%v: %d timeouts and %d device completions, want 5 and 5 (all late, all dropped)",
+		if h.Timeouts != 4 || dev.Counters.Value("completions") != 4 {
+			t.Errorf("traced=%v: %d timeouts and %d device completions, want 4 and 4 (all late, all dropped)",
 				traced, h.Timeouts, dev.Counters.Value("completions"))
 		}
 		for cid := uint16(1); cid <= h.nextCID; cid++ {

@@ -114,6 +114,9 @@ func (t *Target) putOp(op *tgtOp) {
 	t.ops.Put(op)
 }
 
+// onRead answers a read. The device lends data only until onRead
+// returns and the response slice travels on to the initiator, so the
+// target copies it into a slice the response owns.
 func (op *tgtOp) onRead(data []byte, st uint16) {
 	respond := op.respond
 	op.t.putOp(op)
@@ -121,7 +124,7 @@ func (op *tgtOp) onRead(data []byte, st uint16) {
 		respond(nil, 0, fmt.Errorf("%w %#x", ErrStatus, st))
 		return
 	}
-	respond(data, len(data)+64, nil)
+	respond(append([]byte(nil), data...), len(data)+64, nil)
 }
 
 func (op *tgtOp) onStatus(st uint16) {

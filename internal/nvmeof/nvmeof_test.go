@@ -62,6 +62,38 @@ func TestWriteReadAllTransports(t *testing.T) {
 	}
 }
 
+// TestKeptReadSurvivesLaterReads: the device lends a read's buffer to
+// the target only until its handler returns and serves the next read
+// from it, so a payload the initiator keeps must be the target's own
+// copy — unchanged by later reads of other blocks through the same
+// target.
+func TestKeptReadSurvivesLaterReads(t *testing.T) {
+	eng, _, ini := rig(t, transport.RDMA)
+	for lba := int64(0); lba < 8; lba++ {
+		ini.Write(lba, bytes.Repeat([]byte{byte(0x10 + lba)}, 4096), func(err error) {
+			if err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	eng.Run()
+	var kept []byte
+	ini.Read(3, 1, func(data []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		kept = data
+	})
+	eng.Run()
+	for i := 0; i < 32; i++ {
+		ini.Read(int64(i%8), 1, func([]byte, error) {})
+		eng.Run()
+	}
+	if !bytes.Equal(kept, bytes.Repeat([]byte{0x13}, 4096)) {
+		t.Fatal("a payload the initiator kept changed under later reads through the target")
+	}
+}
+
 func TestFlush(t *testing.T) {
 	eng, tgt, ini := rig(t, transport.RDMA)
 	var ferr error
@@ -133,9 +165,9 @@ func TestRoundTripAllocFree(t *testing.T) {
 	// With telemetry disarmed, a full write+flush round trip —
 	// initiator capsule → rpc envelope → transport frames → target
 	// handler → nvme device and back — must run entirely out of the
-	// free lists. Reads are exempt from the pin: the device returns a
-	// freshly owned copy of the data by contract, which is one
-	// deliberate allocation. The first laps warm every pool on the
+	// free lists. Reads are exempt from the pin: the target copies the
+	// device's lent buffer into the response the initiator keeps, which
+	// is one deliberate allocation. The first laps warm every pool on the
 	// path (wire capsules, rpc calls, reassembly, nvme contexts).
 	eng, _, ini := rig(t, transport.RDMA)
 	var werr, ferr error

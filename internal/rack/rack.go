@@ -145,7 +145,7 @@ type readOp struct {
 	fn  func(data []byte, status uint16) // prebound done
 }
 
-// done is the ReadBorrowed completion: reply copies data into the wire
+// done is the Read completion: reply copies data into the wire
 // buffer before returning, which is all the device-owned block is good
 // for. The op is recycled first, so whatever the reply sets off finds
 // it free.
@@ -408,7 +408,7 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 			op.b, op.fn = b, op.done
 		}
 		op.src, op.id = env.Src, env.A
-		if err := b.host.ReadBorrowed(0, int64(env.B%boxBlocks), 1, op.fn); err != nil {
+		if err := b.host.Read(0, int64(env.B%boxBlocks), 1, op.fn); err != nil {
 			b.readOps.Put(op)
 			b.reply(env.Src, respErr, env.A, 0, nil)
 		}

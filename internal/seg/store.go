@@ -362,6 +362,8 @@ func padToBlocks(b []byte, bs int) []byte {
 	return out
 }
 
+// devRead reads blocks through the device's queue pair; cb's data is the
+// device's lent buffer, valid until cb returns.
 func (s *Store) devRead(dev int, lba int64, blocks int, cb func([]byte, uint16)) {
 	if err := s.devs[dev].Read(0, lba, blocks, cb); err != nil {
 		cb(nil, 0xFFFF)

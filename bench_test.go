@@ -131,8 +131,8 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are heavyweight")
 	}
-	seq := bench.RunAll(1)
-	par := bench.RunAll(4)
+	seq := bench.RunAllShards(1, 0)
+	par := bench.RunAllShards(4, 0)
 	if len(seq) != len(par) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(seq), len(par))
 	}

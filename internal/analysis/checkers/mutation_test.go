@@ -43,8 +43,8 @@ func TestGatesBiteOnRealCode(t *testing.T) {
 			// compiler already refuses; ending on one branch only is
 			// the form of this regression that builds.
 			check: "spanpair", pkg: "internal/fabric", file: "stream.go",
-			anchor: `sp := s.rec.Begin("stream"`, line: "\t\t\tsp.End(s.eng.Now())\n",
-			repl: "\t\t\tif it.Bytes > 0 { sp.End(s.eng.Now()) }\n",
+			anchor: `sp := s.rec.Begin("stream"`, line: "\t\tsp.End(s.eng.Now())\n",
+			repl: "\t\tif it.Bytes > 0 { sp.End(s.eng.Now()) }\n",
 			want: "not ended on every path",
 		},
 		{

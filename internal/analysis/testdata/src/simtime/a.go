@@ -26,8 +26,8 @@ func allowed(eng *sim.Engine) {
 	var zero sim.Time
 	zero = 0 // zero is unit-free
 	eng.RunUntil(sim.Time(0))
-	eng.RunFor(slotTime)
-	eng.RunFor(sim.Duration(len("xx")) * sim.Nanosecond)
+	eng.RunUntil(eng.Now().Add(slotTime))
+	eng.RunUntil(eng.Now().Add(sim.Duration(len("xx")) * sim.Nanosecond))
 	_ = half
 	_ = zero
 }

@@ -6,6 +6,6 @@ package simtime_harness
 import "hyperion/internal/sim"
 
 func configure(eng *sim.Engine) {
-	eng.RunFor(sim.Duration(777)) // want `raw literal 777 has type sim\.Duration`
-	eng.RunFor(80 * sim.Picosecond)
+	eng.RunUntil(eng.Now().Add(sim.Duration(777))) // want `raw literal 777 has type sim\.Duration`
+	eng.RunUntil(eng.Now().Add(80 * sim.Picosecond))
 }

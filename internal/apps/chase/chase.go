@@ -171,9 +171,6 @@ func (s *Service) offloadedGet(key uint64) (GetReply, error) {
 	return GetReply{}, ErrTooDeep
 }
 
-// Pipeline exposes the compiled per-hop program (stats for E10).
-func (s *Service) Pipeline() *ehdl.Pipeline { return s.pipe }
-
 // Client drives traversals from a remote host.
 type Client struct {
 	c    *rpc.Client

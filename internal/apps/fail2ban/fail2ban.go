@@ -150,13 +150,5 @@ func (f *Filter) BannedSources() ([]uint32, error) {
 	return out, nil
 }
 
-// IsBanned checks the ban map directly (control plane).
-func (f *Filter) IsBanned(src uint32) bool {
-	var key [4]byte
-	binary.LittleEndian.PutUint32(key[:], src)
-	_, ok := f.bans.Lookup(key[:])
-	return ok
-}
-
 // Pipeline exposes compile statistics.
 func (f *Filter) Pipeline() *ehdl.Pipeline { return f.pipe }

@@ -11,18 +11,15 @@ type RunOutcome struct {
 	Result Result
 }
 
-// RunAll executes every experiment and returns outcomes in All() order.
-// workers <= 1 runs experiments one after another. workers > 1 fans
-// them out over that many goroutines, nested over each experiment's
-// own row fan-out (runRows); each row drives its own private
-// sim.Engine, so the Results are identical to a sequential run — only
-// wall time changes.
-func RunAll(workers int) []RunOutcome { return RunAllShards(workers, 0) }
-
-// RunAllShards is RunAll with an explicit cluster shard count applied
+// RunAllShards executes every experiment and returns outcomes in All()
+// order. workers <= 1 runs experiments one after another. workers > 1
+// fans them out over that many goroutines, nested over each
+// experiment's own row fan-out (runRows); each row drives its own
+// private sim.Engine, so the Results are identical to a sequential run
+// — only wall time changes. shards is the cluster shard count applied
 // to every experiment that has a sharded form (shards <= 0 keeps each
-// experiment's default). Tables are shard-count invariant, so the
-// outcomes differ from RunAll only in wall time.
+// experiment's default); tables are shard-count invariant, so it too
+// moves only wall time.
 func RunAllShards(workers, shards int) []RunOutcome {
 	exps := All()
 	return fanOut(len(exps), workers, func(i int) RunOutcome {

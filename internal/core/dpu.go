@@ -220,6 +220,3 @@ func (d *DPU) LoadAccelerator(slot int, bs *fabric.Bitstream, done func()) error
 func (d *DPU) Submit(slot int, item any, result func(out any)) error {
 	return d.Fabric.Submit(slot, item, result)
 }
-
-// Enumeration returns the boot-time PCIe walk output.
-func (d *DPU) Enumeration() []string { return d.enumOut }

@@ -30,7 +30,7 @@ func bootTest(t testing.TB) (*sim.Engine, *netsim.Network, *DPU) {
 
 func TestBootEnumeratesFourSSDs(t *testing.T) {
 	_, _, d := bootTest(t)
-	enum := d.Enumeration()
+	enum := d.enumOut
 	if len(enum) != 4 {
 		t.Fatalf("enumeration lines = %d, want 4", len(enum))
 	}

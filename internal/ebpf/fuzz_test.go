@@ -32,7 +32,7 @@ func FuzzDecodeVerifyLoad(f *testing.F) {
 			return
 		}
 		maps := &MapSet{}
-		maps.Add(NewArrayMap(8, 4))
+		maps.Add(NewHashMap(4, 8, 4))
 		ctx := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 		cfg := DefaultVerifierConfig(maps)
 		cfg.CtxSize = len(ctx)

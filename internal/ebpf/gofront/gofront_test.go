@@ -240,6 +240,7 @@ func TestFrontendAcceptsImpliesVerifierAccepts(t *testing.T) {
 		{"reg_reg_guard", "\tm := b & 7\n\tif a > m {\n\t\treturn 0\n\t}\n\treturn ctx.Vals[a]\n"},
 		{"ne_endpoint_trim", "\tif a > 8 {\n\t\treturn 0\n\t}\n\tif a == 8 {\n\t\treturn 0\n\t}\n\treturn ctx.Vals[a]\n"},
 		{"dead_guard_body", "\tx := a & 3\n\tif x > 5 {\n\t\treturn ctx.Vals[x+6]\n\t}\n\treturn ctx.Vals[x]\n"},
+		{"const_true_return", "\tif Top > 2 {\n\t\treturn ctx.Vals[1]\n\t}\n\treturn 0\n"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package gofront
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 
 	"hyperion/internal/ebpf"
 )
@@ -65,7 +66,7 @@ type lowerer struct {
 	precolor map[vreg]uint8 // ABI-pinned vregs: ctx arg, call args, results
 
 	vCtx       vreg
-	reachable  bool
+	reachable  bool // control can reach the next instruction
 	terminated bool // last statement ended control flow
 }
 
@@ -80,7 +81,12 @@ func (l *lowerer) fresh() vreg { v := l.nv; l.nv++; return v }
 
 func (l *lowerer) newLabel() int { n := l.nextLabel; l.nextLabel++; return n }
 
+// put appends ins, unless control cannot reach it: dead code is still
+// checked, but emitting it would make the verifier refuse the program.
 func (l *lowerer) put(ins irIns) {
+	if !l.reachable && ins.op != opLabel {
+		return
+	}
 	if len(l.ir) >= maxIR {
 		// Reported once by the caller via the size check in lowerFunc.
 		return
@@ -89,12 +95,17 @@ func (l *lowerer) put(ins irIns) {
 }
 
 // label emits a jump target and invalidates the address CSE (register
-// state at a merge point is path-dependent).
+// state at a merge point is path-dependent). Jumps only go forward, so
+// a label that control cannot fall into and no emitted jump targets is
+// never reached: it is dropped, and the code behind it stays dead.
 func (l *lowerer) label(id int) {
+	l.terminated = false
+	if !l.reachable && !slices.ContainsFunc(l.ir, func(in irIns) bool { return in.op == opJmp && in.lbl == id }) {
+		return
+	}
 	l.put(irIns{op: opLabel, lbl: id})
 	l.cse = map[cseKey]vreg{}
 	l.reachable = true
-	l.terminated = false
 }
 
 // --- scopes and locals ---

@@ -1,7 +1,6 @@
 package ebpf
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -23,7 +22,6 @@ var (
 	ErrKeySize   = errors.New("ebpf: wrong key size")
 	ErrValueSize = errors.New("ebpf: wrong value size")
 	ErrMapFull   = errors.New("ebpf: map full")
-	ErrBadIndex  = errors.New("ebpf: array index out of range")
 )
 
 // HashMap is a bounded hash map.
@@ -99,75 +97,6 @@ func (h *HashMap) Iterate(fn func(key, value []byte) bool) {
 			return
 		}
 	}
-}
-
-// ArrayMap is a fixed-size array of values with uint32 keys.
-type ArrayMap struct {
-	valueSize int
-	vals      [][]byte
-}
-
-// NewArrayMap creates an array map with n slots, all zero-initialized.
-func NewArrayMap(valueSize, n int) *ArrayMap {
-	if valueSize <= 0 || n <= 0 {
-		panic("ebpf: invalid array map geometry")
-	}
-	a := &ArrayMap{valueSize: valueSize, vals: make([][]byte, n)}
-	for i := range a.vals {
-		a.vals[i] = make([]byte, valueSize)
-	}
-	return a
-}
-
-// KeySize is always 4 (uint32 index).
-func (a *ArrayMap) KeySize() int { return 4 }
-
-// ValueSize returns the value size in bytes.
-func (a *ArrayMap) ValueSize() int { return a.valueSize }
-
-// Len returns the number of slots.
-func (a *ArrayMap) Len() int { return len(a.vals) }
-
-func (a *ArrayMap) index(key []byte) (int, bool) {
-	if len(key) != 4 {
-		return 0, false
-	}
-	i := int(binary.LittleEndian.Uint32(key))
-	return i, i >= 0 && i < len(a.vals)
-}
-
-// Lookup returns the slot contents.
-func (a *ArrayMap) Lookup(key []byte) ([]byte, bool) {
-	i, ok := a.index(key)
-	if !ok {
-		return nil, false
-	}
-	return a.vals[i], true
-}
-
-// Update overwrites a slot.
-func (a *ArrayMap) Update(key, value []byte) error {
-	if len(value) != a.valueSize {
-		return ErrValueSize
-	}
-	i, ok := a.index(key)
-	if !ok {
-		return ErrBadIndex
-	}
-	copy(a.vals[i], value)
-	return nil
-}
-
-// Delete zeroes a slot (array maps cannot remove entries).
-func (a *ArrayMap) Delete(key []byte) bool {
-	i, ok := a.index(key)
-	if !ok {
-		return false
-	}
-	for j := range a.vals[i] {
-		a.vals[i][j] = 0
-	}
-	return true
 }
 
 // MapSet names the maps available to a program; map file descriptors in

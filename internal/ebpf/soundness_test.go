@@ -12,7 +12,8 @@ import (
 // its exit on the VM with no error at all.
 
 // diffMaps builds the MapSet generated programs run against: a hash map
-// (id 0) holding 0xfeed→0xbeef and an array map (id 1) with slot 1 = 77.
+// (id 0) holding 0xfeed→0xbeef and a hash map with four-byte keys (id 1)
+// holding 1→77.
 func diffMaps() *MapSet {
 	ms := &MapSet{}
 	h := NewHashMap(8, 8, 4)
@@ -24,7 +25,7 @@ func diffMaps() *MapSet {
 		panic(err)
 	}
 	ms.Add(h)
-	a := NewArrayMap(8, 4)
+	a := NewHashMap(4, 8, 4)
 	binary.LittleEndian.PutUint64(v, 77)
 	ak := make([]byte, 4)
 	binary.LittleEndian.PutUint32(ak, 1)

@@ -103,15 +103,6 @@ func (vm *VM) RegisterHelper(id int32, h Helper) {
 	vm.helpers[id] = h
 }
 
-// Helpers returns the registered helper ids (for the verifier).
-func (vm *VM) Helpers() map[int32]bool {
-	out := make(map[int32]bool, len(vm.helpers))
-	for id := range vm.helpers {
-		out[id] = true
-	}
-	return out
-}
-
 // Load installs a program after computing its jump table.
 func (vm *VM) Load(prog []Instruction) error {
 	targets, err := JumpTargets(prog)
@@ -247,12 +238,11 @@ func (vm *VM) ReadBytes(addr uint64, size int) ([]byte, error) {
 }
 
 // helperArgBytes resolves a map helper's pointer argument. The built-in
-// maps (HashMap, ArrayMap) never retain key/value slices, so they read
-// program memory in place; any other Map implementation gets a
-// defensive copy.
+// HashMap never retains key/value slices, so it reads program memory in
+// place; any other Map implementation gets a defensive copy.
 func (vm *VM) helperArgBytes(m Map, addr uint64, size int) ([]byte, error) {
 	switch m.(type) {
-	case *HashMap, *ArrayMap:
+	case *HashMap:
 		b, _, err := vm.resolve(addr, size)
 		return b, err
 	default:

@@ -347,8 +347,8 @@ func TestRunFaults(t *testing.T) {
 
 // TestBuiltinHelperResults covers the helper return values the hash-map
 // walk-through above does not: a miss, an update refused because the map
-// is full, and an array-map slot. diffMaps holds 0xfeed in a four-entry
-// hash map (id 0) and 77 in slot 1 of an array map (id 1).
+// is full, and a hit on four-byte keys. diffMaps holds 0xfeed in a
+// four-entry hash map (id 0) and 1→77 in one with four-byte keys (id 1).
 func TestBuiltinHelperResults(t *testing.T) {
 	const update = "mov r1, 0\nmov r2, r10\nadd r2, -8\nmov r3, r10\nadd r3, -16\ncall 2\n"
 	cases := []struct {
@@ -360,8 +360,7 @@ func TestBuiltinHelperResults(t *testing.T) {
 		{"update_full_is_minus_one", "stdw [r10-16], 2\n" +
 			"stdw [r10-8], 1\n" + update + "stdw [r10-8], 3\n" + update + "stdw [r10-8], 4\n" + update +
 			"mov r6, r0\nstdw [r10-8], 5\n" + update + "add r0, r6\nexit", ^uint64(0)},
-		{"array_slot", "stw [r10-4], 1\nmov r1, 1\nmov r2, r10\nadd r2, -4\ncall 1\njne r0, 0, hit\nexit\nhit: ldxdw r0, [r0+0]\nexit", 77},
-		{"array_index_out_of_range_is_null", "stw [r10-4], 4\nmov r1, 1\nmov r2, r10\nadd r2, -4\ncall 1\nexit", 0},
+		{"four_byte_key_hit", "stw [r10-4], 1\nmov r1, 1\nmov r2, r10\nadd r2, -4\ncall 1\njne r0, 0, hit\nexit\nhit: ldxdw r0, [r0+0]\nexit", 77},
 		{"ktime_counts_without_a_clock", "call 5\nmov r6, r0\ncall 5\nsub r0, r6\nexit", 1},
 	}
 	for _, c := range cases {

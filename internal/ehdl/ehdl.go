@@ -18,7 +18,6 @@ import (
 	"hyperion/internal/ebpf"
 	"hyperion/internal/ebpf/gofront"
 	"hyperion/internal/fabric"
-	"hyperion/internal/telemetry"
 )
 
 // Options tune compilation.
@@ -60,19 +59,6 @@ type Pipeline struct {
 	Stats Stats
 	vm    *ebpf.VM
 	opts  Options
-
-	rec      *telemetry.Recorder
-	execName string // armed only: precomputed counter name
-}
-
-// SetRecorder arms the telemetry plane: the pipeline counts every
-// Exec under layer "ehdl". Names are precomputed here; disarmed the
-// hook is a pure nil check on the Exec path.
-func (p *Pipeline) SetRecorder(rec *telemetry.Recorder) {
-	p.rec = rec
-	if rec != nil {
-		p.execName = "exec:" + p.Name
-	}
 }
 
 // Result is what flows out of the pipeline for each input item.
@@ -263,9 +249,6 @@ func (p *Pipeline) Exec(in any) *Result {
 	}
 	p.vm.ResetWindows()
 	ret, err := p.vm.Run(ctx)
-	if p.rec != nil {
-		p.rec.Count("ehdl", p.execName, 1)
-	}
 	return &Result{Ctx: ctx, Ret: ret, Err: err}
 }
 

@@ -5,8 +5,6 @@
 package energy
 
 import (
-	"fmt"
-
 	"hyperion/internal/sim"
 )
 
@@ -94,9 +92,3 @@ func (m *Meter) JoulesPerOp(now sim.Time) float64 {
 
 // Ops returns the completed operation count.
 func (m *Meter) Ops() int64 { return m.ops }
-
-// Summary formats the meter state.
-func (m *Meter) Summary(now sim.Time) string {
-	return fmt.Sprintf("%s: %.2f J over %v, %d ops, %.2f µJ/op",
-		m.p.Name, m.Joules(now), now, m.ops, m.JoulesPerOp(now)*1e6)
-}

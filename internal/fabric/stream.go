@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hyperion/internal/fault"
 	"hyperion/internal/sim"
 	"hyperion/internal/telemetry"
 )
@@ -31,21 +30,18 @@ type Stream struct {
 	WidthBytes int // bus width per beat, e.g. 64 for 512-bit AXIS
 	DepthItems int // FIFO capacity in items
 
-	eng        *sim.Engine
-	period     sim.Duration // one beat
-	sink       func(Item)
-	beatName   string // precomputed event name
-	beatFn     func() // prebound deliver, reads the queue head at fire time
-	queue      sim.Queue[Item]
-	busy       bool
-	plan       *fault.Plan
-	rec        *telemetry.Recorder
-	dropName   string              // armed only: precomputed drop-counter name
-	pushAt     sim.Queue[sim.Time] // armed only: enqueue time per queued item
-	Pushed     int64
-	Dropped    int64 // backpressure drops (FIFO full)
-	FaultDrops int64 // injected drops (item consumed bus beats, then discarded)
-	Bytes      int64
+	eng      *sim.Engine
+	period   sim.Duration // one beat
+	sink     func(Item)
+	beatName string // precomputed event name
+	beatFn   func() // prebound deliver, reads the queue head at fire time
+	queue    sim.Queue[Item]
+	busy     bool
+	rec      *telemetry.Recorder
+	pushAt   sim.Queue[sim.Time] // armed only: enqueue time per queued item
+	Pushed   int64
+	Dropped  int64 // backpressure drops (FIFO full)
+	Bytes    int64
 }
 
 // NewStream creates a stream clocked at clockHz.
@@ -68,22 +64,11 @@ func NewStream(eng *sim.Engine, name string, clockHz int64, widthBytes, depthIte
 // Connect sets the downstream sink. It must be called before Push.
 func (s *Stream) Connect(sink func(Item)) { s.sink = sink }
 
-// SetFaultPlan installs a fault plan consulted once per delivered item
-// (kind Drop: the item occupies its bus beats, then is discarded before
-// the sink — a parity-error squash at the AXIS boundary). A nil or
-// zero-rate plan leaves delivery bit-identical to an unhooked stream.
-func (s *Stream) SetFaultPlan(p *fault.Plan) { s.plan = p }
-
 // SetRecorder arms the telemetry plane: one span per delivered item
 // covering enqueue to sink handoff (FIFO wait + bus beats), named
 // after the stream. Disarmed (nil, the default) the hooks are pure
 // nil checks and delivery stays bit-identical.
-func (s *Stream) SetRecorder(rec *telemetry.Recorder) {
-	s.rec = rec
-	if rec != nil {
-		s.dropName = "drop:" + s.Name
-	}
-}
+func (s *Stream) SetRecorder(rec *telemetry.Recorder) { s.rec = rec }
 
 // Len returns the current FIFO occupancy.
 func (s *Stream) Len() int { return s.queue.Len() }
@@ -137,18 +122,11 @@ func (s *Stream) deliver() {
 	if s.rec != nil && s.pushAt.Len() > 0 {
 		t0 = s.pushAt.Pop()
 	}
-	if s.plan.Roll(fault.Drop) {
-		s.FaultDrops++
-		if s.rec != nil {
-			s.rec.Count("stream", s.dropName, 1)
-		}
-	} else {
-		if s.rec != nil {
-			sp := s.rec.Begin("stream", s.Name, it.Span, t0)
-			sp.End(s.eng.Now())
-		}
-		s.sink(it)
+	if s.rec != nil {
+		sp := s.rec.Begin("stream", s.Name, it.Span, t0)
+		sp.End(s.eng.Now())
 	}
+	s.sink(it)
 	s.deliverNext()
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"hyperion/internal/fault"
 	"hyperion/internal/sim"
 	"hyperion/internal/telemetry"
 )
@@ -60,8 +59,6 @@ type WFQArbiter struct {
 	eng     *sim.Engine
 	period  sim.Duration // one beat
 	sink    func(Item)
-	onDrop  func(Item) // optional: observes fault-injected drops
-	onFlush func(Item) // optional: observes items removed by Flush
 	ports   []*wfqPort
 	queued  int // items waiting in port FIFOs (the bus item excluded)
 	rr      int // port the scheduler is currently visiting
@@ -72,13 +69,10 @@ type WFQArbiter struct {
 
 	beatName string
 	beatFn   func()
-	plan     *fault.Plan
 	rec      *telemetry.Recorder
-	dropName string // armed only: precomputed drop-counter name
 
-	Pushed     int64
-	Delivered  int64
-	FaultDrops int64 // injected drops (bus beats consumed, then discarded)
+	Pushed    int64
+	Delivered int64
 }
 
 // NewWFQArbiter creates a weighted-fair arbiter with n input ports (all
@@ -114,27 +108,14 @@ func (w *WFQArbiter) SetWeight(i, weight int) {
 	w.ports[i].weight = weight
 }
 
-// Weight returns port i's quantum.
-func (w *WFQArbiter) Weight(i int) int { return w.ports[i].weight }
-
-// Ports returns the number of input ports.
-func (w *WFQArbiter) Ports() int { return len(w.ports) }
-
 // Len returns port i's FIFO occupancy (excluding an item on the bus).
 func (w *WFQArbiter) Len(i int) int { return w.ports[i].queue.Len() }
-
-// PortStats reports per-port counters (pushed, delivered, backpressure
-// drops, flushed) for telemetry tables.
-func (w *WFQArbiter) PortStats(i int) (pushed, delivered, dropped, flushed int64) {
-	p := w.ports[i]
-	return p.Pushed, p.Delivered, p.Dropped, p.Flushed
-}
 
 // CheckInvariants validates the scheduler's bookkeeping: credit is never
 // negative, only the port under the scheduler may be mid-visit, the
 // queued-items count matches the FIFOs, an idle bus means no backlog,
-// and every pushed item is delivered, fault-dropped, flushed, queued or
-// on the bus. It returns the first violation.
+// and every pushed item is delivered, flushed, queued or on the bus. It
+// returns the first violation.
 func (w *WFQArbiter) CheckInvariants() error {
 	var queued int
 	var flushed int64
@@ -158,27 +139,12 @@ func (w *WFQArbiter) CheckInvariants() error {
 	if w.cur.Bytes > 0 { // Push stores Bytes >= 1; deliver zeroes cur
 		onBus = 1
 	}
-	if got := w.Delivered + w.FaultDrops + flushed + int64(queued) + onBus; got != w.Pushed {
-		return fmt.Errorf("wfq %q: pushed %d != delivered %d + fault drops %d + flushed %d + queued %d + on bus %d",
-			w.Name, w.Pushed, w.Delivered, w.FaultDrops, flushed, queued, onBus)
+	if got := w.Delivered + flushed + int64(queued) + onBus; got != w.Pushed {
+		return fmt.Errorf("wfq %q: pushed %d != delivered %d + flushed %d + queued %d + on bus %d",
+			w.Name, w.Pushed, w.Delivered, flushed, queued, onBus)
 	}
 	return nil
 }
-
-// SetFaultPlan installs a fault plan consulted once per delivered item
-// (kind Drop, as on Stream: the item occupies its bus beats, then is
-// squashed before the sink). A nil or zero-rate plan leaves delivery
-// bit-identical to an unhooked arbiter.
-func (w *WFQArbiter) SetFaultPlan(p *fault.Plan) { w.plan = p }
-
-// SetOnDrop installs an observer for fault-injected drops, so upstream
-// request bookkeeping (the tenant plane's completion callbacks) can
-// resolve squashed items instead of hanging.
-func (w *WFQArbiter) SetOnDrop(fn func(Item)) { w.onDrop = fn }
-
-// SetOnFlush installs an observer invoked for every item Flush removes,
-// in FIFO order, before Flush returns.
-func (w *WFQArbiter) SetOnFlush(fn func(Item)) { w.onFlush = fn }
 
 // SetRecorder arms the telemetry plane: one span per delivered item
 // covering enqueue to sink handoff (FIFO wait + bus beats), named after
@@ -186,9 +152,6 @@ func (w *WFQArbiter) SetOnFlush(fn func(Item)) { w.onFlush = fn }
 // and delivery stays bit-identical.
 func (w *WFQArbiter) SetRecorder(rec *telemetry.Recorder) {
 	w.rec = rec
-	if rec != nil {
-		w.dropName = "drop:" + w.Name
-	}
 	// pushAt runs parallel to queue only while armed: items already
 	// waiting (or on the bus) when the recorder arrives are stamped with
 	// the arming time.
@@ -249,9 +212,6 @@ func (w *WFQArbiter) Flush(i int) []Item {
 		it, _ := w.pop(p)
 		p.Flushed++
 		out = append(out, it)
-		if w.onFlush != nil {
-			w.onFlush(it)
-		}
 	}
 	p.deficit = 0
 	p.visited = false
@@ -341,23 +301,12 @@ func (w *WFQArbiter) deliver() {
 	it := w.cur
 	p := w.ports[w.curPort]
 	w.cur = Item{}
-	t0 := w.curT0
-	if w.plan.Roll(fault.Drop) {
-		w.FaultDrops++
-		if w.rec != nil {
-			w.rec.Count("wfq", w.dropName, 1)
-		}
-		if w.onDrop != nil {
-			w.onDrop(it)
-		}
-	} else {
-		if w.rec != nil {
-			sp := w.rec.Begin("wfq", p.name, it.Span, t0)
-			sp.End(w.eng.Now())
-		}
-		p.Delivered++
-		w.Delivered++
-		w.sink(it)
+	if w.rec != nil {
+		sp := w.rec.Begin("wfq", p.name, it.Span, w.curT0)
+		sp.End(w.eng.Now())
 	}
+	p.Delivered++
+	w.Delivered++
+	w.sink(it)
 	w.next()
 }

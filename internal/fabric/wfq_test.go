@@ -3,7 +3,6 @@ package fabric
 import (
 	"testing"
 
-	"hyperion/internal/fault"
 	"hyperion/internal/sim"
 	"hyperion/internal/telemetry"
 )
@@ -127,42 +126,16 @@ func TestWFQBackpressureAndFlush(t *testing.T) {
 	if err := w.Push(0, Item{Payload: 0, Bytes: 64}); err != ErrStreamFull {
 		t.Fatalf("overfull push: got %v, want ErrStreamFull", err)
 	}
-	var flushed []Item
-	w.SetOnFlush(func(it Item) { flushed = append(flushed, it) })
-	items := w.Flush(0)
-	if len(items) != 4 || len(flushed) != 4 {
-		t.Fatalf("flush returned %d items, observer saw %d (want 4)", len(items), len(flushed))
+	if items := w.Flush(0); len(items) != 4 {
+		t.Fatalf("flush returned %d items, want 4", len(items))
 	}
 	eng.Run()
 	// Only the in-service item reaches the sink.
 	if delivered != 1 {
 		t.Fatalf("delivered %d after flush, want 1 (the in-service item)", delivered)
 	}
-	_, _, dropped, fl := w.PortStats(0)
-	if dropped != 1 || fl != 4 {
-		t.Fatalf("port stats dropped=%d flushed=%d, want 1/4", dropped, fl)
-	}
-}
-
-func TestWFQFaultDropResolves(t *testing.T) {
-	// An armed Drop rate squashes items on the bus but every squashed
-	// item is observed via OnDrop — nothing vanishes silently.
-	eng := sim.NewEngine(1)
-	var delivered, dropped int
-	w := NewWFQArbiter(eng, "t", 250_000_000, 64, 1024, 1, func(it Item) { delivered++ })
-	w.SetOnDrop(func(it Item) { dropped++ })
-	plan := fault.NewPlan(7, "wfq").Set(fault.Drop, 0.2)
-	w.SetFaultPlan(plan)
-	wfqFill(t, w, 0, 500, 64)
-	eng.Run()
-	if delivered+dropped != 500 {
-		t.Fatalf("delivered %d + dropped %d != 500", delivered, dropped)
-	}
-	if dropped == 0 {
-		t.Fatal("20% drop rate injected nothing over 500 items")
-	}
-	if int64(dropped) != w.FaultDrops {
-		t.Fatalf("observer saw %d, counter says %d", dropped, w.FaultDrops)
+	if p := w.ports[0]; p.Dropped != 1 || p.Flushed != 4 {
+		t.Fatalf("port stats dropped=%d flushed=%d, want 1/4", p.Dropped, p.Flushed)
 	}
 }
 
@@ -218,7 +191,7 @@ func TestWFQArmedMidRun(t *testing.T) {
 	w := NewWFQArbiter(eng, "t", 250_000_000, 64, 16, 2, func(Item) {})
 	wfqFill(t, w, 0, 3, 640)
 	wfqFill(t, w, 1, 3, 640)
-	eng.RunFor(12 * sim.Nanosecond) // the first item (10 beats, 40 ns) is on the bus
+	eng.RunUntil(sim.Time(12 * sim.Nanosecond)) // the first item (10 beats, 40 ns) is on the bus
 	rec := telemetry.NewRecorder("wfq-late")
 	w.SetRecorder(rec)
 	wfqFill(t, w, 1, 2, 640)
@@ -248,12 +221,10 @@ type refPort struct {
 	queue   []refItem
 }
 
-// wfqEvent is one item leaving the bus: who, when, and whether the
-// fault plan squashed it.
+// wfqEvent is one item leaving the bus: who and when.
 type wfqEvent struct {
 	port, seq int
 	at        sim.Time
-	dropped   bool
 }
 
 // refWFQ is the scheduler WFQArbiter had before the closed-form round
@@ -268,7 +239,6 @@ type refWFQ struct {
 	ports  []refPort
 	rr     int
 	busy   bool
-	plan   *fault.Plan
 	out    []wfqEvent
 }
 
@@ -332,7 +302,7 @@ func (r *refWFQ) next() {
 		it, port := p.queue[0], r.rr
 		p.queue = p.queue[1:]
 		r.eng.After(sim.Duration(cost)*r.period, "ref", func() {
-			r.out = append(r.out, wfqEvent{port, it.seq, r.eng.Now(), r.plan.Roll(fault.Drop)})
+			r.out = append(r.out, wfqEvent{port, it.seq, r.eng.Now()})
 			r.next()
 		})
 		return
@@ -356,26 +326,18 @@ type wfqTag struct{ port, seq int }
 
 const wfqDiffClockHz = 250_000_000
 
-func newWFQDiff(t testing.TB, ports, width, depth int, dropRate float64, armed bool) *wfqDiff {
+func newWFQDiff(t testing.TB, ports, width, depth int, armed bool) *wfqDiff {
 	d := &wfqDiff{t: t, eng: sim.NewEngine(1)}
-	leave := func(dropped bool) func(Item) {
-		return func(it Item) {
-			tag := it.Payload.(wfqTag)
-			d.out = append(d.out, wfqEvent{tag.port, tag.seq, d.eng.Now(), dropped})
-		}
-	}
-	d.arb = NewWFQArbiter(d.eng, "diff", wfqDiffClockHz, width, depth, ports, leave(false))
-	d.arb.SetOnDrop(leave(true))
+	d.arb = NewWFQArbiter(d.eng, "diff", wfqDiffClockHz, width, depth, ports, func(it Item) {
+		tag := it.Payload.(wfqTag)
+		d.out = append(d.out, wfqEvent{tag.port, tag.seq, d.eng.Now()})
+	})
 	d.ref = &refWFQ{
 		eng: sim.NewEngine(1), period: d.arb.period, depth: depth,
 		ports: make([]refPort, ports),
 	}
 	for i := range d.ref.ports {
 		d.ref.ports[i].weight = 1
-	}
-	if dropRate > 0 {
-		d.arb.SetFaultPlan(fault.NewPlan(9, "wfq").Set(fault.Drop, dropRate))
-		d.ref.plan = fault.NewPlan(9, "wfq").Set(fault.Drop, dropRate)
 	}
 	if armed {
 		d.rec = telemetry.NewRecorder("wfq-diff")
@@ -464,9 +426,6 @@ func (d *wfqDiff) finish() {
 	}
 	stats := make([]stat, len(d.arb.ports))
 	for _, ev := range d.out {
-		if ev.dropped {
-			continue
-		}
 		s, w := &stats[ev.port], ev.at.Sub(d.pushAt[ev.seq])
 		if s.n == 0 || w < s.min {
 			s.min = w
@@ -487,7 +446,7 @@ func (d *wfqDiff) finish() {
 }
 
 // runWFQTape interprets tape as a 4-byte header (ports 1-16; bus width;
-// fault plan and recorder flags; FIFO depth) and 3-byte operations:
+// recorder flag in bit 1; FIFO depth) and 3-byte operations:
 // push (1 B-1 MiB), flush, set weight (1-8), advance time.
 func runWFQTape(t testing.TB, tape []byte) {
 	if len(tape) < 4 {
@@ -495,11 +454,7 @@ func runWFQTape(t testing.TB, tape []byte) {
 	}
 	ports := 1 + int(tape[0])%16
 	width := []int{8, 64, 512}[int(tape[1])%3]
-	dropRate := 0.0
-	if tape[2]&1 != 0 {
-		dropRate = 0.1
-	}
-	d := newWFQDiff(t, ports, width, 2+int(tape[3])%15, dropRate, tape[2]&2 != 0)
+	d := newWFQDiff(t, ports, width, 2+int(tape[3])%15, tape[2]&2 != 0)
 	for ops := tape[4:]; len(ops) >= 3; ops = ops[3:] {
 		op, a, b := ops[0], int(ops[1]), int(ops[2])
 		switch op % 8 {
@@ -518,8 +473,8 @@ func runWFQTape(t testing.TB, tape []byte) {
 }
 
 func TestWFQRoundSkipMatchesReference(t *testing.T) {
-	// Seeded tapes: every port count, each with and without a fault
-	// plan and with and without the recorder.
+	// Seeded tapes: every port count, each with and without the
+	// recorder.
 	t.Run("tapes", func(t *testing.T) {
 		ops := 240
 		if testing.Short() {
@@ -538,7 +493,7 @@ func TestWFQRoundSkipMatchesReference(t *testing.T) {
 
 	const beat = 64 // bus width: one beat per 64 B
 	t.Run("leftover credit on the visited rr port", func(t *testing.T) {
-		d := newWFQDiff(t, 3, beat, 16, 0, false)
+		d := newWFQDiff(t, 3, beat, 16, false)
 		d.setWeight(0, 8)
 		d.push(0, beat) // earns 8, pays 1, stays visited on the bus
 		d.push(0, 100*beat)
@@ -551,7 +506,7 @@ func TestWFQRoundSkipMatchesReference(t *testing.T) {
 		d.finish()
 	})
 	t.Run("port refilled while its last item is on the bus", func(t *testing.T) {
-		d := newWFQDiff(t, 2, beat, 16, 0, true)
+		d := newWFQDiff(t, 2, beat, 16, true)
 		d.setWeight(0, 4)
 		d.push(0, beat)
 		d.push(1, 10*beat)
@@ -564,7 +519,7 @@ func TestWFQRoundSkipMatchesReference(t *testing.T) {
 		d.finish()
 	})
 	t.Run("flush of the rr port mid-round", func(t *testing.T) {
-		d := newWFQDiff(t, 3, beat, 16, 0, false)
+		d := newWFQDiff(t, 3, beat, 16, false)
 		d.setWeight(0, 8)
 		d.push(0, beat)
 		d.push(0, 3*beat)
@@ -580,7 +535,7 @@ func TestWFQRoundSkipMatchesReference(t *testing.T) {
 		d.finish()
 	})
 	t.Run("all ports but one empty", func(t *testing.T) {
-		d := newWFQDiff(t, 16, 8, 16, 0.1, true)
+		d := newWFQDiff(t, 16, 8, 16, true)
 		d.push(11, 1<<20)
 		d.push(11, 1)
 		d.push(11, 1<<19)

@@ -1,5 +1,5 @@
 // Package fault is the deterministic fault-injection plane for the
-// simulator. Each layer that can fail (netsim, fabric, nvme, cluster,
+// simulator. Each layer that can fail (netsim, nvme, cluster, rack,
 // tenant) accepts a *Plan and consults it at well-defined injection
 // points. A Plan is seeded from the experiment seed plus the layer
 // name, so the same seed always injects the same faults at the same
@@ -23,7 +23,7 @@ import "hyperion/internal/sim"
 type Kind uint8
 
 const (
-	// Drop discards a frame/message at the switch or stream stage.
+	// Drop discards a frame at the switch or a request at a rack box.
 	Drop Kind = iota
 	// Corrupt delivers a frame whose payload failed its integrity
 	// check (the NIC counts and discards it) or flips a byte in an
@@ -99,14 +99,6 @@ func NewPlanIndexed(seed uint64, layer string, idx int) *Plan {
 	}
 }
 
-// Layer reports the layer name the plan was derived for.
-func (p *Plan) Layer() string {
-	if p == nil {
-		return ""
-	}
-	return p.layer
-}
-
 // Set arms a kind with probability prob (clamped to [0, 1]) and
 // returns the plan for chaining.
 func (p *Plan) Set(k Kind, prob float64) *Plan {
@@ -118,20 +110,6 @@ func (p *Plan) Set(k Kind, prob float64) *Plan {
 	}
 	p.prob[k] = prob
 	return p
-}
-
-// Enabled reports whether any kind is armed. Layers may use it to skip
-// per-operation checks wholesale.
-func (p *Plan) Enabled() bool {
-	if p == nil {
-		return false
-	}
-	for _, pr := range p.prob {
-		if pr > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Roll decides whether to inject one fault of the given kind. It is
@@ -172,18 +150,6 @@ func (p *Plan) Count(k Kind) uint64 {
 		return 0
 	}
 	return p.count[k]
-}
-
-// Total reports all faults injected across kinds.
-func (p *Plan) Total() uint64 {
-	if p == nil {
-		return 0
-	}
-	var t uint64
-	for _, c := range p.count {
-		t += c
-	}
-	return t
 }
 
 // Window is one scheduled outage: the entity is down in [Start, End).

@@ -86,6 +86,3 @@ func (l *BoundaryLink) Delay(now sim.Time, b int) sim.Duration {
 	l.busy = start.Add(l.cfg.SerTime(b))
 	return l.busy.Add(l.cfg.PropDelay).Sub(now)
 }
-
-// Busy returns the link's current serialization horizon.
-func (l *BoundaryLink) Busy() sim.Time { return l.busy }

@@ -72,7 +72,7 @@ func TestBoundaryLinkDelay(t *testing.T) {
 		prev = d
 	}
 	// After the link drains, delay falls back to ser+prop.
-	now := l.Busy().Add(sim.Millisecond)
+	now := l.busy.Add(sim.Millisecond)
 	if d := l.Delay(now, 4096); d != cfg.SerTime(4096)+cfg.PropDelay {
 		t.Errorf("drained delay %v, want %v", d, cfg.SerTime(4096)+cfg.PropDelay)
 	}

@@ -225,9 +225,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	}
 }
 
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // SetFaultPlan installs a fault plan consulted once per forwarded frame
 // (kinds Drop, Corrupt, Reorder). A nil plan — the default — or a plan
 // with all rates at zero leaves the forwarding path bit-identical to an

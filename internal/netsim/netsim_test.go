@@ -67,7 +67,7 @@ func TestLatencyShape(t *testing.T) {
 	b.OnReceive(func(f Frame) { at = eng.Now() })
 	_ = a.Send(Frame{Dst: "b", Bytes: MinFrameBytes})
 	eng.Run()
-	cfg := net.Config()
+	cfg := net.cfg
 	want := 2*cfg.PropDelay + cfg.SwitchLatency + 2*net.serTime(MinFrameBytes)
 	if at.Sub(0) != want {
 		t.Fatalf("one-way = %v, want %v", at.Sub(0), want)

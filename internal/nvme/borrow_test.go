@@ -99,7 +99,7 @@ func TestReadsSnapshotAtFlashTime(t *testing.T) {
 	dev := New(eng, DefaultConfig("nvme0"))
 	dev.Bind(func(_ int64, done func()) { eng.After(50*sim.Microsecond, "fakedma", done) }, nil)
 	h := NewHost(dev, nil)
-	cfg := dev.Config()
+	cfg := dev.cfg
 	const lba = 11
 	dev.WriteSync(lba, pattern(lba, 0))
 

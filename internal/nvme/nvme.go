@@ -187,9 +187,6 @@ func New(eng *sim.Engine, cfg Config) *Device {
 	return d
 }
 
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
-
 // Bind wires the device to its link and host driver. dma may be nil in
 // unit tests (transfers then cost zero link time).
 func (d *Device) Bind(dma func(size int64, done func()), interrupt func(qid int, c Completion)) {
@@ -204,15 +201,6 @@ func (d *Device) PCIeName() string { return d.cfg.Name }
 
 // BARSize implements pcie.Device: doorbells for every queue pair.
 func (d *Device) BARSize() int64 { return 1 << 14 }
-
-// MMIORead implements pcie.Device (queue occupancy, for diagnostics).
-func (d *Device) MMIORead(off int64) uint64 {
-	q := int(off / DoorbellStride)
-	if q < 0 || q >= len(d.queues) {
-		return ^uint64(0)
-	}
-	return uint64(d.queues[q].pending.Len() + d.queues[q].inFlight)
-}
 
 // MMIOWrite implements pcie.Device: a doorbell write makes the device
 // fetch and execute queued commands.

@@ -68,7 +68,7 @@ func TestUnwrittenBlocksReadZero(t *testing.T) {
 
 func TestReadLatencyShape(t *testing.T) {
 	eng, dev, h := newDev(t)
-	cfg := dev.Config()
+	cfg := dev.cfg
 	var doneAt sim.Time
 	_ = h.Read(0, 0, 1, func([]byte, uint16) { doneAt = eng.Now() })
 	eng.Run()
@@ -82,7 +82,7 @@ func TestChannelParallelism(t *testing.T) {
 	// 8 single-block reads on 8 different channels should all finish at
 	// the same time; 8 reads on the same channel serialize.
 	eng, dev, h := newDev(t)
-	cfg := dev.Config()
+	cfg := dev.cfg
 	var done []sim.Time
 	for i := 0; i < cfg.Channels; i++ {
 		_ = h.Read(0, int64(i), 1, func([]byte, uint16) { done = append(done, eng.Now()) })
@@ -111,7 +111,7 @@ func TestChannelParallelism(t *testing.T) {
 
 func TestWriteFasterThanReadThenFlushWaits(t *testing.T) {
 	eng, dev, h := newDev(t)
-	cfg := dev.Config()
+	cfg := dev.cfg
 	var wAt, fAt sim.Time
 	_ = h.Write(0, 0, make([]byte, 4096), func(uint16) { wAt = eng.Now() })
 	_ = h.FlushSpan(0, 0, func(uint16) { fAt = eng.Now() })
@@ -127,7 +127,7 @@ func TestWriteFasterThanReadThenFlushWaits(t *testing.T) {
 func TestLBARangeError(t *testing.T) {
 	eng, dev, h := newDev(t)
 	var st uint16
-	_ = h.Read(0, dev.Config().Blocks-1, 4, func(_ []byte, s uint16) { st = s })
+	_ = h.Read(0, dev.cfg.Blocks-1, 4, func(_ []byte, s uint16) { st = s })
 	eng.Run()
 	if st != StatusLBARange {
 		t.Fatalf("status = %#x, want LBA range error", st)
@@ -186,17 +186,6 @@ func TestShortWriteRejected(t *testing.T) {
 	}
 	if err := h.Write(0, 0, make([]byte, 100), nil); !errors.Is(err, ErrShortWrite) {
 		t.Fatalf("host err = %v, want ErrShortWrite", err)
-	}
-}
-
-func TestMMIOReadReportsOccupancy(t *testing.T) {
-	_, dev, _ := newDev(t)
-	_ = dev.Enqueue(0, Command{Opcode: OpRead, NSID: 1, LBA: 0, Blocks: 1})
-	if got := dev.MMIORead(0); got != 1 {
-		t.Fatalf("occupancy = %d, want 1", got)
-	}
-	if got := dev.MMIORead(int64(len("x")) * 1 << 20); got != ^uint64(0) {
-		t.Fatalf("bad offset read = %d, want all-ones", got)
 	}
 }
 

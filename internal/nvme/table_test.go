@@ -17,7 +17,7 @@ import (
 // reading zero.
 func TestBlockTableEnds(t *testing.T) {
 	_, dev, _ := newDev(t)
-	last := dev.Config().Blocks - 1
+	last := dev.cfg.Blocks - 1
 	const leaf, mid = 1 << leafBits, 1 << (leafBits + midBits)
 	lbas := []int64{0, leaf - 1, leaf, mid - 1, mid, last}
 	for _, lba := range lbas {
@@ -53,7 +53,7 @@ func TestBlockTableFarWriteIsCheap(t *testing.T) {
 	data := make([]byte, 4096)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	dev.WriteSync(dev.Config().Blocks-1, data)
+	dev.WriteSync(dev.cfg.Blocks-1, data)
 	runtime.ReadMemStats(&m1)
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > 64<<10 {
 		t.Fatalf("writing the last block of a fresh device allocated %d bytes, want under 64 KiB", got)

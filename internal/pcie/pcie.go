@@ -39,9 +39,8 @@ type Device interface {
 	PCIeName() string
 	// BARSize returns the BAR aperture the device requests, in bytes.
 	BARSize() int64
-	// MMIORead and MMIOWrite access device registers at a BAR-relative
-	// offset. They are doorbell-sized accesses (4/8 bytes).
-	MMIORead(offset int64) uint64
+	// MMIOWrite writes a device register at a BAR-relative offset: a
+	// doorbell-sized access (4/8 bytes).
 	MMIOWrite(offset int64, val uint64)
 }
 
@@ -63,9 +62,6 @@ type Port struct {
 func (p *Port) BandwidthBytesPerSec() int64 {
 	return int64(p.Lanes) * Gen3LaneBytesPerSec
 }
-
-// Device returns the attached endpoint (nil if empty).
-func (p *Port) Device() Device { return p.dev }
 
 // BAR returns the port's assigned BAR window after enumeration.
 func (p *Port) BAR() (base, size int64) { return p.barBase, p.barSize }
@@ -160,21 +156,6 @@ func (rc *RootComplex) resolve(addr int64) (*Port, int64, error) {
 		}
 	}
 	return nil, 0, ErrBadAddress
-}
-
-// MMIORead performs a register read at a bus address (synchronous; the
-// round-trip time is charged to the caller via the returned duration).
-func (rc *RootComplex) MMIORead(addr int64) (uint64, sim.Duration, error) {
-	p, off, err := rc.resolve(addr)
-	if err != nil {
-		return 0, 0, err
-	}
-	rc.Counters.Get("mmio_reads").Add(1)
-	if rc.rec != nil {
-		rc.rec.Count("pcie", "mmio_reads", 1)
-	}
-	p.TLPs++
-	return p.dev.MMIORead(off), 2 * hopLatency, nil
 }
 
 // MMIOWrite performs a posted register write (doorbell ring).

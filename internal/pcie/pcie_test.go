@@ -21,7 +21,6 @@ func newFakeDev(name string, bar int64) *fakeDev {
 
 func (d *fakeDev) PCIeName() string              { return d.name }
 func (d *fakeDev) BARSize() int64                { return d.bar }
-func (d *fakeDev) MMIORead(off int64) uint64     { return d.regs[off] }
 func (d *fakeDev) MMIOWrite(off int64, v uint64) { d.regs[off] = v }
 
 func newBus(t *testing.T) (*sim.Engine, *RootComplex, []*fakeDev) {
@@ -103,27 +102,26 @@ func TestEmptyPortEnumeration(t *testing.T) {
 	}
 }
 
+// TestMMIOReadWrite writes a register through the root complex and
+// reads it back from the device's register file.
 func TestMMIOReadWrite(t *testing.T) {
 	_, rc, devs := newBus(t)
 	base, _ := rc.Ports()[2].BAR()
-	if _, err := rc.MMIOWrite(base+0x10, 42); err != nil {
+	d, err := rc.MMIOWrite(base+0x10, 42)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if devs[2].regs[0x10] != 42 {
 		t.Fatalf("register = %d, want 42", devs[2].regs[0x10])
 	}
-	v, d, err := rc.MMIORead(base + 0x10)
-	if err != nil || v != 42 {
-		t.Fatalf("read = %d,%v", v, err)
-	}
 	if d <= 0 {
-		t.Fatal("read latency must be positive")
+		t.Fatal("write latency must be positive")
 	}
 }
 
 func TestMMIOBadAddress(t *testing.T) {
 	_, rc, _ := newBus(t)
-	if _, _, err := rc.MMIORead(0x1); !errors.Is(err, ErrBadAddress) {
+	if _, err := rc.MMIOWrite(0x1, 0); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("err = %v, want ErrBadAddress", err)
 	}
 }
@@ -132,7 +130,7 @@ func TestMMIOBeforeEnumerate(t *testing.T) {
 	eng := sim.NewEngine(1)
 	rc := NewRootComplex(eng, []int{4})
 	_ = rc.Attach(0, newFakeDev("x", 1<<20))
-	if _, _, err := rc.MMIORead(0x1000_0000); !errors.Is(err, ErrNotEnumerated) {
+	if _, err := rc.MMIOWrite(0x1000_0000, 0); !errors.Is(err, ErrNotEnumerated) {
 		t.Fatalf("err = %v, want ErrNotEnumerated", err)
 	}
 }

@@ -579,9 +579,6 @@ func (r *Rack) Run() { r.cl.Run() }
 // events, barrier stall).
 func (r *Rack) Cluster() *sim.Cluster { return r.cl }
 
-// Config returns the rack's configuration (after shard clamping).
-func (r *Rack) Config() Config { return r.cfg }
-
 // Totals is the deterministic scenario summary: a pure function of
 // the seed, independent of shard count.
 type Totals struct {

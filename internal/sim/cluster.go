@@ -123,9 +123,6 @@ type Shard struct {
 	doneCh chan struct{}
 }
 
-// ID returns the shard's index in [0, Cluster.Shards()).
-func (sh *Shard) ID() int { return sh.id }
-
 // Engine returns the shard's private engine for LP-internal
 // scheduling. Cross-LP interaction must go through Send — and code
 // that wants shard-count-invariant results must not draw from this

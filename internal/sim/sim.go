@@ -207,9 +207,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// RunFor executes events within the next d of virtual time.
-func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
 // peek reports the time of the next live event, draining any tombstones
 // that have reached the top of the heap.
 func (e *Engine) peek() (Time, bool) {

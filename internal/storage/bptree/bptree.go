@@ -817,21 +817,3 @@ func (t *Tree) Scan(from, to uint64, fn func(key, val uint64) bool) error {
 		}
 	}
 }
-
-// Path returns the node ids visited looking up key (root to leaf); it
-// powers the client-side traversal experiment (one RTT per element).
-func (t *Tree) Path(key uint64) ([]seg.ObjectID, error) {
-	var path []seg.ObjectID
-	id := t.root
-	for {
-		path = append(path, id)
-		im, err := t.borrowNode(id)
-		if err != nil {
-			return nil, err
-		}
-		if im.kind == kindLeaf {
-			return path, nil
-		}
-		id = im.child(im.route(key))
-	}
-}

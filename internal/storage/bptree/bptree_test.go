@@ -189,21 +189,6 @@ func TestOpenPersistedTree(t *testing.T) {
 	}
 }
 
-func TestPathLengthMatchesHeight(t *testing.T) {
-	v := newView(t)
-	tr := newTree(t, v)
-	for i := uint64(0); i < 20000; i++ {
-		_ = tr.Insert(i, i)
-	}
-	p, err := tr.Path(777)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != tr.Height() {
-		t.Fatalf("path length %d != height %d", len(p), tr.Height())
-	}
-}
-
 func TestCostAccumulates(t *testing.T) {
 	v := newView(t)
 	tr := newTree(t, v)

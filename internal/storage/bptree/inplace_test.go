@@ -65,21 +65,6 @@ func (o *oracle) get(root seg.ObjectID, key uint64) (uint64, bool, error) {
 	}
 }
 
-func (o *oracle) path(root seg.ObjectID, key uint64) ([]seg.ObjectID, error) {
-	var path []seg.ObjectID
-	for id := root; ; {
-		path = append(path, id)
-		n, err := o.node(id)
-		if err != nil {
-			return nil, err
-		}
-		if n.kind == kindLeaf {
-			return path, nil
-		}
-		id = route(n, key)
-	}
-}
-
 // scan returns up to limit pairs with from <= key < to.
 func (o *oracle) scan(root seg.ObjectID, from, to uint64, limit int) ([][2]uint64, error) {
 	var out [][2]uint64
@@ -128,16 +113,6 @@ func checkAgainstOracle(t *testing.T, tr *Tree, r *sim.Rand, universe uint64, pr
 		}
 		if got, want := tr.NodesRead-before, o.reads-obefore; got != want || got != int64(tr.Height()) {
 			t.Fatalf("Get(%d) read %d nodes, oracle %d, height %d", key, got, want, tr.Height())
-		}
-
-		before, obefore = tr.NodesRead, o.reads
-		path, err := tr.Path(key)
-		wpath, werr := o.path(tr.Root(), key)
-		if err != nil || werr != nil || !slices.Equal(path, wpath) {
-			t.Fatalf("Path(%d) = %v,%v; oracle %v,%v", key, path, err, wpath, werr)
-		}
-		if got, want := tr.NodesRead-before, o.reads-obefore; got != want {
-			t.Fatalf("Path(%d) read %d nodes, oracle %d", key, got, want)
 		}
 
 		from := key
@@ -258,8 +233,6 @@ func TestInPlaceSearchRejectsCorruptImages(t *testing.T) {
 			check("DecodeNode", err)
 			_, _, err = tr.Get(5)
 			check("Get", err)
-			_, err = tr.Path(5)
-			check("Path", err)
 			check("Scan", tr.Scan(0, 10, func(uint64, uint64) bool { return true }))
 			check("Insert", tr.Insert(5, 5))
 			_, err = tr.Delete(5)

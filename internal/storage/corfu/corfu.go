@@ -252,9 +252,6 @@ func (s *Sequencer) Next(n int) uint64 {
 	return p
 }
 
-// Tail returns the next unwritten position.
-func (s *Sequencer) Tail() uint64 { return s.next }
-
 // Recover resets the counter from the units' state (max written slot).
 func (s *Sequencer) Recover(l *Log) error {
 	var tail uint64

@@ -151,8 +151,8 @@ func TestSequencerRecover(t *testing.T) {
 	if err := fresh.Recover(l); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Tail() != 50 {
-		t.Fatalf("recovered tail = %d, want 50", fresh.Tail())
+	if fresh.next != 50 {
+		t.Fatalf("recovered tail = %d, want 50", fresh.next)
 	}
 	// Recovery must skip over a trailing hole within a stripe.
 	hole := l.Seq.Next(1)
@@ -162,8 +162,8 @@ func TestSequencerRecover(t *testing.T) {
 	if err := fresh2.Recover(l); err != nil {
 		t.Fatal(err)
 	}
-	if fresh2.Tail() != 52 {
-		t.Fatalf("recovered tail with hole = %d, want 52", fresh2.Tail())
+	if fresh2.next != 52 {
+		t.Fatalf("recovered tail with hole = %d, want 52", fresh2.next)
 	}
 }
 

@@ -426,9 +426,6 @@ func (fs *FS) ReadDir(path string) ([]DirEntry, error) {
 	return fs.readDir(ino)
 }
 
-// Stat returns a path's inode.
-func (fs *FS) Stat(path string) (*Inode, error) { return fs.lookup(path) }
-
 // Unlink removes a file or empty directory.
 func (fs *FS) Unlink(path string) error {
 	parent, name, err := fs.parentOf(path)

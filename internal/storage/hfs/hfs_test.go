@@ -57,7 +57,7 @@ func TestWriteFileReplaceAndGrowShrink(t *testing.T) {
 	if err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("multi-extent read failed: %d bytes, %v", len(got), err)
 	}
-	ino, _ := fs.Stat("/f")
+	ino, _ := fs.lookup("/f")
 	if len(ino.Extents) != 4 {
 		t.Fatalf("extents = %d, want 4", len(ino.Extents))
 	}
@@ -66,7 +66,7 @@ func TestWriteFileReplaceAndGrowShrink(t *testing.T) {
 	if err := fs.WriteFile("/f", small); err != nil {
 		t.Fatal(err)
 	}
-	ino, _ = fs.Stat("/f")
+	ino, _ = fs.lookup("/f")
 	if len(ino.Extents) != 1 {
 		t.Fatalf("extents after shrink = %d", len(ino.Extents))
 	}

@@ -316,12 +316,3 @@ func (kv *KV) LogBytes() int64 {
 	}
 	return int64(kv.log.Len()-1)*seg.ChunkBytes + kv.log.Tail()
 }
-
-// FlushIndex persists buffered index state (LSM memtable). No-op for
-// the B+ tree backend.
-func (kv *KV) FlushIndex() error {
-	if x, ok := kv.idx.(lsmIndex); ok {
-		return x.t.Flush()
-	}
-	return nil
-}

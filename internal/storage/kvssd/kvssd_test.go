@@ -157,8 +157,10 @@ func TestReopen(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				_ = kv.Put([]byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i)))
 			}
-			if err := kv.FlushIndex(); err != nil {
-				t.Fatal(err)
+			if x, ok := kv.idx.(lsmIndex); ok {
+				if err := x.t.Flush(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			kv2, err := Open(v, seg.OID(300, 0))
 			if err != nil {

@@ -440,20 +440,3 @@ func (t *Tree) Scan(from, to uint64, fn func(key, val uint64) bool) error {
 	}
 	return nil
 }
-
-// Runs reports the current run count per level (for tests/benches).
-func (t *Tree) Runs() []int {
-	out := make([]int, MaxLevels)
-	for l := range t.levels {
-		out[l] = len(t.levels[l])
-	}
-	return out
-}
-
-// WriteAmplification is run-entries-written per logical write.
-func (t *Tree) WriteAmplification() float64 {
-	if t.LogicalWrites == 0 {
-		return 0
-	}
-	return float64(t.EntriesWrittenToRuns) / float64(t.LogicalWrites)
-}

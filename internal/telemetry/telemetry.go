@@ -99,9 +99,6 @@ func (r *Recorder) Child(name string) *Recorder {
 	return &Recorder{s: r.s, pid: len(r.s.procs) - 1}
 }
 
-// Armed reports whether the recorder actually records.
-func (r *Recorder) Armed() bool { return r != nil }
-
 // NewRequest allocates the next request id. Ids are global across
 // children so a request keeps its identity when it crosses process
 // boundaries. Returns 0 (untagged) when disarmed.
@@ -166,10 +163,9 @@ func (r *Recorder) Count(layer, name string, n int64) {
 }
 
 // Hist returns this process's (layer,name) latency histogram, or nil
-// when disarmed or when nothing has been observed under that key. The
-// tenant plane's SLO accounting and the isolation tests read p99s
-// straight from the recorded distribution instead of keeping a second
-// set of books.
+// when disarmed or when nothing has been observed under that key. Tests
+// compare recorded span histograms through it; dumps go through
+// HistogramDump.
 func (r *Recorder) Hist(layer, name string) *Histogram {
 	if r == nil {
 		return nil

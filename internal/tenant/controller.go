@@ -64,7 +64,6 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *Controller {
 	fc := fab.Config()
 	c := &Controller{eng: eng, fab: fab, cfg: cfg}
 	c.arb = fabric.NewWFQArbiter(eng, "tenant", fc.ClockHz, cfg.WidthBytes, cfg.DepthItems, cfg.MaxTenants, c.dispatch)
-	c.arb.SetOnDrop(c.faultDrop)
 	c.slotTenant = make([]int, fc.Slots)
 	for i := range c.slotTenant {
 		c.slotTenant[i] = -1
@@ -80,9 +79,6 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *Controller {
 	}
 	return c
 }
-
-// Arbiter exposes the weighted-fair front end (counters, port stats).
-func (c *Controller) Arbiter() *fabric.WFQArbiter { return c.arb }
 
 // SetRecorder arms the telemetry plane on the controller and its
 // arbiter. Tenants admitted afterwards get per-tenant child processes;
@@ -264,12 +260,6 @@ func (c *Controller) Report(window sim.Duration) []Row {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return rows
 }
-
-// Tenant returns the book-of-record entry for id.
-func (c *Controller) Tenant(id int) (*Tenant, error) { return c.lookup(id) }
-
-// Tenants returns the number of tenants ever admitted.
-func (c *Controller) Tenants() int { return len(c.tenants) }
 
 // CheckInvariants validates the scheduling invariants the property
 // tests pin: conservation, slot exclusivity, port exclusivity,
@@ -517,12 +507,6 @@ func (c *Controller) dispatch(it fabric.Item) {
 	if err := c.fab.SubmitSpan(t.Slot, rq.payload, rq.span, rq.fireFn); err != nil {
 		c.resolve(rq, ErrEvicted)
 	}
-}
-
-// faultDrop resolves requests the arbiter's fault plan squashed on the
-// bus, so an armed Drop rate can never hang a caller.
-func (c *Controller) faultDrop(it fabric.Item) {
-	c.resolve(it.Payload.(*request), ErrDropped)
 }
 
 // request carries one in-flight tenant request through the WFQ and the

@@ -128,7 +128,7 @@ func reconfigLoadRun(t *testing.T, rec *telemetry.Recorder) (seqs []int, times [
 		}
 	})
 	eng.At(base.Add(15*sim.Millisecond), "b.depart", func() {
-		tb, _ := c.Tenant(1)
+		tb, _ := c.lookup(1)
 		if err := c.Depart(tb.ID); err != nil {
 			t.Errorf("depart b: %v", err)
 		}

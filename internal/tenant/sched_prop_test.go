@@ -196,8 +196,8 @@ func TestBoundedWaitUnderLease(t *testing.T) {
 	eng.Run()
 	// 2 MiB reconfigures in 5 ms; bound with slack.
 	bound := sim.Duration(n) * (cfg.Lease + 6*sim.Millisecond)
-	for i := 0; i < c.Tenants(); i++ {
-		tn, _ := c.Tenant(i)
+	for i := 0; i < len(c.tenants); i++ {
+		tn, _ := c.lookup(i)
 		if tn.Placements == 0 {
 			t.Fatalf("tenant %d starved: never placed", i)
 		}

@@ -84,7 +84,6 @@ var (
 	ErrNotActive = errors.New("tenant: not active (queued or reconfiguring)")
 	ErrEvicted   = errors.New("tenant: slot evicted mid-flight")
 	ErrPreempted = errors.New("tenant: preempted at lease expiry")
-	ErrDropped   = errors.New("tenant: request dropped by fault plane")
 	ErrDeparted  = errors.New("tenant: departed with requests in flight")
 )
 
@@ -92,8 +91,7 @@ var (
 // retried against the same tenant.
 func Retryable(err error) bool {
 	return errors.Is(err, ErrNotActive) || errors.Is(err, ErrEvicted) ||
-		errors.Is(err, ErrPreempted) || errors.Is(err, ErrDropped) ||
-		errors.Is(err, fabric.ErrStreamFull)
+		errors.Is(err, ErrPreempted) || errors.Is(err, fabric.ErrStreamFull)
 }
 
 // Tenant is the controller's book of record for one admitted tenant.
@@ -126,10 +124,6 @@ type Tenant struct {
 	crec      *telemetry.Recorder
 }
 
-// Recorder returns the tenant's telemetry child (nil when the plane is
-// disarmed).
-func (t *Tenant) Recorder() *telemetry.Recorder { return t.crec }
-
 // Row is one tenant's line in the SLO report.
 type Row struct {
 	Name        string
@@ -146,16 +140,4 @@ type Row struct {
 	GoodputOPS  float64
 	ViolLat     bool // P99 objective missed
 	ViolGood    bool // goodput floor missed
-}
-
-// Violations counts the SLO clauses this row misses.
-func (r Row) Violations() int {
-	n := 0
-	if r.ViolLat {
-		n++
-	}
-	if r.ViolGood {
-		n++
-	}
-	return n
 }

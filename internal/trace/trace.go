@@ -140,20 +140,6 @@ func (p Packet) Marshal() []byte {
 	return b
 }
 
-// UnmarshalPacket decodes a 20-byte context buffer.
-func UnmarshalPacket(b []byte) Packet {
-	var p Packet
-	p.SrcIP = binary.LittleEndian.Uint32(b[0:])
-	p.DstIP = binary.LittleEndian.Uint32(b[4:])
-	p.SrcPort = binary.LittleEndian.Uint16(b[8:])
-	p.DstPort = binary.LittleEndian.Uint16(b[10:])
-	p.Proto = b[12]
-	p.Flags = b[13]
-	p.Bytes = int(binary.LittleEndian.Uint32(b[14:]))
-	p.AuthFail = b[18] == 1
-	return p
-}
-
 // AttackGen produces a mixed trace of benign traffic and brute-force
 // attackers (repeated auth failures from a small set of sources) — the
 // fail2ban workload.
@@ -173,9 +159,6 @@ func NewAttackGen(seed uint64, attackers int) *AttackGen {
 	}
 	return g
 }
-
-// Attackers returns the attacker source list.
-func (g *AttackGen) Attackers() []uint32 { return g.attackers }
 
 // Next generates one packet.
 func (g *AttackGen) Next() Packet {
@@ -211,9 +194,6 @@ type ConnGen struct {
 func NewConnGen(seed uint64) *ConnGen {
 	return &ConnGen{r: sim.NewRand(seed), NewConnProb: 0.2, CloseProb: 0.05}
 }
-
-// Open returns the number of currently open connections.
-func (g *ConnGen) Open() int { return len(g.open) }
 
 // Next generates the next packet in the trace.
 func (g *ConnGen) Next() Packet {

@@ -103,9 +103,8 @@ func newReliable(eng *sim.Engine, nic *netsim.NIC, kind Kind, p reliableParams) 
 	return r
 }
 
-func (r *reliableEndpoint) Addr() netsim.Addr { return r.nic.Addr }
-func (r *reliableEndpoint) Kind() Kind        { return r.kind }
-func (r *reliableEndpoint) Stats() *Stats     { return &r.stats }
+func (r *reliableEndpoint) Kind() Kind    { return r.kind }
+func (r *reliableEndpoint) Stats() *Stats { return &r.stats }
 
 func (r *reliableEndpoint) OnMessage(fn func(src netsim.Addr, msg Message)) { r.handler = fn }
 

@@ -63,7 +63,6 @@ type Message struct {
 
 // Endpoint is a transport instance bound to one NIC.
 type Endpoint interface {
-	Addr() netsim.Addr
 	Kind() Kind
 	// Send transmits msg to dst. Reliable transports deliver it exactly
 	// once (or count it lost after giving up); UDP may silently drop.

@@ -260,7 +260,7 @@ func TestHomaSRPTFavorsShortMessages(t *testing.T) {
 	long := New(eng, Homa, nicL)
 	short := New(eng, Homa, nicS)
 	_ = long.Send("rx", Message{Payload: 1, Bytes: 8 << 20})
-	eng.RunFor(20 * sim.Microsecond)
+	eng.RunUntil(eng.Now().Add(20 * sim.Microsecond))
 	_ = short.Send("rx", Message{Payload: 2, Bytes: 8 << 10})
 	eng.Run()
 	if finish[2] == 0 || finish[1] == 0 {

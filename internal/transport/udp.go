@@ -71,9 +71,8 @@ func newUDP(eng *sim.Engine, nic *netsim.NIC) *udpEndpoint {
 	return u
 }
 
-func (u *udpEndpoint) Addr() netsim.Addr { return u.nic.Addr }
-func (u *udpEndpoint) Kind() Kind        { return UDP }
-func (u *udpEndpoint) Stats() *Stats     { return &u.stats }
+func (u *udpEndpoint) Kind() Kind    { return UDP }
+func (u *udpEndpoint) Stats() *Stats { return &u.stats }
 
 func (u *udpEndpoint) OnMessage(fn func(src netsim.Addr, msg Message)) { u.handler = fn }
 

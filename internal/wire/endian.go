@@ -6,12 +6,6 @@ package wire
 // differ — and panic if fewer than the field's bytes remain, exactly
 // like an out-of-range slice index.
 
-// BE16At decodes a big-endian uint16 at b[off:].
-func BE16At(b []byte, off int) uint16 { return (*BE16)(b[off:]).Uint16() }
-
-// PutBE16At encodes v at b[off:].
-func PutBE16At(b []byte, off int, v uint16) { *(*BE16)(b[off:]) = PutBE16(v) }
-
 // BE32At decodes a big-endian uint32 at b[off:].
 func BE32At(b []byte, off int) uint32 { return (*BE32)(b[off:]).Uint32() }
 

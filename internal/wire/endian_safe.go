@@ -8,19 +8,6 @@ import "encoding/binary"
 // byte layouts, decoded through encoding/binary instead of unsafe
 // reinterpretation. Correct on any host byte order.
 
-// BE16 is a big-endian uint16 field.
-type BE16 [2]byte
-
-// Uint16 decodes the field.
-func (b BE16) Uint16() uint16 { return binary.BigEndian.Uint16(b[:]) }
-
-// PutBE16 encodes v.
-func PutBE16(v uint16) BE16 {
-	var b BE16
-	binary.BigEndian.PutUint16(b[:], v)
-	return b
-}
-
 // BE32 is a big-endian uint32 field.
 type BE32 [4]byte
 

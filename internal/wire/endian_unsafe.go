@@ -12,21 +12,6 @@ import "unsafe"
 // instead of silently decoding swapped values. Build with
 // -tags wiresafe for the portable path.
 
-// BE16 is a big-endian uint16 field.
-type BE16 [2]byte
-
-// Uint16 decodes the field.
-func (b BE16) Uint16() uint16 {
-	swap := [2]byte{b[1], b[0]}
-	return *(*uint16)(unsafe.Pointer(&swap))
-}
-
-// PutBE16 encodes v.
-func PutBE16(v uint16) BE16 {
-	b := *(*[2]byte)(unsafe.Pointer(&v))
-	return BE16{b[1], b[0]}
-}
-
 // BE32 is a big-endian uint32 field.
 type BE32 [4]byte
 

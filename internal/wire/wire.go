@@ -58,9 +58,6 @@ func (b *Buf) Retain() *Buf {
 	return b
 }
 
-// Refs returns the current reference count (for tests and invariants).
-func (b *Buf) Refs() int { return int(b.refs) }
-
 // Release drops one reference; the last release returns the Buf to its
 // pool. Releasing more times than retained panics — a double release
 // is always an ownership bug.
@@ -117,9 +114,6 @@ func (p *Pool) Get(n int) *Buf {
 	clear(b.b)
 	return b
 }
-
-// Free returns the number of Bufs currently on the free list.
-func (p *Pool) Free() int { return len(p.free) }
 
 func (p *Pool) put(b *Buf) {
 	b.b = b.b[:cap(b.b)] // keep capacity; Get re-trims and zeroes

@@ -1,0 +1,396 @@
+package hyperion
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"hyperion/internal/analysis"
+)
+
+// reachAllow names the non-test functions no binary reaches that stay
+// anyway, each with its reason: the test that drives other reachable
+// code through it, the ROADMAP item that decides it, or the frozen
+// benchmark harness. A key is a function — package path without the
+// module prefix, then the receiver's type name without pointer or type
+// parameters, then the name ("internal/nvme.Device.StoredBlocks") — or a
+// whole package ("internal/storage/txn"). Listed functions are roots, so
+// their callees need no line. An entry that names nothing, or whose
+// functions are reachable without it, fails TestEveryFunctionIsReachable.
+var reachAllow = map[string]string{
+	"cmd/hyperbench.barDev.MMIORead": "cmd/hyperbench is frozen: its probe device still implements the method pcie.Device no longer has",
+
+	"internal/analysis/analysistest":    "test helper: every analyzer's golden test runs through analysistest.Run",
+	"internal/analysis/flow.Builtins":   "TestBuiltinContractsInSync checks the cross-package contract table the analyzers use through it",
+	"internal/analysis/flow.Graph.Dump": "TestCFGDump and TestCFGDeterministic pin CFG construction through it",
+
+	"internal/apps/fail2ban.CompileFilter": "TestFrontendShapeMatchesHandAssembly and FuzzOptimizeEquivalence drive gofront and ehdl.Optimize with it",
+
+	"internal/bench.ClusterScaleOutWindowed": "TestShardCountInvariance drives E17's windowed scale-out with it",
+	"internal/bench.Experiment.Run":          "TestExperimentsDeterministic and the BenchmarkTable benchmarks run experiments through it",
+	"internal/bench.TenantScenarioRelabeled": "TestTenantRelabelingInvariance drives E18 with it",
+
+	"internal/core.Reboot": "ROADMAP power-cut item: the reopen path its harness drives (TestCrashRecoveryEndToEnd today)",
+
+	"internal/ebpf.ALU64Reg":        "TestVerifierSoundness's program generator builds register operands with it",
+	"internal/ebpf.Decode":          "FuzzDecodeVerifyLoad feeds Verify, Load and Run through it",
+	"internal/ebpf.Encode":          "FuzzDecodeVerifyLoad and FuzzOptimizeEquivalence build their seed corpora with it",
+	"internal/ebpf.HashMap.Iterate": "TestFrontendBehaviorMatchesHandAssembly and FuzzOptimizeEquivalence compare map state through it",
+	"internal/ebpf.JumpImm":         "TestVerifierSoundness's program generator builds guards with it",
+	"internal/ebpf.JumpReg":         "TestVerifierSoundness's program generator builds register-register guards with it",
+
+	"internal/fault.Plan.Count": "TestRollDeterministicAndCounted counts Roll's injections through it",
+
+	"internal/nvme.Device.StoredBlocks": "TestBlockTableEnds and TestCheckpointRefusesOversizedTable observe the block table through it",
+	"internal/nvme.Host.Submit":         "TestPlacementAndSubmit and the tenant property tapes drive queued commands with it",
+	"internal/nvmeof.Initiator.Flush":   "ROADMAP power-cut item: flushes are safety code (TestFlush)",
+
+	"internal/seg.Store.Recover":       "ROADMAP power-cut item: the reopen path its harness drives (FuzzRecover today)",
+	"internal/seg.Store.Stat":          "TestCheckpointRecover and TestCrashRecoveryEndToEnd observe the segment table through it",
+	"internal/seg.SyncView.Store":      "TestImageWriteMatchesEncodeOracle and TestUnlinkFreesSpace observe the store under a view through it",
+	"internal/seg.allocator.free":      "TestAllocatorProperty and TestCheckpointRecover observe free space through it",
+	"internal/sim.CounterSet.Value":    "TestDeviceFaultsPropagateThroughStore and TestDeadlineTimeoutReachesEveryVerb read model counters through it",
+	"internal/sim.Engine.Pending":      "TestCheckpointRecoverScheduleNothing and TestLaneOrderMatchesHeap observe the event queue through it",
+	"internal/sim.LatencyRecorder.Min": "TestPlacementAndSubmit and TestLatencyRecorderPercentiles observe recorded latencies through it",
+
+	"internal/storage/bptree.Tree.Scan":        "ROADMAP power-cut item: a contract operation its harness drives",
+	"internal/storage/corfu.Log.Fill":          "ROADMAP power-cut item: a contract operation its harness drives",
+	"internal/storage/corfu.Log.Read":          "ROADMAP power-cut item: a contract operation its harness drives",
+	"internal/storage/corfu.Log.Trim":          "ROADMAP power-cut item: a contract operation its harness drives",
+	"internal/storage/corfu.OpenUnit":          "ROADMAP power-cut item: the reopen path its harness drives",
+	"internal/storage/corfu.Sequencer.Recover": "ROADMAP power-cut item: the reopen path its harness drives",
+	"internal/storage/hfs.FS.ReadDir":          "ROADMAP power-cut item: a contract operation its harness drives",
+	"internal/storage/hfs.FS.ReadFile":         "ROADMAP power-cut item: a contract operation its harness drives",
+	"internal/storage/hfs.FS.Unlink":           "ROADMAP power-cut item: a contract operation its harness drives",
+	"internal/storage/hfs.Mount":               "ROADMAP power-cut item: the reopen path its harness drives",
+	"internal/storage/kvssd.Open":              "ROADMAP power-cut item: the reopen path its harness drives",
+	"internal/storage/lsm.Tree.Scan":           "ROADMAP power-cut item: a contract operation its harness drives",
+	"internal/storage/txn":                     "ROADMAP power-cut item: its harness decides whether txn gains a caller or is deleted",
+
+	"internal/telemetry.Recorder.Events": "TestTracedMetamorphicDeterminism and TestE2TraceSchemaAndTableNeutrality check that armed runs record through it",
+	"internal/telemetry.Recorder.Hist":   "TestWFQRoundSkipMatchesReference and TestReconfigUnderLoadArmedEqualsDisarmed compare recorded span histograms through it",
+
+	"internal/transport.homaEndpoint.Stats":     "TestUDPLosesUnderCongestionAndCountsIt and the transport tests read counters through Endpoint.Stats",
+	"internal/transport.reliableEndpoint.Stats": "TestUDPLosesUnderCongestionAndCountsIt and the transport tests read counters through Endpoint.Stats",
+	"internal/transport.udpEndpoint.Stats":      "TestUDPLosesUnderCongestionAndCountsIt reads counters through Endpoint.Stats",
+}
+
+// reachImplicit are method names the runtime and standard library call
+// through interfaces the repo never calls itself (fmt, errors, sort,
+// container/heap, encoding/json): a method with one of these names
+// counts as reached.
+var reachImplicit = []string{"String", "Error", "Format", "Len", "Less", "Swap", "Push", "Pop", "MarshalJSON"}
+
+// TestEveryFunctionIsReachable fails on every non-test function that no
+// binary can call: static reachability over the type-checked non-test
+// tree, rooted at main in every package under cmd/ and examples/, every
+// init, every package-level var initialiser and every reachAllow entry.
+// A call through an interface method reaches every method of that name.
+// It replaces a per-package orphan check: an orphan package has every
+// function unreached.
+func TestEveryFunctionIsReachable(t *testing.T) {
+	pkgs, err := analysis.NewLoader(".").LoadPatterns("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary := func(path string) bool {
+		return strings.HasPrefix(path, "hyperion/cmd/") || strings.HasPrefix(path, "hyperion/examples/")
+	}
+	g := newReachGraph(pkgs, "hyperion/", binary)
+	dead, stale := g.check(reachAllow)
+	for _, d := range dead {
+		t.Errorf("%s: %s is reached by no binary: delete it, or give it a reachAllow line with its reason", g.pos[d], d)
+	}
+	for _, s := range stale {
+		t.Errorf("reachAllow: %s", s)
+	}
+}
+
+// TestReachabilityRules pins each rule of the gate on a small program.
+func TestReachabilityRules(t *testing.T) {
+	root, err := analysis.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := analysis.NewLoader(root).LoadDir(filepath.Join("testdata", "reach"), "reachdemo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newReachGraph([]*analysis.Package{pkg}, "", func(string) bool { return true })
+	dead, stale := g.check(map[string]string{
+		"reachdemo.allowed": "a root by its entry",
+		"reachdemo.live":    "stale: main calls it",
+		"reachdemo.gone":    "stale: no such function",
+	})
+	// Reached and therefore absent: square.area (called through shape),
+	// circle.area (same name, never built), celsius.String (implicit),
+	// build (a var initialiser), register (init), counter.inc (a method
+	// value), allowed (listed).
+	if want := []string{"reachdemo.counter.reset", "reachdemo.dead"}; strings.Join(dead, " ") != strings.Join(want, " ") {
+		t.Errorf("unreached = %q, want %q", dead, want)
+	}
+	if len(stale) != 2 || !strings.HasPrefix(stale[0], "reachdemo.gone ") || !strings.HasPrefix(stale[1], "reachdemo.live ") {
+		t.Errorf("stale entries = %q, want reachdemo.gone and reachdemo.live", stale)
+	}
+}
+
+// TestDocsCiteLiveNames keeps the docs' citations alive: every
+// backticked Test*, Fuzz* or Benchmark* name in them must be a prefix
+// of a function the tests define (docs cite patterns such as
+// `BenchmarkTable1_*`), and every backticked internal/, cmd/ or
+// examples/ path must exist. A fenced code block counts as one span.
+// A doc with an odd number of backticks fails: the pairing is lost.
+func TestDocsCiteLiveNames(t *testing.T) {
+	var defined []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+				defined = append(defined, fd.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fence := regexp.MustCompile("(?m)^[ \t]*```.*$")
+	span := regexp.MustCompile("`[^`]+`")
+	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	repoPath := regexp.MustCompile(`\b(?:internal|cmd|examples)/[\w./*-]*`)
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A fence line, indented or not, becomes one backtick.
+		body := fence.ReplaceAllString(string(text), "`")
+		if strings.Count(body, "`")%2 != 0 {
+			t.Errorf("%s has an unpaired backtick", doc)
+		}
+		for _, s := range span.FindAllString(body, -1) {
+			for _, name := range testName.FindAllString(s, -1) {
+				if !slices.ContainsFunc(defined, func(d string) bool { return strings.HasPrefix(d, name) }) {
+					t.Errorf("%s cites %s, which no test defines", doc, name)
+				}
+			}
+			for _, p := range repoPath.FindAllString(s, -1) {
+				p = strings.TrimRight(strings.TrimSuffix(p, "..."), "./")
+				pkg, _, _ := strings.Cut(p, ".") // `internal/analysis.Classify` cites a member
+				if m, _ := filepath.Glob(p); len(m) == 0 && !isDir(pkg) {
+					t.Errorf("%s cites %s, which does not exist", doc, p)
+				}
+			}
+		}
+	}
+}
+
+func isDir(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.IsDir()
+}
+
+// reachGraph is the reference graph of a loaded tree. Node "" stands
+// for the roots that are not functions: init bodies and package-level
+// var initialisers.
+type reachGraph struct {
+	module string                    // import-path prefix keys drop
+	pos    map[string]token.Position // every function declaration but init
+	pkg    map[string]string         // function -> its package's key
+	calls  map[string][]string       // function -> functions it references
+	dyn    map[string][]string       // function -> methods it calls through an interface
+	byName map[string][]string       // method name -> methods of that name
+	roots  []string                  // main in every binary package
+}
+
+func newReachGraph(pkgs []*analysis.Package, module string, binary func(path string) bool) *reachGraph {
+	g := &reachGraph{
+		module: module,
+		pos:    make(map[string]token.Position),
+		pkg:    make(map[string]string),
+		calls:  make(map[string][]string),
+		dyn:    make(map[string][]string),
+		byName: make(map[string][]string),
+	}
+	wd, _ := os.Getwd()
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.Name == "init" {
+						g.refs("", p.TypesInfo, d)
+						continue
+					}
+					fn := p.TypesInfo.Defs[d.Name].(*types.Func)
+					k := g.key(fn)
+					posn := p.Fset.Position(d.Pos())
+					if rel, err := filepath.Rel(wd, posn.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+						posn.Filename = rel
+					}
+					g.pos[k] = posn
+					g.pkg[k] = strings.TrimPrefix(p.Path, module)
+					if d.Recv != nil {
+						g.byName[fn.Name()] = append(g.byName[fn.Name()], k)
+					} else if fn.Name() == "main" && p.Types.Name() == "main" && binary(p.Path) {
+						g.roots = append(g.roots, k)
+					}
+					g.refs(k, p.TypesInfo, d)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok && d.Tok == token.VAR {
+							for _, v := range vs.Values {
+								g.refs("", p.TypesInfo, v)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return g
+}
+
+// refs records every function n refers to. The selected name of every
+// selector expression is in Uses, so method calls, method values and
+// method expressions all land here.
+func (g *reachGraph) refs(from string, info *types.Info, n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		fn, ok := info.Uses[id].(*types.Func)
+		if !ok {
+			return true
+		}
+		fn = fn.Origin()
+		if r := fn.Type().(*types.Signature).Recv(); r != nil && types.IsInterface(r.Type()) {
+			g.dyn[from] = append(g.dyn[from], fn.Name())
+		} else if fn.Pkg() != nil {
+			g.calls[from] = append(g.calls[from], g.key(fn))
+		}
+		return true
+	})
+}
+
+func (g *reachGraph) key(fn *types.Func) string {
+	name := fn.Name()
+	if r := fn.Type().(*types.Signature).Recv(); r != nil {
+		t := r.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			name = n.Obj().Name() + "." + name
+		}
+	}
+	return strings.TrimPrefix(fn.Pkg().Path(), g.module) + "." + name
+}
+
+// reach returns every function reachable from the roots and seeds.
+func (g *reachGraph) reach(seeds []string) map[string]bool {
+	seen := make(map[string]bool)
+	names := make(map[string]bool)
+	work := append(append([]string{""}, g.roots...), seeds...)
+	called := func(name string) {
+		if !names[name] {
+			names[name] = true
+			work = append(work, g.byName[name]...)
+		}
+	}
+	for _, name := range reachImplicit {
+		called(name)
+	}
+	for len(work) > 0 {
+		k := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		work = append(work, g.calls[k]...)
+		for _, name := range g.dyn[k] {
+			called(name)
+		}
+	}
+	return seen
+}
+
+// covers lists the functions an allowlist entry names: the function
+// itself, or every function of the package.
+func (g *reachGraph) covers(entry string) []string {
+	if _, ok := g.pos[entry]; ok {
+		return []string{entry}
+	}
+	var fs []string
+	for k, p := range g.pkg {
+		if p == entry {
+			fs = append(fs, k)
+		}
+	}
+	sort.Strings(fs)
+	return fs
+}
+
+// check returns the functions reached neither from a root nor from an
+// allow entry, and the entries that name nothing or are not needed.
+func (g *reachGraph) check(allow map[string]string) (dead, stale []string) {
+	entries := make([]string, 0, len(allow))
+	for e := range allow {
+		entries = append(entries, e)
+	}
+	sort.Strings(entries)
+	seedsBut := func(skip string) []string {
+		var seeds []string
+		for _, e := range entries {
+			if e != skip {
+				seeds = append(seeds, g.covers(e)...)
+			}
+		}
+		return seeds
+	}
+	reached := g.reach(seedsBut(""))
+	for k := range g.pos {
+		if !reached[k] {
+			dead = append(dead, k)
+		}
+	}
+	sort.Strings(dead)
+	for _, e := range entries {
+		fs := g.covers(e)
+		if len(fs) == 0 {
+			stale = append(stale, e+" names no function or package")
+			continue
+		}
+		without := g.reach(seedsBut(e))
+		for _, f := range fs {
+			if without[f] {
+				stale = append(stale, f+" is reachable without entry "+e)
+				break
+			}
+		}
+	}
+	return dead, stale
+}

@@ -37,7 +37,7 @@ func main() {
 	// charged back into simulated time.
 	dpu.CtrlSrv.Handle("kv.get", func(arg any, respond func(any, int, error)) {
 		val, ok, err := kv.Get(arg.([]byte))
-		dpu.View.Complete(eng, "kv.get", func() {
+		eng.After(dpu.View.TakeCost(), "kv.get", func() {
 			if err != nil {
 				respond(nil, 64, err)
 				return
@@ -52,7 +52,7 @@ func main() {
 	dpu.CtrlSrv.Handle("kv.put", func(arg any, respond func(any, int, error)) {
 		pair := arg.([2][]byte)
 		err := kv.Put(pair[0], pair[1])
-		dpu.View.Complete(eng, "kv.put", func() { respond(true, 64, err) })
+		eng.After(dpu.View.TakeCost(), "kv.put", func() { respond(true, 64, err) })
 	})
 
 	// Client on another host.

@@ -39,10 +39,10 @@ func main() {
 	if _, err := dpu.Store.Alloc(id, 4096, true, seg.HintAuto); err != nil {
 		log.Fatal(err)
 	}
-	dpu.Store.Write(id, 0, []byte("hello, CPU-free world"), func(err error) {
-		if err != nil {
-			log.Fatal(err)
-		}
+	if err := dpu.View.WriteAt(id, 0, []byte("hello, CPU-free world")); err != nil {
+		log.Fatal(err)
+	}
+	eng.After(dpu.View.TakeCost(), "quickstart.write", func() {
 		fmt.Printf("object %v durable at t=%v\n", id, eng.Now())
 	})
 	eng.Run()

@@ -34,7 +34,7 @@ type Filter struct {
 	bans      ebpf.Map
 	logID     seg.ObjectID
 	logOff    int64
-	view      *seg.SyncView // BannedSources' reads; made on first use
+	view      *seg.SyncView // the ban log's writes and reads, costed apart from dpu.View
 	Threshold int
 
 	Passed, Dropped, Banned int64
@@ -77,7 +77,7 @@ func Deploy(d *core.DPU, slot, threshold int, done func()) (*Filter, error) {
 		return nil, err
 	}
 	f := &Filter{dpu: d, slot: slot, pipe: pipe, bans: bans,
-		Threshold: threshold, logID: seg.OID(0xFA12, 1)}
+		Threshold: threshold, logID: seg.OID(0xFA12, 1), view: seg.NewSyncView(d.Store)}
 	if _, err := d.Store.Alloc(f.logID, logCapacity, true, seg.HintAuto); err != nil {
 		return nil, err
 	}
@@ -89,8 +89,7 @@ func Deploy(d *core.DPU, slot, threshold int, done func()) (*Filter, error) {
 
 // Process runs one packet through the slot. verdict receives the
 // program's decision after the pipeline latency. A new ban's log
-// record is written fire-and-forget: verdict fires before that write
-// completes.
+// record is written off the verdict path: its cost delays no verdict.
 func (f *Filter) Process(p trace.Packet, verdict func(v int)) error {
 	ctx := p.Marshal()
 	return f.dpu.Submit(f.slot, ctx, func(out any) {
@@ -114,7 +113,8 @@ func (f *Filter) Process(p trace.Packet, verdict func(v int)) error {
 	})
 }
 
-// persistBan appends a ban record to the durable log.
+// persistBan appends a ban record to the durable log. The write is
+// synchronous; its modeled cost is taken and discarded.
 func (f *Filter) persistBan(src uint32) {
 	if f.logOff+logEntrySize > logCapacity {
 		return // log full; real deployment would rotate
@@ -124,20 +124,19 @@ func (f *Filter) persistBan(src uint32) {
 	binary.LittleEndian.PutUint64(rec[8:], uint64(f.dpu.Eng.Now()))
 	off := f.logOff
 	f.logOff += logEntrySize
-	f.dpu.Store.Write(f.logID, off, rec, nil)
+	if err := f.view.WriteAt(f.logID, off, rec); err != nil {
+		panic(fmt.Sprintf("fail2ban: ban log write: %v", err)) // the log is allocated and the record in bounds
+	}
+	f.view.TakeCost()
 }
 
 // BannedSources reads the persistent ban log back synchronously
-// (control-plane use). A ban write still queued is not in the log yet,
-// so callers drain the engine first. The read goes through the
-// filter's own view, leaving no cost on the DPU's shared one.
+// (control-plane use) through the filter's own view, leaving no cost on
+// the DPU's shared one.
 func (f *Filter) BannedSources() ([]uint32, error) {
 	n := f.logOff / logEntrySize
 	if n == 0 {
 		return nil, nil
-	}
-	if f.view == nil {
-		f.view = seg.NewSyncView(f.dpu.Store)
 	}
 	data, err := f.view.ReadAt(f.logID, 0, f.logOff)
 	if err != nil {

@@ -119,7 +119,7 @@ func (c *Cluster) serve(n *Node) {
 		// The key aliases the capsule, which is valid for the handler's
 		// synchronous extent; KV.Get consumes it before returning.
 		val, found, err := n.KV.Get(b.Bytes())
-		d.View.Complete(c.Eng, "ckv.get", func() {
+		c.Eng.After(d.View.TakeCost(), "ckv.get", func() {
 			if err != nil {
 				respond(nil, 64, err)
 				return
@@ -143,7 +143,7 @@ func (c *Cluster) serve(n *Node) {
 		key, value := decodePut(b.Bytes())
 		n.Puts++
 		err := n.KV.Put(key, value)
-		d.View.Complete(c.Eng, "ckv.put", func() { respond(true, 64, err) })
+		c.Eng.After(d.View.TakeCost(), "ckv.put", func() { respond(true, 64, err) })
 	})
 }
 

@@ -51,17 +51,14 @@ func TestBootSelfTestFails(t *testing.T) {
 }
 
 func TestSegmentStoreWorksThroughDPU(t *testing.T) {
-	eng, _, d := bootTest(t)
+	_, _, d := bootTest(t)
 	id := seg.OID(1, 1)
 	if _, err := d.Store.Alloc(id, 8192, true, seg.HintAuto); err != nil {
 		t.Fatal(err)
 	}
 	payload := []byte("through the whole stack")
-	var werr error
-	d.Store.Write(id, 0, payload, func(err error) { werr = err })
-	eng.Run()
-	if werr != nil {
-		t.Fatal(werr)
+	if err := d.View.WriteAt(id, 0, payload); err != nil {
+		t.Fatal(err)
 	}
 	got, err := d.View.ReadAt(id, 0, int64(len(payload)))
 	if err != nil || string(got) != string(payload) {

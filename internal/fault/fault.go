@@ -1,6 +1,6 @@
 // Package fault is the deterministic fault-injection plane for the
-// simulator. Each layer that can fail (netsim, nvme, cluster, rack,
-// tenant) accepts a *Plan and consults it at well-defined injection
+// simulator. Each layer that can fail (netsim, nvme, cluster, tenant)
+// accepts a *Plan and consults it at well-defined injection
 // points. A Plan is seeded from the experiment seed plus the layer
 // name, so the same seed always injects the same faults at the same
 // virtual times — chaos runs replay byte-identically.
@@ -23,11 +23,10 @@ import "hyperion/internal/sim"
 type Kind uint8
 
 const (
-	// Drop discards a frame at the switch or a request at a rack box.
+	// Drop discards a frame at the switch.
 	Drop Kind = iota
 	// Corrupt delivers a frame whose payload failed its integrity
-	// check (the NIC counts and discards it) or flips a byte in an
-	// NVMe read, depending on the layer.
+	// check (the NIC counts and discards it).
 	Corrupt
 	// Reorder delays one frame past its successors.
 	Reorder
@@ -135,7 +134,7 @@ func (p *Plan) Delay(lo, hi sim.Duration) sim.Duration {
 }
 
 // Pick draws a uniform index in [0, n) from the plan's stream, for
-// layers that need a fault position (e.g. which byte to corrupt).
+// layers that need a fault target (e.g. which node to crash).
 // Call it only after a successful Roll so disabled plans stay no-ops.
 func (p *Plan) Pick(n int) int {
 	if n <= 1 {

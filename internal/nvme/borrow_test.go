@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"hyperion/internal/fault"
 	"hyperion/internal/sim"
 )
 
@@ -55,37 +54,6 @@ func TestBorrowedReadReusesBuffer(t *testing.T) {
 	}
 	if baseA != baseB || baseB != baseZ {
 		t.Fatal("consecutive reads did not reuse one device buffer")
-	}
-}
-
-// TestBorrowedCorruptionHitsOnlyTheHandedBuffer: fault.Corrupt damages
-// the buffer lent to the handler, never the store, so the reread is
-// clean.
-func TestBorrowedCorruptionHitsOnlyTheHandedBuffer(t *testing.T) {
-	eng, dev, h := newDev(t)
-	want := pattern(3, 0)
-	dev.WriteSync(3, want)
-	plan := fault.NewPlan(1, "nvme").Set(fault.Corrupt, 1)
-	dev.SetFaultPlan(plan)
-	bad, _ := readCopy(t, eng, h, 3)
-	diff := 0
-	for i := range bad {
-		if bad[i] != want[i] {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("corrupt read differs in %d bytes, want exactly 1", diff)
-	}
-	plan.Set(fault.Corrupt, 0)
-	good, _ := readCopy(t, eng, h, 3)
-	if !bytes.Equal(good, want) {
-		t.Fatal("reread after a corrupt read is not clean")
-	}
-	stored := make([]byte, 4096)
-	dev.ReadSyncInto(stored, 3, 1)
-	if !bytes.Equal(stored, want) {
-		t.Fatal("corruption reached the store")
 	}
 }
 

@@ -30,8 +30,7 @@ const (
 	// StatusInternal is the injected-fault status (media error class).
 	StatusInternal uint16 = 0x06
 	// StatusTimeout is synthesized by the Host when a command misses its
-	// deadline; the device never posts it. (0xFFFF is already claimed by
-	// seg's enqueue-failure sentinel, so the host uses 0xFFFD.)
+	// deadline; the device never posts it.
 	StatusTimeout uint16 = 0xFFFD
 )
 
@@ -134,8 +133,8 @@ type Device struct {
 	// queued command allocates none.
 	lanes []sim.Lane
 
-	// plan is the fault plane (media errors, swallowed commands,
-	// transient read corruption); see SetFaultPlan.
+	// plan is the fault plane (media errors, swallowed commands); see
+	// SetFaultPlan.
 	plan *fault.Plan
 	rec  *telemetry.Recorder
 
@@ -154,10 +153,9 @@ func (d *Device) SetRecorder(rec *telemetry.Recorder) { d.rec = rec }
 
 // SetFaultPlan installs a fault plan consulted once per I/O command
 // (kinds MediaErr → StatusInternal completion, Timeout → the command is
-// swallowed and never completes, exercising host deadlines, Corrupt →
-// one byte of a read's returned payload is flipped in flight; the
-// stored data stays intact, so a reread succeeds). A nil or zero-rate
-// plan leaves command execution bit-identical to an unhooked device.
+// swallowed and never completes, exercising host deadlines). A nil or
+// zero-rate plan leaves command execution bit-identical to an unhooked
+// device.
 // The functional Sync path is never affected.
 func (d *Device) SetFaultPlan(p *fault.Plan) { d.plan = p }
 
@@ -435,14 +433,7 @@ func (d *Device) accessFlash(c *cmdCtx) {
 // crosses the link.
 func (c *cmdCtx) readDone() {
 	d := c.d
-	data := d.readStore(c.cmd.LBA, c.cmd.Blocks)
-	if d.plan.Roll(fault.Corrupt) && len(data) > 0 {
-		// Transient in-flight corruption: the returned copy is
-		// damaged, the store is not, so a reread observes clean data.
-		d.Counters.Get("injected_corruptions").Add(1)
-		data[d.plan.Pick(len(data))] ^= 0xA5
-	}
-	c.status, c.data = StatusOK, data
+	c.status, c.data = StatusOK, d.readStore(c.cmd.LBA, c.cmd.Blocks)
 	d.transfer(int64(c.cmd.Blocks)*int64(d.cfg.BlockSize), c, stageComplete)
 }
 
@@ -797,12 +788,8 @@ func (h *Host) ReadSpan(q int, lba int64, blocks int, span telemetry.RequestID, 
 	return h.submit(q, cmd, done{read: cb}, true)
 }
 
-// Write writes data (len = blocks × BlockSize) at lba on queue q.
-func (h *Host) Write(q int, lba int64, data []byte, cb func(status uint16)) error {
-	return h.WriteSpan(q, lba, data, 0, cb)
-}
-
-// WriteSpan is Write carrying a request-scoped trace context.
+// WriteSpan writes data (len = blocks × BlockSize) at lba on queue q,
+// carrying a request-scoped trace context down the command path.
 func (h *Host) WriteSpan(q int, lba int64, data []byte, span telemetry.RequestID, cb func(status uint16)) error {
 	bs := h.dev.cfg.BlockSize
 	if len(data)%bs != 0 {

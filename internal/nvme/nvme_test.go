@@ -21,7 +21,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	eng, _, h := newDev(t)
 	payload := bytes.Repeat([]byte{0xAB}, 4096*3)
 	wrote := false
-	if err := h.Write(0, 100, payload, func(st uint16) {
+	if err := h.WriteSpan(0, 100, payload, 0, func(st uint16) {
 		if st != StatusOK {
 			t.Errorf("write status %#x", st)
 		}
@@ -113,7 +113,7 @@ func TestWriteFasterThanReadThenFlushWaits(t *testing.T) {
 	eng, dev, h := newDev(t)
 	cfg := dev.cfg
 	var wAt, fAt sim.Time
-	_ = h.Write(0, 0, make([]byte, 4096), func(uint16) { wAt = eng.Now() })
+	_ = h.WriteSpan(0, 0, make([]byte, 4096), 0, func(uint16) { wAt = eng.Now() })
 	_ = h.FlushSpan(0, 0, func(uint16) { fAt = eng.Now() })
 	eng.Run()
 	if wAt.Sub(0) >= sim.Duration(cfg.ReadLatency) {
@@ -184,7 +184,7 @@ func TestShortWriteRejected(t *testing.T) {
 	if !errors.Is(err, ErrShortWrite) {
 		t.Fatalf("err = %v, want ErrShortWrite", err)
 	}
-	if err := h.Write(0, 0, make([]byte, 100), nil); !errors.Is(err, ErrShortWrite) {
+	if err := h.WriteSpan(0, 0, make([]byte, 100), 0, nil); !errors.Is(err, ErrShortWrite) {
 		t.Fatalf("host err = %v, want ErrShortWrite", err)
 	}
 }
@@ -198,7 +198,7 @@ func TestDMAHookCharged(t *testing.T) {
 		eng.After(sim.Microsecond, "fakedma", done)
 	}, nil)
 	h := NewHost(dev, nil)
-	_ = h.Write(0, 0, make([]byte, 8192), nil)
+	_ = h.WriteSpan(0, 0, make([]byte, 8192), 0, nil)
 	eng.Run()
 	var read bool
 	_ = h.Read(0, 0, 2, func([]byte, uint16) { read = true })
@@ -213,8 +213,8 @@ func TestDMAHookCharged(t *testing.T) {
 
 func TestStoredBlocksAccounting(t *testing.T) {
 	eng, dev, h := newDev(t)
-	_ = h.Write(0, 10, make([]byte, 4096*4), nil)
-	_ = h.Write(0, 12, make([]byte, 4096*4), nil) // overlaps 2 blocks
+	_ = h.WriteSpan(0, 10, make([]byte, 4096*4), 0, nil)
+	_ = h.WriteSpan(0, 12, make([]byte, 4096*4), 0, nil) // overlaps 2 blocks
 	eng.Run()
 	if got := dev.StoredBlocks(); got != 6 {
 		t.Fatalf("StoredBlocks = %d, want 6", got)

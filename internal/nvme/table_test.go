@@ -140,7 +140,7 @@ func TestDeadlineTimeoutReachesEveryVerb(t *testing.T) {
 		block := make([]byte, 4096)
 		errs := []error{
 			h.Read(0, 1, 1, read("read")),
-			h.Write(0, 3, block, note("write")),
+			h.WriteSpan(0, 3, block, 0, note("write")),
 			h.FlushSpan(0, 0, note("flush")),
 			h.Submit(0, Command{Opcode: OpRead, NSID: 1, LBA: 4, Blocks: 1}, func(c Completion) { note("submit")(c.Status) }),
 		}

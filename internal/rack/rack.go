@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"hyperion/internal/fault"
 	"hyperion/internal/netsim"
 	"hyperion/internal/nvme"
 	"hyperion/internal/seg"
@@ -69,7 +68,6 @@ type Config struct {
 	ValueBytes    int          // KV value size
 	Replicas      int          // KV replication factor (1 = no replication)
 	Net           netsim.Config
-	FaultRate     float64 // per-request box fault probability (0 = off)
 }
 
 // DefaultConfig returns a small, fast rack: 8 boxes, 32k clients.
@@ -111,7 +109,6 @@ type box struct {
 	host   *nvme.Host
 	up     *netsim.BoundaryLink
 	pool   *wire.Pool
-	plan   *fault.Plan
 	keyBuf [8]byte
 
 	reps    []repState
@@ -134,7 +131,7 @@ type box struct {
 	// steady, so its answers come due in the order they were asked.
 	getLane, putLane, repLane sim.Lane
 
-	reads, gets, puts, dropped int64
+	reads, gets, puts int64
 }
 
 // readOp is one remote block read waiting on the device.
@@ -288,7 +285,7 @@ func New(cfg Config, seed uint64, rec *telemetry.Recorder) *Rack {
 	// Registration order is part of the deterministic envelope order:
 	// box LPs first, then group LPs, both in box order.
 	for i := 0; i < cfg.Boxes; i++ {
-		b := r.newBox(i, layout[i], seed, rec)
+		b := r.newBox(i, layout[i], rec)
 		r.boxes = append(r.boxes, b)
 	}
 	for i := 0; i < cfg.Boxes; i++ {
@@ -298,7 +295,7 @@ func New(cfg Config, seed uint64, rec *telemetry.Recorder) *Rack {
 	return r
 }
 
-func (r *Rack) newBox(i, shard int, seed uint64, rec *telemetry.Recorder) *box {
+func (r *Rack) newBox(i, shard int, rec *telemetry.Recorder) *box {
 	cfg := r.cfg
 	sh := r.cl.Shard(shard)
 	eng := sh.Engine()
@@ -324,9 +321,6 @@ func (r *Rack) newBox(i, shard int, seed uint64, rec *telemetry.Recorder) *box {
 		view: view, kv: kv, host: host,
 		up:   netsim.NewBoundaryLink(cfg.Net),
 		pool: r.pools[shard],
-	}
-	if cfg.FaultRate > 0 {
-		b.plan = fault.NewPlanIndexed(seed, "rack.box", i).Set(fault.Drop, cfg.FaultRate)
 	}
 	if rec != nil {
 		crec := rec.Child(fmt.Sprintf("rack.box%02d", i))
@@ -393,13 +387,6 @@ func (b *box) reply(dst sim.LP, kind uint16, id, aux uint64, payload []byte) {
 
 // handle serves one spine envelope addressed to this box.
 func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
-	// The fault plane drops client requests only: replication traffic
-	// stays reliable so a dropped put still answers its client.
-	if env.Kind <= opKVPut && b.plan.Roll(fault.Drop) {
-		b.dropped++
-		b.reply(env.Src, respErr, env.A, 0, nil)
-		return
-	}
 	switch env.Kind {
 	case opNVMeRead:
 		b.reads++

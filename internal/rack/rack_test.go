@@ -83,51 +83,6 @@ func TestRackCompletes(t *testing.T) {
 	}
 }
 
-func TestRackFaultPlane(t *testing.T) {
-	cfg := smallConfig(2)
-	cfg.FaultRate = 0.2
-	r := New(cfg, 1, nil)
-	r.Run()
-	tot := r.Totals()
-	if tot.Errs == 0 {
-		t.Fatal("20% drop rate produced no client errors")
-	}
-	if tot.OK+tot.Errs != tot.Issued {
-		t.Errorf("issued %d, completed %d+%d: faults must still answer the client",
-			tot.Issued, tot.OK, tot.Errs)
-	}
-	// Faulty runs stay shard-count invariant too: per-box plans are
-	// keyed on (seed, layer, box index), not on layout.
-	a := New(cfg, 1, nil)
-	a.Run()
-	cfg4 := cfg
-	cfg4.Shards = 4
-	b := New(cfg4, 1, nil)
-	b.Run()
-	if sa, sb := summarize(a.Totals(), a.Cluster()), summarize(b.Totals(), b.Cluster()); sa != sb {
-		t.Errorf("faulty run not invariant:\n1 shard: %s\n4 shards: %s", sa, sb)
-	}
-}
-
-func TestRackIndexedPlansDiffer(t *testing.T) {
-	// Regression for the NewPlanIndexed audit: two boxes must not see
-	// identical fault streams (NewPlan keyed on the layer name alone
-	// would correlate them).
-	cfg := smallConfig(1)
-	cfg.Boxes = 2
-	cfg.Replicas = 2
-	cfg.FaultRate = 0.5
-	r := New(cfg, 3, nil)
-	r.Run()
-	if r.boxes[0].dropped == r.boxes[1].dropped {
-		// Counts colliding once is possible; identical streams would
-		// also collide on every op count. Check the stronger signal.
-		if r.boxes[0].reads == r.boxes[1].reads && r.boxes[0].gets == r.boxes[1].gets {
-			t.Error("boxes look identically seeded; expected independent fault streams")
-		}
-	}
-}
-
 // TestRackAllocBudget pins the block plane's allocation win where
 // `go test ./...` sees it: a fixed-seed two-box rack at E17's load may
 // spend at most this many heap objects and bytes per issued op while

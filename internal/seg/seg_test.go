@@ -102,39 +102,34 @@ func TestDRAMSpillToNVMe(t *testing.T) {
 }
 
 func TestReadWriteDRAM(t *testing.T) {
-	eng, s := newStore(t, 1)
+	_, s := newStore(t, 1)
+	v := NewSyncView(s)
 	id := OID(2, 1)
 	if _, err := s.Alloc(id, 1<<16, false, HintHot); err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{0x5a}, 1000)
-	var werr error
-	s.Write(id, 123, payload, func(err error) { werr = err })
-	eng.Run()
-	if werr != nil {
-		t.Fatal(werr)
+	if err := v.WriteAt(id, 123, payload); err != nil {
+		t.Fatal(err)
 	}
-	got, err := NewSyncView(s).ReadAt(id, 123, 1000)
+	got, err := v.ReadAt(id, 123, 1000)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("dram read mismatch (%v)", err)
 	}
 }
 
 func TestReadWriteNVMeUnaligned(t *testing.T) {
-	eng, s := newStore(t, 2)
+	_, s := newStore(t, 2)
+	v := NewSyncView(s)
 	id := OID(2, 2)
 	if _, err := s.Alloc(id, 1<<16, true, HintAuto); err != nil {
 		t.Fatal(err)
 	}
 	// Unaligned write crossing block boundaries exercises RMW.
 	payload := bytes.Repeat([]byte{0xA7}, 6000)
-	var werr error
-	s.Write(id, 3000, payload, func(err error) { werr = err })
-	eng.Run()
-	if werr != nil {
-		t.Fatal(werr)
+	if err := v.WriteAt(id, 3000, payload); err != nil {
+		t.Fatal(err)
 	}
-	v := NewSyncView(s)
 	got, err := v.ReadAt(id, 3000, 6000)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("nvme rmw read mismatch (%v)", err)
@@ -152,14 +147,12 @@ func TestReadWriteNVMeUnaligned(t *testing.T) {
 }
 
 func TestBoundsChecks(t *testing.T) {
-	eng, s := newStore(t, 1)
+	_, s := newStore(t, 1)
 	id := OID(3, 1)
 	_, _ = s.Alloc(id, 100, false, HintHot)
 	v := NewSyncView(s)
-	var werr error
 	_, rerr := v.ReadAt(id, 50, 51)
-	s.Write(id, 99, []byte{1, 2}, func(err error) { werr = err })
-	eng.Run()
+	werr := v.WriteAt(id, 99, []byte{1, 2})
 	if !errors.Is(rerr, ErrBounds) || !errors.Is(werr, ErrBounds) {
 		t.Fatalf("bounds errs = %v, %v", rerr, werr)
 	}
@@ -243,6 +236,7 @@ func TestCheckpointRecover(t *testing.T) {
 	scfg := DefaultConfig()
 	scfg.DRAMBytes = 16 << 20
 	s := New(eng, scfg, []*nvme.Host{host})
+	v := NewSyncView(s)
 
 	payload := bytes.Repeat([]byte{0xEE}, 4096)
 	for i := 0; i < 10; i++ {
@@ -250,14 +244,15 @@ func TestCheckpointRecover(t *testing.T) {
 		if _, err := s.Alloc(id, 4096, true, HintAuto); err != nil {
 			t.Fatal(err)
 		}
-		s.Write(id, 0, payload, nil)
+		if err := v.WriteAt(id, 0, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// One ephemeral DRAM segment that must NOT survive.
 	_, _ = s.Alloc(OID(8, 100), 4096, false, HintHot)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	eng.Run() // the queued payload writes land
 
 	// "Reboot": fresh store over the same device.
 	s2 := New(eng, scfg, []*nvme.Host{nvme.NewHost(dev, nil)})
@@ -300,7 +295,6 @@ func TestAutoCheckpoint(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		_, _ = s.Alloc(OID(9, uint64(i+1)), 512, true, HintAuto)
 	}
-	eng.Run()
 	if got := s.Counters.Value("checkpoints"); got < 2 {
 		t.Fatalf("auto checkpoints = %d, want ≥2", got)
 	}
@@ -455,69 +449,5 @@ func BenchmarkLookupCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		one()
-	}
-}
-
-func TestAsyncStress(t *testing.T) {
-	// Many outstanding queued writes interleaved with synchronous reads
-	// across DRAM and NVMe segments must all complete and leave every
-	// object readable.
-	eng, s := newStore(t, 4)
-	v := NewSyncView(s)
-	const objects = 32
-	want := make(map[ObjectID]byte)
-	for i := 0; i < objects; i++ {
-		id := OID(77, uint64(i+1))
-		durable := i%2 == 0
-		hint := HintAuto
-		if i%3 == 0 {
-			hint = HintCold
-		}
-		if _, err := s.Alloc(id, 16<<10, durable, hint); err != nil {
-			t.Fatal(err)
-		}
-		want[id] = 0
-	}
-	r := sim.NewRand(55)
-	pending := 0
-	var errs []error
-	for round := 0; round < 200; round++ {
-		i := r.Intn(objects)
-		id := OID(77, uint64(i+1))
-		switch r.Intn(4) {
-		case 0, 1, 2: // write a new version tag across the object edges
-			tag := byte(r.Intn(255) + 1)
-			buf := bytes.Repeat([]byte{tag}, 100)
-			off := int64(r.Intn(16<<10 - 100))
-			pending++
-			want[id] = tag
-			s.Write(id, off, buf, func(err error) {
-				pending--
-				if err != nil {
-					errs = append(errs, err)
-				}
-			})
-		case 3: // read anywhere (just must not error)
-			if _, err := v.ReadAt(id, int64(r.Intn(8<<10)), 64); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		if round%37 == 0 {
-			eng.Run()
-		}
-	}
-	eng.Run()
-	if pending != 0 {
-		t.Fatalf("%d operations never completed", pending)
-	}
-	for _, err := range errs {
-		t.Fatalf("stress op failed: %v", err)
-	}
-	// Every object is still fully readable end to end.
-	for i := 0; i < objects; i++ {
-		id := OID(77, uint64(i+1))
-		if data, err := v.ReadAt(id, 0, 16<<10); err != nil || len(data) != 16<<10 {
-			t.Fatalf("final read %v: %v (%d bytes)", id, err, len(data))
-		}
 	}
 }

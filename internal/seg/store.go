@@ -94,7 +94,6 @@ func DefaultConfig() Config {
 
 // Store is the single-level object store.
 type Store struct {
-	eng  *sim.Engine
 	cfg  Config
 	devs []*nvme.Host
 
@@ -114,21 +113,22 @@ type Store struct {
 }
 
 // SetRecorder arms the telemetry plane: a latency sample per Lookup
-// (0 on cache hits, one DRAM access on misses) plus cache-hit and
-// queued-write counters. Disarmed (nil) the hooks are pure nil checks.
+// (0 on cache hits, one DRAM access on misses) plus a cache-hit
+// counter. Disarmed (nil) the hooks are pure nil checks.
 func (s *Store) SetRecorder(rec *telemetry.Recorder) { s.rec = rec }
 
 // devStride separates per-device NVMe address spaces inside Segment.Addr.
 const devStride = int64(1) << 44
 
 // New creates a store over the given NVMe hosts. Device 0's first
-// TableBlocks blocks are reserved for table checkpoints.
-func New(eng *sim.Engine, cfg Config, devs []*nvme.Host) *Store {
+// TableBlocks blocks are reserved for table checkpoints. The store
+// schedules no event; the engine parameter stays because the frozen
+// cmd/hyperbench probes call New with one.
+func New(_ *sim.Engine, cfg Config, devs []*nvme.Host) *Store {
 	if len(devs) == 0 {
 		panic("seg: need at least one NVMe device")
 	}
 	s := &Store{
-		eng:    eng,
 		cfg:    cfg,
 		devs:   devs,
 		table:  make(map[ObjectID]*Segment),
@@ -289,112 +289,8 @@ func (s *Store) Stat(id ObjectID) (*Segment, error) {
 // Len returns the number of live segments.
 func (s *Store) Len() int { return len(s.table) }
 
-// Write stores data at offset in the object through the queued device
-// path. For NVMe segments, unaligned edges use read-modify-write. cb
-// may be nil.
-//
-// Write is the store's one queued verb, kept whole for E8's fail2ban
-// ban log: its sixteen-byte records' read-modify-writes queue behind
-// each other on one flash channel, and that queueing is part of E8's
-// event count and simulated trace time. SyncView.WriteAt leaves the
-// same bytes but drops the queueing, which moves sim_events.
-func (s *Store) Write(id ObjectID, off int64, data []byte, cb func(err error)) {
-	sg, tcost, err := s.Lookup(id)
-	if err != nil {
-		s.failW(cb, tcost, err)
-		return
-	}
-	length := int64(len(data))
-	if off < 0 || off+length > sg.Size {
-		s.failW(cb, tcost, fmt.Errorf("%w: [%d,%d) of %d", ErrBounds, off, off+length, sg.Size))
-		return
-	}
-	s.Counters.Get("writes").Add(1)
-	if s.rec != nil {
-		s.rec.Count("seg", "writes", 1)
-	}
-	if sg.Loc == LocDRAM {
-		d := tcost + s.dramTime(length)
-		addr := sg.Addr + off
-		buf := append([]byte(nil), data...)
-		s.eng.After(d, "seg.write.dram", func() {
-			s.dram.write(addr, buf)
-			if cb != nil {
-				cb(nil)
-			}
-		})
-		return
-	}
-	dev, lba := s.split(sg.Addr)
-	bs := int64(s.cfg.BlockSize)
-	first := lba + off/bs
-	last := lba + (off+length+bs-1)/bs
-	skip := off % bs
-	nblocks := int(last - first)
-	buf := append([]byte(nil), data...)
-	s.eng.After(tcost, "seg.write.xlate", func() {
-		if skip == 0 && length%bs == 0 {
-			// Aligned: write directly.
-			s.devWrite(dev, first, padToBlocks(buf, int(bs)), cb)
-			return
-		}
-		// RMW: read covering blocks, merge, write back.
-		s.devRead(dev, first, nblocks, func(old []byte, st uint16) {
-			if st != nvme.StatusOK {
-				if cb != nil {
-					cb(fmt.Errorf("seg: rmw read status %#x", st))
-				}
-				return
-			}
-			merged := append([]byte(nil), old...)
-			copy(merged[skip:], buf)
-			s.devWrite(dev, first, merged, cb)
-		})
-	})
-}
-
-func padToBlocks(b []byte, bs int) []byte {
-	if len(b)%bs == 0 {
-		return b
-	}
-	out := make([]byte, (len(b)/bs+1)*bs)
-	copy(out, b)
-	return out
-}
-
-// devRead reads blocks through the device's queue pair; cb's data is the
-// device's lent buffer, valid until cb returns.
-func (s *Store) devRead(dev int, lba int64, blocks int, cb func([]byte, uint16)) {
-	if err := s.devs[dev].Read(0, lba, blocks, cb); err != nil {
-		cb(nil, 0xFFFF)
-	}
-}
-
-func (s *Store) devWrite(dev int, lba int64, data []byte, cb func(error)) {
-	err := s.devs[dev].Write(0, lba, data, func(st uint16) {
-		if cb == nil {
-			return
-		}
-		if st != nvme.StatusOK {
-			cb(fmt.Errorf("seg: nvme write status %#x", st))
-			return
-		}
-		cb(nil)
-	})
-	if err != nil && cb != nil {
-		cb(err)
-	}
-}
-
 func (s *Store) dramTime(length int64) sim.Duration {
 	return s.cfg.DRAMLatency + sim.Duration(float64(length)/float64(s.cfg.DRAMBytesPerSec)*float64(sim.Second))
-}
-
-func (s *Store) failW(cb func(error), d sim.Duration, err error) {
-	if cb == nil {
-		return
-	}
-	s.eng.After(d, "seg.err", func() { cb(err) })
 }
 
 func (s *Store) mutated() {

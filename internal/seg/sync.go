@@ -17,9 +17,8 @@ import (
 // This functional/timing split keeps pointer-walking code ordinary Go
 // while preserving the dependent-access latency that the experiments
 // measure. Queueing effects between concurrent operations are not
-// modeled on this path; Store.Write, the one queued verb, keeps them
-// for E8's ban log. Every read, and the table checkpoint and recovery,
-// are synchronous.
+// modeled on this path. It is the store's only data path: every read
+// and write, and the table checkpoint and recovery, are synchronous.
 type SyncView struct {
 	s    *Store
 	cost sim.Duration
@@ -232,11 +231,4 @@ func (v *SyncView) WriteAt(id ObjectID, off int64, data []byte) error {
 		d.PatchSync(first, int(skip), data)
 	}
 	return nil
-}
-
-// Complete schedules cb after the accumulated cost, resetting it. This
-// is the bridge back into simulated time for request handlers.
-func (v *SyncView) Complete(eng *sim.Engine, name string, cb func()) {
-	d := v.TakeCost()
-	eng.After(d, name, cb)
 }

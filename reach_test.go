@@ -1,21 +1,32 @@
 package hyperion
 
 import (
+	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"hyperion/internal/analysis"
+	"hyperion/internal/fault"
 )
+
+// loadTree type-checks the non-test tree once for every gate in this
+// file.
+var loadTree = sync.OnceValues(func() ([]*analysis.Package, error) {
+	return analysis.NewLoader(".").LoadPatterns("./...")
+})
 
 // reachAllow names the non-test functions no binary reaches that stay
 // anyway, each with its reason: the test that drives other reachable
@@ -58,7 +69,7 @@ var reachAllow = map[string]string{
 	"internal/seg.Store.Stat":          "TestCheckpointRecover and TestCrashRecoveryEndToEnd observe the segment table through it",
 	"internal/seg.SyncView.Store":      "TestImageWriteMatchesEncodeOracle and TestUnlinkFreesSpace observe the store under a view through it",
 	"internal/seg.allocator.free":      "TestAllocatorProperty and TestCheckpointRecover observe free space through it",
-	"internal/sim.CounterSet.Value":    "TestDeviceFaultsPropagateThroughStore and TestDeadlineTimeoutReachesEveryVerb read model counters through it",
+	"internal/sim.CounterSet.Value":    "TestPartialFaultRateStillCompletesEventually and TestDeadlineTimeoutReachesEveryVerb read model counters through it",
 	"internal/sim.Engine.Pending":      "TestCheckpointRecoverScheduleNothing and TestLaneOrderMatchesHeap observe the event queue through it",
 	"internal/sim.LatencyRecorder.Min": "TestPlacementAndSubmit and TestLatencyRecorderPercentiles observe recorded latencies through it",
 
@@ -98,7 +109,7 @@ var reachImplicit = []string{"String", "Error", "Format", "Len", "Less", "Swap",
 // It replaces a per-package orphan check: an orphan package has every
 // function unreached.
 func TestEveryFunctionIsReachable(t *testing.T) {
-	pkgs, err := analysis.NewLoader(".").LoadPatterns("./...")
+	pkgs, err := loadTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +160,7 @@ func TestReachabilityRules(t *testing.T) {
 // `BenchmarkTable1_*`), and every backticked internal/, cmd/ or
 // examples/ path must exist. A fenced code block counts as one span.
 // A doc with an odd number of backticks fails: the pairing is lost.
+// Every test a reachAllow reason names must be live by the same rule.
 func TestDocsCiteLiveNames(t *testing.T) {
 	var defined []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -175,9 +187,19 @@ func TestDocsCiteLiveNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	live := func(name string) bool {
+		return slices.ContainsFunc(defined, func(d string) bool { return strings.HasPrefix(d, name) })
+	}
+	for entry, reason := range reachAllow {
+		for _, name := range testName.FindAllString(reason, -1) {
+			if !live(name) {
+				t.Errorf("reachAllow %s cites %s, which no test defines", entry, name)
+			}
+		}
+	}
 	fence := regexp.MustCompile("(?m)^[ \t]*```.*$")
 	span := regexp.MustCompile("`[^`]+`")
-	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 	repoPath := regexp.MustCompile(`\b(?:internal|cmd|examples)/[\w./*-]*`)
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
@@ -191,7 +213,7 @@ func TestDocsCiteLiveNames(t *testing.T) {
 		}
 		for _, s := range span.FindAllString(body, -1) {
 			for _, name := range testName.FindAllString(s, -1) {
-				if !slices.ContainsFunc(defined, func(d string) bool { return strings.HasPrefix(d, name) }) {
+				if !live(name) {
 					t.Errorf("%s cites %s, which no test defines", doc, name)
 				}
 			}
@@ -209,6 +231,16 @@ func TestDocsCiteLiveNames(t *testing.T) {
 func isDir(path string) bool {
 	fi, err := os.Stat(path)
 	return err == nil && fi.IsDir()
+}
+
+// relPosition shortens a position inside the working directory to a
+// relative path, so findings print as clickable file:line.
+func relPosition(posn token.Position) token.Position {
+	wd, _ := os.Getwd()
+	if rel, err := filepath.Rel(wd, posn.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+		posn.Filename = rel
+	}
+	return posn
 }
 
 // reachGraph is the reference graph of a loaded tree. Node "" stands
@@ -233,7 +265,6 @@ func newReachGraph(pkgs []*analysis.Package, module string, binary func(path str
 		dyn:    make(map[string][]string),
 		byName: make(map[string][]string),
 	}
-	wd, _ := os.Getwd()
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
@@ -245,11 +276,7 @@ func newReachGraph(pkgs []*analysis.Package, module string, binary func(path str
 					}
 					fn := p.TypesInfo.Defs[d.Name].(*types.Func)
 					k := g.key(fn)
-					posn := p.Fset.Position(d.Pos())
-					if rel, err := filepath.Rel(wd, posn.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-						posn.Filename = rel
-					}
-					g.pos[k] = posn
+					g.pos[k] = relPosition(p.Fset.Position(d.Pos()))
 					g.pkg[k] = strings.TrimPrefix(p.Path, module)
 					if d.Recv != nil {
 						g.byName[fn.Name()] = append(g.byName[fn.Name()], k)
@@ -393,4 +420,183 @@ func (g *reachGraph) check(allow map[string]string) (dead, stale []string) {
 		}
 	}
 	return dead, stale
+}
+
+// TestEveryFaultHookIsArmed fails on a fault hook no experiment arms,
+// on an arming no hook reads, and on a hook or arming it cannot
+// resolve. A hook is a call to (*fault.Plan).Roll or Windows outside
+// internal/fault, keyed by its package's last path element and its
+// constant Kind. An arming is a (*fault.Plan).Set call in internal/bench
+// whose rate is not the constant 0, keyed by the constant layer of the
+// NewPlan or NewPlanIndexed call its plan comes from: the root of the
+// receiver's Set chain, or the := initialiser of a local variable. A
+// plan built in model code arms nothing: no experiment turns it on.
+func TestEveryFaultHookIsArmed(t *testing.T) {
+	pkgs, err := loadTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range faultGate(pkgs, func(path string) bool { return path == "hyperion/internal/bench" }) {
+		t.Error(f)
+	}
+}
+
+// TestFaultGateRules pins each rule of the fault-hook gate on a small
+// program that is both the hooked layer and its experiment.
+func TestFaultGateRules(t *testing.T) {
+	root, err := analysis.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := analysis.NewLoader(root).LoadDir(filepath.Join("testdata", "faulthooks"), "faultdemo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := faultGate([]*analysis.Package{pkg}, func(string) bool { return true })
+	want := []string{
+		`testdata/faulthooks/main.go:20:2: faultdemo hook Roll(timeout) is armed by no experiment: arm it in internal/bench or delete it`,
+		`testdata/faulthooks/main.go:21:2: faultdemo hook Roll has no constant kind`,
+		`testdata/faulthooks/main.go:33:2: arming of "faultdemo" evict has no hook`,
+		`testdata/faulthooks/main.go:34:2: arming of "other" drop has no hook`,
+		`testdata/faulthooks/main.go:39:2: Set's plan comes from no NewPlan or NewPlanIndexed call with a constant layer`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// faultGate returns the findings of the fault-hook gate over pkgs,
+// sorted, each at file:line; arms says which packages' Set calls are
+// armings.
+func faultGate(pkgs []*analysis.Package, arms func(path string) bool) []string {
+	type site struct {
+		pos  token.Position
+		desc string
+	}
+	hooks := make(map[string][]site) // "layer kind" -> hook calls
+	armed := make(map[string][]site) // "layer kind" -> armings
+	var findings []string
+	for _, p := range pkgs {
+		if p.Path == faultPath {
+			continue
+		}
+		// A := precedes every use of its variable, so one walk in source
+		// order has each initialiser before the Set calls that need it.
+		inits := make(map[*types.Var]ast.Expr)
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.DEFINE && len(as.Lhs) == len(as.Rhs) {
+					for i, l := range as.Lhs {
+						if v, ok := p.TypesInfo.Defs[l.(*ast.Ident)].(*types.Var); ok {
+							inits[v] = as.Rhs[i]
+						}
+					}
+				}
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				name := faultCallee(p.TypesInfo, call)
+				pos := relPosition(p.Fset.Position(call.Pos()))
+				switch {
+				case name == "Roll" || name == "Windows":
+					layer := path.Base(p.Path)
+					kind, ok := faultKind(p.TypesInfo, call.Args[0])
+					if !ok {
+						findings = append(findings, fmt.Sprintf("%s: %s hook %s has no constant kind", pos, layer, name))
+						break
+					}
+					k := layer + " " + kind
+					hooks[k] = append(hooks[k], site{pos, fmt.Sprintf("%s hook %s(%s)", layer, name, kind)})
+				case name == "Set" && arms(p.Path):
+					if rate := p.TypesInfo.Types[call.Args[1]].Value; rate != nil && constant.Sign(rate) == 0 {
+						break
+					}
+					kind, ok := faultKind(p.TypesInfo, call.Args[0])
+					if !ok {
+						findings = append(findings, fmt.Sprintf("%s: Set has no constant kind", pos))
+						break
+					}
+					layer, ok := planLayer(p.TypesInfo, inits, call.Fun.(*ast.SelectorExpr).X)
+					if !ok {
+						findings = append(findings, fmt.Sprintf("%s: Set's plan comes from no NewPlan or NewPlanIndexed call with a constant layer", pos))
+						break
+					}
+					k := layer + " " + kind
+					armed[k] = append(armed[k], site{pos, fmt.Sprintf("arming of %q %s", layer, kind)})
+				}
+				return true
+			})
+		}
+	}
+	for k, sites := range hooks {
+		if armed[k] == nil {
+			for _, s := range sites {
+				findings = append(findings, fmt.Sprintf("%s: %s is armed by no experiment: arm it in internal/bench or delete it", s.pos, s.desc))
+			}
+		}
+	}
+	for k, sites := range armed {
+		if hooks[k] == nil {
+			for _, s := range sites {
+				findings = append(findings, fmt.Sprintf("%s: %s has no hook", s.pos, s.desc))
+			}
+		}
+	}
+	slices.Sort(findings)
+	return findings
+}
+
+const faultPath = "hyperion/internal/fault"
+
+// faultCallee names the function or *fault.Plan method call calls when
+// it is one of package fault's, and returns "" otherwise.
+func faultCallee(info *types.Info, call *ast.CallExpr) string {
+	var id *ast.Ident
+	switch fn := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		id = fn.Sel
+	case *ast.Ident:
+		id = fn
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == faultPath {
+		return fn.Name()
+	}
+	return ""
+}
+
+// faultKind names the constant fault.Kind e evaluates to.
+func faultKind(info *types.Info, e ast.Expr) (string, bool) {
+	v := info.Types[e].Value
+	if v == nil {
+		return "", false
+	}
+	n, ok := constant.Int64Val(v)
+	return fault.Kind(n).String(), ok
+}
+
+// planLayer follows a plan expression back through Set chains and local
+// variables' initialisers to the NewPlan or NewPlanIndexed call that
+// made it, and returns that call's constant layer.
+func planLayer(info *types.Info, inits map[*types.Var]ast.Expr, e ast.Expr) (string, bool) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.CallExpr:
+			switch faultCallee(info, x) {
+			case "Set":
+				e = x.Fun.(*ast.SelectorExpr).X
+				continue
+			case "NewPlan", "NewPlanIndexed":
+				if v := info.Types[x.Args[1]].Value; v != nil && v.Kind() == constant.String {
+					return constant.StringVal(v), true
+				}
+			}
+		case *ast.Ident:
+			if v, ok := info.Uses[x].(*types.Var); ok && inits[v] != nil {
+				e = inits[v]
+				continue
+			}
+		}
+		return "", false
+	}
 }

@@ -21,10 +21,10 @@
 //     global timer state corrupts whichever engine touches it second.
 //
 // The datapath pools its per-operation contexts (rpc's call/serveCtx,
-// nvmeof's opCtx, rack's readOp/kvOp) on sim.FreeList[T] with prebound
-// callback fields. A struct type T is pooled when the package calls
-// (*sim.FreeList[T]).Put anywhere, which opens two more recycle
-// hazards the analyzer covers:
+// nvmeof's opCtx, rack's readOp/kvOp) on sim.FreeList[T]; those it
+// schedules on the heap carry prebound callback fields. A struct type
+// T is pooled when the package calls (*sim.FreeList[T]).Put anywhere,
+// which opens two more recycle hazards the analyzer covers:
 //
 //   - Put of an object whose struct carries EventRef fields without
 //     first resetting those fields, either per-field or with a
@@ -40,12 +40,13 @@
 // form is itself a finding: appending a *struct to a slice whose name
 // ends in "Free" (`x.fooFree = append(x.fooFree, obj)`).
 //
-// Engine.AtLane is outside both rules on purpose. A lane event returns
-// no ref and cannot be cancelled, and its owners (nvme's cmdCtx, rack's
-// kvOp, sim.Cluster's recvEvent) never cancel it: an instance is
-// recycled only by its own event chain, at or after the lane event
-// bound to it has fired, so no pending lane event can reach a recycled
-// instance and there is no ref to keep.
+// Lane.At is outside both rules on purpose. A lane event is the pooled
+// context itself (a sim.Event), returns no ref and cannot be cancelled,
+// and its owners (nvme's cmdCtx, rack's kvOp, fabric's submitCtx,
+// sim.Cluster's recvEvent) never cancel it: an instance is recycled
+// only by its own event chain, at or after the lane event that carries
+// it has fired, so no pending lane event can reach a recycled instance
+// and there is no ref to keep.
 package eventref
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hyperion/internal/fabric"
+	"hyperion/internal/nvme"
 	"hyperion/internal/sim"
 	"hyperion/internal/telemetry"
 )
@@ -40,10 +41,11 @@ var probePayload any = []byte("probe")
 // fig2Ctx carries one probe through the four-stage pipeline with
 // prebound stage callbacks and its own reusable ingress stream (an
 // idle AXIS stream is indistinguishable from a fresh one); instances
-// cycle through the DPU's free list. data is the probe's own payload
-// buffer: the device lends a read's bytes only until onRead returns and
-// egress fires one event later, so onRead copies them here, and the
-// capacity stays with the context across recycling.
+// cycle through the DPU's free list. It is its own read's Completer.
+// data is the probe's own payload buffer: the device lends a read's
+// bytes only until Complete returns and egress fires one event later,
+// so Complete copies them here, and the capacity stays with the context
+// across recycling.
 type fig2Ctx struct {
 	d      *DPU
 	stream *fabric.Stream
@@ -61,7 +63,6 @@ type fig2Ctx struct {
 
 	sinkFn   func(fabric.Item)
 	pipeFn   func(out any)
-	readFn   func(data []byte, st uint16)
 	egressFn func()
 }
 
@@ -77,7 +78,6 @@ func (d *DPU) getFig2() *fig2Ctx {
 	c.stream = fabric.NewStream(d.Eng, "fig2.probe", d.Cfg.Fabric.ClockHz, 64, 8)
 	c.sinkFn = c.onArrive
 	c.pipeFn = c.onPipeline
-	c.readFn = c.onRead
 	c.egressFn = c.onEgress
 	c.stream.Connect(c.sinkFn)
 	return c
@@ -112,21 +112,23 @@ func (c *fig2Ctx) onPipeline(out any) {
 		d.rec.Span("fig2", "pipeline", c.span, c.t1, c.t2)
 	}
 	// Stage 3: NVMe host IP core → PCIe bridge → flash.
-	if rerr := d.Hosts[c.ssd].ReadSpan(0, c.lba, c.blocks, c.span, c.readFn); rerr != nil {
+	cmd := nvme.Command{Opcode: nvme.OpRead, NSID: 1, LBA: c.lba, Blocks: c.blocks, Span: c.span}
+	if rerr := d.Hosts[c.ssd].Submit(0, cmd, c); rerr != nil {
 		c.fail(rerr)
 	}
 }
 
-func (c *fig2Ctx) onRead(data []byte, st uint16) {
+// Complete is stage 3 complete: the read's data is back from flash.
+func (c *fig2Ctx) Complete(cpl nvme.Completion) {
 	d := c.d
 	c.t3 = d.Eng.Now()
 	c.tr.Storage = c.t3.Sub(c.t2)
 	if d.rec != nil {
 		d.rec.Span("fig2", "storage", c.span, c.t2, c.t3)
 	}
-	c.data = append(c.data[:0], data...)
+	c.data = append(c.data[:0], cpl.Data...)
 	// Stage 4: response egress serialization on QSFP.
-	respBytes := len(data) + 64
+	respBytes := len(cpl.Data) + 64
 	egress := sim.Duration(float64(respBytes) / 12.5e9 * float64(sim.Second))
 	//hyperlint:allow(eventref) one-shot stage event: its own firing is the only thing that recycles c, so there is no cancel window
 	d.Eng.After(egress, "fig2.egress", c.egressFn)

@@ -147,8 +147,13 @@ type Slot struct {
 	LoadedAt  sim.Time
 	busyUntil sim.Time // pipeline issue: next cycle an item may enter
 
-	completeName string       // precomputed completion event name for Image
-	reconfigRef  sim.EventRef // pending activation event while reconfiguring
+	reconfigRef sim.EventRef // pending activation event while reconfiguring
+
+	// completions carries the slot's in-flight items. An item completes
+	// a pipeline depth after its issue, and issues only grow, so they
+	// come due in order (a reconfiguration to a shallower image can put
+	// one behind the tail; that one waits in the engine's heap).
+	completions sim.Lane[submitCtx, *submitCtx]
 
 	in  *Stream
 	out *Stream
@@ -260,7 +265,6 @@ func (f *Fabric) LoadBitstream(i int, b *Bitstream, done func()) error {
 	f.free = rem
 	old := slot.Image
 	slot.Image = b
-	slot.completeName = "fabric.complete:" + b.Name
 	slot.State = SlotReconfiguring
 	_ = old
 	f.Counters.Get("reconfigs").Add(1)
@@ -349,22 +353,24 @@ func (f *Fabric) SubmitSpan(i int, item any, req telemetry.RequestID, result fun
 	slot.Items++
 	slot.Cycles += int64(slot.Image.II)
 	complete := issue.Add(f.Cycles(int64(slot.Image.Depth)))
-	sc := f.getSubmit()
+	sc, fresh := f.submits.Get()
+	if fresh {
+		sc.f = f
+	}
 	sc.img = slot.Image
 	sc.i = i
 	sc.item = item
 	sc.req = req
 	sc.issue = issue
 	sc.result = result
-	//hyperlint:allow(eventref) one-shot completion event: its own firing is the only thing that recycles sc, so there is no cancel window
-	f.eng.At(complete, slot.completeName, sc.fireFn)
+	slot.completions.At(f.eng, complete, sc)
 	return nil
 }
 
-// submitCtx carries one in-flight pipeline item to its completion
-// event with a prebound fire function; instances cycle through the
-// fabric's free list. The image is pinned per item, so a slot
-// reconfigured mid-flight still completes with the old Process.
+// submitCtx carries one in-flight pipeline item to its completion, which
+// it fires itself; instances cycle through the fabric's free list. The
+// image is pinned per item, so a slot reconfigured mid-flight still
+// completes with the old Process.
 type submitCtx struct {
 	f      *Fabric
 	img    *Bitstream
@@ -373,19 +379,10 @@ type submitCtx struct {
 	req    telemetry.RequestID
 	issue  sim.Time
 	result func(out any)
-	fireFn func()
 }
 
-func (f *Fabric) getSubmit() *submitCtx {
-	sc, fresh := f.submits.Get()
-	if fresh {
-		sc.f = f
-		sc.fireFn = sc.fire
-	}
-	return sc
-}
-
-func (sc *submitCtx) fire() {
+// Fire completes the item: Process runs, then the result callback.
+func (sc *submitCtx) Fire() {
 	f := sc.f
 	out := sc.img.Process(sc.item)
 	if f.rec != nil {

@@ -7,7 +7,6 @@ package nvme
 
 import (
 	"errors"
-	"fmt"
 
 	"hyperion/internal/fault"
 	"hyperion/internal/sim"
@@ -131,7 +130,7 @@ type Device struct {
 	// one for write cache-accept, a fixed overhead after the transfer.
 	// Built by the first flash access; a device that never runs a
 	// queued command allocates none.
-	lanes []sim.Lane
+	lanes []sim.Lane[cmdCtx, *cmdCtx]
 
 	// plan is the fault plane (media errors, swallowed commands); see
 	// SetFaultPlan.
@@ -247,7 +246,7 @@ const (
 )
 
 // cmdCtx carries one in-flight command through its event chain. Every
-// event of the chain is the one prebound step function dispatching on
+// event of the chain fires the context itself, which dispatches on
 // stage; instances cycle through the device's free list. status and
 // data set at schedule time are what the completion posts.
 type cmdCtx struct {
@@ -261,7 +260,12 @@ type cmdCtx struct {
 
 	wscratch []byte // reusable write-payload copy, capacity kept
 
-	step func() // prebound run
+	// step is Fire as a func(), bound the first time a path that takes
+	// one schedules the context: the DMA hook or a heap timer (a flush,
+	// a failed or swallowed command). A lane event needs none, so a
+	// device without a DMA hook that serves only good reads and writes
+	// never binds it.
+	step func()
 
 	// timer is the chain's pending device-side event. Nothing cancels
 	// it — a context recycles only from its own last event — but a
@@ -274,7 +278,6 @@ func (d *Device) getCtx(qp *queuePair, cmd Command) *cmdCtx {
 	c, fresh := d.ctxs.Get()
 	if fresh {
 		c.d = d
-		c.step = c.run
 	}
 	c.qp = qp
 	c.cmd = cmd
@@ -282,7 +285,8 @@ func (d *Device) getCtx(qp *queuePair, cmd Command) *cmdCtx {
 	return c
 }
 
-func (c *cmdCtx) run() {
+// Fire runs the command's current stage.
+func (c *cmdCtx) Fire() {
 	switch c.stage {
 	case stageComplete:
 		c.complete()
@@ -450,30 +454,38 @@ func (c *cmdCtx) writeXfer() {
 func (d *Device) transfer(size int64, c *cmdCtx, stage uint8) {
 	c.stage = stage
 	if d.dma == nil {
-		c.run()
+		c.Fire()
 		return
 	}
-	d.dma(size, c.step)
+	d.dma(size, c.fn())
 }
 
 // after runs c's stage once delay has elapsed.
 func (d *Device) after(delay sim.Duration, c *cmdCtx, stage uint8) {
 	c.stage = stage
-	c.timer = d.eng.After(delay, d.evName, c.step)
+	c.timer = d.eng.After(delay, d.evName, c.fn())
+}
+
+// fn returns c.step, binding it on first use.
+func (c *cmdCtx) fn() func() {
+	if c.step == nil {
+		c.step = c.Fire
+	}
+	return c.step
 }
 
 // onLane runs c's stage at t on lane l. A lane event returns no ref:
 // nothing cancels a chain's event, and the context recycles only from
 // the chain's last one.
-func (d *Device) onLane(l *sim.Lane, t sim.Time, c *cmdCtx, stage uint8) {
+func (d *Device) onLane(l *sim.Lane[cmdCtx, *cmdCtx], t sim.Time, c *cmdCtx, stage uint8) {
 	c.stage = stage
-	d.eng.AtLane(l, t, c.step)
+	l.At(d.eng, t, c)
 }
 
 // lane returns lane i of d.lanes, building the set on first use.
-func (d *Device) lane(i int) *sim.Lane {
+func (d *Device) lane(i int) *sim.Lane[cmdCtx, *cmdCtx] {
 	if d.lanes == nil {
-		d.lanes = make([]sim.Lane, d.cfg.Channels+1)
+		d.lanes = make([]sim.Lane[cmdCtx, *cmdCtx], d.cfg.Channels+1)
 	}
 	return &d.lanes[i]
 }
@@ -638,34 +650,33 @@ func (h *Host) SetDeadline(d sim.Duration) { h.deadline = d }
 // doubles when a new CID lands on an older outstanding command, so it
 // is as large as the span of outstanding CIDs (a few slots for a
 // closed loop, 65 536 at most, where a slot is a CID) however many
-// commands the host has submitted.
+// commands the host has submitted. A slot is 32 bytes.
 type hostCmd struct {
-	done
+	done  Completer    // hears the command's completion
 	timer sim.EventRef // the armed deadline, if any
 	cid   uint16
 	busy  bool
 }
 
-// done is a command's completion callback in the shape its verb takes:
-// Submit's whole Completion, a read's payload and status, or a write's
-// or flush's status. At most one is set, and the slot stores it as it
-// is, so a verb costs no adapter per command.
-type done struct {
-	cpl  func(Completion)
-	read func(data []byte, status uint16)
-	st   func(status uint16)
-}
+// Completer hears a command's completion. A pooled context that issues
+// commands implements it and passes itself to Submit, so a command
+// binds no callback; Read's func callback converts to one for free.
+type Completer interface{ Complete(Completion) }
 
-func (d done) deliver(c Completion) {
-	switch {
-	case d.read != nil:
-		d.read(c.Data, c.Status)
-	case d.st != nil:
-		d.st(c.Status)
-	case d.cpl != nil:
-		d.cpl(c)
+// readFunc is Read's callback as a Completer. A nil one hears nothing.
+type readFunc func(data []byte, status uint16)
+
+func (f readFunc) Complete(c Completion) {
+	if f != nil {
+		f(c.Data, c.Status)
 	}
 }
+
+// cplFunc is a func(Completion) as a Completer: the traced host's
+// span-recording wrapper.
+type cplFunc func(Completion)
+
+func (f cplFunc) Complete(c Completion) { f(c) }
 
 // outstanding returns the slot of the command outstanding under cid, or
 // nil: completed, timed out, or never issued with a callback.
@@ -690,7 +701,7 @@ func (h *Host) onInterrupt(qid int, c Completion) {
 	cb, timer := s.done, s.timer
 	*s = hostCmd{}
 	h.dev.eng.Cancel(timer) // a no-op when no deadline was armed
-	cb.deliver(c)
+	cb.Complete(c)
 }
 
 // allocCID advances the CID counter to the next CID with no command
@@ -722,15 +733,11 @@ func (h *Host) claim(cid uint16) *hostCmd {
 	return &h.cmds[int(cid)&(len(h.cmds)-1)]
 }
 
-// Submit issues cmd on queue q and invokes cb on completion. A read's
-// Completion.Data is lent as Read's payload is: valid until cb returns.
-func (h *Host) Submit(q int, cmd Command, cb func(Completion)) error {
-	return h.submit(q, cmd, done{cpl: cb}, cb != nil)
-}
-
-// submit issues cmd on queue q; when track is set, cb gets the
-// command's slot and hears its completion.
-func (h *Host) submit(q int, cmd Command, cb done, track bool) error {
+// Submit issues cmd on queue q and, unless cb is nil, tells cb of its
+// completion. A read's Completion.Data is lent as Read's payload is:
+// valid until Complete returns. A command submitted with a nil cb is
+// not tracked: it takes no slot and arms no deadline.
+func (h *Host) Submit(q int, cmd Command, cb Completer) error {
 	cid, ok := h.allocCID()
 	if !ok {
 		h.QueueErr++
@@ -741,14 +748,14 @@ func (h *Host) submit(q int, cmd Command, cb done, track bool) error {
 		h.QueueErr++
 		return err
 	}
-	if track {
+	if cb != nil {
 		if h.rec != nil {
 			submitted := h.dev.eng.Now()
 			op, span, inner := opName(cmd.Opcode), cmd.Span, cb
-			cb = done{cpl: func(c Completion) {
+			cb = cplFunc(func(c Completion) {
 				h.rec.Span("nvme.host", op, span, submitted, h.dev.eng.Now())
-				inner.deliver(c)
-			}}
+				inner.Complete(c)
+			})
 		}
 		s := h.claim(cid)
 		s.done, s.cid, s.busy = cb, cid, true
@@ -760,7 +767,7 @@ func (h *Host) submit(q int, cmd Command, cb done, track bool) error {
 				pcb := s.done
 				*s = hostCmd{}
 				h.Timeouts++
-				pcb.deliver(Completion{CID: cid, Status: StatusTimeout})
+				pcb.Complete(Completion{CID: cid, Status: StatusTimeout})
 			})
 		}
 	}
@@ -778,32 +785,11 @@ func (h *Host) submit(q int, cmd Command, cb done, track bool) error {
 // receiver that keeps the bytes copies them into storage it owns (race
 // builds overwrite the buffer with 0xDB as soon as cb returns).
 func (h *Host) Read(q int, lba int64, blocks int, cb func(data []byte, status uint16)) error {
-	return h.ReadSpan(q, lba, blocks, 0, cb)
-}
-
-// ReadSpan is Read carrying a request-scoped trace context down the
-// command path.
-func (h *Host) ReadSpan(q int, lba int64, blocks int, span telemetry.RequestID, cb func(data []byte, status uint16)) error {
-	cmd := Command{Opcode: OpRead, NSID: 1, LBA: lba, Blocks: blocks, Span: span}
-	return h.submit(q, cmd, done{read: cb}, true)
-}
-
-// WriteSpan writes data (len = blocks × BlockSize) at lba on queue q,
-// carrying a request-scoped trace context down the command path.
-func (h *Host) WriteSpan(q int, lba int64, data []byte, span telemetry.RequestID, cb func(status uint16)) error {
-	bs := h.dev.cfg.BlockSize
-	if len(data)%bs != 0 {
-		return fmt.Errorf("%w: %d bytes", ErrShortWrite, len(data))
-	}
-	cmd := Command{Opcode: OpWrite, NSID: 1, LBA: lba, Blocks: len(data) / bs, Data: data, Span: span}
-	return h.submit(q, cmd, done{st: cb}, true)
+	return h.Submit(q, Command{Opcode: OpRead, NSID: 1, LBA: lba, Blocks: blocks}, readFunc(cb))
 }
 
 // DeviceBlocks returns the capacity of the underlying device in blocks.
 func (h *Host) DeviceBlocks() int64 { return h.dev.cfg.Blocks }
 
-// FlushSpan waits for all programmed data to be durable, carrying a
-// request-scoped trace context.
-func (h *Host) FlushSpan(q int, span telemetry.RequestID, cb func(status uint16)) error {
-	return h.submit(q, Command{Opcode: OpFlush, NSID: 1, Span: span}, done{st: cb}, true)
-}
+// BlockSize returns the underlying device's block size in bytes.
+func (h *Host) BlockSize() int { return h.dev.cfg.BlockSize }

@@ -17,16 +17,28 @@ func newDev(t testing.TB) (*sim.Engine, *Device, *Host) {
 	return eng, dev, host
 }
 
+// writeCmd is a queued write of data at lba on a 4 KiB-block device.
+func writeCmd(lba int64, data []byte) Command {
+	return Command{Opcode: OpWrite, NSID: 1, LBA: lba, Blocks: len(data) / 4096, Data: data}
+}
+
+var flushCmd = Command{Opcode: OpFlush, NSID: 1}
+
+// onStatus hears a command's status.
+func onStatus(cb func(status uint16)) Completer {
+	return cplFunc(func(c Completion) { cb(c.Status) })
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	eng, _, h := newDev(t)
 	payload := bytes.Repeat([]byte{0xAB}, 4096*3)
 	wrote := false
-	if err := h.WriteSpan(0, 100, payload, 0, func(st uint16) {
+	if err := h.Submit(0, writeCmd(100, payload), onStatus(func(st uint16) {
 		if st != StatusOK {
 			t.Errorf("write status %#x", st)
 		}
 		wrote = true
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -113,8 +125,8 @@ func TestWriteFasterThanReadThenFlushWaits(t *testing.T) {
 	eng, dev, h := newDev(t)
 	cfg := dev.cfg
 	var wAt, fAt sim.Time
-	_ = h.WriteSpan(0, 0, make([]byte, 4096), 0, func(uint16) { wAt = eng.Now() })
-	_ = h.FlushSpan(0, 0, func(uint16) { fAt = eng.Now() })
+	_ = h.Submit(0, writeCmd(0, make([]byte, 4096)), onStatus(func(uint16) { wAt = eng.Now() }))
+	_ = h.Submit(0, flushCmd, onStatus(func(uint16) { fAt = eng.Now() }))
 	eng.Run()
 	if wAt.Sub(0) >= sim.Duration(cfg.ReadLatency) {
 		t.Fatalf("cached write took %v, want < read latency %v", wAt.Sub(0), cfg.ReadLatency)
@@ -137,7 +149,7 @@ func TestLBARangeError(t *testing.T) {
 func TestInvalidNamespace(t *testing.T) {
 	eng, _, h := newDev(t)
 	var st uint16
-	_ = h.Submit(0, Command{Opcode: OpRead, NSID: 7, LBA: 0, Blocks: 1}, func(c Completion) { st = c.Status })
+	_ = h.Submit(0, Command{Opcode: OpRead, NSID: 7, LBA: 0, Blocks: 1}, onStatus(func(s uint16) { st = s }))
 	eng.Run()
 	if st != StatusInvalidNS {
 		t.Fatalf("status = %#x, want invalid namespace", st)
@@ -147,7 +159,7 @@ func TestInvalidNamespace(t *testing.T) {
 func TestInvalidOpcode(t *testing.T) {
 	eng, _, h := newDev(t)
 	var st uint16
-	_ = h.Submit(0, Command{Opcode: 0x7F, NSID: 1}, func(c Completion) { st = c.Status })
+	_ = h.Submit(0, Command{Opcode: 0x7F, NSID: 1}, onStatus(func(s uint16) { st = s }))
 	eng.Run()
 	if st != StatusInvalidOp {
 		t.Fatalf("status = %#x, want invalid opcode", st)
@@ -184,7 +196,7 @@ func TestShortWriteRejected(t *testing.T) {
 	if !errors.Is(err, ErrShortWrite) {
 		t.Fatalf("err = %v, want ErrShortWrite", err)
 	}
-	if err := h.WriteSpan(0, 0, make([]byte, 100), 0, nil); !errors.Is(err, ErrShortWrite) {
+	if err := h.Submit(0, writeCmd(0, make([]byte, 100)), nil); !errors.Is(err, ErrShortWrite) {
 		t.Fatalf("host err = %v, want ErrShortWrite", err)
 	}
 }
@@ -198,7 +210,7 @@ func TestDMAHookCharged(t *testing.T) {
 		eng.After(sim.Microsecond, "fakedma", done)
 	}, nil)
 	h := NewHost(dev, nil)
-	_ = h.WriteSpan(0, 0, make([]byte, 8192), 0, nil)
+	_ = h.Submit(0, writeCmd(0, make([]byte, 8192)), nil)
 	eng.Run()
 	var read bool
 	_ = h.Read(0, 0, 2, func([]byte, uint16) { read = true })
@@ -213,8 +225,8 @@ func TestDMAHookCharged(t *testing.T) {
 
 func TestStoredBlocksAccounting(t *testing.T) {
 	eng, dev, h := newDev(t)
-	_ = h.WriteSpan(0, 10, make([]byte, 4096*4), 0, nil)
-	_ = h.WriteSpan(0, 12, make([]byte, 4096*4), 0, nil) // overlaps 2 blocks
+	_ = h.Submit(0, writeCmd(10, make([]byte, 4096*4)), nil)
+	_ = h.Submit(0, writeCmd(12, make([]byte, 4096*4)), nil) // overlaps 2 blocks
 	eng.Run()
 	if got := dev.StoredBlocks(); got != 6 {
 		t.Fatalf("StoredBlocks = %d, want 6", got)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"hyperion/internal/fault"
 	"hyperion/internal/sim"
@@ -113,11 +114,11 @@ func TestDeadlineTimeoutDropsLateCompletion(t *testing.T) {
 	}
 }
 
-// TestDeadlineTimeoutReachesEveryVerb: the slot keeps each verb's own
-// callback shape, so an armed deadline answers every verb — read,
-// write, flush, raw Submit — with exactly one StatusTimeout through
-// that callback, recorder armed or not, and the device's late
-// completions reach none of them.
+// TestDeadlineTimeoutReachesEveryVerb: the slot keeps each command's
+// Completer, so an armed deadline answers every verb — Read, and a
+// write, a flush and a read through Submit — with exactly one
+// StatusTimeout through it, recorder armed or not, and the device's
+// late completions reach none of them.
 func TestDeadlineTimeoutReachesEveryVerb(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		eng, dev, h := newDev(t)
@@ -140,9 +141,9 @@ func TestDeadlineTimeoutReachesEveryVerb(t *testing.T) {
 		block := make([]byte, 4096)
 		errs := []error{
 			h.Read(0, 1, 1, read("read")),
-			h.WriteSpan(0, 3, block, 0, note("write")),
-			h.FlushSpan(0, 0, note("flush")),
-			h.Submit(0, Command{Opcode: OpRead, NSID: 1, LBA: 4, Blocks: 1}, func(c Completion) { note("submit")(c.Status) }),
+			h.Submit(0, writeCmd(3, block), onStatus(note("write"))),
+			h.Submit(0, flushCmd, onStatus(note("flush"))),
+			h.Submit(0, Command{Opcode: OpRead, NSID: 1, LBA: 4, Blocks: 1}, onStatus(note("submit"))),
 		}
 		for _, err := range errs {
 			if err != nil {
@@ -175,7 +176,7 @@ func TestCIDWrapSkipsOutstandingCommand(t *testing.T) {
 	eng, dev, h := newDev(t)
 	dev.SetFaultPlan(fault.NewPlan(1, "nvme").Set(fault.Timeout, 1))
 	parkedDone := 0
-	if err := h.FlushSpan(0, 0, func(uint16) {}); err != nil { // CID 1 completes: flushes are not swallowed
+	if err := h.Submit(0, flushCmd, onStatus(func(uint16) {})); err != nil { // CID 1 completes: flushes are not swallowed
 		t.Fatal(err)
 	}
 	if err := h.Read(0, 0, 1, func([]byte, uint16) { parkedDone++ }); err != nil {
@@ -186,9 +187,9 @@ func TestCIDWrapSkipsOutstandingCommand(t *testing.T) {
 	dev.SetFaultPlan(nil)
 
 	seen := make(map[uint16]int)
-	cb := func(c Completion) { seen[c.CID]++ }
+	cb := cplFunc(func(c Completion) { seen[c.CID]++ })
 	for i := 0; i < 1<<16; i++ {
-		if err := h.Submit(0, Command{Opcode: OpFlush, NSID: 1}, cb); err != nil {
+		if err := h.Submit(0, flushCmd, cb); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -212,10 +213,10 @@ func TestCIDWrapSkipsOutstandingCommand(t *testing.T) {
 func TestHostTableTracksOutstandingSpan(t *testing.T) {
 	eng, _, h := newDev(t)
 	done := 0
-	cb := func(Completion) { done++ }
+	cb := cplFunc(func(Completion) { done++ })
 	for i := 0; i < 10_000; i++ {
 		for k := 0; k < 8; k++ {
-			if err := h.Submit(0, Command{Opcode: OpFlush, NSID: 1}, cb); err != nil {
+			if err := h.Submit(0, flushCmd, cb); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -249,6 +250,53 @@ func TestCIDExhaustion(t *testing.T) {
 	}
 }
 
+// TestNilCallbackCompletes: a Read issued with a nil callback and a
+// command submitted with a nil Completer both complete, with and
+// without a DMA hook or a deadline, without a panic and without
+// keeping a slot. A nil func converted to a Completer is not a nil
+// interface, so Read's adapter is the one that must hear nothing.
+func TestNilCallbackCompletes(t *testing.T) {
+	for _, dma := range []bool{false, true} {
+		for _, deadline := range []sim.Duration{0, sim.Microsecond, sim.Second} {
+			eng := sim.NewEngine(1)
+			dev := New(eng, DefaultConfig("nvme0"))
+			if dma {
+				dev.Bind(func(_ int64, done func()) { eng.After(sim.Microsecond, "fakedma", done) }, nil)
+			}
+			h := NewHost(dev, nil)
+			h.SetDeadline(deadline)
+			errs := []error{
+				h.Read(0, 1, 1, nil),
+				h.Submit(0, Command{Opcode: OpRead, NSID: 1, LBA: 2, Blocks: 1}, nil),
+				h.Submit(0, writeCmd(3, make([]byte, 4096)), nil),
+				h.Submit(0, flushCmd, nil),
+			}
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng.Run()
+			if n := dev.Counters.Value("completions"); n != 4 {
+				t.Errorf("dma=%v deadline=%v: %d device completions, want 4", dma, deadline, n)
+			}
+			for cid := uint16(1); cid <= h.nextCID; cid++ {
+				if h.outstanding(cid) != nil {
+					t.Errorf("dma=%v deadline=%v: CID %d still holds a slot", dma, deadline, cid)
+				}
+			}
+		}
+	}
+}
+
+// TestHostSlotIs32Bytes: a command slot holds one Completer, its
+// deadline ref and its CID.
+func TestHostSlotIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(hostCmd{}); n != 32 {
+		t.Errorf("hostCmd is %d bytes, want 32", n)
+	}
+}
+
 // BenchmarkHostSubmitComplete is the host's share of a command: CID
 // allocation, the table slot, the doorbell, and the completion finding
 // its callback — a flush, so the device side is one event. Steady state
@@ -256,9 +304,9 @@ func TestCIDExhaustion(t *testing.T) {
 func BenchmarkHostSubmitComplete(b *testing.B) {
 	eng := sim.NewEngine(1)
 	h := NewHost(New(eng, DefaultConfig("bench")), nil)
-	cb := func(Completion) {}
+	cb := cplFunc(func(Completion) {})
 	one := func() {
-		if err := h.Submit(0, Command{Opcode: OpFlush, NSID: 1}, cb); err != nil {
+		if err := h.Submit(0, flushCmd, cb); err != nil {
 			b.Fatal(err)
 		}
 		eng.Run()
@@ -266,6 +314,52 @@ func BenchmarkHostSubmitComplete(b *testing.B) {
 	one()
 	if a := testing.AllocsPerRun(200, one); a != 0 {
 		b.Fatalf("submit and complete allocates %v objects/op in steady state, want 0", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		one()
+	}
+}
+
+// freshCompleter is a pooled context that hears its command itself.
+type freshCompleter struct{ n *int }
+
+func (c *freshCompleter) Complete(Completion) { *c.n++ }
+
+// BenchmarkHostSubmitCompleteFresh is BenchmarkHostSubmitComplete as
+// E17's open loop issues commands: every command's Completer is a fresh
+// context from a FreeList, never recycled, passed to Submit as itself.
+// The command binds nothing, so what it allocates is the list's chunk
+// carving alone, at most one object per 16 commands.
+func BenchmarkHostSubmitCompleteFresh(b *testing.B) {
+	const cmds = 1 << 12
+	eng := sim.NewEngine(1)
+	h := NewHost(New(eng, DefaultConfig("bench")), nil)
+	var ctxs sim.FreeList[freshCompleter]
+	done := 0
+	one := func() {
+		c, _ := ctxs.Get()
+		c.n = &done
+		if err := h.Submit(0, flushCmd, c); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
+	}
+	for i := 0; i < cmds; i++ { // reach the chunk cap and the table's size
+		one()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < cmds; i++ {
+		one()
+	}
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n > cmds/16 {
+		b.Fatalf("%d fresh-Completer commands allocate %d objects, want at most %d", cmds, n, cmds/16)
+	}
+	if done != 2*cmds {
+		b.Fatalf("%d of %d commands completed", done, 2*cmds)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -82,31 +82,33 @@ var errBadCapsule = errors.New("nvmeof: bad capsule")
 // Target exports one NVMe host over an RPC server.
 type Target struct {
 	host *nvme.Host
-	srv  *rpc.Server
+	qid  int
 	ops  sim.FreeList[tgtOp]
 
 	Reads, Writes, Flushes int64
 }
 
 // tgtOp bridges one in-flight command's NVMe completion back to its rpc
-// respond function with prebound callbacks; instances cycle through the
-// target's free list.
+// respond function: it is the command's Completer. Instances cycle
+// through the target's free list.
 type tgtOp struct {
 	t       *Target
 	respond func(any, int, error)
-	readFn  func(data []byte, st uint16)
-	stFn    func(st uint16)
+	read    bool // answer with the payload rather than an ack
 }
 
-func (t *Target) getOp(respond func(any, int, error)) *tgtOp {
+// submit issues cmd on the target's queue with a pooled op as its
+// Completer; on a submission error it answers respond at once.
+func (t *Target) submit(cmd nvme.Command, respond func(any, int, error)) {
 	op, fresh := t.ops.Get()
 	if fresh {
 		op.t = t
-		op.readFn = op.onRead
-		op.stFn = op.onStatus
 	}
-	op.respond = respond
-	return op
+	op.respond, op.read = respond, cmd.Opcode == nvme.OpRead
+	if err := t.host.Submit(t.qid, cmd, op); err != nil {
+		t.putOp(op)
+		respond(nil, 0, err)
+	}
 }
 
 func (t *Target) putOp(op *tgtOp) {
@@ -114,33 +116,27 @@ func (t *Target) putOp(op *tgtOp) {
 	t.ops.Put(op)
 }
 
-// onRead answers a read. The device lends data only until onRead
-// returns and the response slice travels on to the initiator, so the
-// target copies it into a slice the response owns.
-func (op *tgtOp) onRead(data []byte, st uint16) {
-	respond := op.respond
+// Complete answers the command. The device lends a read's data only
+// until Complete returns and the response slice travels on to the
+// initiator, so the target copies it into a slice the response owns.
+func (op *tgtOp) Complete(c nvme.Completion) {
+	respond, read := op.respond, op.read
 	op.t.putOp(op)
-	if st != nvme.StatusOK {
-		respond(nil, 0, fmt.Errorf("%w %#x", ErrStatus, st))
-		return
+	switch {
+	case c.Status != nvme.StatusOK:
+		respond(nil, 0, fmt.Errorf("%w %#x", ErrStatus, c.Status))
+	case read:
+		respond(append([]byte(nil), c.Data...), len(c.Data)+64, nil)
+	default:
+		respond(true, 64, nil)
 	}
-	respond(append([]byte(nil), data...), len(data)+64, nil)
-}
-
-func (op *tgtOp) onStatus(st uint16) {
-	respond := op.respond
-	op.t.putOp(op)
-	if st != nvme.StatusOK {
-		respond(nil, 0, fmt.Errorf("%w %#x", ErrStatus, st))
-		return
-	}
-	respond(true, 64, nil)
 }
 
 // NewTarget registers the NVMe-oF methods on srv, serving from host.
 // Commands run on the device's queue pair qid.
 func NewTarget(srv *rpc.Server, host *nvme.Host, qid int) *Target {
-	t := &Target{host: host, srv: srv}
+	t := &Target{host: host, qid: qid}
+	bs := host.BlockSize()
 	srv.Handle(MethodRead, func(arg any, respond func(any, int, error)) {
 		b, ok := arg.(*wire.Buf)
 		if !ok || b.Len() < readCapLen {
@@ -151,11 +147,7 @@ func NewTarget(srv *rpc.Server, host *nvme.Host, qid int) *Target {
 		t.Reads++
 		// The server's active span joins the RPC leg to the NVMe leg of
 		// the same request (0 when the caller did not tag one).
-		op := t.getOp(respond)
-		if err := host.ReadSpan(qid, lba, blocks, srv.ActiveSpan(), op.readFn); err != nil {
-			t.putOp(op)
-			respond(nil, 0, err)
-		}
+		t.submit(nvme.Command{Opcode: nvme.OpRead, NSID: 1, LBA: lba, Blocks: blocks, Span: srv.ActiveSpan()}, respond)
 	})
 	srv.Handle(MethodWrite, func(arg any, respond func(any, int, error)) {
 		b, ok := arg.(*wire.Buf)
@@ -168,19 +160,13 @@ func NewTarget(srv *rpc.Server, host *nvme.Host, qid int) *Target {
 		// The capsule outlives this handler only until it returns; the
 		// device copies the payload synchronously on submission (doorbell
 		// rings are posted writes executed in-line), so the alias is safe.
-		op := t.getOp(respond)
-		if err := host.WriteSpan(qid, lba, data, srv.ActiveSpan(), op.stFn); err != nil {
-			t.putOp(op)
-			respond(nil, 0, err)
-		}
+		// A payload that is not whole blocks fails the device's length
+		// check and is answered with ErrShortWrite.
+		t.submit(nvme.Command{Opcode: nvme.OpWrite, NSID: 1, LBA: lba, Blocks: len(data) / bs, Data: data, Span: srv.ActiveSpan()}, respond)
 	})
 	srv.Handle(MethodFlush, func(arg any, respond func(any, int, error)) {
 		t.Flushes++
-		op := t.getOp(respond)
-		if err := host.FlushSpan(qid, srv.ActiveSpan(), op.stFn); err != nil {
-			t.putOp(op)
-			respond(nil, 0, err)
-		}
+		t.submit(nvme.Command{Opcode: nvme.OpFlush, NSID: 1, Span: srv.ActiveSpan()}, respond)
 	})
 	return t
 }

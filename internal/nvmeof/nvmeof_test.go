@@ -118,6 +118,14 @@ func TestUnalignedWriteRejected(t *testing.T) {
 	if got == nil {
 		t.Fatal("unaligned write accepted")
 	}
+	// An initiator that misjudges the block size gets the capsule past
+	// its own check; the target's device refuses it.
+	got = nil
+	NewInitiator(ini.c, "target", 100).Write(0, make([]byte, 100), func(err error) { got = err })
+	eng.Run()
+	if !errors.Is(got, rpc.ErrRemote) {
+		t.Fatalf("unaligned capsule at the target: err = %v, want a remote error", got)
+	}
 }
 
 func TestOutOfRangeReadReportsStatus(t *testing.T) {

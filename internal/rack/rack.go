@@ -129,52 +129,52 @@ type box struct {
 
 	// One lane per KV completion kind: each kind's storage cost is
 	// steady, so its answers come due in the order they were asked.
-	getLane, putLane, repLane sim.Lane
+	getLane, putLane, repLane sim.Lane[kvOp, *kvOp]
 
 	reads, gets, puts int64
 }
 
-// readOp is one remote block read waiting on the device.
+// readOp is one remote block read waiting on the device; it is the
+// read command's Completer.
 type readOp struct {
 	b   *box
 	src sim.LP
 	id  uint64
-	fn  func(data []byte, status uint16) // prebound done
 }
 
-// done is the Read completion: reply copies data into the wire
+// Complete answers the read: reply copies the payload into the wire
 // buffer before returning, which is all the device-owned block is good
 // for. The op is recycled first, so whatever the reply sets off finds
 // it free.
-func (op *readOp) done(data []byte, status uint16) {
+func (op *readOp) Complete(c nvme.Completion) {
 	b, src, id := op.b, op.src, op.id
 	b.readOps.Put(op)
-	if status != nvme.StatusOK {
-		b.reply(src, respErr, id, uint64(status), nil)
+	if c.Status != nvme.StatusOK {
+		b.reply(src, respErr, id, uint64(c.Status), nil)
 		return
 	}
-	b.reply(src, respRead, id, uint64(status), data)
+	b.reply(src, respRead, id, uint64(c.Status), c.Data)
 }
 
 // kvOp is one KV request whose storage access has been done and whose
-// modeled cost is still elapsing. val is the op's own buffer: a get
-// reads its value into it and the capacity stays with the op across
-// recycling, so a box copies values out of its store without
-// allocating. An op's first get carves the buffer from the box's slab.
+// modeled cost is still elapsing; it is its own lane event. val is the
+// op's own buffer: a get reads its value into it and the capacity stays
+// with the op across recycling, so a box copies values out of its store
+// without allocating. An op's first get carves the buffer from the
+// box's slab.
 type kvOp struct {
 	b       *box
 	kind    uint16 // reply kind; respPut marks the primary's local write
 	src     sim.LP
 	id, aux uint64
 	val     []byte
-	fn      func() // prebound done
 }
 
 // takeKVOp takes an op from the box's pool, its value buffer empty.
 func (b *box) takeKVOp() *kvOp {
 	op, fresh := b.kvOps.Get()
 	if fresh {
-		op.b, op.fn = b, op.done
+		op.b = b
 	}
 	op.val = op.val[:0]
 	return op
@@ -196,15 +196,15 @@ func (b *box) valBuf() []byte {
 // later answers (kind, id, aux, op.val) to src on lane l once the cost
 // the view has accumulated has elapsed; for respPut it counts the
 // primary's local write of rep slot id instead.
-func (b *box) later(op *kvOp, l *sim.Lane, kind uint16, src sim.LP, id, aux uint64) {
+func (b *box) later(op *kvOp, l *sim.Lane[kvOp, *kvOp], kind uint16, src sim.LP, id, aux uint64) {
 	op.kind, op.src, op.id, op.aux = kind, src, id, aux
-	b.eng.AtLane(l, b.eng.Now().Add(b.view.TakeCost()), op.fn)
+	l.At(b.eng, b.eng.Now().Add(b.view.TakeCost()), op)
 }
 
-// done answers and then recycles: reply copies op.val into the wire
+// Fire answers and then recycles: reply copies op.val into the wire
 // buffer and only queues an envelope, so nothing can reach for the op
 // before it is back in the pool.
-func (op *kvOp) done() {
+func (op *kvOp) Fire() {
 	b := op.b
 	if op.kind == respPut {
 		b.repDone(op.id)
@@ -392,10 +392,11 @@ func (b *box) handle(sh *sim.Shard, env sim.Envelope) {
 		b.reads++
 		op, fresh := b.readOps.Get()
 		if fresh {
-			op.b, op.fn = b, op.done
+			op.b = b
 		}
 		op.src, op.id = env.Src, env.A
-		if err := b.host.Read(0, int64(env.B%boxBlocks), 1, op.fn); err != nil {
+		cmd := nvme.Command{Opcode: nvme.OpRead, NSID: 1, LBA: int64(env.B % boxBlocks), Blocks: 1}
+		if err := b.host.Submit(0, cmd, op); err != nil {
 			b.readOps.Put(op)
 			b.reply(env.Src, respErr, env.A, 0, nil)
 		}

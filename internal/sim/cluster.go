@@ -78,10 +78,10 @@ type recvEvent struct {
 	a, b uint64
 	seq  uint64
 	data []byte
-	fn   func() // prebound re.fire
 }
 
-func (re *recvEvent) fire() {
+// Fire delivers the envelope to its handler and recycles the event.
+func (re *recvEvent) Fire() {
 	sh := re.sh
 	sh.recvs++
 	sh.cl.handlers[re.dst](sh, Envelope{
@@ -110,7 +110,7 @@ type Shard struct {
 	// Inbox: recvEvents routed here at a barrier, sorted, injected
 	// onto the lane in that order.
 	pending  []*recvEvent
-	inbox    Lane
+	inbox    Lane[recvEvent, *recvEvent]
 	recvPool FreeList[recvEvent]
 
 	sends, recvs uint64
@@ -147,10 +147,7 @@ func (sh *Shard) Send(src, dst LP, delay Duration, kind uint16, a, b uint64, dat
 	if delay < cl.lookahead {
 		panic(fmt.Sprintf("sim: Send delay %v below cluster lookahead %v: conservative windows would miss it", delay, cl.lookahead))
 	}
-	re, fresh := sh.recvPool.Get()
-	if fresh {
-		re.fn = re.fire
-	}
+	re, _ := sh.recvPool.Get()
 	re.at, re.src, re.dst = sh.eng.Now().Add(delay), src, dst
 	re.kind, re.a, re.b, re.seq = kind, a, b, sh.sendSeq
 	re.data = append(re.data, data...)
@@ -318,7 +315,7 @@ func (cl *Cluster) exchange() {
 			return cmp.Compare(a.seq, b.seq)
 		})
 		for _, re := range dst.pending {
-			dst.eng.AtLane(&dst.inbox, re.at, re.fn)
+			dst.inbox.At(dst.eng, re.at, re)
 		}
 		dst.pending = dst.pending[:0]
 	}

@@ -83,8 +83,8 @@ type Engine struct {
 	now    Time
 	q      heap4
 	pool   eventPool
-	live   int     // scheduled events neither fired nor cancelled
-	lanes  []*Lane // every lane scheduled on, by Lane.id-1
+	live   int       // scheduled events neither fired nor cancelled
+	lanes  []anyLane // every lane scheduled on, by Lane.id-1
 	seq    uint64
 	nsteps uint64
 	rng    *Rand
@@ -164,8 +164,9 @@ func (e *Engine) Step() bool {
 	for e.q.len() > 0 {
 		ent := e.q.entries[0]
 		var do func()
+		var ev Event
 		if ent.slot < 0 {
-			do = e.advanceLane(ent.slot)
+			ev = e.lanes[-ent.slot-1].advance(e, ent.slot)
 		} else {
 			e.q.pop()
 			s := &e.pool.slots[ent.slot]
@@ -180,7 +181,11 @@ func (e *Engine) Step() bool {
 		e.live--
 		e.now = ent.at
 		e.nsteps++
-		do()
+		if ev != nil {
+			ev.Fire()
+		} else {
+			do()
+		}
 		return true
 	}
 	return false

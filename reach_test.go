@@ -62,7 +62,6 @@ var reachAllow = map[string]string{
 	"internal/fault.Plan.Count": "TestRollDeterministicAndCounted counts Roll's injections through it",
 
 	"internal/nvme.Device.StoredBlocks": "TestBlockTableEnds and TestCheckpointRefusesOversizedTable observe the block table through it",
-	"internal/nvme.Host.Submit":         "TestPlacementAndSubmit and the tenant property tapes drive queued commands with it",
 	"internal/nvmeof.Initiator.Flush":   "ROADMAP power-cut item: flushes are safety code (TestFlush)",
 
 	"internal/seg.Store.Recover":       "ROADMAP power-cut item: the reopen path its harness drives (FuzzRecover today)",

@@ -445,7 +445,7 @@ func (c *cmdCtx) readDone() {
 // completion is posted at cache-accept, one controller overhead later.
 func (c *cmdCtx) writeXfer() {
 	d := c.d
-	d.writeStore(c.cmd.LBA, c.wscratch)
+	d.WriteSync(c.cmd.LBA, c.wscratch)
 	c.status, c.data = StatusOK, nil
 	d.onLane(d.lane(d.cfg.Channels), d.eng.Now().Add(d.cfg.CtrlOverhead), c, stageComplete)
 }
@@ -523,23 +523,6 @@ func (d *Device) fill(dst []byte, lba int64, blocks int, zeroed bool) {
 	}
 }
 
-// block returns the stored buffer of lba, materializing a zeroed one
-// for a block never written. Blocks are stored at full block size and
-// a rewrite reuses the buffer.
-func (d *Device) block(lba int64) []byte {
-	return d.store.block(lba, d.cfg.BlockSize)
-}
-
-func (d *Device) writeStore(lba int64, data []byte) {
-	bs := d.cfg.BlockSize
-	for i := 0; i*bs < len(data); i++ {
-		// Zero-pad past a short final fragment.
-		blk := d.block(lba + int64(i))
-		n := copy(blk, data[i*bs:])
-		clear(blk[n:])
-	}
-}
-
 // StoredBlocks reports how many distinct blocks have been written (for
 // tests and capacity accounting).
 func (d *Device) StoredBlocks() int { return d.store.n }
@@ -568,10 +551,21 @@ func (d *Device) BorrowSync(lba int64) []byte {
 	return d.zero
 }
 
-// WriteSync stores data at lba immediately.
+// WriteSync stores data at lba immediately, zero-padding past a short
+// final fragment.
 func (d *Device) WriteSync(lba int64, data []byte) {
-	d.writeStore(lba, data)
+	bs := d.cfg.BlockSize
+	for i := 0; i*bs < len(data); i++ {
+		blk := d.EditSync(lba + int64(i))
+		n := copy(blk, data[i*bs:])
+		clear(blk[n:])
+	}
 }
+
+// EditSync returns block lba's stored buffer for the caller to write in
+// place, materializing a zeroed one for a block never written. Blocks
+// are stored at full block size and a rewrite reuses the buffer.
+func (d *Device) EditSync(lba int64) []byte { return d.store.block(lba, d.cfg.BlockSize) }
 
 // PatchSync overwrites len(data) bytes starting off bytes into block
 // lba, running on into the following blocks, and leaves every other
@@ -580,7 +574,7 @@ func (d *Device) WriteSync(lba int64, data []byte) {
 // materialized even when data is empty, as that write-back would.
 func (d *Device) PatchSync(lba int64, off int, data []byte) {
 	for {
-		n := copy(d.block(lba)[off:], data)
+		n := copy(d.EditSync(lba)[off:], data)
 		data = data[n:]
 		if len(data) == 0 {
 			return
@@ -598,11 +592,10 @@ func (d *Device) AccessCost(op uint8, blocks int) sim.Duration {
 	if op == OpRead {
 		per = d.cfg.ReadLatency
 	}
-	waves := (blocks + d.cfg.Channels - 1) / d.cfg.Channels
-	if waves < 1 {
-		waves = 1
+	if blocks <= d.cfg.Channels {
+		return d.cfg.CtrlOverhead + per // one wave, the usual command
 	}
-	return d.cfg.CtrlOverhead + sim.Duration(waves)*per
+	return d.cfg.CtrlOverhead + sim.Duration((blocks+d.cfg.Channels-1)/d.cfg.Channels)*per
 }
 
 // Device returns the underlying device of a host (functional access).

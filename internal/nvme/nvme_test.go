@@ -278,3 +278,28 @@ func TestPartialFaultRateStillCompletesEventually(t *testing.T) {
 		t.Fatal("no faults were injected at 30% rate")
 	}
 }
+
+// TestAccessCostMatchesWaveFormula holds AccessCost's one-wave fast path
+// to the division it skips: ceil(blocks / Channels) waves, at least one.
+func TestAccessCostMatchesWaveFormula(t *testing.T) {
+	for _, ch := range []int{1, 2, 3, 8, 16} {
+		cfg := DefaultConfig("nvme")
+		cfg.Channels = ch
+		d := New(sim.NewEngine(1), cfg)
+		for _, op := range []uint8{OpRead, OpWrite} {
+			per := cfg.ProgramLatency
+			if op == OpRead {
+				per = cfg.ReadLatency
+			}
+			for blocks := -2; blocks <= 5*ch+3; blocks++ {
+				waves := (blocks + ch - 1) / ch
+				if waves < 1 {
+					waves = 1
+				}
+				if got, want := d.AccessCost(op, blocks), cfg.CtrlOverhead+sim.Duration(waves)*per; got != want {
+					t.Fatalf("%d channels, op %d, %d blocks: %v, want %v", ch, op, blocks, got, want)
+				}
+			}
+		}
+	}
+}

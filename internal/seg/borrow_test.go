@@ -294,3 +294,119 @@ func TestBorrowAliasesTheStore(t *testing.T) {
 		}
 	}
 }
+
+// TestEditMatchesWriteAt runs the same ranges through WriteAt on one
+// twin and Edit on the other: an aligned whole block, an unaligned
+// in-block range, a block never written, whole blocks and a range
+// across a block edge (both stored back from the view's scratch),
+// empty ranges, a DRAM range and one across a 4 MiB DRAM chunk, out of
+// bounds and freed. Each range is written twice, fresh and over. The
+// stored bytes, the error, the modeled cost, every counter, the device
+// blocks and DRAM chunks materialized must agree, and edit must be
+// handed the bytes the range held.
+func TestEditMatchesWriteAt(t *testing.T) {
+	a, b := newTwin(false, nil), newTwin(false, nil)
+	nv, d1, d2 := OID(9, 1), OID(9, 2), OID(9, 3)
+	sizes := map[ObjectID]int64{nv: 6 * 4096, d1: 3 << 20, d2: 3 << 20}
+	for _, tw := range []*twin{a, b} {
+		for _, o := range []struct {
+			id   ObjectID
+			hint Hint
+		}{{nv, HintCold}, {d1, HintHot}, {d2, HintHot}} {
+			if _, err := tw.v.Alloc(o.id, sizes[o.id], false, o.hint); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if sg, _ := b.v.s.Stat(d2); sg.Addr>>dramChunkBits == (sg.Addr+sizes[d2]-1)>>dramChunkBits {
+		t.Fatalf("%+v does not span a DRAM chunk edge", sg)
+	}
+	materialized := func(tw *twin) string {
+		blocks, chunks := 0, 0
+		for _, h := range tw.v.s.devs {
+			blocks += h.Device().StoredBlocks()
+		}
+		for _, c := range tw.v.s.dram.chunks {
+			if c != nil {
+				chunks++
+			}
+		}
+		return fmt.Sprintf("%s blocks=%d chunks=%d", tw.observables(), blocks, chunks)
+	}
+	rng := sim.NewRand(11)
+	for _, tc := range []struct {
+		name      string
+		id        ObjectID
+		off, n    int64
+		wantErr   error
+		freeFirst bool
+	}{
+		{"aligned whole block", nv, 4096, 4096, nil, false},
+		{"unaligned in-block", nv, 4096 + 100, 50, nil, false},
+		{"never-written block", nv, 3*4096 + 10, 200, nil, false},
+		{"aligned whole blocks", nv, 0, 2 * 4096, nil, false},
+		{"across a block edge", nv, 2*4096 - 30, 60, nil, false},
+		{"empty aligned, block never written", nv, 5 * 4096, 0, nil, false},
+		{"empty unaligned", nv, 4*4096 + 5, 0, nil, false},
+		{"dram", d1, 1000, 3000, nil, false},
+		{"dram across a chunk", d2, 1<<20 - 100, 300, nil, false},
+		{"out of bounds", nv, 6*4096 - 10, 20, ErrBounds, false},
+		{"negative offset", nv, -1, 20, ErrBounds, false},
+		{"freed", d1, 0, 10, ErrNotFound, true},
+	} {
+		if tc.freeFirst {
+			if ea, eb := a.v.Free(tc.id), b.v.Free(tc.id); ea != nil || eb != nil {
+				t.Fatal(ea, eb)
+			}
+		}
+		for pass := 0; pass < 2; pass++ {
+			what := fmt.Sprintf("%s, pass %d", tc.name, pass)
+			data := make([]byte, tc.n)
+			for i := range data {
+				data[i] = byte(rng.Intn(256))
+			}
+			var held []byte
+			if tc.wantErr == nil {
+				var err error
+				if held, err = a.v.ReadAt(tc.id, tc.off, tc.n); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.v.ReadAt(tc.id, tc.off, tc.n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ea := a.v.WriteAt(tc.id, tc.off, data)
+			eb := b.v.Edit(tc.id, tc.off, tc.n, func(stored []byte) {
+				if !bytes.Equal(stored, held) {
+					t.Fatalf("%s: edit was handed bytes that differ from the range", what)
+				}
+				copy(stored, data)
+			})
+			if !sameErr(ea, eb) || !errors.Is(eb, tc.wantErr) {
+				t.Fatalf("%s: WriteAt err %v, Edit err %v, want %v", what, ea, eb, tc.wantErr)
+			}
+			if ma, mb := materialized(a), materialized(b); ma != mb {
+				t.Fatalf("%s: diverged\n writeat: %s\n edit:    %s", what, ma, mb)
+			}
+			if tc.wantErr != nil {
+				continue
+			}
+			sa, _ := a.v.ReadAt(tc.id, 0, sizes[tc.id])
+			sb, _ := b.v.ReadAt(tc.id, 0, sizes[tc.id])
+			if !bytes.Equal(sa, sb) || !bytes.Equal(sb[tc.off:tc.off+tc.n], data) {
+				t.Fatalf("%s: stored bytes diverge", what)
+			}
+		}
+	}
+	// In place, and across an edge once the scratch is warm, Edit
+	// allocates nothing.
+	for _, r := range [][2]int64{{4096, 4096}, {100, 50}, {2*4096 - 30, 60}} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := b.v.Edit(nv, r[0], r[1], func(stored []byte) { stored[0]++ }); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("Edit of [%d,+%d) allocates %v objects/op", r[0], r[1], n)
+		}
+	}
+}

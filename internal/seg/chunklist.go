@@ -57,6 +57,9 @@ type ChunkList struct {
 	// img is the root block as last read or written: Grow keeps its list
 	// current and Sync its scalars, so neither allocates.
 	img []byte
+	// synced is how many of img's ids the stored root lists, the rest
+	// equal but the scalars; -1 before the first Sync writes all of img.
+	synced int
 }
 
 // CreateChunkList allocates the root of an empty list and writes
@@ -65,7 +68,7 @@ func CreateChunkList(v *SyncView, root ObjectID, magic uint32, durable bool) (*C
 	if _, err := v.Alloc(root, rootBytes, durable, HintAuto); err != nil {
 		return nil, err
 	}
-	c := &ChunkList{v: v, root: root, durable: durable, nextLo: root.Lo + 1, img: make([]byte, rootBytes)}
+	c := &ChunkList{v: v, root: root, durable: durable, nextLo: root.Lo + 1, img: make([]byte, rootBytes), synced: -1}
 	wire.PutLE32At(c.img, 0, magic)
 	if durable {
 		wire.PutLE32At(c.img, rootFlags, 1)
@@ -91,7 +94,7 @@ func OpenChunkList(v *SyncView, root ObjectID, magic uint32) (*ChunkList, error)
 		Owner: wire.LE64At(img, rootOwner),
 		v:     v, root: root, durable: flags == 1,
 		nextLo: wire.LE64At(img, rootNextLo), tail: int64(tail), n: int(count),
-		img: img,
+		img: img, synced: -1,
 	}
 	// Grow only ever lists {root.Hi, nextLo++}: ids ascend between the
 	// root's and nextLo.
@@ -144,13 +147,23 @@ func (c *ChunkList) Grow() error {
 	return nil
 }
 
-// Sync rewrites the root block: one 4 KiB write.
+// Sync rewrites the root block: one 4 KiB write as WriteAt charges it,
+// patching into the stored root only the four scalars and the ids Grow
+// added since the last Sync.
 func (c *ChunkList) Sync() error {
 	wire.PutLE64At(c.img, rootOwner, c.Owner)
 	wire.PutLE64At(c.img, rootNextLo, c.nextLo)
 	wire.PutLE64At(c.img, rootTail, uint64(c.tail))
 	wire.PutLE64At(c.img, rootCount, uint64(c.n))
-	return c.v.WriteAt(c.root, 0, c.img)
+	return c.v.Edit(c.root, 0, rootBytes, func(stored []byte) {
+		if c.synced < 0 {
+			copy(stored, c.img)
+		} else {
+			copy(stored[rootOwner:rootList], c.img[rootOwner:rootList])
+			copy(stored[rootList+16*c.synced:], c.img[rootList+16*c.synced:rootList+16*c.n])
+		}
+		c.synced = c.n
+	})
 }
 
 // Append writes rec at the tail, in a fresh chunk when the last cannot

@@ -57,19 +57,22 @@ func (d *dramBacking) view(addr, n int64) []byte {
 // write copies src to addr, materializing chunks as needed.
 func (d *dramBacking) write(addr int64, src []byte) {
 	for len(src) > 0 {
-		ci := addr >> dramChunkBits
-		off := addr & (dramChunkSize - 1)
-		n := dramChunkSize - off
-		if int64(len(src)) < n {
-			n = int64(len(src))
-		}
-		c := d.chunks[ci]
-		if c == nil {
-			c = make([]byte, dramChunkSize)
-			d.chunks[ci] = c
-		}
-		copy(c[off:], src[:n])
+		n := min(dramChunkSize-addr&(dramChunkSize-1), int64(len(src)))
+		copy(d.edit(addr, n), src[:n])
 		src = src[n:]
 		addr += n
 	}
+}
+
+// edit is view for a writer: it materializes the chunk, so it answers
+// nil only when the n bytes cross a chunk boundary.
+func (d *dramBacking) edit(addr, n int64) []byte {
+	ci, off := addr>>dramChunkBits, addr&(dramChunkSize-1)
+	if off+n > dramChunkSize {
+		return nil
+	}
+	if d.chunks[ci] == nil {
+		d.chunks[ci] = make([]byte, dramChunkSize)
+	}
+	return d.chunks[ci][off : off+n : off+n]
 }

@@ -451,3 +451,48 @@ func BenchmarkLookupCached(b *testing.B) {
 		one()
 	}
 }
+
+// TestBlockShiftMatchesDivision holds the block plane's shifts to the
+// division formulas they replaced: spanBlocks and split, at random and
+// at every block edge, and New refusing a block size that has no shift.
+func TestBlockShiftMatchesDivision(t *testing.T) {
+	_, s := newStore(t, 1)
+	bs := int64(s.cfg.BlockSize)
+	span := func(off, length int64) bool {
+		want := int((off+length+bs-1)/bs - off/bs)
+		if want < 1 {
+			want = 1
+		}
+		return s.spanBlocks(off, length) == want
+	}
+	split := func(dev uint8, lba, skip uint32) bool {
+		addr := int64(dev%4)*devStride + int64(lba)*bs + int64(skip)%bs
+		d, l := s.split(addr)
+		return d == int(addr/devStride) && l == (addr%devStride)/bs
+	}
+	f := func(off, length uint32, edge int8) bool {
+		o := int64(off)/bs*bs + int64(edge%2) // a block edge, one either side
+		if o < 0 {
+			o = 0
+		}
+		return span(int64(off), int64(length)%(1<<20)) && span(o, int64(length)%(3*bs)) && span(o, 0)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := quick.Check(split, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{0, -4096, 3000, 4097} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted block size %d", bad)
+				}
+			}()
+			cfg := DefaultConfig()
+			cfg.BlockSize = bad
+			New(nil, cfg, s.devs)
+		}()
+	}
+}

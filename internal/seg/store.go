@@ -3,6 +3,7 @@ package seg
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"hyperion/internal/nvme"
 	"hyperion/internal/sim"
@@ -96,6 +97,9 @@ func DefaultConfig() Config {
 type Store struct {
 	cfg  Config
 	devs []*nvme.Host
+	// BlockSize as a shift and a mask: the block plane divides by none.
+	blockShift uint
+	blockMask  int64
 
 	table  map[ObjectID]*Segment
 	dram   *dramBacking
@@ -121,19 +125,25 @@ func (s *Store) SetRecorder(rec *telemetry.Recorder) { s.rec = rec }
 const devStride = int64(1) << 44
 
 // New creates a store over the given NVMe hosts. Device 0's first
-// TableBlocks blocks are reserved for table checkpoints. The store
+// TableBlocks blocks are reserved for table checkpoints. BlockSize must
+// be a power of two. The store
 // schedules no event; the engine parameter stays because the frozen
 // cmd/hyperbench probes call New with one.
 func New(_ *sim.Engine, cfg Config, devs []*nvme.Host) *Store {
 	if len(devs) == 0 {
 		panic("seg: need at least one NVMe device")
 	}
+	if cfg.BlockSize <= 0 || cfg.BlockSize&(cfg.BlockSize-1) != 0 {
+		panic(fmt.Sprintf("seg: block size %d is not a power of two", cfg.BlockSize))
+	}
 	s := &Store{
-		cfg:    cfg,
-		devs:   devs,
-		table:  make(map[ObjectID]*Segment),
-		dram:   newDRAMBacking(cfg.DRAMBytes),
-		dramAl: newAllocator(cfg.DRAMBytes),
+		cfg:        cfg,
+		devs:       devs,
+		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockSize))),
+		blockMask:  int64(cfg.BlockSize - 1),
+		table:      make(map[ObjectID]*Segment),
+		dram:       newDRAMBacking(cfg.DRAMBytes),
+		dramAl:     newAllocator(cfg.DRAMBytes),
 	}
 	for i, d := range devs {
 		blocks := d.DeviceBlocks()
@@ -239,8 +249,8 @@ func (s *Store) Free(id ObjectID) error {
 }
 
 func (s *Store) split(addr int64) (dev int, lba int64) {
-	dev = int(addr / devStride)
-	lba = (addr % devStride) / int64(s.cfg.BlockSize)
+	dev = int(addr / devStride) // a constant power of two: a shift
+	lba = addr % devStride >> s.blockShift
 	return
 }
 

@@ -22,6 +22,8 @@ import (
 type SyncView struct {
 	s    *Store
 	cost sim.Duration
+	// scratch holds an Edit whose range cannot be edited in place.
+	scratch []byte
 
 	// Op counters for experiment reporting.
 	Reads, Writes           int64
@@ -84,7 +86,7 @@ func (v *SyncView) ReadAt(id ObjectID, off, length int64) ([]byte, error) {
 // whenever capacity suffices; callers reuse the buffer across calls by
 // passing the previous result back in.
 func (v *SyncView) ReadAtBuf(id ObjectID, off, length int64, buf []byte) ([]byte, error) {
-	sg, err := v.chargeRead(id, off, length)
+	sg, err := v.ChargeRead(id, off, length)
 	if err != nil {
 		return nil, err
 	}
@@ -105,11 +107,11 @@ func (v *SyncView) ReadAtBuf(id ObjectID, off, length int64, buf []byte) ([]byte
 // caller's next Borrow with the same spill), into a fresh allocation
 // when spill is nil.
 func (v *SyncView) Borrow(id ObjectID, off, length int64, spill *[]byte) ([]byte, error) {
-	sg, err := v.chargeRead(id, off, length)
+	sg, err := v.ChargeRead(id, off, length)
 	if err != nil {
 		return nil, err
 	}
-	if src := v.s.inPlace(sg, off, length); src != nil {
+	if src := v.s.inPlace(sg, off, length, false); src != nil {
 		return src, nil
 	}
 	var out []byte
@@ -123,10 +125,11 @@ func (v *SyncView) Borrow(id ObjectID, off, length int64, spill *[]byte) ([]byte
 	return out, nil
 }
 
-// chargeRead is the accounting of one synchronous read, shared by the
+// ChargeRead is the accounting of one synchronous read, shared by the
 // copying and the borrowing form: translation, bounds, op counters and
-// the modeled DRAM or device time.
-func (v *SyncView) chargeRead(id ObjectID, off, length int64) (*Segment, error) {
+// the modeled DRAM or device time. Alone, it charges a read whose bytes
+// the caller already holds (a bptree Insert replaying a Get's descent).
+func (v *SyncView) ChargeRead(id ObjectID, off, length int64) (*Segment, error) {
 	sg, tc, err := v.s.Lookup(id)
 	v.cost += tc
 	if err != nil {
@@ -150,8 +153,7 @@ func (v *SyncView) chargeRead(id ObjectID, off, length int64) (*Segment, error) 
 // spanBlocks is how many device blocks the byte range [off, off+length)
 // of an NVMe segment covers; an empty range still costs one.
 func (s *Store) spanBlocks(off, length int64) int {
-	bs := int64(s.cfg.BlockSize)
-	if n := int((off+length+bs-1)/bs - off/bs); n > 1 {
+	if n := int((off+length+s.blockMask)>>s.blockShift - off>>s.blockShift); n > 1 {
 		return n
 	}
 	return 1
@@ -159,19 +161,29 @@ func (s *Store) spanBlocks(off, length int64) int {
 
 // inPlace returns the stored bytes of [off, off+length) of sg without
 // copying, or nil when the range crosses a block or chunk boundary or
-// sits in DRAM never written. Capacity is clipped so an append cannot
-// reach the store.
-func (s *Store) inPlace(sg *Segment, off, length int64) []byte {
-	if sg.Loc == LocDRAM {
+// sits in DRAM never written. To write, it materializes the block or
+// chunk instead, and answers nil for an empty range (which writes
+// nothing in place). Capacity is clipped so an append cannot reach the
+// store.
+func (s *Store) inPlace(sg *Segment, off, length int64, write bool) []byte {
+	switch {
+	case write && length == 0:
+		return nil
+	case sg.Loc == LocDRAM && write:
+		return s.dram.edit(sg.Addr+off, length)
+	case sg.Loc == LocDRAM:
 		return s.dram.view(sg.Addr+off, length)
 	}
-	bs := int64(s.cfg.BlockSize)
-	skip := off % bs
-	if skip+length > bs {
+	skip := off & s.blockMask
+	if skip+length > int64(s.cfg.BlockSize) {
 		return nil
 	}
 	dev, lba := s.split(sg.Addr)
-	return s.devs[dev].Device().BorrowSync(lba + off/bs)[skip : skip+length : skip+length]
+	d, lba := s.devs[dev].Device(), lba+off>>s.blockShift
+	if write {
+		return d.EditSync(lba)[skip : skip+length : skip+length]
+	}
+	return d.BorrowSync(lba)[skip : skip+length : skip+length]
 }
 
 // copyOut fills dst with the object's bytes starting at off.
@@ -182,9 +194,8 @@ func (s *Store) copyOut(dst []byte, sg *Segment, off int64) {
 	}
 	dev, lba := s.split(sg.Addr)
 	d := s.devs[dev].Device()
-	bs := int64(s.cfg.BlockSize)
-	lba += off / bs
-	skip := off % bs
+	lba += off >> s.blockShift
+	skip := off & s.blockMask
 	for len(dst) > 0 {
 		n := copy(dst, d.BorrowSync(lba)[skip:])
 		dst = dst[n:]
@@ -198,37 +209,81 @@ func (s *Store) copyOut(dst []byte, sg *Segment, off int64) {
 // read-modify-write it models: one device read plus one device write
 // of the covering blocks.
 func (v *SyncView) WriteAt(id ObjectID, off int64, data []byte) error {
-	sg, tc, err := v.s.Lookup(id)
-	v.cost += tc
+	sg, err := v.chargeWrite(id, off, int64(len(data)))
 	if err != nil {
 		return err
 	}
-	length := int64(len(data))
-	if off < 0 || off+length > sg.Size {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrBounds, off, off+length, sg.Size)
+	v.s.store(sg, off, data)
+	return nil
+}
+
+// Edit charges and counts what a WriteAt of length bytes at off would,
+// and hands edit the stored bytes of that range to change in place (a
+// block or chunk never written is materialized, as zeros). A range
+// inPlace cannot lend is copied into the view's scratch, edited there
+// and stored back as WriteAt stores its data. The bytes are valid only
+// while edit runs, and edit must not use the view.
+func (v *SyncView) Edit(id ObjectID, off, length int64, edit func(stored []byte)) error {
+	sg, err := v.chargeWrite(id, off, length)
+	if err != nil {
+		return err
+	}
+	if dst := v.s.inPlace(sg, off, length, true); dst != nil {
+		edit(dst)
+		return nil
+	}
+	v.scratch = grow(v.scratch, length)
+	v.s.copyOut(v.scratch, sg, off)
+	edit(v.scratch)
+	v.s.store(sg, off, v.scratch)
+	return nil
+}
+
+// chargeWrite is ChargeRead's counterpart, shared by WriteAt and Edit;
+// an unaligned NVMe range is charged as the read-modify-write it models.
+func (v *SyncView) chargeWrite(id ObjectID, off, length int64) (*Segment, error) {
+	sg, tc, err := v.s.Lookup(id)
+	v.cost += tc
+	if err != nil {
+		return nil, err
+	}
+	if off < 0 || length < 0 || off+length > sg.Size {
+		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrBounds, off, off+length, sg.Size)
 	}
 	v.Writes++
 	v.BytesWritten += length
 	if sg.Loc == LocDRAM {
 		v.cost += v.s.dramTime(length)
-		v.s.dram.write(sg.Addr+off, data)
-		return nil
+		return sg, nil
 	}
-	dev, lba := v.s.split(sg.Addr)
-	bs := int64(v.s.cfg.BlockSize)
-	first := lba + off/bs
-	nblocks := v.s.spanBlocks(off, length)
-	skip := off % bs
-	d := v.s.devs[dev].Device()
-	if skip == 0 && length%bs == 0 {
+	dev, _ := v.s.split(sg.Addr)
+	d, nblocks := v.s.devs[dev].Device(), v.s.spanBlocks(off, length)
+	if v.s.aligned(off, length) {
 		v.cost += d.AccessCost(nvme.OpWrite, nblocks)
-		v.DevWrites++
-		d.WriteSync(first, data)
 	} else {
 		v.cost += d.AccessCost(nvme.OpRead, nblocks) + d.AccessCost(nvme.OpWrite, nblocks)
 		v.DevReads++
-		v.DevWrites++
-		d.PatchSync(first, int(skip), data)
 	}
-	return nil
+	v.DevWrites++
+	return sg, nil
+}
+
+// aligned reports whether [off, off+length) is whole device blocks.
+func (s *Store) aligned(off, length int64) bool { return (off|length)&s.blockMask == 0 }
+
+// store copies data into the object's bytes at off: whole aligned
+// blocks are rewritten, an unaligned NVMe edge is patched in place.
+func (s *Store) store(sg *Segment, off int64, data []byte) {
+	if sg.Loc == LocDRAM {
+		s.dram.write(sg.Addr+off, data)
+		return
+	}
+	dev, lba := s.split(sg.Addr)
+	d := s.devs[dev].Device()
+	first := lba + off>>s.blockShift
+	if s.aligned(off, int64(len(data))) {
+		d.WriteSync(first, data)
+	} else {
+		d.PatchSync(first, int(off&s.blockMask), data)
+	}
 }

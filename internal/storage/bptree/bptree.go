@@ -65,14 +65,16 @@ type Tree struct {
 	durable   bool
 	metaDirty bool
 
-	// Reused node-image scratch, the source of every node write. A leaf
-	// edit copies the stored image in and patches it (stageLeaf); an
-	// encode zeroes it first (writeNode). Either way the bytes past a
-	// node's live entries are zero, so the two produce identical images.
-	// Reads need no scratch: they borrow the stored image (borrowNode).
-	// The tree is single-threaded.
+	// Reused encode scratch of writeNode, which zeroes it first, so every
+	// stored image is zero past its live entries. A leaf edit patches the
+	// stored image itself (seg.SyncView.Edit) and reads borrow it
+	// (borrowNode): neither needs a scratch. The tree is single-threaded.
 	wbuf    []byte
 	metaBuf [64]byte
+
+	// last is the latest Get's descent, replayed by an Insert of the
+	// same key with no tree write since (replay).
+	last descent
 
 	// viaDecode sends every leaf edit through decode → mutate →
 	// writeNode, the form the image edits replaced. Only
@@ -108,6 +110,19 @@ func (t *Tree) arenaNode() *node {
 	n := t.arena[t.arenaUsed]
 	t.arenaUsed++
 	return n
+}
+
+const maxReplay = 8
+
+// descent is the path a Get read, root to leaf, and the slot it found
+// in the leaf; depth 0 is nothing to replay: a Get whose key is new to
+// a full leaf (that Insert splits) or in a tree over maxReplay levels.
+type descent struct {
+	path  [maxReplay]seg.ObjectID
+	depth int
+	key   uint64
+	slot  int
+	found bool
 }
 
 type node struct {
@@ -221,53 +236,42 @@ func (t *Tree) writeNode(id seg.ObjectID, n *node) error {
 	default:
 		return fmt.Errorf("%w: kind %d", ErrCorrupt, n.kind)
 	}
-	return t.writeImage(id)
-}
-
-// writeImage stores wbuf as node id: one whole-node write, whoever
-// filled the buffer.
-func (t *Tree) writeImage(id seg.ObjectID) error {
 	t.NodesWritten++
-	return t.v.WriteAt(id, 0, t.wbuf)
+	return t.v.WriteAt(id, 0, buf)
 }
 
-// stageLeaf copies a borrowed leaf image into wbuf to be patched there
-// through the layout offsets and stored with writeImage: the write half
-// of the block plane. What it saves over decode → mutate → writeNode is
-// host work only (LeafCap word loads and stores each way around a
-// 16-byte edit); the store sees the same calls with the same bytes.
-func (t *Tree) stageLeaf(im image) []byte {
-	copy(t.wbuf, im.buf[:NodeBytes])
-	return t.wbuf
-}
-
-// putLeafSlot writes key → val at slot i of the leaf image im: over the
+// putLeafSlot writes key → val at slot i of leaf id in its stored
+// image, charged as the whole-node write an encode ends in: over the
 // value there when found, else shifting the tails of both arrays up one
 // slot, which the caller has checked is free.
-func (t *Tree) putLeafSlot(id seg.ObjectID, im image, i int, found bool, key, val uint64) error {
-	buf := t.stageLeaf(im)
-	if !found {
-		copy(buf[LeafKeysOff+(i+1)*8:], buf[LeafKeysOff+i*8:LeafKeysOff+im.cnt*8])
-		copy(buf[LeafValsOff+(i+1)*8:], buf[LeafValsOff+i*8:LeafValsOff+im.cnt*8])
-		wire.PutLE64At(buf, LeafKeysOff+i*8, key)
-		wire.PutLE16At(buf, CountOff, uint16(im.cnt+1))
-	}
-	wire.PutLE64At(buf, LeafValsOff+i*8, val)
-	return t.writeImage(id)
+func (t *Tree) putLeafSlot(id seg.ObjectID, i int, found bool, key, val uint64) error {
+	t.NodesWritten++
+	return t.v.Edit(id, 0, NodeBytes, func(buf []byte) {
+		if !found {
+			cnt := int(wire.LE16At(buf, CountOff))
+			copy(buf[LeafKeysOff+(i+1)*8:], buf[LeafKeysOff+i*8:LeafKeysOff+cnt*8])
+			copy(buf[LeafValsOff+(i+1)*8:], buf[LeafValsOff+i*8:LeafValsOff+cnt*8])
+			wire.PutLE64At(buf, LeafKeysOff+i*8, key)
+			wire.PutLE16At(buf, CountOff, uint16(cnt+1))
+		}
+		wire.PutLE64At(buf, LeafValsOff+i*8, val)
+	})
 }
 
-// cutLeafSlot removes slot i of the leaf image im: the tails of both
-// arrays shift down one slot and the slot they vacate is zeroed, as an
-// encode of the shorter node would leave it.
-func (t *Tree) cutLeafSlot(id seg.ObjectID, im image, i int) error {
-	buf := t.stageLeaf(im)
-	last := im.cnt - 1
-	copy(buf[LeafKeysOff+i*8:], buf[LeafKeysOff+(i+1)*8:LeafKeysOff+im.cnt*8])
-	copy(buf[LeafValsOff+i*8:], buf[LeafValsOff+(i+1)*8:LeafValsOff+im.cnt*8])
-	wire.PutLE64At(buf, LeafKeysOff+last*8, 0)
-	wire.PutLE64At(buf, LeafValsOff+last*8, 0)
-	wire.PutLE16At(buf, CountOff, uint16(last))
-	return t.writeImage(id)
+// cutLeafSlot removes slot i of leaf id in its stored image: the tails
+// of both arrays shift down one slot and the slot they vacate is
+// zeroed, as an encode of the shorter node would leave it.
+func (t *Tree) cutLeafSlot(id seg.ObjectID, i int) error {
+	t.NodesWritten++
+	return t.v.Edit(id, 0, NodeBytes, func(buf []byte) {
+		cnt := int(wire.LE16At(buf, CountOff))
+		last := cnt - 1
+		copy(buf[LeafKeysOff+i*8:], buf[LeafKeysOff+(i+1)*8:LeafKeysOff+cnt*8])
+		copy(buf[LeafValsOff+i*8:], buf[LeafValsOff+(i+1)*8:LeafValsOff+cnt*8])
+		wire.PutLE64At(buf, LeafKeysOff+last*8, 0)
+		wire.PutLE64At(buf, LeafValsOff+last*8, 0)
+		wire.PutLE16At(buf, CountOff, uint16(last))
+	})
 }
 
 // image is one encoded node, searched in place. It is valid only as
@@ -378,24 +382,11 @@ func (t *Tree) decode(im image) *node {
 	return n
 }
 
-// growU64 resizes s to n entries, reallocating with capHint headroom
-// only when capacity is insufficient. Contents are unspecified.
-func growU64(s []uint64, n, capHint int) []uint64 {
+// grow resizes s to n entries, reallocating with capHint headroom only
+// when capacity is insufficient. Contents are unspecified.
+func grow[T any](s []T, n, capHint int) []T {
 	if cap(s) < n {
-		if capHint < n {
-			capHint = n
-		}
-		return make([]uint64, n, capHint)
-	}
-	return s[:n]
-}
-
-func growIDs(s []seg.ObjectID, n, capHint int) []seg.ObjectID {
-	if cap(s) < n {
-		if capHint < n {
-			capHint = n
-		}
-		return make([]seg.ObjectID, n, capHint)
+		return make([]T, n, max(n, capHint))
 	}
 	return s[:n]
 }
@@ -407,8 +398,8 @@ func (im image) decodeInto(n *node) {
 	if im.kind == kindLeaf {
 		n.next = im.leafNext()
 		n.children = n.children[:0]
-		n.keys = growU64(n.keys, im.cnt, LeafCap+1)
-		n.vals = growU64(n.vals, im.cnt, LeafCap+1)
+		n.keys = grow(n.keys, im.cnt, LeafCap+1)
+		n.vals = grow(n.vals, im.cnt, LeafCap+1)
 		for i := range n.keys {
 			n.keys[i] = im.leafKey(i)
 			n.vals[i] = im.leafVal(i)
@@ -417,11 +408,11 @@ func (im image) decodeInto(n *node) {
 	}
 	n.next = seg.ObjectID{}
 	n.vals = n.vals[:0]
-	n.keys = growU64(n.keys, im.cnt, IntCap+1)
+	n.keys = grow(n.keys, im.cnt, IntCap+1)
 	for i := range n.keys {
 		n.keys[i] = im.intKey(i)
 	}
-	n.children = growIDs(n.children, im.cnt+1, IntCap+2)
+	n.children = grow(n.children, im.cnt+1, IntCap+2)
 	for i := range n.children {
 		n.children[i] = im.child(i)
 	}
@@ -457,16 +448,26 @@ func DecodeNode(buf []byte) (kind uint8, keys []uint64, valsOrChildren []uint64,
 	return im.kind, keys, flat, seg.ObjectID{}, nil
 }
 
-// Get returns the value for key.
+// Get returns the value for key, and remembers its descent for an
+// Insert of the same key to replay.
 func (t *Tree) Get(key uint64) (uint64, bool, error) {
+	d := &t.last
+	d.depth = 0
 	id := t.root
-	for {
+	for depth := 0; ; depth++ {
 		im, err := t.borrowNode(id)
 		if err != nil {
 			return 0, false, err
 		}
+		if depth < maxReplay {
+			d.path[depth] = id
+		}
 		if im.kind == kindLeaf {
-			if i, ok := im.find(key); ok {
+			i, ok := im.find(key)
+			if depth < maxReplay && (ok || im.cnt < LeafCap) {
+				d.depth, d.key, d.slot, d.found = depth+1, key, i, ok
+			}
+			if ok {
 				return im.leafVal(i), true, nil
 			}
 			return 0, false, nil
@@ -477,6 +478,10 @@ func (t *Tree) Get(key uint64) (uint64, bool, error) {
 
 // Insert adds or replaces key → val.
 func (t *Tree) Insert(key, val uint64) error {
+	if d := &t.last; d.depth > 0 && d.key == key && !t.viaDecode {
+		return t.replay(d, val)
+	}
+	t.last.depth = 0
 	t.beginOp()
 	promoted, newChild, err := t.insert(t.root, key, val)
 	if err != nil {
@@ -499,6 +504,25 @@ func (t *Tree) Insert(key, val uint64) error {
 	return t.writeMeta()
 }
 
+// replay is Insert along the descent d of the Get just before it,
+// whose images no tree write has changed: each node read is charged
+// again in order (ChargeRead, the accounting behind borrowNode), and
+// the leaf is edited at the slot the Get found.
+func (t *Tree) replay(d *descent, val uint64) error {
+	path := d.path[:d.depth]
+	d.depth = 0
+	for _, id := range path {
+		t.NodesRead++
+		if _, err := t.v.ChargeRead(id, 0, NodeBytes); err != nil {
+			return err
+		}
+	}
+	if err := t.putLeafSlot(path[len(path)-1], d.slot, d.found, d.key, val); err != nil {
+		return err
+	}
+	return t.flushMeta()
+}
+
 // insert descends into id; if the child splits it returns the promoted
 // key and the new right sibling id. Only a leaf that splits, and an
 // internal node whose child actually split, is decoded; any other leaf
@@ -511,7 +535,7 @@ func (t *Tree) insert(id seg.ObjectID, key, val uint64) (uint64, seg.ObjectID, e
 	if im.kind == kindLeaf {
 		i, found := im.find(key)
 		if (found || im.cnt < LeafCap) && !t.viaDecode {
-			return 0, seg.ObjectID{}, t.putLeafSlot(id, im, i, found, key, val)
+			return 0, seg.ObjectID{}, t.putLeafSlot(id, i, found, key, val)
 		}
 		// A full leaf taking a new key splits, on the decoded form (which
 		// the oracle twin uses for every leaf edit, overwrites included).
@@ -599,6 +623,7 @@ const (
 // nodes rebalance by borrowing from a sibling or merging into it, and
 // the tree shrinks when the root empties.
 func (t *Tree) Delete(key uint64) (bool, error) {
+	t.last.depth = 0
 	t.beginOp()
 	found, _, err := t.delete(t.root, key)
 	if err != nil || !found {
@@ -645,7 +670,7 @@ func (t *Tree) delete(id seg.ObjectID, key uint64) (found, underflow bool, err e
 			n.vals = append(n.vals[:i], n.vals[i+1:]...)
 			err = t.writeNode(id, n)
 		} else {
-			err = t.cutLeafSlot(id, im, i)
+			err = t.cutLeafSlot(id, i)
 		}
 		if err != nil {
 			return true, false, err

@@ -2,6 +2,7 @@ package bptree
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -360,6 +361,16 @@ func (w *twins) same(op string, key uint64, ansA, ansB any) {
 	if va != vb || oka != okb || ea != nil || eb != nil {
 		w.t.Fatalf("after %s(%d): Get = %d,%v,%v, oracle %d,%v,%v", op, key, va, oka, ea, vb, okb, eb)
 	}
+	w.sameState(op, key, nil, nil)
+}
+
+// sameState is same without the Get, which would leave a descent of
+// its own for the next Insert to replay.
+func (w *twins) sameState(op string, key uint64, ansA, ansB any) {
+	w.t.Helper()
+	if ansA != ansB {
+		w.t.Fatalf("%s(%d) answered %v, oracle %v", op, key, ansA, ansB)
+	}
 	if oa, ob := observe(w.a), observe(w.b); oa != ob {
 		w.t.Fatalf("after %s(%d):\nimage side %+v\noracle     %+v", op, key, oa, ob)
 	}
@@ -486,6 +497,89 @@ func TestImageWriteMatchesEncodeOracle(t *testing.T) {
 	if ops < 20000 || overwrites == 0 || misses == 0 || splits == 0 || borrows == 0 || merges == 0 ||
 		peak < wantPeak || w.a.height != 1 {
 		t.Fatalf("the tape is too small to mean anything (final height %d)", w.a.height)
+	}
+}
+
+// TestGetInsertReplayMatchesOracle drives the twins through Get → Insert
+// tapes with no Get of the checker's own in between, so the image side
+// replays each Get's descent where it may and the oracle, which never
+// does, walks again: same key found and absent, a different key, a
+// Delete or a second Insert between, and Gets that end in a full leaf
+// so the Insert splits. After every operation the answers, the
+// statistics, cost, counters and the path images must agree.
+func TestGetInsertReplayMatchesOracle(t *testing.T) {
+	w := newTwins(t, durableTree(t))
+	get := func(k uint64) {
+		t.Helper()
+		va, oka, ea := w.a.Get(k)
+		vb, okb, eb := w.b.Get(k)
+		w.sameState("Get", k, fmt.Sprint(va, oka, ea), fmt.Sprint(vb, okb, eb))
+	}
+	replays, splitsAfterGet := 0, 0
+	insert := func(k, v uint64) {
+		t.Helper()
+		if w.a.last.depth > 0 && w.a.last.key == k {
+			replays++
+		}
+		splits := w.a.Splits
+		w.sameState("Insert", k, errText(w.a.Insert(k, v)), errText(w.b.Insert(k, v)))
+		if w.a.last.depth != 0 {
+			t.Fatalf("Insert(%d) left a descent to replay", k)
+		}
+		if w.a.Splits > splits {
+			splitsAfterGet++
+		}
+	}
+	del := func(k uint64) {
+		t.Helper()
+		fa, ea := w.a.Delete(k)
+		fb, eb := w.b.Delete(k)
+		w.sameState("Delete", k, answer{fa, errText(ea)}, answer{fb, errText(eb)})
+	}
+
+	// A root leaf filled to LeafCap: a Get of a new key remembers
+	// nothing, and the Insert after it splits on the full walk.
+	for k := uint64(1); k <= LeafCap; k++ {
+		w.insert(10*k, k)
+	}
+	get(15)
+	if w.a.last.depth != 0 {
+		t.Fatal("a Get of a new key in a full leaf left a descent")
+	}
+	insert(15, 1)
+	get(20) // found in a full leaf: an overwrite replays
+	if w.a.last.depth != 2 {
+		t.Fatalf("Get over height %d left a descent of %d", w.a.height, w.a.last.depth)
+	}
+	insert(20, 2)
+
+	r := sim.NewRand(23)
+	for i := 0; i < 6000; i++ {
+		k := r.Uint64() % 8000
+		get(k)
+		switch r.Intn(10) {
+		case 0:
+			insert(r.Uint64()%8000, r.Uint64()) // a different key, mostly
+		case 1:
+			del(k)
+			insert(k, r.Uint64())
+		case 2:
+			insert(k, r.Uint64())
+			insert(k, r.Uint64())
+		case 3:
+			get(r.Uint64() % 8000)
+			insert(k, r.Uint64())
+		default:
+			insert(k, r.Uint64())
+		}
+		if i%1000 == 0 {
+			w.sameEverywhere()
+		}
+	}
+	w.sameEverywhere()
+	t.Logf("%d replays, %d splits after a Get, height %d", replays, splitsAfterGet, w.a.height)
+	if replays < 1000 || splitsAfterGet < 10 || w.a.height < 2 {
+		t.Fatal("the tape is too small to mean anything")
 	}
 }
 

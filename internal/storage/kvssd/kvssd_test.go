@@ -2,6 +2,7 @@ package kvssd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -307,6 +308,53 @@ func BenchmarkKVPut(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		put()
+	}
+}
+
+// BenchmarkKVSpillCycle is E9's spill-hit step (apps/lb's Steer on a
+// flow found in the spill store) on the B+ tree backend: read a flow's
+// 4-byte backend address back into a caller's buffer, spill a victim
+// flow in its place, delete the flow's record. Flow keys are 8-byte
+// words, 10k spilled at any time; every index operation after a Get of
+// the same slot replays that Get's descent.
+func BenchmarkKVSpillCycle(b *testing.B) {
+	const spilled = 10_000
+	kv, err := Create(newView(b), seg.OID(300, 0), BackendBTree, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var kb [8]byte
+	var val, out [4]byte
+	key := func(k uint64) []byte {
+		binary.LittleEndian.PutUint64(kb[:], k)
+		return kb[:]
+	}
+	for k := uint64(0); k < spilled; k++ {
+		if err := kv.Put(key(k), val[:]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	next := uint64(0) // the oldest spilled flow
+	cycle := func() {
+		flow := next
+		next++
+		if got, ok, err := kv.GetAppend(out[:0], key(flow)); err != nil || !ok || len(got) != 4 {
+			b.Fatalf("GetAppend(%d) = %v,%v,%v", flow, got, ok, err)
+		}
+		if err := kv.Put(key(flow+spilled), val[:]); err != nil {
+			b.Fatal(err)
+		}
+		if ok, err := kv.Delete(key(flow)); err != nil || !ok {
+			b.Fatalf("Delete(%d) = %v,%v", flow, ok, err)
+		}
+	}
+	if a := testing.AllocsPerRun(200, cycle); a != 0 {
+		b.Fatalf("steady-state spill cycle allocates %v times", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		cycle()
 	}
 }
 

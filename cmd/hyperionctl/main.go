@@ -54,7 +54,7 @@ func dial() *ctl {
 		fmt.Fprintln(os.Stderr, "attach:", err)
 		os.Exit(1)
 	}
-	cli := rpc.NewClient(eng, transport.New(eng, cfg.Transport, cn))
+	cli := rpc.NewClient(eng, transport.New(eng, core.Transport, cn))
 	cli.Timeout = sim.Duration(sim.Second)
 	return &ctl{eng: eng, dpu: d, cli: cli}
 }
@@ -198,8 +198,12 @@ func cmdRack(args []string) {
 	boxes := fs.Int("boxes", 8, "DPU boxes in the rack")
 	seed := fs.Uint64("seed", 1, "scenario seed")
 	_ = fs.Parse(args)
-
 	cfg := rack.DefaultConfig()
+	if *boxes < cfg.Replicas || *shards < 1 {
+		fmt.Fprintf(os.Stderr, "rack: -boxes must be >= %d (the replication factor), -shards >= 1\n", cfg.Replicas)
+		os.Exit(2)
+	}
+
 	cfg.Boxes = *boxes
 	cfg.Shards = *shards
 	ra := rack.New(cfg, *seed, nil)

@@ -69,6 +69,10 @@ func TestExitCodes(t *testing.T) {
 		{"session", []string{"session"}, 0, []string{"forged bitstream is rejected"}},
 		{"trace needs positive probes", []string{"trace", "-probes", "0"}, 1, []string{"must be positive"}},
 		{"trace bad dir", []string{"trace", "-dir", "no-such-dir"}, 1, []string{"not a directory"}},
+		// A Go panic also exits 2: these rows hold the message, and every
+		// row holds the absence of a goroutine dump.
+		{"rack boxes below replicas", []string{"rack", "-boxes", "2"}, 2, []string{"-boxes must be >= 3"}},
+		{"rack no shards", []string{"rack", "-shards", "0"}, 2, []string{"-shards >= 1"}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,6 +85,9 @@ func TestExitCodes(t *testing.T) {
 				if !strings.Contains(out, want) {
 					t.Fatalf("output missing %q:\n%s", want, out)
 				}
+			}
+			if strings.Contains(out, "goroutine ") {
+				t.Fatalf("panicked:\n%s", out)
 			}
 		})
 	}

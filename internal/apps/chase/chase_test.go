@@ -41,7 +41,7 @@ func rig(t testing.TB, keys int) (*sim.Engine, *Service, *Client, *bptree.Tree) 
 		t.Fatal(err)
 	}
 	cn, _ := net.Attach("client")
-	cli := rpc.NewClient(eng, transport.New(eng, cfg.Transport, cn))
+	cli := rpc.NewClient(eng, transport.New(eng, core.Transport, cn))
 	cli.Timeout = sim.Duration(sim.Second)
 	return eng, svc, NewClient(cli, d.ControlAddr()), tree
 }

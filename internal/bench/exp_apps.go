@@ -96,7 +96,7 @@ func pointerChaseRow(seed uint64, keys int, crec *telemetry.Recorder) tableRow {
 		net.SetRecorder(crec)
 	}
 	cn, _ := net.Attach("client")
-	cli := rpc.NewClient(eng, transport.New(eng, cfg.Transport, cn))
+	cli := rpc.NewClient(eng, transport.New(eng, core.Transport, cn))
 	cli.Timeout = sim.Duration(sim.Second)
 	cli.SetRecorder(crec)
 	cc := chase.NewClient(cli, d.ControlAddr())

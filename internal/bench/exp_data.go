@@ -159,7 +159,7 @@ func KVStore(seed uint64) Result {
 func NVMeoF(seed uint64) Result {
 	r := Result{ID: "E14", Title: "§2 — NVMe-oF across application-selected transports"}
 	r.Table.Header = []string{"transport", "4K read", "4K write", "64K read", "local flash", "remote tax"}
-	local := nvme.DefaultConfig("x").ReadLatency
+	local := nvme.ReadLatency
 	for _, kind := range transport.Kinds() {
 		eng := sim.NewEngine(seed)
 		net := netsim.New(eng, netsim.DefaultConfig())

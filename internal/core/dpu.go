@@ -28,12 +28,15 @@ type Config struct {
 	Name    string
 	Fabric  fabric.Config
 	NVMe    nvme.Config // per-SSD template; four instances are created
-	SSDs    int
 	Seg     seg.Config
 	AuthTag string // accepted bitstream authorization tag
-	// Transport used by the OS-shell control plane and data services.
-	Transport transport.Kind
 }
+
+// ssds is the number of NVMe SSDs behind the root complex.
+const ssds = 4
+
+// Transport is used by the OS-shell control plane and data services.
+const Transport = transport.RDMA
 
 // DefaultConfig returns the paper's prototype: U280 fabric, 4 NVMe SSDs,
 // RDMA-style transport for control.
@@ -43,13 +46,11 @@ func DefaultConfig(name string) Config {
 	scfg := seg.DefaultConfig()
 	scfg.DRAMBytes = 256 << 20
 	return Config{
-		Name:      name,
-		Fabric:    fabric.DefaultConfig(),
-		NVMe:      ncfg,
-		SSDs:      4,
-		Seg:       scfg,
-		AuthTag:   "hyperion-dev-key",
-		Transport: transport.RDMA,
+		Name:    name,
+		Fabric:  fabric.DefaultConfig(),
+		NVMe:    ncfg,
+		Seg:     scfg,
+		AuthTag: "hyperion-dev-key",
 	}
 }
 
@@ -130,18 +131,18 @@ func boot(eng *sim.Engine, net *netsim.Network, cfg Config, existing []*nvme.Dev
 	d := &DPU{Cfg: cfg, Eng: eng}
 
 	// JTAG self-test: the fabric must expose sane geometry.
-	if cfg.Fabric.Slots <= 0 || cfg.Fabric.ClockHz <= 0 {
+	if cfg.Fabric.ClockHz <= 0 {
 		return nil, nil, ErrSelfTest
 	}
 	d.Fabric = fabric.New(eng, cfg.Fabric, cfg.AuthTag)
 
 	// Root complex with the crossover board's x16 → 4×x4 bifurcation.
-	lanes := make([]int, cfg.SSDs)
+	lanes := make([]int, ssds)
 	for i := range lanes {
 		lanes[i] = 4
 	}
 	d.Root = pcie.NewRootComplex(eng, lanes)
-	for i := 0; i < cfg.SSDs; i++ {
+	for i := 0; i < ssds; i++ {
 		var dev *nvme.Device
 		if existing != nil {
 			dev = existing[i]
@@ -190,8 +191,8 @@ func boot(eng *sim.Engine, net *netsim.Network, cfg Config, existing []*nvme.Dev
 		if err != nil {
 			return nil, nil, err
 		}
-		d.DataEP = transport.New(eng, cfg.Transport, d.Data)
-		d.CtrlEP = transport.New(eng, cfg.Transport, d.Control)
+		d.DataEP = transport.New(eng, Transport, d.Data)
+		d.CtrlEP = transport.New(eng, Transport, d.Control)
 		d.CtrlSrv = rpc.NewServer(eng, d.CtrlEP, rpc.RunToCompletion)
 		d.registerShell()
 	}

@@ -44,7 +44,7 @@ func TestBootEnumeratesFourSSDs(t *testing.T) {
 func TestBootSelfTestFails(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig("bad")
-	cfg.Fabric.Slots = 0
+	cfg.Fabric.ClockHz = 0
 	if _, _, err := Boot(eng, nil, cfg); !errors.Is(err, ErrSelfTest) {
 		t.Fatalf("err = %v, want ErrSelfTest", err)
 	}

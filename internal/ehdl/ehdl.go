@@ -35,10 +35,11 @@ type Options struct {
 	Verifier ebpf.VerifierConfig
 	// Helpers are installed into the execution VM.
 	Helpers map[int32]ebpf.Helper
-	// ILP is the instructions retired per pipeline stage (VLIW fusion
-	// factor); defaults to 3, hXDP-like.
-	ILP int
 }
+
+// ilp is the instructions retired per pipeline stage (VLIW fusion
+// factor), hXDP-like.
+const ilp = 3
 
 // Stats describes the synthesized pipeline.
 type Stats struct {
@@ -78,9 +79,6 @@ func Compile(prog []ebpf.Instruction, opts Options) (*Pipeline, error) {
 	}
 	if opts.CtxBytes <= 0 {
 		opts.CtxBytes = 512
-	}
-	if opts.ILP <= 0 {
-		opts.ILP = 3
 	}
 	vcfg := opts.Verifier
 	if vcfg.CtxSize == 0 {
@@ -167,7 +165,7 @@ func estimate(prog []ebpf.Instruction, opts Options) Stats {
 		}
 	}
 	longest := longestPath(prog)
-	st.Depth = 4 + (longest+opts.ILP-1)/opts.ILP + 2*st.HelperCalls
+	st.Depth = 4 + (longest+ilp-1)/ilp + 2*st.HelperCalls
 	// Each helper needs a BRAM port visit per item; four ports are
 	// banked, so heavy helper use stretches the initiation interval.
 	if st.HelperCalls > 4 {

@@ -47,27 +47,18 @@ func (r Resources) Add(u Resources) Resources {
 
 // Config describes a fabric instance.
 type Config struct {
-	Name            string
-	ClockHz         int64     // fabric clock, e.g. 250e6
-	Slots           int       // number of partially-reconfigurable slots
-	Total           Resources // total device resources
-	ICAPBytesPerSec int64     // ICAP configuration bandwidth (≈ 400 MB/s on UltraScale+)
-	DRAMBytes       int64     // on-card DRAM capacity
-	HBMBytes        int64     // on-card HBM capacity (0 if none)
+	ClockHz int64 // fabric clock, e.g. 250e6
 }
 
-// DefaultConfig returns a U280-like fabric: 250 MHz, 5 reconfigurable
-// slots as drawn in Figure 2, 32 GiB DRAM + 8 GiB HBM, 400 MB/s ICAP.
+// The U280's reconfigurable region: its resources are U280Resources.
+const (
+	slots           = 5         // partially-reconfigurable slots, as drawn in Figure 2
+	icapBytesPerSec = 400 << 20 // ICAP configuration bandwidth (≈ 400 MB/s on UltraScale+)
+)
+
+// DefaultConfig returns a U280-like fabric: 250 MHz.
 func DefaultConfig() Config {
-	return Config{
-		Name:            "u280",
-		ClockHz:         250_000_000,
-		Slots:           5,
-		Total:           U280Resources(),
-		ICAPBytesPerSec: 400 << 20,
-		DRAMBytes:       32 << 30,
-		HBMBytes:        8 << 30,
-	}
+	return Config{ClockHz: 250_000_000}
 }
 
 // Errors returned by fabric operations.
@@ -180,11 +171,11 @@ type Fabric struct {
 // New creates a fabric bound to the simulation engine. authTag is the
 // tag the runtime config engine requires on every bitstream.
 func New(eng *sim.Engine, cfg Config, authTag string) *Fabric {
-	if cfg.Slots <= 0 || cfg.ClockHz <= 0 || cfg.ICAPBytesPerSec <= 0 {
+	if cfg.ClockHz <= 0 {
 		panic("fabric: invalid config")
 	}
-	f := &Fabric{cfg: cfg, eng: eng, free: cfg.Total, authTag: authTag}
-	for i := 0; i < cfg.Slots; i++ {
+	f := &Fabric{cfg: cfg, eng: eng, free: U280Resources(), authTag: authTag}
+	for i := 0; i < slots; i++ {
 		f.slots = append(f.slots, &Slot{Index: i})
 	}
 	return f
@@ -232,7 +223,7 @@ func (f *Fabric) Slots() []*Slot { return f.slots }
 // the given size: the paper's 10–100 ms partial-reconfiguration window
 // corresponds to 4–40 MB images at 400 MB/s.
 func (f *Fabric) ReconfigTime(sizeBytes int64) sim.Duration {
-	return sim.Duration(float64(sizeBytes) / float64(f.cfg.ICAPBytesPerSec) * float64(sim.Second))
+	return sim.Duration(float64(sizeBytes) / float64(icapBytesPerSec) * float64(sim.Second))
 }
 
 // LoadBitstream starts partial reconfiguration of slot i with image b.

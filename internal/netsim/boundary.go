@@ -14,10 +14,9 @@ import (
 	"hyperion/internal/sim"
 )
 
-// SerTime returns the serialization time of b bytes on one link under
-// this configuration.
-func (c Config) SerTime(b int) sim.Duration {
-	return sim.Duration(float64(b) / float64(c.LinkBytesPerSec) * float64(sim.Second))
+// serTime returns the serialization time of b bytes on one link.
+func serTime(b int) sim.Duration {
+	return sim.Duration(float64(b) / float64(linkBytesPerSec) * float64(sim.Second))
 }
 
 // Lookahead returns the minimum delay of any partition-crossing
@@ -25,7 +24,7 @@ func (c Config) SerTime(b int) sim.Duration {
 // time of a minimum-size frame. It is the tightest bound a
 // sim.Cluster built over this topology may use.
 func (c Config) Lookahead() sim.Duration {
-	return c.PropDelay + c.SerTime(MinFrameBytes)
+	return c.PropDelay + serTime(MinFrameBytes)
 }
 
 // Partition maps n topology nodes onto nshards contiguous blocks as
@@ -65,9 +64,6 @@ type BoundaryLink struct {
 
 // NewBoundaryLink returns an idle link with the given fabric shape.
 func NewBoundaryLink(cfg Config) *BoundaryLink {
-	if cfg.LinkBytesPerSec <= 0 {
-		panic("netsim: invalid boundary link config")
-	}
 	return &BoundaryLink{cfg: cfg}
 }
 
@@ -83,6 +79,6 @@ func (l *BoundaryLink) Delay(now sim.Time, b int) sim.Duration {
 	if start < now {
 		start = now
 	}
-	l.busy = start.Add(l.cfg.SerTime(b))
+	l.busy = start.Add(serTime(b))
 	return l.busy.Add(l.cfg.PropDelay).Sub(now)
 }

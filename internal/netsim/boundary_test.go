@@ -12,14 +12,8 @@ func TestConfigLookahead(t *testing.T) {
 	if la <= 0 {
 		t.Fatal("lookahead must be positive")
 	}
-	if want := cfg.PropDelay + cfg.SerTime(MinFrameBytes); la != want {
+	if want := cfg.PropDelay + serTime(MinFrameBytes); la != want {
 		t.Errorf("Lookahead() = %v, want %v", la, want)
-	}
-	// The network's serTime must agree with the exported method.
-	eng := sim.NewEngine(1)
-	n := New(eng, cfg)
-	if n.serTime(4096) != cfg.SerTime(4096) {
-		t.Error("Network.serTime disagrees with Config.SerTime")
 	}
 }
 
@@ -73,7 +67,7 @@ func TestBoundaryLinkDelay(t *testing.T) {
 	}
 	// After the link drains, delay falls back to ser+prop.
 	now := l.busy.Add(sim.Millisecond)
-	if d := l.Delay(now, 4096); d != cfg.SerTime(4096)+cfg.PropDelay {
-		t.Errorf("drained delay %v, want %v", d, cfg.SerTime(4096)+cfg.PropDelay)
+	if d := l.Delay(now, 4096); d != serTime(4096)+cfg.PropDelay {
+		t.Errorf("drained delay %v, want %v", d, serTime(4096)+cfg.PropDelay)
 	}
 }

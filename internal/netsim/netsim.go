@@ -52,21 +52,23 @@ var (
 
 // Config shapes the network.
 type Config struct {
-	LinkBytesPerSec int64        // per-direction link bandwidth
-	PropDelay       sim.Duration // one-way wire propagation (per hop)
-	SwitchLatency   sim.Duration // switch forwarding latency
-	QueueFrames     int          // switch output queue depth
+	PropDelay   sim.Duration // one-way wire propagation (per hop)
+	QueueFrames int          // switch output queue depth
 }
+
+// The 100 GbE links and switch.
+const (
+	linkBytesPerSec = 12_500_000_000       // per-direction link bandwidth
+	switchLatency   = 300 * sim.Nanosecond // switch forwarding latency
+)
 
 // DefaultConfig is a 100 GbE datacenter fabric: 12.5 GB/s links, 500 ns
 // propagation per hop, 300 ns cut-through-ish switch latency, 256-frame
 // output queues.
 func DefaultConfig() Config {
 	return Config{
-		LinkBytesPerSec: 12_500_000_000,
-		PropDelay:       500 * sim.Nanosecond,
-		SwitchLatency:   300 * sim.Nanosecond,
-		QueueFrames:     256,
+		PropDelay:   500 * sim.Nanosecond,
+		QueueFrames: 256,
 	}
 }
 
@@ -116,7 +118,7 @@ func (n *NIC) Send(f Frame) error {
 	if start < now {
 		start = now
 	}
-	ser := n.net.serTime(f.Bytes)
+	ser := serTime(f.Bytes)
 	n.txBusy = start.Add(ser)
 	arriveAtSwitch := n.txBusy.Add(n.net.cfg.PropDelay)
 	fe := n.net.getFrameEvent()
@@ -213,7 +215,7 @@ type Network struct {
 
 // New creates an empty network.
 func New(eng *sim.Engine, cfg Config) *Network {
-	if cfg.LinkBytesPerSec <= 0 || cfg.QueueFrames <= 0 {
+	if cfg.QueueFrames <= 0 {
 		panic("netsim: invalid config")
 	}
 	return &Network{
@@ -269,9 +271,6 @@ func (n *Network) Detach(addr Addr) {
 	}
 }
 
-// serTime is the serialization time of b bytes on one link.
-func (n *Network) serTime(b int) sim.Duration { return n.cfg.SerTime(b) }
-
 // switchForward queues the frame on the destination's output port.
 // Fault rolls happen here, in arrival order, so an installed plan's
 // injections replay identically for a given seed.
@@ -297,12 +296,12 @@ func (n *Network) switchForward(fe *frameEvent) {
 	n.outQueue[f.Dst]++
 	// Forwarding latency is pipelined: it delays when a frame may start
 	// on the output port but does not consume port bandwidth.
-	ready := n.eng.Now().Add(n.cfg.SwitchLatency)
+	ready := n.eng.Now().Add(switchLatency)
 	start := n.outBusy[f.Dst]
 	if start < ready {
 		start = ready
 	}
-	ser := n.serTime(f.Bytes)
+	ser := serTime(f.Bytes)
 	n.outBusy[f.Dst] = start.Add(ser)
 	deliver := n.outBusy[f.Dst].Add(n.cfg.PropDelay)
 	fe.corrupt = n.plan.Roll(fault.Corrupt)
@@ -332,6 +331,6 @@ func (n *Network) dropFrame(fe *frameEvent) {
 // BaseRTT returns the minimum round trip for a small frame: twice
 // (two links' serialization + two propagations + switch latency).
 func (n *Network) BaseRTT() sim.Duration {
-	oneWay := 2*n.cfg.PropDelay + n.cfg.SwitchLatency + 2*n.serTime(MinFrameBytes)
+	oneWay := 2*n.cfg.PropDelay + switchLatency + 2*serTime(MinFrameBytes)
 	return 2 * oneWay
 }

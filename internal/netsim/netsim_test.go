@@ -68,7 +68,7 @@ func TestLatencyShape(t *testing.T) {
 	_ = a.Send(Frame{Dst: "b", Bytes: MinFrameBytes})
 	eng.Run()
 	cfg := net.cfg
-	want := 2*cfg.PropDelay + cfg.SwitchLatency + 2*net.serTime(MinFrameBytes)
+	want := 2*cfg.PropDelay + switchLatency + 2*serTime(MinFrameBytes)
 	if at.Sub(0) != want {
 		t.Fatalf("one-way = %v, want %v", at.Sub(0), want)
 	}
@@ -108,7 +108,7 @@ func TestSerializationOrdering(t *testing.T) {
 
 func TestBandwidth(t *testing.T) {
 	// 1000 jumbo frames of 9000 B = 9 MB at 12.5 GB/s ≈ 720 µs.
-	eng, net, a, b := pair(t)
+	eng, _, a, b := pair(t)
 	var last sim.Time
 	b.OnReceive(func(f Frame) { last = eng.Now() })
 	for i := 0; i < 1000; i++ {
@@ -116,7 +116,7 @@ func TestBandwidth(t *testing.T) {
 	}
 	eng.Run()
 	got := last.Sub(0)
-	want := net.serTime(9000 * 1000)
+	want := serTime(9000 * 1000)
 	if got < want || got > want+want/10+5*sim.Microsecond {
 		t.Fatalf("1000 jumbo frames took %v, want ≈ %v", got, want)
 	}

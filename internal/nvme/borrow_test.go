@@ -95,7 +95,7 @@ func TestReadsSnapshotAtFlashTime(t *testing.T) {
 			}
 			// The submission has just booked the LBA's channel: its new
 			// horizon plus the controller overhead is when readDone fires.
-			flashDone := dev.channels[lba%int64(cfg.Channels)].Add(cfg.CtrlOverhead)
+			flashDone := dev.channels[lba%flashChannels].Add(ctrlOverhead)
 			eng.At(flashDone, "sample", func() {
 				o.want = make([]byte, cfg.BlockSize)
 				dev.ReadSyncInto(o.want, lba, 1)

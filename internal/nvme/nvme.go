@@ -44,33 +44,31 @@ var (
 	ErrShortWrite = errors.New("nvme: write data length does not match block count")
 )
 
-// Config shapes the device. The defaults approximate a 2023 datacenter
-// TLC NVMe drive.
+// Config shapes the device.
 type Config struct {
-	Name           string
-	BlockSize      int          // bytes per LBA, typically 4096
-	Blocks         int64        // capacity in blocks
-	Channels       int          // independent flash channels
-	ReadLatency    sim.Duration // flash page read (tR)
-	ProgramLatency sim.Duration // flash page program (tProg), behind write cache
-	CtrlOverhead   sim.Duration // controller firmware per-command overhead
-	MaxQueuePairs  int
-	QueueDepth     int
+	Name      string
+	BlockSize int   // bytes per LBA, typically 4096
+	Blocks    int64 // capacity in blocks
 }
+
+// The flash and controller of the modeled drive, which approximates a
+// 2023 datacenter TLC NVMe drive.
+const (
+	flashChannels  = 8                    // independent flash channels
+	ReadLatency    = 70 * sim.Microsecond // flash page read (tR)
+	programLatency = 15 * sim.Microsecond // flash page program (tProg), behind write cache
+	ctrlOverhead   = 3 * sim.Microsecond  // controller firmware per-command overhead
+	maxQueuePairs  = 16
+	queueDepth     = 1024
+)
 
 // DefaultConfig returns a 1 TB-class drive: 4K blocks, 8 channels,
 // 70 µs reads, 15 µs cached writes, 3 µs controller overhead.
 func DefaultConfig(name string) Config {
 	return Config{
-		Name:           name,
-		BlockSize:      4096,
-		Blocks:         256 << 20, // 1 TiB of 4K blocks
-		Channels:       8,
-		ReadLatency:    70 * sim.Microsecond,
-		ProgramLatency: 15 * sim.Microsecond,
-		CtrlOverhead:   3 * sim.Microsecond,
-		MaxQueuePairs:  16,
-		QueueDepth:     1024,
+		Name:      name,
+		BlockSize: 4096,
+		Blocks:    256 << 20, // 1 TiB of 4K blocks
 	}
 }
 
@@ -121,9 +119,9 @@ type Device struct {
 	// driver, carrying the queue id and the completion entry.
 	interrupt func(qid int, c Completion)
 
-	queues   []queuePair
-	channels []sim.Time // per-flash-channel busy horizon
-	store    blockTable // sparse LBA → block payload
+	queues   [maxQueuePairs]queuePair
+	channels [flashChannels]sim.Time // per-flash-channel busy horizon
+	store    blockTable              // sparse LBA → block payload
 
 	// lanes carry the device's monotone completions (sim.Lane): one per
 	// flash channel for reads, ordered by that channel's horizon, then
@@ -163,23 +161,20 @@ type queuePair struct {
 	id       int
 	pending  sim.Queue[Command]
 	inFlight int
-	depth    int
 }
 
 // New creates a device.
 func New(eng *sim.Engine, cfg Config) *Device {
-	if cfg.BlockSize <= 0 || cfg.Blocks <= 0 || cfg.Channels <= 0 || cfg.QueueDepth <= 0 {
+	if cfg.BlockSize <= 0 || cfg.Blocks <= 0 {
 		panic("nvme: invalid config")
 	}
 	d := &Device{
-		cfg:      cfg,
-		eng:      eng,
-		channels: make([]sim.Time, cfg.Channels),
-		evName:   "nvme:" + cfg.Name,
+		cfg:    cfg,
+		eng:    eng,
+		evName: "nvme:" + cfg.Name,
 	}
-	d.queues = make([]queuePair, cfg.MaxQueuePairs)
 	for i := range d.queues {
-		d.queues[i] = queuePair{id: i, depth: cfg.QueueDepth}
+		d.queues[i] = queuePair{id: i}
 	}
 	return d
 }
@@ -217,7 +212,7 @@ func (d *Device) Enqueue(q int, cmd Command) error {
 		return ErrBadQueue
 	}
 	qp := &d.queues[q]
-	if qp.pending.Len()+qp.inFlight >= qp.depth {
+	if qp.pending.Len()+qp.inFlight >= queueDepth {
 		return ErrQueueFull
 	}
 	if cmd.Opcode == OpWrite && len(cmd.Data) != cmd.Blocks*d.cfg.BlockSize {
@@ -345,7 +340,7 @@ func (c *cmdCtx) fail(status uint16, delay sim.Duration) {
 func (d *Device) execute(qp *queuePair, cmd Command) {
 	c := d.getCtx(qp, cmd)
 	if cmd.NSID != 1 {
-		c.fail(StatusInvalidNS, d.cfg.CtrlOverhead)
+		c.fail(StatusInvalidNS, ctrlOverhead)
 		return
 	}
 	switch cmd.Opcode {
@@ -363,11 +358,11 @@ func (d *Device) execute(qp *queuePair, cmd Command) {
 			wait = 0
 		}
 		c.status, c.data = StatusOK, nil
-		d.after(d.cfg.CtrlOverhead+wait, c, stageComplete)
+		d.after(ctrlOverhead+wait, c, stageComplete)
 		d.Counters.Get("flushes").Add(1)
 	case OpRead, OpWrite:
 		if cmd.LBA < 0 || cmd.Blocks <= 0 || cmd.LBA+int64(cmd.Blocks) > d.cfg.Blocks {
-			c.fail(StatusLBARange, d.cfg.CtrlOverhead)
+			c.fail(StatusLBARange, ctrlOverhead)
 			return
 		}
 		if d.plan.Roll(fault.Timeout) {
@@ -375,17 +370,17 @@ func (d *Device) execute(qp *queuePair, cmd Command) {
 			// the controller abandons it — but no completion is ever
 			// posted. Only a host-side deadline surfaces it.
 			d.Counters.Get("injected_timeouts").Add(1)
-			d.after(d.cfg.CtrlOverhead, c, stageSwallow)
+			d.after(ctrlOverhead, c, stageSwallow)
 			return
 		}
 		if d.plan.Roll(fault.MediaErr) {
 			d.Counters.Get("injected_media_errors").Add(1)
-			c.fail(StatusInternal, d.cfg.CtrlOverhead+d.cfg.ReadLatency)
+			c.fail(StatusInternal, ctrlOverhead+ReadLatency)
 			return
 		}
 		d.accessFlash(c)
 	default:
-		c.fail(StatusInvalidOp, d.cfg.CtrlOverhead)
+		c.fail(StatusInvalidOp, ctrlOverhead)
 	}
 }
 
@@ -394,15 +389,15 @@ func (d *Device) accessFlash(c *cmdCtx) {
 	isRead := cmd.Opcode == OpRead
 	// Each block lands on channel lba%Channels; the command finishes when
 	// its slowest block does. Channels serialize their own operations.
-	perBlock := d.cfg.ProgramLatency
+	perBlock := programLatency
 	if isRead {
-		perBlock = d.cfg.ReadLatency
+		perBlock = ReadLatency
 	}
 	var latest sim.Time
 	var slowest int
 	now := d.eng.Now()
 	for i := 0; i < cmd.Blocks; i++ {
-		ch := int((cmd.LBA + int64(i)) % int64(d.cfg.Channels))
+		ch := int((cmd.LBA + int64(i)) % int64(flashChannels))
 		start := d.channels[ch]
 		if start < now {
 			start = now
@@ -418,7 +413,7 @@ func (d *Device) accessFlash(c *cmdCtx) {
 		// The completion is due a controller overhead after the channel
 		// whose block finishes last; that channel's horizon only grows,
 		// so its lane takes the event in order.
-		d.onLane(d.lane(slowest), latest.Add(d.cfg.CtrlOverhead), c, stageReadDone)
+		d.onLane(d.lane(slowest), latest.Add(ctrlOverhead), c, stageReadDone)
 	} else {
 		d.Counters.Get("write_blocks").Add(int64(cmd.Blocks))
 		// Data crosses the link first, then programs behind write cache;
@@ -447,7 +442,7 @@ func (c *cmdCtx) writeXfer() {
 	d := c.d
 	d.WriteSync(c.cmd.LBA, c.wscratch)
 	c.status, c.data = StatusOK, nil
-	d.onLane(d.lane(d.cfg.Channels), d.eng.Now().Add(d.cfg.CtrlOverhead), c, stageComplete)
+	d.onLane(d.lane(flashChannels), d.eng.Now().Add(ctrlOverhead), c, stageComplete)
 }
 
 // transfer moves size bytes across the link, then runs c's stage.
@@ -485,7 +480,7 @@ func (d *Device) onLane(l *sim.Lane[cmdCtx, *cmdCtx], t sim.Time, c *cmdCtx, sta
 // lane returns lane i of d.lanes, building the set on first use.
 func (d *Device) lane(i int) *sim.Lane[cmdCtx, *cmdCtx] {
 	if d.lanes == nil {
-		d.lanes = make([]sim.Lane[cmdCtx, *cmdCtx], d.cfg.Channels+1)
+		d.lanes = make([]sim.Lane[cmdCtx, *cmdCtx], flashChannels+1)
 	}
 	return &d.lanes[i]
 }
@@ -588,14 +583,14 @@ func (d *Device) PatchSync(lba int64, off int, data []byte) {
 // blocks in one command: controller overhead plus flash time with
 // channel-level parallelism.
 func (d *Device) AccessCost(op uint8, blocks int) sim.Duration {
-	per := d.cfg.ProgramLatency
+	per := programLatency
 	if op == OpRead {
-		per = d.cfg.ReadLatency
+		per = ReadLatency
 	}
-	if blocks <= d.cfg.Channels {
-		return d.cfg.CtrlOverhead + per // one wave, the usual command
+	if blocks <= flashChannels {
+		return ctrlOverhead + per // one wave, the usual command
 	}
-	return d.cfg.CtrlOverhead + sim.Duration((blocks+d.cfg.Channels-1)/d.cfg.Channels)*per
+	return ctrlOverhead + sim.Duration((blocks+flashChannels-1)/flashChannels)*per
 }
 
 // Device returns the underlying device of a host (functional access).

@@ -79,12 +79,11 @@ func TestUnwrittenBlocksReadZero(t *testing.T) {
 }
 
 func TestReadLatencyShape(t *testing.T) {
-	eng, dev, h := newDev(t)
-	cfg := dev.cfg
+	eng, _, h := newDev(t)
 	var doneAt sim.Time
 	_ = h.Read(0, 0, 1, func([]byte, uint16) { doneAt = eng.Now() })
 	eng.Run()
-	want := cfg.CtrlOverhead + cfg.ReadLatency
+	want := ctrlOverhead + ReadLatency
 	if doneAt.Sub(0) != sim.Duration(want) {
 		t.Fatalf("single-block read = %v, want %v", doneAt.Sub(0), want)
 	}
@@ -93,10 +92,9 @@ func TestReadLatencyShape(t *testing.T) {
 func TestChannelParallelism(t *testing.T) {
 	// 8 single-block reads on 8 different channels should all finish at
 	// the same time; 8 reads on the same channel serialize.
-	eng, dev, h := newDev(t)
-	cfg := dev.cfg
+	eng, _, h := newDev(t)
 	var done []sim.Time
-	for i := 0; i < cfg.Channels; i++ {
+	for i := 0; i < flashChannels; i++ {
 		_ = h.Read(0, int64(i), 1, func([]byte, uint16) { done = append(done, eng.Now()) })
 	}
 	eng.Run()
@@ -111,25 +109,24 @@ func TestChannelParallelism(t *testing.T) {
 	h2 := NewHost(dev2, nil)
 	var done2 []sim.Time
 	for i := 0; i < 8; i++ {
-		// Same channel: LBAs congruent mod Channels.
-		_ = h2.Read(0, int64(i*cfg.Channels), 1, func([]byte, uint16) { done2 = append(done2, eng2.Now()) })
+		// Same channel: LBAs congruent mod flashChannels.
+		_ = h2.Read(0, int64(i*flashChannels), 1, func([]byte, uint16) { done2 = append(done2, eng2.Now()) })
 	}
 	eng2.Run()
 	gap := done2[7].Sub(done2[0])
-	if gap < 7*cfg.ReadLatency {
-		t.Fatalf("same-channel reads overlapped: spread %v, want ≥ %v", gap, 7*cfg.ReadLatency)
+	if gap < 7*ReadLatency {
+		t.Fatalf("same-channel reads overlapped: spread %v, want ≥ %v", gap, 7*ReadLatency)
 	}
 }
 
 func TestWriteFasterThanReadThenFlushWaits(t *testing.T) {
-	eng, dev, h := newDev(t)
-	cfg := dev.cfg
+	eng, _, h := newDev(t)
 	var wAt, fAt sim.Time
 	_ = h.Submit(0, writeCmd(0, make([]byte, 4096)), onStatus(func(uint16) { wAt = eng.Now() }))
 	_ = h.Submit(0, flushCmd, onStatus(func(uint16) { fAt = eng.Now() }))
 	eng.Run()
-	if wAt.Sub(0) >= sim.Duration(cfg.ReadLatency) {
-		t.Fatalf("cached write took %v, want < read latency %v", wAt.Sub(0), cfg.ReadLatency)
+	if wAt.Sub(0) >= ReadLatency {
+		t.Fatalf("cached write took %v, want < read latency %v", wAt.Sub(0), ReadLatency)
 	}
 	if fAt < wAt {
 		t.Fatal("flush completed before write")
@@ -167,19 +164,12 @@ func TestInvalidOpcode(t *testing.T) {
 }
 
 func TestQueueDepthEnforced(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cfg := DefaultConfig("small")
-	cfg.QueueDepth = 4
-	dev := New(eng, cfg)
-	var sawFull bool
-	for i := 0; i < 10; i++ {
+	dev := New(sim.NewEngine(1), DefaultConfig("small"))
+	for i := 0; i <= queueDepth; i++ {
 		err := dev.Enqueue(0, Command{Opcode: OpRead, NSID: 1, LBA: int64(i), Blocks: 1})
-		if errors.Is(err, ErrQueueFull) {
-			sawFull = true
+		if full := errors.Is(err, ErrQueueFull); full != (i == queueDepth) {
+			t.Fatalf("command %d of a %d-deep queue: err = %v", i+1, queueDepth, err)
 		}
-	}
-	if !sawFull {
-		t.Fatal("queue depth not enforced")
 	}
 }
 
@@ -280,25 +270,22 @@ func TestPartialFaultRateStillCompletesEventually(t *testing.T) {
 }
 
 // TestAccessCostMatchesWaveFormula holds AccessCost's one-wave fast path
-// to the division it skips: ceil(blocks / Channels) waves, at least one.
+// to the division it skips: ceil(blocks / flashChannels) waves, at least
+// one.
 func TestAccessCostMatchesWaveFormula(t *testing.T) {
-	for _, ch := range []int{1, 2, 3, 8, 16} {
-		cfg := DefaultConfig("nvme")
-		cfg.Channels = ch
-		d := New(sim.NewEngine(1), cfg)
-		for _, op := range []uint8{OpRead, OpWrite} {
-			per := cfg.ProgramLatency
-			if op == OpRead {
-				per = cfg.ReadLatency
+	d := New(sim.NewEngine(1), DefaultConfig("nvme"))
+	for _, op := range []uint8{OpRead, OpWrite} {
+		per := programLatency
+		if op == OpRead {
+			per = ReadLatency
+		}
+		for blocks := -2; blocks <= 5*flashChannels+3; blocks++ {
+			waves := (blocks + flashChannels - 1) / flashChannels
+			if waves < 1 {
+				waves = 1
 			}
-			for blocks := -2; blocks <= 5*ch+3; blocks++ {
-				waves := (blocks + ch - 1) / ch
-				if waves < 1 {
-					waves = 1
-				}
-				if got, want := d.AccessCost(op, blocks), cfg.CtrlOverhead+sim.Duration(waves)*per; got != want {
-					t.Fatalf("%d channels, op %d, %d blocks: %v, want %v", ch, op, blocks, got, want)
-				}
+			if got, want := d.AccessCost(op, blocks), ctrlOverhead+sim.Duration(waves)*per; got != want {
+				t.Fatalf("op %d, %d blocks: %v, want %v", op, blocks, got, want)
 			}
 		}
 	}

@@ -147,7 +147,7 @@ func TestRemoteVsLocalLatencyShape(t *testing.T) {
 	ini.Read(0, 1, func([]byte, error) { doneAt = eng.Now() })
 	eng.Run()
 	remote := doneAt.Sub(0)
-	flash := nvme.DefaultConfig("x").ReadLatency
+	flash := nvme.ReadLatency
 	if remote < sim.Duration(flash) {
 		t.Fatalf("remote read %v faster than flash %v", remote, flash)
 	}

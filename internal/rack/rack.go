@@ -64,11 +64,15 @@ type Config struct {
 	ClientsPerBox int          // open-loop clients aggregated per group
 	RatePerClient float64      // ops/sec issued by each client
 	Horizon       sim.Duration // arrival window; completions drain after
-	KeysPerBox    int          // preloaded KV keys per box
-	ValueBytes    int          // KV value size
 	Replicas      int          // KV replication factor (1 = no replication)
 	Net           netsim.Config
 }
+
+// The KV workload every box serves.
+const (
+	keysPerBox = 512 // preloaded KV keys per box
+	valueBytes = 256 // KV value size
+)
 
 // DefaultConfig returns a small, fast rack: 8 boxes, 32k clients.
 func DefaultConfig() Config {
@@ -78,8 +82,6 @@ func DefaultConfig() Config {
 		ClientsPerBox: 4000,
 		RatePerClient: 150,
 		Horizon:       2 * sim.Millisecond,
-		KeysPerBox:    512,
-		ValueBytes:    256,
 		Replicas:      3,
 		Net:           netsim.DefaultConfig(),
 	}
@@ -180,10 +182,10 @@ func (b *box) takeKVOp() *kvOp {
 	return op
 }
 
-// valBuf carves an empty buffer of capacity ValueBytes from the box's
+// valBuf carves an empty buffer of capacity valueBytes from the box's
 // slab. Slabs double from one value to 32, as sim.FreeList's chunks do.
 func (b *box) valBuf() []byte {
-	n := b.r.cfg.ValueBytes
+	const n = valueBytes
 	if len(b.vals) < n {
 		b.valChunk = min(max(2*b.valChunk, 1), 32)
 		b.vals = make([]byte, b.valChunk*n)
@@ -271,7 +273,7 @@ func New(cfg Config, seed uint64, rec *telemetry.Recorder) *Rack {
 	r := &Rack{
 		cfg:   cfg,
 		cl:    sim.NewCluster(cfg.Shards, seed, cfg.Net.Lookahead()),
-		value: make([]byte, cfg.ValueBytes),
+		value: make([]byte, valueBytes),
 	}
 	for i := range r.value {
 		r.value[i] = byte(i*7 + 13)
@@ -329,7 +331,7 @@ func (r *Rack) newBox(i, shard int, rec *telemetry.Recorder) *box {
 	}
 	// Preload the box's keyspace synchronously: pure construction, no
 	// engine events, so every layout starts from identical state.
-	for k := 0; k < cfg.KeysPerBox; k++ {
+	for k := 0; k < keysPerBox; k++ {
 		if err := b.kv.Put(b.key(uint64(k)), r.value); err != nil {
 			panic(err)
 		}
@@ -512,7 +514,7 @@ func (g *group) issue() {
 	case opNVMeRead:
 		aux = uint64(rng.Intn(boxBlocks))
 	default:
-		aux = uint64(rng.Intn(cfg.KeysPerBox))
+		aux = uint64(rng.Intn(keysPerBox))
 	}
 	g.issued++
 	delay := g.up.Delay(g.eng.Now(), bytes)
@@ -549,7 +551,7 @@ func (g *group) handle(sh *sim.Shard, env sim.Envelope) {
 	case respPut:
 		g.latPut.Record(lat)
 		g.ok++
-		g.bytesMoved += int64(g.r.cfg.ValueBytes)
+		g.bytesMoved += int64(valueBytes)
 	case respErr:
 		g.errs++
 	default:

@@ -18,7 +18,6 @@ func smallConfig(shards int) Config {
 	cfg.ClientsPerBox = 200
 	cfg.RatePerClient = 500
 	cfg.Horizon = 500 * sim.Microsecond
-	cfg.KeysPerBox = 64
 	return cfg
 }
 

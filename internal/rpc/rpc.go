@@ -60,6 +60,10 @@ type response struct {
 // the response's wire size.
 type Handler func(arg any, respond func(val any, respBytes int, err error))
 
+// dispatchOverhead is the queued-mode runtime's cost to hand the next
+// request to its handler.
+const dispatchOverhead = 2 * sim.Microsecond
+
 // Server dispatches incoming requests to handlers.
 type Server struct {
 	eng      *sim.Engine
@@ -68,10 +72,9 @@ type Server struct {
 	handlers map[string]Handler
 
 	// Queued-mode state.
-	queue            sim.Queue[queuedReq]
-	draining         bool
-	DispatchOverhead sim.Duration
-	dispatchFn       func()
+	queue      sim.Queue[queuedReq]
+	draining   bool
+	dispatchFn func()
 
 	resps sim.FreeList[response]
 	ctxs  sim.FreeList[serveCtx]
@@ -102,11 +105,10 @@ func (s *Server) ActiveSpan() telemetry.RequestID { return s.active }
 // NewServer wraps a transport endpoint.
 func NewServer(eng *sim.Engine, ep transport.Endpoint, mode Mode) *Server {
 	s := &Server{
-		eng:              eng,
-		ep:               ep,
-		mode:             mode,
-		handlers:         make(map[string]Handler),
-		DispatchOverhead: 2 * sim.Microsecond,
+		eng:      eng,
+		ep:       ep,
+		mode:     mode,
+		handlers: make(map[string]Handler),
 	}
 	s.dispatchFn = s.dispatch
 	ep.OnMessage(s.onMessage)
@@ -137,7 +139,7 @@ func (s *Server) drain() {
 		return
 	}
 	s.draining = true
-	s.eng.After(s.DispatchOverhead, "rpc.dispatch", s.dispatchFn)
+	s.eng.After(dispatchOverhead, "rpc.dispatch", s.dispatchFn)
 }
 
 func (s *Server) dispatch() {

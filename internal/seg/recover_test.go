@@ -19,7 +19,10 @@ type recoverRig struct {
 	cfg  Config
 }
 
-const rigTableBlocks = 2
+const (
+	rigTableBlocks = 2
+	rigBlockSize   = 4096
+)
 
 func newRecoverRig(devN int) *recoverRig {
 	r := &recoverRig{eng: sim.NewEngine(1), cfg: DefaultConfig()}
@@ -28,6 +31,7 @@ func newRecoverRig(devN int) *recoverRig {
 	r.cfg.CheckpointEvery = 0
 	for i := 0; i < devN; i++ {
 		ncfg := nvme.DefaultConfig("nvme")
+		ncfg.BlockSize = rigBlockSize
 		ncfg.Blocks = 1 << 10
 		r.devs = append(r.devs, nvme.New(r.eng, ncfg))
 	}
@@ -45,7 +49,7 @@ func (r *recoverRig) store(devN int) *Store {
 }
 
 func (r *recoverRig) image() []byte {
-	img := make([]byte, rigTableBlocks*r.cfg.BlockSize)
+	img := make([]byte, rigTableBlocks*rigBlockSize)
 	r.devs[0].ReadSyncInto(img, 0, rigTableBlocks)
 	return img
 }
@@ -180,7 +184,7 @@ func FuzzRecover(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
 		r := newRecoverRig(2)
-		bs := r.cfg.BlockSize
+		bs := rigBlockSize
 		img := make([]byte, rigTableBlocks*bs)
 		copy(img, data)
 		if seal {

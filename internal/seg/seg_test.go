@@ -454,10 +454,11 @@ func BenchmarkLookupCached(b *testing.B) {
 
 // TestBlockShiftMatchesDivision holds the block plane's shifts to the
 // division formulas they replaced: spanBlocks and split, at random and
-// at every block edge, and New refusing a block size that has no shift.
+// at every block edge, and New refusing devices whose block size has no
+// shift or that disagree on it.
 func TestBlockShiftMatchesDivision(t *testing.T) {
 	_, s := newStore(t, 1)
-	bs := int64(s.cfg.BlockSize)
+	bs := int64(s.blockSize)
 	span := func(off, length int64) bool {
 		want := int((off+length+bs-1)/bs - off/bs)
 		if want < 1 {
@@ -483,16 +484,21 @@ func TestBlockShiftMatchesDivision(t *testing.T) {
 	if err := quick.Check(split, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []int{0, -4096, 3000, 4097} {
+	for _, sizes := range [][]int{{3000}, {4097}, {4096, 8192}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New accepted block size %d", bad)
+					t.Errorf("New accepted devices with block sizes %v", sizes)
 				}
 			}()
-			cfg := DefaultConfig()
-			cfg.BlockSize = bad
-			New(nil, cfg, s.devs)
+			var hosts []*nvme.Host
+			for _, bs := range sizes {
+				ncfg := nvme.DefaultConfig("nvme")
+				ncfg.BlockSize = bs
+				ncfg.Blocks = 1 << 10
+				hosts = append(hosts, nvme.NewHost(nvme.New(sim.NewEngine(1), ncfg), nil))
+			}
+			New(nil, DefaultConfig(), hosts)
 		}()
 	}
 }

@@ -64,10 +64,7 @@ type Segment struct {
 
 // Config shapes the store.
 type Config struct {
-	DRAMBytes       int64
-	DRAMLatency     sim.Duration // fixed per-access latency
-	DRAMBytesPerSec int64        // streaming bandwidth
-	BlockSize       int          // NVMe block size
+	DRAMBytes int64
 	// TableBlocks reserves this many blocks at LBA 0 of device 0 for
 	// segment-table checkpoints.
 	TableBlocks int64
@@ -79,14 +76,17 @@ type Config struct {
 	CheckpointEvery int
 }
 
-// DefaultConfig matches the Hyperion card: 32 GiB DRAM at ~100 ns /
-// 38 GB/s, 4 KiB blocks, 1024 table blocks, 1024-entry descriptor cache.
+// The card's DRAM.
+const (
+	dramLatency     = 100 * sim.Nanosecond // fixed per-access latency
+	dramBytesPerSec = 38_000_000_000       // streaming bandwidth
+)
+
+// DefaultConfig matches the Hyperion card: 32 GiB DRAM, 1024 table
+// blocks, 1024-entry descriptor cache.
 func DefaultConfig() Config {
 	return Config{
 		DRAMBytes:       32 << 30,
-		DRAMLatency:     100 * sim.Nanosecond,
-		DRAMBytesPerSec: 38_000_000_000,
-		BlockSize:       4096,
 		TableBlocks:     1024,
 		CacheEntries:    1024,
 		CheckpointEvery: 256,
@@ -97,7 +97,9 @@ func DefaultConfig() Config {
 type Store struct {
 	cfg  Config
 	devs []*nvme.Host
-	// BlockSize as a shift and a mask: the block plane divides by none.
+	// The devices' block size, and it as a shift and a mask: the block
+	// plane divides by none.
+	blockSize  int
 	blockShift uint
 	blockMask  int64
 
@@ -125,27 +127,32 @@ func (s *Store) SetRecorder(rec *telemetry.Recorder) { s.rec = rec }
 const devStride = int64(1) << 44
 
 // New creates a store over the given NVMe hosts. Device 0's first
-// TableBlocks blocks are reserved for table checkpoints. BlockSize must
-// be a power of two. The store
+// TableBlocks blocks are reserved for table checkpoints. The devices
+// must share one block size, a power of two. The store
 // schedules no event; the engine parameter stays because the frozen
 // cmd/hyperbench probes call New with one.
 func New(_ *sim.Engine, cfg Config, devs []*nvme.Host) *Store {
 	if len(devs) == 0 {
 		panic("seg: need at least one NVMe device")
 	}
-	if cfg.BlockSize <= 0 || cfg.BlockSize&(cfg.BlockSize-1) != 0 {
-		panic(fmt.Sprintf("seg: block size %d is not a power of two", cfg.BlockSize))
+	bs := devs[0].BlockSize()
+	if bs <= 0 || bs&(bs-1) != 0 {
+		panic(fmt.Sprintf("seg: block size %d is not a power of two", bs))
 	}
 	s := &Store{
 		cfg:        cfg,
 		devs:       devs,
-		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockSize))),
-		blockMask:  int64(cfg.BlockSize - 1),
+		blockSize:  bs,
+		blockShift: uint(bits.TrailingZeros(uint(bs))),
+		blockMask:  int64(bs - 1),
 		table:      make(map[ObjectID]*Segment),
 		dram:       newDRAMBacking(cfg.DRAMBytes),
 		dramAl:     newAllocator(cfg.DRAMBytes),
 	}
 	for i, d := range devs {
+		if d.BlockSize() != bs {
+			panic(fmt.Sprintf("seg: device %d has %d-byte blocks, device 0 has %d", i, d.BlockSize(), bs))
+		}
 		blocks := d.DeviceBlocks()
 		reserve := int64(0)
 		if i == 0 {
@@ -205,7 +212,7 @@ func (s *Store) Alloc(id ObjectID, size int64, durable bool, hint Hint) (*Segmen
 		if aerr != nil {
 			return nil, aerr
 		}
-		sg.Addr = int64(dev)*devStride + lba*int64(s.cfg.BlockSize)
+		sg.Addr = int64(dev)*devStride + lba*int64(s.blockSize)
 	}
 	s.table[id] = sg
 	s.mutated()
@@ -214,7 +221,7 @@ func (s *Store) Alloc(id ObjectID, size int64, durable bool, hint Hint) (*Segmen
 }
 
 func (s *Store) allocNVMe(size int64) (int, int64, error) {
-	blocks := (size + int64(s.cfg.BlockSize) - 1) / int64(s.cfg.BlockSize)
+	blocks := (size + int64(s.blockSize) - 1) / int64(s.blockSize)
 	// Round-robin across devices, skipping ones without room, so load
 	// and capacity spread evenly over the four SSDs.
 	for try := 0; try < len(s.nvmeAl); try++ {
@@ -237,7 +244,7 @@ func (s *Store) Free(id ObjectID) error {
 		s.dramAl.release(sg.Addr, sg.Size)
 	} else {
 		dev, lba := s.split(sg.Addr)
-		blocks := (sg.Size + int64(s.cfg.BlockSize) - 1) / int64(s.cfg.BlockSize)
+		blocks := (sg.Size + int64(s.blockSize) - 1) / int64(s.blockSize)
 		s.nvmeAl[dev].release(lba, blocks)
 	}
 	delete(s.table, id)
@@ -274,16 +281,16 @@ func (s *Store) Lookup(id ObjectID) (*Segment, sim.Duration, error) {
 	}
 	// Every remaining path pays one DRAM access to walk the table.
 	if s.rec != nil {
-		s.rec.Observe("seg", "lookup", s.cfg.DRAMLatency)
+		s.rec.Observe("seg", "lookup", dramLatency)
 	}
 	sg, ok := s.table[id]
 	if !ok {
-		return nil, s.cfg.DRAMLatency, fmt.Errorf("%w: %v", ErrNotFound, id)
+		return nil, dramLatency, fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
 	if s.cache != nil {
 		s.cache.put(id, sg)
 	}
-	return sg, s.cfg.DRAMLatency, nil
+	return sg, dramLatency, nil
 }
 
 // Stat returns the segment entry without charging translation cost
@@ -300,7 +307,7 @@ func (s *Store) Stat(id ObjectID) (*Segment, error) {
 func (s *Store) Len() int { return len(s.table) }
 
 func (s *Store) dramTime(length int64) sim.Duration {
-	return s.cfg.DRAMLatency + sim.Duration(float64(length)/float64(s.cfg.DRAMBytesPerSec)*float64(sim.Second))
+	return dramLatency + sim.Duration(float64(length)/float64(dramBytesPerSec)*float64(sim.Second))
 }
 
 func (s *Store) mutated() {

@@ -59,13 +59,13 @@ func (v *SyncView) Charge(d sim.Duration) { v.cost += d }
 // Alloc mirrors Store.Alloc (allocation is a table operation and charges
 // one DRAM access).
 func (v *SyncView) Alloc(id ObjectID, size int64, durable bool, hint Hint) (*Segment, error) {
-	v.cost += v.s.cfg.DRAMLatency
+	v.cost += dramLatency
 	return v.s.Alloc(id, size, durable, hint)
 }
 
 // Free mirrors Store.Free.
 func (v *SyncView) Free(id ObjectID) error {
-	v.cost += v.s.cfg.DRAMLatency
+	v.cost += dramLatency
 	return v.s.Free(id)
 }
 
@@ -175,7 +175,7 @@ func (s *Store) inPlace(sg *Segment, off, length int64, write bool) []byte {
 		return s.dram.view(sg.Addr+off, length)
 	}
 	skip := off & s.blockMask
-	if skip+length > int64(s.cfg.BlockSize) {
+	if skip+length > int64(s.blockSize) {
 		return nil
 	}
 	dev, lba := s.split(sg.Addr)

@@ -35,7 +35,7 @@ func (s *Store) Checkpoint() error {
 	// Deterministic order for reproducible images.
 	sortSegments(durable)
 
-	bs := s.cfg.BlockSize
+	bs := s.blockSize
 	need := 16 + len(durable)*entryBytes
 	if maxBytes := int(s.cfg.TableBlocks) * bs; need > maxBytes {
 		return fmt.Errorf("%w: table needs %d bytes, control area holds %d", ErrNoSpace, need, maxBytes)
@@ -82,7 +82,7 @@ func sortSegments(ss []*Segment) {
 // one that Checkpoint could not have written for this store's geometry
 // yields ErrBadTable and leaves the table and allocators untouched.
 func (s *Store) Recover() (int, error) {
-	buf := make([]byte, s.cfg.TableBlocks*int64(s.cfg.BlockSize))
+	buf := make([]byte, s.cfg.TableBlocks*int64(s.blockSize))
 	s.devs[0].Device().ReadSyncInto(buf, 0, int(s.cfg.TableBlocks))
 	segs, als, err := s.decodeTable(buf)
 	if err != nil {
@@ -104,7 +104,7 @@ func (s *Store) decodeTable(buf []byte) ([]*Segment, []*allocator, error) {
 	bad := func(format string, args ...any) ([]*Segment, []*allocator, error) {
 		return nil, nil, fmt.Errorf("%w: %s", ErrBadTable, fmt.Sprintf(format, args...))
 	}
-	bs := int64(s.cfg.BlockSize)
+	bs := int64(s.blockSize)
 	if wire.LE32At(buf, 0) != tableMagic {
 		return bad("bad magic")
 	}

@@ -13,16 +13,20 @@ import (
 // Config sizes the control plane.
 type Config struct {
 	MaxTenants int          // admission cap = WFQ port count
-	MaxWeight  int          // largest admissible DRR weight
 	Lease      sim.Duration // slot tenure before preemption; 0 = static placement
-	WidthBytes int          // WFQ bus width per beat
 	DepthItems int          // per-tenant FIFO depth, in items
 }
+
+// The WFQ arbiter in front of the slots.
+const (
+	maxWeight  = 16 // largest admissible DRR weight
+	widthBytes = 64 // WFQ bus width per beat
+)
 
 // DefaultConfig matches the Figure 2 box: up to 16 tenants over 5
 // slots, 512-bit bus, static placement unless a lease is set.
 func DefaultConfig() Config {
-	return Config{MaxTenants: 16, MaxWeight: 16, WidthBytes: 64, DepthItems: 64}
+	return Config{MaxTenants: 16, DepthItems: 64}
 }
 
 // Controller is the admission controller and slot scheduler. It owns
@@ -58,24 +62,24 @@ type Controller struct {
 // fabric frequency; its sink dispatches into the occupant slot's
 // pipeline.
 func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) *Controller {
-	if cfg.MaxTenants <= 0 || cfg.MaxWeight <= 0 {
+	if cfg.MaxTenants <= 0 {
 		panic("tenant: invalid config")
 	}
-	fc := fab.Config()
 	c := &Controller{eng: eng, fab: fab, cfg: cfg}
-	c.arb = fabric.NewWFQArbiter(eng, "tenant", fc.ClockHz, cfg.WidthBytes, cfg.DepthItems, cfg.MaxTenants, c.dispatch)
-	c.slotTenant = make([]int, fc.Slots)
+	c.arb = fabric.NewWFQArbiter(eng, "tenant", fab.Config().ClockHz, widthBytes, cfg.DepthItems, cfg.MaxTenants, c.dispatch)
+	slots, total := len(fab.Slots()), fabric.U280Resources()
+	c.slotTenant = make([]int, slots)
 	for i := range c.slotTenant {
 		c.slotTenant[i] = -1
 	}
-	c.slotDown = make([]bool, fc.Slots)
+	c.slotDown = make([]bool, slots)
 	c.portUsed = make([]bool, cfg.MaxTenants)
 	c.budget = fabric.Resources{
-		LUTs: fc.Total.LUTs / fc.Slots,
-		FFs:  fc.Total.FFs / fc.Slots,
-		BRAM: fc.Total.BRAM / fc.Slots,
-		DSP:  fc.Total.DSP / fc.Slots,
-		URAM: fc.Total.URAM / fc.Slots,
+		LUTs: total.LUTs / slots,
+		FFs:  total.FFs / slots,
+		BRAM: total.BRAM / slots,
+		DSP:  total.DSP / slots,
+		URAM: total.URAM / slots,
 	}
 	return c
 }
@@ -98,8 +102,8 @@ func (c *Controller) SetHorizon(h sim.Time) { c.horizon = h }
 // its book-of-record entry is returned; on failure the error reports
 // why the box turned the tenant away.
 func (c *Controller) Admit(spec Spec) (*Tenant, error) {
-	if spec.Weight < 1 || spec.Weight > c.cfg.MaxWeight {
-		return nil, fmt.Errorf("%w: weight %d outside [1,%d]", ErrBadSpec, spec.Weight, c.cfg.MaxWeight)
+	if spec.Weight < 1 || spec.Weight > maxWeight {
+		return nil, fmt.Errorf("%w: weight %d outside [1,%d]", ErrBadSpec, spec.Weight, maxWeight)
 	}
 	if err := spec.Image.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSpec, err)

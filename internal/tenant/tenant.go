@@ -44,7 +44,7 @@ type SLO struct {
 // Spec is everything a tenant presents at admission.
 type Spec struct {
 	Name   string // pure label: must never influence scheduling
-	Weight int    // DRR quantum in bus beats, [1, Config.MaxWeight]
+	Weight int    // DRR quantum in bus beats, [1, maxWeight]
 	Image  *fabric.Bitstream
 	SLO    SLO
 }

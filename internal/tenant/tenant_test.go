@@ -31,15 +31,17 @@ func newTestPlane(t *testing.T, lease sim.Duration) (*sim.Engine, *fabric.Fabric
 }
 
 func TestAdmissionControl(t *testing.T) {
-	_, fab, c := newTestPlane(t, 0)
-	if _, err := c.Admit(Spec{Name: "w0", Weight: 0, Image: testImage("a", 1)}); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("weight 0: got %v", err)
+	_, _, c := newTestPlane(t, 0)
+	for _, w := range []int{0, maxWeight + 1} {
+		if _, err := c.Admit(Spec{Name: "w", Weight: w, Image: testImage("a", 1)}); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("weight %d: got %v", w, err)
+		}
 	}
 	if _, err := c.Admit(Spec{Name: "noimg", Weight: 1}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("nil image: got %v", err)
 	}
 	huge := testImage("huge", 4)
-	huge.Uses = fab.Config().Total // whole device: over the per-slot budget
+	huge.Uses = fabric.U280Resources() // whole device: over the per-slot budget
 	if _, err := c.Admit(Spec{Name: "huge", Weight: 1, Image: huge}); !errors.Is(err, ErrRejected) {
 		t.Fatalf("oversized image: got %v", err)
 	}

@@ -159,7 +159,8 @@ func TestReachabilityRules(t *testing.T) {
 // `BenchmarkTable1_*`), and every backticked internal/, cmd/ or
 // examples/ path must exist. A fenced code block counts as one span.
 // A doc with an odd number of backticks fails: the pairing is lost.
-// Every test a reachAllow reason names must be live by the same rule.
+// Every test a reachAllow or knobAllow reason names must be live by
+// the same rule.
 func TestDocsCiteLiveNames(t *testing.T) {
 	var defined []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -190,10 +191,15 @@ func TestDocsCiteLiveNames(t *testing.T) {
 	live := func(name string) bool {
 		return slices.ContainsFunc(defined, func(d string) bool { return strings.HasPrefix(d, name) })
 	}
-	for entry, reason := range reachAllow {
-		for _, name := range testName.FindAllString(reason, -1) {
-			if !live(name) {
-				t.Errorf("reachAllow %s cites %s, which no test defines", entry, name)
+	for _, allow := range []struct {
+		name    string
+		entries map[string]string
+	}{{"reachAllow", reachAllow}, {"knobAllow", knobAllow}} {
+		for entry, reason := range allow.entries {
+			for _, name := range testName.FindAllString(reason, -1) {
+				if !live(name) {
+					t.Errorf("%s %s cites %s, which no test defines", allow.name, entry, name)
+				}
 			}
 		}
 	}
@@ -598,4 +604,242 @@ func planLayer(info *types.Info, inits map[*types.Var]ast.Expr, e ast.Expr) (str
 		}
 		return "", false
 	}
+}
+
+// knobAllow names the Config and Options fields no binary sets that
+// stay fields anyway, each with its reason: the live test that sets it
+// to reach a behaviour or budget the default cannot, frozen
+// cmd/hyperbench, which reads it, a credential, or the ROADMAP item that
+// decides it. A key is the package path without the module prefix, the
+// struct's name and the field's ("internal/netsim.Config.QueueFrames").
+// An entry that names no knob, names a turned one, or cites none of the
+// four fails TestEveryKnobIsTurned.
+var knobAllow = map[string]string{
+	"internal/core.Config.AuthTag": "a credential: the bitstream authorization tag is a deployment secret",
+
+	"internal/ebpf.VerifierConfig.Helpers": "ROADMAP soundness item: only tests register a helper id at or above HelperUserBase (TestVerifyCustomHelperWindow)",
+	"internal/ehdl.Options.Helpers":        "ROADMAP soundness item: only tests install a helper (TestCompileWithMapsAndHelpers)",
+
+	"internal/fabric.Config.ClockHz":    "frozen cmd/hyperbench reads it; TestBootSelfTestFails breaks the fabric through it",
+	"internal/nvme.Config.BlockSize":    "frozen cmd/hyperbench reads it; TestBlockShiftMatchesDivision builds devices that disagree on it",
+	"internal/tenant.Config.DepthItems": "frozen cmd/hyperbench reads it; TestSchedulerProperties shrinks it",
+
+	"internal/netsim.Config.QueueFrames": "TestReliableRecoversFromIncastLoss and the other shallow-queue transport tests force congestion drops through it",
+	"internal/rack.Config.Replicas":      "TestRackAllocBudget's 0.30 objects / 440 B per op are measured at 2 boxes × 2 replicas",
+	"internal/seg.Config.TableBlocks":    "FuzzRecover's 2-block rig keeps its checkpoint image small enough to fuzz",
+}
+
+// knobReason matches the four things a knobAllow reason may cite.
+var knobReason = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*|cmd/hyperbench|credential|ROADMAP`)
+
+// TestEveryKnobIsTurned fails on every configuration field that only
+// its own package's Default* constructor sets: a value one binary uses
+// is a constant beside its reader (DESIGN "Model parameters"). A knob is
+// a field of an exported struct type named Options or *Config in a
+// non-test package; a field whose type is itself such a struct is a
+// container, and only its own fields are judged. A knob is turned when
+// a non-test function outside examples/ writes it: assigns it through
+// a selector, takes its address, or names it as a composite-literal
+// key. An unkeyed literal writes every field. A Default* function of the
+// knob's own package turns it only by writing one of its parameters:
+// then its caller chose the value.
+func TestEveryKnobIsTurned(t *testing.T) {
+	pkgs, err := loadTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func(file string) bool { return !strings.HasPrefix(file, "examples/") }
+	for _, f := range knobGate(pkgs, "hyperion/", counts, knobAllow) {
+		t.Error(f)
+	}
+}
+
+// TestKnobGateRules pins each rule of the knob gate on a small program;
+// its example.go stands for examples/.
+func TestKnobGateRules(t *testing.T) {
+	root, err := analysis.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := analysis.NewLoader(root).LoadDir(filepath.Join("testdata", "knobs"), "knobdemo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func(file string) bool { return !strings.HasSuffix(file, "example.go") }
+	got := knobGate([]*analysis.Package{pkg}, "", counts, map[string]string{
+		"knobdemo.Config.Allowed": "TestKnobGateRules sets it",
+		"knobdemo.Config.Keyed":   "stale: run sets it",
+		"knobdemo.Config.Vague":   "no reason a reader can check",
+		"knobdemo.Config.Gone":    "stale: no such field",
+	})
+	want := []string{
+		`knobAllow: knobdemo.Config.Gone names no knob`,
+		`knobAllow: knobdemo.Config.Keyed is turned at testdata/knobs/main.go:43:16: delete its line`,
+		`knobAllow: knobdemo.Config.Vague's reason cites no test, cmd/hyperbench, credential or ROADMAP item`,
+		`testdata/knobs/main.go:12:2: knobdemo.Config.ByDefault is set by no binary: make it a constant beside its reader, or give it a knobAllow line with its reason`,
+		`testdata/knobs/main.go:14:2: knobdemo.Config.ByExample is set by no binary: make it a constant beside its reader, or give it a knobAllow line with its reason`,
+		`testdata/knobs/main.go:23:2: knobdemo.Options.Depth is set by no binary: make it a constant beside its reader, or give it a knobAllow line with its reason`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// knobGate returns the findings of the knob gate over pkgs, sorted:
+// unturned knobs at file:line, then bad allow entries. counts says
+// whether writes in a file, as relPosition prints it, turn a knob.
+func knobGate(pkgs []*analysis.Package, module string, counts func(file string) bool, allow map[string]string) []string {
+	key := func(n *types.Named, field string) string {
+		o := n.Obj()
+		return strings.TrimPrefix(o.Pkg().Path(), module) + "." + o.Name() + "." + field
+	}
+	knobs := make(map[string]token.Position)
+	turned := make(map[string]token.Position) // knob -> its first counting write
+	for _, p := range pkgs {
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || knobStruct(tn.Type()) == nil {
+				continue
+			}
+			st := tn.Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); knobStruct(f.Type()) == nil {
+					knobs[key(tn.Type().(*types.Named), f.Name())] = relPosition(p.Fset.Position(f.Pos()))
+				}
+			}
+		}
+	}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			if !counts(relPosition(p.Fset.Position(f.Pos())).Filename) {
+				continue
+			}
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				// A Default* function's writes do not turn its own package's
+				// knobs, unless the value is one of its parameters: then
+				// its caller chose it.
+				ctor := ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Default")
+				param := func(e ast.Expr) bool {
+					id, ok := e.(*ast.Ident)
+					if !ok {
+						return false
+					}
+					v, ok := p.TypesInfo.Uses[id].(*types.Var)
+					return ok && v.Parent() == p.TypesInfo.Defs[fd.Name].(*types.Func).Scope()
+				}
+				write := func(n *types.Named, field string, at token.Pos, value ast.Expr) {
+					if n == nil || ctor && n.Obj().Pkg().Path() == p.Path && !param(value) {
+						return
+					}
+					k := key(n, field)
+					if _, done := turned[k]; !done {
+						turned[k] = relPosition(p.Fset.Position(at))
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						for i, l := range n.Lhs {
+							var value ast.Expr
+							if len(n.Rhs) == len(n.Lhs) {
+								value = n.Rhs[i]
+							}
+							named, field, at := fieldOwner(p.TypesInfo, l)
+							write(named, field, at, value)
+						}
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							named, field, at := fieldOwner(p.TypesInfo, n.X)
+							write(named, field, at, nil)
+						}
+					case *ast.CompositeLit:
+						named := derefNamed(p.TypesInfo.Types[n].Type)
+						if named == nil || len(n.Elts) == 0 {
+							break
+						}
+						if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+							st, ok := named.Underlying().(*types.Struct)
+							for i := 0; ok && i < st.NumFields() && i < len(n.Elts); i++ {
+								write(named, st.Field(i).Name(), n.Elts[i].Pos(), n.Elts[i])
+							}
+							break
+						}
+						for _, e := range n.Elts {
+							kv := e.(*ast.KeyValueExpr)
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								write(named, id.Name, kv.Pos(), kv.Value)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var findings []string
+	for k, pos := range knobs {
+		if _, ok := turned[k]; !ok && allow[k] == "" {
+			findings = append(findings, fmt.Sprintf("%s: %s is set by no binary: make it a constant beside its reader, or give it a knobAllow line with its reason", pos, k))
+		}
+	}
+	slices.Sort(findings)
+	var bad []string
+	for k, reason := range allow {
+		_, known := knobs[k]
+		switch at, ok := turned[k]; {
+		case !known:
+			bad = append(bad, fmt.Sprintf("knobAllow: %s names no knob", k))
+		case ok:
+			bad = append(bad, fmt.Sprintf("knobAllow: %s is turned at %s: delete its line", k, at))
+		case !knobReason.MatchString(reason):
+			bad = append(bad, fmt.Sprintf("knobAllow: %s's reason cites no test, cmd/hyperbench, credential or ROADMAP item", k))
+		}
+	}
+	slices.Sort(bad)
+	return append(bad, findings...)
+}
+
+// knobStruct returns t as a knob struct type, or nil.
+func knobStruct(t types.Type) *types.Named {
+	n, ok := t.(*types.Named)
+	if !ok {
+		return nil
+	}
+	name := n.Obj().Name()
+	if _, isStruct := n.Underlying().(*types.Struct); !isStruct || !token.IsExported(name) || name != "Options" && !strings.HasSuffix(name, "Config") {
+		return nil
+	}
+	return n
+}
+
+// fieldOwner resolves e, when it selects a struct field, to the named
+// struct that declares the field, the field's name and e's position.
+func fieldOwner(info *types.Info, e ast.Expr) (*types.Named, string, token.Pos) {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil, "", token.NoPos
+	}
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return nil, "", token.NoPos
+	}
+	t := s.Recv()
+	for _, i := range s.Index()[:len(s.Index())-1] { // through embedded fields
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		t = t.Underlying().(*types.Struct).Field(i).Type()
+	}
+	return derefNamed(t), sel.Sel.Name, sel.Pos()
+}
+
+// derefNamed returns t, or what t points to, as a named type, or nil.
+func derefNamed(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
 }

@@ -11,6 +11,7 @@ import (
 	"hyperion/internal/core"
 	"hyperion/internal/ebpf"
 	"hyperion/internal/ehdl"
+	"hyperion/internal/fabric"
 	"hyperion/internal/netsim"
 	"hyperion/internal/seg"
 	"hyperion/internal/sim"
@@ -77,14 +78,20 @@ func main() {
 		log.Fatal(err)
 	}
 	eng.Run()
-	pkt := make([]byte, 64)
-	pkt[0] = 99 // first word = 99 ≤ 1000 → accept
-	if err := dpu.Submit(0, pkt, func(out any) {
-		res := out.(*ehdl.Result)
-		fmt.Printf("pipeline verdict=%d at t=%v (deterministic latency)\n", res.Ret, eng.Now())
-	}); err != nil {
+	// The item is a Work the caller owns: the program runs on its
+	// context in place and leaves its verdict in Ret.
+	work := &fabric.Work{Ctx: make([]byte, 64)}
+	work.Ctx[0] = 99 // first word = 99 ≤ 1000 → accept
+	if err := dpu.Submit(0, work, verdictPrinter{eng}); err != nil {
 		log.Fatal(err)
 	}
 	eng.Run()
 	fmt.Println("done")
+}
+
+// verdictPrinter hears the item leave the slot.
+type verdictPrinter struct{ eng *sim.Engine }
+
+func (v verdictPrinter) Processed(w *fabric.Work) {
+	fmt.Printf("pipeline verdict=%d at t=%v (deterministic latency)\n", w.Ret, v.eng.Now())
 }

@@ -148,13 +148,13 @@ func (s *Service) offloadedGet(key uint64) (GetReply, error) {
 		// each hop, exactly as a fresh context would.
 		clear(ctx[CtxAction:CtxNode])
 		copy(ctx[CtxNode:], page)
-		res := s.pipe.Exec(ctx)
-		if res.Err != nil {
-			return GetReply{}, res.Err
+		ret, err := s.pipe.Run(ctx)
+		if err != nil {
+			return GetReply{}, err
 		}
 		// Charge the pipeline's hardware latency per hop.
 		s.dpu.View.Charge(s.dpu.Fabric.Cycles(int64(s.pipe.Stats.Depth)))
-		switch res.Ret {
+		switch ret {
 		case ActFound:
 			return GetReply{Found: true, Value: binary.LittleEndian.Uint64(ctx[CtxValue:]), Hops: hop}, nil
 		case ActNotFound:

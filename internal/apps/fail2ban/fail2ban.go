@@ -15,7 +15,9 @@ import (
 	"hyperion/internal/core"
 	"hyperion/internal/ebpf"
 	"hyperion/internal/ehdl"
+	"hyperion/internal/fabric"
 	"hyperion/internal/seg"
+	"hyperion/internal/sim"
 	"hyperion/internal/trace"
 )
 
@@ -35,6 +37,8 @@ type Filter struct {
 	logID     seg.ObjectID
 	logOff    int64
 	view      *seg.SyncView // the ban log's writes and reads, costed apart from dpu.View
+	pkts      sim.FreeList[packetCtx]
+	logRec    [logEntrySize]byte // the ban record being written
 	Threshold int
 
 	Passed, Dropped, Banned int64
@@ -90,27 +94,57 @@ func Deploy(d *core.DPU, slot, threshold int, done func()) (*Filter, error) {
 // Process runs one packet through the slot. verdict receives the
 // program's decision after the pipeline latency. A new ban's log
 // record is written off the verdict path: its cost delays no verdict.
+// The packet rides a pooled context, so steady-state filtering
+// allocates nothing.
 func (f *Filter) Process(p trace.Packet, verdict func(v int)) error {
-	ctx := p.Marshal()
-	return f.dpu.Submit(f.slot, ctx, func(out any) {
-		res, ok := out.(*ehdl.Result)
-		if !ok || res.Err != nil {
-			verdict(VerdictDrop)
-			return
-		}
-		v := int(res.Ret)
-		switch v {
-		case VerdictPass:
-			f.Passed++
-		case VerdictDrop:
-			f.Dropped++
-		case VerdictBanned:
-			f.Dropped++
-			f.Banned++
-			f.persistBan(p.SrcIP)
-		}
-		verdict(v)
-	})
+	pc, fresh := f.pkts.Get()
+	if fresh {
+		pc.f = f
+		pc.work.Ctx = pc.buf[:]
+	}
+	p.MarshalTo(pc.buf[:])
+	pc.src, pc.verdict = p.SrcIP, verdict
+	if err := f.dpu.Submit(f.slot, &pc.work, pc); err != nil {
+		pc.verdict = nil
+		f.pkts.Put(pc)
+		return err
+	}
+	return nil
+}
+
+// packetCtx carries one packet through the filter's slot: work is the
+// pipeline item, its Ctx the packet's own marshalled header, and the
+// context is the item's Completer. Instances cycle through the
+// filter's free list.
+type packetCtx struct {
+	f       *Filter
+	work    fabric.Work
+	buf     [trace.PacketBytes]byte
+	src     uint32
+	verdict func(v int)
+}
+
+// Processed takes the program's verdict on the packet.
+func (pc *packetCtx) Processed(w *fabric.Work) {
+	f, src, verdict := pc.f, pc.src, pc.verdict
+	pc.verdict = nil
+	f.pkts.Put(pc)
+	if w.Err != nil {
+		verdict(VerdictDrop)
+		return
+	}
+	v := int(w.Ret)
+	switch v {
+	case VerdictPass:
+		f.Passed++
+	case VerdictDrop:
+		f.Dropped++
+	case VerdictBanned:
+		f.Dropped++
+		f.Banned++
+		f.persistBan(src)
+	}
+	verdict(v)
 }
 
 // persistBan appends a ban record to the durable log. The write is
@@ -119,7 +153,7 @@ func (f *Filter) persistBan(src uint32) {
 	if f.logOff+logEntrySize > logCapacity {
 		return // log full; real deployment would rotate
 	}
-	rec := make([]byte, logEntrySize)
+	rec := f.logRec[:]
 	binary.LittleEndian.PutUint32(rec, src)
 	binary.LittleEndian.PutUint64(rec[8:], uint64(f.dpu.Eng.Now()))
 	off := f.logOff

@@ -97,8 +97,9 @@ func TestFrontendBehaviorMatchesHandAssembly(t *testing.T) {
 	fi, hi := load(front), load(hand)
 
 	gen := trace.NewAttackGen(7, 5)
+	ctx := make([]byte, trace.PacketBytes)
 	for i := 0; i < 3000; i++ {
-		ctx := gen.Next().Marshal()
+		gen.Next().MarshalTo(ctx)
 		vf, errF := fi.vm.Run(append([]byte(nil), ctx...))
 		vh, errH := hi.vm.Run(append([]byte(nil), ctx...))
 		if errF != nil || errH != nil {

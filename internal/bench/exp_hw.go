@@ -225,11 +225,11 @@ func Predictability(seed uint64) Result {
 	// Noise: hammer the co-tenant slots continuously.
 	for s := 1; s < 5; s++ {
 		for i := 0; i < 5000; i++ {
-			_ = d.Submit(s, i, nil)
+			_ = d.Submit(s, nil, nil)
 		}
 	}
-	var fl sim.LatencyRecorder
 	const samples = 5000
+	victim := victimProbe{eng: eng, starts: make([]sim.Time, 0, samples)}
 	fired := 0
 	var tick func()
 	tick = func() {
@@ -237,12 +237,14 @@ func Predictability(seed uint64) Result {
 			return
 		}
 		fired++
-		start := eng.Now()
-		_ = d.Submit(0, fired, func(any) { fl.Record(eng.Now().Sub(start)) })
+		if d.Submit(0, nil, &victim) == nil {
+			victim.starts = append(victim.starts, eng.Now())
+		}
 		eng.After(2*sim.Microsecond, "pace", tick)
 	}
 	tick()
 	eng.Run()
+	fl := &victim.lat
 
 	// Host: same service time on a time-shared CPU with background load.
 	eng2 := sim.NewEngine(seed + 2)
@@ -262,11 +264,26 @@ func Predictability(seed uint64) Result {
 		r.Table.AddRow(name, l.Percentile(50).String(), l.Percentile(99).String(),
 			l.Percentile(99.9).String(), l.Max().String(), f2(ratio))
 	}
-	row("hyperion slot (4 hostile co-tenants)", &fl)
+	row("hyperion slot (4 hostile co-tenants)", fl)
 	row("time-shared cpu (background load)", &cl)
 	r.Notes = append(r.Notes, "spatial slots do not interfere: the fabric tenant's p99 equals its p50")
 	r.observe(eng, eng2)
 	return r
+}
+
+// victimProbe times E5's victim samples: it is the Completer of every
+// one of them, and the victim slot completes its items in submission
+// order, so the n-th completion is the n-th sample.
+type victimProbe struct {
+	eng    *sim.Engine
+	starts []sim.Time // submission time of each sample
+	done   int        // samples completed
+	lat    sim.LatencyRecorder
+}
+
+func (v *victimProbe) Processed(*fabric.Work) {
+	v.lat.Record(v.eng.Now().Sub(v.starts[v.done]))
+	v.done++
 }
 
 func maxDur(a, b sim.Duration) sim.Duration {

@@ -209,20 +209,27 @@ func (cell *tenantCellRun) admit(eng *sim.Engine, rnd *sim.Rand, at sim.Time, sp
 			})
 		}
 		tickName := "e18.tick:" + spec.Name
+		// Submit copies the context, so one scratch header serves every
+		// packet a filter tenant sends.
+		var scratch []byte
+		if class == classFilter {
+			scratch = make([]byte, trace.PacketBytes)
+		}
 		var tick func()
 		tick = func() {
 			if eng.Now() >= tenantHorizon || h.State == tenant.StateDeparted {
 				return
 			}
 			for b := 0; b < burst; b++ {
-				var payload any
+				var ctx []byte
 				if class == classFilter {
-					payload = trace.Packet{
+					trace.Packet{
 						SrcIP: uint32(1 + rnd.Intn(64)), DstPort: 22, Proto: 6,
 						Bytes: 512, AuthFail: rnd.Intn(4) == 0,
-					}.Marshal()
+					}.MarshalTo(scratch)
+					ctx = scratch
 				}
-				if cell.ctl.Submit(h.ID, payload, bytes, nil) == nil {
+				if cell.ctl.Submit(h.ID, ctx, bytes, nil) == nil {
 					cell.accepted++
 				}
 				// Refusals (not active, FIFO full) are the client's

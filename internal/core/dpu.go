@@ -81,8 +81,11 @@ type DPU struct {
 
 	booted  bool
 	enumOut []string
-	rec     *telemetry.Recorder
-	fig2s   sim.FreeList[fig2Ctx]
+	// The QSFP addresses, fixed at boot: routers ask for them per
+	// request.
+	dataAddr, ctrlAddr netsim.Addr
+	rec                *telemetry.Recorder
+	fig2s              sim.FreeList[fig2Ctx]
 }
 
 // SetRecorder arms the telemetry plane on every substrate of this DPU:
@@ -128,7 +131,8 @@ func Reboot(eng *sim.Engine, net *netsim.Network, old *DPU) (*DPU, []string, err
 }
 
 func boot(eng *sim.Engine, net *netsim.Network, cfg Config, existing []*nvme.Device) (*DPU, []string, error) {
-	d := &DPU{Cfg: cfg, Eng: eng}
+	d := &DPU{Cfg: cfg, Eng: eng,
+		dataAddr: netsim.Addr(cfg.Name + "-q0"), ctrlAddr: netsim.Addr(cfg.Name + "-q1")}
 
 	// JTAG self-test: the fabric must expose sane geometry.
 	if cfg.Fabric.ClockHz <= 0 {
@@ -183,11 +187,11 @@ func boot(eng *sim.Engine, net *netsim.Network, cfg Config, existing []*nvme.Dev
 
 	// QSFP ports.
 	if net != nil {
-		d.Data, err = net.Attach(netsim.Addr(cfg.Name + "-q0"))
+		d.Data, err = net.Attach(d.dataAddr)
 		if err != nil {
 			return nil, nil, err
 		}
-		d.Control, err = net.Attach(netsim.Addr(cfg.Name + "-q1"))
+		d.Control, err = net.Attach(d.ctrlAddr)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -202,10 +206,10 @@ func boot(eng *sim.Engine, net *netsim.Network, cfg Config, existing []*nvme.Dev
 }
 
 // DataAddr returns the data-plane network address.
-func (d *DPU) DataAddr() netsim.Addr { return netsim.Addr(d.Cfg.Name + "-q0") }
+func (d *DPU) DataAddr() netsim.Addr { return d.dataAddr }
 
 // ControlAddr returns the control-plane network address.
-func (d *DPU) ControlAddr() netsim.Addr { return netsim.Addr(d.Cfg.Name + "-q1") }
+func (d *DPU) ControlAddr() netsim.Addr { return d.ctrlAddr }
 
 // LoadAccelerator asks the config engine to load a bitstream into the
 // given slot (local call; the OS-shell exposes the same over the
@@ -217,7 +221,8 @@ func (d *DPU) LoadAccelerator(slot int, bs *fabric.Bitstream, done func()) error
 	return d.Fabric.LoadBitstream(slot, bs, done)
 }
 
-// Submit pushes an item into an accelerator slot.
-func (d *DPU) Submit(slot int, item any, result func(out any)) error {
-	return d.Fabric.Submit(slot, item, result)
+// Submit pushes one item into an accelerator slot: the slot's image runs
+// on w in place and done (may be nil) hears it (fabric.Fabric.Submit).
+func (d *DPU) Submit(slot int, w *fabric.Work, done fabric.Completer) error {
+	return d.Fabric.Submit(slot, w, done)
 }

@@ -34,14 +34,16 @@ func ProbeBitstream(authTag string) *fabric.Bitstream {
 	}
 }
 
-// probePayload is the static frame content every probe carries,
-// pre-boxed so pushing it never allocates.
-var probePayload any = []byte("probe")
+// probeFrame is the static frame content every probe carries into the
+// slot; the identity image leaves it as it is.
+var probeFrame = []byte("probe")
 
 // fig2Ctx carries one probe through the four-stage pipeline with
 // prebound stage callbacks and its own reusable ingress stream (an
 // idle AXIS stream is indistinguishable from a fresh one); instances
-// cycle through the DPU's free list. It is its own read's Completer.
+// cycle through the DPU's free list. It is its own pipeline item's
+// fabric.Completer, with work as the item, and its own read's
+// nvme.Completer.
 // data is the probe's own payload buffer: the device lends a read's
 // bytes only until Complete returns and egress fires one event later,
 // so Complete copies them here, and the capacity stays with the context
@@ -60,9 +62,9 @@ type fig2Ctx struct {
 	t0, t1, t2, t3 sim.Time
 	tr             Fig2Trace
 	data           []byte
+	work           fabric.Work
 
 	sinkFn   func(fabric.Item)
-	pipeFn   func(out any)
 	egressFn func()
 }
 
@@ -76,8 +78,8 @@ func (d *DPU) getFig2() *fig2Ctx {
 	// with the fabric's clock and bus width carrying the frame into the
 	// slot.
 	c.stream = fabric.NewStream(d.Eng, "fig2.probe", d.Cfg.Fabric.ClockHz, 64, 8)
+	c.work.Ctx = probeFrame
 	c.sinkFn = c.onArrive
-	c.pipeFn = c.onPipeline
 	c.egressFn = c.onEgress
 	c.stream.Connect(c.sinkFn)
 	return c
@@ -99,12 +101,13 @@ func (c *fig2Ctx) onArrive(it fabric.Item) {
 		d.rec.Span("fig2", "arbiter", c.span, c.t0, c.t1)
 	}
 	// Stage 2: accelerator pipeline.
-	if serr := d.Fabric.SubmitSpan(c.slot, it.Payload, c.span, c.pipeFn); serr != nil {
+	if serr := d.Fabric.SubmitSpan(c.slot, &c.work, c.span, c); serr != nil {
 		c.fail(serr)
 	}
 }
 
-func (c *fig2Ctx) onPipeline(out any) {
+// Processed is stage 2 complete: the frame left the accelerator slot.
+func (c *fig2Ctx) Processed(*fabric.Work) {
 	d := c.d
 	c.t2 = d.Eng.Now()
 	c.tr.Pipeline = c.t2.Sub(c.t1)
@@ -176,7 +179,7 @@ func (d *DPU) Fig2Probe(slot int, ssd int, lba int64, blocks int, reply func(tr 
 		c.rec = d.rec
 	}
 	const frameBytes = 256
-	err := c.stream.Push(fabric.Item{Bytes: frameBytes, Payload: probePayload, Span: c.span})
+	err := c.stream.Push(fabric.Item{Bytes: frameBytes, Span: c.span})
 	if err != nil {
 		c.reply = nil
 		d.fig2s.Put(c)

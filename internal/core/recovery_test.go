@@ -100,9 +100,14 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	if got, ok, _ := tree2.Get(999999); !ok || got != 1 {
 		t.Fatal("post-recovery insert lost")
 	}
-	// And its network identity is back.
-	if d2.DataAddr() != d1.DataAddr() {
+	// And its network identity is back: the same addresses, attached
+	// to the new instance's ports (Reboot detached the old ones, so the
+	// boot's Attach of each succeeded).
+	if d2.DataAddr() != d1.DataAddr() || d2.ControlAddr() != d1.ControlAddr() {
 		t.Fatal("addresses changed across reboot")
+	}
+	if d2.ControlAddr() != "phoenix-q1" || d2.Control.Addr != d2.ControlAddr() || d2.Data.Addr != d2.DataAddr() {
+		t.Fatalf("control address %q on port %q, data port %q", d2.ControlAddr(), d2.Control.Addr, d2.Data.Addr)
 	}
 }
 

@@ -72,7 +72,7 @@ func TestTenantPlaneOverDPUFabric(t *testing.T) {
 	}
 	var done int
 	for i := 0; i < 4; i++ {
-		if err := ctl.Submit(a.ID, i, 64, func(err error) {
+		if err := ctl.Submit(a.ID, nil, 64, func(err error) {
 			if err != nil {
 				t.Error(err)
 			}

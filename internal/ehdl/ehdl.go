@@ -62,13 +62,6 @@ type Pipeline struct {
 	opts  Options
 }
 
-// Result is what flows out of the pipeline for each input item.
-type Result struct {
-	Ctx []byte // the (possibly rewritten) context
-	Ret uint64 // r0
-	Err error  // runtime fault (verified programs should never fault)
-}
-
 // ErrCompile wraps compilation failures.
 var ErrCompile = errors.New("ehdl: compilation failed")
 
@@ -219,9 +212,10 @@ func longestPath(prog []ebpf.Instruction) int {
 	return memo[0]
 }
 
-// Bitstream packages the pipeline for the fabric. Items flowing through
-// the slot must carry []byte payloads (the context); the emitted item is
-// a *Result.
+// Bitstream packages the pipeline for the fabric. Each item's
+// *fabric.Work runs in place: the program reads and rewrites its Ctx and
+// leaves r0 in Ret and any runtime fault in Err. An item submitted
+// without a Work gives the program nothing to run on and passes through.
 func (p *Pipeline) Bitstream() *fabric.Bitstream {
 	return &fabric.Bitstream{
 		Name:      p.Name,
@@ -230,24 +224,20 @@ func (p *Pipeline) Bitstream() *fabric.Bitstream {
 		Depth:     p.Stats.Depth,
 		II:        p.Stats.II,
 		AuthTag:   p.opts.AuthTag,
-		Process:   func(in any) any { return p.Exec(in) },
+		Process: func(in any) any {
+			if w, _ := in.(*fabric.Work); w != nil {
+				w.Ret, w.Err = p.Run(w.Ctx)
+			}
+			return in
+		},
 	}
 }
 
-// Exec runs the pipeline's program once. in must be []byte (the context)
-// or nil.
-func (p *Pipeline) Exec(in any) *Result {
-	var ctx []byte
-	switch v := in.(type) {
-	case nil:
-	case []byte:
-		ctx = v
-	default:
-		return &Result{Err: fmt.Errorf("ehdl: pipeline %s: unsupported payload %T", p.Name, in)}
-	}
+// Run runs the pipeline's program once on ctx in place, returning r0
+// and any runtime fault (verified programs never fault).
+func (p *Pipeline) Run(ctx []byte) (uint64, error) {
 	p.vm.ResetWindows()
-	ret, err := p.vm.Run(ctx)
-	return &Result{Ctx: ctx, Ret: ret, Err: err}
+	return p.vm.Run(ctx)
 }
 
 // VM exposes the underlying VM: its Maps are the pipeline's state, and

@@ -41,19 +41,12 @@ func TestExecMatchesVM(t *testing.T) {
 	p := compile(t, src, false)
 	ctx := make([]byte, 8)
 	binary.LittleEndian.PutUint32(ctx, 50)
-	if r := p.Exec(ctx); r.Err != nil || r.Ret != 1 {
-		t.Fatalf("small: %+v", r)
+	if ret, err := p.Run(ctx); err != nil || ret != 1 {
+		t.Fatalf("small: %d, %v", ret, err)
 	}
 	binary.LittleEndian.PutUint32(ctx, 500)
-	if r := p.Exec(ctx); r.Err != nil || r.Ret != 2 {
-		t.Fatalf("big: %+v", r)
-	}
-}
-
-func TestExecRejectsWrongPayload(t *testing.T) {
-	p := compile(t, "mov r0, 0\nexit", false)
-	if r := p.Exec(42); r.Err == nil {
-		t.Fatal("accepted int payload")
+	if ret, err := p.Run(ctx); err != nil || ret != 2 {
+		t.Fatalf("big: %d, %v", ret, err)
 	}
 }
 
@@ -75,12 +68,13 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 	for _, src := range srcs {
 		plain := compile(t, src, false)
 		opt := compile(t, src, true)
-		r1, r2 := plain.Exec(append([]byte(nil), ctx...)), opt.Exec(append([]byte(nil), ctx...))
-		if r1.Err != nil || r2.Err != nil {
-			t.Fatalf("%q: errs %v %v", src, r1.Err, r2.Err)
+		r1, err1 := plain.Run(append([]byte(nil), ctx...))
+		r2, err2 := opt.Run(append([]byte(nil), ctx...))
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%q: errs %v %v", src, err1, err2)
 		}
-		if r1.Ret != r2.Ret {
-			t.Fatalf("%q: plain=%d optimized=%d", src, r1.Ret, r2.Ret)
+		if r1 != r2 {
+			t.Fatalf("%q: plain=%d optimized=%d", src, r1, r2)
 		}
 		if opt.Stats.Instructions > plain.Stats.Instructions {
 			t.Fatalf("%q: optimizer grew program %d → %d", src, plain.Stats.Instructions, opt.Stats.Instructions)
@@ -106,8 +100,8 @@ func TestOptimizeShrinksConstantPrograms(t *testing.T) {
 	if opt.Stats.Instructions >= plain.Stats.Instructions {
 		t.Fatalf("no shrink: %d → %d", plain.Stats.Instructions, opt.Stats.Instructions)
 	}
-	if r := opt.Exec(nil); r.Ret != 1 {
-		t.Fatalf("optimized result = %d, want 1", r.Ret)
+	if ret, _ := opt.Run(nil); ret != 1 {
+		t.Fatalf("optimized result = %d, want 1", ret)
 	}
 	if opt.Stats.Depth > plain.Stats.Depth {
 		t.Fatal("optimizer did not reduce pipeline depth")
@@ -138,10 +132,10 @@ func TestOptimizePropertyRandomContexts(t *testing.T) {
 		ctx := make([]byte, 8)
 		binary.LittleEndian.PutUint32(ctx, uint32(r.Intn(5)))
 		binary.LittleEndian.PutUint32(ctx[4:], uint32(r.Intn(5)))
-		a := plain.Exec(append([]byte(nil), ctx...))
-		b := opt.Exec(append([]byte(nil), ctx...))
-		if a.Err != nil || b.Err != nil || a.Ret != b.Ret {
-			t.Fatalf("ctx %v: plain=%v/%v opt=%v/%v", ctx, a.Ret, a.Err, b.Ret, b.Err)
+		a, aerr := plain.Run(append([]byte(nil), ctx...))
+		b, berr := opt.Run(append([]byte(nil), ctx...))
+		if aerr != nil || berr != nil || a != b {
+			t.Fatalf("ctx %v: plain=%v/%v opt=%v/%v", ctx, a, aerr, b, berr)
 		}
 	}
 }
@@ -212,18 +206,21 @@ func TestBitstreamRunsOnFabric(t *testing.T) {
 	eng.Run()
 	ctx := make([]byte, 4)
 	binary.LittleEndian.PutUint32(ctx, 41)
-	var got uint64
-	err := f.Submit(0, ctx, func(out any) {
-		got = out.(*Result).Ret
-	})
-	if err != nil {
+	w := &fabric.Work{Ctx: ctx, Ret: 7}
+	var heard *fabric.Work
+	if err := f.Submit(0, w, heardBy(func(hw *fabric.Work) { heard = hw })); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if got != 42 {
-		t.Fatalf("fabric result = %d, want 42", got)
+	if heard != w || w.Ret != 42 || w.Err != nil {
+		t.Fatalf("fabric result = %d, %v (heard %p, want %p), want 42", w.Ret, w.Err, heard, w)
 	}
 }
+
+// heardBy is a func as a fabric.Completer.
+type heardBy func(w *fabric.Work)
+
+func (f heardBy) Processed(w *fabric.Work) { f(w) }
 
 func TestCompileWithMapsAndHelpers(t *testing.T) {
 	maps := &ebpf.MapSet{}
@@ -248,8 +245,8 @@ func TestCompileWithMapsAndHelpers(t *testing.T) {
 	}
 	m, _ := maps.Get(id)
 	_ = m.Update([]byte{1, 0, 0, 0}, []byte{9, 0, 0, 0, 0, 0, 0, 0})
-	if r := p.Exec(nil); r.Err != nil || r.Ret != 9 {
-		t.Fatalf("map exec = %+v", r)
+	if ret, err := p.Run(nil); err != nil || ret != 9 {
+		t.Fatalf("map exec = %d, %v", ret, err)
 	}
 	if p.Stats.HelperCalls != 1 {
 		t.Fatalf("HelperCalls = %d", p.Stats.HelperCalls)
@@ -297,7 +294,10 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-func BenchmarkPipelineExec(b *testing.B) {
+// BenchmarkPipelineRun runs a compiled program on a context in place,
+// the way chase calls it per hop; steady state allocates nothing
+// (asserted in-line).
+func BenchmarkPipelineRun(b *testing.B) {
 	prog := ebpf.MustAssemble(`
 		ldxw r2, [r1+0]
 		mov r0, r2
@@ -308,11 +308,18 @@ func BenchmarkPipelineExec(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := make([]byte, 8)
+	one := func() {
+		if _, err := p.Run(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	one()
+	if a := testing.AllocsPerRun(200, one); a != 0 {
+		b.Fatalf("Pipeline.Run allocates %v objects/op in steady state, want 0", a)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := p.Exec(ctx); r.Err != nil {
-			b.Fatal(r.Err)
-		}
+		one()
 	}
 }

@@ -74,10 +74,11 @@ func TestEvictInFlightItemsComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	var got []any
-	for i := 0; i < 10; i++ {
-		v := i
-		if err := f.Submit(0, v, func(out any) { got = append(got, out) }); err != nil {
+	var works [10]Work
+	var got []*Work
+	for i := range works {
+		works[i].Ctx = []byte{byte(i)}
+		if err := f.Submit(0, &works[i], doneFunc(func(w *Work) { got = append(got, w) })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,9 +89,9 @@ func TestEvictInFlightItemsComplete(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("completed %d of 10 in-flight items after eviction", len(got))
 	}
-	for i, v := range got {
-		if v.(int) != i {
-			t.Fatalf("completion %d reordered: got %v", i, v)
+	for i, w := range got {
+		if w != &works[i] || w.Ctx[0] != byte(i) {
+			t.Fatalf("completion %d reordered: got item %d", i, w.Ctx[0])
 		}
 	}
 }

@@ -85,8 +85,9 @@ type Bitstream struct {
 	// control port. We model the check, not the cryptography.
 	AuthTag string
 	// Process is invoked once per item that flows through the slot, after
-	// the modeled pipeline latency has elapsed. in is the item; the
-	// returned value is emitted downstream (nil drops the item).
+	// the modeled pipeline latency has elapsed. in is the item's *Work
+	// (a nil *Work for an item submitted without one), which Process
+	// reads and fills in place; its return value is not used.
 	Process func(in any) any
 }
 
@@ -313,20 +314,36 @@ func (f *Fabric) Evict(i int) error {
 	return nil
 }
 
-// Submit pushes one item into slot i's pipeline. The result callback
-// fires after the modeled pipeline latency with the value returned by the
-// bitstream's Process function. Throughput is limited by the initiation
-// interval: items entering faster than II cycles apart queue at the slot
-// input (modeled by pushing busyUntil forward), exactly like a stalled
-// AXIS upstream.
-func (f *Fabric) Submit(i int, item any, result func(out any)) error {
-	return f.SubmitSpan(i, item, 0, result)
+// Work is one item's in-place pipeline context. The caller owns it and
+// keeps it alive until its Completer hears it: the slot's image reads
+// and may rewrite Ctx in place and fills Ret and Err, which the fabric
+// clears just before the image runs. Passing a pointer through
+// Bitstream.Process boxes nothing, so an item allocates nothing.
+type Work struct {
+	Ctx []byte // the item's context (a packet header, a tree node)
+	Ret uint64 // the image's result (an eBPF program's r0)
+	Err error  // the image's runtime fault (verified programs never fault)
+}
+
+// Completer hears an item leave its slot's pipeline. A pooled context
+// that submits items implements it and passes itself to Submit, so an
+// item binds no callback.
+type Completer interface{ Processed(w *Work) }
+
+// Submit pushes one item into slot i's pipeline. After the modeled
+// pipeline latency the bitstream's Process runs on w and done (which
+// may be nil) hears it. Throughput is limited by the initiation
+// interval: items entering faster than II cycles apart queue at the
+// slot input (modeled by pushing busyUntil forward), exactly like a
+// stalled AXIS upstream.
+func (f *Fabric) Submit(i int, w *Work, done Completer) error {
+	return f.SubmitSpan(i, w, 0, done)
 }
 
 // SubmitSpan is Submit with a request-scoped trace context: the span
 // recorded for this item (when armed) is tagged with req so it joins
 // the request's critical path.
-func (f *Fabric) SubmitSpan(i int, item any, req telemetry.RequestID, result func(out any)) error {
+func (f *Fabric) SubmitSpan(i int, w *Work, req telemetry.RequestID, done Completer) error {
 	slot, err := f.Slot(i)
 	if err != nil {
 		return err
@@ -350,10 +367,10 @@ func (f *Fabric) SubmitSpan(i int, item any, req telemetry.RequestID, result fun
 	}
 	sc.img = slot.Image
 	sc.i = i
-	sc.item = item
+	sc.w = w
 	sc.req = req
 	sc.issue = issue
-	sc.result = result
+	sc.done = done
 	slot.completions.At(f.eng, complete, sc)
 	return nil
 }
@@ -363,26 +380,30 @@ func (f *Fabric) SubmitSpan(i int, item any, req telemetry.RequestID, result fun
 // image is pinned per item, so a slot reconfigured mid-flight still
 // completes with the old Process.
 type submitCtx struct {
-	f      *Fabric
-	img    *Bitstream
-	i      int
-	item   any
-	req    telemetry.RequestID
-	issue  sim.Time
-	result func(out any)
+	f     *Fabric
+	img   *Bitstream
+	i     int
+	w     *Work
+	req   telemetry.RequestID
+	issue sim.Time
+	done  Completer
 }
 
-// Fire completes the item: Process runs, then the result callback.
+// Fire completes the item: Process runs on its Work, then its Completer
+// hears it.
 func (sc *submitCtx) Fire() {
-	f := sc.f
-	out := sc.img.Process(sc.item)
+	f, w := sc.f, sc.w
+	if w != nil {
+		w.Ret, w.Err = 0, nil
+	}
+	sc.img.Process(w)
 	if f.rec != nil {
 		f.rec.Span("fabric", f.slotNames[sc.i], sc.req, sc.issue, f.eng.Now())
 	}
-	result := sc.result
-	sc.img, sc.item, sc.result = nil, nil, nil
+	done := sc.done
+	sc.img, sc.w, sc.done = nil, nil, nil
 	f.submits.Put(sc)
-	if result != nil {
-		result(out)
+	if done != nil {
+		done.Processed(w)
 	}
 }

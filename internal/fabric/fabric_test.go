@@ -19,6 +19,11 @@ func testBitstream(name string, size int64) *Bitstream {
 	}
 }
 
+// doneFunc is a func as a Completer.
+type doneFunc func(w *Work)
+
+func (f doneFunc) Processed(w *Work) { f(w) }
+
 func newTestFabric(t *testing.T) (*sim.Engine, *Fabric) {
 	t.Helper()
 	eng := sim.NewEngine(1)
@@ -124,9 +129,9 @@ func TestSubmitPipelineLatencyAndThroughput(t *testing.T) {
 	var completions []sim.Time
 	const n = 100
 	for i := 0; i < n; i++ {
-		if err := f.Submit(0, i, func(out any) {
+		if err := f.Submit(0, nil, doneFunc(func(*Work) {
 			completions = append(completions, eng.Now())
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +163,7 @@ func TestSubmitRespectsInitiationInterval(t *testing.T) {
 	eng.Run()
 	var completions []sim.Time
 	for i := 0; i < 10; i++ {
-		_ = f.Submit(0, i, func(out any) { completions = append(completions, eng.Now()) })
+		_ = f.Submit(0, nil, doneFunc(func(*Work) { completions = append(completions, eng.Now()) }))
 	}
 	eng.Run()
 	gap := completions[1].Sub(completions[0])
@@ -169,10 +174,10 @@ func TestSubmitRespectsInitiationInterval(t *testing.T) {
 
 func TestSubmitEmptySlot(t *testing.T) {
 	_, f := newTestFabric(t)
-	if err := f.Submit(0, 1, nil); !errors.Is(err, ErrSlotEmpty) {
+	if err := f.Submit(0, nil, nil); !errors.Is(err, ErrSlotEmpty) {
 		t.Fatalf("err = %v, want ErrSlotEmpty", err)
 	}
-	if err := f.Submit(99, 1, nil); !errors.Is(err, ErrSlotOutOfRange) {
+	if err := f.Submit(99, nil, nil); !errors.Is(err, ErrSlotOutOfRange) {
 		t.Fatalf("err = %v, want ErrSlotOutOfRange", err)
 	}
 }
@@ -195,11 +200,11 @@ func TestSpatialIsolation(t *testing.T) {
 	}
 	eng.Run()
 	for i := 0; i < 1000; i++ {
-		_ = f.Submit(0, i, nil)
+		_ = f.Submit(0, nil, nil)
 	}
 	start := eng.Now()
 	var done sim.Time
-	_ = f.Submit(1, "x", func(out any) { done = eng.Now() })
+	_ = f.Submit(1, &Work{Ctx: []byte("x")}, doneFunc(func(*Work) { done = eng.Now() }))
 	eng.Run()
 	if got := done.Sub(start); got != f.Cycles(10) {
 		t.Fatalf("quiet slot latency %v under load, want %v", got, f.Cycles(10))
@@ -282,7 +287,7 @@ func BenchmarkSubmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = f.Submit(0, i, nil)
+		_ = f.Submit(0, nil, nil)
 		if i%4096 == 0 {
 			eng.Run()
 		}

@@ -603,11 +603,21 @@ type Host struct {
 	dev      *Device
 	ring     func(q int) // doorbell write (via PCIe MMIO in the full system)
 	nextCID  uint16
-	cmds     []hostCmd    // outstanding commands, indexed by CID (see hostCmd)
-	deadline sim.Duration // 0 = no deadline (the default)
+	cmds     []hostCmd     // outstanding commands, indexed by CID (see hostCmd)
+	deadline *hostDeadline // nil = no deadline (the default)
 	rec      *telemetry.Recorder
 	QueueErr int64
 	Timeouts int64 // deadline-synthesized StatusTimeout completions
+}
+
+// hostDeadline is a host's armed per-command timeout: its duration, its
+// event's name, precomputed, and the pooled timers of the commands it
+// is armed for. A host without one pays a nil pointer.
+type hostDeadline struct {
+	h      *Host
+	after  sim.Duration
+	name   string
+	timers sim.FreeList[deadlineTimer]
 }
 
 // SetRecorder arms the telemetry plane: one span per submitted
@@ -629,7 +639,40 @@ func NewHost(dev *Device, ring func(q int)) *Host {
 // StatusTimeout completion and forgets the command (a late device
 // completion for it is dropped). Zero — the default — disables
 // deadlines and leaves submission bit-identical to the unarmed driver.
-func (h *Host) SetDeadline(d sim.Duration) { h.deadline = d }
+func (h *Host) SetDeadline(d sim.Duration) {
+	if d <= 0 {
+		h.deadline = nil
+		return
+	}
+	if h.deadline == nil {
+		h.deadline = &hostDeadline{h: h, name: "nvme.deadline:" + h.dev.cfg.Name}
+	}
+	h.deadline.after = d
+}
+
+// deadlineTimer is one outstanding command's armed deadline, a pooled
+// context whose expiry callback is bound once, when it is fresh. The
+// command's completion cancels ref and recycles it; firing recycles
+// it too, so it is in the pool exactly when ref is not pending.
+type deadlineTimer struct {
+	dl     *hostDeadline
+	cid    uint16
+	ref    sim.EventRef
+	fireFn func()
+}
+
+// expire times the command out: it is still outstanding, because its
+// completion would have cancelled the timer.
+func (dt *deadlineTimer) expire() {
+	h, cid := dt.dl.h, dt.cid
+	dt.ref = sim.NoEvent
+	dt.dl.timers.Put(dt)
+	s := h.outstanding(cid)
+	pcb := s.done
+	*s = hostCmd{}
+	h.Timeouts++
+	pcb.Complete(Completion{CID: cid, Status: StatusTimeout})
+}
 
 // hostCmd is one slot of the host's command table. A CID is a
 // queue-slot index on the wire and it is one here: the table is a
@@ -640,8 +683,8 @@ func (h *Host) SetDeadline(d sim.Duration) { h.deadline = d }
 // closed loop, 65 536 at most, where a slot is a CID) however many
 // commands the host has submitted. A slot is 32 bytes.
 type hostCmd struct {
-	done  Completer    // hears the command's completion
-	timer sim.EventRef // the armed deadline, if any
+	done  Completer      // hears the command's completion
+	timer *deadlineTimer // the armed deadline, if any
 	cid   uint16
 	busy  bool
 }
@@ -686,9 +729,13 @@ func (h *Host) onInterrupt(qid int, c Completion) {
 	if s == nil {
 		return
 	}
-	cb, timer := s.done, s.timer
+	cb, dt := s.done, s.timer
 	*s = hostCmd{}
-	h.dev.eng.Cancel(timer) // a no-op when no deadline was armed
+	if dt != nil {
+		h.dev.eng.Cancel(dt.ref)
+		dt.ref = sim.NoEvent
+		dt.dl.timers.Put(dt)
+	}
 	cb.Complete(c)
 }
 
@@ -747,16 +794,15 @@ func (h *Host) Submit(q int, cmd Command, cb Completer) error {
 		}
 		s := h.claim(cid)
 		s.done, s.cid, s.busy = cb, cid, true
-		if h.deadline > 0 {
-			// The completion cancels this timer, so when it fires the
-			// command it was armed for is still outstanding.
-			s.timer = h.dev.eng.After(h.deadline, "nvme.deadline:"+h.dev.cfg.Name, func() {
-				s := h.outstanding(cid)
-				pcb := s.done
-				*s = hostCmd{}
-				h.Timeouts++
-				pcb.Complete(Completion{CID: cid, Status: StatusTimeout})
-			})
+		if dl := h.deadline; dl != nil {
+			dt, fresh := dl.timers.Get()
+			if fresh {
+				dt.dl = dl
+				dt.fireFn = dt.expire
+			}
+			dt.cid = cid
+			dt.ref = h.dev.eng.After(dl.after, dl.name, dt.fireFn)
+			s.timer = dt
 		}
 	}
 	if h.ring != nil {

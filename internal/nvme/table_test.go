@@ -290,7 +290,7 @@ func TestNilCallbackCompletes(t *testing.T) {
 }
 
 // TestHostSlotIs32Bytes: a command slot holds one Completer, its
-// deadline ref and its CID.
+// deadline timer and its CID.
 func TestHostSlotIs32Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(hostCmd{}); n != 32 {
 		t.Errorf("hostCmd is %d bytes, want 32", n)
@@ -314,6 +314,50 @@ func BenchmarkHostSubmitComplete(b *testing.B) {
 	one()
 	if a := testing.AllocsPerRun(200, one); a != 0 {
 		b.Fatalf("submit and complete allocates %v objects/op in steady state, want 0", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		one()
+	}
+}
+
+// BenchmarkHostSubmitCompleteDeadline is BenchmarkHostSubmitComplete
+// with a deadline armed, once on a host whose commands finish in time
+// (the completion cancels the timer) and once on a host whose deadline
+// is shorter than the device (the timer answers StatusTimeout, the late
+// completion is dropped). The event name is precomputed and the timer
+// is a pooled context, so neither path allocates (asserted in-line).
+func BenchmarkHostSubmitCompleteDeadline(b *testing.B) {
+	eng := sim.NewEngine(1)
+	inTime := NewHost(New(eng, DefaultConfig("intime")), nil)
+	inTime.SetDeadline(sim.Second)
+	late := NewHost(New(eng, DefaultConfig("late")), nil)
+	late.SetDeadline(sim.Picosecond)
+	var ok, timedOut int
+	cb := cplFunc(func(c Completion) {
+		if c.Status == StatusTimeout {
+			timedOut++
+		} else {
+			ok++
+		}
+	})
+	one := func() {
+		if err := inTime.Submit(0, flushCmd, cb); err != nil {
+			b.Fatal(err)
+		}
+		if err := late.Submit(0, flushCmd, cb); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
+	}
+	one()
+	if a := testing.AllocsPerRun(200, one); a != 0 {
+		b.Fatalf("submit and complete with a deadline allocates %v objects/op in steady state, want 0", a)
+	}
+	if ok != timedOut || ok == 0 || late.Timeouts != int64(timedOut) || inTime.Timeouts != 0 {
+		b.Fatalf("%d completions, %d timeouts (late host %d, in-time host %d), want one of each per op",
+			ok, timedOut, late.Timeouts, inTime.Timeouts)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -185,13 +185,15 @@ func (c *Controller) Depart(id int) error {
 	return nil
 }
 
-// Submit offers one request on behalf of tenant id. A tenant without
-// an active slot is refused synchronously with ErrNotActive (done is
-// not called); a full FIFO refuses with fabric.ErrStreamFull. Accepted
+// Submit offers one request on behalf of tenant id: ctx is the item's
+// pipeline context, copied into the request's own fabric.Work, so the
+// caller may reuse it as soon as Submit returns. A tenant without an
+// active slot is refused synchronously with ErrNotActive (done is not
+// called); a full FIFO refuses with fabric.ErrStreamFull. Accepted
 // requests always resolve done exactly once — with nil and a result
-// latency recorded, or with a Retryable/terminal error if scheduling
-// sheds them.
-func (c *Controller) Submit(id int, payload any, bytes int, done func(error)) error {
+// latency recorded, with a Retryable/terminal error if scheduling sheds
+// them, or with ErrFaulted if the slot's image faults on the item.
+func (c *Controller) Submit(id int, ctx []byte, bytes int, done func(error)) error {
 	t, err := c.lookup(id)
 	if err != nil {
 		return err
@@ -203,11 +205,11 @@ func (c *Controller) Submit(id int, payload any, bytes int, done func(error)) er
 	rq := c.getReq()
 	rq.id = id
 	rq.t0 = c.eng.Now()
-	rq.payload = payload
+	rq.work.Ctx = append(rq.work.Ctx[:0], ctx...)
 	rq.done = done
 	rq.span = t.crec.NewRequest()
 	if err := c.arb.Push(t.Port, fabric.Item{Payload: rq, Bytes: bytes, Span: rq.span}); err != nil {
-		rq.payload, rq.done = nil, nil
+		rq.done = nil
 		c.reqs.Put(rq)
 		t.Shed++
 		return err
@@ -508,36 +510,41 @@ func (c *Controller) dispatch(it fabric.Item) {
 		c.resolve(rq, ErrEvicted)
 		return
 	}
-	if err := c.fab.SubmitSpan(t.Slot, rq.payload, rq.span, rq.fireFn); err != nil {
+	if err := c.fab.SubmitSpan(t.Slot, &rq.work, rq.span, rq); err != nil {
 		c.resolve(rq, ErrEvicted)
 	}
 }
 
 // request carries one in-flight tenant request through the WFQ and the
-// slot pipeline; instances cycle through the controller's free list
-// (they hold no event refs, only payload bookkeeping).
+// slot pipeline, whose item it is (work) and whose Completer it is;
+// instances cycle through the controller's free list (they hold no
+// event refs), and work.Ctx keeps its capacity across recycling.
 type request struct {
-	c       *Controller
-	id      int
-	t0      sim.Time
-	span    telemetry.RequestID
-	payload any
-	done    func(error)
-	fireFn  func(out any)
+	c    *Controller
+	id   int
+	t0   sim.Time
+	span telemetry.RequestID
+	work fabric.Work
+	done func(error)
 }
 
 func (c *Controller) getReq() *request {
 	rq, fresh := c.reqs.Get()
 	if fresh {
 		rq.c = c
-		rq.fireFn = rq.complete
 	}
 	return rq
 }
 
-func (rq *request) complete(out any) {
-	_ = out
+// Processed completes the request when its item leaves the slot: a
+// result latency is recorded, or a faulted run resolves with the
+// terminal ErrFaulted.
+func (rq *request) Processed(w *fabric.Work) {
 	c := rq.c
+	if w.Err != nil {
+		c.resolve(rq, fmt.Errorf("%w: %w", ErrFaulted, w.Err))
+		return
+	}
 	t := c.tenants[rq.id]
 	now := c.eng.Now()
 	t.Lat.Record(now.Sub(rq.t0))
@@ -546,7 +553,7 @@ func (rq *request) complete(out any) {
 		t.crec.Span("tenant", "request", rq.span, rq.t0, now)
 	}
 	done := rq.done
-	rq.payload, rq.done = nil, nil
+	rq.done = nil
 	c.reqs.Put(rq)
 	if done != nil {
 		done(nil)
@@ -564,7 +571,7 @@ func (c *Controller) resolve(rq *request, err error) {
 		t.crec.Count("tenant", "shed", 1)
 	}
 	done := rq.done
-	rq.payload, rq.done = nil, nil
+	rq.done = nil
 	c.reqs.Put(rq)
 	if done != nil {
 		done(err)

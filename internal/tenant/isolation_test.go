@@ -108,7 +108,7 @@ func reconfigLoadRun(t *testing.T, rec *telemetry.Recorder) (seqs []int, times [
 		s := seq
 		seq++
 		eng.At(ti.Add(sim.Microsecond), "steady.submit", func() {
-			if err := c.Submit(a.ID, s, 128, func(err error) {
+			if err := c.Submit(a.ID, nil, 128, func(err error) {
 				if err != nil {
 					t.Errorf("steady request %d failed during reconfig-under-load: %v", s, err)
 				}

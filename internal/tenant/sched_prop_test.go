@@ -86,7 +86,7 @@ func runTape(seed uint64, nops int) tapeResult {
 			n := 1 + rng.Intn(8)
 			record("submit id=%d n=%d", id, n)
 			for j := 0; j < n; j++ {
-				err := c.Submit(id, j, 64+rng.Intn(4)*64, func(error) { res.resolved++ })
+				err := c.Submit(id, nil, 64+rng.Intn(4)*64, func(error) { res.resolved++ })
 				if err == nil {
 					res.accepted++
 				}

@@ -85,6 +85,7 @@ var (
 	ErrEvicted   = errors.New("tenant: slot evicted mid-flight")
 	ErrPreempted = errors.New("tenant: preempted at lease expiry")
 	ErrDeparted  = errors.New("tenant: departed with requests in flight")
+	ErrFaulted   = errors.New("tenant: slot image faulted on the request")
 )
 
 // Retryable reports whether a request that failed with err may be

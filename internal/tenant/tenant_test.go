@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"hyperion/internal/ebpf"
+	"hyperion/internal/ehdl"
 	"hyperion/internal/fabric"
 	"hyperion/internal/sim"
 )
@@ -21,7 +23,7 @@ func testImage(name string, mib int64) *fabric.Bitstream {
 	}
 }
 
-func newTestPlane(t *testing.T, lease sim.Duration) (*sim.Engine, *fabric.Fabric, *Controller) {
+func newTestPlane(t testing.TB, lease sim.Duration) (*sim.Engine, *fabric.Fabric, *Controller) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	fab := fabric.New(eng, fabric.DefaultConfig(), "tag")
@@ -68,7 +70,7 @@ func TestPlacementAndSubmit(t *testing.T) {
 		t.Fatalf("not placed immediately: %v slot %d", tn.State, tn.Slot)
 	}
 	// Submit before activation is refused retryably.
-	if err := c.Submit(tn.ID, 1, 64, nil); !errors.Is(err, ErrNotActive) {
+	if err := c.Submit(tn.ID, nil, 64, nil); !errors.Is(err, ErrNotActive) {
 		t.Fatalf("submit while reconfiguring: %v", err)
 	}
 	eng.Run()
@@ -81,7 +83,7 @@ func TestPlacementAndSubmit(t *testing.T) {
 	}
 	var done int
 	for i := 0; i < 10; i++ {
-		if err := c.Submit(tn.ID, i, 64, func(err error) {
+		if err := c.Submit(tn.ID, nil, 64, func(err error) {
 			if err != nil {
 				t.Errorf("request failed: %v", err)
 			}
@@ -222,7 +224,7 @@ func TestSLOViolationAccounting(t *testing.T) {
 	}
 	eng.Run()
 	for i := 0; i < 20; i++ {
-		if err := c.Submit(tn.ID, i, 64, nil); err != nil {
+		if err := c.Submit(tn.ID, nil, 64, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,5 +235,91 @@ func TestSLOViolationAccounting(t *testing.T) {
 	}
 	if rows[0].ViolGood {
 		t.Fatal("met goodput floor flagged")
+	}
+}
+
+// TestFaultedRunFails pins how a pipeline fault resolves: the request
+// fails with the terminal ErrFaulted (wrapping the image's error),
+// counts as Failed and adds no latency sample, and the next request on
+// the same recycled context completes normally.
+func TestFaultedRunFails(t *testing.T) {
+	eng, _, c := newTestPlane(t, 0)
+	errImage := errors.New("test image: fault")
+	img := testImage("faulty", 1)
+	img.Process = func(in any) any {
+		if w := in.(*fabric.Work); w.Ctx[0] == 1 {
+			w.Err = errImage
+		}
+		return in
+	}
+	tn, err := c.Admit(Spec{Name: "faulty", Weight: 1, Image: img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	var got []error
+	done := func(err error) { got = append(got, err) }
+	for _, ctx := range [][]byte{{1}, {0}} {
+		if err := c.Submit(tn.ID, ctx, 64, done); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	}
+	if len(got) != 2 || !errors.Is(got[0], ErrFaulted) || !errors.Is(got[0], errImage) || Retryable(got[0]) || got[1] != nil {
+		t.Fatalf("resolutions = %v, want [terminal ErrFaulted, nil]", got)
+	}
+	if tn.Failed != 1 || tn.Completed != 1 || tn.Lat.Count() != 1 {
+		t.Fatalf("failed %d completed %d samples %d, want 1 1 1", tn.Failed, tn.Completed, tn.Lat.Count())
+	}
+	if row := c.Report(sim.Millisecond)[0]; row.Failed != 1 || row.Completed != 1 {
+		t.Fatalf("report row = %+v", row)
+	}
+}
+
+// BenchmarkSubmitCompleteEhdl is one tenant request through the WFQ
+// into a compiled eHDL image and back: the context is copied into the
+// request's own Work, which the program runs on in place and which
+// completes the request itself, so steady state allocates nothing
+// (asserted in-line).
+func BenchmarkSubmitCompleteEhdl(b *testing.B) {
+	eng, _, c := newTestPlane(b, 0)
+	pipe, err := ehdl.Compile(ebpf.MustAssemble(`
+		ldxw r2, [r1+0]
+		mov r0, r2
+		and r0, 1
+		exit`), ehdl.Options{Name: "parity", AuthTag: "tag", CtxBytes: 8, Verifier: ebpf.DefaultVerifierConfig(nil)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tn, err := c.Admit(Spec{Name: "bench", Weight: 1, Image: pipe.Bitstream()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.Run()
+	ctx := make([]byte, 8)
+	var failed error
+	done := func(err error) {
+		if err != nil {
+			failed = err
+		}
+	}
+	one := func() {
+		if err := c.Submit(tn.ID, ctx, 64, done); err != nil {
+			b.Fatal(err)
+		}
+		eng.Run()
+	}
+	one()
+	if a := testing.AllocsPerRun(200, one); a != 0 {
+		b.Fatalf("submit and complete allocates %v objects/op in steady state, want 0", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		one()
+	}
+	b.StopTimer()
+	if failed != nil || tn.Failed != 0 {
+		b.Fatalf("requests failed: %v", failed)
 	}
 }

@@ -123,10 +123,14 @@ type Packet struct {
 	AuthFail bool // ssh-style authentication failure indicator
 }
 
-// Marshal encodes a packet header into a 20-byte context buffer (the
-// eBPF programs parse this layout).
-func (p Packet) Marshal() []byte {
-	b := make([]byte, 20)
+// PacketBytes is the size of a marshalled packet header.
+const PacketBytes = 20
+
+// MarshalTo encodes the packet header into the context buffer
+// b[:PacketBytes] (the eBPF programs parse this layout). It writes every
+// byte of it, so a reused buffer needs no clearing.
+func (p Packet) MarshalTo(b []byte) {
+	_ = b[PacketBytes-1]
 	binary.LittleEndian.PutUint32(b[0:], p.SrcIP)
 	binary.LittleEndian.PutUint32(b[4:], p.DstIP)
 	binary.LittleEndian.PutUint16(b[8:], p.SrcPort)
@@ -134,10 +138,12 @@ func (p Packet) Marshal() []byte {
 	b[12] = p.Proto
 	b[13] = p.Flags
 	binary.LittleEndian.PutUint32(b[14:], uint32(p.Bytes))
+	var fail byte
 	if p.AuthFail {
-		b[18] = 1
+		fail = 1
 	}
-	return b
+	b[18] = fail
+	b[19] = 0
 }
 
 // AttackGen produces a mixed trace of benign traffic and brute-force

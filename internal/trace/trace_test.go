@@ -73,7 +73,14 @@ func TestValueDeterministic(t *testing.T) {
 func TestPacketMarshalRoundTrip(t *testing.T) {
 	p := Packet{SrcIP: 0x0a010203, DstIP: 0xC0A80001, SrcPort: 3456, DstPort: 22,
 		Proto: 6, Flags: 0x12, Bytes: 1000, AuthFail: true}
-	b := p.Marshal()
+	b := make([]byte, PacketBytes)
+	for i := range b {
+		b[i] = 0xAA // a reused buffer: MarshalTo must overwrite every byte
+	}
+	p.MarshalTo(b)
+	if b[19] != 0 {
+		t.Fatalf("pad byte = %#x, want 0", b[19])
+	}
 	q := Packet{
 		SrcIP: binary.LittleEndian.Uint32(b[0:]), DstIP: binary.LittleEndian.Uint32(b[4:]),
 		SrcPort: binary.LittleEndian.Uint16(b[8:]), DstPort: binary.LittleEndian.Uint16(b[10:]),

@@ -30,7 +30,7 @@ func cmdBuild(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "build:", err)
 		return 1
 	}
-	prog, pipe, err := ehdl.CompileSource(filepath.Base(path), src, nil, "", "hyperionctl-build")
+	prog, img, err := ehdl.CompileSource(filepath.Base(path), src, nil, "hyperionctl-build")
 	if err != nil {
 		var diags gofront.DiagList
 		if errors.As(err, &diags) {
@@ -50,7 +50,7 @@ func cmdBuild(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "map %d %s: key %dB value %dB, %d entries\n",
 			m.ID, m.Name, m.KeySize, m.ValueSize, m.Entries)
 	}
-	st := pipe.Stats
+	st := img.Stats
 	fmt.Fprintf(stdout, "pipeline: %d uops (%d before optimization), depth %d, II %d, %d mem ops, %d helper calls\n",
 		st.Instructions, st.OrigInsns, st.Depth, st.II, st.MemOps, st.HelperCalls)
 	fmt.Fprintln(stdout)

@@ -72,17 +72,25 @@ type Service struct {
 	OffloadGets, NodeFetches int64
 }
 
-// NewService registers the chase methods on the DPU's control server
-// (data-plane RPC uses the same machinery). The per-hop program is
-// verified and compiled at deploy time.
-func NewService(d *core.DPU, srv *rpc.Server, tree *bptree.Tree) (*Service, error) {
-	prog, pipe, err := ehdl.CompileSource(stepFile, stepSource, nil, "chase-step", d.Cfg.AuthTag)
+// Compile builds the per-hop program into a verified eHDL image
+// authorized by authTag. Compile once per run; each NewService runs its
+// own instance of the image.
+func Compile(authTag string) (*ehdl.Image, error) {
+	prog, img, err := ehdl.CompileSource(stepFile, stepSource, nil, authTag)
 	if err != nil {
 		return nil, fmt.Errorf("chase: compiling step program: %w", err)
 	}
 	if err := checkCtxSize(prog); err != nil {
 		return nil, err
 	}
+	return img, nil
+}
+
+// NewService registers the chase methods on the DPU's control server
+// (data-plane RPC uses the same machinery), running the per-hop
+// program as an instance of img (see Compile).
+func NewService(d *core.DPU, srv *rpc.Server, tree *bptree.Tree, img *ehdl.Image) *Service {
+	pipe := img.Instance("chase-step")
 	s := &Service{dpu: d, tree: tree, pipe: pipe}
 
 	srv.Handle(MethodMeta, func(arg any, respond func(any, int, error)) {
@@ -124,7 +132,7 @@ func NewService(d *core.DPU, srv *rpc.Server, tree *bptree.Tree) (*Service, erro
 			respond(reply, 64, nil)
 		})
 	})
-	return s, nil
+	return s
 }
 
 // offloadedGet runs the XRP-style loop: fetch node, run the verified

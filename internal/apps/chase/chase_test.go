@@ -36,10 +36,11 @@ func rig(t testing.TB, keys int) (*sim.Engine, *Service, *Client, *bptree.Tree) 
 		}
 	}
 	d.View.TakeCost() // discard load-phase cost
-	svc, err := NewService(d, d.CtrlSrv, tree)
+	img, err := Compile(d.Cfg.AuthTag)
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc := NewService(d, d.CtrlSrv, tree, img)
 	cn, _ := net.Attach("client")
 	cli := rpc.NewClient(eng, transport.New(eng, core.Transport, cn))
 	cli.Timeout = sim.Duration(sim.Second)

@@ -8,8 +8,8 @@ import (
 	"hyperion/internal/ebpf/gofront"
 )
 
-// The per-hop program ships as restricted Go. NewService builds it into
-// a pipeline through ehdl.CompileSource; the hand-assembled original
+// The per-hop program ships as restricted Go. Compile builds it into an
+// image through ehdl.CompileSource; the hand-assembled original
 // lives on in frontend_test.go as the differential-test oracle, and the
 // two must stay shape-identical instruction by instruction.
 

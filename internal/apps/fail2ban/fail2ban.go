@@ -53,29 +53,30 @@ const logCapacity = 1 << 20
 // bansMapID is filter_prog.go's "//hyperion:map bans" id.
 const bansMapID = 0
 
-// NewPipeline compiles a fresh, self-contained filter instance — the
-// gofront-compiled program plus the ban and failure-count maps its
-// source declares — into an eHDL pipeline authorized by authTag. Each
-// call returns independent state, so the tenant plane can run one
-// filter instance per tenant in separate slots.
-func NewPipeline(name, authTag string, threshold int) (*ehdl.Pipeline, error) {
-	prog, pipe, err := ehdl.CompileSource(filterFile, filterSource, filterConsts(threshold), name, authTag)
+// Compile builds the filter for a ban threshold into an eHDL image
+// authorized by authTag: the gofront-compiled program plus the ban and
+// failure-count maps its source declares. Compile once per run; each
+// img.Instance is an independent filter with its own maps, so the
+// tenant plane runs one instance per tenant in separate slots.
+func Compile(authTag string, threshold int) (*ehdl.Image, error) {
+	prog, img, err := ehdl.CompileSource(filterFile, filterSource, filterConsts(threshold), authTag)
 	if err != nil {
 		return nil, fmt.Errorf("fail2ban: compiling filter: %w", err)
 	}
 	if err := checkCtxSize(prog); err != nil {
 		return nil, err
 	}
-	return pipe, nil
+	return img, nil
 }
 
-// Deploy compiles the filter, loads it into a fabric slot, and
+// Deploy compiles the filter, loads an instance into a fabric slot, and
 // allocates the persistent ban log. done fires when the slot is active.
 func Deploy(d *core.DPU, slot, threshold int, done func()) (*Filter, error) {
-	pipe, err := NewPipeline("fail2ban", d.Cfg.AuthTag, threshold)
+	img, err := Compile(d.Cfg.AuthTag, threshold)
 	if err != nil {
 		return nil, err
 	}
+	pipe := img.Instance("fail2ban")
 	bans, err := pipe.VM().Maps.Get(bansMapID)
 	if err != nil {
 		return nil, err

@@ -9,9 +9,9 @@ import (
 )
 
 // The packet filter ships as restricted Go, with the ban threshold
-// injected as a constant override. NewPipeline builds it into a
-// pipeline through ehdl.CompileSource, which also creates the maps the
-// source declares; the hand-assembled original lives on in
+// injected as a constant override. Compile builds it into an image
+// through ehdl.CompileSource, which also records the maps the source
+// declares; the hand-assembled original lives on in
 // frontend_test.go as the differential-test oracle, and the two must
 // stay shape-identical instruction by instruction.
 

@@ -7,6 +7,7 @@ import (
 	"hyperion/internal/apps/fail2ban"
 	"hyperion/internal/apps/lb"
 	"hyperion/internal/core"
+	"hyperion/internal/ehdl"
 	"hyperion/internal/netsim"
 	"hyperion/internal/nvme"
 	"hyperion/internal/rpc"
@@ -52,17 +53,21 @@ func pointerChase(seed uint64, rec *telemetry.Recorder) Result {
 	r := Result{ID: "E7", Title: "§2.4 — pointer chasing: client-side RTTs vs offloaded"}
 	r.Table.Header = []string{"keys", "height", "client RTTs", "client latency", "offload RTTs", "offload latency", "speedup"}
 	sweep := []int{150, 8000, 40000}
+	img, err := chase.Compile(core.DefaultConfig("chase").AuthTag)
+	if err != nil {
+		panic(err)
+	}
 	rows := runRows(len(sweep), rec,
 		func(i int) string { return fmt.Sprintf("e7.keys%d", sweep[i]) },
-		func(i int, crec *telemetry.Recorder) tableRow { return pointerChaseRow(seed, sweep[i], crec) })
+		func(i int, crec *telemetry.Recorder) tableRow { return pointerChaseRow(seed, sweep[i], img, crec) })
 	r.addRows(rows)
 	r.Notes = append(r.Notes, "client-side pays height+1 round trips; the offloaded verified program pays one")
 	return r
 }
 
 // pointerChaseRow is one E7 row: a DPU serving a keys-entry B+ tree,
-// looked up client-side and through the offload.
-func pointerChaseRow(seed uint64, keys int, crec *telemetry.Recorder) tableRow {
+// looked up client-side and through an instance of the per-hop image.
+func pointerChaseRow(seed uint64, keys int, img *ehdl.Image, crec *telemetry.Recorder) tableRow {
 	eng := sim.NewEngine(seed)
 	net := netsim.New(eng, netsim.DefaultConfig())
 	cfg := core.DefaultConfig("chase")
@@ -86,11 +91,7 @@ func pointerChaseRow(seed uint64, keys int, crec *telemetry.Recorder) tableRow {
 		}
 	}
 	d.View.TakeCost()
-	svc, err := chase.NewService(d, d.CtrlSrv, tree)
-	if err != nil {
-		panic(err)
-	}
-	_ = svc
+	chase.NewService(d, d.CtrlSrv, tree, img)
 	if crec != nil {
 		d.SetRecorder(crec)
 		net.SetRecorder(crec)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hyperion/internal/apps/fail2ban"
+	"hyperion/internal/ehdl"
 	"hyperion/internal/fabric"
 	"hyperion/internal/fault"
 	"hyperion/internal/sim"
@@ -86,9 +87,10 @@ func tenantClass(i int) int {
 }
 
 // tenantSpec builds arrival i's spec: name, weight, SLO, and a fresh
-// image (filters compile their own pipeline with private map state, so
-// two filter tenants never share a ban table).
-func tenantSpec(i int) tenant.Spec {
+// image (a filter tenant runs its own instance of the run's compiled
+// filter, with private map state, so two filter tenants never share a
+// ban table).
+func tenantSpec(i int, filter *ehdl.Image) tenant.Spec {
 	echo := func(name string, mib int64, depth int) *fabric.Bitstream {
 		return &fabric.Bitstream{
 			Name: name, SizeBytes: mib << 20,
@@ -112,10 +114,7 @@ func tenantSpec(i int) tenant.Spec {
 		return tenant.Spec{Name: fmt.Sprintf("t%02d-scan", i), Weight: 1 + i%4, Image: img,
 			SLO: tenant.SLO{P99: 500 * sim.Microsecond, Goodput: 1000}}
 	default:
-		pipe, err := fail2ban.NewPipeline(fmt.Sprintf("f2b%02d", i), tenantAuthTag, 3)
-		if err != nil {
-			panic("bench: fail2ban pipeline: " + err.Error())
-		}
+		pipe := filter.Instance(fmt.Sprintf("f2b%02d", i))
 		return tenant.Spec{Name: fmt.Sprintf("t%02d-filter", i), Weight: 1 + i%4, Image: pipe.Bitstream(),
 			SLO: tenant.SLO{P99: 500 * sim.Microsecond, Goodput: 1000}}
 	}
@@ -149,8 +148,8 @@ func tenantMix(seed uint64, idx int) uint64 {
 // — never the engine's — so results are shard-layout invariant.
 // rename relabels tenant display names (nil = identity); every
 // scheduling input is index-derived, so renaming can only permute
-// report rows.
-func startTenantCell(eng *sim.Engine, seed uint64, cc tenantCellCfg, rec *telemetry.Recorder, rename func(string) string) *tenantCellRun {
+// report rows. filter is the run's compiled fail2ban image.
+func startTenantCell(eng *sim.Engine, seed uint64, cc tenantCellCfg, filter *ehdl.Image, rec *telemetry.Recorder, rename func(string) string) *tenantCellRun {
 	if rename == nil {
 		rename = func(s string) string { return s }
 	}
@@ -174,7 +173,7 @@ func startTenantCell(eng *sim.Engine, seed uint64, cc tenantCellCfg, rec *teleme
 	rnd := sim.NewRand(tenantMix(seed, cc.idx))
 	cell := &tenantCellRun{cfg: cc, ctl: ctl, quiet: rename("aa-quiet")}
 	for i := 0; i < cc.n; i++ {
-		spec := tenantSpec(i)
+		spec := tenantSpec(i, filter)
 		spec.Name = rename(spec.Name)
 		departAt := sim.Time(0)
 		if i%4 == 3 {
@@ -184,7 +183,7 @@ func startTenantCell(eng *sim.Engine, seed uint64, cc tenantCellCfg, rec *teleme
 	}
 	late := tenant.Spec{
 		Name: rename("zz-late"), Weight: 2,
-		Image: tenantSpec(0).Image,
+		Image: tenantSpec(0, filter).Image,
 		SLO:   tenant.SLO{P99: 200 * sim.Microsecond, Goodput: 1000},
 	}
 	cell.admit(eng, rnd, tenantLateAt, late, classEcho, 0)
@@ -274,6 +273,16 @@ func (cell *tenantCellRun) row(t *sim.Table) {
 		itoa(int64(viol)), quietP99.String(), worst.String())
 }
 
+// compileTenantFilter compiles the filter tenants' fail2ban image, once
+// per run: every filter tenant of every cell is an instance of it.
+func compileTenantFilter() *ehdl.Image {
+	img, err := fail2ban.Compile(tenantAuthTag, 3)
+	if err != nil {
+		panic("bench: fail2ban image: " + err.Error())
+	}
+	return img
+}
+
 // Tenants (E18) sweeps the multi-tenant control plane: tenant count ×
 // slot-lease policy × fault-plane eviction rate, every cell a full
 // admission/placement/reconfiguration/churn scenario over its own
@@ -303,6 +312,7 @@ func tenantRun(seed uint64, shards int, rec *telemetry.Recorder) Result {
 	r := Result{ID: "E18", Title: "multi-tenant control plane — admission, slot leases, SLO isolation under churn"}
 	r.Table.Header = []string{"tenants", "lease", "fault", "adm", "rej", "reconf", "preempt", "evict",
 		"ops", "ok", "retry", "err", "viol", "quiet p99", "worst p99"}
+	filter := compileTenantFilter()
 	cl := sim.NewCluster(shards, seed, tenantLookahead)
 	var cells []*tenantCellRun
 	idx := 0
@@ -315,7 +325,7 @@ func tenantRun(seed uint64, shards int, rec *telemetry.Recorder) Result {
 					crec = rec.Child(fmt.Sprintf("e18.cell%02d", idx))
 				}
 				cells = append(cells, startTenantCell(eng, seed,
-					tenantCellCfg{idx: idx, n: n, lease: lease, rate: rate}, crec, nil))
+					tenantCellCfg{idx: idx, n: n, lease: lease, rate: rate}, filter, crec, nil))
 				idx++
 			}
 		}
@@ -355,7 +365,8 @@ func TenantScenarioRelabeled(seed uint64, tenants int, lease sim.Duration, fault
 
 func tenantScenario(seed uint64, tenants int, lease sim.Duration, faultRate float64, rename func(string) string) (Result, []tenant.Row) {
 	eng := sim.NewEngine(seed)
-	cell := startTenantCell(eng, seed, tenantCellCfg{idx: 0, n: tenants, lease: lease, rate: faultRate}, nil, rename)
+	cell := startTenantCell(eng, seed, tenantCellCfg{idx: 0, n: tenants, lease: lease, rate: faultRate},
+		compileTenantFilter(), nil, rename)
 	eng.Run()
 	if err := cell.ctl.CheckInvariants(); err != nil {
 		panic("bench: tenant scenario invariants: " + err.Error())

@@ -33,8 +33,6 @@ type Options struct {
 	// Verifier supplies map/helper signatures. Maps/helper impls come
 	// from the runtime via NewVM.
 	Verifier ebpf.VerifierConfig
-	// Helpers are installed into the execution VM.
-	Helpers map[int32]ebpf.Helper
 }
 
 // ilp is the instructions retired per pipeline stage (VLIW fusion
@@ -53,23 +51,47 @@ type Stats struct {
 	SizeBytes    int64
 }
 
-// Pipeline is a compiled accelerator ready to load into a fabric slot.
+// Image is a compiled offload: the verified, optimized program, the
+// hardware shape it synthesizes to, its auth tag, and the map
+// declarations its state is built from. An Image holds no state and is
+// never written after compilation, so one compile serves every
+// deployment of a source: Instance gives each its own maps and VM.
+type Image struct {
+	Stats   Stats
+	prog    []ebpf.Instruction
+	authTag string
+	maps    []gofront.MapDecl
+}
+
+// Pipeline is a compiled accelerator ready to load into a fabric slot:
+// an image's program bound to one VM and the maps that VM reads.
 type Pipeline struct {
-	Name  string
-	Prog  []ebpf.Instruction
-	Stats Stats
-	vm    *ebpf.VM
-	opts  Options
+	Name    string
+	Prog    []ebpf.Instruction
+	Stats   Stats
+	authTag string
+	vm      *ebpf.VM
 }
 
 // ErrCompile wraps compilation failures.
 var ErrCompile = errors.New("ehdl: compilation failed")
 
-// Compile verifies, optimizes, and packages prog.
+// Compile verifies, optimizes, and packages prog, bound to the maps
+// opts.Verifier declares: the caller's MapSet is the pipeline's state.
 func Compile(prog []ebpf.Instruction, opts Options) (*Pipeline, error) {
 	if opts.Name == "" {
 		opts.Name = "ehdl"
 	}
+	img, err := compileImage(prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	return img.bind(opts.Name, opts.Verifier.Maps), nil
+}
+
+// compileImage is the toolchain proper: verify, optimize, verify again,
+// estimate. Its Image declares no maps; CompileSource adds them.
+func compileImage(prog []ebpf.Instruction, opts Options) (*Image, error) {
 	if opts.CtxBytes <= 0 {
 		opts.CtxBytes = 512
 	}
@@ -92,48 +114,32 @@ func Compile(prog []ebpf.Instruction, opts Options) (*Pipeline, error) {
 			return nil, fmt.Errorf("%w: optimizer broke verification: %v", ErrCompile, err)
 		}
 	}
-	st := estimate(prog, opts)
+	st := estimate(prog)
 	st.OrigInsns = orig
-
-	vm := ebpf.NewVM(vcfg.Maps)
-	//hyperlint:allow(maprange) RegisterHelper stores vm.helpers[id] for distinct ids; visit order cannot matter
-	for id, h := range opts.Helpers {
-		vm.RegisterHelper(id, h)
-	}
-	if err := vm.Load(prog); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCompile, err)
-	}
-	return &Pipeline{Name: opts.Name, Prog: prog, Stats: st, vm: vm, opts: opts}, nil
+	return &Image{Stats: st, prog: prog, authTag: opts.AuthTag}, nil
 }
 
-// CompileSource is the toolchain's front door, source to deployable
-// pipeline: it compiles one restricted-Go file through gofront (consts
-// overrides the constants the source declares), creates the hash maps
-// its //hyperion:map directives declare, verifies against the context
-// size the source's entry function fixes, and optimizes. The maps are
-// the pipeline's own — reachable by id through p.VM().Maps — so every
-// call yields an independent instance. name defaults to the entry
-// function's. A source the frontend rejects comes back as its
-// gofront.DiagList.
-func CompileSource(filename string, src []byte, consts map[string]int64, name, authTag string) (*gofront.Program, *Pipeline, error) {
+// CompileSource is the toolchain's front door, source to image: it
+// compiles one restricted-Go file through gofront (consts overrides the
+// constants the source declares), verifies against the hash maps its
+// //hyperion:map directives declare and the context size its entry
+// function fixes, and optimizes. It runs once per source; every
+// deployment is an Instance of the image. A source the frontend
+// rejects comes back as its gofront.DiagList.
+func CompileSource(filename string, src []byte, consts map[string]int64, authTag string) (*gofront.Program, *Image, error) {
 	prog, err := gofront.Compile(filename, src, gofront.Options{Consts: consts})
 	if err != nil {
 		return nil, nil, err
 	}
-	maps := &ebpf.MapSet{}
-	for _, m := range prog.Maps {
-		if id := maps.Add(ebpf.NewHashMap(m.KeySize, m.ValueSize, m.Entries)); id != m.ID {
+	for i, m := range prog.Maps {
+		if m.ID != i {
 			return nil, nil, fmt.Errorf("%w: %s: map %s has id %d, want %d (ids count up from 0)",
-				ErrCompile, filename, m.Name, m.ID, id)
+				ErrCompile, filename, m.Name, m.ID, i)
 		}
 	}
-	if name == "" {
-		name = prog.Entry
-	}
-	vcfg := ebpf.DefaultVerifierConfig(maps)
+	vcfg := ebpf.DefaultVerifierConfig(newMaps(prog.Maps))
 	vcfg.CtxSize = prog.CtxSize
-	pipe, err := Compile(prog.Insns, Options{
-		Name:     name,
+	img, err := compileImage(prog.Insns, Options{
 		AuthTag:  authTag,
 		Optimize: true,
 		CtxBytes: prog.CtxSize,
@@ -142,11 +148,39 @@ func CompileSource(filename string, src []byte, consts map[string]int64, name, a
 	if err != nil {
 		return nil, nil, err
 	}
-	return prog, pipe, nil
+	img.maps = prog.Maps
+	return prog, img, nil
+}
+
+// Instance binds the image's program to fresh state: a MapSet built
+// from the image's declarations alone, so two instances never share an
+// entry, and a VM over the image's instruction slice. The verifier
+// reads nothing of a map but its id, key size and value size, which
+// the declarations fix, so its verdict holds for every instance and
+// nothing is verified again.
+func (img *Image) Instance(name string) *Pipeline {
+	return img.bind(name, newMaps(img.maps))
+}
+
+// newMaps builds one empty hash map per declaration, ids in order.
+func newMaps(decls []gofront.MapDecl) *ebpf.MapSet {
+	maps := &ebpf.MapSet{}
+	for _, m := range decls {
+		maps.Add(ebpf.NewHashMap(m.KeySize, m.ValueSize, m.Entries))
+	}
+	return maps
+}
+
+func (img *Image) bind(name string, maps *ebpf.MapSet) *Pipeline {
+	vm := ebpf.NewVM(maps)
+	if err := vm.Load(img.prog); err != nil {
+		panic("ehdl: loading a verified program: " + err.Error())
+	}
+	return &Pipeline{Name: name, Prog: img.prog, Stats: img.Stats, authTag: img.authTag, vm: vm}
 }
 
 // estimate derives the hardware shape from the instruction mix.
-func estimate(prog []ebpf.Instruction, opts Options) Stats {
+func estimate(prog []ebpf.Instruction) Stats {
 	st := Stats{Instructions: len(prog), II: 1}
 	for _, ins := range prog {
 		switch ins.Class() {
@@ -223,7 +257,7 @@ func (p *Pipeline) Bitstream() *fabric.Bitstream {
 		Uses:      p.Stats.Resources,
 		Depth:     p.Stats.Depth,
 		II:        p.Stats.II,
-		AuthTag:   p.opts.AuthTag,
+		AuthTag:   p.authTag,
 		Process: func(in any) any {
 			if w, _ := in.(*fabric.Work); w != nil {
 				w.Ret, w.Err = p.Run(w.Ctx)

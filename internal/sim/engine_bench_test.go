@@ -101,3 +101,25 @@ func BenchmarkEngine_Churn(b *testing.B) {
 	b.Run("depth1k", func(b *testing.B) { benchChurn(b, 1000) })
 	b.Run("depth100k", func(b *testing.B) { benchChurn(b, 100000) })
 }
+
+// BenchmarkEngine_Ties is E18's shape: about 330 pending events on a
+// 100 µs grid, so hundreds of entries share each `at` and only `seq`
+// orders them. Each op fires the earliest event, which re-schedules
+// itself one period later.
+func BenchmarkEngine_Ties(b *testing.B) {
+	const pending, period = 330, 100 * Microsecond
+	e := NewEngine(1)
+	var fn func()
+	fn = func() { e.After(period, "", fn) }
+	for i := 0; i < pending; i++ {
+		e.At(Time(i%3)*Time(period), "", fn)
+	}
+	for i := 0; i < 4*pending; i++ { // warm the pool and the heap
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

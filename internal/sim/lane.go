@@ -90,7 +90,7 @@ func (l *Lane[T, P]) advance(e *Engine, slot int32) Event {
 	if l.n > 0 {
 		next := l.pop()
 		l.head = next.ev
-		e.q.replaceTop(heapEntry{at: next.at, seq: next.seq, slot: slot})
+		e.q.siftDown(heapEntry{at: next.at, seq: next.seq, slot: slot})
 	} else {
 		e.q.pop()
 		l.head, l.queued = nil, false

@@ -7,6 +7,14 @@ package sim
 // binary heap: sift-downs touch fewer cache lines per level, which is
 // where a simulator that pops every event it pushes spends its time.
 //
+// One siftDown serves both a pop and a lane's successor taking over the
+// root. It picks the minimum of four children without a data-dependent
+// branch: simulated time sits on coarse grids (E18's tenant ticks share
+// a 100 µs grid, hundreds to one `at`), so whether a child wins is
+// decided by `seq` as often as by `at`, and a branch on that comparison
+// is unpredictable. Keys are unique, so the pop order is the same
+// whatever the sift strategy (TestHeapPopsInKeyOrder).
+//
 // Cancellation is lazy: Cancel tombstones the slot and the entry drains
 // when it reaches the top (heap4 never removes from the middle). The
 // engine's live counter, not the heap length, reports pending work.
@@ -27,6 +35,20 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// lessBit is entryLess as 0 or 1, computed with flag-setting compares
+// and no branch, so it can index and mask.
+func lessBit(a, b heapEntry) int {
+	return bit(a.at < b.at) | bit(a.at == b.at)&bit(a.seq < b.seq)
+}
+
+// bit compiles to a SETcc.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // heap4 is a 4-ary min-heap over heapEntry values. Children of node i
 // live at 4i+1..4i+4; parent of i is (i-1)/4.
 type heap4 struct {
@@ -40,71 +62,55 @@ func (h *heap4) push(e heapEntry) {
 	h.siftUp(len(h.entries) - 1)
 }
 
-// pop removes and returns the minimum entry. The caller must ensure the
-// heap is non-empty.
-//
-// It uses a bottom-up (hole-percolation) sift: the vacated root is
-// filled by promoting the chain of minimum children down to a leaf, and
-// the heap's last element is then sifted up from that hole. A classic
-// sift-down spends a fourth comparison per level re-testing the last
-// element, which in a simulator is almost always a far-future event
-// that belongs near the bottom anyway — so the extra sift-up here
-// typically terminates after one comparison.
+// pop removes and returns the minimum entry: the last entry takes over
+// the root and sifts down. The caller must ensure the heap is
+// non-empty.
 func (h *heap4) pop() heapEntry {
 	top := h.entries[0]
 	n := len(h.entries) - 1
 	last := h.entries[n]
 	h.entries = h.entries[:n]
 	if n > 0 {
-		hole := 0
-		for {
-			first := hole<<2 + 1
-			if first >= n {
-				break
-			}
-			min := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if entryLess(h.entries[c], h.entries[min]) {
-					min = c
-				}
-			}
-			h.entries[hole] = h.entries[min]
-			hole = min
-		}
-		h.entries[hole] = last
-		h.siftUp(hole)
+		h.siftDown(last)
 	}
 	return top
 }
 
-// replaceTop overwrites the minimum entry with e and sifts it down: a
-// pop and a push, for a lane handing the root to its next event, at
-// the cost of one sift. The caller must ensure the heap is non-empty.
-func (h *heap4) replaceTop(e heapEntry) {
-	n := len(h.entries)
+// siftDown overwrites the root with e and restores the heap property
+// below it. A node with four children picks the smallest by a two-round
+// tournament of lessBit index arithmetic, so the only branch per level
+// is the loop's exit: has e found its level? The caller must ensure the
+// heap is non-empty.
+func (h *heap4) siftDown(e heapEntry) {
+	q := h.entries
+	n := len(q)
 	i := 0
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
+	for c := 1; c+4 <= n; c = i<<2 + 1 {
+		kids := q[c : c+4 : c+4]
+		a := lessBit(kids[1], kids[0])
+		b := 2 + lessBit(kids[3], kids[2])
+		m := (a ^ (a^b)&-lessBit(kids[b&3], kids[a&3])) & 3
+		if !entryLess(kids[m], e) {
+			q[i] = e
+			return
 		}
-		min := first
-		for c := first + 1; c < first+4 && c < n; c++ {
-			if entryLess(h.entries[c], h.entries[min]) {
-				min = c
+		q[i] = kids[m]
+		i = c + m
+	}
+	// At most one node has one to three children, and they are leaves.
+	if c := i<<2 + 1; c < n {
+		m := c
+		for k := c + 1; k < n; k++ {
+			if entryLess(q[k], q[m]) {
+				m = k
 			}
 		}
-		if !entryLess(h.entries[min], e) {
-			break
+		if entryLess(q[m], e) {
+			q[i] = q[m]
+			i = m
 		}
-		h.entries[i] = h.entries[min]
-		i = min
 	}
-	h.entries[i] = e
+	q[i] = e
 }
 
 func (h *heap4) siftUp(i int) {

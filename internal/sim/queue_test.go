@@ -1,6 +1,98 @@
 package sim
 
-import "testing"
+import (
+	"cmp"
+	"slices"
+	"testing"
+)
+
+// firedEvent logs its id when it fires.
+type firedEvent struct {
+	log *[]int
+	id  int
+}
+
+func (ev *firedEvent) Fire() { *ev.log = append(*ev.log, ev.id) }
+
+// TestHeapPopsInKeyOrder drives one engine through random tie-heavy
+// tapes: every event lands on one of four grid points ahead of now, and
+// the tape mixes heap events, lane pushes (whose successors take over
+// the root through siftDown), Cancel tombstones and Steps. Keys are
+// unique and never scheduled behind the last one fired, so the whole
+// fire order must be the (at, seq) sort of every event not cancelled
+// before it fired.
+func TestHeapPopsInKeyOrder(t *testing.T) {
+	type key struct {
+		at  Time
+		seq uint64
+		id  int
+	}
+	const grid = 100 * Microsecond
+	for seed := uint64(1); seed <= 20; seed++ {
+		e, rng := NewEngine(seed), NewRand(seed)
+		lanes := make([]Lane[firedEvent, *firedEvent], 3)
+		var (
+			log       []int
+			keys      []key
+			refs      []EventRef
+			refID     []int
+			cancelled = map[int]bool{}
+		)
+		fired := func(id int) bool { return slices.Contains(log, id) }
+		next := func() (Time, *firedEvent) {
+			at := e.Now().Add(Duration(rng.Intn(4)) * grid)
+			ev := &firedEvent{log: &log, id: len(keys)}
+			keys = append(keys, key{at: at, seq: uint64(len(keys)), id: ev.id})
+			return at, ev
+		}
+		for op := 0; op < 4000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 3:
+				at, ev := next()
+				refs, refID = append(refs, e.At(at, "", ev.Fire)), append(refID, ev.id)
+			case r < 6:
+				at, ev := next()
+				lanes[rng.Intn(len(lanes))].At(e, at, ev)
+			case r < 7:
+				if len(refs) > 0 {
+					k := rng.Intn(len(refs))
+					if !fired(refID[k]) {
+						cancelled[refID[k]] = true
+					}
+					e.Cancel(refs[k])
+				}
+			default:
+				e.Step()
+			}
+		}
+		e.Run()
+		var want []int
+		slices.SortFunc(keys, func(a, b key) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+		})
+		for _, k := range keys {
+			if !cancelled[k.id] {
+				want = append(want, k.id)
+			}
+		}
+		if !slices.Equal(log, want) {
+			t.Fatalf("seed %d: fired %d events, oracle %d; first difference at %d",
+				seed, len(log), len(want), firstDiff(log, want))
+		}
+		if len(cancelled) == 0 {
+			t.Fatalf("seed %d: tape cancelled nothing", seed)
+		}
+	}
+}
+
+func firstDiff(a, b []int) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
 
 // TestQueueMatchesSliceModel drives Queue and a plain slice over one
 // random push/pop/peek/reset tape and compares every answer.

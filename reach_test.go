@@ -618,7 +618,6 @@ var knobAllow = map[string]string{
 	"internal/core.Config.AuthTag": "a credential: the bitstream authorization tag is a deployment secret",
 
 	"internal/ebpf.VerifierConfig.Helpers": "ROADMAP soundness item: only tests register a helper id at or above HelperUserBase (TestVerifyCustomHelperWindow)",
-	"internal/ehdl.Options.Helpers":        "ROADMAP soundness item: only tests install a helper (TestCompileWithMapsAndHelpers)",
 
 	"internal/fabric.Config.ClockHz":    "frozen cmd/hyperbench reads it; TestBootSelfTestFails breaks the fabric through it",
 	"internal/nvme.Config.BlockSize":    "frozen cmd/hyperbench reads it; TestBlockShiftMatchesDivision builds devices that disagree on it",

@@ -64,8 +64,66 @@ type tenantCellCfg struct {
 type tenantCellRun struct {
 	cfg      tenantCellCfg
 	ctl      *tenant.Controller
-	accepted int64  // requests accepted into tenant FIFOs
-	quiet    string // the quiet tenant's (possibly relabeled) name
+	eng      *sim.Engine
+	rnd      *sim.Rand    // the cell's own generator
+	lanes    *tenantLanes // the engine's tick lanes, shared by its cells
+	accepted int64        // requests accepted into tenant FIFOs
+	quiet    string       // the quiet tenant's (possibly relabeled) name
+}
+
+// tenantLanes carries one engine's tenant ticks on one sim.Lane per
+// tick interval (trafficShape: 50 µs for the antagonist, 100 µs for
+// every other class). A tick re-arms exactly one interval after it
+// fires, so every push lands at or after its lane's tail, and only the
+// two heads sit in the engine's heap however many tenants tick.
+type tenantLanes struct {
+	fast, slow sim.Lane[tenantTicker, *tenantTicker]
+	// tickers carves the engine's tickers in chunks rather than one
+	// allocation per tenant; a ticker lives as long as the run.
+	tickers sim.FreeList[tenantTicker]
+}
+
+func (ls *tenantLanes) every(interval sim.Duration) *sim.Lane[tenantTicker, *tenantTicker] {
+	if interval < 100*sim.Microsecond {
+		return &ls.fast
+	}
+	return &ls.slow
+}
+
+// tenantTicker is one admitted tenant's open-loop client: each firing
+// offers one tick's burst (trafficShape) and re-arms one interval later.
+type tenantTicker struct {
+	cell  *tenantCellRun
+	h     *tenant.Tenant
+	class int
+	// Submit copies the context, so one scratch header serves every
+	// packet a filter tenant sends.
+	scratch [trace.PacketBytes]byte
+}
+
+func (tk *tenantTicker) Fire() {
+	cell := tk.cell
+	now := cell.eng.Now()
+	if now >= tenantHorizon || tk.h.State == tenant.StateDeparted {
+		return
+	}
+	interval, burst, bytes := trafficShape(tk.class)
+	for b := 0; b < burst; b++ {
+		var ctx []byte
+		if tk.class == classFilter {
+			trace.Packet{
+				SrcIP: uint32(1 + cell.rnd.Intn(64)), DstPort: 22, Proto: 6,
+				Bytes: 512, AuthFail: cell.rnd.Intn(4) == 0,
+			}.MarshalTo(tk.scratch[:])
+			ctx = tk.scratch[:]
+		}
+		if cell.ctl.Submit(tk.h.ID, ctx, bytes, nil) == nil {
+			cell.accepted++
+		}
+		// Refusals (not active, FIFO full) are the client's retry
+		// signal; the report's retry column counts them.
+	}
+	cell.lanes.every(interval).At(cell.eng, now.Add(interval), tk)
 }
 
 // tenantClass maps an arrival index to its offload class.
@@ -148,8 +206,9 @@ func tenantMix(seed uint64, idx int) uint64 {
 // — never the engine's — so results are shard-layout invariant.
 // rename relabels tenant display names (nil = identity); every
 // scheduling input is index-derived, so renaming can only permute
-// report rows. filter is the run's compiled fail2ban image.
-func startTenantCell(eng *sim.Engine, seed uint64, cc tenantCellCfg, filter *ehdl.Image, rec *telemetry.Recorder, rename func(string) string) *tenantCellRun {
+// report rows. filter is the run's compiled fail2ban image; lanes are
+// eng's tick lanes.
+func startTenantCell(eng *sim.Engine, lanes *tenantLanes, seed uint64, cc tenantCellCfg, filter *ehdl.Image, rec *telemetry.Recorder, rename func(string) string) *tenantCellRun {
 	if rename == nil {
 		rename = func(s string) string { return s }
 	}
@@ -170,8 +229,8 @@ func startTenantCell(eng *sim.Engine, seed uint64, cc tenantCellCfg, filter *ehd
 		meanUp := sim.Duration(float64(100*sim.Microsecond) / cc.rate)
 		ctl.ArmEvictions(plan, tenantHorizon, meanUp, 500*sim.Microsecond)
 	}
-	rnd := sim.NewRand(tenantMix(seed, cc.idx))
-	cell := &tenantCellRun{cfg: cc, ctl: ctl, quiet: rename("aa-quiet")}
+	cell := &tenantCellRun{cfg: cc, ctl: ctl, eng: eng, rnd: sim.NewRand(tenantMix(seed, cc.idx)),
+		lanes: lanes, quiet: rename("aa-quiet")}
 	for i := 0; i < cc.n; i++ {
 		spec := tenantSpec(i, filter)
 		spec.Name = rename(spec.Name)
@@ -179,64 +238,38 @@ func startTenantCell(eng *sim.Engine, seed uint64, cc tenantCellCfg, filter *ehd
 		if i%4 == 3 {
 			departAt = tenantChurnAt
 		}
-		cell.admit(eng, rnd, sim.Time(0).Add(sim.Duration(i+1)*(300*sim.Microsecond)), spec, tenantClass(i), departAt)
+		cell.admit(sim.Time(0).Add(sim.Duration(i+1)*(300*sim.Microsecond)), spec, tenantClass(i), departAt)
 	}
 	late := tenant.Spec{
 		Name: rename("zz-late"), Weight: 2,
 		Image: tenantSpec(0, filter).Image,
 		SLO:   tenant.SLO{P99: 200 * sim.Microsecond, Goodput: 1000},
 	}
-	cell.admit(eng, rnd, tenantLateAt, late, classEcho, 0)
+	cell.admit(tenantLateAt, late, classEcho, 0)
 	return cell
 }
 
 // admit schedules one tenant's arrival and, on admission, its traffic
 // loop and optional departure. Rejections are the admission
 // controller's business — the cell just moves on.
-func (cell *tenantCellRun) admit(eng *sim.Engine, rnd *sim.Rand, at sim.Time, spec tenant.Spec, class int, departAt sim.Time) {
-	interval, burst, bytes := trafficShape(class)
-	eng.At(at, "e18.arrive:"+spec.Name, func() {
+func (cell *tenantCellRun) admit(at sim.Time, spec tenant.Spec, class int, departAt sim.Time) {
+	eng := cell.eng
+	eng.At(at, "e18.arrive", func() {
 		h, err := cell.ctl.Admit(spec)
 		if err != nil {
 			return // counted in ctl.Rejected
 		}
 		if departAt > 0 {
-			eng.At(departAt, "e18.depart:"+spec.Name, func() {
+			eng.At(departAt, "e18.depart", func() {
 				if derr := cell.ctl.Depart(h.ID); derr != nil {
 					panic("bench: e18 depart: " + derr.Error())
 				}
 			})
 		}
-		tickName := "e18.tick:" + spec.Name
-		// Submit copies the context, so one scratch header serves every
-		// packet a filter tenant sends.
-		var scratch []byte
-		if class == classFilter {
-			scratch = make([]byte, trace.PacketBytes)
-		}
-		var tick func()
-		tick = func() {
-			if eng.Now() >= tenantHorizon || h.State == tenant.StateDeparted {
-				return
-			}
-			for b := 0; b < burst; b++ {
-				var ctx []byte
-				if class == classFilter {
-					trace.Packet{
-						SrcIP: uint32(1 + rnd.Intn(64)), DstPort: 22, Proto: 6,
-						Bytes: 512, AuthFail: rnd.Intn(4) == 0,
-					}.MarshalTo(scratch)
-					ctx = scratch
-				}
-				if cell.ctl.Submit(h.ID, ctx, bytes, nil) == nil {
-					cell.accepted++
-				}
-				// Refusals (not active, FIFO full) are the client's
-				// retry signal; the report's retry column counts them.
-			}
-			eng.After(interval, tickName, tick)
-		}
-		eng.After(interval, tickName, tick)
+		tk, _ := cell.lanes.tickers.Get()
+		tk.cell, tk.h, tk.class = cell, h, class
+		interval, _, _ := trafficShape(class)
+		cell.lanes.every(interval).At(eng, eng.Now().Add(interval), tk)
 	})
 }
 
@@ -314,17 +347,18 @@ func tenantRun(seed uint64, shards int, rec *telemetry.Recorder) Result {
 		"ops", "ok", "retry", "err", "viol", "quiet p99", "worst p99"}
 	filter := compileTenantFilter()
 	cl := sim.NewCluster(shards, seed, tenantLookahead)
+	lanes := make([]tenantLanes, shards)
 	var cells []*tenantCellRun
 	idx := 0
 	for _, n := range []int{4, 10, 16} {
 		for _, lease := range []sim.Duration{0, 2 * sim.Millisecond} {
 			for _, rate := range []float64{0, 0.01, 0.05} {
-				eng := cl.Shard(idx % shards).Engine()
+				sh := idx % shards
 				var crec *telemetry.Recorder
 				if rec != nil {
 					crec = rec.Child(fmt.Sprintf("e18.cell%02d", idx))
 				}
-				cells = append(cells, startTenantCell(eng, seed,
+				cells = append(cells, startTenantCell(cl.Shard(sh).Engine(), &lanes[sh], seed,
 					tenantCellCfg{idx: idx, n: n, lease: lease, rate: rate}, filter, crec, nil))
 				idx++
 			}
@@ -365,7 +399,7 @@ func TenantScenarioRelabeled(seed uint64, tenants int, lease sim.Duration, fault
 
 func tenantScenario(seed uint64, tenants int, lease sim.Duration, faultRate float64, rename func(string) string) (Result, []tenant.Row) {
 	eng := sim.NewEngine(seed)
-	cell := startTenantCell(eng, seed, tenantCellCfg{idx: 0, n: tenants, lease: lease, rate: faultRate},
+	cell := startTenantCell(eng, new(tenantLanes), seed, tenantCellCfg{idx: 0, n: tenants, lease: lease, rate: faultRate},
 		compileTenantFilter(), nil, rename)
 	eng.Run()
 	if err := cell.ctl.CheckInvariants(); err != nil {

@@ -9,14 +9,14 @@ import (
 )
 
 // TestTenantsAllocBudget: one E18 run at one shard allocates at most
-// 12 000 objects and compiles the fail2ban filter once, however many
+// 9 500 objects and compiles the fail2ban filter once, however many
 // filter tenants its cells build (54 at the default seed). A compile
 // (gofront, verify, optimize, verify, estimate) is ≈ 750 objects, so a
 // compile per tenant or per cell breaks the budget by itself, and a
 // second compile per run shows as twice the objects a lone compile
 // allocates under fail2ban.Compile.
 func TestTenantsAllocBudget(t *testing.T) {
-	const maxObjects = 12_000
+	const maxObjects = 9_500
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1 // record every allocation with its stack
 

@@ -85,14 +85,14 @@ func TestRackCompletes(t *testing.T) {
 // TestRackAllocBudget pins the block plane's allocation win where
 // `go test ./...` sees it: a fixed-seed two-box rack at E17's load may
 // spend at most this many heap objects and bytes per issued op while
-// it runs. Measured 0.20 objects and 406 B per op; the bounds sit
-// ~50 % and ~8 % above. No in-flight operation binds a closure: pooled
-// contexts fire and complete as themselves, so what is left grows with
-// the open loop's backlog — stored blocks, lane rings, free-list
-// chunks, latency samples — plus an envelope due before one its lane
-// already holds, which waits in the heap as a method value.
+// it runs. Measured 0.16 objects and 405 B per op; the bounds sit
+// ~12 % and ~8 % above. No in-flight operation binds a closure: pooled
+// contexts fire and complete as themselves, and a shard's two inbox
+// lanes take every envelope, so what is left grows with the open
+// loop's backlog — stored blocks, lane rings, free-list chunks,
+// latency samples.
 func TestRackAllocBudget(t *testing.T) {
-	const maxObjects, maxBytes = 0.30, 440
+	const maxObjects, maxBytes = 0.18, 440
 	cfg := DefaultConfig()
 	cfg.Boxes = 2
 	cfg.Replicas = 2

@@ -108,9 +108,9 @@ type Shard struct {
 	sendSeq uint64
 
 	// Inbox: recvEvents routed here at a barrier, sorted, injected
-	// onto the lane in that order.
+	// in that order, each onto the first lane that accepts it.
 	pending  []*recvEvent
-	inbox    Lane[recvEvent, *recvEvent]
+	inbox    [2]Lane[recvEvent, *recvEvent]
 	recvPool FreeList[recvEvent]
 
 	sends, recvs uint64
@@ -283,8 +283,7 @@ func (cl *Cluster) lbts() (Time, bool) {
 // lane included. Per destination, envelopes sort by (deliverAt, src,
 // send-seq): a total order independent of the LP→shard layout (see
 // the package comment). The sorted batch is monotone, so it joins the
-// shard's lane; only an envelope due before one still queued from an
-// earlier barrier falls back to the heap.
+// shard's inbox lanes (see deliver).
 func (cl *Cluster) exchange() {
 	for _, src := range cl.shards {
 		for _, re := range src.out {
@@ -315,10 +314,25 @@ func (cl *Cluster) exchange() {
 			return cmp.Compare(a.seq, b.seq)
 		})
 		for _, re := range dst.pending {
-			dst.inbox.At(dst.eng, re.at, re)
+			dst.deliver(re)
 		}
 		dst.pending = dst.pending[:0]
 	}
+}
+
+// deliver injects one envelope of a sorted batch onto the first inbox
+// lane that accepts it. A batch alone is monotone; what breaks a lane
+// is an envelope due before one still queued from an earlier barrier
+// (a long delay sent a window or more ago), and each sender's runs are
+// already time-ordered, so a second lane takes the nearer traffic
+// while the first holds the far envelope. Only an envelope before both
+// lanes' tails falls back to the heap.
+func (sh *Shard) deliver(re *recvEvent) {
+	l := &sh.inbox[0]
+	if !l.accepts(re.at) {
+		l = &sh.inbox[1]
+	}
+	l.At(sh.eng, re.at, re)
 }
 
 // Run executes the clustered simulation to completion: barrier rounds

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -239,6 +241,74 @@ func TestClusterOneWayTrafficRecyclesEvents(t *testing.T) {
 	}
 	if len(cl.Shard(1).recvPool.free) > 2*burst {
 		t.Fatalf("receiver's free list grew to %d", len(cl.Shard(1).recvPool.free))
+	}
+}
+
+// TestClusterLateEnvelopesKeepOrder: a far-future envelope sent in
+// one window is still queued on the sink's inbox when nearer ones sent
+// in later windows arrive. Two senders each kick themselves one
+// lookahead at a time and on every kick send the sink three near
+// envelopes (the same instants from both, so ties within a batch
+// break by sender) and one due ten lookaheads out. The sink must see
+// them in (at, src, send order) — the sorted oracle — at every shard
+// count, and no envelope may leave the inbox lanes for the heap.
+func TestClusterLateEnvelopesKeepOrder(t *testing.T) {
+	const rounds = 40
+	type sent struct {
+		at  Time
+		src LP
+		seq uint64
+	}
+	for _, shards := range []int{1, 2, 4} {
+		cl := NewCluster(shards, 1, testLA)
+		var got []uint64
+		sink := cl.AddLP(shards-1, func(sh *Shard, env Envelope) { got = append(got, env.A) })
+		logs := make([][]sent, 2)
+		senders := make([]LP, 2)
+		for i := range senders {
+			i := i
+			send := func(sh *Shard, delay Duration) {
+				id := uint64(i)<<32 | uint64(len(logs[i]))
+				logs[i] = append(logs[i], sent{sh.Engine().Now().Add(delay), senders[i], id})
+				sh.Send(senders[i], sink, delay, 0, id, 0, nil)
+			}
+			senders[i] = cl.AddLP(i%shards, func(sh *Shard, env Envelope) {
+				for j := Duration(1); j <= 3; j++ {
+					send(sh, testLA+j*Nanosecond)
+				}
+				send(sh, 10*testLA)
+				if env.A < rounds {
+					sh.Send(env.Dst, env.Dst, testLA, 0, env.A+1, 0, nil)
+				}
+			})
+			cl.Shard(i%shards).Send(senders[i], senders[i], testLA, 0, 0, 0, nil)
+		}
+		cl.Run()
+		want := append(logs[0], logs[1]...)
+		slices.SortFunc(want, func(a, b sent) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.src, b.src); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: sink saw %d envelopes, %d sent", shards, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k].seq {
+				t.Fatalf("shards=%d: delivery %d is %#x, want %#x", shards, k, got[k], want[k].seq)
+			}
+		}
+		// No engine event was ever scheduled: a pool slot would mean an
+		// envelope fell back to the heap.
+		for i := 0; i < shards; i++ {
+			if n := len(cl.Shard(i).eng.pool.slots); n != 0 {
+				t.Errorf("shards=%d: shard %d scheduled %d heap events", shards, i, n)
+			}
+		}
 	}
 }
 

@@ -123,3 +123,41 @@ func BenchmarkEngine_Ties(b *testing.B) {
 		e.Step()
 	}
 }
+
+// tieTick is one of BenchmarkLane_Ties's ticks: it re-arms one period
+// after it fires, on its lane.
+type tieTick struct {
+	e    *Engine
+	lane *Lane[tieTick, *tieTick]
+}
+
+func (tk *tieTick) Fire() { tk.lane.At(tk.e, tk.e.Now().Add(100*Microsecond), tk) }
+
+// BenchmarkLane_Ties is BenchmarkEngine_Ties's grid with the ticks on
+// one lane, as E18 runs them: 330 ticks on the 100 µs grid plus 110
+// heap events off it that re-arm the same way. A tick whose successor
+// is due at the same `at` keeps the heap root after one compare round
+// instead of sifting a leaf down from the root.
+func BenchmarkLane_Ties(b *testing.B) {
+	const ticks, offGrid, period = 330, 110, 100 * Microsecond
+	e := NewEngine(1)
+	var lane Lane[tieTick, *tieTick]
+	for phase := 0; phase < 3; phase++ { // the lane takes its pushes in time order
+		for i := phase; i < ticks; i += 3 {
+			lane.At(e, Time(phase)*Time(period), &tieTick{e: e, lane: &lane})
+		}
+	}
+	var fn func()
+	fn = func() { e.After(period, "", fn) }
+	for i := 0; i < offGrid; i++ {
+		e.At(Time(i%3)*Time(period)+Time(1+i)*Time(Nanosecond), "", fn)
+	}
+	for i := 0; i < 4*(ticks+offGrid); i++ { // warm the pool, the heap and the ring
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

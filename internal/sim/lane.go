@@ -7,11 +7,15 @@ import "fmt"
 type Event interface{ Fire() }
 
 // Lane is a FIFO of events whose times never decrease — a flash
-// channel's completions, a box's KV answers, a shard's barrier-sorted
-// envelopes (DESIGN §4 "Lanes"). Only the lane's head sits in the
-// engine's heap; its successors wait in the lane's ring, where keeping
-// them in order costs nothing. When the head fires, its successor
-// takes over the heap root with one sift-down.
+// channel's completions, a box's KV answers, a tenant's ticks, a
+// shard's barrier-sorted envelopes (DESIGN §4 "Lanes"). Only the lane's
+// head sits in the engine's heap; its successors wait in the lane's
+// ring, where keeping them in order costs nothing. When the head fires,
+// its successor takes over the heap root with one sift-down. A
+// successor due at the same time — a burst of ticks on one grid point —
+// is the least key unless a heap event scheduled between the two shares
+// that time, so it keeps the root after one compare round where a pop
+// would sift the heap's last leaf down from the top.
 //
 // A lane carries one owner's contexts, T, each of which fires itself
 // (P is *T). The ring holds a typed pointer rather than an Event
@@ -24,7 +28,9 @@ type Event interface{ Fire() }
 // increasing seqs is already in (at, seq) order: the lane's head is its
 // minimum, so the engine fires lane and heap events in the order an
 // all-heap engine would. A push earlier than the lane's tail cannot
-// join the FIFO and goes into the heap as an ordinary event.
+// join the FIFO and goes into the heap as an ordinary event; an owner
+// whose pushes only sometimes go back, like a shard's inbox, keeps a
+// second lane and takes the first that accepts.
 //
 // Lane events return no EventRef and cannot be cancelled. A lane
 // belongs to the engine that first schedules on it. The zero value is
@@ -82,6 +88,11 @@ func (l *Lane[T, P]) At(e *Engine, t Time, ev *T) {
 	e.seq++
 	e.live++
 }
+
+// accepts reports whether an event at t would join the lane rather
+// than fall back to the heap: the lane is idle or t is not before its
+// tail.
+func (l *Lane[T, P]) accepts(t Time) bool { return !l.queued || t >= l.tail }
 
 // advance implements anyLane: a successor takes over the root — one
 // sift-down instead of a pop and a push.

@@ -128,6 +128,118 @@ func TestLaneOrderMatchesHeap(t *testing.T) {
 	}
 }
 
+// gridScript is E18's shape: hundreds of tickers that re-arm one
+// period after they fire, at two periods on one grid, plus heap events
+// (some cancelled) that land on the same grid points between their
+// ticks, so every grid point holds ticks and heap events with
+// interleaved seqs. With lanes false every tick is an ordinary At,
+// the reference order.
+type gridScript struct {
+	e       *Engine
+	rng     *Rand
+	lanes   [2]Lane[gridTicker, *gridTicker]
+	useLn   bool
+	refs    []EventRef
+	log     []int
+	horizon Time
+}
+
+type gridTicker struct {
+	s    *gridScript
+	id   int
+	fast bool
+}
+
+const gridPeriod = 100 * Microsecond
+
+func (tk *gridTicker) period() Duration {
+	if tk.fast {
+		return gridPeriod / 2
+	}
+	return gridPeriod
+}
+
+func (tk *gridTicker) arm(at Time) {
+	s := tk.s
+	switch {
+	case !s.useLn:
+		s.e.At(at, "", tk.Fire)
+	case tk.fast:
+		s.lanes[0].At(s.e, at, tk)
+	default:
+		s.lanes[1].At(s.e, at, tk)
+	}
+}
+
+func (tk *gridTicker) Fire() {
+	s := tk.s
+	s.log = append(s.log, tk.id)
+	now := s.e.Now()
+	if now >= s.horizon {
+		return
+	}
+	switch r := s.rng.Intn(16); {
+	case r < 2: // a heap event on a grid point ahead
+		id := -1 - len(s.refs)
+		at := now.Add(Duration(1+s.rng.Intn(3)) * gridPeriod / 2)
+		s.refs = append(s.refs, s.e.At(at, "", func() { s.log = append(s.log, id) }))
+	case r < 3 && len(s.refs) > 0: // cancel one, fired or not
+		s.e.Cancel(s.refs[s.rng.Intn(len(s.refs))])
+	}
+	tk.arm(now.Add(tk.period()))
+}
+
+func runGridScript(seed uint64, tickers int, useLanes bool) *gridScript {
+	s := &gridScript{e: NewEngine(seed), rng: NewRand(seed), useLn: useLanes, horizon: Time(50 * gridPeriod)}
+	// Staggered arrivals, as E18's tenants are admitted: ticker i
+	// starts at grid point i/8, one in eight at the fast period.
+	for i := 0; i < tickers; i++ {
+		tk := &gridTicker{s: s, id: i, fast: i%8 == 1}
+		at := Time(i/8) * Time(gridPeriod/2)
+		s.e.At(at, "", func() { tk.arm(s.e.Now().Add(tk.period())) })
+	}
+	for {
+		next, ok := s.e.NextAt()
+		if !ok {
+			return s
+		}
+		s.e.RunUntil(next.Add(gridPeriod/2 - 1))
+	}
+}
+
+// TestLaneGridBurstsMatchHeap: E18's ticks on lanes fire in the order
+// an all-heap engine fires them, though hundreds share each grid point
+// with heap events scheduled between them.
+func TestLaneGridBurstsMatchHeap(t *testing.T) {
+	const tickers = 340
+	for seed := uint64(1); seed <= 6; seed++ {
+		ref := runGridScript(seed, tickers, false)
+		got := runGridScript(seed, tickers, true)
+		if len(got.log) != len(ref.log) {
+			t.Fatalf("seed %d: %d events fired with lanes, %d without", seed, len(got.log), len(ref.log))
+		}
+		for i := range ref.log {
+			if got.log[i] != ref.log[i] {
+				t.Fatalf("seed %d: event %d is #%d with lanes, #%d without", seed, i, got.log[i], ref.log[i])
+			}
+		}
+		if got.e.Now() != ref.e.Now() || got.e.Steps() != ref.e.Steps() || got.e.Pending() != 0 {
+			t.Fatalf("seed %d: now %v steps %d pending %d with lanes; now %v steps %d without",
+				seed, got.e.Now(), got.e.Steps(), got.e.Pending(), ref.e.Now(), ref.e.Steps())
+		}
+		// Every tick joined its lane: the only heap events were the
+		// arrivals and the script's own, and each released its slot
+		// once, bumping the slot's generation.
+		var heapEvents int
+		for _, sl := range got.e.pool.slots {
+			heapEvents += int(sl.gen)
+		}
+		if want := tickers + len(got.refs); heapEvents != want {
+			t.Fatalf("seed %d: %d heap events, want %d: a tick fell back to the heap", seed, heapEvents, want)
+		}
+	}
+}
+
 // nopEvent is a context whose firing does nothing. It is not
 // zero-sized, so a FreeList of them carves real chunks.
 type nopEvent struct{ _ byte }

@@ -624,7 +624,7 @@ var knobAllow = map[string]string{
 	"internal/tenant.Config.DepthItems": "frozen cmd/hyperbench reads it; TestSchedulerProperties shrinks it",
 
 	"internal/netsim.Config.QueueFrames": "TestReliableRecoversFromIncastLoss and the other shallow-queue transport tests force congestion drops through it",
-	"internal/rack.Config.Replicas":      "TestRackAllocBudget's 0.30 objects / 440 B per op are measured at 2 boxes × 2 replicas",
+	"internal/rack.Config.Replicas":      "TestRackAllocBudget's 0.18 objects / 440 B per op are measured at 2 boxes × 2 replicas",
 	"internal/seg.Config.TableBlocks":    "FuzzRecover's 2-block rig keeps its checkpoint image small enough to fuzz",
 }
 

@@ -7,7 +7,7 @@
 //	benchctl all                     # run everything (EXPERIMENTS.md content)
 //	benchctl -parallel 4 all         # fan experiments out over 4 goroutines
 //	benchctl -trace out/ fig2        # run traced; write Perfetto JSON + summaries
-//	benchctl -shards 4 all           # run cluster-capable experiments on 4 shards
+//	benchctl -shards 4 all           # run E17, the cluster-capable experiment, on 4 shards
 //	benchctl -shardsweep 1,2,4,8 all # measure E17 scaling across shard counts
 //	benchctl table1                  # run one, by name or id (see 'benchctl list')
 //
@@ -32,7 +32,7 @@ import (
 func main() {
 	parallel := flag.Int("parallel", 1, "run 'all' across N goroutines, capped at GOMAXPROCS (each row keeps its own engine)")
 	tracePath := flag.String("trace", "", "run traced experiments with the telemetry plane armed and write <id>.trace.json/.hist.txt/.critpath.txt to this existing directory")
-	shards := flag.Int("shards", 0, "run cluster-capable experiments (E17, E18) on N sim.Cluster shards; 0 keeps each experiment's default")
+	shards := flag.Int("shards", 0, "run the cluster-capable experiment (E17) on N sim.Cluster shards; 0 keeps its default")
 	sweepSpec := flag.String("shardsweep", "", "with 'all': comma-separated shard counts (e.g. 1,2,4,8); rerun E17 at each and print events/sec scaling")
 	flag.Usage = usage
 	flag.Parse()

@@ -159,9 +159,9 @@ func TestTraceFlag(t *testing.T) {
 }
 
 // TestTenantsExperiment drives E18 through the executable: the sweep
-// must run, its table must be shard-count invariant across processes,
-// and the traced form must write artifacts while printing the same
-// table bytes.
+// must run, the -shards layout knob must leave the sharded experiment's
+// output unchanged across processes, and the traced form must write
+// artifacts while printing the same table bytes.
 func TestTenantsExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns full experiment runs")
@@ -180,16 +180,18 @@ func TestTenantsExperiment(t *testing.T) {
 	})
 	t.Run("shard count is a layout knob", func(t *testing.T) {
 		t.Parallel()
-		one, exit := run(t, "-shards", "1", "tenants")
+		// E18 runs its cells as rows of one engine each, so -shards
+		// reaches only E17, the experiment on sim.Cluster.
+		one, exit := run(t, "-shards", "1", "rack")
 		if exit != 0 {
 			t.Fatalf("1-shard exit = %d; output:\n%s", exit, one)
 		}
-		two, exit := run(t, "-shards", "2", "tenants")
+		two, exit := run(t, "-shards", "2", "rack")
 		if exit != 0 {
 			t.Fatalf("2-shard exit = %d; output:\n%s", exit, two)
 		}
 		if one != two {
-			t.Fatalf("E18 output differs across shard counts:\n--- 1 shard ---\n%s\n--- 2 shards ---\n%s", one, two)
+			t.Fatalf("E17 output differs across shard counts:\n--- 1 shard ---\n%s\n--- 2 shards ---\n%s", one, two)
 		}
 	})
 	t.Run("traced run writes artifacts and matches untraced table", func(t *testing.T) {

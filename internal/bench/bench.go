@@ -106,7 +106,7 @@ func All() []Experiment {
 		{ID: "X1", Name: "cluster", RunSeeded: ClusterScaleOut},
 		{ID: "E16", Name: "chaos", RunSeeded: Chaos, RunTraced: ChaosTraced},
 		{ID: "E17", Name: "rack", RunSeeded: Rack, RunTraced: RackTraced, RunSharded: RackSharded},
-		{ID: "E18", Name: "tenants", RunSeeded: Tenants, RunTraced: TenantsTraced, RunSharded: TenantsSharded},
+		{ID: "E18", Name: "tenants", RunSeeded: Tenants, RunTraced: TenantsTraced},
 	}
 }
 

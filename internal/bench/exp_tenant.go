@@ -13,13 +13,6 @@ import (
 	"hyperion/internal/trace"
 )
 
-// DefaultTenantShards is the shard count behind Tenants() — like E17,
-// the golden universe runs the sharded kernel. E18's sweep cells share
-// no state and exchange no envelopes, so the table is byte-identical
-// for every shard count; the golden hash pins the control-plane model,
-// not the layout.
-const DefaultTenantShards = 2
-
 const (
 	// tenantAuthTag authorizes every bitstream in the sweep (the
 	// config-engine check of §2.2 applies to tenants like anyone else).
@@ -31,9 +24,6 @@ const (
 	// 50 ms is long enough for a compiled eHDL filter (≈ 19 ms of
 	// partial reconfiguration at 400 MB/s) to earn useful service.
 	tenantHorizon = sim.Time(50 * sim.Millisecond)
-	// tenantLookahead is the conservative window width. Cells never
-	// communicate, so it is purely a barrier-frequency knob.
-	tenantLookahead = 500 * sim.Microsecond
 	// tenantChurnAt departs every fourth tenant mid-run; tenantLateAt
 	// admits a late arrival into the churned-out capacity.
 	tenantChurnAt = sim.Time(30 * sim.Millisecond)
@@ -65,20 +55,20 @@ type tenantCellRun struct {
 	cfg      tenantCellCfg
 	ctl      *tenant.Controller
 	eng      *sim.Engine
-	rnd      *sim.Rand    // the cell's own generator
-	lanes    *tenantLanes // the engine's tick lanes, shared by its cells
-	accepted int64        // requests accepted into tenant FIFOs
-	quiet    string       // the quiet tenant's (possibly relabeled) name
+	rnd      *sim.Rand   // the cell's own generator
+	lanes    tenantLanes // the tick lanes of the cell's engine
+	accepted int64       // requests accepted into tenant FIFOs
+	quiet    string      // the quiet tenant's (possibly relabeled) name
 }
 
-// tenantLanes carries one engine's tenant ticks on one sim.Lane per
+// tenantLanes carries one cell's tenant ticks on one sim.Lane per
 // tick interval (trafficShape: 50 µs for the antagonist, 100 µs for
 // every other class). A tick re-arms exactly one interval after it
 // fires, so every push lands at or after its lane's tail, and only the
 // two heads sit in the engine's heap however many tenants tick.
 type tenantLanes struct {
 	fast, slow sim.Lane[tenantTicker, *tenantTicker]
-	// tickers carves the engine's tickers in chunks rather than one
+	// tickers carves the cell's tickers in chunks rather than one
 	// allocation per tenant; a ticker lives as long as the run.
 	tickers sim.FreeList[tenantTicker]
 }
@@ -199,19 +189,20 @@ func tenantMix(seed uint64, idx int) uint64 {
 	return seed ^ (0x9e3779b97f4a7c15 * (uint64(idx) + 1))
 }
 
-// startTenantCell builds one sweep cell on eng and schedules its whole
-// life: staggered arrivals, per-class open-loop traffic, mid-run
-// departures, a late arrival, and (rate > 0) the fault plane's slot
-// evictions. Cell randomness comes only from the cell's own generator
-// — never the engine's — so results are shard-layout invariant.
-// rename relabels tenant display names (nil = identity); every
-// scheduling input is index-derived, so renaming can only permute
-// report rows. filter is the run's compiled fail2ban image; lanes are
-// eng's tick lanes.
-func startTenantCell(eng *sim.Engine, lanes *tenantLanes, seed uint64, cc tenantCellCfg, filter *ehdl.Image, rec *telemetry.Recorder, rename func(string) string) *tenantCellRun {
+// runTenantCell builds one sweep cell on its own engine, runs its whole
+// life to the end and checks the controller's invariants: staggered
+// arrivals, per-class open-loop traffic, mid-run departures, a late
+// arrival, and (rate > 0) the fault plane's slot evictions. Cell
+// randomness comes only from the cell's own generator, never the
+// engine's. rename relabels tenant display names (nil = identity);
+// every scheduling input is index-derived, so renaming can only
+// permute report rows. filter is the run's compiled fail2ban image,
+// which the cell only instantiates, so cells may run concurrently.
+func runTenantCell(seed uint64, cc tenantCellCfg, filter *ehdl.Image, rec *telemetry.Recorder, rename func(string) string) *tenantCellRun {
 	if rename == nil {
 		rename = func(s string) string { return s }
 	}
+	eng := sim.NewEngine(seed)
 	fab := fabric.New(eng, fabric.DefaultConfig(), tenantAuthTag)
 	tcfg := tenant.DefaultConfig()
 	tcfg.MaxTenants = tenantCap
@@ -230,7 +221,7 @@ func startTenantCell(eng *sim.Engine, lanes *tenantLanes, seed uint64, cc tenant
 		ctl.ArmEvictions(plan, tenantHorizon, meanUp, 500*sim.Microsecond)
 	}
 	cell := &tenantCellRun{cfg: cc, ctl: ctl, eng: eng, rnd: sim.NewRand(tenantMix(seed, cc.idx)),
-		lanes: lanes, quiet: rename("aa-quiet")}
+		quiet: rename("aa-quiet")}
 	for i := 0; i < cc.n; i++ {
 		spec := tenantSpec(i, filter)
 		spec.Name = rename(spec.Name)
@@ -246,6 +237,10 @@ func startTenantCell(eng *sim.Engine, lanes *tenantLanes, seed uint64, cc tenant
 		SLO:   tenant.SLO{P99: 200 * sim.Microsecond, Goodput: 1000},
 	}
 	cell.admit(tenantLateAt, late, classEcho, 0)
+	eng.Run()
+	if err := ctl.CheckInvariants(); err != nil {
+		panic("bench: e18 invariants: " + err.Error())
+	}
 	return cell
 }
 
@@ -273,8 +268,12 @@ func (cell *tenantCellRun) admit(at sim.Time, spec tenant.Spec, class int, depar
 	})
 }
 
+// tenantHeader heads E18's table and the one-cell scenario's.
+var tenantHeader = []string{"tenants", "lease", "fault", "adm", "rej", "reconf", "preempt", "evict",
+	"ops", "ok", "retry", "err", "viol", "quiet p99", "worst p99"}
+
 // row folds the finished cell into one table row.
-func (cell *tenantCellRun) row(t *sim.Table) {
+func (cell *tenantCellRun) row() []string {
 	window := tenantHorizon.Sub(sim.Time(0))
 	rows := cell.ctl.Report(window)
 	var ok, retry, failed int64
@@ -299,11 +298,11 @@ func (cell *tenantCellRun) row(t *sim.Table) {
 		lease = cell.cfg.lease.String()
 	}
 	ctl := cell.ctl
-	t.AddRow(itoa(int64(cell.cfg.n)), lease, pct(cell.cfg.rate),
+	return []string{itoa(int64(cell.cfg.n)), lease, pct(cell.cfg.rate),
 		itoa(ctl.Admitted), itoa(ctl.Rejected), itoa(ctl.Reconfigs),
 		itoa(ctl.Preempts), itoa(ctl.Evictions),
 		itoa(cell.accepted), itoa(ok), itoa(retry), itoa(failed),
-		itoa(int64(viol)), quietP99.String(), worst.String())
+		itoa(int64(viol)), quietP99.String(), worst.String()}
 }
 
 // compileTenantFilter compiles the filter tenants' fail2ban image, once
@@ -324,59 +323,37 @@ func compileTenantFilter() *ehdl.Image {
 // offloads including compiled fail2ban eBPF filters, so the table
 // doubles as the isolation story: the quiet p99 column should not
 // follow the antagonist or the fault rate.
-func Tenants(seed uint64) Result { return tenantRun(seed, DefaultTenantShards, nil) }
+func Tenants(seed uint64) Result { return tenantRun(seed, nil) }
 
-// TenantsSharded is Tenants with an explicit shard count — the layout
-// knob behind `benchctl -shards` and the shard-count-invariance sweep.
-// The Result must be byte-identical to Tenants at the same seed.
-func TenantsSharded(seed uint64, shards int) Result { return tenantRun(seed, shards, nil) }
+// TenantsTraced is Tenants with the telemetry plane armed: one child
+// process per cell, per-tenant child processes under it, request spans
+// through WFQ and slot. Each cell records into its own recorder and the
+// cells are merged in sweep order, so the Result matches Tenants at the
+// same seed.
+func TenantsTraced(seed uint64, rec *telemetry.Recorder) Result { return tenantRun(seed, rec) }
 
-// TenantsTraced is Tenants with the telemetry plane armed: per-cell
-// child recorders, per-tenant child processes under them, request
-// spans through WFQ and slot. Traced runs use one shard (a recorder
-// sink is single-threaded state); by shard-count invariance the Result
-// still matches Tenants at the same seed.
-func TenantsTraced(seed uint64, rec *telemetry.Recorder) Result { return tenantRun(seed, 1, rec) }
-
-func tenantRun(seed uint64, shards int, rec *telemetry.Recorder) Result {
-	if shards <= 0 {
-		shards = 1
-	}
+func tenantRun(seed uint64, rec *telemetry.Recorder) Result {
 	r := Result{ID: "E18", Title: "multi-tenant control plane — admission, slot leases, SLO isolation under churn"}
-	r.Table.Header = []string{"tenants", "lease", "fault", "adm", "rej", "reconf", "preempt", "evict",
-		"ops", "ok", "retry", "err", "viol", "quiet p99", "worst p99"}
+	r.Table.Header = tenantHeader
 	filter := compileTenantFilter()
-	cl := sim.NewCluster(shards, seed, tenantLookahead)
-	lanes := make([]tenantLanes, shards)
-	var cells []*tenantCellRun
-	idx := 0
+	var cells []tenantCellCfg
 	for _, n := range []int{4, 10, 16} {
 		for _, lease := range []sim.Duration{0, 2 * sim.Millisecond} {
 			for _, rate := range []float64{0, 0.01, 0.05} {
-				sh := idx % shards
-				var crec *telemetry.Recorder
-				if rec != nil {
-					crec = rec.Child(fmt.Sprintf("e18.cell%02d", idx))
-				}
-				cells = append(cells, startTenantCell(cl.Shard(sh).Engine(), &lanes[sh], seed,
-					tenantCellCfg{idx: idx, n: n, lease: lease, rate: rate}, filter, crec, nil))
-				idx++
+				cells = append(cells, tenantCellCfg{idx: len(cells), n: n, lease: lease, rate: rate})
 			}
 		}
 	}
-	cl.Run()
-	for _, cell := range cells {
-		if err := cell.ctl.CheckInvariants(); err != nil {
-			panic("bench: e18 invariants: " + err.Error())
-		}
-		cell.row(&r.Table)
-	}
-	r.Steps += cl.Steps()
-	if now := cl.Now(); now > r.SimTime {
-		r.SimTime = now
-	}
+	// Cells share nothing but the immutable filter image, so each is
+	// one row on its own engine (runRows).
+	r.addRows(runRows(len(cells), rec,
+		func(i int) string { return fmt.Sprintf("e18.cell%02d", i) },
+		func(i int, crec *telemetry.Recorder) tableRow {
+			cell := runTenantCell(seed, cells[i], filter, crec, nil)
+			return engineRow(cell.row(), cell.eng)
+		}))
 	r.Notes = append(r.Notes,
-		"cells are independent LP-less islands round-robined over conservative-PDES shards; the table is byte-identical for every shard count",
+		"every cell is an independent scenario on its own engine, one row of the fan-out; the table is byte-identical for every worker count",
 		fmt.Sprintf("admission cap %d of 16 offered tenants; every fourth tenant departs at %v and a late tenant arrives at %v",
 			tenantCap, tenantChurnAt, tenantLateAt))
 	return r
@@ -398,17 +375,11 @@ func TenantScenarioRelabeled(seed uint64, tenants int, lease sim.Duration, fault
 }
 
 func tenantScenario(seed uint64, tenants int, lease sim.Duration, faultRate float64, rename func(string) string) (Result, []tenant.Row) {
-	eng := sim.NewEngine(seed)
-	cell := startTenantCell(eng, new(tenantLanes), seed, tenantCellCfg{idx: 0, n: tenants, lease: lease, rate: faultRate},
+	cell := runTenantCell(seed, tenantCellCfg{idx: 0, n: tenants, lease: lease, rate: faultRate},
 		compileTenantFilter(), nil, rename)
-	eng.Run()
-	if err := cell.ctl.CheckInvariants(); err != nil {
-		panic("bench: tenant scenario invariants: " + err.Error())
-	}
 	r := Result{ID: "E18", Title: "tenant scenario — one cell of the E18 sweep"}
-	r.Table.Header = []string{"tenants", "lease", "fault", "adm", "rej", "reconf", "preempt", "evict",
-		"ops", "ok", "retry", "err", "viol", "quiet p99", "worst p99"}
-	cell.row(&r.Table)
-	r.observe(eng)
+	r.Table.Header = tenantHeader
+	r.Table.AddRow(cell.row()...)
+	r.observe(cell.eng)
 	return r, cell.ctl.Report(tenantHorizon.Sub(sim.Time(0)))
 }

@@ -8,15 +8,15 @@ import (
 	"hyperion/internal/apps/fail2ban"
 )
 
-// TestTenantsAllocBudget: one E18 run at one shard allocates at most
-// 9 500 objects and compiles the fail2ban filter once, however many
-// filter tenants its cells build (54 at the default seed). A compile
+// TestTenantsAllocBudget: one E18 run allocates at most 9 000 objects
+// and compiles the fail2ban filter once, however many filter tenants
+// its cells build (54 at the default seed). A compile
 // (gofront, verify, optimize, verify, estimate) is ≈ 750 objects, so a
 // compile per tenant or per cell breaks the budget by itself, and a
 // second compile per run shows as twice the objects a lone compile
 // allocates under fail2ban.Compile.
 func TestTenantsAllocBudget(t *testing.T) {
-	const maxObjects = 9_500
+	const maxObjects = 9_000
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1 // record every allocation with its stack
 
@@ -28,11 +28,11 @@ func TestTenantsAllocBudget(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	compiles := compilerAllocs(func() {
 		runtime.ReadMemStats(&m0)
-		TenantsSharded(DefaultSeed, 1)
+		Tenants(DefaultSeed)
 		runtime.ReadMemStats(&m1)
 	})
 	objects := m1.Mallocs - m0.Mallocs
-	t.Logf("E18 at one shard: %d objects, %d B; %d objects under fail2ban.Compile (%d for one compile)",
+	t.Logf("E18: %d objects, %d B; %d objects under fail2ban.Compile (%d for one compile)",
 		objects, m1.TotalAlloc-m0.TotalAlloc, compiles, one)
 	if objects > maxObjects {
 		t.Errorf("E18 allocates %d objects per run, budget %d", objects, maxObjects)

@@ -11,7 +11,6 @@ import (
 // wfqPort is one weighted input of a WFQArbiter: a FIFO plus the
 // deficit-round-robin bookkeeping for its share of the bus.
 type wfqPort struct {
-	name    string
 	weight  int
 	deficit int64 // accumulated bus beats of credit
 	visited bool  // quantum already granted on the current scheduler visit
@@ -59,7 +58,7 @@ type WFQArbiter struct {
 	eng     *sim.Engine
 	period  sim.Duration // one beat
 	sink    func(Item)
-	ports   []*wfqPort
+	ports   []wfqPort
 	queued  int // items waiting in port FIFOs (the bus item excluded)
 	rr      int // port the scheduler is currently visiting
 	busy    bool
@@ -70,6 +69,7 @@ type WFQArbiter struct {
 	beatName string
 	beatFn   func()
 	rec      *telemetry.Recorder
+	spans    []string // armed only: port i's span name, <Name>.in<i>
 
 	Pushed    int64
 	Delivered int64
@@ -89,10 +89,11 @@ func NewWFQArbiter(eng *sim.Engine, name string, clockHz int64, widthBytes, dept
 		period:     sim.Duration(int64(sim.Second) / clockHz),
 		sink:       out,
 		beatName:   "wfq:" + name,
+		ports:      make([]wfqPort, n),
 	}
 	w.beatFn = w.deliver
-	for i := 0; i < n; i++ {
-		w.ports = append(w.ports, &wfqPort{name: fmt.Sprintf("%s.in%d", name, i), weight: 1})
+	for i := range w.ports {
+		w.ports[i].weight = 1
 	}
 	return w
 }
@@ -119,7 +120,8 @@ func (w *WFQArbiter) Len(i int) int { return w.ports[i].queue.Len() }
 func (w *WFQArbiter) CheckInvariants() error {
 	var queued int
 	var flushed int64
-	for i, p := range w.ports {
+	for i := range w.ports {
+		p := &w.ports[i]
 		if p.deficit < 0 {
 			return fmt.Errorf("wfq %q port %d: negative deficit %d", w.Name, i, p.deficit)
 		}
@@ -157,7 +159,14 @@ func (w *WFQArbiter) SetRecorder(rec *telemetry.Recorder) {
 	// the arming time.
 	now := w.eng.Now()
 	w.curT0 = now
-	for _, p := range w.ports {
+	if rec != nil && w.spans == nil {
+		w.spans = make([]string, len(w.ports))
+		for i := range w.spans {
+			w.spans[i] = fmt.Sprintf("%s.in%d", w.Name, i)
+		}
+	}
+	for i := range w.ports {
+		p := &w.ports[i]
 		p.pushAt.Reset()
 		if rec != nil {
 			for n := p.queue.Len(); n > 0; n-- {
@@ -173,7 +182,7 @@ func (w *WFQArbiter) Push(i int, it Item) error {
 	if w.sink == nil {
 		panic(fmt.Sprintf("fabric: wfq %q has no sink", w.Name))
 	}
-	p := w.ports[i]
+	p := &w.ports[i]
 	if it.Bytes <= 0 {
 		it.Bytes = 1
 	}
@@ -200,7 +209,7 @@ func (w *WFQArbiter) Push(i int, it Item) error {
 // port's scheduler credit. An item already occupying the bus is not
 // recalled — it was committed to the wire — and still reaches the sink.
 func (w *WFQArbiter) Flush(i int) []Item {
-	p := w.ports[i]
+	p := &w.ports[i]
 	n := p.queue.Len()
 	if n == 0 {
 		p.deficit = 0
@@ -246,16 +255,16 @@ func (w *WFQArbiter) next() {
 		return
 	}
 	k := int64(math.MaxInt64)
-	for _, p := range w.ports {
-		if p.queue.Len() > 0 {
+	for i := range w.ports {
+		if p := &w.ports[i]; p.queue.Len() > 0 {
 			wt := int64(p.weight)
 			if r := (w.beats(p.queue.Peek()) - p.deficit + wt - 1) / wt; r < k {
 				k = r
 			}
 		}
 	}
-	for _, p := range w.ports {
-		if p.queue.Len() > 0 {
+	for i := range w.ports {
+		if p := &w.ports[i]; p.queue.Len() > 0 {
 			p.deficit += (k - 1) * int64(p.weight)
 		}
 	}
@@ -270,7 +279,7 @@ func (w *WFQArbiter) next() {
 func (w *WFQArbiter) pass() bool {
 	n := len(w.ports)
 	for i := 0; i < n; i++ {
-		p := w.ports[w.rr]
+		p := &w.ports[w.rr]
 		if p.queue.Len() == 0 {
 			p.deficit = 0
 			p.visited = false
@@ -299,10 +308,10 @@ func (w *WFQArbiter) pass() bool {
 // deliver fires when the bus finishes the in-service item's beats.
 func (w *WFQArbiter) deliver() {
 	it := w.cur
-	p := w.ports[w.curPort]
+	p := &w.ports[w.curPort]
 	w.cur = Item{}
 	if w.rec != nil {
-		sp := w.rec.Begin("wfq", p.name, it.Span, w.curT0)
+		sp := w.rec.Begin("wfq", w.spans[w.curPort], it.Span, w.curT0)
 		sp.End(w.eng.Now())
 	}
 	p.Delivered++

@@ -437,7 +437,7 @@ func (d *wfqDiff) finish() {
 		s.sum += w
 	}
 	for i, s := range stats {
-		h := d.rec.Hist("wfq", d.arb.ports[i].name)
+		h := d.rec.Hist("wfq", d.arb.spans[i])
 		if h.Count() != s.n || h.Min() != s.min || h.Max() != s.max || (s.n > 0 && h.Mean() != s.sum/sim.Duration(s.n)) {
 			d.t.Fatalf("port %d spans: n=%d min=%v max=%v mean=%v, harness saw n=%d min=%v max=%v sum=%v",
 				i, h.Count(), h.Min(), h.Max(), h.Mean(), s.n, s.min, s.max, s.sum)

@@ -3,6 +3,7 @@ package hyperion
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hyperion/internal/bench"
@@ -60,6 +61,13 @@ func TestMetamorphicDeterminism(t *testing.T) {
 // (sim.Cluster-hosted, 1-shard) form of the existing X1 scale-out
 // experiment must reproduce the plain single-engine run exactly —
 // proving the barrier kernel adds no observable behavior of its own.
+//
+// E18 has no shards: its 18 cells are rows of one fan-out
+// (bench.runRows, GOMAXPROCS workers), each on its own engine, so its
+// layout knob is the worker count. Its table, event count and final
+// clock must be identical whether one worker runs the cells in turn or
+// four interleave them. These subtests flip GOMAXPROCS and so do not
+// run in parallel: they finish before the parallel ones resume.
 func TestShardCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the rack scenario at four shard counts per seed")
@@ -87,22 +95,19 @@ func TestShardCountInvariance(t *testing.T) {
 			}
 		})
 		t.Run(fmt.Sprintf("E18/seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			base := bench.TenantsSharded(seed, 1)
-			for _, shards := range []int{2, 4} {
-				r := bench.TenantsSharded(seed, shards)
-				if got, want := r.Table.String(), base.Table.String(); got != want {
-					t.Errorf("E18 at %d shards diverged from 1 shard at seed %d:\n--- %d shards ---\n%s\n--- 1 shard ---\n%s",
-						shards, seed, shards, got, want)
-				}
-				if r.Steps != base.Steps {
-					t.Errorf("E18 at %d shards ran %d events, 1 shard ran %d (seed %d)",
-						shards, r.Steps, base.Steps, seed)
-				}
-				if r.SimTime != base.SimTime {
-					t.Errorf("E18 at %d shards ended at %v, 1 shard at %v (seed %d)",
-						shards, r.SimTime, base.SimTime, seed)
-				}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			base := bench.Tenants(seed)
+			runtime.GOMAXPROCS(4)
+			r := bench.Tenants(seed)
+			if got, want := r.Table.String(), base.Table.String(); got != want {
+				t.Errorf("E18 on four workers diverged from one worker at seed %d:\n--- four ---\n%s\n--- one ---\n%s",
+					seed, got, want)
+			}
+			if r.Steps != base.Steps {
+				t.Errorf("E18 on four workers ran %d events, one worker ran %d (seed %d)", r.Steps, base.Steps, seed)
+			}
+			if r.SimTime != base.SimTime {
+				t.Errorf("E18 on four workers ended at %v, one worker at %v (seed %d)", r.SimTime, base.SimTime, seed)
 			}
 		})
 		t.Run(fmt.Sprintf("X1/seed%d", seed), func(t *testing.T) {

@@ -158,6 +158,38 @@ func TestTraceFlag(t *testing.T) {
 	})
 }
 
+// TestTraceDeterministic: two disjoint traced fig2 processes print the
+// same output and write byte-identical artifacts — process isolation
+// cannot hide wall-clock or map-order leaks.
+func TestTraceDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns full experiment runs")
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	a, exitA := run(t, "-trace", dirA, "fig2")
+	b, exitB := run(t, "-trace", dirB, "fig2")
+	if exitA != 0 || exitB != 0 {
+		t.Fatalf("exits = %d, %d, want 0", exitA, exitB)
+	}
+	// The artifact line names the directory, which differs by design.
+	strip := func(out, dir string) string { return strings.ReplaceAll(out, dir, "DIR") }
+	if strip(a, dirA) != strip(b, dirB) {
+		t.Fatalf("trace output diverged across processes:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+	for _, name := range []string{"E2.trace.json", "E2.hist.txt", "E2.critpath.txt"} {
+		ba, err := os.ReadFile(filepath.Join(dirA, name))
+		if err != nil {
+			t.Fatalf("artifact missing: %v", err)
+		}
+		if len(ba) == 0 {
+			t.Fatalf("%s is empty", name)
+		}
+		if bb, err := os.ReadFile(filepath.Join(dirB, name)); err != nil || string(bb) != string(ba) {
+			t.Fatalf("%s differs across processes (err=%v)", name, err)
+		}
+	}
+}
+
 // TestTenantsExperiment drives E18 through the executable: the sweep
 // must run, the -shards layout knob must leave the sharded experiment's
 // output unchanged across processes, and the traced form must write

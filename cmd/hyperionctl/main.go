@@ -10,7 +10,6 @@
 //	hyperionctl load -slot 2 -mib 16
 //	hyperionctl load -slot 2 -mib 16 -forge   # demonstrate auth rejection
 //	hyperionctl session                        # full scripted session
-//	hyperionctl trace -probes 8 -dir out/      # traced Figure 2 probes
 //	hyperionctl rack -shards 4                 # per-shard PDES kernel report
 //	hyperionctl tenants -tenants 10 -fault 0.01  # multi-tenant SLO report
 //	hyperionctl build filter.go                # compile restricted Go to the ISA
@@ -28,7 +27,6 @@ import (
 	"hyperion/internal/rack"
 	"hyperion/internal/rpc"
 	"hyperion/internal/sim"
-	"hyperion/internal/telemetry"
 	"hyperion/internal/transport"
 )
 
@@ -103,7 +101,7 @@ func bitstream(mib int64, tag string) *fabric.Bitstream {
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: hyperionctl status | load | unload | session | trace | rack | tenants | build")
+		fmt.Fprintln(os.Stderr, "usage: hyperionctl status | load | unload | session | rack | tenants | build")
 		os.Exit(2)
 	}
 	cmd, args := os.Args[1], os.Args[2:]
@@ -175,12 +173,6 @@ func main() {
 			os.Exit(1)
 		}
 		c.status()
-	case "trace":
-		fs := flag.NewFlagSet("trace", flag.ExitOnError)
-		probes := fs.Int("probes", 8, "number of Figure 2 probes to drive")
-		dir := fs.String("dir", "", "write trace artifacts (Perfetto JSON, histograms, critical path) to this existing directory")
-		_ = fs.Parse(args)
-		c.trace(*probes, *dir)
 	default:
 		fmt.Fprintln(os.Stderr, "unknown command", cmd)
 		os.Exit(2)
@@ -248,7 +240,7 @@ func cmdTenants(args []string) {
 		os.Exit(2)
 	}
 
-	res, rows := bench.TenantScenario(*seed, *n, sim.Duration(*leaseUS)*sim.Microsecond, *rate)
+	res, rows := bench.TenantScenario(*seed, *n, sim.Duration(*leaseUS)*sim.Microsecond, *rate, nil)
 	fmt.Print(res.String())
 	var tbl sim.Table
 	tbl.Header = []string{"tenant", "wgt", "state", "plc", "pre", "evt", "sub", "ok", "retry", "err",
@@ -270,61 +262,4 @@ func cmdTenants(args []string) {
 			r.P50.String(), r.P99.String(), fmt.Sprintf("%.0f", r.GoodputOPS), slo)
 	}
 	fmt.Print(tbl.String())
-}
-
-// trace arms the telemetry plane on the booted DPU, drives n Figure 2
-// probes through the full hardware path, and prints the per-stage
-// latency table plus the per-request critical-path summary. With dir
-// set, the Chrome trace JSON and text summaries are written there.
-func (c *ctl) trace(n int, dir string) {
-	if n <= 0 {
-		fmt.Fprintln(os.Stderr, "trace: -probes must be positive")
-		os.Exit(1)
-	}
-	if dir != "" {
-		st, err := os.Stat(dir)
-		if err != nil || !st.IsDir() {
-			fmt.Fprintf(os.Stderr, "trace: -dir %s: not a directory\n", dir)
-			os.Exit(1)
-		}
-	}
-	rec := telemetry.NewRecorder("hyperionctl.trace")
-	c.dpu.SetRecorder(rec)
-	if err := c.dpu.LoadAccelerator(0, core.ProbeBitstream(c.dpu.Cfg.AuthTag), nil); err != nil {
-		fmt.Fprintln(os.Stderr, "trace: load:", err)
-		os.Exit(1)
-	}
-	c.eng.Run()
-	var tbl sim.Table
-	tbl.Header = []string{"probe", "blocks", "arbiter", "pipeline", "storage", "egress", "total"}
-	for i := 0; i < n; i++ {
-		blocks := 1 + i%8
-		var tr core.Fig2Trace
-		err := c.dpu.Fig2Probe(0, i%4, int64(i)*7, blocks, func(got core.Fig2Trace, _ []byte, perr error) {
-			if perr != nil {
-				fmt.Fprintln(os.Stderr, "trace: probe:", perr)
-				os.Exit(1)
-			}
-			tr = got
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace: probe:", err)
-			os.Exit(1)
-		}
-		c.eng.Run()
-		tbl.AddRow(fmt.Sprintf("%d", i), fmt.Sprintf("%d", blocks),
-			tr.Arbiter.String(), tr.Pipeline.String(), tr.Storage.String(),
-			tr.Egress.String(), tr.Total.String())
-	}
-	fmt.Print(tbl.String())
-	fmt.Println()
-	fmt.Print(rec.CriticalPath())
-	if dir != "" {
-		a, err := bench.WriteTraceArtifacts(dir, "hyperionctl", rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace artifacts: %s %s %s\n", a.TraceJSON, a.HistTXT, a.CritTXT)
-	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -67,8 +66,6 @@ func TestExitCodes(t *testing.T) {
 		{"load", []string{"load", "-slot", "1", "-mib", "8"}, 0, []string{"partial reconfiguration"}},
 		{"forged load rejected", []string{"load", "-slot", "1", "-forge"}, 0, []string{"load rejected"}},
 		{"session", []string{"session"}, 0, []string{"forged bitstream is rejected"}},
-		{"trace needs positive probes", []string{"trace", "-probes", "0"}, 1, []string{"must be positive"}},
-		{"trace bad dir", []string{"trace", "-dir", "no-such-dir"}, 1, []string{"not a directory"}},
 		// A Go panic also exits 2: these rows hold the message, and every
 		// row holds the absence of a goroutine dump.
 		{"rack boxes below replicas", []string{"rack", "-boxes", "2"}, 2, []string{"-boxes must be >= 3"}},
@@ -133,64 +130,6 @@ func TestRackCommand(t *testing.T) {
 	}
 	if rows1 != 1 || rows4 != 4 {
 		t.Errorf("per-shard rows = %d and %d, want 1 and 4", rows1, rows4)
-	}
-}
-
-// TestTraceCommand drives an armed trace session end to end: the
-// per-stage table and critical path print, the artifacts land in -dir,
-// and the trace JSON is parseable with a populated event stream.
-func TestTraceCommand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns full control sessions")
-	}
-	dir := t.TempDir()
-	out, exit := run(t, "trace", "-probes", "3", "-dir", dir)
-	if exit != 0 {
-		t.Fatalf("exit = %d, want 0; output:\n%s", exit, out)
-	}
-	for _, want := range []string{
-		"arbiter", "pipeline", "storage", "egress",
-		"critical path", "trace artifacts:",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "hyperionctl.trace.json"))
-	if err != nil {
-		t.Fatalf("trace artifact missing: %v", err)
-	}
-	var doc struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
-		t.Fatalf("trace JSON unparseable or empty (err=%v)", err)
-	}
-	for _, name := range []string{"hyperionctl.hist.txt", "hyperionctl.critpath.txt"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("artifact missing: %v", err)
-		}
-		if len(b) == 0 {
-			t.Fatalf("%s is empty", name)
-		}
-	}
-}
-
-// TestTraceDeterministic: two disjoint trace processes at the same
-// parameters print byte-identical output — process isolation cannot
-// hide wall-clock or map-order leaks.
-func TestTraceDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns full control sessions")
-	}
-	a, exitA := run(t, "trace", "-probes", "4")
-	b, exitB := run(t, "trace", "-probes", "4")
-	if exitA != 0 || exitB != 0 {
-		t.Fatalf("exits = %d, %d, want 0", exitA, exitB)
-	}
-	if a != b {
-		t.Fatalf("trace output diverged across processes:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 }
 

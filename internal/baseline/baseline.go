@@ -283,7 +283,7 @@ var walkShifts = [3]uint{27, 18, 9}
 // to sim.Recency; the key → node index is an open-addressed table with
 // linear probing and backward-shift deletion, sized once at twice the
 // capacity so it never grows (seg.oidIndex's scheme on 64-bit keys; see
-// DESIGN §10 "Guide tables" for why the two are not one generic type).
+// DESIGN §3 "Guide tables" for why the two are not one generic type).
 type lru struct {
 	cap   int
 	n     int

@@ -361,20 +361,11 @@ func tenantRun(seed uint64, rec *telemetry.Recorder) Result {
 
 // TenantScenario runs a single E18-style cell (cell index 0) on a
 // plain engine — the `hyperionctl tenants` form — returning both the
-// one-row summary and the per-tenant SLO report.
-func TenantScenario(seed uint64, tenants int, lease sim.Duration, faultRate float64) (Result, []tenant.Row) {
-	return tenantScenario(seed, tenants, lease, faultRate, nil)
-}
-
-// TenantScenarioRelabeled is TenantScenario with tenant display names
-// mapped through rename — the hook behind the relabeling metamorphic
-// relation: names are pure labels, so a renamed run must produce the
-// same rows up to reordering by the new names.
-func TenantScenarioRelabeled(seed uint64, tenants int, lease sim.Duration, faultRate float64, rename func(string) string) (Result, []tenant.Row) {
-	return tenantScenario(seed, tenants, lease, faultRate, rename)
-}
-
-func tenantScenario(seed uint64, tenants int, lease sim.Duration, faultRate float64, rename func(string) string) (Result, []tenant.Row) {
+// one-row summary and the per-tenant SLO report. rename maps tenant
+// display names (nil is the identity): names are pure labels, so a
+// renamed run must produce the same rows up to reordering by the new
+// names, the relabeling metamorphic relation.
+func TenantScenario(seed uint64, tenants int, lease sim.Duration, faultRate float64, rename func(string) string) (Result, []tenant.Row) {
 	cell := runTenantCell(seed, tenantCellCfg{idx: 0, n: tenants, lease: lease, rate: faultRate},
 		compileTenantFilter(), nil, rename)
 	r := Result{ID: "E18", Title: "tenant scenario — one cell of the E18 sweep"}

@@ -178,20 +178,26 @@ func TestVerifierEndianRules(t *testing.T) {
 	if err := Verify(MustAssemble("mov r0, r10\nbe64 r0\nexit"), cfg); err == nil {
 		t.Fatal("byte-swapped a pointer")
 	}
-	// Endian result is width-bounded: usable as a window index.
-	cfg.Helpers = map[int32]HelperSig{
-		HelperUserBase: {Name: "w", Ret: RetWindow, WindowSize: 1 << 17},
-	}
-	src := `
-		call 64
-		mov r7, r0
+	// Endian result is width-bounded: usable as an index into a 128 KiB
+	// map value.
+	src := withValue(`
 		ldxh r6, [r7+0]
 		be16 r6              ; still [0,65535]
 		add r7, r6
 		ldxb r0, [r7+0]
-		exit`
-	if err := Verify(MustAssemble(src), cfg); err != nil {
+		exit`)
+	if err := Verify(MustAssemble(src), valueCfg(1<<17)); err != nil {
 		t.Fatalf("rejected bounded endian index: %v", err)
+	}
+	// be64 widens the same halfword to the full range: rejected.
+	src = withValue(`
+		ldxh r6, [r7+0]
+		be64 r6
+		add r7, r6
+		ldxb r0, [r7+0]
+		exit`)
+	if err := Verify(MustAssemble(src), valueCfg(1<<17)); err == nil {
+		t.Fatal("accepted an unbounded endian index")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // Contract rule identifiers. Every rejection names the rule it
 // enforces, so a diagnostic is actionable without reading the
 // compiler: the rule is the row of the restricted-Go contract table
-// (DESIGN.md §13) the program violated.
+// (DESIGN.md §6) the program violated.
 const (
 	RuleImport    = "no-import"      // programs are self-contained; no stdlib
 	RuleHeap      = "no-heap"        // new/make/append/composite literals

@@ -9,7 +9,7 @@ import (
 // DPU or be compiled to hardware: every register read is preceded by a
 // write, all memory accesses stay within the stack / context / map-value
 // windows they were derived from, map pointers are null-checked before
-// use, helpers are restricted to an allow-list, and control flow is a
+// use, calls are restricted to the builtin helpers, and control flow is a
 // forward-only DAG (no back-edges), which both bounds execution and is
 // what makes eHDL pipelining possible.
 //
@@ -19,7 +19,7 @@ import (
 // drop the edges no value can take, and pointer arithmetic with a
 // bounded scalar is allowed as long as every byte of the resulting
 // access window stays in bounds. That is what lets XRP-style programs
-// index into a node page with a computed offset. Unlike Linux it
+// index into a map value with a computed offset. Unlike Linux it
 // insists on loop-free programs, so one forward pass with per-edge
 // state merging suffices.
 
@@ -29,38 +29,17 @@ const MaxInsns = 4096
 // ErrVerify wraps all verification failures.
 var ErrVerify = errors.New("ebpf: verification failed")
 
-// RetKind describes what a helper returns, for tracking pointer types.
-type RetKind int
-
-const (
-	RetScalar RetKind = iota
-	RetMapValueOrNull
-	// RetWindow is a pointer to a fixed-size readable window (used by
-	// embedder helpers that expose storage blocks to programs).
-	RetWindow
-)
-
-// HelperSig declares a helper to the verifier.
-type HelperSig struct {
-	Name       string
-	Ret        RetKind
-	WindowSize int // for RetWindow
-}
-
 // VerifierConfig parameterizes verification.
 type VerifierConfig struct {
 	// CtxSize is the guaranteed-accessible context size in bytes.
 	CtxSize int
 	// Maps resolves map ids used with the map helpers.
 	Maps *MapSet
-	// Helpers lists callable helper ids. The builtin map/time/trace
-	// helpers are implied.
-	Helpers map[int32]HelperSig
 }
 
 // DefaultVerifierConfig allows the builtins with a 512-byte context.
 func DefaultVerifierConfig(maps *MapSet) VerifierConfig {
-	return VerifierConfig{CtxSize: 512, Maps: maps, Helpers: map[int32]HelperSig{}}
+	return VerifierConfig{CtxSize: 512, Maps: maps}
 }
 
 type regType uint8
@@ -72,7 +51,6 @@ const (
 	tPtrCtx
 	tMapValue
 	tMapValueOrNull
-	tWindow
 )
 
 func (t regType) String() string {
@@ -89,8 +67,6 @@ func (t regType) String() string {
 		return "map_value"
 	case tMapValueOrNull:
 		return "map_value_or_null"
-	case tWindow:
-		return "window_ptr"
 	}
 	return "?"
 }
@@ -106,7 +82,6 @@ type regState struct {
 	off   int64
 	val   Interval
 	mapID int // for map value pointers
-	size  int // for window pointers
 }
 
 func scalar(val Interval) regState { return regState{typ: tScalar, val: val} }
@@ -147,7 +122,7 @@ func merge(a, b absState) absState {
 	out.live = true
 	for i := range a.regs {
 		ra, rb := a.regs[i], b.regs[i]
-		if ra.typ != rb.typ || ra.off != rb.off || ra.mapID != rb.mapID || ra.size != rb.size {
+		if ra.typ != rb.typ || ra.off != rb.off || ra.mapID != rb.mapID {
 			out.regs[i] = regState{typ: tUninit}
 			continue
 		}
@@ -164,7 +139,6 @@ type verifier struct {
 	prog    []Instruction
 	targets []int
 	cfg     VerifierConfig
-	sigs    map[int32]HelperSig
 }
 
 // Verify checks prog against cfg. A nil error means the program is safe
@@ -180,10 +154,7 @@ func Verify(prog []Instruction, cfg VerifierConfig) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrVerify, err)
 	}
-	v := &verifier{prog: prog, targets: targets, cfg: cfg, sigs: builtinSigs()}
-	for id, sig := range cfg.Helpers {
-		v.sigs[id] = sig
-	}
+	v := &verifier{prog: prog, targets: targets, cfg: cfg}
 
 	// Structural pass: forward-only control flow, reachability, and that
 	// every path ends in exit.
@@ -238,16 +209,6 @@ func Verify(prog []Instruction, cfg VerifierConfig) error {
 		}
 	}
 	return nil
-}
-
-func builtinSigs() map[int32]HelperSig {
-	return map[int32]HelperSig{
-		HelperMapLookup: {Name: "map_lookup_elem", Ret: RetMapValueOrNull},
-		HelperMapUpdate: {Name: "map_update_elem", Ret: RetScalar},
-		HelperMapDelete: {Name: "map_delete_elem", Ret: RetScalar},
-		HelperKtime:     {Name: "ktime_get_ns", Ret: RetScalar},
-		HelperTrace:     {Name: "trace", Ret: RetScalar},
-	}
 }
 
 type edge struct {
@@ -481,7 +442,7 @@ func (v *verifier) alu(st *absState, ins Instruction) (regState, error) {
 	}
 
 	isPtr := func(t regType) bool {
-		return t == tPtrStack || t == tPtrCtx || t == tMapValue || t == tWindow
+		return t == tPtrStack || t == tPtrCtx || t == tMapValue
 	}
 
 	// Pointer arithmetic: 64-bit add/sub with exact or bounded scalars.
@@ -577,24 +538,12 @@ func (v *verifier) checkMem(st *absState, base regState, off int64, size int, wr
 			return fmt.Errorf("map value access [%d,%d) outside [0,%d)", lo, hi, m.ValueSize())
 		}
 		return nil
-	case tWindow:
-		if write {
-			return errors.New("write to read-only window")
-		}
-		if lo < 0 || hi > int64(base.size) {
-			return fmt.Errorf("window access [%d,%d) outside [0,%d)", lo, hi, base.size)
-		}
-		return nil
 	}
 	return fmt.Errorf("dereference of %s", base.typ)
 }
 
 // call validates a helper call and applies its effects.
 func (v *verifier) call(pc int, st absState, ins Instruction) ([]edge, error) {
-	sig, ok := v.sigs[ins.Imm]
-	if !ok {
-		return nil, fmt.Errorf("call to unknown or disallowed helper %d", ins.Imm)
-	}
 	switch ins.Imm {
 	case HelperMapLookup, HelperMapUpdate, HelperMapDelete:
 		r1 := st.regs[R1]
@@ -621,15 +570,10 @@ func (v *verifier) call(pc int, st absState, ins Instruction) ([]edge, error) {
 		} else {
 			st.regs[R0] = scalarUnknown()
 		}
+	case HelperKtime, HelperTrace:
+		st.regs[R0] = scalarUnknown()
 	default:
-		switch sig.Ret {
-		case RetScalar:
-			st.regs[R0] = scalarUnknown()
-		case RetMapValueOrNull:
-			st.regs[R0] = regState{typ: tMapValueOrNull}
-		case RetWindow:
-			st.regs[R0] = regState{typ: tWindow, size: sig.WindowSize}
-		}
+		return nil, fmt.Errorf("call to unknown or disallowed helper %d", ins.Imm)
 	}
 	for _, r := range []uint8{R1, R2, R3, R4, R5} {
 		st.regs[r] = regState{typ: tUninit}

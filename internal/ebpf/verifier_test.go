@@ -201,24 +201,6 @@ func TestVerifyBranchRefinementBothOrders(t *testing.T) {
 	}
 }
 
-func TestVerifyCustomHelperWindow(t *testing.T) {
-	cfg := defCfg()
-	cfg.Helpers = map[int32]HelperSig{
-		HelperUserBase: {Name: "get_block", Ret: RetWindow, WindowSize: 64},
-	}
-	// Reading inside the window is fine; beyond it is rejected; writing
-	// is rejected.
-	if err := verifySrc(t, "call 64\nldxdw r0, [r0+56]\nexit", cfg); err != nil {
-		t.Fatalf("in-bounds window read rejected: %v", err)
-	}
-	if err := verifySrc(t, "call 64\nldxdw r0, [r0+57]\nexit", cfg); err == nil {
-		t.Fatal("out-of-bounds window read accepted")
-	}
-	if err := verifySrc(t, "call 64\nstdw [r0+0], 1\nmov r0, 0\nexit", cfg); err == nil {
-		t.Fatal("window write accepted")
-	}
-}
-
 func TestVerifyStateMergeWidensRanges(t *testing.T) {
 	// r2 is 4 on one path and 8 on the other: the merged range [4,8]
 	// may be used as a pointer offset only when the whole window stays
@@ -273,17 +255,36 @@ func TestVerifyStateMergeWidensRanges(t *testing.T) {
 	}
 }
 
+// valueCfg verifies against one map whose values are size bytes long.
+func valueCfg(size int) VerifierConfig {
+	maps := &MapSet{}
+	maps.Add(NewHashMap(4, size, 1))
+	return DefaultVerifierConfig(maps)
+}
+
+// withValue runs body with r6 holding the context's first word and r7 a
+// null-checked pointer to map 0's value under key 0; a miss returns 0.
+func withValue(body string) string {
+	return `
+		ldxw r6, [r1+0]
+		stw [r10-4], 0
+		mov r1, 0
+		mov r2, r10
+		sub r2, 4
+		call 1
+		jeq r0, 0, miss
+		mov r7, r0
+` + body + `
+	miss:
+		mov r0, 0
+		exit`
+}
+
 func TestVerifyRangeRefinementEnablesIndexing(t *testing.T) {
 	// XRP-style computed indexing: load an index from ctx, bound it
-	// with a branch, scale it, and read inside a helper window.
-	cfg := defCfg()
-	cfg.Helpers = map[int32]HelperSig{
-		HelperUserBase: {Name: "get_node", Ret: RetWindow, WindowSize: 4096},
-	}
-	src := `
-		ldxw r6, [r1+0]
-		call 64
-		mov r7, r0
+	// with a branch, scale it, and read inside a 4 KiB map value.
+	cfg := valueCfg(4096)
+	src := withValue(`
 		jlt r6, 500, ok
 		mov r0, 0
 		exit
@@ -292,27 +293,21 @@ func TestVerifyRangeRefinementEnablesIndexing(t *testing.T) {
 		add r7, r6
 		ldxdw r0, [r7+0]
 		and r0, 0xffff
-		exit`
+		exit`)
 	if err := verifySrc(t, src, cfg); err != nil {
 		t.Fatalf("bounded computed indexing rejected: %v", err)
 	}
 	// Without the bounding branch the same program must be rejected.
-	srcBad := `
-		ldxw r6, [r1+0]
-		call 64
-		mov r7, r0
+	srcBad := withValue(`
 		mul r6, 8
 		add r7, r6
 		ldxdw r0, [r7+0]
-		exit`
+		exit`)
 	if err := verifySrc(t, srcBad, cfg); err == nil {
 		t.Fatal("unbounded computed indexing accepted")
 	}
-	// A bound that still allows escaping the window must be rejected.
-	srcOver := `
-		ldxw r6, [r1+0]
-		call 64
-		mov r7, r0
+	// A bound that still allows escaping the value must be rejected.
+	srcOver := withValue(`
 		jlt r6, 513, ok
 		mov r0, 0
 		exit
@@ -320,43 +315,45 @@ func TestVerifyRangeRefinementEnablesIndexing(t *testing.T) {
 		mul r6, 8
 		add r7, r6
 		ldxdw r0, [r7+0]
-		exit`
+		exit`)
 	if err := verifySrc(t, srcOver, cfg); err == nil {
-		t.Fatal("window overrun accepted (bound 513*8+8 > 4096)")
+		t.Fatal("map value overrun accepted (bound 513*8+8 > 4096)")
 	}
 }
 
 func TestVerifyRangeArithmetic(t *testing.T) {
-	cfg := defCfg()
-	cfg.Helpers = map[int32]HelperSig{
-		HelperUserBase: {Name: "get_node", Ret: RetWindow, WindowSize: 256},
-	}
+	cfg := valueCfg(256)
 	// Byte loads are bounded [0,255]; AND narrows; RSH narrows; the
-	// combination must verify against a 256-byte window.
-	src := `
-		call 64
-		mov r7, r0
+	// combination must verify against a 256-byte value.
+	src := withValue(`
 		ldxb r6, [r7+0]     ; [0,255]
 		and r6, 0x7f        ; [0,127]
 		rsh r6, 1           ; [0,63]
 		add r6, r6          ; [0,126]
 		add r7, r6
 		ldxb r0, [r7+0]     ; worst case byte 126: in bounds
-		exit`
+		exit`)
 	if err := verifySrc(t, src, cfg); err != nil {
 		t.Fatalf("range arithmetic rejected: %v", err)
 	}
 	// Division by a constant narrows too.
-	src2 := `
-		call 64
-		mov r7, r0
+	src2 := withValue(`
 		ldxh r6, [r7+0]     ; [0,65535]
 		div r6, 512         ; [0,127]
 		add r7, r6
 		ldxb r0, [r7+0]
-		exit`
+		exit`)
 	if err := verifySrc(t, src2, cfg); err != nil {
 		t.Fatalf("division range rejected: %v", err)
+	}
+	// Without the narrowing a byte index overruns the value.
+	src3 := withValue(`
+		ldxh r6, [r7+0]     ; [0,65535]
+		add r7, r6
+		ldxb r0, [r7+0]
+		exit`)
+	if err := verifySrc(t, src3, cfg); err == nil {
+		t.Fatal("map value overrun accepted (index up to 65535 in 256 bytes)")
 	}
 }
 

@@ -30,9 +30,6 @@ const (
 	HelperMapDelete int32 = 3
 	HelperKtime     int32 = 5
 	HelperTrace     int32 = 6
-	// HelperUserBase is the first id available to embedders (storage
-	// walks, packet emit, segment reads...).
-	HelperUserBase int32 = 64
 )
 
 // HelperFunc implements one helper call. args are r1..r5; the returned
@@ -537,7 +534,7 @@ func (vm *VM) Run(ctx []byte) (uint64, error) {
 // swaps (IsEndian) are not ALU operations and are not evaluated here.
 //
 // Run keeps its own inline copy of this switch because a call per
-// instruction costs BenchmarkVM 8–14 % (DESIGN §4);
+// instruction costs BenchmarkVM 8–14 % (DESIGN §6);
 // TestEvalMatchesInterpreter holds the two together, and everything
 // else that needs the exact result of an instruction — the verifier's
 // constant tracking, ehdl's constant folding — calls this.

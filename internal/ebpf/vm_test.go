@@ -529,7 +529,7 @@ func TestTraceHelper(t *testing.T) {
 func TestCustomHelperAndWindows(t *testing.T) {
 	vm := NewVM(nil)
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	vm.RegisterHelper(HelperUserBase, Helper{Name: "get_block", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
+	vm.RegisterHelper(64, Helper{Name: "get_block", Fn: func(vm *VM, a [5]uint64) (uint64, error) {
 		return vm.AddWindow(data, false), nil
 	}})
 	_ = vm.Load(MustAssemble("call 64\nldxdw r0, [r0+0]\nexit"))

@@ -5,7 +5,7 @@
 // name, so the same seed always injects the same faults at the same
 // virtual times — chaos runs replay byte-identically.
 //
-// Determinism contract (see DESIGN.md §8):
+// Determinism contract (see DESIGN.md §11):
 //
 //   - All randomness comes from sim.Rand; no wall clock, no math/rand.
 //   - A nil Plan, and a Plan whose probability for a Kind is zero, is a

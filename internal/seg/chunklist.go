@@ -31,7 +31,7 @@ var (
 
 // A ChunkList is a growable object: a 4 KiB root block naming a list of
 // 1 MiB chunk objects, the persistent shape of kvssd's value log, txn's
-// redo log and corfu's unit (DESIGN §10 "Growable objects: one root").
+// redo log and corfu's unit (DESIGN §5 "Growable objects: one root").
 // The root's layout is decided here and nowhere else:
 //
 //	 0 u32 magic    the client's, so one client's root never opens as another's

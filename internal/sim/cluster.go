@@ -11,7 +11,7 @@
 //
 // A Cluster's results are a pure function of (seed, LP topology) and
 // independent of the shard count. The argument, spelled out in
-// DESIGN.md §12, rests on four properties enforced here:
+// DESIGN.md §9, rests on four properties enforced here:
 //
 //   - all cross-LP communication goes through Send envelopes, even
 //     between LPs that happen to share a shard, so the window sequence

@@ -8,7 +8,7 @@ type Event interface{ Fire() }
 
 // Lane is a FIFO of events whose times never decrease — a flash
 // channel's completions, a box's KV answers, a tenant's ticks, a
-// shard's barrier-sorted envelopes (DESIGN §4 "Lanes"). Only the lane's
+// shard's barrier-sorted envelopes (DESIGN §3 "Lanes"). Only the lane's
 // head sits in the engine's heap; its successors wait in the lane's
 // ring, where keeping them in order costs nothing. When the head fires,
 // its successor takes over the heap root with one sift-down. A

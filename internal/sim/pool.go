@@ -48,7 +48,7 @@ func (p *eventPool) release(id int32) {
 }
 
 // FreeList recycles the per-operation contexts the model layers park
-// between events (DESIGN §10): Put pushes, Get pops the most recently
+// between events (DESIGN §3): Put pushes, Get pops the most recently
 // put object — LIFO, so the hot one is reused — and, when the list is
 // empty, carves a zero object from a chunk. Chunks double from one to
 // freeListChunkMax: an open loop that overloads its device (E17) only

@@ -127,7 +127,7 @@ func (h *heap4) siftUp(i int) {
 }
 
 // Queue is the FIFO the model layers put in front of a prebound event
-// function or a bus (DESIGN §10): Push appends, Pop advances a head
+// function or a bus (DESIGN §3): Push appends, Pop advances a head
 // index and zeroes the slot it leaves so the queue pins nothing it has
 // handed out, and the backing array rewinds once drained, so steady
 // traffic enqueues without allocating. The zero value is ready to use.

@@ -96,7 +96,7 @@ func (r *Rand) Perm(n int) []int {
 // step u falls in without evaluating a power. The table answers only
 // when u is zipfGuard away from both neighbouring steps; closer than
 // that, and whenever no table was built, tail evaluates the formula.
-// The ranks drawn are therefore the formula's, bit for bit (DESIGN §10
+// The ranks drawn are therefore the formula's, bit for bit (DESIGN §3
 // "Guide tables").
 type Zipf struct {
 	r            *Rand

@@ -17,7 +17,7 @@
 // hand-off must Retain before passing it on and Release when done.
 // Release of the last reference returns the Buf to its pool; the pool
 // zeroes payload bytes on reuse so a stale reference can never observe
-// another message's data. See DESIGN.md §10 for the per-layer rules.
+// another message's data. See DESIGN.md §4 for the per-layer rules.
 //
 // Pools are plain LIFO free lists — deliberately not sync.Pool, whose
 // emptying is scheduler- and GC-dependent and would make model-code

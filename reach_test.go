@@ -48,7 +48,6 @@ var reachAllow = map[string]string{
 
 	"internal/bench.ClusterScaleOutWindowed": "TestShardCountInvariance drives E17's windowed scale-out with it",
 	"internal/bench.Experiment.Run":          "TestExperimentsDeterministic and the BenchmarkTable benchmarks run experiments through it",
-	"internal/bench.TenantScenarioRelabeled": "TestTenantRelabelingInvariance drives E18 with it",
 
 	"internal/core.Reboot": "ROADMAP power-cut item: the reopen path its harness drives (TestCrashRecoveryEndToEnd today)",
 
@@ -163,29 +162,16 @@ func TestReachabilityRules(t *testing.T) {
 // the same rule.
 func TestDocsCiteLiveNames(t *testing.T) {
 	var defined []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		if !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
+	for _, path := range goFiles(t, true) {
 		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
 				defined = append(defined, fd.Name.Name)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	testName := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 	live := func(name string) bool {
@@ -231,6 +217,204 @@ func TestDocsCiteLiveNames(t *testing.T) {
 			}
 		}
 	}
+}
+
+// designBudget and changesEntryBudget are the byte budgets TestDocBudget
+// holds: DESIGN.md says what is true now, once, and a CHANGES.md entry is
+// one paragraph; history lives in git.
+const (
+	designBudget       = 40000
+	changesEntryBudget = 1536
+)
+
+// TestDocBudget fails when DESIGN.md outgrows its budget or a CHANGES.md
+// entry outgrows its own.
+func TestDocBudget(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range docBudget(string(design), string(changes)) {
+		t.Error(f)
+	}
+}
+
+// docBudget returns the budget findings for the text of DESIGN.md and
+// CHANGES.md.
+func docBudget(design, changes string) []string {
+	var findings []string
+	if len(design) > designBudget {
+		findings = append(findings, fmt.Sprintf("DESIGN.md is %d bytes, over its %d: say what is true now, once", len(design), designBudget))
+	}
+	for _, e := range changesEntries(changes) {
+		if len(e) > changesEntryBudget {
+			first, _, _ := strings.Cut(e, "\n")
+			findings = append(findings, fmt.Sprintf("CHANGES.md entry %.40q… is %d bytes, over its %d: one paragraph, names only", first, len(e), changesEntryBudget))
+		}
+	}
+	return findings
+}
+
+// changesEntries splits CHANGES.md into its entries: a top-level list
+// item ("- " at column 0) with its continuation lines, up to the next
+// item or heading.
+func changesEntries(text string) []string {
+	var entries []string
+	cur := -1
+	for _, line := range strings.SplitAfter(text, "\n") {
+		switch {
+		case strings.HasPrefix(line, "- "):
+			entries = append(entries, line)
+			cur = len(entries) - 1
+		case strings.HasPrefix(line, "#"):
+			cur = -1
+		case cur >= 0:
+			entries[cur] += line
+		}
+	}
+	for i, e := range entries {
+		entries[i] = strings.TrimRight(e, "\n")
+	}
+	return entries
+}
+
+// designCite matches a citation of DESIGN by section, "DESIGN §4" or
+// "DESIGN.md §12", with an optional quoted heading title after it.
+var designCite = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+)(?: "([^"]+)")?`)
+
+// TestDocCitationsResolve keeps section citations of DESIGN.md live:
+// every DESIGN §N in non-test Go, ci.yml and the docs TestDocsCiteLiveNames
+// checks must name a "## N." heading of DESIGN.md, and a quoted title
+// after it must name that heading or one of its subheadings, in full or
+// up to the heading's first ": ".
+func TestDocCitationsResolve(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := designSections(string(design))
+	files := append([]string{".github/workflows/ci.yml", "DESIGN.md", "README.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"}, goFiles(t, false)...)
+	cited := 0
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cited += len(designCite.FindAllString(joinLines(string(text)), -1))
+		for _, bad := range badCitations(sections, f, string(text)) {
+			t.Error(bad)
+		}
+	}
+	if cited == 0 {
+		t.Error("no DESIGN citation found: the gate reads nothing")
+	}
+}
+
+// designSections maps the number of each "## N. Title" heading of
+// DESIGN.md to the titles it answers to: its own and those of the
+// "###" headings under it, each also by its part before a ": ".
+func designSections(text string) map[string][]string {
+	sections := make(map[string][]string)
+	cur := ""
+	add := func(title string) {
+		short, _, _ := strings.Cut(title, ": ")
+		sections[cur] = append(sections[cur], title, short)
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			num, title, found := strings.Cut(h, ". ")
+			cur = ""
+			if found {
+				cur = num
+				add(title)
+			}
+		} else if h, ok := strings.CutPrefix(line, "### "); ok && cur != "" {
+			add(h)
+		}
+	}
+	return sections
+}
+
+// badCitations returns a finding for every DESIGN citation in text,
+// read from file name, that names no section, or a title no heading of
+// that section has. A citation may wrap: line breaks and the comment
+// markers that start the next line read as one space.
+func badCitations(sections map[string][]string, name, text string) []string {
+	var bad []string
+	for _, m := range designCite.FindAllStringSubmatch(joinLines(text), -1) {
+		titles, ok := sections[m[1]]
+		switch {
+		case !ok:
+			bad = append(bad, fmt.Sprintf("%s cites %s: DESIGN.md has no section %s", name, m[0], m[1]))
+		case m[2] != "" && !slices.Contains(titles, m[2]):
+			bad = append(bad, fmt.Sprintf("%s cites %s: section %s has no heading %q", name, m[0], m[1], m[2]))
+		}
+	}
+	return bad
+}
+
+// lineBreak is a line break with the indentation and comment marker
+// that follow it.
+var lineBreak = regexp.MustCompile(`[ \t]*\n[ \t]*(?:(?://|#)[ \t]*)?`)
+
+func joinLines(text string) string { return lineBreak.ReplaceAllString(text, " ") }
+
+// TestDocGateRules pins the doc budget and the citation gate on small
+// inputs.
+func TestDocGateRules(t *testing.T) {
+	changes := "# CHANGES\n\n- short (kind): one line.\n- long (kind): two lines\n  " + strings.Repeat("x", changesEntryBudget) + "\n## Later\ntext\n"
+	if got := changesEntries(changes); len(got) != 2 || got[0] != "- short (kind): one line." || !strings.HasSuffix(got[1], "x") {
+		t.Errorf("entries = %q", got)
+	}
+	got := docBudget(strings.Repeat("d", designBudget+1), changes)
+	if len(got) != 2 || !strings.HasPrefix(got[0], "DESIGN.md is 40001 bytes") || !strings.Contains(got[1], "long (kind)") {
+		t.Errorf("budget findings = %q", got)
+	}
+	if got := docBudget("ok", "- fine: one line\n"); len(got) != 0 {
+		t.Errorf("budget findings within budget = %q", got)
+	}
+
+	sections := designSections("# D\n\n## 3. Kernel\n\n### Lanes\n\n## 4. Wire\n### Buffers: pooled\n")
+	pass := "x.go cites (DESIGN §3\n\t// \"Lanes\"), DESIGN.md §4 and DESIGN §4 \"Buffers\"."
+	if got := badCitations(sections, "x.go", pass); len(got) != 0 {
+		t.Errorf("findings on live citations = %q", got)
+	}
+	fail := `DESIGN §4 "Lanes", DESIGN §9, DESIGN §4 "Buff" and DESIGN.md §3 "Kernel"`
+	want := []string{
+		`y.md cites DESIGN §4 "Lanes": section 4 has no heading "Lanes"`,
+		`y.md cites DESIGN §9: DESIGN.md has no section 9`,
+		`y.md cites DESIGN §4 "Buff": section 4 has no heading "Buff"`,
+	}
+	if got := badCitations(sections, "y.md", fail); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings = %q, want %q", got, want)
+	}
+}
+
+// goFiles lists the repository's Go files outside testdata and hidden
+// directories: its _test.go files when test is set, the others when not.
+func goFiles(t *testing.T, test bool) []string {
+	t.Helper()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, ".go") && strings.HasSuffix(path, "_test.go") == test {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 func isDir(path string) bool {
@@ -617,8 +801,6 @@ func planLayer(info *types.Info, inits map[*types.Var]ast.Expr, e ast.Expr) (str
 var knobAllow = map[string]string{
 	"internal/core.Config.AuthTag": "a credential: the bitstream authorization tag is a deployment secret",
 
-	"internal/ebpf.VerifierConfig.Helpers": "ROADMAP soundness item: only tests register a helper id at or above HelperUserBase (TestVerifyCustomHelperWindow)",
-
 	"internal/fabric.Config.ClockHz":    "frozen cmd/hyperbench reads it; TestBootSelfTestFails breaks the fabric through it",
 	"internal/nvme.Config.BlockSize":    "frozen cmd/hyperbench reads it; TestBlockShiftMatchesDivision builds devices that disagree on it",
 	"internal/tenant.Config.DepthItems": "frozen cmd/hyperbench reads it; TestSchedulerProperties shrinks it",
@@ -633,7 +815,7 @@ var knobReason = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*|cmd/h
 
 // TestEveryKnobIsTurned fails on every configuration field that only
 // its own package's Default* constructor sets: a value one binary uses
-// is a constant beside its reader (DESIGN "Model parameters"). A knob is
+// is a constant beside its reader (DESIGN §2 "Model parameters"). A knob is
 // a field of an exported struct type named Options or *Config in a
 // non-test package; a field whose type is itself such a struct is a
 // container, and only its own fields are judged. A knob is turned when

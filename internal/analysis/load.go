@@ -202,6 +202,7 @@ func (l *Loader) check(importPath, goVersion string, filenames []string) (*Packa
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
+		Instances:  make(map[*ast.Ident]types.Instance),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),

@@ -1,8 +1,7 @@
 // Package rpc is the flexible RPC interface of §2.4 (after Willow):
 // clients drive requests directly to the DPU that owns the data
-// (client-driven routing), and the server executes handlers either
-// run-to-completion — the shared-nothing fast path the paper advocates —
-// or through a queued worker, the ablation's baseline.
+// (client-driven routing), and the server executes handlers
+// run-to-completion — the shared-nothing fast path the paper advocates.
 package rpc
 
 import (
@@ -16,16 +15,12 @@ import (
 	"hyperion/internal/wire"
 )
 
-// Mode selects the server execution discipline.
+// Mode names the server execution discipline.
 type Mode int
 
-const (
-	// RunToCompletion executes the handler inline at message delivery.
-	RunToCompletion Mode = iota
-	// Queued enqueues requests for a single dispatcher goroutine-model
-	// with per-dispatch overhead (a CPU-style request queue).
-	Queued
-)
+// RunToCompletion executes the handler inline at message delivery, the
+// only discipline.
+const RunToCompletion Mode = 0
 
 // Errors.
 var (
@@ -60,21 +55,11 @@ type response struct {
 // the response's wire size.
 type Handler func(arg any, respond func(val any, respBytes int, err error))
 
-// dispatchOverhead is the queued-mode runtime's cost to hand the next
-// request to its handler.
-const dispatchOverhead = 2 * sim.Microsecond
-
 // Server dispatches incoming requests to handlers.
 type Server struct {
 	eng      *sim.Engine
 	ep       transport.Endpoint
-	mode     Mode
 	handlers map[string]Handler
-
-	// Queued-mode state.
-	queue      sim.Queue[queuedReq]
-	draining   bool
-	dispatchFn func()
 
 	resps sim.FreeList[response]
 	ctxs  sim.FreeList[serveCtx]
@@ -83,11 +68,6 @@ type Server struct {
 	active telemetry.RequestID // span of the request being served
 
 	Requests, Errors int64
-}
-
-type queuedReq struct {
-	src netsim.Addr
-	req *request
 }
 
 // SetRecorder arms the telemetry plane: one span per served request,
@@ -102,15 +82,15 @@ func (s *Server) SetRecorder(rec *telemetry.Recorder) { s.rec = rec }
 // request's spans joined across layers.
 func (s *Server) ActiveSpan() telemetry.RequestID { return s.active }
 
-// NewServer wraps a transport endpoint.
-func NewServer(eng *sim.Engine, ep transport.Endpoint, mode Mode) *Server {
+// NewServer wraps a transport endpoint. Its server runs every handler
+// to completion; the mode argument stays because frozen cmd/hyperbench
+// passes RunToCompletion.
+func NewServer(eng *sim.Engine, ep transport.Endpoint, _ Mode) *Server {
 	s := &Server{
 		eng:      eng,
 		ep:       ep,
-		mode:     mode,
 		handlers: make(map[string]Handler),
 	}
-	s.dispatchFn = s.dispatch
 	ep.OnMessage(s.onMessage)
 	return s
 }
@@ -124,29 +104,7 @@ func (s *Server) onMessage(src netsim.Addr, msg transport.Message) {
 		return
 	}
 	s.Requests++
-	if s.mode == RunToCompletion {
-		s.serve(src, req)
-		return
-	}
-	s.queue.Push(queuedReq{src: src, req: req})
-	s.drain()
-}
-
-// drain processes the queue one item at a time with dispatch overhead,
-// modeling a single CPU worker.
-func (s *Server) drain() {
-	if s.draining || s.queue.Len() == 0 {
-		return
-	}
-	s.draining = true
-	s.eng.After(dispatchOverhead, "rpc.dispatch", s.dispatchFn)
-}
-
-func (s *Server) dispatch() {
-	next := s.queue.Pop()
-	s.serve(next.src, next.req)
-	s.draining = false
-	s.drain()
+	s.serve(src, req)
 }
 
 // serveCtx carries one in-flight request through its handler with a

@@ -9,7 +9,7 @@ import (
 	"hyperion/internal/transport"
 )
 
-func rig(t testing.TB, mode Mode) (*sim.Engine, *Server, *Client) {
+func rig(t testing.TB) (*sim.Engine, *Server, *Client) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	net := netsim.New(eng, netsim.DefaultConfig())
@@ -21,13 +21,13 @@ func rig(t testing.TB, mode Mode) (*sim.Engine, *Server, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(eng, transport.New(eng, transport.RDMA, sn), mode)
+	srv := NewServer(eng, transport.New(eng, transport.RDMA, sn), RunToCompletion)
 	cli := NewClient(eng, transport.New(eng, transport.RDMA, cn))
 	return eng, srv, cli
 }
 
 func TestCallRoundTrip(t *testing.T) {
-	eng, srv, cli := rig(t, RunToCompletion)
+	eng, srv, cli := rig(t)
 	srv.Handle("echo", func(arg any, respond func(any, int, error)) {
 		respond(arg, 64, nil)
 	})
@@ -45,7 +45,7 @@ func TestCallRoundTrip(t *testing.T) {
 }
 
 func TestNoMethod(t *testing.T) {
-	eng, _, cli := rig(t, RunToCompletion)
+	eng, _, cli := rig(t)
 	var got error
 	cli.Call("server", "missing", nil, 64, func(val any, err error) { got = err })
 	eng.Run()
@@ -55,7 +55,7 @@ func TestNoMethod(t *testing.T) {
 }
 
 func TestRemoteError(t *testing.T) {
-	eng, srv, cli := rig(t, RunToCompletion)
+	eng, srv, cli := rig(t)
 	srv.Handle("fail", func(arg any, respond func(any, int, error)) {
 		respond(nil, 0, errors.New("storage exploded"))
 	})
@@ -71,7 +71,7 @@ func TestRemoteError(t *testing.T) {
 }
 
 func TestAsyncRespond(t *testing.T) {
-	eng, srv, cli := rig(t, RunToCompletion)
+	eng, srv, cli := rig(t)
 	srv.Handle("slow", func(arg any, respond func(any, int, error)) {
 		eng.After(70*sim.Microsecond, "storage", func() { respond(42, 64, nil) })
 	})
@@ -91,7 +91,7 @@ func TestAsyncRespond(t *testing.T) {
 }
 
 func TestTimeout(t *testing.T) {
-	eng, srv, cli := rig(t, RunToCompletion)
+	eng, srv, cli := rig(t)
 	srv.Handle("void", func(arg any, respond func(any, int, error)) {
 		// never responds
 	})
@@ -108,7 +108,7 @@ func TestTimeout(t *testing.T) {
 }
 
 func TestManyConcurrentCalls(t *testing.T) {
-	eng, srv, cli := rig(t, RunToCompletion)
+	eng, srv, cli := rig(t)
 	srv.Handle("inc", func(arg any, respond func(any, int, error)) {
 		respond(arg.(int)+1, 64, nil)
 	})
@@ -132,60 +132,8 @@ func TestManyConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestQueuedModeSerializes(t *testing.T) {
-	// Queued mode must process one request at a time with dispatch
-	// overhead; run-to-completion responds faster for the same load.
-	latency := func(mode Mode) sim.Duration {
-		eng, srv, cli := rig(t, mode)
-		srv.Handle("op", func(arg any, respond func(any, int, error)) {
-			respond(1, 64, nil)
-		})
-		var last sim.Time
-		n := 0
-		for i := 0; i < 50; i++ {
-			cli.Call("server", "op", nil, 64, func(val any, err error) {
-				n++
-				last = eng.Now()
-			})
-		}
-		eng.Run()
-		if n != 50 {
-			t.Fatalf("completed %d/50", n)
-		}
-		return last.Sub(0)
-	}
-	rtc, queued := latency(RunToCompletion), latency(Queued)
-	if rtc >= queued {
-		t.Fatalf("run-to-completion %v not faster than queued %v", rtc, queued)
-	}
-}
-
-// TestQueuedModeSteadyStateAllocFree pins the queued server's FIFO: a
-// backlog that drains rewinds its backing array, so once the queue, the
-// pools and the event heap have seen one batch, serving the next
-// allocates nothing.
-func TestQueuedModeSteadyStateAllocFree(t *testing.T) {
-	eng, srv, cli := rig(t, Queued)
-	srv.Handle("op", func(arg any, respond func(any, int, error)) { respond(nil, 64, nil) })
-	done := 0
-	cb := func(any, error) { done++ }
-	batch := func() {
-		for i := 0; i < 16; i++ {
-			cli.Call("server", "op", nil, 64, cb)
-		}
-		eng.Run()
-	}
-	batch()
-	if n := testing.AllocsPerRun(50, batch); n != 0 {
-		t.Fatalf("steady-state queued batch allocated %v times, want 0", n)
-	}
-	if done != 16*52 {
-		t.Fatalf("completed %d/%d", done, 16*52)
-	}
-}
-
 func BenchmarkCall(b *testing.B) {
-	eng, srv, cli := rig(b, RunToCompletion)
+	eng, srv, cli := rig(b)
 	srv.Handle("nop", func(arg any, respond func(any, int, error)) { respond(nil, 64, nil) })
 	b.ReportAllocs()
 	b.ResetTimer()

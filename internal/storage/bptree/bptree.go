@@ -81,10 +81,9 @@ type Tree struct {
 	// TestImageWriteMatchesEncodeOracle sets it, on the oracle twin.
 	viaDecode bool
 
-	// arena holds decode targets for the nodes a structural change
-	// rewrites: a leaf that splits, the parent of a child that split or
-	// underflowed, and the children a rebalance borrows between or
-	// merges. Everything else is searched, and leaves are edited, in the
+	// arena holds decode targets for the nodes an insert rewrites whole:
+	// a full leaf taking a new key and the parent of a child that split.
+	// Everything else is searched, and leaves are edited, in the
 	// encoded image. Slots are recycled at the start of every public
 	// operation, so one operation's live nodes never alias; decoded nodes
 	// are never cached across operations. Slot arrays carry
@@ -258,22 +257,6 @@ func (t *Tree) putLeafSlot(id seg.ObjectID, i int, found bool, key, val uint64) 
 	})
 }
 
-// cutLeafSlot removes slot i of leaf id in its stored image: the tails
-// of both arrays shift down one slot and the slot they vacate is
-// zeroed, as an encode of the shorter node would leave it.
-func (t *Tree) cutLeafSlot(id seg.ObjectID, i int) error {
-	t.NodesWritten++
-	return t.v.Edit(id, 0, NodeBytes, func(buf []byte) {
-		cnt := int(wire.LE16At(buf, CountOff))
-		last := cnt - 1
-		copy(buf[LeafKeysOff+i*8:], buf[LeafKeysOff+(i+1)*8:LeafKeysOff+cnt*8])
-		copy(buf[LeafValsOff+i*8:], buf[LeafValsOff+(i+1)*8:LeafValsOff+cnt*8])
-		wire.PutLE64At(buf, LeafKeysOff+last*8, 0)
-		wire.PutLE64At(buf, LeafValsOff+last*8, 0)
-		wire.PutLE16At(buf, CountOff, uint16(last))
-	})
-}
-
 // image is one encoded node, searched in place. It is valid only as
 // long as the bytes it was borrowed from (see borrowNode).
 type image struct {
@@ -354,8 +337,8 @@ func (im image) route(k uint64) int {
 // borrowNode reads node id as its stored image, counted as one node
 // read. The image aliases the store: it stays valid until this node is
 // next written or freed — writes to other nodes leave it alone, which
-// is what lets insert and delete decode a parent only after its child
-// has actually split or underflowed.
+// is what lets insert decode a parent only after its child has actually
+// split.
 func (t *Tree) borrowNode(id seg.ObjectID) (image, error) {
 	t.NodesRead++
 	buf, err := t.v.Borrow(id, 0, NodeBytes, nil)
@@ -363,16 +346,6 @@ func (t *Tree) borrowNode(id seg.ObjectID) (image, error) {
 		return image{}, err
 	}
 	return header(buf)
-}
-
-// readNode reads node id decoded into an arena slot, for a caller about
-// to modify it.
-func (t *Tree) readNode(id seg.ObjectID) (*node, error) {
-	im, err := t.borrowNode(id)
-	if err != nil {
-		return nil, err
-	}
-	return t.decode(im), nil
 }
 
 // decode parses a validated image into the next arena slot.
@@ -611,209 +584,6 @@ func (t *Tree) insert(id seg.ObjectID, key, val uint64) (uint64, seg.ObjectID, e
 	}
 	t.Splits++
 	return upKey, rightID, nil
-}
-
-// Minimum occupancy thresholds for rebalancing.
-const (
-	leafMin = LeafCap / 2
-	intMin  = IntCap / 2
-)
-
-// Delete removes key, reporting whether it was present. Underflowed
-// nodes rebalance by borrowing from a sibling or merging into it, and
-// the tree shrinks when the root empties.
-func (t *Tree) Delete(key uint64) (bool, error) {
-	t.last.depth = 0
-	t.beginOp()
-	found, _, err := t.delete(t.root, key)
-	if err != nil || !found {
-		return found, err
-	}
-	// Collapse a childless root chain: an internal root with a single
-	// child makes that child the new root.
-	for {
-		im, rerr := t.borrowNode(t.root)
-		if rerr != nil {
-			return true, rerr
-		}
-		if im.kind != kindInternal || im.cnt != 0 {
-			break
-		}
-		old := t.root
-		t.root = im.child(0)
-		t.height--
-		t.metaDirty = true
-		if ferr := t.v.Free(old); ferr != nil {
-			return true, ferr
-		}
-	}
-	return true, t.flushMeta()
-}
-
-// delete removes key under id. underflow reports whether the node at id
-// fell below its minimum (the parent then rebalances it). The leaf is
-// edited in its image; only an internal node whose child actually
-// underflowed is decoded.
-func (t *Tree) delete(id seg.ObjectID, key uint64) (found, underflow bool, err error) {
-	im, err := t.borrowNode(id)
-	if err != nil {
-		return false, false, err
-	}
-	if im.kind == kindLeaf {
-		i, ok := im.find(key)
-		if !ok {
-			return false, false, nil
-		}
-		if t.viaDecode {
-			n := t.decode(im)
-			n.keys = append(n.keys[:i], n.keys[i+1:]...)
-			n.vals = append(n.vals[:i], n.vals[i+1:]...)
-			err = t.writeNode(id, n)
-		} else {
-			err = t.cutLeafSlot(id, i)
-		}
-		if err != nil {
-			return true, false, err
-		}
-		// An underflowed leaf is stored short all the same: the parent's
-		// rebalance reads it back.
-		return true, im.cnt-1 < leafMin, nil
-	}
-	i := im.route(key)
-	found, childUnder, err := t.delete(im.child(i), key)
-	if err != nil || !found || !childUnder {
-		return found, false, err
-	}
-	// The descent wrote only other nodes, so im still is this node.
-	n := t.decode(im)
-	if err := t.rebalanceChild(id, n, i); err != nil {
-		return true, false, err
-	}
-	return true, len(n.keys) < intMin, nil
-}
-
-// rebalanceChild fixes an underflowed child i of parent n (at parent
-// id): borrow one entry from a richer sibling, or merge with a sibling
-// when both are at minimum.
-func (t *Tree) rebalanceChild(parentID seg.ObjectID, parent *node, i int) error {
-	child, err := t.readNode(parent.children[i])
-	if err != nil {
-		return err
-	}
-	min := leafMin
-	if child.kind == kindInternal {
-		min = intMin
-	}
-	// Try the left sibling first, then the right.
-	if i > 0 {
-		left, err := t.readNode(parent.children[i-1])
-		if err != nil {
-			return err
-		}
-		if len(left.keys) > min {
-			t.borrowFromLeft(parent, i, left, child)
-			return t.writeNodes(nodeAt{parentID, parent}, nodeAt{parent.children[i-1], left}, nodeAt{parent.children[i], child})
-		}
-		// Merge child into left.
-		t.mergeNodes(parent, i-1, left, child)
-		if err := t.v.Free(parent.children[i]); err != nil {
-			return err
-		}
-		parent.keys = append(parent.keys[:i-1], parent.keys[i:]...)
-		parent.children = append(parent.children[:i], parent.children[i+1:]...)
-		return t.writeNodes(nodeAt{parentID, parent}, nodeAt{parent.children[i-1], left})
-	}
-	right, err := t.readNode(parent.children[i+1])
-	if err != nil {
-		return err
-	}
-	if len(right.keys) > min {
-		t.borrowFromRight(parent, i, child, right)
-		return t.writeNodes(nodeAt{parentID, parent}, nodeAt{parent.children[i], child}, nodeAt{parent.children[i+1], right})
-	}
-	// Merge right into child.
-	t.mergeNodes(parent, i, child, right)
-	if err := t.v.Free(parent.children[i+1]); err != nil {
-		return err
-	}
-	parent.keys = append(parent.keys[:i], parent.keys[i+1:]...)
-	parent.children = append(parent.children[:i+1], parent.children[i+2:]...)
-	return t.writeNodes(nodeAt{parentID, parent}, nodeAt{parent.children[i], child})
-}
-
-// borrowFromLeft moves the left sibling's last entry into child.
-func (t *Tree) borrowFromLeft(parent *node, i int, left, child *node) {
-	if child.kind == kindLeaf {
-		k := left.keys[len(left.keys)-1]
-		v := left.vals[len(left.vals)-1]
-		left.keys = left.keys[:len(left.keys)-1]
-		left.vals = left.vals[:len(left.vals)-1]
-		child.keys = append([]uint64{k}, child.keys...)
-		child.vals = append([]uint64{v}, child.vals...)
-		parent.keys[i-1] = child.keys[0]
-		return
-	}
-	// Internal: rotate through the parent separator.
-	sep := parent.keys[i-1]
-	k := left.keys[len(left.keys)-1]
-	c := left.children[len(left.children)-1]
-	left.keys = left.keys[:len(left.keys)-1]
-	left.children = left.children[:len(left.children)-1]
-	child.keys = append([]uint64{sep}, child.keys...)
-	child.children = append([]seg.ObjectID{c}, child.children...)
-	parent.keys[i-1] = k
-}
-
-// borrowFromRight moves the right sibling's first entry into child.
-func (t *Tree) borrowFromRight(parent *node, i int, child, right *node) {
-	if child.kind == kindLeaf {
-		k := right.keys[0]
-		v := right.vals[0]
-		right.keys = right.keys[1:]
-		right.vals = right.vals[1:]
-		child.keys = append(child.keys, k)
-		child.vals = append(child.vals, v)
-		parent.keys[i] = right.keys[0]
-		return
-	}
-	sep := parent.keys[i]
-	k := right.keys[0]
-	c := right.children[0]
-	right.keys = right.keys[1:]
-	right.children = right.children[1:]
-	child.keys = append(child.keys, sep)
-	child.children = append(child.children, c)
-	parent.keys[i] = k
-}
-
-// mergeNodes folds src (right neighbour) into dst (left neighbour);
-// sepIdx is the parent key separating them.
-func (t *Tree) mergeNodes(parent *node, sepIdx int, dst, src *node) {
-	if dst.kind == kindLeaf {
-		dst.keys = append(dst.keys, src.keys...)
-		dst.vals = append(dst.vals, src.vals...)
-		dst.next = src.next
-		return
-	}
-	dst.keys = append(dst.keys, parent.keys[sepIdx])
-	dst.keys = append(dst.keys, src.keys...)
-	dst.children = append(dst.children, src.children...)
-}
-
-// nodeAt pairs a decoded node with the object id it is stored under.
-type nodeAt struct {
-	id seg.ObjectID
-	n  *node
-}
-
-// writeNodes persists each node under its id, in order.
-func (t *Tree) writeNodes(nodes ...nodeAt) error {
-	for _, na := range nodes {
-		if err := t.writeNode(na.id, na.n); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Scan visits all pairs with from <= key < to in order; fn returning

@@ -107,29 +107,6 @@ func TestDescendingAndRandomInserts(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	v := newView(t)
-	tr := newTree(t, v)
-	for i := uint64(0); i < 1000; i++ {
-		_ = tr.Insert(i, i)
-	}
-	for i := uint64(0); i < 1000; i += 2 {
-		ok, err := tr.Delete(i)
-		if err != nil || !ok {
-			t.Fatalf("Delete(%d) = %v,%v", i, ok, err)
-		}
-	}
-	if ok, _ := tr.Delete(0); ok {
-		t.Fatal("double delete succeeded")
-	}
-	for i := uint64(0); i < 1000; i++ {
-		_, ok, _ := tr.Get(i)
-		if (i%2 == 0) == ok {
-			t.Fatalf("Get(%d) present=%v after deletions", i, ok)
-		}
-	}
-}
-
 func TestScan(t *testing.T) {
 	v := newView(t)
 	tr := newTree(t, v)
@@ -218,21 +195,10 @@ func TestPropertyMatchesModel(t *testing.T) {
 		r := sim.NewRand(seed)
 		model := map[uint64]uint64{}
 		for i := 0; i < 800; i++ {
-			k := r.Uint64() % 500
-			switch r.Intn(3) {
-			case 0, 1:
-				val := r.Uint64()
-				model[k] = val
-				if tr.Insert(k, val) != nil {
-					return false
-				}
-			case 2:
-				_, inModel := model[k]
-				delete(model, k)
-				ok, err := tr.Delete(k)
-				if err != nil || ok != inModel {
-					return false
-				}
+			k, val := r.Uint64()%500, r.Uint64()
+			model[k] = val
+			if tr.Insert(k, val) != nil {
+				return false
 			}
 		}
 		for k, want := range model {
@@ -249,10 +215,10 @@ func TestPropertyMatchesModel(t *testing.T) {
 }
 
 // TestPropertyScanMatchesModel closes the oracle gaps in
-// TestPropertyMatchesModel: after a random insert/delete workload,
-// deleted keys must read back absent, and a full-range Scan must visit
-// exactly the model's keys in sorted order — so structural damage that
-// happens to preserve point lookups (lost leaves, broken sibling
+// TestPropertyMatchesModel: after a random insert/overwrite workload,
+// keys never inserted must read back absent, and a full-range Scan must
+// visit exactly the model's keys in sorted order — so structural damage
+// that happens to preserve point lookups (lost leaves, broken sibling
 // links, misordered splits) still gets caught.
 func TestPropertyScanMatchesModel(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -260,25 +226,15 @@ func TestPropertyScanMatchesModel(t *testing.T) {
 		tr := newTree(t, v)
 		r := sim.NewRand(seed)
 		model := map[uint64]uint64{}
-		touched := map[uint64]bool{}
 		for i := 0; i < 600; i++ {
-			k := r.Uint64() % 400
-			touched[k] = true
-			if r.Intn(3) < 2 {
-				val := r.Uint64()
-				model[k] = val
-				if tr.Insert(k, val) != nil {
-					return false
-				}
-			} else {
-				delete(model, k)
-				if _, err := tr.Delete(k); err != nil {
-					return false
-				}
+			k, val := r.Uint64()%400, r.Uint64()
+			model[k] = val
+			if tr.Insert(k, val) != nil {
+				return false
 			}
 		}
-		// Every key ever touched but currently deleted must be absent.
-		for k := range touched {
+		// Every key never inserted must be absent.
+		for k := uint64(0); k < 400; k++ {
 			if _, inModel := model[k]; inModel {
 				continue
 			}
@@ -317,87 +273,5 @@ func TestDecodeNodeRejectsGarbage(t *testing.T) {
 	buf[0] = 99
 	if _, _, _, _, err := DecodeNode(buf); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("kind err = %v", err)
-	}
-}
-
-func TestMassDeleteShrinksTree(t *testing.T) {
-	v := newView(t)
-	tr := newTree(t, v)
-	const n = 30000
-	for i := uint64(0); i < n; i++ {
-		if err := tr.Insert(i, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	grown := tr.Height()
-	if grown < 3 {
-		t.Fatalf("height = %d, want ≥3", grown)
-	}
-	segsAtPeak := v.Store().Len()
-	// Delete everything but a handful.
-	for i := uint64(0); i < n-10; i++ {
-		ok, err := tr.Delete(i)
-		if err != nil || !ok {
-			t.Fatalf("Delete(%d) = %v,%v", i, ok, err)
-		}
-	}
-	if tr.Height() >= grown {
-		t.Fatalf("height %d did not shrink from %d", tr.Height(), grown)
-	}
-	if v.Store().Len() >= segsAtPeak {
-		t.Fatalf("segments not reclaimed: %d → %d", segsAtPeak, v.Store().Len())
-	}
-	// Survivors intact and ordered.
-	var got []uint64
-	if err := tr.Scan(0, n, func(k, val uint64) bool {
-		got = append(got, k)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("survivors = %d, want 10", len(got))
-	}
-	for i, k := range got {
-		if k != n-10+uint64(i) {
-			t.Fatalf("survivor %d = %d", i, k)
-		}
-	}
-}
-
-func TestDeleteInterleavedWithInserts(t *testing.T) {
-	v := newView(t)
-	tr := newTree(t, v)
-	model := map[uint64]uint64{}
-	r := sim.NewRand(31)
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 8000; i++ {
-			k := r.Uint64() % 20000
-			if r.Intn(3) == 0 {
-				delete(model, k)
-				if _, err := tr.Delete(k); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				model[k] = k + uint64(round)
-				if err := tr.Insert(k, k+uint64(round)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	count := 0
-	if err := tr.Scan(0, 1<<62, func(k, val uint64) bool {
-		want, ok := model[k]
-		if !ok || want != val {
-			t.Fatalf("scan saw (%d,%d), model has (%d,%v)", k, val, want, ok)
-		}
-		count++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != len(model) {
-		t.Fatalf("scan count %d != model %d", count, len(model))
 	}
 }

@@ -136,10 +136,9 @@ func checkAgainstOracle(t *testing.T, tr *Tree, r *sim.Rand, universe uint64, pr
 }
 
 // TestInPlaceSearchMatchesDecodeOracle grows a random tree to height 3
-// (with overwrites of live keys), then deletes it back down to a lone
-// leaf root, checking along the way that every Get / Path / Scan answer
-// and its NodesRead equal the decode-everything oracle's, and that the
-// tree agrees with a map model.
+// (with overwrites of live keys), checking along the way that every
+// Get / Path / Scan answer and its NodesRead equal the decode-everything
+// oracle's, and that the tree agrees with a map model.
 func TestInPlaceSearchMatchesDecodeOracle(t *testing.T) {
 	tr := newTree(t, newView(t))
 	r := sim.NewRand(99)
@@ -169,29 +168,6 @@ func TestInPlaceSearchMatchesDecodeOracle(t *testing.T) {
 			t.Fatalf("Get(%d) = %d,%v,%v, model %d", k, got, ok, err, want)
 		}
 	}
-
-	keys := make([]uint64, 0, len(model))
-	for k := range model {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	peak := tr.Height()
-	for i, at := range r.Perm(len(keys)) {
-		k := keys[at]
-		if ok, err := tr.Delete(k); err != nil || !ok {
-			t.Fatalf("Delete(%d) = %v,%v", k, ok, err)
-		}
-		if ok, err := tr.Delete(k); err != nil || ok {
-			t.Fatalf("second Delete(%d) = %v,%v", k, ok, err)
-		}
-		if i%3000 == 0 {
-			checkAgainstOracle(t, tr, r, universe, 20)
-		}
-	}
-	if tr.Height() != 1 || peak < 3 {
-		t.Fatalf("height %d after deleting everything (peak %d): root never collapsed", tr.Height(), peak)
-	}
-	checkAgainstOracle(t, tr, r, universe, 20)
 }
 
 // TestInPlaceSearchRejectsCorruptImages: a damaged stored image must
@@ -236,8 +212,6 @@ func TestInPlaceSearchRejectsCorruptImages(t *testing.T) {
 			check("Get", err)
 			check("Scan", tr.Scan(0, 10, func(uint64, uint64) bool { return true }))
 			check("Insert", tr.Insert(5, 5))
-			_, err = tr.Delete(5)
-			check("Delete", err)
 		})
 	}
 	// A short image cannot be stored (nodes are read at NodeBytes), so
@@ -392,11 +366,6 @@ func (w *twins) sameEverywhere() {
 	}
 }
 
-type answer struct {
-	found bool
-	err   string
-}
-
 func errText(err error) string {
 	if err == nil {
 		return ""
@@ -406,97 +375,37 @@ func errText(err error) string {
 
 func (w *twins) insert(key, val uint64) {
 	w.t.Helper()
-	w.same("Insert", key, answer{err: errText(w.a.Insert(key, val))}, answer{err: errText(w.b.Insert(key, val))})
+	w.same("Insert", key, errText(w.a.Insert(key, val)), errText(w.b.Insert(key, val)))
 }
 
-func (w *twins) delete(key uint64) bool {
-	w.t.Helper()
-	fa, ea := w.a.Delete(key)
-	fb, eb := w.b.Delete(key)
-	w.same("Delete", key, answer{fa, errText(ea)}, answer{fb, errText(eb)})
-	return fa
-}
-
-// TestImageWriteMatchesEncodeOracle runs one seeded tape of inserts,
-// overwrites and deletes (of live and of absent keys) through the twins:
-// a growth phase, a shrink phase, then a drain to the empty tree. The
-// tape must cross leaf and internal splits, sibling borrows, merges and
-// the height changing in both directions, or it fails as too small.
+// TestImageWriteMatchesEncodeOracle runs one seeded tape of inserts and
+// overwrites through the twins. The tape must cross leaf and internal
+// splits and the height growing, or it fails as too small.
 func TestImageWriteMatchesEncodeOracle(t *testing.T) {
-	universe, phase := uint64(100000), 60000
+	universe, ops := uint64(100000), 60000
 	wantPeak := 3
 	if testing.Short() {
-		universe, phase, wantPeak = 5000, 10000, 2
+		universe, ops, wantPeak = 5000, 10000, 2
 	}
 	w := newTwins(t, durableTree(t))
 	r := sim.NewRand(17)
-	var live []uint64
-	at := map[uint64]int{}
-	ops, overwrites, misses, borrows, merges, peak := 0, 0, 0, 0, 0, 1
-
-	insert := func(k uint64) {
-		if _, dup := at[k]; dup {
+	live := map[uint64]bool{}
+	overwrites := 0
+	for i := 1; i <= ops; i++ {
+		k := r.Uint64() % universe
+		if live[k] {
 			overwrites++
-		} else {
-			at[k] = len(live)
-			live = append(live, k)
 		}
+		live[k] = true
 		w.insert(k, r.Uint64())
-	}
-	del := func(k uint64) {
-		i, present := at[k]
-		written, objects, height := w.a.NodesWritten, w.a.v.Store().Len(), w.a.height
-		if found := w.delete(k); found != present {
-			t.Fatalf("Delete(%d) found=%v, model says %v", k, found, present)
-		}
-		if !present {
-			misses++
-			return
-		}
-		last := live[len(live)-1]
-		live[i], at[last] = last, i
-		live = live[:len(live)-1]
-		delete(at, k)
-		switch {
-		case w.a.v.Store().Len() < objects:
-			merges++
-		case w.a.NodesWritten-written > 1 && w.a.height == height:
-			borrows++
-		}
-	}
-	step := func(insertShare float64) {
-		switch {
-		case r.Float64() < insertShare:
-			insert(r.Uint64() % universe)
-		case len(live) > 0 && r.Float64() < 0.9:
-			del(live[r.Intn(len(live))])
-		default:
-			del(r.Uint64() % (universe + 10))
-		}
-		if ops++; ops%500 == 0 {
+		if i%500 == 0 {
 			w.sameEverywhere()
 		}
-		if w.a.height > peak {
-			peak = w.a.height
-		}
-	}
-
-	for i := 0; i < phase; i++ {
-		step(0.85)
-	}
-	splits := w.a.Splits
-	for i := 0; i < phase; i++ {
-		step(0.3)
-	}
-	for len(live) > 0 {
-		step(0)
 	}
 	w.sameEverywhere()
-	t.Logf("%d ops: %d overwrites, %d absent deletes, %d splits, %d borrows, %d merges, peak height %d",
-		ops, overwrites, misses, w.a.Splits, borrows, merges, peak)
-	if ops < 20000 || overwrites == 0 || misses == 0 || splits == 0 || borrows == 0 || merges == 0 ||
-		peak < wantPeak || w.a.height != 1 {
-		t.Fatalf("the tape is too small to mean anything (final height %d)", w.a.height)
+	t.Logf("%d ops: %d overwrites, %d splits, height %d", ops, overwrites, w.a.Splits, w.a.height)
+	if overwrites == 0 || w.a.Splits == 0 || w.a.height < wantPeak {
+		t.Fatal("the tape is too small to mean anything")
 	}
 }
 
@@ -504,7 +413,7 @@ func TestImageWriteMatchesEncodeOracle(t *testing.T) {
 // tapes with no Get of the checker's own in between, so the image side
 // replays each Get's descent where it may and the oracle, which never
 // does, walks again: same key found and absent, a different key, a
-// Delete or a second Insert between, and Gets that end in a full leaf
+// second Insert between, and Gets that end in a full leaf
 // so the Insert splits. After every operation the answers, the
 // statistics, cost, counters and the path images must agree.
 func TestGetInsertReplayMatchesOracle(t *testing.T) {
@@ -530,12 +439,6 @@ func TestGetInsertReplayMatchesOracle(t *testing.T) {
 			splitsAfterGet++
 		}
 	}
-	del := func(k uint64) {
-		t.Helper()
-		fa, ea := w.a.Delete(k)
-		fb, eb := w.b.Delete(k)
-		w.sameState("Delete", k, answer{fa, errText(ea)}, answer{fb, errText(eb)})
-	}
 
 	// A root leaf filled to LeafCap: a Get of a new key remembers
 	// nothing, and the Insert after it splits on the full walk.
@@ -560,9 +463,6 @@ func TestGetInsertReplayMatchesOracle(t *testing.T) {
 		switch r.Intn(10) {
 		case 0:
 			insert(r.Uint64()%8000, r.Uint64()) // a different key, mostly
-		case 1:
-			del(k)
-			insert(k, r.Uint64())
 		case 2:
 			insert(k, r.Uint64())
 			insert(k, r.Uint64())
@@ -633,23 +533,6 @@ func TestImageWriteEdges(t *testing.T) {
 		w.sameEverywhere()
 	})
 
-	t.Run("delete of the last slot leaves zeros", func(t *testing.T) {
-		w := newTwins(t, durableTree(t))
-		fill(w, 7)
-		if !w.delete(70) || !w.delete(10) || w.delete(10) {
-			t.Fatal("delete answers")
-		}
-		im := leaf(w)
-		if im.cnt != 5 || im.leafKey(0) != 20 || im.leafKey(4) != 60 {
-			t.Fatalf("leaf after deletes: cnt %d, keys %d…%d", im.cnt, im.leafKey(0), im.leafKey(4))
-		}
-		for i := im.cnt; i < LeafCap; i++ {
-			if im.leafKey(i) != 0 || im.leafVal(i) != 0 {
-				t.Fatalf("slot %d past the count holds %d→%d, want zeros", i, im.leafKey(i), im.leafVal(i))
-			}
-		}
-	})
-
 	t.Run("overwrite writes one node and moves no count", func(t *testing.T) {
 		w := newTwins(t, durableTree(t))
 		fill(w, 9)
@@ -692,9 +575,7 @@ func TestImageWriteEdges(t *testing.T) {
 		fill(w, LeafCap)
 		w.insert(15, 1) // split: the new leaf sits inside one chunk and is aliased
 		for k := uint64(10); k <= 400; k += 10 {
-			if !w.delete(k) {
-				t.Fatalf("Delete(%d) missed", k)
-			}
+			w.insert(k, k+1) // overwrites on both sides of the split
 		}
 		w.sameEverywhere()
 	})
@@ -774,34 +655,5 @@ func BenchmarkTreeOverwrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		overwrite()
-	}
-}
-
-// BenchmarkTreeDelete removes the keys of a 100k-key durable tree in a
-// seeded random order, the rebalances that come with it included; the
-// tree is rebuilt off the clock each time it runs dry.
-func BenchmarkTreeDelete(b *testing.B) {
-	const keys = 100_000
-	r := sim.NewRand(1)
-	var tr *Tree
-	var order []int
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if len(order) == 0 {
-			b.StopTimer()
-			tr = newTree(b, newView(b))
-			for _, k := range r.Perm(keys) {
-				if err := tr.Insert(uint64(k), uint64(k)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			order = r.Perm(keys)
-			b.StartTimer()
-		}
-		k := order[len(order)-1]
-		order = order[:len(order)-1]
-		if ok, err := tr.Delete(uint64(k)); err != nil || !ok {
-			b.Fatalf("Delete(%d) = %v,%v", k, ok, err)
-		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package lsm implements a log-structured merge tree over the segment
 // store: an in-memory memtable flushed into sorted-run objects, with
-// size-tiered compaction across levels and tombstone-based deletion.
+// size-tiered compaction across levels.
 // Together with the B+ tree it forms the reusable core storage
 // abstraction set the paper's §4 lists (B+, LSM) — and the backend pair
 // the KV experiments ablate.
@@ -23,7 +23,8 @@ const (
 	MaxLevels          = 8
 )
 
-// entryBytes: key(8) + val(8) + flags(1), padded to 20 for alignment.
+// entryBytes: key(8) + val(8) + a flag byte written as 0, padded to 20
+// for alignment.
 const entryBytes = 20
 
 const manifestMagic = 0x4c534d31 // "LSM1"
@@ -38,19 +39,14 @@ type Tree struct {
 	durable bool
 	memCap  int
 
-	mem    map[uint64]memVal
+	mem    map[uint64]uint64
 	levels [][]run // levels[0] newest-first runs
 	nextLo uint64
 
 	// Stats for the ablation benches.
 	Flushes, Compactions int64
 	EntriesWrittenToRuns int64 // total entries written into run objects
-	LogicalWrites        int64 // Put/Delete count
-}
-
-type memVal struct {
-	val       uint64
-	tombstone bool
+	LogicalWrites        int64 // Put count
 }
 
 type run struct {
@@ -67,7 +63,7 @@ func Create(v *seg.SyncView, metaID seg.ObjectID, durable bool, memCap int) (*Tr
 	}
 	t := &Tree{
 		v: v, meta: metaID, durable: durable, memCap: memCap,
-		mem: make(map[uint64]memVal), levels: make([][]run, MaxLevels),
+		mem: make(map[uint64]uint64), levels: make([][]run, MaxLevels),
 		nextLo: metaID.Lo + 1,
 	}
 	if _, err := v.Alloc(metaID, 8192, durable, seg.HintAuto); err != nil {
@@ -79,7 +75,7 @@ func Create(v *seg.SyncView, metaID seg.ObjectID, durable bool, memCap int) (*Tr
 // Open loads an existing tree (memtable contents are lost on restart by
 // design; durability comes from flushed runs).
 func Open(v *seg.SyncView, metaID seg.ObjectID) (*Tree, error) {
-	t := &Tree{v: v, meta: metaID, mem: make(map[uint64]memVal), levels: make([][]run, MaxLevels)}
+	t := &Tree{v: v, meta: metaID, mem: make(map[uint64]uint64), levels: make([][]run, MaxLevels)}
 	buf, err := v.ReadAt(metaID, 0, 8192)
 	if err != nil {
 		return nil, err
@@ -141,17 +137,7 @@ func (t *Tree) writeManifest() error {
 // Put inserts or replaces key → val.
 func (t *Tree) Put(key, val uint64) error {
 	t.LogicalWrites++
-	t.mem[key] = memVal{val: val}
-	if len(t.mem) >= t.memCap {
-		return t.Flush()
-	}
-	return nil
-}
-
-// Delete writes a tombstone.
-func (t *Tree) Delete(key uint64) error {
-	t.LogicalWrites++
-	t.mem[key] = memVal{tombstone: true}
+	t.mem[key] = val
 	if len(t.mem) >= t.memCap {
 		return t.Flush()
 	}
@@ -160,36 +146,24 @@ func (t *Tree) Delete(key uint64) error {
 
 // Get looks key up: memtable first, then runs newest-to-oldest.
 func (t *Tree) Get(key uint64) (uint64, bool, error) {
-	if mv, ok := t.mem[key]; ok {
-		if mv.tombstone {
-			return 0, false, nil
-		}
-		return mv.val, true, nil
+	if val, ok := t.mem[key]; ok {
+		return val, true, nil
 	}
 	for l := 0; l < MaxLevels; l++ {
 		for _, r := range t.levels[l] {
 			if key < r.minKey || key > r.maxKey {
 				continue
 			}
-			val, tomb, found, err := t.searchRun(r, key)
-			if err != nil {
-				return 0, false, err
-			}
-			if found {
-				if tomb {
-					return 0, false, nil
-				}
-				return val, true, nil
+			val, found, err := t.searchRun(r, key)
+			if err != nil || found {
+				return val, found, err
 			}
 		}
 	}
 	return 0, false, nil
 }
 
-type entry struct {
-	key, val  uint64
-	tombstone bool
-}
+type entry struct{ key, val uint64 }
 
 // Flush writes the memtable as a new L0 run.
 func (t *Tree) Flush() error {
@@ -197,8 +171,8 @@ func (t *Tree) Flush() error {
 		return nil
 	}
 	entries := make([]entry, 0, len(t.mem))
-	for k, mv := range t.mem {
-		entries = append(entries, entry{key: k, val: mv.val, tombstone: mv.tombstone})
+	for k, val := range t.mem {
+		entries = append(entries, entry{key: k, val: val})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	r, err := t.writeRun(entries)
@@ -207,7 +181,7 @@ func (t *Tree) Flush() error {
 	}
 	// Newest first.
 	t.levels[0] = append([]run{r}, t.levels[0]...)
-	t.mem = make(map[uint64]memVal)
+	t.mem = make(map[uint64]uint64)
 	t.Flushes++
 	if err := t.maybeCompact(); err != nil {
 		return err
@@ -228,9 +202,6 @@ func (t *Tree) writeRun(entries []entry) (run, error) {
 	for _, e := range entries {
 		wire.PutLE64At(buf, off, e.key)
 		wire.PutLE64At(buf, off+8, e.val)
-		if e.tombstone {
-			buf[off+16] = 1
-		}
 		off += entryBytes
 	}
 	if err := t.v.WriteAt(id, 0, buf); err != nil {
@@ -253,11 +224,7 @@ func (t *Tree) readRun(r run) ([]entry, error) {
 	out := make([]entry, n)
 	off := 16
 	for i := range out {
-		out[i] = entry{
-			key:       wire.LE64At(buf, off),
-			val:       wire.LE64At(buf, off+8),
-			tombstone: buf[off+16] == 1,
-		}
+		out[i] = entry{key: wire.LE64At(buf, off), val: wire.LE64At(buf, off+8)}
 		off += entryBytes
 	}
 	return out, nil
@@ -265,24 +232,24 @@ func (t *Tree) readRun(r run) ([]entry, error) {
 
 // searchRun binary-searches one run for key, reading only the pages it
 // touches (charged through the view at page granularity).
-func (t *Tree) searchRun(r run, key uint64) (val uint64, tombstone, found bool, err error) {
+func (t *Tree) searchRun(r run, key uint64) (val uint64, found bool, err error) {
 	lo, hi := 0, r.count-1
 	for lo <= hi {
 		mid := (lo + hi) / 2
 		e, rerr := t.readEntry(r, mid)
 		if rerr != nil {
-			return 0, false, false, rerr
+			return 0, false, rerr
 		}
 		switch {
 		case e.key == key:
-			return e.val, e.tombstone, true, nil
+			return e.val, true, nil
 		case e.key < key:
 			lo = mid + 1
 		default:
 			hi = mid - 1
 		}
 	}
-	return 0, false, false, nil
+	return 0, false, nil
 }
 
 func (t *Tree) readEntry(r run, i int) (entry, error) {
@@ -290,15 +257,11 @@ func (t *Tree) readEntry(r run, i int) (entry, error) {
 	if err != nil {
 		return entry{}, err
 	}
-	return entry{
-		key:       wire.LE64At(buf, 0),
-		val:       wire.LE64At(buf, 8),
-		tombstone: buf[16] == 1,
-	}, nil
+	return entry{key: wire.LE64At(buf, 0), val: wire.LE64At(buf, 8)}, nil
 }
 
 // maybeCompact merges levels that exceed RunsPerLevel into the next
-// level (size-tiered policy). The bottom level drops tombstones.
+// level (size-tiered policy).
 func (t *Tree) maybeCompact() error {
 	for l := 0; l < MaxLevels-1; l++ {
 		if len(t.levels[l]) < RunsPerLevel {
@@ -308,16 +271,7 @@ func (t *Tree) maybeCompact() error {
 		var sources []run
 		sources = append(sources, t.levels[l]...)   // newest first
 		sources = append(sources, t.levels[l+1]...) // older
-		// Tombstones may be dropped only when nothing older exists below
-		// the destination level.
-		drop := true
-		for j := l + 2; j < MaxLevels; j++ {
-			if len(t.levels[j]) > 0 {
-				drop = false
-				break
-			}
-		}
-		merged, err := t.mergeRuns(sources, drop)
+		merged, err := t.mergeRuns(sources)
 		if err != nil {
 			return err
 		}
@@ -327,37 +281,20 @@ func (t *Tree) maybeCompact() error {
 			}
 		}
 		t.levels[l] = nil
-		if len(merged.idOrEmpty()) == 0 {
-			t.levels[l+1] = nil
-		} else {
-			t.levels[l+1] = []run{merged.run}
-		}
+		t.levels[l+1] = []run{merged}
 		t.Compactions++
 	}
 	return nil
 }
 
-type mergedRun struct {
-	run   run
-	empty bool
-}
-
-func (m mergedRun) idOrEmpty() []run {
-	if m.empty {
-		return nil
-	}
-	return []run{m.run}
-}
-
-// mergeRuns performs an n-way merge; for equal keys the earliest source
-// (newest) wins. dropTombstones removes deletions when merging into the
-// bottom.
-func (t *Tree) mergeRuns(sources []run, dropTombstones bool) (mergedRun, error) {
+// mergeRuns performs an n-way merge of non-empty runs; for equal keys
+// the earliest source (newest) wins.
+func (t *Tree) mergeRuns(sources []run) (run, error) {
 	lists := make([][]entry, len(sources))
 	for i, r := range sources {
 		es, err := t.readRun(r)
 		if err != nil {
-			return mergedRun{}, err
+			return run{}, err
 		}
 		lists[i] = es
 	}
@@ -392,26 +329,16 @@ func (t *Tree) mergeRuns(sources []run, dropTombstones bool) (mergedRun, error) 
 				idx[i]++
 			}
 		}
-		if dropTombstones && winner.tombstone {
-			continue
-		}
 		out = append(out, winner)
 	}
-	if len(out) == 0 {
-		return mergedRun{empty: true}, nil
-	}
-	r, err := t.writeRun(out)
-	if err != nil {
-		return mergedRun{}, err
-	}
-	return mergedRun{run: r}, nil
+	return t.writeRun(out)
 }
 
 // Scan visits keys in [from, to) in order through a merge of the
 // memtable and all runs.
 func (t *Tree) Scan(from, to uint64, fn func(key, val uint64) bool) error {
 	// Materialize the visible view (fine at experiment scales).
-	visible := make(map[uint64]memVal)
+	visible := make(map[uint64]uint64)
 	for l := MaxLevels - 1; l >= 0; l-- {
 		for i := len(t.levels[l]) - 1; i >= 0; i-- {
 			es, err := t.readRun(t.levels[l][i])
@@ -419,22 +346,22 @@ func (t *Tree) Scan(from, to uint64, fn func(key, val uint64) bool) error {
 				return err
 			}
 			for _, e := range es {
-				visible[e.key] = memVal{val: e.val, tombstone: e.tombstone}
+				visible[e.key] = e.val
 			}
 		}
 	}
-	for k, mv := range t.mem {
-		visible[k] = mv
+	for k, val := range t.mem {
+		visible[k] = val
 	}
 	keys := make([]uint64, 0, len(visible))
 	for k := range visible {
-		if k >= from && k < to && !visible[k].tombstone {
+		if k >= from && k < to {
 			keys = append(keys, k)
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, k := range keys {
-		if !fn(k, visible[k].val) {
+		if !fn(k, visible[k]) {
 			return nil
 		}
 	}

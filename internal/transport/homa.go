@@ -83,7 +83,6 @@ func newHoma(eng *sim.Engine, nic *netsim.NIC) *homaEndpoint {
 	return h
 }
 
-func (h *homaEndpoint) Kind() Kind    { return Homa }
 func (h *homaEndpoint) Stats() *Stats { return &h.stats }
 
 func (h *homaEndpoint) OnMessage(fn func(src netsim.Addr, msg Message)) { h.handler = fn }

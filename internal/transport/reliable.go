@@ -23,7 +23,6 @@ type reliableParams struct {
 type reliableEndpoint struct {
 	eng   *sim.Engine
 	nic   *netsim.NIC
-	kind  Kind
 	p     reliableParams
 	stats Stats
 
@@ -86,11 +85,10 @@ type recvConn struct {
 	partial  map[uint64]*reasm
 }
 
-func newReliable(eng *sim.Engine, nic *netsim.NIC, kind Kind, p reliableParams) *reliableEndpoint {
+func newReliable(eng *sim.Engine, nic *netsim.NIC, p reliableParams) *reliableEndpoint {
 	r := &reliableEndpoint{
 		eng:   eng,
 		nic:   nic,
-		kind:  kind,
 		p:     p,
 		conns: make(map[netsim.Addr]*sendConn),
 		peers: make(map[netsim.Addr]*recvConn),
@@ -103,7 +101,6 @@ func newReliable(eng *sim.Engine, nic *netsim.NIC, kind Kind, p reliableParams) 
 	return r
 }
 
-func (r *reliableEndpoint) Kind() Kind    { return r.kind }
 func (r *reliableEndpoint) Stats() *Stats { return &r.stats }
 
 func (r *reliableEndpoint) OnMessage(fn func(src netsim.Addr, msg Message)) { r.handler = fn }

@@ -63,7 +63,6 @@ type Message struct {
 
 // Endpoint is a transport instance bound to one NIC.
 type Endpoint interface {
-	Kind() Kind
 	// Send transmits msg to dst. Reliable transports deliver it exactly
 	// once (or count it lost after giving up); UDP may silently drop.
 	Send(dst netsim.Addr, msg Message) error
@@ -92,7 +91,7 @@ func New(eng *sim.Engine, kind Kind, nic *netsim.NIC) Endpoint {
 	case UDP:
 		return newUDP(eng, nic)
 	case TCP:
-		return newReliable(eng, nic, TCP, reliableParams{
+		return newReliable(eng, nic, reliableParams{
 			Window:       64,
 			RTO:          200 * sim.Microsecond,
 			SendOverhead: 3 * sim.Microsecond,
@@ -100,7 +99,7 @@ func New(eng *sim.Engine, kind Kind, nic *netsim.NIC) Endpoint {
 			PerFrameCPU:  500 * sim.Nanosecond,
 		})
 	case RDMA:
-		return newReliable(eng, nic, RDMA, reliableParams{
+		return newReliable(eng, nic, reliableParams{
 			Window:       256,
 			RTO:          50 * sim.Microsecond,
 			SendOverhead: 300 * sim.Nanosecond,

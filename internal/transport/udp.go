@@ -71,7 +71,6 @@ func newUDP(eng *sim.Engine, nic *netsim.NIC) *udpEndpoint {
 	return u
 }
 
-func (u *udpEndpoint) Kind() Kind    { return UDP }
 func (u *udpEndpoint) Stats() *Stats { return &u.stats }
 
 func (u *udpEndpoint) OnMessage(fn func(src netsim.Addr, msg Message)) { u.handler = fn }

@@ -46,7 +46,7 @@ var reachAllow = map[string]string{
 
 	"internal/apps/fail2ban.CompileFilter": "TestFrontendShapeMatchesHandAssembly and FuzzOptimizeEquivalence drive gofront and ehdl.Optimize with it",
 
-	"internal/bench.ClusterScaleOutWindowed": "TestShardCountInvariance drives E17's windowed scale-out with it",
+	"internal/bench.ClusterScaleOutWindowed": "TestShardCountInvariance's X1 subtests drive X1's windowed form with it",
 	"internal/bench.Experiment.Run":          "TestExperimentsDeterministic and the BenchmarkTable benchmarks run experiments through it",
 
 	"internal/core.Reboot": "ROADMAP power-cut item: the reopen path its harness drives (TestCrashRecoveryEndToEnd today)",
@@ -55,6 +55,8 @@ var reachAllow = map[string]string{
 	"internal/ebpf.Decode":          "FuzzDecodeVerifyLoad feeds Verify, Load and Run through it",
 	"internal/ebpf.Encode":          "FuzzDecodeVerifyLoad and FuzzOptimizeEquivalence build their seed corpora with it",
 	"internal/ebpf.HashMap.Iterate": "TestFrontendBehaviorMatchesHandAssembly and FuzzOptimizeEquivalence compare map state through it",
+	"internal/ebpf.HashMap.Len":     "TestInstanceMapsMatchDeclarations and TestInstancesShareNoBans observe instance maps through it",
+	"internal/ebpf.MapSet.Len":      "TestInstanceMapsMatchDeclarations and TestInstancesShareNoBans observe instance maps through it",
 	"internal/ebpf.JumpImm":         "TestVerifierSoundness's program generator builds guards with it",
 	"internal/ebpf.JumpReg":         "TestVerifierSoundness's program generator builds register-register guards with it",
 
@@ -93,17 +95,28 @@ var reachAllow = map[string]string{
 	"internal/transport.udpEndpoint.Stats":      "TestUDPLosesUnderCongestionAndCountsIt reads counters through Endpoint.Stats",
 }
 
-// reachImplicit are method names the runtime and standard library call
-// through interfaces the repo never calls itself (fmt, errors, sort,
-// container/heap, encoding/json): a method with one of these names
-// counts as reached.
-var reachImplicit = []string{"String", "Error", "Format", "Len", "Less", "Swap", "Push", "Pop", "MarshalJSON"}
+// reachImplicit are the standard interfaces the runtime and standard
+// library call through on the repo's behalf, though the repo never calls
+// them itself: fmt's String, Format and Error, sort's and container/heap's
+// Len, Less, Swap, Push and Pop, encoding/json's MarshalJSON. Every method
+// of a type that implements one counts as reached.
+var reachImplicit = map[string]methodSet{
+	"fmt.Stringer":             {"String": "() string"},
+	"fmt.Formatter":            {"Format": "(fmt.State, rune)"},
+	"error":                    {"Error": "() string"},
+	"sort.Interface":           {"Len": "() int", "Less": "(int, int) bool", "Swap": "(int, int)"},
+	"container/heap.Interface": {"Len": "() int", "Less": "(int, int) bool", "Swap": "(int, int)", "Push": "(any)", "Pop": "() any"},
+	"encoding/json.Marshaler":  {"MarshalJSON": "() ([]byte, error)"},
+}
 
 // TestEveryFunctionIsReachable fails on every non-test function that no
 // binary can call: static reachability over the type-checked non-test
 // tree, rooted at main in every package under cmd/ and examples/, every
 // init, every package-level var initialiser and every reachAllow entry.
-// A call through an interface method reaches every method of that name.
+// A call through an interface method reaches that method of every type
+// whose pointer's method set matches the interface's, by name and by
+// signature; through a constraint with type terms, such as
+// interface{ *T; Fire() }, it reaches every method of that name.
 // It replaces a per-package orphan check: an orphan package has every
 // function unreached.
 func TestEveryFunctionIsReachable(t *testing.T) {
@@ -141,10 +154,14 @@ func TestReachabilityRules(t *testing.T) {
 		"reachdemo.gone":    "stale: no such function",
 	})
 	// Reached and therefore absent: square.area (called through shape),
-	// circle.area (same name, never built), celsius.String (implicit),
-	// build (a var initialiser), register (init), counter.inc (a method
-	// value), allowed (listed).
-	if want := []string{"reachdemo.counter.reset", "reachdemo.dead"}; strings.Join(dead, " ") != strings.Join(want, " ") {
+	// circle.area (a shape, never built), box.get (box[int] is a getter),
+	// ticker.fire (through a constraint with a type term), celsius's
+	// String, Format, MarshalJSON and Error and ints's heap.Interface
+	// methods (implicit), build (a var initialiser), register (init),
+	// counter.inc (a method value), allowed (listed). disc.area and
+	// bag.Len share a called name but not the interface.
+	want := []string{"reachdemo.bag.Len", "reachdemo.counter.reset", "reachdemo.dead", "reachdemo.disc.area"}
+	if strings.Join(dead, " ") != strings.Join(want, " ") {
 		t.Errorf("unreached = %q, want %q", dead, want)
 	}
 	if len(stale) != 2 || !strings.HasPrefix(stale[0], "reachdemo.gone ") || !strings.HasPrefix(stale[1], "reachdemo.live ") {
@@ -433,17 +450,36 @@ func relPosition(posn token.Position) token.Position {
 }
 
 // reachGraph is the reference graph of a loaded tree. Node "" stands
-// for the roots that are not functions: init bodies and package-level
-// var initialisers.
+// for the roots that are not functions: init bodies, package-level var
+// initialisers and the standard library's calls through reachImplicit.
 type reachGraph struct {
 	module string                    // import-path prefix keys drop
 	pos    map[string]token.Position // every function declaration but init
 	pkg    map[string]string         // function -> its package's key
 	calls  map[string][]string       // function -> functions it references
-	dyn    map[string][]string       // function -> methods it calls through an interface
-	byName map[string][]string       // method name -> methods of that name
+	dyn    map[string][]dynCall      // function -> methods it calls through an interface
+	byName map[string][]string       // method id -> methods of that id
+	types  []typeMethods             // method sets of the tree's named types
+	ifaces map[string]methodSet      // interface key -> its method set
+	impls  map[string][]typeMethods  // interface key -> the types that implement it
 	roots  []string                  // main in every binary package
 }
+
+// dynCall is a call through the method id of the interface whose key
+// is iface, or through a constraint with type terms when iface is "".
+type dynCall struct{ iface, id string }
+
+// methodSet maps a method's id (its name, qualified by its package's
+// path when unexported) to its signature with every type qualified by
+// package path. The loader type-checks each package against its
+// dependencies' export data, so one type is several types.Type values
+// and types.Implements misses; their strings agree.
+type methodSet map[string]string
+
+// typeMethods maps each method id of a named type's pointer method set
+// to its signature and the key of the function that implements it,
+// promoted ones included.
+type typeMethods map[string]struct{ sig, key string }
 
 func newReachGraph(pkgs []*analysis.Package, module string, binary func(path string) bool) *reachGraph {
 	g := &reachGraph{
@@ -451,10 +487,27 @@ func newReachGraph(pkgs []*analysis.Package, module string, binary func(path str
 		pos:    make(map[string]token.Position),
 		pkg:    make(map[string]string),
 		calls:  make(map[string][]string),
-		dyn:    make(map[string][]string),
+		dyn:    make(map[string][]dynCall),
 		byName: make(map[string][]string),
+		ifaces: make(map[string]methodSet),
+		impls:  make(map[string][]typeMethods),
 	}
+	named := make(map[*types.Named]bool)
 	for _, p := range pkgs {
+		for _, obj := range p.TypesInfo.Defs {
+			if tn, ok := obj.(*types.TypeName); ok {
+				if n, ok := tn.Type().(*types.Named); ok {
+					named[n] = true
+				}
+			}
+		}
+		// A generic type's methods match an interface in its
+		// instantiations, where its signatures have concrete types.
+		for _, inst := range p.TypesInfo.Instances {
+			if n, ok := inst.Type.(*types.Named); ok {
+				named[n] = true
+			}
+		}
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
@@ -468,7 +521,7 @@ func newReachGraph(pkgs []*analysis.Package, module string, binary func(path str
 					g.pos[k] = relPosition(p.Fset.Position(d.Pos()))
 					g.pkg[k] = strings.TrimPrefix(p.Path, module)
 					if d.Recv != nil {
-						g.byName[fn.Name()] = append(g.byName[fn.Name()], k)
+						g.byName[fn.Id()] = append(g.byName[fn.Id()], k)
 					} else if fn.Name() == "main" && p.Types.Name() == "main" && binary(p.Path) {
 						g.roots = append(g.roots, k)
 					}
@@ -483,6 +536,26 @@ func newReachGraph(pkgs []*analysis.Package, module string, binary func(path str
 					}
 				}
 			}
+		}
+	}
+	for _, ms := range reachImplicit {
+		k := g.addIface(ms)
+		for id := range ms {
+			g.dyn[""] = append(g.dyn[""], dynCall{k, id})
+		}
+	}
+	for n := range named {
+		if _, ok := n.Underlying().(*types.Interface); ok {
+			continue
+		}
+		ms := types.NewMethodSet(types.NewPointer(n))
+		tm := make(typeMethods, ms.Len())
+		for i := 0; i < ms.Len(); i++ {
+			fn := ms.At(i).Obj().(*types.Func)
+			tm[fn.Id()] = struct{ sig, key string }{sigString(fn.Type().(*types.Signature)), g.key(fn.Origin())}
+		}
+		if len(tm) > 0 {
+			g.types = append(g.types, tm)
 		}
 	}
 	return g
@@ -503,12 +576,87 @@ func (g *reachGraph) refs(from string, info *types.Info, n ast.Node) {
 		}
 		fn = fn.Origin()
 		if r := fn.Type().(*types.Signature).Recv(); r != nil && types.IsInterface(r.Type()) {
-			g.dyn[from] = append(g.dyn[from], fn.Name())
+			g.dyn[from] = append(g.dyn[from], dynCall{g.iface(r.Type().Underlying().(*types.Interface)), fn.Id()})
 		} else if fn.Pkg() != nil {
 			g.calls[from] = append(g.calls[from], g.key(fn))
 		}
 		return true
 	})
+}
+
+// iface files the method set of interface it and returns its key, or
+// "" when it has type terms: such a constraint resolves its calls by
+// method id.
+func (g *reachGraph) iface(it *types.Interface) string {
+	if !it.IsMethodSet() {
+		return ""
+	}
+	ms := make(methodSet, it.NumMethods())
+	for i := 0; i < it.NumMethods(); i++ {
+		m := it.Method(i)
+		ms[m.Id()] = sigString(m.Type().(*types.Signature))
+	}
+	return g.addIface(ms)
+}
+
+// addIface files ms under its key, the sorted list of its methods.
+func (g *reachGraph) addIface(ms methodSet) string {
+	lines := make([]string, 0, len(ms))
+	for id, sig := range ms {
+		lines = append(lines, id+sig)
+	}
+	sort.Strings(lines)
+	k := strings.Join(lines, "; ")
+	g.ifaces[k] = ms
+	return k
+}
+
+// sigString prints sig's parameter and result types, qualified by
+// package path, as in "(int, ...[]byte) (bool, error)".
+func sigString(sig *types.Signature) string {
+	qual := func(p *types.Package) string { return p.Path() }
+	list := func(t *types.Tuple, variadic bool) string {
+		parts := make([]string, t.Len())
+		for i := range parts {
+			parts[i] = types.TypeString(t.At(i).Type(), qual)
+		}
+		if variadic {
+			parts[len(parts)-1] = "..." + parts[len(parts)-1]
+		}
+		return strings.Join(parts, ", ")
+	}
+	s := "(" + list(sig.Params(), sig.Variadic()) + ")"
+	switch res := sig.Results(); {
+	case res.Len() == 1:
+		s += " " + list(res, false)
+	case res.Len() > 1:
+		s += " (" + list(res, false) + ")"
+	}
+	return s
+}
+
+// implementers returns the tree's types whose pointer method sets
+// match the interface with key iface.
+func (g *reachGraph) implementers(iface string) []typeMethods {
+	impl, ok := g.impls[iface]
+	if !ok {
+		for _, t := range g.types {
+			if t.implements(g.ifaces[iface]) {
+				impl = append(impl, t)
+			}
+		}
+		g.impls[iface] = impl
+	}
+	return impl
+}
+
+func (t typeMethods) implements(ms methodSet) bool {
+	for id, sig := range ms {
+		if m, ok := t[id]; !ok || m.sig != sig {
+			return false
+		}
+	}
+	return true
 }
 
 func (g *reachGraph) key(fn *types.Func) string {
@@ -528,16 +676,20 @@ func (g *reachGraph) key(fn *types.Func) string {
 // reach returns every function reachable from the roots and seeds.
 func (g *reachGraph) reach(seeds []string) map[string]bool {
 	seen := make(map[string]bool)
-	names := make(map[string]bool)
+	done := make(map[dynCall]bool)
 	work := append(append([]string{""}, g.roots...), seeds...)
-	called := func(name string) {
-		if !names[name] {
-			names[name] = true
-			work = append(work, g.byName[name]...)
+	called := func(c dynCall) {
+		if done[c] {
+			return
 		}
-	}
-	for _, name := range reachImplicit {
-		called(name)
+		done[c] = true
+		if c.iface == "" {
+			work = append(work, g.byName[c.id]...)
+			return
+		}
+		for _, t := range g.implementers(c.iface) {
+			work = append(work, t[c.id].key)
+		}
 	}
 	for len(work) > 0 {
 		k := work[len(work)-1]
@@ -547,8 +699,8 @@ func (g *reachGraph) reach(seeds []string) map[string]bool {
 		}
 		seen[k] = true
 		work = append(work, g.calls[k]...)
-		for _, name := range g.dyn[k] {
-			called(name)
+		for _, c := range g.dyn[k] {
+			called(c)
 		}
 	}
 	return seen

@@ -29,7 +29,7 @@ func main() {
 	v := dpu.View
 
 	// Filesystem on the single-level store.
-	fs, err := hfs.Mkfs(v, seg.OID(0xF5, 0), true)
+	fs, err := hfs.Mkfs(v, seg.OID(0xF5, 0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func main() {
 
 	// Load phase.
 	const keys = 5000
-	g := trace.NewKVGen(1, keys, trace.YCSBB, 256)
+	g := trace.NewKVGen(1, keys, trace.YCSBB)
 	for _, k := range g.LoadKeys() {
 		if err := kv.Put(trace.Key(k), g.Value(k)); err != nil {
 			log.Fatal(err)

@@ -29,7 +29,7 @@ func main() {
 
 	// Stage 1: fail2ban in slot 0 (verified eBPF, bans after 4
 	// failures, ban log persisted to NVMe).
-	filter, err := fail2ban.Deploy(dpu, 0, 4, nil)
+	filter, err := fail2ban.Deploy(dpu, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

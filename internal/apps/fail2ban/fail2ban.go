@@ -31,7 +31,6 @@ const (
 // Filter is a deployed fail2ban instance.
 type Filter struct {
 	dpu       *core.DPU
-	slot      int
 	pipe      *ehdl.Pipeline
 	bans      ebpf.Map
 	logID     seg.ObjectID
@@ -69,9 +68,12 @@ func Compile(authTag string, threshold int) (*ehdl.Image, error) {
 	return img, nil
 }
 
-// Deploy compiles the filter, loads an instance into a fabric slot, and
-// allocates the persistent ban log. done fires when the slot is active.
-func Deploy(d *core.DPU, slot, threshold int, done func()) (*Filter, error) {
+// slot is the fabric slot a deployed filter occupies.
+const slot = 0
+
+// Deploy compiles the filter, loads an instance into the fabric slot,
+// and allocates the persistent ban log.
+func Deploy(d *core.DPU, threshold int) (*Filter, error) {
 	img, err := Compile(d.Cfg.AuthTag, threshold)
 	if err != nil {
 		return nil, err
@@ -81,12 +83,12 @@ func Deploy(d *core.DPU, slot, threshold int, done func()) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Filter{dpu: d, slot: slot, pipe: pipe, bans: bans,
+	f := &Filter{dpu: d, pipe: pipe, bans: bans,
 		Threshold: threshold, logID: seg.OID(0xFA12, 1), view: seg.NewSyncView(d.Store)}
 	if _, err := d.Store.Alloc(f.logID, logCapacity, true, seg.HintAuto); err != nil {
 		return nil, err
 	}
-	if err := d.LoadAccelerator(slot, pipe.Bitstream(), done); err != nil {
+	if err := d.LoadAccelerator(slot, pipe.Bitstream(), nil); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -105,7 +107,7 @@ func (f *Filter) Process(p trace.Packet, verdict func(v int)) error {
 	}
 	p.MarshalTo(pc.buf[:])
 	pc.src, pc.verdict = p.SrcIP, verdict
-	if err := f.dpu.Submit(f.slot, &pc.work, pc); err != nil {
+	if err := f.dpu.Submit(slot, &pc.work, pc); err != nil {
 		pc.verdict = nil
 		f.pkts.Put(pc)
 		return err

@@ -21,7 +21,7 @@ func deploy(t testing.TB, threshold int) (*sim.Engine, *core.DPU, *Filter) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := Deploy(d, 0, threshold, nil)
+	f, err := Deploy(d, threshold)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,12 +20,12 @@ import (
 	"hyperion/internal/transport"
 )
 
-// newView builds a standalone segment-store view for storage-layer
-// experiments.
-func newView(devs int, seed uint64) (*sim.Engine, *seg.SyncView) {
+// newView builds a standalone segment-store view over four SSDs for
+// storage-layer experiments.
+func newView(seed uint64) (*sim.Engine, *seg.SyncView) {
 	eng := sim.NewEngine(seed)
 	var hosts []*nvme.Host
-	for i := 0; i < devs; i++ {
+	for i := 0; i < 4; i++ {
 		cfg := nvme.DefaultConfig(fmt.Sprintf("ssd%d", i))
 		cfg.Blocks = 1 << 20
 		hosts = append(hosts, nvme.NewHost(nvme.New(eng, cfg), nil))
@@ -138,7 +138,7 @@ func Fail2ban(seed uint64) Result {
 	r := Result{ID: "E8", Title: "§2.4 — fail2ban middleware on the DPU"}
 	r.Table.Header = []string{"platform", "pkts", "banned", "dropped", "Mpps capacity", "per-pkt latency"}
 	eng, d := bootDPU("f2b", seed)
-	f, err := fail2ban.Deploy(d, 0, 5, nil)
+	f, err := fail2ban.Deploy(d, 5)
 	if err != nil {
 		panic(err)
 	}
@@ -179,7 +179,7 @@ func LoadBalancer(seed uint64) Result {
 	sweep := []int{2000, 8000, 32000}
 	rows := runRows(len(sweep), nil, nil, func(i int, _ *telemetry.Recorder) tableRow {
 		conns := sweep[i]
-		eng, v := newView(4, seed)
+		eng, v := newView(seed)
 		bal, err := lb.New(v, seg.OID(0x1b, 0), []lb.Backend{{Addr: 1}, {Addr: 2}, {Addr: 3}, {Addr: 4}}, 4000)
 		if err != nil {
 			panic(err)
@@ -225,7 +225,7 @@ func Corfu(seed uint64) Result {
 	seqRTT := 3 * sim.Microsecond // sequencer token round trip
 	for _, units := range []int{1, 2, 4, 8} {
 		for _, batch := range []int{1, 8} {
-			eng, v := newView(4, seed)
+			eng, v := newView(seed)
 			log := buildLog(v, units)
 			// Entries are block-aligned (cell = 4 KiB) so unit writes
 			// go straight to the flash write cache without RMW, as a

@@ -24,9 +24,9 @@ func ColumnarScan(seed uint64) Result {
 	r := Result{ID: "E12", Title: "§2.3 — file + columnar access without a CPU"}
 	r.Table.Header = []string{"approach", "device reads", "bytes moved", "modeled time", "rows matched"}
 
-	eng, v := newView(4, seed)
+	eng, v := newView(seed)
 	// Build a filesystem with a columnar table inside it.
-	fs, err := hfs.Mkfs(v, seg.OID(0xF5, 0), true)
+	fs, err := hfs.Mkfs(v, seg.OID(0xF5, 0))
 	if err != nil {
 		panic(err)
 	}
@@ -115,12 +115,12 @@ func KVStore(seed uint64) Result {
 	const ops = 4000
 	for _, mix := range []trace.YCSBMix{trace.YCSBA, trace.YCSBB, trace.YCSBC} {
 		for _, be := range []kvssd.Backend{kvssd.BackendBTree, kvssd.BackendLSM} {
-			eng, v := newView(4, seed)
+			eng, v := newView(seed)
 			kv, err := kvssd.Create(v, seg.OID(0x4B, 0), be, true)
 			if err != nil {
 				panic(err)
 			}
-			g := trace.NewKVGen(seed+20, keys, mix, 256)
+			g := trace.NewKVGen(seed+20, keys, mix)
 			for _, k := range g.LoadKeys() {
 				if err := kv.Put(trace.Key(k), g.Value(k)); err != nil {
 					panic(err)

@@ -73,13 +73,13 @@ func fig2(seed uint64, rec *telemetry.Recorder) Result {
 	if rec != nil {
 		d.SetRecorder(rec)
 	}
-	if err := d.LoadAccelerator(0, core.ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
+	if err := d.LoadAccelerator(core.ProbeSlot, core.ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
 		panic(err)
 	}
 	eng.Run()
 	for _, blocks := range []int{1, 8, 64} {
 		var tr core.Fig2Trace
-		err := d.Fig2Probe(0, blocks%4, int64(blocks)*7, blocks, func(got core.Fig2Trace, _ []byte, err error) {
+		err := d.Fig2Probe(blocks%4, int64(blocks)*7, blocks, func(got core.Fig2Trace, _ []byte, err error) {
 			if err != nil {
 				panic(err)
 			}
@@ -108,7 +108,7 @@ func Energy(seed uint64) Result {
 	const ops = 20000
 	// Hyperion: requests ride the Figure 2 path.
 	eng, d := bootDPU("energy", seed)
-	if err := d.LoadAccelerator(0, core.ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
+	if err := d.LoadAccelerator(core.ProbeSlot, core.ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
 		panic(err)
 	}
 	eng.Run()
@@ -119,7 +119,7 @@ func Energy(seed uint64) Result {
 	// the experiment's largest allocation.
 	var issue func()
 	replied := func(core.Fig2Trace, []byte, error) {
-		hm.AddOps(1)
+		hm.AddOp()
 		issue()
 	}
 	issue = func() {
@@ -128,7 +128,7 @@ func Energy(seed uint64) Result {
 		}
 		i := next
 		next++
-		_ = d.Fig2Probe(0, i%4, int64(i%1000), 1, replied)
+		_ = d.Fig2Probe(i%4, int64(i%1000), 1, replied)
 	}
 	// Keep 16 in flight for realistic utilization.
 	for k := 0; k < 16; k++ {
@@ -148,7 +148,7 @@ func Energy(seed uint64) Result {
 	served := 0
 	var serve func()
 	finished := func() {
-		sm.AddOps(1)
+		sm.AddOp()
 		serve()
 	}
 	serve = func() {
@@ -260,7 +260,7 @@ func Predictability(seed uint64) Result {
 	eng2.Run()
 
 	row := func(name string, l *sim.LatencyRecorder) {
-		ratio := float64(l.Percentile(99)) / float64(maxDur(l.Percentile(50), 1*sim.Picosecond))
+		ratio := float64(l.Percentile(99)) / float64(max(l.Percentile(50), 1*sim.Picosecond))
 		r.Table.AddRow(name, l.Percentile(50).String(), l.Percentile(99).String(),
 			l.Percentile(99.9).String(), l.Max().String(), f2(ratio))
 	}
@@ -284,13 +284,6 @@ type victimProbe struct {
 func (v *victimProbe) Processed(*fabric.Work) {
 	v.lat.Record(v.eng.Now().Sub(v.starts[v.done]))
 	v.done++
-}
-
-func maxDur(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SegmentVsPage reproduces the §2.1 translation-overhead argument:
@@ -345,7 +338,7 @@ func SegmentVsPage(seed uint64) Result {
 			pageCost += w.Translate(page)
 		}
 		tlbHit := float64(w.TLBHits) / float64(w.Walks) * 100
-		ratio := float64(pageCost) / float64(maxDur(segCost, 1*sim.Picosecond))
+		ratio := float64(pageCost) / float64(max(segCost, 1*sim.Picosecond))
 		return engineRow([]string{itoa(int64(ws)), itoa(int64(ws * pagesPerObj)),
 			f2(float64(segCost) / accesses / float64(sim.Nanosecond)), f1(segHit),
 			f2(float64(pageCost) / accesses / float64(sim.Nanosecond)), f1(tlbHit), f2(ratio)}, eng)

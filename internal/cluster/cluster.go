@@ -209,9 +209,6 @@ func (c *Cluster) ReplicaSet(key []byte) []int {
 type Router struct {
 	c   *Cluster
 	cli *rpc.Client
-	// FailoverTimeout bounds how long to wait before trying the next
-	// replica on reads.
-	FailoverTimeout sim.Duration
 
 	rec *telemetry.Recorder
 
@@ -240,13 +237,13 @@ func NewRouter(c *Cluster, name netsim.Addr) (*Router, error) {
 	}
 	cli := rpc.NewClient(c.Eng, transport.New(c.Eng, transport.RDMA, nic))
 	cli.Timeout = 2 * sim.Millisecond
-	return &Router{c: c, cli: cli, FailoverTimeout: 2 * sim.Millisecond, caps: wire.NewPool(64)}, nil
+	return &Router{c: c, cli: cli, caps: wire.NewPool(64)}, nil
 }
 
 // putCtx fans one replicated write out to every replica with a single
 // prebound completion callback; instances cycle through the router's
 // free list. It holds the capsule's base reference until every
-// replica's rpc call resolves, so retries and stragglers stay valid.
+// replica's rpc call resolves, so stragglers stay valid.
 type putCtx struct {
 	r        *Router
 	capsule  *wire.Buf

@@ -144,12 +144,12 @@ func TestShellRejectsForgedBitstream(t *testing.T) {
 
 func TestFig2ProbeStages(t *testing.T) {
 	eng, _, d := bootTest(t)
-	if err := d.LoadAccelerator(0, ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
+	if err := d.LoadAccelerator(ProbeSlot, ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
 	var tr Fig2Trace
-	err := d.Fig2Probe(0, 1, 100, 2, func(got Fig2Trace, data []byte, err error) {
+	err := d.Fig2Probe(1, 100, 2, func(got Fig2Trace, data []byte, err error) {
 		if err != nil {
 			t.Error(err)
 		}
@@ -188,7 +188,7 @@ func TestFig2ProbeStages(t *testing.T) {
 // long one's egress. Every reply must still see the blocks it asked for.
 func TestFig2ProbeDataSurvivesEgress(t *testing.T) {
 	eng, _, d := bootTest(t)
-	if err := d.LoadAccelerator(0, ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
+	if err := d.LoadAccelerator(ProbeSlot, ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -217,7 +217,7 @@ func TestFig2ProbeDataSurvivesEgress(t *testing.T) {
 		k := issued
 		issued++
 		lba, blocks := int64(base+(k/4)%span), []int{1, 8, 64}[(k/4)%3]
-		err := d.Fig2Probe(0, k%4, lba, blocks, func(_ Fig2Trace, data []byte, err error) {
+		err := d.Fig2Probe(k%4, lba, blocks, func(_ Fig2Trace, data []byte, err error) {
 			if err != nil {
 				t.Error(err)
 			}
@@ -246,12 +246,12 @@ func TestFig2ProbeDataSurvivesEgress(t *testing.T) {
 func TestFig2ProbeErrors(t *testing.T) {
 	eng, _, d := bootTest(t)
 	_ = eng
-	if err := d.Fig2Probe(0, 99, 0, 1, func(Fig2Trace, []byte, error) {}); err == nil {
+	if err := d.Fig2Probe(99, 0, 1, func(Fig2Trace, []byte, error) {}); err == nil {
 		t.Fatal("bad ssd accepted")
 	}
 	// Empty slot: reply carries the error.
 	var got error
-	if err := d.Fig2Probe(0, 0, 0, 1, func(_ Fig2Trace, _ []byte, err error) { got = err }); err != nil {
+	if err := d.Fig2Probe(0, 0, 1, func(_ Fig2Trace, _ []byte, err error) { got = err }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -269,14 +269,14 @@ func BenchmarkFig2Probe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := d.LoadAccelerator(0, ProbeBitstream(cfg.AuthTag), nil); err != nil {
+	if err := d.LoadAccelerator(ProbeSlot, ProbeBitstream(cfg.AuthTag), nil); err != nil {
 		b.Fatal(err)
 	}
 	eng.Run()
 	i := 0
 	reply := func(Fig2Trace, []byte, error) {}
 	one := func() {
-		if err := d.Fig2Probe(0, i%4, int64(i%1000), 1, reply); err != nil {
+		if err := d.Fig2Probe(i%4, int64(i%1000), 1, reply); err != nil {
 			b.Fatal(err)
 		}
 		i++

@@ -53,10 +53,10 @@ type fig2Ctx struct {
 	stream *fabric.Stream
 	rec    *telemetry.Recorder // recorder the stream was last armed with
 
-	slot, ssd int
-	lba       int64
-	blocks    int
-	reply     func(tr Fig2Trace, data []byte, err error)
+	ssd    int
+	lba    int64
+	blocks int
+	reply  func(tr Fig2Trace, data []byte, err error)
 
 	span           telemetry.RequestID
 	t0, t1, t2, t3 sim.Time
@@ -101,7 +101,7 @@ func (c *fig2Ctx) onArrive(it fabric.Item) {
 		d.rec.Span("fig2", "arbiter", c.span, c.t0, c.t1)
 	}
 	// Stage 2: accelerator pipeline.
-	if serr := d.Fabric.SubmitSpan(c.slot, &c.work, c.span, c); serr != nil {
+	if serr := d.Fabric.SubmitSpan(ProbeSlot, &c.work, c.span, c); serr != nil {
 		c.fail(serr)
 	}
 }
@@ -154,13 +154,17 @@ func (c *fig2Ctx) onEgress() {
 	reply(tr, data, nil)
 }
 
+// ProbeSlot is the accelerator slot every probe crosses; a caller loads
+// ProbeBitstream there before probing.
+const ProbeSlot = 0
+
 // Fig2Probe drives one end-to-end request through the full hardware
-// path: a frame-sized item crosses the arbiter into the slot, the
+// path: a frame-sized item crosses the arbiter into ProbeSlot, the
 // pipeline processes it, the NVMe host IP core reads blocks from the
 // SSD that owns the LBA, and the response serializes back out. reply
 // receives the stage trace and the data, which is valid only during
 // reply: a caller that keeps the bytes copies them.
-func (d *DPU) Fig2Probe(slot int, ssd int, lba int64, blocks int, reply func(tr Fig2Trace, data []byte, err error)) error {
+func (d *DPU) Fig2Probe(ssd int, lba int64, blocks int, reply func(tr Fig2Trace, data []byte, err error)) error {
 	if !d.booted {
 		return ErrNotBooted
 	}
@@ -168,7 +172,7 @@ func (d *DPU) Fig2Probe(slot int, ssd int, lba int64, blocks int, reply func(tr 
 		return fmt.Errorf("core: no ssd %d", ssd)
 	}
 	c := d.getFig2()
-	c.slot, c.ssd, c.lba, c.blocks = slot, ssd, lba, blocks
+	c.ssd, c.lba, c.blocks = ssd, lba, blocks
 	c.reply = reply
 	c.t0 = d.Eng.Now()
 	c.tr = Fig2Trace{}

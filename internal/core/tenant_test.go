@@ -15,12 +15,12 @@ func fig2Timeline(t *testing.T, n int, install bool) (times []sim.Time, traces [
 	if install {
 		tenant.New(d.Eng, d.Fabric, tenant.DefaultConfig())
 	}
-	if err := d.LoadAccelerator(0, ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
+	if err := d.LoadAccelerator(ProbeSlot, ProbeBitstream(d.Cfg.AuthTag), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
 	for i := 0; i < n; i++ {
-		err := d.Fig2Probe(0, i%4, int64(i)*7, 1+i%4, func(tr Fig2Trace, _ []byte, perr error) {
+		err := d.Fig2Probe(i%4, int64(i)*7, 1+i%4, func(tr Fig2Trace, _ []byte, perr error) {
 			if perr != nil {
 				t.Error(perr)
 			}

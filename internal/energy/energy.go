@@ -72,8 +72,8 @@ func (m *Meter) accumulate(now sim.Time) {
 	}
 }
 
-// AddOps counts completed operations (for joules-per-op).
-func (m *Meter) AddOps(n int64) { m.ops += n }
+// AddOp counts one completed operation (for joules-per-op).
+func (m *Meter) AddOp() { m.ops++ }
 
 // Joules returns the total energy consumed up to time now.
 func (m *Meter) Joules(now sim.Time) float64 {

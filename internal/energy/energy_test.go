@@ -45,7 +45,9 @@ func TestMeterPiecewise(t *testing.T) {
 func TestJoulesPerOp(t *testing.T) {
 	m := NewMeter(Hyperion(), 0)
 	m.SetUtilization(0, 1.0)
-	m.AddOps(1000)
+	for i := 0; i < 1000; i++ {
+		m.AddOp()
+	}
 	jpo := m.JoulesPerOp(sim.Time(sim.Second))
 	if jpo < 0.2 || jpo > 0.25 {
 		t.Fatalf("J/op = %v", jpo)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"hyperion/internal/fault"
 	"hyperion/internal/netsim"
 	"hyperion/internal/nvme"
 	"hyperion/internal/rpc"
@@ -125,6 +126,47 @@ func TestUnalignedWriteRejected(t *testing.T) {
 	eng.Run()
 	if !errors.Is(got, rpc.ErrRemote) {
 		t.Fatalf("unaligned capsule at the target: err = %v, want a remote error", got)
+	}
+}
+
+// TestInitiatorRetriesTransientErrors pins the one retry layer of the
+// remote read path, the initiator's. A command the device swallows
+// comes back as a status error at the host's 2 ms deadline, before the
+// rpc client's 5 ms timeout fires, and the initiator's retry serves the
+// read; a media error on every attempt stops after MaxRetries and
+// surfaces.
+func TestInitiatorRetriesTransientErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		kind    fault.Kind
+		rate    float64
+		wantErr bool
+	}{
+		{"swallowed command", fault.Timeout, 0.5, false},
+		{"persistent media error", fault.MediaErr, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, tgt, ini := rig(t, transport.RDMA)
+			tgt.host.SetDeadline(2 * sim.Millisecond)
+			tgt.host.Device().SetFaultPlan(fault.NewPlan(1, "nvme").Set(tc.kind, tc.rate))
+			ini.c.Timeout = 5 * sim.Millisecond
+			ini.MaxRetries = 3
+			ini.RetryBackoff = 100 * sim.Microsecond
+			var got error
+			done := false
+			ini.Read(0, 1, func(_ []byte, err error) { got, done = err, true })
+			eng.Run()
+			switch {
+			case !done:
+				t.Fatal("the read never resolved")
+			case ini.c.Timeouts != 0:
+				t.Fatalf("rpc client timed out %d times: the host's deadline must answer first", ini.c.Timeouts)
+			case tc.wantErr && (!errors.Is(got, rpc.ErrRemote) || ini.Retries != int64(ini.MaxRetries)):
+				t.Fatalf("err = %v after %d retries, want a remote status error after %d", got, ini.Retries, ini.MaxRetries)
+			case !tc.wantErr && (got != nil || ini.Retries < 1):
+				t.Fatalf("err = %v after %d retries, want success after at least one", got, ini.Retries)
+			}
+		})
 	}
 }
 

@@ -187,8 +187,8 @@ func (s *Server) serve(src netsim.Addr, req *request) {
 	s.active = sc.span
 	h(arg, sc.respondFn)
 	s.active = prev
-	// A wire-capsule argument carries one reference per delivered
-	// attempt (see Client.attempt); its bytes are valid only during the
+	// A wire-capsule argument carries one reference for its delivery
+	// (see Client.CallSpan); its bytes are valid only during the
 	// handler's synchronous extent.
 	if b, ok := arg.(*wire.Buf); ok {
 		b.Release()
@@ -214,18 +214,10 @@ type Client struct {
 	ep      transport.Endpoint
 	nextID  uint64
 	pending map[uint64]*call
+	// Timeout bounds every call: a call unanswered by then resolves
+	// with ErrTimeout. The client sends each call once; a layer above
+	// that wants another attempt issues one (nvmeof.Initiator does).
 	Timeout sim.Duration
-
-	// Retry policy. All three fields default to zero, which preserves
-	// single-attempt semantics exactly (same events, same counters). With
-	// MaxRetries > 0, a timed-out call is retried up to that many extra
-	// times, waiting RetryBackoff<<attempt between attempts; if
-	// DeadlineBudget > 0 the whole call (attempts + backoffs) must fit
-	// within that budget measured from the first Send, otherwise the
-	// caller sees ErrTimeout without further retries.
-	MaxRetries     int
-	RetryBackoff   sim.Duration
-	DeadlineBudget sim.Duration
 
 	reqs  sim.FreeList[request]
 	calls sim.FreeList[call]
@@ -233,32 +225,24 @@ type Client struct {
 	rec *telemetry.Recorder
 
 	Calls, Timeouts int64
-	Retries         int64 // retry attempts actually issued
 }
 
 // SetRecorder arms the telemetry plane: one span per Call covering
-// the whole exchange (all attempts and backoffs), named after the
-// method. Disarmed (nil) the call path is bit-identical to the
-// unhooked client.
+// the whole exchange, named after the method. Disarmed (nil) the call
+// path is bit-identical to the unhooked client.
 func (c *Client) SetRecorder(rec *telemetry.Recorder) { c.rec = rec }
 
-// call is one logical Call: the current attempt's timer and the retry
-// state, pooled on the client with prebound timer functions.
+// call is one Call in flight with its timeout timer, pooled on the
+// client with a prebound timer function.
 type call struct {
 	c         *Client
-	dst       netsim.Addr
 	method    string
-	arg       any
-	argBytes  int
 	span      telemetry.RequestID
 	cb        func(val any, err error)
-	tries     int // attempts already timed out
-	deadline  sim.Time
-	start     sim.Time // first-attempt time, for the client-side span
-	id        uint64   // current attempt's request id
+	start     sim.Time // send time, for the client-side span
+	id        uint64   // request id
 	timer     sim.EventRef
 	timeoutFn func()
-	retryFn   func()
 }
 
 // NewClient wraps a transport endpoint.
@@ -294,10 +278,8 @@ func (c *Client) onMessage(src netsim.Addr, msg transport.Message) {
 }
 
 // Call sends a request of argBytes wire size and invokes cb with the
-// response or error. cb runs exactly once. When the client's retry
-// policy is armed (MaxRetries > 0), timed-out attempts are retried
-// with exponential backoff inside the deadline budget before cb sees
-// ErrTimeout.
+// response or error. cb runs exactly once: with ErrTimeout when no
+// response arrives within Timeout.
 func (c *Client) Call(dst netsim.Addr, method string, arg any, argBytes int, cb func(val any, err error)) {
 	c.CallSpan(dst, method, arg, argBytes, 0, cb)
 }
@@ -310,17 +292,39 @@ func (c *Client) CallSpan(dst netsim.Addr, method string, arg any, argBytes int,
 		argBytes = 64
 	}
 	cl := c.getCall()
-	cl.dst = dst
 	cl.method = method
-	cl.arg = arg
-	cl.argBytes = argBytes
 	cl.span = span
 	cl.cb = cb
 	cl.start = c.eng.Now()
-	if c.MaxRetries > 0 && c.DeadlineBudget > 0 {
-		cl.deadline = c.eng.Now().Add(c.DeadlineBudget)
+	c.Calls++
+	c.nextID++
+	cl.id = c.nextID
+	c.pending[cl.id] = cl
+	cl.timer = c.eng.After(c.Timeout, "rpc.timeout", cl.timeoutFn)
+	req := c.getReq()
+	req.ID = cl.id
+	req.Method = method
+	req.Arg = arg
+	req.Span = span
+	// A wire-capsule argument gets one reference on the wire (released
+	// server-side after the handler runs), on top of the base reference
+	// the caller holds for the whole call, so a straggler owns its bytes.
+	capsule, isCapsule := arg.(*wire.Buf)
+	if isCapsule {
+		//hyperlint:allow(bufown) custody crosses the wire: the server releases this reference after the handler runs, or the Send error branch below reclaims it
+		capsule.Retain() //wire:sends the transport endpoint, inside req — same engine, released server-side after the handler
 	}
-	cl.attempt()
+	err := c.ep.Send(dst, transport.Message{Payload: req, Bytes: argBytes, Span: span})
+	if err != nil {
+		delete(c.pending, cl.id)
+		c.eng.Cancel(cl.timer)
+		cl.timer = sim.NoEvent
+		if isCapsule {
+			capsule.Release()
+		}
+		req.release()
+		cl.finish(nil, err)
+	}
 }
 
 func (c *Client) getCall() *call {
@@ -328,7 +332,6 @@ func (c *Client) getCall() *call {
 	if fresh {
 		cl.c = c
 		cl.timeoutFn = cl.timeout
-		cl.retryFn = cl.retry
 	}
 	return cl
 }
@@ -342,48 +345,12 @@ func (cl *call) finish(val any, err error) {
 		c.rec.Span("rpc.client", cl.method, cl.span, cl.start, c.eng.Now())
 	}
 	cb := cl.cb
-	*cl = call{c: c, timeoutFn: cl.timeoutFn, retryFn: cl.retryFn}
+	*cl = call{c: c, timeoutFn: cl.timeoutFn}
 	c.calls.Put(cl)
 	cb(val, err)
 }
 
-// attempt issues one wire attempt with its own timeout timer.
-func (cl *call) attempt() {
-	c := cl.c
-	c.Calls++
-	c.nextID++
-	cl.id = c.nextID
-	c.pending[cl.id] = cl
-	cl.timer = c.eng.After(c.Timeout, "rpc.timeout", cl.timeoutFn)
-	req := c.getReq()
-	req.ID = cl.id
-	req.Method = cl.method
-	req.Arg = cl.arg
-	req.Span = cl.span
-	// A wire-capsule argument gets one reference per attempt on the
-	// wire (released server-side after the handler runs), on top of the
-	// base reference the caller holds for the whole logical call —
-	// retries and stragglers each own their bytes.
-	capsule, isCapsule := cl.arg.(*wire.Buf)
-	if isCapsule {
-		//hyperlint:allow(bufown) custody crosses the wire: the server releases this reference after the handler runs, or the Send error branch below reclaims it
-		capsule.Retain() //wire:sends the transport endpoint, inside req — same engine, released server-side after the handler
-	}
-	err := c.ep.Send(cl.dst, transport.Message{Payload: req, Bytes: cl.argBytes, Span: cl.span})
-	if err != nil {
-		delete(c.pending, cl.id)
-		c.eng.Cancel(cl.timer)
-		cl.timer = sim.NoEvent
-		if isCapsule {
-			capsule.Release()
-		}
-		req.release()
-		cl.finish(nil, err)
-	}
-}
-
-// timeout fires when the current attempt's timer expires: retry inside
-// the policy and budget, otherwise surface ErrTimeout.
+// timeout fires when the call's timer expires: it surfaces ErrTimeout.
 func (cl *call) timeout() {
 	c := cl.c
 	if c.pending[cl.id] != cl {
@@ -391,29 +358,8 @@ func (cl *call) timeout() {
 	}
 	delete(c.pending, cl.id)
 	c.Timeouts++
-	if cl.tries < c.MaxRetries {
-		backoff := c.RetryBackoff << uint(cl.tries)
-		// Retry only if another full attempt can still fit in the
-		// budget; otherwise surface the timeout now rather than
-		// burning the caller's remaining time on a doomed attempt.
-		if cl.deadline == 0 || c.eng.Now().Add(backoff+c.Timeout) <= cl.deadline {
-			cl.tries++
-			c.Retries++
-			if backoff > 0 {
-				// The call left c.pending above, so nothing else cancels
-				// this handle before the retry fires and attempt()
-				// overwrites it with the next timeout timer.
-				cl.timer = c.eng.After(backoff, "rpc.retry", cl.retryFn)
-			} else {
-				cl.attempt()
-			}
-			return
-		}
-	}
 	cl.finish(nil, ErrTimeout)
 }
-
-func (cl *call) retry() { cl.attempt() }
 
 func (c *Client) getReq() *request {
 	r, fresh := c.reqs.Get()

@@ -295,30 +295,39 @@ func TestBorrowAliasesTheStore(t *testing.T) {
 	}
 }
 
-// TestEditMatchesWriteAt runs the same ranges through WriteAt on one
-// twin and Edit on the other: an aligned whole block, an unaligned
-// in-block range, a block never written, whole blocks and a range
-// across a block edge (both stored back from the view's scratch),
-// empty ranges, a DRAM range and one across a 4 MiB DRAM chunk, out of
-// bounds and freed. Each range is written twice, fresh and over. The
-// stored bytes, the error, the modeled cost, every counter, the device
-// blocks and DRAM chunks materialized must agree, and edit must be
-// handed the bytes the range held.
+// TestEditMatchesWriteAt writes the same whole objects through WriteAt
+// on one twin and Edit on the other: one NVMe block and a smaller
+// object (both edited in place), whole blocks and an object across a
+// block edge (both stored back from the view's scratch), a DRAM object
+// and one across a 4 MiB DRAM chunk, and a freed object. Each object is
+// written twice, fresh and over. The stored bytes, the error, the
+// modeled cost, every counter, the device blocks and DRAM chunks
+// materialized must agree, and edit must be handed the bytes the object
+// held.
 func TestEditMatchesWriteAt(t *testing.T) {
 	a, b := newTwin(false, nil), newTwin(false, nil)
-	nv, d1, d2 := OID(9, 1), OID(9, 2), OID(9, 3)
-	sizes := map[ObjectID]int64{nv: 6 * 4096, d1: 3 << 20, d2: 3 << 20}
+	objs := []struct {
+		name string
+		id   ObjectID
+		size int64
+		hint Hint
+	}{
+		{"one block", OID(9, 1), 4096, HintCold},
+		{"in-block unaligned", OID(9, 2), 50, HintCold},
+		{"whole blocks", OID(9, 3), 2 * 4096, HintCold},
+		{"across a block edge", OID(9, 4), 4096 + 100, HintCold},
+		{"dram", OID(9, 5), 3 << 20, HintHot},
+		{"dram across a chunk", OID(9, 6), 3 << 20, HintHot},
+	}
 	for _, tw := range []*twin{a, b} {
-		for _, o := range []struct {
-			id   ObjectID
-			hint Hint
-		}{{nv, HintCold}, {d1, HintHot}, {d2, HintHot}} {
-			if _, err := tw.v.Alloc(o.id, sizes[o.id], false, o.hint); err != nil {
+		for _, o := range objs {
+			if _, err := tw.v.Alloc(o.id, o.size, false, o.hint); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if sg, _ := b.v.s.Stat(d2); sg.Addr>>dramChunkBits == (sg.Addr+sizes[d2]-1)>>dramChunkBits {
+	last := objs[len(objs)-1]
+	if sg, _ := b.v.s.Stat(last.id); sg.Addr>>dramChunkBits == (sg.Addr+last.size-1)>>dramChunkBits {
 		t.Fatalf("%+v does not span a DRAM chunk edge", sg)
 	}
 	materialized := func(tw *twin) string {
@@ -334,79 +343,61 @@ func TestEditMatchesWriteAt(t *testing.T) {
 		return fmt.Sprintf("%s blocks=%d chunks=%d", tw.observables(), blocks, chunks)
 	}
 	rng := sim.NewRand(11)
-	for _, tc := range []struct {
-		name      string
-		id        ObjectID
-		off, n    int64
-		wantErr   error
-		freeFirst bool
-	}{
-		{"aligned whole block", nv, 4096, 4096, nil, false},
-		{"unaligned in-block", nv, 4096 + 100, 50, nil, false},
-		{"never-written block", nv, 3*4096 + 10, 200, nil, false},
-		{"aligned whole blocks", nv, 0, 2 * 4096, nil, false},
-		{"across a block edge", nv, 2*4096 - 30, 60, nil, false},
-		{"empty aligned, block never written", nv, 5 * 4096, 0, nil, false},
-		{"empty unaligned", nv, 4*4096 + 5, 0, nil, false},
-		{"dram", d1, 1000, 3000, nil, false},
-		{"dram across a chunk", d2, 1<<20 - 100, 300, nil, false},
-		{"out of bounds", nv, 6*4096 - 10, 20, ErrBounds, false},
-		{"negative offset", nv, -1, 20, ErrBounds, false},
-		{"freed", d1, 0, 10, ErrNotFound, true},
-	} {
-		if tc.freeFirst {
-			if ea, eb := a.v.Free(tc.id), b.v.Free(tc.id); ea != nil || eb != nil {
-				t.Fatal(ea, eb)
-			}
-		}
+	for _, o := range objs {
 		for pass := 0; pass < 2; pass++ {
-			what := fmt.Sprintf("%s, pass %d", tc.name, pass)
-			data := make([]byte, tc.n)
+			what := fmt.Sprintf("%s, pass %d", o.name, pass)
+			data := make([]byte, o.size)
 			for i := range data {
 				data[i] = byte(rng.Intn(256))
 			}
-			var held []byte
-			if tc.wantErr == nil {
-				var err error
-				if held, err = a.v.ReadAt(tc.id, tc.off, tc.n); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := b.v.ReadAt(tc.id, tc.off, tc.n); err != nil {
-					t.Fatal(err)
-				}
+			held, err := a.v.ReadAt(o.id, 0, o.size)
+			if err != nil {
+				t.Fatal(err)
 			}
-			ea := a.v.WriteAt(tc.id, tc.off, data)
-			eb := b.v.Edit(tc.id, tc.off, tc.n, func(stored []byte) {
+			if _, err := b.v.ReadAt(o.id, 0, o.size); err != nil {
+				t.Fatal(err)
+			}
+			ea := a.v.WriteAt(o.id, 0, data)
+			eb := b.v.Edit(o.id, func(stored []byte) {
 				if !bytes.Equal(stored, held) {
-					t.Fatalf("%s: edit was handed bytes that differ from the range", what)
+					t.Fatalf("%s: edit was handed bytes that differ from the object", what)
 				}
 				copy(stored, data)
 			})
-			if !sameErr(ea, eb) || !errors.Is(eb, tc.wantErr) {
-				t.Fatalf("%s: WriteAt err %v, Edit err %v, want %v", what, ea, eb, tc.wantErr)
+			if ea != nil || eb != nil {
+				t.Fatalf("%s: WriteAt err %v, Edit err %v", what, ea, eb)
 			}
 			if ma, mb := materialized(a), materialized(b); ma != mb {
 				t.Fatalf("%s: diverged\n writeat: %s\n edit:    %s", what, ma, mb)
 			}
-			if tc.wantErr != nil {
-				continue
-			}
-			sa, _ := a.v.ReadAt(tc.id, 0, sizes[tc.id])
-			sb, _ := b.v.ReadAt(tc.id, 0, sizes[tc.id])
-			if !bytes.Equal(sa, sb) || !bytes.Equal(sb[tc.off:tc.off+tc.n], data) {
+			sa, _ := a.v.ReadAt(o.id, 0, o.size)
+			sb, _ := b.v.ReadAt(o.id, 0, o.size)
+			if !bytes.Equal(sa, sb) || !bytes.Equal(sb, data) {
 				t.Fatalf("%s: stored bytes diverge", what)
 			}
 		}
 	}
+	id := last.id
+	if ea, eb := a.v.Free(id), b.v.Free(id); ea != nil || eb != nil {
+		t.Fatal(ea, eb)
+	}
+	ea := a.v.WriteAt(id, 0, []byte{1})
+	eb := b.v.Edit(id, func([]byte) { t.Fatal("edit of a freed object ran") })
+	if !sameErr(ea, eb) || !errors.Is(eb, ErrNotFound) {
+		t.Fatalf("freed: WriteAt err %v, Edit err %v, want %v", ea, eb, ErrNotFound)
+	}
+	if ma, mb := materialized(a), materialized(b); ma != mb {
+		t.Fatalf("freed: diverged\n writeat: %s\n edit:    %s", ma, mb)
+	}
 	// In place, and across an edge once the scratch is warm, Edit
 	// allocates nothing.
-	for _, r := range [][2]int64{{4096, 4096}, {100, 50}, {2*4096 - 30, 60}} {
+	for _, o := range objs[:4] {
 		if n := testing.AllocsPerRun(100, func() {
-			if err := b.v.Edit(nv, r[0], r[1], func(stored []byte) { stored[0]++ }); err != nil {
+			if err := b.v.Edit(o.id, func(stored []byte) { stored[0]++ }); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Fatalf("Edit of [%d,+%d) allocates %v objects/op", r[0], r[1], n)
+			t.Fatalf("Edit of %s allocates %v objects/op", o.name, n)
 		}
 	}
 }

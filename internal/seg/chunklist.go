@@ -155,7 +155,7 @@ func (c *ChunkList) Sync() error {
 	wire.PutLE64At(c.img, rootNextLo, c.nextLo)
 	wire.PutLE64At(c.img, rootTail, uint64(c.tail))
 	wire.PutLE64At(c.img, rootCount, uint64(c.n))
-	return c.v.Edit(c.root, 0, rootBytes, func(stored []byte) {
+	return c.v.Edit(c.root, func(stored []byte) {
 		if c.synced < 0 {
 			copy(stored, c.img)
 		} else {

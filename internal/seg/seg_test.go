@@ -146,15 +146,40 @@ func TestReadWriteNVMeUnaligned(t *testing.T) {
 	}
 }
 
+// TestBoundsChecks rejects reads and writes outside an object, DRAM-
+// and NVMe-resident alike, and a rejected WriteAt counts no write and
+// touches no device.
 func TestBoundsChecks(t *testing.T) {
 	_, s := newStore(t, 1)
-	id := OID(3, 1)
-	_, _ = s.Alloc(id, 100, false, HintHot)
+	dram, nv := OID(3, 1), OID(3, 2)
+	if _, err := s.Alloc(dram, 100, false, HintHot); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Alloc(nv, 2*4096, false, HintCold); err != nil {
+		t.Fatal(err)
+	}
 	v := NewSyncView(s)
-	_, rerr := v.ReadAt(id, 50, 51)
-	werr := v.WriteAt(id, 99, []byte{1, 2})
-	if !errors.Is(rerr, ErrBounds) || !errors.Is(werr, ErrBounds) {
-		t.Fatalf("bounds errs = %v, %v", rerr, werr)
+	if _, rerr := v.ReadAt(dram, 50, 51); !errors.Is(rerr, ErrBounds) {
+		t.Fatalf("read past the end: err = %v", rerr)
+	}
+	for _, tc := range []struct {
+		name string
+		id   ObjectID
+		off  int64
+		n    int
+	}{
+		{"dram past the end", dram, 99, 2},
+		{"dram negative offset", dram, -1, 2},
+		{"nvme past the end", nv, 2*4096 - 10, 20},
+		{"nvme negative offset", nv, -1, 20},
+	} {
+		if err := v.WriteAt(tc.id, tc.off, make([]byte, tc.n)); !errors.Is(err, ErrBounds) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, ErrBounds)
+		}
+		if v.Writes != 0 || v.BytesWritten != 0 || v.DevReads != 0 || v.DevWrites != 0 {
+			t.Fatalf("%s: rejected write counted: writes=%d bytes=%d devR=%d devW=%d",
+				tc.name, v.Writes, v.BytesWritten, v.DevReads, v.DevWrites)
+		}
 	}
 	if _, nerr := v.ReadAt(OID(99, 99), 0, 1); !errors.Is(nerr, ErrNotFound) {
 		t.Fatalf("missing err = %v", nerr)

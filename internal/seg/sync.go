@@ -209,52 +209,50 @@ func (s *Store) copyOut(dst []byte, sg *Segment, off int64) {
 // read-modify-write it models: one device read plus one device write
 // of the covering blocks.
 func (v *SyncView) WriteAt(id ObjectID, off int64, data []byte) error {
-	sg, err := v.chargeWrite(id, off, int64(len(data)))
+	sg, err := v.Stat(id)
 	if err != nil {
 		return err
 	}
+	if off < 0 || off+int64(len(data)) > sg.Size {
+		return fmt.Errorf("%w: [%d,%d) of %d", ErrBounds, off, off+int64(len(data)), sg.Size)
+	}
+	v.chargeWrite(sg, off, int64(len(data)))
 	v.s.store(sg, off, data)
 	return nil
 }
 
-// Edit charges and counts what a WriteAt of length bytes at off would,
-// and hands edit the stored bytes of that range to change in place (a
-// block or chunk never written is materialized, as zeros). A range
-// inPlace cannot lend is copied into the view's scratch, edited there
-// and stored back as WriteAt stores its data. The bytes are valid only
+// Edit charges and counts what a WriteAt of the whole object would, and
+// hands edit the object's stored bytes to change in place (a block or
+// chunk never written is materialized, as zeros). An object inPlace
+// cannot lend is copied into the view's scratch, edited there and
+// stored back as WriteAt stores its data. The bytes are valid only
 // while edit runs, and edit must not use the view.
-func (v *SyncView) Edit(id ObjectID, off, length int64, edit func(stored []byte)) error {
-	sg, err := v.chargeWrite(id, off, length)
+func (v *SyncView) Edit(id ObjectID, edit func(stored []byte)) error {
+	sg, err := v.Stat(id)
 	if err != nil {
 		return err
 	}
-	if dst := v.s.inPlace(sg, off, length, true); dst != nil {
+	v.chargeWrite(sg, 0, sg.Size)
+	if dst := v.s.inPlace(sg, 0, sg.Size, true); dst != nil {
 		edit(dst)
 		return nil
 	}
-	v.scratch = grow(v.scratch, length)
-	v.s.copyOut(v.scratch, sg, off)
+	v.scratch = grow(v.scratch, sg.Size)
+	v.s.copyOut(v.scratch, sg, 0)
 	edit(v.scratch)
-	v.s.store(sg, off, v.scratch)
+	v.s.store(sg, 0, v.scratch)
 	return nil
 }
 
-// chargeWrite is ChargeRead's counterpart, shared by WriteAt and Edit;
-// an unaligned NVMe range is charged as the read-modify-write it models.
-func (v *SyncView) chargeWrite(id ObjectID, off, length int64) (*Segment, error) {
-	sg, tc, err := v.s.Lookup(id)
-	v.cost += tc
-	if err != nil {
-		return nil, err
-	}
-	if off < 0 || length < 0 || off+length > sg.Size {
-		return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrBounds, off, off+length, sg.Size)
-	}
+// chargeWrite is ChargeRead's counterpart, shared by WriteAt and Edit,
+// for a range inside sg; an unaligned NVMe range is charged as the
+// read-modify-write it models.
+func (v *SyncView) chargeWrite(sg *Segment, off, length int64) {
 	v.Writes++
 	v.BytesWritten += length
 	if sg.Loc == LocDRAM {
 		v.cost += v.s.dramTime(length)
-		return sg, nil
+		return
 	}
 	dev, _ := v.s.split(sg.Addr)
 	d, nblocks := v.s.devs[dev].Device(), v.s.spanBlocks(off, length)
@@ -265,7 +263,6 @@ func (v *SyncView) chargeWrite(id ObjectID, off, length int64) (*Segment, error)
 		v.DevReads++
 	}
 	v.DevWrites++
-	return sg, nil
 }
 
 // aligned reports whether [off, off+length) is whole device blocks.

@@ -245,7 +245,7 @@ func (t *Tree) writeNode(id seg.ObjectID, n *node) error {
 // slot, which the caller has checked is free.
 func (t *Tree) putLeafSlot(id seg.ObjectID, i int, found bool, key, val uint64) error {
 	t.NodesWritten++
-	return t.v.Edit(id, 0, NodeBytes, func(buf []byte) {
+	return t.v.Edit(id, func(buf []byte) {
 		if !found {
 			cnt := int(wire.LE16At(buf, CountOff))
 			copy(buf[LeafKeysOff+(i+1)*8:], buf[LeafKeysOff+i*8:LeafKeysOff+cnt*8])

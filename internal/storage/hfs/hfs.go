@@ -51,7 +51,6 @@ type FS struct {
 	prefix  uint64
 	nextIno uint64
 	nextExt uint64
-	durable bool
 }
 
 // Inode is the on-store index node.
@@ -69,16 +68,16 @@ type DirEntry struct {
 	Type uint8
 }
 
-// Mkfs formats a filesystem whose superblock lives at superID.
-func Mkfs(v *seg.SyncView, superID seg.ObjectID, durable bool) (*FS, error) {
-	fs := &FS{v: v, super: superID, prefix: superID.Hi, durable: durable,
-		nextIno: 2, nextExt: 1 << 32}
-	if _, err := v.Alloc(superID, 128, durable, seg.HintAuto); err != nil {
+// Mkfs formats a filesystem whose superblock lives at superID. Every
+// object of a filesystem is durable.
+func Mkfs(v *seg.SyncView, superID seg.ObjectID) (*FS, error) {
+	fs := &FS{v: v, super: superID, prefix: superID.Hi, nextIno: 2, nextExt: 1 << 32}
+	if _, err := v.Alloc(superID, 128, true, seg.HintAuto); err != nil {
 		return nil, err
 	}
 	// Root directory: ino 1.
 	root := &Inode{Ino: 1, Type: TypeDir}
-	if _, err := v.Alloc(fs.inodeOID(1), InodeBytes, durable, seg.HintAuto); err != nil {
+	if _, err := v.Alloc(fs.inodeOID(1), InodeBytes, true, seg.HintAuto); err != nil {
 		return nil, err
 	}
 	if err := fs.writeInode(root); err != nil {
@@ -99,7 +98,6 @@ func Mount(v *seg.SyncView, superID seg.ObjectID) (*FS, error) {
 	}
 	fs.nextIno = wire.LE64At(buf, 8)
 	fs.nextExt = wire.LE64At(buf, 16)
-	fs.durable = buf[24] == 1
 	return fs, nil
 }
 
@@ -108,9 +106,7 @@ func (fs *FS) writeSuper() error {
 	wire.PutLE32At(buf, 0, superMagic)
 	wire.PutLE64At(buf, 8, fs.nextIno)
 	wire.PutLE64At(buf, 16, fs.nextExt)
-	if fs.durable {
-		buf[24] = 1
-	}
+	buf[24] = 1 // the durable flag, set in every image
 	return fs.v.WriteAt(fs.super, 0, buf)
 }
 
@@ -184,7 +180,7 @@ func (fs *FS) writeAll(ino *Inode, data []byte) error {
 	}
 	for len(ino.Extents) < need {
 		id := fs.extentOID()
-		if _, err := fs.v.Alloc(id, ExtentBytes, fs.durable, seg.HintAuto); err != nil {
+		if _, err := fs.v.Alloc(id, ExtentBytes, true, seg.HintAuto); err != nil {
 			return err
 		}
 		ino.Extents = append(ino.Extents, id)
@@ -352,7 +348,7 @@ func (fs *FS) addEntry(parent *Inode, ent DirEntry) error {
 func (fs *FS) newInode(typ uint8) (*Inode, error) {
 	ino := &Inode{Ino: fs.nextIno, Type: typ}
 	fs.nextIno++
-	if _, err := fs.v.Alloc(fs.inodeOID(ino.Ino), InodeBytes, fs.durable, seg.HintAuto); err != nil {
+	if _, err := fs.v.Alloc(fs.inodeOID(ino.Ino), InodeBytes, true, seg.HintAuto); err != nil {
 		return nil, err
 	}
 	if err := fs.writeInode(ino); err != nil {

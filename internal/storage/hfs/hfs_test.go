@@ -22,7 +22,7 @@ func newFS(t testing.TB) (*seg.SyncView, *FS) {
 	scfg.DRAMBytes = 64 << 20
 	scfg.CheckpointEvery = 0
 	v := seg.NewSyncView(seg.New(eng, scfg, []*nvme.Host{host}))
-	fs, err := Mkfs(v, seg.OID(500, 0), true)
+	fs, err := Mkfs(v, seg.OID(500, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

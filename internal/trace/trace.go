@@ -46,18 +46,20 @@ func (m YCSBMix) String() string {
 
 // KVGen generates YCSB-style operations.
 type KVGen struct {
-	r        *sim.Rand
-	zipf     *sim.Zipf
-	mix      YCSBMix
-	keys     uint64
-	valBytes int
+	r    *sim.Rand
+	zipf *sim.Zipf
+	mix  YCSBMix
+	keys uint64
 }
 
-// NewKVGen creates a generator over n keys with the given mix and value
-// size; theta=0.99 Zipfian like the YCSB default.
-func NewKVGen(seed uint64, n uint64, mix YCSBMix, valBytes int) *KVGen {
+// valueBytes is the size of every generated value.
+const valueBytes = 256
+
+// NewKVGen creates a generator over n keys with the given mix;
+// theta=0.99 Zipfian like the YCSB default.
+func NewKVGen(seed uint64, n uint64, mix YCSBMix) *KVGen {
 	r := sim.NewRand(seed)
-	return &KVGen{r: r, zipf: sim.NewZipf(r, n, 0.99), mix: mix, keys: n, valBytes: valBytes}
+	return &KVGen{r: r, zipf: sim.NewZipf(r, n, 0.99), mix: mix, keys: n}
 }
 
 // Key materializes key i in a fixed format: "user" and i in decimal,
@@ -85,7 +87,7 @@ func (g *KVGen) LoadKeys() []uint64 {
 
 // Value generates a deterministic value for a key.
 func (g *KVGen) Value(key uint64) []byte {
-	v := make([]byte, g.valBytes)
+	v := make([]byte, valueBytes)
 	binary.LittleEndian.PutUint64(v, key)
 	for i := 8; i < len(v); i++ {
 		v[i] = byte(key + uint64(i))

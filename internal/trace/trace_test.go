@@ -17,7 +17,7 @@ func TestYCSBMixRatios(t *testing.T) {
 		{YCSBC, 100, 100},
 	}
 	for _, c := range cases {
-		g := NewKVGen(1, 10000, c.mix, 100)
+		g := NewKVGen(1, 10000, c.mix)
 		reads := 0
 		const n = 20000
 		for i := 0; i < n; i++ {
@@ -33,7 +33,7 @@ func TestYCSBMixRatios(t *testing.T) {
 }
 
 func TestKVGenSkew(t *testing.T) {
-	g := NewKVGen(2, 1000, YCSBC, 64)
+	g := NewKVGen(2, 1000, YCSBC)
 	counts := map[string]int{}
 	for i := 0; i < 50000; i++ {
 		counts[string(g.Next().Key)]++
@@ -63,9 +63,9 @@ func TestKeyMatchesSprintf(t *testing.T) {
 }
 
 func TestValueDeterministic(t *testing.T) {
-	g := NewKVGen(3, 100, YCSBA, 64)
+	g := NewKVGen(3, 100, YCSBA)
 	a, b := g.Value(7), g.Value(7)
-	if string(a) != string(b) || len(a) != 64 {
+	if string(a) != string(b) || len(a) != valueBytes {
 		t.Fatal("values not deterministic or wrong size")
 	}
 }

@@ -659,7 +659,12 @@ func (t typeMethods) implements(ms methodSet) bool {
 	return true
 }
 
-func (g *reachGraph) key(fn *types.Func) string {
+func (g *reachGraph) key(fn *types.Func) string { return funcKey(fn, g.module) }
+
+// funcKey names a function by its package path without the module
+// prefix, its receiver's type name and its own name. Two type-checks of
+// one package make two *types.Func for each function; their keys agree.
+func funcKey(fn *types.Func, module string) string {
 	name := fn.Name()
 	if r := fn.Type().(*types.Signature).Recv(); r != nil {
 		t := r.Type()
@@ -670,7 +675,7 @@ func (g *reachGraph) key(fn *types.Func) string {
 			name = n.Obj().Name() + "." + name
 		}
 	}
-	return strings.TrimPrefix(fn.Pkg().Path(), g.module) + "." + name
+	return strings.TrimPrefix(fn.Pkg().Path(), module) + "." + name
 }
 
 // reach returns every function reachable from the roots and seeds.
@@ -893,17 +898,29 @@ const faultPath = "hyperion/internal/fault"
 // faultCallee names the function or *fault.Plan method call calls when
 // it is one of package fault's, and returns "" otherwise.
 func faultCallee(info *types.Info, call *ast.CallExpr) string {
-	var id *ast.Ident
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	case *ast.Ident:
-		id = fn
-	}
-	if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == faultPath {
+	if fn, ok := info.Uses[calleeIdent(call)].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == faultPath {
 		return fn.Name()
 	}
 	return ""
+}
+
+// calleeIdent returns the identifier call names its callee by, through
+// a selector and a generic instantiation, or nil.
+func calleeIdent(call *ast.CallExpr) *ast.Ident {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	switch x := fun.(type) {
+	case *ast.SelectorExpr:
+		return x.Sel
+	case *ast.Ident:
+		return x
+	}
+	return nil
 }
 
 // faultKind names the constant fault.Kind e evaluates to.
@@ -942,40 +959,62 @@ func planLayer(info *types.Info, inits map[*types.Var]ast.Expr, e ast.Expr) (str
 	}
 }
 
-// knobAllow names the Config and Options fields no binary sets that
-// stay fields anyway, each with its reason: the live test that sets it
-// to reach a behaviour or budget the default cannot, frozen
-// cmd/hyperbench, which reads it, a credential, or the ROADMAP item that
-// decides it. A key is the package path without the module prefix, the
-// struct's name and the field's ("internal/netsim.Config.QueueFrames").
-// An entry that names no knob, names a turned one, or cites none of the
-// four fails TestEveryKnobIsTurned.
+// knobAllow names the knobs that stay knobs anyway, each with its
+// reason: the Config and Options fields no binary sets, and the
+// parameters every call site passes one constant. A reason cites the
+// live test that turns the knob to reach a behaviour or budget the
+// constant cannot, frozen cmd/hyperbench, which reads or passes it, a
+// credential, a deployment setting (an address or a path), or the
+// ROADMAP item that decides it. A field's key is the package path
+// without the module prefix, the struct's name and the field's
+// ("internal/netsim.Config.QueueFrames"); a parameter's is its function's
+// reachAllow key with the parameter in parentheses
+// ("internal/storage/kvssd.Create(durable)"). An entry that names no
+// knob, names a turned one, or cites none of the five fails
+// TestEveryKnobIsTurned.
 var knobAllow = map[string]string{
 	"internal/core.Config.AuthTag": "a credential: the bitstream authorization tag is a deployment secret",
+
+	"internal/cluster.NewRouter(name)":    "a deployment setting: the client's address on the fabric",
+	"internal/storage/hfs.FS.Mkdir(path)": "a deployment setting: the path a deployment keeps its tables under",
 
 	"internal/fabric.Config.ClockHz":    "frozen cmd/hyperbench reads it; TestBootSelfTestFails breaks the fabric through it",
 	"internal/nvme.Config.BlockSize":    "frozen cmd/hyperbench reads it; TestBlockShiftMatchesDivision builds devices that disagree on it",
 	"internal/tenant.Config.DepthItems": "frozen cmd/hyperbench reads it; TestSchedulerProperties shrinks it",
+
+	"internal/bench.RackSweep(seed)":                "frozen cmd/hyperbench passes it (ROADMAP item 6)",
+	"internal/fabric.NewWFQArbiter(widthBytes)":     "frozen cmd/hyperbench passes it (ROADMAP item 6)",
+	"internal/nvmeof.Initiator.Read(blocks)":        "frozen cmd/hyperbench passes it (ROADMAP item 6)",
+	"internal/nvmeof.NewTarget(qid)":                "frozen cmd/hyperbench passes it (ROADMAP item 6)",
+	"internal/rpc.NewServer(#3)":                    "frozen cmd/hyperbench passes the mode (ROADMAP item 6)",
+	"internal/storage/colfmt.Reader.ScanInt64(col)": "frozen cmd/hyperbench passes it (ROADMAP item 6)",
+	"internal/storage/colfmt.Writer.Close(durable)": "frozen cmd/hyperbench passes it (ROADMAP item 6)",
+	"internal/storage/kvssd.Create(durable)":        "frozen cmd/hyperbench passes it (ROADMAP item 6)",
+	"internal/telemetry.Recorder.Count(n)":          "frozen cmd/hyperbench passes it (ROADMAP item 6)",
+
+	"internal/energy.Meter.SetUtilization(util)": "ROADMAP item 9 drives E3's utilisation from busy time",
 
 	"internal/netsim.Config.QueueFrames": "TestReliableRecoversFromIncastLoss and the other shallow-queue transport tests force congestion drops through it",
 	"internal/rack.Config.Replicas":      "TestRackAllocBudget's 0.18 objects / 440 B per op are measured at 2 boxes × 2 replicas",
 	"internal/seg.Config.TableBlocks":    "FuzzRecover's 2-block rig keeps its checkpoint image small enough to fuzz",
 }
 
-// knobReason matches the four things a knobAllow reason may cite.
-var knobReason = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*|cmd/hyperbench|credential|ROADMAP`)
+// knobReason matches the five things a knobAllow reason may cite.
+var knobReason = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*|cmd/hyperbench|credential|deployment setting|ROADMAP`)
 
 // TestEveryKnobIsTurned fails on every configuration field that only
-// its own package's Default* constructor sets: a value one binary uses
-// is a constant beside its reader (DESIGN §2 "Model parameters"). A knob is
-// a field of an exported struct type named Options or *Config in a
-// non-test package; a field whose type is itself such a struct is a
-// container, and only its own fields are judged. A knob is turned when
-// a non-test function outside examples/ writes it: assigns it through
-// a selector, takes its address, or names it as a composite-literal
-// key. An unkeyed literal writes every field. A Default* function of the
-// knob's own package turns it only by writing one of its parameters:
-// then its caller chose the value.
+// its own package's Default* constructor sets, and on every parameter
+// its call sites all pass one constant: a value one binary uses is a
+// constant beside its reader (DESIGN §2 "Model parameters"). A field
+// knob is a field of an exported struct type named Options or *Config
+// in a non-test package; a field whose type is itself such a struct is
+// a container, and only its own fields are judged. A field is turned
+// when a non-test function outside examples/ writes it: assigns it
+// through a selector, takes its address, or names it as a
+// composite-literal key. An unkeyed literal writes every field. A
+// Default* function of the knob's own package turns it only by writing
+// one of its parameters: then its caller chose the value. paramKnobs
+// says when a parameter is a knob.
 func TestEveryKnobIsTurned(t *testing.T) {
 	pkgs, err := loadTree()
 	if err != nil {
@@ -988,7 +1027,11 @@ func TestEveryKnobIsTurned(t *testing.T) {
 }
 
 // TestKnobGateRules pins each rule of the knob gate on a small program;
-// its example.go stands for examples/.
+// its example.go stands for examples/. For parameters: a constant one
+// (pad), one two call sites turn (scale), one a function value turns
+// (apply), a single call site (once), a variadic function (sum), an
+// allow line for a deployment setting (listen), stale lines and a line
+// without a reason (grow).
 func TestKnobGateRules(t *testing.T) {
 	root, err := analysis.ModuleRoot(".")
 	if err != nil {
@@ -1004,14 +1047,26 @@ func TestKnobGateRules(t *testing.T) {
 		"knobdemo.Config.Keyed":   "stale: run sets it",
 		"knobdemo.Config.Vague":   "no reason a reader can check",
 		"knobdemo.Config.Gone":    "stale: no such field",
+		"knobdemo.listen(addr)":   "a deployment setting: the listen address",
+		"knobdemo.grow(by)":       "no reason a reader can check",
+		"knobdemo.scale(factor)":  "stale: two values",
+		"knobdemo.apply(n)":       "stale: a function value",
+		"knobdemo.once(n)":        "stale: one call site",
+		"knobdemo.sum(first)":     "stale: variadic",
 	})
 	want := []string{
 		`knobAllow: knobdemo.Config.Gone names no knob`,
 		`knobAllow: knobdemo.Config.Keyed is turned at testdata/knobs/main.go:43:16: delete its line`,
-		`knobAllow: knobdemo.Config.Vague's reason cites no test, cmd/hyperbench, credential or ROADMAP item`,
+		`knobAllow: knobdemo.Config.Vague's reason cites no test, cmd/hyperbench, credential, deployment setting or ROADMAP item`,
+		`knobAllow: knobdemo.apply(n) is turned at testdata/knobs/params.go:36:7: delete its line`,
+		`knobAllow: knobdemo.grow(by)'s reason cites no test, cmd/hyperbench, credential, deployment setting or ROADMAP item`,
+		`knobAllow: knobdemo.once(n) has one call site: delete its line`,
+		`knobAllow: knobdemo.scale(factor) is turned at testdata/knobs/params.go:37:52: delete its line`,
+		`knobAllow: knobdemo.sum(first) belongs to a variadic function: delete its line`,
 		`testdata/knobs/main.go:12:2: knobdemo.Config.ByDefault is set by no binary: make it a constant beside its reader, or give it a knobAllow line with its reason`,
 		`testdata/knobs/main.go:14:2: knobdemo.Config.ByExample is set by no binary: make it a constant beside its reader, or give it a knobAllow line with its reason`,
 		`testdata/knobs/main.go:23:2: knobdemo.Options.Depth is set by no binary: make it a constant beside its reader, or give it a knobAllow line with its reason`,
+		`testdata/knobs/params.go:5:20: knobdemo.pad(width) is passed 8 at all 2 call sites: inline it, or give it a knobAllow line with its reason`,
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -1020,14 +1075,43 @@ func TestKnobGateRules(t *testing.T) {
 
 // knobGate returns the findings of the knob gate over pkgs, sorted:
 // unturned knobs at file:line, then bad allow entries. counts says
-// whether writes in a file, as relPosition prints it, turn a knob.
+// whether writes in a file, as relPosition prints it, turn a field.
 func knobGate(pkgs []*analysis.Package, module string, counts func(file string) bool, allow map[string]string) []string {
+	knobs := make(map[string]string)  // knob -> its finding
+	turned := make(map[string]string) // field or parameter -> why it is no knob
+	fieldKnobs(pkgs, module, counts, knobs, turned)
+	paramKnobs(pkgs, module, knobs, turned)
+	var findings []string
+	for k, finding := range knobs {
+		if _, ok := turned[k]; !ok && allow[k] == "" {
+			findings = append(findings, finding)
+		}
+	}
+	slices.Sort(findings)
+	var bad []string
+	for k, reason := range allow {
+		_, known := knobs[k]
+		switch why, ok := turned[k]; {
+		case ok:
+			bad = append(bad, fmt.Sprintf("knobAllow: %s %s: delete its line", k, why))
+		case !known:
+			bad = append(bad, fmt.Sprintf("knobAllow: %s names no knob", k))
+		case !knobReason.MatchString(reason):
+			bad = append(bad, fmt.Sprintf("knobAllow: %s's reason cites no test, cmd/hyperbench, credential, deployment setting or ROADMAP item", k))
+		}
+	}
+	slices.Sort(bad)
+	return append(bad, findings...)
+}
+
+// fieldKnobs files every field of a knob struct under its key, the
+// package path without the module prefix, the struct's name and the
+// field's, and marks it turned at its first counting write.
+func fieldKnobs(pkgs []*analysis.Package, module string, counts func(file string) bool, knobs, turned map[string]string) {
 	key := func(n *types.Named, field string) string {
 		o := n.Obj()
 		return strings.TrimPrefix(o.Pkg().Path(), module) + "." + o.Name() + "." + field
 	}
-	knobs := make(map[string]token.Position)
-	turned := make(map[string]token.Position) // knob -> its first counting write
 	for _, p := range pkgs {
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
@@ -1038,7 +1122,8 @@ func knobGate(pkgs []*analysis.Package, module string, counts func(file string) 
 			st := tn.Type().Underlying().(*types.Struct)
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); knobStruct(f.Type()) == nil {
-					knobs[key(tn.Type().(*types.Named), f.Name())] = relPosition(p.Fset.Position(f.Pos()))
+					k := key(tn.Type().(*types.Named), f.Name())
+					knobs[k] = fmt.Sprintf("%s: %s is set by no binary: make it a constant beside its reader, or give it a knobAllow line with its reason", relPosition(p.Fset.Position(f.Pos())), k)
 				}
 			}
 		}
@@ -1068,7 +1153,7 @@ func knobGate(pkgs []*analysis.Package, module string, counts func(file string) 
 					}
 					k := key(n, field)
 					if _, done := turned[k]; !done {
-						turned[k] = relPosition(p.Fset.Position(at))
+						turned[k] = fmt.Sprintf("is turned at %s", relPosition(p.Fset.Position(at)))
 					}
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
@@ -1111,27 +1196,128 @@ func knobGate(pkgs []*analysis.Package, module string, counts func(file string) 
 			}
 		}
 	}
-	var findings []string
-	for k, pos := range knobs {
-		if _, ok := turned[k]; !ok && allow[k] == "" {
-			findings = append(findings, fmt.Sprintf("%s: %s is set by no binary: make it a constant beside its reader, or give it a knobAllow line with its reason", pos, k))
+}
+
+// paramKnobs files every parameter of a function the tree declares
+// under its function's key, as reachGraph keys it, with the parameter's
+// name in parentheses ("internal/storage/kvssd.Create(durable)"), or its
+// 1-based place when it has none ("internal/rpc.NewServer(#3)").
+// A parameter is a knob when at least two call sites, examples/ and
+// cmd/ included, pass it the same constant, nil counting as one. It is
+// turned by a site that passes another value or a non-constant one, and
+// by a reference to its function that is not a call: a function value
+// takes whatever its holder passes. A variadic function's parameters
+// are exempt, and a call through an interface is a site of the
+// interface's method, which no declaration judges.
+func paramKnobs(pkgs []*analysis.Package, module string, knobs, turned map[string]string) {
+	type param struct {
+		pos      token.Position
+		variadic bool
+		sites    int
+		value    string // the constant the first site passes
+		show     string // value as the finding prints it
+	}
+	params := make(map[string]*param)
+	names := make(map[string][]string) // function key -> its parameters' keys, in order
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				fn := p.TypesInfo.Defs[fd.Name].(*types.Func)
+				fk := funcKey(fn, module)
+				variadic := fn.Type().(*types.Signature).Variadic()
+				for _, field := range fd.Type.Params.List {
+					ids := field.Names
+					if len(ids) == 0 {
+						ids = []*ast.Ident{{Name: "_", NamePos: field.Pos()}}
+					}
+					for _, id := range ids {
+						name := id.Name
+						if name == "_" {
+							name = fmt.Sprintf("#%d", len(names[fk])+1)
+						}
+						k := fk + "(" + name + ")"
+						params[k] = &param{pos: relPosition(p.Fset.Position(id.Pos())), variadic: variadic}
+						names[fk] = append(names[fk], k)
+					}
+				}
+			}
 		}
 	}
-	slices.Sort(findings)
-	var bad []string
-	for k, reason := range allow {
-		_, known := knobs[k]
-		switch at, ok := turned[k]; {
-		case !known:
-			bad = append(bad, fmt.Sprintf("knobAllow: %s names no knob", k))
-		case ok:
-			bad = append(bad, fmt.Sprintf("knobAllow: %s is turned at %s: delete its line", k, at))
-		case !knobReason.MatchString(reason):
-			bad = append(bad, fmt.Sprintf("knobAllow: %s's reason cites no test, cmd/hyperbench, credential or ROADMAP item", k))
+	turn := func(k string, at token.Position) {
+		if _, done := turned[k]; !done {
+			turned[k] = fmt.Sprintf("is turned at %s", at)
 		}
 	}
-	slices.Sort(bad)
-	return append(bad, findings...)
+	for _, p := range pkgs {
+		// Inspect meets a call before its callee's identifier, so an
+		// identifier not marked called by then is a function value.
+		called := make(map[*ast.Ident]bool)
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !called[id] {
+					if fn, ok := p.TypesInfo.Uses[id].(*types.Func); ok && fn.Pkg() != nil {
+						for _, k := range names[funcKey(fn.Origin(), module)] {
+							turn(k, relPosition(p.Fset.Position(id.Pos())))
+						}
+					}
+				}
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				id := calleeIdent(call)
+				fn, ok := p.TypesInfo.Uses[id].(*types.Func)
+				if !ok || fn.Pkg() == nil {
+					return true
+				}
+				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+					if s := p.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodExpr {
+						return true // it passes the receiver first; its identifier turns every parameter
+					}
+				}
+				called[id] = true
+				keys := names[funcKey(fn.Origin(), module)]
+				for i, k := range keys {
+					pm := params[k]
+					pm.sites++
+					if len(call.Args) != len(keys) {
+						turn(k, relPosition(p.Fset.Position(call.Pos())))
+						continue
+					}
+					arg := call.Args[i]
+					value, show := "", ""
+					switch tv := p.TypesInfo.Types[arg]; {
+					case tv.Value != nil:
+						value, show = tv.Value.ExactString(), tv.Value.String()
+					case tv.IsNil():
+						value, show = "nil", "nil"
+					}
+					if pm.sites == 1 {
+						pm.value, pm.show = value, show
+					}
+					if value == "" || value != pm.value {
+						turn(k, relPosition(p.Fset.Position(arg.Pos())))
+					}
+				}
+				return true
+			})
+		}
+	}
+	for k, pm := range params {
+		switch {
+		case pm.variadic:
+			turned[k] = "belongs to a variadic function"
+		case pm.sites < 2:
+			if _, ok := turned[k]; !ok {
+				turned[k] = []string{"has no call site", "has one call site"}[pm.sites]
+			}
+		}
+		knobs[k] = fmt.Sprintf("%s: %s is passed %s at all %d call sites: inline it, or give it a knobAllow line with its reason", pm.pos, k, pm.show, pm.sites)
+	}
 }
 
 // knobStruct returns t as a knob struct type, or nil.

@@ -1,5 +1,5 @@
 // Package main is TestKnobGateRules' program: one field per rule of the
-// knob gate.
+// knob gate, and in params.go one function per rule for parameters.
 package main
 
 import "flag"
@@ -47,4 +47,5 @@ func main() {
 	c := DefaultConfig("demo")
 	run(&c)
 	_ = PairConfig{1, 2}
+	_ = params(c.Named)
 }

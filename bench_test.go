@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"hyperion/internal/bench"
@@ -125,14 +126,17 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelMatchesSequential pins the -parallel contract: the
-// fan-out changes wall time only, never results.
+// TestRunAllParallelMatchesSequential pins RunAll's fan-out contract:
+// the GOMAXPROCS worker count changes wall time only, never results.
+// It flips GOMAXPROCS and so does not run in parallel with other tests.
 func TestRunAllParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are heavyweight")
 	}
-	seq := bench.RunAllShards(1, 0)
-	par := bench.RunAllShards(4, 0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	seq := bench.RunAll(0)
+	runtime.GOMAXPROCS(4)
+	par := bench.RunAll(0)
 	if len(seq) != len(par) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(seq), len(par))
 	}

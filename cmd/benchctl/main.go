@@ -5,15 +5,14 @@
 //
 //	benchctl list                    # show available experiments
 //	benchctl all                     # run everything (EXPERIMENTS.md content)
-//	benchctl -parallel 4 all         # fan experiments out over 4 goroutines
 //	benchctl -trace out/ fig2        # run traced; write Perfetto JSON + summaries
 //	benchctl -shards 4 all           # run E17, the cluster-capable experiment, on 4 shards
 //	benchctl -shardsweep 1,2,4,8 all # measure E17 scaling across shard counts
 //	benchctl table1                  # run one, by name or id (see 'benchctl list')
 //
-// Parallel runs are deterministic: every row of every experiment owns
-// a private sim.Engine, so -parallel (which nests over the experiments'
-// own row fan-out) changes wall time only, never the tables.
+// 'all' fans the experiments out over GOMAXPROCS goroutines, and that
+// is deterministic: every row of every experiment owns a private
+// sim.Engine, so the fan-out changes wall time only, never the tables.
 // Likewise -shards: experiment tables are shard-count invariant, so
 // the flag moves wall time and per-shard stats, never a single cell.
 package main
@@ -30,7 +29,6 @@ import (
 )
 
 func main() {
-	parallel := flag.Int("parallel", 1, "run 'all' across N goroutines, capped at GOMAXPROCS (each row keeps its own engine)")
 	tracePath := flag.String("trace", "", "run traced experiments with the telemetry plane armed and write <id>.trace.json/.hist.txt/.critpath.txt to this existing directory")
 	shards := flag.Int("shards", 0, "run the cluster-capable experiment (E17) on N sim.Cluster shards; 0 keeps its default")
 	sweepSpec := flag.String("shardsweep", "", "with 'all': comma-separated shard counts (e.g. 1,2,4,8); rerun E17 at each and print events/sec scaling")
@@ -54,13 +52,7 @@ func main() {
 			fmt.Printf("  %-4s %s\n", e.ID, e.Name)
 		}
 	case "all":
-		workers := *parallel
-		if max := runtime.GOMAXPROCS(0); workers > max {
-			// More workers than cores cannot overlap any compute and only
-			// add GC contention; cap silently.
-			workers = max
-		}
-		for _, o := range bench.RunAllShards(workers, *shards) {
+		for _, o := range bench.RunAll(*shards) {
 			fmt.Println(o.Result.String())
 		}
 		if *sweepSpec != "" {
@@ -134,5 +126,5 @@ func traceOne(e bench.Experiment, dir string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: benchctl [-parallel N] [-shards N] [-shardsweep 1,2,4,8] [-trace dir] list | all | <experiment>...")
+	fmt.Fprintln(os.Stderr, "usage: benchctl [-shards N] [-shardsweep 1,2,4,8] [-trace dir] list | all | <experiment>...")
 }

@@ -84,7 +84,7 @@ func TestGatesBiteOnRealCode(t *testing.T) {
 			check: "unsafeptr", pkg: "internal/nvme", file: "nvme.go",
 			anchor: "import (", line: "\t\"errors\"\n",
 			repl: "\t\"errors\"\n\t_ \"unsafe\"\n",
-			want: "unsafe is confined to internal/wire",
+			want: "unsafe is banned outside tests",
 		},
 	}
 	root, err := analysis.ModuleRoot(".")

@@ -1,8 +1,7 @@
 // Package unsafeptr is hyperlint golden-test input: model-layer code
-// importing unsafe is flagged; internal/wire (not representable here)
-// is the only sanctioned importer.
+// importing unsafe is flagged.
 package unsafeptr
 
-import "unsafe" // want `unsafe is confined to internal/wire`
+import "unsafe" // want `unsafe is banned outside tests`
 
 func addrOf(p *int) uintptr { return uintptr(unsafe.Pointer(p)) }

@@ -1,11 +1,9 @@
-// Package unsafeptr confines package unsafe to internal/wire. The wire
-// package's fixed-array endian decode is the one place Hyperion trades
-// memory safety for speed, and it pays for the privilege with a
-// build-tagged safe fallback, a big-endian init guard, and aliasing
-// property tests. Everywhere else an unsafe.Pointer is a latent
-// correctness bug the determinism contract cannot see, so any other
-// import of unsafe — model or harness layer — is flagged. Code with a
-// proven need can annotate the import with
+// Package unsafeptr bans package unsafe from non-test code. Every
+// byte-order access goes through encoding/binary, so Hyperion has no
+// place that trades memory safety for speed, and an unsafe.Pointer
+// anywhere is a latent correctness bug the determinism contract cannot
+// see. Any non-test import of unsafe, in any layer, is flagged.
+// Code with a proven need can annotate the import with
 // //hyperlint:allow(unsafeptr) and a justification.
 package unsafeptr
 
@@ -18,27 +16,18 @@ import (
 // Analyzer is the unsafeptr pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "unsafeptr",
-	Doc:  "flags imports of unsafe outside internal/wire",
+	Doc:  "flags imports of unsafe in non-test code",
 	Run:  run,
 }
 
-// wirePath is the only package allowed to import unsafe.
-const wirePath = analysis.ModulePath + "/internal/wire"
-
 func run(pass *analysis.Pass) error {
-	if pass.Layer == analysis.LayerExempt {
-		return nil
-	}
-	if pass.Path == wirePath || pass.Path == "internal/wire" {
-		return nil
-	}
 	for _, f := range pass.NonTestFiles() {
 		for _, imp := range f.Imports {
 			if strings.Trim(imp.Path.Value, `"`) != "unsafe" {
 				continue
 			}
 			pass.Reportf(imp.Pos(),
-				"unsafe is confined to internal/wire: decode through the wire.BE*/LE* fixed-array types instead")
+				"unsafe is banned outside tests: decode with encoding/binary instead")
 		}
 	}
 	return nil

@@ -12,28 +12,11 @@ import (
 // §4 discussion question: distributed CPU-free applications over
 // multiple DPUs. A client-routed, replicated KV runs over 1/2/4 DPUs;
 // the harness reports shard balance and the replication/failover cost.
-func ClusterScaleOut(seed uint64) Result { return clusterScaleOut(seed, false) }
-
-// ClusterScaleOutWindowed is X1 with each row's engine adopted as the
-// single shard of a sim.Cluster and driven by conservative windows
-// (Cluster.Run) instead of Engine.Run. A 1-shard cluster's engine is
-// seeded exactly like a stand-alone engine and windows only partition
-// execution in wall time, so the table must be byte-identical to
-// ClusterScaleOut at the same seed — the metamorphic suite pins this.
-func ClusterScaleOutWindowed(seed uint64) Result { return clusterScaleOut(seed, true) }
-
-func clusterScaleOut(seed uint64, windowed bool) Result {
+func ClusterScaleOut(seed uint64) Result {
 	r := Result{ID: "X1", Title: "§4 — beyond one DPU: client-routed KV over a DPU rack"}
 	r.Table.Header = []string{"dpus", "replicas", "ops", "mean put", "mean get", "max shard load", "failover works"}
 	for _, tc := range []struct{ nodes, replicas int }{{1, 1}, {2, 1}, {4, 1}, {4, 3}} {
-		var eng *sim.Engine
-		var cl *sim.Cluster
-		if windowed {
-			cl = sim.NewCluster(1, seed, netsim.DefaultConfig().Lookahead())
-			eng = cl.Shard(0).Engine()
-		} else {
-			eng = sim.NewEngine(seed)
-		}
+		eng := sim.NewEngine(seed)
 		net := netsim.New(eng, netsim.DefaultConfig())
 		c, err := cluster.New(eng, net, tc.nodes, tc.replicas)
 		if err != nil {
@@ -46,8 +29,7 @@ func clusterScaleOut(seed uint64, windowed bool) Result {
 		const ops = 300
 		var putTotal, getTotal sim.Duration
 		// The workload is one closed-loop callback chain (each op issues
-		// the next on completion), so a single drive call at the end runs
-		// it whether that call is Engine.Run or windowed Cluster.Run.
+		// the next on completion), so a single Run at the end drives it.
 		failover := "n/a"
 		var put, get func(i int)
 		finale := func() {
@@ -95,11 +77,7 @@ func clusterScaleOut(seed uint64, windowed bool) Result {
 			})
 		}
 		put(0)
-		if windowed {
-			cl.Run()
-		} else {
-			eng.Run()
-		}
+		eng.Run()
 		var maxLoad int64
 		for _, n := range c.Nodes {
 			if n.Puts > maxLoad {

@@ -3,6 +3,7 @@ package bench
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 )
 
 // RunOutcome couples an experiment with the Result of one run of it.
@@ -11,18 +12,17 @@ type RunOutcome struct {
 	Result Result
 }
 
-// RunAllShards executes every experiment and returns outcomes in All()
-// order. workers <= 1 runs experiments one after another. workers > 1
-// fans them out over that many goroutines, nested over each
-// experiment's own row fan-out (runRows); each row drives its own
+// RunAll executes every experiment and returns outcomes in All()
+// order. Experiments fan out over GOMAXPROCS goroutines, nested over
+// each experiment's own row fan-out (runRows); each row drives its own
 // private sim.Engine, so the Results are identical to a sequential run
 // — only wall time changes. shards is the cluster shard count applied
 // to every experiment that has a sharded form (shards <= 0 keeps each
 // experiment's default); tables are shard-count invariant, so it too
 // moves only wall time.
-func RunAllShards(workers, shards int) []RunOutcome {
+func RunAll(shards int) []RunOutcome {
 	exps := All()
-	return fanOut(len(exps), workers, func(i int) RunOutcome {
+	return fanOut(len(exps), runtime.GOMAXPROCS(0), func(i int) RunOutcome {
 		return RunOutcome{Exp: exps[i], Result: exps[i].RunAt(shards)}
 	})
 }

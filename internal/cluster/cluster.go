@@ -7,6 +7,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -40,7 +41,7 @@ const (
 func encodePut(p *wire.Pool, key, value []byte) *wire.Buf {
 	b := p.Get(putKeyOff + len(key) + len(value))
 	bs := b.Bytes()
-	wire.PutBE32At(bs, putKeyLenOff, uint32(len(key)))
+	binary.BigEndian.PutUint32(bs[putKeyLenOff:], uint32(len(key)))
 	copy(bs[putKeyOff:], key)
 	copy(bs[putKeyOff+len(key):], value)
 	return b
@@ -49,7 +50,7 @@ func encodePut(p *wire.Pool, key, value []byte) *wire.Buf {
 // decodePut returns views that alias the capsule; they are valid only
 // while the capsule reference is held.
 func decodePut(bs []byte) (key, value []byte) {
-	klen := int(wire.BE32At(bs, putKeyLenOff))
+	klen := int(binary.BigEndian.Uint32(bs[putKeyLenOff:]))
 	return bs[putKeyOff : putKeyOff+klen], bs[putKeyOff+klen:]
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -87,12 +88,12 @@ func TestSerializationOrdering(t *testing.T) {
 	var got []int
 	b.OnReceive(func(f Frame) {
 		buf := f.Payload.(*wire.Buf)
-		got = append(got, int(wire.LE32At(buf.Bytes(), 0)))
+		got = append(got, int(binary.LittleEndian.Uint32(buf.Bytes())))
 		buf.Release()
 	})
 	for i := 0; i < 50; i++ {
 		buf := pool.Get(4)
-		wire.PutLE32At(buf.Bytes(), 0, uint32(i))
+		binary.LittleEndian.PutUint32(buf.Bytes(), uint32(i))
 		_ = a.Send(Frame{Dst: "b", Payload: buf, Bytes: 1500})
 	}
 	eng.Run()

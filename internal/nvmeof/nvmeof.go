@@ -6,6 +6,7 @@
 package nvmeof
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -45,14 +46,14 @@ const (
 func EncodeReadArgs(p *wire.Pool, lba int64, blocks int) *wire.Buf {
 	b := p.Get(readCapLen)
 	bs := b.Bytes()
-	wire.PutBE64At(bs, capLBAOff, uint64(lba))
-	wire.PutBE32At(bs, capBlocksOff, uint32(blocks))
+	binary.BigEndian.PutUint64(bs[capLBAOff:], uint64(lba))
+	binary.BigEndian.PutUint32(bs[capBlocksOff:], uint32(blocks))
 	return b
 }
 
 // DecodeReadArgs reads a read capsule.
 func DecodeReadArgs(bs []byte) (lba int64, blocks int) {
-	return int64(wire.BE64At(bs, capLBAOff)), int(wire.BE32At(bs, capBlocksOff))
+	return int64(binary.BigEndian.Uint64(bs[capLBAOff:])), int(binary.BigEndian.Uint32(bs[capBlocksOff:]))
 }
 
 // EncodeWriteArgs fills a pooled capsule for a write of data at lba.
@@ -62,7 +63,7 @@ func DecodeReadArgs(bs []byte) (lba int64, blocks int) {
 func EncodeWriteArgs(p *wire.Pool, lba int64, data []byte) *wire.Buf {
 	b := p.Get(writeHdrLen + len(data))
 	bs := b.Bytes()
-	wire.PutBE64At(bs, capLBAOff, uint64(lba))
+	binary.BigEndian.PutUint64(bs[capLBAOff:], uint64(lba))
 	copy(bs[writeHdrLen:], data)
 	return b
 }
@@ -70,7 +71,7 @@ func EncodeWriteArgs(p *wire.Pool, lba int64, data []byte) *wire.Buf {
 // DecodeWriteArgs reads a write capsule; data aliases the capsule and
 // is valid only while the capsule reference is held.
 func DecodeWriteArgs(bs []byte) (lba int64, data []byte) {
-	return int64(wire.BE64At(bs, capLBAOff)), bs[writeHdrLen:]
+	return int64(binary.BigEndian.Uint64(bs[capLBAOff:])), bs[writeHdrLen:]
 }
 
 // ErrStatus reports a non-OK NVMe completion status.

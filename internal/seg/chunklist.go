@@ -1,10 +1,9 @@
 package seg
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"hyperion/internal/wire"
 )
 
 // ChunkBytes is the size of every chunk object of a ChunkList.
@@ -69,9 +68,9 @@ func CreateChunkList(v *SyncView, root ObjectID, magic uint32, durable bool) (*C
 		return nil, err
 	}
 	c := &ChunkList{v: v, root: root, durable: durable, nextLo: root.Lo + 1, img: make([]byte, rootBytes), synced: -1}
-	wire.PutLE32At(c.img, 0, magic)
+	binary.LittleEndian.PutUint32(c.img[0:], magic)
 	if durable {
-		wire.PutLE32At(c.img, rootFlags, 1)
+		binary.LittleEndian.PutUint32(c.img[rootFlags:], 1)
 	}
 	return c, nil
 }
@@ -83,17 +82,17 @@ func OpenChunkList(v *SyncView, root ObjectID, magic uint32) (*ChunkList, error)
 	if err != nil {
 		return nil, err
 	}
-	if got := wire.LE32At(img, 0); got != magic {
+	if got := binary.LittleEndian.Uint32(img[0:]); got != magic {
 		return nil, fmt.Errorf("%w: magic %#x, want %#x", ErrCorrupt, got, magic)
 	}
-	flags, count, tail := wire.LE32At(img, rootFlags), wire.LE64At(img, rootCount), wire.LE64At(img, rootTail)
+	flags, count, tail := binary.LittleEndian.Uint32(img[rootFlags:]), binary.LittleEndian.Uint64(img[rootCount:]), binary.LittleEndian.Uint64(img[rootTail:])
 	if flags > 1 || count > maxChunks || tail > ChunkBytes || count == 0 && tail != 0 {
 		return nil, fmt.Errorf("%w: flags %#x, %d chunks (a root lists %d), tail %d", ErrCorrupt, flags, count, maxChunks, tail)
 	}
 	c := &ChunkList{
-		Owner: wire.LE64At(img, rootOwner),
+		Owner: binary.LittleEndian.Uint64(img[rootOwner:]),
 		v:     v, root: root, durable: flags == 1,
-		nextLo: wire.LE64At(img, rootNextLo), tail: int64(tail), n: int(count),
+		nextLo: binary.LittleEndian.Uint64(img[rootNextLo:]), tail: int64(tail), n: int(count),
 		img: img, synced: -1,
 	}
 	// Grow only ever lists {root.Hi, nextLo++}: ids ascend between the
@@ -151,10 +150,10 @@ func (c *ChunkList) Grow() error {
 // patching into the stored root only the four scalars and the ids Grow
 // added since the last Sync.
 func (c *ChunkList) Sync() error {
-	wire.PutLE64At(c.img, rootOwner, c.Owner)
-	wire.PutLE64At(c.img, rootNextLo, c.nextLo)
-	wire.PutLE64At(c.img, rootTail, uint64(c.tail))
-	wire.PutLE64At(c.img, rootCount, uint64(c.n))
+	binary.LittleEndian.PutUint64(c.img[rootOwner:], c.Owner)
+	binary.LittleEndian.PutUint64(c.img[rootNextLo:], c.nextLo)
+	binary.LittleEndian.PutUint64(c.img[rootTail:], uint64(c.tail))
+	binary.LittleEndian.PutUint64(c.img[rootCount:], uint64(c.n))
 	return c.v.Edit(c.root, func(stored []byte) {
 		if c.synced < 0 {
 			copy(stored, c.img)

@@ -2,10 +2,9 @@ package seg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
-
-	"hyperion/internal/wire"
 )
 
 const testListMagic = 0x54455354 // "TEST"
@@ -139,17 +138,17 @@ var corruptRoots = []struct {
 }{
 	{"zero block", func(img []byte) { clear(img) }},
 	{"wrong magic", func(img []byte) { img[0] ^= 1 }},
-	{"count 0x7fffffff", func(img []byte) { wire.PutLE64At(img, rootCount, 0x7fffffff) }},
-	{"count 254", func(img []byte) { wire.PutLE64At(img, rootCount, maxChunks+1) }},
+	{"count 0x7fffffff", func(img []byte) { binary.LittleEndian.PutUint64(img[rootCount:], 0x7fffffff) }},
+	{"count 254", func(img []byte) { binary.LittleEndian.PutUint64(img[rootCount:], maxChunks+1) }},
 	{"count past 32 bits", func(img []byte) { img[rootCount+4] = 1 }},
 	{"truncated list", func(img []byte) { clear(img[rootList+2*16:]) }},
-	{"list longer than count", func(img []byte) { wire.PutLE64At(img, rootCount, 2) }},
+	{"list longer than count", func(img []byte) { binary.LittleEndian.PutUint64(img[rootCount:], 2) }},
 	{"unknown flag", func(img []byte) { img[rootFlags] = 3 }},
-	{"tail past the chunk", func(img []byte) { wire.PutLE64At(img, rootTail, ChunkBytes+1) }},
+	{"tail past the chunk", func(img []byte) { binary.LittleEndian.PutUint64(img[rootTail:], ChunkBytes+1) }},
 	{"negative tail", func(img []byte) { img[rootTail+7] = 0x80 }},
 	{"chunk under another root", func(img []byte) { img[rootList+16] ^= 1 }},
 	{"chunks out of order", func(img []byte) { OID(9, 1).EncodeTo(img[rootList+16:]) }},
-	{"chunk at the id counter", func(img []byte) { wire.PutLE64At(img, rootNextLo, 102+1<<32) }},
+	{"chunk at the id counter", func(img []byte) { binary.LittleEndian.PutUint64(img[rootNextLo:], 102+1<<32) }},
 	{"byte after the list", func(img []byte) { img[rootBytes-1] = 1 }},
 }
 

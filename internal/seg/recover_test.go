@@ -2,13 +2,13 @@ package seg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"testing"
 
 	"hyperion/internal/nvme"
 	"hyperion/internal/sim"
-	"hyperion/internal/wire"
 )
 
 // recoverRig is a small store whose control area a test can read and
@@ -79,9 +79,9 @@ func freeBlocks(s *Store) (n int64) {
 // sealImage recomputes the header CRC of a whole-block checkpoint image
 // in place, if its entry count fits the image.
 func sealImage(img []byte, bs int) {
-	need := 16 + int(wire.LE32At(img, 4))*entryBytes
+	need := 16 + int(binary.LittleEndian.Uint32(img[4:]))*entryBytes
 	if padded := (need + bs - 1) / bs * bs; padded <= len(img) {
-		wire.PutLE32At(img, 8, crc32.ChecksumIEEE(img[16:padded]))
+		binary.LittleEndian.PutUint32(img[8:], crc32.ChecksumIEEE(img[16:padded]))
 	}
 }
 

@@ -2,11 +2,10 @@ package seg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"slices"
-
-	"hyperion/internal/wire"
 )
 
 // Segment-table checkpointing. The table serializes into the reserved
@@ -50,19 +49,19 @@ func (s *Store) Checkpoint() error {
 func encodeTable(segs []*Segment, bs int) []byte {
 	need := 16 + len(segs)*entryBytes
 	buf := make([]byte, (need+bs-1)/bs*bs)
-	wire.PutLE32At(buf, 0, tableMagic)
-	wire.PutLE32At(buf, 4, uint32(len(segs)))
+	binary.LittleEndian.PutUint32(buf[0:], tableMagic)
+	binary.LittleEndian.PutUint32(buf[4:], uint32(len(segs)))
 	off := 16
 	for _, sg := range segs {
 		sg.ID.EncodeTo(buf[off:])
-		wire.PutLE64At(buf, off+16, uint64(sg.Size))
-		wire.PutLE64At(buf, off+24, uint64(sg.Addr))
+		binary.LittleEndian.PutUint64(buf[off+16:], uint64(sg.Size))
+		binary.LittleEndian.PutUint64(buf[off+24:], uint64(sg.Addr))
 		if sg.Durable {
 			buf[off+32] = 1
 		}
 		off += entryBytes
 	}
-	wire.PutLE32At(buf, 8, crc32.ChecksumIEEE(buf[16:]))
+	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(buf[16:]))
 	return buf
 }
 
@@ -105,17 +104,17 @@ func (s *Store) decodeTable(buf []byte) ([]*Segment, []*allocator, error) {
 		return nil, nil, fmt.Errorf("%w: %s", ErrBadTable, fmt.Sprintf(format, args...))
 	}
 	bs := int64(s.blockSize)
-	if wire.LE32At(buf, 0) != tableMagic {
+	if binary.LittleEndian.Uint32(buf[0:]) != tableMagic {
 		return bad("bad magic")
 	}
-	n := int(wire.LE32At(buf, 4))
+	n := int(binary.LittleEndian.Uint32(buf[4:]))
 	need := 16 + n*entryBytes
 	if need > len(buf) {
 		return bad("truncated table")
 	}
 	// Checksum covers the full padded region as written.
 	padded := (need + int(bs) - 1) / int(bs) * int(bs)
-	if crc32.ChecksumIEEE(buf[16:padded]) != wire.LE32At(buf, 8) {
+	if crc32.ChecksumIEEE(buf[16:padded]) != binary.LittleEndian.Uint32(buf[8:]) {
 		return bad("checksum mismatch")
 	}
 	als := make([]*allocator, len(s.nvmeAl))
@@ -128,8 +127,8 @@ func (s *Store) decodeTable(buf []byte) ([]*Segment, []*allocator, error) {
 	for i, off := 0, 16; i < n; i, off = i+1, off+entryBytes {
 		sg := &Segment{
 			ID:      DecodeID(buf[off:]),
-			Size:    int64(wire.LE64At(buf, off+16)),
-			Addr:    int64(wire.LE64At(buf, off+24)),
+			Size:    int64(binary.LittleEndian.Uint64(buf[off+16:])),
+			Addr:    int64(binary.LittleEndian.Uint64(buf[off+24:])),
 			Loc:     LocNVMe,
 			Durable: buf[off+32]&1 != 0,
 		}

@@ -174,6 +174,66 @@ func TestClusterSeedZeroShardMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestOneShardClusterMatchesEngine is the barrier kernel's no-physics
+// check on engine-level work: a seeded, self-rescheduling workload —
+// delays drawn from the engine's own Rand, shorter and longer than the
+// lookahead, with same-time ties and cancellations — must fire in the
+// same order and take the same number of steps under Engine.Run as
+// under a 1-shard Cluster.Run. The cluster clock rests at the last
+// window's deadline: at or after the engine's final event, and at most
+// one lookahead past it.
+func TestOneShardClusterMatchesEngine(t *testing.T) {
+	workload := func(eng *Engine) *[]string {
+		log := &[]string{}
+		const actors, budget = 6, 400
+		fired := 0
+		var fire func(id int) func()
+		fire = func(id int) func() {
+			return func() {
+				*log = append(*log, fmt.Sprintf("%d@%d", id, eng.Now()))
+				if fired++; fired >= budget {
+					return
+				}
+				r := eng.Rand()
+				d := Duration(r.Intn(4)) * testLA / 2
+				next := eng.After(d, "actor", fire(id))
+				if r.Intn(8) == 0 {
+					eng.Cancel(next)
+					eng.After(d+Nanosecond, "actor", fire(id))
+				}
+			}
+		}
+		for id := 0; id < actors; id++ {
+			eng.At(Time(id%3)*Time(Microsecond), "actor", fire(id))
+		}
+		return log
+	}
+	for _, seed := range []uint64{1, 2, 3, 42} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			eng := NewEngine(seed)
+			want := workload(eng)
+			eng.Run()
+			cl := NewCluster(1, seed, testLA)
+			got := workload(cl.Shard(0).Engine())
+			cl.Run()
+			for i := range min(len(*got), len(*want)) {
+				if (*got)[i] != (*want)[i] {
+					t.Fatalf("seed %d: firing %d is %s under Cluster.Run, %s under Engine.Run", seed, i, (*got)[i], (*want)[i])
+				}
+			}
+			if len(*got) != len(*want) {
+				t.Fatalf("seed %d: %d firings under Cluster.Run, %d under Engine.Run", seed, len(*got), len(*want))
+			}
+			if cl.Steps() != eng.Steps() {
+				t.Errorf("seed %d: cluster ran %d steps, engine %d", seed, cl.Steps(), eng.Steps())
+			}
+			if d := cl.Now().Sub(eng.Now()); d < 0 || d > testLA {
+				t.Errorf("seed %d: cluster clock %v, engine %v: outside one lookahead", seed, cl.Now(), eng.Now())
+			}
+		})
+	}
+}
+
 func TestClusterPanics(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()

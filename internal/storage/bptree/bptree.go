@@ -6,9 +6,9 @@
 package bptree
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hyperion/internal/wire"
 
 	"hyperion/internal/seg"
 )
@@ -158,23 +158,23 @@ func Open(v *seg.SyncView, metaID seg.ObjectID) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if wire.LE32At(buf, 0) != metaMagic {
+	if binary.LittleEndian.Uint32(buf[0:]) != metaMagic {
 		return nil, fmt.Errorf("%w: bad meta magic", ErrCorrupt)
 	}
-	t.root = seg.ObjectID{Hi: wire.LE64At(buf, 8), Lo: wire.LE64At(buf, 16)}
-	t.height = int(wire.LE32At(buf, 24))
-	t.nextLo = wire.LE64At(buf, 32)
+	t.root = seg.ObjectID{Hi: binary.LittleEndian.Uint64(buf[8:]), Lo: binary.LittleEndian.Uint64(buf[16:])}
+	t.height = int(binary.LittleEndian.Uint32(buf[24:]))
+	t.nextLo = binary.LittleEndian.Uint64(buf[32:])
 	t.durable = buf[40] == 1
 	return t, nil
 }
 
 func (t *Tree) writeMeta() error {
 	buf := t.metaBuf[:]
-	wire.PutLE32At(buf, 0, metaMagic)
-	wire.PutLE64At(buf, 8, t.root.Hi)
-	wire.PutLE64At(buf, 16, t.root.Lo)
-	wire.PutLE32At(buf, 24, uint32(t.height))
-	wire.PutLE64At(buf, 32, t.nextLo)
+	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
+	binary.LittleEndian.PutUint64(buf[8:], t.root.Hi)
+	binary.LittleEndian.PutUint64(buf[16:], t.root.Lo)
+	binary.LittleEndian.PutUint32(buf[24:], uint32(t.height))
+	binary.LittleEndian.PutUint64(buf[32:], t.nextLo)
 	if t.durable {
 		buf[40] = 1
 	}
@@ -213,24 +213,24 @@ func (t *Tree) writeNode(id seg.ObjectID, n *node) error {
 	buf := t.wbuf
 	clear(buf)
 	buf[KindOff] = n.kind
-	wire.PutLE16At(buf, CountOff, uint16(len(n.keys)))
+	binary.LittleEndian.PutUint16(buf[CountOff:], uint16(len(n.keys)))
 	switch n.kind {
 	case kindLeaf:
-		wire.PutLE64At(buf, LeafNextOff, n.next.Hi)
-		wire.PutLE64At(buf, LeafNextOff+8, n.next.Lo)
+		binary.LittleEndian.PutUint64(buf[LeafNextOff:], n.next.Hi)
+		binary.LittleEndian.PutUint64(buf[LeafNextOff+8:], n.next.Lo)
 		for i, k := range n.keys {
-			wire.PutLE64At(buf, LeafKeysOff+i*8, k)
+			binary.LittleEndian.PutUint64(buf[LeafKeysOff+i*8:], k)
 		}
 		for i, v := range n.vals {
-			wire.PutLE64At(buf, LeafValsOff+i*8, v)
+			binary.LittleEndian.PutUint64(buf[LeafValsOff+i*8:], v)
 		}
 	case kindInternal:
 		for i, k := range n.keys {
-			wire.PutLE64At(buf, IntKeysOff+i*8, k)
+			binary.LittleEndian.PutUint64(buf[IntKeysOff+i*8:], k)
 		}
 		for i, c := range n.children {
-			wire.PutLE64At(buf, IntKidsOff+i*16, c.Hi)
-			wire.PutLE64At(buf, IntKidsOff+i*16+8, c.Lo)
+			binary.LittleEndian.PutUint64(buf[IntKidsOff+i*16:], c.Hi)
+			binary.LittleEndian.PutUint64(buf[IntKidsOff+i*16+8:], c.Lo)
 		}
 	default:
 		return fmt.Errorf("%w: kind %d", ErrCorrupt, n.kind)
@@ -247,13 +247,13 @@ func (t *Tree) putLeafSlot(id seg.ObjectID, i int, found bool, key, val uint64) 
 	t.NodesWritten++
 	return t.v.Edit(id, func(buf []byte) {
 		if !found {
-			cnt := int(wire.LE16At(buf, CountOff))
+			cnt := int(binary.LittleEndian.Uint16(buf[CountOff:]))
 			copy(buf[LeafKeysOff+(i+1)*8:], buf[LeafKeysOff+i*8:LeafKeysOff+cnt*8])
 			copy(buf[LeafValsOff+(i+1)*8:], buf[LeafValsOff+i*8:LeafValsOff+cnt*8])
-			wire.PutLE64At(buf, LeafKeysOff+i*8, key)
-			wire.PutLE16At(buf, CountOff, uint16(cnt+1))
+			binary.LittleEndian.PutUint64(buf[LeafKeysOff+i*8:], key)
+			binary.LittleEndian.PutUint16(buf[CountOff:], uint16(cnt+1))
 		}
-		wire.PutLE64At(buf, LeafValsOff+i*8, val)
+		binary.LittleEndian.PutUint64(buf[LeafValsOff+i*8:], val)
 	})
 }
 
@@ -271,7 +271,7 @@ func header(buf []byte) (image, error) {
 	if len(buf) < NodeBytes {
 		return image{}, fmt.Errorf("%w: short node", ErrCorrupt)
 	}
-	im := image{buf: buf, kind: buf[KindOff], cnt: int(wire.LE16At(buf, CountOff))}
+	im := image{buf: buf, kind: buf[KindOff], cnt: int(binary.LittleEndian.Uint16(buf[CountOff:]))}
 	switch im.kind {
 	case kindLeaf:
 		if im.cnt > LeafCap {
@@ -296,7 +296,7 @@ func (im image) search(k uint64) int {
 	lo, hi := 0, im.cnt
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if wire.LE64At(keys, mid*8) < k {
+		if binary.LittleEndian.Uint64(keys[mid*8:]) < k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -306,10 +306,10 @@ func (im image) search(k uint64) int {
 }
 
 // leafKey, leafVal and leafNext read a leaf image.
-func (im image) leafKey(i int) uint64 { return wire.LE64At(im.buf, LeafKeysOff+i*8) }
-func (im image) leafVal(i int) uint64 { return wire.LE64At(im.buf, LeafValsOff+i*8) }
+func (im image) leafKey(i int) uint64 { return binary.LittleEndian.Uint64(im.buf[LeafKeysOff+i*8:]) }
+func (im image) leafVal(i int) uint64 { return binary.LittleEndian.Uint64(im.buf[LeafValsOff+i*8:]) }
 func (im image) leafNext() seg.ObjectID {
-	return seg.ObjectID{Hi: wire.LE64At(im.buf, LeafNextOff), Lo: wire.LE64At(im.buf, LeafNextOff+8)}
+	return seg.ObjectID{Hi: binary.LittleEndian.Uint64(im.buf[LeafNextOff:]), Lo: binary.LittleEndian.Uint64(im.buf[LeafNextOff+8:])}
 }
 
 // find returns the leaf slot holding k, if any.
@@ -319,9 +319,9 @@ func (im image) find(k uint64) (int, bool) {
 }
 
 // intKey and child read an internal image.
-func (im image) intKey(i int) uint64 { return wire.LE64At(im.buf, IntKeysOff+i*8) }
+func (im image) intKey(i int) uint64 { return binary.LittleEndian.Uint64(im.buf[IntKeysOff+i*8:]) }
 func (im image) child(i int) seg.ObjectID {
-	return seg.ObjectID{Hi: wire.LE64At(im.buf, IntKidsOff+i*16), Lo: wire.LE64At(im.buf, IntKidsOff+i*16+8)}
+	return seg.ObjectID{Hi: binary.LittleEndian.Uint64(im.buf[IntKidsOff+i*16:]), Lo: binary.LittleEndian.Uint64(im.buf[IntKidsOff+i*16+8:])}
 }
 
 // route returns the index of the child of an internal image whose

@@ -7,11 +7,11 @@
 package corfu
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"hyperion/internal/seg"
-	"hyperion/internal/wire"
 )
 
 // Entry states, persisted in a header byte per slot.
@@ -164,7 +164,7 @@ func (u *Unit) Write(slot uint64, data []byte) error {
 	}
 	cell := u.cell
 	cell[0] = slotWritten
-	wire.PutLE32At(cell, 1, uint32(len(data)))
+	binary.LittleEndian.PutUint32(cell[1:], uint32(len(data)))
 	n := copy(cell[5:], data)
 	clear(cell[5+n:])
 	u.Writes++
@@ -190,7 +190,7 @@ func (u *Unit) Read(slot uint64) ([]byte, error) {
 	case slotTrimmed:
 		return nil, ErrTrimmed
 	}
-	n := int64(wire.LE32At(hdr, 1))
+	n := int64(binary.LittleEndian.Uint32(hdr[1:]))
 	u.Reads++
 	data, err := u.v.ReadAt(id, off+5, n)
 	if err != nil {

@@ -7,13 +7,13 @@
 package hfs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"hyperion/internal/seg"
-	"hyperion/internal/wire"
 )
 
 // Inode types.
@@ -93,19 +93,19 @@ func Mount(v *seg.SyncView, superID seg.ObjectID) (*FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	if wire.LE32At(buf, 0) != superMagic {
+	if binary.LittleEndian.Uint32(buf[0:]) != superMagic {
 		return nil, fmt.Errorf("%w: bad superblock magic", ErrCorrupt)
 	}
-	fs.nextIno = wire.LE64At(buf, 8)
-	fs.nextExt = wire.LE64At(buf, 16)
+	fs.nextIno = binary.LittleEndian.Uint64(buf[8:])
+	fs.nextExt = binary.LittleEndian.Uint64(buf[16:])
 	return fs, nil
 }
 
 func (fs *FS) writeSuper() error {
 	buf := make([]byte, 128)
-	wire.PutLE32At(buf, 0, superMagic)
-	wire.PutLE64At(buf, 8, fs.nextIno)
-	wire.PutLE64At(buf, 16, fs.nextExt)
+	binary.LittleEndian.PutUint32(buf[0:], superMagic)
+	binary.LittleEndian.PutUint64(buf[8:], fs.nextIno)
+	binary.LittleEndian.PutUint64(buf[16:], fs.nextExt)
 	buf[24] = 1 // the durable flag, set in every image
 	return fs.v.WriteAt(fs.super, 0, buf)
 }
@@ -126,8 +126,8 @@ func (fs *FS) extentOID() seg.ObjectID {
 func (fs *FS) writeInode(ino *Inode) error {
 	buf := make([]byte, InodeBytes)
 	buf[0] = ino.Type
-	wire.PutLE64At(buf, 8, uint64(ino.Size))
-	wire.PutLE16At(buf, 16, uint16(len(ino.Extents)))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(ino.Size))
+	binary.LittleEndian.PutUint16(buf[16:], uint16(len(ino.Extents)))
 	for i, e := range ino.Extents {
 		e.EncodeTo(buf[24+16*i:])
 	}
@@ -139,8 +139,8 @@ func (fs *FS) readInode(ino uint64) (*Inode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: inode %d", ErrNotFound, ino)
 	}
-	n := &Inode{Ino: ino, Type: buf[0], Size: int64(wire.LE64At(buf, 8))}
-	cnt := int(wire.LE16At(buf, 16))
+	n := &Inode{Ino: ino, Type: buf[0], Size: int64(binary.LittleEndian.Uint64(buf[8:]))}
+	cnt := int(binary.LittleEndian.Uint16(buf[16:]))
 	if cnt > maxExtents {
 		return nil, fmt.Errorf("%w: inode %d extent count %d", ErrCorrupt, ino, cnt)
 	}
@@ -214,10 +214,10 @@ func (fs *FS) writeAll(ino *Inode, data []byte) error {
 func encodeDir(entries []DirEntry) []byte {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	buf := make([]byte, 4)
-	wire.PutLE32At(buf, 0, uint32(len(entries)))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(len(entries)))
 	for _, e := range entries {
 		rec := make([]byte, 10+len(e.Name))
-		wire.PutLE64At(rec, 0, e.Ino)
+		binary.LittleEndian.PutUint64(rec[0:], e.Ino)
 		rec[8] = e.Type
 		rec[9] = byte(len(e.Name))
 		copy(rec[10:], e.Name)
@@ -230,14 +230,14 @@ func decodeDir(buf []byte) ([]DirEntry, error) {
 	if len(buf) < 4 {
 		return nil, nil
 	}
-	n := int(wire.LE32At(buf, 0))
+	n := int(binary.LittleEndian.Uint32(buf[0:]))
 	off := 4
 	var out []DirEntry
 	for i := 0; i < n; i++ {
 		if off+10 > len(buf) {
 			return nil, fmt.Errorf("%w: truncated dirent", ErrCorrupt)
 		}
-		ino := wire.LE64At(buf, off)
+		ino := binary.LittleEndian.Uint64(buf[off:])
 		typ := buf[off+8]
 		nl := int(buf[off+9])
 		if off+10+nl > len(buf) {

@@ -7,9 +7,9 @@ package kvssd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hyperion/internal/wire"
 
 	"hyperion/internal/seg"
 	"hyperion/internal/storage/bptree"
@@ -175,8 +175,8 @@ func (kv *KV) appendRecord(key, val []byte) (uint64, error) {
 		kv.recBuf = make([]byte, recLen)
 	}
 	rec := kv.recBuf[:recLen]
-	wire.PutLE16At(rec, 0, uint16(len(key)))
-	wire.PutLE32At(rec, 2, uint32(len(val)))
+	binary.LittleEndian.PutUint16(rec[0:], uint16(len(key)))
+	binary.LittleEndian.PutUint32(rec[2:], uint32(len(val)))
 	copy(rec[6:], key)
 	copy(rec[6+len(key):], val)
 	chunk, off, err := kv.log.Append(rec)
@@ -198,8 +198,8 @@ func (kv *KV) readRecord(ref uint64) (key, val []byte, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	kl := int(wire.LE16At(buf, 0))
-	vl := int(wire.LE32At(buf, 2))
+	kl := int(binary.LittleEndian.Uint16(buf[0:]))
+	vl := int(binary.LittleEndian.Uint32(buf[2:]))
 	if 6+kl+vl != recLen {
 		return nil, nil, fmt.Errorf("%w: lengths", ErrCorrupt)
 	}

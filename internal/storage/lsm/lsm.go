@@ -7,9 +7,9 @@
 package lsm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hyperion/internal/wire"
 	"sort"
 
 	"hyperion/internal/seg"
@@ -80,15 +80,15 @@ func Open(v *seg.SyncView, metaID seg.ObjectID) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if wire.LE32At(buf, 0) != manifestMagic {
+	if binary.LittleEndian.Uint32(buf[0:]) != manifestMagic {
 		return nil, fmt.Errorf("%w: bad manifest magic", ErrCorrupt)
 	}
 	t.durable = buf[4] == 1
-	t.memCap = int(wire.LE32At(buf, 8))
-	t.nextLo = wire.LE64At(buf, 16)
+	t.memCap = int(binary.LittleEndian.Uint32(buf[8:]))
+	t.nextLo = binary.LittleEndian.Uint64(buf[16:])
 	off := 24
 	for l := 0; l < MaxLevels; l++ {
-		n := int(wire.LE16At(buf, off))
+		n := int(binary.LittleEndian.Uint16(buf[off:]))
 		off += 2
 		// writeManifest's bound, which leaves room for the next level's count.
 		if off+n*36 > len(buf)-40 {
@@ -97,9 +97,9 @@ func Open(v *seg.SyncView, metaID seg.ObjectID) (*Tree, error) {
 		for i := 0; i < n; i++ {
 			r := run{
 				id:     seg.DecodeID(buf[off:]),
-				count:  int(wire.LE32At(buf, off+16)),
-				minKey: wire.LE64At(buf, off+20),
-				maxKey: wire.LE64At(buf, off+28),
+				count:  int(binary.LittleEndian.Uint32(buf[off+16:])),
+				minKey: binary.LittleEndian.Uint64(buf[off+20:]),
+				maxKey: binary.LittleEndian.Uint64(buf[off+28:]),
 			}
 			t.levels[l] = append(t.levels[l], r)
 			off += 36
@@ -110,21 +110,21 @@ func Open(v *seg.SyncView, metaID seg.ObjectID) (*Tree, error) {
 
 func (t *Tree) writeManifest() error {
 	buf := make([]byte, 8192)
-	wire.PutLE32At(buf, 0, manifestMagic)
+	binary.LittleEndian.PutUint32(buf[0:], manifestMagic)
 	if t.durable {
 		buf[4] = 1
 	}
-	wire.PutLE32At(buf, 8, uint32(t.memCap))
-	wire.PutLE64At(buf, 16, t.nextLo)
+	binary.LittleEndian.PutUint32(buf[8:], uint32(t.memCap))
+	binary.LittleEndian.PutUint64(buf[16:], t.nextLo)
 	off := 24
 	for l := 0; l < MaxLevels; l++ {
-		wire.PutLE16At(buf, off, uint16(len(t.levels[l])))
+		binary.LittleEndian.PutUint16(buf[off:], uint16(len(t.levels[l])))
 		off += 2
 		for _, r := range t.levels[l] {
 			r.id.EncodeTo(buf[off:])
-			wire.PutLE32At(buf, off+16, uint32(r.count))
-			wire.PutLE64At(buf, off+20, r.minKey)
-			wire.PutLE64At(buf, off+28, r.maxKey)
+			binary.LittleEndian.PutUint32(buf[off+16:], uint32(r.count))
+			binary.LittleEndian.PutUint64(buf[off+20:], r.minKey)
+			binary.LittleEndian.PutUint64(buf[off+28:], r.maxKey)
 			off += 36
 			if off > len(buf)-40 {
 				return fmt.Errorf("%w: manifest overflow", ErrCorrupt)
@@ -197,11 +197,11 @@ func (t *Tree) writeRun(entries []entry) (run, error) {
 		return run{}, err
 	}
 	buf := make([]byte, size)
-	wire.PutLE64At(buf, 0, uint64(len(entries)))
+	binary.LittleEndian.PutUint64(buf[0:], uint64(len(entries)))
 	off := 16
 	for _, e := range entries {
-		wire.PutLE64At(buf, off, e.key)
-		wire.PutLE64At(buf, off+8, e.val)
+		binary.LittleEndian.PutUint64(buf[off:], e.key)
+		binary.LittleEndian.PutUint64(buf[off+8:], e.val)
 		off += entryBytes
 	}
 	if err := t.v.WriteAt(id, 0, buf); err != nil {
@@ -217,14 +217,14 @@ func (t *Tree) readRun(r run) ([]entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := int(wire.LE64At(buf, 0))
+	n := int(binary.LittleEndian.Uint64(buf[0:]))
 	if n != r.count {
 		return nil, fmt.Errorf("%w: run count %d != manifest %d", ErrCorrupt, n, r.count)
 	}
 	out := make([]entry, n)
 	off := 16
 	for i := range out {
-		out[i] = entry{key: wire.LE64At(buf, off), val: wire.LE64At(buf, off+8)}
+		out[i] = entry{key: binary.LittleEndian.Uint64(buf[off:]), val: binary.LittleEndian.Uint64(buf[off+8:])}
 		off += entryBytes
 	}
 	return out, nil
@@ -257,7 +257,7 @@ func (t *Tree) readEntry(r run, i int) (entry, error) {
 	if err != nil {
 		return entry{}, err
 	}
-	return entry{key: wire.LE64At(buf, 0), val: wire.LE64At(buf, 8)}, nil
+	return entry{key: binary.LittleEndian.Uint64(buf[0:]), val: binary.LittleEndian.Uint64(buf[8:])}, nil
 }
 
 // maybeCompact merges levels that exceed RunsPerLevel into the next

@@ -7,12 +7,12 @@
 package txn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"hyperion/internal/seg"
-	"hyperion/internal/wire"
 )
 
 // Errors.
@@ -68,8 +68,8 @@ func Open(v *seg.SyncView, metaID seg.ObjectID) (*Manager, error) {
 // markApplied appends the marker that retires txid's redo record.
 func (m *Manager) markApplied(txid uint64) error {
 	var mark [16]byte
-	wire.PutLE32At(mark[:], 0, appliedMagic)
-	wire.PutLE64At(mark[:], 4, txid)
+	binary.LittleEndian.PutUint32(mark[:], appliedMagic)
+	binary.LittleEndian.PutUint64(mark[4:], txid)
 	_, _, err := m.log.Append(mark[:])
 	return err
 }
@@ -183,19 +183,19 @@ func encodeRecord(txid uint64, writes []write) []byte {
 	}
 	size += 4 // crc
 	rec := make([]byte, size)
-	wire.PutLE32At(rec, 0, recMagic)
-	wire.PutLE64At(rec, 4, txid)
-	wire.PutLE32At(rec, 12, uint32(len(writes)))
-	wire.PutLE32At(rec, 16, uint32(size))
+	binary.LittleEndian.PutUint32(rec[0:], recMagic)
+	binary.LittleEndian.PutUint64(rec[4:], txid)
+	binary.LittleEndian.PutUint32(rec[12:], uint32(len(writes)))
+	binary.LittleEndian.PutUint32(rec[16:], uint32(size))
 	off := 20
 	for _, w := range writes {
 		w.id.EncodeTo(rec[off:])
-		wire.PutLE64At(rec, off+16, uint64(w.off))
-		wire.PutLE32At(rec, off+24, uint32(len(w.data)))
+		binary.LittleEndian.PutUint64(rec[off+16:], uint64(w.off))
+		binary.LittleEndian.PutUint32(rec[off+24:], uint32(len(w.data)))
 		copy(rec[off+28:], w.data)
 		off += 28 + len(w.data)
 	}
-	wire.PutLE32At(rec, off, crc32.ChecksumIEEE(rec[:off]))
+	binary.LittleEndian.PutUint32(rec[off:], crc32.ChecksumIEEE(rec[:off]))
 	return rec
 }
 
@@ -218,22 +218,22 @@ func (m *Manager) Recover() (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			magic := wire.LE32At(hdr, 0)
+			magic := binary.LittleEndian.Uint32(hdr[0:])
 			switch magic {
 			case appliedMagic:
 				buf, err := m.v.ReadAt(chunk, off, 16)
 				if err != nil {
 					return 0, err
 				}
-				applied[wire.LE64At(buf, 4)] = true
+				applied[binary.LittleEndian.Uint64(buf[4:])] = true
 				off += 16
 			case recMagic:
 				head, err := m.v.ReadAt(chunk, off, 20)
 				if err != nil {
 					return 0, err
 				}
-				txid := wire.LE64At(head, 4)
-				size := int64(wire.LE32At(head, 16))
+				txid := binary.LittleEndian.Uint64(head[4:])
+				size := int64(binary.LittleEndian.Uint32(head[16:]))
 				if size < 24 || off+size > limit {
 					return 0, fmt.Errorf("%w: record size %d", ErrCorrupt, size)
 				}
@@ -241,18 +241,18 @@ func (m *Manager) Recover() (int, error) {
 				if err != nil {
 					return 0, err
 				}
-				want := wire.LE32At(rec, int(size-4))
+				want := binary.LittleEndian.Uint32(rec[int(size-4):])
 				if crc32.ChecksumIEEE(rec[:size-4]) != want {
 					return 0, fmt.Errorf("%w: bad crc for txn %d", ErrCorrupt, txid)
 				}
-				nw := int(wire.LE32At(rec, 12))
+				nw := int(binary.LittleEndian.Uint32(rec[12:]))
 				var ws []write
 				o := 20
 				for i := 0; i < nw; i++ {
 					var w write
 					w.id = seg.DecodeID(rec[o:])
-					w.off = int64(wire.LE64At(rec, o+16))
-					n := int(wire.LE32At(rec, o+24))
+					w.off = int64(binary.LittleEndian.Uint64(rec[o+16:]))
+					n := int(binary.LittleEndian.Uint32(rec[o+24:]))
 					w.data = append([]byte(nil), rec[o+28:o+28+n]...)
 					ws = append(ws, w)
 					o += 28 + n

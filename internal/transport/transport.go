@@ -8,6 +8,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -175,8 +176,8 @@ const (
 )
 
 // Wire layout. One byte of frame kind, then big-endian fields at fixed
-// offsets; a ctrl frame's missing-fragment list is a BE32 count at
-// ctrlCountOff followed by that many BE32 indexes.
+// offsets; a ctrl frame's missing-fragment list is a uint32 count at
+// ctrlCountOff followed by that many uint32 indexes.
 const (
 	frameData uint8 = 1
 	frameCtrl uint8 = 2
@@ -201,11 +202,11 @@ func encodeData(p *wire.Pool, frag dataFrag) *wire.Buf {
 	b := p.Get(dataHdrLen)
 	bs := b.Bytes()
 	bs[kindOff] = frameData
-	wire.PutBE64At(bs, msgIDOff, frag.MsgID)
-	wire.PutBE64At(bs, seqOff, frag.Seq)
-	wire.PutBE32At(bs, bytesOff, uint32(frag.Bytes))
-	wire.PutBE32At(bs, indexOff, uint32(frag.Index))
-	wire.PutBE32At(bs, totalOff, uint32(frag.Total))
+	binary.BigEndian.PutUint64(bs[msgIDOff:], frag.MsgID)
+	binary.BigEndian.PutUint64(bs[seqOff:], frag.Seq)
+	binary.BigEndian.PutUint32(bs[bytesOff:], uint32(frag.Bytes))
+	binary.BigEndian.PutUint32(bs[indexOff:], uint32(frag.Index))
+	binary.BigEndian.PutUint32(bs[totalOff:], uint32(frag.Total))
 	return b
 }
 
@@ -214,11 +215,11 @@ func encodeData(p *wire.Pool, frag dataFrag) *wire.Buf {
 func decodeData(f netsim.Frame) dataFrag {
 	bs := f.Buf.Bytes()
 	return dataFrag{
-		MsgID:   wire.BE64At(bs, msgIDOff),
-		Seq:     wire.BE64At(bs, seqOff),
-		Bytes:   int(wire.BE32At(bs, bytesOff)),
-		Index:   int(wire.BE32At(bs, indexOff)),
-		Total:   int(wire.BE32At(bs, totalOff)),
+		MsgID:   binary.BigEndian.Uint64(bs[msgIDOff:]),
+		Seq:     binary.BigEndian.Uint64(bs[seqOff:]),
+		Bytes:   int(binary.BigEndian.Uint32(bs[bytesOff:])),
+		Index:   int(binary.BigEndian.Uint32(bs[indexOff:])),
+		Total:   int(binary.BigEndian.Uint32(bs[totalOff:])),
 		Payload: f.Payload,
 		Span:    f.Span,
 	}
@@ -233,28 +234,30 @@ func encodeCtrl(p *wire.Pool, m ctrlMsg) *wire.Buf {
 	bs := b.Bytes()
 	bs[kindOff] = frameCtrl
 	bs[ctrlOpOff] = m.Op
-	wire.PutBE64At(bs, msgIDOff, m.MsgID)
-	wire.PutBE64At(bs, seqOff, m.Seq)
-	wire.PutBE32At(bs, ctrlCountOff, uint32(len(m.Missing)))
+	binary.BigEndian.PutUint64(bs[msgIDOff:], m.MsgID)
+	binary.BigEndian.PutUint64(bs[seqOff:], m.Seq)
+	binary.BigEndian.PutUint32(bs[ctrlCountOff:], uint32(len(m.Missing)))
 	for i, idx := range m.Missing {
-		wire.PutBE32At(bs, ctrlHdrLen+4*i, uint32(idx))
+		binary.BigEndian.PutUint32(bs[ctrlHdrLen+4*i:], uint32(idx))
 	}
 	return b
 }
 
 // decodeCtrl rebuilds the header view, appending any missing-fragment
 // indexes to scratch (callers reuse a per-endpoint slice; the result's
-// Missing aliases it until the next decode).
+// Missing aliases it until the next decode). It only ever sees bytes
+// encodeCtrl wrote in this process, so it trusts the count and returns
+// no error; FuzzFrameHeaders pins the round trip.
 func decodeCtrl(bs []byte, scratch []int) ctrlMsg {
 	m := ctrlMsg{
 		Op:    bs[ctrlOpOff],
-		MsgID: wire.BE64At(bs, msgIDOff),
-		Seq:   wire.BE64At(bs, seqOff),
+		MsgID: binary.BigEndian.Uint64(bs[msgIDOff:]),
+		Seq:   binary.BigEndian.Uint64(bs[seqOff:]),
 	}
-	if n := int(wire.BE32At(bs, ctrlCountOff)); n > 0 {
+	if n := int(binary.BigEndian.Uint32(bs[ctrlCountOff:])); n > 0 {
 		scratch = scratch[:0]
 		for i := 0; i < n; i++ {
-			scratch = append(scratch, int(wire.BE32At(bs, ctrlHdrLen+4*i)))
+			scratch = append(scratch, int(binary.BigEndian.Uint32(bs[ctrlHdrLen+4*i:])))
 		}
 		m.Missing = scratch
 	}

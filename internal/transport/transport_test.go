@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"hyperion/internal/netsim"
@@ -88,13 +89,13 @@ func TestManyMessagesInOrderReliable(t *testing.T) {
 			var got []int
 			b.OnMessage(func(_ netsim.Addr, m Message) {
 				buf := m.Payload.(*wire.Buf)
-				got = append(got, int(wire.LE32At(buf.Bytes(), 0)))
+				got = append(got, int(binary.LittleEndian.Uint32(buf.Bytes())))
 				buf.Release()
 			})
 			const n = 200
 			for i := 0; i < n; i++ {
 				buf := pool.Get(4)
-				wire.PutLE32At(buf.Bytes(), 0, uint32(i))
+				binary.LittleEndian.PutUint32(buf.Bytes(), uint32(i))
 				if err := a.Send("b", Message{Payload: buf, Bytes: 4096}); err != nil {
 					t.Fatal(err)
 				}

@@ -1,13 +1,11 @@
 // Package wire is Hyperion's zero-copy buffer plane: pooled,
-// refcounted byte buffers (Buf) and fixed-array big-/little-endian
-// field types for wire-format encode/decode.
+// refcounted byte buffers (Buf).
 //
 // The paper's thesis is that a CPU-free datapath wins by eliminating
 // copies and per-request CPU touches; the simulator's own hot path
 // follows the same discipline. Frames, fragments, RPC envelopes and
 // NVMe-oF capsules carry a *Buf owned by a free-list pool instead of
-// per-hop []byte copies, and headers are decoded in place with the
-// fixed-array types below.
+// per-hop []byte copies, and headers are decoded in place.
 //
 // # Ownership
 //
@@ -25,10 +23,8 @@
 //
 // # Endianness
 //
-// The BE*/LE* types decode with a single unsafe load (plus a register
-// byte swap for BE) on little-endian hosts. Build with -tags wiresafe
-// for a portable encoding/binary fallback; without it, package init
-// refuses to run on a big-endian host rather than decode garbage.
+// Callers encode and decode fields in place with encoding/binary:
+// big-endian on the wire, little-endian in storage images.
 package wire
 
 // Buf is a pooled, refcounted byte buffer. The zero value is not

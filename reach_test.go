@@ -46,8 +46,7 @@ var reachAllow = map[string]string{
 
 	"internal/apps/fail2ban.CompileFilter": "TestFrontendShapeMatchesHandAssembly and FuzzOptimizeEquivalence drive gofront and ehdl.Optimize with it",
 
-	"internal/bench.ClusterScaleOutWindowed": "TestShardCountInvariance's X1 subtests drive X1's windowed form with it",
-	"internal/bench.Experiment.Run":          "TestExperimentsDeterministic and the BenchmarkTable benchmarks run experiments through it",
+	"internal/bench.Experiment.Run": "TestExperimentsDeterministic and the BenchmarkTable benchmarks run experiments through it",
 
 	"internal/core.Reboot": "ROADMAP power-cut item: the reopen path its harness drives (TestCrashRecoveryEndToEnd today)",
 

@@ -34,8 +34,8 @@ func TestGatesBiteOnRealCode(t *testing.T) {
 			want: "EventRef field timer unreset",
 		},
 		{
-			check: "bufown", pkg: "internal/rack", file: "rack.go",
-			anchor: "func (b *box) reply(", line: "\tbuf.Release()\n",
+			check: "bufown", pkg: "internal/transport", file: "homa.go",
+			anchor: "func (h *homaEndpoint) sendFrag(", line: "\t\thdr.Release()\n",
 			want: "not released",
 		},
 		{

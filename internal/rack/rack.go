@@ -11,8 +11,8 @@
 //
 //   - every LP draws randomness from its own generator seeded from
 //     (scenario seed, LP index) — never from a shard engine's Rand;
-//   - per-box state (devices, stores, boundary links, wire pools) is
-//     reachable from exactly one LP's handlers;
+//   - per-box state (devices, stores, boundary links) is reachable
+//     from exactly one LP's handlers;
 //   - a client group is always co-sharded with its box, so the
 //     (group, box) pair migrates between layouts as a unit.
 //
@@ -31,7 +31,6 @@ import (
 	"hyperion/internal/sim"
 	"hyperion/internal/storage/kvssd"
 	"hyperion/internal/telemetry"
-	"hyperion/internal/wire"
 )
 
 // Envelope kinds on the spine.
@@ -47,8 +46,8 @@ const (
 	respErr                  // A=req id
 )
 
-// hdrBytes is the response header staged ahead of the payload in the
-// box's pooled wire buffer (req id + aux, little-endian).
+// hdrBytes is the response header written ahead of the payload in the
+// envelope (req id + aux, little-endian).
 const hdrBytes = 16
 
 // spineMsgOverhead models per-message framing on the spine.
@@ -94,7 +93,6 @@ type Rack struct {
 	cl     *sim.Cluster
 	boxes  []*box
 	groups []*group
-	pools  []*wire.Pool // one wire pool per shard — never shared across
 	value  []byte
 }
 
@@ -110,7 +108,6 @@ type box struct {
 	kv     *kvssd.KV
 	host   *nvme.Host
 	up     *netsim.BoundaryLink
-	pool   *wire.Pool
 	keyBuf [8]byte
 
 	reps    []repState
@@ -144,10 +141,10 @@ type readOp struct {
 	id  uint64
 }
 
-// Complete answers the read: reply copies the payload into the wire
-// buffer before returning, which is all the device-owned block is good
-// for. The op is recycled first, so whatever the reply sets off finds
-// it free.
+// Complete answers the read: reply copies the payload into the
+// envelope before returning, which is all the device-owned block is
+// good for. The op is recycled first, so whatever the reply sets off
+// finds it free.
 func (op *readOp) Complete(c nvme.Completion) {
 	b, src, id := op.b, op.src, op.id
 	b.readOps.Put(op)
@@ -203,9 +200,9 @@ func (b *box) later(op *kvOp, l *sim.Lane[kvOp, *kvOp], kind uint16, src sim.LP,
 	l.At(b.eng, b.eng.Now().Add(b.view.TakeCost()), op)
 }
 
-// Fire answers and then recycles: reply copies op.val into the wire
-// buffer and only queues an envelope, so nothing can reach for the op
-// before it is back in the pool.
+// Fire answers and then recycles: reply copies op.val into the
+// envelope it queues, so nothing can reach for the op before it is
+// back in the pool.
 func (op *kvOp) Fire() {
 	b := op.b
 	if op.kind == respPut {
@@ -237,23 +234,22 @@ type group struct {
 	mean sim.Duration
 	stop sim.Time
 
-	pend []pendOp
+	// pend holds each outstanding request's issue time by req id,
+	// reqIdle for a free id.
+	pend []sim.Time
 	idle []int32
 
 	pumpName string
 	pumpFn   func()
 
-	latRead, latGet, latPut sim.LatencyRecorder
-	issued, ok, errs        int64
-	bytesMoved              int64
+	lat              sim.LatencyRecorder
+	issued, ok, errs int64
+	bytesMoved       int64
 }
 
-// pendOp is one outstanding request at its issuing group.
-type pendOp struct {
-	t0   sim.Time
-	kind uint16
-	used bool
-}
+// reqIdle marks a free slot of group.pend; no request is issued
+// before time zero.
+const reqIdle sim.Time = -1
 
 // New builds a rack for the given scenario seed: cluster, boxes with
 // preloaded stores, client groups. rec, when non-nil, arms per-box
@@ -277,10 +273,6 @@ func New(cfg Config, seed uint64, rec *telemetry.Recorder) *Rack {
 	}
 	for i := range r.value {
 		r.value[i] = byte(i*7 + 13)
-	}
-	r.pools = make([]*wire.Pool, cfg.Shards)
-	for s := range r.pools {
-		r.pools[s] = wire.NewPool(hdrBytes + 4096)
 	}
 	layout := netsim.Partition(cfg.Boxes, cfg.Shards)
 
@@ -321,8 +313,7 @@ func (r *Rack) newBox(i, shard int, rec *telemetry.Recorder) *box {
 	b := &box{
 		r: r, idx: i, lp: 0, sh: sh, eng: eng,
 		view: view, kv: kv, host: host,
-		up:   netsim.NewBoundaryLink(cfg.Net),
-		pool: r.pools[shard],
+		up: netsim.NewBoundaryLink(cfg.Net),
 	}
 	if rec != nil {
 		crec := rec.Child(fmt.Sprintf("rack.box%02d", i))
@@ -372,19 +363,15 @@ func (b *box) key(k uint64) []byte {
 	return b.keyBuf[:]
 }
 
-// reply stages hdr+payload in the box's shard-local wire pool and
-// sends it up the box's spine link. Send copies the bytes into the
-// envelope, so the Buf is released before returning — no reference
-// ever crosses a shard boundary.
+// reply sends hdr+payload up the box's spine link, writing both
+// straight into the envelope: the payload's one copy.
 func (b *box) reply(dst sim.LP, kind uint16, id, aux uint64, payload []byte) {
-	buf := b.pool.Get(hdrBytes + len(payload))
-	wb := buf.Bytes()
+	n := hdrBytes + len(payload)
+	delay := b.up.Delay(b.eng.Now(), spineMsgOverhead+n)
+	wb := b.sh.SendBuf(b.lp, dst, delay, kind, id, aux, n)
 	binary.LittleEndian.PutUint64(wb[0:8], id)
 	binary.LittleEndian.PutUint64(wb[8:16], aux)
 	copy(wb[hdrBytes:], payload)
-	delay := b.up.Delay(b.eng.Now(), spineMsgOverhead+len(wb))
-	b.sh.Send(b.lp, dst, delay, kind, id, aux, wb)
-	buf.Release()
 }
 
 // handle serves one spine envelope addressed to this box.
@@ -491,26 +478,25 @@ func (g *group) issue() {
 	rng := g.rng
 	dst := g.r.boxes[rng.Intn(cfg.Boxes)]
 	id := g.alloc()
-	p := &g.pend[id]
-	p.t0 = g.eng.Now()
-	p.used = true
+	g.pend[id] = g.eng.Now()
+	var kind uint16
 	var bytes int
 	var data []byte
 	roll := rng.Float64()
 	switch {
 	case roll < 0.5:
-		p.kind = opNVMeRead
+		kind = opNVMeRead
 		bytes = spineMsgOverhead
 	case roll < 0.8:
-		p.kind = opKVGet
+		kind = opKVGet
 		bytes = spineMsgOverhead + 8
 	default:
-		p.kind = opKVPut
+		kind = opKVPut
 		data = g.r.value
 		bytes = spineMsgOverhead + 8 + len(data)
 	}
 	var aux uint64
-	switch p.kind {
+	switch kind {
 	case opNVMeRead:
 		aux = uint64(rng.Intn(boxBlocks))
 	default:
@@ -518,7 +504,7 @@ func (g *group) issue() {
 	}
 	g.issued++
 	delay := g.up.Delay(g.eng.Now(), bytes)
-	g.sh.Send(g.lp, dst.lp, delay, p.kind, id, aux, data)
+	g.sh.Send(g.lp, dst.lp, delay, kind, id, aux, data)
 }
 
 func (g *group) alloc() uint64 {
@@ -527,29 +513,24 @@ func (g *group) alloc() uint64 {
 		g.idle = g.idle[:n-1]
 		return uint64(id)
 	}
-	g.pend = append(g.pend, pendOp{})
+	g.pend = append(g.pend, reqIdle)
 	return uint64(len(g.pend) - 1)
 }
 
 // handle consumes one response envelope.
 func (g *group) handle(sh *sim.Shard, env sim.Envelope) {
 	id := env.A
-	p := &g.pend[id]
-	if !p.used {
+	t0 := g.pend[id]
+	if t0 == reqIdle {
 		panic(fmt.Sprintf("rack: group %d: response for idle req %d", g.idx, id))
 	}
-	lat := env.At.Sub(p.t0)
 	switch env.Kind {
-	case respRead:
-		g.latRead.Record(lat)
-		g.ok++
-		g.bytesMoved += int64(len(env.Data) - hdrBytes)
-	case respGet:
-		g.latGet.Record(lat)
+	case respRead, respGet:
+		g.lat.Record(env.At.Sub(t0))
 		g.ok++
 		g.bytesMoved += int64(len(env.Data) - hdrBytes)
 	case respPut:
-		g.latPut.Record(lat)
+		g.lat.Record(env.At.Sub(t0))
 		g.ok++
 		g.bytesMoved += int64(valueBytes)
 	case respErr:
@@ -557,7 +538,7 @@ func (g *group) handle(sh *sim.Shard, env sim.Envelope) {
 	default:
 		panic(fmt.Sprintf("rack: group %d: unknown response kind %d", g.idx, env.Kind))
 	}
-	p.used = false
+	g.pend[id] = reqIdle
 	g.idle = append(g.idle, int32(id))
 }
 
@@ -572,43 +553,33 @@ func (r *Rack) Cluster() *sim.Cluster { return r.cl }
 // Totals is the deterministic scenario summary: a pure function of
 // the seed, independent of shard count.
 type Totals struct {
-	Clients                         int
-	Issued, OK, Errs                int64
-	Reads, Gets, Puts               int64
-	BytesMoved                      int64
-	LatRead, LatGet, LatPut, LatAll sim.LatencyRecorder
+	Clients           int
+	Issued, OK, Errs  int64
+	Reads, Gets, Puts int64
+	BytesMoved        int64
+	LatAll            sim.LatencyRecorder
 }
 
-// Totals merges per-group and per-box counters in box order. Each
+// Totals merges per-group and per-box counters in box order. The
 // merged recorder is sized first, so merging copies every sample once.
 func (r *Rack) Totals() *Totals {
 	t := &Totals{Clients: r.cfg.Boxes * r.cfg.ClientsPerBox}
-	var nRead, nGet, nPut int
+	n := 0
 	for _, g := range r.groups {
-		nRead += g.latRead.Count()
-		nGet += g.latGet.Count()
-		nPut += g.latPut.Count()
+		n += g.lat.Count()
 	}
-	t.LatRead.Grow(nRead)
-	t.LatGet.Grow(nGet)
-	t.LatPut.Grow(nPut)
-	t.LatAll.Grow(nRead + nGet + nPut)
+	t.LatAll.Grow(n)
 	for _, g := range r.groups {
 		t.Issued += g.issued
 		t.OK += g.ok
 		t.Errs += g.errs
 		t.BytesMoved += g.bytesMoved
-		t.LatRead.Merge(&g.latRead)
-		t.LatGet.Merge(&g.latGet)
-		t.LatPut.Merge(&g.latPut)
+		t.LatAll.Merge(&g.lat)
 	}
 	for _, b := range r.boxes {
 		t.Reads += b.reads
 		t.Gets += b.gets
 		t.Puts += b.puts
 	}
-	t.LatAll.Merge(&t.LatRead)
-	t.LatAll.Merge(&t.LatGet)
-	t.LatAll.Merge(&t.LatPut)
 	return t
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"hyperion/internal/sim"
@@ -85,14 +86,14 @@ func TestRackCompletes(t *testing.T) {
 // TestRackAllocBudget pins the block plane's allocation win where
 // `go test ./...` sees it: a fixed-seed two-box rack at E17's load may
 // spend at most this many heap objects and bytes per issued op while
-// it runs. Measured 0.16 objects and 405 B per op; the bounds sit
-// ~12 % and ~8 % above. No in-flight operation binds a closure: pooled
+// it runs. Measured 0.15 objects and 398 B per op (409 B under
+// -race); the bounds sit ~13 % and ~8 % above. No in-flight operation binds a closure: pooled
 // contexts fire and complete as themselves, and a shard's two inbox
 // lanes take every envelope, so what is left grows with the open
 // loop's backlog — stored blocks, lane rings, free-list chunks,
 // latency samples.
 func TestRackAllocBudget(t *testing.T) {
-	const maxObjects, maxBytes = 0.18, 440
+	const maxObjects, maxBytes = 0.17, 440
 	cfg := DefaultConfig()
 	cfg.Boxes = 2
 	cfg.Replicas = 2
@@ -185,5 +186,57 @@ func TestRackReadPayloadsSurviveTheBlockPlane(t *testing.T) {
 		if tot := r.Totals(); tot.Errs != 0 || tot.OK != tot.Issued {
 			t.Errorf("%d shards: client groups saw %d errors, %d of %d ok", shards, tot.Errs, tot.OK, tot.Issued)
 		}
+	}
+}
+
+// TestRackRejectsDuplicates: once a run has drained, every request id
+// and rep slot is idle again, so a second response to a group or a
+// second ack to a primary is a protocol fault and must panic, not
+// record a latency or answer a client twice.
+func TestRackRejectsDuplicates(t *testing.T) {
+	r := New(smallConfig(1), 1, nil)
+	r.Run()
+	g, b := r.groups[0], r.boxes[0]
+	if len(b.reps) == 0 {
+		t.Fatal("box 0 replicated no put: nothing to ack twice")
+	}
+	for _, tc := range []struct {
+		name, want string
+		deliver    func()
+	}{
+		{"response", "response for idle req", func() {
+			g.handle(g.sh, sim.Envelope{At: r.cl.Now(), Kind: respGet, A: 0, Data: make([]byte, hdrBytes)})
+		}},
+		{"repAck", "ack for idle rep slot", func() {
+			b.handle(b.sh, sim.Envelope{At: r.cl.Now(), Kind: repAck, A: 0})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("duplicate %s: panic %q, want one containing %q", tc.name, msg, tc.want)
+				}
+			}()
+			tc.deliver()
+		})
+	}
+}
+
+// BenchmarkRackRow32 is E17's critical row at one shard: its 32-box
+// scenario built and run to completion, as the benchmark harness runs
+// E17. The config restates bench.rackConfig(32).
+func BenchmarkRackRow32(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Boxes = 32
+	cfg.ClientsPerBox = 4000
+	cfg.RatePerClient = 300
+	cfg.Horizon = 2 * sim.Millisecond
+	cfg.Net.PropDelay = 2 * sim.Microsecond
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := New(cfg, 1, nil)
+		r.Run()
+		b.ReportMetric(float64(r.Cluster().Steps()), "events/op")
 	}
 }

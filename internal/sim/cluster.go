@@ -35,7 +35,6 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -89,7 +88,6 @@ func (re *recvEvent) Fire() {
 		Kind: re.kind, A: re.a, B: re.b,
 		Data: re.data,
 	})
-	re.data = re.data[:0]
 	sh.recvPool.Put(re)
 }
 
@@ -108,8 +106,12 @@ type Shard struct {
 	sendSeq uint64
 
 	// Inbox: recvEvents routed here at a barrier, sorted, injected
-	// in that order, each onto the first lane that accepts it.
+	// in that order, each onto the first lane that accepts it. runs
+	// holds where each source shard's run of pending ends; merged is
+	// the buffer sortPending merges them into.
 	pending  []*recvEvent
+	runs     []int
+	merged   []*recvEvent
 	inbox    [2]Lane[recvEvent, *recvEvent]
 	recvPool FreeList[recvEvent]
 
@@ -137,6 +139,15 @@ func (sh *Shard) Engine() *Engine { return sh.eng }
 // immediately — the only copy an envelope's bytes get — and the caller
 // keeps the slice.
 func (sh *Shard) Send(src, dst LP, delay Duration, kind uint16, a, b uint64, data []byte) {
+	copy(sh.SendBuf(src, dst, delay, kind, a, b, len(data)), data)
+}
+
+// SendBuf is Send for a sender that builds the data in place: it
+// queues the envelope and returns its n data bytes, which still hold
+// whatever the event last carried. The caller must write all n before
+// its handler or event returns, and keep no reference after that: at
+// the next barrier the bytes change owner.
+func (sh *Shard) SendBuf(src, dst LP, delay Duration, kind uint16, a, b uint64, n int) []byte {
 	cl := sh.cl
 	if int(src) >= len(cl.handlers) || int(dst) >= len(cl.handlers) || src < 0 || dst < 0 {
 		panic(fmt.Sprintf("sim: Send with unknown LP (src=%d dst=%d, %d registered)", src, dst, len(cl.handlers)))
@@ -150,10 +161,11 @@ func (sh *Shard) Send(src, dst LP, delay Duration, kind uint16, a, b uint64, dat
 	re, _ := sh.recvPool.Get()
 	re.at, re.src, re.dst = sh.eng.Now().Add(delay), src, dst
 	re.kind, re.a, re.b, re.seq = kind, a, b, sh.sendSeq
-	re.data = append(re.data, data...)
+	re.data = slices.Grow(re.data[:0], n)[:n]
 	sh.out = append(sh.out, re)
 	sh.sendSeq++
 	sh.sends++
+	return re.data
 }
 
 // worker executes windows as the coordinator releases them. The only
@@ -299,25 +311,109 @@ func (cl *Cluster) exchange() {
 			dst.pending = append(dst.pending, re)
 		}
 		src.out = src.out[:0]
+		// Each source's envelopes are one run of a destination's batch.
+		for _, dst := range cl.shards {
+			if n := len(dst.pending); n > 0 && (len(dst.runs) == 0 || dst.runs[len(dst.runs)-1] < n) {
+				dst.runs = append(dst.runs, n)
+			}
+		}
 	}
 	for _, dst := range cl.shards {
 		if len(dst.pending) == 0 {
 			continue
 		}
-		slices.SortFunc(dst.pending, func(a, b *recvEvent) int {
-			if c := cmp.Compare(a.at, b.at); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.src, b.src); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
+		dst.sortPending()
 		for _, re := range dst.pending {
 			dst.deliver(re)
 		}
 		dst.pending = dst.pending[:0]
 	}
+}
+
+// sortPending orders the shard's batch, one run per source shard in
+// send order. A shard sends in engine-time order and each envelope is
+// due one link delay later, so a run is out of order only by the spread
+// of those delays: each run is insertion-sorted, in time linear in its
+// length plus its inversions, and the runs are merged pairwise.
+func (sh *Shard) sortPending() {
+	lo := 0
+	for _, hi := range sh.runs {
+		sh.sortRun(sh.pending[lo:hi])
+		lo = hi
+	}
+	for len(sh.runs) > 1 {
+		out, lo, n := sh.merged[:0], 0, 0
+		for i := 0; i < len(sh.runs); i += 2 {
+			if i+1 == len(sh.runs) {
+				out = append(out, sh.pending[lo:sh.runs[i]]...)
+			} else {
+				mid, hi := sh.runs[i], sh.runs[i+1]
+				out = mergeRuns(out, sh.pending[lo:mid], sh.pending[mid:hi])
+			}
+			lo = len(out)
+			sh.runs[n] = lo
+			n++
+		}
+		sh.runs = sh.runs[:n]
+		sh.pending, sh.merged = out, sh.pending
+	}
+	sh.runs = sh.runs[:0]
+}
+
+// shiftBudget bounds sortRun's insertion sort at this many shifts per
+// envelope placed so far. Past it, the rest of the run goes to
+// slices.SortFunc and is merged with the sorted prefix, so no run
+// costs more than O(n log n).
+const shiftBudget = 8
+
+// sortRun sorts one run by (deliverAt, src, send-seq).
+func (sh *Shard) sortRun(run []*recvEvent) {
+	shifts := 0
+	for i := 1; i < len(run); i++ {
+		x, j := run[i], i
+		for ; j > 0 && x.before(run[j-1]); j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = x
+		if shifts += i - j; shifts > shiftBudget*i {
+			rest := run[i+1:]
+			slices.SortFunc(rest, func(a, b *recvEvent) int {
+				if a.before(b) {
+					return -1
+				}
+				if b.before(a) {
+					return 1
+				}
+				return 0
+			})
+			sh.merged = mergeRuns(sh.merged[:0], run[:i+1], rest)
+			copy(run, sh.merged)
+			return
+		}
+	}
+}
+
+// mergeRuns appends the merge of the sorted runs a and b to out.
+func mergeRuns(out, a, b []*recvEvent) []*recvEvent {
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].before(a[0]) {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// before orders envelopes by (deliverAt, src, send-seq).
+func (re *recvEvent) before(o *recvEvent) bool {
+	if re.at != o.at {
+		return re.at < o.at
+	}
+	if re.src != o.src {
+		return re.src < o.src
+	}
+	return re.seq < o.seq
 }
 
 // deliver injects one envelope of a sorted batch onto the first inbox

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"runtime"
@@ -131,6 +132,34 @@ func TestClusterEnvelopeDataCopied(t *testing.T) {
 	cl.Run()
 	if len(seen) != 3 || seen[0] != 1 {
 		t.Fatalf("receiver saw %v, want [1 2 3]", seen)
+	}
+
+	// SendBuf refills a recycled event in place: one last used for
+	// 4 KiB must deliver exactly the 3 bytes written, nothing after.
+	cl = NewCluster(1, 1, testLA)
+	var got [][]byte
+	var caps []int
+	sink = cl.AddLP(0, func(sh *Shard, env Envelope) {
+		got = append(got, append([]byte(nil), env.Data...))
+		caps = append(caps, cap(env.Data))
+	})
+	src = cl.AddLP(0, func(sh *Shard, env Envelope) {})
+	sh = cl.Shard(0)
+	sh.Engine().At(0, "big", func() {
+		sh.Send(src, sink, testLA, 0, 0, 0, bytes.Repeat([]byte{0xAA}, 4096))
+	})
+	sh.Engine().At(Time(0).Add(2*testLA), "small", func() {
+		copy(sh.SendBuf(src, sink, testLA, 0, 1, 0, 3), "abc")
+	})
+	cl.Run()
+	if len(got) != 2 || len(got[0]) != 4096 {
+		t.Fatalf("receiver saw %d envelopes, want a 4 KiB one and a 3-byte one", len(got))
+	}
+	if string(got[1]) != "abc" {
+		t.Fatalf("in-place envelope delivered %q, want \"abc\"", got[1])
+	}
+	if caps[1] < 4096 {
+		t.Fatalf("in-place envelope has capacity %d: it did not reuse the 4 KiB event", caps[1])
 	}
 }
 
@@ -306,12 +335,15 @@ func TestClusterOneWayTrafficRecyclesEvents(t *testing.T) {
 
 // TestClusterLateEnvelopesKeepOrder: a far-future envelope sent in
 // one window is still queued on the sink's inbox when nearer ones sent
-// in later windows arrive. Two senders each kick themselves one
-// lookahead at a time and on every kick send the sink three near
-// envelopes (the same instants from both, so ties within a batch
-// break by sender) and one due ten lookaheads out. The sink must see
-// them in (at, src, send order) — the sorted oracle — at every shard
-// count, and no envelope may leave the inbox lanes for the heap.
+// in later windows arrive. Three senders each kick themselves one
+// lookahead at a time. On every kick the first two send the sink three
+// near envelopes and one due ten lookaheads out. The third sends 32
+// near ones in descending delivery time, a reversed batch past the
+// insertion sort's budget, two at each instant. The instants repeat
+// across senders, so ties break by sender and, within a sender, by send
+// order. The sink must see every envelope in (at, src, send order), the
+// sorted oracle, at every shard count, and no envelope may leave the
+// inbox lanes for the heap.
 func TestClusterLateEnvelopesKeepOrder(t *testing.T) {
 	const rounds = 40
 	type sent struct {
@@ -323,8 +355,8 @@ func TestClusterLateEnvelopesKeepOrder(t *testing.T) {
 		cl := NewCluster(shards, 1, testLA)
 		var got []uint64
 		sink := cl.AddLP(shards-1, func(sh *Shard, env Envelope) { got = append(got, env.A) })
-		logs := make([][]sent, 2)
-		senders := make([]LP, 2)
+		logs := make([][]sent, 3)
+		senders := make([]LP, 3)
 		for i := range senders {
 			i := i
 			send := func(sh *Shard, delay Duration) {
@@ -333,10 +365,16 @@ func TestClusterLateEnvelopesKeepOrder(t *testing.T) {
 				sh.Send(senders[i], sink, delay, 0, id, 0, nil)
 			}
 			senders[i] = cl.AddLP(i%shards, func(sh *Shard, env Envelope) {
-				for j := Duration(1); j <= 3; j++ {
-					send(sh, testLA+j*Nanosecond)
+				if i == 2 {
+					for j := Duration(32); j >= 1; j-- {
+						send(sh, testLA+(j+1)/2*Nanosecond)
+					}
+				} else {
+					for j := Duration(1); j <= 3; j++ {
+						send(sh, testLA+j*Nanosecond)
+					}
+					send(sh, 10*testLA)
 				}
-				send(sh, 10*testLA)
 				if env.A < rounds {
 					sh.Send(env.Dst, env.Dst, testLA, 0, env.A+1, 0, nil)
 				}
@@ -344,7 +382,7 @@ func TestClusterLateEnvelopesKeepOrder(t *testing.T) {
 			cl.Shard(i%shards).Send(senders[i], senders[i], testLA, 0, 0, 0, nil)
 		}
 		cl.Run()
-		want := append(logs[0], logs[1]...)
+		want := slices.Concat(logs...)
 		slices.SortFunc(want, func(a, b sent) int {
 			if c := cmp.Compare(a.at, b.at); c != 0 {
 				return c
@@ -420,4 +458,62 @@ func BenchmarkClusterSend4K(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	pingPong4K(1, uint64(b.N), nil)
+}
+
+// BenchmarkClusterExchange times the barrier alone: exchange ordering
+// one batch of 4096 envelopes into the sink's inbox lanes. The sends
+// before it and the deliveries after it run with the timer stopped.
+//   - nearly-ordered: 64 senders, as in E17's 32-box row, take turns
+//     sending, each behind its own link backlog, so an envelope lands a
+//     few places from where it sorts; at 4 shards the batch is four
+//     such runs to merge.
+//   - reversed: one sender's envelopes leave in descending delivery
+//     time, past the insertion sort's budget.
+func BenchmarkClusterExchange(b *testing.B) {
+	const batch, senders = 4096, 64
+	rng := NewRand(1)
+	backlog := make([]Duration, senders)
+	for i := range backlog {
+		backlog[i] = Duration(rng.Intn(40)) * Nanosecond
+	}
+	near := func(i int) Duration { return Duration(10*i)*Nanosecond + backlog[i%senders] }
+	for _, bc := range []struct {
+		name    string
+		shards  int
+		senders int
+		delay   func(i int) Duration // of the batch's i-th send
+	}{
+		{"nearly-ordered/shards=1", 1, senders, near},
+		{"nearly-ordered/shards=4", 4, senders, near},
+		{"reversed/shards=1", 1, 1, func(i int) Duration {
+			return Duration(batch-i) * Nanosecond
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cl := NewCluster(bc.shards, 1, testLA)
+			sink := cl.AddLP(0, func(sh *Shard, env Envelope) {})
+			lps := make([]LP, bc.senders)
+			for i := range lps {
+				lps[i] = cl.AddLP(i%bc.shards, func(sh *Shard, env Envelope) {})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				for i := 0; i < batch; i++ {
+					s := i % bc.senders
+					cl.Shard(s%bc.shards).Send(lps[s], sink, testLA+bc.delay(i), 0, 0, 0, nil)
+				}
+				b.StartTimer()
+				cl.exchange()
+				b.StopTimer()
+				// Deliver the batch and keep every shard's clock in step.
+				end := cl.Now().Add(testLA + batch*10*Nanosecond + Microsecond)
+				for _, sh := range cl.shards {
+					sh.eng.RunUntil(end)
+				}
+				b.StartTimer()
+			}
+		})
+	}
 }

@@ -76,6 +76,8 @@ type Cluster struct {
 	Nodes []*Node
 	// Replicas is the copies kept per key (including the primary).
 	Replicas int
+
+	crashes sim.Lane[toggle, *toggle] // ScheduleCrashes' down/up toggles
 }
 
 // New boots n DPUs, each with a durable B+-tree-indexed KV shard, and
@@ -160,9 +162,6 @@ func (c *Cluster) SetRecorder(rec *telemetry.Recorder) {
 // MarkDown simulates a node failure (it stops answering).
 func (c *Cluster) MarkDown(i int) { c.Nodes[i].down = true }
 
-// MarkUp revives a node.
-func (c *Cluster) MarkUp(i int) { c.Nodes[i].down = false }
-
 // Crashes reports how many crash windows ScheduleCrashes installed.
 type Crashes struct {
 	Windows int
@@ -173,16 +172,30 @@ type Crashes struct {
 // both come from the plan's seeded stream, each window marks one node
 // down at Start and back up at End. The schedule is precomputed and
 // bounded by horizon, so it adds a finite set of engine events. A nil
-// or zero-rate plan installs nothing.
+// or zero-rate plan installs nothing. Windows come in time order and
+// never overlap, so the toggles wait on one lane, not in the heap.
 func (c *Cluster) ScheduleCrashes(plan *fault.Plan, horizon sim.Time, meanUp, downFor sim.Duration) Crashes {
 	windows := plan.Windows(fault.Crash, horizon, meanUp, downFor)
-	for _, w := range windows {
+	toggles := make([]toggle, 2*len(windows))
+	for i, w := range windows {
 		node := plan.Pick(len(c.Nodes))
-		c.Eng.At(w.Start, "cluster.crash", func() { c.MarkDown(node) })
-		c.Eng.At(w.End, "cluster.restart", func() { c.MarkUp(node) })
+		toggles[2*i] = toggle{c: c, node: node, down: true}
+		toggles[2*i+1] = toggle{c: c, node: node}
+		c.crashes.At(c.Eng, w.Start, &toggles[2*i])
+		c.crashes.At(c.Eng, w.End, &toggles[2*i+1])
 	}
 	return Crashes{Windows: len(windows)}
 }
+
+// toggle is one crash window's edge: it marks its node down or up.
+type toggle struct {
+	c    *Cluster
+	node int
+	down bool
+}
+
+// Fire implements sim.Event.
+func (t *toggle) Fire() { t.c.Nodes[t.node].down = t.down }
 
 // shardOf hashes a key to its primary node.
 func shardOf(key []byte, n int) int {

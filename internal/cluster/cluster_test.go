@@ -3,8 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"hyperion/internal/fault"
 	"hyperion/internal/netsim"
 	"hyperion/internal/sim"
 )
@@ -118,7 +120,7 @@ func TestFailoverToReplica(t *testing.T) {
 		t.Fatalf("all-down err = %v", derr)
 	}
 	// Revival restores service.
-	c.MarkUp(primary)
+	c.Nodes[primary].down = false
 	r.Get(k, func(val []byte, err error) { got, gerr = val, err })
 	eng.Run()
 	if gerr != nil || string(got) != "alive" {
@@ -174,5 +176,49 @@ func TestBadConfig(t *testing.T) {
 	}
 	if _, err := New(eng, net, 2, 0); err == nil {
 		t.Fatal("zero replicas accepted")
+	}
+}
+
+// TestCrashTogglesMatchClosures: the crash schedule's toggles, waiting
+// on one lane, mark the same nodes down and up at the same times, in
+// the same order, as one closure per toggle on the engine's heap.
+func TestCrashTogglesMatchClosures(t *testing.T) {
+	type edge struct {
+		at   sim.Time
+		node int
+		down bool
+	}
+	const nodes = 4
+	horizon, meanUp, downFor := sim.Time(sim.Second), 10*sim.Microsecond, 400*sim.Microsecond
+	for seed := uint64(1); seed <= 4; seed++ {
+		eng := sim.NewEngine(1)
+		var want []edge
+		plan := fault.NewPlan(seed, "cluster").Set(fault.Crash, 1)
+		for _, w := range plan.Windows(fault.Crash, horizon, meanUp, downFor) {
+			node := plan.Pick(nodes)
+			eng.At(w.Start, "crash", func() { want = append(want, edge{eng.Now(), node, true}) })
+			eng.At(w.End, "restart", func() { want = append(want, edge{eng.Now(), node, false}) })
+		}
+		eng.Run()
+
+		eng = sim.NewEngine(1)
+		c := &Cluster{Eng: eng}
+		for range nodes {
+			c.Nodes = append(c.Nodes, &Node{})
+		}
+		cr := c.ScheduleCrashes(fault.NewPlan(seed, "cluster").Set(fault.Crash, 1), horizon, meanUp, downFor)
+		var got []edge
+		was := make([]bool, nodes)
+		for eng.Step() {
+			for i, n := range c.Nodes {
+				if n.down != was[i] {
+					got = append(got, edge{eng.Now(), i, n.down})
+					was[i] = n.down
+				}
+			}
+		}
+		if cr.Windows == 0 || len(got) != 2*cr.Windows || !slices.Equal(got, want) {
+			t.Fatalf("seed %d: %d windows, lane toggles differ from closures (%d vs %d edges)", seed, cr.Windows, len(got), len(want))
+		}
 	}
 }

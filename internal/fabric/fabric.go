@@ -165,8 +165,6 @@ type Fabric struct {
 	rec       *telemetry.Recorder
 	slotNames []string // armed only: precomputed per-slot span names
 	submits   sim.FreeList[submitCtx]
-
-	Counters sim.CounterSet
 }
 
 // New creates a fabric bound to the simulation engine. authTag is the
@@ -259,7 +257,6 @@ func (f *Fabric) LoadBitstream(i int, b *Bitstream, done func()) error {
 	slot.Image = b
 	slot.State = SlotReconfiguring
 	_ = old
-	f.Counters.Get("reconfigs").Add(1)
 	slot.reconfigRef = f.eng.After(f.ReconfigTime(b.SizeBytes), "fabric.reconfig:"+b.Name, func() {
 		slot.reconfigRef = sim.NoEvent
 		slot.State = SlotActive
@@ -310,7 +307,6 @@ func (f *Fabric) Evict(i int) error {
 	}
 	slot.Image = nil
 	slot.State = SlotEmpty
-	f.Counters.Get("evictions").Add(1)
 	return nil
 }
 

@@ -29,12 +29,17 @@ type Addr string
 // error the caller keeps its reference. Payload remains for
 // by-reference payloads (transports put the application object of the
 // last fragment here).
+//
+// SrcPort, stamped by Send like Src, is the sender's port number: dense
+// from 0 in attach order and kept by an address across Detach and
+// re-Attach, so a receiver can index per-peer state by it.
 type Frame struct {
 	Src, Dst Addr
 	Payload  any
 	Buf      *wire.Buf
 	Bytes    int
 	Span     telemetry.RequestID
+	SrcPort  int
 }
 
 // MTU-ish bounds; jumbo frames are the datacenter norm.
@@ -76,6 +81,7 @@ func DefaultConfig() Config {
 type NIC struct {
 	Addr Addr
 	net  *Network
+	port *port
 	recv func(Frame)
 
 	// Event names are per-NIC constants; precomputing them keeps the
@@ -99,7 +105,7 @@ func (n *NIC) OnReceive(fn func(Frame)) { n.recv = fn }
 //
 //wire:sends f.Buf
 func (n *NIC) Send(f Frame) error {
-	f.Src = n.Addr
+	f.Src, f.SrcPort = n.Addr, n.port.id
 	if f.Bytes < MinFrameBytes {
 		f.Bytes = MinFrameBytes
 	}
@@ -146,7 +152,7 @@ func (fe *frameEvent) uplink() { fe.net.switchForward(fe) }
 
 func (fe *frameEvent) deliver() {
 	n, f, dst := fe.net, fe.f, fe.dst
-	n.outQueue[f.Dst]--
+	dst.port.queued--
 	if fe.corrupt {
 		// The frame arrived but failed the NIC's FCS check: count
 		// and discard without surfacing it to the stack.
@@ -191,15 +197,23 @@ func (n *Network) putFrameEvent(fe *frameEvent) {
 	n.frameEvents.Put(fe)
 }
 
+// port is the switch's output port toward one address. There is one
+// per address ever attached: a NIC reaches it through a pointer, so a
+// frame finds its port without a lookup, and a re-Attach of a detached
+// address takes over the port with the frames still queued on it.
+type port struct {
+	id     int      // dense port number, Frame.SrcPort
+	busy   sim.Time // serialization horizon of the switch→NIC link
+	queued int      // frames forwarded and not yet delivered
+}
+
 // Network is the fabric: a single switch with one full-duplex link per
 // NIC, which matches a rack-scale deployment of Hyperion DPUs.
 type Network struct {
-	eng  *sim.Engine
-	cfg  Config
-	nics map[Addr]*NIC
-	// Per-destination output port state.
-	outBusy  map[Addr]sim.Time
-	outQueue map[Addr]int
+	eng   *sim.Engine
+	cfg   Config
+	nics  map[Addr]*NIC
+	ports map[Addr]*port // found at Attach only
 
 	frameEvents sim.FreeList[frameEvent]
 
@@ -219,11 +233,10 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		panic("netsim: invalid config")
 	}
 	return &Network{
-		eng:      eng,
-		cfg:      cfg,
-		nics:     make(map[Addr]*NIC),
-		outBusy:  make(map[Addr]sim.Time),
-		outQueue: make(map[Addr]int),
+		eng:   eng,
+		cfg:   cfg,
+		nics:  make(map[Addr]*NIC),
+		ports: make(map[Addr]*port),
 	}
 }
 
@@ -252,9 +265,15 @@ func (n *Network) Attach(addr Addr) (*NIC, error) {
 	if _, ok := n.nics[addr]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrDupAddr, addr)
 	}
+	p, ok := n.ports[addr]
+	if !ok {
+		p = &port{id: len(n.ports)}
+		n.ports[addr] = p
+	}
 	nic := &NIC{
 		Addr:     addr,
 		net:      n,
+		port:     p,
 		upName:   "net.uplink:" + string(addr),
 		downName: "net.downlink:" + string(addr),
 	}
@@ -263,7 +282,7 @@ func (n *Network) Attach(addr Addr) (*NIC, error) {
 }
 
 // Detach removes a NIC (a host powering off). In-flight frames to the
-// address are dropped at delivery.
+// address are dropped at delivery. The address keeps its port.
 func (n *Network) Detach(addr Addr) {
 	if nic, ok := n.nics[addr]; ok {
 		nic.recv = nil
@@ -275,7 +294,7 @@ func (n *Network) Detach(addr Addr) {
 // Fault rolls happen here, in arrival order, so an installed plan's
 // injections replay identically for a given seed.
 func (n *Network) switchForward(fe *frameEvent) {
-	f := fe.f
+	p := fe.dst.port
 	if n.plan.Roll(fault.Drop) {
 		n.FaultDrops++
 		if n.rec != nil {
@@ -284,7 +303,7 @@ func (n *Network) switchForward(fe *frameEvent) {
 		n.dropFrame(fe)
 		return
 	}
-	if n.outQueue[f.Dst] >= n.cfg.QueueFrames {
+	if p.queued >= n.cfg.QueueFrames {
 		n.Drops++
 		if n.rec != nil {
 			n.rec.Count("net", "queue_drops", 1)
@@ -293,17 +312,16 @@ func (n *Network) switchForward(fe *frameEvent) {
 		return
 	}
 	fe.arrive = n.eng.Now()
-	n.outQueue[f.Dst]++
+	p.queued++
 	// Forwarding latency is pipelined: it delays when a frame may start
 	// on the output port but does not consume port bandwidth.
 	ready := n.eng.Now().Add(switchLatency)
-	start := n.outBusy[f.Dst]
+	start := p.busy
 	if start < ready {
 		start = ready
 	}
-	ser := serTime(f.Bytes)
-	n.outBusy[f.Dst] = start.Add(ser)
-	deliver := n.outBusy[f.Dst].Add(n.cfg.PropDelay)
+	p.busy = start.Add(serTime(fe.f.Bytes))
+	deliver := p.busy.Add(n.cfg.PropDelay)
 	fe.corrupt = n.plan.Roll(fault.Corrupt)
 	if fe.corrupt {
 		n.FaultCorrupts++

@@ -55,6 +55,42 @@ func TestDuplicateAddr(t *testing.T) {
 	}
 }
 
+// TestReattachTakesOverPort: ports are numbered in attach order and
+// stamped on each frame as SrcPort; an address detached and attached
+// again gets its old port back, frames in flight to the detached NIC
+// are not delivered to its successor, and the port's queue drains.
+func TestReattachTakesOverPort(t *testing.T) {
+	eng, net, a, b := pair(t)
+	var got []Frame
+	a.OnReceive(func(f Frame) { got = append(got, f) })
+	b.OnReceive(func(Frame) { t.Error("a detached NIC received a frame") })
+	for range 4 {
+		if err := a.Send(Frame{Dst: "b", Bytes: 1500}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Detach("b")
+	b2, err := net.Attach("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := net.Attach("c")
+	b2.OnReceive(func(Frame) { t.Error("frames sent to the detached NIC reached its successor") })
+	if err := b2.Send(Frame{Dst: "a", Bytes: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(Frame{Dst: "a", Bytes: 100}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if b2.port != b.port || b.port.queued != 0 {
+		t.Fatalf("re-Attach made a new port, or its queue holds %d frames", b2.port.queued)
+	}
+	if len(got) != 2 || got[0].SrcPort != 1 || got[1].SrcPort != 2 {
+		t.Fatalf("frames at a: %+v, want SrcPorts 1 then 2", got)
+	}
+}
+
 func TestOversizeFrameRejected(t *testing.T) {
 	_, _, a, _ := pair(t)
 	if err := a.Send(Frame{Dst: "b", Bytes: MaxFrameBytes + 1}); !errors.Is(err, ErrFrameSize) {
@@ -186,12 +222,24 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// BenchmarkSend sends 1500 B frames in bursts of 128, each drained
+// before the next; a warm burst must allocate nothing.
 func BenchmarkSend(b *testing.B) {
 	eng := sim.NewEngine(1)
 	net := New(eng, DefaultConfig())
 	src, _ := net.Attach("s")
 	dst, _ := net.Attach("d")
 	dst.OnReceive(func(Frame) {})
+	burst := func() {
+		for range 128 {
+			_ = src.Send(Frame{Dst: "d", Bytes: 1500})
+		}
+		eng.Run()
+	}
+	burst()
+	if n := testing.AllocsPerRun(20, burst); n != 0 {
+		b.Fatalf("a warm burst of 128 frames allocated %v times, want 0", n)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -38,7 +38,8 @@ func readCopy(t *testing.T, eng *sim.Engine, h *Host, lba int64) (data []byte, b
 
 // TestBorrowedReadReusesBuffer: a read's payload goes back to the
 // device when its handler returns, and the next read is served from
-// that same buffer — with the right bytes each time.
+// that same buffer — with the right bytes each time. A block never
+// written is lent the shared zero block, which BorrowSync lends too.
 func TestBorrowedReadReusesBuffer(t *testing.T) {
 	eng, dev, h := newDev(t)
 	dev.WriteSync(7, pattern(7, 0))
@@ -52,8 +53,41 @@ func TestBorrowedReadReusesBuffer(t *testing.T) {
 	if !bytes.Equal(z, make([]byte, 4096)) {
 		t.Fatal("read of an unwritten block is not zero (stale reuse)")
 	}
-	if baseA != baseB || baseB != baseZ {
+	if baseA != baseB {
 		t.Fatal("consecutive reads did not reuse one device buffer")
+	}
+	if baseZ != &dev.BorrowSync(9)[0] || baseZ == baseA {
+		t.Fatal("a read of an unwritten block was not lent the zero block")
+	}
+	if c, _ := readCopy(t, eng, h, 7); !bytes.Equal(c, pattern(7, 0)) {
+		t.Fatal("read after a zero-block read returned wrong bytes")
+	}
+}
+
+// TestLentZeroReadSurvivesWrite: a write to a block whose read was lent
+// the zero block, issued while the handler holds it, materializes a
+// fresh block; the lent bytes, later reads of other unwritten blocks
+// and the written block all read what they should.
+func TestLentZeroReadSurvivesWrite(t *testing.T) {
+	eng, dev, h := newDev(t)
+	zero := make([]byte, 4096)
+	if err := h.Read(0, 5, 1, func(d []byte, st uint16) {
+		if st != StatusOK {
+			t.Fatalf("status %#x", st)
+		}
+		dev.WriteSync(5, pattern(5, 1))
+		if !bytes.Equal(d, zero) {
+			t.Error("the lent zero block changed under a write to its LBA")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if z, _ := readCopy(t, eng, h, 6); !bytes.Equal(z, zero) {
+		t.Fatal("an unwritten block reads nonzero after a write to a lent one")
+	}
+	if got, _ := readCopy(t, eng, h, 5); !bytes.Equal(got, pattern(5, 1)) {
+		t.Fatal("the write to a lent block was lost")
 	}
 }
 
@@ -129,16 +163,22 @@ func TestReadsSnapshotAtFlashTime(t *testing.T) {
 	}
 }
 
-// BenchmarkDeviceRead is the queue-pair read of one random 4 KiB block,
-// one command in flight: once the device's buffer, context and host
-// slot have cycled through their free lists the path allocates nothing.
+// BenchmarkDeviceRead is the queue-pair read of one random written 4 KiB
+// block, one command in flight: once the device's buffer, context and
+// host slot have cycled through their free lists the path allocates
+// nothing.
 func BenchmarkDeviceRead(b *testing.B) {
 	eng := sim.NewEngine(1)
-	h := NewHost(New(eng, DefaultConfig("bench")), nil)
+	dev := New(eng, DefaultConfig("bench"))
+	h := NewHost(dev, nil)
+	const written = 1 << 10
+	for lba := range int64(written) {
+		dev.WriteSync(lba, pattern(lba, 0))
+	}
 	r := sim.NewRand(1)
 	cb := func([]byte, uint16) {}
 	one := func() {
-		if err := h.Read(0, int64(r.Intn(1<<20)), 1, cb); err != nil {
+		if err := h.Read(0, int64(r.Intn(written)), 1, cb); err != nil {
 			b.Fatal(err)
 		}
 		eng.Run()

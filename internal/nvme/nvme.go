@@ -138,9 +138,7 @@ type Device struct {
 	evName  string // precomputed event name for all device-side events
 	ctxs    sim.FreeList[cmdCtx]
 	bufFree [][]byte // payload buffers of completed reads
-	zero    []byte   // read-only image of a never-written block (BorrowSync)
-
-	Counters sim.CounterSet
+	zero    []byte   // read-only image of a never-written block, lent, never recycled
 }
 
 // SetRecorder arms the telemetry plane: one span per completed
@@ -300,7 +298,6 @@ func (c *cmdCtx) complete() {
 	d := c.d
 	c.qp.inFlight--
 	cpl := Completion{CID: c.cmd.CID, Status: c.status, Data: c.data}
-	d.Counters.Get("completions").Add(1)
 	if d.rec != nil {
 		d.rec.Span("nvme.dev", opName(c.cmd.Opcode), c.cmd.Span, c.start, d.eng.Now())
 	}
@@ -314,8 +311,10 @@ func (c *cmdCtx) complete() {
 		d.interrupt(qid, cpl)
 	}
 	if cpl.Data != nil {
-		retire(cpl.Data)
-		d.bufFree = append(d.bufFree, cpl.Data)
+		retire(d, cpl.Data)
+		if !d.isZero(cpl.Data) {
+			d.bufFree = append(d.bufFree, cpl.Data)
+		}
 	}
 }
 
@@ -359,7 +358,6 @@ func (d *Device) execute(qp *queuePair, cmd Command) {
 		}
 		c.status, c.data = StatusOK, nil
 		d.after(ctrlOverhead+wait, c, stageComplete)
-		d.Counters.Get("flushes").Add(1)
 	case OpRead, OpWrite:
 		if cmd.LBA < 0 || cmd.Blocks <= 0 || cmd.LBA+int64(cmd.Blocks) > d.cfg.Blocks {
 			c.fail(StatusLBARange, ctrlOverhead)
@@ -369,12 +367,10 @@ func (d *Device) execute(qp *queuePair, cmd Command) {
 			// Firmware hang: the command is consumed — its slot frees once
 			// the controller abandons it — but no completion is ever
 			// posted. Only a host-side deadline surfaces it.
-			d.Counters.Get("injected_timeouts").Add(1)
 			d.after(ctrlOverhead, c, stageSwallow)
 			return
 		}
 		if d.plan.Roll(fault.MediaErr) {
-			d.Counters.Get("injected_media_errors").Add(1)
 			c.fail(StatusInternal, ctrlOverhead+ReadLatency)
 			return
 		}
@@ -409,13 +405,11 @@ func (d *Device) accessFlash(c *cmdCtx) {
 		}
 	}
 	if isRead {
-		d.Counters.Get("read_blocks").Add(int64(cmd.Blocks))
 		// The completion is due a controller overhead after the channel
 		// whose block finishes last; that channel's horizon only grows,
 		// so its lane takes the event in order.
 		d.onLane(d.lane(slowest), latest.Add(ctrlOverhead), c, stageReadDone)
 	} else {
-		d.Counters.Get("write_blocks").Add(int64(cmd.Blocks))
 		// Data crosses the link first, then programs behind write cache;
 		// completion is posted at cache-accept time (flash programs in
 		// the background, visible to Flush). The payload is copied into
@@ -487,8 +481,13 @@ func (d *Device) lane(i int) *sim.Lane[cmdCtx, *cmdCtx] {
 
 // readStore snapshots blocks [lba, lba+blocks) for a queued read into a
 // buffer a previous completion handed back; only when none is free, or
-// the one on top is too small, does it make a new one.
+// the one on top is too small, does it make a new one. A one-block read
+// of a block never written is lent the shared zero block instead: a
+// later write materializes a fresh block and leaves it zero.
 func (d *Device) readStore(lba int64, blocks int) []byte {
+	if blocks == 1 && d.store.get(lba) == nil {
+		return d.zeroBlock()
+	}
 	size := blocks * d.cfg.BlockSize
 	var out []byte
 	if n := len(d.bufFree); n > 0 {
@@ -540,11 +539,19 @@ func (d *Device) BorrowSync(lba int64) []byte {
 	if b := d.store.get(lba); b != nil {
 		return b
 	}
+	return d.zeroBlock()
+}
+
+// zeroBlock returns the shared zero block, making it on first use.
+func (d *Device) zeroBlock() []byte {
 	if d.zero == nil {
 		d.zero = make([]byte, d.cfg.BlockSize)
 	}
 	return d.zero
 }
+
+// isZero reports whether buf is the shared zero block.
+func (d *Device) isZero(buf []byte) bool { return d.zero != nil && &buf[0] == &d.zero[0] }
 
 // WriteSync stores data at lba immediately, zero-padding past a short
 // final fragment.

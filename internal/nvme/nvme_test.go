@@ -239,7 +239,8 @@ func TestPartialFaultRateStillCompletesEventually(t *testing.T) {
 	cfg.Blocks = 1 << 18
 	dev := New(eng, cfg)
 	host := NewHost(dev, nil)
-	dev.SetFaultPlan(fault.NewPlan(7, "nvme").Set(fault.MediaErr, 0.3))
+	plan := fault.NewPlan(7, "nvme").Set(fault.MediaErr, 0.3)
+	dev.SetFaultPlan(plan)
 	ok := 0
 	attempts := 0
 	var try func()
@@ -264,7 +265,7 @@ func TestPartialFaultRateStillCompletesEventually(t *testing.T) {
 	if ok != 10 {
 		t.Fatalf("completed %d/10 reads with retries", ok)
 	}
-	if f := dev.Counters.Value("injected_media_errors"); f == 0 {
+	if plan.Count(fault.MediaErr) == 0 {
 		t.Fatal("no faults were injected at 30% rate")
 	}
 }

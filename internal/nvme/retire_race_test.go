@@ -21,3 +21,19 @@ func TestRetiredBufferIsPoisoned(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteIntoLentZeroBlockPanics: under the race detector's build
+// tag a handler that writes into the lent zero block is caught when it
+// returns.
+func TestWriteIntoLentZeroBlockPanics(t *testing.T) {
+	eng, _, h := newDev(t)
+	if err := h.Read(0, 9, 1, func(d []byte, _ uint16) { d[0] = 1 }); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a write into the lent zero block went unnoticed")
+		}
+	}()
+	eng.Run()
+}

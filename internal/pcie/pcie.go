@@ -73,8 +73,6 @@ type RootComplex struct {
 	enumerated bool
 	nextBase   int64
 	rec        *telemetry.Recorder
-
-	Counters sim.CounterSet
 }
 
 // SetRecorder arms the telemetry plane: a latency histogram sample
@@ -164,7 +162,6 @@ func (rc *RootComplex) MMIOWrite(addr int64, val uint64) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	rc.Counters.Get("mmio_writes").Add(1)
 	if rc.rec != nil {
 		rc.rec.Count("pcie", "mmio_writes", 1)
 	}
@@ -195,7 +192,6 @@ func (rc *RootComplex) DMA(addr int64, size int64, done func()) error {
 	p.busyUntil = start.Add(xfer)
 	p.Bytes += size
 	p.TLPs += (size + 4095) / 4096
-	rc.Counters.Get("dma_bytes").Add(size)
 	if rc.rec != nil {
 		rc.rec.Observe("pcie", "dma", finish.Sub(now))
 	}

@@ -113,7 +113,6 @@ type Store struct {
 
 	rec *telemetry.Recorder
 
-	Counters sim.CounterSet
 	// Lookups / CacheHits drive the E6 translation experiment.
 	Lookups, CacheHits int64
 }
@@ -216,7 +215,6 @@ func (s *Store) Alloc(id ObjectID, size int64, durable bool, hint Hint) (*Segmen
 	}
 	s.table[id] = sg
 	s.mutated()
-	s.Counters.Get("allocs").Add(1)
 	return sg, nil
 }
 

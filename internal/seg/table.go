@@ -39,7 +39,6 @@ func (s *Store) Checkpoint() error {
 	if maxBytes := int(s.cfg.TableBlocks) * bs; need > maxBytes {
 		return fmt.Errorf("%w: table needs %d bytes, control area holds %d", ErrNoSpace, need, maxBytes)
 	}
-	s.Counters.Get("checkpoints").Add(1)
 	s.devs[0].Device().WriteSync(0, encodeTable(durable, bs))
 	return nil
 }

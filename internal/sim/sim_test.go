@@ -238,22 +238,6 @@ func TestLatencyRecorderRecordAfterSort(t *testing.T) {
 	}
 }
 
-func TestCounterSet(t *testing.T) {
-	var s CounterSet
-	s.Get("a").Add(3)
-	s.Get("b").Add(1)
-	s.Get("a").Add(2)
-	if v := s.Value("a"); v != 5 {
-		t.Fatalf("a = %d, want 5", v)
-	}
-	if v := s.Value("missing"); v != 0 {
-		t.Fatalf("missing = %d, want 0", v)
-	}
-	if got := s.String(); got != "a=5 b=1" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := &Table{Header: []string{"name", "value"}}
 	tb.AddRow("x", "1")

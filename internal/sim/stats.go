@@ -101,59 +101,6 @@ func (l *LatencyRecorder) Summary() string {
 		l.Count(), l.Mean(), l.Percentile(50), l.Percentile(99), l.Percentile(99.9), l.Max())
 }
 
-// Counter is a named monotonic counter used by device models for
-// observability (events processed, bytes moved, cache hits...).
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(n int64) { c.Value += n }
-
-// CounterSet is an ordered collection of counters.
-type CounterSet struct {
-	order []string
-	m     map[string]*Counter
-}
-
-// Get returns (creating if needed) the named counter.
-func (s *CounterSet) Get(name string) *Counter {
-	if s.m == nil {
-		s.m = make(map[string]*Counter)
-	}
-	if c, ok := s.m[name]; ok {
-		return c
-	}
-	c := &Counter{Name: name}
-	s.m[name] = c
-	s.order = append(s.order, name)
-	return c
-}
-
-// Value returns the current value of the named counter (0 if absent).
-func (s *CounterSet) Value(name string) int64 {
-	if s.m == nil {
-		return 0
-	}
-	if c, ok := s.m[name]; ok {
-		return c.Value
-	}
-	return 0
-}
-
-// String renders all counters in creation order.
-func (s *CounterSet) String() string {
-	var b strings.Builder
-	for i, name := range s.order {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		fmt.Fprintf(&b, "%s=%d", name, s.m[name].Value)
-	}
-	return b.String()
-}
-
 // Table is a minimal fixed-width text table used by the benchmark
 // harness to print paper-style rows.
 type Table struct {

@@ -19,7 +19,9 @@ type reliableParams struct {
 }
 
 // reliableEndpoint implements go-back-N reliable delivery with per-peer
-// connections and cumulative acks.
+// connections and cumulative acks. Send finds a connection by address,
+// once per message; a received frame finds its peer's state by the
+// sender's netsim port (Frame.SrcPort), without hashing an address.
 type reliableEndpoint struct {
 	eng   *sim.Engine
 	nic   *netsim.NIC
@@ -28,12 +30,12 @@ type reliableEndpoint struct {
 
 	handler func(src netsim.Addr, msg Message)
 	conns   map[netsim.Addr]*sendConn
-	peers   map[netsim.Addr]*recvConn
+	acks    []*sendConn // conns by their peer's port, bound by its first ack
+	peers   []recvConn  // by the sender's port
 	cpuBusy sim.Time
 	nextID  uint64
 
-	hdrs   *wire.Pool
-	reasms sim.FreeList[reasm]
+	hdrs *wire.Pool
 
 	sendQ     sim.Queue[relSend]
 	txQ       sim.Queue[relTx]
@@ -50,12 +52,11 @@ type relSend struct {
 	msg   Message
 }
 
+// relTx is one transmission of a fragment; its buf is a reference
+// retained for this transmission.
 type relTx struct {
-	dst     netsim.Addr
-	buf     *wire.Buf // retained for this transmission
-	wire    int
-	payload any
-	span    telemetry.RequestID
+	outFrag
+	dst netsim.Addr
 }
 
 // outFrag is one unacked fragment buffered for retransmission: the
@@ -69,20 +70,26 @@ type outFrag struct {
 }
 
 type sendConn struct {
-	r        *reliableEndpoint
-	dst      netsim.Addr
-	base     uint64 // lowest unacked seq
-	nextSeq  uint64 // next seq to assign
-	sent     uint64 // next seq to transmit (may trail nextSeq under window limit)
-	buf      map[uint64]outFrag
+	r       *reliableEndpoint
+	dst     netsim.Addr
+	base    uint64 // lowest unacked seq
+	nextSeq uint64 // next seq to assign
+	sent    uint64 // next seq to transmit (may trail nextSeq under window limit)
+	// ring holds the unacked fragments, exactly seqs [base, nextSeq),
+	// seq s at ring[s&(len(ring)-1)]. Its length is 0 or a power of two
+	// and doubles only when the backlog fills it.
+	ring     []outFrag
 	rtoTimer sim.EventRef
 	backoff  int
 	rtoFn    func() // prebound fireRTO, one per connection
 }
 
+// recvConn is one sender's receive state. Fragments are accepted only
+// in sequence order, and a message's fragments hold consecutive
+// sequence numbers, so at most one message is being reassembled.
 type recvConn struct {
 	expected uint64
-	partial  map[uint64]*reasm
+	rm       reasm
 }
 
 func newReliable(eng *sim.Engine, nic *netsim.NIC, p reliableParams) *reliableEndpoint {
@@ -91,7 +98,6 @@ func newReliable(eng *sim.Engine, nic *netsim.NIC, p reliableParams) *reliableEn
 		nic:   nic,
 		p:     p,
 		conns: make(map[netsim.Addr]*sendConn),
-		peers: make(map[netsim.Addr]*recvConn),
 		hdrs:  wire.NewPool(dataHdrLen),
 	}
 	r.sendFn = r.fireSend
@@ -105,22 +111,17 @@ func (r *reliableEndpoint) Stats() *Stats { return &r.stats }
 
 func (r *reliableEndpoint) OnMessage(fn func(src netsim.Addr, msg Message)) { r.handler = fn }
 
-func (r *reliableEndpoint) conn(dst netsim.Addr) *sendConn {
-	c, ok := r.conns[dst]
-	if !ok {
-		c = &sendConn{r: r, dst: dst, buf: make(map[uint64]outFrag)}
-		c.rtoFn = c.fireRTO
-		r.conns[dst] = c
-	}
-	return c
-}
-
 func (r *reliableEndpoint) Send(dst netsim.Addr, msg Message) error {
 	if msg.Bytes > MaxMessageBytes {
 		return ErrTooLarge
 	}
 	r.nextID++
-	c := r.conn(dst)
+	c := r.conns[dst]
+	if c == nil {
+		c = &sendConn{r: r, dst: dst}
+		c.rtoFn = c.fireRTO
+		r.conns[dst] = c
+	}
 	r.stats.Sent++
 	r.sendQ.Push(relSend{c: c, id: r.nextID, total: fragsFor(msg.Bytes), msg: msg})
 	r.eng.After(r.p.SendOverhead, "rel.send", r.sendFn)
@@ -136,11 +137,27 @@ func (r *reliableEndpoint) fireSend() {
 		if i == s.total-1 {
 			of.payload = s.msg.Payload
 		}
-		c.buf[c.nextSeq] = of
-		c.nextSeq++
+		c.push(of)
 	}
 	r.pump(c)
 }
+
+// push appends of under seq nextSeq, doubling the ring when the
+// backlog fills it.
+func (c *sendConn) push(of outFrag) {
+	if c.nextSeq-c.base == uint64(len(c.ring)) {
+		ring := make([]outFrag, max(2*len(c.ring), 4))
+		for s := c.base; s < c.nextSeq; s++ {
+			ring[s&uint64(len(ring)-1)] = *c.frag(s)
+		}
+		c.ring = ring
+	}
+	*c.frag(c.nextSeq) = of
+	c.nextSeq++
+}
+
+// frag returns seq s's slot, for s in [base, nextSeq].
+func (c *sendConn) frag(s uint64) *outFrag { return &c.ring[s&uint64(len(c.ring)-1)] }
 
 // cpuDelay serializes per-frame software cost on the endpoint's one
 // logical core; it returns the extra delay before the frame may be
@@ -161,12 +178,7 @@ func (r *reliableEndpoint) cpuDelay() sim.Duration {
 // pump transmits frames permitted by the window.
 func (r *reliableEndpoint) pump(c *sendConn) {
 	for c.sent < c.nextSeq && c.sent < c.base+uint64(r.p.Window) {
-		of, ok := c.buf[c.sent]
-		if !ok {
-			c.sent++
-			continue
-		}
-		r.transmit(c, of)
+		r.transmit(c, c.frag(c.sent))
 		c.sent++
 	}
 	if !c.rtoTimer.Valid() && c.base < c.nextSeq {
@@ -174,11 +186,12 @@ func (r *reliableEndpoint) pump(c *sendConn) {
 	}
 }
 
-func (r *reliableEndpoint) transmit(c *sendConn, of outFrag) {
+func (r *reliableEndpoint) transmit(c *sendConn, of *outFrag) {
 	d := r.cpuDelay()
 	// The connection keeps its buffered reference for retransmission;
 	// each transmission hands the network its own.
-	tx := relTx{dst: c.dst, buf: of.buf.Retain(), wire: of.wire, payload: of.payload, span: of.span} //wire:sends the NIC via sendTx — same engine, netsim releases on delivery or drop
+	tx := relTx{outFrag: *of, dst: c.dst}
+	tx.buf = of.buf.Retain() //wire:sends the NIC via sendTx — same engine, netsim releases on delivery or drop
 	if d > 0 {
 		// cpuBusy only moves forward, so queued transmissions fire in
 		// push order.
@@ -219,10 +232,8 @@ func (c *sendConn) fireRTO() {
 		end = c.nextSeq
 	}
 	for s := c.base; s < end; s++ {
-		if of, ok := c.buf[s]; ok {
-			r.transmit(c, of)
-			r.stats.Retransmits++
-		}
+		r.transmit(c, c.frag(s))
+		r.stats.Retransmits++
 	}
 	c.sent = end
 	r.armRTO(c)
@@ -233,26 +244,39 @@ func (r *reliableEndpoint) onFrame(f netsim.Frame) {
 	case frameCtrl:
 		m := decodeCtrl(f.Buf.Bytes(), nil)
 		if m.Op == ackOp {
-			r.onAck(f.Src, m.Seq)
+			r.onAck(f.Src, f.SrcPort, m.Seq)
 		}
 	case frameData:
-		r.onData(f.Src, decodeData(f))
+		r.onData(f.Src, f.SrcPort, decodeData(f))
 	}
 }
 
-func (r *reliableEndpoint) onAck(src netsim.Addr, cum uint64) {
-	c, ok := r.conns[src]
-	if !ok {
-		return
+// slot returns &(*s)[i], growing *s with zero values to hold it.
+func slot[T any](s *[]T, i int) *T {
+	if i >= len(*s) {
+		*s = append(*s, make([]T, i+1-len(*s))...)
 	}
-	if cum <= c.base {
+	return &(*s)[i]
+}
+
+// onAck retires the fragments below cum. An ack past what was
+// transmitted can only come from an earlier incarnation of the peer,
+// and is ignored.
+func (r *reliableEndpoint) onAck(src netsim.Addr, port int, cum uint64) {
+	cp := slot(&r.acks, port)
+	if *cp == nil {
+		if *cp = r.conns[src]; *cp == nil {
+			return
+		}
+	}
+	c := *cp
+	if cum <= c.base || cum > c.sent {
 		return
 	}
 	for s := c.base; s < cum; s++ {
-		if of, ok := c.buf[s]; ok {
-			of.buf.Release()
-			delete(c.buf, s)
-		}
+		of := c.frag(s)
+		of.buf.Release()
+		*of = outFrag{}
 	}
 	c.base = cum
 	c.backoff = 0
@@ -261,17 +285,8 @@ func (r *reliableEndpoint) onAck(src netsim.Addr, cum uint64) {
 	r.pump(c)
 }
 
-func (r *reliableEndpoint) peer(src netsim.Addr) *recvConn {
-	p, ok := r.peers[src]
-	if !ok {
-		p = &recvConn{partial: make(map[uint64]*reasm)}
-		r.peers[src] = p
-	}
-	return p
-}
-
-func (r *reliableEndpoint) onData(src netsim.Addr, frag dataFrag) {
-	p := r.peer(src)
+func (r *reliableEndpoint) onData(src netsim.Addr, port int, frag dataFrag) {
+	p := slot(&r.peers, port)
 	if frag.Seq == p.expected {
 		p.expected++
 		r.accept(src, p, frag)
@@ -281,23 +296,21 @@ func (r *reliableEndpoint) onData(src netsim.Addr, frag dataFrag) {
 	r.sendCtrl(src, ctrlMsg{Op: ackOp, Seq: p.expected})
 }
 
+// accept adds the next in-order fragment to p's message; a message's
+// first fragment starts it.
 func (r *reliableEndpoint) accept(src netsim.Addr, p *recvConn, frag dataFrag) {
-	rm, ok := p.partial[frag.MsgID]
-	if !ok {
-		rm, _ = r.reasms.Get()
+	rm := &p.rm
+	if frag.Index == 0 {
 		*rm = reasm{total: frag.Total, bytes: frag.Bytes, span: frag.Span}
-		p.partial[frag.MsgID] = rm
 	}
 	rm.have++
 	if frag.Payload != nil {
 		rm.payload = frag.Payload
 	}
 	if rm.have == rm.total {
-		delete(p.partial, frag.MsgID)
 		r.stats.Delivered++
 		r.deliverQ.Push(delivery{src: src, msg: Message{Payload: rm.payload, Bytes: rm.bytes, Span: rm.span}})
-		rm.payload = nil
-		r.reasms.Put(rm)
+		*rm = reasm{}
 		r.eng.After(r.p.RecvOverhead, "rel.deliver", r.deliverFn)
 	}
 }

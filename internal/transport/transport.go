@@ -135,8 +135,7 @@ func fragWire(b, i int) int {
 	return FragBytes + headerBytes
 }
 
-// reasm reassembles in-order fragments into messages. Instances cycle
-// through a per-endpoint free list.
+// reasm reassembles one message from its fragments.
 type reasm struct {
 	have    int
 	total   int

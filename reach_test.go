@@ -68,7 +68,6 @@ var reachAllow = map[string]string{
 	"internal/seg.Store.Stat":          "TestCheckpointRecover and TestCrashRecoveryEndToEnd observe the segment table through it",
 	"internal/seg.SyncView.Store":      "TestImageWriteMatchesEncodeOracle and TestUnlinkFreesSpace observe the store under a view through it",
 	"internal/seg.allocator.free":      "TestAllocatorProperty and TestCheckpointRecover observe free space through it",
-	"internal/sim.CounterSet.Value":    "TestPartialFaultRateStillCompletesEventually and TestDeadlineTimeoutReachesEveryVerb read model counters through it",
 	"internal/sim.Engine.Pending":      "TestCheckpointRecoverScheduleNothing and TestLaneOrderMatchesHeap observe the event queue through it",
 	"internal/sim.LatencyRecorder.Min": "TestPlacementAndSubmit and TestLatencyRecorderPercentiles observe recorded latencies through it",
 

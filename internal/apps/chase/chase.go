@@ -17,6 +17,7 @@ import (
 	"hyperion/internal/seg"
 	"hyperion/internal/storage/bptree"
 	"hyperion/internal/telemetry"
+	"hyperion/internal/wire"
 )
 
 // RPC method names.
@@ -68,6 +69,9 @@ type Service struct {
 	// each suffices).
 	pageBuf []byte
 	ctx     []byte
+	// Node pages served to client-side walks: pooled buffers the reply
+	// carries, released by the client once the page is decoded.
+	pages *wire.Pool
 
 	OffloadGets, NodeFetches int64
 }
@@ -91,7 +95,7 @@ func Compile(authTag string) (*ehdl.Image, error) {
 // program as an instance of img (see Compile).
 func NewService(d *core.DPU, srv *rpc.Server, tree *bptree.Tree, img *ehdl.Image) *Service {
 	pipe := img.Instance("chase-step")
-	s := &Service{dpu: d, tree: tree, pipe: pipe}
+	s := &Service{dpu: d, tree: tree, pipe: pipe, pages: wire.NewPool(bptree.NodeBytes)}
 
 	srv.Handle(MethodMeta, func(arg any, respond func(any, int, error)) {
 		root := tree.Root()
@@ -104,15 +108,16 @@ func NewService(d *core.DPU, srv *rpc.Server, tree *bptree.Tree, img *ehdl.Image
 			return
 		}
 		s.NodeFetches++
-		page, err := d.View.ReadAt(seg.ObjectID{Hi: na.Hi, Lo: na.Lo}, 0, bptree.NodeBytes)
-		if err != nil {
+		page := s.pages.Get(bptree.NodeBytes)
+		if _, err := d.View.ReadAtBuf(seg.ObjectID{Hi: na.Hi, Lo: na.Lo}, 0, bptree.NodeBytes, page.Bytes()); err != nil {
+			page.Release()
 			respond(nil, 0, err)
 			return
 		}
 		// The storage cost accrued on the view becomes response delay.
 		cost := d.View.TakeCost()
 		d.Eng.After(cost, "chase.node", func() {
-			respond(page, len(page)+64, nil)
+			respond(page, page.Len()+64, nil)
 		})
 	})
 	srv.Handle(MethodGet, func(arg any, respond func(any, int, error)) {
@@ -233,8 +238,9 @@ func (cl *Client) walk(cur seg.ObjectID, key uint64, hop int, cb func(GetReply, 
 			cb(GetReply{}, err)
 			return
 		}
-		page := val.([]byte)
-		kind, keys, payload, _, derr := bptree.DecodeNode(page)
+		page := val.(*wire.Buf)
+		kind, keys, payload, _, derr := bptree.DecodeNode(page.Bytes())
+		page.Release() // decoded into fresh slices
 		if derr != nil {
 			cb(GetReply{}, derr)
 			return

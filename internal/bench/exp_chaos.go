@@ -186,7 +186,11 @@ func chaosCluster(seed uint64, rate float64, crec *telemetry.Recorder) tableRow 
 	}
 	var put func(i int)
 	var get func(i int)
-	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
+	var kbuf []byte // the router copies a key before Put or Get returns
+	key := func(i int) []byte {
+		kbuf = appendKey(kbuf[:0], i)
+		return kbuf
+	}
 	put = func(i int) {
 		if i >= ops {
 			get(0)

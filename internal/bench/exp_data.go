@@ -182,6 +182,9 @@ func NVMeoF(seed uint64) Result {
 				if err != nil {
 					ok = false
 				}
+				if b, isBuf := val.(*wire.Buf); isBuf {
+					b.Release() // a read's payload, lent by the target
+				}
 			})
 			eng.Run()
 			return end.Sub(start), ok

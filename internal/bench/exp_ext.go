@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 
 	"hyperion/internal/cluster"
 	"hyperion/internal/netsim"
@@ -32,6 +33,7 @@ func ClusterScaleOut(seed uint64) Result {
 		// the next on completion), so a single Run at the end drives it.
 		failover := "n/a"
 		var put, get func(i int)
+		var kbuf []byte // the router copies a key before Put or Get returns
 		finale := func() {
 			if tc.replicas <= 1 {
 				return
@@ -51,9 +53,9 @@ func ClusterScaleOut(seed uint64) Result {
 				get(0)
 				return
 			}
-			k := []byte(fmt.Sprintf("key-%04d", i))
+			kbuf = appendKey(kbuf[:0], i)
 			t0 := eng.Now()
-			rt.Put(k, []byte("value"), func(err error) {
+			rt.Put(kbuf, []byte("value"), func(err error) {
 				if err != nil {
 					panic(err)
 				}
@@ -66,9 +68,9 @@ func ClusterScaleOut(seed uint64) Result {
 				finale()
 				return
 			}
-			k := []byte(fmt.Sprintf("key-%04d", i))
+			kbuf = appendKey(kbuf[:0], i)
 			t0 := eng.Now()
-			rt.Get(k, func(_ []byte, err error) {
+			rt.Get(kbuf, func(_ []byte, err error) {
 				if err != nil {
 					panic(err)
 				}
@@ -92,4 +94,14 @@ func ClusterScaleOut(seed uint64) Result {
 	r.Notes = append(r.Notes,
 		"client-driven routing keeps the path coordinator-free; replication trades put latency for surviving a DPU loss")
 	return r
+}
+
+// appendKey appends fmt.Sprintf("key-%04d", i) for i ≥ 0 to dst,
+// without formatting through an interface.
+func appendKey(dst []byte, i int) []byte {
+	dst = append(dst, "key-"...)
+	for p := 1000; p > 1 && i < p; p /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(i), 10)
 }

@@ -109,6 +109,11 @@ func New(eng *sim.Engine, net *netsim.Network, n, replicas int) (*Cluster, error
 
 func (c *Cluster) serve(n *Node) {
 	d := n.DPU
+	// A get copies the value out of the store (into scratch) and then
+	// into a pooled buffer the reply carries; the router releases it
+	// once its callback has returned.
+	vals := wire.NewPool(64)
+	var scratch []byte
 	d.CtrlSrv.Handle(MethodGet, func(arg any, respond func(any, int, error)) {
 		if n.down {
 			return // dead nodes do not answer; clients time out
@@ -120,8 +125,14 @@ func (c *Cluster) serve(n *Node) {
 		}
 		n.Gets++
 		// The key aliases the capsule, which is valid for the handler's
-		// synchronous extent; KV.Get consumes it before returning.
-		val, found, err := n.KV.Get(b.Bytes())
+		// synchronous extent; GetAppend consumes it before returning.
+		v, found, err := n.KV.GetAppend(scratch[:0], b.Bytes())
+		scratch = v
+		var val *wire.Buf
+		if found && err == nil {
+			val = vals.Get(len(v))
+			copy(val.Bytes(), v)
+		}
 		c.Eng.After(d.View.TakeCost(), "ckv.get", func() {
 			if err != nil {
 				respond(nil, 64, err)
@@ -131,7 +142,7 @@ func (c *Cluster) serve(n *Node) {
 				respond(nil, 64, ErrNotFound)
 				return
 			}
-			respond(val, len(val)+64, nil)
+			respond(val, val.Len()+64, nil)
 		})
 	})
 	d.CtrlSrv.Handle(MethodPut, func(arg any, respond func(any, int, error)) {
@@ -342,7 +353,8 @@ func (r *Router) getGet() *getCtx {
 }
 
 // Get reads from the primary, failing over to the next replica when a
-// node does not answer.
+// node does not answer. The value cb receives is lent only until cb
+// returns: a caller that keeps it copies it.
 func (r *Router) Get(key []byte, cb func(val []byte, err error)) {
 	r.Routed++
 	span := r.rec.NewRequest()
@@ -378,7 +390,9 @@ func (g *getCtx) done(val any, err error) {
 		g.resolve(nil, err)
 		return
 	}
-	g.resolve(val.([]byte), nil)
+	b := val.(*wire.Buf)
+	g.resolve(b.Bytes(), nil)
+	b.Release()
 }
 
 func (g *getCtx) resolve(val []byte, err error) {

@@ -45,7 +45,7 @@ func TestPutGetAcrossShards(t *testing.T) {
 			if err != nil {
 				t.Errorf("Get(%s): %v", k, err)
 			}
-			got = val
+			got = append(got, val...) // lent only until the callback returns
 		})
 		eng.Run()
 		if string(got) != fmt.Sprintf("val-%03d", i) {
@@ -101,11 +101,11 @@ func TestFailoverToReplica(t *testing.T) {
 	eng.Run()
 	primary := c.ReplicaSet(k)[0]
 	c.MarkDown(primary)
-	var got []byte
+	var got string
 	var gerr error
-	r.Get(k, func(val []byte, err error) { got, gerr = val, err })
+	r.Get(k, func(val []byte, err error) { got, gerr = string(val), err })
 	eng.Run()
-	if gerr != nil || string(got) != "alive" {
+	if gerr != nil || got != "alive" {
 		t.Fatalf("failover get = %q,%v", got, gerr)
 	}
 	if r.Failovers != 1 {
@@ -121,9 +121,9 @@ func TestFailoverToReplica(t *testing.T) {
 	}
 	// Revival restores service.
 	c.Nodes[primary].down = false
-	r.Get(k, func(val []byte, err error) { got, gerr = val, err })
+	r.Get(k, func(val []byte, err error) { got, gerr = string(val), err })
 	eng.Run()
-	if gerr != nil || string(got) != "alive" {
+	if gerr != nil || got != "alive" {
 		t.Fatalf("post-revival get = %q,%v", got, gerr)
 	}
 }

@@ -85,6 +85,7 @@ type Target struct {
 	host *nvme.Host
 	qid  int
 	ops  sim.FreeList[tgtOp]
+	data *wire.Pool // read payloads, lent to the initiator's callback
 
 	Reads, Writes, Flushes int64
 }
@@ -118,16 +119,20 @@ func (t *Target) putOp(op *tgtOp) {
 }
 
 // Complete answers the command. The device lends a read's data only
-// until Complete returns and the response slice travels on to the
-// initiator, so the target copies it into a slice the response owns.
+// until Complete returns and the response travels on to the initiator,
+// so the target copies it into a pooled buffer whose reference the
+// response carries; the initiator releases it once its callback has
+// returned.
 func (op *tgtOp) Complete(c nvme.Completion) {
-	respond, read := op.respond, op.read
-	op.t.putOp(op)
+	t, respond, read := op.t, op.respond, op.read
+	t.putOp(op)
 	switch {
 	case c.Status != nvme.StatusOK:
 		respond(nil, 0, fmt.Errorf("%w %#x", ErrStatus, c.Status))
 	case read:
-		respond(append([]byte(nil), c.Data...), len(c.Data)+64, nil)
+		b := t.data.Get(len(c.Data))
+		copy(b.Bytes(), c.Data)
+		respond(b, len(c.Data)+64, nil)
 	default:
 		respond(true, 64, nil)
 	}
@@ -136,8 +141,8 @@ func (op *tgtOp) Complete(c nvme.Completion) {
 // NewTarget registers the NVMe-oF methods on srv, serving from host.
 // Commands run on the device's queue pair qid.
 func NewTarget(srv *rpc.Server, host *nvme.Host, qid int) *Target {
-	t := &Target{host: host, qid: qid}
 	bs := host.BlockSize()
+	t := &Target{host: host, qid: qid, data: wire.NewPool(bs)}
 	srv.Handle(MethodRead, func(arg any, respond func(any, int, error)) {
 		b, ok := arg.(*wire.Buf)
 		if !ok || b.Len() < readCapLen {
@@ -225,7 +230,7 @@ type opCtx struct {
 	argBytes int
 	span     telemetry.RequestID
 	tries    int
-	readCb   func(data []byte, err error) // read resolution
+	readCb   func(data []byte, err error) // read resolution; data is lent
 	doneCb   func(err error)              // write/flush resolution
 	rpcFn    func(val any, err error)
 	retryFn  func()
@@ -280,18 +285,20 @@ func (op *opCtx) onResult(val any, err error) {
 			readCb(nil, err)
 			return
 		}
-		d, ok := val.([]byte)
+		b, ok := val.(*wire.Buf)
 		if !ok {
 			readCb(nil, fmt.Errorf("nvmeof: bad response %T", val))
 			return
 		}
-		readCb(d, nil)
+		readCb(b.Bytes(), nil)
+		b.Release()
 		return
 	}
 	doneCb(err)
 }
 
-// Read fetches blocks; cb receives the data.
+// Read fetches blocks; cb receives the data, lent only until cb
+// returns: a caller that keeps the bytes copies them.
 func (i *Initiator) Read(lba int64, blocks int, cb func(data []byte, err error)) {
 	op := i.getOp()
 	op.method = MethodRead

@@ -42,7 +42,9 @@ type request struct {
 }
 
 // response is the reply envelope, pooled by the server and released by
-// the receiving client after the value is extracted.
+// the receiving client after the value is extracted. A *wire.Buf value
+// carries one reference, which the caller's callback receives; a
+// response nobody reads releases it (Server.drop).
 type response struct {
 	ID  uint64
 	Val any
@@ -142,6 +144,9 @@ func (sc *serveCtx) respond(val any, respBytes int, err error) {
 	if err != nil {
 		s.Errors++
 		resp.Err = err.Error()
+		if b, ok := val.(*wire.Buf); ok {
+			b.Release()
+		}
 		resp.Val = nil
 	}
 	if respBytes < 64 {
@@ -198,8 +203,17 @@ func (s *Server) serve(src netsim.Addr, req *request) {
 func (s *Server) reply(dst netsim.Addr, resp *response, bytes int, span telemetry.RequestID) {
 	err := s.ep.Send(dst, transport.Message{Payload: resp, Bytes: bytes, Span: span})
 	if err != nil {
-		s.putResp(resp)
+		s.drop(resp)
 	}
+}
+
+// drop returns a response nobody will read to the pool, releasing the
+// reference a *wire.Buf value carries.
+func (s *Server) drop(r *response) {
+	if b, ok := r.Val.(*wire.Buf); ok {
+		b.Release()
+	}
+	s.putResp(r)
 }
 
 func (s *Server) putResp(r *response) {
@@ -263,6 +277,7 @@ func (c *Client) onMessage(src netsim.Addr, msg transport.Message) {
 	}
 	cl, ok := c.pending[resp.ID]
 	if !ok {
+		resp.s.drop(resp) // a reply to a call that already timed out
 		return
 	}
 	delete(c.pending, resp.ID)

@@ -7,6 +7,7 @@ import (
 	"hyperion/internal/netsim"
 	"hyperion/internal/sim"
 	"hyperion/internal/transport"
+	"hyperion/internal/wire"
 )
 
 func rig(t testing.TB) (*sim.Engine, *Server, *Client) {
@@ -104,6 +105,31 @@ func TestTimeout(t *testing.T) {
 	}
 	if cli.Timeouts != 1 {
 		t.Fatalf("timeouts = %d", cli.Timeouts)
+	}
+}
+
+// TestLateReplyIsReturned: a reply that arrives after its call timed
+// out is read by nobody, so the client hands its envelope back to the
+// server's pool and releases the *wire.Buf it carries.
+func TestLateReplyIsReturned(t *testing.T) {
+	eng, srv, cli := rig(t)
+	bufs := wire.NewPool(64)
+	srv.Handle("late", func(arg any, respond func(any, int, error)) {
+		eng.After(2*sim.Millisecond, "storage", func() { respond(bufs.Get(8), 72, nil) })
+	})
+	cli.Timeout = 1 * sim.Millisecond
+	var got error
+	cli.Call("server", "late", nil, 64, func(_ any, err error) { got = err })
+	eng.Run()
+	if !errors.Is(got, ErrTimeout) {
+		t.Fatalf("err = %v, want %v", got, ErrTimeout)
+	}
+	if _, fresh := srv.resps.Get(); fresh {
+		t.Error("the late reply's envelope did not return to the server's pool")
+	}
+	bufs.Get(8)
+	if bufs.News != 1 {
+		t.Errorf("the late reply's buffer was not released: the pool minted %d", bufs.News)
 	}
 }
 

@@ -27,7 +27,7 @@ func newTwin(borrow bool, spill *[]byte) *twin {
 		hosts = append(hosts, nvme.NewHost(nvme.New(eng, cfg), nil))
 	}
 	cfg := DefaultConfig()
-	cfg.DRAMBytes = 24 << 20 // six 4 MiB chunks
+	cfg.DRAMBytes = 24 << 20 // 384 pages of 64 KiB
 	cfg.CacheEntries = 4     // small enough that the tape evicts
 	cfg.CheckpointEvery = 0
 	tw := &twin{v: NewSyncView(New(eng, cfg, hosts)), spill: spill}
@@ -64,7 +64,7 @@ func sameErr(a, b error) bool {
 // bytes, the error, the modeled cost and every counter must agree, and
 // both must agree with a flat in-memory model of each object. The tape
 // covers DRAM and NVMe placement, never-written ranges, ranges crossing
-// a device block and a DRAM chunk, empty and out-of-bounds ranges, and
+// a device block and a DRAM page, empty and out-of-bounds ranges, and
 // freed objects.
 func TestBorrowMatchesReadAt(t *testing.T) {
 	t.Run("fresh copies", func(t *testing.T) { borrowMatchesReadAt(t, nil) })
@@ -141,8 +141,8 @@ func borrowMatchesReadAt(t *testing.T, spill *[]byte) {
 		if *sa != *sb {
 			t.Fatalf("alloc: segments diverge: %+v vs %+v", *sa, *sb)
 		}
-		if sa.Loc == LocDRAM && sa.Addr>>dramChunkBits != (sa.Addr+size-1)>>dramChunkBits {
-			covered["dram object spans chunks"]++
+		if sa.Loc == LocDRAM && sa.Addr>>dramPageBits != (sa.Addr+size-1)>>dramPageBits {
+			covered["dram object spans pages"]++
 		}
 		// A fresh object holds whatever its range held before (zeros,
 		// or a freed object's bytes): learn it through the copying
@@ -158,8 +158,8 @@ func borrowMatchesReadAt(t *testing.T, spill *[]byte) {
 		o.model = m
 		objs = append(objs, o)
 	}
-	// Two 3 MiB DRAM objects back to back: the second straddles the
-	// first 4 MiB chunk boundary whatever the tape draws later.
+	// Two 3 MiB DRAM objects, 48 pages each, whatever the tape draws
+	// later: its reads of them cross page edges and are copied.
 	alloc(3<<20, HintHot)
 	alloc(3<<20, HintHot)
 
@@ -229,7 +229,7 @@ func borrowMatchesReadAt(t *testing.T, spill *[]byte) {
 			readBoth(o, off, n)
 		}
 	}
-	for _, want := range []string{"freed", "bounds", "empty", "crosses a 4 KiB boundary", "dram object spans chunks"} {
+	for _, want := range []string{"freed", "bounds", "empty", "crosses a 4 KiB boundary", "dram object spans pages"} {
 		if covered[want] == 0 {
 			t.Errorf("tape never exercised: %s", want)
 		}
@@ -240,7 +240,7 @@ func borrowMatchesReadAt(t *testing.T, spill *[]byte) {
 }
 
 // TestBorrowAliasesTheStore pins the point of the verb: inside one
-// block (or one written DRAM chunk) Borrow returns the stored bytes
+// block (or one written DRAM page) Borrow returns the stored bytes
 // themselves — no allocation, and a later write to that object shows
 // through — while a write to another object leaves them alone.
 func TestBorrowAliasesTheStore(t *testing.T) {
@@ -299,11 +299,11 @@ func TestBorrowAliasesTheStore(t *testing.T) {
 // on one twin and Edit on the other: one NVMe block and a smaller
 // object (both edited in place), whole blocks and an object across a
 // block edge (both stored back from the view's scratch), a DRAM object
-// and one across a 4 MiB DRAM chunk, and a freed object. Each object is
-// written twice, fresh and over. The stored bytes, the error, the
-// modeled cost, every counter, the device blocks and DRAM chunks
-// materialized must agree, and edit must be handed the bytes the object
-// held.
+// inside one 64 KiB page (in place) and one across many pages (from the
+// scratch), and a freed object. Each object is written twice, fresh and
+// over. The stored bytes, the error, the modeled cost, every counter,
+// the device blocks and DRAM pages materialized must agree, and edit
+// must be handed the bytes the object held.
 func TestEditMatchesWriteAt(t *testing.T) {
 	a, b := newTwin(false, nil), newTwin(false, nil)
 	objs := []struct {
@@ -316,8 +316,8 @@ func TestEditMatchesWriteAt(t *testing.T) {
 		{"in-block unaligned", OID(9, 2), 50, HintCold},
 		{"whole blocks", OID(9, 3), 2 * 4096, HintCold},
 		{"across a block edge", OID(9, 4), 4096 + 100, HintCold},
-		{"dram", OID(9, 5), 3 << 20, HintHot},
-		{"dram across a chunk", OID(9, 6), 3 << 20, HintHot},
+		{"dram in a page", OID(9, 5), 5000, HintHot},
+		{"dram across pages", OID(9, 6), 3 << 20, HintHot},
 	}
 	for _, tw := range []*twin{a, b} {
 		for _, o := range objs {
@@ -327,20 +327,22 @@ func TestEditMatchesWriteAt(t *testing.T) {
 		}
 	}
 	last := objs[len(objs)-1]
-	if sg, _ := b.v.s.Stat(last.id); sg.Addr>>dramChunkBits == (sg.Addr+last.size-1)>>dramChunkBits {
-		t.Fatalf("%+v does not span a DRAM chunk edge", sg)
+	if sg, _ := b.v.s.Stat(last.id); sg.Addr>>dramPageBits == (sg.Addr+last.size-1)>>dramPageBits {
+		t.Fatalf("%+v does not span a DRAM page edge", sg)
 	}
 	materialized := func(tw *twin) string {
-		blocks, chunks := 0, 0
+		blocks, pages := 0, 0
 		for _, h := range tw.v.s.devs {
 			blocks += h.Device().StoredBlocks()
 		}
-		for _, c := range tw.v.s.dram.chunks {
-			if c != nil {
-				chunks++
+		for _, dir := range tw.v.s.dram.root {
+			for _, p := range dir {
+				if p != nil {
+					pages++
+				}
 			}
 		}
-		return fmt.Sprintf("%s blocks=%d chunks=%d", tw.observables(), blocks, chunks)
+		return fmt.Sprintf("%s blocks=%d pages=%d", tw.observables(), blocks, pages)
 	}
 	rng := sim.NewRand(11)
 	for _, o := range objs {
@@ -391,7 +393,7 @@ func TestEditMatchesWriteAt(t *testing.T) {
 	}
 	// In place, and across an edge once the scratch is warm, Edit
 	// allocates nothing.
-	for _, o := range objs[:4] {
+	for _, o := range objs[:5] {
 		if n := testing.AllocsPerRun(100, func() {
 			if err := b.v.Edit(o.id, func(stored []byte) { stored[0]++ }); err != nil {
 				t.Fatal(err)

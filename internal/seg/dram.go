@@ -1,39 +1,70 @@
 package seg
 
-// dramBacking is the card DRAM's functional state, stored as sparse
-// fixed-size chunks allocated on first write. A freshly built store
-// used to allocate the full DRAMBytes slab up front (32 GiB at default
-// config — by far the largest allocation in the simulator, and pure
-// zeroed dead weight for experiments that touch a fraction of it).
-// Unwritten bytes read as zero, exactly like the eagerly-zeroed slab,
-// so the swap is behavior-identical.
+// dramBacking is the card DRAM's functional state: 64 KiB pages in a
+// two-level table shaped like nvme's blockTable, each page allocated by
+// the first write into it. A page never written has no buffer and reads
+// as zero, so a store sized to the card's 32 GiB costs only the pages
+// its objects have written. The DRAM allocator keeps every object of at
+// most one page inside a single page (allocator.page), so such an
+// object is always lent in place once written.
 const (
-	dramChunkBits = 22 // 4 MiB chunks
-	dramChunkSize = int64(1) << dramChunkBits
+	dramPageBits = 16 // 64 KiB pages
+	dramPageSize = int64(1) << dramPageBits
+	dramPageMask = dramPageSize - 1
+	dramDirBits  = 10 // 1024 pages (64 MiB) per directory
+	dramDirMask  = 1<<dramDirBits - 1
+)
+
+type (
+	dramPage [dramPageSize]byte
+	dramDir  [1 << dramDirBits]*dramPage
 )
 
 type dramBacking struct {
-	size   int64
-	chunks [][]byte // nil until first written
+	root []*dramDir // one entry per directory, up to the highest written
 }
 
-func newDRAMBacking(size int64) *dramBacking {
-	n := (size + dramChunkSize - 1) >> dramChunkBits
-	return &dramBacking{size: size, chunks: make([][]byte, n)}
+// page returns the page holding addr, or nil for one never written.
+func (d *dramBacking) page(addr int64) *dramPage {
+	pi := addr >> dramPageBits
+	if r := pi >> dramDirBits; r < int64(len(d.root)) {
+		if dir := d.root[r]; dir != nil {
+			return dir[pi&dramDirMask]
+		}
+	}
+	return nil
+}
+
+// materialize returns the page holding addr, allocating a zeroed one —
+// and its directory — on first use.
+func (d *dramBacking) materialize(addr int64) *dramPage {
+	pi := addr >> dramPageBits
+	r := int(pi >> dramDirBits)
+	if r >= len(d.root) {
+		grown := make([]*dramDir, r+1)
+		copy(grown, d.root)
+		d.root = grown
+	}
+	dir := d.root[r]
+	if dir == nil {
+		dir = new(dramDir)
+		d.root[r] = dir
+	}
+	p := &dir[pi&dramDirMask]
+	if *p == nil {
+		*p = new(dramPage)
+	}
+	return *p
 }
 
 // read copies len(dst) bytes starting at addr into dst, zero-filling
-// spans backed by never-written chunks.
+// spans of pages never written.
 func (d *dramBacking) read(dst []byte, addr int64) {
 	for len(dst) > 0 {
-		ci := addr >> dramChunkBits
-		off := addr & (dramChunkSize - 1)
-		n := dramChunkSize - off
-		if int64(len(dst)) < n {
-			n = int64(len(dst))
-		}
-		if c := d.chunks[ci]; c != nil {
-			copy(dst[:n], c[off:])
+		off := addr & dramPageMask
+		n := min(dramPageSize-off, int64(len(dst)))
+		if p := d.page(addr); p != nil {
+			copy(dst[:n], p[off:])
 		} else {
 			clear(dst[:n])
 		}
@@ -43,36 +74,37 @@ func (d *dramBacking) read(dst []byte, addr int64) {
 }
 
 // view returns the n bytes at addr in place, or nil when they cross a
-// chunk boundary or the chunk was never written (an empty range at the
-// very end of DRAM has no chunk either). Capacity is clipped so an
+// page boundary or the page was never written (an empty range at the
+// very end of DRAM has no page either). Capacity is clipped so an
 // append cannot reach the backing.
 func (d *dramBacking) view(addr, n int64) []byte {
-	ci, off := addr>>dramChunkBits, addr&(dramChunkSize-1)
-	if ci >= int64(len(d.chunks)) || d.chunks[ci] == nil || off+n > dramChunkSize {
+	off := addr & dramPageMask
+	if off+n > dramPageSize {
 		return nil
 	}
-	return d.chunks[ci][off : off+n : off+n]
+	p := d.page(addr)
+	if p == nil {
+		return nil
+	}
+	return p[off : off+n : off+n]
 }
 
-// write copies src to addr, materializing chunks as needed.
+// write copies src to addr, materializing pages as needed.
 func (d *dramBacking) write(addr int64, src []byte) {
 	for len(src) > 0 {
-		n := min(dramChunkSize-addr&(dramChunkSize-1), int64(len(src)))
+		n := min(dramPageSize-addr&dramPageMask, int64(len(src)))
 		copy(d.edit(addr, n), src[:n])
 		src = src[n:]
 		addr += n
 	}
 }
 
-// edit is view for a writer: it materializes the chunk, so it answers
-// nil only when the n bytes cross a chunk boundary.
+// edit is view for a writer: it materializes the page, so it answers
+// nil only when the n bytes cross a page boundary.
 func (d *dramBacking) edit(addr, n int64) []byte {
-	ci, off := addr>>dramChunkBits, addr&(dramChunkSize-1)
-	if off+n > dramChunkSize {
+	off := addr & dramPageMask
+	if off+n > dramPageSize {
 		return nil
 	}
-	if d.chunks[ci] == nil {
-		d.chunks[ci] = make([]byte, dramChunkSize)
-	}
-	return d.chunks[ci][off : off+n : off+n]
+	return d.materialize(addr)[off : off+n : off+n]
 }

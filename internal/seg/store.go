@@ -104,7 +104,7 @@ type Store struct {
 	blockMask  int64
 
 	table  map[ObjectID]*Segment
-	dram   *dramBacking
+	dram   dramBacking
 	dramAl *allocator
 	nvmeAl []*allocator // per device, in blocks
 	cache  *lruCache
@@ -145,8 +145,7 @@ func New(_ *sim.Engine, cfg Config, devs []*nvme.Host) *Store {
 		blockShift: uint(bits.TrailingZeros(uint(bs))),
 		blockMask:  int64(bs - 1),
 		table:      make(map[ObjectID]*Segment),
-		dram:       newDRAMBacking(cfg.DRAMBytes),
-		dramAl:     newAllocator(cfg.DRAMBytes),
+		dramAl:     newAllocator(cfg.DRAMBytes, dramPageSize),
 	}
 	for i, d := range devs {
 		if d.BlockSize() != bs {
@@ -157,7 +156,7 @@ func New(_ *sim.Engine, cfg Config, devs []*nvme.Host) *Store {
 		if i == 0 {
 			reserve = cfg.TableBlocks
 		}
-		al := newAllocator(blocks - reserve)
+		al := newAllocator(blocks-reserve, 0)
 		al.base = reserve
 		s.nvmeAl = append(s.nvmeAl, al)
 	}

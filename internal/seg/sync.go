@@ -98,7 +98,7 @@ func (v *SyncView) ReadAtBuf(id ObjectID, off, length int64, buf []byte) ([]byte
 // Borrow is ReadAt without the copy: same bounds checks, same modeled
 // cost, same counters, but the result aliases the stored bytes (or the
 // device's read-only zero block, for a block never written) whenever
-// the range sits inside one NVMe block or one DRAM chunk. The result
+// the range sits inside one NVMe block or one DRAM page. The result
 // is read-only and valid until the object is next written or freed — a
 // caller that keeps the bytes past that must copy them.
 //
@@ -160,9 +160,9 @@ func (s *Store) spanBlocks(off, length int64) int {
 }
 
 // inPlace returns the stored bytes of [off, off+length) of sg without
-// copying, or nil when the range crosses a block or chunk boundary or
+// copying, or nil when the range crosses a block or page boundary or
 // sits in DRAM never written. To write, it materializes the block or
-// chunk instead, and answers nil for an empty range (which writes
+// page instead, and answers nil for an empty range (which writes
 // nothing in place). Capacity is clipped so an append cannot reach the
 // store.
 func (s *Store) inPlace(sg *Segment, off, length int64, write bool) []byte {
@@ -223,7 +223,7 @@ func (v *SyncView) WriteAt(id ObjectID, off int64, data []byte) error {
 
 // Edit charges and counts what a WriteAt of the whole object would, and
 // hands edit the object's stored bytes to change in place (a block or
-// chunk never written is materialized, as zeros). An object inPlace
+// page never written is materialized, as zeros). An object inPlace
 // cannot lend is copied into the view's scratch, edited there and
 // stored back as WriteAt stores its data. The bytes are valid only
 // while edit runs, and edit must not use the view.

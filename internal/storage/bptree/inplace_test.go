@@ -3,6 +3,7 @@ package bptree
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -552,12 +553,14 @@ func TestImageWriteEdges(t *testing.T) {
 		}
 	})
 
-	t.Run("DRAM-resident tree borrowed as a spill copy", func(t *testing.T) {
-		// Pad DRAM so the root leaf straddles a 4 MiB chunk boundary: seg
-		// cannot alias that range, so every Borrow of it is a copy.
-		const chunk = 4 << 20
+	t.Run("DRAM-resident tree lent in place past a padded page edge", func(t *testing.T) {
+		// Pad DRAM so first fit would put the root leaf across a 64 KiB
+		// page edge: seg places it at the next page instead, so every
+		// node is lent in place and a Get allocates nothing. The copy
+		// path of an object across pages is seg's TestDRAMPlacementProperty.
+		const page = 64 << 10
 		w := newTwins(t, func(v *seg.SyncView) *Tree {
-			if _, err := v.Alloc(seg.OID(99, 1), chunk-64-NodeBytes/2, false, seg.HintHot); err != nil {
+			if _, err := v.Alloc(seg.OID(99, 1), page-64-NodeBytes/2, false, seg.HintHot); err != nil {
 				t.Fatal(err)
 			}
 			tr, err := Create(v, seg.OID(100, 0), false)
@@ -568,16 +571,23 @@ func TestImageWriteEdges(t *testing.T) {
 		})
 		for _, v := range []*seg.SyncView{w.pa, w.pb} {
 			sg, err := v.Stat(w.a.root)
-			if err != nil || sg.Loc != seg.LocDRAM || sg.Addr%chunk+NodeBytes <= chunk {
-				t.Fatalf("root leaf at %+v, %v: not a DRAM node across a chunk boundary", sg, err)
+			if err != nil || sg.Loc != seg.LocDRAM || sg.Addr%page+NodeBytes > page {
+				t.Fatalf("root leaf at %+v, %v: not a DRAM node inside one page", sg, err)
 			}
 		}
 		fill(w, LeafCap)
-		w.insert(15, 1) // split: the new leaf sits inside one chunk and is aliased
+		w.insert(15, 1) // split
 		for k := uint64(10); k <= 400; k += 10 {
 			w.insert(k, k+1) // overwrites on both sides of the split
 		}
 		w.sameEverywhere()
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, err := w.a.Get(200); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("Get in a DRAM-resident tree allocates %v objects/op", n)
+		}
 	})
 }
 
@@ -606,6 +616,37 @@ func BenchmarkTreeGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		get()
+	}
+}
+
+// BenchmarkTreeLoadDRAM loads E7's middle row, 8000 even keys, into a
+// fresh DRAM-resident tree on a fresh store. DRAM materializes by the
+// 64 KiB page, so a load allocates about what its nodes hold; one that
+// allocates past 2 MiB (a single 4 MiB DRAM chunk would) fails.
+func BenchmarkTreeLoadDRAM(b *testing.B) {
+	load := func() {
+		tr, err := Create(newView(b), seg.OID(0xBEE, 0), false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := uint64(0); i < 8000; i++ {
+			if err := tr.Insert(i*2, i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	load()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	load()
+	runtime.ReadMemStats(&m1)
+	if n := m1.TotalAlloc - m0.TotalAlloc; n > 2<<20 {
+		b.Fatalf("a DRAM tree load allocates %d B, budget %d", n, 2<<20)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
 	}
 }
 

@@ -7,11 +7,11 @@
 // Model code may consume time only through sim.Engine's virtual clock and
 // randomness only through the engine's seeded sim.Rand; it must not spawn
 // goroutines, use channels or sync primitives, or let map iteration order
-// leak into simulation state. Eight analyzers in the subpackages
-// machine-check that contract and the two hand-run protocols beside it:
+// leak into simulation state. Seven analyzers in the subpackages
+// machine-check that contract and the hand-run protocol beside it:
 // nodeterm, maprange, eventref, simtime and unsafeptr match syntax;
-// bufown and spanpair are clients of the custody engine in flow (a CFG
-// per function, solved to a fixpoint); sharedstate guards sharding.
+// bufown proves wire.Buf custody over flow's CFGs (one per function,
+// solved to a fixpoint); sharedstate guards sharding.
 // cmd/hyperlint drives them either standalone or as a
 // `go vet -vettool` plugin.
 //

@@ -23,10 +23,10 @@
 // container, passing it to an unannotated callee, capturing it in a
 // closure — end tracking silently: custody moved somewhere this
 // intra-procedural pass cannot see. The lattice, the escape rules and
-// the driver are flow's custody engine, shared with spanpair; what is
-// here is what acquires and discharges a wire.Buf, the conditional-send
-// refinement, composite-literal sources, and the overwrite and
-// use-after-release checks.
+// the driver are the custody engine (custody.go), over flow's CFGs and
+// solver; this file says what acquires and discharges a wire.Buf, the
+// conditional-send refinement, composite-literal sources, and the
+// overwrite and use-after-release checks.
 //
 // The check runs on every layer, including the harness and exempt
 // layers: buffer custody is not a determinism contract, it is memory
@@ -59,54 +59,70 @@ func run(pass *analysis.Pass) error {
 	for _, pe := range cons.Errs {
 		pass.Reportf(pe.Pos, "%s", pe.Msg)
 	}
-	flow.Track(pass, func(t *flow.Tracker, decl *ast.FuncDecl) flow.Rules {
-		p := &prob{Tracker: t, cons: cons}
-		if decl != nil {
-			if fn, ok := pass.TypesInfo.Defs[decl.Name].(*types.Func); ok {
+	// Each declaration and each literal nested in it is its own CFG.
+	for _, f := range pass.NonTestFiles() {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			p := &prob{pass: pass, cons: cons}
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 				c, _ := cons.Local(fn)
 				p.owns = c.Owns
 			}
+			p.track(fd.Body)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					(&prob{pass: pass, cons: cons}).track(lit.Body)
+				}
+				return true
+			})
 		}
-		return p
-	})
+	}
 	return nil
 }
 
-// prob is bufown's flow.Rules for one function body.
+// prob is bufown's check of one function body.
 type prob struct {
-	*flow.Tracker
+	pass *analysis.Pass
 	cons *flow.Contracts
 	owns bool // the function being analyzed is declared //wire:owns
+	// seen is nil while the fixpoint iterates and set for the replay
+	// walk, so a finding fires exactly once however often its node was
+	// visited on the way.
+	seen map[token.Pos]bool
 }
 
-func (p *prob) Leak(path string, c flow.Cell) {
-	if c.M&flow.Gated != 0 {
-		p.Reportf(c.Origin, "custody of %s depends on a send error that is never checked against nil", path)
+// leak words the finding for an obligation that may still be held at
+// function exit.
+func (p *prob) leak(path string, c cell) {
+	if c.m&gated != 0 {
+		p.reportf(c.origin, "custody of %s depends on a send error that is never checked against nil", path)
 		return
 	}
-	p.Reportf(c.Origin, "%s is not released on every path (leaked wire.Buf reference)", path)
+	p.reportf(c.origin, "%s is not released on every path (leaked wire.Buf reference)", path)
 }
 
-// Neutral: a wire.Buf's own methods (Bytes, Len, ...) keep tracking
-// alive; Release and Retain are matched as statements.
-func (p *prob) Neutral(t types.Type) bool { return isBufPtr(t) }
-
-// Modelled: a callee with a contract is applied by applyContractArgs.
-func (p *prob) Modelled(call *ast.CallExpr) bool {
-	_, ok := p.cons.For(analysis.Callee(p.Pass.TypesInfo, call))
+// modelled: a callee with a contract is applied by applyContractArgs,
+// so the escape walk must not treat its arguments as handed off.
+func (p *prob) modelled(call *ast.CallExpr) bool {
+	_, ok := p.cons.For(analysis.Callee(p.pass.TypesInfo, call))
 	return ok
 }
 
-func (p *prob) Use(e ast.Expr, path string, c flow.Cell) {
-	if c.M == flow.Discharged {
-		p.Reportf(e.Pos(), "use of %s after Release", path)
+// use sees each tracked argument e as a call hands it off.
+func (p *prob) use(e ast.Expr, path string, c cell) {
+	if c.m == discharged {
+		p.reportf(e.Pos(), "use of %s after Release", path)
 	}
 }
 
 // FlowEdge resolves conditional-send custody on error-check branches:
 // crossing `err != nil` (true) the send failed and the caller owns the
 // buffer; crossing `err == nil` (true) custody moved to the wire.
-func (p *prob) FlowEdge(e flow.Edge, st flow.Custody) flow.Custody {
+func (p *prob) FlowEdge(e flow.Edge, s flow.State) flow.State {
+	st := s.(custody)
 	be, ok := e.Cond.(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
 		return st
@@ -115,23 +131,23 @@ func (p *prob) FlowEdge(e flow.Edge, st flow.Custody) flow.Custody {
 	if !ok {
 		return st
 	}
-	var out flow.Custody
+	var out custody
 	// err is non-nil on the true branch of != and the false branch of ==.
 	nonNil := (be.Op == token.NEQ) == (e.Kind == flow.EdgeTrue)
 	for k, c := range st {
-		if c.M&flow.Gated == 0 || c.Gate != errName {
+		if c.m&gated == 0 || c.gate != errName {
 			continue
 		}
 		if out == nil {
 			out = maps.Clone(st)
 		}
-		c.M &^= flow.Gated
+		c.m &^= gated
 		if nonNil {
-			c.M |= flow.Held
+			c.m |= held
 		} else {
-			c.M |= flow.Discharged
+			c.m |= discharged
 		}
-		c.Gate = ""
+		c.gate = ""
 		out[k] = c
 	}
 	if out == nil {
@@ -158,7 +174,10 @@ func errNilTest(be *ast.BinaryExpr) (string, bool) {
 	return id.Name, true
 }
 
-func (p *prob) Transfer(n ast.Node, st flow.Custody) flow.Custody {
+// Transfer applies one CFG node: the acquire and discharge matchers,
+// falling back on the escape rules (custody.go).
+func (p *prob) Transfer(n ast.Node, s flow.State) flow.State {
+	st := s.(custody)
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		return p.assign(n, st)
@@ -171,24 +190,24 @@ func (p *prob) Transfer(n ast.Node, st flow.Custody) flow.Custody {
 		// defer chain; registration itself moves nothing.
 		return st
 	case *ast.GoStmt:
-		return p.EscapeCall(n.Call, p.EscapeClosures(n, st))
+		return p.escapeCall(n.Call, p.escapeClosures(n, st))
 	default:
 		// Everything else, decomposed branch conditions included: uses
 		// and nested calls only.
-		st = p.EscapeClosures(n, st)
+		st = p.escapeClosures(n, st)
 		p.checkUses(n, st)
-		return p.EscapeNested(n, st)
+		return p.escapeNested(n, st)
 	}
 }
 
 // assign handles sources (x := Get(), x.f = Retain()), moves
 // (y := x), conditional sends (err := nic.Send(...)), and overwrites.
-func (p *prob) assign(n *ast.AssignStmt, st flow.Custody) flow.Custody {
-	st = p.EscapeClosures(n, st)
+func (p *prob) assign(n *ast.AssignStmt, st custody) custody {
+	st = p.escapeClosures(n, st)
 
 	if len(n.Rhs) == 1 {
 		rhs := ast.Unparen(n.Rhs[0])
-		lhsPath := p.Path(n.Lhs[0])
+		lhsPath := p.path(n.Lhs[0])
 
 		if call, ok := rhs.(*ast.CallExpr); ok {
 			return p.assignCall(n, call, lhsPath, st)
@@ -197,9 +216,9 @@ func (p *prob) assign(n *ast.AssignStmt, st flow.Custody) flow.Custody {
 			return p.assignComposite(lit, lhsPath, st)
 		}
 		// y := x moves x's obligation to y, or escapes it where y is not
-		// storage this pass can name (the engine's Move has the rules).
-		if rhsPath := p.Path(rhs); rhsPath != "" {
-			out, moved := p.Move(n.Lhs[0], rhsPath, st)
+		// storage this pass can name (move, in custody.go, has the rules).
+		if rhsPath := p.path(rhs); rhsPath != "" {
+			out, moved := p.move(n.Lhs[0], rhsPath, st)
 			if moved {
 				p.overwritten(n, lhsPath, st)
 			}
@@ -210,11 +229,11 @@ func (p *prob) assign(n *ast.AssignStmt, st flow.Custody) flow.Custody {
 	// General case: nested calls escape their arguments; every lhs that
 	// overwrites a tracked owned cell leaks it.
 	for _, r := range n.Rhs {
-		st = p.EscapeNested(r, st)
+		st = p.escapeNested(r, st)
 	}
 	out, cloned := st, false
 	for _, l := range n.Lhs {
-		lp := p.Path(l)
+		lp := p.path(l)
 		if _, ok := out[lp]; !ok {
 			continue
 		}
@@ -230,18 +249,18 @@ func (p *prob) assign(n *ast.AssignStmt, st flow.Custody) flow.Custody {
 // assignCall binds the result of a call: owning sources create an
 // obligation on the lhs; sends-contract calls mark the sent buffer
 // conditional on the assigned error.
-func (p *prob) assignCall(n *ast.AssignStmt, call *ast.CallExpr, lhsPath string, st flow.Custody) flow.Custody {
-	info := p.Pass.TypesInfo
+func (p *prob) assignCall(n *ast.AssignStmt, call *ast.CallExpr, lhsPath string, st custody) custody {
+	info := p.pass.TypesInfo
 
 	// x := y.Retain() — an owning source regardless of contract.
 	if _, ok := p.bufMethod(call, "Retain"); ok {
 		p.overwritten(n, lhsPath, st)
 		if lhsPath == "" {
-			p.Reportf(call.Pos(), "owned reference from Retain is discarded (leaked wire.Buf reference)")
+			p.reportf(call.Pos(), "owned reference from Retain is discarded (leaked wire.Buf reference)")
 			return st
 		}
 		out := maps.Clone(st)
-		out[lhsPath] = flow.Cell{Origin: call.Pos(), M: flow.Held}
+		out[lhsPath] = cell{origin: call.Pos(), m: held}
 		return out
 	}
 
@@ -251,13 +270,13 @@ func (p *prob) assignCall(n *ast.AssignStmt, call *ast.CallExpr, lhsPath string,
 		if c.Owns {
 			p.overwritten(n, lhsPath, out)
 			if lhsPath == "" {
-				p.Reportf(call.Pos(), "owned result of %s is discarded (leaked wire.Buf reference)", fn.Name())
+				p.reportf(call.Pos(), "owned result of %s is discarded (leaked wire.Buf reference)", fn.Name())
 				return out
 			}
 			out = maps.Clone(out)
 			delete(out, lhsPath)
 			if isBufPtr(info.TypeOf(n.Lhs[0])) {
-				out[lhsPath] = flow.Cell{Origin: call.Pos(), M: flow.Held}
+				out[lhsPath] = cell{origin: call.Pos(), m: held}
 			}
 		}
 		return out
@@ -265,7 +284,7 @@ func (p *prob) assignCall(n *ast.AssignStmt, call *ast.CallExpr, lhsPath string,
 
 	// Unannotated call: arguments escape; the result is untracked. A
 	// tracked lhs overwritten by an unknown result leaks its old cell.
-	st = p.EscapeCall(call, st)
+	st = p.escapeCall(call, st)
 	if _, ok := st[lhsPath]; ok {
 		p.overwritten(n, lhsPath, st)
 		st = maps.Clone(st)
@@ -277,8 +296,8 @@ func (p *prob) assignCall(n *ast.AssignStmt, call *ast.CallExpr, lhsPath string,
 // assignComposite tracks owning sources nested in composite-literal
 // fields: tx := relTx{buf: x.Retain()} binds an obligation to tx.buf,
 // and f := Frame{Buf: hdr} moves hdr's obligation to f.Buf.
-func (p *prob) assignComposite(lit *ast.CompositeLit, lhsPath string, st flow.Custody) flow.Custody {
-	info := p.Pass.TypesInfo
+func (p *prob) assignComposite(lit *ast.CompositeLit, lhsPath string, st custody) custody {
+	info := p.pass.TypesInfo
 	out := maps.Clone(st)
 	for _, el := range lit.Elts {
 		kv, ok := el.(*ast.KeyValueExpr)
@@ -297,11 +316,11 @@ func (p *prob) assignComposite(lit *ast.CompositeLit, lhsPath string, st flow.Cu
 				owns = true
 			}
 			if owns {
-				out[fieldPath] = flow.Cell{Origin: call.Pos(), M: flow.Held}
+				out[fieldPath] = cell{origin: call.Pos(), m: held}
 			}
 			continue
 		}
-		if vp := p.Path(val); vp != "" {
+		if vp := p.path(val); vp != "" {
 			if c, ok := out[vp]; ok {
 				delete(out, vp)
 				out[fieldPath] = c
@@ -313,8 +332,8 @@ func (p *prob) assignComposite(lit *ast.CompositeLit, lhsPath string, st flow.Cu
 
 // exprStmt handles discharges (x.Release()), discarded sources, and
 // generic escaping calls.
-func (p *prob) exprStmt(n *ast.ExprStmt, st flow.Custody) flow.Custody {
-	st = p.EscapeClosures(n, st)
+func (p *prob) exprStmt(n *ast.ExprStmt, st custody) custody {
+	st = p.escapeClosures(n, st)
 	call, ok := ast.Unparen(n.X).(*ast.CallExpr)
 	if !ok {
 		p.checkUses(n.X, st)
@@ -322,9 +341,9 @@ func (p *prob) exprStmt(n *ast.ExprStmt, st flow.Custody) flow.Custody {
 	}
 
 	if recvPath, ok := p.bufMethod(call, "Release"); ok {
-		out, again := st.Discharge(recvPath)
+		out, again := st.discharge(recvPath)
 		if again {
-			p.Reportf(call.Pos(), "%s is already released on every path reaching this Release (double release)", recvPath)
+			p.reportf(call.Pos(), "%s is already released on every path reaching this Release (double release)", recvPath)
 		}
 		return out
 	}
@@ -332,41 +351,41 @@ func (p *prob) exprStmt(n *ast.ExprStmt, st flow.Custody) flow.Custody {
 		// Discarded Retain: an extra reference now rides on the receiver
 		// path and must be discharged like any other.
 		if recvPath == "" {
-			p.Reportf(call.Pos(), "owned reference from Retain is discarded (leaked wire.Buf reference)")
+			p.reportf(call.Pos(), "owned reference from Retain is discarded (leaked wire.Buf reference)")
 			return st
 		}
 		out := maps.Clone(st)
 		c, ok := out[recvPath]
 		if !ok {
-			c.Origin = call.Pos()
+			c.origin = call.Pos()
 		}
-		c.M |= flow.Held
+		c.m |= held
 		out[recvPath] = c
 		return out
 	}
 
-	fn := analysis.Callee(p.Pass.TypesInfo, call)
+	fn := analysis.Callee(p.pass.TypesInfo, call)
 	if c, ok := p.cons.For(fn); ok {
 		if c.Owns {
-			p.Reportf(call.Pos(), "owned result of %s is discarded (leaked wire.Buf reference)", fn.Name())
+			p.reportf(call.Pos(), "owned result of %s is discarded (leaked wire.Buf reference)", fn.Name())
 		}
 		return p.applyContractArgs(call, fn, c, st, nil)
 	}
-	return p.EscapeCall(call, st)
+	return p.escapeCall(call, st)
 }
 
 // returnStmt escapes returned references (custody moves to the caller)
 // and flags returning a must-released buffer from an owning function.
-func (p *prob) returnStmt(n *ast.ReturnStmt, st flow.Custody) flow.Custody {
-	out := p.EscapeClosures(n, st)
+func (p *prob) returnStmt(n *ast.ReturnStmt, st custody) custody {
+	out := p.escapeClosures(n, st)
 	for _, r := range n.Results {
-		out = p.EscapeNested(r, out)
-		rp := p.Path(r)
+		out = p.escapeNested(r, out)
+		rp := p.path(r)
 		if c, ok := out[rp]; ok {
-			if p.owns && c.M == flow.Discharged {
-				p.Reportf(n.Pos(), "returning %s after Release from a //wire:owns function", rp)
+			if p.owns && c.m == discharged {
+				p.reportf(n.Pos(), "returning %s after Release from a //wire:owns function", rp)
 			}
-			out = out.Escape(rp)
+			out = out.escape(rp)
 		}
 	}
 	return out
@@ -377,7 +396,7 @@ func (p *prob) returnStmt(n *ast.ReturnStmt, st flow.Custody) flow.Custody {
 // results (used to name the error variable gating a send). An argument
 // the contract does not mention is borrowed — no escape: the contract
 // is the interface.
-func (p *prob) applyContractArgs(call *ast.CallExpr, fn *types.Func, c flow.Contract, st flow.Custody, assignCtx *ast.AssignStmt) flow.Custody {
+func (p *prob) applyContractArgs(call *ast.CallExpr, fn *types.Func, c flow.Contract, st custody, assignCtx *ast.AssignStmt) custody {
 	sig, _ := fn.Type().(*types.Signature)
 	out := st
 	for _, sr := range c.Sends {
@@ -391,20 +410,20 @@ func (p *prob) applyContractArgs(call *ast.CallExpr, fn *types.Func, c flow.Cont
 		}
 		errName := ""
 		if assignCtx != nil {
-			errName = p.Path(assignCtx.Lhs[len(assignCtx.Lhs)-1])
+			errName = p.path(assignCtx.Lhs[len(assignCtx.Lhs)-1])
 		}
-		cell := flow.Cell{Origin: call.Pos(), M: flow.Gated, Gate: errName}
+		nc := cell{origin: call.Pos(), m: gated, gate: errName}
 		if cc, ok := out[sp]; ok {
-			cell.Origin = cc.Origin
+			nc.origin = cc.origin
 		}
 		if errName == "" || strings.Contains(errName, ".") {
 			// Error discarded (or stored somewhere flow-opaque): the
 			// failure branch can never release. Report at the call.
-			p.Reportf(call.Pos(), "error result of %s gates custody of %s; discarding it leaks the buffer on failure", fn.Name(), sp)
-			cell.M, cell.Gate = flow.Escaped, ""
+			p.reportf(call.Pos(), "error result of %s gates custody of %s; discarding it leaks the buffer on failure", fn.Name(), sp)
+			nc.m, nc.gate = escaped, ""
 		}
 		out = maps.Clone(out)
-		out[sp] = cell
+		out[sp] = nc
 	}
 	return out
 }
@@ -415,7 +434,7 @@ func (p *prob) applyContractArgs(call *ast.CallExpr, fn *types.Func, c flow.Cont
 func (p *prob) sentPath(arg ast.Expr, field string) string {
 	arg = ast.Unparen(arg)
 	if field == "" {
-		return p.Path(arg)
+		return p.path(arg)
 	}
 	if lit, ok := arg.(*ast.CompositeLit); ok {
 		for _, el := range lit.Elts {
@@ -424,12 +443,12 @@ func (p *prob) sentPath(arg ast.Expr, field string) string {
 				continue
 			}
 			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == field {
-				return p.Path(kv.Value)
+				return p.path(kv.Value)
 			}
 		}
 		return ""
 	}
-	if base := p.Path(arg); base != "" {
+	if base := p.path(arg); base != "" {
 		return base + "." + field
 	}
 	return ""
@@ -451,14 +470,14 @@ func argByParam(sig *types.Signature, call *ast.CallExpr, name string) ast.Expr 
 
 // overwritten flags rebinding a path whose reference is owned on every
 // incoming path — the old reference can never be released.
-func (p *prob) overwritten(n *ast.AssignStmt, path string, st flow.Custody) {
-	if st[path].M == flow.Held {
-		p.Reportf(n.Pos(), "%s is overwritten while still owning a reference (leaked wire.Buf reference)", path)
+func (p *prob) overwritten(n *ast.AssignStmt, path string, st custody) {
+	if st[path].m == held {
+		p.reportf(n.Pos(), "%s is overwritten while still owning a reference (leaked wire.Buf reference)", path)
 	}
 }
 
 // checkUses flags reads of a must-released reference.
-func (p *prob) checkUses(n ast.Node, st flow.Custody) {
+func (p *prob) checkUses(n ast.Node, st custody) {
 	if len(st) == 0 {
 		return
 	}
@@ -470,9 +489,9 @@ func (p *prob) checkUses(n ast.Node, st flow.Custody) {
 		if !ok {
 			return true
 		}
-		pth := p.Path(e)
-		if c, ok := st[pth]; ok && c.M == flow.Discharged {
-			p.Reportf(e.Pos(), "use of %s after Release", pth)
+		pth := p.path(e)
+		if c, ok := st[pth]; ok && c.m == discharged {
+			p.reportf(e.Pos(), "use of %s after Release", pth)
 			return false
 		}
 		return true
@@ -483,10 +502,10 @@ func (p *prob) checkUses(n ast.Node, st flow.Custody) {
 // receiver, returning the receiver's access path.
 func (p *prob) bufMethod(call *ast.CallExpr, name string) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name || !isBufPtr(p.Pass.TypesInfo.TypeOf(sel.X)) {
+	if !ok || sel.Sel.Name != name || !isBufPtr(p.pass.TypesInfo.TypeOf(sel.X)) {
 		return "", false
 	}
-	return p.Path(sel.X), true
+	return p.path(sel.X), true
 }
 
 func isBufPtr(t types.Type) bool {

@@ -13,7 +13,6 @@ import (
 	"hyperion/internal/analysis/nodeterm"
 	"hyperion/internal/analysis/sharedstate"
 	"hyperion/internal/analysis/simtime"
-	"hyperion/internal/analysis/spanpair"
 	"hyperion/internal/analysis/unsafeptr"
 )
 
@@ -26,7 +25,6 @@ func All() []*analysis.Analyzer {
 		simtime.Analyzer,
 		unsafeptr.Analyzer,
 		bufown.Analyzer,
-		spanpair.Analyzer,
 		sharedstate.Analyzer,
 	}
 }

@@ -39,15 +39,6 @@ func TestGatesBiteOnRealCode(t *testing.T) {
 			want: "not released",
 		},
 		{
-			// Deleting the End outright leaves sp unused, which the
-			// compiler already refuses; ending on one branch only is
-			// the form of this regression that builds.
-			check: "spanpair", pkg: "internal/fabric", file: "stream.go",
-			anchor: `sp := s.rec.Begin("stream"`, line: "\t\tsp.End(s.eng.Now())\n",
-			repl: "\t\tif it.Bytes > 0 { sp.End(s.eng.Now()) }\n",
-			want: "not ended on every path",
-		},
-		{
 			// sendCtrl takes the header back when the NIC refuses it;
 			// encodeCtrl's //wire:owns is what makes that checkable.
 			check: "bufown", pkg: "internal/transport", file: "reliable.go",

@@ -18,8 +18,7 @@ func TestBuiltinContractsInSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	loader := analysis.NewLoader(root)
-	pkgs, err := loader.LoadPatterns(
-		"./internal/wire", "./internal/netsim", "./internal/nvmeof")
+	pkgs, err := loader.LoadPatterns("./internal/wire", "./internal/netsim")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestBuiltinContractsInSync(t *testing.T) {
 			declared[FuncKey(fn)] = c
 		}
 	}
-	for key, want := range Builtins() {
+	for key, want := range builtins {
 		got, ok := declared[key]
 		if !ok {
 			t.Errorf("builtin contract %s has no //wire: directive on its declaration", key)

@@ -1,14 +1,13 @@
 // Package flow is hyperlint's flow-sensitive layer: an intra-procedural
-// control-flow-graph builder, a forward dataflow solver, the custody
-// engine (custody.go) that the bufown and spanpair checkers are both
-// clients of, and the //wire: ownership-contract grammar bufown reads.
+// control-flow-graph builder, a forward dataflow solver, and the
+// //wire: ownership-contract grammar. bufown, whose custody engine runs
+// on them, is its one client.
 //
 // The paper's blueprint has no CPU-side debugger to fall back on: a
 // datapath protocol that is only enforced by runtime panics (wire.Buf
-// Retain/Release, telemetry span pairing) is a protocol that fails in
-// the field. This layer lets those contracts be proven at build time,
-// the way the eBPF verifier proves memory discipline before a program
-// is ever loaded.
+// Retain/Release) is a protocol that fails in the field. This layer
+// lets such contracts be proven at build time, the way the eBPF
+// verifier proves memory discipline before a program is ever loaded.
 //
 // # Control-flow graphs
 //

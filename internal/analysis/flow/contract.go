@@ -108,20 +108,9 @@ func FuncKey(fn *types.Func) string {
 // asserts that every entry matches a //wire: directive on the actual
 // declaration, so the table cannot drift from the source.
 var builtins = map[string]Contract{
-	"hyperion/internal/wire.Pool.Get":          {Owns: true},
-	"hyperion/internal/wire.Buf.Retain":        {Owns: true},
-	"hyperion/internal/netsim.NIC.Send":        {Sends: []SendRef{{Param: "f", Field: "Buf"}}},
-	"hyperion/internal/nvmeof.EncodeReadArgs":  {Owns: true},
-	"hyperion/internal/nvmeof.EncodeWriteArgs": {Owns: true},
-}
-
-// Builtins exposes a copy of the cross-package table for the sync test.
-func Builtins() map[string]Contract {
-	out := make(map[string]Contract, len(builtins))
-	for k, v := range builtins {
-		out[k] = v
-	}
-	return out
+	"hyperion/internal/wire.Pool.Get":   {Owns: true},
+	"hyperion/internal/wire.Buf.Retain": {Owns: true},
+	"hyperion/internal/netsim.NIC.Send": {Sends: []SendRef{{Param: "f", Field: "Buf"}}},
 }
 
 // Contracts resolves ownership summaries for callees: declarations in

@@ -85,11 +85,3 @@ func TestParseDoc(t *testing.T) {
 		})
 	}
 }
-
-func TestBuiltinsCopied(t *testing.T) {
-	m := Builtins()
-	m["hyperion/internal/wire.Pool.Get"] = Contract{}
-	if !builtins["hyperion/internal/wire.Pool.Get"].Owns {
-		t.Error("Builtins() must return a copy, not the live table")
-	}
-}

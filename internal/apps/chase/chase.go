@@ -239,38 +239,15 @@ func (cl *Client) walk(cur seg.ObjectID, key uint64, hop int, cb func(GetReply, 
 			return
 		}
 		page := val.(*wire.Buf)
-		kind, keys, payload, _, derr := bptree.DecodeNode(page.Bytes())
-		page.Release() // decoded into fresh slices
-		if derr != nil {
+		next, v, leaf, found, derr := bptree.Step(page.Bytes(), key)
+		page.Release() // Step kept nothing of the page
+		switch {
+		case derr != nil:
 			cb(GetReply{}, derr)
-			return
+		case leaf:
+			cb(GetReply{Found: found, Value: v, Hops: hop}, nil)
+		default:
+			cl.walk(next, key, hop+1, cb)
 		}
-		i := searchKeys(keys, key)
-		if kind == 1 { // leaf
-			if i < len(keys) && keys[i] == key {
-				cb(GetReply{Found: true, Value: payload[i], Hops: hop}, nil)
-				return
-			}
-			cb(GetReply{Found: false, Hops: hop}, nil)
-			return
-		}
-		if i < len(keys) && keys[i] == key {
-			i++
-		}
-		next := seg.ObjectID{Hi: payload[i*2], Lo: payload[i*2+1]}
-		cl.walk(next, key, hop+1, cb)
 	})
-}
-
-func searchKeys(keys []uint64, k uint64) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

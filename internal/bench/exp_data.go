@@ -14,7 +14,6 @@ import (
 	"hyperion/internal/storage/kvssd"
 	"hyperion/internal/trace"
 	"hyperion/internal/transport"
-	"hyperion/internal/wire"
 )
 
 // ColumnarScan reproduces §2.3: annotation-driven file access plus
@@ -160,8 +159,19 @@ func NVMeoF(seed uint64) Result {
 	r := Result{ID: "E14", Title: "§2 — NVMe-oF across application-selected transports"}
 	r.Table.Header = []string{"transport", "4K read", "4K write", "64K read", "local flash", "remote tax"}
 	local := nvme.ReadLatency
+	// Each verb runs alone to completion; the two callbacks, bound once,
+	// stamp its end and whether every verb on this transport succeeded.
+	var at struct {
+		eng *sim.Engine
+		end sim.Time
+		ok  bool
+	}
+	onRead := func(_ []byte, err error) { at.end, at.ok = at.eng.Now(), at.ok && err == nil }
+	onDone := func(err error) { at.end, at.ok = at.eng.Now(), at.ok && err == nil }
+	block := make([]byte, 4096) // the 4 KiB write's payload: zeros
 	for _, kind := range transport.Kinds() {
 		eng := sim.NewEngine(seed)
+		at.eng, at.ok = eng, true
 		net := netsim.New(eng, netsim.DefaultConfig())
 		tn, _ := net.Attach("tgt")
 		in, _ := net.Attach("ini")
@@ -172,29 +182,22 @@ func NVMeoF(seed uint64) Result {
 		nvmeof.NewTarget(srv, host, 0)
 		cli := rpc.NewClient(eng, transport.New(eng, kind, in))
 		cli.Timeout = sim.Duration(sim.Second)
+		ini := nvmeof.NewInitiator(cli, "tgt", host.BlockSize())
 
-		call := func(method string, arg any, argBytes int) (sim.Duration, bool) {
-			start := eng.Now()
-			var end sim.Time
-			ok := true
-			cli.Call("tgt", method, arg, argBytes, func(val any, err error) {
-				end = eng.Now()
-				if err != nil {
-					ok = false
-				}
-				if b, isBuf := val.(*wire.Buf); isBuf {
-					b.Release() // a read's payload, lent by the target
-				}
-			})
-			eng.Run()
-			return end.Sub(start), ok
-		}
-		caps := wire.NewPool(64)
-		r4, ok1 := call(nvmeof.MethodRead, nvmeof.EncodeReadArgs(caps, 0, 1), 64)
-		w4, ok2 := call(nvmeof.MethodWrite, nvmeof.EncodeWriteArgs(caps, 8, make([]byte, 4096)), 4160)
-		r64, ok3 := call(nvmeof.MethodRead, nvmeof.EncodeReadArgs(caps, 16, 16), 64)
+		start := eng.Now()
+		ini.Read(0, 1, onRead)
+		eng.Run()
+		r4 := at.end.Sub(start)
+		start = eng.Now()
+		ini.Write(8, block, onDone)
+		eng.Run()
+		w4 := at.end.Sub(start)
+		start = eng.Now()
+		ini.Read(16, 16, onRead)
+		eng.Run()
+		r64 := at.end.Sub(start)
 		tax := "-"
-		if ok1 && ok2 && ok3 {
+		if at.ok {
 			tax = f2(float64(r4)/float64(local)) + "x"
 		} else if kind == transport.UDP {
 			tax = "lossy"

@@ -48,16 +48,25 @@ func encodePut(p *wire.Pool, key, value []byte) *wire.Buf {
 }
 
 // decodePut returns views that alias the capsule; they are valid only
-// while the capsule reference is held.
-func decodePut(bs []byte) (key, value []byte) {
-	klen := int(binary.BigEndian.Uint32(bs[putKeyLenOff:]))
-	return bs[putKeyOff : putKeyOff+klen], bs[putKeyOff+klen:]
+// while the capsule reference is held. A capsule shorter than its key
+// length field, or than the key that field claims, is errBadPut.
+func decodePut(bs []byte) (key, value []byte, err error) {
+	if len(bs) < putKeyOff {
+		return nil, nil, errBadPut
+	}
+	klen := binary.BigEndian.Uint32(bs[putKeyLenOff:])
+	if uint64(klen) > uint64(len(bs)-putKeyOff) {
+		return nil, nil, errBadPut
+	}
+	bs = bs[putKeyOff:]
+	return bs[:klen], bs[klen:], nil
 }
 
 // Errors.
 var (
 	ErrNoReplicas = errors.New("cluster: all replicas down")
 	ErrNotFound   = errors.New("cluster: key not found")
+	errBadPut     = errors.New("cluster: bad put capsule")
 )
 
 // Node is one DPU serving a shard.
@@ -150,13 +159,17 @@ func (c *Cluster) serve(n *Node) {
 			return
 		}
 		b, ok := arg.(*wire.Buf)
-		if !ok || b.Len() < putKeyOff {
+		if !ok {
 			respond(nil, 0, fmt.Errorf("cluster: bad put args %T", arg))
 			return
 		}
-		key, value := decodePut(b.Bytes())
+		key, value, err := decodePut(b.Bytes())
+		if err != nil {
+			respond(nil, 0, err)
+			return
+		}
 		n.Puts++
-		err := n.KV.Put(key, value)
+		err = n.KV.Put(key, value)
 		c.Eng.After(d.View.TakeCost(), "ckv.put", func() { respond(true, 64, err) })
 	})
 }

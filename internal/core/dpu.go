@@ -72,10 +72,11 @@ type DPU struct {
 	View   *seg.SyncView
 
 	// QSFP0 carries the data plane; QSFP1 carries the control plane
-	// (the OS-shell) — the split drawn in Figure 2.
+	// (the OS-shell) — the split drawn in Figure 2. Every service runs
+	// on the control plane's server, so QSFP0 has a port and no
+	// endpoint.
 	Data    *netsim.NIC
 	Control *netsim.NIC
-	DataEP  transport.Endpoint
 	CtrlEP  transport.Endpoint
 	CtrlSrv *rpc.Server
 
@@ -195,7 +196,6 @@ func boot(eng *sim.Engine, net *netsim.Network, cfg Config, existing []*nvme.Dev
 		if err != nil {
 			return nil, nil, err
 		}
-		d.DataEP = transport.New(eng, Transport, d.Data)
 		d.CtrlEP = transport.New(eng, Transport, d.Control)
 		d.CtrlSrv = rpc.NewServer(eng, d.CtrlEP, rpc.RunToCompletion)
 		d.registerShell()

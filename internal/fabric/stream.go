@@ -123,8 +123,7 @@ func (s *Stream) deliver() {
 		t0 = s.pushAt.Pop()
 	}
 	if s.rec != nil {
-		sp := s.rec.Begin("stream", s.Name, it.Span, t0)
-		sp.End(s.eng.Now())
+		s.rec.Span("stream", s.Name, it.Span, t0, s.eng.Now())
 	}
 	s.sink(it)
 	s.deliverNext()

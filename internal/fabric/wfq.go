@@ -311,8 +311,7 @@ func (w *WFQArbiter) deliver() {
 	p := &w.ports[w.curPort]
 	w.cur = Item{}
 	if w.rec != nil {
-		sp := w.rec.Begin("wfq", w.spans[w.curPort], it.Span, w.curT0)
-		sp.End(w.eng.Now())
+		w.rec.Span("wfq", w.spans[w.curPort], it.Span, w.curT0, w.eng.Now())
 	}
 	p.Delivered++
 	w.Delivered++

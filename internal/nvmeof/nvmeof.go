@@ -21,9 +21,9 @@ import (
 
 // Method names on the wire.
 const (
-	MethodRead  = "nvmeof.read"
-	MethodWrite = "nvmeof.write"
-	MethodFlush = "nvmeof.flush"
+	methodRead  = "nvmeof.read"
+	methodWrite = "nvmeof.write"
+	methodFlush = "nvmeof.flush"
 )
 
 // Capsule wire layouts. Command arguments travel as pooled wire.Buf
@@ -39,11 +39,11 @@ const (
 	writeHdrLen  = 8
 )
 
-// EncodeReadArgs fills a pooled capsule for a read of blocks at lba.
+// encodeReadArgs fills a pooled capsule for a read of blocks at lba.
 // The caller owns the returned reference.
 //
 //wire:owns
-func EncodeReadArgs(p *wire.Pool, lba int64, blocks int) *wire.Buf {
+func encodeReadArgs(p *wire.Pool, lba int64, blocks int) *wire.Buf {
 	b := p.Get(readCapLen)
 	bs := b.Bytes()
 	binary.BigEndian.PutUint64(bs[capLBAOff:], uint64(lba))
@@ -51,16 +51,20 @@ func EncodeReadArgs(p *wire.Pool, lba int64, blocks int) *wire.Buf {
 	return b
 }
 
-// DecodeReadArgs reads a read capsule.
-func DecodeReadArgs(bs []byte) (lba int64, blocks int) {
-	return int64(binary.BigEndian.Uint64(bs[capLBAOff:])), int(binary.BigEndian.Uint32(bs[capBlocksOff:]))
+// decodeReadArgs reads a read capsule; one shorter than its fields is
+// errBadCapsule.
+func decodeReadArgs(bs []byte) (lba int64, blocks int, err error) {
+	if len(bs) < readCapLen {
+		return 0, 0, errBadCapsule
+	}
+	return int64(binary.BigEndian.Uint64(bs[capLBAOff:])), int(binary.BigEndian.Uint32(bs[capBlocksOff:])), nil
 }
 
-// EncodeWriteArgs fills a pooled capsule for a write of data at lba.
+// encodeWriteArgs fills a pooled capsule for a write of data at lba.
 // The caller owns the returned reference.
 //
 //wire:owns
-func EncodeWriteArgs(p *wire.Pool, lba int64, data []byte) *wire.Buf {
+func encodeWriteArgs(p *wire.Pool, lba int64, data []byte) *wire.Buf {
 	b := p.Get(writeHdrLen + len(data))
 	bs := b.Bytes()
 	binary.BigEndian.PutUint64(bs[capLBAOff:], uint64(lba))
@@ -68,10 +72,23 @@ func EncodeWriteArgs(p *wire.Pool, lba int64, data []byte) *wire.Buf {
 	return b
 }
 
-// DecodeWriteArgs reads a write capsule; data aliases the capsule and
-// is valid only while the capsule reference is held.
-func DecodeWriteArgs(bs []byte) (lba int64, data []byte) {
-	return int64(binary.BigEndian.Uint64(bs[capLBAOff:])), bs[writeHdrLen:]
+// decodeWriteArgs reads a write capsule; data aliases the capsule and
+// is valid only while the capsule reference is held. One shorter than
+// its header is errBadCapsule.
+func decodeWriteArgs(bs []byte) (lba int64, data []byte, err error) {
+	if len(bs) < writeHdrLen {
+		return 0, nil, errBadCapsule
+	}
+	return int64(binary.BigEndian.Uint64(bs[capLBAOff:])), bs[writeHdrLen:], nil
+}
+
+// capsule returns a request's capsule bytes: nil, which every decoder
+// refuses, when the request carries no capsule.
+func capsule(arg any) []byte {
+	if b, ok := arg.(*wire.Buf); ok {
+		return b.Bytes()
+	}
+	return nil
 }
 
 // ErrStatus reports a non-OK NVMe completion status.
@@ -143,25 +160,23 @@ func (op *tgtOp) Complete(c nvme.Completion) {
 func NewTarget(srv *rpc.Server, host *nvme.Host, qid int) *Target {
 	bs := host.BlockSize()
 	t := &Target{host: host, qid: qid, data: wire.NewPool(bs)}
-	srv.Handle(MethodRead, func(arg any, respond func(any, int, error)) {
-		b, ok := arg.(*wire.Buf)
-		if !ok || b.Len() < readCapLen {
-			respond(nil, 0, errBadCapsule)
+	srv.Handle(methodRead, func(arg any, respond func(any, int, error)) {
+		lba, blocks, err := decodeReadArgs(capsule(arg))
+		if err != nil {
+			respond(nil, 0, err)
 			return
 		}
-		lba, blocks := DecodeReadArgs(b.Bytes())
 		t.Reads++
 		// The server's active span joins the RPC leg to the NVMe leg of
 		// the same request (0 when the caller did not tag one).
 		t.submit(nvme.Command{Opcode: nvme.OpRead, NSID: 1, LBA: lba, Blocks: blocks, Span: srv.ActiveSpan()}, respond)
 	})
-	srv.Handle(MethodWrite, func(arg any, respond func(any, int, error)) {
-		b, ok := arg.(*wire.Buf)
-		if !ok || b.Len() < writeHdrLen {
-			respond(nil, 0, errBadCapsule)
+	srv.Handle(methodWrite, func(arg any, respond func(any, int, error)) {
+		lba, data, err := decodeWriteArgs(capsule(arg))
+		if err != nil {
+			respond(nil, 0, err)
 			return
 		}
-		lba, data := DecodeWriteArgs(b.Bytes())
 		t.Writes++
 		// The capsule outlives this handler only until it returns; the
 		// device copies the payload synchronously on submission (doorbell
@@ -170,7 +185,7 @@ func NewTarget(srv *rpc.Server, host *nvme.Host, qid int) *Target {
 		// check and is answered with ErrShortWrite.
 		t.submit(nvme.Command{Opcode: nvme.OpWrite, NSID: 1, LBA: lba, Blocks: len(data) / bs, Data: data, Span: srv.ActiveSpan()}, respond)
 	})
-	srv.Handle(MethodFlush, func(arg any, respond func(any, int, error)) {
+	srv.Handle(methodFlush, func(arg any, respond func(any, int, error)) {
 		t.Flushes++
 		t.submit(nvme.Command{Opcode: nvme.OpFlush, NSID: 1, Span: srv.ActiveSpan()}, respond)
 	})
@@ -301,8 +316,8 @@ func (op *opCtx) onResult(val any, err error) {
 // returns: a caller that keeps the bytes copies them.
 func (i *Initiator) Read(lba int64, blocks int, cb func(data []byte, err error)) {
 	op := i.getOp()
-	op.method = MethodRead
-	op.capsule = EncodeReadArgs(i.caps, lba, blocks)
+	op.method = methodRead
+	op.capsule = encodeReadArgs(i.caps, lba, blocks)
 	op.argBytes = 64
 	op.span = i.Span
 	op.readCb = cb
@@ -316,8 +331,8 @@ func (i *Initiator) Write(lba int64, data []byte, cb func(err error)) {
 		return
 	}
 	op := i.getOp()
-	op.method = MethodWrite
-	op.capsule = EncodeWriteArgs(i.caps, lba, data)
+	op.method = methodWrite
+	op.capsule = encodeWriteArgs(i.caps, lba, data)
 	op.argBytes = len(data) + 64
 	op.span = i.Span
 	op.doneCb = cb
@@ -327,7 +342,7 @@ func (i *Initiator) Write(lba int64, data []byte, cb func(err error)) {
 // Flush hardens all writes.
 func (i *Initiator) Flush(cb func(err error)) {
 	op := i.getOp()
-	op.method = MethodFlush
+	op.method = methodFlush
 	op.argBytes = 64
 	op.span = i.Span
 	op.doneCb = cb

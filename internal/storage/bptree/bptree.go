@@ -391,34 +391,22 @@ func (im image) decodeInto(n *node) {
 	}
 }
 
-// DecodeNode parses a raw node image (exported for the client-side
-// traversal, which receives node pages over RPC). Internal nodes
-// return their children flattened to (Hi, Lo) word pairs.
-func DecodeNode(buf []byte) (kind uint8, keys []uint64, valsOrChildren []uint64, next seg.ObjectID, err error) {
+// Step takes one step of a descent for key through a raw node image,
+// searched in place (for the client-side traversal, which receives
+// node pages over RPC): an internal node yields the child whose subtree
+// covers key; a leaf yields key's value, if found.
+func Step(buf []byte, key uint64) (child seg.ObjectID, val uint64, leaf, found bool, err error) {
 	im, err := header(buf)
 	if err != nil {
-		return 0, nil, nil, seg.ObjectID{}, err
+		return seg.ObjectID{}, 0, false, false, err
 	}
 	if im.kind == kindLeaf {
-		// One exact-size backing array for both slices; the capacity cap
-		// keeps any later append to keys from crossing into the values.
-		kv := make([]uint64, 2*im.cnt)
-		keys, vals := kv[:im.cnt:im.cnt], kv[im.cnt:]
-		for i := range keys {
-			keys[i], vals[i] = im.leafKey(i), im.leafVal(i)
+		if i, ok := im.find(key); ok {
+			return seg.ObjectID{}, im.leafVal(i), true, true, nil
 		}
-		return im.kind, keys, vals, im.leafNext(), nil
+		return seg.ObjectID{}, 0, true, false, nil
 	}
-	keys = make([]uint64, im.cnt)
-	for i := range keys {
-		keys[i] = im.intKey(i)
-	}
-	flat := make([]uint64, 0, 2*(im.cnt+1))
-	for i := 0; i <= im.cnt; i++ {
-		c := im.child(i)
-		flat = append(flat, c.Hi, c.Lo)
-	}
-	return im.kind, keys, flat, seg.ObjectID{}, nil
+	return im.child(im.route(key)), 0, false, false, nil
 }
 
 // Get returns the value for key, and remembers its descent for an

@@ -265,13 +265,13 @@ func TestPropertyScanMatchesModel(t *testing.T) {
 	}
 }
 
-func TestDecodeNodeRejectsGarbage(t *testing.T) {
-	if _, _, _, _, err := DecodeNode(make([]byte, 10)); !errors.Is(err, ErrCorrupt) {
+func TestStepRejectsGarbage(t *testing.T) {
+	if _, _, _, _, err := Step(make([]byte, 10), 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short err = %v", err)
 	}
 	buf := make([]byte, NodeBytes)
 	buf[0] = 99
-	if _, _, _, _, err := DecodeNode(buf); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, _, err := Step(buf, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("kind err = %v", err)
 	}
 }

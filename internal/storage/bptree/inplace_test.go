@@ -99,8 +99,24 @@ func (o *oracle) scan(root seg.ObjectID, from, to uint64, limit int) ([][2]uint6
 	}
 }
 
-// checkAgainstOracle compares Get, Path and Scan — answers and node
-// reads — with the oracle for a batch of random probes.
+// stepGet walks from root by Step over copied pages, as chase's
+// client-side walk does over pages fetched by RPC.
+func stepGet(v *seg.SyncView, root seg.ObjectID, key uint64) (uint64, bool, error) {
+	for id := root; ; {
+		buf, err := v.ReadAt(id, 0, NodeBytes)
+		if err != nil {
+			return 0, false, err
+		}
+		next, val, leaf, found, err := Step(buf, key)
+		if err != nil || leaf {
+			return val, found, err
+		}
+		id = next
+	}
+}
+
+// checkAgainstOracle compares Get, Step, Path and Scan — answers and
+// node reads — with the oracle for a batch of random probes.
 func checkAgainstOracle(t *testing.T, tr *Tree, r *sim.Rand, universe uint64, probes int) {
 	t.Helper()
 	o := newOracle(tr)
@@ -112,6 +128,9 @@ func checkAgainstOracle(t *testing.T, tr *Tree, r *sim.Rand, universe uint64, pr
 		wval, wok, werr := o.get(tr.Root(), key)
 		if err != nil || werr != nil || val != wval || ok != wok {
 			t.Fatalf("Get(%d) = %d,%v,%v; oracle %d,%v,%v", key, val, ok, err, wval, wok, werr)
+		}
+		if sval, sok, err := stepGet(o.v, tr.Root(), key); err != nil || sval != wval || sok != wok {
+			t.Fatalf("Step walk to %d = %d,%v,%v; oracle %d,%v", key, sval, sok, err, wval, wok)
 		}
 		if got, want := tr.NodesRead-before, o.reads-obefore; got != want || got != int64(tr.Height()) {
 			t.Fatalf("Get(%d) read %d nodes, oracle %d, height %d", key, got, want, tr.Height())
@@ -173,7 +192,7 @@ func TestInPlaceSearchMatchesDecodeOracle(t *testing.T) {
 
 // TestInPlaceSearchRejectsCorruptImages: a damaged stored image must
 // surface from every in-place reader as exactly the error the shared
-// header validation (and so DecodeNode) gives for the same bytes.
+// header validation (and so Step) gives for the same bytes.
 func TestInPlaceSearchRejectsCorruptImages(t *testing.T) {
 	damage := map[string]func(img []byte){
 		"bad kind":           func(img []byte) { img[KindOff] = 7 },
@@ -207,8 +226,8 @@ func TestInPlaceSearchRejectsCorruptImages(t *testing.T) {
 					t.Errorf("%s: err = %v, want %v", op, err, want)
 				}
 			}
-			_, _, _, _, err = DecodeNode(img)
-			check("DecodeNode", err)
+			_, _, _, _, err = Step(img, 5)
+			check("Step", err)
 			_, _, err = tr.Get(5)
 			check("Get", err)
 			check("Scan", tr.Scan(0, 10, func(uint64, uint64) bool { return true }))

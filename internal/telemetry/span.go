@@ -4,13 +4,10 @@ import "hyperion/internal/sim"
 
 // ActiveSpan is an open interval: begun, not yet recorded. It pairs
 // with exactly one End, which emits the same Event that a direct
-// Span(layer, name, req, start, end) call would — Begin/End is a
-// curried spelling of Span for call sites where the start and end of a
-// stage live in different expressions. The zero value (and any span
+// Span(layer, name, req, start, end) call would. Span is the model's
+// one span verb; Begin/End stay only for frozen cmd/hyperbench, whose
+// probes chain them in one expression. The zero value (and any span
 // begun on a nil recorder) is disarmed: End on it is a free no-op.
-//
-// hyperlint's spanpair check enforces the pairing: every ActiveSpan
-// produced by Begin must reach exactly one End on every path.
 type ActiveSpan struct {
 	rec   *Recorder
 	layer string

@@ -41,7 +41,6 @@ var reachAllow = map[string]string{
 	"cmd/hyperbench.barDev.MMIORead": "cmd/hyperbench is frozen: its probe device still implements the method pcie.Device no longer has",
 
 	"internal/analysis/analysistest":    "test helper: every analyzer's golden test runs through analysistest.Run",
-	"internal/analysis/flow.Builtins":   "TestBuiltinContractsInSync checks the cross-package contract table the analyzers use through it",
 	"internal/analysis/flow.Graph.Dump": "TestCFGDump and TestCFGDeterministic pin CFG construction through it",
 
 	"internal/apps/fail2ban.CompileFilter": "TestFrontendShapeMatchesHandAssembly and FuzzOptimizeEquivalence drive gofront and ehdl.Optimize with it",
@@ -982,12 +981,13 @@ var knobAllow = map[string]string{
 
 	"internal/bench.RackSweep(seed)":                "frozen cmd/hyperbench passes it (ROADMAP item 6)",
 	"internal/fabric.NewWFQArbiter(widthBytes)":     "frozen cmd/hyperbench passes it (ROADMAP item 6)",
-	"internal/nvmeof.Initiator.Read(blocks)":        "frozen cmd/hyperbench passes it (ROADMAP item 6)",
 	"internal/nvmeof.NewTarget(qid)":                "frozen cmd/hyperbench passes it (ROADMAP item 6)",
 	"internal/rpc.NewServer(#3)":                    "frozen cmd/hyperbench passes the mode (ROADMAP item 6)",
 	"internal/storage/colfmt.Reader.ScanInt64(col)": "frozen cmd/hyperbench passes it (ROADMAP item 6)",
 	"internal/storage/colfmt.Writer.Close(durable)": "frozen cmd/hyperbench passes it (ROADMAP item 6)",
 	"internal/storage/kvssd.Create(durable)":        "frozen cmd/hyperbench passes it (ROADMAP item 6)",
+	"internal/telemetry.Recorder.Begin(layer)":      "frozen cmd/hyperbench passes it; model code records through Span (ROADMAP item 6)",
+	"internal/telemetry.Recorder.Begin(name)":       "frozen cmd/hyperbench passes it; model code records through Span (ROADMAP item 6)",
 	"internal/telemetry.Recorder.Count(n)":          "frozen cmd/hyperbench passes it (ROADMAP item 6)",
 
 	"internal/energy.Meter.SetUtilization(util)": "ROADMAP item 9 drives E3's utilisation from busy time",

@@ -1,6 +1,7 @@
 // Command hyperlint checks the Hyperion tree against the determinism
-// and datapath-discipline contract: the nodeterm, maprange, eventref
-// and simtime analyzers (see internal/analysis).
+// and datapath-discipline contract: the nodeterm, maprange, eventref,
+// simtime, unsafeptr, bufown and sharedstate analyzers (the suite in
+// internal/analysis/checkers).
 //
 // It runs two ways:
 //

@@ -34,15 +34,15 @@ func TestGatesBiteOnRealCode(t *testing.T) {
 			want: "EventRef field timer unreset",
 		},
 		{
-			check: "bufown", pkg: "internal/transport", file: "homa.go",
-			anchor: "func (h *homaEndpoint) sendFrag(", line: "\t\thdr.Release()\n",
+			check: "bufown", pkg: "internal/transport", file: "endpoint.go",
+			anchor: "func (e *endpoint) sendData(", line: "\t\thdr.Release()\n",
 			want: "not released",
 		},
 		{
 			// sendCtrl takes the header back when the NIC refuses it;
 			// encodeCtrl's //wire:owns is what makes that checkable.
-			check: "bufown", pkg: "internal/transport", file: "reliable.go",
-			anchor: "func (r *reliableEndpoint) sendCtrl(", line: "\t\thdr.Release()\n",
+			check: "bufown", pkg: "internal/transport", file: "endpoint.go",
+			anchor: "func (e *endpoint) sendCtrl(", line: "\t\thdr.Release()\n",
 			want: "not released",
 		},
 		{

@@ -147,9 +147,6 @@ type Slot struct {
 	// one behind the tail; that one waits in the engine's heap).
 	completions sim.Lane[submitCtx, *submitCtx]
 
-	in  *Stream
-	out *Stream
-
 	Items  int64 // items processed
 	Cycles int64 // busy cycles consumed
 }
@@ -253,10 +250,8 @@ func (f *Fabric) LoadBitstream(i int, b *Bitstream, done func()) error {
 		return ErrOverCapacity
 	}
 	f.free = rem
-	old := slot.Image
 	slot.Image = b
 	slot.State = SlotReconfiguring
-	_ = old
 	slot.reconfigRef = f.eng.After(f.ReconfigTime(b.SizeBytes), "fabric.reconfig:"+b.Name, func() {
 		slot.reconfigRef = sim.NoEvent
 		slot.State = SlotActive

@@ -129,8 +129,9 @@ func (h *heap4) siftUp(i int) {
 // Queue is the FIFO the model layers put in front of a prebound event
 // function or a bus (DESIGN §3): Push appends, Pop advances a head
 // index and zeroes the slot it leaves so the queue pins nothing it has
-// handed out, and the backing array rewinds once drained, so steady
-// traffic enqueues without allocating. The zero value is ready to use.
+// handed out, and the backing array rewinds once drained or slides
+// its items forward once full, so steady traffic enqueues without
+// allocating. The zero value is ready to use.
 type Queue[T any] struct {
 	buf  []T
 	head int
@@ -139,8 +140,18 @@ type Queue[T any] struct {
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 
-// Push appends v at the tail.
-func (q *Queue[T]) Push(v T) { q.buf = append(q.buf, v) }
+// Push appends v at the tail. A full array whose popped head is at
+// least half of it slides the queued items to the front instead of
+// growing, so a queue that never drains (a standing backlog behind a
+// timeout) stays within four times its peak length.
+func (q *Queue[T]) Push(v T) {
+	if n := len(q.buf); n == cap(q.buf) && q.head > 0 && 2*q.head >= n {
+		m := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[m:])
+		q.buf, q.head = q.buf[:m], 0
+	}
+	q.buf = append(q.buf, v)
+}
 
 // Peek returns the head item without removing it. The queue must not
 // be empty.

@@ -170,6 +170,38 @@ func TestQueueReusesBackingArray(t *testing.T) {
 	}
 }
 
+// TestQueueBoundedUnderStandingBacklog: a queue that never drains — a
+// timeout FIFO under steady traffic, always holding the last 100
+// pushes — slides its items forward instead of growing, keeps FIFO
+// order, and pins no popped item.
+func TestQueueBoundedUnderStandingBacklog(t *testing.T) {
+	var q Queue[*int]
+	next := 0
+	for i := 0; i < 100_000; i++ {
+		v := i
+		q.Push(&v)
+		if q.Len() > 100 {
+			if got := *q.Pop(); got != next {
+				t.Fatalf("push %d: Pop = %d, want %d", i, got, next)
+			}
+			next++
+		}
+	}
+	if cap(q.buf) > 4*101 {
+		t.Fatalf("backing array of %d slots under a standing backlog of 100", cap(q.buf))
+	}
+	for i, p := range q.buf[:q.head] {
+		if p != nil {
+			t.Fatalf("popped slot %d still references its item", i)
+		}
+	}
+	for i, p := range q.buf[len(q.buf):cap(q.buf)] {
+		if p != nil {
+			t.Fatalf("spare slot %d references an item", len(q.buf)+i)
+		}
+	}
+}
+
 // BenchmarkQueue is a FIFO in front of a prebound event function: once
 // the backing array has reached the backlog's depth, pushes and pops
 // allocate nothing.

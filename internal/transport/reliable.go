@@ -19,37 +19,20 @@ type reliableParams struct {
 }
 
 // reliableEndpoint implements go-back-N reliable delivery with per-peer
-// connections and cumulative acks. Send finds a connection by address,
+// connections and cumulative acks. launchMsg finds a connection by address,
 // once per message; a received frame finds its peer's state by the
 // sender's netsim port (Frame.SrcPort), without hashing an address.
 type reliableEndpoint struct {
-	eng   *sim.Engine
-	nic   *netsim.NIC
-	p     reliableParams
-	stats Stats
+	endpoint
+	p reliableParams
 
-	handler func(src netsim.Addr, msg Message)
 	conns   map[netsim.Addr]*sendConn
 	acks    []*sendConn // conns by their peer's port, bound by its first ack
 	peers   []recvConn  // by the sender's port
 	cpuBusy sim.Time
-	nextID  uint64
 
-	hdrs *wire.Pool
-
-	sendQ     sim.Queue[relSend]
-	txQ       sim.Queue[relTx]
-	deliverQ  sim.Queue[delivery]
-	sendFn    func()
-	txFn      func()
-	deliverFn func()
-}
-
-type relSend struct {
-	c     *sendConn
-	id    uint64
-	total int
-	msg   Message
+	txQ  sim.Queue[relTx]
+	txFn func()
 }
 
 // relTx is one transmission of a fragment; its buf is a reference
@@ -93,49 +76,27 @@ type recvConn struct {
 }
 
 func newReliable(eng *sim.Engine, nic *netsim.NIC, p reliableParams) *reliableEndpoint {
-	r := &reliableEndpoint{
-		eng:   eng,
-		nic:   nic,
-		p:     p,
-		conns: make(map[netsim.Addr]*sendConn),
-		hdrs:  wire.NewPool(dataHdrLen),
-	}
-	r.sendFn = r.fireSend
+	r := &reliableEndpoint{p: p, conns: make(map[netsim.Addr]*sendConn)}
+	r.init(eng, nic, p.SendOverhead, p.RecvOverhead, r)
 	r.txFn = r.fireTx
-	r.deliverFn = r.fireDeliver
-	nic.OnReceive(r.onFrame)
 	return r
 }
 
-func (r *reliableEndpoint) Stats() *Stats { return &r.stats }
-
-func (r *reliableEndpoint) OnMessage(fn func(src netsim.Addr, msg Message)) { r.handler = fn }
-
-func (r *reliableEndpoint) Send(dst netsim.Addr, msg Message) error {
-	if msg.Bytes > MaxMessageBytes {
-		return ErrTooLarge
-	}
-	r.nextID++
-	c := r.conns[dst]
+// launchMsg queues o's fragments on its peer's connection under
+// consecutive seqs and transmits what the window allows.
+func (r *reliableEndpoint) launchMsg(o outMsg) {
+	c := r.conns[o.dst]
 	if c == nil {
-		c = &sendConn{r: r, dst: dst}
+		c = &sendConn{r: r, dst: o.dst}
 		c.rtoFn = c.fireRTO
-		r.conns[dst] = c
+		r.conns[o.dst] = c
 	}
-	r.stats.Sent++
-	r.sendQ.Push(relSend{c: c, id: r.nextID, total: fragsFor(msg.Bytes), msg: msg})
-	r.eng.After(r.p.SendOverhead, "rel.send", r.sendFn)
-	return nil
-}
-
-func (r *reliableEndpoint) fireSend() {
-	s := r.sendQ.Pop()
-	c := s.c
-	for i := 0; i < s.total; i++ {
-		frag := dataFrag{MsgID: s.id, Index: i, Total: s.total, Bytes: s.msg.Bytes, Seq: c.nextSeq}
-		of := outFrag{buf: encodeData(r.hdrs, frag), span: s.msg.Span, wire: fragWire(s.msg.Bytes, i)}
-		if i == s.total-1 {
-			of.payload = s.msg.Payload
+	total := fragsFor(o.msg.Bytes)
+	for i := range total {
+		frag := dataFrag{MsgID: o.id, Index: i, Total: total, Bytes: o.msg.Bytes, Seq: c.nextSeq}
+		of := outFrag{buf: encodeData(r.hdrs, frag), span: o.msg.Span, wire: fragWire(o.msg.Bytes, i)}
+		if i == total-1 {
+			of.payload = o.msg.Payload
 		}
 		c.push(of)
 	}
@@ -167,11 +128,7 @@ func (r *reliableEndpoint) cpuDelay() sim.Duration {
 		return 0
 	}
 	now := r.eng.Now()
-	start := r.cpuBusy
-	if start < now {
-		start = now
-	}
-	r.cpuBusy = start.Add(r.p.PerFrameCPU)
+	r.cpuBusy = max(r.cpuBusy, now).Add(r.p.PerFrameCPU)
 	return r.cpuBusy.Sub(now)
 }
 
@@ -224,13 +181,8 @@ func (c *sendConn) fireRTO() {
 		return
 	}
 	// Go-back-N: retransmit the whole window from base.
-	if c.backoff < 6 {
-		c.backoff++
-	}
-	end := c.base + uint64(r.p.Window)
-	if end > c.nextSeq {
-		end = c.nextSeq
-	}
+	c.backoff = min(c.backoff+1, 6)
+	end := min(c.base+uint64(r.p.Window), c.nextSeq)
 	for s := c.base; s < end; s++ {
 		r.transmit(c, c.frag(s))
 		r.stats.Retransmits++
@@ -301,31 +253,10 @@ func (r *reliableEndpoint) onData(src netsim.Addr, port int, frag dataFrag) {
 func (r *reliableEndpoint) accept(src netsim.Addr, p *recvConn, frag dataFrag) {
 	rm := &p.rm
 	if frag.Index == 0 {
-		*rm = reasm{total: frag.Total, bytes: frag.Bytes, span: frag.Span}
+		rm.start(frag)
 	}
-	rm.have++
-	if frag.Payload != nil {
-		rm.payload = frag.Payload
-	}
-	if rm.have == rm.total {
-		r.stats.Delivered++
-		r.deliverQ.Push(delivery{src: src, msg: Message{Payload: rm.payload, Bytes: rm.bytes, Span: rm.span}})
+	if rm.add(frag) {
+		r.deliver(src, rm)
 		*rm = reasm{}
-		r.eng.After(r.p.RecvOverhead, "rel.deliver", r.deliverFn)
 	}
-}
-
-func (r *reliableEndpoint) fireDeliver() {
-	d := r.deliverQ.Pop()
-	if r.handler != nil {
-		r.handler(d.src, d.msg)
-	}
-}
-
-func (r *reliableEndpoint) sendCtrl(dst netsim.Addr, m ctrlMsg) {
-	hdr := encodeCtrl(r.hdrs, m)
-	if err := r.nic.Send(netsim.Frame{Dst: dst, Buf: hdr, Bytes: headerBytes}); err != nil {
-		hdr.Release()
-	}
-	r.stats.CtrlFrames++
 }

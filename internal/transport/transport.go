@@ -115,33 +115,14 @@ func New(eng *sim.Engine, kind Kind, nic *netsim.NIC) Endpoint {
 }
 
 // fragsFor returns the number of fragments for a message of b bytes.
-func fragsFor(b int) int {
-	if b <= 0 {
-		return 1
-	}
-	return (b + FragBytes - 1) / FragBytes
-}
+func fragsFor(b int) int { return max((b+FragBytes-1)/FragBytes, 1) }
 
 // fragWire returns the wire size of fragment i of a b-byte message.
 func fragWire(b, i int) int {
-	n := fragsFor(b)
-	last := b - (n-1)*FragBytes
-	if b <= 0 {
-		last = 1
+	if i < fragsFor(b)-1 {
+		return FragBytes + headerBytes
 	}
-	if i == n-1 {
-		return last + headerBytes
-	}
-	return FragBytes + headerBytes
-}
-
-// reasm reassembles one message from its fragments.
-type reasm struct {
-	have    int
-	total   int
-	payload any
-	bytes   int
-	span    telemetry.RequestID
+	return max(b-i*FragBytes, 1) + headerBytes
 }
 
 // dataFrag is the decoded header of a data frame. It exists only as a

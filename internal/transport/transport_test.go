@@ -2,8 +2,10 @@ package transport
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
+	"hyperion/internal/fault"
 	"hyperion/internal/netsim"
 	"hyperion/internal/sim"
 	"hyperion/internal/wire"
@@ -23,6 +25,154 @@ func rig(t testing.TB, kind Kind) (*sim.Engine, *netsim.Network, Endpoint, Endpo
 		t.Fatal(err)
 	}
 	return eng, net, New(eng, kind, na), New(eng, kind, nb)
+}
+
+// allReturned reports whether every Buf p has minted is back in its
+// free list: as many Gets again mint nothing new.
+func allReturned(p *wire.Pool) bool {
+	minted := p.News
+	bufs := make([]*wire.Buf, 0, minted)
+	for range minted {
+		bufs = append(bufs, p.Get(1))
+	}
+	for _, b := range bufs {
+		b.Release()
+	}
+	return p.News == minted
+}
+
+// headers returns ep's header pool.
+func headers(ep Endpoint) *wire.Pool {
+	switch e := ep.(type) {
+	case *udpEndpoint:
+		return e.hdrs
+	case *reliableEndpoint:
+		return e.hdrs
+	case *homaEndpoint:
+		return e.hdrs
+	}
+	panic("unknown endpoint")
+}
+
+// TestEveryKindUnderFaults: two senders send 150 messages each to one
+// receiver through a switch that drops, corrupts and reorders frames.
+// Every third message is 200 KiB, past Homa's unscheduled window; the
+// rest are 1 B to 64 KiB. TCP and RDMA deliver every message exactly
+// once, in send order per sender, and their rings drain; Homa delivers
+// every message exactly once and forgets it on both sides; UDP
+// delivers each at most once, counts no more delivered and lost than
+// were sent, and leaves no partial message behind. Every run drains,
+// every wire.Buf — headers and payloads — goes back to its pool (a
+// payload UDP lost is still the sender's to release), and a second run
+// takes the same number of events: two senders number their messages
+// alike, so Homa's SRPT tie-break must order by sender too.
+func TestEveryKindUnderFaults(t *testing.T) {
+	for _, kind := range Kinds() {
+		for _, rate := range []float64{0.01, 0.05, 0.2} {
+			t.Run(fmt.Sprintf("%v/%v", kind, rate), func(t *testing.T) {
+				if a, b := faultedRun(t, kind, rate), faultedRun(t, kind, rate); a != b {
+					t.Fatalf("two runs took %d and %d steps", a, b)
+				}
+			})
+		}
+	}
+}
+
+// faultedRun is one run of TestEveryKindUnderFaults; it returns the
+// number of events the engine ran.
+func faultedRun(t *testing.T, kind Kind, rate float64) uint64 {
+	const senders, perSender, maxSteps = 2, 150, 8_000_000
+	eng := sim.NewEngine(1)
+	net := netsim.New(eng, netsim.DefaultConfig())
+	net.SetFaultPlan(fault.NewPlan(3, "netsim").Set(fault.Drop, rate).Set(fault.Corrupt, rate).Set(fault.Reorder, rate))
+	rxNIC, _ := net.Attach("rx")
+	eps := []Endpoint{New(eng, kind, rxNIC)}
+	for s := range senders {
+		nic, _ := net.Attach(netsim.Addr(rune('a' + s)))
+		eps = append(eps, New(eng, kind, nic))
+	}
+	var got [senders][perSender]int
+	var next [senders]int
+	eps[0].OnMessage(func(_ netsim.Addr, m Message) {
+		buf := m.Payload.(*wire.Buf)
+		s, i := buf.Bytes()[0], int(binary.BigEndian.Uint32(buf.Bytes()[1:]))
+		if got[s][i]++; got[s][i] == 1 {
+			buf.Release()
+		}
+		if kind == TCP || kind == RDMA {
+			if i != next[s] {
+				t.Errorf("sender %d delivered message %d, want %d", s, i, next[s])
+			}
+			next[s] = i + 1
+		}
+	})
+	payloads := wire.NewPool(8)
+	var sent [senders][perSender]*wire.Buf
+	r := sim.NewRand(1)
+	for i := range perSender {
+		for s, tx := range eps[1:] {
+			size := 1 + r.Intn(64<<10)
+			if i%3 == 2 {
+				size = 200 << 10
+			}
+			buf := payloads.Get(5)
+			buf.Bytes()[0] = byte(s)
+			binary.BigEndian.PutUint32(buf.Bytes()[1:], uint32(i))
+			sent[s][i] = buf
+			if err := tx.Send("rx", Message{Payload: buf, Bytes: size}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	steps := 0
+	for steps < maxSteps && eng.Step() {
+		steps++
+	}
+	dups, lost := 0, 0
+	for s := range senders {
+		for i, n := range got[s] {
+			dups += max(n-1, 0)
+			if n == 0 {
+				lost++
+				sent[s][i].Release() // never delivered: still the sender's
+			}
+		}
+	}
+	if dups > 0 || lost > 0 && kind != UDP {
+		t.Errorf("%d duplicate deliveries, %d messages never delivered", dups, lost)
+	}
+	if eng.Pending() > 0 {
+		t.Fatalf("%d events still pending after %d steps", eng.Pending(), steps)
+	}
+	if net.FaultDrops == 0 || net.FaultCorrupts == 0 || net.FaultReorders == 0 {
+		t.Fatalf("%d drops, %d corrupts, %d reorders", net.FaultDrops, net.FaultCorrupts, net.FaultReorders)
+	}
+	for _, ep := range eps {
+		if !allReturned(headers(ep)) {
+			t.Error("an endpoint's header Bufs were not all released")
+		}
+		switch e := ep.(type) {
+		case *udpEndpoint:
+			if st := e.Stats(); len(e.partial) > 0 || st.Delivered+st.LostMessages > senders*perSender {
+				t.Errorf("%d partial messages left; %d delivered and %d lost of %d sent",
+					len(e.partial), st.Delivered, st.LostMessages, senders*perSender)
+			}
+		case *reliableEndpoint:
+			for _, c := range e.conns {
+				if c.base != c.nextSeq {
+					t.Errorf("ring still holds seqs [%d, %d)", c.base, c.nextSeq)
+				}
+			}
+		case *homaEndpoint:
+			if len(e.inbound) > 0 || len(e.outbound) > 0 {
+				t.Errorf("%d inbound and %d outbound messages left", len(e.inbound), len(e.outbound))
+			}
+		}
+	}
+	if !allReturned(payloads) {
+		t.Error("payload Bufs were not all released")
+	}
+	return eng.Steps()
 }
 
 func TestAllKindsDeliverSmallMessage(t *testing.T) {
@@ -310,33 +460,33 @@ func TestFragMath(t *testing.T) {
 	}
 }
 
-// BenchmarkRDMA4K sends 4 KiB messages in bursts of 64, each drained
-// before the next; a warm burst must allocate nothing.
-func BenchmarkRDMA4K(b *testing.B) {
-	eng := sim.NewEngine(1)
-	net := netsim.New(eng, netsim.DefaultConfig())
-	na, _ := net.Attach("a")
-	nb, _ := net.Attach("b")
-	a := New(eng, RDMA, na)
-	bb := New(eng, RDMA, nb)
-	bb.OnMessage(func(netsim.Addr, Message) {})
-	burst := func() {
-		for range 64 {
-			_ = a.Send("b", Message{Bytes: 4096})
-		}
-		eng.Run()
-	}
-	burst()
-	if n := testing.AllocsPerRun(20, burst); n != 0 {
-		b.Fatalf("a warm burst of 64 messages allocated %v times, want 0", n)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = a.Send("b", Message{Bytes: 4096})
-		if i%64 == 0 {
+// BenchmarkSend4K sends 4 KiB messages in bursts of 64, each drained
+// before the next, on every kind; a warm burst must allocate nothing.
+func BenchmarkSend4K(b *testing.B) {
+	for _, kind := range Kinds() {
+		b.Run(kind.String(), func(b *testing.B) {
+			eng, _, a, rx := rig(b, kind)
+			rx.OnMessage(func(netsim.Addr, Message) {})
+			burst := func() {
+				for range 64 {
+					_ = a.Send("b", Message{Bytes: 4096})
+				}
+				eng.Run()
+			}
+			burst()
+			n := testing.AllocsPerRun(20, burst)
+			if n != 0 {
+				b.Fatalf("a warm burst of 64 messages allocated %v times, want 0", n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = a.Send("b", Message{Bytes: 4096})
+				if i%64 == 0 {
+					eng.Run()
+				}
+			}
 			eng.Run()
-		}
+		})
 	}
-	eng.Run()
 }

@@ -87,9 +87,7 @@ var reachAllow = map[string]string{
 	"internal/telemetry.Recorder.Events": "TestTracedMetamorphicDeterminism and TestE2TraceSchemaAndTableNeutrality check that armed runs record through it",
 	"internal/telemetry.Recorder.Hist":   "TestWFQRoundSkipMatchesReference and TestReconfigUnderLoadArmedEqualsDisarmed compare recorded span histograms through it",
 
-	"internal/transport.homaEndpoint.Stats":     "TestUDPLosesUnderCongestionAndCountsIt and the transport tests read counters through Endpoint.Stats",
-	"internal/transport.reliableEndpoint.Stats": "TestUDPLosesUnderCongestionAndCountsIt and the transport tests read counters through Endpoint.Stats",
-	"internal/transport.udpEndpoint.Stats":      "TestUDPLosesUnderCongestionAndCountsIt reads counters through Endpoint.Stats",
+	"internal/transport.endpoint.Stats": "TestUDPLosesUnderCongestionAndCountsIt and the transport tests read counters through Endpoint.Stats",
 }
 
 // reachImplicit are the standard interfaces the runtime and standard

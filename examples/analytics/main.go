@@ -86,18 +86,32 @@ func main() {
 		log.Fatal(err)
 	}
 	v.TakeCost()
+	// Columns are addressed by position, resolved from names once.
+	temp, err := rd.Schema.ColumnIndex("temp_mC")
+	if err != nil {
+		log.Fatal(err)
+	}
+	sensor, err := rd.Schema.ColumnIndex("sensor")
+	if err != nil {
+		log.Fatal(err)
+	}
 	var hot int
-	var sum int64
+	var sum, peak int64
+	var peakSensor string
 	if err := rd.ScanInt64("ts", 120000, 129999, func(b *colfmt.Batch, row int) bool {
 		hot++
-		sum += b.Int64s["temp_mC"][row]
+		t := b.Int64s(temp)[row]
+		sum += t
+		if t > peak {
+			peak, peakSensor = t, b.Strings(sensor)[row]
+		}
 		return true
 	}); err != nil {
 		log.Fatal(err)
 	}
 	scanCost := v.TakeCost()
-	fmt.Printf("scan ts∈[120000,130000): %d rows, mean temp %.2f °C\n",
-		hot, float64(sum)/float64(hot)/1000)
+	fmt.Printf("scan ts∈[120000,130000): %d rows, mean temp %.2f °C, peak %.2f °C at %s\n",
+		hot, float64(sum)/float64(hot)/1000, float64(peak)/1000, peakSensor)
 	fmt.Printf("pushdown: read %d row groups, skipped %d; modeled scan time %v\n",
 		rd.GroupsRead, rd.GroupsSkipped, scanCost)
 }

@@ -66,8 +66,10 @@ func main() {
 	// Load phase.
 	const keys = 5000
 	g := trace.NewKVGen(1, keys, trace.YCSBB)
+	var kbuf, vbuf []byte // Put copies what it keeps
 	for _, k := range g.LoadKeys() {
-		if err := kv.Put(trace.Key(k), g.Value(k)); err != nil {
+		kbuf, vbuf = trace.AppendKey(kbuf[:0], k), g.AppendValue(vbuf[:0], k)
+		if err := kv.Put(kbuf, vbuf); err != nil {
 			log.Fatal(err)
 		}
 	}

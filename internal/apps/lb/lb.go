@@ -70,14 +70,15 @@ func New(v *seg.SyncView, metaID seg.ObjectID, backends []Backend, hotCap int) (
 // open-addressing hash (keys, values, and slot states in parallel
 // arrays with linear probing) — the layout an on-card CAM/SRAM lookup
 // pipeline uses, and measurably cheaper per access than a boxed map
-// for this fixed-shape u64→u32 workload.
+// for this fixed-shape u64→u32 workload. A delete shifts the rest of
+// its probe run back instead of leaving a tombstone, so the table only
+// grows when its live entries pass half its slots.
 type flowTable struct {
-	keys  []uint64
-	vals  []uint32
-	state []uint8 // 0 empty, 1 full, 2 tombstone
-	n     int     // live entries
-	used  int     // full + tombstone slots
-	mask  uint64
+	keys []uint64
+	vals []uint32
+	full []bool
+	n    int // live entries
+	mask uint64
 }
 
 func (t *flowTable) init(hint int) {
@@ -87,84 +88,66 @@ func (t *flowTable) init(hint int) {
 	}
 	t.keys = make([]uint64, size)
 	t.vals = make([]uint32, size)
-	t.state = make([]uint8, size)
+	t.full = make([]bool, size)
 	t.mask = uint64(size - 1)
-	t.n, t.used = 0, 0
+	t.n = 0
 }
 
 // slot mixes the (already FNV-hashed) flow key into a probe start.
 func (t *flowTable) slot(k uint64) uint64 { return (k ^ k>>33) & t.mask }
 
-func (t *flowTable) get(k uint64) (uint32, bool) {
-	for i := t.slot(k); ; i = (i + 1) & t.mask {
-		switch t.state[i] {
-		case 0:
-			return 0, false
-		case 1:
-			if t.keys[i] == k {
-				return t.vals[i], true
-			}
-		}
+// find returns k's slot, or the empty slot that ends its probe run.
+func (t *flowTable) find(k uint64) uint64 {
+	i := t.slot(k)
+	for t.full[i] && t.keys[i] != k {
+		i = (i + 1) & t.mask
 	}
+	return i
+}
+
+func (t *flowTable) get(k uint64) (uint32, bool) {
+	i := t.find(k)
+	if !t.full[i] {
+		return 0, false
+	}
+	return t.vals[i], true
 }
 
 func (t *flowTable) put(k uint64, v uint32) {
-	if (t.used+1)*4 > len(t.keys)*3 {
+	if 2*(t.n+1) > len(t.keys) {
 		t.grow()
 	}
-	firstTomb := -1
-	for i := t.slot(k); ; i = (i + 1) & t.mask {
-		switch t.state[i] {
-		case 0:
-			if firstTomb >= 0 {
-				i = uint64(firstTomb)
-			} else {
-				t.used++
-			}
-			t.keys[i], t.vals[i], t.state[i] = k, v, 1
-			t.n++
-			return
-		case 1:
-			if t.keys[i] == k {
-				t.vals[i] = v
-				return
-			}
-		case 2:
-			if firstTomb < 0 {
-				firstTomb = int(i)
-			}
-		}
+	i := t.find(k)
+	if !t.full[i] {
+		t.keys[i], t.full[i] = k, true
+		t.n++
 	}
+	t.vals[i] = v
 }
 
+// del removes k. The hole is closed by moving up each later entry of
+// the run whose home is not past the hole, so every remaining key is
+// still reachable from its home without crossing an empty slot.
 func (t *flowTable) del(k uint64) {
-	for i := t.slot(k); ; i = (i + 1) & t.mask {
-		switch t.state[i] {
-		case 0:
-			return
-		case 1:
-			if t.keys[i] == k {
-				t.state[i] = 2 // tombstone keeps probe chains intact
-				t.n--
-				return
-			}
+	i := t.find(k)
+	if !t.full[i] {
+		return
+	}
+	for j := (i + 1) & t.mask; t.full[j]; j = (j + 1) & t.mask {
+		if (j-t.slot(t.keys[j]))&t.mask >= (j-i)&t.mask {
+			t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
+			i = j
 		}
 	}
+	t.full[i] = false
+	t.n--
 }
 
 func (t *flowTable) grow() {
-	ok, ov, os := t.keys, t.vals, t.state
-	size := len(ok)
-	if t.n*4 > size*2 { // genuinely full, not tombstone pressure
-		size <<= 1
-	}
-	t.keys = make([]uint64, size)
-	t.vals = make([]uint32, size)
-	t.state = make([]uint8, size)
-	t.mask = uint64(size - 1)
-	t.n, t.used = 0, 0
-	for i, s := range os {
-		if s == 1 {
+	ok, ov, of := t.keys, t.vals, t.full
+	t.init(len(ok))
+	for i, f := range of {
+		if f {
 			t.put(ok[i], ov[i])
 		}
 	}

@@ -42,6 +42,48 @@ func fin(src uint32, port uint16) trace.Packet {
 	return p
 }
 
+// TestFlowTableMatchesMap drives the hot table and a map through one
+// seeded tape of puts, overwrites and deletes over a key set small
+// enough that probe runs collide and wrap, checking every key after
+// each op. Churn at a steady occupancy must not grow the table.
+func TestFlowTableMatchesMap(t *testing.T) {
+	rng := sim.NewRand(9)
+	keys := make([]uint64, 48)
+	for i := range keys {
+		keys[i] = rng.Uint64()
+	}
+	var ft flowTable
+	ft.init(4)
+	ref := map[uint64]uint32{}
+	for op := 0; op < 20000; op++ {
+		k := keys[rng.Intn(len(keys))]
+		if op < 10000 {
+			k = keys[rng.Intn(7)] // at most 7 live: the 16 slots suffice
+		}
+		if rng.Intn(2) == 0 {
+			v := uint32(rng.Intn(1 << 20))
+			ft.put(k, v)
+			ref[k] = v
+		} else {
+			ft.del(k)
+			delete(ref, k)
+		}
+		if op == 9999 && len(ft.keys) != 16 {
+			t.Fatalf("churn over 7 keys grew the table to %d slots", len(ft.keys))
+		}
+		for _, k := range keys {
+			got, ok := ft.get(k)
+			want, wok := ref[k]
+			if ok != wok || got != want {
+				t.Fatalf("op %d: get(%#x) = %d,%v, want %d,%v", op, k, got, ok, want, wok)
+			}
+		}
+		if ft.n != len(ref) {
+			t.Fatalf("op %d: %d live entries, want %d", op, ft.n, len(ref))
+		}
+	}
+}
+
 func TestConnectionAffinity(t *testing.T) {
 	_, b := newBalancer(t, 1024)
 	first, err := b.Steer(syn(100, 5000))

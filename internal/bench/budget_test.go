@@ -9,29 +9,17 @@ import (
 // raceObjects is what a -race build may add to a run's object count.
 var raceObjects float64
 
-// TestDatapathAllocBudgets pins what one run of three datapath
-// experiments allocates, measured on a second run (the first warms
-// process-wide caches). E7 loads three DRAM-resident B+ trees and walks
-// them over rpc: DRAM materializes by the 64 KiB page, node pages
-// travel in pooled buffers and the client-side walk steps through each
-// page in place, so a DRAM backing that allocates by a larger chunk, a
-// per-response copy or a decode per hop breaks the budget. E16's
-// NVMe-oF reads and cluster gets return 4 KiB payloads in pooled
-// buffers, and its keys are formatted into a reused buffer. E14 drives
-// its target through nvmeof.Initiator, whose capsules recycle.
-//
-// The budgets hold for a plain build. A -race build drops a random
-// quarter of sync.Pool Puts, so some of fmt's printers are allocated
-// anew: raceObjects (race_test.go) allows for E14's tables, about 20.
-func TestDatapathAllocBudgets(t *testing.T) {
-	for _, tc := range []struct {
-		id              string
-		objects, mbytes float64
-	}{
-		{"E7", 7_100, 5.2},
-		{"E16", 15_500, 15},
-		{"E14", 950, 1},
-	} {
+// budget is what one run of an experiment may allocate.
+type budget struct {
+	id              string
+	objects, mbytes float64
+}
+
+// checkBudgets measures each experiment on a second run (the first
+// warms process-wide caches).
+func checkBudgets(t *testing.T, budgets []budget) {
+	t.Helper()
+	for _, tc := range budgets {
 		e, _ := ByName(tc.id)
 		e.Run()
 		var m0, m1 runtime.MemStats
@@ -45,6 +33,43 @@ func TestDatapathAllocBudgets(t *testing.T) {
 				tc.id, objects, mbytes, tc.objects+raceObjects, tc.mbytes)
 		}
 	}
+}
+
+// TestDatapathAllocBudgets pins what one run of three datapath
+// experiments allocates. E7 loads three DRAM-resident B+ trees and walks
+// them over rpc: DRAM materializes by the 64 KiB page, node pages
+// travel in pooled buffers and the client-side walk steps through each
+// page in place, so a DRAM backing that allocates by a larger chunk, a
+// per-response copy or a decode per hop breaks the budget. E16's
+// NVMe-oF reads and cluster gets return 4 KiB payloads in pooled
+// buffers, its keys are formatted into a reused buffer, and a node's
+// get and put answers wait in pooled contexts. E14 drives its target
+// through nvmeof.Initiator, whose capsules recycle.
+//
+// The budgets hold for a plain build. A -race build drops a random
+// quarter of sync.Pool Puts, so some of fmt's printers are allocated
+// anew: raceObjects (race_test.go) allows for E14's tables, about 20.
+func TestDatapathAllocBudgets(t *testing.T) {
+	checkBudgets(t, []budget{
+		{"E7", 7_100, 5.2},
+		{"E16", 12_000, 15},
+		{"E14", 950, 1},
+	})
+}
+
+// TestStorageAllocBudgets pins what one run of three storage
+// experiments allocates. E9's hot flow table deletes without tombstones,
+// so it never rehashes. E12 writes its 1.6 MB table through one reused
+// group batch onto one image and scans it through one reused buffer and
+// batch; a per-group batch, a map per column or a copy per group breaks
+// the budget. E13's YCSB keys and values live in the generator's and the
+// load loop's buffers, not one allocation per op.
+func TestStorageAllocBudgets(t *testing.T) {
+	checkBudgets(t, []budget{
+		{"E9", 1_700, 4},
+		{"E12", 750, 8},
+		{"E13", 2_200, 6.5},
+	})
 }
 
 // TestAppendKeyMatchesSprintf: X1 and E16 format their keys without fmt.

@@ -75,6 +75,9 @@ type Node struct {
 	KV   *kvssd.KV
 	down bool
 
+	replies    sim.FreeList[reply]
+	gets, puts sim.Lane[reply, *reply] // answers waiting out their storage time
+
 	Gets, Puts int64
 }
 
@@ -137,22 +140,13 @@ func (c *Cluster) serve(n *Node) {
 		// synchronous extent; GetAppend consumes it before returning.
 		v, found, err := n.KV.GetAppend(scratch[:0], b.Bytes())
 		scratch = v
-		var val *wire.Buf
+		rp := n.newReply(respond)
+		rp.found, rp.err = found, err
 		if found && err == nil {
-			val = vals.Get(len(v))
-			copy(val.Bytes(), v)
+			rp.val = vals.Get(len(v))
+			copy(rp.val.Bytes(), v)
 		}
-		c.Eng.After(d.View.TakeCost(), "ckv.get", func() {
-			if err != nil {
-				respond(nil, 64, err)
-				return
-			}
-			if !found {
-				respond(nil, 64, ErrNotFound)
-				return
-			}
-			respond(val, val.Len()+64, nil)
-		})
+		n.gets.At(c.Eng, c.Eng.Now().Add(d.View.TakeCost()), rp)
 	})
 	d.CtrlSrv.Handle(MethodPut, func(arg any, respond func(any, int, error)) {
 		if n.down {
@@ -169,9 +163,48 @@ func (c *Cluster) serve(n *Node) {
 			return
 		}
 		n.Puts++
-		err = n.KV.Put(key, value)
-		c.Eng.After(d.View.TakeCost(), "ckv.put", func() { respond(true, 64, err) })
+		rp := n.newReply(respond)
+		rp.put, rp.err = true, n.KV.Put(key, value)
+		n.puts.At(c.Eng, c.Eng.Now().Add(d.View.TakeCost()), rp)
 	})
+}
+
+// reply is one get or put answer waiting out its modeled storage time
+// on its node's lane; replies cycle through the node's free list.
+type reply struct {
+	n       *Node
+	respond func(any, int, error)
+	put     bool
+	found   bool
+	val     *wire.Buf
+	err     error
+}
+
+func (n *Node) newReply(respond func(any, int, error)) *reply {
+	rp, fresh := n.replies.Get()
+	if fresh {
+		rp.n = n
+	}
+	rp.respond = respond
+	return rp
+}
+
+// Fire answers and then recycles: the fields are copied out first, so
+// a request the answer triggers may reuse the reply.
+func (rp *reply) Fire() {
+	n, respond, put, found, val, err := rp.n, rp.respond, rp.put, rp.found, rp.val, rp.err
+	*rp = reply{n: n}
+	n.replies.Put(rp)
+	switch {
+	case put:
+		respond(true, 64, err)
+	case err != nil:
+		respond(nil, 64, err)
+	case !found:
+		respond(nil, 64, ErrNotFound)
+	default:
+		respond(val, val.Len()+64, nil)
+	}
 }
 
 // SetRecorder arms the telemetry plane on every node's DPU (network,

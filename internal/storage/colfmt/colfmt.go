@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"hyperion/internal/seg"
 )
@@ -44,67 +45,41 @@ func (s Schema) ColumnIndex(name string) (int, error) {
 }
 
 // Batch is the Arrow-like in-memory representation: one slice per
-// column, all the same length.
+// schema position, all the same length. Callers address a column by
+// its position; Schema.ColumnIndex resolves a name once.
 type Batch struct {
 	Schema  Schema
-	Int64s  map[string][]int64
-	Strings map[string][]string
+	int64s  [][]int64  // by position; nil at a string column
+	strings [][]string // by position; nil at an int64 column
 }
 
-// NewBatch creates an empty batch for the schema.
-func NewBatch(s Schema) *Batch {
-	return &Batch{Schema: s, Int64s: map[string][]int64{}, Strings: map[string][]string{}}
+func newBatch(s Schema) Batch {
+	return Batch{Schema: s, int64s: make([][]int64, len(s.Columns)), strings: make([][]string, len(s.Columns))}
 }
+
+// Int64s returns the values of the int64 column at position col.
+func (b *Batch) Int64s(col int) []int64 { return b.int64s[col] }
+
+// Strings returns the values of the string column at position col.
+func (b *Batch) Strings(col int) []string { return b.strings[col] }
 
 // Rows returns the number of rows.
 func (b *Batch) Rows() int {
-	for _, c := range b.Schema.Columns {
-		if c.Type == TypeInt64 {
-			return len(b.Int64s[c.Name])
-		}
-		return len(b.Strings[c.Name])
+	if len(b.Schema.Columns) == 0 {
+		return 0
 	}
-	return 0
+	if b.Schema.Columns[0].Type == TypeInt64 {
+		return len(b.int64s[0])
+	}
+	return len(b.strings[0])
 }
 
-// AppendRow adds one row; vals must match the schema order and types.
-func (b *Batch) AppendRow(vals ...any) error {
-	if len(vals) != len(b.Schema.Columns) {
-		return fmt.Errorf("colfmt: row has %d values, schema has %d columns", len(vals), len(b.Schema.Columns))
+// reset empties every column, keeping its capacity.
+func (b *Batch) reset() {
+	for i := range b.int64s {
+		b.int64s[i] = b.int64s[i][:0]
+		b.strings[i] = b.strings[i][:0]
 	}
-	for i, c := range b.Schema.Columns {
-		switch c.Type {
-		case TypeInt64:
-			v, ok := vals[i].(int64)
-			if !ok {
-				return fmt.Errorf("colfmt: column %s wants int64, got %T", c.Name, vals[i])
-			}
-			b.Int64s[c.Name] = append(b.Int64s[c.Name], v)
-		case TypeString:
-			v, ok := vals[i].(string)
-			if !ok {
-				return fmt.Errorf("colfmt: column %s wants string, got %T", c.Name, vals[i])
-			}
-			b.Strings[c.Name] = append(b.Strings[c.Name], v)
-		}
-	}
-	return nil
-}
-
-// AppendInt64s adds one row of int64 values without boxing; the schema
-// must be all-int64 (the common telemetry/analytics shape). The variadic
-// slice never escapes, so a call with literal arguments is allocation-free.
-func (b *Batch) AppendInt64s(vals ...int64) error {
-	if len(vals) != len(b.Schema.Columns) {
-		return fmt.Errorf("colfmt: row has %d values, schema has %d columns", len(vals), len(b.Schema.Columns))
-	}
-	for i, c := range b.Schema.Columns {
-		if c.Type != TypeInt64 {
-			return fmt.Errorf("colfmt: column %s is not int64", c.Name)
-		}
-		b.Int64s[c.Name] = append(b.Int64s[c.Name], vals[i])
-	}
-	return nil
 }
 
 // Errors.
@@ -112,13 +87,16 @@ var ErrCorrupt = errors.New("colfmt: corrupt table object")
 
 const tableMagic = 0x434f4c31 // "COL1"
 
-// Writer serializes batches into a table object.
+// Writer serializes rows into a table object. It fills one batch per
+// row group, reused across groups, and encodes each full group straight
+// onto the table image.
 type Writer struct {
 	v            *seg.SyncView
 	schema       Schema
 	rowsPerGroup int
-	groups       [][]byte // encoded row groups
-	pending      *Batch
+	pending      Batch
+	payload      []byte // the encoded groups, back to back
+	index        []byte // offset(4) and length(4) of each group in payload
 }
 
 // NewWriter creates a writer.
@@ -126,123 +104,167 @@ func NewWriter(v *seg.SyncView, schema Schema, rowsPerGroup int) *Writer {
 	if rowsPerGroup <= 0 {
 		rowsPerGroup = 1024
 	}
-	return &Writer{v: v, schema: schema, rowsPerGroup: rowsPerGroup, pending: NewBatch(schema)}
+	return &Writer{v: v, schema: schema, rowsPerGroup: rowsPerGroup, pending: newBatch(schema)}
 }
 
-// Append adds one row.
+// Append adds one row; vals must match the schema order and types.
 func (w *Writer) Append(vals ...any) error {
-	if err := w.pending.AppendRow(vals...); err != nil {
-		return err
+	if len(vals) != len(w.schema.Columns) {
+		return fmt.Errorf("colfmt: row has %d values, schema has %d columns", len(vals), len(w.schema.Columns))
 	}
-	if w.pending.Rows() >= w.rowsPerGroup {
-		w.flushGroup()
+	for i, c := range w.schema.Columns {
+		switch v := vals[i]; c.Type {
+		case TypeInt64:
+			if _, ok := v.(int64); !ok {
+				return fmt.Errorf("colfmt: column %s wants int64, got %T", c.Name, v)
+			}
+		case TypeString:
+			if _, ok := v.(string); !ok {
+				return fmt.Errorf("colfmt: column %s wants string, got %T", c.Name, v)
+			}
+		}
 	}
+	b := &w.pending
+	for i, c := range w.schema.Columns {
+		switch c.Type {
+		case TypeInt64:
+			b.int64s[i] = append(b.int64s[i], vals[i].(int64))
+		case TypeString:
+			b.strings[i] = append(b.strings[i], vals[i].(string))
+		}
+	}
+	w.rowAdded()
 	return nil
 }
 
-// AppendInt64s adds one row to an all-int64 table without boxing.
+// AppendInt64s adds one row to an all-int64 table without boxing. The
+// variadic slice never escapes, so a call with literal arguments is
+// allocation-free.
 func (w *Writer) AppendInt64s(vals ...int64) error {
-	if err := w.pending.AppendInt64s(vals...); err != nil {
-		return err
+	if len(vals) != len(w.schema.Columns) {
+		return fmt.Errorf("colfmt: row has %d values, schema has %d columns", len(vals), len(w.schema.Columns))
 	}
+	for _, c := range w.schema.Columns {
+		if c.Type != TypeInt64 {
+			return fmt.Errorf("colfmt: column %s is not int64", c.Name)
+		}
+	}
+	for i, v := range vals {
+		w.pending.int64s[i] = append(w.pending.int64s[i], v)
+	}
+	w.rowAdded()
+	return nil
+}
+
+func (w *Writer) rowAdded() {
 	if w.pending.Rows() >= w.rowsPerGroup {
 		w.flushGroup()
 	}
-	return nil
 }
 
 func (w *Writer) flushGroup() {
 	if w.pending.Rows() == 0 {
 		return
 	}
-	w.groups = append(w.groups, encodeGroup(w.pending))
-	w.pending = NewBatch(w.schema)
+	off := len(w.payload)
+	if need := off + groupBytes(&w.pending); need > cap(w.payload) {
+		// Double rather than let append grow by a quarter: a table of
+		// g groups is then copied O(log g) times, not O(g).
+		w.payload = append(make([]byte, 0, 2*need), w.payload...)
+	}
+	w.payload = appendGroup(w.payload, &w.pending)
+	w.index = binary.LittleEndian.AppendUint32(w.index, uint32(off))
+	w.index = binary.LittleEndian.AppendUint32(w.index, uint32(len(w.payload)-off))
+	w.pending.reset()
 }
 
-// encodeGroup lays out one row group:
-// rows(u32) then per column: for int64: min(8) max(8) values(8*rows);
-// for string: totalLen(u32) then len(u16)+bytes per value.
-func encodeGroup(b *Batch) []byte {
-	rows := b.Rows()
-	buf := make([]byte, 4)
-	binary.LittleEndian.PutUint32(buf[0:], uint32(rows))
-	for _, c := range b.Schema.Columns {
+// groupBytes is the encoded size of b.
+func groupBytes(b *Batch) int {
+	n := 4
+	for i, c := range b.Schema.Columns {
 		switch c.Type {
 		case TypeInt64:
-			vals := b.Int64s[c.Name]
+			n += 16 + 8*len(b.int64s[i])
+		case TypeString:
+			n += 4 + 2*len(b.strings[i])
+			for _, s := range b.strings[i] {
+				n += len(s)
+			}
+		}
+	}
+	return n
+}
+
+// appendGroup lays out one row group after dst, which has room for it:
+// rows(u32) then per column: for int64: min(8) max(8) values(8*rows);
+// for string: totalLen(u32) then len(u16)+bytes per value.
+func appendGroup(dst []byte, b *Batch) []byte {
+	rows := b.Rows()
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
+	for i, c := range b.Schema.Columns {
+		switch c.Type {
+		case TypeInt64:
+			vals := b.int64s[i]
 			mn, mx := vals[0], vals[0]
 			for _, v := range vals {
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
+				mn, mx = min(mn, v), max(mx, v)
 			}
-			chunk := make([]byte, 16+8*rows)
+			at := len(dst)
+			dst = dst[:at+16+8*rows]
+			chunk := dst[at:]
 			binary.LittleEndian.PutUint64(chunk[0:], uint64(mn))
 			binary.LittleEndian.PutUint64(chunk[8:], uint64(mx))
-			for i, v := range vals {
-				binary.LittleEndian.PutUint64(chunk[16+i*8:], uint64(v))
+			for j, v := range vals {
+				binary.LittleEndian.PutUint64(chunk[16+j*8:], uint64(v))
 			}
-			buf = append(buf, chunk...)
 		case TypeString:
-			vals := b.Strings[c.Name]
+			vals := b.strings[i]
 			total := 0
 			for _, s := range vals {
 				total += 2 + len(s)
 			}
-			chunk := make([]byte, 4, 4+total)
-			binary.LittleEndian.PutUint32(chunk[0:], uint32(total))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(total))
 			for _, s := range vals {
-				chunk = binary.LittleEndian.AppendUint16(chunk, uint16(len(s)))
-				chunk = append(chunk, s...)
+				dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
+				dst = append(dst, s...)
 			}
-			buf = append(buf, chunk...)
 		}
 	}
-	return buf
+	return dst
 }
 
 // Close flushes and writes the table into object id. Layout:
-// magic(4) ncols(2) rowsPerGroup pad — schema — ngroups(4) —
-// group offsets/lengths — group payloads.
+// magic(4) ncols(2) pad(2) — schema — ngroups(4) — group offsets and
+// lengths, relative to the payload — group payloads.
 func (w *Writer) Close(id seg.ObjectID, durable bool) error {
 	w.flushGroup()
-	// Header: schema.
-	head := make([]byte, 8)
+	head := make([]byte, 8, 8+len(w.index)+4+2*len(w.schema.Columns))
 	binary.LittleEndian.PutUint32(head[0:], tableMagic)
 	binary.LittleEndian.PutUint16(head[4:], uint16(len(w.schema.Columns)))
 	for _, c := range w.schema.Columns {
 		head = append(head, byte(c.Type), byte(len(c.Name)))
 		head = append(head, c.Name...)
 	}
-	idx := binary.LittleEndian.AppendUint32(nil, uint32(len(w.groups)))
-	var payload []byte
-	// Offsets are relative to payload start.
-	off := 0
-	for _, g := range w.groups {
-		var ent [8]byte
-		binary.LittleEndian.PutUint32(ent[:], uint32(off))
-		binary.LittleEndian.PutUint32(ent[4:], uint32(len(g)))
-		idx = append(idx, ent[:]...)
-		payload = append(payload, g...)
-		off += len(g)
-	}
-	full := append(append(head, idx...), payload...)
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(w.index)/8))
+	head = append(head, w.index...)
+	full := slices.Insert(w.payload, 0, head...)
 	if _, err := w.v.Alloc(id, int64(len(full)), durable, seg.HintAuto); err != nil {
 		return err
 	}
 	return w.v.WriteAt(id, 0, full)
 }
 
-// Reader scans a table object.
+// Reader scans a table object. It reads each group into one buffer and
+// decodes it into one batch, both its own and reused: a batch handed to
+// a scan callback or returned by ReadGroup is valid until the next read.
 type Reader struct {
 	v          *seg.SyncView
 	id         seg.ObjectID
 	Schema     Schema
 	groups     []groupRef
 	payloadOff int64
+	raw        []byte
+	batch      Batch
 
 	// Scan statistics (predicate pushdown effectiveness).
 	GroupsRead, GroupsSkipped int64
@@ -305,31 +327,34 @@ func OpenReader(v *seg.SyncView, id seg.ObjectID) (*Reader, error) {
 		off += 8
 	}
 	r.payloadOff = int64(off)
+	r.batch = newBatch(r.Schema)
 	return r, nil
 }
 
 // Groups returns the row-group count.
 func (r *Reader) Groups() int { return len(r.groups) }
 
-// decodeGroup parses one raw group into a batch.
+// decodeGroup parses one raw group into the reader's batch. A string
+// column's values share one string per group.
 func (r *Reader) decodeGroup(raw []byte) (*Batch, error) {
 	if len(raw) < 4 {
 		return nil, fmt.Errorf("%w: short group", ErrCorrupt)
 	}
 	rows := int(binary.LittleEndian.Uint32(raw[0:]))
-	b := NewBatch(r.Schema)
+	b := &r.batch
+	b.reset()
 	off := 4
-	for _, c := range r.Schema.Columns {
+	for i, c := range r.Schema.Columns {
 		switch c.Type {
 		case TypeInt64:
 			if off+16+8*rows > len(raw) {
 				return nil, fmt.Errorf("%w: short int64 chunk", ErrCorrupt)
 			}
-			vals := make([]int64, rows)
-			for i := range vals {
-				vals[i] = int64(binary.LittleEndian.Uint64(raw[off+16+i*8:]))
+			vals := slices.Grow(b.int64s[i], rows)[:rows]
+			for j := range vals {
+				vals[j] = int64(binary.LittleEndian.Uint64(raw[off+16+j*8:]))
 			}
-			b.Int64s[c.Name] = vals
+			b.int64s[i] = vals
 			off += 16 + 8*rows
 		case TypeString:
 			if off+4 > len(raw) {
@@ -337,17 +362,25 @@ func (r *Reader) decodeGroup(raw []byte) (*Batch, error) {
 			}
 			total := int(binary.LittleEndian.Uint32(raw[off:]))
 			off += 4
-			end := off + total
-			vals := make([]string, 0, rows)
-			for i := 0; i < rows; i++ {
-				if off+2 > end {
+			if total > len(raw)-off || 2*rows > total {
+				return nil, fmt.Errorf("%w: short string chunk", ErrCorrupt)
+			}
+			chunk := raw[off : off+total]
+			all := string(chunk)
+			vals := slices.Grow(b.strings[i], rows)
+			for at := 0; len(vals) < rows; {
+				if at+2 > total {
 					return nil, fmt.Errorf("%w: short string", ErrCorrupt)
 				}
-				l := int(binary.LittleEndian.Uint16(raw[off:]))
-				vals = append(vals, string(raw[off+2:off+2+l]))
-				off += 2 + l
+				l := int(binary.LittleEndian.Uint16(chunk[at:]))
+				if at+2+l > total {
+					return nil, fmt.Errorf("%w: short string", ErrCorrupt)
+				}
+				vals = append(vals, all[at+2:at+2+l])
+				at += 2 + l
 			}
-			b.Strings[c.Name] = vals
+			b.strings[i] = vals
+			off += total
 		}
 	}
 	return b, nil
@@ -362,30 +395,32 @@ func (r *Reader) groupStats(g groupRef, colPos int) (mn, mx int64, ok bool, err 
 	if colPos != 0 {
 		return 0, 0, false, nil
 	}
-	buf, err := r.v.ReadAt(r.id, r.payloadOff+g.off, 20)
+	r.raw, err = r.v.ReadAtBuf(r.id, r.payloadOff+g.off, 20, r.raw)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	return int64(binary.LittleEndian.Uint64(buf[4:])), int64(binary.LittleEndian.Uint64(buf[12:])), true, nil
+	return int64(binary.LittleEndian.Uint64(r.raw[4:])), int64(binary.LittleEndian.Uint64(r.raw[12:])), true, nil
 }
 
-// ReadGroup fully decodes group i.
+// ReadGroup fully decodes group i into the reader's batch, valid until
+// the reader's next read.
 func (r *Reader) ReadGroup(i int) (*Batch, error) {
 	if i < 0 || i >= len(r.groups) {
 		return nil, fmt.Errorf("colfmt: group %d out of range", i)
 	}
 	g := r.groups[i]
-	raw, err := r.v.ReadAt(r.id, r.payloadOff+g.off, g.size)
+	var err error
+	r.raw, err = r.v.ReadAtBuf(r.id, r.payloadOff+g.off, g.size, r.raw)
 	if err != nil {
 		return nil, err
 	}
 	r.GroupsRead++
-	return r.decodeGroup(raw)
+	return r.decodeGroup(r.raw)
 }
 
 // ScanInt64 visits rows where lo <= col value <= hi, skipping row groups
 // whose statistics exclude the range (predicate pushdown). fn receives
-// the row's batch and index.
+// the row's batch, valid until fn returns, and the row's index in it.
 func (r *Reader) ScanInt64(col string, lo, hi int64, fn func(b *Batch, row int) bool) error {
 	pos, err := r.Schema.ColumnIndex(col)
 	if err != nil {
@@ -407,8 +442,7 @@ func (r *Reader) ScanInt64(col string, lo, hi int64, fn func(b *Batch, row int) 
 		if err != nil {
 			return err
 		}
-		vals := b.Int64s[col]
-		for row, v := range vals {
+		for row, v := range b.int64s[pos] {
 			if v >= lo && v <= hi {
 				if !fn(b, row) {
 					return nil

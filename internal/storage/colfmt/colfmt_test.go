@@ -1,7 +1,9 @@
 package colfmt
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hyperion/internal/nvme"
@@ -53,6 +55,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if r.Groups() != 8 { // ceil(1000/128)
 		t.Fatalf("groups = %d, want 8", r.Groups())
 	}
+	ts, _ := r.Schema.ColumnIndex("ts")
+	tag, _ := r.Schema.ColumnIndex("tag")
 	total := 0
 	for i := 0; i < r.Groups(); i++ {
 		b, err := r.ReadGroup(i)
@@ -61,11 +65,11 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		}
 		for row := 0; row < b.Rows(); row++ {
 			global := total + row
-			if b.Int64s["ts"][row] != int64(global) {
-				t.Fatalf("ts[%d] = %d", global, b.Int64s["ts"][row])
+			if b.Int64s(ts)[row] != int64(global) {
+				t.Fatalf("ts[%d] = %d", global, b.Int64s(ts)[row])
 			}
-			if b.Strings["tag"][row] != fmt.Sprintf("tag-%d", global%10) {
-				t.Fatalf("tag[%d] = %s", global, b.Strings["tag"][row])
+			if b.Strings(tag)[row] != fmt.Sprintf("tag-%d", global%10) {
+				t.Fatalf("tag[%d] = %s", global, b.Strings(tag)[row])
 			}
 		}
 		total += b.Rows()
@@ -94,9 +98,10 @@ func TestScanWithPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts, _ := r.Schema.ColumnIndex("ts")
 	var hits []int64
 	if err := r.ScanInt64("ts", 2500, 3499, func(b *Batch, row int) bool {
-		hits = append(hits, b.Int64s["ts"][row])
+		hits = append(hits, b.Int64s(ts)[row])
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -161,12 +166,18 @@ func TestScanErrors(t *testing.T) {
 }
 
 func TestAppendRowTypeMismatch(t *testing.T) {
-	b := NewBatch(demoSchema())
-	if err := b.AppendRow("wrong", int64(1), "x"); err == nil {
+	w := NewWriter(newView(t), demoSchema(), 4)
+	if err := w.Append(int64(1), "wrong", "x"); err == nil {
 		t.Fatal("type mismatch accepted")
 	}
-	if err := b.AppendRow(int64(1)); err == nil {
+	if err := w.Append(int64(1)); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+	if err := w.AppendInt64s(1, 2, 3); err == nil {
+		t.Fatal("AppendInt64s into a string column accepted")
+	}
+	if w.pending.Rows() != 0 {
+		t.Fatalf("a refused row left %d rows behind", w.pending.Rows())
 	}
 }
 
@@ -177,6 +188,41 @@ func TestOpenReaderRejectsGarbage(t *testing.T) {
 	_ = v.WriteAt(id, 0, []byte{1, 2, 3, 4})
 	if _, err := OpenReader(v, id); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestCorruptGroupIsErrCorrupt: a group whose row count or string
+// length runs past its chunk is refused, not sliced out of range.
+func TestCorruptGroupIsErrCorrupt(t *testing.T) {
+	for _, patch := range []struct {
+		off  int64
+		b    []byte
+		what string
+	}{
+		{0, []byte{0xe8, 0x03, 0, 0}, "1000 rows"},
+		{8, []byte{0xff, 0xff}, "a 64 KiB string"},
+	} {
+		v := newView(t)
+		w := NewWriter(v, Schema{Columns: []Column{{Name: "tag", Type: TypeString}}}, 4)
+		for _, s := range []string{"a", "bb", "ccc"} {
+			if err := w.Append(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id := seg.OID(700, 2)
+		if err := w.Close(id, true); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(v, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.WriteAt(id, r.payloadOff+patch.off, patch.b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadGroup(0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("group with %s: err = %v, want ErrCorrupt", patch.what, err)
+		}
 	}
 }
 
@@ -216,4 +262,37 @@ func BenchmarkScanPushdown(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkWriterAppendInt64s appends E12's two-column rows. A warm
+// writer appends a row into its reused group batch and encodes a full
+// group onto the table image: across eight groups it allocates at most
+// once per group (the image growing), so zero per row, and the benchmark
+// fails otherwise.
+func BenchmarkWriterAppendInt64s(b *testing.B) {
+	const perGroup = 4096
+	w := NewWriter(newView(b), Schema{Columns: []Column{
+		{Name: "ts", Type: TypeInt64},
+		{Name: "value", Type: TypeInt64},
+	}}, perGroup)
+	row := int64(0)
+	appendRows := func(n int) {
+		for ; n > 0; n-- {
+			if err := w.AppendInt64s(row, row%1000); err != nil {
+				b.Fatal(err)
+			}
+			row++
+		}
+	}
+	appendRows(perGroup) // the first group sizes the batch
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	appendRows(8 * perGroup)
+	runtime.ReadMemStats(&m1)
+	if allocs := m1.Mallocs - m0.Mallocs; allocs > 8 {
+		b.Fatalf("a warm writer allocated %d times over 8 groups, want at most one per group", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	appendRows(b.N)
 }

@@ -8,12 +8,15 @@ package trace
 
 import (
 	"encoding/binary"
-	"fmt"
+	"slices"
+	"strconv"
 
 	"hyperion/internal/sim"
 )
 
-// KVOp is one key-value operation.
+// KVOp is one key-value operation. Key and Value are lent by the
+// generator: valid until its next Next, so a consumer that keeps them
+// copies them.
 type KVOp struct {
 	Kind  byte // 'r' read, 'u' update, 'i' insert, 's' scan
 	Key   []byte
@@ -50,6 +53,8 @@ type KVGen struct {
 	zipf *sim.Zipf
 	mix  YCSBMix
 	keys uint64
+	key  []byte // the last op's key, lent to the caller
+	val  []byte // the last op's value, lent to the caller
 }
 
 // valueBytes is the size of every generated value.
@@ -62,18 +67,16 @@ func NewKVGen(seed uint64, n uint64, mix YCSBMix) *KVGen {
 	return &KVGen{r: r, zipf: sim.NewZipf(r, n, 0.99), mix: mix, keys: n}
 }
 
-// Key materializes key i in a fixed format: "user" and i in decimal,
-// zero-padded to twelve digits (wider when i needs more).
-func Key(i uint64) []byte {
-	if i >= 1e12 {
-		return []byte(fmt.Sprintf("user%012d", i))
+// AppendKey appends key i to dst in a fixed format: "user" and i in
+// decimal, zero-padded to twelve digits (wider when i needs more).
+func AppendKey(dst []byte, i uint64) []byte {
+	var d [20]byte
+	digits := strconv.AppendUint(d[:0], i, 10)
+	dst = append(dst, "user"...)
+	for n := len(digits); n < 12; n++ {
+		dst = append(dst, '0')
 	}
-	k := []byte("user000000000000")
-	for p := len(k) - 1; i > 0; p-- {
-		k[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return k
+	return append(dst, digits...)
 }
 
 // LoadKeys returns every key once (for the load phase).
@@ -85,17 +88,20 @@ func (g *KVGen) LoadKeys() []uint64 {
 	return out
 }
 
-// Value generates a deterministic value for a key.
-func (g *KVGen) Value(key uint64) []byte {
-	v := make([]byte, valueBytes)
+// AppendValue appends the deterministic value of a key to dst.
+func (g *KVGen) AppendValue(dst []byte, key uint64) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, valueBytes)[:at+valueBytes]
+	v := dst[at:]
 	binary.LittleEndian.PutUint64(v, key)
 	for i := 8; i < len(v); i++ {
 		v[i] = byte(key + uint64(i))
 	}
-	return v
+	return dst
 }
 
-// Next returns the next operation.
+// Next returns the next operation, its key and value in buffers the
+// generator reuses.
 func (g *KVGen) Next() KVOp {
 	k := g.zipf.Next()
 	var readPct int
@@ -107,10 +113,12 @@ func (g *KVGen) Next() KVOp {
 	case YCSBC:
 		readPct = 100
 	}
+	g.key = AppendKey(g.key[:0], k)
 	if g.r.Intn(100) < readPct {
-		return KVOp{Kind: 'r', Key: Key(k)}
+		return KVOp{Kind: 'r', Key: g.key}
 	}
-	return KVOp{Kind: 'u', Key: Key(k), Value: g.Value(k)}
+	g.val = g.AppendValue(g.val[:0], k)
+	return KVOp{Kind: 'u', Key: g.key, Value: g.val}
 }
 
 // Packet is one network packet for the middleware workloads.

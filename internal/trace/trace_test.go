@@ -38,35 +38,95 @@ func TestKVGenSkew(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		counts[string(g.Next().Key)]++
 	}
-	hot := counts[string(Key(0))]
+	hot := counts[string(AppendKey(nil, 0))]
 	if hot < 1000 {
 		t.Fatalf("hottest key only %d/50000 accesses; zipf broken", hot)
 	}
 }
 
-// TestKeyMatchesSprintf pins the hand-filled key to the format it
-// replaces, at every digit-count boundary and across the hand-off to
-// the Sprintf path at 10^12.
+// TestKeyMatchesSprintf pins the hand-filled key to its format at every
+// digit-count boundary and past twelve digits.
 func TestKeyMatchesSprintf(t *testing.T) {
 	is := []uint64{0, 1, 7, 1999, 2000, 1e12 - 1, 1e12, 1e12 + 1, 1e13, math.MaxUint64}
 	for p := uint64(10); p < 1e12; p *= 10 {
 		is = append(is, p-1, p, p+1)
 	}
+	buf := []byte("stale")
 	for _, i := range is {
-		if got, want := string(Key(i)), fmt.Sprintf("user%012d", i); got != want {
-			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		buf = AppendKey(buf[:0], i)
+		if got, want := string(buf), fmt.Sprintf("user%012d", i); got != want {
+			t.Errorf("AppendKey(%d) = %q, want %q", i, got, want)
 		}
 	}
-	if n := testing.AllocsPerRun(100, func() { Key(123456) }); n > 1 {
-		t.Errorf("Key allocated %v times, want at most 1", n)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendKey(buf[:0], math.MaxUint64) }); n != 0 {
+		t.Errorf("AppendKey into a warm buffer allocated %v times, want 0", n)
 	}
 }
 
 func TestValueDeterministic(t *testing.T) {
 	g := NewKVGen(3, 100, YCSBA)
-	a, b := g.Value(7), g.Value(7)
-	if string(a) != string(b) || len(a) != valueBytes {
+	a := g.AppendValue(nil, 7)
+	b := g.AppendValue([]byte("prefix"), 7)
+	if string(a) != string(b[len("prefix"):]) || len(a) != valueBytes {
 		t.Fatal("values not deterministic or wrong size")
+	}
+}
+
+// tapeKey and tapeValue are the key and value the generator made when
+// every op allocated its own; the tape test pins Next to them.
+func tapeKey(i uint64) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
+
+func tapeValue(key uint64) []byte {
+	v := make([]byte, valueBytes)
+	binary.LittleEndian.PutUint64(v, key)
+	for i := 8; i < len(v); i++ {
+		v[i] = byte(key + uint64(i))
+	}
+	return v
+}
+
+// TestKVGenTapeMatchesFreshBuffers replays 10 000 ops of each mix and
+// requires every lent key and value to equal the freshly made bytes of
+// the same draw, and AppendValue to agree with it in the load phase.
+func TestKVGenTapeMatchesFreshBuffers(t *testing.T) {
+	for _, mix := range []YCSBMix{YCSBA, YCSBB, YCSBC} {
+		g, ref := NewKVGen(9, 2000, mix), NewKVGen(9, 2000, mix)
+		for i := 0; i < 10000; i++ {
+			op := g.Next()
+			k := ref.zipf.Next()
+			read := ref.r.Intn(100) < map[YCSBMix]int{YCSBA: 50, YCSBB: 95, YCSBC: 100}[mix]
+			if want := tapeKey(k); string(op.Key) != string(want) {
+				t.Fatalf("%v op %d: key %q, want %q", mix, i, op.Key, want)
+			}
+			switch {
+			case read && (op.Kind != 'r' || op.Value != nil):
+				t.Fatalf("%v op %d: kind %c with %d value bytes, want a read", mix, i, op.Kind, len(op.Value))
+			case !read && (op.Kind != 'u' || string(op.Value) != string(tapeValue(k))):
+				t.Fatalf("%v op %d: kind %c, value differs from the update's", mix, i, op.Kind)
+			}
+		}
+	}
+	g := NewKVGen(3, 100, YCSBA)
+	var buf []byte
+	for _, k := range g.LoadKeys() {
+		if buf = g.AppendValue(buf[:0], k); string(buf) != string(tapeValue(k)) {
+			t.Fatalf("AppendValue(%d) differs", k)
+		}
+	}
+}
+
+// BenchmarkKVGenNext draws YCSB-A ops: half carry a value, and every key
+// and value lands in the generator's own buffers, so a warm generator
+// allocates nothing per op and the benchmark fails otherwise.
+func BenchmarkKVGenNext(b *testing.B) {
+	g := NewKVGen(1, 2000, YCSBA)
+	if n := testing.AllocsPerRun(1000, func() { g.Next() }); n != 0 {
+		b.Fatalf("Next allocated %v times per op, want 0", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Next()
 	}
 }
 

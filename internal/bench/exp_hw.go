@@ -307,7 +307,6 @@ func SegmentVsPage(seed uint64) Result {
 		scfg := seg.DefaultConfig()
 		scfg.DRAMBytes = 1 << 30
 		scfg.CheckpointEvery = 0
-		scfg.CacheEntries = 1024
 		st := seg.New(eng, scfg, []*nvme.Host{host})
 		for i := 0; i < ws; i++ {
 			if _, err := st.Alloc(seg.OID(1, uint64(i+1)), objBytes, true, seg.HintCold); err != nil {

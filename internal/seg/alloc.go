@@ -3,8 +3,6 @@ package seg
 import (
 	"slices"
 	"sort"
-
-	"hyperion/internal/sim"
 )
 
 // allocator is a first-fit free-list allocator over a linear space of
@@ -89,53 +87,4 @@ func (a *allocator) release(addr, n int64) {
 		a.holes[i-1].size += a.holes[i].size
 		a.holes = append(a.holes[:i], a.holes[i+1:]...)
 	}
-}
-
-// lruCache models the hardware segment-descriptor cache. It caches the
-// descriptor pointer, so a translation hit is one index probe (the
-// owner keeps it coherent by removing freed objects); get, put and
-// remove are O(1) with no steady-state allocation.
-type lruCache struct {
-	cap   int
-	idx   oidIndex
-	order sim.Recency[cacheEntry]
-}
-
-type cacheEntry struct {
-	key ObjectID
-	val *Segment
-}
-
-func newLRU(cap int) *lruCache { return &lruCache{cap: cap} }
-
-func (c *lruCache) get(id ObjectID) (*Segment, bool) {
-	i, ok := c.idx.get(id)
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveBack(i)
-	return c.order.At(i).val, true
-}
-
-func (c *lruCache) put(id ObjectID, sg *Segment) {
-	if i, ok := c.idx.get(id); ok {
-		c.order.At(i).val = sg
-		c.order.MoveBack(i)
-		return
-	}
-	if c.idx.n >= c.cap {
-		v := c.order.Front()
-		c.idx.del(c.order.At(v).key)
-		c.order.Remove(v)
-	}
-	c.idx.set(id, c.order.PushBack(cacheEntry{key: id, val: sg}))
-}
-
-func (c *lruCache) remove(id ObjectID) {
-	i, ok := c.idx.get(id)
-	if !ok {
-		return
-	}
-	c.idx.del(id)
-	c.order.Remove(i)
 }

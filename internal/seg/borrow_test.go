@@ -28,9 +28,10 @@ func newTwin(borrow bool, spill *[]byte) *twin {
 	}
 	cfg := DefaultConfig()
 	cfg.DRAMBytes = 24 << 20 // 384 pages of 64 KiB
-	cfg.CacheEntries = 4     // small enough that the tape evicts
 	cfg.CheckpointEvery = 0
-	tw := &twin{v: NewSyncView(New(eng, cfg, hosts)), spill: spill}
+	s := New(eng, cfg, hosts)
+	s.cacheCap = 4 // small enough that the tape evicts
+	tw := &twin{v: NewSyncView(s), spill: spill}
 	tw.read = tw.v.ReadAt
 	if borrow {
 		tw.read = func(id ObjectID, off, length int64) ([]byte, error) {
@@ -335,11 +336,9 @@ func TestEditMatchesWriteAt(t *testing.T) {
 		for _, h := range tw.v.s.devs {
 			blocks += h.Device().StoredBlocks()
 		}
-		for _, dir := range tw.v.s.dram.root {
-			for _, p := range dir {
-				if p != nil {
-					pages++
-				}
+		for i := uint64(0); i < uint64(tw.v.s.cfg.DRAMBytes>>dramPageBits); i++ {
+			if tw.v.s.dram.pages.Get(i) != nil {
+				pages++
 			}
 		}
 		return fmt.Sprintf("%s blocks=%d pages=%d", tw.observables(), blocks, pages)

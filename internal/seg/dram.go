@@ -1,60 +1,27 @@
 package seg
 
+import "hyperion/internal/sim"
+
 // dramBacking is the card DRAM's functional state: 64 KiB pages in a
-// two-level table shaped like nvme's blockTable, each page allocated by
-// the first write into it. A page never written has no buffer and reads
-// as zero, so a store sized to the card's 32 GiB costs only the pages
-// its objects have written. The DRAM allocator keeps every object of at
-// most one page inside a single page (allocator.page), so such an
-// object is always lent in place once written.
+// sim.Sparse, each page allocated by the first write into it. A page
+// never written has no buffer and reads as zero, so a store sized to
+// the card's 32 GiB costs only the pages its objects have written. The
+// DRAM allocator keeps every object of at most one page inside a single
+// page (allocator.page), so such an object is always lent in place once
+// written.
 const (
 	dramPageBits = 16 // 64 KiB pages
 	dramPageSize = int64(1) << dramPageBits
 	dramPageMask = dramPageSize - 1
-	dramDirBits  = 10 // 1024 pages (64 MiB) per directory
-	dramDirMask  = 1<<dramDirBits - 1
 )
 
-type (
-	dramPage [dramPageSize]byte
-	dramDir  [1 << dramDirBits]*dramPage
-)
+type dramPage [dramPageSize]byte
 
-type dramBacking struct {
-	root []*dramDir // one entry per directory, up to the highest written
-}
+type dramBacking struct{ pages sim.Sparse[dramPage] }
 
 // page returns the page holding addr, or nil for one never written.
 func (d *dramBacking) page(addr int64) *dramPage {
-	pi := addr >> dramPageBits
-	if r := pi >> dramDirBits; r < int64(len(d.root)) {
-		if dir := d.root[r]; dir != nil {
-			return dir[pi&dramDirMask]
-		}
-	}
-	return nil
-}
-
-// materialize returns the page holding addr, allocating a zeroed one —
-// and its directory — on first use.
-func (d *dramBacking) materialize(addr int64) *dramPage {
-	pi := addr >> dramPageBits
-	r := int(pi >> dramDirBits)
-	if r >= len(d.root) {
-		grown := make([]*dramDir, r+1)
-		copy(grown, d.root)
-		d.root = grown
-	}
-	dir := d.root[r]
-	if dir == nil {
-		dir = new(dramDir)
-		d.root[r] = dir
-	}
-	p := &dir[pi&dramDirMask]
-	if *p == nil {
-		*p = new(dramPage)
-	}
-	return *p
+	return d.pages.Get(uint64(addr >> dramPageBits))
 }
 
 // read copies len(dst) bytes starting at addr into dst, zero-filling
@@ -106,5 +73,5 @@ func (d *dramBacking) edit(addr, n int64) []byte {
 	if off+n > dramPageSize {
 		return nil
 	}
-	return d.materialize(addr)[off : off+n : off+n]
+	return d.pages.At(uint64(addr >> dramPageBits))[off : off+n : off+n]
 }

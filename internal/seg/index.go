@@ -2,14 +2,14 @@ package seg
 
 import "math/bits"
 
-// oidIndex maps ObjectIDs to lruCache node indexes: an open-addressed
+// oidIndex is the segment table: ObjectID → descriptor, an open-addressed
 // table with linear probing and backward-shift deletion (no tombstones,
 // so probe chains never outlive their keys), a power-of-two capacity
 // kept at load ≤ ½, grown lazily from empty. Object ids are
 // caller-chosen 128-bit values — kvssd, bptree, lsm, hfs and txn each
 // mint (prefix, counter), E6 draws them — so this stays a hash; it is a
-// multiply and a shift instead of aeshash and a swiss-map probe. Nothing
-// iterates it.
+// multiply and a shift instead of aeshash and a swiss-map probe. Only
+// Checkpoint iterates it, and sorts what it collects.
 type oidIndex struct {
 	slots []oidSlot // len is 0 or a power of two
 	n     int       // occupied slots
@@ -18,7 +18,7 @@ type oidIndex struct {
 
 type oidSlot struct {
 	key ObjectID
-	ref int32 // node index + 1; 0 marks an empty slot
+	sg  *Segment // nil marks an empty slot
 }
 
 const oidIndexMinSlots = 8
@@ -31,37 +31,35 @@ func (x *oidIndex) home(id ObjectID) int {
 	return int(((id.Hi*phi + id.Lo) * phi) >> x.shift)
 }
 
-func (x *oidIndex) get(id ObjectID) (int32, bool) {
+// get returns id's descriptor, or nil when id is not bound.
+func (x *oidIndex) get(id ObjectID) *Segment {
 	if x.n == 0 {
-		return 0, false
+		return nil
 	}
 	mask := len(x.slots) - 1
 	for i := x.home(id); ; i = (i + 1) & mask {
 		s := &x.slots[i]
-		if s.ref == 0 {
-			return 0, false
-		}
-		if s.key == id {
-			return s.ref - 1, true
+		if s.sg == nil || s.key == id {
+			return s.sg
 		}
 	}
 }
 
-// set binds id to node, replacing any earlier binding.
-func (x *oidIndex) set(id ObjectID, node int32) {
+// set binds id to sg, replacing any earlier binding.
+func (x *oidIndex) set(id ObjectID, sg *Segment) {
 	if 2*(x.n+1) > len(x.slots) {
 		x.grow()
 	}
 	mask := len(x.slots) - 1
 	for i := x.home(id); ; i = (i + 1) & mask {
 		s := &x.slots[i]
-		if s.ref == 0 {
-			*s = oidSlot{key: id, ref: node + 1}
+		if s.sg == nil {
+			*s = oidSlot{key: id, sg: sg}
 			x.n++
 			return
 		}
 		if s.key == id {
-			s.ref = node + 1
+			s.sg = sg
 			return
 		}
 	}
@@ -76,13 +74,13 @@ func (x *oidIndex) del(id ObjectID) {
 	}
 	mask := len(x.slots) - 1
 	i := x.home(id)
-	for x.slots[i].key != id || x.slots[i].ref == 0 {
-		if x.slots[i].ref == 0 {
+	for x.slots[i].key != id || x.slots[i].sg == nil {
+		if x.slots[i].sg == nil {
 			return // end of the run: id is not bound
 		}
 		i = (i + 1) & mask
 	}
-	for j := (i + 1) & mask; x.slots[j].ref != 0; j = (j + 1) & mask {
+	for j := (i + 1) & mask; x.slots[j].sg != nil; j = (j + 1) & mask {
 		// Distances are cyclic: slot j's entry may fill the hole at i
 		// only if its home is at or before i on the way to j.
 		if (j-x.home(x.slots[j].key))&mask >= (j-i)&mask {
@@ -101,8 +99,8 @@ func (x *oidIndex) grow() {
 	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	x.n = 0
 	for _, s := range old {
-		if s.ref != 0 {
-			x.set(s.key, s.ref-1)
+		if s.sg != nil {
+			x.set(s.key, s.sg)
 		}
 	}
 }

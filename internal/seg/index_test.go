@@ -34,20 +34,22 @@ func indexTestKeys(r *sim.Rand) []ObjectID {
 }
 
 // TestOIDIndexMatchesMap drives the index and a Go map through the same
-// random tape and compares every key of the pool after every step.
+// random tape, binding keys to descriptors drawn from a pool, and
+// compares every key of the pool after every step.
 func TestOIDIndexMatchesMap(t *testing.T) {
 	r := sim.NewRand(19)
 	keys := indexTestKeys(r)
+	descs := make([]Segment, 97)
 	var x oidIndex
-	ref := make(map[ObjectID]int)
+	ref := make(map[ObjectID]*Segment)
 	wrapped := false
 	for step := 0; step < 120_000; step++ {
 		id := keys[r.Intn(len(keys))]
 		switch op := r.Intn(8); {
 		case op < 4:
-			v := r.Intn(1 << 20)
-			x.set(id, int32(v))
-			ref[id] = v
+			sg := &descs[r.Intn(len(descs))]
+			x.set(id, sg)
+			ref[id] = sg
 		case op < 7:
 			x.del(id)
 			delete(ref, id)
@@ -64,13 +66,11 @@ func TestOIDIndexMatchesMap(t *testing.T) {
 			t.Fatalf("step %d: len %d, map has %d", step, x.n, len(ref))
 		}
 		for _, k := range keys {
-			got, ok := x.get(k)
-			want, wok := ref[k]
-			if ok != wok || int(got) != want {
-				t.Fatalf("step %d: get(%v) = %d,%v, map says %d,%v", step, k, got, ok, want, wok)
+			if got, want := x.get(k), ref[k]; got != want {
+				t.Fatalf("step %d: get(%v) = %p, map says %p", step, k, got, want)
 			}
 		}
-		if n := len(x.slots); n > 0 && x.slots[n-1].ref != 0 && x.slots[0].ref != 0 {
+		if n := len(x.slots); n > 0 && x.slots[n-1].sg != nil && x.slots[0].sg != nil {
 			wrapped = true
 		}
 		if 2*x.n > len(x.slots) {

@@ -98,8 +98,8 @@ func TestRecoverRejectsForeignGeometry(t *testing.T) {
 	if !errors.Is(err, ErrBadTable) || n != 0 {
 		t.Fatalf("recover on one SSD: n=%d err=%v, want ErrBadTable", n, err)
 	}
-	if len(s1.table) != 0 || freeBlocks(s1) != free {
-		t.Fatalf("rejected table left %d segments, %d of %d blocks free", len(s1.table), freeBlocks(s1), free)
+	if s1.Len() != 0 || freeBlocks(s1) != free {
+		t.Fatalf("rejected table left %d segments, %d of %d blocks free", s1.Len(), freeBlocks(s1), free)
 	}
 	// The same image is fine on the geometry that wrote it.
 	if n, err := r.store(2).Recover(); err != nil || n != 4 {
@@ -199,14 +199,14 @@ func FuzzRecover(f *testing.F) {
 			if !errors.Is(err, ErrBadTable) {
 				t.Fatalf("untyped error: %v", err)
 			}
-			if n != 0 || len(s.table) != 0 || freeBlocks(s) != free {
+			if n != 0 || s.Len() != 0 || freeBlocks(s) != free {
 				t.Fatalf("rejected table (%v) left n=%d, %d segments, %d of %d blocks free",
-					err, n, len(s.table), freeBlocks(s), free)
+					err, n, s.Len(), freeBlocks(s), free)
 			}
 			return
 		}
-		if n != len(s.table) {
-			t.Fatalf("recovered n=%d, table holds %d", n, len(s.table))
+		if n != s.Len() {
+			t.Fatalf("recovered n=%d, table holds %d", n, s.Len())
 		}
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package seg
 
 import (
 	"bytes"
+	"container/list"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -209,46 +210,124 @@ func TestFreeReusesSpace(t *testing.T) {
 	}
 }
 
-func TestLookupCache(t *testing.T) {
-	_, s := newStore(t, 1)
-	id := OID(5, 1)
-	_, _ = s.Alloc(id, 4096, false, HintHot)
-	_, d1, err := s.Lookup(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 == 0 {
-		t.Fatal("first lookup should miss the descriptor cache")
-	}
-	_, d2, err := s.Lookup(id)
-	if err != nil || d2 != 0 {
-		t.Fatalf("second lookup should hit: cost %v err %v", d2, err)
-	}
-	if s.CacheHits != 1 || s.Lookups != 2 {
-		t.Fatalf("hits=%d lookups=%d", s.CacheHits, s.Lookups)
-	}
-}
-
-func TestLookupCacheEviction(t *testing.T) {
+// TestLookupMatchesReference drives a store and a reference — a Go map
+// of live descriptors and a container/list LRU of the cached ids — with
+// one seeded tape of Alloc, Free and Lookup steps over a small id pool,
+// the cache cut to four entries so it evicts, plus now and then a
+// Checkpoint and a Recover into a fresh store over the same device.
+// After every step the cost, the error, the descriptor, CacheHits,
+// Lookups and Len must agree. The tape frees cached descriptors and
+// allocates their ids again.
+func TestLookupMatchesReference(t *testing.T) {
+	const capacity = 4
 	eng := sim.NewEngine(1)
-	cfg := nvme.DefaultConfig("nvme")
-	cfg.Blocks = 1 << 18
-	host := nvme.NewHost(nvme.New(eng, cfg), nil)
+	ncfg := nvme.DefaultConfig("nvme")
+	ncfg.Blocks = 1 << 16
+	dev := nvme.New(eng, ncfg)
 	scfg := DefaultConfig()
-	scfg.DRAMBytes = 16 << 20
-	scfg.CacheEntries = 4
-	s := New(eng, scfg, []*nvme.Host{host})
-	for i := 0; i < 8; i++ {
-		_, _ = s.Alloc(OID(6, uint64(i+1)), 512, false, HintHot)
+	scfg.DRAMBytes = 1 << 20
+	scfg.TableBlocks = 2
+	scfg.CheckpointEvery = 0
+	open := func() *Store {
+		s := New(eng, scfg, []*nvme.Host{nvme.NewHost(dev, nil)})
+		s.cacheCap = capacity
+		return s
 	}
-	for i := 0; i < 8; i++ {
-		_, _, _ = s.Lookup(OID(6, uint64(i+1)))
+	s := open()
+	live := make(map[ObjectID]*Segment)
+	lru := list.New() // front = least recently used
+	cached := make(map[ObjectID]*list.Element)
+	freedCached := make(map[ObjectID]bool)
+	var lookups, hits int64
+	var evicted, reallocated, reboots int
+	r := sim.NewRand(23)
+	for step := 0; step < 30_000; step++ {
+		id := OID(7, uint64(r.Intn(12)+1))
+		var got, want *Segment
+		var cost, wantCost sim.Duration
+		var err, wantErr error
+		switch op := r.Intn(40); {
+		case op < 9:
+			got, err = s.Alloc(id, int64(r.Intn(3*4096)+1), r.Intn(2) == 0, HintAuto)
+			if live[id] != nil {
+				got, wantErr = nil, ErrExists
+				break
+			}
+			live[id], want = got, got
+			if freedCached[id] {
+				delete(freedCached, id)
+				reallocated++
+			}
+		case op < 15:
+			err = s.Free(id)
+			if live[id] == nil {
+				wantErr = ErrNotFound
+				break
+			}
+			delete(live, id)
+			if e := cached[id]; e != nil {
+				lru.Remove(e)
+				delete(cached, id)
+				freedCached[id] = true
+			}
+		case op < 39:
+			got, cost, err = s.Lookup(id)
+			want = live[id]
+			lookups++
+			if e := cached[id]; e != nil {
+				hits++
+				lru.MoveToBack(e)
+				break
+			}
+			wantCost = dramLatency
+			if want == nil {
+				wantErr = ErrNotFound
+				break
+			}
+			if lru.Len() == capacity {
+				delete(cached, lru.Remove(lru.Front()).(ObjectID))
+				evicted++
+			}
+			cached[id] = lru.PushBack(id)
+		default:
+			if err = s.Checkpoint(); err != nil {
+				break
+			}
+			s = open()
+			var n int
+			if n, err = s.Recover(); err != nil {
+				break
+			}
+			for k, sg := range live {
+				if sg.Loc != LocNVMe {
+					delete(live, k)
+				} else if live[k], err = s.Stat(k); err != nil {
+					break
+				}
+			}
+			if n != len(live) {
+				t.Fatalf("step %d: recovered %d segments, want %d", step, n, len(live))
+			}
+			lru.Init()
+			clear(cached)
+			clear(freedCached)
+			lookups, hits = 0, 0
+			reboots++
+		}
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("step %d: %v: err %v, want %v", step, id, err, wantErr)
+		}
+		if cost != wantCost || got != want {
+			t.Fatalf("step %d: %v: cost %v descriptor %p, want %v %p", step, id, cost, got, wantCost, want)
+		}
+		if s.CacheHits != hits || s.Lookups != lookups || s.Len() != len(live) {
+			t.Fatalf("step %d: hits=%d lookups=%d len=%d, want %d %d %d",
+				step, s.CacheHits, s.Lookups, s.Len(), hits, lookups, len(live))
+		}
 	}
-	// All 8 were misses (cache holds 4), so re-looking-up the first
-	// must miss again.
-	_, d, _ := s.Lookup(OID(6, 1))
-	if d == 0 {
-		t.Fatal("expected eviction miss")
+	if evicted == 0 || reallocated == 0 || reboots == 0 {
+		t.Fatalf("tape lost its purpose: %d evictions, %d reallocations of a freed cached id, %d reboots",
+			evicted, reallocated, reboots)
 	}
 }
 
@@ -476,6 +555,44 @@ func BenchmarkLookupCached(b *testing.B) {
 	one()
 	if a := testing.AllocsPerRun(200, one); a != 0 {
 		b.Fatalf("cached lookup allocates %v objects/op, want 0", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		one()
+	}
+}
+
+// BenchmarkLookupEvict cycles through twice as many live segments as
+// the descriptor cache holds, so every lookup misses and evicts the
+// least recently used descriptor; a miss, like a hit, allocates
+// nothing.
+func BenchmarkLookupEvict(b *testing.B) {
+	eng := sim.NewEngine(1)
+	cfg := nvme.DefaultConfig("nvme")
+	cfg.Blocks = 1 << 18
+	host := nvme.NewHost(nvme.New(eng, cfg), nil)
+	scfg := DefaultConfig()
+	scfg.DRAMBytes = 16 << 20
+	s := New(eng, scfg, []*nvme.Host{host})
+	const live = 2 * cacheEntries
+	for i := uint64(1); i <= live; i++ {
+		if _, err := s.Alloc(OID(1, i), 512, false, HintHot); err != nil {
+			b.Fatal(err)
+		}
+	}
+	next := uint64(0)
+	one := func() {
+		next = next%live + 1
+		if _, c, err := s.Lookup(OID(1, next)); err != nil || c == 0 {
+			b.Fatalf("lookup %d: cost %v err %v, want a miss", next, c, err)
+		}
+	}
+	for i := 0; i < live; i++ {
+		one()
+	}
+	if a := testing.AllocsPerRun(200, one); a != 0 {
+		b.Fatalf("evicting lookup allocates %v objects/op, want 0", a)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

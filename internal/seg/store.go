@@ -51,7 +51,7 @@ var (
 	ErrBadTable  = errors.New("seg: corrupt segment table")
 )
 
-// Segment is one table entry.
+// Segment is one table entry: a segment descriptor.
 type Segment struct {
 	ID      ObjectID
 	Size    int64
@@ -60,6 +60,9 @@ type Segment struct {
 	// Addr is the bus address: DRAM byte offset or NVMe byte offset
 	// (device*devStride + lba*blockSize) depending on Loc.
 	Addr int64
+	// cached is the descriptor's node in the descriptor cache's recency
+	// order, 0 while it is not cached.
+	cached int32
 }
 
 // Config shapes the store.
@@ -68,27 +71,24 @@ type Config struct {
 	// TableBlocks reserves this many blocks at LBA 0 of device 0 for
 	// segment-table checkpoints.
 	TableBlocks int64
-	// CacheEntries sizes the segment-descriptor cache (the hardware
-	// translation structure); 0 disables caching so every translation
-	// pays a DRAM access.
-	CacheEntries int
 	// CheckpointEvery persists the table after this many mutations.
 	CheckpointEvery int
 }
 
-// The card's DRAM.
+// The card's DRAM and its segment-descriptor cache (the hardware
+// translation structure).
 const (
 	dramLatency     = 100 * sim.Nanosecond // fixed per-access latency
 	dramBytesPerSec = 38_000_000_000       // streaming bandwidth
+	cacheEntries    = 1024
 )
 
 // DefaultConfig matches the Hyperion card: 32 GiB DRAM, 1024 table
-// blocks, 1024-entry descriptor cache.
+// blocks.
 func DefaultConfig() Config {
 	return Config{
 		DRAMBytes:       32 << 30,
 		TableBlocks:     1024,
-		CacheEntries:    1024,
 		CheckpointEvery: 256,
 	}
 }
@@ -103,13 +103,19 @@ type Store struct {
 	blockShift uint
 	blockMask  int64
 
-	table  map[ObjectID]*Segment
+	table  oidIndex
+	descs  sim.FreeList[Segment] // the descriptors' slab; never Put
 	dram   dramBacking
 	dramAl *allocator
 	nvmeAl []*allocator // per device, in blocks
-	cache  *lruCache
 	dirty  int
 	rrNext int
+
+	// The descriptor cache threads cached descriptors, front = least
+	// recently used; it holds at most cacheCap of them.
+	cache    sim.Recency[*Segment]
+	cacheLen int
+	cacheCap int
 
 	rec *telemetry.Recorder
 
@@ -144,8 +150,8 @@ func New(_ *sim.Engine, cfg Config, devs []*nvme.Host) *Store {
 		blockSize:  bs,
 		blockShift: uint(bits.TrailingZeros(uint(bs))),
 		blockMask:  int64(bs - 1),
-		table:      make(map[ObjectID]*Segment),
 		dramAl:     newAllocator(cfg.DRAMBytes, dramPageSize),
+		cacheCap:   cacheEntries,
 	}
 	for i, d := range devs {
 		if d.BlockSize() != bs {
@@ -160,9 +166,6 @@ func New(_ *sim.Engine, cfg Config, devs []*nvme.Host) *Store {
 		al.base = reserve
 		s.nvmeAl = append(s.nvmeAl, al)
 	}
-	if cfg.CacheEntries > 0 {
-		s.cache = newLRU(cfg.CacheEntries)
-	}
 	return s
 }
 
@@ -174,7 +177,7 @@ func (s *Store) Alloc(id ObjectID, size int64, durable bool, hint Hint) (*Segmen
 	if size <= 0 {
 		return nil, fmt.Errorf("seg: non-positive size %d", size)
 	}
-	if _, ok := s.table[id]; ok {
+	if s.table.get(id) != nil {
 		return nil, fmt.Errorf("%w: %v", ErrExists, id)
 	}
 	loc := LocNVMe
@@ -193,10 +196,10 @@ func (s *Store) Alloc(id ObjectID, size int64, durable bool, hint Hint) (*Segmen
 	if durable && loc == LocDRAM {
 		return nil, fmt.Errorf("%w: durable segments must be on NVMe", ErrEphemeral)
 	}
-	sg := &Segment{ID: id, Size: size, Loc: loc, Durable: durable}
+	var addr int64
 	var err error
 	if loc == LocDRAM {
-		sg.Addr, err = s.dramAl.alloc(size)
+		addr, err = s.dramAl.alloc(size)
 		if err != nil && hint == HintAuto {
 			// Spill ephemeral segments to NVMe when DRAM is full.
 			loc = LocNVMe
@@ -205,14 +208,15 @@ func (s *Store) Alloc(id ObjectID, size int64, durable bool, hint Hint) (*Segmen
 		}
 	}
 	if loc == LocNVMe {
-		sg.Loc = LocNVMe
 		dev, lba, aerr := s.allocNVMe(size)
 		if aerr != nil {
 			return nil, aerr
 		}
-		sg.Addr = int64(dev)*devStride + lba*int64(s.blockSize)
+		addr = int64(dev)*devStride + lba*int64(s.blockSize)
 	}
-	s.table[id] = sg
+	sg, _ := s.descs.Get()
+	*sg = Segment{ID: id, Size: size, Loc: loc, Durable: durable, Addr: addr}
+	s.table.set(id, sg)
 	s.mutated()
 	return sg, nil
 }
@@ -231,10 +235,11 @@ func (s *Store) allocNVMe(size int64) (int, int64, error) {
 	return 0, 0, ErrNoSpace
 }
 
-// Free releases a segment.
+// Free releases a segment. Its descriptor is not reused: a caller may
+// still hold it, and its fields stay as they were.
 func (s *Store) Free(id ObjectID) error {
-	sg, ok := s.table[id]
-	if !ok {
+	sg := s.table.get(id)
+	if sg == nil {
 		return fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
 	if sg.Loc == LocDRAM {
@@ -244,9 +249,11 @@ func (s *Store) Free(id ObjectID) error {
 		blocks := (sg.Size + int64(s.blockSize) - 1) / int64(s.blockSize)
 		s.nvmeAl[dev].release(lba, blocks)
 	}
-	delete(s.table, id)
-	if s.cache != nil {
-		s.cache.remove(id)
+	s.table.del(id)
+	if sg.cached != 0 {
+		s.cache.Remove(sg.cached)
+		sg.cached = 0
+		s.cacheLen--
 	}
 	s.mutated()
 	return nil
@@ -263,45 +270,48 @@ func (s *Store) split(addr int64) (dev int, lba int64) {
 // one DRAM access to the in-memory table.
 func (s *Store) Lookup(id ObjectID) (*Segment, sim.Duration, error) {
 	s.Lookups++
-	// The cache stores the descriptor pointer itself, so a hit resolves
-	// in one index probe; Free removes entries, and table pointers are
-	// stable for an object's lifetime, so a cached pointer never dangles.
-	if s.cache != nil {
-		if sg, ok := s.cache.get(id); ok {
-			s.CacheHits++
-			if s.rec != nil {
-				s.rec.Observe("seg", "lookup", 0)
-				s.rec.Count("seg", "cache_hits", 1)
-			}
-			return sg, 0, nil
+	// Whether a descriptor is cached is a field of the descriptor, so a
+	// hit and a miss both resolve in one index probe.
+	sg := s.table.get(id)
+	if sg != nil && sg.cached != 0 {
+		s.cache.MoveBack(sg.cached)
+		s.CacheHits++
+		if s.rec != nil {
+			s.rec.Observe("seg", "lookup", 0)
+			s.rec.Count("seg", "cache_hits", 1)
 		}
+		return sg, 0, nil
 	}
 	// Every remaining path pays one DRAM access to walk the table.
 	if s.rec != nil {
 		s.rec.Observe("seg", "lookup", dramLatency)
 	}
-	sg, ok := s.table[id]
-	if !ok {
+	if sg == nil {
 		return nil, dramLatency, fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	if s.cache != nil {
-		s.cache.put(id, sg)
+	if s.cacheLen == s.cacheCap {
+		victim := s.cache.Front()
+		(*s.cache.At(victim)).cached = 0
+		s.cache.Remove(victim)
+	} else {
+		s.cacheLen++
 	}
+	sg.cached = s.cache.PushBack(sg)
 	return sg, dramLatency, nil
 }
 
 // Stat returns the segment entry without charging translation cost
 // (control-plane use).
 func (s *Store) Stat(id ObjectID) (*Segment, error) {
-	sg, ok := s.table[id]
-	if !ok {
+	sg := s.table.get(id)
+	if sg == nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
 	return sg, nil
 }
 
 // Len returns the number of live segments.
-func (s *Store) Len() int { return len(s.table) }
+func (s *Store) Len() int { return s.table.n }
 
 func (s *Store) dramTime(length int64) sim.Duration {
 	return dramLatency + sim.Duration(float64(length)/float64(dramBytesPerSec)*float64(sim.Second))

@@ -25,14 +25,19 @@ const entryBytes = 40
 // checkpoints).
 func (s *Store) Checkpoint() error {
 	s.dirty = 0
-	durable := make([]*Segment, 0, len(s.table))
-	for _, sg := range s.table {
-		if sg.Loc == LocNVMe {
-			durable = append(durable, sg)
+	durable := make([]*Segment, 0, s.table.n)
+	for _, sl := range s.table.slots {
+		if sl.sg != nil && sl.sg.Loc == LocNVMe {
+			durable = append(durable, sl.sg)
 		}
 	}
-	// Deterministic order for reproducible images.
-	sortSegments(durable)
+	// Deterministic order for reproducible images; ids are unique.
+	slices.SortFunc(durable, func(a, b *Segment) int {
+		if a.ID.Less(b.ID) {
+			return -1
+		}
+		return 1
+	})
 
 	bs := s.blockSize
 	need := 16 + len(durable)*entryBytes
@@ -64,14 +69,6 @@ func encodeTable(segs []*Segment, bs int) []byte {
 	return buf
 }
 
-func sortSegments(ss []*Segment) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j].ID.Less(ss[j-1].ID); j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
-}
-
 // Recover rebuilds a store's table from the control area of device 0,
 // synchronously, and returns how many segments it installed. It must
 // be called on a freshly-constructed store. NVMe allocators are
@@ -88,7 +85,7 @@ func (s *Store) Recover() (int, error) {
 	}
 	s.nvmeAl = als
 	for _, sg := range segs {
-		s.table[sg.ID] = sg
+		s.table.set(sg.ID, sg)
 	}
 	return len(segs), nil
 }

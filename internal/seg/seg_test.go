@@ -210,6 +210,49 @@ func TestFreeReusesSpace(t *testing.T) {
 	}
 }
 
+func TestLookupCache(t *testing.T) {
+	_, s := newStore(t, 1)
+	id := OID(5, 1)
+	_, _ = s.Alloc(id, 4096, false, HintHot)
+	_, d1, err := s.Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1 == 0 {
+		t.Fatal("first lookup should miss the descriptor cache")
+	}
+	_, d2, err := s.Lookup(id)
+	if err != nil || d2 != 0 {
+		t.Fatalf("second lookup should hit: cost %v err %v", d2, err)
+	}
+	if s.CacheHits != 1 || s.Lookups != 2 {
+		t.Fatalf("hits=%d lookups=%d", s.CacheHits, s.Lookups)
+	}
+}
+
+func TestLookupCacheEviction(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := nvme.DefaultConfig("nvme")
+	cfg.Blocks = 1 << 18
+	host := nvme.NewHost(nvme.New(eng, cfg), nil)
+	scfg := DefaultConfig()
+	scfg.DRAMBytes = 16 << 20
+	s := New(eng, scfg, []*nvme.Host{host})
+	s.cacheCap = 4
+	for i := 0; i < 8; i++ {
+		_, _ = s.Alloc(OID(6, uint64(i+1)), 512, false, HintHot)
+	}
+	for i := 0; i < 8; i++ {
+		_, _, _ = s.Lookup(OID(6, uint64(i+1)))
+	}
+	// All 8 were misses (cache holds 4), so re-looking-up the first
+	// must miss again.
+	_, d, _ := s.Lookup(OID(6, 1))
+	if d == 0 {
+		t.Fatal("expected eviction miss")
+	}
+}
+
 // TestLookupMatchesReference drives a store and a reference — a Go map
 // of live descriptors and a container/list LRU of the cached ids — with
 // one seeded tape of Alloc, Free and Lookup steps over a small id pool,

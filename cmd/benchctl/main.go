@@ -39,6 +39,14 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	var sweep []int
+	if *sweepSpec != "" {
+		if len(args) != 1 || args[0] != "all" {
+			fmt.Fprintln(os.Stderr, "benchctl: -shardsweep runs only with 'all'")
+			os.Exit(2)
+		}
+		sweep = shardCounts(*sweepSpec)
+	}
 	if *tracePath != "" {
 		st, err := os.Stat(*tracePath)
 		if err != nil || !st.IsDir() {
@@ -55,8 +63,8 @@ func main() {
 		for _, o := range bench.RunAll(*shards) {
 			fmt.Println(o.Result.String())
 		}
-		if *sweepSpec != "" {
-			runShardSweep(*sweepSpec)
+		if sweep != nil {
+			runShardSweep(sweep)
 		}
 		if *tracePath != "" {
 			for _, e := range bench.All() {
@@ -84,13 +92,9 @@ func main() {
 	}
 }
 
-// runShardSweep reruns E17 at each requested shard count and prints
-// the scaling table. Two events/sec figures are printed: wall (what
-// this host delivered — flat when the host has fewer cores than
-// shards) and busy (events over the busiest shard's execution time —
-// the kernel's critical path, which wall converges to given one core
-// per shard).
-func runShardSweep(spec string) {
+// shardCounts parses -shardsweep's comma-separated shard counts, or
+// exits 2 on a bad one.
+func shardCounts(spec string) []int {
 	var counts []int
 	for _, f := range strings.Split(spec, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -100,6 +104,15 @@ func runShardSweep(spec string) {
 		}
 		counts = append(counts, n)
 	}
+	return counts
+}
+
+// runShardSweep reruns E17 at each shard count and prints the scaling
+// table. Two events/sec figures are printed: wall (what this host
+// delivered — flat when the host has fewer cores than shards) and busy
+// (events over the busiest shard's execution time — the kernel's
+// critical path, which wall converges to given one core per shard).
+func runShardSweep(counts []int) {
 	pts := bench.RackSweep(bench.DefaultSeed, counts)
 	fmt.Printf("E17 shard sweep (host: %d CPUs):\n", runtime.NumCPU())
 	fmt.Printf("  %6s %9s %8s %9s %12s %8s %12s %8s\n",

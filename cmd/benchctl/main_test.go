@@ -71,6 +71,8 @@ func TestExitCodes(t *testing.T) {
 		{"unknown experiment", []string{"no-such-experiment"}, 1, "unknown experiment"},
 		{"list includes chaos", []string{"list"}, 0, "E16"},
 		{"single experiment", []string{"table1"}, 0, "== E1"},
+		{"shardsweep without all", []string{"-shardsweep", "1,2", "rack"}, 2, "-shardsweep runs only with 'all'"},
+		{"shardsweep bad count", []string{"-shardsweep", "0", "all"}, 2, "bad shard count"},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

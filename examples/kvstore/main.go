@@ -104,5 +104,5 @@ func main() {
 		eng.Run()
 	}
 	fmt.Printf("ycsb-b over the wire: %s\n", lat.Summary())
-	fmt.Printf("misses=%d puts=%d gets=%d collisions=%d\n", misses, kv.Puts, kv.Gets, kv.Collisions)
+	fmt.Printf("misses=%d puts=%d gets=%d\n", misses, kv.Puts, kv.Gets)
 }

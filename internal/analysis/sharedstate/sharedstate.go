@@ -1,5 +1,5 @@
 // Package sharedstate enforces the static precondition for sharding
-// sim.Engine across cores (ROADMAP's rack-scale PDES item): model-layer
+// sim.Engine across cores (DESIGN §9): model-layer
 // packages must not carry package-level mutable state, and must not
 // park engine or event handles in package scope.
 //

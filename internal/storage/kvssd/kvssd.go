@@ -49,18 +49,14 @@ func (b Backend) String() string {
 	return "lsm"
 }
 
-// Log chunk geometry: 16-bit chunk index, offset within chunk, and
-// record length packed into the index's uint64 value.
-const (
-	deletedSlot = ^uint64(0) // probe-chain preserving tombstone
-	maxProbes   = 64
-)
+// deletedSlot marks a deleted key's slot: the index has no delete.
+const deletedSlot = ^uint64(0)
 
 // Errors.
 var (
 	ErrKeyTooLarge = errors.New("kvssd: key too large")
 	ErrValTooLarge = errors.New("kvssd: value too large")
-	ErrFull        = errors.New("kvssd: probe chain exhausted")
+	ErrCollision   = errors.New("kvssd: another key holds the key's hash")
 	ErrCorrupt     = errors.New("kvssd: corrupt record")
 )
 
@@ -84,7 +80,7 @@ type KV struct {
 	recBuf []byte
 	spill  []byte
 
-	Puts, Gets, Deletes, Collisions int64
+	Puts, Gets int64
 }
 
 const metaMagic = 0x4b565331 // "KVS1"
@@ -160,6 +156,8 @@ func hash(key []byte) uint64 {
 	return h
 }
 
+// pack puts a record's chunk index, offset within the chunk and length
+// into one index value.
 func pack(chunk int, off int64, recLen int) uint64 {
 	return uint64(chunk)<<44 | uint64(off)<<20 | uint64(recLen)
 }
@@ -206,7 +204,22 @@ func (kv *KV) readRecord(ref uint64) (key, val []byte, err error) {
 	return buf[6 : 6+kl], buf[6+kl : 6+kl+vl], nil
 }
 
-// Put inserts or replaces key → val.
+// lookup reads key's one index slot, hash(key). k and v are the key and
+// value of the record the slot holds, borrowed as from readRecord; k is
+// nil when the slot is empty or a tombstone.
+func (kv *KV) lookup(key []byte) (slot uint64, k, v []byte, err error) {
+	slot = hash(key)
+	ref, ok, err := kv.idx.Get(slot)
+	if err != nil || !ok || ref == deletedSlot {
+		return slot, nil, nil, err
+	}
+	k, v, err = kv.readRecord(ref)
+	return slot, k, v, err
+}
+
+// Put inserts or replaces key → val. It claims key's slot when the slot
+// is empty, a tombstone or key's own; when another key holds it, Put
+// returns ErrCollision and stores nothing.
 func (kv *KV) Put(key, val []byte) error {
 	if len(key) == 0 || len(key) > maxKeyLen {
 		return ErrKeyTooLarge
@@ -215,31 +228,18 @@ func (kv *KV) Put(key, val []byte) error {
 		return ErrValTooLarge
 	}
 	kv.Puts++
-	h := hash(key)
-	for i := uint64(0); i < maxProbes; i++ {
-		slot := h + i
-		ref, ok, err := kv.idx.Get(slot)
-		if err != nil {
-			return err
-		}
-		if ok && ref != deletedSlot {
-			k, _, err := kv.readRecord(ref)
-			if err != nil {
-				return err
-			}
-			if !bytes.Equal(k, key) {
-				kv.Collisions++
-				continue // occupied by a colliding key
-			}
-		}
-		// Empty, deleted, or same key: claim this slot.
-		newRef, err := kv.appendRecord(key, val)
-		if err != nil {
-			return err
-		}
-		return kv.idx.Put(slot, newRef)
+	slot, k, _, err := kv.lookup(key)
+	if err != nil {
+		return err
 	}
-	return ErrFull
+	if k != nil && !bytes.Equal(k, key) {
+		return ErrCollision
+	}
+	ref, err := kv.appendRecord(key, val)
+	if err != nil {
+		return err
+	}
+	return kv.idx.Put(slot, ref)
 }
 
 // Get returns a fresh copy of the value for key.
@@ -253,57 +253,20 @@ func (kv *KV) Get(key []byte) ([]byte, bool, error) {
 // error, dst comes back unchanged.
 func (kv *KV) GetAppend(dst, key []byte) ([]byte, bool, error) {
 	kv.Gets++
-	h := hash(key)
-	for i := uint64(0); i < maxProbes; i++ {
-		slot := h + i
-		ref, ok, err := kv.idx.Get(slot)
-		if err != nil {
-			return dst, false, err
-		}
-		if !ok {
-			return dst, false, nil // end of probe chain
-		}
-		if ref == deletedSlot {
-			continue
-		}
-		k, v, err := kv.readRecord(ref)
-		if err != nil {
-			return dst, false, err
-		}
-		if bytes.Equal(k, key) {
-			return append(dst, v...), true, nil
-		}
-		kv.Collisions++
+	_, k, v, err := kv.lookup(key)
+	if err != nil || k == nil || !bytes.Equal(k, key) {
+		return dst, false, err
 	}
-	return dst, false, nil
+	return append(dst, v...), true, nil
 }
 
-// Delete removes key, reporting whether it was present. The index slot
-// keeps a marker so longer probe chains stay intact.
+// Delete removes key, reporting whether it was present.
 func (kv *KV) Delete(key []byte) (bool, error) {
-	kv.Deletes++
-	h := hash(key)
-	for i := uint64(0); i < maxProbes; i++ {
-		slot := h + i
-		ref, ok, err := kv.idx.Get(slot)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-		if ref == deletedSlot {
-			continue
-		}
-		k, _, err := kv.readRecord(ref)
-		if err != nil {
-			return false, err
-		}
-		if bytes.Equal(k, key) {
-			return true, kv.idx.Put(slot, deletedSlot)
-		}
+	slot, k, _, err := kv.lookup(key)
+	if err != nil || k == nil || !bytes.Equal(k, key) {
+		return false, err
 	}
-	return false, nil
+	return true, kv.idx.Put(slot, deletedSlot)
 }
 
 // Backend returns which index backs this store.

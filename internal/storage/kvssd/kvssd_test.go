@@ -229,6 +229,84 @@ func TestPropertyMatchesModel(t *testing.T) {
 	}
 }
 
+// TestCollisionIsRefused builds the one state a 64-bit hash makes
+// unlikely: key K's slot, hash(K), points at another key J's record.
+// Put(K) must refuse with ErrCollision and leave J's record in place,
+// and K reads as absent.
+func TestCollisionIsRefused(t *testing.T) {
+	for _, be := range backends() {
+		t.Run(be.String(), func(t *testing.T) {
+			kv, err := Create(newView(t), seg.OID(300, 0), be, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, k := []byte("key-J"), []byte("key-K")
+			ref, err := kv.appendRecord(j, []byte("J's value"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.idx.Put(hash(k), ref); err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.Put(k, []byte("K's value")); !errors.Is(err, ErrCollision) {
+				t.Fatalf("Put(K) = %v, want ErrCollision", err)
+			}
+			if got, ok, err := kv.idx.Get(hash(k)); err != nil || !ok || got != ref {
+				t.Fatalf("K's slot = %#x,%v,%v, want J's record %#x", got, ok, err, ref)
+			}
+			if gk, gv, err := kv.readRecord(ref); err != nil || string(gk) != "key-J" || string(gv) != "J's value" {
+				t.Fatalf("J's record = %q,%q,%v", gk, gv, err)
+			}
+			if v, ok, err := kv.Get(k); err != nil || ok {
+				t.Fatalf("Get(K) = %q,%v,%v, want not found", v, ok, err)
+			}
+			if ok, err := kv.Delete(k); err != nil || ok {
+				t.Fatalf("Delete(K) = %v,%v, want false", ok, err)
+			}
+		})
+	}
+}
+
+// TestDeletedKeyStaysDeleted plants what a probe chain left after "Put
+// A; Put B, pushed to hash(B)+1 by A; Delete A": a tombstone in
+// hash(B)'s slot and B's record one slot on. A chain claimed the
+// tombstone for the next Put of B, and after a Delete of B its Get
+// walked past the new tombstone to the stale record. B lives in its own
+// slot only, so once deleted it stays deleted.
+func TestDeletedKeyStaysDeleted(t *testing.T) {
+	for _, be := range backends() {
+		t.Run(be.String(), func(t *testing.T) {
+			kv, err := Create(newView(t), seg.OID(300, 0), be, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := []byte("key-B")
+			stale, err := kv.appendRecord(b, []byte("v1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.idx.Put(hash(b), deletedSlot); err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.idx.Put(hash(b)+1, stale); err != nil {
+				t.Fatal(err)
+			}
+			if err := kv.Put(b, []byte("v2")); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok, err := kv.Get(b); err != nil || !ok || string(v) != "v2" {
+				t.Fatalf("Get(B) = %q,%v,%v, want v2", v, ok, err)
+			}
+			if ok, err := kv.Delete(b); err != nil || !ok {
+				t.Fatalf("Delete(B) = %v,%v, want true", ok, err)
+			}
+			if v, ok, err := kv.Get(b); err != nil || ok {
+				t.Fatalf("Get(B) after Delete = %q,%v,%v, want not found", v, ok, err)
+			}
+		})
+	}
+}
+
 func TestCostDiffersBetweenBackends(t *testing.T) {
 	// Not a strict ordering test — just that both backends charge
 	// plausible, non-zero device time.

@@ -14,6 +14,7 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -298,31 +299,64 @@ func changesEntries(text string) []string {
 // "DESIGN.md §12", with an optional quoted heading title after it.
 var designCite = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+)(?: "([^"]+)")?`)
 
-// TestDocCitationsResolve keeps section citations of DESIGN.md live:
-// every DESIGN §N in non-test Go, ci.yml and the docs TestDocsCiteLiveNames
-// checks must name a "## N." heading of DESIGN.md, and a quoted title
-// after it must name that heading or one of its subheadings, in full or
-// up to the heading's first ": ".
+// roadmapCite matches a citation of a ROADMAP item by number, "ROADMAP
+// item 6", or by one or two words of its title, "ROADMAP power-cut item"
+// or "ROADMAP's power-cut item". "The ROADMAP item that decides it"
+// names no item and is no citation.
+var roadmapCite = regexp.MustCompile(`ROADMAP(?:\.md|'s)? (?:item (\d+)\b|([\w-]+(?: [\w-]+)?) item\b)`)
+
+// citable is what a citation may name: DESIGN.md's sections, each with
+// the titles it answers to, and ROADMAP.md's items by number, each with
+// its title.
+type citable struct {
+	sections map[string][]string
+	items    map[string]string
+}
+
+// TestDocCitationsResolve keeps citations of DESIGN.md and ROADMAP.md
+// live. The non-test Go, ci.yml, the docs TestDocsCiteLiveNames checks
+// and the reasons of reachAllow and knobAllow are read. A DESIGN §N
+// must name a "## N." heading of DESIGN.md, and a quoted title after it
+// must name that heading or one of its subheadings, in full or up to
+// the heading's first ": ". A ROADMAP item N must name a "### N."
+// heading of ROADMAP.md, and a ROADMAP <name> item one whose title
+// contains the name.
 func TestDocCitationsResolve(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sections := designSections(string(design))
+	roadmap, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := citable{designSections(string(design)), roadmapItems(string(roadmap))}
+	designCited, roadmapCited := 0, 0
+	check := func(name, text string) {
+		designCited += len(designCite.FindAllString(joinLines(text), -1))
+		roadmapCited += len(roadmapCite.FindAllString(joinLines(text), -1))
+		for _, bad := range badCitations(c, name, text) {
+			t.Error(bad)
+		}
+	}
 	files := append([]string{".github/workflows/ci.yml", "DESIGN.md", "README.md", "EXPERIMENTS.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"}, goFiles(t, false)...)
-	cited := 0
 	for _, f := range files {
 		text, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cited += len(designCite.FindAllString(joinLines(string(text)), -1))
-		for _, bad := range badCitations(sections, f, string(text)) {
-			t.Error(bad)
+		check(f, string(text))
+	}
+	for _, allow := range []struct {
+		name    string
+		entries map[string]string
+	}{{"reachAllow", reachAllow}, {"knobAllow", knobAllow}} {
+		for key, reason := range allow.entries {
+			check(fmt.Sprintf("%s[%q]", allow.name, key), reason)
 		}
 	}
-	if cited == 0 {
-		t.Error("no DESIGN citation found: the gate reads nothing")
+	if designCited == 0 || roadmapCited == 0 {
+		t.Errorf("%d DESIGN and %d ROADMAP citations found: the gate reads nothing", designCited, roadmapCited)
 	}
 }
 
@@ -351,19 +385,50 @@ func designSections(text string) map[string][]string {
 	return sections
 }
 
-// badCitations returns a finding for every DESIGN citation in text,
-// read from file name, that names no section, or a title no heading of
-// that section has. A citation may wrap: line breaks and the comment
-// markers that start the next line read as one space.
-func badCitations(sections map[string][]string, name, text string) []string {
+// roadmapItems maps the number of each "### N. Title" heading of
+// ROADMAP.md to its title.
+func roadmapItems(text string) map[string]string {
+	items := make(map[string]string)
+	for _, line := range strings.Split(text, "\n") {
+		if h, ok := strings.CutPrefix(line, "### "); ok {
+			num, title, found := strings.Cut(h, ". ")
+			if _, err := strconv.Atoi(num); found && err == nil {
+				items[num] = title
+			}
+		}
+	}
+	return items
+}
+
+// badCitations returns a finding for every citation in text, read from
+// name, that names no DESIGN section, a title no heading of that section
+// has, or no ROADMAP item. A citation may wrap: line breaks and the
+// comment markers that start the next line read as one space.
+func badCitations(c citable, name, text string) []string {
 	var bad []string
-	for _, m := range designCite.FindAllStringSubmatch(joinLines(text), -1) {
-		titles, ok := sections[m[1]]
+	text = joinLines(text)
+	for _, m := range designCite.FindAllStringSubmatch(text, -1) {
+		titles, ok := c.sections[m[1]]
 		switch {
 		case !ok:
 			bad = append(bad, fmt.Sprintf("%s cites %s: DESIGN.md has no section %s", name, m[0], m[1]))
 		case m[2] != "" && !slices.Contains(titles, m[2]):
 			bad = append(bad, fmt.Sprintf("%s cites %s: section %s has no heading %q", name, m[0], m[1], m[2]))
+		}
+	}
+	for _, m := range roadmapCite.FindAllStringSubmatch(text, -1) {
+		if m[1] != "" {
+			if _, ok := c.items[m[1]]; !ok {
+				bad = append(bad, fmt.Sprintf("%s cites %s: ROADMAP.md has no item %s", name, m[0], m[1]))
+			}
+			continue
+		}
+		named := false
+		for _, title := range c.items {
+			named = named || strings.Contains(title, m[2])
+		}
+		if !named {
+			bad = append(bad, fmt.Sprintf("%s cites %s: no ROADMAP.md item's title contains %q", name, m[0], m[2]))
 		}
 	}
 	return bad
@@ -390,18 +455,27 @@ func TestDocGateRules(t *testing.T) {
 		t.Errorf("budget findings within budget = %q", got)
 	}
 
-	sections := designSections("# D\n\n## 3. Kernel\n\n### Lanes\n\n## 4. Wire\n### Buffers: pooled\n")
-	pass := "x.go cites (DESIGN §3\n\t// \"Lanes\"), DESIGN.md §4 and DESIGN §4 \"Buffers\"."
-	if got := badCitations(sections, "x.go", pass); len(got) != 0 {
+	c := citable{
+		designSections("# D\n\n## 3. Kernel\n\n### Lanes\n\n## 4. Wire\n### Buffers: pooled\n"),
+		roadmapItems("# R\n\n## Open items\n\n### 1. Pull the plug: power-cut slice 1\n\n### 6. hyperbench follows the tree\n\n### Settled\n"),
+	}
+	if len(c.items) != 2 {
+		t.Errorf("items = %q, want items 1 and 6 only", c.items)
+	}
+	pass := "x.go cites (DESIGN §3\n\t// \"Lanes\"), DESIGN.md §4 and DESIGN §4 \"Buffers\"; ROADMAP item 6, the ROADMAP\n\t// power-cut item, ROADMAP's hyperbench item and the ROADMAP item that decides it."
+	if got := badCitations(c, "x.go", pass); len(got) != 0 {
 		t.Errorf("findings on live citations = %q", got)
 	}
-	fail := `DESIGN §4 "Lanes", DESIGN §9, DESIGN §4 "Buff" and DESIGN.md §3 "Kernel"`
+	fail := `DESIGN §4 "Lanes", DESIGN §9, DESIGN §4 "Buff" and DESIGN.md §3 "Kernel"; ROADMAP item 9, ROADMAP's rack-scale PDES item and ROADMAP Settled item`
 	want := []string{
 		`y.md cites DESIGN §4 "Lanes": section 4 has no heading "Lanes"`,
 		`y.md cites DESIGN §9: DESIGN.md has no section 9`,
 		`y.md cites DESIGN §4 "Buff": section 4 has no heading "Buff"`,
+		`y.md cites ROADMAP item 9: ROADMAP.md has no item 9`,
+		`y.md cites ROADMAP's rack-scale PDES item: no ROADMAP.md item's title contains "rack-scale PDES"`,
+		`y.md cites ROADMAP Settled item: no ROADMAP.md item's title contains "Settled"`,
 	}
-	if got := badCitations(sections, "y.md", fail); strings.Join(got, "\n") != strings.Join(want, "\n") {
+	if got := badCitations(c, "y.md", fail); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings = %q, want %q", got, want)
 	}
 }
